@@ -19,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import telemetry
@@ -26,7 +27,10 @@ from ..core.order_preserving import OrderPreservingScheme
 from ..core.scheme import ShareRow, TableSharing
 from ..core.secrets import ClientSecrets, generate_client_secrets
 from ..errors import (
+    IntegrityError,
     QueryError,
+    QuorumError,
+    ReconstructionError,
     SchemaError,
     UnsupportedQueryError,
 )
@@ -34,8 +38,12 @@ from ..providers.cluster import ProviderCluster
 from ..sim.costmodel import CostRecorder
 from ..sim.rng import DeterministicRNG
 from ..sqlengine.catalog import Catalog
-from ..sqlengine.executor import compute_aggregate
-from ..sqlengine.expression import Predicate
+from ..sqlengine.executor import (
+    PlaintextExecutor,
+    compute_aggregate,
+    compute_group_aggregate,
+)
+from ..sqlengine.expression import Predicate, TruePredicate
 from ..sqlengine.query import (
     Aggregate,
     AggregateFunc,
@@ -46,16 +54,17 @@ from ..sqlengine.query import (
     Update,
     resolve_assignments,
 )
-from ..sqlengine.schema import ColumnType, TableSchema
+from ..sqlengine.schema import ColumnType, TableSchema, python_value_sort_key
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
 from .reconstruct import (
+    _presence_majority,
+    align_by_row_id,
     consistent_scalar,
     reconstruct_rows,
     reconstruct_rows_checked,
     reconstruct_single_rows,
     rows_from_responses,
-    align_by_row_id,
 )
 from .rewriter import (
     RewrittenPredicate,
@@ -84,6 +93,30 @@ MUTATING_RPCS = frozenset(
         "txn_abort",
     }
 )
+
+#: The closed set of read modes (see "the read pipeline" in
+#: :class:`DataSource`): who a read round asks and how cells are decoded.
+#: Internal — the public knobs stay ``verified_reads``/``read_redundancy``
+#: and the choice of ``select*`` entry point.
+_QUORUM, _ROBUST, _AUDITED, _CHECKED = "quorum", "robust", "audited", "checked"
+
+#: Request fields of a read that wants every column of every matching row.
+_FULL_ROWS: Dict[str, object] = {"projection": None}
+
+
+@dataclass(frozen=True)
+class _SelectPlan:
+    """How one SELECT executes (built by :meth:`DataSource._plan_select`)."""
+
+    mode: str
+    sharing: TableSharing
+    #: the WHERE clause bound to the schema, and its share-space rewrite
+    predicate: Predicate
+    rewritten: RewrittenPredicate
+    #: the aggregate (or grouped aggregate) runs at the providers
+    can_push: bool
+    #: ``select`` request fields, including any pushed ORDER BY / LIMIT
+    fields: Dict[str, object]
 
 
 class DataSource:
@@ -177,8 +210,8 @@ class DataSource:
         #: by the service layer, consulted by :meth:`_rewrite`
         self.plan_cache: Optional[object] = None
         #: epoch-keyed reconstructed-row cache (:mod:`repro.client.rowcache`);
-        #: consulted only by the plain read path — verified and robust reads
-        #: always go to the wire
+        #: consulted only by plain :meth:`select` — every other read mode
+        #: and entry point always goes to the wire
         self.row_cache = RowCache()
         self._row_id_lock = threading.Lock()
         # thread-local guard proving a mutating RPC came through _mutate
@@ -274,14 +307,9 @@ class DataSource:
         sharing = TableSharing(
             schema, self.secrets, self.threshold, self._rng, self._op_registry
         )
-        searchable = [c.name for c in schema.columns if c.searchable]
         self._broadcast(
             "create_table",
-            lambda i: {
-                "table": schema.name,
-                "columns": schema.column_names,
-                "searchable": searchable,
-            },
+            lambda i: _create_request(schema.name, schema),
             provider_indexes=self.cluster.write_targets(),
         )
         self._sharings[schema.name] = sharing
@@ -621,31 +649,17 @@ class DataSource:
                 "share addition would corrupt its deterministic shares — "
                 "use update() instead"
             )
-        from ..sqlengine.schema import ColumnType
-
         if column_schema.ctype is not ColumnType.INTEGER:
             raise QueryError(
                 f"increment() supports INTEGER columns; {column} is "
                 f"{column_schema.ctype.value}"
             )
-        bound = where.bind(sharing.schema)
-        rewritten = self._rewrite(bound, sharing)
-        if rewritten.provably_empty:
-            return 0
-        if rewritten.has_residual:
+        row_ids = self._fetch_matching_ids(table_name, where)
+        if row_ids is None:
             raise UnsupportedQueryError(
                 "increment() requires a fully provider-pushable predicate; "
                 "this one needs client-side filtering — use update()"
             )
-        # fetch matching row ids only (empty projection: no share payload)
-        responses = self._select_rpc(table_name, rewritten, projection=[])
-        from .reconstruct import align_by_row_id, rows_from_responses
-
-        aligned = align_by_row_id(rows_from_responses(responses))
-        row_ids = [
-            rid for rid, per_provider in aligned.items()
-            if len(per_provider) >= self.threshold
-        ]
         if not row_ids:
             return 0
         delta_shares = self.prepare_increment_shares(
@@ -706,8 +720,6 @@ class DataSource:
         )
         counts = {response["incremented"] for response in responses.values()}
         if len(counts) != 1:
-            from ..errors import IntegrityError
-
             raise IntegrityError(
                 f"providers disagree on incremented row count: {sorted(counts)}"
             )
@@ -752,19 +764,7 @@ class DataSource:
         ]
         if not random_columns:
             return 0
-        responses = self._broadcast(
-            "select",
-            lambda i: {"table": table_name, "conditions": [], "projection": []},
-            minimum=self.threshold,
-            provider_indexes=self.cluster.read_quorum(),
-            quorum="first_k",
-            failover=self.failover,
-        )
-        aligned = align_by_row_id(rows_from_responses(responses))
-        row_ids = [
-            rid for rid, per_provider in aligned.items()
-            if len(per_provider) >= self.threshold
-        ]
+        row_ids = self._fetch_matching_ids(table_name, TruePredicate())
         if not row_ids:
             return 0
         increments_per_provider: List[List] = [
@@ -800,71 +800,46 @@ class DataSource:
         After a provider recovers from a crash its copy is stale (writes it
         missed never reach it).  Resync reads every row through the current
         quorum, reconstructs plaintext at the client, draws *fresh* shares,
-        and rewrites the table at **all** live providers — shares must be
-        regenerated together because mixing polynomial generations across
-        providers breaks reconstruction.  Returns the row count.
+        and rewrites the table at **all** live providers.  Returns the row
+        count.
+        """
+        count = self._reshare_table(
+            table_name, self._read_rows(table_name, _QUORUM, method="scan")
+        )
+        if not count:
+            # no rows survived, but the table was dropped and recreated —
+            # cached plans and rows are dead regardless
+            self.bump_table_epoch(table_name)
+        return count
+
+    def _reshare_table(
+        self, table_name: str, rows: List[Tuple[int, Row]]
+    ) -> int:
+        """Drop, recreate and refill a table with fresh shares of ``rows``
+        at every live provider (resync and secret rotation).
+
+        Shares must be regenerated together because mixing polynomial
+        generations across providers breaks reconstruction.
         """
         sharing = self.sharing(table_name)
-        quorum = self.cluster.read_quorum()
-        responses = self._broadcast(
-            "scan",
-            lambda i: {"table": table_name, "projection": None},
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        from .reconstruct import align_by_row_id, rows_from_responses
-
-        aligned = align_by_row_id(rows_from_responses(responses))
-        plaintext: List[Tuple[int, Row]] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue
-            plaintext.append((row_id, sharing.reconstruct_row(share_rows)))
-            self.cost.record("interpolate", len(sharing.schema.columns))
-        targets = self.cluster.write_targets()
-        searchable = [c.name for c in sharing.schema.columns if c.searchable]
         # drop (where present) and recreate at every live provider
-        for index in targets:
+        for index in self.cluster.write_targets():
             provider = self.cluster.providers[index]
             if provider.store.has_table(self.physical_name(table_name)):
                 self._call_one(index, "drop_table", {"table": table_name})
             self._call_one(
-                index,
-                "create_table",
-                {
-                    "table": table_name,
-                    "columns": sharing.schema.column_names,
-                    "searchable": searchable,
-                },
+                index, "create_table", _create_request(table_name, sharing.schema)
             )
         prepared = [
-            (row_id, sharing.share_row(row)) for row_id, row in plaintext
+            (row_id, sharing.share_row(row)) for row_id, row in rows
         ]
         self.cost.record(
             "poly_eval",
             len(prepared) * len(sharing.schema.columns) * self.cluster.n_providers,
         )
-        if prepared:
-            self._mutate(
-                table_name,
-                "insert_many",
-                lambda i: {
-                    "table": table_name,
-                    "rows": [[rid, shares[i]] for rid, shares in prepared],
-                },
-                provider_indexes=targets,
-            )
-        else:
-            # no rows survived, but the table was dropped and recreated —
-            # cached plans and rows are dead regardless
-            self.bump_table_epoch(table_name)
         if self.audit is not None:
             self.audit.on_resync(table_name)
-            for rid, shares in prepared:
-                for index in targets:
-                    self.audit.on_insert(table_name, index, rid, shares[index])
+        self.apply_insert_shares(table_name, prepared)
         return len(prepared)
 
     # ------------------------------------------------- share-row migration --
@@ -880,30 +855,20 @@ class DataSource:
         reconstructed here.  ``extra`` requests redundant shares beyond k
         so a tampering quorum member can be blamed by the rebuild.
         """
-        self.sharing(table_name)
-        responses = self._broadcast(
-            "scan",
-            lambda i: {"table": table_name, "projection": None},
-            minimum=self.threshold,
-            provider_indexes=self.cluster.read_quorum(extra=extra),
-            quorum="first_k",
-            failover=self.failover,
+        return self._read_shares(
+            table_name,
+            method="scan",
+            targets=self.cluster.read_quorum(extra=extra),
         )
-        return align_by_row_id(rows_from_responses(responses))
 
     def create_staging_table(self, table_name: str, staging: str) -> None:
         """Create an empty staging copy of a table's layout at every live
         provider.  Staging tables are provider-side only — the client
         never registers a sharing for them, so queries cannot see them."""
-        sharing = self.sharing(table_name)
-        searchable = [c.name for c in sharing.schema.columns if c.searchable]
+        schema = self.sharing(table_name).schema
         self._broadcast(
             "create_table",
-            lambda i: {
-                "table": staging,
-                "columns": sharing.schema.column_names,
-                "searchable": searchable,
-            },
+            lambda i: _create_request(staging, schema),
             provider_indexes=self.cluster.write_targets(),
         )
 
@@ -984,23 +949,36 @@ class DataSource:
     def _fetch_matching_rows(
         self, query: Union[Update, Delete]
     ) -> List[Tuple[int, Row]]:
-        """Row ids + plaintext of rows matching a write query's predicate."""
+        """Row ids + plaintext of rows matching a write query's predicate
+        (anything with a ``table`` and a ``where`` serves as the query)."""
         sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
+        rewritten = self._rewrite(query.where.bind(sharing.schema), sharing)
+        return self._read_rows(query.table, _QUORUM, rewritten)
+
+    def _fetch_matching_ids(
+        self, table_name: str, where: Predicate
+    ) -> Optional[List[int]]:
+        """Row ids matching a fully provider-pushable predicate.
+
+        The id-only sibling of :meth:`_fetch_matching_rows` (empty
+        projection: no share payload travels, nothing is reconstructed),
+        used by the in-place share-delta writes.  Returns ``None`` when
+        the predicate leaves a client residual — ids alone cannot be
+        filtered at the client, so the caller must fetch rows instead.
+        """
+        sharing = self.sharing(table_name)
+        rewritten = self._rewrite(where.bind(sharing.schema), sharing)
         if rewritten.provably_empty:
             return []
-        responses = self._select_rpc(query.table, rewritten, projection=None)
-        aligned = align_by_row_id(rows_from_responses(responses))
-        matches: List[Tuple[int, Row]] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue
-            row = sharing.reconstruct_row(share_rows)
-            self.cost.record("interpolate", len(row))
-            if rewritten.residual.matches(row):
-                matches.append((row_id, row))
-        return matches
+        if rewritten.has_residual:
+            return None
+        aligned = self._read_shares(
+            table_name, rewritten, fields={"projection": []}
+        )
+        return [
+            row_id for row_id, per_provider in aligned.items()
+            if len(per_provider) >= self.threshold
+        ]
 
     # ---------------------------------------------------------------- reads --
 
@@ -1014,149 +992,184 @@ class DataSource:
             return result
 
     def _select(self, query: Select) -> Union[List[Row], object]:
-        sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if self.verified_reads:
-            return self._select_checked(sharing, query, rewritten)
-        if query.is_grouped:
-            return self._select_grouped(sharing, query, rewritten)
+        mode = _CHECKED if self.verified_reads else _QUORUM
         if query.is_aggregate:
-            return self._select_aggregate(sharing, query, rewritten)
-        if rewritten.provably_empty:
-            return []
-        for name in query.columns:
-            sharing.schema.column(name)
-        order_column = None
-        if query.order_by is not None:
-            order_column = sharing.schema.column(query.order_by)
-        # LIMIT can be pushed to the providers only when the client will
-        # not filter afterwards (a residual could strip pushed-down rows
-        # below the requested count)
-        push_limit = query.limit if not rewritten.has_residual else None
-        push_order = (
-            query.order_by
-            if query.order_by is not None and sharing.is_searchable(query.order_by)
-            else None
-        )
-        if push_order is None and query.order_by is not None:
-            push_limit = None  # cannot truncate before the client can sort
+            return self._select_aggregate(query, self._plan_select(query, mode))
+        if mode != _QUORUM:
+            return [row for _, row in self._select_rows(query, mode)]
+        plan = self._plan_select(query, mode)
         # query-level replay: an identical SELECT in the same epoch serves
         # the full rows straight from the row cache — zero provider RPCs.
         # The signature covers everything that determines the *row set*
         # (predicate + pushed-down order/limit); client-side sort, limit,
-        # and projection run identically on replayed rows below.
+        # and projection run identically on replayed rows below.  Only
+        # this entry point replays: verified and robust reads exist to
+        # re-examine what the providers actually return.
         epoch = self.table_epoch(query.table)
         signature = (
-            "select",
-            repr(predicate),
-            push_order,
-            query.descending if push_order is not None else False,
-            push_limit,
+            "select", repr(plan.predicate), tuple(plan.fields.items())
         )
         rows = self.row_cache.lookup_query(query.table, signature, epoch)
-        if rows is None:
-            responses = self._select_rpc(
+        if rows is not None:
+            # replayed rows carry no ids, and nothing below needs them
+            pairs = [(None, row) for row in rows]
+        else:
+            pairs = self._read_rows(
                 query.table,
-                rewritten,
-                projection=None,
-                order_by=push_order,
-                descending=query.descending,
-                limit=push_limit,
-            )
-            emitted: List[Tuple[int, Row]] = []
-            rows = reconstruct_rows(
-                sharing,
-                responses,
-                residual=rewritten.residual,
-                cost=self.cost,
-                row_cache=self.row_cache,
+                plan.mode,
+                plan.rewritten,
+                fields=plan.fields,
                 cache_epoch=epoch,
-                emitted=emitted,
             )
-            self.row_cache.store_query(query.table, signature, epoch, emitted)
-        if query.order_by is not None:
-            from ..sqlengine.schema import python_value_sort_key
+            self.row_cache.store_query(query.table, signature, epoch, pairs)
+        return [row for _, row in self._finish(query, plan, pairs)]
 
-            rows.sort(
-                key=lambda r: python_value_sort_key(
-                    order_column, r.get(query.order_by)
+    def _plan_select(self, query: Select, mode: str) -> _SelectPlan:
+        """Validate a SELECT and decide, once, what it pushes down.
+
+        Shared by execution and :meth:`explain`, so the two cannot
+        disagree.  Only the quorum and audited modes push anything:
+        robust and checked reads cross-check whole row sets across
+        redundant providers, and a top-k prefix or a partial aggregate
+        from a lying provider carries no blame — those modes fetch every
+        matching row and finish at the client.
+        """
+        sharing = self.sharing(query.table)
+        schema = sharing.schema
+        predicate = query.where.bind(schema)
+        rewritten = self._rewrite(predicate, sharing)
+        pushes = mode in (_QUORUM, _AUDITED) and not rewritten.provably_empty
+        can_push = False
+        fields = dict(_FULL_ROWS)
+        if query.is_aggregate:
+            func, column = query.aggregate.func, query.aggregate.column
+            if query.is_grouped:
+                schema.column(query.group_by)
+            if (
+                column is not None
+                and not schema.column(column).is_numeric()
+                and func in (AggregateFunc.SUM, AggregateFunc.AVG)
+            ):
+                raise QueryError(
+                    f"{func.value.upper()}({column}) requires a numeric column"
+                )
+            order_based = func in (
+                AggregateFunc.MIN, AggregateFunc.MAX, AggregateFunc.MEDIAN,
+            )
+            # provider-side partials need the full predicate pushed down
+            # (a client-side residual forces a fetch), deterministic
+            # shares to group on, and share order to nominate the
+            # MIN/MAX/MEDIAN row
+            can_push = (
+                pushes
+                and not rewritten.has_residual
+                and (not query.is_grouped or sharing.is_searchable(query.group_by))
+                and (not order_based or sharing.is_searchable(column))
+            )
+        else:
+            for name in query.columns:
+                schema.column(name)
+            sorted_at_providers = False
+            if query.order_by is not None:
+                schema.column(query.order_by)
+                sorted_at_providers = pushes and sharing.is_searchable(
+                    query.order_by
+                )
+            if sorted_at_providers:
+                fields["order_by"] = query.order_by
+                fields["descending"] = query.descending
+            # LIMIT can be pushed to the providers only when the client
+            # will not filter afterwards (a residual could strip
+            # pushed-down rows below the requested count) and does not
+            # have to sort first (cannot truncate before the sort)
+            if (
+                pushes
+                and query.limit is not None
+                and not rewritten.has_residual
+                and (query.order_by is None or sorted_at_providers)
+            ):
+                fields["limit"] = query.limit
+        return _SelectPlan(mode, sharing, predicate, rewritten, can_push, fields)
+
+    def _select_rows(self, query: Select, mode: str) -> List[Tuple[int, Row]]:
+        """Plan a row query, fetch its matches in ``mode``, finish them."""
+        plan = self._plan_select(query, mode)
+        pairs = self._read_rows(
+            query.table, mode, plan.rewritten, fields=plan.fields
+        )
+        return self._finish(query, plan, pairs)
+
+    def _finish(
+        self,
+        query: Select,
+        plan: _SelectPlan,
+        pairs: List[Tuple[int, Row]],
+    ) -> List[Tuple[int, Row]]:
+        """Client-side ORDER BY, LIMIT and projection of ``(row_id, row)``
+        pairs — the one copy, so every row-returning entry point honours
+        them identically.  (Providers' pushed-down order is lost when rows
+        are aligned by id, so the sort always runs here.)"""
+        if query.order_by is not None:
+            order_column = plan.sharing.schema.column(query.order_by)
+            pairs.sort(
+                key=lambda pair: python_value_sort_key(
+                    order_column, pair[1].get(query.order_by)
                 ),
                 reverse=query.descending,
             )
         if query.limit is not None:
-            rows = rows[: query.limit]
+            pairs = pairs[: query.limit]
         if query.columns:
-            rows = [{name: row[name] for name in query.columns} for row in rows]
-        return rows
+            pairs = [
+                (row_id, {name: row[name] for name in query.columns})
+                for row_id, row in pairs
+            ]
+        return pairs
 
-    def _select_grouped(
-        self,
-        sharing: TableSharing,
-        query: Select,
-        rewritten: RewrittenPredicate,
-    ) -> List[Row]:
-        """GROUP BY aggregation (extension: provider-side grouped partials).
+    def _select_aggregate(self, query: Select, plan: _SelectPlan):
+        """Aggregates and GROUP BY (extension: provider-side partials).
 
-        Providers group by the deterministic share of the group column and
-        return per-group partials in plaintext group order, so the quorum's
-        group lists align positionally; the client reconstructs each group
-        key from its shares and combines partials exactly like the
-        ungrouped path.
+        When the plan allows, providers aggregate in share space and the
+        client combines the quorum's partials.  For GROUP BY they group
+        by the deterministic share of the group column and return
+        per-group partials in plaintext group order, so the quorum's
+        group lists align positionally; the client reconstructs each
+        group key from its shares and combines partials exactly like the
+        ungrouped path.  Otherwise the matching rows are fetched in the
+        plan's mode and aggregated at the client.
         """
-        from ..sqlengine.executor import compute_group_aggregate
-
+        sharing, rewritten = plan.sharing, plan.rewritten
         aggregate = query.aggregate
-        group_column = query.group_by
-        sharing.schema.column(group_column)
         column = aggregate.column
-        if column is not None and aggregate.func in (
-            AggregateFunc.SUM, AggregateFunc.AVG,
-        ):
-            if not sharing.schema.column(column).is_numeric():
-                raise QueryError(
-                    f"{aggregate.func.value.upper()}({column}) requires a "
-                    "numeric column"
-                )
-        if rewritten.provably_empty:
-            return []
-        order_based = aggregate.func in (
-            AggregateFunc.MIN, AggregateFunc.MAX, AggregateFunc.MEDIAN,
-        )
-        can_push = (
-            not rewritten.has_residual
-            and sharing.is_searchable(group_column)
-            and (not order_based or sharing.is_searchable(column))
-        )
-        if not can_push:
-            responses = self._select_rpc(query.table, rewritten, projection=None)
-            rows = reconstruct_rows(
-                sharing, responses, residual=rewritten.residual, cost=self.cost
+        group_column = query.group_by
+        if not plan.can_push:
+            rows = [
+                row
+                for _, row in self._read_rows(query.table, plan.mode, rewritten)
+            ]
+            if query.is_grouped:
+                return compute_group_aggregate(aggregate, group_column, rows)
+            return compute_aggregate(aggregate, rows)
+        fields = {
+            "func": (
+                "sum" if aggregate.func is AggregateFunc.AVG
+                else aggregate.func.value
+            ),
+            "column": column,
+        }
+        if not query.is_grouped:
+            responses = self._read_round(
+                query.table, rewritten, method="aggregate", fields=fields
             )
-            return compute_group_aggregate(aggregate, group_column, rows)
-        quorum = self.cluster.read_quorum()
-        self._record_rewrite_cost(rewritten, len(quorum))
-        func_name = (
-            "sum" if aggregate.func is AggregateFunc.AVG else aggregate.func.value
-        )
-        responses = self._broadcast(
-            "aggregate_group",
-            lambda i: {
-                "table": query.table,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "group_column": group_column,
-                "func": func_name,
-                "column": column,
-            },
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
+            return self._combine_group_payload(
+                sharing, aggregate, column, responses
+            )
+        fields["group_column"] = group_column
+        responses = self._read_round(
+            query.table, rewritten, method="aggregate_group", fields=fields
         )
         lengths = {len(response["groups"]) for response in responses.values()}
         if len(lengths) != 1:
-            from ..errors import IntegrityError
-
             raise IntegrityError(
                 f"providers disagree on the number of groups: {sorted(lengths)}"
             )
@@ -1191,6 +1204,7 @@ class DataSource:
         column: Optional[str],
         payloads: Dict[int, Dict],
     ):
+        """Combine one group's (or the whole table's) per-provider partials."""
         func = aggregate.func
         if func is AggregateFunc.COUNT:
             return consistent_scalar(payloads, "count")
@@ -1205,6 +1219,7 @@ class DataSource:
             self.cost.record("interpolate", 1)
             total = sharing.combine_sum(column, partials, count)
             return total if func is AggregateFunc.SUM else total / count
+        # MIN / MAX / MEDIAN: providers nominate the same row by share order
         row = reconstruct_single_rows(sharing, payloads, cost=self.cost)
         return None if row is None else row[column]
 
@@ -1216,24 +1231,7 @@ class DataSource:
         """
         if query.is_aggregate:
             raise QueryError("select_with_ids does not support aggregates")
-        sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if rewritten.provably_empty:
-            return []
-        responses = self._select_rpc(query.table, rewritten, projection=None)
-        aligned = align_by_row_id(rows_from_responses(responses))
-        out: List[Tuple[int, Row]] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue
-            row = sharing.reconstruct_row(share_rows)
-            self.cost.record("interpolate", len(row))
-            if rewritten.residual.matches(row):
-                if query.columns:
-                    row = {name: row[name] for name in query.columns}
-                out.append((row_id, row))
-        return out
+        return self._select_rows(query, _QUORUM)
 
     def select_robust(self, query: Select) -> List[Row]:
         """SELECT that *tolerates* a minority of tampering providers.
@@ -1255,57 +1253,7 @@ class DataSource:
                 "would need verifiable partials — use select_verified on "
                 "the underlying rows instead"
             )
-        sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if rewritten.provably_empty:
-            return []
-        live = self.cluster.live_provider_indexes()
-        if len(live) < self.threshold:
-            from ..errors import QuorumError
-
-            raise QuorumError(
-                f"only {len(live)} providers live, need k={self.threshold}"
-            )
-        self._record_rewrite_cost(rewritten, len(live))
-        responses = self._broadcast(
-            "select",
-            lambda i: {
-                "table": query.table,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "projection": None,
-            },
-            minimum=self.threshold,
-            provider_indexes=live,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        aligned = align_by_row_id(rows_from_responses(responses))
-        rows: List[Row] = []
-        for row_id, share_rows in aligned.items():
-            if len(share_rows) < self.threshold:
-                continue  # injected row ids from a minority are dropped
-            row = sharing.reconstruct_row_robust(share_rows)
-            self.cost.record(
-                "interpolate", len(row) * max(1, len(share_rows) - self.threshold + 1)
-            )
-            if rewritten.residual.matches(row):
-                rows.append(row)
-        if query.order_by is not None:
-            from ..sqlengine.schema import python_value_sort_key
-
-            order_column = sharing.schema.column(query.order_by)
-            rows.sort(
-                key=lambda r: python_value_sort_key(
-                    order_column, r.get(query.order_by)
-                ),
-                reverse=query.descending,
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            rows = [{name: row[name] for name in query.columns} for row in rows]
-        return rows
+        return [row for _, row in self._select_rows(query, _ROBUST)]
 
     # --------------------------------------------------------- time travel --
 
@@ -1319,26 +1267,12 @@ class DataSource:
         Raises :class:`QueryError` when the epoch predates the providers'
         retention horizon.
         """
-        sharing = self.sharing(table_name)
+        self.sharing(table_name)
         if as_of_epoch < 0:
             raise QueryError(f"as_of_epoch must be >= 0, got {as_of_epoch}")
-        responses = self._broadcast(
-            "scan_asof",
-            lambda i: {"table": table_name, "epoch": as_of_epoch},
-            minimum=self.threshold,
-            provider_indexes=self.cluster.read_quorum(),
-            quorum="first_k",
-            failover=self.failover,
+        return self._read_rows(
+            table_name, _QUORUM, method="scan_asof", fields={"epoch": as_of_epoch}
         )
-        aligned = align_by_row_id(rows_from_responses(responses))
-        out: List[Tuple[int, Row]] = []
-        for row_id in sorted(aligned):
-            share_rows = aligned[row_id]
-            if len(share_rows) < self.threshold:
-                continue
-            out.append((row_id, sharing.reconstruct_row(share_rows)))
-            self.cost.record("interpolate", len(sharing.schema.columns))
-        return out
 
     def select_asof(
         self, query: Select, as_of_epoch: int
@@ -1359,8 +1293,6 @@ class DataSource:
             rows = [row for _, row in self.scan_asof(query.table, as_of_epoch)]
             catalog = Catalog()
             catalog.add_table(Table(sharing.schema, rows))
-            from ..sqlengine.executor import PlaintextExecutor
-
             return PlaintextExecutor(catalog).execute_select(query)
 
     def rotate_secrets(self, new_seed: int) -> Dict[str, int]:
@@ -1373,26 +1305,11 @@ class DataSource:
         secrets reveals nothing about current data.  Returns per-table row
         counts re-shared.
         """
-        from ..core.secrets import generate_client_secrets
-
         # 1. read everything out under the old secrets
-        snapshots: Dict[str, List[Tuple[int, Row]]] = {}
-        for name in self.table_names():
-            sharing = self.sharing(name)
-            quorum = self.cluster.read_quorum()
-            responses = self._broadcast(
-                "scan",
-                lambda i: {"table": name, "projection": None},
-                minimum=self.threshold,
-                provider_indexes=quorum,
-                quorum="first_k",
-            )
-            aligned = align_by_row_id(rows_from_responses(responses))
-            snapshots[name] = [
-                (rid, sharing.reconstruct_row(share_rows))
-                for rid, share_rows in aligned.items()
-                if len(share_rows) >= self.threshold
-            ]
+        snapshots = {
+            name: self._read_rows(name, _QUORUM, method="scan")
+            for name in self.table_names()
+        }
         # 2. swap in fresh secrets and rebuild the sharing machinery.
         # Every kernel cache is keyed on the old evaluation points and every
         # cached plaintext row was reconstructed under the old secrets —
@@ -1416,46 +1333,8 @@ class DataSource:
             )
         # 3. re-share every table at every live provider
         counts: Dict[str, int] = {}
-        targets = self.cluster.write_targets()
         for name, rows in snapshots.items():
-            sharing = self._sharings[name]
-            searchable = [c.name for c in sharing.schema.columns if c.searchable]
-            for index in targets:
-                provider = self.cluster.providers[index]
-                if provider.store.has_table(self.physical_name(name)):
-                    self._call_one(index, "drop_table", {"table": name})
-                self._call_one(
-                    index,
-                    "create_table",
-                    {
-                        "table": name,
-                        "columns": sharing.schema.column_names,
-                        "searchable": searchable,
-                    },
-                )
-            prepared = [(rid, sharing.share_row(row)) for rid, row in rows]
-            self.cost.record(
-                "poly_eval",
-                len(prepared)
-                * len(sharing.schema.columns)
-                * self.cluster.n_providers,
-            )
-            if prepared:
-                self._mutate(
-                    name,
-                    "insert_many",
-                    lambda i: {
-                        "table": name,
-                        "rows": [[rid, shares[i]] for rid, shares in prepared],
-                    },
-                    provider_indexes=targets,
-                )
-            if self.audit is not None:
-                self.audit.on_resync(name)
-                for rid, shares in prepared:
-                    for index in targets:
-                        self.audit.on_insert(name, index, rid, shares[index])
-            counts[name] = len(prepared)
+            counts[name] = self._reshare_table(name, rows)
             # rotation rebuilds the sharing machinery, so any cached plan's
             # share-space conditions are garbage — the epoch bump is what
             # keeps a plan cache correct across re-keying
@@ -1480,380 +1359,196 @@ class DataSource:
                 "verified aggregates are not supported; verify the "
                 "underlying rows with a projection query instead"
             )
-        sharing = self.sharing(query.table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        if rewritten.provably_empty:
-            return []
-        responses = self._select_rpc(query.table, rewritten, projection=None)
-        self.audit.verify_responses(query.table, responses)
-        return reconstruct_rows(
-            sharing,
-            responses,
-            residual=rewritten.residual,
-            columns=list(query.columns) if query.columns else None,
-            cost=self.cost,
-            strict=True,
-        )
+        return [row for _, row in self._select_rows(query, _AUDITED)]
 
-    # ------------------------------------------------------- verified reads --
+    # ---------------------------------------------------- the read pipeline --
+    #
+    # Every row-returning read is the paper's one-sentence protocol
+    # (Sec. III, V-A): rewrite the predicate into share space, ask k of n
+    # providers, interpolate.  The read *mode* changes only who is asked
+    # and how a cell is decoded (Sec. VI b):
+    #
+    #   mode      targets                wait     decode
+    #   quorum    k preferred            first_k  batched, row cache allowed
+    #   robust    every live provider    first_k  error-correcting vote
+    #   audited   k preferred            first_k  hash check + strict alignment
+    #   checked   k + read_redundancy    all      cross-check, blame → re-issue
 
-    def _verified_extra(self) -> int:
-        """Redundant shares a verified read requests beyond k."""
-        if self.read_redundancy is not None:
-            return self.read_redundancy
-        return self.cluster.n_providers  # read_quorum caps at the cluster
-
-    def _verified_quorum(self, blamed_total: set) -> List[int]:
-        """The provider set for one verified round.
-
-        Quarantined providers (blamed by an earlier query, or repeatedly
-        unavailable) are dropped alongside this query's own blame while
-        more than k candidates remain — at least k+1 shares are needed
-        for the cross-check itself.  When the margin runs out, only the
-        currently-blamed are excluded (while ≥ k others remain); past
-        that point even they re-enter as a last resort (any k shares
-        still reconstruct — robust decoding outvotes a minority tamperer
-        even when it must be addressed).
-        """
-        candidates = set(range(self.cluster.n_providers))
+    def _read_targets(self, mode: str, blamed: set = frozenset()) -> List[int]:
+        """The providers one read round addresses in ``mode``."""
+        cluster = self.cluster
+        if mode == _ROBUST:
+            live = cluster.live_provider_indexes()
+            if len(live) < self.threshold:
+                raise QuorumError(
+                    f"only {len(live)} providers live, need k={self.threshold}"
+                )
+            return live
+        if mode != _CHECKED:
+            return cluster.read_quorum()
+        # Quarantined providers (blamed by an earlier query, or repeatedly
+        # unavailable) are dropped alongside this query's own blame while
+        # more than k candidates remain — at least k+1 shares are needed
+        # for the cross-check itself.  When the margin runs out, only the
+        # currently-blamed are excluded (while ≥ k others remain); past
+        # that point even they re-enter as a last resort (any k shares
+        # still reconstruct — robust decoding outvotes a minority tamperer
+        # even when it must be addressed).
+        candidates = set(range(cluster.n_providers))
         quarantined = {
-            i for i in candidates if self.cluster.health.is_quarantined(i)
+            i for i in candidates if cluster.health.is_quarantined(i)
         }
         exclude: Tuple[int, ...] = ()
-        if (quarantined or blamed_total) and (
-            len(candidates - quarantined - blamed_total) > self.threshold
+        if (quarantined or blamed) and (
+            len(candidates - quarantined - blamed) > self.threshold
         ):
-            exclude = tuple(sorted(quarantined | blamed_total))
-        elif blamed_total and len(candidates - blamed_total) >= self.threshold:
-            exclude = tuple(sorted(blamed_total))
-        return self.cluster.read_quorum(
-            extra=self._verified_extra(), exclude=exclude
+            exclude = tuple(sorted(quarantined | blamed))
+        elif blamed and len(candidates - blamed) >= self.threshold:
+            exclude = tuple(sorted(blamed))
+        # read_redundancy=None means every provider (read_quorum caps at
+        # the cluster size)
+        extra = self.read_redundancy
+        return cluster.read_quorum(
+            extra=cluster.n_providers if extra is None else extra,
+            exclude=exclude,
         )
 
-    def _quarantine_blamed(self, blamed: List[int]) -> None:
-        for index in blamed:
-            self.cluster.health.quarantine(index, reason="blamed")
-
-    def _select_checked(
-        self,
-        sharing: TableSharing,
-        query: Select,
-        rewritten: RewrittenPredicate,
-    ) -> Union[List[Row], object]:
-        """The verified-read SELECT path (``verified_reads=True``).
-
-        Fetches the matching rows with redundant shares and checked
-        reconstruction (:func:`reconstruct_rows_checked`), then computes
-        aggregates/grouping **client-side** from the verified rows —
-        provider-computed partials cannot carry blame, verified rows can.
-        The price is fetching rows an honest provider would have
-        pre-aggregated; the benchmark quantifies it.
-        """
-        if rewritten.provably_empty:
-            if query.is_aggregate and not query.is_grouped:
-                return compute_aggregate(query.aggregate, [])
-            return []
-        rows = self._fetch_rows_checked(query.table, sharing, rewritten)
-        if query.is_grouped:
-            from ..sqlengine.executor import compute_group_aggregate
-
-            sharing.schema.column(query.group_by)
-            return compute_group_aggregate(
-                query.aggregate, query.group_by, rows
-            )
-        if query.is_aggregate:
-            return compute_aggregate(query.aggregate, rows)
-        for name in query.columns:
-            sharing.schema.column(name)
-        if query.order_by is not None:
-            from ..sqlengine.schema import python_value_sort_key
-
-            order_column = sharing.schema.column(query.order_by)
-            rows.sort(
-                key=lambda r: python_value_sort_key(
-                    order_column, r.get(query.order_by)
-                ),
-                reverse=query.descending,
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            rows = [{name: row[name] for name in query.columns} for row in rows]
-        return rows
-
-    def _fetch_rows_checked(
+    def _read_round(
         self,
         table_name: str,
-        sharing: TableSharing,
-        rewritten: RewrittenPredicate,
-    ) -> List[Row]:
-        """Fetch matching rows with cross-checking, blame, and re-issue.
-
-        Each round requests k + redundancy shares from the health-ordered
-        quorum and waits for the full round (``quorum="all"`` — every
-        response participates in the cross-check).  Blamed providers are
-        quarantined and the query re-issues without them; the loop is
-        bounded by the cluster size, and the last round's rows are
-        returned regardless — robust decoding already masked the
-        minority, re-issuing is about *evicting* it.
-        """
-        blamed_total: set = set()
-        rows: List[Row] = []
-        for round_number in range(max(1, self.cluster.n_providers)):
-            quorum = self._verified_quorum(blamed_total)
-            self._record_rewrite_cost(rewritten, len(quorum))
-            responses = self._broadcast(
-                "select",
-                lambda i: {
-                    "table": table_name,
-                    "conditions": rewritten.conditions_for(sharing, i),
-                    "projection": None,
-                },
-                minimum=self.threshold,
-                provider_indexes=quorum,
-                quorum="all",
-                failover=self.failover,
-            )
-            rows, blamed = reconstruct_rows_checked(
-                sharing,
-                responses,
-                residual=rewritten.residual,
-                cost=self.cost,
-            )
-            if not blamed:
-                return rows
-            self._quarantine_blamed(blamed)
-            blamed_total.update(blamed)
-            telemetry.count("verified.reissued", table=table_name)
-        return rows
-
-    def _join_checked(
-        self,
-        query: JoinSelect,
-        left: TableSharing,
-        right: TableSharing,
-        left_rw: RewrittenPredicate,
-        right_rw: RewrittenPredicate,
-        residual: Predicate,
-    ) -> List[Row]:
-        """Verified provider-side join: checked pair reconstruction."""
-        blamed_total: set = set()
-        results: List[Row] = []
-        for round_number in range(max(1, self.cluster.n_providers)):
-            quorum = self._verified_quorum(blamed_total)
-            self._record_rewrite_cost(left_rw, len(quorum))
-            self._record_rewrite_cost(right_rw, len(quorum))
-            responses = self._broadcast(
-                "join",
-                lambda i: {
-                    "left": query.left_table,
-                    "right": query.right_table,
-                    "left_column": query.left_column,
-                    "right_column": query.right_column,
-                    "left_conditions": left_rw.conditions_for(left, i),
-                    "right_conditions": right_rw.conditions_for(right, i),
-                    "projection_left": None,
-                    "projection_right": None,
-                },
-                minimum=self.threshold,
-                provider_indexes=quorum,
-                quorum="all",
-                failover=self.failover,
-            )
-            results, blamed = self._check_join_responses(
-                query, left, right, residual, responses
-            )
-            if not blamed:
-                return results
-            self._quarantine_blamed(blamed)
-            blamed_total.update(blamed)
-            telemetry.count("verified.reissued", table=query.left_table)
-        return results
-
-    def _check_join_responses(
-        self,
-        query: JoinSelect,
-        left: TableSharing,
-        right: TableSharing,
-        residual: Predicate,
-        responses: Dict[int, Dict],
-    ) -> Tuple[List[Row], List[int]]:
-        """Cross-check joined pairs; returns ``(rows, blamed_indexes)``.
-
-        Pair presence follows the same strict-majority rule as row
-        presence in :func:`reconstruct_rows_checked`; each side of every
-        surviving pair is decoded with blame.
-        """
-        from ..errors import ReconstructionError
-
-        aligned: Dict[Tuple[int, int], Dict[int, Tuple[ShareRow, ShareRow]]] = {}
-        for index, response in responses.items():
-            for lid, rid, lrow, rrow in response["rows"]:
-                aligned.setdefault((lid, rid), {})[index] = (lrow, rrow)
-        responding = set(responses)
-        blamed: set = set()
-        results: List[Row] = []
-        pairs: List[Dict[int, Tuple[ShareRow, ShareRow]]] = []
-        for (lid, rid), per_provider in sorted(aligned.items()):
-            present = set(per_provider)
-            absent = responding - present
-            if absent:
-                if len(present) * 2 > len(responding):
-                    telemetry.count("faults.detected", kind="omission")
-                    blamed.update(absent)
-                elif len(present) * 2 < len(responding):
-                    telemetry.count("faults.detected", kind="fabrication")
-                    blamed.update(present)
-                    continue
-                else:
-                    raise ReconstructionError(
-                        f"join pair ({lid}, {rid}): presence tie — providers "
-                        f"{sorted(present)} returned it, {sorted(absent)} did "
-                        "not; no majority to decide"
-                    )
-            if len(per_provider) < self.threshold:
-                continue
-            pairs.append(per_provider)
-
-        def _decode_pair(per_provider) -> None:
-            left_row, left_bad = left.reconstruct_row_checked(
-                {i: pair[0] for i, pair in per_provider.items()},
-                suspects=blamed,
-            )
-            right_row, right_bad = right.reconstruct_row_checked(
-                {i: pair[1] for i, pair in per_provider.items()},
-                suspects=blamed,
-            )
-            if left_bad or right_bad:
-                telemetry.count("faults.detected", kind="tamper")
-            blamed.update(left_bad)
-            blamed.update(right_bad)
-            self.cost.record("interpolate", len(left_row) + len(right_row))
-            merged = {
-                f"{query.left_table}.{k}": v for k, v in left_row.items()
-            }
-            merged.update(
-                {f"{query.right_table}.{k}": v for k, v in right_row.items()}
-            )
-            if residual.matches(merged):
-                results.append(merged)
-
-        # ambiguous robust votes (possible at exactly k+1 shares) defer
-        # until blame from the other pairs has accumulated, then re-raise
-        # if the evidence still cannot break the tie
-        deferred = []
-        for per_provider in pairs:
-            try:
-                _decode_pair(per_provider)
-            except ReconstructionError:
-                deferred.append(per_provider)
-        for per_provider in deferred:
-            _decode_pair(per_provider)
-        return _project_qualified(results, query.columns), sorted(blamed)
-
-    def _select_aggregate(
-        self,
-        sharing: TableSharing,
-        query: Select,
-        rewritten: RewrittenPredicate,
-    ):
-        aggregate = query.aggregate
-        func = aggregate.func
-        column = aggregate.column
-        if column is not None:
-            col_schema = sharing.schema.column(column)
-            if func in (AggregateFunc.SUM, AggregateFunc.AVG):
-                if not col_schema.is_numeric():
-                    raise QueryError(
-                        f"{func.value.upper()}({column}) requires a numeric column"
-                    )
-        if rewritten.provably_empty:
-            return compute_aggregate(aggregate, [])
-        order_based = func in (
-            AggregateFunc.MIN,
-            AggregateFunc.MAX,
-            AggregateFunc.MEDIAN,
-        )
-        # provider-side partial aggregation is only possible when the full
-        # predicate was pushed down; a client-side residual forces a fetch
-        can_push = not rewritten.has_residual and (
-            not order_based or sharing.is_searchable(column)
-        )
-        if not can_push:
-            responses = self._select_rpc(query.table, rewritten, projection=None)
-            rows = reconstruct_rows(
-                sharing, responses, residual=rewritten.residual, cost=self.cost
-            )
-            return compute_aggregate(aggregate, rows)
-        quorum = self.cluster.read_quorum()
-        responses = self._broadcast(
-            "aggregate",
-            lambda i: {
-                "table": query.table,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "func": func.value if func is not AggregateFunc.AVG else "sum",
-                "column": column,
-            },
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        self._record_rewrite_cost(rewritten, len(quorum))
-        if func is AggregateFunc.COUNT:
-            return consistent_scalar(responses, "count")
-        if func in (AggregateFunc.SUM, AggregateFunc.AVG):
-            count = consistent_scalar(responses, "count")
-            if count == 0:
-                return None if func is AggregateFunc.SUM else None
-            partials = {
-                index: response["partial_sum"]
-                for index, response in responses.items()
-            }
-            self.cost.record("interpolate", 1)
-            total = sharing.combine_sum(column, partials, count)
-            if func is AggregateFunc.SUM:
-                return total
-            return total / count
-        # MIN / MAX / MEDIAN: providers nominate the same row by share order
-        row = reconstruct_single_rows(sharing, responses, cost=self.cost)
-        return None if row is None else row[column]
-
-    def _select_rpc(
-        self,
-        table_name: str,
-        rewritten: RewrittenPredicate,
-        projection: Optional[List[str]],
-        order_by: Optional[str] = None,
-        descending: bool = False,
-        limit: Optional[int] = None,
+        rewritten: Optional[RewrittenPredicate] = None,
+        *,
+        method: str = "select",
+        fields: Dict[str, object] = _FULL_ROWS,
+        mode: str = _QUORUM,
+        targets: Optional[List[int]] = None,
+        blamed: set = frozenset(),
     ) -> Dict[int, Dict]:
+        """One threshold read round — the only place one is built.
+
+        ``rewritten`` (absent for whole-table scans) supplies each
+        target's share-space conditions; ``fields`` are the method's
+        other request fields.  A checked round waits for every response
+        (all of them take part in the cross-check); the others return at
+        the k-th.
+        """
         sharing = self.sharing(table_name)
-        quorum = self.cluster.read_quorum()
-        self._record_rewrite_cost(rewritten, len(quorum))
+        if targets is None:
+            targets = self._read_targets(mode, blamed)
+        if rewritten is not None:
+            self._record_rewrite_cost(rewritten, len(targets))
 
         def request(i: int) -> Dict:
-            payload = {
-                "table": table_name,
-                "conditions": rewritten.conditions_for(sharing, i),
-                "projection": projection,
-            }
-            if order_by is not None:
-                payload["order_by"] = order_by
-                payload["descending"] = descending
-            if limit is not None:
-                payload["limit"] = limit
+            payload = {"table": table_name, **fields}
+            if rewritten is not None:
+                payload["conditions"] = rewritten.conditions_for(sharing, i)
             return payload
 
         return self._broadcast(
-            "select",
+            method,
             request,
             minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
+            provider_indexes=targets,
+            quorum="all" if mode == _CHECKED else "first_k",
             failover=self.failover,
         )
+
+    def _read_shares(
+        self,
+        table_name: str,
+        rewritten: Optional[RewrittenPredicate] = None,
+        **round_args,
+    ) -> Dict[int, Dict[int, ShareRow]]:
+        """One read round, aligned: ``{row_id: {provider: share row}}``."""
+        return align_by_row_id(
+            rows_from_responses(
+                self._read_round(table_name, rewritten, **round_args)
+            )
+        )
+
+    def _read_rows(
+        self,
+        table_name: str,
+        mode: str,
+        rewritten: Optional[RewrittenPredicate] = None,
+        *,
+        cache_epoch: Optional[int] = None,
+        **round_args,
+    ) -> List[Tuple[int, Row]]:
+        """The read pipeline: round → align → decode → residual filter.
+
+        Returns the ``(row_id, plaintext row)`` pairs matching
+        ``rewritten`` (every row of the table without one), decoded as
+        ``mode`` prescribes.  ``cache_epoch`` lets a quorum read skip
+        interpolating rows the row cache already holds for that epoch.
+        A checked read that blames a provider quarantines it and
+        re-issues without it; the loop is bounded by the cluster size and
+        the last round's rows are returned regardless — robust decoding
+        already masked the minority, re-issuing is about *evicting* it.
+        """
+        sharing = self.sharing(table_name)
+        residual = None
+        if rewritten is not None:
+            if rewritten.provably_empty:
+                return []
+            residual = rewritten.residual
+        pairs: List[Tuple[int, Row]] = []
+        if mode == _ROBUST:
+            aligned = self._read_shares(
+                table_name, rewritten, mode=mode, **round_args
+            )
+            for row_id, share_rows in aligned.items():
+                if len(share_rows) < self.threshold:
+                    continue  # injected row ids from a minority are dropped
+                row = sharing.reconstruct_row_robust(share_rows)
+                self.cost.record(
+                    "interpolate",
+                    len(row) * max(1, len(share_rows) - self.threshold + 1),
+                )
+                if residual is None or residual.matches(row):
+                    pairs.append((row_id, row))
+            return pairs
+        if mode != _CHECKED:
+            responses = self._read_round(
+                table_name, rewritten, mode=mode, **round_args
+            )
+            if mode == _AUDITED:
+                self.audit.verify_responses(table_name, responses)
+            reconstruct_rows(
+                sharing,
+                responses,
+                residual=residual,
+                cost=self.cost,
+                strict=mode == _AUDITED,
+                row_cache=self.row_cache,
+                cache_epoch=cache_epoch,
+                emitted=pairs,
+            )
+            return pairs
+        blamed_total: set = set()
+        for _ in range(max(1, self.cluster.n_providers)):
+            responses = self._read_round(
+                table_name, rewritten, mode=mode, blamed=blamed_total,
+                **round_args,
+            )
+            pairs = []
+            _, blamed = reconstruct_rows_checked(
+                sharing, responses, residual=residual, cost=self.cost,
+                emitted=pairs,
+            )
+            if not blamed:
+                break
+            self._evict_blamed(table_name, blamed, blamed_total)
+        return pairs
+
+    def _evict_blamed(
+        self, table_name: str, blamed: List[int], blamed_total: set
+    ) -> None:
+        """Quarantine a checked round's blamed providers before re-issuing."""
+        for index in blamed:
+            self.cluster.health.quarantine(index, reason="blamed")
+        blamed_total.update(blamed)
+        telemetry.count("verified.reissued", table=table_name)
 
     def _record_rewrite_cost(
         self, rewritten: RewrittenPredicate, n_targets: int
@@ -1872,11 +1567,26 @@ class DataSource:
             sp.set(rows_returned=len(rows))
             return rows
 
-    def _join(self, query: JoinSelect) -> List[Row]:
+    def _plan_join(
+        self, query: JoinSelect
+    ) -> Tuple[TableSharing, TableSharing, bool]:
+        """Both sides' sharings and whether the join can run at the
+        providers — the key columns must be order-preserving shares of the
+        same domain (Sec. V-A).  Shared by execution and :meth:`explain`."""
         left = self.sharing(query.left_table)
         right = self.sharing(query.right_table)
         left.schema.column(query.left_column)
         right.schema.column(query.right_column)
+        compatible = (
+            left.is_searchable(query.left_column)
+            and right.is_searchable(query.right_column)
+            and left.domain_label(query.left_column)
+            == right.domain_label(query.right_column)
+        )
+        return left, right, compatible
+
+    def _join(self, query: JoinSelect) -> List[Row]:
+        left, right, compatible = self._plan_join(query)
         left_pred, right_pred, residual = split_join_predicate(
             query.where, query.left_table, query.right_table
         )
@@ -1884,12 +1594,6 @@ class DataSource:
         right_rw = self._rewrite(right_pred.bind(right.schema), right)
         if left_rw.provably_empty or right_rw.provably_empty:
             return []
-        compatible = (
-            left.is_searchable(query.left_column)
-            and right.is_searchable(query.right_column)
-            and left.domain_label(query.left_column)
-            == right.domain_label(query.right_column)
-        )
         if not compatible:
             if not self.client_join_fallback:
                 raise UnsupportedQueryError(
@@ -1900,58 +1604,108 @@ class DataSource:
                     "client_join_fallback to join at the client instead"
                 )
             return self._client_side_join(query, left_rw, right_rw, residual)
-        if self.verified_reads:
-            return self._join_checked(
-                query, left, right, left_rw, right_rw, residual
+        # quorum or checked, exactly like a row read: a verified join
+        # re-issues without the providers its pair cross-check blamed
+        mode = _CHECKED if self.verified_reads else _QUORUM
+        blamed_total: set = set()
+        rows: List[Row] = []
+        for _ in range(max(1, self.cluster.n_providers)):
+            targets = self._read_targets(mode, blamed_total)
+            self._record_rewrite_cost(left_rw, len(targets))
+            self._record_rewrite_cost(right_rw, len(targets))
+            responses = self._broadcast(
+                "join",
+                lambda i: {
+                    "left": query.left_table,
+                    "right": query.right_table,
+                    "left_column": query.left_column,
+                    "right_column": query.right_column,
+                    "left_conditions": left_rw.conditions_for(left, i),
+                    "right_conditions": right_rw.conditions_for(right, i),
+                    "projection_left": None,
+                    "projection_right": None,
+                },
+                minimum=self.threshold,
+                provider_indexes=targets,
+                quorum="all" if mode == _CHECKED else "first_k",
+                failover=self.failover,
             )
-        quorum = self.cluster.read_quorum()
-        self._record_rewrite_cost(left_rw, len(quorum))
-        self._record_rewrite_cost(right_rw, len(quorum))
-        responses = self._broadcast(
-            "join",
-            lambda i: {
-                "left": query.left_table,
-                "right": query.right_table,
-                "left_column": query.left_column,
-                "right_column": query.right_column,
-                "left_conditions": left_rw.conditions_for(left, i),
-                "right_conditions": right_rw.conditions_for(right, i),
-                "projection_left": None,
-                "projection_right": None,
-            },
-            minimum=self.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=self.failover,
-        )
-        # align joined pairs across providers by (left_id, right_id)
+            rows, blamed = self._decode_join(
+                query, left, right, residual, responses, mode == _CHECKED
+            )
+            if not blamed:
+                break
+            self._evict_blamed(query.left_table, blamed, blamed_total)
+        return rows
+
+    def _decode_join(
+        self,
+        query: JoinSelect,
+        left: TableSharing,
+        right: TableSharing,
+        residual: Predicate,
+        responses: Dict[int, Dict],
+        checked: bool,
+    ) -> Tuple[List[Row], List[int]]:
+        """Align joined pairs across providers by (left_id, right_id),
+        decode both sides, filter; returns ``(rows, blamed_indexes)``.
+
+        With ``checked`` (verified reads) pair presence follows the same
+        strict-majority rule as row presence in
+        :func:`reconstruct_rows_checked` and each side of every surviving
+        pair is decoded with blame; without it nobody is ever blamed.
+        """
         aligned: Dict[Tuple[int, int], Dict[int, Tuple[ShareRow, ShareRow]]] = {}
         for index, response in responses.items():
             for lid, rid, lrow, rrow in response["rows"]:
                 aligned.setdefault((lid, rid), {})[index] = (lrow, rrow)
+        responding = set(responses)
+        blamed: set = set()
         results: List[Row] = []
-        combined_residual = residual
-        for (lid, rid), per_provider in sorted(aligned.items()):
-            if len(per_provider) < self.threshold:
+        pairs: List[Dict[int, Tuple[ShareRow, ShareRow]]] = []
+        for pair_ids, per_provider in sorted(aligned.items()):
+            if checked and not _presence_majority(
+                "join pair", pair_ids, set(per_provider), responding, blamed
+            ):
                 continue
-            left_row = left.reconstruct_row(
-                {i: pair[0] for i, pair in per_provider.items()}
-            )
-            right_row = right.reconstruct_row(
-                {i: pair[1] for i, pair in per_provider.items()}
-            )
-            self.cost.record(
-                "interpolate", len(left_row) + len(right_row)
-            )
-            merged = {
-                f"{query.left_table}.{k}": v for k, v in left_row.items()
-            }
-            merged.update(
-                {f"{query.right_table}.{k}": v for k, v in right_row.items()}
-            )
-            if combined_residual.matches(merged):
+            if len(per_provider) >= self.threshold:
+                pairs.append(per_provider)
+
+        def _decode_pair(per_provider) -> None:
+            sides: List[Row] = []
+            bad: set = set()
+            for side, sharing in enumerate((left, right)):
+                share_rows = {i: pair[side] for i, pair in per_provider.items()}
+                if checked:
+                    row, side_bad = sharing.reconstruct_row_checked(
+                        share_rows, suspects=blamed
+                    )
+                    bad.update(side_bad)
+                else:
+                    row = sharing.reconstruct_row(share_rows)
+                sides.append(row)
+            if bad:
+                telemetry.count("faults.detected", kind="tamper")
+                blamed.update(bad)
+            self.cost.record("interpolate", len(sides[0]) + len(sides[1]))
+            merged = _qualified_pair(query, *sides)
+            if residual.matches(merged):
                 results.append(merged)
-        return _project_qualified(results, query.columns)
+
+        # ambiguous robust votes (possible at exactly k+1 shares) defer
+        # until blame from the other pairs has accumulated, then re-raise
+        # if the evidence still cannot break the tie
+        deferred = []
+        for per_provider in pairs:
+            try:
+                _decode_pair(per_provider)
+            except ReconstructionError:
+                if not checked:
+                    raise
+                deferred.append(per_provider)
+        for per_provider in deferred:
+            _decode_pair(per_provider)
+        return _project_qualified(results, query.columns), sorted(blamed)
 
     def _client_side_join(
         self,
@@ -1961,38 +1715,21 @@ class DataSource:
         residual: Predicate,
     ) -> List[Row]:
         """Fetch both sides and hash-join at the client (fallback path)."""
-        left = self.sharing(query.left_table)
-        right = self.sharing(query.right_table)
-        left_rows = reconstruct_rows(
-            left,
-            self._select_rpc(query.left_table, left_rw, None),
-            residual=left_rw.residual,
-            cost=self.cost,
-        )
-        right_rows = reconstruct_rows(
-            right,
-            self._select_rpc(query.right_table, right_rw, None),
-            residual=right_rw.residual,
-            cost=self.cost,
-        )
+        left_rows = self._read_rows(query.left_table, _QUORUM, left_rw)
+        right_rows = self._read_rows(query.right_table, _QUORUM, right_rw)
         build: Dict[object, List[Row]] = {}
-        for row in right_rows:
+        for _, row in right_rows:
             key = row.get(query.right_column)
             if key is not None:
                 build.setdefault(key, []).append(row)
         self.cost.record("compare", len(left_rows) + len(right_rows))
         results: List[Row] = []
-        for row in left_rows:
+        for _, row in left_rows:
             key = row.get(query.left_column)
             if key is None:
                 continue
             for match in build.get(key, ()):
-                merged = {
-                    f"{query.left_table}.{k}": v for k, v in row.items()
-                }
-                merged.update(
-                    {f"{query.right_table}.{k}": v for k, v in match.items()}
-                )
+                merged = _qualified_pair(query, row, match)
                 if residual.matches(merged):
                     results.append(merged)
         return _project_qualified(results, query.columns)
@@ -2026,7 +1763,9 @@ class DataSource:
 
         Returns a plain dict: which conjuncts push down to providers (as
         plaintext intervals), what remains as a client-side residual, the
-        execution strategy, and the read quorum.  SQL text is accepted.
+        read mode, the providers its first round addresses, and the
+        execution strategy — all taken from the same plan execution uses
+        (:meth:`_plan_select`).  SQL text is accepted.
         """
         if isinstance(query, str):
             query = parse_sql(query)
@@ -2034,12 +1773,46 @@ class DataSource:
             return self._explain_join(query)
         if not isinstance(query, (Select, Update, Delete)):
             raise QueryError(f"cannot explain {type(query).__name__}")
-        table = query.table
-        sharing = self.sharing(table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = self._rewrite(predicate, sharing)
-        plan: Dict[str, object] = {
-            "table": table,
+        mode = _QUORUM
+        if isinstance(query, Select):
+            mode = _CHECKED if self.verified_reads else _QUORUM
+            plan = self._plan_select(query, mode)
+            sharing, rewritten = plan.sharing, plan.rewritten
+        else:
+            sharing = self.sharing(query.table)
+            rewritten = self._rewrite(query.where.bind(sharing.schema), sharing)
+        if rewritten.provably_empty:
+            strategy = "provably empty: answered without a provider round"
+        elif isinstance(query, Update):
+            strategy = "fetch matching rows, reconstruct, re-share changed columns"
+        elif isinstance(query, Delete):
+            strategy = "fetch matching row ids, delete everywhere"
+        elif query.is_aggregate and plan.can_push:
+            strategy = (
+                "provider-grouped" if query.is_grouped else "provider-side"
+            ) + " partial aggregation"
+        elif query.is_aggregate:
+            verb = "group" if query.is_grouped else "aggregate"
+            strategy = f"fetch matching rows, {verb} at the client"
+        else:
+            parts = ["provider share-index filter" if rewritten.intervals
+                     else "provider full scan"]
+            if rewritten.has_residual:
+                parts.append("client residual filter")
+            if query.order_by is not None:
+                parts.append(
+                    "provider share-order sort"
+                    if "order_by" in plan.fields
+                    else "client sort"
+                )
+            if query.limit is not None:
+                parts.append(
+                    f"limit {query.limit} "
+                    + ("at providers" if "limit" in plan.fields else "at client")
+                )
+            strategy = " + ".join(parts)
+        return {
+            "table": query.table,
             "pushdown": [
                 {"column": i.column, "low": i.low, "high": i.high}
                 for i in rewritten.intervals
@@ -2048,74 +1821,18 @@ class DataSource:
                 None if not rewritten.has_residual else repr(rewritten.residual)
             ),
             "provably_empty": rewritten.provably_empty,
-            "read_quorum": self.cluster.read_quorum(),
+            "mode": mode,
+            "read_quorum": self._read_targets(mode),
             "estimated_selectivity": _estimate_selectivity(sharing, rewritten),
+            "strategy": strategy,
         }
-        if isinstance(query, Select) and query.is_grouped:
-            order_based = query.aggregate.func in (
-                AggregateFunc.MIN, AggregateFunc.MAX, AggregateFunc.MEDIAN,
-            )
-            pushed = (
-                not rewritten.has_residual
-                and sharing.is_searchable(query.group_by)
-                and (
-                    not order_based
-                    or sharing.is_searchable(query.aggregate.column)
-                )
-            )
-            plan["strategy"] = (
-                "provider-grouped partial aggregation"
-                if pushed
-                else "fetch matching rows, group at the client"
-            )
-        elif isinstance(query, Select) and query.is_aggregate:
-            order_based = query.aggregate.func in (
-                AggregateFunc.MIN, AggregateFunc.MAX, AggregateFunc.MEDIAN,
-            )
-            pushed = not rewritten.has_residual and (
-                not order_based or sharing.is_searchable(query.aggregate.column)
-            )
-            plan["strategy"] = (
-                "provider-side partial aggregation"
-                if pushed
-                else "fetch matching rows, aggregate at the client"
-            )
-        elif isinstance(query, Select):
-            parts = ["provider share-index filter" if rewritten.intervals
-                     else "provider full scan"]
-            if rewritten.has_residual:
-                parts.append("client residual filter")
-            if query.order_by is not None:
-                parts.append(
-                    "provider share-order sort"
-                    if sharing.is_searchable(query.order_by)
-                    else "client sort"
-                )
-            if query.limit is not None:
-                parts.append(
-                    f"limit {query.limit} "
-                    + ("at providers" if not rewritten.has_residual else "at client")
-                )
-            plan["strategy"] = " + ".join(parts)
-        else:
-            plan["strategy"] = (
-                "fetch matching rows, reconstruct, re-share changed columns"
-                if isinstance(query, Update)
-                else "fetch matching row ids, delete everywhere"
-            )
-        return plan
 
     def _explain_join(self, query: JoinSelect) -> Dict[str, object]:
-        left = self.sharing(query.left_table)
-        right = self.sharing(query.right_table)
-        compatible = (
-            left.is_searchable(query.left_column)
-            and right.is_searchable(query.right_column)
-            and left.domain_label(query.left_column)
-            == right.domain_label(query.right_column)
-        )
+        _, _, compatible = self._plan_join(query)
+        mode = _QUORUM
         if compatible:
             strategy = "provider-side hash join on deterministic shares"
+            mode = _CHECKED if self.verified_reads else _QUORUM
         elif self.client_join_fallback:
             strategy = "fetch both sides, hash join at the client"
         else:
@@ -2125,7 +1842,8 @@ class DataSource:
                     f"{query.right_table}.{query.right_column}",
             "domain_compatible": compatible,
             "strategy": strategy,
-            "read_quorum": self.cluster.read_quorum(),
+            "mode": mode,
+            "read_quorum": self._read_targets(mode),
         }
 
     # ------------------------------------------------------------ accounting --
@@ -2134,6 +1852,15 @@ class DataSource:
         """Zero client cost, provider costs, and network counters."""
         self.cost.reset()
         self.cluster.reset_accounting()
+
+
+def _create_request(table_name: str, schema: TableSchema) -> Dict:
+    """The ``create_table`` payload for a share table laid out like ``schema``."""
+    return {
+        "table": table_name,
+        "columns": schema.column_names,
+        "searchable": [c.name for c in schema.columns if c.searchable],
+    }
 
 
 def _estimate_selectivity(sharing: TableSharing, rewritten) -> float:
@@ -2152,6 +1879,15 @@ def _estimate_selectivity(sharing: TableSharing, rewritten) -> float:
         width = interval.high - interval.low + 1
         estimate *= min(1.0, max(0.0, width / domain.size))
     return estimate
+
+
+def _qualified_pair(query: JoinSelect, left_row: Row, right_row: Row) -> Row:
+    """One joined row: both sides' columns under ``table.column`` names."""
+    merged = {f"{query.left_table}.{k}": v for k, v in left_row.items()}
+    merged.update(
+        {f"{query.right_table}.{k}": v for k, v in right_row.items()}
+    )
+    return merged
 
 
 def _project_qualified(rows: List[Row], columns: Tuple[str, ...]) -> List[Row]:

@@ -140,12 +140,45 @@ def reconstruct_rows(
         return out
 
 
+def _presence_majority(
+    kind: str, key: object, present: set, responding: set, blamed: set
+) -> bool:
+    """Strict-majority presence vote on one result item (a row, a joined pair).
+
+    Returns whether the item is real.  Providers that omitted an item a
+    strict majority returned — or fabricated one a strict majority did
+    not — are added to ``blamed``; an exact tie raises, there is no
+    majority to trust.
+    """
+    absent = responding - present
+    if not absent:
+        return True
+    if len(present) * 2 > len(responding):
+        # majority returned the item: the absentees omitted it
+        for index in sorted(absent):
+            telemetry.count(
+                "faults.detected", kind="omission", provider=str(index)
+            )
+        blamed.update(absent)
+        return True
+    if len(present) * 2 < len(responding):
+        # majority did not return it: the item is fabricated
+        telemetry.count("faults.detected", kind="fabrication")
+        blamed.update(present)
+        return False
+    raise ReconstructionError(
+        f"{kind} {key}: presence tie — providers {sorted(present)} "
+        f"returned it, {sorted(absent)} did not; no majority to decide"
+    )
+
+
 def reconstruct_rows_checked(
     sharing: TableSharing,
     responses: Dict[int, Dict],
     residual: Optional[Predicate] = None,
     columns: Optional[List[str]] = None,
     cost: Optional[CostRecorder] = None,
+    emitted: Optional[List[Tuple[int, Dict[str, object]]]] = None,
 ) -> Tuple[List[Dict[str, object]], List[int]]:
     """Reconstruct with cross-checking; returns ``(rows, blamed_indexes)``.
 
@@ -159,7 +192,8 @@ def reconstruct_rows_checked(
     presence tie raises — there is no majority to trust.
 
     The caller decides policy (quarantine + re-issue); this function only
-    reports.
+    reports.  ``emitted``, as in :func:`reconstruct_rows`, is filled with
+    the (row_id, full_row) pairs surviving the residual filter.
     """
     with telemetry.span("reconstruct_checked", table=sharing.schema.name) as sp:
         provider_rows = rows_from_responses(responses)
@@ -169,72 +203,48 @@ def reconstruct_rows_checked(
         needs_residual = not isinstance(residual, TruePredicate)
         responding = set(responses)
         blamed: set = set()
-        out: List[Optional[Dict[str, object]]] = []
+        #: one slot per decodable row, in row-id order; None while a row is
+        #: deferred and for rows the residual filtered out
+        decoded: List[Optional[Tuple[int, Dict[str, object]]]] = []
         # rows whose robust vote tied with no blame evidence yet; retried
         # below once blame has accumulated from the rest of the result set
-        deferred: List[Tuple[int, Dict[int, ShareRow]]] = []
+        deferred: List[Tuple[int, int, Dict[int, ShareRow]]] = []
 
-        def _emit(row: Dict[str, object], position: Optional[int] = None) -> None:
-            if cost is not None:
-                cost.record("interpolate", len(row))
-            final: Optional[Dict[str, object]] = row
-            if needs_residual and not residual.matches(row):
-                final = None
-            elif columns:
-                final = {name: row[name] for name in columns}
-            if position is None:
-                if final is not None:
-                    out.append(final)
-            else:
-                out[position] = final
-
-        for row_id, share_rows in aligned.items():
-            present = set(share_rows)
-            absent = responding - present
-            if absent:
-                if len(present) * 2 > len(responding):
-                    # majority returned the row: the absentees omitted it
-                    for index in sorted(absent):
-                        telemetry.count(
-                            "faults.detected", kind="omission", provider=str(index)
-                        )
-                    blamed.update(absent)
-                elif len(present) * 2 < len(responding):
-                    # majority did not return it: the row is fabricated
-                    telemetry.count("faults.detected", kind="fabrication")
-                    blamed.update(present)
-                    continue
-                else:
-                    raise ReconstructionError(
-                        f"row {row_id}: presence tie — providers "
-                        f"{sorted(present)} returned it, {sorted(absent)} "
-                        "did not; no majority to decide"
-                    )
-            if len(share_rows) < threshold:
-                continue
-            try:
-                row, bad = sharing.reconstruct_row_checked(
-                    share_rows, suspects=blamed
-                )
-            except ReconstructionError:
-                out.append(None)
-                deferred.append((len(out) - 1, share_rows))
-                continue
-            if bad:
-                telemetry.count("faults.detected", kind="tamper")
-            blamed.update(bad)
-            _emit(row)
-        for position, share_rows in deferred:
-            # still ambiguous with all accumulated blame → re-raises here
+        def _decode(row_id: int, share_rows: Dict[int, ShareRow]):
             row, bad = sharing.reconstruct_row_checked(
                 share_rows, suspects=blamed
             )
             if bad:
                 telemetry.count("faults.detected", kind="tamper")
             blamed.update(bad)
-            _emit(row, position)
-        if deferred:
-            out = [row for row in out if row is not None]
+            if cost is not None:
+                cost.record("interpolate", len(row))
+            if needs_residual and not residual.matches(row):
+                return None
+            return row_id, row
+
+        for row_id, share_rows in aligned.items():
+            if not _presence_majority(
+                "row", row_id, set(share_rows), responding, blamed
+            ):
+                continue
+            if len(share_rows) < threshold:
+                continue
+            try:
+                decoded.append(_decode(row_id, share_rows))
+            except ReconstructionError:
+                deferred.append((len(decoded), row_id, share_rows))
+                decoded.append(None)
+        for slot, row_id, share_rows in deferred:
+            # still ambiguous with all accumulated blame → re-raises here
+            decoded[slot] = _decode(row_id, share_rows)
+        pairs = [pair for pair in decoded if pair is not None]
+        if emitted is not None:
+            emitted.extend(pairs)
+        out = [
+            {name: row[name] for name in columns} if columns else row
+            for _, row in pairs
+        ]
         sp.set(rows_out=len(out), blamed=len(blamed))
         return out, sorted(blamed)
 

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 from .. import telemetry
 from ..core.scheme import ShareRow, TableSharing
 from ..errors import ProviderUnavailableError, QuorumError
-from .reconstruct import align_by_row_id, rows_from_responses
 
 #: Rows per insert_many batch uploaded to the repaired provider.
 REPAIR_BATCH_SIZE = 500
@@ -175,16 +174,11 @@ def _repair_table(
     # k+1 sources (one redundant share so a tampering source can be
     # blamed and dropped), never the target itself (its shares are
     # suspect)
-    quorum = cluster.read_quorum(extra=1, exclude=(provider_index,))
-    responses = source._broadcast(
-        "scan",
-        lambda i: {"table": table_name, "projection": None},
-        minimum=source.threshold,
-        provider_indexes=quorum,
-        quorum="first_k",
-        failover=source.failover,
+    aligned = source._read_shares(
+        table_name,
+        method="scan",
+        targets=cluster.read_quorum(extra=1, exclude=(provider_index,)),
     )
-    aligned = align_by_row_id(rows_from_responses(responses))
     rebuilt: List[Tuple[int, ShareRow]] = []
     for row_id, share_rows in aligned.items():
         if len(share_rows) < source.threshold:
@@ -233,16 +227,11 @@ def verify_repair(source, provider_index: int) -> Dict[str, Dict[str, int]]:
         target_count = source._call_one(
             provider_index, "row_count", {"table": table_name}
         )["count"]
-        quorum = source.cluster.read_quorum(exclude=(provider_index,))
-        responses = source._broadcast(
-            "scan",
-            lambda i: {"table": table_name, "projection": None},
-            minimum=source.threshold,
-            provider_indexes=quorum,
-            quorum="first_k",
-            failover=source.failover,
+        aligned = source._read_shares(
+            table_name,
+            method="scan",
+            targets=source.cluster.read_quorum(exclude=(provider_index,)),
         )
-        aligned = align_by_row_id(rows_from_responses(responses))
         quorum_rows = sum(
             1
             for share_rows in aligned.values()

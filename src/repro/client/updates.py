@@ -106,8 +106,7 @@ class LazyUpdateBuffer:
         # fetch per-statement candidates and de-duplicate by row id)
         affected: Dict[int, Row] = {}
         for pending in updates:
-            fake = Update(table_name, pending.assignments, pending.where)
-            for row_id, row in source._fetch_matching_rows(fake):
+            for row_id, row in source._fetch_matching_rows(pending):
                 affected.setdefault(row_id, row)
         if not affected:
             return 0

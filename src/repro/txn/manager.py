@@ -203,8 +203,9 @@ class TransactionManager:
         """The per-column delta amounts, or None if ineligible.
 
         Eligibility mirrors :meth:`DataSource.increment`: every
-        assignment a :class:`Delta`, every column randomly shared and
-        INTEGER, and the predicate fully provider-pushable.
+        assignment a :class:`Delta` and every column randomly shared and
+        INTEGER (the predicate must also be fully provider-pushable,
+        which the id-only match fetch reports).
         """
         if not stmt.is_pure_delta:
             return None
@@ -215,11 +216,6 @@ class TransactionManager:
                 return None
             if column_schema.ctype is not ColumnType.INTEGER:
                 return None
-        rewritten = self.source._rewrite(
-            stmt.where.bind(sharing.schema), sharing
-        )
-        if rewritten.has_residual:
-            return None
         return {
             column: delta.amount for column, delta in stmt.assignments.items()
         }
@@ -228,7 +224,9 @@ class TransactionManager:
         source = self.source
         deltas = self._delta_columns(stmt)
         if deltas is not None:
-            return self._resolve_delta_update(stmt, deltas)
+            row_ids = source._fetch_matching_ids(stmt.table, stmt.where)
+            if row_ids is not None:
+                return self._resolve_delta_update(stmt, deltas, row_ids)
         matches = source._fetch_matching_rows(stmt)
         if not matches:
             return [], 0
@@ -246,23 +244,10 @@ class TransactionManager:
         return [op], len(matches)
 
     def _resolve_delta_update(
-        self, stmt: Update, deltas: Dict[str, int]
+        self, stmt: Update, deltas: Dict[str, int], row_ids: List[int]
     ) -> Tuple[List[Dict], object]:
         """Incremental share-delta resolution: ids only, no row payload."""
         source = self.source
-        sharing = source.sharing(stmt.table)
-        rewritten = source._rewrite(stmt.where.bind(sharing.schema), sharing)
-        if rewritten.provably_empty:
-            return [], 0
-        responses = source._select_rpc(stmt.table, rewritten, projection=[])
-        from ..client.reconstruct import align_by_row_id, rows_from_responses
-
-        aligned = align_by_row_id(rows_from_responses(responses))
-        row_ids = [
-            rid
-            for rid, per_provider in aligned.items()
-            if len(per_provider) >= source.threshold
-        ]
         if not row_ids:
             return [], 0
         epoch = self._next_epoch(0, stmt.table)

@@ -149,6 +149,18 @@ class TestTier1Gate:
         # requires numpy in the bench-smoke environment
         assert "pip install numpy" in runs
 
+    def test_bench_smoke_runs_e2e_smoke(self, jobs):
+        """The end-to-end benchmark's own tests (oracle checks and the
+        traced runs that resolve every ``layers.TARGETS`` entry) run in
+        CI; tier-1 only resolves the targets (tests/ci/test_trace_targets)."""
+        steps = [s for s in jobs["bench-smoke"]["steps"] if "run" in s]
+        e2e = [s for s in steps if "pytest benchmarks/e2e -q" in s["run"]]
+        assert len(e2e) == 1
+        assert e2e[0]["name"].startswith("e2e-smoke")
+        assert e2e[0]["env"]["PYTHONPATH"] == "src"
+        installs = [s["run"] for s in steps if "pip install" in s["run"]]
+        assert any("pytest" in run for run in installs)
+
     def test_provider_gates_run_on_both_backends(self, jobs):
         """The provider engine check must pass on the vectorized backend
         (speedup gates) AND with the backend forced to the scalar oracle

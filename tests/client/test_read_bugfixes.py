@@ -1,0 +1,176 @@
+"""Regression tests for the three bugs the ISSUE-12 read pipeline fixed.
+
+Each class fails at the parent commit (fbfbd40):
+
+* ORDER BY / LIMIT were silently dropped by ``select_verified`` and
+  ``select_with_ids`` (30 rows in row-id order instead of the top 3);
+* ``rotate_secrets`` read its snapshot without failover, so one crashed
+  quorum member turned a re-key into ``QuorumError``;
+* ``explain`` re-derived the push-down decisions by hand and disagreed
+  with the requests execution actually sends.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.providers.failures import Fault, FailureMode
+from repro.sqlengine.executor import rows_equal_unordered
+from repro.sqlengine.sqlparser import parse_sql
+
+from .test_read_pipeline import (
+    AGG_SHAPES,
+    CLIENT_JOIN,
+    JOIN_SHAPES,
+    ROW_SHAPES,
+    Deployment,
+)
+
+
+class TestOrderLimitOnEveryEntryPoint:
+    @pytest.mark.parametrize(
+        "entry, kwargs",
+        [
+            ("select", {}),
+            ("select", {"verified_reads": True}),
+            ("select_robust", {}),
+            ("select_verified", {"audited": True}),
+            ("select_with_ids", {}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "shape", ["pushed_order_limit", "client_order", "residual_order_limit"]
+    )
+    def test_matches_plaintext_executor(self, entry, kwargs, shape):
+        dep = Deployment(**kwargs)
+        query = parse_sql(ROW_SHAPES[shape])
+        rows = getattr(dep.source, entry)(query)
+        if entry == "select_with_ids":
+            assert all(isinstance(row_id, int) for row_id, _ in rows)
+            rows = [row for _, row in rows]
+        assert rows == dep.oracle.execute(query)
+        assert len(rows) == query.limit
+
+
+class TestRotateSecretsFailover:
+    def test_rotation_survives_a_crashed_quorum_member(self):
+        dep = Deployment()
+        dep.cluster.inject_fault(0, Fault(FailureMode.CRASH))
+        # the sibling whole-table read always had failover
+        assert dep.source.resync_table("Employees") == 30
+        assert dep.source.rotate_secrets(99) == {
+            "Employees": 30, "Events": 24, "Managers": 9,
+        }
+        for table in ("Employees", "Managers", "Events"):
+            query = parse_sql(f"SELECT * FROM {table}")
+            assert rows_equal_unordered(
+                dep.source.select(query), dep.oracle.execute(query)
+            )
+
+    def test_rotation_records_the_snapshot_decode(self):
+        dep = Deployment()
+        dep.source.rotate_secrets(99)
+        # 30*5 + 9*4 + 24*6 cells interpolated while reading under the old
+        # secrets — resync_table always recorded them, rotation did not
+        assert dep.source.cost.count("interpolate") == 330
+
+
+class BroadcastSpy:
+    """Records ``(method, targets, first target's request, wait)`` per round."""
+
+    def __init__(self, cluster) -> None:
+        self.rounds = []
+        self._broadcast = cluster.broadcast
+        cluster.broadcast = self
+
+    def __call__(self, method, request_builder, **kwargs):
+        targets = list(kwargs["provider_indexes"])
+        self.rounds.append(
+            (method, targets, request_builder(targets[0]), kwargs.get("quorum"))
+        )
+        return self._broadcast(method, request_builder, **kwargs)
+
+
+EXPLAIN_GRID = {
+    **ROW_SHAPES,
+    **AGG_SHAPES,
+    # the issue's example: a LIMIT behind a client sort stays at the client
+    "issue_example": "SELECT * FROM Events ORDER BY amount_cents LIMIT 3",
+    "limit_only": "SELECT name FROM Employees WHERE salary >= 40000 LIMIT 5",
+    "order_only": "SELECT name FROM Employees ORDER BY salary",
+}
+
+
+class TestExplainMatchesExecution:
+    @pytest.mark.parametrize("verified_reads", [False, True])
+    @pytest.mark.parametrize("shape", sorted(EXPLAIN_GRID))
+    def test_select_claims_match_the_request_sent(self, shape, verified_reads):
+        dep = Deployment(verified_reads=verified_reads)
+        query = dep.parse(EXPLAIN_GRID[shape])
+        plan = dep.source.explain(query)
+        spy = BroadcastSpy(dep.cluster)
+        dep.source.select(query)
+        strategy = plan["strategy"]
+        assert plan["mode"] == ("checked" if verified_reads else "quorum")
+        if plan["provably_empty"]:
+            assert spy.rounds == []
+            assert "provably empty" in strategy
+            return
+        method, targets, request, wait = spy.rounds[0]
+        assert plan["read_quorum"] == targets
+        assert wait == ("all" if verified_reads else "first_k")
+        assert ("share-order sort" in strategy) == ("order_by" in request)
+        assert ("client sort" in strategy) == (
+            query.order_by is not None and "order_by" not in request
+        )
+        assert ("at providers" in strategy) == ("limit" in request)
+        assert ("at client" in strategy) == (
+            query.limit is not None and "limit" not in request
+        )
+        assert ("client residual filter" in strategy) == (
+            not query.is_aggregate and plan["residual"] is not None
+        )
+        assert (strategy == "provider-side partial aggregation") == (
+            method == "aggregate"
+        )
+        assert (strategy == "provider-grouped partial aggregation") == (
+            method == "aggregate_group"
+        )
+        assert strategy.startswith("fetch matching rows") == (
+            query.is_aggregate and method == "select"
+        )
+        assert len(plan["pushdown"]) == len(request["conditions"])
+
+    def test_issue_examples(self):
+        dep = Deployment()
+        plan = dep.source.explain(EXPLAIN_GRID["issue_example"])
+        assert plan["strategy"] == "provider full scan + client sort + limit 3 at client"
+        checked = Deployment(verified_reads=True)
+        plan = checked.source.explain("SELECT SUM(salary) FROM Employees")
+        assert plan["strategy"] == "fetch matching rows, aggregate at the client"
+        assert plan["read_quorum"] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("verified_reads", [False, True])
+    @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+    def test_provider_join_claims(self, shape, verified_reads):
+        dep = Deployment(verified_reads=verified_reads)
+        query = dep.parse(JOIN_SHAPES[shape])
+        plan = dep.source.explain(query)
+        spy = BroadcastSpy(dep.cluster)
+        dep.source.join(query)
+        assert plan["strategy"].startswith("provider-side hash join")
+        for method, targets, _, wait in spy.rounds[:1]:
+            assert method == "join"
+            assert plan["read_quorum"] == targets
+            assert wait == ("all" if verified_reads else "first_k")
+
+    @pytest.mark.parametrize("verified_reads", [False, True])
+    def test_client_join_claims(self, verified_reads):
+        dep = Deployment(client_join_fallback=True, verified_reads=verified_reads)
+        query = parse_sql(CLIENT_JOIN)
+        plan = dep.source.explain(query)
+        spy = BroadcastSpy(dep.cluster)
+        dep.source.join(query)
+        assert plan["strategy"] == "fetch both sides, hash join at the client"
+        assert [r[0] for r in spy.rounds] == ["select", "select"]
+        assert all(r[1] == plan["read_quorum"] for r in spy.rounds)

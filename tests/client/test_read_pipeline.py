@@ -1,0 +1,486 @@
+"""Characterisation of every read/match entry point of ``DataSource``.
+
+Written before the ISSUE-12 read-pipeline refactor and green on both sides
+of it: for every public entry point that fetches rows (or row ids, or whole
+tables) x query shape x fault, the result equals the plaintext oracle and
+the byte count, message count, modelled clock and client/provider
+``CostRecorder`` snapshots equal the numbers captured at the parent commit
+(``read_pipeline_golden.json``, section ``"parent"``).
+
+The only permitted differences from the parent are the three bugs the
+refactor fixes, enumerated in ``BUGFIX_DELTAS`` below; their post-fix
+numbers live in the golden file's ``"fixed"`` section.
+
+Regenerate (only on purpose)::
+
+    PYTHONPATH=src python tests/client/test_read_pipeline.py parent   # at the parent commit
+    PYTHONPATH=src python tests/client/test_read_pipeline.py fixed    # after the fixes
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from typing import Callable, Dict, List, Optional
+
+import pytest
+
+from repro import DataSource, ProviderCluster
+from repro.client.repair import repair_provider
+from repro.client.updates import LazyUpdateBuffer
+from repro.errors import ReproError
+from repro.providers.failures import Fault, FailureMode
+from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
+from repro.sqlengine.expression import Comparison, ComparisonOp
+from repro.sqlengine.sqlparser import parse_sql
+from repro.sqlengine.table import Table
+from repro.trust.auditing import AuditRegistry
+from repro.txn import TransactionManager
+from repro.workloads.ecommerce import clicklog_table
+from repro.workloads.employees import employees_table, managers_table
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "read_pipeline_golden.json")
+SEED = 11
+
+#: Scenario-id prefixes whose numbers differ from the parent commit on
+#: purpose — the three ISSUE-12 bugfixes — and why.
+BUGFIX_DELTAS = {
+    # 1. ORDER BY / LIMIT silently dropped: the parent returned every
+    #    matching row in row-id order from these two entry points
+    "select_with_ids/pushed_order_limit": "ORDER BY/LIMIT now honoured (and pushed down)",
+    "select_with_ids/client_order": "ORDER BY/LIMIT now honoured (client sort)",
+    "select_with_ids/residual_order_limit": "ORDER BY/LIMIT now honoured (client sort)",
+    "select_verified/pushed_order_limit": "ORDER BY/LIMIT now honoured (and pushed down)",
+    "select_verified/client_order": "ORDER BY/LIMIT now honoured (client sort)",
+    "select_verified/residual_order_limit": "ORDER BY/LIMIT now honoured (client sort)",
+    # 2. rotate_secrets had no read failover (QuorumError with one crashed
+    #    quorum member) and skipped the client's interpolate cost record
+    "rotate_secrets": "snapshot read gained failover + the interpolate cost record",
+    # 3. explain disagreed with execution: LIMIT claimed "at providers"
+    #    behind a client sort, and verified reads claimed the k-quorum and
+    #    provider-side aggregation they never use (only the recorded
+    #    ``explain`` strings move; accounting is unchanged)
+    "select/client_order": "explain: limit behind a client sort runs at the client",
+    "select_checked/": "explain: reports the checked mode's quorum and client-side strategy",
+    "join_checked/": "explain: reports the checked mode's quorum",
+    "select/provably_empty": "explain: no provider round is claimed for a provably empty query",
+    "select/count_empty": "explain: no provider round is claimed for a provably empty query",
+    "select/sum_empty": "explain: no provider round is claimed for a provably empty query",
+    "select/group_empty": "explain: no provider round is claimed for a provably empty query",
+}
+
+ROW_SHAPES = {
+    "projection": "SELECT name, salary FROM Employees WHERE salary BETWEEN 40000 AND 70000",
+    "star_point": "SELECT * FROM Employees WHERE eid = {eid}",
+    "pushed_order_limit": "SELECT name, salary FROM Employees ORDER BY salary DESC LIMIT 3",
+    "client_order": "SELECT eid, password FROM Managers ORDER BY password LIMIT 4",
+    "residual": "SELECT name FROM Employees WHERE name <> 'JOHN' AND salary > 40000",
+    "residual_order_limit": (
+        "SELECT name, salary FROM Employees WHERE name <> 'JOHN' AND salary > 40000 "
+        "ORDER BY salary LIMIT 4"
+    ),
+    "provably_empty": "SELECT * FROM Employees WHERE salary > 10 AND salary < 5",
+}
+
+AGG_SHAPES = {
+    "count": "SELECT COUNT(*) FROM Employees WHERE salary >= 40000",
+    "sum": "SELECT SUM(salary) FROM Employees WHERE salary <= 70000",
+    "avg": "SELECT AVG(salary) FROM Employees",
+    "min": "SELECT MIN(salary) FROM Employees WHERE salary >= 40000",
+    "max": "SELECT MAX(salary) FROM Employees",
+    "median": "SELECT MEDIAN(salary) FROM Employees",
+    "sum_residual": "SELECT SUM(amount_cents) FROM Events WHERE amount_cents > 5",
+    "min_unsearchable": "SELECT MIN(amount_cents) FROM Events",
+    "count_empty": "SELECT COUNT(*) FROM Employees WHERE salary > 10 AND salary < 5",
+    "sum_empty": "SELECT SUM(salary) FROM Employees WHERE salary > 10 AND salary < 5",
+    "group_pushed": "SELECT department, COUNT(*) FROM Employees GROUP BY department",
+    "group_pushed_avg": "SELECT department, AVG(salary) FROM Employees WHERE salary >= 20000 GROUP BY department",
+    "group_pushed_max": "SELECT department, MAX(salary) FROM Employees GROUP BY department",
+    "group_unpushed": "SELECT department, SUM(salary) FROM Employees WHERE name <> 'JOHN' GROUP BY department",
+    "group_unsearchable": "SELECT action, MIN(amount_cents) FROM Events GROUP BY action",
+    "group_empty": "SELECT department, COUNT(*) FROM Employees WHERE salary > 10 AND salary < 5 GROUP BY department",
+}
+
+JOIN_SHAPES = {
+    "plain": "SELECT * FROM Employees JOIN Managers ON Employees.eid = Managers.eid",
+    "filtered": (
+        "SELECT Employees.name, Managers.manager_username FROM Employees JOIN Managers "
+        "ON Employees.eid = Managers.eid WHERE Employees.salary >= 40000 "
+        "AND Managers.manager_id >= 1"
+    ),
+    "empty": (
+        "SELECT * FROM Employees JOIN Managers ON Employees.eid = Managers.eid "
+        "WHERE Employees.salary > 10 AND Employees.salary < 5"
+    ),
+}
+CLIENT_JOIN = "SELECT * FROM Employees JOIN Managers ON Employees.eid = Managers.manager_id"
+
+FAULTS = {
+    "none": None,
+    "crash": (0, lambda: Fault(FailureMode.CRASH)),
+    "tamper": (1, lambda: Fault(FailureMode.TAMPER, seed=5)),
+}
+
+
+class Deployment:
+    """A seeded n=5/k=3 deployment beside its plaintext oracle."""
+
+    def __init__(self, fault: str = "none", **source_kwargs) -> None:
+        self.cluster = ProviderCluster(5, 3)
+        if source_kwargs.pop("audited", False):
+            source_kwargs["audit"] = AuditRegistry(5)
+        self.source = DataSource(self.cluster, seed=SEED, **source_kwargs)
+        employees = employees_table(30, seed=SEED)
+        tables = [
+            employees,
+            managers_table(employees, 0.3, seed=SEED),
+            clicklog_table(24, seed=SEED),
+        ]
+        catalog = Catalog()
+        for table in tables:
+            self.source.outsource_table(table)
+            catalog.add_table(Table(table.schema, table.rows()))
+        self.oracle = PlaintextExecutor(catalog)
+        self.some_eid = employees.rows()[7]["eid"]
+        self.inject(fault)
+        self.source.reset_accounting()
+
+    def inject(self, fault: str) -> None:
+        if FAULTS[fault] is not None:
+            index, make = FAULTS[fault]
+            self.cluster.inject_fault(index, make())
+
+    def parse(self, sql: str):
+        return parse_sql(sql.format(eid=self.some_eid))
+
+    def accounting(self) -> Dict[str, object]:
+        network = self.cluster.network
+        return {
+            "bytes": network.total_bytes,
+            "messages": network.total_messages,
+            "modelled_seconds": network.modelled_seconds,
+            "client": self.source.cost.snapshot(),
+            "providers": self.cluster.total_provider_cost().snapshot(),
+        }
+
+    def table_matches_oracle(self, table: str) -> bool:
+        query = parse_sql(f"SELECT * FROM {table}")
+        return rows_equal_unordered(
+            self.source.select(query), self.oracle.execute(query)
+        )
+
+
+def _same(query, actual, expected) -> bool:
+    if not isinstance(expected, list):
+        return actual == expected
+    if getattr(query, "order_by", None) is not None:
+        return actual == expected
+    return rows_equal_unordered(actual, expected)
+
+
+# --------------------------------------------------------------- scenarios --
+
+#: id -> (Deployment kwargs, runner).  A runner returns ``(ok, extras)``:
+#: whether the result matched the oracle, plus anything else worth pinning.
+SCENARIOS: Dict[str, tuple] = {}
+
+
+def scenario(name: str, fault: str = "none", **kwargs):
+    def register(run: Callable[[Deployment], tuple]):
+        SCENARIOS[f"{name}/{fault}"] = (dict(kwargs, fault=fault), run)
+        return run
+
+    return register
+
+
+def _add_select(entry: str, shape: str, sql: str, fault: str, **kwargs) -> None:
+    method = {
+        "select": "select",
+        "select_checked": "select",
+        "select_with_ids": "select_with_ids",
+        "select_robust": "select_robust",
+        "select_verified": "select_verified",
+    }[entry]
+
+    @scenario(f"{entry}/{shape}", fault, **kwargs)
+    def run(dep: Deployment, sql=sql, method=method):
+        query = dep.parse(sql)
+        extras = {}
+        if method == "select":
+            plan = dep.source.explain(query)
+            extras = {"explain": [plan["strategy"], plan["read_quorum"]]}
+        actual = getattr(dep.source, method)(query)
+        if method == "select_with_ids":
+            actual = [row for _, row in actual]
+        return _same(query, actual, dep.oracle.execute(query)), extras
+
+
+for _shape, _sql in ROW_SHAPES.items():
+    for _fault in ("none", "crash"):
+        _add_select("select", _shape, _sql, _fault)
+        _add_select("select_with_ids", _shape, _sql, _fault)
+        _add_select("select_verified", _shape, _sql, _fault, audited=True)
+    for _fault in ("none", "crash", "tamper"):
+        _add_select("select_checked", _shape, _sql, _fault, verified_reads=True)
+        _add_select("select_robust", _shape, _sql, _fault)
+for _shape, _sql in AGG_SHAPES.items():
+    for _fault in ("none", "crash"):
+        _add_select("select", _shape, _sql, _fault)
+    for _fault in ("none", "crash", "tamper"):
+        _add_select("select_checked", _shape, _sql, _fault, verified_reads=True)
+_add_select(
+    "select_checked", "projection_r1", ROW_SHAPES["projection"], "tamper",
+    verified_reads=True, read_redundancy=1,
+)
+
+
+def _add_asof(shape: str, sql: str, fault: str) -> None:
+    @scenario(f"select_asof/{shape}", fault)
+    def run(dep: Deployment, sql=sql, fault=fault):
+        # history: the oracle keeps the pre-update state, the deployment moves on
+        query = dep.parse(sql)
+        epoch = dep.source.table_epoch(query.table)
+        key = {"Employees": "salary", "Managers": "manager_id", "Events": "product"}[query.table]
+        dep.source.delete(parse_sql(f"DELETE FROM {query.table} WHERE {key} >= 5000"))
+        dep.source.reset_accounting()
+        actual = dep.source.select_asof(query, epoch)
+        return _same(query, actual, dep.oracle.execute(query)), {}
+
+
+for _shape in ("projection", "pushed_order_limit", "client_order", "residual", "provably_empty"):
+    for _fault in ("none", "crash"):
+        _add_asof(_shape, ROW_SHAPES[_shape], _fault)
+for _shape in ("sum", "median", "group_pushed", "group_unpushed"):
+    _add_asof(_shape, AGG_SHAPES[_shape], "none")
+
+
+def _add_join(entry: str, shape: str, sql: str, fault: str, **kwargs) -> None:
+    @scenario(f"{entry}/{shape}", fault, **kwargs)
+    def run(dep: Deployment, sql=sql):
+        query = dep.parse(sql)
+        plan = dep.source.explain(query)
+        actual = dep.source.join(query)
+        ok = rows_equal_unordered(actual, dep.oracle.execute(query))
+        return ok, {"explain": [plan["strategy"], plan["read_quorum"]]}
+
+
+for _shape, _sql in JOIN_SHAPES.items():
+    for _fault in ("none", "crash"):
+        _add_join("join", _shape, _sql, _fault)
+    for _fault in ("none", "crash", "tamper"):
+        _add_join("join_checked", _shape, _sql, _fault, verified_reads=True)
+for _fault in ("none", "crash"):
+    _add_join("join_client", "fallback", CLIENT_JOIN, _fault, client_join_fallback=True)
+_add_join(
+    "join_client_checked", "fallback", CLIENT_JOIN, "none",
+    client_join_fallback=True, verified_reads=True,
+)
+
+WRITES = {
+    "update": "UPDATE Employees SET salary = 1234 WHERE salary BETWEEN 40000 AND 60000",
+    "update_residual": "UPDATE Employees SET department = 'OPS' WHERE name <> 'JOHN' AND salary > 50000",
+    "update_empty": "UPDATE Employees SET salary = 1 WHERE salary > 10 AND salary < 5",
+    "update_delta": "UPDATE Events SET amount_cents = amount_cents + 7 WHERE product >= 3",
+    "delete": "DELETE FROM Employees WHERE salary < 45000",
+    "delete_residual": "DELETE FROM Events WHERE amount_cents > 0 AND product >= 2",
+}
+
+
+def _add_write(entry: str, shape: str, sql: str, fault: str) -> None:
+    @scenario(f"{entry}/{shape}", fault)
+    def run(dep: Deployment, sql=sql, entry=entry):
+        statement = parse_sql(sql)
+        expected = dep.oracle.execute(statement)
+        if entry == "direct":
+            changed = dep.source.execute(statement)
+        elif entry == "txn":
+            manager = TransactionManager(dep.source, dep.wal_path)
+            try:
+                changed = manager.execute(statement)
+            finally:
+                manager.close()
+        else:
+            # two statements coalesced into one fetch + one write-back
+            second = parse_sql("UPDATE Employees SET salary = 99 WHERE eid <= 500000")
+            dep.oracle.execute(second)
+            buffer = LazyUpdateBuffer(dep.source)
+            buffer.enqueue(statement)
+            buffer.enqueue(second)
+            buffer.flush()
+            changed = expected
+        accounting = dep.accounting()
+        ok = changed == expected and dep.table_matches_oracle(statement.table)
+        return ok, {"accounting": accounting}
+
+
+for _shape, _sql in WRITES.items():
+    for _fault in ("none", "crash"):
+        _add_write("direct", _shape, _sql, _fault)
+        _add_write("txn", _shape, _sql, _fault)
+for _fault in ("none", "crash"):
+    _add_write("lazy", "update", WRITES["update"], _fault)
+    _add_write("lazy", "update_residual", WRITES["update_residual"], _fault)
+
+
+def _add_increment(shape: str, where, fault: str) -> None:
+    @scenario(f"increment/{shape}", fault)
+    def run(dep: Deployment, where=where):
+        changed = dep.source.increment("Events", "amount_cents", 5, where)
+        accounting = dep.accounting()
+        table = dep.oracle.catalog.table("Events")
+        expected = table.update_where(
+            where.bind(table.schema),
+            parse_sql("UPDATE Events SET amount_cents = amount_cents + 5").assignments,
+        )
+        ok = changed == expected and dep.table_matches_oracle("Events")
+        return ok, {"accounting": accounting}
+
+
+for _fault in ("none", "crash"):
+    _add_increment("range", Comparison("product", ComparisonOp.GE, 3), _fault)
+    _add_increment(
+        "empty",
+        parse_sql("SELECT * FROM Events WHERE product > 10 AND product < 5").where,
+        _fault,
+    )
+
+
+def _add_maintenance(name: str, fault: str, run_body: Callable, **kwargs) -> None:
+    @scenario(name, fault, **kwargs)
+    def run(dep: Deployment):
+        outcome = run_body(dep)
+        accounting = dep.accounting()
+        ok = all(
+            dep.table_matches_oracle(table) for table in ("Employees", "Managers", "Events")
+        )
+        return ok, {"accounting": accounting, "outcome": outcome}
+
+
+def _scan_share_rows(extra: int):
+    def body(dep: Deployment):
+        aligned = dep.source.scan_share_rows("Employees", extra=extra)
+        return [len(aligned), sorted({len(v) for v in aligned.values()})]
+
+    return body
+
+
+def _scan_asof(dep: Deployment):
+    epoch = dep.source.table_epoch("Employees")
+    expected = dep.oracle.execute(parse_sql("SELECT * FROM Employees"))
+    dep.source.delete(parse_sql("DELETE FROM Employees WHERE salary >= 50000"))
+    dep.oracle.execute(parse_sql("DELETE FROM Employees WHERE salary >= 50000"))
+    dep.source.reset_accounting()
+    pairs = dep.source.scan_asof("Employees", epoch)
+    assert [rid for rid, _ in pairs] == sorted(rid for rid, _ in pairs)
+    return rows_equal_unordered([row for _, row in pairs], expected)
+
+
+def _repair(dep: Deployment):
+    # the crashed provider recovers stale, then is rebuilt from the others
+    dep.source.delete(parse_sql("DELETE FROM Employees WHERE salary >= 50000"))
+    dep.oracle.execute(parse_sql("DELETE FROM Employees WHERE salary >= 50000"))
+    dep.cluster.clear_faults()
+    dep.source.reset_accounting()
+    return repair_provider(dep.source, 0)
+
+
+for _fault in ("none", "crash"):
+    _add_maintenance("resync_table", _fault, lambda dep: dep.source.resync_table("Employees"))
+    _add_maintenance(
+        "resync_table_audited", _fault,
+        lambda dep: dep.source.resync_table("Employees"), audited=True,
+    )
+    _add_maintenance("scan_share_rows/k", _fault, _scan_share_rows(0))
+    _add_maintenance("scan_share_rows/k+1", _fault, _scan_share_rows(1))
+    _add_maintenance(
+        "refresh_table_shares", _fault,
+        lambda dep: dep.source.refresh_table_shares("Events"),
+    )
+    _add_maintenance("scan_asof", _fault, _scan_asof)
+    _add_maintenance("rotate_secrets", _fault, lambda dep: dep.source.rotate_secrets(99))
+_add_maintenance("repair_provider", "crash", _repair)
+
+
+# ----------------------------------------------------------------- running --
+
+
+def run_scenario(scenario_id: str, wal_dir: str) -> Dict[str, object]:
+    kwargs, run = SCENARIOS[scenario_id]
+    dep = Deployment(**kwargs)
+    dep.wal_path = os.path.join(wal_dir, "client.wal")
+    try:
+        ok, extras = run(dep)
+    except ReproError as exc:  # the parent's rotate_secrets bug surfaces here
+        return {"raised": type(exc).__name__}
+    record = dict(extras)
+    record.setdefault("accounting", dep.accounting())
+    record["matches_oracle"] = ok
+    return json.loads(json.dumps(record))
+
+
+def _bugfix_reason(scenario_id: str) -> Optional[str]:
+    for prefix, reason in BUGFIX_DELTAS.items():
+        if scenario_id.startswith(prefix):
+            return reason
+    return None
+
+
+def _load_golden() -> Dict[str, Dict[str, object]]:
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_entry_point_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
+    golden = _load_golden()
+    record = run_scenario(scenario_id, str(tmp_path))
+    assert record.get("matches_oracle") is True, record
+    parent = golden["parent"][scenario_id]
+    if record == parent:
+        assert scenario_id not in golden["fixed"], "stale entry in the fixed section"
+        return
+    reason = _bugfix_reason(scenario_id)
+    assert reason is not None, (
+        f"{scenario_id} moved off the parent commit's numbers and is not an "
+        f"enumerated bugfix delta:\n parent {parent}\n now    {record}"
+    )
+    assert record == golden["fixed"][scenario_id], reason
+
+
+def test_bugfix_deltas_are_the_only_differences():
+    golden = _load_golden()
+    assert set(golden["parent"]) == set(SCENARIOS)
+    for scenario_id in golden["fixed"]:
+        assert _bugfix_reason(scenario_id) is not None, scenario_id
+        assert golden["fixed"][scenario_id] != golden["parent"][scenario_id]
+
+
+def _regenerate(section: str) -> None:
+    import tempfile
+
+    golden = _load_golden() if os.path.exists(GOLDEN_PATH) else {"parent": {}, "fixed": {}}
+    records: Dict[str, object] = {}
+    for scenario_id in sorted(SCENARIOS):
+        with tempfile.TemporaryDirectory() as wal_dir:
+            records[scenario_id] = run_scenario(scenario_id, wal_dir)
+    if section == "parent":
+        golden["parent"] = records
+    else:
+        golden["fixed"] = {
+            sid: record
+            for sid, record in records.items()
+            if record != golden["parent"][sid]
+        }
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    bad: List[str] = [
+        sid for sid, record in records.items() if record.get("matches_oracle") is not True
+    ]
+    print(f"{len(records)} scenarios -> {section}; not matching the oracle: {bad}")
+
+
+if __name__ == "__main__":
+    _regenerate(sys.argv[1])
