@@ -12,8 +12,9 @@ they replaced:
   modular inversion per cell) vs. column-major
   :func:`repro.core.kernels.batch_reconstruct` with cached weights.
 * **select** — an end-to-end ``SELECT`` through the provider cluster,
-  reporting modelled network latency under sequential dispatch (sum of
-  round trips) vs. the parallel ``first_k`` fan-out (k-th fastest).
+  reporting the modelled ``first_k`` fan-out latency (k-th fastest round
+  trip) against the sum of the same messages' transfer times — what the
+  read would cost if nothing overlapped.
 
 Results are written to ``BENCH_hotpath.json`` at the repo root so later
 PRs can track the perf trajectory.  Run modes::
@@ -230,80 +231,75 @@ def bench_reconstruct(
 
 
 def bench_select(n_rows: int, n_providers: int = 5, threshold: int = 3):
-    """End-to-end SELECT: modelled latency sequential vs parallel first_k.
+    """End-to-end SELECT: modelled ``first_k`` latency vs sum of round trips.
 
-    Each mode runs under an enabled telemetry session timed by the sim's
+    The run happens under an enabled telemetry session timed by the sim's
     modelled clock; the export is embedded in the report and its per-link
     byte counters are asserted to match the network's own accounting.
     """
-    out = {}
     query = Select(
         table="Employees",
         where=Comparison("salary", ComparisonOp.GE, 20_000),
     )
-    for mode in ("sequential", "parallel"):
-        cluster = ProviderCluster(n_providers, threshold, dispatch=mode)
-        source = DataSource(cluster, seed=SEED)
-        source.outsource_table(employees_table(n_rows, seed=SEED))
-        network = cluster.network
-        network.reset()
-        with telemetry.session(
-            clock=lambda net=network: net.modelled_seconds
-        ) as hub:
-            rows, wall = _timed(source.select, query)
-            export = hub.export()
-            assert hub.registry.counter_total("net.bytes") == (
-                network.total_bytes
-            ), "telemetry byte counters diverged from network accounting"
-            assert hub.registry.counter_total("net.messages") == (
-                network.total_messages
-            ), "telemetry message counters diverged from network accounting"
-        # cached re-read: an identical SELECT in the same epoch must be
-        # served wholly from the row cache — zero provider RPCs, zero bytes
-        served_before = sum(p.requests_served for p in cluster.providers)
-        bytes_before = network.total_bytes
-        reread, reread_wall = _timed(source.select, query)
-        rpcs_skipped = sum(
-            p.requests_served for p in cluster.providers
-        ) - served_before
-        assert reread == rows, "cached re-read returned different rows"
-        assert rpcs_skipped == 0, (
-            f"cached re-read still issued {rpcs_skipped} provider RPCs"
-        )
-        assert network.total_bytes == bytes_before, (
-            "cached re-read moved bytes over the network"
-        )
-        out[mode] = {
-            "rows_returned": len(rows),
-            "wall_seconds": round(wall, 6),
-            "rows_per_s": round(len(rows) / wall, 1) if rows else 0.0,
-            "modelled_network_seconds": round(
-                network.modelled_seconds, 6
-            ),
-            "network_bytes": network.total_bytes,
-            "cached_reread": {
-                "wall_seconds": round(reread_wall, 6),
-                "provider_rpcs": rpcs_skipped,
-                "network_bytes": 0,
-                "speedup_vs_first_read": round(wall / reread_wall, 2)
-                if reread_wall
-                else None,
-                "rowcache": source.row_cache.stats.snapshot(),
-            },
-            "telemetry": export,
-        }
-    assert (
-        out["sequential"]["rows_returned"] == out["parallel"]["rows_returned"]
-    ), "dispatch modes returned different result sets"
-    assert (
-        out["sequential"]["network_bytes"] == out["parallel"]["network_bytes"]
-    ), "dispatch modes disagree on byte accounting"
-    out["modelled_latency_speedup"] = round(
-        out["sequential"]["modelled_network_seconds"]
-        / out["parallel"]["modelled_network_seconds"],
-        2,
+    cluster = ProviderCluster(n_providers, threshold)
+    source = DataSource(cluster, seed=SEED)
+    source.outsource_table(employees_table(n_rows, seed=SEED))
+    network = cluster.network
+    network.reset()
+    with telemetry.session(
+        clock=lambda net=network: net.modelled_seconds
+    ) as hub:
+        rows, wall = _timed(source.select, query)
+        export = hub.export()
+        assert hub.registry.counter_total("net.bytes") == (
+            network.total_bytes
+        ), "telemetry byte counters diverged from network accounting"
+        assert hub.registry.counter_total("net.messages") == (
+            network.total_messages
+        ), "telemetry message counters diverged from network accounting"
+    modelled = network.modelled_seconds
+    # the no-overlap baseline, from the network's own counters: every
+    # message's one-way transfer time (LatencyModel.transfer_seconds)
+    # summed, i.e. what clocking each send individually would have cost
+    latency = network.latency
+    sum_of_round_trips = (
+        network.total_messages * latency.rtt_seconds / 2
+        + network.total_bytes * 8 / latency.bandwidth_bits_per_second
     )
-    return out
+    # cached re-read: an identical SELECT in the same epoch must be
+    # served wholly from the row cache — zero provider RPCs, zero bytes
+    served_before = sum(p.requests_served for p in cluster.providers)
+    bytes_before = network.total_bytes
+    reread, reread_wall = _timed(source.select, query)
+    rpcs_skipped = sum(
+        p.requests_served for p in cluster.providers
+    ) - served_before
+    assert reread == rows, "cached re-read returned different rows"
+    assert rpcs_skipped == 0, (
+        f"cached re-read still issued {rpcs_skipped} provider RPCs"
+    )
+    assert network.total_bytes == bytes_before, (
+        "cached re-read moved bytes over the network"
+    )
+    return {
+        "rows_returned": len(rows),
+        "wall_seconds": round(wall, 6),
+        "rows_per_s": round(len(rows) / wall, 1) if rows else 0.0,
+        "modelled_network_seconds": round(modelled, 6),
+        "sum_of_round_trips_seconds": round(sum_of_round_trips, 6),
+        "modelled_latency_speedup": round(sum_of_round_trips / modelled, 2),
+        "network_bytes": network.total_bytes,
+        "cached_reread": {
+            "wall_seconds": round(reread_wall, 6),
+            "provider_rpcs": rpcs_skipped,
+            "network_bytes": 0,
+            "speedup_vs_first_read": round(wall / reread_wall, 2)
+            if reread_wall
+            else None,
+            "rowcache": source.row_cache.stats.snapshot(),
+        },
+        "telemetry": export,
+    }
 
 
 # ---------------------------------------------------------------------------

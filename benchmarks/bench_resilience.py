@@ -26,8 +26,7 @@ deployment that every query shape returns *exactly* the fault-free
 result under (a) **every** crash pattern that leaves k providers live —
 including a crash injected *between* quorum selection and response
 collection — and (b) any single tamperer (= ⌊(n−k)/2⌋) in verified
-mode, with no caller-visible :class:`QuorumError`; and that byte
-accounting for failed-over rounds is identical across dispatch modes.
+mode, with no caller-visible :class:`QuorumError`.
 """
 
 from __future__ import annotations
@@ -75,13 +74,10 @@ def build_deployment(
     threshold: int,
     verified: bool = False,
     failover: bool = True,
-    dispatch: str = "parallel",
     retry: RetryPolicy = None,
 ):
     """An outsourced Employees+Managers deployment, accounting zeroed."""
-    cluster = ProviderCluster(
-        providers, threshold, dispatch=dispatch, retry=retry
-    )
+    cluster = ProviderCluster(providers, threshold, retry=retry)
     source = DataSource(
         cluster, seed=SEED, verified_reads=verified, failover=failover
     )
@@ -301,22 +297,6 @@ def run_check() -> None:
             "comparison is measuring nothing"
         )
 
-    # 6. failed-over rounds account identically across dispatch modes
-    snapshots = {}
-    for dispatch in ("parallel", "sequential"):
-        source = build_deployment(
-            rows, providers, threshold, dispatch=dispatch
-        )
-        for index, fault in crash_faults((0, 3)):
-            source.cluster.inject_fault(index, fault)
-        outcomes, _ = run_mix(source, statements)
-        assert all(s == "ok" for s, _ in outcomes.values())
-        snapshots[dispatch] = source.cluster.network.stats.snapshot()
-    assert snapshots["parallel"] == snapshots["sequential"], (
-        "failed-over byte accounting diverged across dispatch modes: "
-        f"{snapshots}"
-    )
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -339,8 +319,7 @@ def main(argv=None) -> int:
         print(
             "bench_resilience --check: exact results under every "
             "(n-k)-crash pattern, mid-round crashes, and any "
-            "floor((n-k)/2) tamperers; fail-fast baseline fails; "
-            "accounting equal across dispatch modes"
+            "floor((n-k)/2) tamperers; fail-fast baseline fails"
         )
         return 0
     report = run_full(args)

@@ -11,22 +11,23 @@ The data source talks to ``n`` providers through one
   that was down during a write is stale — handled by the availability
   experiments, EXP-T7).
 
-Dispatch modes
---------------
+Fan-out clock model
+-------------------
 
-``dispatch="parallel"`` (the default) fans each broadcast out through a
-shared thread pool: every addressed provider executes concurrently, and
-the modelled latency of the round is the slowest round trip the client
-had to wait for — ``max`` over providers for writes, the k-th fastest
-round trip for reads issued with ``quorum="first_k"`` (the client can
-start reconstructing the moment a quorum has answered; Sec. III needs
-*any* k shares).  ``dispatch="sequential"`` preserves the original
-one-at-a-time model whose latency is the *sum* of round trips.
-
-Byte accounting is identical — and deterministic — in both modes: all
-network counters are recorded on the calling thread in provider-index
-order, never from pool workers, so the same seed produces the same
-per-link byte counts regardless of thread scheduling.
+Every RPC — a broadcast, a failover wave, a single :meth:`call_one` —
+is one *wave*: request bytes are accounted in provider-index order, the
+handlers run in-line on the calling thread in the same order, response
+bytes are accounted, and the modelled clock advances by what the client
+would have *waited* had the providers worked concurrently — the
+slowest round trip for ``quorum="all"``, the k-th fastest for
+``quorum="first_k"`` (the client reconstructs the moment a quorum has
+answered; Sec. III needs *any* k shares), the timeout for unavailable
+providers unless the quorum was met without them.  Overlap is a property
+of the clock formula (:meth:`ProviderCluster._round_elapsed`), not of
+threads: providers are in-process objects whose compute is a rounding
+error next to share volume, so nothing is gained by running them on a
+pool, and single-threaded index-order execution makes every byte count,
+clock reading and provider cost counter deterministic per seed.
 
 Resilience
 ----------
@@ -37,9 +38,9 @@ theorem into an end-to-end read guarantee:
 * **Per-RPC retry with backoff** (:class:`RetryPolicy`): an unavailable
   provider costs a modelled ``timeout_seconds`` of clock; with
   ``max_attempts > 1`` the RPC is re-sent after an exponential backoff.
-  Retries are unconditional per provider (not gated on quorum state), so
-  byte accounting stays equal across dispatch modes.  The default policy
-  performs **no** retries, preserving the historical accounting.
+  Retries are unconditional per provider (not gated on quorum state).
+  The default policy performs **no** retries, preserving the historical
+  accounting.
 * **Quorum failover** (``broadcast(..., failover=True)``): when a
   ``first_k`` round comes up short, the missing sub-requests are
   re-dispatched to spare live providers — an extra accounted round per
@@ -54,7 +55,6 @@ theorem into an end-to-end read guarantee:
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,24 +74,8 @@ from .provider import ShareProvider
 
 CLIENT_NAME = "client"
 
-#: Valid dispatch modes.
-DISPATCH_MODES = ("parallel", "sequential")
-
 #: Valid quorum modes for :meth:`ProviderCluster.call_all`.
 QUORUM_MODES = ("all", "first_k")
-
-#: One pool shared by every cluster in the process.  Providers are
-#: independent objects (no shared mutable state between them), handlers
-#: never re-enter the cluster, and all accounting happens on the calling
-#: thread — so a small shared pool is safe and avoids spawning threads
-#: per cluster in test suites that build hundreds of them.
-_SHARED_EXECUTOR: Optional[ThreadPoolExecutor] = None
-
-#: Worker-thread name prefix (the thread-leak regression test keys on it).
-EXECUTOR_THREAD_PREFIX = "repro-provider"
-
-#: Size of the shared pool; also the per-round fan-out ceiling.
-EXECUTOR_MAX_WORKERS = 16
 
 
 @dataclass(frozen=True)
@@ -130,34 +114,6 @@ class RetryPolicy:
         )
 
 
-def shared_executor() -> ThreadPoolExecutor:
-    """The process-wide provider fan-out pool (created once, on demand).
-
-    Clusters use this pool unless one was injected at construction, so
-    the service scheduler's combined rounds and plain per-query fan-outs
-    run on the same threads — no per-call pool construction anywhere.
-    """
-    global _SHARED_EXECUTOR
-    if _SHARED_EXECUTOR is None:
-        _SHARED_EXECUTOR = ThreadPoolExecutor(
-            max_workers=EXECUTOR_MAX_WORKERS,
-            thread_name_prefix=EXECUTOR_THREAD_PREFIX,
-        )
-    return _SHARED_EXECUTOR
-
-
-def shutdown_shared_executor(wait: bool = True) -> None:
-    """Explicitly shut the shared pool down (tests, embedders, atexit).
-
-    The next fan-out after a shutdown lazily creates a fresh pool, so
-    this is safe to call between test modules.
-    """
-    global _SHARED_EXECUTOR
-    if _SHARED_EXECUTOR is not None:
-        _SHARED_EXECUTOR.shutdown(wait=wait)
-        _SHARED_EXECUTOR = None
-
-
 def _record_link(src: str, dst: str, size: int) -> None:
     """Mirror one network message into the telemetry registry.
 
@@ -170,6 +126,11 @@ def _record_link(src: str, dst: str, size: int) -> None:
     telemetry.count("net.bytes", size, src=src, dst=dst)
 
 
+def _reasons(failures: Dict[int, ProviderUnavailableError]) -> Dict[int, str]:
+    """Per-provider failure messages, the form :class:`QuorumError` carries."""
+    return {index: str(exc) for index, exc in failures.items()}
+
+
 class ProviderCluster:
     """``n`` share providers behind a byte-accounted network."""
 
@@ -178,8 +139,6 @@ class ProviderCluster:
         n_providers: int,
         threshold: int,
         network: Optional[SimulatedNetwork] = None,
-        dispatch: str = "parallel",
-        executor: Optional[ThreadPoolExecutor] = None,
         retry: Optional[RetryPolicy] = None,
         health: Optional[HealthTracker] = None,
         breakers: Optional[BreakerBoard] = None,
@@ -195,15 +154,8 @@ class ProviderCluster:
             raise ConfigurationError(
                 f"threshold k={threshold} must satisfy 1 <= k <= n={n_providers}"
             )
-        if dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {dispatch!r}; expected one of "
-                f"{DISPATCH_MODES}"
-            )
         self.threshold = threshold
-        self.dispatch = dispatch
         self.network = network or SimulatedNetwork()
-        self._executor = executor
         self.retry = retry or RetryPolicy()
         # name_prefix disambiguates clusters sharing one telemetry hub —
         # a sharded deployment runs several groups whose providers would
@@ -242,11 +194,6 @@ class ProviderCluster:
     def n_providers(self) -> int:
         return len(self.providers)
 
-    @property
-    def executor(self) -> ThreadPoolExecutor:
-        """The fan-out pool: the injected one, else the shared singleton."""
-        return self._executor if self._executor is not None else shared_executor()
-
     # -- fault management ---------------------------------------------------------
 
     def inject_fault(self, provider_index: int, fault: Fault) -> None:
@@ -278,46 +225,21 @@ class ProviderCluster:
     # -- RPC ---------------------------------------------------------------------------
 
     def call_one(self, provider_index: int, method: str, request: Dict) -> Dict:
-        """One accounted round trip to one provider, with per-RPC retries.
+        """One accounted round trip to one provider: a one-request wave.
 
         Raises :class:`ProviderUnavailableError` if the provider is down —
         after the request bytes were spent and the modelled timeout was
         charged, as in a real timeout.  With ``retry.max_attempts > 1``
         the request is re-sent after an exponential backoff; each attempt
-        spends request bytes again.
+        spends request bytes again.  A breaker refusal surfaces as
+        :class:`CircuitOpenError` having spent no bytes and no clock.
         """
-        policy = self.retry
-        attempts = policy.max_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._call_one_attempt(provider_index, method, request)
-            except CircuitOpenError:
-                # a client-side fast fail spent nothing; the breaker will
-                # not admit another attempt either — retrying is pointless
-                raise
-            except ProviderUnavailableError:
-                if attempt >= attempts:
-                    raise
-                telemetry.count(
-                    "fanout.retries", provider=self.providers[provider_index].name
-                )
-                self.network.advance_clock(policy.backoff_for(attempt))
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _fast_fail_check(self, provider_index: int) -> None:
-        """Raise :class:`CircuitOpenError` if the breaker refuses the RPC.
-
-        The refusal is entirely client-side: no bytes leave, no modelled
-        timeout is charged, and the health tracker is not told (nothing
-        new was learned about the provider).
-        """
-        board = self.breakers
-        if board is not None and not board.allow(provider_index):
-            provider = self.providers[provider_index]
-            telemetry.count("breaker.fast_fail", provider=provider.name)
-            raise CircuitOpenError(
-                f"circuit open for provider {provider.name}: fast fail"
-            )
+        responses, failures = self._call_round(
+            method, {provider_index: request}, None, "all"
+        )
+        if failures:
+            raise failures[provider_index]
+        return responses[provider_index]
 
     def _guarded_handle(
         self, provider_index: int, method: str, request: Dict
@@ -341,41 +263,6 @@ class ProviderCluster:
         finally:
             board.exit(provider_index)
 
-    def _call_one_attempt(
-        self, provider_index: int, method: str, request: Dict
-    ) -> Dict:
-        """One attempt: request bytes, handler, response bytes or timeout."""
-        self._fast_fail_check(provider_index)
-        provider = self.providers[provider_index]
-        with telemetry.span("rpc", provider=provider.name, method=method) as sp:
-            request_bytes = self.network.send(
-                CLIENT_NAME, provider.name, {"method": method, **request}
-            )
-            _record_link(CLIENT_NAME, provider.name, request_bytes)
-            try:
-                response = self._guarded_handle(provider_index, method, request)
-            except ProviderUnavailableError:
-                telemetry.count("fanout.unavailable", provider=provider.name)
-                sp.set(outcome="unavailable", request_bytes=request_bytes)
-                # the client waited the full timeout for a response that
-                # never came; charge it on the modelled clock
-                self.network.advance_clock(self.retry.timeout_seconds)
-                self.health.record_failure(provider_index)
-                if self.breakers is not None:
-                    self.breakers.record_failure(provider_index)
-                raise
-            response_bytes = self.network.send(provider.name, CLIENT_NAME, response)
-            _record_link(provider.name, CLIENT_NAME, response_bytes)
-            sp.set(
-                outcome="ok",
-                request_bytes=request_bytes,
-                response_bytes=response_bytes,
-            )
-        self.health.record_success(provider_index)
-        if self.breakers is not None:
-            self.breakers.record_success(provider_index)
-        return response
-
     def call_all(
         self,
         method: str,
@@ -389,31 +276,30 @@ class ProviderCluster:
         the live set); an integer demands at least that many successes and
         raises :class:`QuorumError` below it, naming the failed providers.
 
-        ``quorum`` shapes the *modelled latency* of a parallel round:
-        ``"all"`` waits for every response (max round trip), ``"first_k"``
-        models a read that proceeds as soon as ``minimum`` providers have
-        answered (the minimum-th fastest round trip).  Responses and byte
+        ``quorum`` shapes the *modelled latency* of the round: ``"all"``
+        waits for every response (max round trip), ``"first_k"`` models a
+        read that proceeds as soon as ``minimum`` providers have answered
+        (the minimum-th fastest round trip).  Responses and byte
         accounting are identical in both modes — straggler responses still
         arrive and are still counted; only the waiting time differs.
 
         Provider-side errors (anything other than unavailability) surface
-        only after the whole round has been drained, in BOTH dispatch
-        modes: every addressed provider's request — and every successful
-        response — is accounted before the first error is re-raised, so
-        the two modes agree byte-for-byte even on failing rounds.
+        only after the whole round has been drained: every addressed
+        provider's request — and every successful response — is accounted
+        before the first error is re-raised.
         """
         responses, failures = self._call_round(method, requests, minimum, quorum)
         required = len(requests) if minimum is None else minimum
         if len(responses) < required:
-            error = QuorumError(
+            reasons = _reasons(failures)
+            # the partial round rides on the error so a failover-capable
+            # caller (see BatchingCluster.broadcast) can continue from it
+            raise QuorumError(
                 f"{method}: only {len(responses)}/{len(requests)} providers "
-                f"responded (need {required}); failures: {failures}"
+                f"responded (need {required}); failures: {reasons}",
+                partial_responses=responses,
+                failures=reasons,
             )
-            # carry the partial round so a failover-capable caller (see
-            # BatchingCluster.broadcast) can continue instead of re-issuing
-            error.partial_responses = responses
-            error.failures = failures
-            raise error
         return responses
 
     def _call_round(
@@ -422,223 +308,195 @@ class ProviderCluster:
         requests: Dict[int, Dict],
         minimum: Optional[int],
         quorum: str,
-    ) -> Tuple[Dict[int, Dict], Dict[int, str]]:
-        """One fan-out round (with per-RPC retries); no quorum enforcement.
+    ) -> Tuple[Dict[int, Dict], Dict[int, ProviderUnavailableError]]:
+        """The one wave every RPC takes; no quorum enforcement.
+
+        Breaker admission, then request bytes in provider-index order,
+        then the handlers in-line in the same order with each response
+        accounted as it returns, then the clock advances by the legs
+        :meth:`_round_elapsed` computes.  Nothing here depends on
+        scheduling, so the same seed yields the same per-link bytes, clock
+        and provider cost counters.
+
+        Retries run as additional waves over the providers that were
+        unavailable, unconditionally up to ``retry.max_attempts``; each
+        wave charges its backoff plus its own elapsed time.
 
         Returns ``(responses, failures)`` so callers choose the policy on
-        shortfall: :meth:`call_all` raises, the failover path re-dispatches
-        to spares.  Provider-side errors still drain-then-raise here.
+        shortfall: :meth:`call_all` raises, :meth:`call_one` re-raises the
+        provider's own error, the failover path re-dispatches to spares.
+        A provider-side error (anything other than unavailability) is
+        re-raised only after the round is drained and the clock advanced —
+        the bytes were spent, so the time was too.
         """
         if quorum not in QUORUM_MODES:
             raise ConfigurationError(
                 f"unknown quorum mode {quorum!r}; expected one of {QUORUM_MODES}"
             )
+        policy = self.retry
+        board = self.breakers
+        responses: Dict[int, Dict] = {}
+        failures: Dict[int, ProviderUnavailableError] = {}
+        error: Optional[BaseException] = None
+        legs: List[float] = []
+        pending = sorted(requests.items())
         with telemetry.span(
             "fan_out",
             method=method,
             addressed=len(requests),
             quorum=quorum,
-            dispatch=self.dispatch,
             minimum=len(requests) if minimum is None else minimum,
-        ) as sp:
-            if self.dispatch == "parallel" and len(requests) > 1:
-                return self._call_all_parallel(method, requests, minimum, quorum, sp)
-            responses: Dict[int, Dict] = {}
-            failures: Dict[int, str] = {}
-            error: Optional[BaseException] = None
-            for index, request in sorted(requests.items()):
-                try:
-                    responses[index] = self.call_one(index, method, request)
-                except ProviderUnavailableError as exc:
-                    failures[index] = str(exc)
-                except Exception as exc:  # drain the round before surfacing
-                    if error is None:
-                        error = exc
-            sp.set(responded=len(responses), unavailable=len(failures))
+        ) as fan_span:
+            for attempt in range(1, policy.max_attempts + 1):
+                if board is not None:
+                    # open breakers fail fast client-side: no bytes, no
+                    # timeout contribution, no retry waves for them — the
+                    # whole point is that a black-holed provider stops
+                    # costing modelled clock under overload
+                    admitted: List[Tuple[int, Dict]] = []
+                    for index, request in pending:
+                        if board.allow(index):
+                            admitted.append((index, request))
+                            continue
+                        name = self.providers[index].name
+                        telemetry.count("breaker.fast_fail", provider=name)
+                        failures[index] = CircuitOpenError(
+                            f"circuit open for provider {name}: fast fail"
+                        )
+                    pending = admitted
+                if not pending:
+                    break
+                if attempt > 1:
+                    legs.append(policy.backoff_for(attempt - 1))
+                    for index, _ in pending:
+                        telemetry.count(
+                            "fanout.retries", provider=self.providers[index].name
+                        )
+                request_seconds: Dict[int, float] = {}
+                request_bytes: Dict[int, int] = {}
+                for index, request in pending:
+                    name = self.providers[index].name
+                    size, seconds = self.network.send_unclocked(
+                        CLIENT_NAME, name, {"method": method, **request}
+                    )
+                    _record_link(CLIENT_NAME, name, size)
+                    request_seconds[index] = seconds
+                    request_bytes[index] = size
+                response_seconds: Dict[int, float] = {}
+                wave_failed: List[Tuple[int, Dict]] = []
+                for index, request in pending:
+                    name = self.providers[index].name
+                    with telemetry.span("rpc", provider=name, method=method) as sp:
+                        sp.set(request_bytes=request_bytes[index])
+                        try:
+                            response = self._guarded_handle(index, method, request)
+                        except ProviderUnavailableError as exc:
+                            failures[index] = exc
+                            wave_failed.append((index, request))
+                            telemetry.count("fanout.unavailable", provider=name)
+                            sp.set(outcome="unavailable")
+                            self.health.record_failure(index)
+                            if board is not None:
+                                board.record_failure(index)
+                            continue
+                        except Exception as exc:  # surface after drain
+                            if error is None:
+                                error = exc
+                            sp.set(outcome="error", error=type(exc).__name__)
+                            continue
+                        size, seconds = self.network.send_unclocked(
+                            name, CLIENT_NAME, response
+                        )
+                        _record_link(name, CLIENT_NAME, size)
+                        responses[index] = response
+                        failures.pop(index, None)
+                        response_seconds[index] = seconds
+                        sp.set(
+                            outcome="ok",
+                            response_bytes=size,
+                            rtt_seconds=request_seconds[index] + seconds,
+                        )
+                        self.health.record_success(index)
+                        if board is not None:
+                            board.record_success(index)
+                # the first wave waits per the caller's quorum shape; retry
+                # waves wait on everyone they re-addressed
+                legs += self._round_elapsed(
+                    request_seconds,
+                    response_seconds,
+                    minimum if attempt == 1 else None,
+                    quorum if attempt == 1 else "all",
+                    n_unavailable=len(wave_failed),
+                    timeout_seconds=policy.timeout_seconds,
+                    serial=len(requests) == 1,
+                )
+                pending = wave_failed
+            for leg in legs:
+                self.network.advance_clock(leg)
+            if telemetry.is_enabled():
+                elapsed = sum(legs)
+                telemetry.observe(
+                    "fanout.round_seconds", elapsed, method=method, quorum=quorum
+                )
+                fan_span.set(
+                    round_seconds=elapsed,
+                    responded=len(responses),
+                    unavailable=len(failures),
+                )
+                if quorum == "first_k" and minimum is not None:
+                    stragglers = max(0, len(responses) - minimum)
+                    telemetry.count("fanout.stragglers", stragglers)
+                    fan_span.set(stragglers=stragglers)
             if error is not None:
                 raise error
             return responses, failures
 
-    def _call_all_parallel(
-        self,
-        method: str,
-        requests: Dict[int, Dict],
-        minimum: Optional[int],
-        quorum: str,
-        fan_span=telemetry.NULL_SPAN,
-    ) -> Tuple[Dict[int, Dict], Dict[int, str]]:
-        """Thread-pool fan-out with deterministic, index-ordered accounting.
-
-        All network sends happen here on the calling thread (requests in
-        index order, then responses in index order); pool workers run only
-        ``provider.handle``, which touches nothing but that provider's own
-        storage and counters.
-
-        Retries run as additional waves over the providers that were
-        unavailable, unconditionally up to ``retry.max_attempts`` — the
-        same per-provider attempt count the sequential path makes, so the
-        two modes stay byte-identical.  Each wave charges its backoff plus
-        its own round time on the modelled clock.
-
-        The modelled clock advances by the round's elapsed time even when
-        a provider-side error is drained — the bytes were spent, so the
-        time was too (keeps byte and clock accounting consistent; the
-        sequential path has the same drain-then-raise semantics).
-        """
-        policy = self.retry
-        responses: Dict[int, Dict] = {}
-        failures: Dict[int, str] = {}
-        all_round_trips: Dict[int, float] = {}
-        error: Optional[BaseException] = None
-        elapsed_total = 0.0
-        pending = sorted(requests.items())
-        for attempt in range(1, policy.max_attempts + 1):
-            if not pending:
-                break
-            if self.breakers is not None:
-                # open breakers fail fast client-side: no bytes, no
-                # timeout contribution, no retry waves for them — the
-                # whole point is that a black-holed provider stops
-                # costing modelled clock under overload
-                admitted: List[Tuple[int, Dict]] = []
-                for index, request in pending:
-                    if self.breakers.allow(index):
-                        admitted.append((index, request))
-                    else:
-                        provider = self.providers[index]
-                        telemetry.count(
-                            "breaker.fast_fail", provider=provider.name
-                        )
-                        failures[index] = (
-                            f"circuit open for provider {provider.name}: "
-                            f"fast fail"
-                        )
-                pending = admitted
-                if not pending:
-                    break
-            if attempt > 1:
-                backoff = policy.backoff_for(attempt - 1)
-                elapsed_total += backoff
-                for index, _ in pending:
-                    telemetry.count(
-                        "fanout.retries", provider=self.providers[index].name
-                    )
-            request_seconds: Dict[int, float] = {}
-            request_bytes: Dict[int, int] = {}
-            for index, request in pending:
-                provider = self.providers[index]
-                size, seconds = self.network.send_unclocked(
-                    CLIENT_NAME, provider.name, {"method": method, **request}
-                )
-                _record_link(CLIENT_NAME, provider.name, size)
-                request_seconds[index] = seconds
-                request_bytes[index] = size
-            pool = self.executor
-            futures: Dict[int, Future] = {
-                index: pool.submit(self._guarded_handle, index, method, request)
-                for index, request in pending
-            }
-            round_trips: Dict[int, float] = {}
-            wave_failed: List[Tuple[int, Dict]] = []
-            for index, request in pending:
-                provider = self.providers[index]
-                with telemetry.span(
-                    "rpc", provider=provider.name, method=method
-                ) as sp:
-                    sp.set(request_bytes=request_bytes[index])
-                    try:
-                        response = futures[index].result()
-                    except ProviderUnavailableError as exc:
-                        failures[index] = str(exc)
-                        wave_failed.append((index, request))
-                        telemetry.count(
-                            "fanout.unavailable", provider=provider.name
-                        )
-                        sp.set(outcome="unavailable")
-                        self.health.record_failure(index)
-                        if self.breakers is not None:
-                            self.breakers.record_failure(index)
-                        continue
-                    except Exception as exc:  # surface after drain
-                        if error is None:
-                            error = exc
-                        sp.set(outcome="error", error=type(exc).__name__)
-                        continue
-                    size, seconds = self.network.send_unclocked(
-                        provider.name, CLIENT_NAME, response
-                    )
-                    _record_link(provider.name, CLIENT_NAME, size)
-                    responses[index] = response
-                    failures.pop(index, None)
-                    round_trips[index] = request_seconds[index] + seconds
-                    sp.set(
-                        outcome="ok",
-                        response_bytes=size,
-                        rtt_seconds=round_trips[index],
-                    )
-                    self.health.record_success(index)
-                    if self.breakers is not None:
-                        self.breakers.record_success(index)
-            all_round_trips.update(round_trips)
-            # the first wave waits per the caller's quorum shape; retry
-            # waves wait on everyone they re-addressed
-            wave_minimum = minimum if attempt == 1 else None
-            wave_quorum = quorum if attempt == 1 else "all"
-            elapsed_total += self._round_elapsed(
-                request_seconds,
-                round_trips,
-                wave_minimum,
-                wave_quorum,
-                n_unavailable=len(wave_failed),
-                timeout_seconds=policy.timeout_seconds,
-            )
-            pending = wave_failed
-        self.network.advance_clock(elapsed_total)
-        if telemetry.is_enabled():
-            telemetry.observe(
-                "fanout.round_seconds", elapsed_total, method=method, quorum=quorum
-            )
-            fan_span.set(round_seconds=elapsed_total)
-            if quorum == "first_k" and minimum is not None:
-                stragglers = max(0, len(all_round_trips) - minimum)
-                telemetry.count("fanout.stragglers", stragglers)
-                fan_span.set(stragglers=stragglers)
-        if error is not None:
-            raise error
-        fan_span.set(responded=len(responses), unavailable=len(failures))
-        return responses, failures
-
     @staticmethod
     def _round_elapsed(
         request_seconds: Dict[int, float],
-        round_trips: Dict[int, float],
+        response_seconds: Dict[int, float],
         minimum: Optional[int],
         quorum: str,
-        n_unavailable: int = 0,
-        timeout_seconds: float = 0.0,
-    ) -> float:
-        """Modelled elapsed time of one parallel fan-out round.
+        n_unavailable: int,
+        timeout_seconds: float,
+        serial: bool,
+    ) -> List[float]:
+        """The clock legs the client waits through for one wave.
 
-        Unavailable providers charge ``timeout_seconds`` — unless a
-        ``first_k`` round met its quorum, in which case the client
+        The messages of a wave overlap in time, so a wave is one leg: the
+        slowest round trip (``"all"``) or the ``minimum``-th fastest
+        (``"first_k"``), never their sum.  Unavailable providers charge
+        ``timeout_seconds`` from the start of the wave — unless a
+        ``first_k`` wave met its quorum, in which case the client
         proceeded at the k-th fastest response and never waited out the
         timeouts.
+
+        A round addressed to a single provider (``serial``) has nothing
+        to overlap with: it is the request out, then the response — or
+        the timeout — back, kept as two legs so the clock sums them in
+        the order an ordinary RPC spends them.
         """
         # sending the n requests overlaps; the client is busy until the
         # slowest request has left, even if that provider never answers
         send_wave = max(request_seconds.values(), default=0.0)
+        if serial:
+            if n_unavailable:
+                return [send_wave, timeout_seconds]
+            return [send_wave, max(response_seconds.values(), default=0.0)]
+        round_trips = sorted(
+            request_seconds[index] + seconds
+            for index, seconds in response_seconds.items()
+        )
         if (
             quorum == "first_k"
             and minimum is not None
             and len(round_trips) >= minimum
         ):
-            waited = sorted(round_trips.values())
-            position = min(minimum, len(waited)) - 1
-            return max(send_wave, waited[max(position, 0)])
-        ceiling = max(round_trips.values(), default=0.0)
+            return [max(send_wave, round_trips[max(minimum, 1) - 1])]
+        ceiling = round_trips[-1] if round_trips else 0.0
         if n_unavailable:
             ceiling = max(ceiling, timeout_seconds)
-        return max(send_wave, ceiling)
+        return [max(send_wave, ceiling)]
 
     def broadcast(
         self,
@@ -688,7 +546,7 @@ class ProviderCluster:
         responses, failures = self._call_round(method, requests, minimum, quorum)
         return self.failover_spares(
             method, request_builder, responses, set(requests), minimum, quorum,
-            failures,
+            _reasons(failures),
         )
 
     def failover_spares(
@@ -722,14 +580,13 @@ class ProviderCluster:
                 if index not in addressed
             ]
             if not spares:
-                error = QuorumError(
+                raise QuorumError(
                     f"{method}: only {len(responses)}/{len(addressed)} "
                     f"providers responded (need {minimum}) and no spare "
-                    f"providers remain; failures: {all_failures}"
+                    f"providers remain; failures: {all_failures}",
+                    partial_responses=responses,
+                    failures=all_failures,
                 )
-                error.partial_responses = responses
-                error.failures = all_failures
-                raise error
             wave = spares[:needed]
             addressed.update(wave)
             for index in wave:
@@ -743,7 +600,7 @@ class ProviderCluster:
                 quorum,
             )
             responses.update(extra)
-            all_failures.update(failed)
+            all_failures.update(_reasons(failed))
         return responses
 
     # -- quorum helpers ------------------------------------------------------------------

@@ -33,8 +33,8 @@ Correctness invariants:
 * **Deterministic accounting**: dispatch is serialised by a single
   dispatch lock and delegates to :meth:`ProviderCluster.call_all`, which
   records all bytes on the dispatching thread in provider-index order —
-  so batched runs keep the seed-reproducible byte accounting of the
-  sequential path, and telemetry byte counters still equal network
+  so batched runs keep the seed-reproducible byte accounting of
+  unbatched ones, and telemetry byte counters still equal network
   counters exactly.
 * **Error isolation**: a provider-side failure of one sub-request is
   mapped back onto *that* ticket only; unrelated queries in the same
@@ -207,18 +207,15 @@ class FanoutBatcher:
             # responses per ticket so each rider's QuorumError carries its
             # own resumable partial round (the shared exception would carry
             # batch envelopes, which are useless to a failover continuation)
-            partial = getattr(exc, "partial_responses", {}) or {}
-            failures = dict(getattr(exc, "failures", {}) or {})
             for position, ticket in enumerate(tickets):
-                error = _errors.QuorumError(str(exc))
                 ok = {}
-                for index, envelope in partial.items():
+                for index, envelope in exc.partial_responses.items():
                     entry = envelope["responses"][position]
                     if entry[0] == "ok":
                         ok[index] = entry[1]
-                error.partial_responses = ok
-                error.failures = failures
-                ticket.error = error
+                ticket.error = _errors.QuorumError(
+                    str(exc), partial_responses=ok, failures=dict(exc.failures)
+                )
                 ticket.event.set()
             return
         except BaseException as exc:
@@ -252,14 +249,13 @@ class FanoutBatcher:
             _, name, message = failed[0]
             ticket.error = _rebuild_error(name, message)
         elif len(ok) < required:
-            error = _errors.QuorumError(
-                f"{ticket.method}: only {len(ok)}/{len(ticket.requests)} "
-                f"providers answered in combined round (need {required})"
-            )
             # let a failover-capable caller resume from the partial round
-            error.partial_responses = ok
-            error.failures = {index: message for index, _, message in failed}
-            ticket.error = error
+            ticket.error = _errors.QuorumError(
+                f"{ticket.method}: only {len(ok)}/{len(ticket.requests)} "
+                f"providers answered in combined round (need {required})",
+                partial_responses=ok,
+                failures={index: message for index, _, message in failed},
+            )
         else:
             ticket.result = ok
 
@@ -327,8 +323,7 @@ class BatchingCluster:
             # resume from the partial responses the batched round carried;
             # the continuation is an ordinary (serialised) spare round on
             # the wrapped cluster, outside the combining barrier
-            partial = dict(getattr(exc, "partial_responses", {}) or {})
-            failures = dict(getattr(exc, "failures", {}) or {})
+            partial = exc.partial_responses
             with self.batcher.dispatch_lock:
                 return self._cluster.failover_spares(
                     method,
@@ -337,7 +332,7 @@ class BatchingCluster:
                     set(requests) | set(partial),
                     minimum,
                     quorum,
-                    failures,
+                    exc.failures,
                 )
 
     def call_one(self, provider_index: int, method: str, request: Dict) -> Dict:

@@ -525,7 +525,6 @@ class ShardRouter:
         seed: int = 0,
         mode: str = "hash",
         n_buckets: int = DEFAULT_HASH_BUCKETS,
-        dispatch: str = "parallel",
     ) -> "ShardRouter":
         """Construct ``n_groups`` fresh provider groups sharing one secret."""
         if n_groups < 1:
@@ -536,7 +535,6 @@ class ShardRouter:
             cluster = ProviderCluster(
                 providers_per_group,
                 threshold,
-                dispatch=dispatch,
                 name_prefix=f"g{index}/",
             )
             sources.append(
@@ -1331,7 +1329,7 @@ class ShardRouter:
 
     # ------------------------------------------------------------ elasticity --
 
-    def add_group(self, dispatch: str = "parallel") -> int:
+    def add_group(self) -> int:
         """Register a fresh provider group (owning nothing yet) under load."""
         self._lock.acquire_write()
         try:
@@ -1340,7 +1338,6 @@ class ShardRouter:
             cluster = ProviderCluster(
                 first.cluster.n_providers,
                 self.threshold,
-                dispatch=dispatch,
                 name_prefix=f"g{index}/",
             )
             source = DataSource(

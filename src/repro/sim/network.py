@@ -137,12 +137,12 @@ class SimulatedNetwork:
     def send_unclocked(self, src: str, dst: str, payload: object) -> Tuple[int, float]:
         """Account a message's bytes without advancing the modelled clock.
 
-        Used by the parallel fan-out: messages to the n providers overlap
-        in time, so the caller accumulates per-provider elapsed times and
-        advances the clock once via :meth:`advance_clock` (max for writes,
-        k-th order statistic for ``first_k`` reads) instead of summing all
-        round trips.  Byte/message counters are recorded exactly as
-        :meth:`send` would.
+        Used by the cluster's fan-out wave: messages to the n providers
+        overlap in time, so the caller collects per-provider transfer times
+        and advances the clock via :meth:`advance_clock` by what the client
+        waited (max for writes, k-th order statistic for ``first_k`` reads)
+        instead of summing all round trips.  Byte/message counters are
+        recorded exactly as :meth:`send` would.
 
         Returns ``(wire_bytes, one_way_seconds)``.
         """
@@ -151,7 +151,7 @@ class SimulatedNetwork:
         return size, self.latency.transfer_seconds(size)
 
     def advance_clock(self, seconds: float) -> None:
-        """Advance the modelled clock by one parallel round's elapsed time."""
+        """Advance the modelled clock by one leg of a fan-out's waiting time."""
         if seconds < 0:
             raise ValueError(f"cannot advance the clock by {seconds}s")
         self.modelled_seconds += seconds

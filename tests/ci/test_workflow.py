@@ -180,8 +180,11 @@ class TestTier1Gate:
     def test_bench_smoke_uploads_regenerated_reports(self, jobs):
         steps = jobs["bench-smoke"]["steps"]
         runs = " ".join(s["run"] for s in steps if "run" in s)
-        # the sharding and txn benches regenerate their JSON before upload
+        # these benches regenerate their JSON before upload, so the
+        # artifact never carries a stale report shape
         run_lines = "\n".join(s["run"] for s in steps if "run" in s) + "\n"
+        assert "python benchmarks/bench_hotpath.py\n" in run_lines
+        assert "python benchmarks/bench_resilience.py\n" in run_lines
         assert "python benchmarks/bench_sharding.py\n" in run_lines
         assert "python benchmarks/bench_txn.py\n" in run_lines
         assert "python benchmarks/bench_provider.py\n" in run_lines

@@ -3,11 +3,9 @@
 The resilience benchmark's smoke mode asserts exact query results under
 every (n−k)-crash pattern (including mid-round crashes), under any
 ⌊(n−k)/2⌋ tamperers with verified reads, and under combined
-crash+tamper at the full failure budget; that the fail-fast baseline
-*does* fail (so the resilient path is doing real work); and that byte
-accounting is deterministic and equal across dispatch modes.  Running
-it here keeps the bench honest in CI without paying full benchmark
-cost.
+crash+tamper at the full failure budget; and that the fail-fast baseline
+*does* fail (so the resilient path is doing real work).  Running it here
+keeps the bench honest in CI without paying full benchmark cost.
 """
 
 import importlib.util

@@ -1,20 +1,13 @@
-"""Regression tests for the parallel quorum fan-out.
+"""Lagrange weight-cache behaviour across the rows of one ``select()``.
 
-The parallel dispatcher changes *when* the modelled clock advances, but it
-must never change *what* crossed the wire: on the same seed, the per-link
-byte/message counters and the reconstructed result set have to be
-bit-identical to sequential dispatch.  These tests pin that, plus the
-latency win (``first_k`` reads wait for the k-th fastest provider, not the
-sum of all round trips) and the Lagrange weight cache behaviour across the
-rows of one ``select()``.
+(The file keeps its historical name so the test ids stay stable; the
+dispatch-mode parity tests that shared it went away with the second
+dispatch mode — the fan-out itself is pinned in ``test_fanout_wave.py``.)
 """
-
-import pytest
 
 from repro.client.datasource import DataSource
 from repro.core import kernels
-from repro.errors import ConfigurationError
-from repro.providers.cluster import CLIENT_NAME, ProviderCluster
+from repro.providers.cluster import ProviderCluster
 from repro.sqlengine.expression import Comparison, ComparisonOp
 from repro.sqlengine.query import Select
 from repro.workloads.employees import employees_table
@@ -27,70 +20,18 @@ QUERY = Select(
 )
 
 
-def _source(dispatch: str):
-    cluster = ProviderCluster(N, K, dispatch=dispatch)
+def _source():
+    cluster = ProviderCluster(N, K)
     source = DataSource(cluster, seed=SEED)
     source.outsource_table(employees_table(ROWS, seed=SEED))
     return cluster, source
-
-
-class TestDispatchParity:
-    def test_select_results_identical(self):
-        _, seq = _source("sequential")
-        _, par = _source("parallel")
-        rows_seq = seq.select(QUERY)
-        rows_par = par.select(QUERY)
-        assert rows_seq and rows_seq == rows_par
-
-    def test_per_provider_byte_counts_identical(self):
-        seq_cluster, seq = _source("sequential")
-        par_cluster, par = _source("parallel")
-        seq_cluster.network.reset()
-        par_cluster.network.reset()
-        seq.select(QUERY)
-        par.select(QUERY)
-        for provider in seq_cluster.providers:
-            for src, dst in (
-                (CLIENT_NAME, provider.name),
-                (provider.name, CLIENT_NAME),
-            ):
-                assert seq_cluster.network.stats.bytes_between(
-                    src, dst
-                ) == par_cluster.network.stats.bytes_between(src, dst), (
-                    f"byte accounting diverged on link {src}->{dst}"
-                )
-        assert (
-            seq_cluster.network.total_messages
-            == par_cluster.network.total_messages
-        )
-
-    def test_first_k_latency_beats_sequential(self):
-        """Sequential reads pay the sum of n round trips; a parallel
-        first_k read pays the k-th fastest — strictly less for n > 1."""
-        seq_cluster, seq = _source("sequential")
-        par_cluster, par = _source("parallel")
-        seq_cluster.network.reset()
-        par_cluster.network.reset()
-        seq.select(QUERY)
-        par.select(QUERY)
-        assert (
-            par_cluster.network.modelled_seconds
-            < seq_cluster.network.modelled_seconds
-        )
-
-    def test_unknown_modes_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown dispatch mode"):
-            ProviderCluster(3, 2, dispatch="osmosis")
-        cluster = ProviderCluster(3, 2)
-        with pytest.raises(ConfigurationError, match="unknown quorum mode"):
-            cluster.call_all("ping", {0: {}, 1: {}}, quorum="psychic")
 
 
 class TestWeightCache:
     def test_weights_cached_across_rows_of_one_select(self):
         """The Lagrange weight tables are built once per quorum shape and
         *hit* — not rebuilt — for every further cell of the result set."""
-        _, source = _source("parallel")
+        _, source = _source()
         kernels.clear_kernel_caches()
         kernels.reset_kernel_stats()
         rows = source.select(QUERY)
@@ -106,7 +47,7 @@ class TestWeightCache:
     def test_second_select_rebuilds_nothing(self):
         """A repeated select interpolates *nothing*: the row cache replays
         the result set, so not even cached weights are consulted."""
-        _, source = _source("parallel")
+        _, source = _source()
         source.select(QUERY)
         kernels.reset_kernel_stats()
         rows = source.select(QUERY)
@@ -118,7 +59,7 @@ class TestWeightCache:
     def test_second_select_without_row_cache_hits_weight_cache(self):
         """With query replay out of the picture (fresh epoch entries gone),
         the weight tables still serve every cell from cache."""
-        _, source = _source("parallel")
+        _, source = _source()
         source.select(QUERY)
         source.row_cache.clear()
         kernels.reset_kernel_stats()

@@ -13,8 +13,8 @@ from repro.providers.failures import Fault, FailureMode
 from repro.sim.rng import DeterministicRNG
 
 
-def make_cluster(retry=None, dispatch="parallel", n=5, k=3):
-    cluster = ProviderCluster(n, k, dispatch=dispatch, retry=retry)
+def make_cluster(retry=None, n=5, k=3):
+    cluster = ProviderCluster(n, k, retry=retry)
     cluster.broadcast(
         "create_table",
         lambda i: {"table": "T", "columns": ["k"], "searchable": ["k"]},
@@ -181,10 +181,12 @@ class TestQuorumFailover:
         assert set(excinfo.value.failures) == {0, 1, 2}
 
     def test_failover_accounting_equal_across_dispatch_modes(self):
-        snapshots = {}
-        for dispatch in ("parallel", "sequential"):
-            cluster = make_cluster(dispatch=dispatch)
-            cluster.inject_fault(0, Fault(FailureMode.CRASH))
+        """(Name kept for test-id stability; there is one dispatch path
+        now.)  A failover read accounts every message it spent: three
+        requests, two responses, then the spare's request and response."""
+        cluster = make_cluster()
+        cluster.inject_fault(0, Fault(FailureMode.CRASH))
+        with telemetry.session() as hub:
             cluster.broadcast(
                 "row_count",
                 lambda i: {"table": "T"},
@@ -193,8 +195,10 @@ class TestQuorumFailover:
                 quorum="first_k",
                 failover=True,
             )
-            snapshots[dispatch] = cluster.network.stats.snapshot()
-        assert snapshots["parallel"] == snapshots["sequential"]
+            network = cluster.network
+            assert network.total_messages == 7
+            assert ("DAS1", "client") not in network.stats.by_link
+            assert hub.registry.counter_total("net.bytes") == network.total_bytes
 
     def test_repeated_failures_quarantine_and_rotate_out(self):
         cluster = make_cluster()

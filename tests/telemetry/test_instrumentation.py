@@ -12,7 +12,10 @@ The three properties ISSUE.md pins:
 
 import json
 
+import pytest
+
 from repro import DataSource, ProviderCluster, telemetry
+from repro.providers.failures import Fault, FailureMode
 from repro.workloads.employees import employees_table
 
 QUERY = (
@@ -21,8 +24,8 @@ QUERY = (
 )
 
 
-def build_source(dispatch="parallel", rows=60, seed=11):
-    cluster = ProviderCluster(n_providers=5, threshold=3, dispatch=dispatch)
+def build_source(rows=60, seed=11):
+    cluster = ProviderCluster(n_providers=5, threshold=3)
     source = DataSource(cluster, seed=seed)
     source.outsource_table(employees_table(rows, seed=seed))
     cluster.reset_accounting()
@@ -67,6 +70,47 @@ class TestSpanTree:
             assert hub.tracer.last_trace().find("delete")
 
 
+class TestEveryRoundIsObserved:
+    """One-request rounds (a one-spare failover wave, ``call_one``) used to
+    take a separate branch that skipped the round histogram and left
+    ``rpc`` spans without an outcome when the provider raised."""
+
+    def test_one_spare_failover_wave_is_observed(self):
+        source = build_source()
+        source.cluster.inject_fault(0, Fault(FailureMode.CRASH))
+        _, export, hub = run_traced(source)
+        fan_outs = hub.tracer.last_trace().find("fan_out")
+        assert [f.attributes["addressed"] for f in fan_outs] == [3, 1]
+        observed = sum(
+            histogram["count"]
+            for name, histogram in export["metrics"]["histograms"].items()
+            if name.startswith("fanout.round_seconds")
+        )
+        assert observed == len(fan_outs)
+        for fan_out in fan_outs:
+            assert {"round_seconds", "stragglers", "responded", "unavailable"} <= set(
+                fan_out.attributes
+            )
+            for rpc in fan_out.find("rpc"):
+                assert "outcome" in rpc.attributes
+
+    def test_errored_one_request_round_records_its_outcome(self):
+        source = build_source()
+        provider = source.cluster.providers[0]
+
+        def explode(method, request):
+            raise RuntimeError("disk on fire")
+
+        provider.handle = explode
+        with telemetry.session() as hub:
+            with pytest.raises(RuntimeError):
+                source.cluster.call_one(0, "row_count", {"table": "Employees"})
+            (fan_out,) = hub.tracer.traces
+            (rpc,) = fan_out.find("rpc")
+        assert rpc.attributes["outcome"] == "error"
+        assert fan_out.attributes["responded"] == 0
+
+
 class TestCounterExactness:
     def test_per_link_counters_match_network_accounting(self):
         source = build_source()
@@ -85,12 +129,6 @@ class TestCounterExactness:
             hub.registry.counter_total("net.messages")
             == network.total_messages
         )
-
-    def test_exactness_holds_under_sequential_dispatch(self):
-        source = build_source(dispatch="sequential")
-        network = source.cluster.network
-        _, _, hub = run_traced(source)
-        assert hub.registry.counter_total("net.bytes") == network.total_bytes
 
     def test_provider_request_counters_match_served(self):
         source = build_source()
