@@ -11,6 +11,10 @@ they replaced:
   :func:`lagrange_constant_term` (rebuilds the Lagrange basis and pays a
   modular inversion per cell) vs. column-major
   :func:`repro.core.kernels.batch_reconstruct` with cached weights.
+* **op_reconstruct** — the same for order-preserving columns (every
+  column of ``Employees``): per-cell ``Fraction`` interpolation
+  (:func:`interpolate_integer_constant`) vs. the exact-integer
+  :func:`repro.core.kernels.batch_reconstruct_integer`.
 * **select** — an end-to-end ``SELECT`` through the provider cluster,
   reporting the modelled ``first_k`` fan-out latency (k-th fastest round
   trip) against the sum of the same messages' transfer times — what the
@@ -41,7 +45,12 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro import telemetry
 from repro.core import kernels
-from repro.core.polynomial import lagrange_constant_term, random_field_polynomial
+from repro.core.order_preserving import IntegerDomain, OrderPreservingScheme
+from repro.core.polynomial import (
+    interpolate_integer_constant,
+    lagrange_constant_term,
+    random_field_polynomial,
+)
 from repro.core.secrets import generate_client_secrets
 from repro.core.shamir import ShamirScheme
 from repro.providers.cluster import ProviderCluster
@@ -230,6 +239,63 @@ def bench_reconstruct(
     return report
 
 
+def bench_op_reconstruct(
+    n_cells: int, n_providers: int = 5, threshold: int = 3, n_queries: int = 8
+):
+    """Order-preserving cells: per-cell ``Fraction`` vs the integer kernel.
+
+    Shares come from a real :class:`OrderPreservingScheme` over the
+    salary domain, so they have the width (~100 bits at k=3) the read
+    path sees; like :func:`bench_reconstruct` the column arrives as
+    ``n_queries`` query-sized batches.
+    """
+    secrets = generate_client_secrets(n_providers, seed=SEED)
+    scheme = OrderPreservingScheme(
+        secrets, IntegerDomain(0, 1_000_000), threshold=threshold, label="bench"
+    )
+    rng = DeterministicRNG(SEED, "op-recon")
+    values = [rng.randint(0, 1_000_000) for _ in range(n_cells)]
+    xs = [secrets.point_for(i) for i in range(threshold)]
+    vectors = [shares[:threshold] for shares in scheme.split_batch(values)]
+    step = max(1, n_cells // n_queries)
+    queries = [
+        vectors[start:start + step] for start in range(0, n_cells, step)
+    ]
+
+    def per_cell():
+        return [
+            interpolate_integer_constant(list(zip(xs, ys))) for ys in vectors
+        ]
+
+    def sweep():
+        out = []
+        for chunk in queries:
+            out.extend(kernels.batch_reconstruct_integer(xs, chunk))
+        return out
+
+    baseline, base_s = _timed(per_cell)
+    kernels.clear_kernel_caches()
+    kernel, kern_s = _timed(sweep)
+    assert kernel == baseline == values, "integer kernel diverged from Fraction"
+    stats = kernels.kernel_stats()
+    return {
+        "cells": n_cells,
+        "n": n_providers,
+        "k": threshold,
+        "share_bits": max(y.bit_length() for ys in vectors for y in ys),
+        "queries_in_sweep": len(queries),
+        "baseline_seconds": round(base_s, 6),
+        "kernel_seconds": round(kern_s, 6),
+        "baseline_cells_per_s": round(n_cells / base_s, 1),
+        "kernel_cells_per_s": round(n_cells / kern_s, 1),
+        "speedup": round(base_s / kern_s, 2),
+        "weight_cache": {
+            "misses": stats.rational_misses,
+            "hits": stats.rational_hits,
+        },
+    }
+
+
 def bench_select(n_rows: int, n_providers: int = 5, threshold: int = 3):
     """End-to-end SELECT: modelled ``first_k`` latency vs sum of round trips.
 
@@ -313,8 +379,9 @@ def run_check() -> None:
     Covers several (n, k) shapes including over-determined quorums, under
     *every* available backend; raises AssertionError on any divergence.
     With numpy installed it also gates the vectorized batch-reconstruct
-    speedup at ≥10× over the naive scalar baseline.  Called from the
-    tier-1 suite.
+    speedup at ≥10× over the naive scalar baseline; on every backend it
+    gates the exact-integer order-preserving kernel at ≥5× over per-cell
+    ``Fraction`` interpolation.  Called from the tier-1 suite.
     """
     backends = kernels.available_backends()
     for n, k in ((3, 2), (5, 3), (7, 5), (4, 4)):
@@ -367,6 +434,15 @@ def run_check() -> None:
             "bench_hotpath --check: numpy not installed; speedup gate "
             "skipped (scalar oracle only)"
         )
+    op_gate = bench_op_reconstruct(4_000, n_queries=4)
+    assert op_gate["speedup"] >= 5.0, (
+        "exact-integer order-preserving reconstruct regressed below the 5x "
+        f"gate: {op_gate['speedup']}x over per-cell Fraction interpolation"
+    )
+    print(
+        "bench_hotpath --check: integer order-preserving reconstruct "
+        f"speedup {op_gate['speedup']}x (gate: >=5x)"
+    )
     bench_select(40, n_providers=4, threshold=3)
 
 
@@ -375,6 +451,7 @@ def run_full(args) -> dict:
         "seed": SEED,
         "split": bench_split(args.values),
         "reconstruct": bench_reconstruct(args.rows, args.columns),
+        "op_reconstruct": bench_op_reconstruct(args.rows * args.columns),
         "select": bench_select(args.select_rows),
     }
     return report

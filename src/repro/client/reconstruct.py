@@ -29,11 +29,8 @@ ProviderRows = Dict[int, List[Tuple[int, ShareRow]]]
 
 
 def rows_from_responses(responses: Dict[int, Dict]) -> ProviderRows:
-    """Extract the per-provider (row_id, shares) lists from RPC responses."""
-    return {
-        index: [(row_id, values) for row_id, values in response["rows"]]
-        for index, response in responses.items()
-    }
+    """The per-provider (row_id, shares) lists of RPC responses (not copied)."""
+    return {index: response["rows"] for index, response in responses.items()}
 
 
 def align_by_row_id(

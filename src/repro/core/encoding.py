@@ -27,7 +27,8 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Generic, Tuple, TypeVar
+from functools import cached_property
+from typing import Generic, List, Sequence, Tuple, TypeVar
 
 from ..errors import EncodingError
 from .order_preserving import IntegerDomain
@@ -56,6 +57,15 @@ class Codec(Generic[V]):
 
     def decode(self, number: int) -> V:
         raise NotImplementedError
+
+    def decode_many(self, numbers: Sequence[int]) -> List[V]:
+        """Decode a whole column: ``[decode(n) for n in numbers]``.
+
+        Codecs on the read path override this to hoist per-call work out
+        of the loop; every cell is still range-checked and the first bad
+        one raises what :meth:`decode` raises for it.
+        """
+        return [self.decode(number) for number in numbers]
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,13 @@ class IntegerCodec(Codec[int]):
                 f"encoded value {number} outside domain [{self.lo}, {self.hi}]"
             )
         return number
+
+    def decode_many(self, numbers: Sequence[int]) -> List[int]:
+        lo, hi = self.lo, self.hi
+        for number in numbers:
+            if not lo <= number <= hi:
+                self.decode(number)  # raises
+        return list(numbers)
 
 
 @dataclass(frozen=True)
@@ -143,8 +160,12 @@ class StringCodec(Codec[str]):
             )
         return index
 
-    def domain(self) -> IntegerDomain:
+    @cached_property
+    def _domain(self) -> IntegerDomain:
         return IntegerDomain(0, self.base**self.width - 1)
+
+    def domain(self) -> IntegerDomain:
+        return self._domain
 
     def normalize(self, value: str) -> str:
         """Uppercase and validate; returns the unpadded canonical form."""
@@ -174,8 +195,7 @@ class StringCodec(Codec[str]):
         return number
 
     def decode(self, number: int) -> str:
-        dom = self.domain()
-        if not dom.contains(number):
+        if not self._domain.contains(number):
             raise EncodingError(
                 f"encoded value {number} outside base-{self.base} domain of "
                 f"width {self.width}"
@@ -185,6 +205,18 @@ class StringCodec(Codec[str]):
             number, digit = divmod(number, self.base)
             digits.append(self.alphabet[digit])
         return "".join(reversed(digits)).rstrip(PAD_CHAR)
+
+    def decode_many(self, numbers: Sequence[int]) -> List[str]:
+        # result columns repeat values (names, departments): each distinct
+        # number is checked and expanded once per call
+        decoded: dict = {}
+        out: List[str] = []
+        for number in numbers:
+            text = decoded.get(number)
+            if text is None:
+                text = decoded[number] = self.decode(number)
+            out.append(text)
+        return out
 
     def prefix_range(self, prefix: str) -> Tuple[int, int]:
         """The [lo, hi] encoded range of all strings starting with ``prefix``.
@@ -218,34 +250,39 @@ class DecimalCodec(Codec[Decimal]):
                     f"bound {bound} not representable at scale {self.scale}"
                 )
 
+    @cached_property
     def _factor(self) -> int:
         return 10**self.scale
 
-    def domain(self) -> IntegerDomain:
+    @cached_property
+    def _domain(self) -> IntegerDomain:
         return IntegerDomain(
-            int(self.lo * self._factor()), int(self.hi * self._factor())
+            int(self.lo * self._factor), int(self.hi * self._factor)
         )
+
+    def domain(self) -> IntegerDomain:
+        return self._domain
 
     def encode(self, value: Decimal) -> int:
         if value is None:
             raise EncodingError("NULL must be handled before encoding")
         as_decimal = Decimal(value) if not isinstance(value, Decimal) else value
-        scaled = as_decimal * self._factor()
+        scaled = as_decimal * self._factor
         if scaled != scaled.to_integral_value():
             raise EncodingError(
                 f"decimal {value} has more than {self.scale} fractional digits"
             )
         number = int(scaled)
-        if not self.domain().contains(number):
+        if not self._domain.contains(number):
             raise EncodingError(
                 f"decimal {value} outside domain [{self.lo}, {self.hi}]"
             )
         return number
 
     def decode(self, number: int) -> Decimal:
-        if not self.domain().contains(number):
+        if not self._domain.contains(number):
             raise EncodingError(f"encoded value {number} outside decimal domain")
-        return Decimal(number) / self._factor()
+        return Decimal(number) / self._factor
 
 
 @dataclass(frozen=True)
@@ -259,8 +296,12 @@ class DateCodec(Codec[datetime.date]):
         if self.lo > self.hi:
             raise EncodingError(f"empty date domain [{self.lo}, {self.hi}]")
 
-    def domain(self) -> IntegerDomain:
+    @cached_property
+    def _domain(self) -> IntegerDomain:
         return IntegerDomain(self.lo.toordinal(), self.hi.toordinal())
+
+    def domain(self) -> IntegerDomain:
+        return self._domain
 
     def encode(self, value: datetime.date) -> int:
         if value is None:
@@ -276,7 +317,7 @@ class DateCodec(Codec[datetime.date]):
         return value.toordinal()
 
     def decode(self, number: int) -> datetime.date:
-        if not self.domain().contains(number):
+        if not self._domain.contains(number):
             raise EncodingError(f"encoded value {number} outside date domain")
         return datetime.date.fromordinal(number)
 

@@ -12,11 +12,12 @@ This module amortises both, in two tiers:
 
 * **Caching** (always on) — :func:`lagrange_weights` computes the λ_i
   basis weights once per (field, point-subset) with a single Montgomery
-  batch inversion; :func:`rational_lagrange_weights` is the
-  exact-rational analogue for the order-preserving scheme;
-  :class:`SplitKernel` precomputes power tables of the client's
-  evaluation points.  Reconstruction of a cell becomes a k-term dot
-  product, sharing a value becomes n k-term dot products.
+  batch inversion; :func:`integer_lagrange_weights` is the exact
+  analogue for the order-preserving scheme (integer numerators over one
+  common denominator, see below); :class:`SplitKernel` precomputes power
+  tables of the client's evaluation points.  Reconstruction of a cell
+  becomes a k-term dot product, sharing a value becomes n k-term dot
+  products.
 * **Vectorization** (numpy backend, used when numpy is importable) —
   whole columns of dot products run as array kernels over GF(p)
   residues.  For the default Mersenne field p = 2^61−1, modular
@@ -32,8 +33,24 @@ when numpy is absent (install ``repro[fast]`` to get the backend), when
 ``set_kernel_backend("scalar")`` forces it, for tiny batches where array
 overhead dominates, and for any input shape the vector kernels cannot
 take bit-exactly (ragged rows, out-of-range residues, exact-integer
-order-preserving evaluation).  All kernels are bit-identical to the
-naive reference paths and to each other (property tests in
+order-preserving evaluation).
+
+**Order-preserving columns reconstruct in exact integers** — no
+rationals, no numpy.  Their polynomials are not reduced mod p, so the
+weights λ_i = Π_{j≠i} −x_j / (x_i − x_j) are fractions; over their
+common denominator D (the lcm of the reduced denominators) they are
+integers N_i with q(0) = (Σ N_i·y_i) / D.  A cell is k integer
+multiply-adds and one ``divmod``.  The remainder is non-zero exactly
+when the rational Σ λ_i·y_i has a denominator other than 1, so "D does
+not divide the sum" is the tamper test of the ``Fraction`` oracle
+(:func:`repro.core.polynomial.interpolate_integer_constant`, which the
+robust path and the property tests keep) without building a fraction.
+The arithmetic is Python ints because order-preserving shares are
+93–121 bits wide: past uint64, and an ``object``-dtype array would run
+the same big-int operations behind one more dispatch.
+
+All kernels are bit-identical to the naive reference paths and to each
+other (property tests in
 ``tests/property/test_prop_kernels.py`` and
 ``tests/property/test_prop_vectorized.py`` enforce this across random
 moduli, degrees, and batch shapes); they change constant factors, never
@@ -46,7 +63,7 @@ already correct.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -76,7 +93,10 @@ class KernelStats:
     Exposed so tests (and the hot-path benchmark) can assert that weights
     are *reused* across the rows of a single query rather than rebuilt,
     and that the vectorized backend actually engaged — the whole point of
-    the layer.
+    the layer.  ``rational_hits``/``rational_misses`` count lookups of the
+    order-preserving scheme's integer weights (one per batch, i.e. per
+    column of a result set); the slot names predate the integer kernel
+    and are what ``benchmarks/e2e/metrics.py`` reads.
     """
 
     __slots__ = (
@@ -117,7 +137,7 @@ class KernelStats:
 _STATS = KernelStats()
 
 _WEIGHTS: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
-_RATIONAL_WEIGHTS: Dict[Tuple[int, ...], Tuple[Fraction, ...]] = {}
+_INTEGER_WEIGHTS: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
 _SPLIT_KERNELS: Dict[Tuple[Tuple[int, ...], int, Optional[int]], "SplitKernel"] = {}
 
 
@@ -141,7 +161,7 @@ def clear_kernel_caches() -> None:
     slate.
     """
     _WEIGHTS.clear()
-    _RATIONAL_WEIGHTS.clear()
+    _INTEGER_WEIGHTS.clear()
     _SPLIT_KERNELS.clear()
     _STATS.reset()
 
@@ -446,59 +466,81 @@ def batch_reconstruct(
 
 
 # ---------------------------------------------------------------------------
-# Rational Lagrange weights (order-preserving scheme, Sec. IV)
+# Exact-integer Lagrange weights (order-preserving scheme, Sec. IV)
 # ---------------------------------------------------------------------------
 
 
-def rational_lagrange_weights(xs: Sequence[int]) -> Tuple[Fraction, ...]:
-    """Exact-rational λ_i with q(0) = Σ λ_i · q(x_i), cached per point set.
+def integer_lagrange_weights(xs: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+    """``(numerators, denominator)`` with q(0) = Σ N_i · q(x_i) / D.
 
     The order-preserving scheme interpolates integer polynomials *without*
-    modular reduction, so its weights are fractions; they too depend only
-    on the point subset and are reused across every cell of a query.
+    modular reduction, so its weights λ_i are fractions; N_i / D is λ_i
+    over the lcm D > 0 of the reduced denominators.  They depend only on
+    the point subset and are cached per point tuple, reused across every
+    cell of a query.
     """
     key = tuple(xs)
-    cached = _RATIONAL_WEIGHTS.get(key)
+    cached = _INTEGER_WEIGHTS.get(key)
     if cached is not None:
         _STATS.rational_hits += 1
         return cached
     _STATS.rational_misses += 1
     points = _validated_points(xs, None)
-    weights: List[Fraction] = []
+    reduced: List[Tuple[int, int]] = []
     for i, xi in enumerate(points):
-        w = Fraction(1)
+        n = 1
+        d = 1
         for j, xj in enumerate(points):
             if i != j:
-                w *= Fraction(-xj, xi - xj)
-        weights.append(w)
-    frozen = tuple(weights)
-    _RATIONAL_WEIGHTS[key] = frozen
-    return frozen
+                n *= -xj
+                d *= xi - xj
+        if d < 0:
+            n, d = -n, -d
+        common = gcd(n, d)
+        reduced.append((n // common, d // common))
+    denominator = lcm(*(d for _, d in reduced))
+    weights = (
+        tuple(n * (denominator // d) for n, d in reduced),
+        denominator,
+    )
+    _INTEGER_WEIGHTS[key] = weights
+    return weights
 
 
-def reconstruct_rational(xs: Sequence[int], ys: Sequence[int]) -> Fraction:
-    """q(0) over the rationals from aligned integer points/shares."""
-    weights = rational_lagrange_weights(xs)
-    total = Fraction(0)
-    for w, y in zip(weights, ys):
-        total += w * y
-    return total
+def batch_reconstruct_integer(
+    xs: Sequence[int], share_vectors: Sequence[Sequence[int]]
+) -> List[int]:
+    """q(0) of many integer polynomials shared at the *same* points.
+
+    ``share_vectors[r]`` holds the shares of secret r aligned with ``xs``,
+    as for :func:`batch_reconstruct`.  One weight lookup covers the whole
+    column; each cell is Σ N_i·y_i followed by one exact division.  A
+    remainder means the rational constant term is not an integer — the
+    signature of tampered or mismatched shares, exactly as in
+    :func:`repro.core.polynomial.interpolate_integer_constant`.
+    """
+    numerators, denominator = integer_lagrange_weights(xs)
+    _STATS.scalar_reconstruct_cells += len(share_vectors)
+    out: List[int] = []
+    for ys in share_vectors:
+        total = 0
+        for n, y in zip(numerators, ys):
+            total += n * y
+        value, remainder = divmod(total, denominator)
+        if remainder:
+            common = gcd(total, denominator)
+            raise ReconstructionError(
+                f"interpolated constant term {total // common}/"
+                f"{denominator // common} is not an integer; "
+                "shares are inconsistent or tampered"
+            )
+        out.append(value)
+    return out
 
 
 def reconstruct_integer(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """Like :func:`reconstruct_rational` but insists on an integer result.
-
-    Mirrors :func:`repro.core.polynomial.interpolate_integer_constant`: a
-    fractional constant term is the signature of tampered or mismatched
-    shares.
-    """
-    value = reconstruct_rational(xs, ys)
-    if value.denominator != 1:
-        raise ReconstructionError(
-            f"interpolated constant term {value} is not an integer; "
-            "shares are inconsistent or tampered"
-        )
-    return int(value)
+    """One cell of :func:`batch_reconstruct_integer`."""
+    return batch_reconstruct_integer(xs, [ys])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,32 @@ sharing machinery:
 
 It owns encoding (via each column's codec), splitting a plaintext row into
 ``n`` share rows, and reconstructing plaintext from ≥ k share rows.
+
+Result sets are reconstructed column by column
+(:meth:`TableSharing.reconstruct_rows`): per responding-provider set and
+column, one kernel call — :func:`~repro.core.kernels.batch_reconstruct`
+for random columns, the exact-integer
+:func:`~repro.core.kernels.batch_reconstruct_integer` for
+order-preserving ones — then one ``Codec.decode_many``.  The per-value
+methods (:meth:`~TableSharing.reconstruct_value`,
+:meth:`~TableSharing.combine_sum`) reach the same two kernels one cell
+at a time.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError, ReconstructionError, UnsupportedQueryError
 from ..sim.rng import DeterministicRNG
 from ..sqlengine.schema import Column, TableSchema
-from .kernels import batch_reconstruct, reconstruct_integer
+from .encoding import DecimalCodec, IntegerCodec
+from .kernels import (
+    batch_reconstruct,
+    batch_reconstruct_integer,
+    reconstruct_integer,
+)
 from .order_preserving import OrderPreservingScheme
 from .secrets import ClientSecrets
 from .shamir import ShamirScheme
@@ -348,62 +364,116 @@ class TableSharing:
     ) -> List[Dict[str, object]]:
         """Batched :meth:`reconstruct_row` over a whole result set.
 
-        Column-major kernel path: each column's cells are grouped by the
-        responding provider subset, so the Lagrange weights (modular for
-        random columns, rational for order-preserving ones) are looked up
-        once per subset shape and every cell is a k-term dot product.
-        Semantics — NULL handling, quorum checks, error messages — are
-        identical to calling :meth:`reconstruct_row` per row.
+        Column-major: rows are grouped by the provider set that answered
+        them, and each group × column is one pass — the responders' share
+        lists are pulled once, one kernel call (exact-integer for
+        order-preserving columns, GF(p) for random ones) interpolates the
+        column at the group's first k providers, one ``decode_many``
+        decodes it.  Values, NULL handling, quorum checks and error
+        messages are those of :meth:`reconstruct_row` per row.
         """
-        for share_rows in share_rows_list:
-            if len(share_rows) < self.threshold:
+        threshold = self.threshold
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for position, share_rows in enumerate(share_rows_list):
+            if len(share_rows) < threshold:
                 raise ReconstructionError(
-                    f"need shares from at least k={self.threshold} providers, "
+                    f"need shares from at least k={threshold} providers, "
                     f"got {len(share_rows)}"
                 )
+            groups.setdefault(tuple(share_rows), []).append(position)
         names = columns if columns is not None else self.schema.column_names
         out: List[Dict[str, object]] = [{} for _ in share_rows_list]
-        field = self.random_scheme.field
-        for column in names:
-            op_scheme = self._op.get(column)
-            codec = self.codec(column)
-            # random-shared cells batched per provider subset
-            grouped: Dict[Tuple[int, ...], List[Tuple[int, List[int]]]] = {}
-            for position, share_rows in enumerate(share_rows_list):
-                shares = {
-                    index: row.get(column)
-                    for index, row in share_rows.items()
-                }
-                non_null = {i: s for i, s in shares.items() if s is not None}
-                if not non_null:
-                    out[position][column] = None
-                    continue
-                if len(non_null) != len(shares):
-                    raise ReconstructionError(
-                        f"column {column}: NULL-presence disagreement across "
-                        f"providers {sorted(set(shares) - set(non_null))}"
-                    )
-                chosen = sorted(non_null.items())[: self.threshold]
-                xs = tuple(self.secrets.point_for(i) for i, _ in chosen)
-                ys = [s for _, s in chosen]
-                if op_scheme is not None:
-                    encoded = reconstruct_integer(xs, ys)
-                    if not op_scheme.domain.contains(encoded):
-                        raise ReconstructionError(
-                            f"reconstructed value {encoded} outside domain "
-                            f"[{op_scheme.domain.lo}, {op_scheme.domain.hi}]; "
-                            "shares are corrupt"
-                        )
-                    out[position][column] = codec.decode(encoded)
-                else:
-                    grouped.setdefault(xs, []).append((position, ys))
-            for xs, cells in grouped.items():
-                elements = batch_reconstruct(field, xs, [ys for _, ys in cells])
-                for (position, _), element in zip(cells, elements):
-                    out[position][column] = codec.decode(
-                        field.decode_signed(element)
-                    )
+        for answered, positions in groups.items():
+            responders = sorted(answered)
+            xs = tuple(
+                self.secrets.point_for(i) for i in responders[:threshold]
+            )
+            provider_rows = [
+                [share_rows_list[position][i] for position in positions]
+                for i in responders
+            ]
+            decoded = [
+                self._reconstruct_column(
+                    column,
+                    responders,
+                    xs,
+                    [[row.get(column) for row in rows] for rows in provider_rows],
+                )
+                for column in names
+            ]
+            for position, values in zip(positions, zip(*decoded)):
+                out[position] = dict(zip(names, values))
         return out
+
+    def _reconstruct_column(
+        self,
+        column: str,
+        responders: List[int],
+        xs: Tuple[int, ...],
+        share_lists: List[List[Optional[int]]],
+    ) -> List[object]:
+        """One column of one responder group: shares → plaintext values.
+
+        ``share_lists[j]`` is provider ``responders[j]``'s shares of the
+        column, one per row; ``xs`` are the points of the first k
+        responders, whose shares are the ones interpolated.
+        """
+        if any(None in shares for shares in share_lists):
+            return self._reconstruct_nullable_column(
+                column, responders, xs, share_lists
+            )
+        cells = list(zip(*share_lists[: len(xs)]))
+        codec = self.codec(column)
+        op_scheme = self._op.get(column)
+        if op_scheme is None:
+            field = self.random_scheme.field
+            decode_signed = field.decode_signed
+            return codec.decode_many(
+                [decode_signed(e) for e in batch_reconstruct(field, xs, cells)]
+            )
+        encoded = batch_reconstruct_integer(xs, cells)
+        lo, hi = op_scheme.domain.lo, op_scheme.domain.hi
+        for value in encoded:
+            if not lo <= value <= hi:
+                raise ReconstructionError(
+                    f"reconstructed value {value} outside domain "
+                    f"[{lo}, {hi}]; shares are corrupt"
+                )
+        return codec.decode_many(encoded)
+
+    def _reconstruct_nullable_column(
+        self,
+        column: str,
+        responders: List[int],
+        xs: Tuple[int, ...],
+        share_lists: List[List[Optional[int]]],
+    ) -> List[object]:
+        """:meth:`_reconstruct_column` for a column holding a None.
+
+        A cell is NULL when every responder says so; a mix of None and
+        shares is corruption.  The non-NULL cells go back through the
+        batched path.
+        """
+        live: List[int] = []
+        for position, shares in enumerate(zip(*share_lists)):
+            nulls = [i for i, s in zip(responders, shares) if s is None]
+            if not nulls:
+                live.append(position)
+            elif len(nulls) != len(responders):
+                raise ReconstructionError(
+                    f"column {column}: NULL-presence disagreement across "
+                    f"providers {nulls}"
+                )
+        values: List[object] = [None] * len(share_lists[0])
+        decoded = self._reconstruct_column(
+            column,
+            responders,
+            xs,
+            [[shares[p] for p in live] for shares in share_lists],
+        )
+        for position, value in zip(live, decoded):
+            values[position] = value
+        return values
 
     # -- aggregate reconstruction -------------------------------------------------------
 
@@ -414,7 +484,7 @@ class TableSharing:
 
         Linearity holds for both schemes: summed random shares interpolate
         mod p to the signed-encoded total; summed order-preserving shares
-        interpolate exactly over the rationals to the encoded total.  The
+        interpolate exactly over the integers to the encoded total.  The
         encoded total is then decoded (e.g. fixed-point scaling undone).
         """
         if count == 0:
@@ -440,9 +510,6 @@ class TableSharing:
         codec = self.codec(column)
         # DecimalCodec scales by 10^scale; IntegerCodec is identity; other
         # types are rejected before aggregation reaches here.
-        from .encoding import DecimalCodec, IntegerCodec
-        from decimal import Decimal
-
         if isinstance(codec, IntegerCodec):
             return encoded_total
         if isinstance(codec, DecimalCodec):

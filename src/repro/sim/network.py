@@ -15,8 +15,10 @@ Wire format (sizing only — data never actually leaves the process):
 * bytes: 2-byte header + raw length;
 * None/bool: 1 byte;
 * float: 8 bytes + 1 tag;
+* Decimal: 2-byte header + its decimal string;
 * list/tuple: 4-byte count + elements;
-* dict: 4-byte count + key/value pairs.
+* dict: 4-byte count + key/value pairs;
+* any other object: whatever its ``wire_size()`` reports.
 
 Modelled transfer time = RTT/2 per message + bytes / bandwidth, using the
 latency model's constants; benchmarks report both raw bytes and modelled
@@ -27,11 +29,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain
 from typing import Dict, Tuple
 
 
 def measure_bytes(payload: object) -> int:
-    """Size of ``payload`` under the documented wire format."""
+    """Size of ``payload`` under the documented wire format.
+
+    A response is a few containers around thousands of share cells, so a
+    plain ``dict``/``list``/``tuple`` sizes its plain ``int`` and ``str``
+    members in its own loop instead of one call each.  The test is on the
+    exact type: ``bool``, other subclasses and every other kind of value
+    take :func:`_measure_value`, which applies the same formulas.
+    """
+    kind = type(payload)
+    if kind is dict:
+        items = chain.from_iterable(payload.items())
+    elif kind is list or kind is tuple:
+        items = payload
+    else:
+        return _measure_value(payload)
+    total = 4
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            total += 2 + ((item.bit_length() + 7) // 8 or 1)
+        elif kind is str:
+            total += 2 + len(item.encode("utf-8"))
+        else:
+            total += measure_bytes(item)
+    return total
+
+
+def _measure_value(payload: object) -> int:
+    """The wire format, one ``isinstance`` rule per line of the docstring."""
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):

@@ -4,11 +4,14 @@
 them up with ``vars(holder)[attribute]``: a method moved to a mixin or a
 function re-exported from another module raises ``TraceTargetError`` in
 the traced benchmark run, which no tier-1 job executes.  Resolving every
-target here makes such a refactor fail fast.
+target here makes such a refactor fail fast.  The same goes for the
+kernel counters ``benchmarks/e2e/metrics.py`` indexes by name: a renamed
+``KernelStats`` slot is a ``KeyError`` in the benchmark run only.
 """
 
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,14 @@ def test_reconstruct_targets_are_module_functions():
         assert inspect.isfunction(function), name
         assert function.__module__ == "repro.client.reconstruct", name
         assert ("repro.client.reconstruct", name) in ENTRY_POINTS
+
+
+def test_benchmark_kernel_counters_are_kernel_stats_slots():
+    from repro.core.kernels import KernelStats
+
+    metrics_source = (REPO_ROOT / "benchmarks" / "e2e" / "metrics.py").read_text()
+    indexed = set(re.findall(r'c\["kernels\.(\w+)"\]', metrics_source))
+    assert indexed, "metrics.py no longer indexes any kernels.* counter"
+    assert indexed <= set(KernelStats.__slots__), sorted(
+        indexed - set(KernelStats.__slots__)
+    )

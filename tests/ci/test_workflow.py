@@ -146,8 +146,15 @@ class TestTier1Gate:
         assert "bench_overload.py --check" in runs
         assert "repro.cli trace" in runs
         # the hot-path check gates the >=10x vectorized speedup, which
-        # requires numpy in the bench-smoke environment
+        # requires numpy in the bench-smoke environment, and the >=5x
+        # exact-integer order-preserving kernel, which does not
         assert "pip install numpy" in runs
+        hotpath_check = next(
+            s for s in jobs["bench-smoke"]["steps"]
+            if s.get("run") == "python benchmarks/bench_hotpath.py --check"
+        )
+        assert ">=10x" in hotpath_check["name"]
+        assert ">=5x" in hotpath_check["name"]
 
     def test_bench_smoke_runs_e2e_smoke(self, jobs):
         """The end-to-end benchmark's own tests (oracle checks and the

@@ -285,3 +285,129 @@ class TestCheckedReconstruction:
         row, blamed = sharing.reconstruct_row_checked(share_rows)
         assert row == ROW
         assert blamed == [3]
+
+
+class TestColumnMajorEqualsRowByRow:
+    """``reconstruct_rows`` is ``reconstruct_row`` per row, column by column."""
+
+    @pytest.fixture
+    def mixed(self):
+        schema = TableSchema(
+            "M",
+            (
+                integer_column("id", 1, 10_000),
+                string_column("name", 6, nullable=True),
+                integer_column("secret_num", -500, 500, searchable=False),
+                integer_column(
+                    "bonus", -50, 50, searchable=False, nullable=True
+                ),
+                decimal_column("price", 0, 1000, scale=2, nullable=True),
+            ),
+            primary_key="id",
+        )
+        return TableSharing(
+            schema, generate_client_secrets(5, seed=6), 3, DeterministicRNG(6)
+        )
+
+    #: which providers answered row i: 3 of 5, another 3 of 5, 4 of 5, all
+    SUBSETS = ((0, 1, 2), (1, 3, 4), (4, 2, 1, 0), (0, 1, 2, 3, 4))
+
+    @staticmethod
+    def _plain_rows():
+        names = ["ALICE", None, "BOB", "CAROL", None, "ALICE"]
+        return [
+            {
+                "id": 10 + 7 * i,
+                "name": names[i % len(names)],
+                "secret_num": (-1) ** i * 29 * i,
+                "bonus": None if i % 4 == 1 else i - 8,
+                "price": None if i % 5 == 2 else Decimal(i) / 4,
+            }
+            for i in range(17)
+        ]
+
+    def _share_rows_list(self, mixed, rows):
+        out = []
+        for i, row in enumerate(rows):
+            shares = mixed.share_row(row)
+            subset = self.SUBSETS[i % len(self.SUBSETS)]
+            out.append({index: shares[index] for index in subset})
+        return out
+
+    def test_mixed_table_mixed_quorums(self, mixed):
+        rows = self._plain_rows()
+        share_rows_list = self._share_rows_list(mixed, rows)
+        batched = mixed.reconstruct_rows(share_rows_list)
+        assert batched == [mixed.reconstruct_row(r) for r in share_rows_list]
+        assert batched == rows
+        assert [list(row) for row in batched] == [
+            mixed.schema.column_names
+        ] * len(rows)
+
+    def test_projection_and_empty_input(self, mixed):
+        share_rows_list = self._share_rows_list(mixed, self._plain_rows())
+        columns = ["price", "id"]
+        batched = mixed.reconstruct_rows(share_rows_list, columns)
+        assert batched == [
+            mixed.reconstruct_row(r, columns) for r in share_rows_list
+        ]
+        assert all(list(row) == columns for row in batched)
+        assert mixed.reconstruct_rows([]) == []
+        assert mixed.reconstruct_rows(share_rows_list, []) == [
+            {} for _ in share_rows_list
+        ]
+
+    def test_all_null_column(self, mixed):
+        rows = [dict(r, name=None, bonus=None) for r in self._plain_rows()]
+        share_rows_list = self._share_rows_list(mixed, rows)
+        assert mixed.reconstruct_rows(share_rows_list) == rows
+
+    def _same_error(self, mixed, share_rows_list, match):
+        with pytest.raises(ReconstructionError, match=match) as by_row:
+            [mixed.reconstruct_row(r) for r in share_rows_list]
+        with pytest.raises(ReconstructionError) as batched:
+            mixed.reconstruct_rows(share_rows_list)
+        assert str(batched.value) == str(by_row.value)
+
+    @pytest.mark.parametrize("column", ["name", "bonus"])
+    def test_null_at_one_provider_only(self, mixed, column):
+        share_rows_list = self._share_rows_list(mixed, self._plain_rows())
+        # row 2 was answered by providers (4, 2, 1, 0): one more than k,
+        # and the lone NULL sits at the one whose share is not interpolated
+        share_rows_list[2][4][column] = None
+        self._same_error(
+            mixed,
+            share_rows_list,
+            rf"column {column}: NULL-presence disagreement across "
+            r"providers \[4\]",
+        )
+        share_rows_list[2][0][column] = None
+        self._same_error(mixed, share_rows_list, r"providers \[0, 4\]")
+
+    def test_out_of_domain_reconstruction(self, mixed):
+        share_rows_list = self._share_rows_list(mixed, self._plain_rows())
+        # shares of 6,000 + shares of 7,000 lie on an integer polynomial
+        # whose constant term, 13,000, is past the domain's 10,000
+        summed = [
+            a + b
+            for a, b in zip(
+                mixed.share_value("id", 6_000), mixed.share_value("id", 7_000)
+            )
+        ]
+        for index, share_row in share_rows_list[5].items():
+            share_row["id"] = summed[index]
+        self._same_error(
+            mixed,
+            share_rows_list,
+            r"reconstructed value 13000 outside domain \[1, 10000\]",
+        )
+
+    def test_tampered_share_is_not_an_integer(self, mixed):
+        share_rows_list = self._share_rows_list(mixed, self._plain_rows())
+        share_rows_list[4][1]["id"] += 1
+        self._same_error(mixed, share_rows_list, "is not an integer")
+
+    def test_too_few_providers(self, mixed):
+        share_rows_list = self._share_rows_list(mixed, self._plain_rows())
+        del share_rows_list[3][0], share_rows_list[3][1], share_rows_list[3][2]
+        self._same_error(mixed, share_rows_list, "at least k=3 providers, got 2")

@@ -6,15 +6,29 @@ and cached basis weights.  These tests pin the contract that made the swap
 safe: for random ``(n, k)`` shapes and random data, the batched paths
 produce *exactly* the bytes the naive reference paths produce — including
 over-determined reconstruction where more than ``k`` shares are supplied.
+The exact-integer kernel of the order-preserving scheme is held to the
+``Fraction`` oracle of :mod:`repro.core.polynomial` the same way, errors
+included.
 """
 
+import math
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.field import DEFAULT_FIELD
-from repro.core.polynomial import lagrange_constant_term, random_field_polynomial
+from repro.core.polynomial import (
+    IntegerPolynomial,
+    interpolate_integer_constant,
+    interpolate_rational_constant,
+    lagrange_constant_term,
+    random_field_polynomial,
+)
 from repro.core.secrets import generate_client_secrets
 from repro.core.shamir import ShamirScheme
+from repro.errors import ReconstructionError
 from repro.sim.rng import DeterministicRNG
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -122,3 +136,138 @@ def test_weight_cache_hit_across_batch():
         assert scheme.reconstruct(cell) == value
     assert kernels.kernel_stats().weight_misses == 1
     assert kernels.kernel_stats().weight_hits >= len(cells)
+
+
+# ---------------------------------------------------------------------------
+# exact-integer kernel (order-preserving columns)
+# ---------------------------------------------------------------------------
+
+COEFFICIENT_BOUND = 2**128
+
+#: k distinct non-zero evaluation points, k in 2..6, either sign
+point_sets = st.lists(
+    st.integers(min_value=-60, max_value=60).filter(bool),
+    min_size=2,
+    max_size=6,
+    unique=True,
+)
+coefficients = st.integers(
+    min_value=-COEFFICIENT_BOUND, max_value=COEFFICIENT_BOUND
+)
+
+
+@st.composite
+def integer_columns(draw):
+    """``(xs, polynomials)``: 1..20 integer polynomials of degree k−1."""
+    xs = draw(point_sets)
+    polynomials = draw(
+        st.lists(
+            st.lists(coefficients, min_size=len(xs), max_size=len(xs)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return xs, polynomials
+
+
+def _share_vectors(xs, polynomials):
+    """Shares of each (lowest-degree-first) integer polynomial at ``xs``."""
+    return [
+        IntegerPolynomial(tuple(coeffs)).evaluate_many(xs)
+        for coeffs in polynomials
+    ]
+
+
+@given(column=integer_columns())
+@settings(max_examples=150, deadline=None)
+def test_integer_batch_matches_fraction_oracle(column):
+    """Cell for cell the integer kernel equals the ``Fraction`` oracle —
+    128-bit coefficients, negative values and negative points included."""
+    xs, polynomials = column
+    vectors = _share_vectors(xs, polynomials)
+    oracle = [
+        interpolate_integer_constant(list(zip(xs, ys))) for ys in vectors
+    ]
+    assert oracle == [coeffs[0] for coeffs in polynomials]
+    assert kernels.batch_reconstruct_integer(xs, vectors) == oracle
+    for ys, expected in zip(vectors, oracle):
+        assert kernels.reconstruct_integer(xs, ys) == expected
+        assert kernels.batch_reconstruct_integer(xs, [ys]) == [expected]
+
+
+@given(
+    column=integer_columns(),
+    cell=st.integers(min_value=0, max_value=10**6),
+    share=st.integers(min_value=0, max_value=10**6),
+    delta=st.integers(min_value=-(2**70), max_value=2**70).filter(bool),
+)
+@settings(max_examples=200, deadline=None)
+def test_perturbed_share_rejected_exactly_when_oracle_is_fractional(
+    column, cell, share, delta
+):
+    """A perturbed share raises iff the rational constant term is not an
+    integer, with the oracle's own message; an integral result is the
+    oracle's integer (left for the scheme's domain check to judge)."""
+    xs, polynomials = column
+    vectors = _share_vectors(xs, polynomials)
+    ys = vectors[cell % len(vectors)]
+    ys[share % len(ys)] += delta
+    rational = interpolate_rational_constant(list(zip(xs, ys)))
+    if rational.denominator == 1:
+        assert kernels.batch_reconstruct_integer(xs, vectors)[
+            cell % len(vectors)
+        ] == int(rational)
+        return
+    with pytest.raises(ReconstructionError) as oracle_error:
+        interpolate_integer_constant(list(zip(xs, ys)))
+    with pytest.raises(ReconstructionError) as batch_error:
+        kernels.batch_reconstruct_integer(xs, vectors)
+    with pytest.raises(ReconstructionError) as cell_error:
+        kernels.reconstruct_integer(xs, ys)
+    assert str(batch_error.value) == str(oracle_error.value)
+    assert str(cell_error.value) == str(oracle_error.value)
+
+
+@given(xs=point_sets)
+@settings(max_examples=100, deadline=None)
+def test_integer_weights_are_the_rational_weights(xs):
+    """N_i / D is λ_i exactly, and D is the smallest common denominator."""
+    numerators, denominator = kernels.integer_lagrange_weights(xs)
+    rational = []
+    for i, xi in enumerate(xs):
+        weight = Fraction(1)
+        for j, xj in enumerate(xs):
+            if i != j:
+                weight *= Fraction(-xj, xi - xj)
+        rational.append(weight)
+    assert denominator > 0
+    assert [Fraction(n, denominator) for n in numerators] == rational
+    assert denominator == math.lcm(*(w.denominator for w in rational))
+
+
+@pytest.mark.parametrize(
+    "xs, message",
+    [
+        ([], "no shares"),
+        ([3, 5, 3], "duplicate evaluation points"),
+        ([0, 4], "evaluation point 0"),
+    ],
+)
+def test_integer_weights_validate_points(xs, message):
+    with pytest.raises(ReconstructionError, match=message):
+        kernels.integer_lagrange_weights(xs)
+
+
+def test_integer_weights_built_once_per_point_tuple():
+    """A 1,000-cell batch is one weight lookup: one build, no rebuilds."""
+    xs = (2, 5, 11)
+    polynomials = [[v, 3 * v + 1, 7 * v + 2] for v in range(1_000)]
+    vectors = _share_vectors(xs, polynomials)
+    kernels.clear_kernel_caches()
+    assert kernels.batch_reconstruct_integer(xs, vectors) == list(range(1_000))
+    stats = kernels.kernel_stats()
+    assert (stats.rational_misses, stats.rational_hits) == (1, 0)
+    assert stats.scalar_reconstruct_cells == 1_000
+    # a second column at the same points is a hit, never a rebuild
+    kernels.batch_reconstruct_integer(xs, vectors)
+    assert (stats.rational_misses, stats.rational_hits) == (1, 1)

@@ -27,22 +27,30 @@ def _source():
     return cluster, source
 
 
+def _lookups(stats):
+    builds = stats.weight_misses + stats.rational_misses
+    return builds, builds + stats.weight_hits + stats.rational_hits
+
+
 class TestWeightCache:
     def test_weights_cached_across_rows_of_one_select(self):
         """The Lagrange weight tables are built once per quorum shape and
-        *hit* — not rebuilt — for every further cell of the result set."""
+        consulted once per *column* of the result set, not once per cell."""
         _, source = _source()
         kernels.clear_kernel_caches()
         kernels.reset_kernel_stats()
         rows = source.select(QUERY)
         assert len(rows) > 1
         stats = kernels.kernel_stats()
-        builds = stats.weight_misses + stats.rational_misses
-        hits = stats.weight_hits + stats.rational_hits
+        builds, lookups = _lookups(stats)
         # one quorum shape answered the whole select: at most one build per
-        # weight flavour (modular / rational), everything else is a hit
+        # weight flavour (modular / integer) and one lookup per column
         assert builds <= 2
-        assert hits >= len(rows)
+        assert 1 <= lookups <= len(rows[0])
+        assert (
+            stats.scalar_reconstruct_cells + stats.vector_reconstruct_cells
+            == len(rows) * len(rows[0])
+        )
 
     def test_second_select_rebuilds_nothing(self):
         """A repeated select interpolates *nothing*: the row cache replays
@@ -58,7 +66,7 @@ class TestWeightCache:
 
     def test_second_select_without_row_cache_hits_weight_cache(self):
         """With query replay out of the picture (fresh epoch entries gone),
-        the weight tables still serve every cell from cache."""
+        the weight tables still serve every column from cache."""
         _, source = _source()
         source.select(QUERY)
         source.row_cache.clear()
@@ -66,5 +74,6 @@ class TestWeightCache:
         rows = source.select(QUERY)
         stats = kernels.kernel_stats()
         assert len(rows) > 1
-        assert stats.weight_misses == 0 and stats.rational_misses == 0
-        assert stats.weight_hits + stats.rational_hits >= len(rows)
+        builds, lookups = _lookups(stats)
+        assert builds == 0
+        assert 1 <= lookups <= len(rows[0])

@@ -1,8 +1,10 @@
 """Unit tests for the simulated network and byte accounting."""
 
+import enum
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.network import (
     LatencyModel,
@@ -49,6 +51,109 @@ class TestMeasureBytes:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             measure_bytes(object())
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    WIDE = 2**70
+
+
+class TaggedInt(int):
+    """A plain ``int`` subclass: must size like the int it is."""
+
+
+class Sized:
+    def __init__(self, size):
+        self.size = size
+
+    def wire_size(self):
+        return self.size
+
+
+def reference_bytes(payload):
+    """The wire format of ``repro.sim.network``'s docstring, line by line."""
+    if payload is None or payload is True or payload is False:
+        return 1
+    if isinstance(payload, int):
+        return 2 + max(1, len(f"{abs(int(payload)):x}") + 1 >> 1)
+    if isinstance(payload, float):
+        return 8 + 1
+    if isinstance(payload, Decimal):
+        return 2 + len(str(payload))
+    if isinstance(payload, str):
+        return 2 + len(payload.encode("utf-8"))
+    if isinstance(payload, bytes):
+        return 2 + len(payload)
+    if isinstance(payload, (list, tuple)):
+        return 4 + sum(reference_bytes(item) for item in payload)
+    if isinstance(payload, dict):
+        return 4 + sum(
+            reference_bytes(k) + reference_bytes(v) for k, v in payload.items()
+        )
+    return payload.wire_size()
+
+
+_ints = st.one_of(
+    st.sampled_from([0, 1, -1, 255, 256, -256, 2**64, -(2**64), 2**121]),
+    st.integers(min_value=-(2**130), max_value=2**130),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    _ints.map(TaggedInt),
+    st.sampled_from(list(Colour)),
+    st.floats(allow_nan=False),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3),
+    st.text(alphabet="abcXYZ_09", max_size=12),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.integers(min_value=0, max_value=500).map(Sized),
+)
+_keys = st.one_of(st.text(max_size=6), _ints, st.booleans(), st.none())
+payloads = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestMeasureBytesAgainstDocumentedFormat:
+    @given(payload=payloads)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, payload):
+        assert measure_bytes(payload) == reference_bytes(payload)
+
+    def test_bool_is_one_byte_wherever_it_sits(self):
+        """``bool`` is an ``int`` subclass; it must never size as one."""
+        assert measure_bytes(True) == measure_bytes(False) == 1
+        assert measure_bytes([True, False]) == 4 + 1 + 1
+        assert measure_bytes({True: False}) == 4 + 1 + 1
+        assert measure_bytes({"rows": [(7, {"flag": True})]}) == (
+            4 + (2 + 4) + 4 + 4 + 3 + 4 + (2 + 4) + 1
+        )
+
+    def test_int_subclasses_size_as_ints(self):
+        assert measure_bytes(Colour.RED) == measure_bytes([Colour.RED]) - 4 == 3
+        assert measure_bytes((TaggedInt(2**64),)) == 4 + 2 + 9
+
+    def test_share_response_shape(self):
+        """The row-major select response, cell by cell."""
+        response = {"rows": [(3, {"a": 2**100, "b": None}), (4, {"a": -5, "b": 0})]}
+        assert measure_bytes(response) == 4 + 6 + 4 + (
+            (4 + 3 + 4 + (3 + 15) + (3 + 1)) + (4 + 3 + 4 + (3 + 3) + (3 + 3))
+        )
+
+    @pytest.mark.parametrize(
+        "payload", [object(), [1, object()], {"k": {2, 3}}, (1, [complex(1)])]
+    )
+    def test_unknown_type_raises_wherever_it_sits(self, payload):
+        with pytest.raises(TypeError, match="cannot size object of type"):
+            measure_bytes(payload)
 
 
 class TestLatencyModel:
