@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -255,6 +256,7 @@ def recovery_matrix(rows: int, providers: int, threshold: int, sharded: bool):
             for row in catalog.table("Accounts").rows()
         )
         recovering.close()
+        os.remove(wal)  # an explicit log is never removed by its manager
         results.append(
             {
                 "phase": phase,

@@ -689,6 +689,7 @@ def cmd_txn_replay(args, out) -> int:
     Exits non-zero if any phase recovers to anything but the exact
     plaintext oracle state.
     """
+    import os as _os
     import tempfile as _tempfile
 
     from .errors import SimulatedCrash
@@ -753,6 +754,7 @@ def cmd_txn_replay(args, out) -> int:
         exact = live == expected
         failures += 0 if exact else 1
         recovering.close()
+        _os.remove(wal)  # an explicit log is never removed by its manager
         print(
             f"  {phase:10s}: crashed={str(crashed).lower():5s} "
             f"replayed={report['replayed']} "

@@ -48,6 +48,7 @@ from ..sqlengine.query import (
     Aggregate,
     AggregateFunc,
     Delete,
+    Delta,
     Insert,
     JoinSelect,
     Select,
@@ -77,9 +78,10 @@ Row = Dict[str, object]
 
 #: RPC methods that mutate provider row state.  ``DataSource._broadcast``
 #: refuses these unless the call came through :meth:`DataSource._mutate`
-#: (or the transaction layer, which uses the cluster directly and carries
-#: its own logged epochs) — the choke point that makes forgetting a
-#: plan-cache/row-cache invalidation structurally impossible (ISSUE-8).
+#: — the choke point that makes forgetting a plan-cache/row-cache
+#: invalidation structurally impossible (ISSUE-8).  The transaction
+#: layer's staged rounds go through :meth:`DataSource.control_round` and
+#: carry their own logged epochs.
 MUTATING_RPCS = frozenset(
     {
         "insert",
@@ -102,6 +104,28 @@ _QUORUM, _ROBUST, _AUDITED, _CHECKED = "quorum", "robust", "audited", "checked"
 
 #: Request fields of a read that wants every column of every matching row.
 _FULL_ROWS: Dict[str, object] = {"projection": None}
+
+
+@dataclass(frozen=True)
+class WriteOp:
+    """One planned row write (built by :meth:`DataSource.plan_write`).
+
+    A value, not a behaviour: :meth:`DataSource.apply_write` sends it, the
+    transaction layer logs it to the WAL first and stages it later.
+    """
+
+    #: the mutating RPC: ``insert_many`` / ``update_rows`` / ``delete_rows``
+    #: / ``increment_rows``
+    method: str
+    #: the logical table name (whoever sends the op qualifies it)
+    table: str
+    #: one wire payload per provider index, without an epoch (whoever
+    #: sends the op stamps it); empty when no row matched — nothing is
+    #: sent and no epoch moves
+    requests: List[Dict]
+    #: what the statement returns: the assigned row ids of an insert, the
+    #: affected-row count of an UPDATE / DELETE / increment
+    result: object
 
 
 @dataclass(frozen=True)
@@ -235,6 +259,11 @@ class DataSource:
         for key in ("table", "left", "right", "into"):
             if key in out:
                 out[key] = self.physical_name(out[key])
+        if "txns" in out:  # txn_prepare: [[txn id, [[method, request]]]]
+            out["txns"] = [
+                [txn_id, [[m, self._qualify(r)] for m, r in ops]]
+                for txn_id, ops in out["txns"]
+            ]
         return out
 
     def _broadcast(self, method: str, request_builder, **kwargs):
@@ -260,7 +289,6 @@ class DataSource:
         request_builder,
         *,
         provider_indexes: Optional[List[int]] = None,
-        epoch: Optional[int] = None,
         **kwargs,
     ):
         """The single write choke point (ISSUE-8 satellite).
@@ -275,9 +303,7 @@ class DataSource:
         refuses mutating RPCs issued around this method, so no future
         write path can forget cache invalidation.
         """
-        if epoch is None:
-            epoch = self.table_epoch(table_name) + 1
-        stamped = epoch
+        stamped = self.table_epoch(table_name) + 1
 
         def build(i: int) -> Dict:
             payload = dict(request_builder(i))
@@ -297,6 +323,24 @@ class DataSource:
         finally:
             self._mutation.active -= 1
             self.bump_table_epoch(table_name, to=stamped)
+
+    def control_round(
+        self, method: str, request_builder, targets: List[int]
+    ) -> Dict[int, Dict]:
+        """One transaction-control round (``txn_prepare`` / ``txn_commit``).
+
+        The transaction layer stages logged :class:`WriteOp` payloads and
+        flips them with these; it stamps their epochs itself and bumps
+        them (:meth:`bump_table_epoch`) once the flip is through, so the
+        round skips :meth:`_mutate`.  It also skips any fan-out batcher:
+        group commit is itself a round-combining mechanism, and a flush
+        parked inside a :class:`~repro.service.scheduler.FanoutBatcher`
+        barrier that may be waiting on a *follower* of this very group
+        would deadlock.
+        """
+        return self.cluster.broadcast_unbatched(
+            method, lambda i: self._qualify(request_builder(i)), targets
+        )
 
     # ------------------------------------------------------------------ DDL --
 
@@ -413,6 +457,148 @@ class DataSource:
         return start
 
     # --------------------------------------------------------------- writes --
+    #
+    # Every row write is the paper's one-sentence protocol (Sec. V-C):
+    # retrieve the affected tuples, reconstruct, re-share, redistribute —
+    # or, where sharing linearity allows, add a share of the difference in
+    # place.  It is spelled once, in two halves:
+    #
+    #   plan_write(stmt, matches)  ->  WriteOp  ->  apply_write(op)
+    #
+    # ``plan_write`` reads the matches (unless the caller has them), picks
+    # eager or delta, draws the shares and builds the wire payloads;
+    # ``apply_write`` stamps the epoch, runs the round through ``_mutate``,
+    # mirrors the audit registry from the payloads and bumps the epoch.
+    # The transaction layer logs the op between the halves and stages it
+    # itself (``control_round``).
+
+    def plan_write(
+        self,
+        stmt: Union[Insert, Update, Delete],
+        matches: Optional[List[Tuple[int, Row]]] = None,
+    ) -> WriteOp:
+        """Plan one INSERT / UPDATE / DELETE as the payloads it will send.
+
+        ``matches`` are ``(row_id, row)`` pairs the caller already has in
+        hand: the rows an UPDATE / DELETE applies to (an atomic batch's
+        overlay, :meth:`update`'s own fetch — nothing is re-read, and
+        rows in hand always re-share eagerly), or an INSERT's rows under
+        pre-reserved ids.  Without them the matches are fetched here, and
+        a pure-delta UPDATE that :meth:`_delta_obstacle` clears ships
+        share increments for the matching ids instead of reading any row.
+        """
+        table = stmt.table
+        sharing = self.sharing(table)
+        if isinstance(stmt, Insert):
+            if matches is None:
+                return self._plan_insert(table, [stmt.row])
+            return self._plan_insert(
+                table, [row for _, row in matches], [rid for rid, _ in matches]
+            )
+        if matches is None and isinstance(stmt, Update) and stmt.is_pure_delta:
+            rewritten = self._rewrite(stmt.where.bind(sharing.schema), sharing)
+            if self._delta_obstacle(stmt, rewritten) is None:
+                return self._plan_increment(
+                    stmt, self._fetch_matching_ids(table, rewritten)
+                )
+        if matches is None:
+            matches = self._fetch_matching_rows(stmt)
+        is_delete = isinstance(stmt, Delete)
+        if not matches:
+            return WriteOp("delete_rows" if is_delete else "update_rows", table, [], 0)
+        if is_delete:
+            row_ids = [rid for rid, _ in matches]
+            requests = [
+                {"table": table, "row_ids": row_ids}
+                for _ in range(self.cluster.n_providers)
+            ]
+            return WriteOp("delete_rows", table, requests, len(row_ids))
+        # eager: resolve every assignment (deltas included) against the
+        # row's current value — the correctness oracle the share-delta
+        # path is checked against
+        schema = sharing.schema
+        for column in stmt.assignments:
+            schema.column(column)
+        pk = schema.primary_key
+        changes: List[Tuple[int, Row]] = []
+        for row_id, row in matches:
+            candidate = dict(row)
+            candidate.update(resolve_assignments(row, stmt.assignments))
+            normalised = schema.validate_row(candidate)
+            if pk is not None and normalised[pk] != row[pk]:
+                raise SchemaError(
+                    f"table {table}: primary key update not supported"
+                )
+            changes.append(
+                (row_id, {column: normalised[column] for column in stmt.assignments})
+            )
+        return self.prepare_update_shares(table, changes)
+
+    def _plan_increment(self, stmt: Update, row_ids: List[int]) -> WriteOp:
+        """The share-delta half of :meth:`plan_write`: one op carries every
+        delta column, so the row-id list is shipped once and the provider
+        applies the statement as one batched (shares + deltas) mod p pass."""
+        table, n = stmt.table, self.cluster.n_providers
+        if not row_ids:
+            return WriteOp("increment_rows", table, [], 0)
+        deltas: List[Dict[str, int]] = [{} for _ in range(n)]
+        for column, delta in stmt.assignments.items():
+            shares = self.prepare_increment_shares(table, column, delta.amount)
+            for i, share in enumerate(shares):
+                deltas[i][column] = share
+        modulus = self.secrets.field.modulus
+        requests = [
+            {"table": table, "row_ids": row_ids, "deltas": deltas[i], "modulus": modulus}
+            for i in range(n)
+        ]
+        return WriteOp("increment_rows", table, requests, len(row_ids))
+
+    def apply_write(self, op: WriteOp):
+        """Send a planned write through the epoch choke point.
+
+        The only caller of :meth:`_mutate` for row writes: epoch stamp →
+        round to the live write targets → audit mirror (derived from the
+        very payloads that were sent) → provider-count agreement → epoch
+        bump.  Returns ``op.result`` (for share increments, the count the
+        providers agree they applied).
+        """
+        if not op.requests:
+            return op.result
+        targets = self.cluster.write_targets()
+        responses = self._mutate(
+            op.table,
+            op.method,
+            op.requests.__getitem__,
+            provider_indexes=targets,
+        )
+        if self.audit is not None:
+            self._mirror_audit(op, targets)
+        if op.method == "increment_rows":
+            counts = {r["incremented"] for r in responses.values()}
+            if len(counts) != 1:
+                raise IntegrityError(
+                    f"providers disagree on incremented row count: {sorted(counts)}"
+                )
+            # rows actually touched: NULL cells stay NULL and are not
+            # counted, so this can fall short of the planned match count
+            return counts.pop()
+        return op.result
+
+    def _mirror_audit(self, op: WriteOp, targets: List[int]) -> None:
+        # plan_write never plans increments under an audit registry (the
+        # client cannot update share hashes blind), so three shapes remain
+        audit, table = self.audit, op.table
+        if op.method == "delete_rows":
+            for row_id in op.requests[0]["row_ids"]:
+                audit.on_delete(table, row_id)
+            return
+        for index in targets:
+            if op.method == "insert_many":
+                for row_id, share_row in op.requests[index]["rows"]:
+                    audit.on_insert(table, index, row_id, share_row)
+            else:
+                for row_id, assignments in op.requests[index]["updates"]:
+                    audit.on_update(table, index, row_id, assignments)
 
     def insert(self, table_name: str, row: Row) -> int:
         """Insert one row; returns its client-assigned row id."""
@@ -431,7 +617,25 @@ class DataSource:
         explicitly; when omitted a contiguous block is reserved here.
         """
         with telemetry.span("insert", table=table_name, rows=len(rows)):
-            return self._insert_many(table_name, rows, row_ids)
+            return self.apply_write(self._plan_insert(table_name, rows, row_ids))
+
+    def _plan_insert(
+        self,
+        table_name: str,
+        rows: List[Row],
+        row_ids: Optional[List[int]] = None,
+    ) -> WriteOp:
+        """The INSERT half of :meth:`plan_write`, for any number of rows."""
+        prepared = self.prepare_insert_shares(table_name, rows, row_ids)
+        if not prepared:
+            return WriteOp("insert_many", table_name, [], [])
+        requests = [
+            {"table": table_name, "rows": [[rid, shares[i]] for rid, shares in prepared]}
+            for i in range(self.cluster.n_providers)
+        ]
+        return WriteOp(
+            "insert_many", table_name, requests, [rid for rid, _ in prepared]
+        )
 
     def prepare_insert_shares(
         self,
@@ -441,9 +645,7 @@ class DataSource:
     ) -> List[Tuple[int, List[ShareRow]]]:
         """Validate, assign row ids, and share a batch of plaintext rows.
 
-        Returns ``[(row_id, [share_row per provider])]`` — the resolved
-        payload material shared by the direct insert path and the
-        transaction layer (which logs it to the WAL before any RPC).
+        Returns ``[(row_id, [share_row per provider])]``.
         """
         sharing = self.sharing(table_name)
         if explicit_ids is not None and len(explicit_ids) != len(rows):
@@ -463,151 +665,71 @@ class DataSource:
             prepared.append((explicit_ids[position], share_rows))
         return prepared
 
-    def apply_insert_shares(
-        self,
-        table_name: str,
-        prepared: List[Tuple[int, List[ShareRow]]],
-        epoch: Optional[int] = None,
-    ) -> List[int]:
-        """Upload pre-shared rows through the epoch choke point."""
-        if not prepared:
-            return []
-        targets = self.cluster.write_targets()
-        self._mutate(
-            table_name,
-            "insert_many",
-            lambda i: {
-                "table": table_name,
-                "rows": [[rid, shares[i]] for rid, shares in prepared],
-            },
-            provider_indexes=targets,
-            epoch=epoch,
-        )
-        if self.audit is not None:
-            for rid, shares in prepared:
-                for index in targets:
-                    self.audit.on_insert(table_name, index, rid, shares[index])
-        return [rid for rid, _ in prepared]
-
-    def _insert_many(
-        self,
-        table_name: str,
-        rows: List[Row],
-        explicit_ids: Optional[List[int]] = None,
-    ) -> List[int]:
-        prepared = self.prepare_insert_shares(table_name, rows, explicit_ids)
-        self.apply_insert_shares(table_name, prepared)
-        return [rid for rid, _ in prepared]
-
     def update(self, query: Update) -> int:
-        """Eager update (Sec. V-C): fetch, reconstruct, re-share, write back."""
+        """Eager update (Sec. V-C): fetch, reconstruct, re-share, write back.
+
+        Fetching the matches first is what makes it eager whatever the
+        assignments are (:meth:`plan_write` re-shares rows it is handed).
+        """
         with telemetry.span("update", table=query.table) as sp:
-            updated = self._update(query)
+            matches = self._fetch_matching_rows(query)
+            updated = self.apply_write(self.plan_write(query, matches))
             sp.set(rows_updated=updated)
             return updated
 
     def prepare_update_shares(
-        self, query: Update, matches: List[Tuple[int, Row]]
-    ) -> List[List]:
-        """Re-share the assigned columns of matched rows, one list per
-        provider: ``updates_per_provider[i] == [[row_id, {col: share}]]``.
+        self, table_name: str, changes: List[Tuple[int, Row]]
+    ) -> WriteOp:
+        """Re-share absolute column values: the ``update_rows`` op for
+        ``changes == [(row_id, {column: new value})]``, values already
+        validated.
 
-        Delta assignments (``SET c = c + n``) are resolved against each
-        row's current value here — this is the *eager* path, the
-        correctness oracle the incremental share-delta path is checked
-        against.
+        The re-share primitive under :meth:`plan_write`'s eager path;
+        public because the lazy-update buffer
+        (:mod:`repro.client.updates`) coalesces its own absolute values
+        and enters the pipeline here.
         """
-        sharing = self.sharing(query.table)
-        schema = sharing.schema
-        for column in query.assignments:
-            schema.column(column)
-        pk = schema.primary_key
-        updates_per_provider: List[List] = [
-            [] for _ in range(self.cluster.n_providers)
-        ]
-        for row_id, row in matches:
-            candidate = dict(row)
-            candidate.update(resolve_assignments(row, query.assignments))
-            normalised = schema.validate_row(candidate)
-            if pk is not None and normalised[pk] != row[pk]:
-                raise SchemaError(
-                    f"table {query.table}: primary key update not supported"
-                )
+        if not changes:
+            return WriteOp("update_rows", table_name, [], 0)
+        sharing = self.sharing(table_name)
+        n = self.cluster.n_providers
+        updates: List[List] = [[] for _ in range(n)]
+        for row_id, values in changes:
             # re-share only the assigned columns; untouched shares stay
             # valid.  share_value is called ONCE per column: for random
             # (non-searchable) columns every call draws a fresh polynomial,
             # so per-provider calls would hand each provider a share of a
             # different secret — unreconstructable garbage.
             shares_by_column = {
-                column: sharing.share_value(column, normalised[column])
-                for column in query.assignments
+                column: sharing.share_value(column, value)
+                for column, value in values.items()
             }
-            for provider_index in range(self.cluster.n_providers):
-                updates_per_provider[provider_index].append(
+            for i in range(n):
+                updates[i].append(
                     [
                         row_id,
                         {
-                            column: shares[provider_index]
+                            column: shares[i]
                             for column, shares in shares_by_column.items()
                         },
                     ]
                 )
-            self.cost.record(
-                "poly_eval",
-                len(query.assignments) * self.cluster.n_providers,
-            )
-        return updates_per_provider
-
-    def apply_share_updates(
-        self,
-        table_name: str,
-        updates_per_provider: List[List],
-        epoch: Optional[int] = None,
-    ) -> int:
-        """Write per-provider column-share updates through the choke point.
-
-        Shared by the eager update path, the lazy-update buffer flush
-        (:mod:`repro.client.updates`), and transaction recovery — the
-        callers that previously each built their own ``update_rows``
-        round (and one of which forgot the epoch bump, the ISSUE-8
-        satellite bug).
-        """
-        targets = self.cluster.write_targets()
-        self._mutate(
-            table_name,
-            "update_rows",
-            lambda i: {"table": table_name, "updates": updates_per_provider[i]},
-            provider_indexes=targets,
-            epoch=epoch,
-        )
-        if self.audit is not None:
-            for index in targets:
-                for row_id, assignments in updates_per_provider[index]:
-                    self.audit.on_update(table_name, index, row_id, assignments)
-        return max(
-            (len(updates) for updates in updates_per_provider), default=0
-        )
-
-    def _update(self, query: Update) -> int:
-        matches = self._fetch_matching_rows(query)
-        if not matches:
-            return 0
-        updates_per_provider = self.prepare_update_shares(query, matches)
-        self.apply_share_updates(query.table, updates_per_provider)
-        return len(matches)
+            self.cost.record("poly_eval", len(values) * n)
+        requests = [{"table": table_name, "updates": updates[i]} for i in range(n)]
+        return WriteOp("update_rows", table_name, requests, len(changes))
 
     def delete(self, query: Delete) -> int:
         """Delete matching rows at every live provider."""
         with telemetry.span("delete", table=query.table) as sp:
-            deleted = self._delete(query)
+            deleted = self.apply_write(self.plan_write(query))
             sp.set(rows_deleted=deleted)
             return deleted
 
-    def _delete(self, query: Delete) -> int:
-        matches = self._fetch_matching_rows(query)
-        if not matches:
-            return 0
-        return self.delete_row_ids(query.table, [rid for rid, _ in matches])
+    def delete_row_ids(self, table_name: str, row_ids: List[int]) -> int:
+        """Delete specific rows at every live provider (no predicate fetch)."""
+        return self.apply_write(
+            self.plan_write(Delete(table_name), [(rid, None) for rid in row_ids])
+        )
 
     def increment(
         self,
@@ -619,55 +741,65 @@ class DataSource:
         """Incremental update (Sec. V-C): add ``delta`` to a column in place.
 
         Exploits sharing linearity: the client ships one fresh share of
-        ``delta`` per matching row per provider, and providers add it to
-        the stored share — **no retrieval, no reconstruction**, roughly
-        halving the communication of an eager read-modify-write.
-
-        Restrictions (all inherent, all raised loudly):
-
-        * the column must be randomly shared (non-searchable) and INTEGER —
-          order-preserving shares are deterministic per value and cannot be
-          perturbed in place;
-        * the predicate must be fully provider-pushable — a client residual
-          would require fetching rows anyway, erasing the saving (use
-          :meth:`update`);
-        * incompatible with an attached audit registry (the client cannot
-          update its share hashes without knowing the current shares).
+        ``delta`` per provider, and providers add it to the stored share
+        of every matching row — **no retrieval, no reconstruction**,
+        roughly halving the communication of an eager read-modify-write.
+        Unlike a transactional ``UPDATE … SET c = c + n``, which falls
+        back to the eager path, this raises whatever
+        :meth:`_delta_obstacle` finds (use :meth:`update` then).
 
         NULL values stay NULL; returns the number of rows incremented.
         """
+        stmt = Update(table_name, {column: Delta(delta)}, where)
+        sharing = self.sharing(table_name)
+        obstacle = self._delta_obstacle(
+            stmt, self._rewrite(where.bind(sharing.schema), sharing)
+        )
+        if obstacle is not None:
+            raise obstacle
+        return self.apply_write(self.plan_write(stmt))
+
+    def _delta_obstacle(
+        self, stmt: Update, rewritten: RewrittenPredicate
+    ) -> Optional[QueryError]:
+        """Why a pure-delta UPDATE cannot run as in-place share increments
+        (``None``: it can) — the one copy of the incremental protocol's
+        rules, all inherent:
+
+        * no audit registry — the client cannot update its share hashes
+          without knowing the current shares;
+        * every column randomly shared (non-searchable) and INTEGER —
+          order-preserving shares are deterministic per value and cannot
+          be perturbed in place;
+        * a fully provider-pushable predicate — a client residual would
+          require fetching rows anyway, erasing the saving.
+        """
         if self.audit is not None:
-            raise QueryError(
+            return QueryError(
                 "increment() cannot maintain the audit registry's share "
                 "hashes; use update() on audited tables"
             )
-        sharing = self.sharing(table_name)
-        column_schema = sharing.schema.column(column)
-        if column_schema.searchable:
-            raise UnsupportedQueryError(
-                f"column {table_name}.{column} is order-preserving; in-place "
-                "share addition would corrupt its deterministic shares — "
-                "use update() instead"
-            )
-        if column_schema.ctype is not ColumnType.INTEGER:
-            raise QueryError(
-                f"increment() supports INTEGER columns; {column} is "
-                f"{column_schema.ctype.value}"
-            )
-        row_ids = self._fetch_matching_ids(table_name, where)
-        if row_ids is None:
-            raise UnsupportedQueryError(
+        table = stmt.table
+        schema = self.sharing(table).schema
+        for column in stmt.assignments:
+            column_schema = schema.column(column)
+            if column_schema.searchable:
+                return UnsupportedQueryError(
+                    f"column {table}.{column} is order-preserving; in-place "
+                    "share addition would corrupt its deterministic shares — "
+                    "use update() instead"
+                )
+            if column_schema.ctype is not ColumnType.INTEGER:
+                return QueryError(
+                    f"increment() supports INTEGER columns; {column} is "
+                    f"{column_schema.ctype.value}"
+                )
+        if rewritten.has_residual:
+            return UnsupportedQueryError(
                 "increment() requires a fully provider-pushable predicate; "
                 "this one needs client-side filtering — use update()"
             )
-        if not row_ids:
-            return 0
-        delta_shares = self.prepare_increment_shares(
-            table_name, column, delta
-        )
-        return self.apply_share_increments(
-            table_name, row_ids, [{column: s} for s in delta_shares]
-        )
+        return None
 
     def prepare_increment_shares(
         self,
@@ -686,52 +818,19 @@ class DataSource:
         each row independently), nothing is gained by paying O(rows)
         polynomials here.
         """
-        column_schema = self.sharing(table_name).schema.column(column)
+        sharing = self.sharing(table_name)
+        column_schema = sharing.schema.column(column)
         # domain check: the incremented values must stay in the column's
-        # declared domain; without reading them we can only check bounds
+        # declared domain; without reading them we can only check that the
+        # step — in either direction — fits the domain's span at all
         lo, hi = column_schema.lo, column_schema.hi
-        if delta > 0 and hi is not None and delta > (hi - lo):
+        if hi is not None and abs(delta) > (hi - lo):
             raise QueryError(f"delta {delta} exceeds the column's domain span")
-        field = self.random_field()
-        delta_shares = self.random_scheme_for(table_name).split(
-            field.encode_signed(delta), self._rng
+        delta_shares = sharing.random_scheme.split(
+            self.secrets.field.encode_signed(delta), self._rng
         )
         self.cost.record("poly_eval", self.cluster.n_providers)
         return list(delta_shares)
-
-    def apply_share_increments(
-        self,
-        table_name: str,
-        row_ids: List[int],
-        deltas_per_provider: List[Dict[str, int]],
-        epoch: Optional[int] = None,
-    ) -> int:
-        """Ship per-provider delta shares through the epoch choke point."""
-        responses = self._mutate(
-            table_name,
-            "increment_rows",
-            lambda i: {
-                "table": table_name,
-                "row_ids": row_ids,
-                "deltas": deltas_per_provider[i],
-                "modulus": self.secrets.field.modulus,
-            },
-            epoch=epoch,
-        )
-        counts = {response["incremented"] for response in responses.values()}
-        if len(counts) != 1:
-            raise IntegrityError(
-                f"providers disagree on incremented row count: {sorted(counts)}"
-            )
-        return counts.pop()
-
-    def random_field(self):
-        """The prime field used by random (non-searchable) shares."""
-        return self.secrets.field
-
-    def random_scheme_for(self, table_name: str):
-        """The random Shamir scheme of an outsourced table."""
-        return self.sharing(table_name).random_scheme
 
     def refresh_table_shares(self, table_name: str) -> int:
         """Proactive share refresh (mobile-adversary defence, Sec. VI b).
@@ -764,7 +863,9 @@ class DataSource:
         ]
         if not random_columns:
             return 0
-        row_ids = self._fetch_matching_ids(table_name, TruePredicate())
+        row_ids = self._fetch_matching_ids(
+            table_name, self._rewrite(TruePredicate(), sharing)
+        )
         if not row_ids:
             return 0
         increments_per_provider: List[List] = [
@@ -830,17 +931,17 @@ class DataSource:
             self._call_one(
                 index, "create_table", _create_request(table_name, sharing.schema)
             )
-        prepared = [
-            (row_id, sharing.share_row(row)) for row_id, row in rows
-        ]
-        self.cost.record(
-            "poly_eval",
-            len(prepared) * len(sharing.schema.columns) * self.cluster.n_providers,
-        )
         if self.audit is not None:
             self.audit.on_resync(table_name)
-        self.apply_insert_shares(table_name, prepared)
-        return len(prepared)
+        return len(
+            self.apply_write(
+                self._plan_insert(
+                    table_name,
+                    [row for _, row in rows],
+                    [row_id for row_id, _ in rows],
+                )
+            )
+        )
 
     # ------------------------------------------------- share-row migration --
 
@@ -925,27 +1026,6 @@ class DataSource:
             (response["merged"] for response in responses.values()), default=0
         )
 
-    def delete_row_ids(
-        self,
-        table_name: str,
-        row_ids: List[int],
-        epoch: Optional[int] = None,
-    ) -> int:
-        """Delete specific rows at every live provider (no predicate fetch)."""
-        self.sharing(table_name)
-        if not row_ids:
-            return 0
-        self._mutate(
-            table_name,
-            "delete_rows",
-            lambda i: {"table": table_name, "row_ids": list(row_ids)},
-            epoch=epoch,
-        )
-        if self.audit is not None:
-            for row_id in row_ids:
-                self.audit.on_delete(table_name, row_id)
-        return len(row_ids)
-
     def _fetch_matching_rows(
         self, query: Union[Update, Delete]
     ) -> List[Tuple[int, Row]]:
@@ -956,22 +1036,17 @@ class DataSource:
         return self._read_rows(query.table, _QUORUM, rewritten)
 
     def _fetch_matching_ids(
-        self, table_name: str, where: Predicate
-    ) -> Optional[List[int]]:
+        self, table_name: str, rewritten: RewrittenPredicate
+    ) -> List[int]:
         """Row ids matching a fully provider-pushable predicate.
 
         The id-only sibling of :meth:`_fetch_matching_rows` (empty
         projection: no share payload travels, nothing is reconstructed),
-        used by the in-place share-delta writes.  Returns ``None`` when
-        the predicate leaves a client residual — ids alone cannot be
-        filtered at the client, so the caller must fetch rows instead.
+        used by the in-place share-delta writes.  Ids alone cannot be
+        filtered at the client, so ``rewritten`` must leave no residual.
         """
-        sharing = self.sharing(table_name)
-        rewritten = self._rewrite(where.bind(sharing.schema), sharing)
         if rewritten.provably_empty:
             return []
-        if rewritten.has_residual:
-            return None
         aligned = self._read_shares(
             table_name, rewritten, fields={"projection": []}
         )

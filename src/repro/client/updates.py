@@ -18,7 +18,7 @@ trade-offs are exactly the classical ones, measured by EXP-T8:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..errors import QueryError
 from ..sqlengine.expression import Predicate
@@ -106,11 +106,12 @@ class LazyUpdateBuffer:
         # fetch per-statement candidates and de-duplicate by row id)
         affected: Dict[int, Row] = {}
         for pending in updates:
-            for row_id, row in source._fetch_matching_rows(pending):
+            matches = source.select_with_ids(
+                Select(table_name, where=pending.where)
+            )
+            for row_id, row in matches:
                 affected.setdefault(row_id, row)
-        if not affected:
-            return 0
-        changed: Dict[int, Dict[str, object]] = {}
+        changes: List[Tuple[int, Row]] = []
         for row_id, row in affected.items():
             current = dict(row)
             assigned: Dict[str, object] = {}
@@ -121,39 +122,15 @@ class LazyUpdateBuffer:
                     assigned.update(resolved)
             if assigned:
                 sharing.schema.validate_row(current)
-                changed[row_id] = {
-                    column: current[column] for column in assigned
-                }
-        if not changed:
-            return 0
-        updates_per_provider: List[List] = [
-            [] for _ in range(source.cluster.n_providers)
-        ]
-        for row_id, assignments in changed.items():
-            # one share_value call per column: random-column shares come
-            # from a fresh polynomial each call, so indexing repeated
-            # calls per provider would mix incompatible polynomials
-            shares_by_column = {
-                column: sharing.share_value(column, value)
-                for column, value in assignments.items()
-            }
-            for provider_index in range(source.cluster.n_providers):
-                updates_per_provider[provider_index].append(
-                    [
-                        row_id,
-                        {
-                            column: shares[provider_index]
-                            for column, shares in shares_by_column.items()
-                        },
-                    ]
+                changes.append(
+                    (row_id, {column: current[column] for column in assigned})
                 )
-            source.cost.record(
-                "poly_eval", len(assignments) * source.cluster.n_providers
-            )
-        # the choke point broadcasts, mirrors the audit, and bumps the
-        # table epoch — the flush can no longer forget cache invalidation
-        source.apply_share_updates(table_name, updates_per_provider)
-        return len(changed)
+        # the coalesced absolute values enter the one write pipeline at its
+        # re-share primitive; apply_write broadcasts, mirrors the audit, and
+        # bumps the table epoch — the flush cannot forget cache invalidation
+        return source.apply_write(
+            source.prepare_update_shares(table_name, changes)
+        )
 
     # -- read path ----------------------------------------------------------------
 

@@ -526,6 +526,19 @@ class ProviderCluster:
             method, request_builder, requests, minimum, quorum
         )
 
+    def broadcast_unbatched(
+        self,
+        method: str,
+        request_builder: Callable[[int], Dict],
+        provider_indexes: List[int],
+    ) -> Dict[int, Dict]:
+        """A round that must not wait in a fan-out batcher (transaction
+        control).  A bare cluster has none, so this is :meth:`broadcast`;
+        :class:`~repro.service.scheduler.BatchingCluster` overrides it."""
+        return self.broadcast(
+            method, request_builder, provider_indexes=provider_indexes
+        )
+
     def _call_with_failover(
         self,
         method: str,

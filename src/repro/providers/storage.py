@@ -242,7 +242,11 @@ class SortedShareIndex:
         self._vector_version = self._mutations
         self._vector = None
         if self._entries:
-            shares, row_ids = zip(*self._entries)
+            # two comprehensions, not zip(*entries): unpacking hands zip one
+            # GC-tracked tuple iterator per entry, enough to push the
+            # collector into a full collection on every rebuild
+            shares = [entry[0] for entry in self._entries]
+            row_ids = [entry[1] for entry in self._entries]
             try:
                 self._vector = (
                     np.array(shares, dtype=np.uint64),

@@ -335,6 +335,19 @@ class BatchingCluster:
                     exc.failures,
                 )
 
+    def broadcast_unbatched(
+        self,
+        method: str,
+        request_builder: Callable[[int], Dict],
+        provider_indexes: List[int],
+    ) -> Dict[int, Dict]:
+        # an ordinary round on the wrapped cluster, outside the combining
+        # barrier but serialised against combined rounds
+        with self.batcher.dispatch_lock:
+            return self._cluster.broadcast(
+                method, request_builder, provider_indexes=provider_indexes
+            )
+
     def call_one(self, provider_index: int, method: str, request: Dict) -> Dict:
         # single-provider traffic is not batched, but still serialised
         # against combined rounds so accounting stays deterministic

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..client.datasource import DataSource, _project_qualified
@@ -745,9 +745,9 @@ class ShardRouter:
                 owners = [g for g in owners if g in hit]
         return owners
 
-    def _owner_for_row(
-        self, shard_map: object, table: str, row_id: int, row: Row
-    ) -> int:
+    def owner_for_row(self, table: str, row_id: int, row: Row) -> int:
+        """The group a new row belongs to (hash: by id, range: by key)."""
+        shard_map = self.shard_map(table)
         if isinstance(shard_map, HashShardMap):
             return shard_map.group_for_row_id(row_id)
         value = row.get(shard_map.partition_column)
@@ -761,6 +761,26 @@ class ShardRouter:
             sharing, shard_map.partition_column, value
         )
         return shard_map.group_for_key(encoded)
+
+    def write_owners(self, stmt: Union[Update, Delete]) -> List[int]:
+        """The groups an UPDATE / DELETE must visit, after interval
+        pruning — the one copy of write routing and its guard, shared by
+        :meth:`update` / :meth:`delete` and the sharded transaction
+        manager."""
+        shard_map = self.shard_map(stmt.table)
+        if (
+            isinstance(stmt, Update)
+            and isinstance(shard_map, RangeShardMap)
+            and shard_map.partition_column in stmt.assignments
+        ):
+            raise UnsupportedQueryError(
+                f"updating range-partition column "
+                f"{shard_map.partition_column!r} would re-home rows across "
+                "shard groups; DELETE + INSERT instead"
+            )
+        sharing = self._sharing(stmt.table)
+        rewritten = rewrite_predicate(stmt.where.bind(sharing.schema), sharing)
+        return self._read_owners(shard_map, rewritten)
 
     def _partition_key(
         self, sharing: TableSharing, column: str, share_rows: Dict[int, ShareRow]
@@ -822,7 +842,7 @@ class ShardRouter:
             owners = shard_map.groups_for_row_ids(row_ids)
         else:
             owners = [
-                self._owner_for_row(shard_map, table, row_id, row)
+                self.owner_for_row(table, row_id, row)
                 for row_id, row in zip(row_ids, rows)
             ]
         for row_id, row, owner in zip(row_ids, rows, owners):
@@ -835,31 +855,16 @@ class ShardRouter:
         return list(row_ids)
 
     def _update(self, query: Update) -> int:
-        shard_map = self.shard_map(query.table)
-        if (
-            isinstance(shard_map, RangeShardMap)
-            and shard_map.partition_column in query.assignments
-        ):
-            raise UnsupportedQueryError(
-                f"updating range-partition column "
-                f"{shard_map.partition_column!r} would re-home rows across "
-                "shard groups; DELETE + INSERT instead"
-            )
-        sharing = self._sharing(query.table)
-        rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
-        total = 0
-        for owner in self._read_owners(shard_map, rewritten):
-            total += self.groups[owner].source.update(query)
-        return total
+        return sum(
+            self.groups[owner].source.update(query)
+            for owner in self.write_owners(query)
+        )
 
     def _delete(self, query: Delete) -> int:
-        shard_map = self.shard_map(query.table)
-        sharing = self._sharing(query.table)
-        rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
-        total = 0
-        for owner in self._read_owners(shard_map, rewritten):
-            total += self.groups[owner].source.delete(query)
-        return total
+        return sum(
+            self.groups[owner].source.delete(query)
+            for owner in self.write_owners(query)
+        )
 
     def update(self, query: Update) -> int:
         self._lock.acquire_write()

@@ -5,8 +5,11 @@ client re-shares and broadcasts, and a crash between "acknowledged to
 the application" and "received by the providers" silently loses the
 write.  :class:`TransactionManager` closes that window:
 
-1. every mutating statement is **resolved** — predicate evaluated,
-   share material computed — into self-contained per-provider ops;
+1. every mutating statement is **resolved** — planned by the owning
+   :meth:`DataSource.plan_write <repro.client.datasource.DataSource.
+   plan_write>` into a :class:`~repro.client.datasource.WriteOp`
+   (predicate evaluated, share material computed), then stamped with
+   its epoch and group — into self-contained per-provider ops;
 2. the ops are **logged** to a client-side :class:`~repro.txn.wal.
    WriteAheadLog` (the durability point: a statement is committed iff
    its record reached the log);
@@ -25,9 +28,11 @@ applied, all others are not.
 Pure-delta updates (``SET c = c + n`` on randomly-shared INTEGER
 columns with a fully-pushable predicate) take the **incremental
 share-delta path**: by sharing linearity the client ships one fresh
-delta share per row instead of re-sharing whole rows — no reconstruct,
-half the round trips.  The eager path stays available as the
-correctness oracle the property tests compare against.
+delta share per provider instead of re-sharing whole rows — no
+reconstruct, half the round trips.  Which path a statement takes is
+``plan_write``'s decision alone; the eager path (``DataSource.update``)
+stays available as the correctness oracle the property tests compare
+against.
 
 Every op carries the client mutation epoch it was assigned at resolve
 time; providers tag their undo history with it, which is what makes
@@ -40,7 +45,7 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import telemetry
@@ -52,7 +57,6 @@ from ..sqlengine.query import (
     Update,
     resolve_assignments,
 )
-from ..sqlengine.schema import ColumnType
 from ..sqlengine.sqlparser import parse_sql
 from .groupcommit import GroupCommitEngine
 from .wal import WriteAheadLog
@@ -71,21 +75,7 @@ class PendingTxn:
     txn_id: int
     ops: List[Dict]
     tables: Set[str]
-    results: List[object]
     applied: bool = False
-
-
-@dataclass
-class _BatchOverlay:
-    """Plaintext view of one table as seen *inside* an atomic batch.
-
-    Statements in a batch must observe earlier statements' effects
-    before anything reaches a provider, so the batch carries a
-    client-side overlay: the committed rows snapshotted once, plus
-    in-batch inserts/updates/deletes applied in order.
-    """
-
-    rows: Dict[int, Row] = field(default_factory=dict)
 
 
 class TransactionManager:
@@ -116,6 +106,8 @@ class TransactionManager:
                 "registry; detach it or use the direct DataSource paths"
             )
         self.source = source
+        # a log this manager made up is this manager's to remove
+        self._owns_wal = wal_path is None
         if wal_path is None:
             handle, wal_path = tempfile.mkstemp(
                 prefix="repro-wal-", suffix=".log"
@@ -144,9 +136,6 @@ class TransactionManager:
             raise TxnError(f"unsharded manager has no group {group}")
         return self.source
 
-    def _groups_of(self, ops: Sequence[Dict]) -> List[int]:
-        return sorted({op.get("group", 0) for op in ops})
-
     # -- kill points --------------------------------------------------------------
 
     def _kill(self, phase: str) -> None:
@@ -168,141 +157,39 @@ class TransactionManager:
 
     # -- statement resolution ------------------------------------------------------
 
-    def _op(
+    def _plan(
         self,
-        method: str,
-        table: str,
-        epoch: int,
-        requests: List[Dict],
+        stmt: Statement,
         group: int = 0,
-    ) -> Dict:
-        return {
-            "method": method,
-            "table": table,
+        matches: Optional[List[Tuple[int, Row]]] = None,
+        epoch: Optional[int] = None,
+    ) -> Tuple[List[Dict], object]:
+        """One statement on one group, as ``(WAL ops, result)``.
+
+        The group's source plans the write; this stamps the planned
+        payloads with the next epoch (or the batch's shared ``epoch``)
+        and the group tag — the WAL record's op shape.  A statement that
+        matches nothing logs nothing.
+        """
+        op = self._group_source(group).plan_write(stmt, matches)
+        result = op.result[0] if isinstance(stmt, Insert) else op.result
+        if not op.requests:
+            return [], result
+        if op.method == "increment_rows":
+            telemetry.count("txn.delta_statements", table=op.table)
+        if epoch is None:
+            epoch = self._next_epoch(group, op.table)
+        logged = {
+            "method": op.method,
+            "table": op.table,
             "epoch": epoch,
             "group": group,
-            "requests": requests,
+            "requests": [dict(request, epoch=epoch) for request in op.requests],
         }
-
-    def _resolve_insert(self, stmt: Insert) -> Tuple[List[Dict], object]:
-        source = self.source
-        prepared = source.prepare_insert_shares(stmt.table, [stmt.row])
-        epoch = self._next_epoch(0, stmt.table)
-        requests = [
-            {
-                "table": stmt.table,
-                "rows": [[rid, shares[i]] for rid, shares in prepared],
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
-        ]
-        op = self._op("insert_many", stmt.table, epoch, requests)
-        return [op], prepared[0][0]
-
-    def _delta_columns(self, stmt: Update) -> Optional[Dict[str, int]]:
-        """The per-column delta amounts, or None if ineligible.
-
-        Eligibility mirrors :meth:`DataSource.increment`: every
-        assignment a :class:`Delta` and every column randomly shared and
-        INTEGER (the predicate must also be fully provider-pushable,
-        which the id-only match fetch reports).
-        """
-        if not stmt.is_pure_delta:
-            return None
-        sharing = self.source.sharing(stmt.table)
-        for column in stmt.assignments:
-            column_schema = sharing.schema.column(column)
-            if column_schema.searchable:
-                return None
-            if column_schema.ctype is not ColumnType.INTEGER:
-                return None
-        return {
-            column: delta.amount for column, delta in stmt.assignments.items()
-        }
-
-    def _resolve_update(self, stmt: Update) -> Tuple[List[Dict], object]:
-        source = self.source
-        deltas = self._delta_columns(stmt)
-        if deltas is not None:
-            row_ids = source._fetch_matching_ids(stmt.table, stmt.where)
-            if row_ids is not None:
-                return self._resolve_delta_update(stmt, deltas, row_ids)
-        matches = source._fetch_matching_rows(stmt)
-        if not matches:
-            return [], 0
-        updates_per_provider = source.prepare_update_shares(stmt, matches)
-        epoch = self._next_epoch(0, stmt.table)
-        requests = [
-            {
-                "table": stmt.table,
-                "updates": updates_per_provider[i],
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
-        ]
-        op = self._op("update_rows", stmt.table, epoch, requests)
-        return [op], len(matches)
-
-    def _resolve_delta_update(
-        self, stmt: Update, deltas: Dict[str, int], row_ids: List[int]
-    ) -> Tuple[List[Dict], object]:
-        """Incremental share-delta resolution: ids only, no row payload."""
-        source = self.source
-        if not row_ids:
-            return [], 0
-        epoch = self._next_epoch(0, stmt.table)
-        modulus = source.secrets.field.modulus
-        # one combined increment op carries every delta column: the row-id
-        # list is shipped once instead of once per column, and the
-        # provider applies the whole statement as one batched
-        # (shares + deltas) mod p pass
-        per_provider_deltas: List[Dict[str, int]] = [
-            {} for _ in range(source.cluster.n_providers)
-        ]
-        for column, amount in deltas.items():
-            delta_shares = source.prepare_increment_shares(
-                stmt.table, column, amount
-            )
-            for i, share in enumerate(delta_shares):
-                per_provider_deltas[i][column] = share
-        requests = [
-            {
-                "table": stmt.table,
-                "row_ids": row_ids,
-                "deltas": per_provider_deltas[i],
-                "modulus": modulus,
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
-        ]
-        ops = [self._op("increment_rows", stmt.table, epoch, requests)]
-        telemetry.count("txn.delta_statements", table=stmt.table)
-        return ops, len(row_ids)
-
-    def _resolve_delete(self, stmt: Delete) -> Tuple[List[Dict], object]:
-        source = self.source
-        matches = source._fetch_matching_rows(stmt)
-        if not matches:
-            return [], 0
-        epoch = self._next_epoch(0, stmt.table)
-        row_ids = [rid for rid, _ in matches]
-        requests = [
-            {"table": stmt.table, "row_ids": row_ids, "epoch": epoch}
-            for _ in range(source.cluster.n_providers)
-        ]
-        op = self._op("delete_rows", stmt.table, epoch, requests)
-        return [op], len(matches)
+        return [logged], result
 
     def _resolve_statement(self, stmt: Statement) -> Tuple[List[Dict], object]:
-        if isinstance(stmt, Insert):
-            return self._resolve_insert(stmt)
-        if isinstance(stmt, Update):
-            return self._resolve_update(stmt)
-        if isinstance(stmt, Delete):
-            return self._resolve_delete(stmt)
-        raise TxnError(
-            f"{type(stmt).__name__} is not a transactional statement"
-        )
+        return self._plan(stmt)
 
     # -- atomic batches ----------------------------------------------------------
 
@@ -313,126 +200,56 @@ class TransactionManager:
 
         Later statements see earlier ones' effects *before* anything is
         sent: the committed rows of each touched table are snapshotted
-        once, then mutated client-side in statement order.  Deltas are
-        resolved eagerly against the overlay (inside a batch the rows
-        are in hand anyway, so the incremental path would only add a
-        second code path to get atomicity wrong in).
+        once, then mutated client-side in statement order, and every
+        UPDATE / DELETE is planned with the overlay's ``matches`` — so
+        nothing is re-read and deltas resolve eagerly against the overlay
+        (inside a batch the rows are in hand anyway).
 
         All of a table's ops share one epoch, so time travel can never
         observe a half-applied batch.
         """
         source = self.source
-        overlays: Dict[str, _BatchOverlay] = {}
+        overlays: Dict[str, Dict[int, Row]] = {}
         epochs: Dict[str, int] = {}
-        inserted: Dict[str, List[Tuple[int, Row]]] = {}
-
-        def overlay(table: str) -> _BatchOverlay:
-            if table not in overlays:
-                snapshot = source.select_with_ids(Select(table))
-                overlays[table] = _BatchOverlay(
-                    rows={rid: dict(row) for rid, row in snapshot}
-                )
-                epochs[table] = self._next_epoch(0, table)
-            return overlays[table]
-
         ops: List[Dict] = []
         results: List[object] = []
-        n = source.cluster.n_providers
         for stmt in statements:
-            if isinstance(stmt, Insert):
-                view = overlay(stmt.table)
-                prepared = source.prepare_insert_shares(stmt.table, [stmt.row])
-                rid = prepared[0][0]
-                sharing = source.sharing(stmt.table)
-                view.rows[rid] = sharing.schema.validate_row(stmt.row)
-                inserted.setdefault(stmt.table, [])
-                requests = [
-                    {
-                        "table": stmt.table,
-                        "rows": [[r, shares[i]] for r, shares in prepared],
-                        "epoch": epochs[stmt.table],
-                    }
-                    for i in range(n)
-                ]
-                ops.append(
-                    self._op(
-                        "insert_many", stmt.table, epochs[stmt.table], requests
-                    )
-                )
-                results.append(rid)
-            elif isinstance(stmt, Update):
-                view = overlay(stmt.table)
-                sharing = source.sharing(stmt.table)
-                bound = stmt.where.bind(sharing.schema)
-                matches = [
-                    (rid, row)
-                    for rid, row in sorted(view.rows.items())
-                    if bound.matches(row)
-                ]
-                if not matches:
-                    results.append(0)
-                    continue
-                # eager resolution against the overlay, then re-share via
-                # the same primitive the direct path uses
-                absolute = Update(
-                    stmt.table,
-                    stmt.assignments,
-                    stmt.where,
-                )
-                updates_per_provider = source.prepare_update_shares(
-                    absolute, matches
-                )
-                for rid, row in matches:
-                    view.rows[rid] = dict(row)
-                    view.rows[rid].update(
-                        resolve_assignments(row, stmt.assignments)
-                    )
-                requests = [
-                    {
-                        "table": stmt.table,
-                        "updates": updates_per_provider[i],
-                        "epoch": epochs[stmt.table],
-                    }
-                    for i in range(n)
-                ]
-                ops.append(
-                    self._op(
-                        "update_rows", stmt.table, epochs[stmt.table], requests
-                    )
-                )
-                results.append(len(matches))
-            elif isinstance(stmt, Delete):
-                view = overlay(stmt.table)
-                sharing = source.sharing(stmt.table)
-                bound = stmt.where.bind(sharing.schema)
-                row_ids = [
-                    rid
-                    for rid, row in sorted(view.rows.items())
-                    if bound.matches(row)
-                ]
-                if not row_ids:
-                    results.append(0)
-                    continue
-                for rid in row_ids:
-                    del view.rows[rid]
-                requests = [
-                    {
-                        "table": stmt.table,
-                        "row_ids": row_ids,
-                        "epoch": epochs[stmt.table],
-                    }
-                    for _ in range(n)
-                ]
-                ops.append(
-                    self._op(
-                        "delete_rows", stmt.table, epochs[stmt.table], requests
-                    )
-                )
-                results.append(len(row_ids))
-            else:
+            if not isinstance(stmt, (Insert, Update, Delete)):
                 raise TxnError(
                     f"{type(stmt).__name__} cannot appear in an atomic batch"
                 )
+            table = stmt.table
+            if table not in overlays:
+                overlays[table] = {
+                    rid: dict(row)
+                    for rid, row in source.select_with_ids(Select(table))
+                }
+                epochs[table] = self._next_epoch(0, table)
+            rows = overlays[table]
+            schema = source.sharing(table).schema
+            matches = None
+            if not isinstance(stmt, Insert):
+                bound = stmt.where.bind(schema)
+                matches = [
+                    (rid, row)
+                    for rid, row in sorted(rows.items())
+                    if bound.matches(row)
+                ]
+            planned, result = self._plan(
+                stmt, matches=matches, epoch=epochs[table]
+            )
+            ops += planned
+            results.append(result)
+            if isinstance(stmt, Insert):
+                rows[result] = schema.validate_row(stmt.row)
+            elif isinstance(stmt, Update):
+                for rid, row in matches:
+                    rows[rid] = {
+                        **row, **resolve_assignments(row, stmt.assignments)
+                    }
+            else:
+                for rid, _ in matches:
+                    del rows[rid]
         return ops, results
 
     # -- the write path ------------------------------------------------------------
@@ -456,9 +273,7 @@ class TransactionManager:
             telemetry.count("txn.read_barriers", table=table)
             self.flush()
 
-    def _log(
-        self, ops: List[Dict], results: List[object]
-    ) -> Optional[PendingTxn]:
+    def _log(self, ops: List[Dict]) -> Optional[PendingTxn]:
         """Assign an id and make the transaction durable (the commit point)."""
         if not ops:
             return None
@@ -467,12 +282,7 @@ class TransactionManager:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
             self.wal.log_txn(txn_id, ops)
-            txn = PendingTxn(
-                txn_id,
-                ops,
-                {op["table"] for op in ops},
-                results,
-            )
+            txn = PendingTxn(txn_id, ops, {op["table"] for op in ops})
             self._pending.append(txn)
             self.txns_logged += 1
         telemetry.count("txn.logged")
@@ -492,12 +302,16 @@ class TransactionManager:
         if isinstance(statement, Select):
             self._barrier(statement.table)
             return self.source.select(statement)
+        if not isinstance(statement, (Insert, Update, Delete)):
+            raise TxnError(
+                f"{type(statement).__name__} is not a transactional statement"
+            )
         with telemetry.span("txn.execute", kind=type(statement).__name__):
             if isinstance(statement, (Update, Delete)):
                 self._barrier(statement.table)
             with self._resolve_lock:
                 ops, result = self._resolve_statement(statement)
-                txn = self._log(ops, [result])
+                txn = self._log(ops)
             if txn is not None and autocommit:
                 self.group_commit.submit(txn.txn_id)
             return result
@@ -517,7 +331,7 @@ class TransactionManager:
                 self._barrier(stmt.table)
         with self._resolve_lock:
             ops, results = self._resolve_batch(parsed)
-            txn = self._log(ops, results)
+            txn = self._log(ops)
         if txn is not None:
             self.group_commit.submit(txn.txn_id)
         return results
@@ -545,35 +359,6 @@ class TransactionManager:
         # always equals WAL order regardless of submission races
         with self._apply_lock:
             self._apply_pending()
-
-    def _txn_round(
-        self, source, method: str, request_builder, targets: List[int]
-    ):
-        """One transaction-control round, bypassing any fan-out batcher.
-
-        Group commit is itself a round-combining mechanism; letting its
-        flush park inside a :class:`~repro.service.scheduler.
-        FanoutBatcher` barrier that may be waiting on a *follower* of
-        this very group would deadlock, so the round goes to the inner
-        cluster under the batcher's dispatch lock.
-        """
-        cluster = source.cluster
-        inner = getattr(cluster, "_cluster", None)
-        mutation = source._mutation
-        mutation.active = getattr(mutation, "active", 0) + 1
-        try:
-            if inner is not None:
-                with cluster.batcher.dispatch_lock:
-                    return inner.broadcast(
-                        method,
-                        lambda i: source._qualify(request_builder(i)),
-                        provider_indexes=targets,
-                    )
-            return source._broadcast(
-                method, request_builder, provider_indexes=targets
-            )
-        finally:
-            mutation.active -= 1
 
     def _apply_pending(self) -> int:
         with self._resolve_lock:
@@ -605,12 +390,7 @@ class TransactionManager:
                         [
                             txn.txn_id,
                             [
-                                [
-                                    op["method"],
-                                    self._group_source(g)._qualify(
-                                        dict(op["requests"][i])
-                                    ),
-                                ]
+                                [op["method"], dict(op["requests"][i])]
                                 for op in txn.ops
                                 if op.get("group", 0) == g
                             ],
@@ -619,9 +399,7 @@ class TransactionManager:
                     ]
                 }
 
-            # _qualify is applied per-op above; the outer request has no
-            # table key, so pass it through unqualified
-            self._txn_round(source, "txn_prepare", prepare_request, targets)
+            source.control_round("txn_prepare", prepare_request, targets)
         # phase 2: flip — this is where a mid-round kill leaves a strict
         # subset of providers committed
         for g in groups:
@@ -638,11 +416,8 @@ class TransactionManager:
                     "simulated crash mid-round: txn_commit reached "
                     f"provider {targets[0]} only"
                 )
-            self._txn_round(
-                source,
-                "txn_commit",
-                lambda i, ids=ids: {"ids": ids},
-                targets,
+            source.control_round(
+                "txn_commit", lambda i, ids=ids: {"ids": ids}, targets
             )
         # client-side epoch bumps (cache invalidation + as-of watermark)
         for txn in batch:
@@ -709,9 +484,7 @@ class TransactionManager:
             ]
             for tid in sorted(replay_ids):
                 ops = logged[tid]
-                txn = PendingTxn(
-                    tid, ops, {op["table"] for op in ops}, results=[]
-                )
+                txn = PendingTxn(tid, ops, {op["table"] for op in ops})
                 self._pending.append(txn)
                 for op in ops:
                     key = (op.get("group", 0), op["table"])
@@ -769,23 +542,26 @@ class TransactionManager:
         }
 
     def close(self) -> None:
+        """Close the log — and remove it when it was a throwaway
+        (``wal_path=None``); an explicit path is the caller's to keep,
+        crash tests recover from it."""
         self.wal.close()
+        if self._owns_wal:
+            try:
+                os.remove(self.wal.path)
+            except FileNotFoundError:
+                pass
 
 
 class ShardedTransactionManager(TransactionManager):
     """One coordinator WAL over a :class:`~repro.service.sharding.
     ShardRouter`'s groups.
 
-    Resolution routes each statement to its owning group(s) and tags
-    every op with the group index; apply runs one prepare+commit round
-    per touched group, and replay re-routes from the tags — the
-    coordinator log is the single source of recovery truth for the
-    whole sharded deployment.
-
-    Pure-delta updates take the eager path here: a delta's predicate
-    must be re-evaluated per group anyway, so the id-only saving
-    mostly evaporates and the single code path is worth more than the
-    half-round.
+    Resolution asks the router which group(s) own a statement, has each
+    owner's source plan its part, and tags every op with the group
+    index; apply runs one prepare+commit round per touched group, and
+    replay re-routes from the tags — the coordinator log is the single
+    source of recovery truth for the whole sharded deployment.
     """
 
     def __init__(
@@ -806,85 +582,19 @@ class ShardedTransactionManager(TransactionManager):
     def _group_source(self, group: int):
         return self.router.groups[group].source
 
-    def _resolve_insert(self, stmt: Insert) -> Tuple[List[Dict], object]:
+    def _resolve_statement(self, stmt: Statement) -> Tuple[List[Dict], object]:
         router = self.router
-        table = stmt.table
-        shard_map = router.shard_map(table)
-        start = router.reserve_row_ids(table, 1)
-        owner = router._owner_for_row(shard_map, table, start, stmt.row)
-        source = self._group_source(owner)
-        prepared = source.prepare_insert_shares(table, [stmt.row], [start])
-        epoch = self._next_epoch(owner, table)
-        requests = [
-            {
-                "table": table,
-                "rows": [[rid, shares[i]] for rid, shares in prepared],
-                "epoch": epoch,
-            }
-            for i in range(source.cluster.n_providers)
-        ]
-        return [
-            self._op("insert_many", table, epoch, requests, group=owner)
-        ], start
-
-    def _resolve_update(self, stmt: Update) -> Tuple[List[Dict], object]:
+        if isinstance(stmt, Insert):
+            row_id = router.reserve_row_ids(stmt.table, 1)
+            owner = router.owner_for_row(stmt.table, row_id, stmt.row)
+            return self._plan(stmt, owner, matches=[(row_id, stmt.row)])
         ops: List[Dict] = []
         total = 0
-        for owner in self._owners_for(stmt):
-            source = self._group_source(owner)
-            matches = source._fetch_matching_rows(stmt)
-            if not matches:
-                continue
-            updates_per_provider = source.prepare_update_shares(stmt, matches)
-            epoch = self._next_epoch(owner, stmt.table)
-            requests = [
-                {
-                    "table": stmt.table,
-                    "updates": updates_per_provider[i],
-                    "epoch": epoch,
-                }
-                for i in range(source.cluster.n_providers)
-            ]
-            ops.append(
-                self._op(
-                    "update_rows", stmt.table, epoch, requests, group=owner
-                )
-            )
-            total += len(matches)
+        for owner in router.write_owners(stmt):
+            planned, count = self._plan(stmt, owner)
+            ops += planned
+            total += count
         return ops, total
-
-    def _resolve_delete(self, stmt: Delete) -> Tuple[List[Dict], object]:
-        ops: List[Dict] = []
-        total = 0
-        for owner in self._owners_for(stmt):
-            source = self._group_source(owner)
-            matches = source._fetch_matching_rows(stmt)
-            if not matches:
-                continue
-            epoch = self._next_epoch(owner, stmt.table)
-            row_ids = [rid for rid, _ in matches]
-            requests = [
-                {"table": stmt.table, "row_ids": row_ids, "epoch": epoch}
-                for _ in range(source.cluster.n_providers)
-            ]
-            ops.append(
-                self._op(
-                    "delete_rows", stmt.table, epoch, requests, group=owner
-                )
-            )
-            total += len(matches)
-        return ops, total
-
-    def _owners_for(self, stmt: Union[Update, Delete]) -> List[int]:
-        from ..service.sharding import rewrite_predicate
-
-        router = self.router
-        shard_map = router.shard_map(stmt.table)
-        sharing = router._sharing(stmt.table)
-        rewritten = rewrite_predicate(
-            stmt.where.bind(sharing.schema), sharing
-        )
-        return router._read_owners(shard_map, rewritten)
 
     def _resolve_batch(self, statements):
         raise TxnError(
