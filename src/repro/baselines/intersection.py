@@ -42,7 +42,7 @@ SAFE_PRIME_256 = (
 )
 
 
-def _hash_to_group(element: int, modulus: int) -> int:
+def hash_to_group(element: int, modulus: int) -> int:
     """Map an element into the quadratic-residue subgroup."""
     digest = hashlib.sha256(str(element).encode("utf-8")).digest()
     value = int.from_bytes(digest, "big") % modulus
@@ -92,14 +92,14 @@ class CommutativeIntersection:
         cost_b = CostRecorder("party-B")
         p = self.modulus
         # A: h(x)^a, send to B
-        a_once = [pow(_hash_to_group(x, p), self.exp_a, p) for x in set_a]
+        a_once = [pow(hash_to_group(x, p), self.exp_a, p) for x in set_a]
         cost_a.record("hash", len(set_a))
         cost_a.record("modexp", len(set_a))
         self.network.send("party-A", "party-B", a_once)
         # B: (h(x)^a)^b back to A, plus h(y)^b
         a_twice = [pow(value, self.exp_b, p) for value in a_once]
         cost_b.record("modexp", len(a_once))
-        b_once = [pow(_hash_to_group(y, p), self.exp_b, p) for y in set_b]
+        b_once = [pow(hash_to_group(y, p), self.exp_b, p) for y in set_b]
         cost_b.record("hash", len(set_b))
         cost_b.record("modexp", len(set_b))
         self.network.send("party-B", "party-A", a_twice)

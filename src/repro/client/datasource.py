@@ -59,9 +59,9 @@ from ..sqlengine.schema import ColumnType, TableSchema, python_value_sort_key
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
 from .reconstruct import (
-    _presence_majority,
     align_by_row_id,
     consistent_scalar,
+    presence_majority,
     reconstruct_rows,
     reconstruct_rows_checked,
     reconstruct_single_rows,
@@ -1059,45 +1059,29 @@ class DataSource:
 
     def select(self, query: Select) -> Union[List[Row], object]:
         """Execute a SELECT (projection, aggregate, grouped, or top-k)."""
+        if not query.is_aggregate:
+            return [row for _, row in self.select_pairs(query)]
         with telemetry.span("select", table=query.table) as sp:
-            result = self._select(query)
-            if telemetry.is_enabled() and isinstance(result, list):
-                sp.set(rows_returned=len(result))
-                telemetry.count("query.rows_returned", len(result))
+            mode = _CHECKED if self.verified_reads else _QUORUM
+            result = self._select_aggregate(query, self._plan_select(query, mode))
+            if isinstance(result, list):
+                _note_rows_returned(sp, len(result))
             return result
 
-    def _select(self, query: Select) -> Union[List[Row], object]:
-        mode = _CHECKED if self.verified_reads else _QUORUM
+    def select_pairs(self, query: Select) -> List[Tuple[int, Row]]:
+        """:meth:`select` for row queries, as ``(row_id, row)`` pairs.
+
+        The same plan, read mode and row-cache replay — :meth:`select` is
+        this call with the ids dropped.  For callers that merge row sets
+        and must keep rows identifiable (the shard router's gather).
+        """
         if query.is_aggregate:
-            return self._select_aggregate(query, self._plan_select(query, mode))
-        if mode != _QUORUM:
-            return [row for _, row in self._select_rows(query, mode)]
-        plan = self._plan_select(query, mode)
-        # query-level replay: an identical SELECT in the same epoch serves
-        # the full rows straight from the row cache — zero provider RPCs.
-        # The signature covers everything that determines the *row set*
-        # (predicate + pushed-down order/limit); client-side sort, limit,
-        # and projection run identically on replayed rows below.  Only
-        # this entry point replays: verified and robust reads exist to
-        # re-examine what the providers actually return.
-        epoch = self.table_epoch(query.table)
-        signature = (
-            "select", repr(plan.predicate), tuple(plan.fields.items())
-        )
-        rows = self.row_cache.lookup_query(query.table, signature, epoch)
-        if rows is not None:
-            # replayed rows carry no ids, and nothing below needs them
-            pairs = [(None, row) for row in rows]
-        else:
-            pairs = self._read_rows(
-                query.table,
-                plan.mode,
-                plan.rewritten,
-                fields=plan.fields,
-                cache_epoch=epoch,
-            )
-            self.row_cache.store_query(query.table, signature, epoch, pairs)
-        return [row for _, row in self._finish(query, plan, pairs)]
+            raise QueryError("select_pairs does not support aggregates")
+        with telemetry.span("select", table=query.table) as sp:
+            mode = _CHECKED if self.verified_reads else _QUORUM
+            pairs = self._select_rows(query, mode, replay=mode == _QUORUM)
+            _note_rows_returned(sp, len(pairs))
+            return pairs
 
     def _plan_select(self, query: Select, mode: str) -> _SelectPlan:
         """Validate a SELECT and decide, once, what it pushes down.
@@ -1166,40 +1150,39 @@ class DataSource:
                 fields["limit"] = query.limit
         return _SelectPlan(mode, sharing, predicate, rewritten, can_push, fields)
 
-    def _select_rows(self, query: Select, mode: str) -> List[Tuple[int, Row]]:
-        """Plan a row query, fetch its matches in ``mode``, finish them."""
-        plan = self._plan_select(query, mode)
-        pairs = self._read_rows(
-            query.table, mode, plan.rewritten, fields=plan.fields
-        )
-        return self._finish(query, plan, pairs)
-
-    def _finish(
-        self,
-        query: Select,
-        plan: _SelectPlan,
-        pairs: List[Tuple[int, Row]],
+    def _select_rows(
+        self, query: Select, mode: str, replay: bool = False
     ) -> List[Tuple[int, Row]]:
-        """Client-side ORDER BY, LIMIT and projection of ``(row_id, row)``
-        pairs — the one copy, so every row-returning entry point honours
-        them identically.  (Providers' pushed-down order is lost when rows
-        are aligned by id, so the sort always runs here.)"""
-        if query.order_by is not None:
-            order_column = plan.sharing.schema.column(query.order_by)
-            pairs.sort(
-                key=lambda pair: python_value_sort_key(
-                    order_column, pair[1].get(query.order_by)
-                ),
-                reverse=query.descending,
+        """Plan a row query, fetch its matches in ``mode``, finish them.
+
+        With ``replay`` (plain quorum :meth:`select` only) an identical
+        SELECT in the same epoch serves the full rows straight from the
+        row cache — zero provider RPCs.  The signature covers everything
+        that determines the *row set* (predicate + pushed-down
+        order/limit); client-side sort, limit, and projection run
+        identically on replayed rows.  Nothing else replays: verified and
+        robust reads exist to re-examine what the providers actually
+        return, and :meth:`select_with_ids` feeds writes and audits.
+        """
+        plan = self._plan_select(query, mode)
+        epoch = signature = pairs = None
+        if replay:
+            epoch = self.table_epoch(query.table)
+            signature = (
+                "select", repr(plan.predicate), tuple(plan.fields.items())
             )
-        if query.limit is not None:
-            pairs = pairs[: query.limit]
-        if query.columns:
-            pairs = [
-                (row_id, {name: row[name] for name in query.columns})
-                for row_id, row in pairs
-            ]
-        return pairs
+            pairs = self.row_cache.lookup_query(query.table, signature, epoch)
+        if pairs is None:
+            pairs = self._read_rows(
+                query.table,
+                mode,
+                plan.rewritten,
+                fields=plan.fields,
+                cache_epoch=epoch,
+            )
+            if replay:
+                self.row_cache.store_query(query.table, signature, epoch, pairs)
+        return finish_rows(query, plan.sharing.schema, pairs)
 
     def _select_aggregate(self, query: Select, plan: _SelectPlan):
         """Aggregates and GROUP BY (extension: provider-side partials).
@@ -1299,10 +1282,12 @@ class DataSource:
         return None if row is None else row[column]
 
     def select_with_ids(self, query: Select) -> List[Tuple[int, Row]]:
-        """Like :meth:`select` but returns (row_id, row) pairs.
+        """``(row_id, row)`` pairs from a fresh quorum read.
 
-        Used by the trust layer (completeness chains key on row ids) and
-        by tests; aggregates are not supported here.
+        Never served from the row cache and never widened by
+        ``verified_reads``: its callers are about to write back what they
+        read (lazy buffer, atomic batches) or to audit it (completeness
+        chains key on row ids).  Aggregates are not supported here.
         """
         if query.is_aggregate:
             raise QueryError("select_with_ids does not support aggregates")
@@ -1739,7 +1724,7 @@ class DataSource:
         results: List[Row] = []
         pairs: List[Dict[int, Tuple[ShareRow, ShareRow]]] = []
         for pair_ids, per_provider in sorted(aligned.items()):
-            if checked and not _presence_majority(
+            if checked and not presence_majority(
                 "join pair", pair_ids, set(per_provider), responding, blamed
             ):
                 continue
@@ -1790,24 +1775,10 @@ class DataSource:
         residual: Predicate,
     ) -> List[Row]:
         """Fetch both sides and hash-join at the client (fallback path)."""
-        left_rows = self._read_rows(query.left_table, _QUORUM, left_rw)
-        right_rows = self._read_rows(query.right_table, _QUORUM, right_rw)
-        build: Dict[object, List[Row]] = {}
-        for _, row in right_rows:
-            key = row.get(query.right_column)
-            if key is not None:
-                build.setdefault(key, []).append(row)
-        self.cost.record("compare", len(left_rows) + len(right_rows))
-        results: List[Row] = []
-        for _, row in left_rows:
-            key = row.get(query.left_column)
-            if key is None:
-                continue
-            for match in build.get(key, ()):
-                merged = _qualified_pair(query, row, match)
-                if residual.matches(merged):
-                    results.append(merged)
-        return _project_qualified(results, query.columns)
+        left = self._read_rows(query.left_table, _QUORUM, left_rw)
+        right = self._read_rows(query.right_table, _QUORUM, right_rw)
+        self.cost.record("compare", len(left) + len(right))
+        return hash_join(query, left, right, residual)
 
     # -------------------------------------------------------------- dispatch --
 
@@ -1954,6 +1925,70 @@ def _estimate_selectivity(sharing: TableSharing, rewritten) -> float:
         width = interval.high - interval.low + 1
         estimate *= min(1.0, max(0.0, width / domain.size))
     return estimate
+
+
+def _note_rows_returned(span, count: int) -> None:
+    if telemetry.is_enabled():
+        span.set(rows_returned=count)
+        telemetry.count("query.rows_returned", count)
+
+
+def finish_rows(
+    query: Select, schema: TableSchema, pairs: List[Tuple[int, Row]]
+) -> List[Tuple[int, Row]]:
+    """Client-side ORDER BY, LIMIT and projection of ``(row_id, row)``
+    pairs handed over in row-id order — the one copy, so every
+    row-returning read (any mode, any deployment shape) honours them
+    identically and breaks ORDER BY ties by row id.  (Providers'
+    pushed-down order is lost when rows are aligned by id, so the sort
+    always runs here.)"""
+    if query.order_by is not None:
+        order_column = schema.column(query.order_by)
+        pairs.sort(
+            key=lambda pair: python_value_sort_key(
+                order_column, pair[1].get(query.order_by)
+            ),
+            reverse=query.descending,
+        )
+    if query.limit is not None:
+        pairs = pairs[: query.limit]
+    if query.columns:
+        for name in query.columns:
+            schema.column(name)
+        pairs = [
+            (row_id, {name: row[name] for name in query.columns})
+            for row_id, row in pairs
+        ]
+    return pairs
+
+
+def hash_join(
+    query: JoinSelect,
+    left: List[Tuple[int, Row]],
+    right: List[Tuple[int, Row]],
+    residual: Predicate,
+) -> List[Row]:
+    """Hash equi-join of two sides' ``(row_id, row)`` pairs at the client.
+
+    NULL keys never match; the joined rows carry ``table.column`` names,
+    pass ``residual`` and come back in (left, right) input order, so
+    row-id-ordered sides give the provider-side join's pair order.
+    """
+    build: Dict[object, List[Row]] = {}
+    for _, row in right:
+        key = row.get(query.right_column)
+        if key is not None:
+            build.setdefault(key, []).append(row)
+    results: List[Row] = []
+    for _, row in left:
+        key = row.get(query.left_column)
+        if key is None:
+            continue
+        for match in build.get(key, ()):
+            merged = _qualified_pair(query, row, match)
+            if residual.matches(merged):
+                results.append(merged)
+    return _project_qualified(results, query.columns)
 
 
 def _qualified_pair(query: JoinSelect, left_row: Row, right_row: Row) -> Row:

@@ -137,7 +137,7 @@ def reconstruct_rows(
         return out
 
 
-def _presence_majority(
+def presence_majority(
     kind: str, key: object, present: set, responding: set, blamed: set
 ) -> bool:
     """Strict-majority presence vote on one result item (a row, a joined pair).
@@ -221,7 +221,7 @@ def reconstruct_rows_checked(
             return row_id, row
 
         for row_id, share_rows in aligned.items():
-            if not _presence_majority(
+            if not presence_majority(
                 "row", row_id, set(share_rows), responding, blamed
             ):
                 continue

@@ -113,8 +113,9 @@ class RowCache:
 
     def lookup_query(
         self, table: str, signature: Tuple, epoch: int
-    ) -> Optional[List[Row]]:
-        """Replay a cached query: the full rows, in result order, or None.
+    ) -> Optional[List[Tuple[int, Row]]]:
+        """Replay a cached query: its ``(row_id, full row)`` pairs, in
+        result order, or None.
 
         None means either no entry for this (signature, epoch) or at
         least one member row was evicted — both fall through to the RPC
@@ -126,7 +127,7 @@ class RowCache:
             self.stats.query_misses += 1
             telemetry.count("rowcache.query_misses", table=table)
             return None
-        rows: List[Row] = []
+        pairs: List[Tuple[int, Row]] = []
         for row_id in row_ids:
             row = self._rows.get((table, row_id, epoch))
             if row is None:
@@ -136,13 +137,13 @@ class RowCache:
                 self.stats.query_misses += 1
                 telemetry.count("rowcache.query_misses", table=table)
                 return None
-            rows.append(dict(row))
+            pairs.append((row_id, dict(row)))
         self._queries.move_to_end(key)
         for row_id in row_ids:
             self._rows.move_to_end((table, row_id, epoch))
         self.stats.query_hits += 1
         telemetry.count("rowcache.query_hits", table=table)
-        return rows
+        return pairs
 
     def store_query(
         self,

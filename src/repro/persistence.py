@@ -367,6 +367,8 @@ def save_sharded_deployment(router, directory: str) -> List[str]:
     disagree with the rows actually on disk.
     """
     os.makedirs(directory, exist_ok=True)
+    snapshot = router.snapshot()
+    retired = snapshot.pop("retired")
     paths: List[str] = []
     group_entries: List[Dict] = []
     for index, group in enumerate(router.groups):
@@ -380,7 +382,7 @@ def save_sharded_deployment(router, directory: str) -> List[str]:
         group_entries.append(
             {
                 "directory": group_dir,
-                "retired": group.retired,
+                "retired": index in retired,
                 "manifest_sha256": digest,
             }
         )
@@ -389,17 +391,8 @@ def save_sharded_deployment(router, directory: str) -> List[str]:
         shard_manifest_path,
         {
             "version": _FORMAT_VERSION,
-            "mode": router.default_mode,
-            "n_buckets": router.n_buckets,
             "groups": group_entries,
-            "maps": {
-                name: router.shard_map(name).to_dict()
-                for name in router.table_names()
-            },
-            "next_row_ids": {
-                name: router._next_row_id.get(name, 0)
-                for name in router.table_names()
-            },
+            **snapshot,
         },
     )
     paths.append(shard_manifest_path)
@@ -455,14 +448,7 @@ def load_sharded_deployment(directory: str):
         sources.append(load_deployment(group_dir))
         if entry.get("retired"):
             retired.append(index)
-    return ShardRouter.restore(
-        sources,
-        mode=manifest["mode"],
-        maps=manifest["maps"],
-        next_row_ids=manifest["next_row_ids"],
-        retired=retired,
-        n_buckets=manifest.get("n_buckets", 64),
-    )
+    return ShardRouter(sources).restore(dict(manifest, retired=retired))
 
 
 def load_deployment(directory: str) -> DataSource:

@@ -31,7 +31,7 @@ import hashlib
 from typing import List, Optional, Sequence, Tuple
 
 from ..baselines.cipher import FeistelCipher
-from ..baselines.intersection import SAFE_PRIME_256, _hash_to_group
+from ..baselines.intersection import SAFE_PRIME_256, hash_to_group
 from ..errors import QueryError
 from ..sim.costmodel import CostRecorder
 from ..sim.network import SimulatedNetwork
@@ -74,7 +74,7 @@ class SPIRServer:
             out = []
             for index, record in enumerate(self.records):
                 point = pow(
-                    _hash_to_group(index, self.modulus),
+                    hash_to_group(index, self.modulus),
                     self.secret_exponent,
                     self.modulus,
                 )
@@ -115,7 +115,7 @@ class SPIRClient:
         q = self.server.order
         # 1. blind: m = h(i)^r with r uniform and invertible mod q
         blind = self.rng.randint(2, q - 1)
-        base = _hash_to_group(index, p)
+        base = hash_to_group(index, p)
         blinded = pow(base, blind, p)
         self.cost.record("modexp", 1)
         self.network.send("spir-client", self.server.name, blinded)
@@ -141,7 +141,7 @@ class SPIRClient:
         p = self.server.modulus
         q = self.server.order
         blind = self.rng.randint(2, q - 1)
-        blinded = pow(_hash_to_group(index, p), blind, p)
+        blinded = pow(hash_to_group(index, p), blind, p)
         raised = self.server.raise_blinded(blinded)
         point = pow(raised, pow(blind, -1, q), p)
         cipher = FeistelCipher(_key_from_point(point))

@@ -39,14 +39,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..client.datasource import DataSource
 from ..errors import ConfigurationError, ReproError
-from ..workloads.traffic import (
-    KIND_AGGREGATE,
-    KIND_INSERT,
-    KIND_POINT,
-    KIND_RANGE,
-    KIND_UPDATE,
-    TrafficEvent,
-)
+from ..sqlengine.catalog import Catalog
+from ..sqlengine.executor import PlaintextExecutor, rows_equal_unordered
+from ..sqlengine.schema import TableSchema
+from ..sqlengine.sqlparser import parse_sql
+from ..sqlengine.table import Table
+from ..workloads.traffic import TrafficEvent, TrafficProfile, generate_traffic
 from .admission import AdmissionController, priority_name
 from .slo import (
     COMPLETED_METRIC,
@@ -81,8 +79,6 @@ def estimate_capacity(
     ("4×"), which is what makes the overload gates meaningful across
     deployment sizes.  Deterministic per seed, like everything else.
     """
-    from ..workloads.traffic import TrafficProfile, generate_traffic
-
     probe_profile = TrafficProfile(
         mean_interarrival=10.0,  # sparse: every probe sees an idle service
         mix=(0.55, 0.25, 0.20, 0.0, 0.0),
@@ -108,56 +104,26 @@ def estimate_capacity(
 class PlaintextMirror:
     """Execution-order oracle for traffic events.
 
-    Holds the plaintext rows and applies each write *when the service
+    A :class:`~repro.sqlengine.executor.PlaintextExecutor` over the full
+    plaintext table.  Each event's SQL runs against it *when the service
     executes it* (not when it arrives), so the expected answer for every
     query reflects exactly the mutations the real source has applied so
     far — arrival order and execution order diverge under queueing.
     """
 
-    def __init__(self, rows: Sequence[Dict]) -> None:
-        self.rows: Dict[int, Dict] = {
-            row["eid"]: {"name": row["name"], "salary": row["salary"]}
-            for row in rows
-        }
+    def __init__(self, schema: TableSchema, rows: Sequence[Dict]) -> None:
+        catalog = Catalog()
+        catalog.add_table(Table(schema, rows))
+        self.oracle = PlaintextExecutor(catalog)
 
     def check_and_apply(self, event: TrafficEvent, actual: object) -> bool:
         """Whether ``actual`` matches the plaintext truth; applies writes."""
-        kind = event.kind
-        if kind == KIND_POINT:
-            (eid,) = event.params
-            row = self.rows.get(eid)
-            expected = (
-                [] if row is None
-                else [{"name": row["name"], "salary": row["salary"]}]
+        expected = self.oracle.execute(parse_sql(event.sql))
+        if isinstance(expected, list):
+            return isinstance(actual, list) and rows_equal_unordered(
+                actual, expected
             )
-            return actual == expected
-        if kind == KIND_RANGE:
-            lo, hi = event.params
-            expected_eids = sorted(
-                eid
-                for eid, row in self.rows.items()
-                if lo <= row["salary"] <= hi
-            )
-            if not isinstance(actual, list):
-                return False
-            return sorted(r["eid"] for r in actual) == expected_eids
-        if kind == KIND_AGGREGATE:
-            lo, hi = event.params
-            expected_count = sum(
-                1 for row in self.rows.values() if lo <= row["salary"] <= hi
-            )
-            return actual == expected_count
-        if kind == KIND_UPDATE:
-            eid, salary = event.params
-            present = eid in self.rows
-            if present:
-                self.rows[eid]["salary"] = salary
-            return actual == (1 if present else 0)
-        if kind == KIND_INSERT:
-            eid, name, _lastname, _dept, salary = event.params
-            self.rows[eid] = {"name": name, "salary": salary}
-            return actual == 1
-        raise ConfigurationError(f"unknown traffic kind {kind!r}")
+        return actual == expected
 
 
 def run_open_loop(
@@ -189,7 +155,8 @@ def run_open_loop(
     mirror: Optional[PlaintextMirror] = None
     if check_results:
         mirror = PlaintextMirror(
-            source.sql("SELECT eid, name, salary FROM Employees")
+            source.sharing("Employees").schema,
+            source.sql("SELECT * FROM Employees"),
         )
     premium = bool(source.verified_reads)
     start_modelled = network.modelled_seconds

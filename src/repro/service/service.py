@@ -27,7 +27,9 @@ scheduler's invariants).
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from contextlib import contextmanager, nullcontext
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import telemetry
 from ..client.datasource import DataSource
@@ -37,6 +39,8 @@ from .admission import AdmissionController, priority_level, priority_name
 from .plancache import PlanCache
 from .scheduler import BatchingCluster, FanoutBatcher
 from .session import Session, SessionManager
+
+_READS = (Select, JoinSelect)
 
 
 class TableLock:
@@ -82,6 +86,22 @@ class TableLock:
             self._writer = False
             self._cond.notify_all()
 
+    @contextmanager
+    def reading(self) -> Iterator[None]:
+        self.acquire_read()
+        try:
+            yield
+        finally:
+            self.release_read()
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        self.acquire_write()
+        try:
+            yield
+        finally:
+            self.release_write()
+
 
 class ServiceStats:
     """Service-wide outcome counters (admission keeps its own)."""
@@ -105,7 +125,170 @@ class ServiceStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class QueryService:
+class StatementLadder:
+    """admit → lock → register → span → run → account → release, once.
+
+    The base of every statement front end (:class:`QueryService`, the
+    shard router): single statements and waves, reads and writes, all
+    climb :meth:`_run_statements`.  A front end sets ``admission`` and
+    ``batcher`` (``None``: not admission-controlled / no fan-out batcher
+    to register with), implements ``close``, and gets ``stats``, the
+    table lock and the session surface from here.
+    """
+
+    admission: Optional[AdmissionController] = None
+    batcher: Optional[FanoutBatcher] = None
+
+    def __init__(self) -> None:
+        self.stats = ServiceStats()
+        self.sessions = SessionManager(self)
+        self._table_lock = TableLock()
+        self._stats_lock = threading.Lock()
+
+    def open_session(
+        self, client_id: Optional[str] = None, **kwargs
+    ) -> Session:
+        return self.sessions.open(client_id, **kwargs)
+
+    def close_session(self, session: Session) -> None:
+        self.sessions.close(session)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _run_statements(
+        self,
+        statements: Sequence[object],
+        units: Sequence[Callable[[], List[object]]],
+        *,
+        span: Optional[str] = None,
+        session: Optional[Session] = None,
+        priority=None,
+        timeout: Optional[float] = None,
+    ) -> List[object]:
+        """Run parsed ``statements`` as ``units``; results in statement order.
+
+        Each unit is one admitted, registered piece of work returning the
+        results of the statements it covers (the units' results,
+        concatenated, line up with ``statements``): one unit for a single
+        statement or a whole batch, one per statement for a coalescing
+        wave — several units run on parallel threads so the batcher can
+        combine their provider rounds.  Reads share the table lock, any
+        write takes it exclusively.  Raises
+        :class:`ServiceOverloadedError` when admission rejects.
+        """
+        is_read = all(isinstance(s, _READS) for s in statements)
+        admission, batcher = self.admission, self.batcher
+        lock = self._table_lock
+        outcomes: List[List[object]] = [[] for _ in units]
+
+        def run_unit(position: int) -> None:
+            try:
+                outcomes[position] = units[position]()
+            finally:
+                if batcher is not None:
+                    batcher.finish()
+
+        admitted = 0
+        try:
+            if admission is not None:
+                try:
+                    for _ in units:
+                        admission.acquire(timeout=timeout, priority=priority)
+                        admitted += 1
+                except ServiceOverloadedError:
+                    if session is not None:
+                        session.record(error=True, rejected=True)
+                    raise
+            # lock BEFORE register: a registered query must never block on
+            # another query's resources (scheduler invariant)
+            with lock.reading() if is_read else lock.writing():
+                try:
+                    if batcher is not None:
+                        batcher.register(len(units))
+                    with telemetry.span(
+                        span,
+                        write=not is_read,
+                        statements=len(statements),
+                        client=None if session is None else session.client_id,
+                    ) if span else nullcontext():
+                        run_parallel(
+                            [partial(run_unit, i) for i in range(len(units))],
+                            "repro-wave",
+                        )
+                except BaseException:
+                    if session is not None:
+                        session.record(error=True)
+                    with self._stats_lock:
+                        self.stats.failed += 1
+                    raise
+        finally:
+            for _ in range(admitted):
+                admission.release()
+        results = [result for outcome in outcomes for result in outcome]
+        returned = written = 0
+        for statement, result in zip(statements, results):
+            if isinstance(statement, _READS):
+                returned += len(result) if isinstance(result, list) else 0
+            elif isinstance(result, int):
+                # INSERT's result may be a row id: an allocation detail,
+                # not a written-rows count
+                written += 1 if isinstance(statement, Insert) else result
+        if session is not None:
+            session.record(rows_returned=returned, rows_written=written)
+        with self._stats_lock:
+            self.stats.completed += len(statements)
+            self.stats.rows_returned += returned
+            self.stats.rows_written += written
+        return results
+
+
+def parse_wave(
+    statements: Sequence[str], parse: Callable[[str], object], name: str,
+    reads: bool,
+) -> List[object]:
+    """Parse a wave's statements; all must be reads (or all writes)."""
+    parsed = [parse(text) for text in statements]
+    for text, statement in zip(statements, parsed):
+        if isinstance(statement, _READS) != reads:
+            raise ServiceError(
+                f"{name}() is {'read' if reads else 'write'}-only; got a "
+                f"{type(statement).__name__}: {text!r}"
+            )
+    return parsed
+
+
+def run_parallel(units: Sequence[Callable[[], None]], name: str) -> None:
+    """Run the units concurrently: one on the calling thread, several on
+    a thread each; once all have finished, re-raise the lowest-positioned
+    failure."""
+    if len(units) == 1:
+        return units[0]()
+    errors: List[Optional[BaseException]] = [None] * len(units)
+
+    def guarded(position: int) -> None:
+        try:
+            units[position]()
+        except BaseException as exc:
+            errors[position] = exc
+
+    threads = [
+        threading.Thread(target=guarded, args=(i,), name=f"{name}-{i}")
+        for i in range(len(units))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+class QueryService(StatementLadder):
     """Multi-client concurrent query front end over one data source."""
 
     def __init__(
@@ -124,6 +307,7 @@ class QueryService:
                 f"need 0 <= restore_at <= degrade_at <= 1, got "
                 f"restore_at={restore_at}, degrade_at={degrade_at}"
             )
+        super().__init__()
         self.source = source
         self.batching = batching
         #: route session writes through the shared transaction manager
@@ -138,10 +322,6 @@ class QueryService:
         self.plan_cache = PlanCache(plan_cache_capacity)
         source.plan_cache = self.plan_cache
         self.admission = AdmissionController(max_in_flight, queue_limit)
-        self.sessions = SessionManager(self)
-        self.stats = ServiceStats()
-        self._table_lock = TableLock()
-        self._stats_lock = threading.Lock()
         self._txn_manager = None
         self._closed = False
         # degradation ladder: under queue pressure, verified reads are
@@ -160,10 +340,7 @@ class QueryService:
         self, client_id: Optional[str] = None, **kwargs
     ) -> Session:
         self._check_open()
-        return self.sessions.open(client_id, **kwargs)
-
-    def close_session(self, session: Session) -> None:
-        self.sessions.close(session)
+        return super().open_session(client_id, **kwargs)
 
     # ------------------------------------------------------------ execution --
 
@@ -174,7 +351,7 @@ class QueryService:
         priority=None,
         timeout: Optional[float] = None,
     ):
-        """Admit, lock, register, run one SQL statement.
+        """Run one SQL statement up the ladder (admit, lock, register, run).
 
         ``priority`` (a level or class name; defaults to interactive)
         shapes queue admission — under pressure low-priority work is
@@ -184,55 +361,22 @@ class QueryService:
         """
         self._check_open()
         statement = self.plan_cache.parse(text)
-        is_read = isinstance(statement, (Select, JoinSelect))
         self._update_degraded_mode()
-        try:
-            self.admission.acquire(timeout=timeout, priority=priority)
-        except ServiceOverloadedError:
-            if session is not None:
-                session.record(error=True, rejected=True)
-            raise
-        served_degraded = is_read and self._note_degraded_read(priority)
-        try:
-            # lock BEFORE register: a registered query must never block on
-            # another query's resources (scheduler invariant)
-            if is_read:
-                self._table_lock.acquire_read()
-            else:
-                self._table_lock.acquire_write()
-            try:
-                self.batcher.register()
-                try:
-                    with telemetry.span(
-                        "service.query",
-                        write=not is_read,
-                        client=None if session is None else session.client_id,
-                    ):
-                        result = self._run(statement, session)
-                except BaseException:
-                    if session is not None:
-                        session.record(error=True)
-                    with self._stats_lock:
-                        self.stats.failed += 1
-                    raise
-                finally:
-                    self.batcher.finish()
-            finally:
-                if is_read:
-                    self._table_lock.release_read()
-                else:
-                    self._table_lock.release_write()
-        finally:
-            self.admission.release()
-        returned = len(result) if isinstance(result, list) else 0
-        written = result if isinstance(result, int) and not is_read else 0
-        if session is not None:
-            session.record(rows_returned=returned, rows_written=written)
-        with self._stats_lock:
-            self.stats.completed += 1
-            self.stats.rows_returned += returned
-            self.stats.rows_written += written
-            if served_degraded:
+        served_degraded = False
+
+        def run() -> List[object]:
+            nonlocal served_degraded
+            served_degraded = isinstance(
+                statement, _READS
+            ) and self._note_degraded_read(priority)
+            return [self._run(statement, session)]
+
+        (result,) = self._run_statements(
+            [statement], [run], span="service.query",
+            session=session, priority=priority, timeout=timeout,
+        )
+        if served_degraded:
+            with self._stats_lock:
                 self.stats.degraded_served += 1
         return result
 
@@ -294,61 +438,19 @@ class QueryService:
         self._check_open()
         if not statements:
             return []
-        parsed = [self.plan_cache.parse(text) for text in statements]
-        for text, statement in zip(statements, parsed):
-            if not isinstance(statement, (Select, JoinSelect)):
-                raise ServiceError(
-                    f"run_wave() is read-only; got a "
-                    f"{type(statement).__name__}: {text!r}"
-                )
+        parsed = parse_wave(statements, self.plan_cache.parse, "run_wave", True)
         if len(statements) > self.admission.max_in_flight:
             raise ServiceError(
                 f"wave of {len(statements)} exceeds max_in_flight="
                 f"{self.admission.max_in_flight}; size the service to the wave"
             )
-        admitted = 0
-        try:
-            for _ in statements:
-                self.admission.acquire()
-                admitted += 1
-            self._table_lock.acquire_read()
-            try:
-                self.batcher.register(len(parsed))
-                results: List[object] = [None] * len(parsed)
-                errors: List[Optional[BaseException]] = [None] * len(parsed)
-
-                def run_one(position: int) -> None:
-                    try:
-                        results[position] = self.source.execute(parsed[position])
-                    except BaseException as exc:
-                        errors[position] = exc
-                    finally:
-                        self.batcher.finish()
-
-                threads = [
-                    threading.Thread(
-                        target=run_one, args=(i,), name=f"repro-wave-{i}"
-                    )
-                    for i in range(len(parsed))
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-            finally:
-                self._table_lock.release_read()
-        finally:
-            for _ in range(admitted):
-                self.admission.release()
-        for error in errors:
-            if error is not None:
-                raise error
-        with self._stats_lock:
-            self.stats.completed += len(parsed)
-            self.stats.rows_returned += sum(
-                len(r) for r in results if isinstance(r, list)
-            )
-        return results
+        return self._run_statements(
+            parsed,
+            [
+                lambda statement=statement: [self.source.execute(statement)]
+                for statement in parsed
+            ],
+        )
 
     # ---------------------------------------------------------------- writes --
 
@@ -380,38 +482,14 @@ class QueryService:
         self._check_open()
         if not statements:
             return []
-        parsed = [self.plan_cache.parse(text) for text in statements]
-        for text, statement in zip(statements, parsed):
-            if isinstance(statement, (Select, JoinSelect)):
-                raise ServiceError(
-                    f"run_write_wave() is write-only; got a "
-                    f"{type(statement).__name__}: {text!r}"
-                )
+        parsed = parse_wave(
+            statements, self.plan_cache.parse, "run_write_wave", False
+        )
         manager = self.transaction_manager()
-        self.admission.acquire()
-        try:
-            self._table_lock.acquire_write()
-            try:
-                self.batcher.register()
-                try:
-                    with telemetry.span(
-                        "service.write_wave", statements=len(parsed)
-                    ):
-                        results = manager.apply_batch(parsed)
-                finally:
-                    self.batcher.finish()
-            finally:
-                self._table_lock.release_write()
-        finally:
-            self.admission.release()
-        with self._stats_lock:
-            self.stats.completed += len(parsed)
-            self.stats.rows_written += sum(
-                result if not isinstance(stmt, Insert) else 1
-                for result, stmt in zip(results, parsed)
-                if isinstance(result, int)
-            )
-        return results
+        return self._run_statements(
+            parsed, [lambda: manager.apply_batch(parsed)],
+            span="service.write_wave",
+        )
 
     # ------------------------------------------------------------ reporting --
 
@@ -442,12 +520,6 @@ class QueryService:
         self.source.plan_cache = self._previous_plan_cache
         # un-degrade: the source leaves with the read mode it came with
         self.source.verified_reads = self._premium_reads
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _check_open(self) -> None:
         if self._closed:

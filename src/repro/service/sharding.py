@@ -50,17 +50,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
-from ..client.datasource import DataSource, _project_qualified
+from ..client.datasource import DataSource, finish_rows, hash_join
 from ..core import kernels
 from ..client.repair import rebuild_rows_for_targets
-from ..client.rewriter import (
-    RewrittenPredicate,
-    rewrite_predicate,
-    split_join_predicate,
-)
+from ..client.rewriter import rewrite_predicate, split_join_predicate
 from ..core.scheme import ShareRow, TableSharing
 from ..core.secrets import generate_client_secrets
 from ..errors import (
@@ -68,7 +66,6 @@ from ..errors import (
     QueryError,
     SchemaError,
     ServiceError,
-    ServiceOverloadedError,
     UnsupportedQueryError,
 )
 from ..providers.cluster import ProviderCluster
@@ -82,12 +79,13 @@ from ..sqlengine.query import (
     Select,
     Update,
 )
-from ..sqlengine.schema import TableSchema, python_value_sort_key
+from ..sqlengine.expression import Predicate
+from ..sqlengine.schema import TableSchema
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
 from .admission import AdmissionController
-from .service import QueryService, ServiceStats, TableLock
-from .session import Session, SessionManager
+from .service import QueryService, StatementLadder, parse_wave, run_parallel
+from .session import Session
 
 Row = Dict[str, object]
 
@@ -317,6 +315,15 @@ def merge_avg(
     return total / count
 
 
+def merge_partials(func: AggregateFunc, partials: Sequence[object]):
+    """Merge per-shard COUNT / SUM / MIN / MAX partials by ``func``."""
+    if func is AggregateFunc.COUNT:
+        return merge_counts(partials)
+    if func is AggregateFunc.SUM:
+        return merge_sums(partials)
+    return merge_extremum(partials, func)
+
+
 def merge_grouped(
     aggregate: Aggregate,
     group_column: str,
@@ -328,17 +335,10 @@ def merge_grouped(
     for result in shard_results:
         for row in result:
             merged.setdefault(row[group_column], []).append(row[label])
-    out: List[Row] = []
-    for key in sorted(merged):
-        values = merged[key]
-        if aggregate.func is AggregateFunc.COUNT:
-            value: object = merge_counts(values)
-        elif aggregate.func is AggregateFunc.SUM:
-            value = merge_sums(values)
-        else:
-            value = merge_extremum(values, aggregate.func)
-        out.append({group_column: key, label: value})
-    return out
+    return [
+        {group_column: key, label: merge_partials(aggregate.func, merged[key])}
+        for key in sorted(merged)
+    ]
 
 
 def merge_grouped_avg(
@@ -346,26 +346,20 @@ def merge_grouped_avg(
     sum_results: Sequence[List[Row]],
     count_results: Sequence[List[Row]],
 ) -> List[Row]:
-    """Merge grouped AVG from per-shard grouped SUMs and non-null COUNTs."""
-    totals: Dict[object, object] = {}
-    counts: Dict[object, int] = {}
-    for result in sum_results:
-        for row in result:
-            if row["sum"] is not None:
-                key = row[group_column]
-                totals[key] = (
-                    row["sum"] if key not in totals else totals[key] + row["sum"]
-                )
-    for result in count_results:
-        for row in result:
+    """Merge grouped AVG: per key, :func:`merge_avg` of the shards'
+    (grouped SUM, grouped non-null COUNT) pairs."""
+    pairs: Dict[object, List[Tuple[Optional[object], int]]] = {}
+    for sums, counts in zip(sum_results, count_results):
+        shard_sums = {row[group_column]: row["sum"] for row in sums}
+        for row in counts:
             key = row[group_column]
-            counts[key] = counts.get(key, 0) + int(row["count"])
-    out: List[Row] = []
-    for key in sorted(counts):
-        count = counts[key]
-        value = None if count == 0 or key not in totals else totals[key] / count
-        out.append({group_column: key, "avg": value})
-    return out
+            pairs.setdefault(key, []).append(
+                (shard_sums.get(key), row["count"])
+            )
+    return [
+        {group_column: key, "avg": merge_avg(pairs[key])}
+        for key in sorted(pairs)
+    ]
 
 
 def rebalance_plan(
@@ -430,13 +424,23 @@ class ShardGroup:
         return self.source.cluster.network
 
 
-class ShardRouter:
+class ShardRouter(StatementLadder):
     """Route, fan out, and merge queries over sharded provider groups.
 
     Presents the same ``execute``/``sql``/session surface as
-    :class:`~repro.service.service.QueryService`, plus the elastic pool
-    operations (:meth:`add_group`, :meth:`split_shard`,
+    :class:`~repro.service.service.QueryService` — statements climb the
+    same :class:`~repro.service.service.StatementLadder` — plus the
+    elastic pool operations (:meth:`add_group`, :meth:`split_shard`,
     :meth:`rebalance`, :meth:`drain_group`).
+
+    The router owns routing and merging, no relational logic: a
+    multi-owner row read is one scatter → gather → finish, where the
+    gather orders the owners' ``(row_id, row)`` pairs by row id and the
+    finish and the cross-shard hash join are the client's own
+    (:func:`~repro.client.datasource.finish_rows`,
+    :func:`~repro.client.datasource.hash_join`) — so row reads return
+    row-id order, ORDER BY ties broken by row id, on every deployment
+    shape.
 
     All groups must be built from one shared
     :class:`~repro.core.secrets.ClientSecrets`: identical evaluation
@@ -484,6 +488,7 @@ class ShardRouter:
                 raise ConfigurationError(
                     "shard groups must share a namespace"
                 )
+        super().__init__()
         self.groups: List[ShardGroup] = [
             ShardGroup(f"group{index}", source)
             for index, source in enumerate(sources)
@@ -496,11 +501,6 @@ class ShardRouter:
         self._maps: Dict[str, object] = {}
         self._next_row_id: Dict[str, int] = {}
         self._row_id_lock = threading.Lock()
-        self._lock = TableLock()
-        self._stats_lock = threading.Lock()
-        self.stats = ServiceStats()
-        self.admission: Optional[AdmissionController] = None
-        self.sessions = SessionManager(self)
         #: :class:`~repro.service.session.Session` allocates row ids
         #: through ``service.source.reserve_row_ids`` — the router is its
         #: own source, so session id blocks come from the router-global
@@ -512,9 +512,16 @@ class ShardRouter:
     # ------------------------------------------------------------- building --
 
     @staticmethod
-    def _group_seed(seed: int, index: int) -> int:
-        # distinct, deterministic per-group RNG streams from one seed
-        return (seed * 1_000_003 + 7_919 * index + 1) % (1 << 62)
+    def _new_source(
+        index: int, n_providers: int, threshold: int, seed: int, secrets
+    ) -> DataSource:
+        """Group ``index``'s fresh providers and data source, on its own
+        deterministic RNG stream derived from the router's one seed."""
+        cluster = ProviderCluster(
+            n_providers, threshold, name_prefix=f"g{index}/"
+        )
+        group_seed = (seed * 1_000_003 + 7_919 * index + 1) % (1 << 62)
+        return DataSource(cluster, seed=group_seed, secrets=secrets)
 
     @classmethod
     def build(
@@ -530,45 +537,47 @@ class ShardRouter:
         if n_groups < 1:
             raise ConfigurationError(f"n_groups must be >= 1, got {n_groups}")
         secrets = generate_client_secrets(providers_per_group, seed)
-        sources = []
-        for index in range(n_groups):
-            cluster = ProviderCluster(
-                providers_per_group,
-                threshold,
-                name_prefix=f"g{index}/",
+        sources = [
+            cls._new_source(
+                index, providers_per_group, threshold, seed, secrets
             )
-            sources.append(
-                DataSource(
-                    cluster,
-                    seed=cls._group_seed(seed, index),
-                    secrets=secrets,
-                )
-            )
+            for index in range(n_groups)
+        ]
         return cls(sources, mode=mode, n_buckets=n_buckets, seed=seed)
 
-    @classmethod
-    def restore(
-        cls,
-        sources: Sequence[DataSource],
-        mode: str,
-        maps: Dict[str, Dict[str, object]],
-        next_row_ids: Dict[str, int],
-        retired: Sequence[int] = (),
-        n_buckets: int = DEFAULT_HASH_BUCKETS,
-        seed: int = 0,
-    ) -> "ShardRouter":
-        """Reassemble a router from snapshot state (see ``persistence``)."""
-        router = cls(sources, mode=mode, n_buckets=n_buckets, seed=seed)
-        for index in retired:
-            router.groups[index].retired = True
-        router._maps = {
+    def snapshot(self) -> Dict[str, object]:
+        """The router's own state, JSON-ready: what :meth:`restore` needs
+        beyond the groups' snapshots (see ``persistence``)."""
+        return {
+            "mode": self.default_mode,
+            "n_buckets": self.n_buckets,
+            "retired": [i for i, g in enumerate(self.groups) if g.retired],
+            "maps": {
+                name: shard_map.to_dict()
+                for name, shard_map in sorted(self._maps.items())
+            },
+            "next_row_ids": {
+                name: self._next_row_id.get(name, 0)
+                for name in sorted(self._maps)
+            },
+        }
+
+    def restore(self, snapshot: Dict[str, object]) -> "ShardRouter":
+        """Install :meth:`snapshot` state on a router freshly constructed
+        over the restored groups; returns the router."""
+        self.default_mode = snapshot["mode"]
+        self.n_buckets = snapshot.get("n_buckets", DEFAULT_HASH_BUCKETS)
+        for index in snapshot.get("retired", ()):
+            self.groups[index].retired = True
+        self._maps = {
             name: shard_map_from_dict(payload)
-            for name, payload in maps.items()
+            for name, payload in snapshot["maps"].items()
         }
-        router._next_row_id = {
-            name: int(value) for name, value in next_row_ids.items()
+        self._next_row_id = {
+            name: int(value)
+            for name, value in snapshot["next_row_ids"].items()
         }
-        return router
+        return self
 
     # ---------------------------------------------------------- introspection --
 
@@ -624,78 +633,66 @@ class ShardRouter:
         owns ``[boundary[i-1], boundary[i])``; omitted, the encoded
         domain is cut into equal slices over the active groups.
         """
-        self._lock.acquire_write()
-        try:
-            self._create_table(schema, mode, partition_column, boundaries)
-        finally:
-            self._lock.release_write()
-
-    def _create_table(
-        self,
-        schema: TableSchema,
-        mode: Optional[str],
-        partition_column: Optional[str],
-        boundaries: Optional[Sequence[object]],
-    ) -> None:
-        mode = mode or self.default_mode
-        if mode not in ("hash", "range"):
-            raise ConfigurationError(f"unknown sharding mode {mode!r}")
-        if schema.name in self._maps:
-            raise SchemaError(f"table {schema.name!r} already sharded")
-        active = self.active_group_indexes()
-        for index, group in enumerate(self.groups):
-            if group.retired:
-                # keep the sharing registered so a later un-drain or
-                # restore can still resolve schemas; no provider RPC
-                group.source.restore_table(schema, 0)
-            else:
-                group.source.create_table(schema)
-        if mode == "hash":
-            buckets = [
-                active[position % len(active)]
-                for position in range(self.n_buckets)
-            ]
-            shard_map: object = HashShardMap(buckets)
-        else:
-            column = partition_column or schema.primary_key
-            if column is None:
-                raise SchemaError(
-                    f"range-sharding {schema.name!r} needs a partition "
-                    "column (none given, no primary key)"
-                )
-            sharing = self._sharing(schema.name)
-            if not sharing.is_searchable(column):
-                raise SchemaError(
-                    f"partition column {column!r} must be searchable "
-                    "(order-preserving shares are what let range "
-                    "predicates prune shards)"
-                )
-            domain = sharing.op_scheme(column).domain
-            if boundaries is not None:
-                cuts = sorted(
-                    self._encode_partition_key(sharing, column, value)
-                    for value in boundaries
-                )
-                if len(cuts) != len(active) - 1:
-                    raise ConfigurationError(
-                        f"{len(active)} active groups need "
-                        f"{len(active) - 1} boundaries, got {len(cuts)}"
-                    )
-            else:
-                cuts = [
-                    domain.lo + (domain.size * (j + 1)) // len(active)
-                    for j in range(len(active) - 1)
+        with self._table_lock.writing():
+            mode = mode or self.default_mode
+            if mode not in ("hash", "range"):
+                raise ConfigurationError(f"unknown sharding mode {mode!r}")
+            if schema.name in self._maps:
+                raise SchemaError(f"table {schema.name!r} already sharded")
+            active = self.active_group_indexes()
+            for index, group in enumerate(self.groups):
+                if group.retired:
+                    # keep the sharing registered so a later un-drain or
+                    # restore can still resolve schemas; no provider RPC
+                    group.source.restore_table(schema, 0)
+                else:
+                    group.source.create_table(schema)
+            if mode == "hash":
+                buckets = [
+                    active[position % len(active)]
+                    for position in range(self.n_buckets)
                 ]
-            edges = [domain.lo] + cuts + [domain.hi + 1]
-            shard_map = RangeShardMap(
-                column,
-                [
-                    (edges[j], edges[j + 1], active[j])
-                    for j in range(len(active))
-                ],
-            )
-        self._maps[schema.name] = shard_map
-        self._next_row_id[schema.name] = 0
+                shard_map: object = HashShardMap(buckets)
+            else:
+                column = partition_column or schema.primary_key
+                if column is None:
+                    raise SchemaError(
+                        f"range-sharding {schema.name!r} needs a partition "
+                        "column (none given, no primary key)"
+                    )
+                sharing = self._sharing(schema.name)
+                if not sharing.is_searchable(column):
+                    raise SchemaError(
+                        f"partition column {column!r} must be searchable "
+                        "(order-preserving shares are what let range "
+                        "predicates prune shards)"
+                    )
+                domain = sharing.op_scheme(column).domain
+                if boundaries is not None:
+                    cuts = sorted(
+                        self._encode_partition_key(sharing, column, value)
+                        for value in boundaries
+                    )
+                    if len(cuts) != len(active) - 1:
+                        raise ConfigurationError(
+                            f"{len(active)} active groups need "
+                            f"{len(active) - 1} boundaries, got {len(cuts)}"
+                        )
+                else:
+                    cuts = [
+                        domain.lo + (domain.size * (j + 1)) // len(active)
+                        for j in range(len(active) - 1)
+                    ]
+                edges = [domain.lo] + cuts + [domain.hi + 1]
+                shard_map = RangeShardMap(
+                    column,
+                    [
+                        (edges[j], edges[j + 1], active[j])
+                        for j in range(len(active))
+                    ],
+                )
+            self._maps[schema.name] = shard_map
+            self._next_row_id[schema.name] = 0
 
     def outsource_table(
         self,
@@ -725,24 +722,23 @@ class ShardRouter:
             )
         return encoded
 
-    def _read_owners(
-        self, shard_map: object, rewritten: RewrittenPredicate
-    ) -> List[int]:
-        """Groups that can hold a matching row, after interval pruning."""
+    def _owners_for(self, table: str, where: Predicate) -> List[int]:
+        """Groups that can hold a row of ``table`` matching ``where``,
+        after interval pruning — the one owner lookup, for reads and
+        writes alike."""
+        sharing = self._sharing(table)
+        shard_map = self.shard_map(table)
+        rewritten = rewrite_predicate(where.bind(sharing.schema), sharing)
         if rewritten.provably_empty:
             return []
         owners = shard_map.owning_groups()
         if isinstance(shard_map, RangeShardMap):
-            intervals = [
-                interval
-                for interval in rewritten.intervals
-                if interval.column == shard_map.partition_column
-            ]
-            for interval in intervals:
-                hit = shard_map.groups_for_interval(
-                    interval.low, interval.high
-                )
-                owners = [g for g in owners if g in hit]
+            for interval in rewritten.intervals:
+                if interval.column == shard_map.partition_column:
+                    hit = shard_map.groups_for_interval(
+                        interval.low, interval.high
+                    )
+                    owners = [g for g in owners if g in hit]
         return owners
 
     def owner_for_row(self, table: str, row_id: int, row: Row) -> int:
@@ -778,23 +774,25 @@ class ShardRouter:
                 f"{shard_map.partition_column!r} would re-home rows across "
                 "shard groups; DELETE + INSERT instead"
             )
-        sharing = self._sharing(stmt.table)
-        rewritten = rewrite_predicate(stmt.where.bind(sharing.schema), sharing)
-        return self._read_owners(shard_map, rewritten)
+        return self._owners_for(stmt.table, stmt.where)
 
-    def _partition_key(
-        self, sharing: TableSharing, column: str, share_rows: Dict[int, ShareRow]
-    ) -> Optional[int]:
-        """A row's encoded partition key, robustly from its OP shares."""
+    @staticmethod
+    def _key_range_filter(
+        sharing: TableSharing, column: str, lo: int, hi: int
+    ) -> Callable[[int, Dict[int, ShareRow]], bool]:
+        """A migration row filter: rows whose encoded partition key —
+        recovered robustly from its OP shares — lies in ``[lo, hi)``."""
         op = sharing.op_scheme(column)
-        non_null = {
-            index: row.get(column)
-            for index, row in share_rows.items()
-            if row.get(column) is not None
-        }
-        if not non_null:
-            return None
-        return op.reconstruct_robust(non_null)
+
+        def row_filter(row_id: int, share_rows: Dict[int, ShareRow]) -> bool:
+            non_null = {
+                index: row.get(column)
+                for index, row in share_rows.items()
+                if row.get(column) is not None
+            }
+            return bool(non_null) and lo <= op.reconstruct_robust(non_null) < hi
+
+        return row_filter
 
     # ---------------------------------------------------------------- writes --
 
@@ -814,11 +812,8 @@ class ShardRouter:
         rows: Sequence[Row],
         row_ids: Optional[Sequence[int]] = None,
     ) -> List[int]:
-        self._lock.acquire_write()
-        try:
+        with self._table_lock.writing():
             return self._insert_many(table, rows, row_ids)
-        finally:
-            self._lock.release_write()
 
     def _insert_many(
         self,
@@ -854,286 +849,129 @@ class ShardRouter:
             self.groups[owner].source.insert_many(table, group_rows, group_ids)
         return list(row_ids)
 
-    def _update(self, query: Update) -> int:
+    def _write(self, stmt: Union[Update, Delete]) -> int:
         return sum(
-            self.groups[owner].source.update(query)
-            for owner in self.write_owners(query)
-        )
-
-    def _delete(self, query: Delete) -> int:
-        return sum(
-            self.groups[owner].source.delete(query)
-            for owner in self.write_owners(query)
+            self.groups[owner].source.execute(stmt)
+            for owner in self.write_owners(stmt)
         )
 
     def update(self, query: Update) -> int:
-        self._lock.acquire_write()
-        try:
-            return self._update(query)
-        finally:
-            self._lock.release_write()
+        with self._table_lock.writing():
+            return self._write(query)
 
     def delete(self, query: Delete) -> int:
-        self._lock.acquire_write()
-        try:
-            return self._delete(query)
-        finally:
-            self._lock.release_write()
+        with self._table_lock.writing():
+            return self._write(query)
 
     # ----------------------------------------------------------------- reads --
 
     def select(self, query: Select):
-        self._lock.acquire_read()
-        try:
+        with self._table_lock.reading():
             return self._select(query)
-        finally:
-            self._lock.release_read()
 
     def _select(self, query: Select):
-        sharing = self._sharing(query.table)
-        shard_map = self.shard_map(query.table)
-        rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
-        owners = self._read_owners(shard_map, rewritten)
+        owners = self._owners_for(query.table, query.where)
         telemetry.count(
             "shard.fanout", max(len(owners), 1), table=query.table
         )
-        if not owners:
-            if query.is_grouped:
-                return []
-            if query.is_aggregate:
-                return compute_aggregate(query.aggregate, [])
-            return []
         if len(owners) == 1:
             return self.groups[owners[0]].source.select(query)
-        if query.is_grouped:
-            return self._grouped_multi(query, owners)
         if query.is_aggregate:
-            return self._aggregate_multi(query, owners)
-        return self._rows_multi(sharing, query, owners)
+            return self._aggregate(query, owners)
+        # each shard returns its own top-limit superset, unprojected; the
+        # global order/limit/projection are the client finish's
+        pairs = self._gather(replace(query, columns=()), owners)
+        schema = self._sharing(query.table).schema
+        return [row for _, row in finish_rows(query, schema, pairs)]
 
-    def _rows_multi(
-        self, sharing: TableSharing, query: Select, owners: List[int]
-    ) -> List[Row]:
-        # each shard returns its own top-limit superset; the global
-        # order/limit/projection are reapplied after the concat
-        shard_query = replace(query, columns=())
-        rows: List[Row] = []
+    def _gather(
+        self, query: Select, owners: List[int]
+    ) -> List[Tuple[int, Row]]:
+        """Scatter a row read to ``owners``; their ``(row_id, row)``
+        pairs gathered in row-id order (ids are router-global)."""
+        pairs: List[Tuple[int, Row]] = []
         for owner in owners:
-            rows.extend(self.groups[owner].source.select(shard_query))
-        if query.order_by is not None:
-            column = sharing.schema.column(query.order_by)
-            rows.sort(
-                key=lambda row: python_value_sort_key(
-                    column, row.get(query.order_by)
-                ),
-                reverse=query.descending,
-            )
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        if query.columns:
-            for name in query.columns:
-                sharing.schema.column(name)
-            rows = [
-                {name: row[name] for name in query.columns} for row in rows
-            ]
-        return rows
+            pairs.extend(self.groups[owner].source.select_pairs(query))
+        pairs.sort(key=itemgetter(0))
+        return pairs
 
-    def _aggregate_multi(self, query: Select, owners: List[int]):
-        aggregate = query.aggregate
+    def _aggregate(self, query: Select, owners: List[int]):
+        """A plain or grouped aggregate over several owners (or none)."""
+        aggregate, group_column = query.aggregate, query.group_by
         if aggregate.func is AggregateFunc.MEDIAN:
             # a median of shard medians is not the median; fall back to
             # fetching the matching column values and reusing the
             # plaintext executor
+            columns = (aggregate.column,)
+            if group_column is not None:
+                columns += (group_column,)
             fetch = replace(
-                query, aggregate=None, columns=(aggregate.column,)
+                query, aggregate=None, group_by=None, columns=columns
             )
-            rows: List[Row] = []
-            for owner in owners:
-                rows.extend(self.groups[owner].source.select(fetch))
-            return compute_aggregate(aggregate, rows)
-        if aggregate.func is AggregateFunc.AVG:
-            pairs = []
-            for owner in owners:
-                source = self.groups[owner].source
-                shard_sum = source.select(
-                    replace(
-                        query,
-                        aggregate=Aggregate(AggregateFunc.SUM, aggregate.column),
-                    )
-                )
-                shard_count = source.select(
-                    replace(
-                        query,
-                        aggregate=Aggregate(
-                            AggregateFunc.COUNT, aggregate.column
-                        ),
-                    )
-                )
-                pairs.append((shard_sum, shard_count))
-            return merge_avg(pairs)
-        partials = [
-            self.groups[owner].source.select(query) for owner in owners
-        ]
-        if aggregate.func is AggregateFunc.COUNT:
-            return merge_counts(partials)
-        if aggregate.func is AggregateFunc.SUM:
-            return merge_sums(partials)
-        return merge_extremum(partials, aggregate.func)
-
-    def _grouped_multi(self, query: Select, owners: List[int]) -> List[Row]:
-        aggregate = query.aggregate
-        group_column = query.group_by
-        if aggregate.func is AggregateFunc.MEDIAN:
-            fetch = replace(
-                query,
-                aggregate=None,
-                group_by=None,
-                columns=(aggregate.column, group_column),
-            )
-            rows: List[Row] = []
-            for owner in owners:
-                rows.extend(self.groups[owner].source.select(fetch))
+            rows = [row for _, row in self._gather(fetch, owners)]
+            if group_column is None:
+                return compute_aggregate(aggregate, rows)
             return compute_group_aggregate(aggregate, group_column, rows)
+
+        def partials(func: AggregateFunc) -> List[object]:
+            shard_query = replace(
+                query, aggregate=Aggregate(func, aggregate.column)
+            )
+            return [
+                self.groups[owner].source.select(shard_query)
+                for owner in owners
+            ]
+
         if aggregate.func is AggregateFunc.AVG:
-            sums = []
-            counts = []
-            for owner in owners:
-                source = self.groups[owner].source
-                sums.append(
-                    source.select(
-                        replace(
-                            query,
-                            aggregate=Aggregate(
-                                AggregateFunc.SUM, aggregate.column
-                            ),
-                        )
-                    )
-                )
-                counts.append(
-                    source.select(
-                        replace(
-                            query,
-                            aggregate=Aggregate(
-                                AggregateFunc.COUNT, aggregate.column
-                            ),
-                        )
-                    )
-                )
+            sums = partials(AggregateFunc.SUM)
+            counts = partials(AggregateFunc.COUNT)
+            if group_column is None:
+                return merge_avg(list(zip(sums, counts)))
             return merge_grouped_avg(group_column, sums, counts)
-        partials = [
-            self.groups[owner].source.select(query) for owner in owners
-        ]
-        return merge_grouped(aggregate, group_column, partials)
+        if group_column is None:
+            return merge_partials(aggregate.func, partials(aggregate.func))
+        return merge_grouped(
+            aggregate, group_column, partials(aggregate.func)
+        )
 
     def join(self, query: JoinSelect) -> List[Row]:
-        self._lock.acquire_read()
-        try:
+        with self._table_lock.reading():
             return self._join(query)
-        finally:
-            self._lock.release_read()
 
     def _join(self, query: JoinSelect) -> List[Row]:
-        left_sharing = self._sharing(query.left_table)
-        right_sharing = self._sharing(query.right_table)
         left_pred, right_pred, residual = split_join_predicate(
             query.where, query.left_table, query.right_table
         )
-        left_rewritten = rewrite_predicate(
-            left_pred.bind(left_sharing.schema), left_sharing
-        )
-        right_rewritten = rewrite_predicate(
-            right_pred.bind(right_sharing.schema), right_sharing
-        )
-        left_owners = self._read_owners(
-            self.shard_map(query.left_table), left_rewritten
-        )
-        right_owners = self._read_owners(
-            self.shard_map(query.right_table), right_rewritten
-        )
+        left_owners = self._owners_for(query.left_table, left_pred)
+        right_owners = self._owners_for(query.right_table, right_pred)
         if not left_owners or not right_owners:
             return []
         if len(left_owners) == 1 and left_owners == right_owners:
             # co-located: the one owning group can run its native join
             # protocol (including the provider-side intersection path)
             return self.groups[left_owners[0]].source.join(query)
-        left_rows = self._select(
-            Select(query.left_table, where=left_pred)
+        return hash_join(
+            query,
+            self._gather(
+                Select(query.left_table, where=left_pred), left_owners
+            ),
+            self._gather(
+                Select(query.right_table, where=right_pred), right_owners
+            ),
+            residual,
         )
-        right_rows = self._select(
-            Select(query.right_table, where=right_pred)
-        )
-        by_key: Dict[object, List[Row]] = {}
-        for row in right_rows:
-            key = row.get(query.right_column)
-            if key is not None:
-                by_key.setdefault(key, []).append(row)
-        joined: List[Row] = []
-        for left_row in left_rows:
-            key = left_row.get(query.left_column)
-            if key is None:
-                continue
-            for right_row in by_key.get(key, ()):
-                combined = {
-                    f"{query.left_table}.{name}": value
-                    for name, value in left_row.items()
-                }
-                combined.update(
-                    {
-                        f"{query.right_table}.{name}": value
-                        for name, value in right_row.items()
-                    }
-                )
-                if residual.matches(combined):
-                    joined.append(combined)
-        return _project_qualified(joined, query.columns)
 
     # ------------------------------------------------------------- execution --
 
     def execute(self, query, session: Optional[Session] = None):
-        """Admit, lock, route one statement (SQL text or AST node)."""
+        """Route one statement (SQL text or AST node) up the ladder."""
         statement = parse_sql(query) if isinstance(query, str) else query
-        is_read = isinstance(statement, (Select, JoinSelect))
-        if self.admission is not None:
-            try:
-                self.admission.acquire()
-            except ServiceOverloadedError:
-                if session is not None:
-                    session.record(error=True, rejected=True)
-                raise
-        try:
-            if is_read:
-                self._lock.acquire_read()
-            else:
-                self._lock.acquire_write()
-            try:
-                with telemetry.span(
-                    "shard.query",
-                    write=not is_read,
-                    client=None if session is None else session.client_id,
-                ):
-                    result = self._run(statement, session)
-            except BaseException:
-                if session is not None:
-                    session.record(error=True)
-                with self._stats_lock:
-                    self.stats.failed += 1
-                raise
-            finally:
-                if is_read:
-                    self._lock.release_read()
-                else:
-                    self._lock.release_write()
-        finally:
-            if self.admission is not None:
-                self.admission.release()
-        returned = len(result) if isinstance(result, list) else 0
-        written = result if isinstance(result, int) and not is_read else 0
-        if session is not None:
-            session.record(rows_returned=returned, rows_written=written)
-        with self._stats_lock:
-            self.stats.completed += 1
-            self.stats.rows_returned += returned
-            self.stats.rows_written += written
+        (result,) = self._run_statements(
+            [statement],
+            [lambda: [self._run(statement, session)]],
+            span="shard.query",
+            session=session,
+        )
         return result
 
     def _run(self, statement, session: Optional[Session]):
@@ -1149,27 +987,14 @@ class ShardRouter:
             return self._select(statement)
         if isinstance(statement, JoinSelect):
             return self._join(statement)
-        if isinstance(statement, Update):
-            return self._update(statement)
-        if isinstance(statement, Delete):
-            return self._delete(statement)
+        if isinstance(statement, (Update, Delete)):
+            return self._write(statement)
         raise QueryError(
             f"unsupported statement {type(statement).__name__}"
         )
 
     def sql(self, text: str):
         return self.execute(text)
-
-    def _single_owner(self, statement) -> Optional[int]:
-        """The sole owning group of a read, or None if it fans out."""
-        if not isinstance(statement, Select):
-            return None
-        sharing = self._sharing(statement.table)
-        rewritten = rewrite_predicate(
-            statement.where.bind(sharing.schema), sharing
-        )
-        owners = self._read_owners(self.shard_map(statement.table), rewritten)
-        return owners[0] if len(owners) == 1 else None
 
     def execute_wave(self, statements: List[str]) -> List[object]:
         """Read-only wave: single-owner reads run per group, in parallel.
@@ -1180,63 +1005,47 @@ class ShardRouter:
         in the unsharded service.  Groups run on parallel threads (they
         are independent deployments), which is what the benchmark's
         modelled-latency accounting takes the max over.  Multi-owner
-        reads run inline after the per-group waves.
+        reads run inline after the per-group waves.  The whole wave
+        climbs the ladder as one unit.
         """
         if not statements:
             return []
-        parsed = [parse_sql(text) for text in statements]
-        for text, statement in zip(statements, parsed):
-            if not isinstance(statement, (Select, JoinSelect)):
-                raise ServiceError(
-                    f"execute_wave() is read-only; got a "
-                    f"{type(statement).__name__}: {text!r}"
-                )
-        self._lock.acquire_read()
-        try:
-            per_group: Dict[int, List[int]] = {}
-            inline: List[int] = []
-            for position, statement in enumerate(parsed):
-                owner = self._single_owner(statement)
-                if owner is not None and self.groups[owner].service is not None:
-                    per_group.setdefault(owner, []).append(position)
-                else:
-                    inline.append(position)
-            results: List[object] = [None] * len(parsed)
-            errors: List[BaseException] = []
+        parsed = parse_wave(statements, parse_sql, "execute_wave", True)
+        return self._run_statements(
+            parsed, [lambda: self._run_wave(statements, parsed)]
+        )
 
-            def run_group(group_index: int, positions: List[int]) -> None:
-                try:
-                    wave = self.groups[group_index].service.run_wave(
-                        [statements[p] for p in positions]
-                    )
-                    for position, result in zip(positions, wave):
-                        results[position] = result
-                except BaseException as exc:  # surfaced after join
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(
-                    target=run_group,
-                    args=(group_index, positions),
-                    name=f"repro-shard-wave-{group_index}",
-                )
-                for group_index, positions in sorted(per_group.items())
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for position in inline:
-                results[position] = self._run(parsed[position], None)
-        finally:
-            self._lock.release_read()
-        if errors:
-            raise errors[0]
-        with self._stats_lock:
-            self.stats.completed += len(parsed)
-            self.stats.rows_returned += sum(
-                len(r) for r in results if isinstance(r, list)
+    def _run_wave(self, statements: List[str], parsed: List) -> List[object]:
+        per_group: Dict[int, List[int]] = {}
+        inline: List[int] = []
+        for position, statement in enumerate(parsed):
+            owners = (
+                self._owners_for(statement.table, statement.where)
+                if isinstance(statement, Select)
+                else []
             )
+            if len(owners) == 1 and self.groups[owners[0]].service is not None:
+                per_group.setdefault(owners[0], []).append(position)
+            else:
+                inline.append(position)
+        results: List[object] = [None] * len(parsed)
+
+        def run_group(group_index: int, positions: List[int]) -> None:
+            wave = self.groups[group_index].service.run_wave(
+                [statements[p] for p in positions]
+            )
+            for position, result in zip(positions, wave):
+                results[position] = result
+
+        run_parallel(
+            [
+                partial(run_group, group_index, positions)
+                for group_index, positions in sorted(per_group.items())
+            ],
+            "repro-shard-wave",
+        )
+        for position in inline:
+            results[position] = self._run(parsed[position], None)
         return results
 
     # -------------------------------------------------------------- services --
@@ -1255,13 +1064,7 @@ class ShardRouter:
             max_in_flight, queue_limit, plan_cache_capacity, batching
         )
         for group in self.groups:
-            group.service = QueryService(
-                group.source,
-                max_in_flight,
-                queue_limit,
-                plan_cache_capacity,
-                batching,
-            )
+            group.service = QueryService(group.source, *self._service_params)
         scale = max(1, len(self.active_group_indexes()))
         self.admission = AdmissionController(
             max_in_flight * scale, queue_limit * scale
@@ -1275,20 +1078,8 @@ class ShardRouter:
         self.admission = None
         self._service_params = None
 
-    def open_session(self, client_id: Optional[str] = None, **kwargs) -> Session:
-        return self.sessions.open(client_id, **kwargs)
-
-    def close_session(self, session: Session) -> None:
-        self.sessions.close(session)
-
     def close(self) -> None:
         self.detach_services()
-
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------ accounting --
 
@@ -1336,34 +1127,22 @@ class ShardRouter:
 
     def add_group(self) -> int:
         """Register a fresh provider group (owning nothing yet) under load."""
-        self._lock.acquire_write()
-        try:
+        with self._table_lock.writing():
             index = len(self.groups)
-            first = self.groups[0]
-            cluster = ProviderCluster(
-                first.cluster.n_providers,
+            source = self._new_source(
+                index,
+                self.groups[0].cluster.n_providers,
                 self.threshold,
-                name_prefix=f"g{index}/",
-            )
-            source = DataSource(
-                cluster,
-                seed=self._group_seed(self._seed, index),
-                secrets=self.secrets,
+                self._seed,
+                self.secrets,
             )
             for name in sorted(self._maps):
                 source.create_table(self._sharing(name).schema)
             group = ShardGroup(f"group{index}", source)
             if self._service_params is not None:
-                max_in_flight, queue_limit, capacity, batching = (
-                    self._service_params
-                )
-                group.service = QueryService(
-                    source, max_in_flight, queue_limit, capacity, batching
-                )
+                group.service = QueryService(source, *self._service_params)
             self.groups.append(group)
             return index
-        finally:
-            self._lock.release_write()
 
     def split_shard(
         self,
@@ -1401,11 +1180,9 @@ class ShardRouter:
         if to_group is None:
             to_group = self.add_group()
         self._check_destination(to_group, src)
-        column = shard_map.partition_column
-
-        def row_filter(row_id: int, share_rows: Dict[int, ShareRow]) -> bool:
-            value = self._partition_key(sharing, column, share_rows)
-            return value is not None and key <= value < range_hi
+        row_filter = self._key_range_filter(
+            sharing, shard_map.partition_column, key, range_hi
+        )
 
         def flip() -> None:
             shard_map.split_at(key, to_group)
@@ -1509,22 +1286,16 @@ class ShardRouter:
                 for position, (lo, hi) in enumerate(owned):
                     dst = remaining[position % len(remaining)]
 
-                    def row_filter(
-                        row_id: int,
-                        share_rows: Dict[int, ShareRow],
-                        _lo: int = lo,
-                        _hi: int = hi,
-                    ) -> bool:
-                        value = self._partition_key(
-                            sharing, column, share_rows
-                        )
-                        return value is not None and _lo <= value < _hi
-
                     def flip(_lo: int = lo, _dst: int = dst) -> None:
                         shard_map.reassign(_lo, _dst)
 
                     moved += self._migrate(
-                        name, group_index, dst, row_filter, flip, checkpoint
+                        name,
+                        group_index,
+                        dst,
+                        self._key_range_filter(sharing, column, lo, hi),
+                        flip,
+                        checkpoint,
                     )
         self.groups[group_index].retired = True
         return moved
@@ -1586,8 +1357,7 @@ class ShardRouter:
             dst.create_staging_table(table, staging)
             dst.insert_share_rows(table, moved, into=staging)
             notify("copied")
-            self._lock.acquire_write()
-            try:
+            with self._table_lock.writing():
                 if src.table_epoch(table) != epoch:
                     # a write raced the online copy; redo it inside the
                     # blocking window so the cutover sees a settled row set
@@ -1600,8 +1370,6 @@ class ShardRouter:
                 flip()
                 src.delete_row_ids(table, [row_id for row_id, _ in moved])
                 notify("cutover")
-            finally:
-                self._lock.release_write()
             span.set(rows=len(moved))
             telemetry.count("shard.migrated_rows", len(moved), table=table)
         self.migrations += 1

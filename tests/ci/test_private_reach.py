@@ -5,7 +5,8 @@ coupled to that object's internals — the shared-database antipattern the
 write-pipeline refactor removed from the transaction layer and the lazy
 update buffer.  This walks every module under ``src/repro`` and fails on
 any attribute access ``x._name`` (dunders excepted) whose ``x`` is not
-``self`` / ``cls``.
+``self`` / ``cls``, and on any ``from <other module> import _name`` — the
+same reach, spelled as an import (ISSUE-16).
 
 ``src/repro/txn/`` and ``src/repro/client/updates.py`` must be clean.
 Everything else has an explicit allowlist of the reaches that existed when
@@ -28,8 +29,6 @@ ALLOWED = {
     ("persistence.py", "_rng"),
     ("persistence.py", "_next_row_id"),
     ("persistence.py", "_restore_epoch"),
-    ("service/sharding.py", "_maps"),  # ShardRouter.restore, on its own class
-    ("service/sharding.py", "_next_row_id"),
     ("trust/auditing.py", "_column_hashes"),
 }
 
@@ -42,17 +41,20 @@ def _private_reaches():
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Attribute):
-                continue
-            name = node.attr
-            if not name.startswith("_") or (
-                name.startswith("__") and name.endswith("__")
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name)
+                and node.value.id in ("self", "cls")
             ):
+                names = [node.attr]
+            else:
                 continue
-            owner = node.value
-            if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
-                continue
-            found.add((module, name, node.lineno))
+            for name in names:
+                if name.startswith("_") and not (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    found.add((module, name, node.lineno))
     return found
 
 
@@ -63,8 +65,8 @@ def test_no_new_private_reach():
         if (module, name) not in ALLOWED
     )
     assert not new, (
-        "private attribute of another object reached into (go through a "
-        f"public method instead): {new}"
+        "private attribute of another object reached into, or private name "
+        f"imported from another module (go through a public one): {new}"
     )
 
 

@@ -53,6 +53,22 @@ def test_datasource_targets_live_in_the_class_body():
         assert ("repro.client.datasource:DataSource", name) in ENTRY_POINTS
 
 
+def test_router_and_rewriter_targets_live_where_they_are_looked_up():
+    # ``vars(holder)[name]``: an entry point hoisted into a base class (the
+    # router shares ``StatementLadder`` with ``QueryService``) or re-exported
+    # from another module would stop resolving
+    from repro.client import rewriter
+    from repro.service.sharding import ShardRouter
+
+    for name in ("execute", "create_table", "insert_many"):
+        assert inspect.isfunction(vars(ShardRouter)[name]), name
+        assert ("repro.service.sharding:ShardRouter", name) in ENTRY_POINTS
+    for name in ("rewrite_predicate", "split_join_predicate"):
+        function = vars(rewriter)[name]
+        assert function.__module__ == "repro.client.rewriter", name
+        assert ("repro.client.rewriter", name) in ENTRY_POINTS
+
+
 def test_reconstruct_targets_are_module_functions():
     from repro.client import reconstruct
 

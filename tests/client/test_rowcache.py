@@ -50,7 +50,9 @@ class TestUnitRowCache:
     def test_query_replay_and_member_eviction(self):
         cache = RowCache(row_capacity=2, query_capacity=4)
         cache.store_query("t", ("sig",), 0, [(1, {"a": 1}), (2, {"a": 2})])
-        assert cache.lookup_query("t", ("sig",), 0) == [{"a": 1}, {"a": 2}]
+        assert cache.lookup_query("t", ("sig",), 0) == [
+            (1, {"a": 1}), (2, {"a": 2}),
+        ]
         # a third row evicts the LRU member; the query can no longer be
         # served whole and must fall through
         cache.put_row("t", 3, 0, {"a": 3})

@@ -44,12 +44,12 @@ class TestQueryPrivacy:
         indexes with the same blinding stream are indistinguishable in
         distribution; here we check the transcript literally differs from
         the unblinded h(i) for every i (no direct index leak)."""
-        from repro.baselines.intersection import _hash_to_group
+        from repro.baselines.intersection import hash_to_group
 
         server = SPIRServer(records, seed=14)
         client = SPIRClient(server, rng=DeterministicRNG(15, "p"))
         p = server.modulus
-        direct_points = {_hash_to_group(i, p) for i in range(len(records))}
+        direct_points = {hash_to_group(i, p) for i in range(len(records))}
         sent = []
         original = SPIRServer.raise_blinded
 
@@ -87,12 +87,12 @@ class TestDataPrivacy:
 
     def test_keys_differ_per_index(self, records):
         from repro.pir.spir import _key_from_point
-        from repro.baselines.intersection import _hash_to_group
+        from repro.baselines.intersection import hash_to_group
 
         server = SPIRServer(records, seed=16)
         p = server.modulus
         keys = {
-            _key_from_point(pow(_hash_to_group(i, p), server.secret_exponent, p))
+            _key_from_point(pow(hash_to_group(i, p), server.secret_exponent, p))
             for i in range(10)
         }
         assert len(keys) == 10

@@ -1,6 +1,6 @@
 """Property-based tests for the sharding layer.
 
-Three families of invariants:
+Four families of invariants:
 
 * **Partition assignment is total and disjoint** — every row id / key
   maps to exactly one group, range tiles cover the domain gap-free, and
@@ -10,6 +10,9 @@ Three families of invariants:
   a value list into shards, the merge helpers reproduce the unsharded
   COUNT/SUM/MIN/MAX/AVG exactly (AVG bit-identically: same numerator,
   same denominator, one division).
+* **Row reads are in oracle order** — for any order column, direction
+  and limit, a sharded row read is the same *ordered list* as the
+  plaintext oracle's (row-id order, ORDER BY ties broken by row id).
 * **Mid-migration reads are exact** — at every unlocked checkpoint of
   an online split, COUNT and SUM equal the oracle: no half-moved row is
   ever observable.
@@ -29,7 +32,12 @@ from repro.service.sharding import (
 )
 from repro.sqlengine.query import AggregateFunc
 
-from tests.sharding.shardutil import build_router, sorted_eids
+from tests.sharding.shardutil import (
+    build_oracle,
+    build_router,
+    oracle_answer,
+    sorted_eids,
+)
 
 # ------------------------------------------------------------- strategies --
 
@@ -225,6 +233,32 @@ def test_merged_partials_equal_whole_set_aggregates(partition):
 @settings(max_examples=20, deadline=None)
 def test_merge_avg_of_all_null_shards_is_null(pairs):
     assert merge_avg(pairs) is None
+
+
+# ------------------------------------------------------- result ordering --
+
+
+@given(
+    mode=st.sampled_from(["hash", "range"]),
+    n_groups=st.sampled_from([2, 3, 4]),
+    order_by=st.sampled_from(
+        [None, "department", "name", "lastname", "salary", "eid"]
+    ),
+    descending=st.booleans(),
+    limit=st.one_of(st.none(), st.integers(min_value=0, max_value=24)),
+    floor=st.sampled_from([0, 40000, 60000]),
+)
+@settings(max_examples=25, deadline=None)
+def test_sharded_row_reads_are_in_oracle_order(
+    mode, n_groups, order_by, descending, limit, floor
+):
+    sql = f"SELECT eid, department FROM Employees WHERE salary >= {floor}"
+    if order_by is not None:
+        sql += f" ORDER BY {order_by}" + (" DESC" if descending else "")
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+    with build_router(mode, n_groups=n_groups, rows=24) as router:
+        assert router.sql(sql) == oracle_answer(build_oracle(rows=24), sql)
 
 
 # -------------------------------------------- mid-migration readability --

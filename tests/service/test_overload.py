@@ -4,10 +4,10 @@ import pytest
 
 from repro import telemetry
 from repro.client.datasource import DataSource
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.providers.cluster import ProviderCluster
 from repro.service import PlaintextMirror, estimate_capacity, run_open_loop
-from repro.workloads.employees import employees_table
+from repro.workloads.employees import employees_schema, employees_table
 from repro.workloads.traffic import (
     TrafficEvent,
     TrafficProfile,
@@ -40,63 +40,99 @@ def flood_events(source, eids, load, queries=200, max_in_flight=4):
 
 
 class TestMirror:
-    def rows(self):
-        return [
-            {"eid": 1, "name": "A", "salary": 50_000},
-            {"eid": 2, "name": "B", "salary": 60_000},
-        ]
+    """The mirror is a PlaintextExecutor over the full table, driven by
+    each event's own SQL in execution order."""
 
-    def event(self, kind, params):
-        return TrafficEvent(
-            arrival=0.0, session_id="s", sql="", kind=kind,
-            priority=0, params=params,
+    def mirror(self):
+        return PlaintextMirror(
+            employees_schema(),
+            [
+                {"eid": 1, "name": "A", "lastname": "X", "department": "HR",
+                 "salary": 50_000},
+                {"eid": 2, "name": "B", "lastname": "Y", "department": "OPS",
+                 "salary": 60_000},
+            ],
         )
+
+    def event(self, sql, kind="point"):
+        return TrafficEvent(
+            arrival=0.0, session_id="s", sql=sql, kind=kind, priority=0,
+        )
+
+    def point(self, eid):
+        return self.event(f"SELECT name, salary FROM Employees WHERE eid = {eid}")
 
     def test_point_hit_and_miss(self):
-        mirror = PlaintextMirror(self.rows())
+        mirror = self.mirror()
         assert mirror.check_and_apply(
-            self.event("point", (1,)), [{"name": "A", "salary": 50_000}]
+            self.point(1), [{"name": "A", "salary": 50_000}]
         )
-        assert mirror.check_and_apply(self.event("point", (99,)), [])
+        assert mirror.check_and_apply(self.point(99), [])
         assert not mirror.check_and_apply(
-            self.event("point", (1,)), [{"name": "A", "salary": 1}]
+            self.point(1), [{"name": "A", "salary": 1}]
         )
 
     def test_range_compares_eids(self):
-        mirror = PlaintextMirror(self.rows())
-        event = self.event("range", (55_000, 65_000))
-        assert mirror.check_and_apply(event, [{"eid": 2}])
+        mirror = self.mirror()
+        event = self.event(
+            "SELECT eid FROM Employees WHERE salary BETWEEN 45000 AND 65000",
+            kind="range",
+        )
+        assert mirror.check_and_apply(event, [{"eid": 2}, {"eid": 1}])
         assert not mirror.check_and_apply(event, [{"eid": 1}])
         assert not mirror.check_and_apply(event, "not a list")
 
     def test_aggregate_counts(self):
-        mirror = PlaintextMirror(self.rows())
-        event = self.event("aggregate", (40_000, 70_000))
+        mirror = self.mirror()
+        event = self.event(
+            "SELECT COUNT(*) FROM Employees WHERE salary BETWEEN 40000 AND 70000",
+            kind="aggregate",
+        )
         assert mirror.check_and_apply(event, 2)
         assert not mirror.check_and_apply(event, 3)
 
     def test_update_applies_at_check_time(self):
-        mirror = PlaintextMirror(self.rows())
-        assert mirror.check_and_apply(self.event("update", (1, 99_000)), 1)
+        mirror = self.mirror()
+        update = "UPDATE Employees SET salary = {} WHERE eid = {}"
+        assert mirror.check_and_apply(
+            self.event(update.format(99_000, 1), kind="update"), 1
+        )
         # the write landed: later reads expect the new salary
         assert mirror.check_and_apply(
-            self.event("point", (1,)), [{"name": "A", "salary": 99_000}]
+            self.point(1), [{"name": "A", "salary": 99_000}]
         )
-        assert mirror.check_and_apply(self.event("update", (99, 1)), 0)
+        assert mirror.check_and_apply(
+            self.event(update.format(1, 99), kind="update"), 0
+        )
 
     def test_insert_applies(self):
-        mirror = PlaintextMirror(self.rows())
-        event = self.event("insert", (3, "C", "FLOOD", "OPS", 70_000))
+        mirror = self.mirror()
+        event = self.event(
+            "INSERT INTO Employees (eid, name, lastname, department, salary) "
+            "VALUES (3, 'C', 'FLOOD', 'OPS', 70000)",
+            kind="insert",
+        )
         assert mirror.check_and_apply(event, 1)
         assert mirror.check_and_apply(
-            self.event("point", (3,)), [{"name": "C", "salary": 70_000}]
+            self.point(3), [{"name": "C", "salary": 70_000}]
         )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PlaintextMirror([]).check_and_apply(
-                self.event("mystery", ()), None
+        # the kind tag is not consulted; SQL the oracle cannot run is a
+        # typed error, never a silent "correct"
+        with pytest.raises(ReproError):
+            self.mirror().check_and_apply(
+                self.event("VACUUM Employees", kind="mystery"), None
             )
+
+    def test_generated_traffic_checks_against_its_own_sql(self):
+        source, eids = build_source(rows=12, providers=3, threshold=2)
+        mirror = PlaintextMirror(
+            source.sharing("Employees").schema,
+            source.sql("SELECT * FROM Employees"),
+        )
+        for event in generate_traffic(eids, 60, seed=SEED):
+            assert mirror.check_and_apply(event, source.sql(event.sql)), event
 
 
 class TestCapacity:

@@ -5,6 +5,8 @@ still exercising the full fan-out/merge machinery: two groups, both
 workload tables, hash and range modes.
 """
 
+from repro.client.datasource import DataSource
+from repro.providers.cluster import ProviderCluster
 from repro.service.sharding import ShardRouter
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor
@@ -49,6 +51,14 @@ def build_router(
         router.outsource_table(employees)
         router.outsource_table(managers)
     return router
+
+
+def build_unsharded(rows=ROWS, seed=SEED):
+    """The same tables on one provider group behind a plain DataSource."""
+    source = DataSource(ProviderCluster(PROVIDERS, THRESHOLD), seed=seed)
+    for table in workload_tables(rows, seed):
+        source.outsource_table(table)
+    return source
 
 
 def build_oracle(rows=ROWS, seed=SEED):

@@ -1,0 +1,380 @@
+"""Characterisation of ``ShardRouter``, before and after ISSUE-16.
+
+Written before the router refactor and green on both sides of it: for
+{hash, range} x {single-owner, multi-owner} x every statement shape the
+router handles (row reads with order / limit / projection, the six
+aggregates plain and grouped, co-located and cross-shard joins, INSERT /
+UPDATE / DELETE, a session script, a failing statement, ``execute_wave``)
+the result equals the plaintext oracle, and the result, the per-group
+byte count, message count, modelled clock and client/provider
+``CostRecorder`` snapshots and ``router.stats`` equal the numbers
+captured at the parent commit ``0111ac2`` (``router_pipeline_golden.json``).
+
+The only permitted differences from the parent are the result-*order*
+fixes enumerated in ``ORDER_DELTAS``: the parent concatenated multi-owner
+row reads in group order, so those scenarios returned the right rows in
+the wrong order (or, under ``LIMIT``, the wrong rows).  Their accounting
+must still equal the parent's, and their result must now equal the
+oracle's as an ordered list.
+
+Regenerate (only on purpose, at the parent commit)::
+
+    PYTHONPATH=src python -m tests.sharding.test_router_pipeline
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from typing import Callable, Dict, List
+
+import pytest
+
+from repro.errors import ReproError
+from repro.sqlengine.executor import rows_equal_unordered
+from repro.sqlengine.sqlparser import parse_sql
+
+from tests.sharding.shardutil import build_oracle, build_router, sorted_eids
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "router_pipeline_golden.json"
+)
+
+EIDS = sorted_eids()
+#: an eid well inside group 0's slice of the default two-way range cut
+LOW = EIDS[len(EIDS) // 4]
+
+#: variant -> (sharding mode, whether every statement has one owner).
+#: ``hash/single`` drains group 1 so one group owns the whole ring;
+#: ``range/single`` restricts every statement to ``eid <= LOW``.
+VARIANTS = {
+    "hash/multi": ("hash", False),
+    "hash/single": ("hash", True),
+    "range/multi": ("range", False),
+    "range/single": ("range", True),
+}
+
+#: Multi-owner row reads whose parent result was in group order, not
+#: row-id order (ties included), and why each moves.
+ORDER_DELTAS = {
+    "rows_plain": "no ORDER BY: rows come back in row-id order",
+    "rows_projection": "no ORDER BY: rows come back in row-id order",
+    "rows_residual": "no ORDER BY: rows come back in row-id order",
+    "rows_limit": "LIMIT without ORDER BY keeps the lowest row ids",
+    "rows_order_dup": "ORDER BY a non-unique column breaks ties by row id",
+    "rows_order_dup_desc": "ORDER BY a non-unique column breaks ties by row id",
+    "rows_order_dup_limit": "ORDER BY + LIMIT keeps the tie-broken prefix",
+    "rows_order_dup_desc_limit": "ORDER BY + LIMIT keeps the tie-broken prefix",
+    "join_plain": "cross-shard join pairs come back in (left id, right id) order",
+    "join_projection": "cross-shard join pairs come back in (left id, right id) order",
+    "wave": "the wave's multi-owner reads come back in row-id order",
+}
+
+#: ``{where}`` opens a predicate, ``{and_}`` extends one
+READS = {
+    "rows_plain": "SELECT * FROM Employees{where}",
+    "rows_projection": "SELECT name, salary FROM Employees{where}",
+    "rows_residual": (
+        "SELECT name FROM Employees WHERE name <> 'JOHN' AND salary > 40000{and_}"
+    ),
+    "rows_limit": "SELECT eid FROM Employees{where} LIMIT 5",
+    "rows_order_unique": (
+        "SELECT eid, salary FROM Employees{where} ORDER BY eid LIMIT 10"
+    ),
+    "rows_order_dup": "SELECT eid, department FROM Employees{where} ORDER BY department",
+    "rows_order_dup_desc": (
+        "SELECT eid, department FROM Employees{where} ORDER BY department DESC"
+    ),
+    "rows_order_dup_limit": (
+        "SELECT eid, department FROM Employees{where} ORDER BY department LIMIT 6"
+    ),
+    "rows_order_dup_desc_limit": (
+        "SELECT eid, department FROM Employees{where} "
+        "ORDER BY department DESC LIMIT 6"
+    ),
+    "rows_empty": "SELECT * FROM Employees WHERE salary > 10 AND salary < 5{and_}",
+    "count_star": "SELECT COUNT(*) FROM Employees{where}",
+    "count_where": "SELECT COUNT(*) FROM Employees WHERE salary >= 50000{and_}",
+    "sum": "SELECT SUM(salary) FROM Employees{where}",
+    "avg": "SELECT AVG(salary) FROM Employees{where}",
+    "min": "SELECT MIN(salary) FROM Employees{where}",
+    "max": "SELECT MAX(salary) FROM Employees WHERE salary <= 90000{and_}",
+    "median": "SELECT MEDIAN(salary) FROM Employees{where}",
+    "sum_empty": "SELECT SUM(salary) FROM Employees WHERE salary > 10 AND salary < 5{and_}",
+    "grouped_count": "SELECT COUNT(*) FROM Employees{where} GROUP BY department",
+    "grouped_sum": "SELECT SUM(salary) FROM Employees{where} GROUP BY department",
+    "grouped_avg": "SELECT AVG(salary) FROM Employees{where} GROUP BY department",
+    "grouped_min": "SELECT MIN(salary) FROM Employees{where} GROUP BY department",
+    "grouped_max": "SELECT MAX(salary) FROM Employees{where} GROUP BY department",
+    "grouped_median": "SELECT MEDIAN(salary) FROM Employees{where} GROUP BY department",
+    "grouped_residual": (
+        "SELECT SUM(salary) FROM Employees WHERE name <> 'JOHN'{and_} "
+        "GROUP BY department"
+    ),
+}
+
+#: co-located under the single-owner variants, cross-shard otherwise
+JOINS = {
+    "join_plain": (
+        "SELECT * FROM Employees JOIN Managers ON Employees.eid = Managers.eid"
+        "{join_where}"
+    ),
+    "join_projection": (
+        "SELECT Employees.name, Managers.manager_username FROM Employees "
+        "JOIN Managers ON Employees.eid = Managers.eid "
+        "WHERE Employees.salary >= 20000{join_and}"
+    ),
+}
+
+WRITES = {
+    "insert": [
+        "INSERT INTO Employees (eid, name, lastname, department, salary) "
+        "VALUES ({low_free}, 'ZED', 'NEW', 'OPS', 4321)"
+    ],
+    "update": ["UPDATE Employees SET salary = 1234 WHERE salary BETWEEN 20000 AND 70000{and_}"],
+    "update_residual": [
+        "UPDATE Employees SET department = 'OPS' WHERE name <> 'JOHN' AND salary > 50000{and_}"
+    ],
+    "update_partition": ["UPDATE Employees SET eid = 77 WHERE salary < 30000{and_}"],
+    "delete": ["DELETE FROM Employees WHERE salary < 30000{and_}"],
+    "script": [
+        "INSERT INTO Employees (eid, name, lastname, department, salary) "
+        "VALUES ({low_free}, 'ZED', 'NEW', 'OPS', 4321)",
+        "UPDATE Employees SET salary = 99 WHERE department = 'OPS'{and_}",
+        "DELETE FROM Employees WHERE salary = 99{and_}",
+    ],
+}
+
+
+def _fill(template: str, single: bool) -> str:
+    low_free = next(e for e in range(LOW - 1, 0, -1) if e not in EIDS)
+    restrict = f"eid <= {LOW}"
+    both = f"Employees.eid <= {LOW} AND Managers.eid <= {LOW}"
+    return template.format(
+        where=f" WHERE {restrict}" if single else "",
+        and_=f" AND {restrict}" if single else "",
+        join_where=f" WHERE {both}" if single else "",
+        join_and=f" AND {both}" if single else "",
+        low_free=low_free,
+    )
+
+
+class Deployment:
+    """The 48-row two-group sharding deployment beside its oracle."""
+
+    def __init__(self, variant: str) -> None:
+        mode, self.single = VARIANTS[variant]
+        self.router = build_router(mode)
+        self.oracle = build_oracle()
+        if mode == "hash" and self.single:
+            self.router.drain_group(1)
+        self.router.reset_accounting()
+
+    def sql(self, template: str) -> str:
+        # range pruning is what makes a statement single-owner; the drained
+        # hash ring needs no predicate
+        return _fill(template, self.single and self.router.default_mode == "range")
+
+    def accounting(self) -> Dict[str, object]:
+        return {
+            "groups": [
+                {
+                    "bytes": group.network.total_bytes,
+                    "messages": group.network.total_messages,
+                    "modelled_seconds": group.network.modelled_seconds,
+                    "client": group.source.cost.snapshot(),
+                    "providers": group.cluster.total_provider_cost().snapshot(),
+                }
+                for group in self.router.groups
+            ],
+            "stats": self.router.stats.snapshot(),
+        }
+
+    def tables_match_oracle(self) -> bool:
+        return all(
+            rows_equal_unordered(
+                self.router.sql(f"SELECT * FROM {table}"),
+                self.oracle.execute(parse_sql(f"SELECT * FROM {table}")),
+            )
+            for table in ("Employees", "Managers")
+        )
+
+
+def _compare(actual, expected) -> Dict[str, bool]:
+    if not isinstance(expected, list):
+        return {"matches_oracle": actual == expected, "ordered": actual == expected}
+    return {
+        "matches_oracle": rows_equal_unordered(actual, expected),
+        "ordered": actual == expected,
+    }
+
+
+# --------------------------------------------------------------- scenarios --
+
+#: id -> (variant, runner); a runner returns the scenario's record
+SCENARIOS: Dict[str, tuple] = {}
+
+
+def scenario(variant: str, shape: str):
+    def register(run: Callable[[Deployment], Dict[str, object]]):
+        SCENARIOS[f"{variant}/{shape}"] = (variant, run)
+        return run
+
+    return register
+
+
+def _add_read(variant: str, shape: str, template: str) -> None:
+    @scenario(variant, shape)
+    def run(dep: Deployment):
+        sql = dep.sql(template)
+        actual = dep.router.sql(sql)
+        record = {"result": actual, **dep.accounting()}
+        record.update(_compare(actual, dep.oracle.execute(parse_sql(sql))))
+        return record
+
+
+def _add_write(variant: str, shape: str, templates: List[str]) -> None:
+    @scenario(variant, shape)
+    def run(dep: Deployment):
+        results: List[object] = []
+        ok = True
+        for template in templates:
+            sql = dep.sql(template)
+            try:
+                actual = dep.router.sql(sql)
+            except ReproError as exc:
+                results.append({"raised": type(exc).__name__})
+                continue
+            results.append(actual)
+            ok = ok and actual == dep.oracle.execute(parse_sql(sql))
+        record = {"result": results, **dep.accounting()}
+        ok = ok and dep.tables_match_oracle()
+        record.update(matches_oracle=ok, ordered=ok)
+        return record
+
+
+def _add_session(variant: str) -> None:
+    @scenario(variant, "session_script")
+    def run(dep: Deployment):
+        session = dep.router.open_session("golden")
+        statements = [dep.sql(t) for t in WRITES["script"]]
+        statements.insert(1, dep.sql(READS["rows_order_unique"]))
+        statements.append("SELECT nope FROM Employees")
+        results: List[object] = []
+        ok = True
+        for sql in statements:
+            try:
+                actual = dep.router.execute(sql, session)
+            except ReproError as exc:
+                results.append({"raised": type(exc).__name__})
+                continue
+            results.append(actual)
+            ok = ok and actual == dep.oracle.execute(parse_sql(sql))
+        record = {
+            "result": results,
+            "session": session.stats.snapshot(),
+            **dep.accounting(),
+        }
+        ok = ok and dep.tables_match_oracle()
+        record.update(matches_oracle=ok, ordered=ok)
+        return record
+
+
+def _add_wave(variant: str) -> None:
+    @scenario(variant, "wave")
+    def run(dep: Deployment):
+        dep.router.attach_services()
+        statements = [
+            f"SELECT name, salary FROM Employees WHERE eid = {eid}"
+            for eid in EIDS[:6]
+        ] + [
+            dep.sql(READS["count_star"]),
+            dep.sql(READS["rows_order_dup_limit"]),
+            dep.sql(JOINS["join_plain"]),
+        ]
+        try:
+            actual = dep.router.execute_wave(statements)
+            record = {"result": actual, **dep.accounting()}
+            record["services"] = [
+                group.service.stats.snapshot() for group in dep.router.groups
+            ]
+        finally:
+            dep.router.close()
+        checks = [
+            _compare(got, dep.oracle.execute(parse_sql(sql)))
+            for got, sql in zip(actual, statements)
+        ]
+        record["matches_oracle"] = all(c["matches_oracle"] for c in checks)
+        record["ordered"] = all(c["ordered"] for c in checks)
+        return record
+
+
+for _variant in VARIANTS:
+    for _shape, _template in {**READS, **JOINS}.items():
+        _add_read(_variant, _shape, _template)
+    for _shape, _templates in WRITES.items():
+        _add_write(_variant, _shape, _templates)
+    _add_session(_variant)
+    _add_wave(_variant)
+
+
+# ----------------------------------------------------------------- running --
+
+
+def run_scenario(scenario_id: str) -> Dict[str, object]:
+    variant, run = SCENARIOS[scenario_id]
+    dep = Deployment(variant)
+    with dep.router:
+        return json.loads(json.dumps(run(dep)))
+
+
+def _load_golden() -> Dict[str, Dict[str, object]]:
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _accounting_only(record: Dict[str, object]) -> Dict[str, object]:
+    return {
+        k: v
+        for k, v in record.items()
+        if k not in ("result", "ordered", "matches_oracle")
+    }
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_router_matches_oracle_and_parent_accounting(scenario_id):
+    parent = _load_golden()[scenario_id]
+    record = run_scenario(scenario_id)
+    variant, shape = scenario_id.rsplit("/", 1)
+    assert record["matches_oracle"] is True, record
+    # the result-order contract: the same ordered list as the oracle, on
+    # every deployment shape
+    assert record["ordered"] is True, record
+    if record == parent:
+        return
+    assert shape in ORDER_DELTAS and not VARIANTS[variant][1], (
+        f"{scenario_id} moved off the parent commit's numbers and is not an "
+        f"enumerated ordering delta:\n parent {parent}\n now    {record}"
+    )
+    # an ordering delta moves the order of the result and nothing else
+    assert parent["ordered"] is False, ORDER_DELTAS[shape]
+    assert _accounting_only(record) == _accounting_only(parent), ORDER_DELTAS[shape]
+
+
+def test_golden_covers_exactly_the_scenarios():
+    assert set(_load_golden()) == set(SCENARIOS)
+
+
+def _regenerate() -> None:
+    records = {sid: run_scenario(sid) for sid in sorted(SCENARIOS)}
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    wrong = [s for s, r in records.items() if r["matches_oracle"] is not True]
+    unordered = [s for s, r in records.items() if r["ordered"] is not True]
+    print(f"{len(records)} scenarios; not matching the oracle: {wrong}")
+    print(f"right rows, wrong order: {unordered}")
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -22,6 +22,7 @@ from tests.sharding.shardutil import (
     SEED,
     build_oracle,
     build_router,
+    build_unsharded,
     oracle_answer,
     sorted_eids,
 )
@@ -91,6 +92,61 @@ class TestQueryParity:
         with build_router("range") as router:
             sequential = [router.sql(text) for text in statements]
             assert router.execute_wave(statements) == sequential
+
+    def test_execute_wave_climbs_the_same_ladder_as_execute(self):
+        """One admission slot for the whole wave, released afterwards, and
+        the same stats accounting as statement-at-a-time execution."""
+        statements = [
+            f"SELECT name FROM Employees WHERE eid = {eid}" for eid in EIDS[:3]
+        ] + ["SELECT eid FROM Employees ORDER BY department LIMIT 4"]
+        with build_router("range") as router:
+            router.attach_services(max_in_flight=4, queue_limit=8)
+            router.execute_wave(statements)
+            admission = router.admission.snapshot()
+            assert admission["admitted_total"] == 1
+            assert admission["in_flight"] == 0
+            assert router.stats.completed == len(statements)
+            assert router.stats.rows_returned == 3 + 4
+
+
+#: Row reads whose order the parent got wrong across shards: no unique
+#: sort key to hide behind, so ties and un-ORDERed results show the
+#: gather order (ISSUE-16; every one failed at 0111ac2).
+ORDER_SHAPES = {
+    "no_order": "SELECT eid, name FROM Employees",
+    "no_order_where": "SELECT eid FROM Employees WHERE salary >= 0",
+    "limit_only": "SELECT eid FROM Employees LIMIT 5",
+    "dup_asc": "SELECT eid FROM Employees ORDER BY department",
+    "dup_desc": "SELECT eid FROM Employees ORDER BY department DESC",
+    "dup_asc_limit": "SELECT eid FROM Employees ORDER BY department LIMIT 6",
+    "dup_desc_limit": (
+        "SELECT eid FROM Employees ORDER BY department DESC LIMIT 6"
+    ),
+    "dup_unprojected": "SELECT name FROM Employees ORDER BY department LIMIT 9",
+    "cross_shard_join": (
+        "SELECT Employees.eid, Managers.manager_username FROM Employees "
+        "JOIN Managers ON Employees.eid = Managers.eid "
+        "WHERE Employees.salary >= 20000"
+    ),
+}
+
+
+class TestResultOrder:
+    """Row reads return row-id order, ORDER BY ties broken by row id, on
+    every deployment shape: the router, the plaintext oracle and an
+    unsharded ``DataSource`` return the same *ordered list*."""
+
+    @pytest.mark.parametrize("n_groups", [2, 4])
+    @pytest.mark.parametrize("mode", ["hash", "range"])
+    def test_router_oracle_and_unsharded_source_agree(self, mode, n_groups):
+        oracle = build_oracle()
+        unsharded = build_unsharded()
+        with build_router(mode, n_groups=n_groups) as router:
+            for shape, sql in ORDER_SHAPES.items():
+                want = oracle_answer(oracle, sql)
+                assert len(want) > 1, shape
+                assert unsharded.sql(sql) == want, shape
+                assert router.sql(sql) == want, (mode, n_groups, shape)
 
 
 class TestPruning:
