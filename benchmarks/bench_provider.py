@@ -33,9 +33,12 @@ asserts cost-counter equality between bulk- and incrementally-loaded
 providers, asserts scalar-vs-numpy response/cost/byte-accounting
 equality across the full RPC battery (when numpy is importable), and
 gates the headline speedups.  Gates are backend-aware: on the numpy
-backend ≥5× bulk load, ≥8× ordered range scan and ≥5× cold filtered
+backend ≥5× bulk load, ≥12× ordered range scan and ≥50× cold filtered
 SUM at 50 000 rows; on the scalar backend the pre-vectorization gates
-(≥5× / ≥1.3× / ≥2×) keep the columnar engine honest.
+(≥5× / ≥1.3× / ≥2×) keep the columnar engine honest.  The searchable
+columns hold order-preserving-shaped shares of 92+ bits — the widths
+the system stores — so the numbers are the ones the end-to-end
+benchmark (``benchmarks/e2e``) sees.
 """
 
 from __future__ import annotations
@@ -68,15 +71,31 @@ GATE_ROWS = 50_000
 BULK_LOAD_GATE = 5.0
 #: backend-aware gates: the vectorized engine must clear the high bars;
 #: the scalar fallback must never regress below the pre-vectorization
-#: columnar numbers.
-RANGE_SCAN_GATES = {"numpy": 8.0, "scalar": 1.3}
-FILTERED_SUM_GATES = {"numpy": 5.0, "scalar": 2.0}
+#: columnar numbers.  numpy bars re-measured on 92+-bit shares (ISSUE-17,
+#: 13 runs: scan 17.1–19.4×, SUM 83–115×) and set a third below the
+#: slowest run — the old 8× bar lost a quarter of its margin to one
+#: contended run.
+RANGE_SCAN_GATES = {"numpy": 12.0, "scalar": 1.3}
+FILTERED_SUM_GATES = {"numpy": 50.0, "scalar": 2.0}
 
 #: an Employees-style share table: four order-preserving (searchable)
 #: columns — dup-heavy key, small group domain, near-unique id, moderate
 #: dups — plus two randomly-shared payload columns, one nullable
 COLUMNS = ["k", "g", "u", "m", "v", "w"]
 SEARCHABLE = ["k", "g", "u", "m"]
+
+#: Searchable columns hold shares shaped like the order-preserving
+#: scheme's: a strictly increasing integer polynomial of the value, 92+
+#: bits wide (``TableSharing`` stores 92–122 bits for ``Employees``), with
+#: neighbouring values more than 2^64 apart — nothing about them fits a
+#: machine word, absolute or relative.
+OP_BASE = (1 << 92) + 0x5EED
+OP_STRIDE = (1 << 64) + 0x9E3779B9
+
+
+def op_share(value):
+    """The order-preserving-shaped share of one small plaintext value."""
+    return OP_BASE + value * OP_STRIDE
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +377,29 @@ def make_rows(n, seed=SEED):
     rng = random.Random(seed)
     rows = []
     for rid in range(n):
-        k = rng.randrange(max(n // 4, 1)) * 7 + 3
+        k = op_share(rng.randrange(max(n // 4, 1)) * 7 + 3)
         if rng.random() < 0.02:
             k = None  # NULL in a searchable column: never indexed
-        g = rng.randrange(8) * 1_000 + 17
-        u = rng.randrange(1 << 40)
-        m = rng.randrange(max(n // 32, 1)) * 13 + 5
+        g = op_share(rng.randrange(8) * 1_000 + 17)
+        u = op_share(rng.randrange(1 << 40))
+        m = op_share(rng.randrange(max(n // 32, 1)) * 13 + 5)
         v = rng.randrange(1 << 30) if rng.random() >= 0.05 else None
         w = rng.randrange(1 << 30)
         rows.append(
             (rid, {"k": k, "g": g, "u": u, "m": m, "v": v, "w": w})
         )
     return rows
+
+
+def share_bits(rows):
+    """Widest stored share per column, in bits (recorded in the report)."""
+    return {
+        column: max(
+            values[column].bit_length()
+            for _, values in rows if values[column] is not None
+        )
+        for column in COLUMNS
+    }
 
 
 def build_provider(rows, name="DAS", table="T", bulk=True):
@@ -456,7 +486,7 @@ def assert_equal_results(provider, naive, rows, table="T"):
     cond_eq = [{"column": "k", "op": "eq", "low": some_k}]
     cond_pair = [
         {"column": "k", "op": "ge", "low": some_k},
-        {"column": "g", "op": "le", "low": 5_017},
+        {"column": "g", "op": "le", "low": op_share(5_017)},
     ]
     selects = [
         dict(),
@@ -465,7 +495,7 @@ def assert_equal_results(provider, naive, rows, table="T"):
         dict(conditions=cond_pair),
         dict(order_by="k", limit=25),
         dict(order_by="k", descending=True, limit=25),
-        dict(conditions=[{"column": "g", "op": "lt", "low": 4_000}],
+        dict(conditions=[{"column": "g", "op": "lt", "low": op_share(4_000)}],
              order_by="g"),
     ]
     for kwargs in selects:
@@ -548,7 +578,10 @@ def assert_cost_parity(rows, table="T"):
 def assert_backend_equivalence(rows, table="T"):
     """The ISSUE-9 invariant: numpy and scalar backends are *bit*
     identical — same responses, same wire bytes, same cost counters —
-    across the full RPC battery, reads and writes alike.
+    across the full RPC battery, reads and writes alike — and on the
+    numpy run every vector-eligible RPC is answered by the vector
+    engine (these are the share widths the system stores; declining
+    them is how the engine once served none of the repo's workloads).
 
     No-op (returns False) when numpy is unavailable.
     """
@@ -563,7 +596,7 @@ def assert_backend_equivalence(rows, table="T"):
                     "limit": 40}),
         ("select", {"table": table, "conditions": [
             {"column": "k", "op": "ge", "low": some_k},
-            {"column": "g", "op": "le", "low": 5_017}],
+            {"column": "g", "op": "le", "low": op_share(5_017)}],
             "order_by": "k", "descending": True, "limit": 25}),
         ("scan", {"table": table, "projection": ["w"]}),
         ("aggregate", {"table": table, "func": "count", "column": None,
@@ -591,6 +624,14 @@ def assert_backend_equivalence(rows, table="T"):
 
     def run_backend(backend):
         provider = build_provider(rows, name="twin", table=table)
+        dispatched = []
+        note = provider._note_dispatch
+
+        def recording(method, vectorized):
+            dispatched.append((method, vectorized))
+            note(method, vectorized)
+
+        provider._note_dispatch = recording
         set_kernel_backend(backend)
         try:
             responses = []
@@ -599,10 +640,17 @@ def assert_backend_equivalence(rows, table="T"):
                 responses.append(provider.handle(method, dict(request)))
         finally:
             set_kernel_backend(None)
-        return responses, provider
+        return responses, provider, dispatched
 
-    numpy_responses, numpy_provider = run_backend("numpy")
-    scalar_responses, scalar_provider = run_backend("scalar")
+    numpy_responses, numpy_provider, numpy_dispatch = run_backend("numpy")
+    scalar_responses, scalar_provider, scalar_dispatch = run_backend("scalar")
+    eligible = [
+        method for method, _ in battery if not method.startswith("merkle")
+    ]
+    assert numpy_dispatch == [(method, True) for method in eligible], (
+        f"numpy backend left RPCs to the scalar engine: {numpy_dispatch}"
+    )
+    assert scalar_dispatch == [(method, False) for method in eligible]
     for (method, request), got, want in zip(
         battery, numpy_responses, scalar_responses
     ):
@@ -970,6 +1018,7 @@ def run_full(args) -> dict:
         report["increment_deltas"].append(
             bench_increment_deltas(rows, args.repeats)
         )
+    report["share_bits"] = share_bits(rows)  # at the largest size
     return report
 
 

@@ -671,15 +671,15 @@ def split_kernel(
 # provider column primitives (vectorized provider execution engine)
 # ---------------------------------------------------------------------------
 #
-# The provider storage engine mirrors its per-column share lists into
-# contiguous residue arrays and runs scans/aggregates over them.  These
-# primitives are the numeric core of that path: column conversion with
-# NULL masking, exact big-int sums via 32-bit limb splitting (a raw
-# uint64 ``.sum()`` would wrap — provider partial sums are *unreduced*
-# Python-int sums of shares and must stay bit-identical to the scalar
-# engine), and the batched ``(shares + deltas) mod p`` delta kernel.
-
-_U32_MASK = 0xFFFFFFFF
+# A provider only ever *compares* order-preserving shares and *adds*
+# shares.  The comparisons run on int64 index positions and ranks
+# (:mod:`repro.providers.storage`); the additions run here, on a column
+# mirrored as 32-bit limb planes, so neither needs a share to fit a
+# machine word — the 90–122-bit shares of searchable columns take the
+# same path as 61-bit field residues.  Provider partial sums are
+# *unreduced* Python-int sums of shares and stay bit-identical to the
+# scalar engine: each limb plane is summed in uint64 (exact for up to
+# 2^32 rows) and the planes are recombined in Python ints.
 
 
 def numpy_module():
@@ -693,14 +693,68 @@ def numpy_module():
     return _np if _use_numpy() else None
 
 
-def share_column_vector(values: Sequence[Optional[int]]):
-    """A share column → ``(uint64 array, null mask or None)``, or None.
+def share_limb_planes(values: Sequence[Optional[int]]):
+    """A share column → ``((L, n) uint64 limb planes, null mask or None)``.
 
-    NULLs become 0 under the mask.  Returns None whenever any value
-    cannot round-trip through uint64 (negative or ≥ 2^64 — e.g. the
-    exact-integer order-preserving shares of wide columns, or tampered
-    residues): the column is then unvectorizable and every consumer must
-    stay on the scalar oracle, keeping dispatch bit-exact on all inputs.
+    Plane ``i`` holds bits ``32·i … 32·i+31`` of every share, with
+    L = ⌈max bit-length / 32⌉ (at least 1); NULLs read 0 under the mask.
+    Returns None when a value is negative or not an integer (tampered
+    storage): such a column cannot be summed limb-wise and its consumers
+    stay on the scalar oracle.
+    """
+    if _np is None:
+        return None
+    mask = None
+    if None in values:
+        mask = _np.array([v is None for v in values], dtype=bool)
+        values = [0 if v is None else v for v in values]
+    try:
+        width = max(1, -(-max(values, default=0).bit_length() // 32))
+        packed = b"".join([v.to_bytes(4 * width, "little") for v in values])
+    except (AttributeError, OverflowError, TypeError):
+        return None
+    limbs = _np.frombuffer(packed, dtype="<u4").reshape(len(values), width)
+    return _np.ascontiguousarray(limbs.T, dtype=_np.uint64), mask
+
+
+def _recombine_limbs(totals: Sequence[int]) -> int:
+    return sum(total << (32 * i) for i, total in enumerate(totals))
+
+
+def exact_sum_limbs(limbs, selected=None) -> int:
+    """Σ of the shares behind ``limbs`` as an exact Python int.
+
+    ``selected`` (a boolean mask over the n columns) restricts the sum;
+    it is applied as a 0/1 dot product per plane, which costs the same
+    whatever the mask's shape — a boolean gather would stall on a
+    half-set mask.
+    """
+    if selected is None:
+        totals = limbs.sum(axis=1)
+    else:
+        totals = limbs @ selected.astype(_np.uint64)
+    return _recombine_limbs(totals.tolist())
+
+
+def exact_segment_sums_limbs(limbs, starts) -> List[int]:
+    """Per-segment exact sums (``reduceat`` per limb plane).
+
+    ``starts`` are the segment start offsets along the n axis (ascending,
+    non-empty); segment i covers columns ``starts[i]:starts[i+1]``.  Used
+    by grouped aggregation: one pass yields every group's raw partial sum.
+    """
+    sums = _np.add.reduceat(limbs, starts, axis=1)
+    return [_recombine_limbs(totals) for totals in sums.T.tolist()]
+
+
+def share_column_vector(values: Sequence[Optional[int]]):
+    """Shares → ``(uint64 array, null mask or None)``, or None.
+
+    The operand form of :func:`add_mod_vector` (the ``increment_rows``
+    delta kernel over randomly-shared columns).  NULLs become 0 under the
+    mask.  Returns None whenever any value cannot round-trip through
+    uint64 (negative or ≥ 2^64): modular addition needs whole residues
+    in a machine word, so the caller stays on the scalar loop.
     """
     if _np is None:
         return None
@@ -724,35 +778,6 @@ def share_column_vector(values: Sequence[Optional[int]]):
         return None
     mask = _np.array([v is None for v in values], dtype=bool)
     return patched, (mask if mask.any() else None)
-
-
-def exact_sum_u64(arr) -> int:
-    """Σ arr as an exact Python int (no uint64 wraparound).
-
-    Splits each element into 32-bit limbs and sums the limbs separately:
-    each limb sum stays below 2^64 for up to 2^32 elements, so the
-    recombined total equals the scalar big-int sum bit-for-bit.
-    """
-    u = _np.uint64
-    lo = int((arr & u(_U32_MASK)).sum(dtype=u))
-    hi = int((arr >> u(32)).sum(dtype=u))
-    return (hi << 32) + lo
-
-
-def exact_segment_sums_u64(arr, starts) -> List[int]:
-    """Per-segment exact sums (``reduceat`` on 32-bit limbs).
-
-    ``starts`` are the segment start offsets into ``arr`` (ascending,
-    non-empty); segment i covers ``arr[starts[i]:starts[i+1]]``.  Used by
-    grouped aggregation: one pass yields every group's raw partial sum.
-    """
-    u = _np.uint64
-    lo = _np.add.reduceat(arr & u(_U32_MASK), starts)
-    hi = _np.add.reduceat(arr >> u(32), starts)
-    return [
-        (int(h) << 32) + int(low)
-        for h, low in zip(hi.tolist(), lo.tolist())
-    ]
 
 
 def add_mod_vector(shares, deltas, modulus: int):

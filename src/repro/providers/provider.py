@@ -20,18 +20,31 @@ Cost accounting for aggregates records the **actual share reads** — one
 nothing (or whose aggregate column the table does not store) charges
 nothing beyond its index probes.
 
-When the vectorized kernel backend is active (ISSUE-9), the hot read
-RPCs — ``select``/``scan`` matching, ordering, SUM/COUNT, grouped
-partials — and the compact ``increment_rows`` delta shape execute over
-the storage engine's numpy residue mirrors: ``searchsorted`` index
-probes, boolean-mask predicates, limb-split exact reductions.  Every
-vectorized path **pre-validates** its whole request against the mirrors
-before recording any cost, then records byte-identical ``compare``
-counts (including multi-condition early exit) and returns byte-identical
-payloads; anything the mirrors cannot take bit-exactly falls back to the
-scalar engine, which stays the always-on correctness oracle.  Dispatch
-decisions are observable via the ``provider.kernel.*`` telemetry
-counters.
+When the vectorized kernel backend is active, the hot read RPCs —
+``select``/``scan`` matching, ordering, SUM/COUNT, MIN/MAX/MEDIAN
+nomination, grouped partials — execute over the storage engine's numpy
+mirrors.  A provider only *compares* order-preserving shares and *adds*
+shares, so the mirrors hold no share in a machine word: a condition's
+bounds become entry offsets into the column's sorted index through the
+two big-int bisects the scalar engine runs, predicates are ``int64``
+interval masks over each slot's index offset, ORDER BY / GROUP BY keys
+are dense ranks, and sums run per 32-bit limb plane — the 90–122-bit
+shares of searchable columns take the same path as 61-bit residues.
+The engine is chosen per request from what the request shows: a filtered
+read whose conditions match fewer than 1/16 of the table's rows in the
+index (point lookups, narrow ranges) stays on the bisect path and
+builds or consults no mirror; anything wider, and every unfiltered scan,
+sort, group or sum, runs on the mirrors.  Every vectorized path
+**pre-validates** its whole request before recording any cost, then
+records byte-identical ``compare`` counts (including multi-condition
+early exit) and returns byte-identical payloads; the few things the
+mirrors cannot take — a request the scalar engine would reject, a
+non-integer bound, a negative or non-integer stored share in a summed
+column, row ids outside ``int64`` — fall back to the scalar engine,
+which stays the always-on correctness oracle.  The compact
+``increment_rows`` delta shape runs ``(x + Δ) mod p`` over the touched
+rows as one ``uint64`` array kernel.  Dispatch decisions are observable
+via the ``provider.kernel.*`` telemetry counters.
 
 Conditions arrive as dicts::
 
@@ -60,7 +73,15 @@ from .storage import ShareRow, ShareStore, ShareTable
 #: increment deltas vectorize only while share + delta fits uint64;
 #: the default Mersenne-61 modulus sits far inside this bound
 _MAX_VECTOR_MODULUS = 1 << 62
-_U64_MAX = (1 << 64) - 1
+
+#: A filtered read takes the vector engine when the index entries its
+#: conditions match number at least 1/16 of the table's rows (no
+#: conditions = a full scan = always).  Below that the scalar engine's
+#: bisect-and-slice touches only the matched entries, while the vector
+#: engine pays O(rows) per mask and — after any write — an O(rows)
+#: Python pass to rebuild each mirror it consults.  Measured crossover
+#: in DESIGN.md §9.1.
+_VECTOR_MATCH_RATIO = 16
 
 _CONDITION_OPS = {"eq", "lt", "le", "gt", "ge", "range"}
 
@@ -754,98 +775,70 @@ class ShareProvider:
         )
 
     def _vector_condition_plan(self, table: ShareTable, conditions: List[Dict]):
-        """Specs ``(index, column_vector, low, high, low_inc, high_inc)``
-        or None.
+        """Per-condition ``(index, slot positions, start, stop)``, or None.
 
-        Declines on anything the scalar path would reject (unknown op,
-        non-searchable column, missing bound keys), any non-integer
-        bound, or anything it cannot mirror, so the scalar engine raises
-        the canonical error itself.
+        Each condition's bounds become entry offsets into its index with
+        the two bisects the scalar path runs (the op table is
+        :meth:`_condition_row_ids`'), so shares of any width compare
+        exactly.  Declines on anything the scalar path would reject
+        (unknown op, non-searchable column, missing bound keys) or any
+        non-integer bound, so the scalar engine raises the canonical
+        error itself — and on a *narrow* probe (see
+        :data:`_VECTOR_MATCH_RATIO`), before any mirror is consulted.
         """
-        plan = []
+        probes = []
+        matched = 0
         for condition in conditions:
             op = condition.get("op")
-            if op not in _CONDITION_OPS:
-                return None
-            if "low" not in condition or (
-                op == "range" and "high" not in condition
-            ):
-                return None
             column = condition.get("column")
             index = table.indexes.get(column)
-            if index is None or index.vector_entries() is None:
+            low = condition.get("low")
+            if (
+                op not in _CONDITION_OPS
+                or index is None
+                or not isinstance(low, int)
+            ):
                 return None
-            vector = table.column_vector(column)
-            if vector is None:
-                return None
-            low = condition["low"]
             if op == "eq":
-                spec = (low, low, True, True)
+                start, stop = index.entry_range(low, low)
             elif op == "range":
-                spec = (low, condition["high"], True, True)
-            elif op == "lt":
-                spec = (None, low, True, False)
-            elif op == "le":
-                spec = (None, low, True, True)
-            elif op == "gt":
-                spec = (low, None, False, True)
-            else:  # ge
-                spec = (low, None, True, True)
-            for bound in spec[:2]:
-                # exact-integer comparisons only: a float bound would be
-                # compared inexactly against uint64 shares
-                if bound is not None and not isinstance(bound, int):
+                high = condition.get("high")
+                if not isinstance(high, int):
                     return None
-            plan.append((index, vector) + spec)
+                start, stop = index.entry_range(low, high)
+            elif op == "lt":
+                start, stop = index.entry_range(None, low, high_inclusive=False)
+            elif op == "le":
+                start, stop = index.entry_range(None, low)
+            elif op == "gt":
+                start, stop = index.entry_range(low, None, low_inclusive=False)
+            else:  # ge
+                start, stop = index.entry_range(low, None)
+            matched += max(0, stop - start)
+            probes.append((index, column, start, stop))
+        if conditions and _VECTOR_MATCH_RATIO * matched < len(table):
+            return None
+        plan = []
+        for index, column, start, stop in probes:
+            positions = table.index_positions(column)
+            if positions is None:
+                return None
+            plan.append((index, positions, start, stop))
         return plan
 
-    def _vector_match_mask(self, np, table, plan):
+    def _vector_match_mask(self, plan):
         """Combined boolean match mask over the table's slots.
 
         Cost recording mirrors the scalar path exactly: one range probe
-        per condition, stopping at the first empty intersection.  Each
-        condition's interval is first sized with the index mirror's two
-        ``searchsorted`` bound probes (the bisect replacement), so an
-        empty interval short-circuits before any O(rows) mask work;
-        otherwise the predicate is evaluated straight over the condition
-        column's share vector — NULL cells never match, exactly like the
-        index the scalar engine probes.
+        per condition, stopping at the first empty intersection.  A slot
+        matches a condition when its index offset lies inside the
+        condition's entry range — NULL cells sit at offset -1 and never
+        match, exactly like the index the scalar engine probes.
         """
         mask = None
-        for index, vector, low, high, low_inc, high_inc in plan:
+        for index, positions, start, stop in plan:
             self.cost.record("compare", index.comparisons_for_range())
-            shares, null_mask = vector
-            probed = index.vector_count(
-                low, high, low_inclusive=low_inc, high_inclusive=high_inc
-            )
-            if probed == 0:
-                return np.zeros(shares.shape[0], dtype=np.bool_)
-            if null_mask is None:
-                cond = np.ones(shares.shape[0], dtype=np.bool_)
-            else:
-                cond = ~null_mask
-            if low is not None:
-                if low_inc:
-                    if low > _U64_MAX:
-                        cond[:] = False
-                    elif low > 0:
-                        cond &= shares >= np.uint64(low)
-                else:
-                    if low >= _U64_MAX:
-                        cond[:] = False
-                    elif low >= 0:
-                        cond &= shares > np.uint64(low)
-            if high is not None:
-                if high_inc:
-                    if high < 0:
-                        cond[:] = False
-                    elif high <= _U64_MAX:
-                        cond &= shares <= np.uint64(high)
-                else:
-                    if high <= 0:
-                        cond[:] = False
-                    elif high <= _U64_MAX:
-                        cond &= shares < np.uint64(high)
+            cond = (positions >= start) & (positions < stop)
             mask = cond if mask is None else mask & cond
             if not mask.any():
                 return mask
@@ -858,61 +851,54 @@ class ShareProvider:
         return sorted_rids[keep], sorted_slots[keep]
 
     def _select_vector(self, table: ShareTable, request: Dict):
-        """Vectorized select: searchsorted probes, lexsort ordering."""
+        """Vectorized select: offset-interval masks, rank ordering."""
         np = kernels.numpy_module()
         if np is None:
             return None
         conditions = request.get("conditions") or []
-        plan = self._vector_condition_plan(table, conditions)
-        if plan is None:
-            return None
         order_by = request.get("order_by")
-        order_vector = None
-        if order_by is not None:
-            if order_by not in table.indexes:
-                return None  # scalar raises via index_for
-            order_vector = table.column_vector(order_by)
-            if order_vector is None:
-                return None
+        if order_by is not None and order_by not in table.indexes:
+            return None  # scalar raises via index_for
         projection = request.get("projection")
         if projection is not None and set(projection) - set(table.columns):
             return None  # scalar validates (or returns [] on empty match)
-        pair = table.ordered_rid_slots()
-        if pair is None:
+        plan = self._vector_condition_plan(table, conditions)
+        if plan is None or table.ordered_rid_slots() is None:
             return None
+        positions = None
+        if order_by is not None:
+            positions = table.index_positions(order_by)
+            if positions is None:
+                return None
         # -- match (per-condition costs recorded from here on)
         if not conditions:
-            rids, slots = pair
+            rids, slots = table.ordered_rid_slots()
         else:
-            mask = self._vector_match_mask(np, table, plan)
-            rids, slots = self._masked_rid_slots(table, mask)
+            rids, slots = self._masked_rid_slots(
+                table, self._vector_match_mask(plan)
+            )
         if order_by is not None:
-            shares, null_mask = order_vector
-            keys = shares[slots]
-            if null_mask is not None:
-                non_null = ~null_mask[slots]
-                keyed_rids = rids[non_null]
-                keyed_slots = slots[non_null]
-                keys = keys[non_null]
-                null_rids = rids[~non_null]
-                null_slots = slots[~non_null]
-            else:
-                keyed_rids, keyed_slots = rids, slots
-                null_rids = rids[:0]
-                null_slots = slots[:0]
-            m = int(keyed_rids.shape[0])
+            located = positions[slots]
+            keyed = located >= 0
+            null_rids, null_slots = rids[~keyed], slots[~keyed]
+            rids, slots, located = rids[keyed], slots[keyed], located[keyed]
+            m = int(rids.shape[0])
             self.cost.record("compare", m * max(1, m.bit_length()))
+            # index offsets ascend with (share, rid) — the scalar sort.
+            # Descending, subtracting rank·len(index) from each offset
+            # reverses the shares and leaves equal shares in offset
+            # (= row-id) order — the scalar (-share, rid) sort.  Either
+            # key is unique, so any sort algorithm gives the one order;
+            # NULLs go first ascending, last descending.
             if request.get("descending"):
-                # bitwise complement reverses uint64 share order while the
-                # secondary row-id key keeps ties ascending — exactly the
-                # scalar (-share, rid) sort; NULLs go last
-                order = np.lexsort((keyed_rids, ~keys))
-                rids = np.concatenate((keyed_rids[order], null_rids))
-                slots = np.concatenate((keyed_slots[order], null_slots))
+                ranks = table.indexes[order_by].vector_entries()[1]
+                order = np.argsort(located - ranks[located] * ranks.shape[0])
+                rids = np.concatenate((rids[order], null_rids))
+                slots = np.concatenate((slots[order], null_slots))
             else:
-                order = np.lexsort((keyed_rids, keys))
-                rids = np.concatenate((null_rids, keyed_rids[order]))
-                slots = np.concatenate((null_slots, keyed_slots[order]))
+                order = np.argsort(located)
+                rids = np.concatenate((null_rids, rids[order]))
+                slots = np.concatenate((null_slots, slots[order]))
         limit = request.get("limit")
         if limit is not None:
             rids = rids[:limit]
@@ -958,87 +944,70 @@ class ShareProvider:
         plan = self._vector_condition_plan(table, conditions)
         if plan is None:
             return None
-        if func == "count" and column is None:
-            if not conditions:
-                return {"count": len(table)}
-            mask = self._vector_match_mask(np, table, plan)
-            return {"count": int(mask.sum())}
-        has_column = table.has_column(column)
-        column_vector = None
-        if has_column:
-            column_vector = table.column_vector(column)
-            if column_vector is None:
+        counting_rows = func == "count" and column is None
+        vector = None
+        if not counting_rows and table.has_column(column):
+            vector = table.column_vector(column)
+            if vector is None:
                 return None
         # -- the filtered share multiset (costs recorded from here on)
-        if not conditions:
-            if not has_column:
-                selected = None
-                values_len = 0
-            else:
-                selected, null_mask = column_vector
-                values_len = int(selected.shape[0])
-        else:
-            mask = self._vector_match_mask(np, table, plan)
-            if not has_column:
-                selected = None
-                values_len = 0
-            else:
-                shares, nulls_vec = column_vector
-                selected = shares[mask]
-                null_mask = None if nulls_vec is None else nulls_vec[mask]
-                values_len = int(selected.shape[0])
-        self.cost.record("compare", values_len)
-        if selected is None:
+        mask = self._vector_match_mask(plan) if conditions else None
+        matched = len(table) if mask is None else int(np.count_nonzero(mask))
+        if counting_rows:
+            return {"count": matched}
+        if vector is None:
+            # the aggregate column is absent here: zero reads, zero partials
+            self.cost.record("compare", 0)
             if func == "count":
                 return {"count": 0}
             return {"partial_sum": 0, "count": 0}
-        nulls = 0 if null_mask is None else int(null_mask.sum())
+        self.cost.record("compare", matched)
+        limbs, nulls = vector
+        if nulls is not None:
+            matched -= int(np.count_nonzero(nulls if mask is None else nulls & mask))
         if func == "count":
-            return {"count": values_len - nulls}
-        # NULL cells read 0 under the mask, so the limb-split exact sum
-        # equals the scalar sum over the non-null shares bit-for-bit
+            return {"count": matched}
+        # NULL cells read 0 under the mask, so the limb-plane sum equals
+        # the scalar sum over the non-null shares bit-for-bit
         return {
-            "partial_sum": kernels.exact_sum_u64(selected),
-            "count": values_len - nulls,
+            "partial_sum": kernels.exact_sum_limbs(limbs, mask),
+            "count": matched,
         }
 
     def _aggregate_order_vector(
         self, table: ShareTable, func: str, column: str, conditions: List[Dict]
     ) -> Optional[Dict]:
-        """Vectorized MIN/MAX/MEDIAN nomination by share order."""
+        """Vectorized MIN/MAX/MEDIAN nomination by index offset.
+
+        The scalar engine sorts the matched ``(share, row id)`` pairs and
+        picks the first / last / lower-median one; index offsets are that
+        order, so the pick is a min / max / partition over offsets.
+        """
         np = kernels.numpy_module()
         if np is None:
             return None
+        if column not in table.indexes:
+            return None  # scalar raises via index_for
         plan = self._vector_condition_plan(table, conditions)
         if plan is None:
             return None
-        if column not in table.indexes:
-            return None  # scalar raises via index_for
-        column_vector = table.column_vector(column)
-        if column_vector is None or table.ordered_rid_slots() is None:
+        located = table.index_positions(column)
+        if located is None:
             return None
-        if not conditions:
-            rids, slots = table.ordered_rid_slots()
-        else:
-            mask = self._vector_match_mask(np, table, plan)
-            rids, slots = self._masked_rid_slots(table, mask)
-        shares, null_mask = column_vector
-        keys = shares[slots]
-        if null_mask is not None:
-            non_null = ~null_mask[slots]
-            rids = rids[non_null]
-            keys = keys[non_null]
-        m = int(rids.shape[0])
+        if conditions:
+            located = located[self._vector_match_mask(plan)]
+        located = located[located >= 0]
+        m = int(located.shape[0])
         self.cost.record("compare", m * max(1, m.bit_length()))
         if m == 0:
             return {"row": None, "count": 0}
-        order = np.lexsort((rids, keys))
         if func == "min":
-            chosen = int(rids[order[0]])
+            offset = located.min()
         elif func == "max":
-            chosen = int(rids[order[m - 1]])
+            offset = located.max()
         else:  # median (lower-median convention, matches the executor)
-            chosen = int(rids[order[(m - 1) // 2]])
+            offset = np.partition(located, (m - 1) // 2)[(m - 1) // 2]
+        chosen = int(table.indexes[column].vector_entries()[0][offset])
         row = (chosen, self._project(table, chosen, None))
         row = self._apply_result_faults([row])
         return {"row": row[0] if row else None, "count": m}
@@ -1051,12 +1020,15 @@ class ShareProvider:
         group_column: str,
         conditions: List[Dict],
     ) -> Optional[List]:
-        """Vectorized grouped COUNT/SUM: stable argsort + reduceat.
+        """Vectorized grouped COUNT/SUM: offset sort + reduceat.
 
-        Groups are segment boundaries in the group-share sort; per-group
-        raw partial sums come from one limb-split ``reduceat`` pass.
-        Order-based funcs (min/max/median) decline — they embed projected
-        rows per group and stay scalar.
+        Sorting the matched slots by their offset in the group column's
+        index puts equal shares side by side in ascending share order;
+        groups are the rank boundaries, each group's share is read back
+        from its first entry, and per-group raw partial sums come from
+        one ``reduceat`` pass over the limb planes.  Order-based funcs
+        (min/max/median) decline — they embed projected rows per group
+        and stay scalar.
         """
         np = kernels.numpy_module()
         if np is None or func not in ("count", "sum"):
@@ -1064,8 +1036,8 @@ class ShareProvider:
         plan = self._vector_condition_plan(table, conditions)
         if plan is None:
             return None
-        group_vector = table.column_vector(group_column)
-        if group_vector is None or table.ordered_rid_slots() is None:
+        positions = table.index_positions(group_column)
+        if positions is None:
             return None
         agg_vector = None
         agg_present = column is not None and table.has_column(column)
@@ -1073,67 +1045,60 @@ class ShareProvider:
             agg_vector = table.column_vector(column)
             if agg_vector is None:
                 return None
-        if not conditions:
-            rids, slots = table.ordered_rid_slots()
+        if conditions:
+            slots = np.flatnonzero(self._vector_match_mask(plan))
         else:
-            mask = self._vector_match_mask(np, table, plan)
-            rids, slots = self._masked_rid_slots(table, mask)
-        self.cost.record("compare", int(rids.shape[0]))
-        group_shares, group_mask = group_vector
-        keys = group_shares[slots]
-        if group_mask is not None:
-            non_null = ~group_mask[slots]
-            keys = keys[non_null]
-            slots = slots[non_null]
-        if keys.shape[0] == 0:
+            slots = np.arange(len(table))
+        self.cost.record("compare", int(slots.shape[0]))
+        located = positions[slots]
+        grouped = located >= 0
+        located, slots = located[grouped], slots[grouped]
+        if located.shape[0] == 0:
             return []
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        slots = slots[order]
+        order = np.argsort(located)
+        located, slots = located[order], slots[order]
+        index = table.indexes[group_column]
+        keys = index.vector_entries()[1][located]
         starts = np.concatenate(
             (
                 np.zeros(1, dtype=np.int64),
-                np.nonzero(keys[1:] != keys[:-1])[0] + 1,
+                np.flatnonzero(keys[1:] != keys[:-1]) + 1,
             )
         )
-        group_values = keys[starts].tolist()
-        member_counts = np.diff(
-            np.concatenate((starts, np.array([keys.shape[0]], dtype=np.int64)))
-        )
+        group_shares = [index.share_at(at) for at in located[starts].tolist()]
+        member_counts = np.diff(np.append(starts, keys.shape[0]))
         agg_reads = 0
         if func == "count" and column is None:
-            payloads = [{"count": int(c)} for c in member_counts.tolist()]
+            payloads = [{"count": c} for c in member_counts.tolist()]
         elif not agg_present:
             # the aggregate column is absent here: zero reads, zero partials
             if func == "count":
-                payloads = [{"count": 0} for _ in group_values]
+                payloads = [{"count": 0} for _ in group_shares]
             else:
                 payloads = [
-                    {"partial_sum": 0, "count": 0} for _ in group_values
+                    {"partial_sum": 0, "count": 0} for _ in group_shares
                 ]
         else:
             agg_reads = int(keys.shape[0])
-            agg_shares, agg_mask = agg_vector
-            values = agg_shares[slots]
-            if agg_mask is None:
+            limbs, nulls = agg_vector
+            if nulls is None:
                 non_null_counts = member_counts.tolist()
             else:
                 non_null_counts = np.add.reduceat(
-                    (~agg_mask[slots]).astype(np.int64), starts
+                    (~nulls[slots]).astype(np.int64), starts
                 ).tolist()
             if func == "count":
-                payloads = [{"count": int(c)} for c in non_null_counts]
+                payloads = [{"count": c} for c in non_null_counts]
             else:
-                sums = kernels.exact_segment_sums_u64(values, starts)
+                sums = kernels.exact_segment_sums_limbs(limbs[:, slots], starts)
                 payloads = [
-                    {"partial_sum": total, "count": int(c)}
+                    {"partial_sum": total, "count": c}
                     for total, c in zip(sums, non_null_counts)
                 ]
         if agg_reads:
             self.cost.record("compare", agg_reads)
         return [
-            [int(share), payload]
-            for share, payload in zip(group_values, payloads)
+            [share, payload] for share, payload in zip(group_shares, payloads)
         ]
 
     def _increment_vector(
@@ -1141,10 +1106,11 @@ class ShareProvider:
     ) -> Optional[Dict]:
         """Vectorized compact-shape increment: batched (x + Δ) mod p.
 
-        Declines (to the scalar loop) on the per-row ``increments``
-        shape, duplicate row ids (the scalar loop reads its own earlier
-        writes), missing rows, absent mirrors, or any modulus/delta/share
-        outside the uint64-exact window.
+        Works on the touched rows alone — no column mirror.  Declines
+        (to the scalar loop) on the per-row ``increments`` shape,
+        duplicate row ids (the scalar loop reads its own earlier
+        writes), missing rows, or any modulus/delta/share outside the
+        uint64-exact window.
         """
         np = kernels.numpy_module()
         if np is None or "increments" in request:
@@ -1159,12 +1125,7 @@ class ShareProvider:
             or not 0 < modulus <= _MAX_VECTOR_MODULUS
         ):
             return None
-        try:
-            rid_array = np.array(row_ids, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        slots = table.vector_slots_for(rid_array)
-        if slots is None:
+        if not all(map(table.has_row, row_ids)):
             return None  # a missing row: the scalar loop raises canonically
         deltas = request["deltas"]
         # every row exists, so the scalar loop's first iteration would hit
@@ -1187,17 +1148,18 @@ class ShareProvider:
                 or not 0 <= delta_share < modulus
             ):
                 return None
-            vector = table.column_vector(column)
+            vector = kernels.share_column_vector(
+                table.values_for_rows(column, row_ids)
+            )
             if vector is None:
                 return None
-            shares, mask = vector
-            current = shares[slots]
+            current, mask = vector
             if int(current.max()) >= modulus:
                 return None  # non-canonical residues: scalar reduces exactly
             updated = kernels.add_mod_vector(
                 current, np.uint64(delta_share), modulus
             )
-            non_null = None if mask is None else (~mask[slots]).tolist()
+            non_null = None if mask is None else (~mask).tolist()
             staged.append(
                 (column, current.tolist(), updated.tolist(), non_null)
             )

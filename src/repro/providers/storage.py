@@ -35,19 +35,34 @@ position in it (the Merkle leaf order) — is cached and keyed on the
 table's ``version`` counter, which every mutation bumps; readers get the
 cached structures instead of re-sorting per call.
 
-**Vector mirrors** (numpy backend, ISSUE-9).  When the vectorized kernel
-backend is active, each column lazily maintains a contiguous ``uint64``
-residue array (plus a NULL mask) mirroring its Python list, each sorted
-index mirrors its ``(share, row_id)`` entries into parallel share/row-id
-arrays probed with ``searchsorted``, and the row-id↔slot map gains a
-sorted-array form so batches of row ids translate to slots in one
-``searchsorted`` instead of n dict lookups.  Mirrors are keyed on the
+**Vector mirrors** (numpy backend).  A provider only ever *compares*
+order-preserving shares and *adds* shares, so neither mirror needs a
+share to fit a machine word — the 90–122-bit shares the order-preserving
+scheme produces are served like any other:
+
+* the **order mirror** of a searchable column is built from its index's
+  already-sorted entries: the entry-ordered row ids and each entry's
+  dense rank (equal shares ⇒ equal rank) per index
+  (:meth:`SortedShareIndex.vector_entries`), and each slot's offset into
+  those entries per table (:meth:`ShareTable.index_positions`, ``-1`` for
+  NULL).  A predicate's bounds become entry offsets through the same two
+  big-int bisects the scalar path runs (:meth:`SortedShareIndex.
+  entry_range`), so matching is an ``int64`` interval test on offsets,
+  ORDER BY and GROUP BY keys are ranks, and a group's share is read back
+  from the entry at its offset;
+* the **value mirror** of a summed column is its shares split into
+  32-bit limb planes (:meth:`ShareTable.column_vector`), summed per plane
+  and recombined in Python ints.
+
+Mirrors are built lazily, per column, by the first request that scans,
+sorts, groups or sums it — never on the write path, and never by a
+narrow index probe, which stays on the bisects.  They are keyed on the
 same ``version``/mutation counters as the derived state, so any DML
-invalidates them; a column whose shares cannot round-trip through uint64
-(the exact-integer order-preserving shares of wide columns can exceed
-2^64, and tampered residues can be negative) is marked unvectorizable at
-that version and every consumer stays on the scalar oracle — dispatch is
-bit-identical on every input.
+invalidates them (an index another column's UPDATE did not touch keeps
+its entry arrays).  What cannot be mirrored — row ids outside ``int64``,
+a negative or non-integer share in a summed column — reads as None and
+every consumer stays on the scalar oracle; dispatch is bit-identical on
+every input.
 
 NULLs are stored as ``None`` and never indexed; comparisons against NULL
 are false, matching SQL WHERE semantics on the plaintext side.
@@ -57,7 +72,7 @@ from __future__ import annotations
 
 import bisect
 from heapq import merge as _sorted_merge
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import kernels
@@ -66,10 +81,6 @@ from ..errors import ProviderError
 ShareRow = Dict[str, Optional[int]]
 
 _ROW_ID_OF = itemgetter(1)
-
-#: Shares live in canonical residue form; anything outside uint64 cannot
-#: take the vectorized path bit-exactly.
-_U64_MAX = (1 << 64) - 1
 
 #: cache sentinel distinguishing "never built" from "built, unvectorizable"
 _UNSET = object()
@@ -134,10 +145,13 @@ class SortedShareIndex:
     def __init__(self, column: str) -> None:
         self.column = column
         self._entries: List[Tuple[int, int]] = []  # (share, row_id), sorted
-        #: bumped on every index mutation; keys the vector mirror below
+        #: bumped on every index mutation; keys the order mirror below
         self._mutations = 0
         self._vector_version = -1
-        self._vector = None  # (share uint64 array, row-id int64 array)
+        self._vector = None  # (row-id int64 array, dense-rank int64 array)
+        #: number of order-mirror builds (regression hook: zero for point
+        #: and narrow range probes, one per mutation batch otherwise)
+        self.vector_rebuilds = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -174,16 +188,17 @@ class SortedShareIndex:
         del self._entries[index]
         self._mutations += 1
 
-    def range_row_ids(
+    def entry_range(
         self,
-        low: Optional[int],
-        high: Optional[int],
+        low,
+        high,
         *,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> List[int]:
-        """Row ids whose share lies in the given (possibly open) interval,
-        in ascending share order."""
+    ) -> Tuple[int, int]:
+        """Entry offsets ``(start, stop)`` bracketing the shares in the
+        given (possibly open) interval — two bisects; ``stop <= start``
+        when nothing matches."""
         if low is None:
             start = 0
         elif low_inclusive:
@@ -196,6 +211,21 @@ class SortedShareIndex:
             stop = bisect.bisect_right(self._entries, (high, float("inf")))
         else:
             stop = bisect.bisect_left(self._entries, (high, -1))
+        return start, stop
+
+    def range_row_ids(
+        self,
+        low: Optional[int],
+        high: Optional[int],
+        *,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> List[int]:
+        """Row ids whose share lies in the given (possibly open) interval,
+        in ascending share order."""
+        start, stop = self.entry_range(
+            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
+        )
         return list(map(_ROW_ID_OF, self._entries[start:stop]))
 
     def equal_row_ids(self, share: int) -> List[int]:
@@ -205,9 +235,12 @@ class SortedShareIndex:
         """Cardinality of a closed share interval — two bisects, no
         extraction.  Used for access-path selection before paying for
         row-id materialization."""
-        start = bisect.bisect_left(self._entries, (low, -1))
-        stop = bisect.bisect_right(self._entries, (high, float("inf")))
+        start, stop = self.entry_range(low, high)
         return max(0, stop - start)
+
+    def share_at(self, offset: int) -> int:
+        """The share of the entry at ``offset`` (ascending share order)."""
+        return self._entries[offset][0]
 
     def min_entry(self) -> Optional[Tuple[int, int]]:
         return self._entries[0] if self._entries else None
@@ -224,118 +257,47 @@ class SortedShareIndex:
         n = len(self._entries)
         return 2 * max(1, n.bit_length())
 
-    # -- vector mirror (numpy backend) --------------------------------------
+    # -- order mirror (numpy backend) ---------------------------------------
 
     def vector_entries(self):
-        """``(share array, row-id array)`` mirroring ``_entries``, or None.
+        """``(row-id array, dense-rank array)`` in entry order, or None.
 
-        Lazily (re)built after any mutation, keyed on the mutation
-        counter; None when the backend is scalar, numpy is absent, or any
-        share/row id falls outside uint64/int64 (exact-integer OP shares
-        of wide columns) — consumers then take the bisect path.
+        Both ``int64``; equal shares carry equal ranks, so rank order is
+        share order whatever the shares' width.  Lazily (re)built after
+        any mutation, keyed on the mutation counter; None when the
+        backend is scalar, numpy is absent, or a row id falls outside
+        int64 — consumers then take the bisect path.
         """
         np = kernels.numpy_module()
         if np is None:
             return None
-        if self._vector_version == self._mutations:
-            return self._vector
-        self._vector_version = self._mutations
-        self._vector = None
-        if self._entries:
+        mutations = self._mutations
+        if self._vector_version != mutations:
             # two comprehensions, not zip(*entries): unpacking hands zip one
             # GC-tracked tuple iterator per entry, enough to push the
             # collector into a full collection on every rebuild
             shares = [entry[0] for entry in self._entries]
-            row_ids = [entry[1] for entry in self._entries]
             try:
-                self._vector = (
-                    np.array(shares, dtype=np.uint64),
-                    np.array(row_ids, dtype=np.int64),
+                row_ids = np.array(
+                    [entry[1] for entry in self._entries], dtype=np.int64
                 )
             except (OverflowError, TypeError, ValueError):
-                self._vector = None  # unvectorizable at this version
-        else:
-            self._vector = (
-                np.zeros(0, dtype=np.uint64),
-                np.zeros(0, dtype=np.int64),
-            )
+                vector = None  # unvectorizable at this version
+            else:
+                # a rank steps up wherever a share differs from the one
+                # before it (the first entry is compared with itself)
+                steps = np.fromiter(
+                    map(ne, shares, shares[:1] + shares),
+                    dtype=np.int64,
+                    count=len(shares),
+                )
+                vector = (row_ids, np.cumsum(steps))
+            # publish the mirror before its version: a reader that sees
+            # the new version must never see the old arrays
+            self._vector = vector
+            self._vector_version = mutations
+            self.vector_rebuilds += 1
         return self._vector
-
-    def _lower_offset(self, np, shares, low, inclusive: bool) -> int:
-        """First mirror offset inside the lower bound (bisect-equivalent)."""
-        if low is None:
-            return 0
-        if inclusive:
-            if low <= 0:
-                return 0
-            if low > _U64_MAX:
-                return int(shares.shape[0])
-            return int(np.searchsorted(shares, low, side="left"))
-        if low < 0:
-            return 0
-        if low >= _U64_MAX:
-            return int(shares.shape[0])
-        return int(np.searchsorted(shares, low, side="right"))
-
-    def _upper_offset(self, np, shares, high, inclusive: bool) -> int:
-        """First mirror offset past the upper bound (bisect-equivalent)."""
-        if high is None:
-            return int(shares.shape[0])
-        if inclusive:
-            if high < 0:
-                return 0
-            if high > _U64_MAX:
-                return int(shares.shape[0])
-            return int(np.searchsorted(shares, high, side="right"))
-        if high <= 0:
-            return 0
-        if high > _U64_MAX:
-            return int(shares.shape[0])
-        return int(np.searchsorted(shares, high, side="left"))
-
-    def vector_range(
-        self,
-        low: Optional[int],
-        high: Optional[int],
-        *,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ):
-        """Row ids in the interval as an int64 array (ascending share
-        order — the same order :meth:`range_row_ids` returns), or None
-        when no mirror is available.  Bounds outside uint64 clamp to the
-        matching end before ``searchsorted``, preserving the bisect
-        semantics exactly (stored shares are canonical residues, so
-        nothing can sort beyond the clamp)."""
-        vector = self.vector_entries()
-        if vector is None:
-            return None
-        np = kernels.numpy_module()
-        shares, row_ids = vector
-        start = self._lower_offset(np, shares, low, low_inclusive)
-        stop = self._upper_offset(np, shares, high, high_inclusive)
-        if stop <= start:
-            return row_ids[:0]
-        return row_ids[start:stop]
-
-    def vector_count(
-        self,
-        low: Optional[int],
-        high: Optional[int],
-        *,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Optional[int]:
-        """Matched-entry count from the two ``searchsorted`` bound
-        probes alone (no slice), or None when no mirror is available."""
-        vector = self.vector_entries()
-        if vector is None:
-            return None
-        np = kernels.numpy_module()
-        shares, _ = vector
-        start = self._lower_offset(np, shares, low, low_inclusive)
-        stop = self._upper_offset(np, shares, high, high_inclusive)
-        return max(0, stop - start)
 
 
 class ShareTable:
@@ -379,16 +341,16 @@ class ShareTable:
         #: per mutation batch, never O(1) per read)
         self.derived_rebuilds = 0
         # vectorized mirrors (numpy backend), keyed on ``version`` like
-        # the derived state: per-column uint64 residue arrays (+ NULL
-        # masks), the slot→row-id array, and the sorted row-id / slot
-        # pair that turns batched row-id→slot translation into one
-        # ``searchsorted``
+        # the derived state: per-column limb planes (+ NULL masks), each
+        # searchable column's slot→index-offset array, and the sorted
+        # row-id / slot pair that turns batched row-id→slot translation
+        # into one ``searchsorted``
         self._vec_version = -1
         self._vec_columns: Dict[str, object] = {}
-        self._vec_slot_rids = _UNSET  # slot→row id, int64
+        self._vec_positions: Dict[str, object] = {}
         self._vec_sorted_rids = _UNSET  # ascending row ids, int64
         self._vec_sorted_slots = _UNSET  # their slots, aligned
-        #: number of column-mirror builds (regression hook: stays O(1)
+        #: number of value-mirror builds (regression hook: stays O(1)
         #: per (column, mutation batch), never O(1) per read)
         self.vector_rebuilds = 0
         # materialized aggregate payloads (SUM/COUNT partials), version-keyed
@@ -746,19 +708,20 @@ class ShareTable:
             return None
         if self._vec_version != self.version:
             self._vec_columns = {}
-            self._vec_slot_rids = _UNSET
+            self._vec_positions = {}
             self._vec_sorted_rids = _UNSET
             self._vec_sorted_slots = _UNSET
             self._vec_version = self.version
         return np
 
     def column_vector(self, column: str):
-        """``(uint64 share array by slot, NULL mask or None)`` or None.
+        """The value mirror: ``((L, n) limb planes by slot, NULL mask or
+        None)``, or None.
 
         None means the column is absent, the backend is scalar, or the
-        column cannot round-trip through uint64 at this version (OP
-        shares beyond 2^64, tampered negatives) — the consumer must stay
-        on the scalar path.  NULL cells read 0 under the mask.
+        column holds a negative or non-integer share at this version
+        (tampered storage) — the consumer must stay on the scalar path.
+        NULL cells read 0 under the mask.
         """
         np = self._vector_state()
         if np is None or column not in self._column_set:
@@ -766,10 +729,34 @@ class ShareTable:
         cached = self._vec_columns.get(column, _UNSET)
         if cached is not _UNSET:
             return cached
-        vector = kernels.share_column_vector(self._column_data[column])
+        vector = kernels.share_limb_planes(self._column_data[column])
         self._vec_columns[column] = vector
         self.vector_rebuilds += 1
         return vector
+
+    def index_positions(self, column: str):
+        """The order mirror: each slot's offset into the column's sorted
+        index entries (``int64``, ``-1`` for NULL), or None.
+
+        Offsets order slots by ``(share, row id)``; the index's
+        :meth:`SortedShareIndex.vector_entries` maps an offset to its
+        row id and dense rank.  None means the column is not searchable,
+        the backend is scalar, or a row id falls outside int64.
+        """
+        np = self._vector_state()
+        index = self.indexes.get(column)
+        if np is None or index is None:
+            return None
+        positions = self._vec_positions.get(column, _UNSET)
+        if positions is _UNSET:
+            positions = None
+            entries = index.vector_entries()
+            slots = None if entries is None else self.vector_slots_for(entries[0])
+            if slots is not None:
+                positions = np.full(len(self._row_ids), -1, dtype=np.int64)
+                positions[slots] = np.arange(slots.shape[0], dtype=np.int64)
+            self._vec_positions[column] = positions
+        return positions
 
     def _vector_slot_map(self, np):
         """(sorted row ids, their slots) int64 arrays, or None."""
@@ -777,14 +764,9 @@ class ShareTable:
             try:
                 slot_rids = np.array(self._row_ids, dtype=np.int64)
             except (OverflowError, TypeError, ValueError):
-                slot_rids = None
-            if slot_rids is None:
-                self._vec_slot_rids = None
-                self._vec_sorted_rids = None
-                self._vec_sorted_slots = None
+                self._vec_sorted_rids = self._vec_sorted_slots = None
             else:
                 order = np.argsort(slot_rids)
-                self._vec_slot_rids = slot_rids
                 self._vec_sorted_rids = slot_rids[order]
                 self._vec_sorted_slots = order
         if self._vec_sorted_rids is None:

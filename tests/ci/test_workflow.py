@@ -183,6 +183,11 @@ class TestTier1Gate:
             if s.get("env", {}).get("REPRO_KERNEL_BACKEND") == "scalar"
         ]
         assert len(forced) == 1
+        # the step name quotes bench_provider.py's numpy gates
+        # (RANGE_SCAN_GATES / FILTERED_SUM_GATES), re-measured in ISSUE-17
+        vectorized = next(s for s in checks if s not in forced)
+        assert ">=12x scan" in vectorized["name"]
+        assert ">=50x SUM" in vectorized["name"]
 
     def test_bench_smoke_uploads_regenerated_reports(self, jobs):
         steps = jobs["bench-smoke"]["steps"]

@@ -1,9 +1,11 @@
 """Unit tests for the vectorized provider engine's machinery (ISSUE-9).
 
-Targeted coverage the property suite doesn't pin down explicitly: mirror
-fallback sentinels, the module-level materializer cache, dispatch
-telemetry counters, searchsorted probe clamping, and the increment fast
-path's decline edges.  numpy-only tests skip without ``repro[fast]``.
+Targeted coverage the property suite doesn't pin down explicitly: the
+limb-plane value mirror and the order mirror on shares wider than any
+machine word, mirror fallback sentinels, the module-level materializer
+cache, dispatch telemetry counters, the narrow-probe rule, and the
+increment fast path's decline edges.  numpy-only tests skip without
+``repro[fast]``.
 """
 
 import pytest
@@ -79,107 +81,220 @@ class TestMaterializerCache:
         )
 
 
+def recombined(limbs):
+    """The shares behind an (L, n) limb-plane mirror, as Python ints."""
+    return [
+        sum(int(limb) << (32 * i) for i, limb in enumerate(column))
+        for column in limbs.T.tolist()
+    ]
+
+
 @needs_numpy
 class TestColumnMirrors:
-    def test_wide_share_column_declines(self):
-        table = small_table({1: {"a": 1 << 70, "b": 2}})
-        assert table.column_vector("a") is None
-        assert table.column_vector("b") is not None
+    def test_wide_share_column_mirrors(self):
+        wide = [(1 << 121) + 5, 7, (1 << 93) - 1]
+        table = small_table(
+            {rid: {"a": share, "b": 2} for rid, share in enumerate(wide)}
+        )
+        limbs, nulls = table.column_vector("a")
+        assert nulls is None
+        assert limbs.shape == (4, 3)  # ⌈122 / 32⌉ planes, one column per slot
+        assert recombined(limbs) == wide
+        assert kernels.exact_sum_limbs(limbs) == sum(wide)
+        narrow, _ = table.column_vector("b")
+        assert narrow.shape == (1, 3)
 
     def test_negative_share_column_declines(self):
         table = small_table({1: {"a": -3, "b": 2}})
         assert table.column_vector("a") is None
 
+    def test_non_integer_share_column_declines(self):
+        table = small_table({1: {"a": 4, "b": 2.5}})
+        assert table.column_vector("b") is None
+
     def test_null_cells_masked(self):
         table = small_table({1: {"a": 4, "b": None}, 2: {"a": 5, "b": 9}})
-        shares, mask = table.column_vector("b")
+        limbs, mask = table.column_vector("b")
         assert mask.tolist() == [True, False]
-        assert shares[1] == 9
+        assert recombined(limbs) == [0, 9]
 
     def test_mirror_invalidated_by_version(self):
         table = small_table({1: {"a": 4, "b": 7}})
         first, _ = table.column_vector("b")
         table.update(1, {"b": 8})
         second, _ = table.column_vector("b")
-        assert first.tolist() == [7] and second.tolist() == [8]
+        assert recombined(first) == [7] and recombined(second) == [8]
+        assert table.vector_rebuilds == 2
+
+    def test_segment_sums_match_python_sums(self):
+        shares = [(1 << 100) + i * ((1 << 64) - 1) for i in range(9)]
+        limbs, _ = kernels.share_limb_planes(shares)
+        starts = kernels.numpy_module().array([0, 2, 3, 8])
+        assert kernels.exact_segment_sums_limbs(limbs, starts) == [
+            sum(shares[0:2]), sum(shares[2:3]), sum(shares[3:8]), shares[8],
+        ]
+
+    def test_masked_sum_skips_unselected_slots(self):
+        shares = [(1 << 95) - 1, 1 << 70, 12, (1 << 120) + 3]
+        limbs, _ = kernels.share_limb_planes(shares)
+        selected = kernels.numpy_module().array([True, False, True, True])
+        assert kernels.exact_sum_limbs(limbs, selected) == (
+            shares[0] + shares[2] + shares[3]
+        )
 
 
 @needs_numpy
 class TestIndexMirrorProbes:
+    #: order-preserving-sized shares: nothing here fits a machine word
+    A, B, C = (1 << 92) + 10, (1 << 111) + 20, (1 << 120) + 30
+
     def probes(self):
         index = SortedShareIndex("a")
-        index.bulk_load([(10, 1), (20, 2), (20, 3), (30, 4)])
+        index.bulk_load([(self.A, 1), (self.B, 2), (self.B, 3), (self.C, 4)])
         return index
+
+    def test_equal_shares_carry_equal_ranks(self):
+        row_ids, ranks = self.probes().vector_entries()
+        assert row_ids.tolist() == [1, 2, 3, 4]
+        assert ranks.tolist() == [0, 1, 1, 2]
 
     def test_vector_range_matches_bisect(self):
         index = self.probes()
+        row_ids, _ = index.vector_entries()
         for low, high, kw in [
-            (10, 30, {}),
-            (None, 20, {"high_inclusive": False}),
-            (20, None, {"low_inclusive": False}),
-            (11, 19, {}),
+            (self.A, self.C, {}),
+            (None, self.B, {"high_inclusive": False}),
+            (self.B, None, {"low_inclusive": False}),
+            (self.A + 1, self.B - 1, {}),
+            (self.B, self.B, {}),
+            (self.C, self.A, {}),
         ]:
-            assert index.vector_range(low, high, **kw).tolist() == (
-                index.range_row_ids(
-                    low,
-                    high,
-                    low_inclusive=kw.get("low_inclusive", True),
-                    high_inclusive=kw.get("high_inclusive", True),
-                )
+            start, stop = index.entry_range(low, high, **kw)
+            assert row_ids[start:stop].tolist() == (
+                index.range_row_ids(low, high, **kw)
+            )
+            assert max(0, stop - start) == len(
+                index.range_row_ids(low, high, **kw)
             )
 
     def test_bounds_past_uint64_clamp(self):
+        # bounds beyond every stored share land on the ends of the index
+        # by comparison alone — no width limit, so nothing to special-case
         index = self.probes()
-        assert index.vector_range(-(1 << 80), 1 << 80).tolist() == [1, 2, 3, 4]
-        assert index.vector_count(1 << 70, None) == 0
-        assert index.vector_count(None, -5) == 0
+        assert index.entry_range(-(1 << 200), 1 << 200) == (0, 4)
+        assert index.entry_range(1 << 200, None) == (4, 4)
+        assert index.entry_range(None, -5) == (0, 0)
+        assert index.count_in_range(self.C + 1, 1 << 200) == 0
 
-    def test_wide_entry_poisons_mirror(self):
+    def test_wide_entry_is_mirrored(self):
         index = self.probes()
-        index.insert(1 << 77, 9)
-        assert index.vector_entries() is None
-        index.remove(1 << 77, 9)
         assert index.vector_entries() is not None
+        index.insert(1 << 177, 9)
+        row_ids, ranks = index.vector_entries()
+        assert row_ids.tolist() == [1, 2, 3, 4, 9]
+        assert ranks.tolist() == [0, 1, 1, 2, 3]
+        assert index.vector_rebuilds == 2  # one per mutation batch consulted
+        index.vector_entries()
+        assert index.vector_rebuilds == 2
+
+    def test_row_ids_outside_int64_decline(self):
+        index = SortedShareIndex("a")
+        index.bulk_load([(self.A, 1 << 70)])
+        assert index.vector_entries() is None
+
+    def test_slot_positions_follow_swap_remove(self):
+        table = small_table(
+            {rid: {"a": share, "b": rid}
+             for rid, share in [(1, self.C), (2, None), (3, self.A), (4, self.B)]}
+        )
+        assert table.index_positions("a").tolist() == [2, -1, 0, 1]
+        table.delete(1)  # row 4 moves into slot 0
+        assert table.index_positions("a").tolist() == [1, -1, 0]
+        assert table.index_positions("b") is None  # not searchable
 
 
 @needs_numpy
 class TestDispatchTelemetry:
-    def test_vector_and_scalar_dispatch_counted(self):
-        rows = [(i, {"k": i * 3, "v": i}) for i in range(8)]
+    def dispatch_counts(self, rows, request):
         with telemetry.session():
             provider = build_provider(rows)
-            provider.handle(
-                "select",
-                {"table": "T",
-                 "conditions": [
-                     {"column": "k", "op": "range", "low": 0, "high": 12}
-                 ]},
-            )
+            provider.handle("select", request)
             export = telemetry.hub().export()
-        counters = export["metrics"]["counters"]
+        return export["metrics"]["counters"]
+
+    def test_vector_and_scalar_dispatch_counted(self):
+        rows = [(i, {"k": i * 3, "v": i}) for i in range(8)]
+        counters = self.dispatch_counts(
+            rows,
+            {"table": "T",
+             "conditions": [
+                 {"column": "k", "op": "range", "low": 0, "high": 12}
+             ]},
+        )
         assert counters["provider.kernel.backend{backend=numpy,provider=U}"] >= 1
         assert (
             counters["provider.kernel.dispatch"
                      "{backend=numpy,method=select,provider=U}"] == 1
         )
 
+    def test_wide_shares_dispatch_vectorized(self):
+        rows = [(i, {"k": (i * 3) + (1 << 110), "v": i}) for i in range(4)]
+        counters = self.dispatch_counts(
+            rows,
+            {"table": "T",
+             "conditions": [{"column": "k", "op": "ge", "low": 1 << 110}],
+             "order_by": "k", "descending": True},
+        )
+        assert (
+            counters["provider.kernel.dispatch"
+                     "{backend=numpy,method=select,provider=U}"] == 1
+        )
+
     def test_fallback_counts_as_scalar_dispatch(self):
-        rows = [(i, {"k": (i * 3) + (1 << 70), "v": i}) for i in range(4)]
-        with telemetry.session():
-            provider = build_provider(rows)
-            provider.handle(
-                "select",
-                {"table": "T",
-                 "conditions": [
-                     {"column": "k", "op": "ge", "low": 1 << 70}
-                 ]},
-            )
-            export = telemetry.hub().export()
-        counters = export["metrics"]["counters"]
+        # a non-integer bound is the scalar engine's to compare (or refuse)
+        rows = [(i, {"k": i * 3, "v": i}) for i in range(4)]
+        counters = self.dispatch_counts(
+            rows,
+            {"table": "T",
+             "conditions": [{"column": "k", "op": "ge", "low": 2.5}]},
+        )
         assert (
             counters["provider.kernel.dispatch"
                      "{backend=scalar,method=select,provider=U}"] == 1
         )
+
+    def test_narrow_probe_stays_on_the_bisect_path(self):
+        # one matched entry of 64 rows: below the 1/16 rule, so the scalar
+        # engine answers and no mirror is built or consulted
+        rows = [(i, {"k": i * 3 + (1 << 100), "v": i}) for i in range(64)]
+        with telemetry.session():
+            provider = build_provider(rows)
+            out = provider.handle(
+                "select",
+                {"table": "T",
+                 "conditions": [
+                     {"column": "k", "op": "eq", "low": 30 + (1 << 100)}
+                 ]},
+            )
+            counters = telemetry.hub().export()["metrics"]["counters"]
+        assert [rid for rid, _ in out["rows"]] == [10]
+        assert (
+            counters["provider.kernel.dispatch"
+                     "{backend=scalar,method=select,provider=U}"] == 1
+        )
+        table = provider.store.table("T")
+        assert table.vector_rebuilds == 0
+        assert table.indexes["k"].vector_rebuilds == 0
+        # four entries of 64 is 1/16: wide enough for the mirrors
+        provider.handle(
+            "select",
+            {"table": "T",
+             "conditions": [
+                 {"column": "k", "op": "range", "low": (1 << 100),
+                  "high": (1 << 100) + 9}
+             ]},
+        )
+        assert table.indexes["k"].vector_rebuilds == 1
 
 
 @needs_numpy
@@ -260,3 +375,22 @@ class TestOrderedSelect:
             {"table": "T", "conditions": [], "order_by": "k"},
         )
         assert [rid for rid, _ in out["rows"]] == [3, 0, 2, 1]
+
+    def test_unmirrorable_order_column_declines_before_any_cost(self):
+        # an ORDER BY index holding a row id the table has no slot for has
+        # no order mirror; the select must decline before the condition
+        # probes are recorded, so the scalar replay's costs are the only ones
+        rows = [(i, {"k": i * 3, "v": i * 5 % 7}) for i in range(16)]
+        request = {
+            "table": "T",
+            "conditions": [{"column": "k", "op": "ge", "low": 6}],
+            "order_by": "v",
+        }
+
+        def answer(backend):
+            provider = build_provider(rows, searchable=("k", "v"))
+            provider.store.table("T").indexes["v"].insert(4, 999)
+            kernels.set_kernel_backend(backend)
+            return provider.handle("select", request), provider.cost.snapshot()
+
+        assert answer("numpy") == answer("scalar")
