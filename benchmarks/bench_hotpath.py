@@ -15,6 +15,10 @@ they replaced:
   column of ``Employees``): per-cell ``Fraction`` interpolation
   (:func:`interpolate_integer_constant`) vs. the exact-integer
   :func:`repro.core.kernels.batch_reconstruct_integer`.
+* **share_rows** — the load path's client half: validate + encode + share
+  200-row ``Employees`` / ``Managers`` batches column-major
+  (:meth:`TableSharing.share_rows`) vs. one ``validate_row`` and one
+  ``share_value`` per cell, same shares and same RNG stream.
 * **select** — an end-to-end ``SELECT`` through the provider cluster,
   reporting the modelled ``first_k`` fan-out latency (k-th fastest round
   trip) against the sum of the same messages' transfer times — what the
@@ -51,6 +55,7 @@ from repro.core.polynomial import (
     lagrange_constant_term,
     random_field_polynomial,
 )
+from repro.core.scheme import TableSharing
 from repro.core.secrets import generate_client_secrets
 from repro.core.shamir import ShamirScheme
 from repro.providers.cluster import ProviderCluster
@@ -58,7 +63,7 @@ from repro.client.datasource import DataSource
 from repro.sim.rng import DeterministicRNG
 from repro.sqlengine.query import Select
 from repro.sqlengine.expression import Comparison, ComparisonOp
-from repro.workloads.employees import employees_table
+from repro.workloads.employees import employees_table, managers_table
 
 SEED = 2009
 RESULT_PATH = REPO_ROOT / "BENCH_hotpath.json"
@@ -296,6 +301,58 @@ def bench_op_reconstruct(
     }
 
 
+def bench_share_rows(
+    n_rows: int, batch_rows: int = 200, n_providers: int = 5, threshold: int = 3
+):
+    """The load path's client half, per table of the e2e ``bulk_load``.
+
+    ``Employees`` is all order-preserving (three of its five columns
+    repeat values inside a batch, which ``share_rows`` shares once);
+    ``Managers`` has a randomly-shared ``password`` (never memoised).  The
+    baseline is the per-value path — ``validate_row`` then one
+    ``share_value`` per cell, rows then columns — on a twin sharing with
+    the same seed, so the outputs must be equal share for share.
+    """
+    employees = employees_table(n_rows, seed=SEED)
+    managers = managers_table(employees, 0.5, seed=SEED)
+    secrets = generate_client_secrets(n_providers, seed=SEED)
+
+    def twin(schema):
+        return TableSharing(schema, secrets, threshold, DeterministicRNG(SEED))
+
+    def per_cell(sharing, rows):
+        names = sharing.schema.column_names
+        out = [[] for _ in range(n_providers)]
+        for row in rows:
+            row = sharing.schema.validate_row(row)
+            shares = [sharing.share_value(name, row[name]) for name in names]
+            for i, share_rows in enumerate(out):
+                share_rows.append({name: cell[i] for name, cell in zip(names, shares)})
+        return out
+
+    def batched(sharing, rows):
+        out = [[] for _ in range(n_providers)]
+        for start in range(0, len(rows), batch_rows):
+            for share_rows, more in zip(out, sharing.share_rows(rows[start:start + batch_rows])):
+                share_rows += more
+        return out
+
+    report = {"batch_rows": batch_rows, "n": n_providers, "k": threshold}
+    for table in (employees, managers):
+        rows = table.rows()
+        baseline, base_s = _timed(per_cell, twin(table.schema), rows)
+        shared, batch_s = _timed(batched, twin(table.schema), rows)
+        assert shared == baseline, "share_rows diverged from share_value per cell"
+        report[table.schema.name] = {
+            "rows": len(rows),
+            "cells": len(rows) * len(table.schema.columns),
+            "per_cell_ms_per_row": round(base_s / len(rows) * 1e3, 5),
+            "share_rows_ms_per_row": round(batch_s / len(rows) * 1e3, 5),
+            "speedup": round(base_s / batch_s, 2),
+        }
+    return report
+
+
 def bench_select(n_rows: int, n_providers: int = 5, threshold: int = 3):
     """End-to-end SELECT: modelled ``first_k`` latency vs sum of round trips.
 
@@ -443,6 +500,7 @@ def run_check() -> None:
         "bench_hotpath --check: integer order-preserving reconstruct "
         f"speedup {op_gate['speedup']}x (gate: >=5x)"
     )
+    bench_share_rows(60, batch_rows=25)  # asserts share_rows == per cell
     bench_select(40, n_providers=4, threshold=3)
 
 
@@ -452,6 +510,7 @@ def run_full(args) -> dict:
         "split": bench_split(args.values),
         "reconstruct": bench_reconstruct(args.rows, args.columns),
         "op_reconstruct": bench_op_reconstruct(args.rows * args.columns),
+        "share_rows": bench_share_rows(args.rows),
         "select": bench_select(args.select_rows),
     }
     return report

@@ -626,44 +626,43 @@ class DataSource:
         row_ids: Optional[List[int]] = None,
     ) -> WriteOp:
         """The INSERT half of :meth:`plan_write`, for any number of rows."""
-        prepared = self.prepare_insert_shares(table_name, rows, row_ids)
-        if not prepared:
+        row_ids, shared = self.prepare_insert_shares(table_name, rows, row_ids)
+        if not row_ids:
             return WriteOp("insert_many", table_name, [], [])
         requests = [
-            {"table": table_name, "rows": [[rid, shares[i]] for rid, shares in prepared]}
-            for i in range(self.cluster.n_providers)
+            {"table": table_name, "rows": [list(pair) for pair in zip(row_ids, share_rows)]}
+            for share_rows in shared
         ]
-        return WriteOp(
-            "insert_many", table_name, requests, [rid for rid, _ in prepared]
-        )
+        return WriteOp("insert_many", table_name, requests, row_ids)
 
     def prepare_insert_shares(
         self,
         table_name: str,
         rows: List[Row],
         explicit_ids: Optional[List[int]] = None,
-    ) -> List[Tuple[int, List[ShareRow]]]:
+    ) -> Tuple[List[int], List[List[ShareRow]]]:
         """Validate, assign row ids, and share a batch of plaintext rows.
 
-        Returns ``[(row_id, [share_row per provider])]``.
+        Returns ``(row_ids, share_rows)`` with ``share_rows[i][r]`` row
+        r's share row for provider i.  Row ids are handed out before the
+        batch is looked at; a rejected batch keeps the ids it drew.
         """
         sharing = self.sharing(table_name)
         if explicit_ids is not None and len(explicit_ids) != len(rows):
             raise QueryError(
                 f"{len(explicit_ids)} row ids supplied for {len(rows)} rows"
             )
-        if explicit_ids is None and rows:
+        if not rows:
+            return [], []
+        if explicit_ids is None:
             start = self.reserve_row_ids(table_name, len(rows))
-            explicit_ids = list(range(start, start + len(rows)))
-        prepared: List[Tuple[int, List[ShareRow]]] = []
-        for position, row in enumerate(rows):
-            normalised = sharing.schema.validate_row(row)
-            share_rows = sharing.share_row(normalised)
-            self.cost.record(
-                "poly_eval", len(sharing.schema.columns) * self.cluster.n_providers
-            )
-            prepared.append((explicit_ids[position], share_rows))
-        return prepared
+            explicit_ids = range(start, start + len(rows))
+        shared = sharing.share_rows(rows)
+        self.cost.record(
+            "poly_eval",
+            len(rows) * len(sharing.schema.columns) * self.cluster.n_providers,
+        )
+        return list(explicit_ids), shared
 
     def update(self, query: Update) -> int:
         """Eager update (Sec. V-C): fetch, reconstruct, re-share, write back.

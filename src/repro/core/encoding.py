@@ -28,7 +28,7 @@ import datetime
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
-from typing import Generic, List, Sequence, Tuple, TypeVar
+from typing import Dict, Generic, List, Sequence, Tuple, TypeVar
 
 from ..errors import EncodingError
 from .order_preserving import IntegerDomain
@@ -46,6 +46,26 @@ EXTENDED_ALPHABET = "*0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 PAD_CHAR = "*"
 
 
+class ColumnEncodingError(EncodingError):
+    """:meth:`Codec.encode_many` refused the value at ``position``: the
+    message is that of the error :meth:`Codec.encode` raised (``__cause__``)."""
+
+    def __init__(self, position: int, cause: Exception) -> None:
+        super().__init__(str(cause))
+        self.position = position
+
+
+def _encode_each(encode, values: Sequence) -> List[int]:
+    """``[encode(v) for v in values]``, a failure re-raised with its position."""
+    out: List[int] = []
+    try:
+        for value in values:
+            out.append(encode(value))
+    except Exception as exc:
+        raise ColumnEncodingError(len(out), exc) from exc
+    return out
+
+
 class Codec(Generic[V]):
     """Order-preserving bijection between a value type and an integer domain."""
 
@@ -54,6 +74,12 @@ class Codec(Generic[V]):
 
     def encode(self, value: V) -> int:
         raise NotImplementedError
+
+    def encode_many(self, values: Sequence[V]) -> List[int]:
+        """Encode (and so validate) a whole column, the write-path twin of
+        :meth:`decode_many`: ``[encode(v) for v in values]``, the first bad
+        value raising a :class:`ColumnEncodingError` with its position."""
+        return _encode_each(self.encode, values)
 
     def decode(self, number: int) -> V:
         raise NotImplementedError
@@ -152,13 +178,9 @@ class StringCodec(Codec[str]):
     def base(self) -> int:
         return len(self.alphabet)
 
-    def _digit(self, ch: str) -> int:
-        index = self.alphabet.find(ch)
-        if index < 0:
-            raise EncodingError(
-                f"character {ch!r} outside the alphabet {self.alphabet!r}"
-            )
-        return index
+    @cached_property
+    def _digits(self) -> Dict[str, int]:
+        return {ch: digit for digit, ch in enumerate(self.alphabet)}
 
     @cached_property
     def _domain(self) -> IntegerDomain:
@@ -188,11 +210,26 @@ class StringCodec(Codec[str]):
         return upper
 
     def encode(self, value: str) -> int:
-        padded = self.normalize(value).ljust(self.width, PAD_CHAR)
+        canonical = self.normalize(value)
+        base, digits = self.base, self._digits
         number = 0
-        for ch in padded:
-            number = number * self.base + self._digit(ch)
-        return number
+        for ch in canonical:
+            number = number * base + digits[ch]
+        # right-padding with ``*`` (digit 0) is a shift
+        return number * base ** (self.width - len(canonical))
+
+    def encode_many(self, values: Sequence[str]) -> List[int]:
+        # loaded columns repeat values (names, departments): each distinct
+        # string is validated and enumerated once per call
+        encoded: Dict[str, int] = {}
+
+        def encode(value: str) -> int:
+            number = encoded.get(value) if type(value) is str else None
+            if number is None:
+                number = encoded[value] = self.encode(value)
+            return number
+
+        return _encode_each(encode, values)
 
     def decode(self, number: int) -> str:
         if not self._domain.contains(number):

@@ -131,7 +131,11 @@ class OrderPreservingScheme:
         # coefficients start higher so distinct degrees never collide, which
         # keeps the "upper bound on the sum of domain sizes" leak of Sec. IV
         # as loose as the paper argues.
-        self._n_coeffs = threshold - 1
+        # one keyed hash per non-constant coefficient; the label's bytes
+        # are built here, once, not per shared value
+        self._slot_hashes = tuple(
+            secrets.keyed_hasher(f"op/{label}/c{j}") for j in range(threshold - 1)
+        )
 
     @property
     def n_providers(self) -> int:
@@ -139,27 +143,24 @@ class OrderPreservingScheme:
 
     # -- polynomial construction (Sec. IV) -----------------------------------
 
-    def _coefficient(self, degree_index: int, value: int) -> int:
-        """Coefficient for x^{degree_index+1} of value ``v``.
+    def _coefficients(self, value: int) -> Tuple[int, ...]:
+        """p_v's coefficients, constant term ``v`` first.
 
         Slot i (the value's rank) of coefficient domain j is
-        ``[base_j + i*W, base_j + (i+1)*W)``; the keyed hash picks the
-        offset within the slot.
+        ``[base_j + i*W, base_j + (i+1)*W)`` with ``base_j = (j+1)*N*W``;
+        the keyed hash picks the offset within the slot.
         """
-        rank = self.domain.rank(value)
-        base = (degree_index + 1) * self.domain.size * self.slot_width
-        offset = (
-            self.secrets.keyed_hash(f"op/{self.label}/c{degree_index}", value)
-            % self.slot_width
-        )
-        return base + rank * self.slot_width + offset
+        width = self.slot_width
+        span = self.domain.size * width
+        slot = self.domain.rank(value) * width
+        coeffs = [value]
+        for degree, slot_hash in enumerate(self._slot_hashes, start=1):
+            coeffs.append(degree * span + slot + slot_hash(value) % width)
+        return tuple(coeffs)
 
     def polynomial_for(self, value: int) -> IntegerPolynomial:
         """The deterministic sharing polynomial p_v (constant term = v)."""
-        coeffs = [value] + [
-            self._coefficient(j, value) for j in range(self._n_coeffs)
-        ]
-        return IntegerPolynomial(tuple(coeffs))
+        return IntegerPolynomial(self._coefficients(value))
 
     # -- share computation ---------------------------------------------------
 
@@ -175,12 +176,12 @@ class OrderPreservingScheme:
 
     def split(self, value: int) -> List[int]:
         """All n shares of ``value``, provider-index order."""
-        return self._kernel().evaluate(self.polynomial_for(value).coeffs)
+        return self._kernel().evaluate(self._coefficients(value))
 
     def split_batch(self, values: Sequence[int]) -> List[List[int]]:
         """Share many values; result[j][i] is value j's share at provider i."""
         return self._kernel().evaluate_batch(
-            [self.polynomial_for(v).coeffs for v in values]
+            [self._coefficients(v) for v in values]
         )
 
     # -- query rewriting helpers (Sec. V-A) -----------------------------------

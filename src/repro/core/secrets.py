@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.rng import DeterministicRNG
@@ -72,9 +72,19 @@ class ClientSecrets:
         within a value's slot (Sec. IV): deterministic per (key, label,
         value) but unpredictable without the key.
         """
-        message = label.encode("utf-8") + b"\x00" + _int_bytes(value)
-        digest = hmac.new(self.hash_key, message, hashlib.sha256).digest()
-        return int.from_bytes(digest, "big")
+        return self.keyed_hasher(label)(value)
+
+    def keyed_hasher(self, label: str) -> Callable[[int], int]:
+        """:meth:`keyed_hash` with the label bound, for hashing many values:
+        the label's bytes are built once and each value is one one-shot
+        HMAC call."""
+        key, prefix = self.hash_key, label.encode("utf-8") + b"\x00"
+
+        def keyed_hash(value: int) -> int:
+            digest = hmac.digest(key, prefix + _int_bytes(value), "sha256")
+            return int.from_bytes(digest, "big")
+
+        return keyed_hash
 
     def derive_subkey(self, label: str) -> bytes:
         """Independent subkey for a named purpose (e.g. per-table MACs)."""

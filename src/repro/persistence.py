@@ -148,7 +148,7 @@ def provider_from_dict(data: Dict) -> ShareProvider:
         table = provider.store.create_table(
             table_name, list(table_data["columns"]), table_data["searchable"]
         )
-        # bulk path: one sort-and-merge per index instead of one insort
+        # bulk path: one index build per column instead of one insort
         # per row, so restoring a large snapshot is O(n log n), not O(n²)
         table.insert_many(
             (int(row_id_text), values)

@@ -23,12 +23,19 @@ and column arrays never carry tombstones.
 Index maintenance has two paths:
 
 * **incremental** — single-row ``insert``/``update``/``delete`` keep each
-  :class:`SortedShareIndex` current with one ``bisect``-positioned
-  splice, as before;
+  :class:`SortedShareIndex` current in place: one bisect, one memmove of
+  the tail (``insort`` / ``del``);
 * **bulk** — ``insert_many`` stages the batch's ``(share, row_id)`` pairs
-  per index and applies them with one sort-and-merge
-  (:meth:`SortedShareIndex.bulk_load`), turning an n-row load from
-  O(n²) repeated ``insort`` into O(n log n).
+  per index for :meth:`SortedShareIndex.bulk_load`, which sorts them and
+  *splices* them in: each pair is bisected into the existing entries from
+  the previous pair's cut onward and the new list is assembled from
+  slice copies of the old one between the cuts — O(m log n) compares and
+  one O(n) pointer copy for m pairs into n entries, however many batches
+  a load arrives in.  A batch of up to ``_INSORT_BATCH`` pairs (a
+  one-row ``INSERT``) takes the incremental path instead.  Both are eager
+  — a load never reads, so deferring the work to first read would only
+  hide it — and an index whose batch stages nothing is left untouched,
+  mirrors included (DESIGN.md §9).
 
 Derived read-path state — the ascending row-id order and each row's
 position in it (the Merkle leaf order) — is cached and keyed on the
@@ -71,7 +78,6 @@ are false, matching SQL WHERE semantics on the plaintext side.
 from __future__ import annotations
 
 import bisect
-from heapq import merge as _sorted_merge
 from operator import itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -84,6 +90,11 @@ _ROW_ID_OF = itemgetter(1)
 
 #: cache sentinel distinguishing "never built" from "built, unvectorizable"
 _UNSET = object()
+
+#: Largest batch :meth:`SortedShareIndex.bulk_load` inserts pair by pair:
+#: m memmoves of half the index against one refcounted copy of all of it
+#: cross near m = 64, at 2k, 20k and 100k entries alike.
+_INSORT_BATCH = 32
 
 
 def _compile_materializer(columns: Tuple[str, ...]):
@@ -161,20 +172,37 @@ class SortedShareIndex:
         self._mutations += 1
 
     def bulk_load(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Fold a batch of (share, row_id) pairs in with one sort-and-merge.
+        """Fold a batch of (share, row_id) pairs into the sorted entries.
 
-        Sorting the batch and merging two sorted runs is O(m log m + n),
-        versus O(m·n) for m repeated :meth:`insert` splices — the
-        difference between loading a table in seconds and in linear time.
+        A handful of pairs is ``insort``-ed in place like :meth:`insert`.
+        A larger batch is spliced: each sorted pair is located with one
+        ``bisect_right`` from the previous pair's cut, and the new list is
+        assembled from the slices of the old one between the cuts and
+        published by a single assignment — a reader holds the old list or
+        the new.  A two-run merge would step through all n entries in
+        Python, whatever the batch size.
         """
-        self._mutations += 1
         staged = sorted(pairs)
         if not staged:
             return
-        if not self._entries:
+        entries = self._entries
+        if not entries:
             self._entries = staged
+        elif len(staged) <= _INSORT_BATCH:
+            for pair in staged:
+                bisect.insort(entries, pair)
         else:
-            self._entries = list(_sorted_merge(self._entries, staged))
+            merged: List[Tuple[int, int]] = []
+            cut = 0
+            for pair in staged:
+                position = bisect.bisect_right(entries, pair, cut)
+                if position != cut:
+                    merged += entries[cut:position]
+                    cut = position
+                merged.append(pair)
+            merged += entries[cut:]
+            self._entries = merged
+        self._mutations += 1
 
     def remove(self, share: int, row_id: int) -> None:
         index = bisect.bisect_left(self._entries, (share, row_id))
@@ -443,9 +471,8 @@ class ShareTable:
 
         Happy path: validate the whole batch with set operations, grow
         each column array with one ``extend``, and fold each index's
-        ``(share, row_id)`` pairs in with one sort-and-merge
-        (:meth:`SortedShareIndex.bulk_load`) — O(n log n) where n
-        incremental splices were O(n²).  A batch containing any invalid
+        ``(share, row_id)`` pairs in with one
+        :meth:`SortedShareIndex.bulk_load`.  A batch containing any invalid
         row is replayed through sequential :meth:`insert` calls instead,
         so the error surfaces at the same row, with the same message and
         the same partially-inserted state, as single-row DML would
@@ -472,19 +499,14 @@ class ShareTable:
         slots.update(zip(ids, range(base, base + len(ids))))
         value_dicts = [values for _, values in batch]
         for column in self.columns:
-            self._column_data[column].extend(
-                [values.get(column) for values in value_dicts]
-            )
-        for column, index in self.indexes.items():
-            # pair the freshly-extended column tail with the new row ids;
-            # zip yields the (share, row_id) tuples directly
-            index.bulk_load(
-                [
-                    pair
-                    for pair in zip(self._column_data[column][base:], ids)
-                    if pair[0] is not None
-                ]
-            )
+            shares = [values.get(column) for values in value_dicts]
+            self._column_data[column].extend(shares)
+            index = self.indexes.get(column)
+            if index is not None:
+                # zip yields the (share, row_id) entries directly
+                index.bulk_load(
+                    [pair for pair in zip(shares, ids) if pair[0] is not None]
+                )
         self.version += len(batch)
         stamped = self._note_epoch(epoch)
         self.history.extend((stamped, "insert", row_id, None) for row_id in ids)

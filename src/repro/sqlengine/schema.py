@@ -14,11 +14,13 @@ import datetime
 import enum
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.encoding import (
     BooleanCodec,
     Codec,
+    ColumnEncodingError,
     DateCodec,
     DecimalCodec,
     IntegerCodec,
@@ -97,7 +99,12 @@ class Column:
             raise SchemaError(f"column {self.name}: width must be >= 1")
 
     def codec(self) -> Codec:
-        """The order-preserving codec for this column's type."""
+        """The order-preserving codec for this column's type (one object
+        per column, built on first use)."""
+        return self._codec
+
+    @cached_property
+    def _codec(self) -> Codec:
         if self.ctype is ColumnType.INTEGER:
             return IntegerCodec(self.lo, self.hi)
         if self.ctype is ColumnType.STRING:
@@ -115,17 +122,6 @@ class Column:
     def effective_domain_label(self, table_name: str) -> str:
         """The label keying this column's polynomial family."""
         return self.domain_label or f"{table_name}.{self.name}"
-
-    def validate_value(self, value) -> None:
-        """Raise :class:`SchemaError` when a Python value doesn't fit."""
-        if value is None:
-            if not self.nullable:
-                raise SchemaError(f"column {self.name} is NOT NULL")
-            return
-        try:
-            self.codec().encode(value)
-        except Exception as exc:
-            raise SchemaError(f"column {self.name}: {exc}") from exc
 
     def is_numeric(self) -> bool:
         return self.ctype in (ColumnType.INTEGER, ColumnType.DECIMAL)
@@ -183,22 +179,63 @@ class TableSchema:
     def validate_row(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate and normalise a row dict; unknown keys are rejected,
         missing nullable columns default to None."""
-        unknown = set(row) - set(self.column_names)
-        if unknown:
-            raise SchemaError(
-                f"table {self.name}: unknown columns {sorted(unknown)}"
-            )
-        normalised: Dict[str, object] = {}
-        for col in self.columns:
-            value = row.get(col.name)
-            if value is None and col.name not in row and not col.nullable:
-                raise SchemaError(
-                    f"table {self.name}: missing value for NOT NULL column "
-                    f"{col.name}"
+        self.encode_rows([row])
+        return {col.name: row.get(col.name) for col in self.columns}
+
+    def encode_rows(
+        self, rows: Sequence[Dict[str, object]]
+    ) -> Dict[str, List[Optional[int]]]:
+        """Validate a batch of row dicts column by column; returns each
+        column's encoded values (``None`` = NULL), keyed in column order.
+
+        Validation *is* the encode, done once per cell with the number
+        kept.  Of several bad cells the one reported is the one validating
+        row by row meets first: the lowest row, there unknown keys, then
+        column order — a rejection cuts ``rows`` down to the rows ahead of
+        it, where alone a cell can still come first.
+        """
+        names = set(self.column_names)
+        rejected: Optional[SchemaError] = None
+        for position, row in enumerate(rows):
+            if not row.keys() <= names:
+                rejected = SchemaError(
+                    f"table {self.name}: unknown columns {sorted(set(row) - names)}"
                 )
-            col.validate_value(value)
-            normalised[col.name] = value
-        return normalised
+                rows = rows[:position]
+                break
+        encoded: Dict[str, List[Optional[int]]] = {}
+        for col in self.columns:
+            name = col.name
+            values = [row.get(name) for row in rows]
+            nulls = [p for p, value in enumerate(values) if value is None]
+            if nulls and not col.nullable:
+                position = nulls[0]
+                rejected = SchemaError(
+                    f"column {name} is NOT NULL"
+                    if name in rows[position]
+                    else f"table {self.name}: missing value for NOT NULL column {name}"
+                )
+                rows, values, nulls = rows[:position], values[:position], []
+            try:
+                numbers = col.codec().encode_many(
+                    [value for value in values if value is not None] if nulls else values
+                )
+            except ColumnEncodingError as exc:
+                rejected = SchemaError(f"column {name}: {exc}")
+                rejected.__cause__ = exc.__cause__
+                position = exc.position  # among the values the codec saw
+                for null in nulls:
+                    if null <= position:
+                        position += 1
+                rows = rows[:position]
+                continue
+            if nulls:
+                dense = iter(numbers)
+                numbers = [None if value is None else next(dense) for value in values]
+            encoded[name] = numbers
+        if rejected is not None:
+            raise rejected
+        return encoded
 
 
 def integer_column(

@@ -178,6 +178,9 @@ class TestTier1Gate:
             if "run" in s and "bench_provider.py --check" in s["run"]
         ]
         assert len(checks) == 2
+        # plain --check: the gates tier-1 leaves out (scalar range scan,
+        # incremental-load milliseconds) are enforced here
+        assert all("--skip" not in s["run"] for s in checks)
         forced = [
             s for s in checks
             if s.get("env", {}).get("REPRO_KERNEL_BACKEND") == "scalar"

@@ -1,0 +1,233 @@
+"""Property tests for the column-major load path (ISSUE-18).
+
+* ``TableSharing.share_rows`` is ``share_value`` cell by cell, row-major in
+  schema column order — bit for bit, the random columns' RNG stream
+  included — whatever the batch size, the NULLs and the duplicates, and
+  equals the batches of one ``share_row`` makes of it.  (The anchor to the
+  parent commit's shares is ``tests/client/test_load_path.py``.)
+* A rejected batch raises what validating row by row raises first.
+* ``Codec.encode_many`` is ``encode`` per value, position of the first
+  failure included.
+* ``SortedShareIndex.bulk_load`` leaves ``sorted(existing + staged)``,
+  entry for entry, on both of its paths.
+"""
+
+import datetime
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.encoding import (
+    BooleanCodec,
+    ColumnEncodingError,
+    DateCodec,
+    DecimalCodec,
+    IntegerCodec,
+    StringCodec,
+)
+from repro.errors import SchemaError
+from repro.providers.storage import SortedShareIndex
+from tests.client.test_load_path import ledger_rows, ledger_schema, ledger_sharing
+
+SCHEMA = ledger_schema()
+RANDOM_COLUMNS = [c.name for c in SCHEMA.columns if not c.searchable]
+
+# ----------------------------------------------------------------- share_rows --
+
+_dates = st.dates(datetime.date(2009, 1, 1), datetime.date(2009, 1, 9))
+_cells = {
+    "lid": st.integers(0, 40),
+    "owner": st.sampled_from(["ANNA", "BOB", "bob", "", "ZZZZZZ"]),
+    "amount": st.none() | st.integers(0, 8).map(lambda n: Decimal(n) / 4),
+    "opened": st.none() | _dates,
+    "active": st.booleans(),
+    "balance": st.none() | st.integers(-3, 3),
+    "note": st.none() | st.sampled_from(["", "N", "NOTE"]),
+    "fee": st.integers(0, 3).map(lambda n: Decimal(n) / 8),
+    "closed": st.none() | _dates,
+    "flagged": st.booleans(),
+}
+ledger_row = st.fixed_dictionaries(_cells)
+ledger_batches = st.lists(ledger_row, min_size=0, max_size=12)
+
+
+def cell_by_cell(sharing, rows):
+    """The per-value path: one ``share_value`` per cell, rows then columns."""
+    by_provider = [[] for _ in range(sharing.n_providers)]
+    for row in rows:
+        share_rows = [{} for _ in by_provider]
+        for column in sharing.schema.column_names:
+            for share_row, share in zip(share_rows, sharing.share_value(column, row[column])):
+                share_row[column] = share
+        for out, share_row in zip(by_provider, share_rows):
+            out.append(share_row)
+    return by_provider
+
+
+@settings(max_examples=60, deadline=None)
+@given(ledger_batches, ledger_batches)
+def test_share_rows_is_share_value_cell_by_cell(first, second):
+    batched, oracle, one_by_one = ledger_sharing(), ledger_sharing(), ledger_sharing()
+    # two calls: the second continues the first's RNG stream
+    for rows in (first, second):
+        shared = batched.share_rows(rows)
+        assert shared == cell_by_cell(oracle, rows)
+        singles = [one_by_one.share_row(row) for row in rows]
+        assert shared == [list(column) for column in zip(*singles)] or not rows
+        assert [list(share_row) for share_row in shared[0]] == (
+            [SCHEMA.column_names] * len(rows)
+        )
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 200])
+def test_share_rows_at_the_batch_sizes_the_system_sends(size):
+    rows = ledger_rows(size)
+    shared = ledger_sharing().share_rows(rows)
+    assert [len(share_rows) for share_rows in shared] == [size] * 5
+    assert shared == cell_by_cell(ledger_sharing(), [SCHEMA.validate_row(r) for r in rows])
+
+
+def test_equal_plaintexts_share_alike_only_where_the_scheme_says_so():
+    row = ledger_rows(1)[0]
+    sharing = ledger_sharing()
+    for share_rows in sharing.share_rows([row, dict(row), dict(row)]):
+        a, b, c = share_rows
+        for column in SCHEMA.column_names:
+            if a[column] is None:
+                assert b[column] is None and c[column] is None
+            elif column in RANDOM_COLUMNS:
+                # a fresh polynomial per cell: never memoised
+                assert len({a[column], b[column], c[column]}) == 3
+            else:
+                assert a[column] == b[column] == c[column]
+
+
+_bad_cells = st.sampled_from([
+    ("lid", -1), ("lid", "7"), ("lid", True), ("owner", "TOOLONGNAME"), ("owner", "A1"),
+    ("owner", None), ("amount", Decimal("0.001")), ("amount", "x"), ("opened", "2009-01-01"),
+    ("active", 1), ("balance", 10**10), ("note", 5), ("note", ["N"]), ("fee", None),
+    ("closed", datetime.datetime(2009, 1, 1)), ("flagged", None), ("bonus", 1),
+])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(ledger_row, min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), _bad_cells), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["lid", "fee", "note"])), max_size=2),
+)
+def test_a_rejected_batch_raises_what_row_by_row_validation_meets_first(rows, spoil, drop):
+    rows = [dict(row) for row in rows]
+    for position, (column, value) in spoil:
+        rows[position % len(rows)][column] = value
+    for position, column in drop:
+        rows[position % len(rows)].pop(column, None)
+    expected = None
+    for row in rows:
+        try:
+            SCHEMA.validate_row(row)
+        except SchemaError as exc:
+            expected = str(exc)
+            break
+    sharing = ledger_sharing()
+    if expected is None:  # the spoiled cells were all dropped or overwritten
+        sharing.share_rows(rows)
+        return
+    with pytest.raises(SchemaError) as caught:
+        sharing.share_rows(rows)
+    assert str(caught.value) == expected
+    # nothing was drawn: the next batch shares as on a fresh sharing
+    good = ledger_rows(3)
+    assert sharing.share_rows(good) == ledger_sharing().share_rows(good)
+
+
+# ---------------------------------------------------------------- encode_many --
+
+_codecs_and_values = st.one_of(
+    st.tuples(st.just(IntegerCodec(-5, 50)), st.lists(st.integers(-5, 50), max_size=20)),
+    st.tuples(
+        st.just(StringCodec(4)),
+        st.lists(st.text(alphabet="ABCabcZ", max_size=4), max_size=20),
+    ),
+    st.tuples(
+        st.just(DecimalCodec(Decimal(0), Decimal(10), 2)),
+        st.lists(st.integers(0, 1000).map(lambda n: Decimal(n) / 100), max_size=20),
+    ),
+    st.tuples(
+        st.just(DateCodec()),
+        st.lists(st.dates(datetime.date(1900, 1, 1), datetime.date(2100, 12, 31)), max_size=20),
+    ),
+    st.tuples(st.just(BooleanCodec()), st.lists(st.booleans(), max_size=20)),
+)
+_junk = st.sampled_from([None, -6, 51, "ABCDE", "A*", "é", 1.5, True, [1], b"A", Decimal("0.001")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codecs_and_values, st.lists(st.tuples(st.integers(0, 30), _junk), max_size=3))
+def test_encode_many_is_encode_per_value(codec_and_values, junk):
+    codec, values = codec_and_values
+    values = list(values)
+    for position, value in junk:
+        values.insert(position % (len(values) + 1), value)
+    expected, failure = [], None
+    for position, value in enumerate(values):
+        try:
+            expected.append(codec.encode(value))
+        except Exception as exc:
+            failure = (position, type(exc), str(exc))
+            break
+    if failure is None:
+        assert codec.encode_many(values) == expected
+        return
+    with pytest.raises(ColumnEncodingError) as caught:
+        codec.encode_many(values)
+    error = caught.value
+    assert (error.position, type(error.__cause__), str(error)) == failure
+
+
+# ------------------------------------------------------------------ bulk_load --
+
+#: shares drawn from a few values, so duplicates and ties are the norm
+_shares = st.sampled_from([(1 << 92) + 1, (1 << 92) + 2, (1 << 111), (1 << 120) + 7]) | (
+    st.integers(0, 1 << 122)
+)
+
+
+def _pairs(size):
+    return st.lists(st.tuples(_shares, st.integers(0, 50)), min_size=size[0], max_size=size[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs((0, 60)), st.one_of(_pairs((0, 3)), _pairs((30, 90))), st.sampled_from("<>="))
+def test_bulk_load_equals_sorting_everything(existing, staged, where):
+    # staged entirely below / above / interleaved with what is there
+    if where == "<":
+        staged = [(share - (1 << 123), rid) for share, rid in staged]
+    elif where == ">":
+        staged = [(share + (1 << 123), rid) for share, rid in staged]
+    index = SortedShareIndex("c")
+    index.bulk_load(existing)
+    before = index.entries_in_order()
+    assert before == sorted(existing)
+    index.bulk_load(iter(staged))
+    after = index.entries_in_order()
+    assert after == sorted(existing + staged)
+    assert len(index) == len(existing) + len(staged)
+    # copies: neither an earlier reader's list nor the index's own
+    assert before == sorted(existing)
+    assert index.entries_in_order() is not after
+    after.clear()
+    assert len(index) == len(existing) + len(staged)
+
+
+@pytest.mark.parametrize("m", [0, 1, 10, 1_000, 10_000])
+def test_bulk_load_at_every_batch_to_index_ratio(m):
+    # m in {0, 1, n/100, n, 10n} against n = 1,000 order-preserving-sized shares
+    n = 1_000
+    existing = [((i * 7919) % 1009 + (1 << 100), i) for i in range(n)]
+    staged = [((i * 104729) % 1013 + (1 << 100), n + i) for i in range(m)]
+    index = SortedShareIndex("c")
+    index.bulk_load(existing)
+    index.bulk_load(staged)
+    assert index.entries_in_order() == sorted(existing + staged)

@@ -21,6 +21,7 @@ Without numpy the whole module skips — the scalar oracle cannot
 diverge from itself; the CI matrix runs the suite both ways.
 """
 
+import dataclasses
 import random
 from contextlib import contextmanager
 
@@ -347,9 +348,14 @@ class RealShares:
             (managers, ("manager_id",)),
         ):
             name = table.schema.name
+            # share_row validates like the insert path: the columns that
+            # are handed NULLs have to admit them
+            schema = dataclasses.replace(table.schema, columns=tuple(
+                dataclasses.replace(column, nullable=column.name in nullable)
+                for column in table.schema.columns
+            ))
             sharing = TableSharing(
-                table.schema, secrets, 3, DeterministicRNG(seed),
-                op_schemes=registry,
+                schema, secrets, 3, DeterministicRNG(seed), op_schemes=registry,
             )
             per_provider = [[] for _ in range(N_PROVIDERS)]
             for rid, row in enumerate(table.rows()):

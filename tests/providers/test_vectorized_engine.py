@@ -296,6 +296,31 @@ class TestDispatchTelemetry:
         )
         assert table.indexes["k"].vector_rebuilds == 1
 
+    def test_a_batch_that_adds_no_entries_keeps_the_order_mirror(self):
+        # rows whose searchable column is NULL everywhere stage nothing for
+        # its index: the index did not change, so the next wide read must
+        # find its order mirror standing (ISSUE-18)
+        rows = [(i, {"k": i * 3 + (1 << 100), "v": i}) for i in range(64)]
+        provider = build_provider(rows)
+        wide_sum = {
+            "table": "T", "func": "sum", "column": "v",
+            "conditions": [{"column": "k", "op": "ge", "low": 1 << 100}],
+        }
+        first = provider.handle("aggregate", wide_sum)
+        index = provider.store.table("T").indexes["k"]
+        assert index.vector_rebuilds == 1
+        provider.handle(
+            "insert_many",
+            {"table": "T", "rows": [(100 + i, {"k": None, "v": 5}) for i in range(8)]},
+        )
+        assert provider.handle("aggregate", wide_sum) == first
+        assert index.vector_rebuilds == 1  # one build, not two
+        index.bulk_load([])
+        assert index.vector_entries() is not None and index.vector_rebuilds == 1
+        provider.handle("insert_many", {"table": "T", "rows": [(200, {"k": 1 << 100, "v": 7})]})
+        assert provider.handle("aggregate", wide_sum)["count"] == first["count"] + 1
+        assert index.vector_rebuilds == 2
+
 
 @needs_numpy
 class TestIncrementFastPath:

@@ -44,19 +44,20 @@ class TestColumnValidation:
             string_column("s", 0)
 
     def test_value_validation(self):
-        col = integer_column("x", 0, 10)
-        col.validate_value(5)
+        schema = TableSchema("T", (integer_column("x", 0, 10),))
+        schema.validate_row({"x": 5})
         with pytest.raises(SchemaError):
-            col.validate_value(11)
+            schema.validate_row({"x": 11})
         with pytest.raises(SchemaError):
-            col.validate_value("five")
+            schema.validate_row({"x": "five"})
 
     def test_null_validation(self):
-        not_null = integer_column("x", 0, 10)
+        not_null = TableSchema("T", (integer_column("x", 0, 10),))
         with pytest.raises(SchemaError):
-            not_null.validate_value(None)
-        nullable = integer_column("x", 0, 10, nullable=True)
-        nullable.validate_value(None)
+            not_null.validate_row({"x": None})
+        nullable = TableSchema("T", (integer_column("x", 0, 10, nullable=True),))
+        assert nullable.validate_row({"x": None}) == {"x": None}
+        assert nullable.validate_row({}) == {"x": None}
 
     def test_is_numeric(self):
         assert integer_column("x", 0, 1).is_numeric()
