@@ -1551,8 +1551,8 @@ class DataSource:
             if rewritten.provably_empty:
                 return []
             residual = rewritten.residual
-        pairs: List[Tuple[int, Row]] = []
         if mode == _ROBUST:
+            pairs: List[Tuple[int, Row]] = []
             aligned = self._read_shares(
                 table_name, rewritten, mode=mode, **round_args
             )
@@ -1573,7 +1573,7 @@ class DataSource:
             )
             if mode == _AUDITED:
                 self.audit.verify_responses(table_name, responses)
-            reconstruct_rows(
+            return reconstruct_rows(
                 sharing,
                 responses,
                 residual=residual,
@@ -1581,19 +1581,15 @@ class DataSource:
                 strict=mode == _AUDITED,
                 row_cache=self.row_cache,
                 cache_epoch=cache_epoch,
-                emitted=pairs,
             )
-            return pairs
         blamed_total: set = set()
         for _ in range(max(1, self.cluster.n_providers)):
             responses = self._read_round(
                 table_name, rewritten, mode=mode, blamed=blamed_total,
                 **round_args,
             )
-            pairs = []
-            _, blamed = reconstruct_rows_checked(
-                sharing, responses, residual=residual, cost=self.cost,
-                emitted=pairs,
+            pairs, blamed = reconstruct_rows_checked(
+                sharing, responses, residual=residual, cost=self.cost
             )
             if not blamed:
                 break

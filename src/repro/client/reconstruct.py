@@ -1,9 +1,21 @@
 """Reconstruction of plaintext results from per-provider share responses.
 
-After the cluster fans a rewritten query out, each provider returns rows
-of shares keyed by client-assigned row ids.  Reconstruction aligns rows by
-id across the quorum, interpolates each column, and re-applies any
+After the cluster fans a rewritten query out, each provider returns its
+share rows as one column-major :class:`~repro.sim.network.ShareRows`,
+keyed by client-assigned row ids.  Reconstruction aligns rows by id
+across the quorum, interpolates each column, and re-applies any
 client-side residual predicate.
+
+The quorum and audited reads (:func:`reconstruct_rows`) stay column-major
+end to end: rows are aligned by *position* — when every responder
+returned the same row ids, which is what honest providers do, the
+alignment is the identity and each provider's columns go to the kernels
+as they arrived; otherwise rows are grouped by the set of providers that
+returned them and each group's columns are gathered by position — and
+one dict per row is built at the very end.  The per-row readers (robust
+and checked decoding, audits, repair) vote or verify one row at a time
+by nature; they iterate a ``ShareRows`` as ``(row_id, share_row)`` pairs
+through :func:`align_by_row_id`.
 
 Alignment policy: a row is reconstructed when at least ``k`` providers
 returned it.  Honest providers always agree on the matching set (they
@@ -16,20 +28,22 @@ the vulnerability Sec. I's third challenge describes; the trust layer
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..core.scheme import ShareRow, TableSharing
 from ..errors import IntegrityError, ReconstructionError
 from ..sim.costmodel import CostRecorder
+from ..sim.network import ShareRows
 from ..sqlengine.expression import Predicate, TruePredicate
 from .rowcache import RowCache
 
-ProviderRows = Dict[int, List[Tuple[int, ShareRow]]]
+ProviderRows = Dict[int, ShareRows]
 
 
 def rows_from_responses(responses: Dict[int, Dict]) -> ProviderRows:
-    """The per-provider (row_id, shares) lists of RPC responses (not copied)."""
+    """The per-provider share rows of RPC responses (not copied)."""
     return {index: response["rows"] for index, response in responses.items()}
 
 
@@ -44,18 +58,40 @@ def align_by_row_id(
     return {row_id: aligned[row_id] for row_id in sorted(aligned)}
 
 
+def group_by_responders(
+    provider_rows: ProviderRows,
+) -> Dict[Tuple[int, ...], List[int]]:
+    """Responder tuple → the row ids exactly those providers returned,
+    ascending.  One group holding every row when all providers returned
+    the same ids — one list compare each, no per-row work."""
+    id_lists = [rows.row_ids for rows in provider_rows.values()]
+    if (
+        id_lists
+        and all(ids == id_lists[0] for ids in id_lists[1:])
+        and len(set(id_lists[0])) == len(id_lists[0])
+    ):
+        return {tuple(provider_rows): sorted(id_lists[0])}
+    answered: Dict[int, List[int]] = {}
+    for provider_index, row_ids in zip(provider_rows, id_lists):
+        for row_id in dict.fromkeys(row_ids):
+            answered.setdefault(row_id, []).append(provider_index)
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for row_id in sorted(answered):
+        groups.setdefault(tuple(answered[row_id]), []).append(row_id)
+    return groups
+
+
 def reconstruct_rows(
     sharing: TableSharing,
     responses: Dict[int, Dict],
     residual: Optional[Predicate] = None,
-    columns: Optional[List[str]] = None,
     cost: Optional[CostRecorder] = None,
     strict: bool = False,
     row_cache: Optional[RowCache] = None,
     cache_epoch: Optional[int] = None,
-    emitted: Optional[List[Tuple[int, Dict[str, object]]]] = None,
-) -> List[Dict[str, object]]:
-    """Reconstruct, residual-filter, and project query results.
+) -> List[Tuple[int, Dict[str, object]]]:
+    """Reconstruct and residual-filter query results: the ``(row_id, full
+    row)`` pairs, ascending row id.
 
     ``strict=True`` raises :class:`IntegrityError` when providers disagree
     on the matching row set (used by verified reads); the default silently
@@ -64,77 +100,89 @@ def reconstruct_rows(
     When a ``row_cache`` (and its ``cache_epoch``) is supplied, rows the
     client already reconstructed in this epoch skip interpolation — only
     the cache-miss subset goes through the batched kernels — and fresh
-    reconstructions are written back.  ``emitted``, when given, is filled
-    with the (row_id, full_row) pairs surviving the residual filter so the
-    caller can index the result set for query-level replay.  Verified
-    reads (``strict=True``) never consult the cache: their purpose is to
-    re-examine what the providers actually returned.
+    reconstructions are written back.  Verified reads (``strict=True``)
+    never consult the cache: their purpose is to re-examine what the
+    providers actually returned.
     """
     with telemetry.span("reconstruct", table=sharing.schema.name) as sp:
         provider_rows = rows_from_responses(responses)
-        aligned = align_by_row_id(provider_rows)
+        groups = group_by_responders(provider_rows)
         threshold = sharing.threshold
         table_name = sharing.schema.name
         residual = residual or TruePredicate()
         needs_residual = not isinstance(residual, TruePredicate)
         use_cache = row_cache is not None and cache_epoch is not None and not strict
-        ordered_ids: List[int] = []
-        cached: Dict[int, Dict[str, object]] = {}
-        pending: List[Tuple[int, Dict[int, ShareRow]]] = []
-        for row_id, share_rows in aligned.items():
-            if strict and len(share_rows) < len(responses):
+        if strict:
+            omitted = min(
+                (
+                    (row_ids[0], len(responders))
+                    for responders, row_ids in groups.items()
+                    if len(responders) < len(responses)
+                ),
+                default=None,
+            )
+            if omitted is not None:
                 telemetry.count("faults.detected", kind="omission")
                 raise IntegrityError(
-                    f"row {row_id} returned by only {len(share_rows)} of "
+                    f"row {omitted[0]} returned by only {omitted[1]} of "
                     f"{len(responses)} providers — a provider omitted results"
                 )
-            if len(share_rows) < threshold:
-                continue
-            ordered_ids.append(row_id)
-            if use_cache:
+        quorate = {
+            responders: row_ids
+            for responders, row_ids in groups.items()
+            if len(responders) >= threshold
+        }
+        ordered_ids: List[int] = sorted(chain.from_iterable(quorate.values()))
+        cached: Dict[int, Dict[str, object]] = {}
+        if use_cache:
+            for row_id in ordered_ids:
                 hit = row_cache.get_row(table_name, row_id, cache_epoch)
                 if hit is not None:
                     cached[row_id] = hit
-                    continue
-            pending.append((row_id, share_rows))
         # residual predicates may reference columns outside the projection, so
-        # reconstruct everything first (batched, column-major), filter, project
-        fresh_rows = sharing.reconstruct_rows([sr for _, sr in pending])
-        fresh = {rid: row for (rid, _), row in zip(pending, fresh_rows)}
-        if use_cache:
-            for rid, row in fresh.items():
-                row_cache.put_row(table_name, rid, cache_epoch, row)
-        out: List[Dict[str, object]] = []
+        # reconstruct everything first (batched, column-major), then filter
+        fresh: Dict[int, Dict[str, object]] = {}
+        for responders, row_ids in quorate.items():
+            if cached:
+                row_ids = [row_id for row_id in row_ids if row_id not in cached]
+            if row_ids:
+                fresh.update(
+                    zip(
+                        row_ids,
+                        sharing.reconstruct_rows(
+                            {i: provider_rows[i].take(row_ids) for i in responders}
+                        ),
+                    )
+                )
+        if fresh and cost is not None:
+            # cache hits cost nothing: the whole point of the cache is
+            # that only misses pay for interpolation
+            cost.record("interpolate", sum(map(len, fresh.values())))
+        pairs: List[Tuple[int, Dict[str, object]]] = []
         for row_id in ordered_ids:
             row = cached.get(row_id)
             if row is None:
                 row = fresh[row_id]
-                if cost is not None:
-                    # cache hits cost nothing: the whole point of the cache
-                    # is that only misses pay for interpolation
-                    cost.record("interpolate", len(row))
+                if use_cache:
+                    row_cache.put_row(table_name, row_id, cache_epoch, row)
             if needs_residual and not residual.matches(row):
                 continue
-            if emitted is not None:
-                emitted.append((row_id, dict(row)))
-            if columns:
-                row = {name: row[name] for name in columns}
-            out.append(row)
+            pairs.append((row_id, row))
         if telemetry.is_enabled():
             n_columns = len(sharing.schema.columns)
             sp.set(
-                rows_aligned=len(aligned),
+                rows_aligned=sum(map(len, groups.values())),
                 rows_reconstructed=len(fresh),
                 rows_cached=len(cached),
-                rows_out=len(out),
+                rows_out=len(pairs),
                 cells=len(fresh) * n_columns,
             )
             telemetry.count("reconstruct.rows", len(fresh))
             telemetry.count("reconstruct.cells", len(fresh) * n_columns)
             telemetry.count(
-                "reconstruct.residual_filtered", len(ordered_ids) - len(out)
+                "reconstruct.residual_filtered", len(ordered_ids) - len(pairs)
             )
-        return out
+        return pairs
 
 
 def presence_majority(
@@ -173,11 +221,11 @@ def reconstruct_rows_checked(
     sharing: TableSharing,
     responses: Dict[int, Dict],
     residual: Optional[Predicate] = None,
-    columns: Optional[List[str]] = None,
     cost: Optional[CostRecorder] = None,
-    emitted: Optional[List[Tuple[int, Dict[str, object]]]] = None,
-) -> Tuple[List[Dict[str, object]], List[int]]:
-    """Reconstruct with cross-checking; returns ``(rows, blamed_indexes)``.
+) -> Tuple[List[Tuple[int, Dict[str, object]]], List[int]]:
+    """Reconstruct with cross-checking; returns ``(pairs, blamed_indexes)``
+    — the ``(row_id, full row)`` pairs surviving the residual filter,
+    ascending row id.
 
     The verified-read primitive: the caller fans out to **more** than k
     providers, and every column of every row is decoded robustly with
@@ -189,8 +237,7 @@ def reconstruct_rows_checked(
     presence tie raises — there is no majority to trust.
 
     The caller decides policy (quarantine + re-issue); this function only
-    reports.  ``emitted``, as in :func:`reconstruct_rows`, is filled with
-    the (row_id, full_row) pairs surviving the residual filter.
+    reports.
     """
     with telemetry.span("reconstruct_checked", table=sharing.schema.name) as sp:
         provider_rows = rows_from_responses(responses)
@@ -236,14 +283,8 @@ def reconstruct_rows_checked(
             # still ambiguous with all accumulated blame → re-raises here
             decoded[slot] = _decode(row_id, share_rows)
         pairs = [pair for pair in decoded if pair is not None]
-        if emitted is not None:
-            emitted.extend(pairs)
-        out = [
-            {name: row[name] for name in columns} if columns else row
-            for _, row in pairs
-        ]
-        sp.set(rows_out=len(out), blamed=len(blamed))
-        return out, sorted(blamed)
+        sp.set(rows_out=len(pairs), blamed=len(blamed))
+        return pairs, sorted(blamed)
 
 
 def reconstruct_single_rows(

@@ -152,10 +152,20 @@ class RowCache:
         epoch: int,
         pairs: Iterable[Tuple[int, Row]],
     ) -> None:
-        """Remember a query's (row_id, full row) result set."""
+        """Remember a query's (row_id, full row) result set.
+
+        A row the cache already holds under this epoch — the read that
+        produced ``pairs`` has just written its fresh rows back — is only
+        marked recently used; a row evicted in between is stored again.
+        """
         ids: List[int] = []
+        rows = self._rows
         for row_id, row in pairs:
-            self.put_row(table, row_id, epoch, row)
+            key = (table, row_id, epoch)
+            if key in rows:
+                rows.move_to_end(key)
+            else:
+                self.put_row(table, row_id, epoch, row)
             ids.append(row_id)
         key = (table, signature, epoch)
         self._queries[key] = tuple(ids)

@@ -40,7 +40,8 @@ rationals, no numpy.  Their polynomials are not reduced mod p, so the
 weights λ_i = Π_{j≠i} −x_j / (x_i − x_j) are fractions; over their
 common denominator D (the lcm of the reduced denominators) they are
 integers N_i with q(0) = (Σ N_i·y_i) / D.  A cell is k integer
-multiply-adds and one ``divmod``.  The remainder is non-zero exactly
+multiply-adds and one exact division, run column-wise over the share
+sequences the providers returned.  The remainder is non-zero exactly
 when the rational Σ λ_i·y_i has a denominator other than 1, so "D does
 not divide the sum" is the tamper test of the ``Fraction`` oracle
 (:func:`repro.core.polynomial.interpolate_integer_constant`, which the
@@ -63,7 +64,9 @@ already correct.
 from __future__ import annotations
 
 import os
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, floordiv, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -82,7 +85,8 @@ _MERSENNE_61 = (1 << 61) - 1
 #: Moduli below 2^31 multiply directly in uint64 (product < 2^62).
 _SMALL_MODULUS_BOUND = 1 << 31
 
-#: Batches smaller than this stay on the scalar path: array construction
+#: Batches smaller than this stay on the scalar path (and, in the integer
+#: kernel, on the cell-by-cell loop): array or iterator construction
 #: overhead exceeds the arithmetic saved.  Bit-identical either way.
 VECTOR_MIN_BATCH = 8
 
@@ -507,40 +511,65 @@ def integer_lagrange_weights(xs: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     return weights
 
 
+def _exact_quotient(total: int, denominator: int) -> int:
+    """``total / denominator``, which must be an integer."""
+    value, remainder = divmod(total, denominator)
+    if remainder:
+        common = gcd(total, denominator)
+        raise ReconstructionError(
+            f"interpolated constant term {total // common}/"
+            f"{denominator // common} is not an integer; "
+            "shares are inconsistent or tampered"
+        )
+    return value
+
+
 def batch_reconstruct_integer(
-    xs: Sequence[int], share_vectors: Sequence[Sequence[int]]
+    xs: Sequence[int], share_columns: Sequence[Sequence[int]]
 ) -> List[int]:
     """q(0) of many integer polynomials shared at the *same* points.
 
-    ``share_vectors[r]`` holds the shares of secret r aligned with ``xs``,
-    as for :func:`batch_reconstruct`.  One weight lookup covers the whole
-    column; each cell is Σ N_i·y_i followed by one exact division.  A
+    ``share_columns[i]`` holds the shares at ``xs[i]``, one per secret —
+    a column of a result set as one provider returned it, so the read
+    path hands its columns over untransposed.  One weight lookup covers
+    the batch; each cell is Σ N_i·y_i followed by one exact division.  A
     remainder means the rational constant term is not an integer — the
     signature of tampered or mismatched shares, exactly as in
     :func:`repro.core.polynomial.interpolate_integer_constant`.
+
+    From :data:`VECTOR_MIN_BATCH` cells up the sums run column-wise —
+    one C-level multiply and add per share — and exactness is checked
+    once per column; below it (a point read's one cell, a narrow read's
+    few) setting those iterators up costs more than they save, and each
+    cell is one :func:`reconstruct_integer`-style dot product.  Same
+    values, same error, either way.
     """
     numerators, denominator = integer_lagrange_weights(xs)
-    _STATS.scalar_reconstruct_cells += len(share_vectors)
-    out: List[int] = []
-    for ys in share_vectors:
-        total = 0
-        for n, y in zip(numerators, ys):
-            total += n * y
-        value, remainder = divmod(total, denominator)
-        if remainder:
-            common = gcd(total, denominator)
-            raise ReconstructionError(
-                f"interpolated constant term {total // common}/"
-                f"{denominator // common} is not an integer; "
-                "shares are inconsistent or tampered"
-            )
-        out.append(value)
-    return out
+    n_cells = len(share_columns[0])
+    _STATS.scalar_reconstruct_cells += n_cells
+    if n_cells < VECTOR_MIN_BATCH:
+        return [
+            _exact_quotient(sum(map(mul, numerators, cell)), denominator)
+            for cell in zip(*share_columns)
+        ]
+    sums = None
+    for numerator, shares in zip(numerators, share_columns):
+        scaled = map(mul, shares, repeat(numerator))
+        sums = scaled if sums is None else map(add, sums, scaled)
+    totals = list(sums)
+    values = list(map(floordiv, totals, repeat(denominator)))
+    # D > 0, so every floor-division remainder lies in [0, D): the sums
+    # agree exactly when every cell divided exactly
+    if sum(totals) != denominator * sum(values):
+        _exact_quotient(next(t for t in totals if t % denominator), denominator)
+    return values
 
 
 def reconstruct_integer(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """One cell of :func:`batch_reconstruct_integer`."""
-    return batch_reconstruct_integer(xs, [ys])[0]
+    """One cell: q(0) from shares ``ys`` aligned with the points ``xs``."""
+    numerators, denominator = integer_lagrange_weights(xs)
+    _STATS.scalar_reconstruct_cells += 1
+    return _exact_quotient(sum(map(mul, numerators, ys)), denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ It owns encoding (via each column's codec), splitting a plaintext row into
 ``n`` share rows, and reconstructing plaintext from ≥ k share rows.
 
 Result sets are reconstructed column by column
-(:meth:`TableSharing.reconstruct_rows`): per responding-provider set and
+(:meth:`TableSharing.reconstruct_rows`, from the providers' column-major
+:class:`~repro.sim.network.ShareRows`): per responding-provider set and
 column, one kernel call — :func:`~repro.core.kernels.batch_reconstruct`
 for random columns, the exact-integer
 :func:`~repro.core.kernels.batch_reconstruct_integer` for
@@ -30,6 +31,7 @@ from decimal import Decimal
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError, ReconstructionError, UnsupportedQueryError
+from ..sim.network import ShareRows
 from ..sim.rng import DeterministicRNG
 from ..sqlengine.schema import Column, TableSchema
 from .encoding import DecimalCodec, IntegerCodec
@@ -402,58 +404,56 @@ class TableSharing:
 
     def reconstruct_rows(
         self,
-        share_rows_list: Sequence[Dict[int, ShareRow]],
+        share_rows: Dict[int, ShareRows],
         columns: Optional[List[str]] = None,
     ) -> List[Dict[str, object]]:
-        """Batched :meth:`reconstruct_row` over a whole result set.
+        """Batched :meth:`reconstruct_row` over rows the same providers
+        answered: ``share_rows[i]`` is provider i's result, every one
+        holding the same rows in the same order.
 
-        Column-major: rows are grouped by the provider set that answered
-        them, and each group × column is one pass — the responders' share
-        lists are pulled once, one kernel call (exact-integer for
-        order-preserving columns, GF(p) for random ones) interpolates the
-        column at the group's first k providers, one ``decode_many``
-        decodes it.  Values, NULL handling, quorum checks and error
+        Column-major from the provider's arrays to here: each column is
+        one pass — the responders' share sequences go to one kernel call
+        untransposed (exact-integer for order-preserving columns, GF(p)
+        for random ones) interpolating at the first k providers, one
+        ``decode_many`` decodes it — and a dict per row is built only at
+        the very end.  Values, NULL handling, quorum checks and error
         messages are those of :meth:`reconstruct_row` per row.
         """
         threshold = self.threshold
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for position, share_rows in enumerate(share_rows_list):
-            if len(share_rows) < threshold:
-                raise ReconstructionError(
-                    f"need shares from at least k={threshold} providers, "
-                    f"got {len(share_rows)}"
-                )
-            groups.setdefault(tuple(share_rows), []).append(position)
-        names = columns if columns is not None else self.schema.column_names
-        out: List[Dict[str, object]] = [{} for _ in share_rows_list]
-        for answered, positions in groups.items():
-            responders = sorted(answered)
-            xs = tuple(
-                self.secrets.point_for(i) for i in responders[:threshold]
+        if len(share_rows) < threshold:
+            raise ReconstructionError(
+                f"need shares from at least k={threshold} providers, "
+                f"got {len(share_rows)}"
             )
-            provider_rows = [
-                [share_rows_list[position][i] for position in positions]
-                for i in responders
-            ]
-            decoded = [
-                self._reconstruct_column(
-                    column,
-                    responders,
-                    xs,
-                    [[row.get(column) for row in rows] for rows in provider_rows],
-                )
-                for column in names
-            ]
-            for position, values in zip(positions, zip(*decoded)):
-                out[position] = dict(zip(names, values))
-        return out
+        names = columns if columns is not None else self.schema.column_names
+        responders = sorted(share_rows)
+        xs = tuple(self.secrets.point_for(i) for i in responders[:threshold])
+        by_column = [
+            dict(zip(share_rows[i].columns, share_rows[i].shares))
+            for i in responders
+        ]
+        n_rows = len(share_rows[responders[0]])
+        # a column a provider left out reads as NULL there, like ``row.get``
+        absent = (None,) * n_rows
+        decoded = [
+            self._reconstruct_column(
+                column,
+                responders,
+                xs,
+                [shares.get(column, absent) for shares in by_column],
+            )
+            for column in names
+        ]
+        if not decoded:
+            return [{} for _ in range(n_rows)]
+        return [dict(zip(names, values)) for values in zip(*decoded)]
 
     def _reconstruct_column(
         self,
         column: str,
         responders: List[int],
         xs: Tuple[int, ...],
-        share_lists: List[List[Optional[int]]],
+        share_lists: List[Sequence[Optional[int]]],
     ) -> List[object]:
         """One column of one responder group: shares → plaintext values.
 
@@ -465,23 +465,23 @@ class TableSharing:
             return self._reconstruct_nullable_column(
                 column, responders, xs, share_lists
             )
-        cells = list(zip(*share_lists[: len(xs)]))
         codec = self.codec(column)
         op_scheme = self._op.get(column)
         if op_scheme is None:
             field = self.random_scheme.field
             decode_signed = field.decode_signed
+            cells = list(zip(*share_lists[: len(xs)]))
             return codec.decode_many(
                 [decode_signed(e) for e in batch_reconstruct(field, xs, cells)]
             )
-        encoded = batch_reconstruct_integer(xs, cells)
+        encoded = batch_reconstruct_integer(xs, share_lists[: len(xs)])
         lo, hi = op_scheme.domain.lo, op_scheme.domain.hi
-        for value in encoded:
-            if not lo <= value <= hi:
-                raise ReconstructionError(
-                    f"reconstructed value {value} outside domain "
-                    f"[{lo}, {hi}]; shares are corrupt"
-                )
+        if encoded and not (lo <= min(encoded) and max(encoded) <= hi):
+            value = next(v for v in encoded if not lo <= v <= hi)
+            raise ReconstructionError(
+                f"reconstructed value {value} outside domain "
+                f"[{lo}, {hi}]; shares are corrupt"
+            )
         return codec.decode_many(encoded)
 
     def _reconstruct_nullable_column(

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .. import telemetry
+from ..sim.network import ShareRows
 from ..sim.rng import DeterministicRNG
 
 
@@ -147,6 +148,22 @@ class Fault:
             column: self.maybe_corrupt_share(share)
             for column, share in values.items()
         }
+
+    def corrupt_share_rows(self, rows: ShareRows) -> ShareRows:
+        """OMIT and TAMPER on a column-major result, drawing what
+        :meth:`filter_rows` then :meth:`corrupt_row` per row draw on the
+        row-major list it stands for: one number per row in row order, or
+        one per non-NULL share in row-then-column order."""
+        if self.mode is FailureMode.OMIT:
+            kept = self.filter_rows(rows.row_ids)
+            return rows if len(kept) == len(rows) else rows.take(kept)
+        if self.mode is FailureMode.TAMPER and rows.row_ids and rows.columns:
+            corrupted = [
+                [self.maybe_corrupt_share(share) for share in cells]
+                for cells in zip(*rows.shares)
+            ]
+            return ShareRows(rows.row_ids, rows.columns, list(zip(*corrupted)))
+        return rows
 
     def filter_rows(self, rows: List) -> List:
         """OMIT: silently drop each result row with probability ``rate``."""

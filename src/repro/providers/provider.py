@@ -13,8 +13,12 @@ and response through the simulated network for byte accounting.
 
 Read handlers run against the columnar storage engine
 (:mod:`repro.providers.storage`): scans, aggregation, grouped
-aggregation, and join probes read per-column share arrays by slot and
-materialize a row dict only for rows that actually leave the provider.
+aggregation, and join probes read per-column share arrays by slot.  Rows
+that leave the provider through ``select`` / ``get_rows`` / ``scan`` /
+``scan_asof`` leave as one column-major
+:class:`~repro.sim.network.ShareRows` — one gather per column, no row
+dict; only the join's pairs and the MIN/MAX/MEDIAN nomination are still
+materialized as dicts.
 Cost accounting for aggregates records the **actual share reads** — one
 ``compare`` per column cell examined — so a request whose filter matched
 nothing (or whose aggregate column the table does not store) charges
@@ -67,6 +71,7 @@ from ..errors import (
     ReproError,
 )
 from ..sim.costmodel import CostRecorder
+from ..sim.network import ShareRows
 from .failures import Fault
 from .storage import ShareRow, ShareStore, ShareTable
 
@@ -369,12 +374,9 @@ class ShareProvider:
         self._note_dispatch("select", rows is not None)
         if rows is None:
             rows = self._select_scalar(table, request)
-        rows = self._apply_result_faults(rows)
-        return {"rows": rows}
+        return self._rows_response(rows)
 
-    def _select_scalar(
-        self, table: ShareTable, request: Dict
-    ) -> List[Tuple[int, ShareRow]]:
+    def _select_scalar(self, table: ShareTable, request: Dict) -> ShareRows:
         """The scalar select engine — the always-on correctness oracle."""
         row_ids = self._matching_row_ids(table, request.get("conditions") or [])
         order_by = request.get("order_by")
@@ -412,9 +414,9 @@ class ShareProvider:
     def _rpc_get_rows(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])
         present = [rid for rid in request["row_ids"] if table.has_row(rid)]
-        rows = self._project_many(table, present, request.get("projection"))
-        rows = self._apply_result_faults(rows)
-        return {"rows": rows}
+        return self._rows_response(
+            self._project_many(table, present, request.get("projection"))
+        )
 
     def _rpc_scan(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])
@@ -424,8 +426,7 @@ class ShareProvider:
             rows = self._project_many(
                 table, table.all_row_ids(), request.get("projection")
             )
-        rows = self._apply_result_faults(rows)
-        return {"rows": rows}
+        return self._rows_response(rows)
 
     def _rpc_scan_asof(self, request: Dict) -> Dict:
         """Full share-row scan as of a past client mutation epoch.
@@ -437,9 +438,17 @@ class ShareProvider:
         table = self.store.table(request["table"])
         historical = table.rows_asof(request["epoch"])
         self.cost.record("compare", len(table.history))
-        rows = [[rid, historical[rid]] for rid in sorted(historical)]
-        rows = self._apply_result_faults(rows)
-        return {"rows": rows}
+        row_ids = sorted(historical)
+        return self._rows_response(
+            ShareRows(
+                row_ids,
+                tuple(table.columns),
+                [
+                    [historical[rid][column] for rid in row_ids]
+                    for column in table.columns
+                ],
+            )
+        )
 
     def _rpc_row_count(self, request: Dict) -> Dict:
         return {"count": len(self.store.table(request["table"]))}
@@ -903,11 +912,7 @@ class ShareProvider:
         if limit is not None:
             rids = rids[:limit]
             slots = slots[:limit]
-        if rids.shape[0] == 0:
-            return []
-        columns = None if projection is None else list(projection)
-        rows = table.materialize_rows(slots.tolist(), columns)
-        return list(zip(rids.tolist(), rows))
+        return table.gather(rids.tolist(), slots.tolist(), projection)
 
     def _scan_vector(self, table: ShareTable, request: Dict):
         """Vectorized full scan (the migration `scan_share_rows` path)."""
@@ -921,11 +926,7 @@ class ShareProvider:
         if pair is None:
             return None
         rids, slots = pair
-        if rids.shape[0] == 0:
-            return []
-        columns = None if projection is None else list(projection)
-        rows = table.materialize_rows(slots.tolist(), columns)
-        return list(zip(rids.tolist(), rows))
+        return table.gather(rids.tolist(), slots.tolist(), projection)
 
     def _aggregate_vector(
         self, table: ShareTable, func: str, column, conditions: List[Dict]
@@ -1362,19 +1363,19 @@ class ShareProvider:
         table: ShareTable,
         row_ids: List[int],
         projection: Optional[List[str]],
-    ) -> List[Tuple[int, ShareRow]]:
-        """Materialize result rows from the column arrays in one pass."""
+    ) -> ShareRows:
+        """Result rows gathered from the column arrays, column by column.
+
+        An empty match answers before the projection is looked at (and so
+        never rejects one).
+        """
         if not row_ids:
-            return []
-        if projection is None:
-            columns = None
-        else:
+            return ShareRows([], (), [])
+        if projection is not None:
             unknown = set(projection) - set(table.columns)
             if unknown:
                 raise QueryError(f"unknown projection columns {sorted(unknown)}")
-            columns = list(projection)
-        slots = table.slots_for(row_ids)
-        return list(zip(row_ids, table.materialize_rows(slots, columns)))
+        return table.gather(row_ids, table.slots_for(row_ids), projection)
 
     def _rows_by_id(
         self,
@@ -1399,7 +1400,14 @@ class ShareProvider:
         rows = table.materialize_rows(table.slots_for(distinct), columns)
         return dict(zip(distinct, rows))
 
+    def _rows_response(self, rows: ShareRows) -> Dict:
+        """A row-returning RPC's response, result faults applied."""
+        if self.fault is not None:
+            rows = self.fault.corrupt_share_rows(rows)
+        return {"rows": rows}
+
     def _apply_result_faults(self, rows: List[Tuple[int, ShareRow]]):
+        """Result faults on a MIN/MAX/MEDIAN nomination's one dict row."""
         if self.fault is None:
             return rows
         rows = self.fault.filter_rows(rows)

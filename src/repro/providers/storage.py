@@ -15,10 +15,13 @@ number, with a row-id↔slot map on the side::
     _row_ids[slot]   -> row_id     # slot → row id
     _slots[row_id]   -> slot       # row id → slot
 
-Scans, aggregation, and join probes read the column arrays directly; a
-row dict is materialized only when a result row actually leaves the
-provider.  Deletes swap the last slot into the hole, so slots stay dense
-and column arrays never carry tombstones.
+Scans, aggregation, and join probes read the column arrays directly, and
+result rows leave the provider the way they are stored: one column-major
+:class:`~repro.sim.network.ShareRows` gathered per column
+(:meth:`ShareTable.gather`).  A row dict is materialized only for a
+join's pairs and the ``rows`` inspection view.  Deletes swap the last
+slot into the hole, so slots stay dense and column arrays never carry
+tombstones.
 
 Index maintenance has two paths:
 
@@ -83,6 +86,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import kernels
 from ..errors import ProviderError
+from ..sim.network import ShareRows
 
 ShareRow = Dict[str, Optional[int]]
 
@@ -872,6 +876,30 @@ class ShareTable:
     def clear_aggregate_cache(self) -> None:
         """Drop all materialized aggregates (benchmarks measure cold paths)."""
         self._agg_cache.clear()
+
+    def gather(
+        self,
+        row_ids: List[int],
+        slots: List[int],
+        columns: Optional[List[str]] = None,
+    ) -> ShareRows:
+        """The rows at ``slots`` (ids ``row_ids``, aligned) as a result.
+
+        Column-major like the storage: one C-level gather per column, no
+        row dict.  ``columns`` (default: the full schema) must name
+        existing columns — callers validate projections.
+        """
+        names = tuple(self.columns if columns is None else columns)
+        data = self._column_data
+        if len(slots) > 1:
+            pick = itemgetter(*slots)
+            shares = [pick(data[name]) for name in names]
+        elif slots:  # itemgetter(slot) would answer a bare share
+            (slot,) = slots
+            shares = [(data[name][slot],) for name in names]
+        else:  # and itemgetter() raises
+            shares = [()] * len(names)
+        return ShareRows(row_ids, names, shares)
 
     def materialize_rows(
         self, slots: List[int], columns: Optional[List[str]] = None

@@ -20,6 +20,17 @@ Wire format (sizing only — data never actually leaves the process):
 * dict: 4-byte count + key/value pairs;
 * any other object: whatever its ``wire_size()`` reports.
 
+Share rows — what every row-returning provider RPC answers with — are
+**sized** row-major, as the list ``[(row_id, {column: share}), ...]`` under
+the rules above, but **carried** column-major: a :class:`ShareRows` holds
+the row ids and one share sequence per column, because the provider
+stores columns and the client's kernels interpolate columns, and its
+``wire_size()`` reports the bytes of the list it stands for, byte for
+byte.  Only the in-process carrier is columnar; the wire format — and so
+every byte count and the modelled clock — is unchanged.  A column-major
+wire *format* (column names once per response instead of once per row)
+would be a declared change to those numbers and is not made here.
+
 Modelled transfer time = RTT/2 per message + bytes / bandwidth, using the
 latency model's constants; benchmarks report both raw bytes and modelled
 seconds.
@@ -29,8 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 from itertools import chain
-from typing import Dict, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 def measure_bytes(payload: object) -> int:
@@ -47,6 +59,8 @@ def measure_bytes(payload: object) -> int:
         items = chain.from_iterable(payload.items())
     elif kind is list or kind is tuple:
         items = payload
+    elif kind is ShareRows:
+        return payload.wire_size()
     else:
         return _measure_value(payload)
     total = 4
@@ -87,6 +101,91 @@ def _measure_value(payload: object) -> int:
     raise TypeError(
         f"cannot size object of type {type(payload).__name__} for the wire"
     )
+
+
+@lru_cache(maxsize=256)
+def _row_overhead(columns: Tuple[str, ...]) -> int:
+    """Bytes of one row-major ``(row_id, {column: share})`` pair that do not
+    depend on its values: the tuple and dict counts, every column name, and
+    the 2-byte integer header of the row id and of each share."""
+    return 4 + 2 + 4 + sum(2 + len(name.encode("utf-8")) + 2 for name in columns)
+
+
+class ShareRows:
+    """Share rows of one provider's answer, column-major.
+
+    ``shares[c][r]`` is the share (``None`` for NULL) of column
+    ``columns[c]`` in the row ``row_ids[r]``.  The value stands for the
+    row-major list ``[(row_id, {column: share}), ...]``: iterating yields
+    exactly those pairs (the per-row readers — robust and checked
+    decoding, audits, repair — take them one at a time), two values are
+    equal when their lists are, and :meth:`wire_size` is that list's size
+    under the module's wire format.  Treat it as read-only: the provider
+    may hand out its cached row-id list.
+    """
+
+    __slots__ = ("row_ids", "columns", "shares")
+
+    def __init__(
+        self,
+        row_ids: List[int],
+        columns: Tuple[str, ...],
+        shares: Sequence[Sequence[Optional[int]]],
+    ) -> None:
+        self.row_ids = row_ids
+        self.columns = columns
+        self.shares = shares
+
+    def __len__(self) -> int:
+        return len(self.row_ids)
+
+    def __iter__(self) -> Iterator[Tuple[int, Dict[str, Optional[int]]]]:
+        columns = self.columns
+        if not columns:  # an empty projection still has its rows
+            return zip(self.row_ids, [{} for _ in self.row_ids])
+        return zip(
+            self.row_ids, [dict(zip(columns, cells)) for cells in zip(*self.shares)]
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShareRows):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ShareRows({len(self)} rows, columns={self.columns})"
+
+    def take(self, row_ids: List[int]) -> "ShareRows":
+        """The rows ``row_ids`` (all held here), in that order — this very
+        value when that is every row in the order it has them."""
+        if row_ids == self.row_ids:
+            return self
+        where = dict(zip(self.row_ids, range(len(self.row_ids))))
+        positions = [where[row_id] for row_id in row_ids]
+        return ShareRows(
+            row_ids,
+            self.columns,
+            [[cells[at] for at in positions] for cells in self.shares],
+        )
+
+    def wire_size(self) -> int:
+        """Bytes of the row-major list this value stands for.
+
+        One pass over the row ids and every share for their magnitude
+        bytes, plus a per-row constant for the column tuple.  A cell
+        without a ``bit_length`` — a NULL (one byte where an integer has
+        a 2-byte header), or whatever else a store was handed — sends the
+        response through the cell-by-cell rules instead.  (Shares are
+        integers: a ``bool`` among integers is sized as the ``int`` it is.)
+        """
+        cells = chain(self.row_ids, *self.shares)
+        try:
+            magnitudes = sum([(cell.bit_length() + 7) >> 3 or 1 for cell in cells])
+        except AttributeError:
+            magnitudes = sum(
+                measure_bytes(cell) - 2 for cell in chain(self.row_ids, *self.shares)
+            )
+        return 4 + len(self.row_ids) * _row_overhead(self.columns) + magnitudes
 
 
 @dataclass

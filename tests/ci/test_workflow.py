@@ -155,6 +155,9 @@ class TestTier1Gate:
         )
         assert ">=10x" in hotpath_check["name"]
         assert ">=5x" in hotpath_check["name"]
+        # plain --check: the response-path bar against the parent's frozen
+        # numbers (RESPONSE_PATH_GATE) is enforced here, not in tier-1
+        assert ">=1.3x" in hotpath_check["name"]
 
     def test_bench_smoke_runs_e2e_smoke(self, jobs):
         """The end-to-end benchmark's own tests (oracle checks and the

@@ -12,6 +12,7 @@ from repro.client.reconstruct import (
 from repro.core.scheme import TableSharing
 from repro.core.secrets import generate_client_secrets
 from repro.errors import IntegrityError, ReconstructionError
+from repro.sim.network import ShareRows
 from repro.sim.rng import DeterministicRNG
 from repro.sqlengine.expression import Comparison, ComparisonOp
 from repro.sqlengine.schema import TableSchema, integer_column
@@ -29,12 +30,21 @@ def sharing():
 
 def make_responses(sharing, rows):
     """Simulate honest provider responses for given plaintext rows."""
-    responses = {i: {"rows": []} for i in range(4)}
-    for rid, row in rows:
-        share_rows = sharing.share_row(row)
-        for i in range(4):
-            responses[i]["rows"].append([rid, share_rows[i]])
-    return responses
+    names = tuple(sharing.schema.column_names)
+    shared = sharing.share_rows([row for _, row in rows])
+    return {
+        i: {
+            "rows": ShareRows(
+                [rid for rid, _ in rows],
+                names,
+                [[share_row[name] for share_row in shared[i]] for name in names],
+            )
+        }
+        for i in range(4)
+    }
+
+
+EMPTY = ShareRows([], (), [])
 
 
 class TestAlignment:
@@ -57,12 +67,7 @@ class TestReconstruct:
         rows = [(0, {"k": 10, "v": 20}), (1, {"k": 30, "v": 40})]
         responses = make_responses(sharing, rows)
         out = reconstruct_rows(sharing, responses)
-        assert out == [{"k": 10, "v": 20}, {"k": 30, "v": 40}]
-
-    def test_projection(self, sharing):
-        responses = make_responses(sharing, [(0, {"k": 10, "v": 20})])
-        out = reconstruct_rows(sharing, responses, columns=["v"])
-        assert out == [{"v": 20}]
+        assert out == rows
 
     def test_residual_filters(self, sharing):
         rows = [(0, {"k": 10, "v": 20}), (1, {"k": 30, "v": 40})]
@@ -70,20 +75,20 @@ class TestReconstruct:
         out = reconstruct_rows(
             sharing, responses, residual=Comparison("v", ComparisonOp.GT, 25)
         )
-        assert out == [{"k": 30, "v": 40}]
+        assert out == [(1, {"k": 30, "v": 40})]
 
     def test_underquorum_rows_dropped_silently(self, sharing):
         responses = make_responses(sharing, [(0, {"k": 1, "v": 2})])
         # provider 3 omits the row; 3 ≥ k=3 still → kept.  Then drop from
         # provider 2 as well → only 2 copies → dropped.
-        responses[3]["rows"] = []
+        responses[3]["rows"] = EMPTY
         assert len(reconstruct_rows(sharing, responses)) == 1
-        responses[2]["rows"] = []
+        responses[2]["rows"] = EMPTY
         assert reconstruct_rows(sharing, responses) == []
 
     def test_strict_mode_raises_on_omission(self, sharing):
         responses = make_responses(sharing, [(0, {"k": 1, "v": 2})])
-        responses[3]["rows"] = []
+        responses[3]["rows"] = EMPTY
         with pytest.raises(IntegrityError):
             reconstruct_rows(sharing, responses, strict=True)
 

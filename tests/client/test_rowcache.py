@@ -58,6 +58,51 @@ class TestUnitRowCache:
         cache.put_row("t", 3, 0, {"a": 3})
         assert cache.lookup_query("t", ("sig",), 0) is None
 
+    @pytest.mark.parametrize("row_capacity", [3, 4, 6, 64])
+    def test_store_query_after_the_read_wrote_its_rows_back(self, row_capacity):
+        """A cache-miss read puts each fresh row back, then ``store_query``
+        records the result over the same rows.  The second step copies no
+        row that is still there, yet leaves rows, LRU order and counters
+        exactly as putting every row a second time did — including, when
+        the result outgrows ``row_capacity``, re-inserting the rows the
+        first step's own tail evicted."""
+
+        def put_every_row_again(cache, table, signature, epoch, pairs):
+            # store_query as it was before it skipped rows already held
+            for row_id, row in pairs:
+                cache.put_row(table, row_id, epoch, row)
+            key = (table, signature, epoch)
+            cache._queries[key] = tuple(row_id for row_id, _ in pairs)
+            cache._queries.move_to_end(key)
+
+        fresh = [(row_id, {"a": row_id}) for row_id in (2, 3, 5, 8, 9, 11)]
+        kept = [pair for pair in fresh if pair[0] != 5]  # a residual dropped 5
+        caches = []
+        for store in (RowCache.store_query, put_every_row_again):
+            cache = RowCache(row_capacity=row_capacity, query_capacity=4)
+            cache.put_row("t", 1, 0, {"a": 1})
+            cache.put_row("t", 3, 0, {"a": 3})  # one row the read will hit
+            for row_id, row in fresh:
+                if cache.get_row("t", row_id, 0) is None:
+                    cache.put_row("t", row_id, 0, row)
+            store(cache, "t", ("sig",), 0, kept)
+            caches.append(cache)
+        new, old = caches
+        assert list(new._rows.items()) == list(old._rows.items())
+        assert list(new._queries.items()) == list(old._queries.items())
+        assert new.stats.snapshot() == old.stats.snapshot()
+        if row_capacity >= len(kept):
+            assert new.lookup_query("t", ("sig",), 0) == kept
+
+    def test_store_query_does_not_copy_a_row_it_already_holds(self):
+        cache = RowCache()
+        cache.put_row("t", 1, 0, {"a": 1})
+        held = cache._rows[("t", 1, 0)]
+        cache.store_query("t", ("sig",), 0, [(1, {"a": 1}), (2, {"a": 2})])
+        assert cache._rows[("t", 1, 0)] is held
+        assert list(cache._rows) == [("t", 1, 0), ("t", 2, 0)]
+        assert cache.lookup_query("t", ("sig",), 0) == [(1, {"a": 1}), (2, {"a": 2})]
+
     def test_invalidate_purges_only_that_table(self):
         cache = RowCache()
         cache.put_row("t", 1, 0, {"a": 1})

@@ -10,6 +10,7 @@ from repro.errors import (
     ReconstructionError,
     UnsupportedQueryError,
 )
+from repro.sim.network import ShareRows
 from repro.sim.rng import DeterministicRNG
 from repro.sqlengine.schema import (
     TableSchema,
@@ -334,10 +335,38 @@ class TestColumnMajorEqualsRowByRow:
             out.append({index: shares[index] for index in subset})
         return out
 
+    @staticmethod
+    def _batched(mixed, share_rows_list, columns=None):
+        """``reconstruct_rows`` once per responder set — each provider's
+        shares of those rows as one column-major ``ShareRows`` — with the
+        rows put back in input order."""
+        names = tuple(mixed.schema.column_names)
+        groups = {}
+        for position, share_rows in enumerate(share_rows_list):
+            groups.setdefault(tuple(share_rows), []).append(position)
+        out = [None] * len(share_rows_list)
+        for answered, positions in groups.items():
+            result = {
+                index: ShareRows(
+                    positions,
+                    names,
+                    [
+                        [share_rows_list[p][index].get(name) for p in positions]
+                        for name in names
+                    ],
+                )
+                for index in answered
+            }
+            for position, row in zip(
+                positions, mixed.reconstruct_rows(result, columns)
+            ):
+                out[position] = row
+        return out
+
     def test_mixed_table_mixed_quorums(self, mixed):
         rows = self._plain_rows()
         share_rows_list = self._share_rows_list(mixed, rows)
-        batched = mixed.reconstruct_rows(share_rows_list)
+        batched = self._batched(mixed, share_rows_list)
         assert batched == [mixed.reconstruct_row(r) for r in share_rows_list]
         assert batched == rows
         assert [list(row) for row in batched] == [
@@ -347,26 +376,27 @@ class TestColumnMajorEqualsRowByRow:
     def test_projection_and_empty_input(self, mixed):
         share_rows_list = self._share_rows_list(mixed, self._plain_rows())
         columns = ["price", "id"]
-        batched = mixed.reconstruct_rows(share_rows_list, columns)
+        batched = self._batched(mixed, share_rows_list, columns)
         assert batched == [
             mixed.reconstruct_row(r, columns) for r in share_rows_list
         ]
         assert all(list(row) == columns for row in batched)
-        assert mixed.reconstruct_rows([]) == []
-        assert mixed.reconstruct_rows(share_rows_list, []) == [
+        nothing = ShareRows([], tuple(mixed.schema.column_names), [()] * 5)
+        assert mixed.reconstruct_rows({0: nothing, 1: nothing, 2: nothing}) == []
+        assert self._batched(mixed, share_rows_list, []) == [
             {} for _ in share_rows_list
         ]
 
     def test_all_null_column(self, mixed):
         rows = [dict(r, name=None, bonus=None) for r in self._plain_rows()]
         share_rows_list = self._share_rows_list(mixed, rows)
-        assert mixed.reconstruct_rows(share_rows_list) == rows
+        assert self._batched(mixed, share_rows_list) == rows
 
     def _same_error(self, mixed, share_rows_list, match):
         with pytest.raises(ReconstructionError, match=match) as by_row:
             [mixed.reconstruct_row(r) for r in share_rows_list]
         with pytest.raises(ReconstructionError) as batched:
-            mixed.reconstruct_rows(share_rows_list)
+            self._batched(mixed, share_rows_list)
         assert str(batched.value) == str(by_row.value)
 
     @pytest.mark.parametrize("column", ["name", "bonus"])

@@ -24,14 +24,19 @@ def _load_bench():
 
 
 def test_check_mode_passes():
-    """run_check() raises AssertionError on any kernel/naive divergence."""
-    _load_bench().run_check()
+    """run_check() raises AssertionError on any kernel/naive divergence.
+
+    The response path's wall-clock bar against the parent's frozen
+    numbers is the CI bench-smoke job's (plain ``--check``); byte parity
+    and exact rows are asserted here too.
+    """
+    _load_bench().run_check(response_path_gate=False)
 
 
 def test_cli_check_flag():
     """The --check CLI entry point exits 0 and reports success."""
     result = subprocess.run(
-        [sys.executable, str(BENCH_PATH), "--check"],
+        [sys.executable, str(BENCH_PATH), "--check", "--skip-response-path-gate"],
         capture_output=True,
         text=True,
         timeout=300,

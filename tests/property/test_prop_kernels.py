@@ -178,21 +178,28 @@ def _share_vectors(xs, polynomials):
     ]
 
 
+def _columns(vectors):
+    """The kernel's operand: one share sequence per point, as each
+    provider returns its column, instead of one share vector per cell."""
+    return list(zip(*vectors))
+
+
 @given(column=integer_columns())
 @settings(max_examples=150, deadline=None)
 def test_integer_batch_matches_fraction_oracle(column):
-    """Cell for cell the integer kernel equals the ``Fraction`` oracle —
-    128-bit coefficients, negative values and negative points included."""
+    """Cell for cell the column-wise integer kernel equals the
+    ``Fraction`` oracle — 128-bit coefficients, negative values and
+    negative points included."""
     xs, polynomials = column
     vectors = _share_vectors(xs, polynomials)
     oracle = [
         interpolate_integer_constant(list(zip(xs, ys))) for ys in vectors
     ]
     assert oracle == [coeffs[0] for coeffs in polynomials]
-    assert kernels.batch_reconstruct_integer(xs, vectors) == oracle
+    assert kernels.batch_reconstruct_integer(xs, _columns(vectors)) == oracle
     for ys, expected in zip(vectors, oracle):
         assert kernels.reconstruct_integer(xs, ys) == expected
-        assert kernels.batch_reconstruct_integer(xs, [ys]) == [expected]
+        assert kernels.batch_reconstruct_integer(xs, _columns([ys])) == [expected]
 
 
 @given(
@@ -214,14 +221,14 @@ def test_perturbed_share_rejected_exactly_when_oracle_is_fractional(
     ys[share % len(ys)] += delta
     rational = interpolate_rational_constant(list(zip(xs, ys)))
     if rational.denominator == 1:
-        assert kernels.batch_reconstruct_integer(xs, vectors)[
+        assert kernels.batch_reconstruct_integer(xs, _columns(vectors))[
             cell % len(vectors)
         ] == int(rational)
         return
     with pytest.raises(ReconstructionError) as oracle_error:
         interpolate_integer_constant(list(zip(xs, ys)))
     with pytest.raises(ReconstructionError) as batch_error:
-        kernels.batch_reconstruct_integer(xs, vectors)
+        kernels.batch_reconstruct_integer(xs, _columns(vectors))
     with pytest.raises(ReconstructionError) as cell_error:
         kernels.reconstruct_integer(xs, ys)
     assert str(batch_error.value) == str(oracle_error.value)
@@ -262,12 +269,12 @@ def test_integer_weights_built_once_per_point_tuple():
     """A 1,000-cell batch is one weight lookup: one build, no rebuilds."""
     xs = (2, 5, 11)
     polynomials = [[v, 3 * v + 1, 7 * v + 2] for v in range(1_000)]
-    vectors = _share_vectors(xs, polynomials)
+    columns = _columns(_share_vectors(xs, polynomials))
     kernels.clear_kernel_caches()
-    assert kernels.batch_reconstruct_integer(xs, vectors) == list(range(1_000))
+    assert kernels.batch_reconstruct_integer(xs, columns) == list(range(1_000))
     stats = kernels.kernel_stats()
     assert (stats.rational_misses, stats.rational_hits) == (1, 0)
     assert stats.scalar_reconstruct_cells == 1_000
     # a second column at the same points is a hit, never a rebuild
-    kernels.batch_reconstruct_integer(xs, vectors)
+    kernels.batch_reconstruct_integer(xs, columns)
     assert (stats.rational_misses, stats.rational_hits) == (1, 1)

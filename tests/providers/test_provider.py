@@ -101,7 +101,7 @@ class TestSelect:
         response = provider.handle(
             "select", {"table": "T", "conditions": [], "projection": ["v"]}
         )
-        assert response["rows"][0][1] == {"v": 11}
+        assert list(response["rows"])[0][1] == {"v": 11}
 
     def test_bad_projection(self, provider):
         with pytest.raises(QueryError):
@@ -266,4 +266,4 @@ class TestWritesAndFaults:
             Fault(FailureMode.OMIT, rate=1.0, rng=DeterministicRNG(1, "o"))
         )
         response = provider.handle("select", {"table": "T", "conditions": []})
-        assert response["rows"] == []
+        assert list(response["rows"]) == []

@@ -375,6 +375,27 @@ class TestColumnarKernels:
         ]
         assert table.materialize_rows(slots, ["v"]) == [{"v": None}, {"v": 300}]
 
+    def test_gather_is_column_major_whatever_the_row_count(self):
+        """One share sequence per column, aligned with the row ids: two
+        slots and more go through ``itemgetter``, which would answer a
+        bare share for one slot and raises for none."""
+        table = self.make()
+        for row_ids in ([2, 3, 1], [3, 2], [3], []):
+            rows = table.gather(row_ids, table.slots_for(row_ids))
+            assert rows.row_ids == row_ids
+            assert rows.columns == ("a", "v")
+            assert [list(cells) for cells in rows.shares] == [
+                table.values_for_rows("a", row_ids),
+                table.values_for_rows("v", row_ids),
+            ]
+            assert list(rows) == list(
+                zip(row_ids, table.materialize_rows(table.slots_for(row_ids)))
+            )
+        projected = table.gather([2, 3], table.slots_for([2, 3]), ["v"])
+        assert list(projected) == [(2, {"v": None}), (3, {"v": 300})]
+        nothing = table.gather([1, 2], table.slots_for([1, 2]), [])
+        assert list(nothing) == [(1, {}), (2, {})]
+
     def test_materializer_safe_for_hostile_column_names(self):
         # column names are embedded into generated code via repr; quotes
         # and backslashes must round-trip as data, not as syntax

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.network import (
     LatencyModel,
     NetworkStats,
+    ShareRows,
     SimulatedNetwork,
     measure_bytes,
 )
@@ -154,6 +155,84 @@ class TestMeasureBytesAgainstDocumentedFormat:
     def test_unknown_type_raises_wherever_it_sits(self, payload):
         with pytest.raises(TypeError, match="cannot size object of type"):
             measure_bytes(payload)
+
+
+_shares = st.one_of(
+    st.sampled_from([0, 1, 255, 256, 2**121, 2**122 - 1, -7]),
+    st.integers(min_value=0, max_value=2**122),
+)
+#: what a store can be handed besides shares: sized by the generic rules
+_odd_cells = st.one_of(
+    st.floats(allow_nan=False), _ints.map(TaggedInt), st.text(max_size=4)
+)
+_column_names = st.lists(
+    st.one_of(st.sampled_from(["k", "salary", "zoë", "名前"]), st.text(max_size=5)),
+    unique=True,
+    max_size=4,
+)
+
+
+@st.composite
+def share_rows(draw):
+    """A column-major result: 0/1/n rows, any projection (none included),
+    NULLs in some columns only, now and then a non-share cell."""
+    columns = tuple(draw(_column_names))
+    row_ids = draw(
+        st.lists(st.integers(0, 2**40), unique=True, max_size=draw(st.sampled_from([0, 1, 9])))
+    )
+    cells = []
+    for _ in columns:
+        kind = draw(st.sampled_from(["shares", "shares", "nullable", "odd"]))
+        cell = {
+            "shares": _shares,
+            "nullable": st.none() | _shares,
+            "odd": st.none() | _shares | _odd_cells,
+        }[kind]
+        cells.append(
+            draw(st.lists(cell, min_size=len(row_ids), max_size=len(row_ids)))
+        )
+    return ShareRows(row_ids, columns, cells)
+
+
+class TestShareRowsSizeAsTheirRowMajorList:
+    """The carrier is columnar, the wire format is not: a ``ShareRows``
+    sizes to the bytes of ``[(row_id, {column: share}), ...]``."""
+
+    @given(rows=share_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_wire_size_is_the_row_major_size(self, rows):
+        pairs = [
+            (row_id, dict(zip(rows.columns, cells)))
+            for row_id, cells in zip(
+                rows.row_ids, zip(*rows.shares) if rows.columns else [()] * len(rows)
+            )
+        ]
+        assert list(rows) == pairs
+        assert measure_bytes({"rows": rows}) == measure_bytes({"rows": pairs})
+        assert measure_bytes({"rows": rows}) == reference_bytes({"rows": pairs})
+        # inside a batch envelope too
+        assert measure_bytes({"responses": [["ok", {"rows": rows}]]}) == (
+            reference_bytes({"responses": [["ok", {"rows": pairs}]]})
+        )
+
+    def test_the_share_response_shape_cell_by_cell(self):
+        rows = ShareRows([3, 4], ("a", "b"), [(2**100, -5), (None, 0)])
+        assert list(rows) == [(3, {"a": 2**100, "b": None}), (4, {"a": -5, "b": 0})]
+        assert measure_bytes({"rows": rows}) == 4 + 6 + 4 + (
+            (4 + 3 + 4 + (3 + 15) + (3 + 1)) + (4 + 3 + 4 + (3 + 3) + (3 + 3))
+        )
+
+    def test_an_empty_projection_still_carries_its_row_ids(self):
+        rows = ShareRows([7, 2**20], (), [])
+        assert list(rows) == [(7, {}), (2**20, {})]
+        assert rows.wire_size() == 4 + (4 + 3 + 4) + (4 + 5 + 4)
+        assert ShareRows([], (), []).wire_size() == measure_bytes([]) == 4
+
+    def test_take_reorders_and_is_the_identity_on_its_own_row_ids(self):
+        rows = ShareRows([5, 6, 9], ("a", "b"), [(50, 60, 90), (None, 61, 91)])
+        assert rows.take([5, 6, 9]) is rows
+        assert list(rows.take([9, 5])) == [(9, {"a": 90, "b": 91}), (5, {"a": 50, "b": None})]
+        assert len(rows.take([])) == 0
 
 
 class TestLatencyModel:
