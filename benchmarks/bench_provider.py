@@ -332,6 +332,7 @@ def naive_aggregate_group(table, group_column, func, column, conditions=None):
 
 def naive_join(left, right, left_column, right_column,
                left_conditions=None, right_conditions=None):
+    """The join response as row-major lists, and the number of pairs."""
     left_ids = naive_matching_row_ids(left, left_conditions or [])
     right_ids = naive_matching_row_ids(right, right_conditions or [])
     build = {}
@@ -339,17 +340,22 @@ def naive_join(left, right, left_column, right_column,
         share = right.get(rid).get(right_column)
         if share is not None:
             build.setdefault(share, []).append(rid)
-    joined = []
+    matched_left, matched_right, pairs = [], set(), 0
     for lid in left_ids:
         share = left.get(lid).get(left_column)
-        if share is None:
-            continue
-        for rid in build.get(share, ()):
-            joined.append(
-                (lid, rid, naive_project(left, lid, None),
-                 naive_project(right, rid, None))
-            )
-    return joined
+        partners = build.get(share, ()) if share is not None else ()
+        if partners:
+            matched_left.append(lid)
+            matched_right.update(partners)
+            pairs += len(partners)
+    response = {
+        "left": [(lid, naive_project(left, lid, None)) for lid in matched_left],
+        "right": [
+            (rid, naive_project(right, rid, None))
+            for rid in sorted(matched_right)
+        ],
+    }
+    return response, pairs
 
 
 class NaiveMerkle:
@@ -901,14 +907,16 @@ def bench_join(provider, naive_left, rows, repeats=3):
     columnar_seconds, got = best_of(
         lambda: provider.handle("join", request), repeats
     )
-    naive_seconds, want = best_of(
+    naive_seconds, (want, pairs) = best_of(
         lambda: naive_join(naive_left, naive_right, "k", "k"), repeats
     )
-    assert got["rows"] == want, "join diverged"
+    assert {side: list(matched) for side, matched in got.items()} == want, (
+        "join diverged"
+    )
     return {
         "left_rows": len(rows),
         "right_rows": len(right_rows),
-        "joined": len(want),
+        "joined": pairs,
         "naive_seconds": round(naive_seconds, 6),
         "columnar_seconds": round(columnar_seconds, 6),
         "speedup": round(naive_seconds / columnar_seconds, 2),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..core.order_preserving import OrderPreservingScheme
@@ -30,7 +30,6 @@ from ..errors import (
     IntegrityError,
     QueryError,
     QuorumError,
-    ReconstructionError,
     SchemaError,
     UnsupportedQueryError,
 )
@@ -61,7 +60,6 @@ from ..sqlengine.table import Table
 from .reconstruct import (
     align_by_row_id,
     consistent_scalar,
-    presence_majority,
     reconstruct_rows,
     reconstruct_rows_checked,
     reconstruct_single_rows,
@@ -945,7 +943,7 @@ class DataSource:
     # ------------------------------------------------- share-row migration --
 
     def scan_share_rows(
-        self, table_name: str, extra: int = 0
+        self, table_name: str, extra: int = 0, exclude: Sequence[int] = ()
     ) -> Dict[int, Dict[int, ShareRow]]:
         """Aligned share rows of a whole table: ``{row_id: {provider: row}}``.
 
@@ -953,12 +951,14 @@ class DataSource:
         migration): rows are fetched through the health-ordered read
         quorum with failover and returned *as shares* — nothing is
         reconstructed here.  ``extra`` requests redundant shares beyond k
-        so a tampering quorum member can be blamed by the rebuild.
+        so a tampering quorum member can be blamed by the rebuild;
+        ``exclude`` keeps providers out of the quorum (a repair never
+        reads the provider it is rebuilding).
         """
         return self._read_shares(
             table_name,
             method="scan",
-            targets=self.cluster.read_quorum(extra=extra),
+            targets=self.cluster.read_quorum(extra=extra, exclude=exclude),
         )
 
     def create_staging_table(self, table_name: str, staging: str) -> None:
@@ -1479,23 +1479,15 @@ class DataSource:
         *,
         method: str = "select",
         fields: Dict[str, object] = _FULL_ROWS,
-        mode: str = _QUORUM,
-        targets: Optional[List[int]] = None,
-        blamed: set = frozenset(),
+        **round_args,
     ) -> Dict[int, Dict]:
-        """One threshold read round — the only place one is built.
+        """One threshold read round of a one-table ``method``.
 
         ``rewritten`` (absent for whole-table scans) supplies each
         target's share-space conditions; ``fields`` are the method's
-        other request fields.  A checked round waits for every response
-        (all of them take part in the cross-check); the others return at
-        the k-th.
+        other request fields.
         """
         sharing = self.sharing(table_name)
-        if targets is None:
-            targets = self._read_targets(mode, blamed)
-        if rewritten is not None:
-            self._record_rewrite_cost(rewritten, len(targets))
 
         def request(i: int) -> Dict:
             payload = {"table": table_name, **fields}
@@ -1503,6 +1495,34 @@ class DataSource:
                 payload["conditions"] = rewritten.conditions_for(sharing, i)
             return payload
 
+        return self._threshold_round(
+            method,
+            request,
+            () if rewritten is None else (rewritten,),
+            **round_args,
+        )
+
+    def _threshold_round(
+        self,
+        method: str,
+        request: Callable[[int], Dict],
+        rewritten: Sequence[RewrittenPredicate],
+        *,
+        mode: str = _QUORUM,
+        targets: Optional[List[int]] = None,
+        blamed: set = frozenset(),
+    ) -> Dict[int, Dict]:
+        """Fan ``request`` out to ``mode``'s targets — the only place a
+        threshold read round is built.  A checked round waits for every
+        response (all of them take part in the cross-check); the others
+        return at the k-th."""
+        if targets is None:
+            targets = self._read_targets(mode, blamed)
+        for predicate in rewritten:
+            # two share evaluations (low & high endpoint) per interval per target
+            self.cost.record(
+                "poly_eval", 2 * len(predicate.intervals) * len(targets)
+            )
         return self._broadcast(
             method,
             request,
@@ -1540,10 +1560,6 @@ class DataSource:
         ``rewritten`` (every row of the table without one), decoded as
         ``mode`` prescribes.  ``cache_epoch`` lets a quorum read skip
         interpolating rows the row cache already holds for that epoch.
-        A checked read that blames a provider quarantines it and
-        re-issues without it; the loop is bounded by the cluster size and
-        the last round's rows are returned regardless — robust decoding
-        already masked the minority, re-issuing is about *evicting* it.
         """
         sharing = self.sharing(table_name)
         residual = None
@@ -1551,11 +1567,38 @@ class DataSource:
             if rewritten.provably_empty:
                 return []
             residual = rewritten.residual
+        return self._until_unblamed(
+            table_name,
+            lambda blamed: self._decode_rows(
+                sharing,
+                mode,
+                self._read_round(
+                    table_name, rewritten, mode=mode, blamed=blamed,
+                    **round_args,
+                ),
+                residual,
+                cache_epoch,
+            ),
+        )
+
+    def _decode_rows(
+        self,
+        sharing: TableSharing,
+        mode: str,
+        responses: Dict[int, Dict],
+        residual: Optional[Predicate] = None,
+        cache_epoch: Optional[int] = None,
+    ) -> Tuple[List[Tuple[int, Row]], List[int]]:
+        """One round's ``{"rows": ShareRows}`` responses decoded as ``mode``
+        prescribes: ``(pairs, blamed provider indexes)``.  Only a checked
+        decode ever blames."""
+        if mode == _CHECKED:
+            return reconstruct_rows_checked(
+                sharing, responses, residual=residual, cost=self.cost
+            )
         if mode == _ROBUST:
             pairs: List[Tuple[int, Row]] = []
-            aligned = self._read_shares(
-                table_name, rewritten, mode=mode, **round_args
-            )
+            aligned = align_by_row_id(rows_from_responses(responses))
             for row_id, share_rows in aligned.items():
                 if len(share_rows) < self.threshold:
                     continue  # injected row ids from a minority are dropped
@@ -1566,50 +1609,38 @@ class DataSource:
                 )
                 if residual is None or residual.matches(row):
                     pairs.append((row_id, row))
-            return pairs
-        if mode != _CHECKED:
-            responses = self._read_round(
-                table_name, rewritten, mode=mode, **round_args
-            )
-            if mode == _AUDITED:
-                self.audit.verify_responses(table_name, responses)
-            return reconstruct_rows(
-                sharing,
-                responses,
-                residual=residual,
-                cost=self.cost,
-                strict=mode == _AUDITED,
-                row_cache=self.row_cache,
-                cache_epoch=cache_epoch,
-            )
+            return pairs, []
+        if mode == _AUDITED:
+            self.audit.verify_responses(sharing.schema.name, responses)
+        return reconstruct_rows(
+            sharing,
+            responses,
+            residual=residual,
+            cost=self.cost,
+            strict=mode == _AUDITED,
+            row_cache=self.row_cache,
+            cache_epoch=cache_epoch,
+        ), []
+
+    def _until_unblamed(self, table_name: str, attempt: Callable[[set], Tuple]):
+        """``attempt(blamed so far)`` → ``(result, newly blamed)``, run
+        until a round blames nobody — the checked re-issue loop.
+
+        A round that blames providers quarantines them and is re-issued
+        without them; the loop is bounded by the cluster size and the
+        last round's result is returned regardless — robust decoding
+        already masked the minority, re-issuing is about *evicting* it.
+        """
         blamed_total: set = set()
         for _ in range(max(1, self.cluster.n_providers)):
-            responses = self._read_round(
-                table_name, rewritten, mode=mode, blamed=blamed_total,
-                **round_args,
-            )
-            pairs, blamed = reconstruct_rows_checked(
-                sharing, responses, residual=residual, cost=self.cost
-            )
+            result, blamed = attempt(blamed_total)
             if not blamed:
                 break
-            self._evict_blamed(table_name, blamed, blamed_total)
-        return pairs
-
-    def _evict_blamed(
-        self, table_name: str, blamed: List[int], blamed_total: set
-    ) -> None:
-        """Quarantine a checked round's blamed providers before re-issuing."""
-        for index in blamed:
-            self.cluster.health.quarantine(index, reason="blamed")
-        blamed_total.update(blamed)
-        telemetry.count("verified.reissued", table=table_name)
-
-    def _record_rewrite_cost(
-        self, rewritten: RewrittenPredicate, n_targets: int
-    ) -> None:
-        # two share evaluations (low & high endpoint) per interval per target
-        self.cost.record("poly_eval", 2 * len(rewritten.intervals) * n_targets)
+            for index in blamed:
+                self.cluster.health.quarantine(index, reason="blamed")
+            blamed_total.update(blamed)
+            telemetry.count("verified.reissued", table=table_name)
+        return result
 
     # ---------------------------------------------------------------- joins --
 
@@ -1649,6 +1680,8 @@ class DataSource:
         right_rw = self._rewrite(right_pred.bind(right.schema), right)
         if left_rw.provably_empty or right_rw.provably_empty:
             return []
+        # quorum or checked, exactly like a row read
+        mode = _CHECKED if self.verified_reads else _QUORUM
         if not compatible:
             if not self.client_join_fallback:
                 raise UnsupportedQueryError(
@@ -1658,120 +1691,58 @@ class DataSource:
                     "shares of the same domain (Sec. V-A); enable "
                     "client_join_fallback to join at the client instead"
                 )
-            return self._client_side_join(query, left_rw, right_rw, residual)
-        # quorum or checked, exactly like a row read: a verified join
-        # re-issues without the providers its pair cross-check blamed
-        mode = _CHECKED if self.verified_reads else _QUORUM
-        blamed_total: set = set()
-        rows: List[Row] = []
-        for _ in range(max(1, self.cluster.n_providers)):
-            targets = self._read_targets(mode, blamed_total)
-            self._record_rewrite_cost(left_rw, len(targets))
-            self._record_rewrite_cost(right_rw, len(targets))
-            responses = self._broadcast(
-                "join",
-                lambda i: {
-                    "left": query.left_table,
-                    "right": query.right_table,
-                    "left_column": query.left_column,
-                    "right_column": query.right_column,
-                    "left_conditions": left_rw.conditions_for(left, i),
-                    "right_conditions": right_rw.conditions_for(right, i),
-                    "projection_left": None,
-                    "projection_right": None,
-                },
-                minimum=self.threshold,
-                provider_indexes=targets,
-                quorum="all" if mode == _CHECKED else "first_k",
-                failover=self.failover,
+            return self._client_side_join(
+                query, mode, left_rw, right_rw, residual
             )
-            rows, blamed = self._decode_join(
-                query, left, right, residual, responses, mode == _CHECKED
+
+        def request(i: int) -> Dict:
+            return {
+                "left": query.left_table,
+                "right": query.right_table,
+                "left_column": query.left_column,
+                "right_column": query.right_column,
+                "left_conditions": left_rw.conditions_for(left, i),
+                "right_conditions": right_rw.conditions_for(right, i),
+            }
+
+        def attempt(blamed: set):
+            # the providers matched on shares and answered with each
+            # side's matched rows: two row reads in one round, decoded
+            # like any other
+            responses = self._threshold_round(
+                "join", request, (left_rw, right_rw), mode=mode, blamed=blamed
             )
-            if not blamed:
-                break
-            self._evict_blamed(query.left_table, blamed, blamed_total)
-        return rows
-
-    def _decode_join(
-        self,
-        query: JoinSelect,
-        left: TableSharing,
-        right: TableSharing,
-        residual: Predicate,
-        responses: Dict[int, Dict],
-        checked: bool,
-    ) -> Tuple[List[Row], List[int]]:
-        """Align joined pairs across providers by (left_id, right_id),
-        decode both sides, filter; returns ``(rows, blamed_indexes)``.
-
-        With ``checked`` (verified reads) pair presence follows the same
-        strict-majority rule as row presence in
-        :func:`reconstruct_rows_checked` and each side of every surviving
-        pair is decoded with blame; without it nobody is ever blamed.
-        """
-        aligned: Dict[Tuple[int, int], Dict[int, Tuple[ShareRow, ShareRow]]] = {}
-        for index, response in responses.items():
-            for lid, rid, lrow, rrow in response["rows"]:
-                aligned.setdefault((lid, rid), {})[index] = (lrow, rrow)
-        responding = set(responses)
-        blamed: set = set()
-        results: List[Row] = []
-        pairs: List[Dict[int, Tuple[ShareRow, ShareRow]]] = []
-        for pair_ids, per_provider in sorted(aligned.items()):
-            if checked and not presence_majority(
-                "join pair", pair_ids, set(per_provider), responding, blamed
+            sides, blamed_now = [], set()
+            for key, sharing, rewritten in (
+                ("left", left, left_rw), ("right", right, right_rw),
             ):
-                continue
-            if len(per_provider) >= self.threshold:
-                pairs.append(per_provider)
+                pairs, side_blamed = self._decode_rows(
+                    sharing,
+                    mode,
+                    {i: {"rows": r[key]} for i, r in responses.items()},
+                    rewritten.residual,
+                )
+                sides.append(pairs)
+                blamed_now.update(side_blamed)
+            return sides, sorted(blamed_now)
 
-        def _decode_pair(per_provider) -> None:
-            sides: List[Row] = []
-            bad: set = set()
-            for side, sharing in enumerate((left, right)):
-                share_rows = {i: pair[side] for i, pair in per_provider.items()}
-                if checked:
-                    row, side_bad = sharing.reconstruct_row_checked(
-                        share_rows, suspects=blamed
-                    )
-                    bad.update(side_bad)
-                else:
-                    row = sharing.reconstruct_row(share_rows)
-                sides.append(row)
-            if bad:
-                telemetry.count("faults.detected", kind="tamper")
-                blamed.update(bad)
-            self.cost.record("interpolate", len(sides[0]) + len(sides[1]))
-            merged = _qualified_pair(query, *sides)
-            if residual.matches(merged):
-                results.append(merged)
-
-        # ambiguous robust votes (possible at exactly k+1 shares) defer
-        # until blame from the other pairs has accumulated, then re-raise
-        # if the evidence still cannot break the tie
-        deferred = []
-        for per_provider in pairs:
-            try:
-                _decode_pair(per_provider)
-            except ReconstructionError:
-                if not checked:
-                    raise
-                deferred.append(per_provider)
-        for per_provider in deferred:
-            _decode_pair(per_provider)
-        return _project_qualified(results, query.columns), sorted(blamed)
+        left_pairs, right_pairs = self._until_unblamed(
+            query.left_table, attempt
+        )
+        return hash_join(query, left_pairs, right_pairs, residual)
 
     def _client_side_join(
         self,
         query: JoinSelect,
+        mode: str,
         left_rw: RewrittenPredicate,
         right_rw: RewrittenPredicate,
         residual: Predicate,
     ) -> List[Row]:
-        """Fetch both sides and hash-join at the client (fallback path)."""
-        left = self._read_rows(query.left_table, _QUORUM, left_rw)
-        right = self._read_rows(query.right_table, _QUORUM, right_rw)
+        """Fetch both sides in ``mode`` and hash-join at the client (the
+        fallback for keys the providers cannot match)."""
+        left = self._read_rows(query.left_table, mode, left_rw)
+        right = self._read_rows(query.right_table, mode, right_rw)
         self.cost.record("compare", len(left) + len(right))
         return hash_join(query, left, right, residual)
 
@@ -1870,10 +1841,9 @@ class DataSource:
 
     def _explain_join(self, query: JoinSelect) -> Dict[str, object]:
         _, _, compatible = self._plan_join(query)
-        mode = _QUORUM
+        mode = _CHECKED if self.verified_reads else _QUORUM
         if compatible:
             strategy = "provider-side hash join on deterministic shares"
-            mode = _CHECKED if self.verified_reads else _QUORUM
         elif self.client_join_fallback:
             strategy = "fetch both sides, hash join at the client"
         else:

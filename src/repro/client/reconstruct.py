@@ -4,7 +4,9 @@ After the cluster fans a rewritten query out, each provider returns its
 share rows as one column-major :class:`~repro.sim.network.ShareRows`,
 keyed by client-assigned row ids.  Reconstruction aligns rows by id
 across the quorum, interpolates each column, and re-applies any
-client-side residual predicate.
+client-side residual predicate.  A provider-matched join answers with
+two of them — each side's matched rows — and each is decoded here like
+any other row read; there is no pair decode.
 
 The quorum and audited reads (:func:`reconstruct_rows`) stay column-major
 end to end: rows are aligned by *position* — when every responder
@@ -186,11 +188,11 @@ def reconstruct_rows(
 
 
 def presence_majority(
-    kind: str, key: object, present: set, responding: set, blamed: set
+    row_id: int, present: set, responding: set, blamed: set
 ) -> bool:
-    """Strict-majority presence vote on one result item (a row, a joined pair).
+    """Strict-majority presence vote on one result row.
 
-    Returns whether the item is real.  Providers that omitted an item a
+    Returns whether the row is real.  Providers that omitted a row a
     strict majority returned — or fabricated one a strict majority did
     not — are added to ``blamed``; an exact tie raises, there is no
     majority to trust.
@@ -199,7 +201,7 @@ def presence_majority(
     if not absent:
         return True
     if len(present) * 2 > len(responding):
-        # majority returned the item: the absentees omitted it
+        # majority returned the row: the absentees omitted it
         for index in sorted(absent):
             telemetry.count(
                 "faults.detected", kind="omission", provider=str(index)
@@ -207,12 +209,12 @@ def presence_majority(
         blamed.update(absent)
         return True
     if len(present) * 2 < len(responding):
-        # majority did not return it: the item is fabricated
+        # majority did not return it: the row is fabricated
         telemetry.count("faults.detected", kind="fabrication")
         blamed.update(present)
         return False
     raise ReconstructionError(
-        f"{kind} {key}: presence tie — providers {sorted(present)} "
+        f"row {row_id}: presence tie — providers {sorted(present)} "
         f"returned it, {sorted(absent)} did not; no majority to decide"
     )
 
@@ -269,7 +271,7 @@ def reconstruct_rows_checked(
 
         for row_id, share_rows in aligned.items():
             if not presence_majority(
-                "row", row_id, set(share_rows), responding, blamed
+                row_id, set(share_rows), responding, blamed
             ):
                 continue
             if len(share_rows) < threshold:

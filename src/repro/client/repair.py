@@ -174,10 +174,8 @@ def _repair_table(
     # k+1 sources (one redundant share so a tampering source can be
     # blamed and dropped), never the target itself (its shares are
     # suspect)
-    aligned = source._read_shares(
-        table_name,
-        method="scan",
-        targets=cluster.read_quorum(extra=1, exclude=(provider_index,)),
+    aligned = source.scan_share_rows(
+        table_name, extra=1, exclude=(provider_index,)
     )
     rebuilt: List[Tuple[int, ShareRow]] = []
     for row_id, share_rows in aligned.items():
@@ -227,10 +225,8 @@ def verify_repair(source, provider_index: int) -> Dict[str, Dict[str, int]]:
         target_count = source._call_one(
             provider_index, "row_count", {"table": table_name}
         )["count"]
-        aligned = source._read_shares(
-            table_name,
-            method="scan",
-            targets=source.cluster.read_quorum(exclude=(provider_index,)),
+        aligned = source.scan_share_rows(
+            table_name, exclude=(provider_index,)
         )
         quorum_rows = sum(
             1

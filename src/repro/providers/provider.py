@@ -17,8 +17,9 @@ aggregation, and join probes read per-column share arrays by slot.  Rows
 that leave the provider through ``select`` / ``get_rows`` / ``scan`` /
 ``scan_asof`` leave as one column-major
 :class:`~repro.sim.network.ShareRows` — one gather per column, no row
-dict; only the join's pairs and the MIN/MAX/MEDIAN nomination are still
-materialized as dicts.
+dict — and ``join`` answers with two of them, each side's distinct
+matched rows in ascending row id (the client pairs them up); only the
+one-row MIN/MAX/MEDIAN nomination is still a dict.
 Cost accounting for aggregates records the **actual share reads** — one
 ``compare`` per column cell examined — so a request whose filter matched
 nothing (or whose aggregate column the table does not store) charges
@@ -60,7 +61,7 @@ rewriter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..core import kernels
@@ -374,7 +375,7 @@ class ShareProvider:
         self._note_dispatch("select", rows is not None)
         if rows is None:
             rows = self._select_scalar(table, request)
-        return self._rows_response(rows)
+        return self._rows_response(rows=rows)
 
     def _select_scalar(self, table: ShareTable, request: Dict) -> ShareRows:
         """The scalar select engine — the always-on correctness oracle."""
@@ -415,7 +416,7 @@ class ShareProvider:
         table = self.store.table(request["table"])
         present = [rid for rid in request["row_ids"] if table.has_row(rid)]
         return self._rows_response(
-            self._project_many(table, present, request.get("projection"))
+            rows=self._project_many(table, present, request.get("projection"))
         )
 
     def _rpc_scan(self, request: Dict) -> Dict:
@@ -426,7 +427,7 @@ class ShareProvider:
             rows = self._project_many(
                 table, table.all_row_ids(), request.get("projection")
             )
-        return self._rows_response(rows)
+        return self._rows_response(rows=rows)
 
     def _rpc_scan_asof(self, request: Dict) -> Dict:
         """Full share-row scan as of a past client mutation epoch.
@@ -440,7 +441,7 @@ class ShareProvider:
         self.cost.record("compare", len(table.history))
         row_ids = sorted(historical)
         return self._rows_response(
-            ShareRows(
+            rows=ShareRows(
                 row_ids,
                 tuple(table.columns),
                 [
@@ -530,7 +531,7 @@ class ShareProvider:
             chosen = ordered[-1]
         else:  # median (lower-median convention, matches the executor)
             chosen = ordered[(len(ordered) - 1) // 2]
-        row = (chosen, self._project(table, chosen, None))
+        row = (chosen, table.get(chosen))
         row = self._apply_result_faults([row])
         return {"row": row[0] if row else None, "count": len(ordered)}
 
@@ -640,7 +641,7 @@ class ShareProvider:
                     else:
                         chosen = ordered[(len(ordered) - 1) // 2]
                     payload = {
-                        "row": [chosen, self._project(table, chosen, None)],
+                        "row": [chosen, table.get(chosen)],
                         "count": len(ordered),
                     }
             out.append([group_share, payload])
@@ -684,8 +685,8 @@ class ShareProvider:
             right, request.get("right_conditions") or []
         )
         # hash join on deterministic share equality (Sec. V-A): build and
-        # probe straight off the join-column arrays, materializing row
-        # dicts only for matched pairs
+        # probe straight off the join-column arrays; each side answers
+        # with its distinct matched rows and the client pairs them up
         right_array = right.column_array(right_column)
         build: Dict[int, List[int]] = {}
         for rid, slot in zip(right_ids, right.slots_for(right_ids)):
@@ -694,32 +695,17 @@ class ShareProvider:
                 build.setdefault(share, []).append(rid)
         self.cost.record("compare", len(right_ids) + len(left_ids))
         left_array = left.column_array(left_column)
-        pairs: List[Tuple[int, int]] = []
+        matched_left: List[int] = []
+        matched_right: Set[int] = set()
         for lid, slot in zip(left_ids, left.slots_for(left_ids)):
-            share = left_array[slot]
-            if share is None:
-                continue
-            for rid in build.get(share, ()):
-                pairs.append((lid, rid))
-        joined: List[Tuple[int, int, ShareRow, ShareRow]] = []
-        if pairs:
-            left_rows = self._rows_by_id(
-                left, [lid for lid, _ in pairs], request.get("projection_left")
-            )
-            right_rows = self._rows_by_id(
-                right, [rid for _, rid in pairs], request.get("projection_right")
-            )
-            joined = [
-                (lid, rid, left_rows[lid], right_rows[rid])
-                for lid, rid in pairs
-            ]
-        if self.fault is not None:
-            joined = self.fault.filter_rows(joined)
-            joined = [
-                (lid, rid, self.fault.corrupt_row(lrow), self.fault.corrupt_row(rrow))
-                for lid, rid, lrow, rrow in joined
-            ]
-        return {"rows": joined}
+            partners = build.get(left_array[slot])  # a NULL is never a key
+            if partners:
+                matched_left.append(lid)
+                matched_right.update(partners)
+        return self._rows_response(
+            left=self._project_many(left, matched_left, None),
+            right=self._project_many(right, sorted(matched_right), None),
+        )
 
     # -- trust-layer RPCs ----------------------------------------------------------------
 
@@ -1009,7 +995,7 @@ class ShareProvider:
         else:  # median (lower-median convention, matches the executor)
             offset = np.partition(located, (m - 1) // 2)[(m - 1) // 2]
         chosen = int(table.indexes[column].vector_entries()[0][offset])
-        row = (chosen, self._project(table, chosen, None))
+        row = (chosen, table.get(chosen))
         row = self._apply_result_faults([row])
         return {"row": row[0] if row else None, "count": m}
 
@@ -1345,19 +1331,6 @@ class ShareProvider:
             row_ids = self._matching_row_ids_unordered(table, conditions)
         return self._column_values(table, column, row_ids)
 
-    def _project(
-        self, table: ShareTable, row_id: int, projection: Optional[List[str]]
-    ) -> ShareRow:
-        if projection is None:
-            return table.get(row_id)
-        unknown = set(projection) - set(table.columns)
-        if unknown:
-            raise QueryError(f"unknown projection columns {sorted(unknown)}")
-        slot = table.slot_of(row_id)
-        return {
-            column: table.column_array(column)[slot] for column in projection
-        }
-
     def _project_many(
         self,
         table: ShareTable,
@@ -1377,34 +1350,15 @@ class ShareProvider:
                 raise QueryError(f"unknown projection columns {sorted(unknown)}")
         return table.gather(row_ids, table.slots_for(row_ids), projection)
 
-    def _rows_by_id(
-        self,
-        table: ShareTable,
-        row_ids: List[int],
-        projection: Optional[List[str]],
-    ) -> Dict[int, ShareRow]:
-        """Materialized rows for each *distinct* id in ``row_ids``.
-
-        Join pair assembly: a row matched by many pairs is built once and
-        the same dict is shared across pairs (results are read-only —
-        fault tampering builds fresh dicts).
-        """
-        if projection is None:
-            columns = None
-        else:
-            unknown = set(projection) - set(table.columns)
-            if unknown:
-                raise QueryError(f"unknown projection columns {sorted(unknown)}")
-            columns = list(projection)
-        distinct = list(dict.fromkeys(row_ids))
-        rows = table.materialize_rows(table.slots_for(distinct), columns)
-        return dict(zip(distinct, rows))
-
-    def _rows_response(self, rows: ShareRows) -> Dict:
-        """A row-returning RPC's response, result faults applied."""
+    def _rows_response(self, **rows: ShareRows) -> Dict:
+        """A row-returning RPC's response, result faults applied to each
+        of its share-row values in turn."""
         if self.fault is not None:
-            rows = self.fault.corrupt_share_rows(rows)
-        return {"rows": rows}
+            rows = {
+                key: self.fault.corrupt_share_rows(value)
+                for key, value in rows.items()
+            }
+        return rows
 
     def _apply_result_faults(self, rows: List[Tuple[int, ShareRow]]):
         """Result faults on a MIN/MAX/MEDIAN nomination's one dict row."""

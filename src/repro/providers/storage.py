@@ -18,8 +18,8 @@ number, with a row-id↔slot map on the side::
 Scans, aggregation, and join probes read the column arrays directly, and
 result rows leave the provider the way they are stored: one column-major
 :class:`~repro.sim.network.ShareRows` gathered per column
-(:meth:`ShareTable.gather`).  A row dict is materialized only for a
-join's pairs and the ``rows`` inspection view.  Deletes swap the last
+(:meth:`ShareTable.gather`).  A row dict is materialized only for the
+``rows`` inspection view and a one-row ``get``.  Deletes swap the last
 slot into the hole, so slots stay dense and column arrays never carry
 tombstones.
 
@@ -99,54 +99,6 @@ _UNSET = object()
 #: m memmoves of half the index against one refcounted copy of all of it
 #: cross near m = 64, at 2k, 20k and 100k entries alike.
 _INSORT_BATCH = 32
-
-
-def _compile_materializer(columns: Tuple[str, ...]):
-    """Compile a batch row materializer specialized to one column list.
-
-    Per-key dict assembly in a generic loop can never match the old
-    row-store's C-level ``dict(row)`` clone, so — as compiling query
-    engines do — we generate the loop for the exact schema: a single
-    list comprehension whose body is a constant-key dict display reading
-    straight out of the column arrays.  Column names are embedded with
-    ``repr``, so arbitrary strings are safe.
-    """
-    if not columns:
-        return lambda slots: [{} for _ in slots]
-    args = ", ".join(f"_a{i}" for i in range(len(columns)))
-    entries = ", ".join(
-        f"{column!r}: _a{i}[s]" for i, column in enumerate(columns)
-    )
-    source = (
-        f"def _materialize(slots, {args}):\n"
-        f"    return [{{{entries}}} for s in slots]\n"
-    )
-    namespace: Dict[str, object] = {}
-    exec(source, namespace)  # noqa: S102 - schema-derived, repr-escaped
-    return namespace["_materialize"]
-
-
-#: Compiled materializers keyed by column tuple, shared across every
-#: table of every provider in the process: the generated code reads only
-#: from the positional array arguments, so it is schema-shaped, not
-#: table-bound — n providers serving the same schema compile it once.
-_MATERIALIZERS: Dict[Tuple[str, ...], object] = {}
-
-
-def materializer_for(columns: Tuple[str, ...]):
-    """The (cached) compiled batch materializer for one column tuple."""
-    materialize = _MATERIALIZERS.get(columns)
-    if materialize is None:
-        if len(_MATERIALIZERS) >= 128:
-            _MATERIALIZERS.clear()
-        materialize = _compile_materializer(columns)
-        _MATERIALIZERS[columns] = materialize
-    return materialize
-
-
-def materializer_cache_size() -> int:
-    """Number of compiled materializers alive (test/inspection hook)."""
-    return len(_MATERIALIZERS)
 
 
 class SortedShareIndex:
@@ -901,23 +853,6 @@ class ShareTable:
             shares = [()] * len(names)
         return ShareRows(row_ids, names, shares)
 
-    def materialize_rows(
-        self, slots: List[int], columns: Optional[List[str]] = None
-    ) -> List[ShareRow]:
-        """Row dicts for the given slots, via the compiled materializer.
-
-        ``columns`` (default: the full schema) must name existing columns
-        — callers validate projections.  Materializers are compiled once
-        per distinct column tuple in the process-wide module cache
-        (:func:`materializer_for`) and shared across tables and provider
-        instances.
-        """
-        key = tuple(self.columns if columns is None else columns)
-        materialize = materializer_for(key)
-        if not key:
-            return materialize(slots)
-        return materialize(slots, *(self._column_data[column] for column in key))
-
     @property
     def rows(self) -> Dict[int, ShareRow]:
         """Materialized {row_id: row dict} view, ascending row id.
@@ -926,9 +861,7 @@ class ShareTable:
         construction on version change) — never a per-RPC hot path.
         """
         ordered = self.all_row_ids()
-        return dict(
-            zip(ordered, self.materialize_rows(self.slots_for(ordered)))
-        )
+        return dict(self.gather(ordered, self.slots_for(ordered)))
 
     def index_for(self, column: str) -> SortedShareIndex:
         try:

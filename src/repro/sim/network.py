@@ -29,7 +29,9 @@ stores columns and the client's kernels interpolate columns, and its
 byte.  Only the in-process carrier is columnar; the wire format — and so
 every byte count and the modelled clock — is unchanged.  A column-major
 wire *format* (column names once per response instead of once per row)
-would be a declared change to those numbers and is not made here.
+would be a declared change to those numbers and is not made here.  A
+``join`` response is the dict ``{"left": rows, "right": rows}`` of two
+such values — each side's matched rows once, no pair list.
 
 Modelled transfer time = RTT/2 per message + bytes / bandwidth, using the
 latency model's constants; benchmarks report both raw bytes and modelled

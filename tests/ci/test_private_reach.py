@@ -22,8 +22,7 @@ SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 #: (module path under src/repro, private attribute) still reached into from
 #: outside its owner.  Shrink only.
 ALLOWED = {
-    # repair rebuilds share rows below the read pipeline's decode step
-    ("client/repair.py", "_read_shares"),
+    # repair rewrites one provider's tables directly
     ("client/repair.py", "_call_one"),
     # snapshot save/restore of client state that has no public setter
     ("persistence.py", "_rng"),

@@ -172,5 +172,11 @@ class TestExplainMatchesExecution:
         spy = BroadcastSpy(dep.cluster)
         dep.source.join(query)
         assert plan["strategy"] == "fetch both sides, hash join at the client"
+        # both sides are read in the statement's mode: verified_reads
+        # cross-checks the fallback join like every other read
+        assert plan["mode"] == ("checked" if verified_reads else "quorum")
+        assert len(plan["read_quorum"]) == (5 if verified_reads else 3)
         assert [r[0] for r in spy.rounds] == ["select", "select"]
-        assert all(r[1] == plan["read_quorum"] for r in spy.rounds)
+        for _, targets, _, wait in spy.rounds:
+            assert targets == plan["read_quorum"]
+            assert wait == ("all" if verified_reads else "first_k")

@@ -8,7 +8,8 @@ the byte count, message count, modelled clock and client/provider
 (``read_pipeline_golden.json``, section ``"parent"``).
 
 The only permitted differences from the parent are the three bugs the
-refactor fixes, enumerated in ``BUGFIX_DELTAS`` below; their post-fix
+refactor fixed and the ISSUE-20 join changes (one declared wire delta,
+one bugfix), enumerated in ``BUGFIX_DELTAS`` below; their post-change
 numbers live in the golden file's ``"fixed"`` section.
 
 Regenerate (only on purpose)::
@@ -45,7 +46,8 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "read_pipeline_golden.json
 SEED = 11
 
 #: Scenario-id prefixes whose numbers differ from the parent commit on
-#: purpose — the three ISSUE-12 bugfixes — and why.
+#: purpose — the three ISSUE-12 bugfixes and the two ISSUE-20 join
+#: changes — and why.
 BUGFIX_DELTAS = {
     # 1. ORDER BY / LIMIT silently dropped: the parent returned every
     #    matching row in row-id order from these two entry points
@@ -64,11 +66,24 @@ BUGFIX_DELTAS = {
     #    ``explain`` strings move; accounting is unchanged)
     "select/client_order": "explain: limit behind a client sort runs at the client",
     "select_checked/": "explain: reports the checked mode's quorum and client-side strategy",
-    "join_checked/": "explain: reports the checked mode's quorum",
+    "join_checked/": (
+        "explain: reports the checked mode's quorum; ISSUE-20 join wire delta"
+    ),
     "select/provably_empty": "explain: no provider round is claimed for a provably empty query",
     "select/count_empty": "explain: no provider round is claimed for a provably empty query",
     "select/sum_empty": "explain: no provider round is claimed for a provably empty query",
     "select/group_empty": "explain: no provider round is claimed for a provably empty query",
+    # 4. ISSUE-20, declared wire delta: a provider-matched join answers
+    #    {"left": ShareRows, "right": ShareRows} instead of one pair list
+    #    (+11 + 4P bytes per response for P one-partner pairs) and its
+    #    request drops the two constant-None projection fields (-37 bytes);
+    #    messages, cost snapshots and results do not move (pinned by
+    #    test_fault_free_join_moves_by_the_declared_wire_delta)
+    "join/plain": "ISSUE-20 join wire delta: two row lists, no projection fields",
+    "join/filtered": "ISSUE-20 join wire delta: two row lists, no projection fields",
+    # 5. ISSUE-20 bugfix: the client-side fallback join hard-coded the
+    #    quorum mode, so verified_reads skipped its cross-check
+    "join_client_checked/": "fallback join reads both sides in checked mode under verified_reads",
 }
 
 ROW_SHAPES = {
@@ -455,6 +470,30 @@ def test_bugfix_deltas_are_the_only_differences():
     for scenario_id in golden["fixed"]:
         assert _bugfix_reason(scenario_id) is not None, scenario_id
         assert golden["fixed"][scenario_id] != golden["parent"][scenario_id]
+
+
+@pytest.mark.parametrize("entry", ["join", "join_checked"])
+@pytest.mark.parametrize("shape", ["plain", "filtered"])
+def test_fault_free_join_moves_by_the_declared_wire_delta(entry, shape):
+    """Per responder: +11 + 4P response bytes, -37 request bytes — and
+    nothing else (every row of these joins has exactly one partner)."""
+    golden = _load_golden()
+    scenario_id = f"{entry}/{shape}/none"
+    parent, fixed = golden["parent"][scenario_id], golden["fixed"][scenario_id]
+    dep = Deployment()
+    pairs = len(dep.oracle.execute(dep.parse(JOIN_SHAPES[shape])))
+    responders = len(fixed["explain"][1])
+    per_responder = 11 + 4 * pairs - 37
+    before, after = parent["accounting"], fixed["accounting"]
+    assert after["bytes"] - before["bytes"] == responders * per_responder
+    # one request leg and one response leg, each waited on once
+    assert after["modelled_seconds"] - before["modelled_seconds"] == pytest.approx(
+        per_responder * 8 / dep.cluster.network.latency.bandwidth_bits_per_second,
+        abs=1e-12,
+    )
+    for untouched in ("messages", "client", "providers"):
+        assert after[untouched] == before[untouched]
+    assert fixed["matches_oracle"] is True
 
 
 def _regenerate(section: str) -> None:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ProviderError, ProviderUnavailableError, QueryError
 from repro.providers.failures import Fault, FailureMode
 from repro.providers.provider import ShareProvider
+from repro.sim.network import measure_bytes
 from repro.sim.rng import DeterministicRNG
 
 
@@ -198,8 +199,14 @@ class TestJoin:
                 "left_column": "k", "right_column": "k",
             },
         )
-        pairs = {(lid, rid) for lid, rid, _, _ in response["rows"]}
-        assert pairs == {(1, 0), (1, 2), (2, 1)}
+        # each side's distinct matched rows, ascending row id: left row 1
+        # has two partners and is shipped once
+        assert list(response["left"]) == [
+            (1, {"k": 2, "x": 20}), (2, {"k": 3, "x": 30}),
+        ]
+        assert list(response["right"]) == [
+            (0, {"k": 2, "y": 200}), (1, {"k": 3, "y": 300}), (2, {"k": 2, "y": 201}),
+        ]
 
     def test_join_with_conditions(self):
         p = self.make_pair()
@@ -211,7 +218,34 @@ class TestJoin:
                 "left_conditions": [{"column": "k", "op": "eq", "low": 3}],
             },
         )
-        assert {(lid, rid) for lid, rid, _, _ in response["rows"]} == {(2, 1)}
+        assert response["left"].row_ids == [2]
+        assert response["right"].row_ids == [1]
+
+    def test_null_keys_never_match(self):
+        p = self.make_pair()
+        p.handle("insert_many", {"table": "L", "rows": [[3, {"k": None, "x": 40}]]})
+        p.handle("insert_many", {"table": "R", "rows": [[3, {"k": None, "y": 400}]]})
+        response = p.handle(
+            "join",
+            {"left": "L", "right": "R", "left_column": "k", "right_column": "k"},
+        )
+        assert response["left"].row_ids == [1, 2]
+        assert response["right"].row_ids == [0, 1, 2]
+
+    def test_empty_match_is_two_empty_row_lists(self):
+        p = self.make_pair()
+        response = p.handle(
+            "join",
+            {
+                "left": "L", "right": "R",
+                "left_column": "k", "right_column": "k",
+                "left_conditions": [{"column": "k", "op": "eq", "low": 1}],
+            },
+        )
+        assert list(response) == ["left", "right"]
+        assert not list(response["left"]) and not list(response["right"])
+        # dict count + "left" + "right" + two empty lists
+        assert measure_bytes(response) == 4 + 6 + 7 + 4 + 4
 
     def test_join_requires_searchable_keys(self):
         p = self.make_pair()

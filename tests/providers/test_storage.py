@@ -366,15 +366,6 @@ class TestColumnarKernels:
         with pytest.raises(ProviderError):
             table.column_array("zzz")
 
-    def test_materialize_rows_full_and_projected(self):
-        table = self.make()
-        slots = table.slots_for([2, 3])
-        assert table.materialize_rows(slots) == [
-            {"a": 20, "v": None},
-            {"a": None, "v": 300},
-        ]
-        assert table.materialize_rows(slots, ["v"]) == [{"v": None}, {"v": 300}]
-
     def test_gather_is_column_major_whatever_the_row_count(self):
         """One share sequence per column, aligned with the row ids: two
         slots and more go through ``itemgetter``, which would answer a
@@ -388,21 +379,11 @@ class TestColumnarKernels:
                 table.values_for_rows("a", row_ids),
                 table.values_for_rows("v", row_ids),
             ]
-            assert list(rows) == list(
-                zip(row_ids, table.materialize_rows(table.slots_for(row_ids)))
-            )
+            assert list(rows) == [(rid, table.get(rid)) for rid in row_ids]
         projected = table.gather([2, 3], table.slots_for([2, 3]), ["v"])
         assert list(projected) == [(2, {"v": None}), (3, {"v": 300})]
         nothing = table.gather([1, 2], table.slots_for([1, 2]), [])
         assert list(nothing) == [(1, {}), (2, {})]
-
-    def test_materializer_safe_for_hostile_column_names(self):
-        # column names are embedded into generated code via repr; quotes
-        # and backslashes must round-trip as data, not as syntax
-        name = "x\"]; import os # '\\"
-        table = ShareTable("T", [name], searchable=[])
-        table.insert(1, {name: 7})
-        assert table.materialize_rows(table.slots_for([1])) == [{name: 7}]
 
 
 class TestShareStore:

@@ -2,9 +2,9 @@
 
 Targeted coverage the property suite doesn't pin down explicitly: the
 limb-plane value mirror and the order mirror on shares wider than any
-machine word, mirror fallback sentinels, the module-level materializer
-cache, dispatch telemetry counters, the narrow-probe rule, and the
-increment fast path's decline edges.  numpy-only tests skip without
+machine word, mirror fallback sentinels, dispatch telemetry counters,
+the narrow-probe rule, and the increment fast path's decline edges.
+numpy-only tests skip without
 ``repro[fast]``.
 """
 
@@ -14,7 +14,6 @@ from repro import telemetry
 from repro.core import kernels
 from repro.core.field import MERSENNE_61
 from repro.errors import ProviderError, QueryError
-from repro.providers import storage
 from repro.providers.provider import ShareProvider
 from repro.providers.storage import ShareTable, SortedShareIndex
 
@@ -58,27 +57,6 @@ def build_provider(rows, searchable=("k",)):
     )
     provider.handle("insert_many", {"table": "T", "rows": rows})
     return provider
-
-
-class TestMaterializerCache:
-    def test_shared_across_tables_and_instances(self):
-        before = storage.materializer_cache_size()
-        t1 = ShareTable("A", ["x", "y"], [])
-        t2 = ShareTable("B", ["x", "y"], [])
-        t1.insert(1, {"x": 5, "y": 6})
-        t2.insert(2, {"x": 7, "y": 8})
-        assert t1.materialize_rows([0], ["x", "y"]) == [{"x": 5, "y": 6}]
-        assert t2.materialize_rows([0], ["x", "y"]) == [{"x": 7, "y": 8}]
-        # both tables compile the same (x, y) key exactly once
-        assert storage.materializer_cache_size() >= before
-        assert storage.materializer_for(("x", "y")) is storage.materializer_for(
-            ("x", "y")
-        )
-
-    def test_distinct_keys_get_distinct_materializers(self):
-        assert storage.materializer_for(("x",)) is not storage.materializer_for(
-            ("y",)
-        )
 
 
 def recombined(limbs):

@@ -17,6 +17,12 @@ the wrong order (or, under ``LIMIT``, the wrong rows).  Their accounting
 must still equal the parent's, and their result must now equal the
 oracle's as an ordered list.
 
+One declared *wire* delta rides on top (ISSUE-20, ``JOIN_WIRE_DELTAS``):
+a co-located join runs the owning group's provider-matched join, whose
+response became two row lists and whose request lost two constant
+fields.  Those scenarios must equal the parent once exactly that many
+bytes (and their transfer time) are taken off the owning group.
+
 Regenerate (only on purpose, at the parent commit)::
 
     PYTHONPATH=src python -m tests.sharding.test_router_pipeline
@@ -31,10 +37,16 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.errors import ReproError
+from repro.sim.network import LatencyModel
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
-from tests.sharding.shardutil import build_oracle, build_router, sorted_eids
+from tests.sharding.shardutil import (
+    THRESHOLD,
+    build_oracle,
+    build_router,
+    sorted_eids,
+)
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "router_pipeline_golden.json"
@@ -69,6 +81,12 @@ ORDER_DELTAS = {
     "join_projection": "cross-shard join pairs come back in (left id, right id) order",
     "wave": "the wave's multi-owner reads come back in row-id order",
 }
+
+#: Single-owner scenarios that run one provider-matched join of P
+#: one-partner pairs: per responder its response grew by 11 + 4P bytes
+#: (two row lists instead of one pair list) and its request shrank by 37
+#: (the two constant-None projection fields) — nothing else moves.
+JOIN_WIRE_DELTAS = ("join_plain", "join_projection", "wave")
 
 #: ``{where}`` opens a predicate, ``{and_}`` extends one
 READS = {
@@ -352,6 +370,10 @@ def test_router_matches_oracle_and_parent_accounting(scenario_id):
     assert record["ordered"] is True, record
     if record == parent:
         return
+    if shape in JOIN_WIRE_DELTAS and VARIANTS[variant][1]:
+        joined = record["result"][-1] if shape == "wave" else record["result"]
+        _assert_join_wire_delta(record, parent, pairs=len(joined))
+        return
     assert shape in ORDER_DELTAS and not VARIANTS[variant][1], (
         f"{scenario_id} moved off the parent commit's numbers and is not an "
         f"enumerated ordering delta:\n parent {parent}\n now    {record}"
@@ -359,6 +381,26 @@ def test_router_matches_oracle_and_parent_accounting(scenario_id):
     # an ordering delta moves the order of the result and nothing else
     assert parent["ordered"] is False, ORDER_DELTAS[shape]
     assert _accounting_only(record) == _accounting_only(parent), ORDER_DELTAS[shape]
+
+
+def _assert_join_wire_delta(record, parent, pairs: int) -> None:
+    """``record`` is ``parent`` plus the declared join delta on one group."""
+    per_responder = 11 + 4 * pairs - 37
+    (moved,) = [
+        (now, before)
+        for now, before in zip(record["groups"], parent["groups"])
+        if now != before
+    ]
+    now, before = moved
+    assert now["bytes"] - before["bytes"] == THRESHOLD * per_responder
+    # one request leg and one response leg, each waited on once
+    assert now["modelled_seconds"] - before["modelled_seconds"] == pytest.approx(
+        per_responder * 8 / LatencyModel().bandwidth_bits_per_second, abs=1e-12
+    )
+    untouched = {**now, "bytes": before["bytes"]}
+    untouched["modelled_seconds"] = before["modelled_seconds"]
+    assert untouched == before
+    assert {**record, "groups": parent["groups"]} == parent
 
 
 def test_golden_covers_exactly_the_scenarios():
