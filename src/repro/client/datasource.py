@@ -19,7 +19,7 @@ Usage::
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
@@ -70,7 +70,7 @@ from .rewriter import (
     rewrite_predicate,
     split_join_predicate,
 )
-from .rowcache import RowCache
+from .rowcache import RowCache, WriteEffect
 
 Row = Dict[str, object]
 
@@ -124,6 +124,9 @@ class WriteOp:
     #: what the statement returns: the assigned row ids of an insert, the
     #: affected-row count of an UPDATE / DELETE / increment
     result: object
+    #: what the write does in plaintext, for the row cache — never sent,
+    #: never logged; ``None`` when the planner does not know the new rows
+    effect: Optional[WriteEffect] = None
 
 
 @dataclass(frozen=True)
@@ -231,7 +234,7 @@ class DataSource:
         #: optional :class:`~repro.service.plancache.PlanCache`; installed
         #: by the service layer, consulted by :meth:`_rewrite`
         self.plan_cache: Optional[object] = None
-        #: epoch-keyed reconstructed-row cache (:mod:`repro.client.rowcache`);
+        #: write-coherent reconstructed-row cache (:mod:`repro.client.rowcache`);
         #: consulted only by plain :meth:`select` — every other read mode
         #: and entry point always goes to the wire
         self.row_cache = RowCache()
@@ -287,6 +290,7 @@ class DataSource:
         request_builder,
         *,
         provider_indexes: Optional[List[int]] = None,
+        effect: Optional[WriteEffect] = None,
         **kwargs,
     ):
         """The single write choke point (ISSUE-8 satellite).
@@ -295,11 +299,12 @@ class DataSource:
         stamped with the table's next mutation epoch (providers tag their
         undo history with it, which is what makes ``as_of_epoch`` reads
         possible), the round is broadcast to the live write targets, and
-        the epoch is bumped — invalidating the plan cache and row cache —
-        even when the round fails partway (some providers may have
-        applied, so cached state must be assumed dead).  ``_broadcast``
-        refuses mutating RPCs issued around this method, so no future
-        write path can forget cache invalidation.
+        the epoch is bumped — invalidating the plan cache and what the
+        write's ``effect`` touched in the row cache — even when the round
+        fails partway (some providers may have applied, so the effect is
+        unknown and the table's cached rows must be assumed dead).
+        ``_broadcast`` refuses mutating RPCs issued around this method,
+        so no future write path can forget cache invalidation.
         """
         stamped = self.table_epoch(table_name) + 1
 
@@ -318,9 +323,12 @@ class DataSource:
             return self._broadcast(
                 method, build, provider_indexes=targets, **kwargs
             )
+        except BaseException:
+            effect = None
+            raise
         finally:
             self._mutation.active -= 1
-            self.bump_table_epoch(table_name, to=stamped)
+            self.bump_table_epoch(table_name, to=stamped, effect=effect)
 
     def control_round(
         self, method: str, request_builder, targets: List[int]
@@ -409,17 +417,23 @@ class DataSource:
         """The table's mutation epoch (bumped by every write path)."""
         return self._table_epochs.get(table_name, 0)
 
-    def bump_table_epoch(self, table_name: str, to: Optional[int] = None) -> int:
+    def bump_table_epoch(
+        self,
+        table_name: str,
+        to: Optional[int] = None,
+        effect: Optional[WriteEffect] = None,
+    ) -> int:
         """Advance a table's epoch, invalidating cached plans and rows.
 
         Every write path funnels through here (insert/update/delete,
         increments, lazy-flush, resync, rotation, and the transaction
         layer's group-commit apply), so this is the single point where
-        *all* epoch-keyed caches — the service plan cache and the
-        reconstructed-row cache — learn that their entries for the table
-        are dead.  ``to`` sets an explicit target epoch (the transaction
-        layer applies WAL-logged epochs; recovery restores high-water
-        marks); epochs never move backwards.
+        the service plan cache learns that its entries for the table are
+        dead and the reconstructed-row cache learns what the write did
+        (``effect``; without one it drops the table).  ``to`` sets an
+        explicit target epoch (the transaction layer applies WAL-logged
+        epochs; recovery restores high-water marks); epochs never move
+        backwards.
         """
         current = self._table_epochs.get(table_name, 0)
         epoch = current + 1 if to is None else max(to, current)
@@ -427,7 +441,7 @@ class DataSource:
         cache = self.plan_cache
         if cache is not None:
             cache.invalidate(table_name)
-        self.row_cache.invalidate(table_name)
+        self.row_cache.apply_write(table_name, epoch, effect)
         return epoch
 
     def _rewrite(self, predicate: Predicate, sharing: TableSharing):
@@ -510,7 +524,9 @@ class DataSource:
                 {"table": table, "row_ids": row_ids}
                 for _ in range(self.cluster.n_providers)
             ]
-            return WriteOp("delete_rows", table, requests, len(row_ids))
+            return WriteOp(
+                "delete_rows", table, requests, len(row_ids), dict.fromkeys(row_ids)
+            )
         # eager: resolve every assignment (deltas included) against the
         # row's current value — the correctness oracle the share-delta
         # path is checked against
@@ -519,10 +535,11 @@ class DataSource:
             schema.column(column)
         pk = schema.primary_key
         changes: List[Tuple[int, Row]] = []
+        effect: WriteEffect = {}
         for row_id, row in matches:
             candidate = dict(row)
             candidate.update(resolve_assignments(row, stmt.assignments))
-            normalised = schema.validate_row(candidate)
+            effect[row_id] = normalised = schema.validate_row(candidate)
             if pk is not None and normalised[pk] != row[pk]:
                 raise SchemaError(
                     f"table {table}: primary key update not supported"
@@ -530,7 +547,7 @@ class DataSource:
             changes.append(
                 (row_id, {column: normalised[column] for column in stmt.assignments})
             )
-        return self.prepare_update_shares(table, changes)
+        return replace(self.prepare_update_shares(table, changes), effect=effect)
 
     def _plan_increment(self, stmt: Update, row_ids: List[int]) -> WriteOp:
         """The share-delta half of :meth:`plan_write`: one op carries every
@@ -568,6 +585,7 @@ class DataSource:
             op.method,
             op.requests.__getitem__,
             provider_indexes=targets,
+            effect=op.effect,
         )
         if self.audit is not None:
             self._mirror_audit(op, targets)
@@ -631,7 +649,9 @@ class DataSource:
             {"table": table_name, "rows": [list(pair) for pair in zip(row_ids, share_rows)]}
             for share_rows in shared
         ]
-        return WriteOp("insert_many", table_name, requests, row_ids)
+        return WriteOp(
+            "insert_many", table_name, requests, row_ids, dict(zip(row_ids, rows))
+        )
 
     def prepare_insert_shares(
         self,
@@ -930,15 +950,12 @@ class DataSource:
             )
         if self.audit is not None:
             self.audit.on_resync(table_name)
-        return len(
-            self.apply_write(
-                self._plan_insert(
-                    table_name,
-                    [row for _, row in rows],
-                    [row_id for row_id, _ in rows],
-                )
-            )
+        op = self._plan_insert(
+            table_name, [row for _, row in rows], [row_id for row_id, _ in rows]
         )
+        # the drop took with it any row the read could not return: not
+        # something an effect describes
+        return len(self.apply_write(replace(op, effect=None)))
 
     # ------------------------------------------------- share-row migration --
 
@@ -1155,12 +1172,12 @@ class DataSource:
         """Plan a row query, fetch its matches in ``mode``, finish them.
 
         With ``replay`` (plain quorum :meth:`select` only) an identical
-        SELECT in the same epoch serves the full rows straight from the
-        row cache — zero provider RPCs.  The signature covers everything
-        that determines the *row set* (predicate + pushed-down
-        order/limit); client-side sort, limit, and projection run
-        identically on replayed rows.  Nothing else replays: verified and
-        robust reads exist to re-examine what the providers actually
+        SELECT that no write since has touched serves the full rows
+        straight from the row cache — zero provider RPCs.  The signature
+        covers everything that determines the *row set* (predicate +
+        pushed-down order/limit); client-side sort, limit, and projection
+        run identically on replayed rows.  Nothing else replays: verified
+        and robust reads exist to re-examine what the providers actually
         return, and :meth:`select_with_ids` feeds writes and audits.
         """
         plan = self._plan_select(query, mode)
@@ -1180,7 +1197,12 @@ class DataSource:
                 cache_epoch=epoch,
             )
             if replay:
-                self.row_cache.store_query(query.table, signature, epoch, pairs)
+                # a pushed LIMIT returns a prefix of the matches: no write
+                # can be shown to leave it alone
+                self.row_cache.store_query(
+                    query.table, signature, epoch, pairs,
+                    None if "limit" in plan.fields else plan.predicate,
+                )
         return finish_rows(query, plan.sharing.schema, pairs)
 
     def _select_aggregate(self, query: Select, plan: _SelectPlan):
@@ -1558,8 +1580,8 @@ class DataSource:
 
         Returns the ``(row_id, plaintext row)`` pairs matching
         ``rewritten`` (every row of the table without one), decoded as
-        ``mode`` prescribes.  ``cache_epoch`` lets a quorum read skip
-        interpolating rows the row cache already holds for that epoch.
+        ``mode`` prescribes.  ``cache_epoch`` — the epoch the read began
+        in — lets a quorum read skip interpolating rows the row cache holds.
         """
         sharing = self.sharing(table_name)
         residual = None

@@ -99,12 +99,13 @@ def reconstruct_rows(
     on the matching row set (used by verified reads); the default silently
     keeps rows with a full quorum, modelling the unverified client.
 
-    When a ``row_cache`` (and its ``cache_epoch``) is supplied, rows the
-    client already reconstructed in this epoch skip interpolation — only
-    the cache-miss subset goes through the batched kernels — and fresh
-    reconstructions are written back.  Verified reads (``strict=True``)
-    never consult the cache: their purpose is to re-examine what the
-    providers actually returned.
+    When a ``row_cache`` (and the ``cache_epoch`` the read began in) is
+    supplied, rows the cache still holds — reconstructed earlier and not
+    touched by a write since — skip interpolation: only the cache-miss
+    subset goes through the batched kernels, and fresh reconstructions
+    are written back.  Verified reads (``strict=True``) never consult
+    the cache: their purpose is to re-examine what the providers
+    actually returned.
     """
     with telemetry.span("reconstruct", table=sharing.schema.name) as sp:
         provider_rows = rows_from_responses(responses)

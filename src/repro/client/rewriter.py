@@ -22,7 +22,7 @@ reconstruction — correct but paid for in bandwidth, which ABL-1 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
@@ -66,26 +66,33 @@ class RewrittenPredicate:
     intervals: List[EncodedInterval]
     residual: Predicate
     provably_empty: bool = False
+    #: sharing polynomial per (scheme, encoded bound): the keyed hashes
+    #: behind one are paid once per statement — not once per provider and
+    #: endpoint, and an equality's two endpoints are one bound
+    _polynomials: Dict = field(default_factory=dict, repr=False, compare=False)
 
     def conditions_for(
         self, sharing: TableSharing, provider_index: int
     ) -> List[Dict]:
         """Share-space condition dicts for one provider."""
-        conditions = []
-        for interval in self.intervals:
-            conditions.append(
-                {
-                    "column": interval.column,
-                    "op": "range",
-                    "low": sharing.query_share_encoded(
-                        interval.column, interval.low, provider_index
-                    ),
-                    "high": sharing.query_share_encoded(
-                        interval.column, interval.high, provider_index
-                    ),
-                }
-            )
-        return conditions
+
+        def share(column: str, bound: int) -> int:
+            scheme = sharing.op_scheme(column)
+            polynomial = self._polynomials.get((scheme, bound))
+            if polynomial is None:
+                polynomial = scheme.polynomial_for(bound)
+                self._polynomials[scheme, bound] = polynomial
+            return polynomial.evaluate(scheme.secrets.point_for(provider_index))
+
+        return [
+            {
+                "column": interval.column,
+                "op": "range",
+                "low": share(interval.column, interval.low),
+                "high": share(interval.column, interval.high),
+            }
+            for interval in self.intervals
+        ]
 
     @property
     def has_residual(self) -> bool:

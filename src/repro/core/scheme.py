@@ -220,12 +220,6 @@ class TableSharing:
             raise QueryError("cannot compute a share of NULL")
         return self.op_scheme(column).share(encoded, provider_index)
 
-    def query_share_encoded(
-        self, column: str, encoded: int, provider_index: int
-    ) -> int:
-        """share for an already-encoded domain integer."""
-        return self.op_scheme(column).share(encoded, provider_index)
-
     # -- reconstruction --------------------------------------------------------------
 
     def reconstruct_value(

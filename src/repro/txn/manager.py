@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import telemetry
@@ -63,6 +63,12 @@ from .wal import WriteAheadLog
 
 Row = Dict[str, object]
 Statement = Union[Insert, Update, Delete]
+#: ``(group, table)`` → what a transaction's statements do to that table
+#: in plaintext, merged in statement order (``None``: not known) — the
+#: :attr:`WriteOp.effect <repro.client.datasource.WriteOp.effect>`\ s the
+#: row cache is told at apply time.  Lives in memory only: the WAL and the
+#: providers see shares, never this.
+Effects = Dict[Tuple[int, str], Optional[Dict[int, Optional[Row]]]]
 
 #: WAL phases a fault-injection harness can kill at (see ``kill_at``)
 KILL_PHASES = ("pre-log", "post-log", "mid-round", "pre-ack", "post-ack")
@@ -76,6 +82,8 @@ class PendingTxn:
     ops: List[Dict]
     tables: Set[str]
     applied: bool = False
+    #: empty for a transaction replayed from the log (effects unknown)
+    effects: Effects = field(default_factory=dict)
 
 
 class TransactionManager:
@@ -163,18 +171,26 @@ class TransactionManager:
         group: int = 0,
         matches: Optional[List[Tuple[int, Row]]] = None,
         epoch: Optional[int] = None,
+        *,
+        effects: Effects,
     ) -> Tuple[List[Dict], object]:
         """One statement on one group, as ``(WAL ops, result)``.
 
         The group's source plans the write; this stamps the planned
         payloads with the next epoch (or the batch's shared ``epoch``)
-        and the group tag — the WAL record's op shape.  A statement that
-        matches nothing logs nothing.
+        and the group tag — the WAL record's op shape — and merges the
+        op's plaintext effect into ``effects``.  A statement that matches
+        nothing logs nothing.
         """
         op = self._group_source(group).plan_write(stmt, matches)
         result = op.result[0] if isinstance(stmt, Insert) else op.result
         if not op.requests:
             return [], result
+        merged = effects.setdefault((group, op.table), {})
+        if merged is None or op.effect is None:
+            effects[group, op.table] = None
+        else:
+            merged.update(op.effect)
         if op.method == "increment_rows":
             telemetry.count("txn.delta_statements", table=op.table)
         if epoch is None:
@@ -188,13 +204,15 @@ class TransactionManager:
         }
         return [logged], result
 
-    def _resolve_statement(self, stmt: Statement) -> Tuple[List[Dict], object]:
-        return self._plan(stmt)
+    def _resolve_statement(
+        self, stmt: Statement, effects: Effects
+    ) -> Tuple[List[Dict], object]:
+        return self._plan(stmt, effects=effects)
 
     # -- atomic batches ----------------------------------------------------------
 
     def _resolve_batch(
-        self, statements: Sequence[Statement]
+        self, statements: Sequence[Statement], effects: Effects
     ) -> Tuple[List[Dict], List[object]]:
         """Resolve a multi-statement batch against a plaintext overlay.
 
@@ -236,7 +254,7 @@ class TransactionManager:
                     if bound.matches(row)
                 ]
             planned, result = self._plan(
-                stmt, matches=matches, epoch=epochs[table]
+                stmt, matches=matches, epoch=epochs[table], effects=effects
             )
             ops += planned
             results.append(result)
@@ -273,8 +291,9 @@ class TransactionManager:
             telemetry.count("txn.read_barriers", table=table)
             self.flush()
 
-    def _log(self, ops: List[Dict]) -> Optional[PendingTxn]:
-        """Assign an id and make the transaction durable (the commit point)."""
+    def _log(self, ops: List[Dict], effects: Effects) -> Optional[PendingTxn]:
+        """Assign an id and make the transaction durable (the commit point);
+        only ``ops`` are logged."""
         if not ops:
             return None
         self._kill("pre-log")
@@ -282,7 +301,9 @@ class TransactionManager:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
             self.wal.log_txn(txn_id, ops)
-            txn = PendingTxn(txn_id, ops, {op["table"] for op in ops})
+            txn = PendingTxn(
+                txn_id, ops, {op["table"] for op in ops}, effects=effects
+            )
             self._pending.append(txn)
             self.txns_logged += 1
         telemetry.count("txn.logged")
@@ -310,8 +331,9 @@ class TransactionManager:
             if isinstance(statement, (Update, Delete)):
                 self._barrier(statement.table)
             with self._resolve_lock:
-                ops, result = self._resolve_statement(statement)
-                txn = self._log(ops)
+                effects: Effects = {}
+                ops, result = self._resolve_statement(statement, effects)
+                txn = self._log(ops, effects)
             if txn is not None and autocommit:
                 self.group_commit.submit(txn.txn_id)
             return result
@@ -330,8 +352,9 @@ class TransactionManager:
             if isinstance(stmt, (Update, Delete, Select)):
                 self._barrier(stmt.table)
         with self._resolve_lock:
-            ops, results = self._resolve_batch(parsed)
-            txn = self._log(ops)
+            effects: Effects = {}
+            ops, results = self._resolve_batch(parsed, effects)
+            txn = self._log(ops, effects)
         if txn is not None:
             self.group_commit.submit(txn.txn_id)
         return results
@@ -422,8 +445,9 @@ class TransactionManager:
         # client-side epoch bumps (cache invalidation + as-of watermark)
         for txn in batch:
             for op in txn.ops:
-                self._group_source(op.get("group", 0)).bump_table_epoch(
-                    op["table"], to=op["epoch"]
+                group, table = op.get("group", 0), op["table"]
+                self._group_source(group).bump_table_epoch(
+                    table, to=op["epoch"], effect=txn.effects.get((group, table))
                 )
         self._kill("pre-ack")
         # phase 3: ack — one fsync for the whole group of transactions
@@ -582,21 +606,25 @@ class ShardedTransactionManager(TransactionManager):
     def _group_source(self, group: int):
         return self.router.groups[group].source
 
-    def _resolve_statement(self, stmt: Statement) -> Tuple[List[Dict], object]:
+    def _resolve_statement(
+        self, stmt: Statement, effects: Effects
+    ) -> Tuple[List[Dict], object]:
         router = self.router
         if isinstance(stmt, Insert):
             row_id = router.reserve_row_ids(stmt.table, 1)
             owner = router.owner_for_row(stmt.table, row_id, stmt.row)
-            return self._plan(stmt, owner, matches=[(row_id, stmt.row)])
+            return self._plan(
+                stmt, owner, matches=[(row_id, stmt.row)], effects=effects
+            )
         ops: List[Dict] = []
         total = 0
         for owner in router.write_owners(stmt):
-            planned, count = self._plan(stmt, owner)
+            planned, count = self._plan(stmt, owner, effects=effects)
             ops += planned
             total += count
         return ops, total
 
-    def _resolve_batch(self, statements):
+    def _resolve_batch(self, statements, effects):
         raise TxnError(
             "atomic batches are not supported on the sharded manager; "
             "issue per-statement transactions (each still crash-safe via "

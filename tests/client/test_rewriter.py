@@ -178,6 +178,38 @@ class TestShareConditions:
         c1 = rewritten.conditions_for(sharing, 1)
         assert c0 != c1  # per-provider rewriting (Sec. V-A)
 
+    @pytest.mark.parametrize(
+        "predicate, bounds",
+        [
+            (Comparison("a", ComparisonOp.EQ, 5), [5]),
+            (Between("a", 10, 20), [10, 20]),
+        ],
+    )
+    def test_a_bound_is_hashed_once_per_statement(
+        self, sharing, monkeypatch, predicate, bounds
+    ):
+        """One sharing polynomial (k−1 keyed hashes) per distinct bound,
+        whatever the number of providers and endpoints; same shares."""
+        providers = range(sharing.n_providers)
+        expected = [
+            [sharing.query_share("a", bound, i) for bound in (bounds[0], bounds[-1])]
+            for i in providers
+        ]
+        scheme = sharing.op_scheme("a")
+        built = []
+        build = scheme.polynomial_for
+        monkeypatch.setattr(
+            scheme, "polynomial_for", lambda value: built.append(value) or build(value)
+        )
+        rewritten = rewrite_predicate(predicate.bind(sharing.schema), sharing)
+        got = [
+            [condition[end] for end in ("low", "high")]
+            for i in providers
+            for condition in rewritten.conditions_for(sharing, i)
+        ]
+        assert got == expected
+        assert built == bounds
+
 
 class TestJoinPredicateSplit:
     def test_partition(self):

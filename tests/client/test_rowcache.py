@@ -1,18 +1,32 @@
-"""The epoch-keyed reconstructed-row cache: hits, invalidation, safety.
+"""The write-coherent reconstructed-row cache: hits, invalidation, safety.
 
 The cache's contract is asymmetric: it may serve *stale performance*
 (fall through to the wire when entries are gone) but never *stale data*
 (serve plaintext from before a write or a re-keying).  These tests pin
-both halves — the zero-RPC replay on a repeated read, and the
-stale-then-invalid lifecycle of a cached row across an epoch bump.
+both halves — the zero-RPC replay on a repeated read, across writes that
+did not touch it, and the stale-then-invalid lifecycle of what a write
+did touch, for every write shape.  ``test_rowcache_coherence.py`` is the
+randomised twin.
 """
+
+import json
 
 import pytest
 
 from repro import telemetry
 from repro.client.datasource import DataSource
 from repro.client.rowcache import RowCache
+from repro.client.updates import LazyUpdateBuffer
+from repro.errors import QuorumError, SimulatedCrash
 from repro.providers.cluster import ProviderCluster
+from repro.providers.failures import Fault, FailureMode
+from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.executor import PlaintextExecutor
+from repro.sqlengine.expression import Between, Comparison, ComparisonOp
+from repro.sqlengine.schema import TableSchema, integer_column, string_column
+from repro.sqlengine.sqlparser import parse_sql
+from repro.sqlengine.table import Table
+from repro.txn import TransactionManager
 from repro.workloads.employees import employees_table
 
 
@@ -41,11 +55,26 @@ class TestUnitRowCache:
         got["a"] = 5  # caller mutates the served copy
         assert cache.get_row("t", 1, 0) == {"a": 1}
 
-    def test_epoch_is_part_of_the_key(self):
+    def test_a_stale_stamp_misses_and_stores_nothing(self):
+        """A read stamps its cache accesses with the epoch it began in; once
+        a write has moved the table on, that read can neither be served
+        nor leave behind the rows and the result it saw."""
         cache = RowCache()
-        cache.put_row("t", 1, 0, {"a": 1})
-        assert cache.get_row("t", 1, 1) is None
-        assert cache.get_row("t", 1, 0) == {"a": 1}
+        cache.store_query("t", ("sig",), 0, [(1, {"a": 1})], Between("a", 1, 1))
+        cache.apply_write("t", 1, {2: {"a": 2}})  # a write that touched neither
+        assert cache.get_row("t", 1, 1) == {"a": 1}
+        assert cache.lookup_query("t", ("sig",), 1) == [(1, {"a": 1})]
+        # the reader that began at epoch 0 raced that write
+        assert cache.get_row("t", 1, 0) is None
+        assert cache.lookup_query("t", ("sig",), 0) is None
+        cache.put_row("t", 3, 0, {"a": "old"})
+        cache.store_query("t", ("raced",), 0, [(4, {"a": "old"})])
+        assert cache.get_row("t", 3, 1) is None
+        assert cache.get_row("t", 4, 1) is None
+        assert cache.lookup_query("t", ("raced",), 1) is None
+        # another table's stamps are its own
+        cache.put_row("u", 3, 0, {"b": 1})
+        assert cache.get_row("u", 3, 0) == {"b": 1}
 
     def test_query_replay_and_member_eviction(self):
         cache = RowCache(row_capacity=2, query_capacity=4)
@@ -71,8 +100,8 @@ class TestUnitRowCache:
             # store_query as it was before it skipped rows already held
             for row_id, row in pairs:
                 cache.put_row(table, row_id, epoch, row)
-            key = (table, signature, epoch)
-            cache._queries[key] = tuple(row_id for row_id, _ in pairs)
+            key = (table, signature)
+            cache._queries[key] = (tuple(row_id for row_id, _ in pairs), None)
             cache._queries.move_to_end(key)
 
         fresh = [(row_id, {"a": row_id}) for row_id in (2, 3, 5, 8, 9, 11)]
@@ -97,11 +126,51 @@ class TestUnitRowCache:
     def test_store_query_does_not_copy_a_row_it_already_holds(self):
         cache = RowCache()
         cache.put_row("t", 1, 0, {"a": 1})
-        held = cache._rows[("t", 1, 0)]
+        held = cache._rows[("t", 1)]
         cache.store_query("t", ("sig",), 0, [(1, {"a": 1}), (2, {"a": 2})])
-        assert cache._rows[("t", 1, 0)] is held
-        assert list(cache._rows) == [("t", 1, 0), ("t", 2, 0)]
+        assert cache._rows[("t", 1)] is held
+        assert list(cache._rows) == [("t", 1), ("t", 2)]
         assert cache.lookup_query("t", ("sig",), 0) == [(1, {"a": 1}), (2, {"a": 2})]
+
+    def test_a_write_effect_drops_the_rows_and_queries_it_touched(self):
+        cache = RowCache()
+        rows = {i: {"a": i} for i in range(1, 7)}
+        cache.store_query("t", ("low",), 0, [(1, rows[1]), (2, rows[2])], Between("a", 1, 2))
+        cache.store_query("t", ("mid",), 0, [(3, rows[3])], Between("a", 3, 4))
+        cache.store_query("t", ("high",), 0, [(5, rows[5]), (6, rows[6])], Between("a", 5, 9))
+        cache.store_query("u", ("low",), 0, [(1, rows[1])], Between("a", 1, 2))
+        # row 2 changed to a = 4, row 6 deleted, row 7 inserted outside every range
+        purged = cache.apply_write("t", 1, {2: {"a": 4}, 6: None, 7: {"a": 50}})
+        # low held row 2; mid is satisfied by the new row 2; high held row 6
+        assert purged == 2 + 3 and cache.stats.invalidated == 5
+        assert [cache.get_row("t", i, 1) for i in (2, 6)] == [None, None]
+        assert [cache.get_row("t", i, 1) for i in (1, 3, 5)] == [rows[1], rows[3], rows[5]]
+        for signature in ("low", "mid", "high"):
+            assert cache.lookup_query("t", (signature,), 1) is None
+        assert cache.lookup_query("u", ("low",), 0) == [(1, rows[1])]
+        # a write that touches no entry's rows and satisfies no predicate
+        cache.store_query("t", ("mid",), 1, [(3, rows[3])], Between("a", 3, 4))
+        assert cache.apply_write("t", 2, {8: {"a": 60}, 9: None}) == 0
+        assert cache.lookup_query("t", ("mid",), 2) == [(3, rows[3])]
+
+    def test_an_entry_without_a_predicate_drops_on_any_write(self):
+        """A plan that pushed ``LIMIT`` stores a prefix of the matches: no
+        write can be shown to leave it alone."""
+        cache = RowCache()
+        cache.store_query("t", ("limit",), 0, [(1, {"a": 1})])
+        cache.store_query("t", ("all",), 0, [(1, {"a": 1})], Between("a", 0, 5))
+        assert cache.apply_write("t", 1, {9: {"a": 77}}) == 1
+        assert cache.lookup_query("t", ("limit",), 1) is None
+        assert cache.lookup_query("t", ("all",), 1) == [(1, {"a": 1})]
+        assert cache.get_row("t", 1, 1) == {"a": 1}
+
+    def test_a_write_without_an_effect_drops_the_table(self):
+        cache = RowCache()
+        cache.store_query("t", ("all",), 0, [(1, {"a": 1})], Between("a", 0, 5))
+        cache.put_row("u", 1, 0, {"b": 2})
+        assert cache.apply_write("t", 1) == 2
+        assert cache.get_row("t", 1, 1) is None
+        assert cache.get_row("u", 1, 0) == {"b": 2}
 
     def test_invalidate_purges_only_that_table(self):
         cache = RowCache()
@@ -112,6 +181,16 @@ class TestUnitRowCache:
         assert purged == 2
         assert cache.get_row("t", 1, 0) is None
         assert cache.get_row("u", 1, 0) == {"b": 2}
+
+    def test_clear_counts_what_it_purges(self):
+        cache = RowCache()
+        cache.store_query("t", ("s",), 0, [(1, {"a": 1}), (2, {"a": 2})])
+        cache.put_row("u", 1, 0, {"b": 2})
+        with telemetry.session() as hub:
+            cache.clear()
+            assert hub.registry.counter_total("rowcache.invalidated") == 4
+        assert cache.stats.invalidated == 4
+        assert len(cache) == 0 and cache.lookup_query("t", ("s",), 0) is None
 
     def test_rejects_degenerate_capacity(self):
         with pytest.raises(ValueError):
@@ -155,50 +234,178 @@ class TestCachedReread:
             assert hub.registry.counter_total("rowcache.row_misses") > 0
 
 
+# ------------------------------------------------- writes against the cache --
+
+ROWS = 12
+
+
+def _accounts_schema() -> TableSchema:
+    return TableSchema(
+        "Accounts",
+        (
+            integer_column("aid", 0, 10_000),
+            integer_column("branch", 1, 100),
+            string_column("owner", 6),
+            integer_column("balance", 0, 1_000_000, searchable=False),
+        ),
+        primary_key="aid",
+    )
+
+
+def _account_rows():
+    # aid i is row id i; branches 1, 8, 15, ... 78
+    return [
+        {"aid": i, "branch": 7 * i + 1, "owner": ("ANNA", "BOB")[i % 2], "balance": 1000 + i}
+        for i in range(ROWS)
+    ]
+
+
+class Accounts:
+    """A 12-row deployment beside its oracle, four SELECTs cached."""
+
+    #: the row every write below touches (branch 22)
+    TOUCHED = "SELECT * FROM Accounts WHERE aid = 3"
+    #: a row and a result no write below touches (branches 71 and 78)
+    UNTOUCHED = "SELECT * FROM Accounts WHERE aid = 8"
+    UNAFFECTED = "SELECT aid, owner FROM Accounts WHERE branch BETWEEN 70 AND 90"
+    #: holds rows 6 and 7; a row written with branch 50 now satisfies it
+    WINDOW = "SELECT aid, branch FROM Accounts WHERE branch BETWEEN 40 AND 60"
+    CACHED = (TOUCHED, UNTOUCHED, UNAFFECTED, WINDOW)
+
+    def __init__(self, tmp_path) -> None:
+        self.cluster = ProviderCluster(n_providers=5, threshold=3)
+        self.source = DataSource(self.cluster, seed=3)
+        self.source.create_table(_accounts_schema())
+        self.source.insert_many("Accounts", _account_rows())
+        catalog = Catalog()
+        catalog.add_table(Table(_accounts_schema(), _account_rows()))
+        self.oracle = PlaintextExecutor(catalog)
+        self.wal_path = str(tmp_path / "accounts.wal")
+        self.manager = TransactionManager(self.source, self.wal_path)
+        for sql in self.CACHED:
+            self.source.sql(sql)
+        assert all(self.replays(sql) for sql in self.CACHED)
+
+    def replays(self, sql: str) -> bool:
+        """``sql`` equals the oracle; True when no provider was asked."""
+        before = _served(self.cluster)
+        assert self.source.sql(sql) == self.oracle.execute(parse_sql(sql)), sql
+        return _served(self.cluster) == before
+
+    def holds_row(self, row_id: int) -> bool:
+        epoch = self.source.table_epoch("Accounts")
+        return self.source.row_cache.get_row("Accounts", row_id, epoch) is not None
+
+
+#: ``WriteOp.method`` -> (statement, cached SELECTs it must drop).  Shares
+#: increments carry no effect and are with the effect-less paths below.
+WRITES = {
+    "insert_many": (
+        "INSERT INTO Accounts (aid, branch, owner, balance) VALUES (50, 50, 'NEW', 5)",
+        {Accounts.WINDOW},
+    ),
+    "update_rows": (
+        "UPDATE Accounts SET branch = 50 WHERE aid = 3",
+        {Accounts.TOUCHED, Accounts.WINDOW},
+    ),
+    "delete_rows": ("DELETE FROM Accounts WHERE aid = 3", {Accounts.TOUCHED}),
+}
+
+
+def _failed_round(dep: Accounts) -> None:
+    dep.cluster.inject_fault(4, Fault(FailureMode.FLAKY))
+    with pytest.raises(QuorumError):
+        dep.source.sql(DELTA)
+    dep.cluster.inject_fault(4, Fault(FailureMode.CRASH))
+
+
+def _crash_and_recover(dep: Accounts) -> None:
+    dep.manager.kill_at = "post-log"
+    with pytest.raises(SimulatedCrash):
+        dep.manager.execute(DELTA)
+    dep.manager.close()
+    dep.manager = TransactionManager(dep.source, dep.wal_path)
+    assert dep.manager.recover()["replayed"] == 1
+
+
+def _empty_merge(dep: Accounts) -> None:
+    dep.source.create_staging_table("Accounts", "Accounts__staging")
+    dep.source.merge_staging_table("Accounts", "Accounts__staging")
+
+
+DELTA = "UPDATE Accounts SET balance = balance + 5 WHERE aid = 3"
+#: every bump that cannot say what changed -> (the path, the statement it
+#: amounts to for the oracle); the lazy flush and secret rotation have
+#: their own tests below
+EFFECTLESS = {
+    "increment_rows": (
+        lambda dep: dep.source.increment(
+            "Accounts", "balance", 5, Comparison("aid", ComparisonOp.EQ, 3)
+        ),
+        DELTA,
+    ),
+    "txn_increment_rows": (lambda dep: dep.manager.execute(DELTA), DELTA),
+    "failed_round": (_failed_round, DELTA),
+    "recover": (_crash_and_recover, DELTA),
+    "merge_table": (_empty_merge, None),
+    "resync": (lambda dep: dep.source.resync_table("Accounts"), None),
+    "refresh": (lambda dep: dep.source.refresh_table_shares("Accounts"), None),
+    "bare_bump": (lambda dep: dep.source.bump_table_epoch("Accounts"), None),
+}
+
+
 class TestStaleThenInvalid:
-    def test_cached_row_goes_stale_then_invalid_on_epoch_bump(self):
-        """Regression (ISSUE 6 satellite): a cached row survives exactly
-        until its table's epoch moves, then is both unreachable (new
-        epoch key) and physically purged."""
-        _, source = _source()
-        rows = source.sql(QUERY)
-        eid = rows[0]["eid"]
-        epoch = source.table_epoch("Employees")
-        cached_ids = [
-            rid for (tbl, rid, ep) in source.row_cache._rows
-            if tbl == "Employees" and ep == epoch
-        ]
-        assert cached_ids, "first read cached nothing"
-        probe = (
-            "Employees", cached_ids[0], epoch,
+    @pytest.mark.parametrize("entry", ["direct", "txn"])
+    @pytest.mark.parametrize("method", sorted(WRITES))
+    def test_write_drops_what_it_touched(self, tmp_path, method, entry):
+        """Regression (ISSUE 6 satellite, per write shape since ISSUE 21):
+        what a write touched is gone from the cache — the row, every
+        result that held it, every result the new row now satisfies —
+        and the next read returns the new value; everything else is
+        still there and replays with zero RPCs."""
+        dep = Accounts(tmp_path)
+        statement, dropped = WRITES[method]
+        planned = dep.source.plan_write(parse_sql(statement))
+        assert planned.method == method and planned.effect
+        invalidated = dep.source.row_cache.stats.invalidated
+        run = dep.source.sql if entry == "direct" else dep.manager.execute
+        run(statement)
+        dep.oracle.execute(parse_sql(statement))
+        assert dep.holds_row(3) == (method == "insert_many")  # it adds a row
+        assert dep.holds_row(8) and dep.holds_row(6)
+        # the touched row (when it was cached as one) + the dropped results
+        assert dep.source.row_cache.stats.invalidated - invalidated == len(dropped) + (
+            method != "insert_many"
         )
-        assert source.row_cache._rows.get(probe) is not None
-        # the write makes every cached entry stale...
-        n = source.sql(
-            f"UPDATE Employees SET salary = 123456 WHERE eid = {eid}"
-        )
-        assert n == 1
-        new_epoch = source.table_epoch("Employees")
-        assert new_epoch == epoch + 1
-        # ...and invalid: purged from the store, not just unreachable
-        assert source.row_cache._rows.get(probe) is None
-        assert len(source.row_cache) == 0
-        assert source.row_cache.stats.invalidated > 0
-        # the next read goes back to the wire and sees the new value
-        fresh = source.sql(QUERY)
-        assert any(r["salary"] == 123456 for r in fresh)
+        for sql in Accounts.CACHED:
+            assert dep.replays(sql) == (sql not in dropped), sql
+        assert all(dep.replays(sql) for sql in Accounts.CACHED)
+
+    @pytest.mark.parametrize("path", sorted(EFFECTLESS))
+    def test_effectless_bump_drops_the_table(self, tmp_path, path):
+        """A bump that cannot describe the write keeps the old behaviour:
+        every row and result of the table goes, the next read is fresh."""
+        dep = Accounts(tmp_path)
+        # another table's entries are not this bump's
+        dep.source.row_cache.put_row("Other", 1, 0, {"x": 1})
+        run, amounts_to = EFFECTLESS[path]
+        run(dep)
+        if amounts_to is not None:
+            dep.oracle.execute(parse_sql(amounts_to))
+        cache = dep.source.row_cache
+        assert len(cache) == 1
+        assert cache.stats.invalidated >= 4 + 6
+        for sql in Accounts.CACHED:
+            assert not dep.replays(sql), sql
+        assert all(dep.replays(sql) for sql in Accounts.CACHED)
 
     def test_lazy_update_flush_invalidates(self):
-        from repro.client.updates import LazyUpdateBuffer
-
         _, source = _source()
         source.sql(QUERY)
         assert len(source.row_cache) > 0
         buffer = LazyUpdateBuffer(source)
         rows = source.sql(QUERY)  # replay, still cached
         eid = rows[0]["eid"]
-        from repro.sqlengine.sqlparser import parse_sql
-
         buffer.enqueue(
             parse_sql(f"UPDATE Employees SET salary = 7777 WHERE eid = {eid}")
         )
@@ -221,6 +428,23 @@ class TestStaleThenInvalid:
         rows = source.sql(QUERY)
         assert rows  # readable under the new secrets
 
+    def test_the_effect_stays_out_of_requests_and_the_wal(self, tmp_path):
+        dep = Accounts(tmp_path)
+        insert = "INSERT INTO Accounts (aid, branch, owner, balance) VALUES (51, 9, 'QZQZ', 5)"
+        op = dep.source.plan_write(parse_sql(insert))
+        (row,) = op.effect.values()
+        assert row["owner"] == "QZQZ"
+        assert "QZQZ" not in json.dumps(op.requests)
+        dep.manager.execute(insert, autocommit=False)
+        with open(dep.wal_path, "rb") as handle:
+            logged = handle.read()
+        assert b"Accounts" in logged and b"QZQZ" not in logged
+        assert b"effect" not in logged
+        dep.manager.flush()
+        assert dep.source.sql("SELECT owner FROM Accounts WHERE aid = 51") == [
+            {"owner": "QZQZ"}
+        ]
+
     def test_verified_reads_bypass_the_cache(self):
         from repro.trust.auditing import AuditRegistry
 
@@ -229,8 +453,6 @@ class TestStaleThenInvalid:
             cluster, seed=3, audit=AuditRegistry(5), read_redundancy=1
         )
         source.outsource_table(employees_table(20, seed=3))
-        from repro.sqlengine.sqlparser import parse_sql
-
         query = parse_sql("SELECT * FROM Employees WHERE salary >= 0")
         source.select(query)
         before = _served(cluster)

@@ -1,0 +1,277 @@
+"""Row-cache coherence under every write path (ISSUE 21).
+
+The row cache survives writes: the epoch choke point tells it what each
+write did and it drops only that.  This state machine drives every way a
+table can change — direct INSERT / eager UPDATE / share increment /
+DELETE, a lazy-buffer flush, single statements and atomic batches through
+``TransactionManager``, secret rotation, a write round that fails at one
+provider, a crash + ``recover()`` — between reads drawn from a small pool
+of SELECTs, so that cached entries meet writes that do and do not touch
+them.  After every step each pooled SELECT must equal the plaintext
+oracle *as an ordered list*, warm, and again after ``row_cache.clear()``
+(which also re-warms the cache for the next step).
+
+The transaction rules look into the WAL before applying: no inserted
+literal may reach it — the write effect lives in memory only.
+
+Short budget in tier-1; ``REPRO_CHAOS_LONG=1`` (CI ``chaos-long``) runs
+the long one.
+"""
+
+import os
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.client.datasource import DataSource
+from repro.client.updates import LazyUpdateBuffer
+from repro.errors import QuorumError, SimulatedCrash
+from repro.providers.cluster import ProviderCluster
+from repro.providers.failures import Fault, FailureMode
+from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.executor import PlaintextExecutor
+from repro.sqlengine.expression import Comparison, ComparisonOp
+from repro.sqlengine.schema import TableSchema, integer_column, string_column
+from repro.sqlengine.sqlparser import parse_sql
+from repro.sqlengine.table import Table
+from repro.txn import KILL_PHASES, TransactionManager
+
+LONG = os.environ.get("REPRO_CHAOS_LONG") == "1"
+ROWS = 12
+#: every inserted row carries it; the WAL must never
+MARKER = "QZ"
+#: the one provider the failing-round rule ever breaks
+VICTIM = 4
+
+
+def schema() -> TableSchema:
+    return TableSchema(
+        "Accounts",
+        (
+            integer_column("aid", 0, 10_000),
+            integer_column("branch", 1, 100),
+            string_column("owner", 6),
+            integer_column("balance", 0, 1_000_000, searchable=False, nullable=True),
+            string_column("note", 6, searchable=False, nullable=True),
+        ),
+        primary_key="aid",
+    )
+
+
+def initial_rows():
+    return [
+        {
+            "aid": i,
+            "branch": (i * 17) % 100 + 1,
+            "owner": ("ANNA", "BOB", "CAROL")[i % 3],
+            "balance": None if i == 5 else 1000 + 10 * i,
+            "note": None if i % 4 == 0 else "N" + "ABCD"[i % 4],
+        }
+        for i in range(ROWS)
+    ]
+
+
+#: drawn from by the invariant, so every one of them repeats across writes
+POOL = (
+    "SELECT * FROM Accounts WHERE aid = 3",
+    "SELECT * FROM Accounts WHERE aid = 8",
+    "SELECT aid, branch FROM Accounts WHERE branch BETWEEN 20 AND 60",
+    "SELECT aid, owner FROM Accounts WHERE branch BETWEEN 61 AND 100",
+    # OR is evaluated at the client: a residual over a full fetch
+    "SELECT * FROM Accounts WHERE branch < 15 OR owner = 'BOB'",
+    # a residual on the column share increments change
+    "SELECT aid, balance FROM Accounts WHERE branch >= 30 AND balance > 1080",
+    # pushed ORDER BY + LIMIT: the entry is a prefix, dropped by any write
+    "SELECT aid, branch FROM Accounts WHERE branch >= 10 ORDER BY branch LIMIT 3",
+    "SELECT * FROM Accounts LIMIT 4",
+    # the residual keeps ORDER BY / LIMIT at the client: the entry holds
+    # every match and survives writes that leave them alone
+    "SELECT aid FROM Accounts WHERE owner <> 'ANNA' ORDER BY aid DESC LIMIT 3",
+)
+
+aids = st.integers(0, ROWS + 8)
+branches = st.integers(1, 100)
+
+
+class RowCacheCoherence(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.source = DataSource(ProviderCluster(5, 3), seed=21)
+        self.source.create_table(schema())
+        self.source.insert_many("Accounts", initial_rows())
+        catalog = Catalog()
+        catalog.add_table(Table(schema(), initial_rows()))
+        self.oracle = PlaintextExecutor(catalog)
+        self.wal_dir = tempfile.mkdtemp(prefix="repro-coherence-")
+        self.wal_path = os.path.join(self.wal_dir, "coherence.wal")
+        self.manager = TransactionManager(self.source, self.wal_path)
+        self.next_aid = 100
+        self.broken = False
+
+    def teardown(self) -> None:
+        self.manager.close()
+        shutil.rmtree(self.wal_dir, ignore_errors=True)
+
+    # -- statement text ---------------------------------------------------------
+
+    def _insert_sql(self, branch: int) -> str:
+        self.next_aid += 1
+        owner = MARKER + "ABCDEFG"[self.next_aid % 7]
+        return (
+            "INSERT INTO Accounts (aid, branch, owner, balance, note) VALUES "
+            f"({self.next_aid}, {branch}, '{owner}', 1500, '{MARKER}')"
+        )
+
+    def _both(self, sql: str, run) -> None:
+        """``run(sql)`` against the deployment, ``sql`` against the oracle."""
+        run(sql)
+        self.oracle.execute(parse_sql(sql))
+
+    def _logged_then_applied(self, log) -> None:
+        """Queue through the manager, read the log, then apply."""
+        log()
+        with open(self.wal_path, "rb") as handle:
+            logged = handle.read()
+        assert MARKER.encode() not in logged, "plaintext reached the WAL"
+        self.manager.flush()
+
+    # -- direct writes -----------------------------------------------------------
+
+    @rule(branch=branches)
+    def insert(self, branch):
+        self._both(self._insert_sql(branch), self.source.sql)
+
+    @rule(aid=aids, branch=branches)
+    def update_predicate_column(self, aid, branch):
+        self._both(
+            f"UPDATE Accounts SET branch = {branch} WHERE aid = {aid}", self.source.sql
+        )
+
+    @rule(low=branches, width=st.integers(0, 30))
+    def update_other_column(self, low, width):
+        self._both(
+            f"UPDATE Accounts SET note = 'UPD' WHERE branch BETWEEN {low} AND {low + width}",
+            self.source.sql,
+        )
+
+    @rule(low=branches, delta=st.integers(-5, 50))
+    def increment(self, low, delta):
+        self.source.increment(
+            "Accounts", "balance", delta, Comparison("branch", ComparisonOp.GE, low)
+        )
+        self.oracle.execute(
+            parse_sql(
+                f"UPDATE Accounts SET balance = balance + {delta} WHERE branch >= {low}"
+            )
+        )
+
+    @rule(aid=aids)
+    def delete(self, aid):
+        self._both(f"DELETE FROM Accounts WHERE aid = {aid}", self.source.sql)
+
+    @rule(aid=aids, low=branches)
+    def lazy_flush(self, aid, low):
+        buffer = LazyUpdateBuffer(self.source)
+        for sql in (
+            f"UPDATE Accounts SET owner = 'LAZY' WHERE aid = {aid}",
+            f"UPDATE Accounts SET branch = {low} WHERE branch > {low} AND branch < {low + 9}",
+        ):
+            buffer.enqueue(parse_sql(sql))
+            self.oracle.execute(parse_sql(sql))
+        buffer.flush()
+
+    # -- through the transaction manager -----------------------------------------
+
+    @rule(
+        aid=aids,
+        branch=branches,
+        shape=st.sampled_from(["insert", "update", "delta", "delete"]),
+    )
+    def txn_statement(self, aid, branch, shape):
+        sql = {
+            "insert": self._insert_sql(branch),
+            "update": f"UPDATE Accounts SET branch = {branch} WHERE aid = {aid}",
+            "delta": f"UPDATE Accounts SET balance = balance + 7 WHERE branch <= {branch}",
+            "delete": f"DELETE FROM Accounts WHERE branch = {branch}",
+        }[shape]
+        self._logged_then_applied(lambda: self.manager.execute(sql, autocommit=False))
+        self.oracle.execute(parse_sql(sql))
+
+    @rule(aid=aids, branch=branches)
+    def txn_atomic_batch(self, aid, branch):
+        gone = self._insert_sql(branch)
+        batch = [
+            gone,
+            self._insert_sql(100 - branch + 1),
+            f"UPDATE Accounts SET branch = {branch} WHERE aid = {aid}",
+            # insert-then-delete of one row inside the batch
+            f"DELETE FROM Accounts WHERE aid = {self.next_aid - 1}",
+        ]
+        self.manager.atomic(batch)
+        for sql in batch:
+            self.oracle.execute(parse_sql(sql))
+
+    @rule(
+        branch=branches,
+        phase=st.sampled_from(KILL_PHASES),
+    )
+    def crash_and_recover(self, branch, phase):
+        where = f"WHERE branch >= {branch}"
+        sql = f"UPDATE Accounts SET owner = 'CRASH' {where}"
+        if not self.oracle.execute(parse_sql(f"SELECT aid FROM Accounts {where}")):
+            return  # matches nothing: nothing is logged, no phase is reached
+        self.manager.kill_at = phase
+        with pytest.raises(SimulatedCrash):
+            self.manager.execute(sql)
+        if phase != "pre-log":  # committed iff logged
+            self.oracle.execute(parse_sql(sql))
+        self.manager.close()
+        self.manager = TransactionManager(self.source, self.wal_path)
+        self.manager.recover()
+
+    # -- whole-deployment events --------------------------------------------------
+
+    @rule(seed=st.integers(1, 1_000))
+    def rotate_secrets(self, seed):
+        self.source.rotate_secrets(seed)
+
+    @precondition(lambda self: not self.broken)
+    @rule(aid=aids, branch=branches)
+    def write_round_fails_at_one_provider(self, aid, branch):
+        """The others applied the write; the victim never serves again."""
+        self.broken = True
+        cluster = self.source.cluster
+        cluster.inject_fault(VICTIM, Fault(FailureMode.FLAKY))
+        sql = f"UPDATE Accounts SET branch = {branch} WHERE aid = {aid}"
+        if self.oracle.execute(parse_sql(sql)):
+            with pytest.raises(QuorumError):
+                self.source.sql(sql)
+        cluster.inject_fault(VICTIM, Fault(FailureMode.CRASH))
+
+    # -- the contract ---------------------------------------------------------------
+
+    @invariant()
+    def pooled_selects_equal_the_oracle_warm_and_cold(self):
+        expected = [self.oracle.execute(parse_sql(sql)) for sql in POOL]
+        warm = [self.source.sql(sql) for sql in POOL]
+        assert warm == expected
+        self.source.row_cache.clear()
+        assert [self.source.sql(sql) for sql in POOL] == expected
+
+
+RowCacheCoherence.TestCase.settings = settings(
+    max_examples=200 if LONG else 12,
+    stateful_step_count=60 if LONG else 20,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+TestRowCacheCoherence = RowCacheCoherence.TestCase

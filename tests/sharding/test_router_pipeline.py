@@ -23,6 +23,12 @@ response became two row lists and whose request lost two constant
 fields.  Those scenarios must equal the parent once exactly that many
 bytes (and their transfer time) are taken off the owning group.
 
+One declared *client-cost* delta (ISSUE-21, ``ROW_CACHE_DELTAS``): the
+row cache keeps the rows a write did not touch, so a script that reads
+after a write re-interpolates fewer cells.  Only ``client.interpolate``
+of those scenarios may move, only down, and to the numbers pinned there
+— the read still makes its round, so bytes, messages and clock stay.
+
 Regenerate (only on purpose, at the parent commit)::
 
     PYTHONPATH=src python -m tests.sharding.test_router_pipeline
@@ -87,6 +93,17 @@ ORDER_DELTAS = {
 #: (two row lists instead of one pair list) and its request shrank by 37
 #: (the two constant-None projection fields) — nothing else moves.
 JOIN_WIRE_DELTAS = ("join_plain", "join_projection", "wave")
+
+#: scenario -> each group's ``client.interpolate`` now.  The script's
+#: SELECT follows its INSERT; the parent dropped the whole table from the
+#: row cache on that INSERT and re-interpolated every row the SELECT
+#: matched, the write-effect cache keeps the rows the deployment had
+#: already read (``hash/single`` had none cached and does not move).
+ROW_CACHE_DELTAS = {
+    "hash/multi/session_script": [170, 135],  # parent 205, 180
+    "range/multi/session_script": [150, 140],  # parent 195, 190
+    "range/single/session_script": [140, 120],  # parent 185, 120
+}
 
 #: ``{where}`` opens a predicate, ``{and_}`` extends one
 READS = {
@@ -374,6 +391,9 @@ def test_router_matches_oracle_and_parent_accounting(scenario_id):
         joined = record["result"][-1] if shape == "wave" else record["result"]
         _assert_join_wire_delta(record, parent, pairs=len(joined))
         return
+    if scenario_id in ROW_CACHE_DELTAS:
+        _assert_row_cache_delta(record, parent, ROW_CACHE_DELTAS[scenario_id])
+        return
     assert shape in ORDER_DELTAS and not VARIANTS[variant][1], (
         f"{scenario_id} moved off the parent commit's numbers and is not an "
         f"enumerated ordering delta:\n parent {parent}\n now    {record}"
@@ -401,6 +421,14 @@ def _assert_join_wire_delta(record, parent, pairs: int) -> None:
     untouched["modelled_seconds"] = before["modelled_seconds"]
     assert untouched == before
     assert {**record, "groups": parent["groups"]} == parent
+
+
+def _assert_row_cache_delta(record, parent, interpolate: List[int]) -> None:
+    """``record`` is ``parent`` with fewer cells interpolated, as pinned."""
+    for now, before, cells in zip(record["groups"], parent["groups"], interpolate):
+        assert now["client"]["interpolate"] == cells <= before["client"]["interpolate"]
+        now["client"]["interpolate"] = before["client"]["interpolate"]
+    assert record == parent
 
 
 def test_golden_covers_exactly_the_scenarios():
