@@ -14,8 +14,7 @@ compares two executions of the *same* statement list:
 Modelled-latency throughput (queries per modelled network second) is the
 headline number; both modes also assert that the telemetry byte counters
 equal the simulated network's own accounting exactly, so batching cannot
-silently drop or double-count traffic.  A separate section measures the
-plan cache on a repeated query shape.
+silently drop or double-count traffic.
 
 Results go to ``BENCH_service.json`` at the repo root.  Run modes::
 
@@ -149,6 +148,11 @@ def bench_concurrency_sweep(rows: int, providers: int, threshold: int):
     levels = []
     for concurrency in CONCURRENCY_SWEEP:
         statements = point_statements(table, concurrency)
+        # each level repeats the level before's statements: cold row
+        # caches, or half of every wave replays with no RPC and
+        # "concurrency N" puts N/2 queries on the wire
+        seq_source.row_cache.clear()
+        bat_source.row_cache.clear()
         seq_results, seq = run_sequential(seq_source, statements)
         bat_results, bat = run_batched(bat_source, statements, service)
         assert bat_results == seq_results, (
@@ -250,32 +254,6 @@ def bench_write_wave(rows: int, providers: int, threshold: int, wave: int):
     }
 
 
-def bench_plan_cache(rows: int, providers: int, threshold: int, repeats: int):
-    """Client-side wall time of a repeated shape, cold vs cached rewrite."""
-    source, table = build_source(rows, providers, threshold)
-    eid = sorted(row["eid"] for row in table.rows())[0]
-    text = f"SELECT name, salary FROM Employees WHERE eid = {eid}"
-    wall_start = time.perf_counter()
-    for _ in range(repeats):
-        source.sql(text)
-    uncached = time.perf_counter() - wall_start
-    service = QueryService(source, max_in_flight=1, queue_limit=0)
-    service.execute(text)  # warm the plan
-    wall_start = time.perf_counter()
-    for _ in range(repeats):
-        service.execute(text)
-    cached = time.perf_counter() - wall_start
-    stats = service.plan_cache.stats()
-    service.close()
-    return {
-        "repeats": repeats,
-        "uncached_wall_seconds": round(uncached, 6),
-        "cached_wall_seconds": round(cached, 6),
-        "wall_speedup": round(uncached / cached, 2) if cached else None,
-        "plan_cache": stats,
-    }
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -329,9 +307,6 @@ def run_full(args) -> dict:
             bench_write_wave(args.rows, args.providers, args.threshold, wave)
             for wave in (4, 16, 64)
         ],
-        "plan_cache": bench_plan_cache(
-            args.rows, args.providers, args.threshold, args.repeats
-        ),
     }
 
 
@@ -348,8 +323,6 @@ def main(argv=None) -> int:
                         help="providers n (default 5)")
     parser.add_argument("--threshold", type=int, default=3,
                         help="reconstruction threshold k (default 3)")
-    parser.add_argument("--repeats", type=int, default=200,
-                        help="repetitions for the plan-cache timing")
     parser.add_argument("--output", type=Path, default=RESULT_PATH,
                         help="where to write the JSON report")
     args = parser.parse_args(argv)

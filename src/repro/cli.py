@@ -20,7 +20,7 @@ Four subcommands::
     python -m repro.cli serve-sim [--clients N] [--statements N] ...
         replay a deterministic multi-client workload through the
         concurrent query service (sessions, admission control, batched
-        fan-outs, plan cache) and print a throughput/latency report
+        fan-outs) and print a throughput/latency report
 
     python -m repro.cli figure1
         print the paper's Figure 1 share table and its reconstruction
@@ -322,7 +322,6 @@ def cmd_serve_sim(args, out) -> int:
     workload = report["workload"]
     admission = report["admission"]
     batcher = report["batcher"]
-    cache = report["plan_cache"]
     latency = report["latency_wall_seconds"]
     print(
         f"serve-sim: {workload['clients']} clients x "
@@ -363,13 +362,6 @@ def cmd_serve_sim(args, out) -> int:
         f"{batcher['combined_rounds_total']} combined, "
         f"largest batch {batcher['max_batch']} "
         f"({batcher['tickets_total']} fan-outs total)",
-        file=out,
-    )
-    print(
-        f"  plan cache: {cache['plan_hits']} hits / {cache['plan_misses']} "
-        f"misses (plans), {cache['statement_hits']}/"
-        f"{cache['statement_misses']} (statements), "
-        f"{cache['invalidations']} invalidated",
         file=out,
     )
     txn = report.get("txn")

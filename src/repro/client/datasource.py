@@ -76,8 +76,8 @@ Row = Dict[str, object]
 
 #: RPC methods that mutate provider row state.  ``DataSource._broadcast``
 #: refuses these unless the call came through :meth:`DataSource._mutate`
-#: — the choke point that makes forgetting a plan-cache/row-cache
-#: invalidation structurally impossible (ISSUE-8).  The transaction
+#: — the choke point that makes forgetting a row-cache invalidation
+#: structurally impossible (ISSUE-8).  The transaction
 #: layer's staged rounds go through :meth:`DataSource.control_round` and
 #: carry their own logged epochs.
 MUTATING_RPCS = frozenset(
@@ -227,13 +227,10 @@ class DataSource:
         self._op_registry: Dict[str, OrderPreservingScheme] = {}
         self._next_row_id: Dict[str, int] = {}
         #: per-table mutation epochs: every write path bumps its table's
-        #: epoch (and secret rotation bumps all), so cached query plans —
-        #: keyed on (statement, epoch) by :mod:`repro.service.plancache` —
-        #: can never be replayed against state they were not rewritten for
+        #: epoch (and secret rotation bumps all), so rows cached by
+        #: :mod:`repro.client.rowcache` are never replayed against state
+        #: they were not read from
         self._table_epochs: Dict[str, int] = {}
-        #: optional :class:`~repro.service.plancache.PlanCache`; installed
-        #: by the service layer, consulted by :meth:`_rewrite`
-        self.plan_cache: Optional[object] = None
         #: write-coherent reconstructed-row cache (:mod:`repro.client.rowcache`);
         #: consulted only by plain :meth:`select` — every other read mode
         #: and entry point always goes to the wire
@@ -272,7 +269,7 @@ class DataSource:
             raise QueryError(
                 f"mutating RPC {method!r} must go through DataSource._mutate "
                 "(the epoch choke point) — direct broadcasts would leave the "
-                "plan cache and row cache holding entries for dead state"
+                "row cache holding entries for dead state"
             )
         return self.cluster.broadcast(
             method, lambda i: self._qualify(request_builder(i)), **kwargs
@@ -299,8 +296,8 @@ class DataSource:
         stamped with the table's next mutation epoch (providers tag their
         undo history with it, which is what makes ``as_of_epoch`` reads
         possible), the round is broadcast to the live write targets, and
-        the epoch is bumped — invalidating the plan cache and what the
-        write's ``effect`` touched in the row cache — even when the round
+        the epoch is bumped — invalidating what the write's ``effect``
+        touched in the row cache — even when the round
         fails partway (some providers may have applied, so the effect is
         unknown and the table's cached rows must be assumed dead).
         ``_broadcast`` refuses mutating RPCs issued around this method,
@@ -423,13 +420,12 @@ class DataSource:
         to: Optional[int] = None,
         effect: Optional[WriteEffect] = None,
     ) -> int:
-        """Advance a table's epoch, invalidating cached plans and rows.
+        """Advance a table's epoch, invalidating cached rows.
 
         Every write path funnels through here (insert/update/delete,
         increments, lazy-flush, resync, rotation, and the transaction
         layer's group-commit apply), so this is the single point where
-        the service plan cache learns that its entries for the table are
-        dead and the reconstructed-row cache learns what the write did
+        the reconstructed-row cache learns what the write did
         (``effect``; without one it drops the table).  ``to`` sets an
         explicit target epoch (the transaction layer applies WAL-logged
         epochs; recovery restores high-water marks); epochs never move
@@ -438,18 +434,8 @@ class DataSource:
         current = self._table_epochs.get(table_name, 0)
         epoch = current + 1 if to is None else max(to, current)
         self._table_epochs[table_name] = epoch
-        cache = self.plan_cache
-        if cache is not None:
-            cache.invalidate(table_name)
         self.row_cache.apply_write(table_name, epoch, effect)
         return epoch
-
-    def _rewrite(self, predicate: Predicate, sharing: TableSharing):
-        """Rewrite a bound predicate, through the plan cache when installed."""
-        cache = self.plan_cache
-        if cache is None:
-            return rewrite_predicate(predicate, sharing)
-        return cache.rewritten(self, sharing, predicate)
 
     # ------------------------------------------------------- row-id hand-out --
 
@@ -508,7 +494,7 @@ class DataSource:
                 table, [row for _, row in matches], [rid for rid, _ in matches]
             )
         if matches is None and isinstance(stmt, Update) and stmt.is_pure_delta:
-            rewritten = self._rewrite(stmt.where.bind(sharing.schema), sharing)
+            rewritten = rewrite_predicate(stmt.where.bind(sharing.schema), sharing)
             if self._delta_obstacle(stmt, rewritten) is None:
                 return self._plan_increment(
                     stmt, self._fetch_matching_ids(table, rewritten)
@@ -770,7 +756,7 @@ class DataSource:
         stmt = Update(table_name, {column: Delta(delta)}, where)
         sharing = self.sharing(table_name)
         obstacle = self._delta_obstacle(
-            stmt, self._rewrite(where.bind(sharing.schema), sharing)
+            stmt, rewrite_predicate(where.bind(sharing.schema), sharing)
         )
         if obstacle is not None:
             raise obstacle
@@ -881,7 +867,7 @@ class DataSource:
         if not random_columns:
             return 0
         row_ids = self._fetch_matching_ids(
-            table_name, self._rewrite(TruePredicate(), sharing)
+            table_name, rewrite_predicate(TruePredicate(), sharing)
         )
         if not row_ids:
             return 0
@@ -926,7 +912,7 @@ class DataSource:
         )
         if not count:
             # no rows survived, but the table was dropped and recreated —
-            # cached plans and rows are dead regardless
+            # cached rows are dead regardless
             self.bump_table_epoch(table_name)
         return count
 
@@ -942,9 +928,7 @@ class DataSource:
         sharing = self.sharing(table_name)
         # drop (where present) and recreate at every live provider
         for index in self.cluster.write_targets():
-            provider = self.cluster.providers[index]
-            if provider.store.has_table(self.physical_name(table_name)):
-                self._call_one(index, "drop_table", {"table": table_name})
+            self._call_one(index, "drop_table", {"table": table_name})
             self._call_one(
                 index, "create_table", _create_request(table_name, sharing.schema)
             )
@@ -991,10 +975,8 @@ class DataSource:
 
     def drop_staging_table(self, staging: str) -> None:
         """Drop a staging table wherever it exists (abandoned migration)."""
-        physical = self.physical_name(staging)
         for index in self.cluster.write_targets():
-            if self.cluster.providers[index].store.has_table(physical):
-                self._call_one(index, "drop_table", {"table": staging})
+            self._call_one(index, "drop_table", {"table": staging})
 
     def insert_share_rows(
         self,
@@ -1048,7 +1030,7 @@ class DataSource:
         """Row ids + plaintext of rows matching a write query's predicate
         (anything with a ``table`` and a ``where`` serves as the query)."""
         sharing = self.sharing(query.table)
-        rewritten = self._rewrite(query.where.bind(sharing.schema), sharing)
+        rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
         return self._read_rows(query.table, _QUORUM, rewritten)
 
     def _fetch_matching_ids(
@@ -1112,7 +1094,7 @@ class DataSource:
         sharing = self.sharing(query.table)
         schema = sharing.schema
         predicate = query.where.bind(schema)
-        rewritten = self._rewrite(predicate, sharing)
+        rewritten = rewrite_predicate(predicate, sharing)
         pushes = mode in (_QUORUM, _AUDITED) and not rewritten.provably_empty
         can_push = False
         fields = dict(_FULL_ROWS)
@@ -1416,9 +1398,8 @@ class DataSource:
         counts: Dict[str, int] = {}
         for name, rows in snapshots.items():
             counts[name] = self._reshare_table(name, rows)
-            # rotation rebuilds the sharing machinery, so any cached plan's
-            # share-space conditions are garbage — the epoch bump is what
-            # keeps a plan cache correct across re-keying
+            # rotation re-shared the table: rows cached under the old
+            # secrets' epoch must not answer for the new one
             self.bump_table_epoch(name)
         return counts
 
@@ -1698,8 +1679,8 @@ class DataSource:
         left_pred, right_pred, residual = split_join_predicate(
             query.where, query.left_table, query.right_table
         )
-        left_rw = self._rewrite(left_pred.bind(left.schema), left)
-        right_rw = self._rewrite(right_pred.bind(right.schema), right)
+        left_rw = rewrite_predicate(left_pred.bind(left.schema), left)
+        right_rw = rewrite_predicate(right_pred.bind(right.schema), right)
         if left_rw.provably_empty or right_rw.provably_empty:
             return []
         # quorum or checked, exactly like a row read
@@ -1814,7 +1795,7 @@ class DataSource:
             sharing, rewritten = plan.sharing, plan.rewritten
         else:
             sharing = self.sharing(query.table)
-            rewritten = self._rewrite(query.where.bind(sharing.schema), sharing)
+            rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
         if rewritten.provably_empty:
             strategy = "provably empty: answered without a provider round"
         elif isinstance(query, Update):

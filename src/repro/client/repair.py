@@ -170,7 +170,6 @@ def _repair_table(
     source, table_name: str, provider_index: int, batch_size: int
 ) -> int:
     sharing = source.sharing(table_name)
-    cluster = source.cluster
     # k+1 sources (one redundant share so a tampering source can be
     # blamed and dropped), never the target itself (its shares are
     # suspect)
@@ -187,10 +186,7 @@ def _repair_table(
         source.cost.record("interpolate", len(sharing.schema.columns))
         source.cost.record("poly_eval", len(sharing.schema.columns))
     # drop whatever the target holds (possibly nothing) and rewrite
-    if cluster.providers[provider_index].store.has_table(
-        source.physical_name(table_name)
-    ):
-        source._call_one(provider_index, "drop_table", {"table": table_name})
+    source._call_one(provider_index, "drop_table", {"table": table_name})
     searchable = [c.name for c in sharing.schema.columns if c.searchable]
     source._call_one(
         provider_index,

@@ -1,11 +1,10 @@
-"""Per-provider circuit breakers and bulkheads for overload survival.
+"""Per-provider circuit breakers for overload survival.
 
 The :class:`~repro.providers.health.HealthTracker` is the resilience
 layer's *memory* — it quarantines providers that failed repeatedly.
 Under sustained overload that is not enough: every re-admission after a
 cooldown charges a full modelled RPC timeout against a provider that is
-still down, and a single slow provider can absorb an unbounded share of
-the fan-out pool.  This module layers the two classical guards on top:
+still down.  This module layers the classical guard on top:
 
 * :class:`CircuitBreaker` — a per-provider closed / open / half-open
   state machine over a sliding window of RPC outcomes.  When the
@@ -16,12 +15,8 @@ the fan-out pool.  This module layers the two classical guards on top:
   (half-open); probes all succeeding re-closes it, one failing re-opens
   it.  Unlike quarantine expiry, recovery therefore costs at most
   ``half_open_probes`` timeouts, not a full re-admission.
-* :class:`Bulkhead` — a per-provider cap on concurrently executing
-  RPCs, so one degraded provider saturating its handler threads cannot
-  drag every concurrent query down with it; excess calls are rejected
-  immediately (and count as failures, feeding the breaker).
 
-:class:`BreakerBoard` bundles one breaker (and optional bulkhead) per
+:class:`BreakerBoard` bundles one breaker per
 provider and is what :class:`~repro.providers.cluster.ProviderCluster`
 consults when a board is installed (it is opt-in: clusters without a
 board behave exactly as before).  All timing uses the injected modelled
@@ -212,43 +207,8 @@ class CircuitBreaker:
             }
 
 
-class Bulkhead:
-    """Fail-fast cap on concurrent executions against one provider."""
-
-    def __init__(self, max_concurrent: int) -> None:
-        if max_concurrent < 1:
-            raise ConfigurationError(
-                f"max_concurrent must be >= 1, got {max_concurrent}"
-            )
-        self.max_concurrent = max_concurrent
-        self._lock = threading.Lock()
-        self._active = 0
-        self.rejections = 0
-
-    def try_enter(self) -> bool:
-        with self._lock:
-            if self._active >= self.max_concurrent:
-                self.rejections += 1
-                return False
-            self._active += 1
-            return True
-
-    def exit(self) -> None:
-        with self._lock:
-            if self._active < 1:
-                raise ConfigurationError(
-                    "bulkhead exit() without a matching try_enter()"
-                )
-            self._active -= 1
-
-    @property
-    def active(self) -> int:
-        with self._lock:
-            return self._active
-
-
 class BreakerBoard:
-    """One breaker (and optional bulkhead) per provider in a cluster."""
+    """One breaker per provider in a cluster."""
 
     def __init__(
         self,
@@ -256,7 +216,6 @@ class BreakerBoard:
         *,
         clock: Optional[Callable[[], float]] = None,
         names: Optional[Sequence[str]] = None,
-        bulkhead_limit: Optional[int] = None,
         **breaker_kwargs: object,
     ) -> None:
         if n_providers < 1:
@@ -272,11 +231,6 @@ class BreakerBoard:
             CircuitBreaker(clock=clock, name=self._names[i], **breaker_kwargs)
             for i in range(n_providers)
         ]
-        self.bulkheads: Optional[List[Bulkhead]] = (
-            [Bulkhead(bulkhead_limit) for _ in range(n_providers)]
-            if bulkhead_limit is not None
-            else None
-        )
 
     def allow(self, index: int) -> bool:
         return self.breakers[index].allow()
@@ -290,27 +244,8 @@ class BreakerBoard:
     def record_failure(self, index: int) -> None:
         self.breakers[index].record_failure()
 
-    def try_enter(self, index: int) -> bool:
-        """Enter the provider's bulkhead (always True when none set)."""
-        if self.bulkheads is None:
-            return True
-        entered = self.bulkheads[index].try_enter()
-        if not entered:
-            telemetry.count(
-                "breaker.bulkhead_reject", provider=self._names[index]
-            )
-        return entered
-
-    def exit(self, index: int) -> None:
-        if self.bulkheads is not None:
-            self.bulkheads[index].exit()
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        out: Dict[str, Dict[str, object]] = {}
-        for index, breaker in enumerate(self.breakers):
-            entry = breaker.snapshot()
-            if self.bulkheads is not None:
-                entry["bulkhead_active"] = self.bulkheads[index].active
-                entry["bulkhead_rejections"] = self.bulkheads[index].rejections
-            out[self._names[index]] = entry
-        return out
+        return {
+            name: breaker.snapshot()
+            for name, breaker in zip(self._names, self.breakers)
+        }

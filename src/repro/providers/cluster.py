@@ -178,9 +178,8 @@ class ProviderCluster:
 
         The board reads the cluster's modelled clock, so breaker
         open/half-open trajectories are deterministic per seed.  Keyword
-        arguments are forwarded (``bulkhead_limit``, ``window``,
-        ``failure_threshold``, ``min_calls``, ``open_seconds``,
-        ``half_open_probes``).
+        arguments are forwarded (``window``, ``failure_threshold``,
+        ``min_calls``, ``open_seconds``, ``half_open_probes``).
         """
         self.breakers = BreakerBoard(
             self.n_providers,
@@ -240,28 +239,6 @@ class ProviderCluster:
         if failures:
             raise failures[provider_index]
         return responses[provider_index]
-
-    def _guarded_handle(
-        self, provider_index: int, method: str, request: Dict
-    ) -> Dict:
-        """``provider.handle`` behind the provider's bulkhead (if any).
-
-        A full bulkhead rejects immediately and counts as unavailability
-        — the caller's failure paths (timeout charge, health, breaker)
-        then apply exactly as for a crashed provider.
-        """
-        board = self.breakers
-        if board is None:
-            return self.providers[provider_index].handle(method, request)
-        if not board.try_enter(provider_index):
-            raise ProviderUnavailableError(
-                f"provider {self.providers[provider_index].name}: "
-                f"bulkhead full (concurrency cap reached)"
-            )
-        try:
-            return self.providers[provider_index].handle(method, request)
-        finally:
-            board.exit(provider_index)
 
     def call_all(
         self,
@@ -389,7 +366,7 @@ class ProviderCluster:
                     with telemetry.span("rpc", provider=name, method=method) as sp:
                         sp.set(request_bytes=request_bytes[index])
                         try:
-                            response = self._guarded_handle(index, method, request)
+                            response = self.providers[index].handle(method, request)
                         except ProviderUnavailableError as exc:
                             failures[index] = exc
                             wave_failed.append((index, request))

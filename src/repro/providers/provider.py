@@ -187,6 +187,10 @@ class ShareProvider:
         return {"ok": True}
 
     def _rpc_drop_table(self, request: Dict) -> Dict:
+        """Drop a table; a table this provider never held is not an error
+        (the client cannot know which providers missed its creation)."""
+        if not self.store.has_table(request["table"]):
+            return {"dropped": False}
         self.store.drop_table(request["table"])
         return {"ok": True}
 

@@ -1,10 +1,10 @@
-"""Concurrent query service layer (sessions, admission, batching, plans).
+"""Concurrent query service layer (sessions, admission, batching).
 
 The paper frames database-as-a-service as one organisation's *many*
 clients querying shared providers; this package supplies the service
 front end the single-client :class:`~repro.client.datasource.DataSource`
-lacks: per-client sessions, bounded admission with backpressure,
-cross-query share-RPC batching, and a plan cache.  See DESIGN.md §8.
+lacks: per-client sessions, bounded admission with backpressure, and
+cross-query share-RPC batching.  See DESIGN.md §8.
 """
 
 from ..errors import ServiceError, ServiceOverloadedError
@@ -18,7 +18,6 @@ from .admission import (
     priority_name,
 )
 from .overload import PlaintextMirror, estimate_capacity, run_open_loop
-from .plancache import CachedPlan, PlanCache, normalise_sql
 from .replay import generate_workload, run_simulation
 from .scheduler import BatchingCluster, FanoutBatcher
 from .service import QueryService, ServiceStats, TableLock
@@ -36,7 +35,6 @@ from .sharding import (
 __all__ = [
     "AdmissionController",
     "BatchingCluster",
-    "CachedPlan",
     "FINE_BUCKETS",
     "FanoutBatcher",
     "HashShardMap",
@@ -45,7 +43,6 @@ __all__ = [
     "PRIORITY_INTERACTIVE",
     "PRIORITY_NAMES",
     "PlaintextMirror",
-    "PlanCache",
     "QueryService",
     "RangeShardMap",
     "ServiceError",
@@ -60,7 +57,6 @@ __all__ = [
     "estimate_capacity",
     "generate_workload",
     "histogram_quantile",
-    "normalise_sql",
     "observe_latency",
     "priority_level",
     "priority_name",

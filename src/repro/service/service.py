@@ -10,10 +10,7 @@ multi-client front end, composing the pieces of this package:
 * :class:`~repro.service.scheduler.FanoutBatcher` coalesces the
   concurrent queries' provider rounds into combined fan-outs (installed
   by swapping the source's cluster for a
-  :class:`~repro.service.scheduler.BatchingCluster`);
-* :class:`~repro.service.plancache.PlanCache` skips re-parsing and
-  re-rewriting repeated statements (installed on ``source.plan_cache``,
-  invalidated through the table-epoch mechanism).
+  :class:`~repro.service.scheduler.BatchingCluster`).
 
 Consistency model: statement-level.  Reads share a table lock; writes
 take it exclusively, so a read never observes a half-applied write
@@ -35,8 +32,8 @@ from .. import telemetry
 from ..client.datasource import DataSource
 from ..errors import ServiceError, ServiceOverloadedError
 from ..sqlengine.query import Delete, Insert, JoinSelect, Select, Update
+from ..sqlengine.sqlparser import parse_sql
 from .admission import AdmissionController, priority_level, priority_name
-from .plancache import PlanCache
 from .scheduler import BatchingCluster, FanoutBatcher
 from .session import Session, SessionManager
 
@@ -247,11 +244,10 @@ class StatementLadder:
 
 
 def parse_wave(
-    statements: Sequence[str], parse: Callable[[str], object], name: str,
-    reads: bool,
+    statements: Sequence[str], name: str, reads: bool
 ) -> List[object]:
     """Parse a wave's statements; all must be reads (or all writes)."""
-    parsed = [parse(text) for text in statements]
+    parsed = [parse_sql(text) for text in statements]
     for text, statement in zip(statements, parsed):
         if isinstance(statement, _READS) != reads:
             raise ServiceError(
@@ -296,7 +292,6 @@ class QueryService(StatementLadder):
         source: DataSource,
         max_in_flight: int = 16,
         queue_limit: int = 32,
-        plan_cache_capacity: int = 256,
         batching: bool = True,
         transactional: bool = False,
         degrade_at: float = 0.5,
@@ -318,9 +313,6 @@ class QueryService(StatementLadder):
         self.batcher = FanoutBatcher(self._inner_cluster)
         if batching:
             source.cluster = BatchingCluster(self._inner_cluster, self.batcher)
-        self._previous_plan_cache = source.plan_cache
-        self.plan_cache = PlanCache(plan_cache_capacity)
-        source.plan_cache = self.plan_cache
         self.admission = AdmissionController(max_in_flight, queue_limit)
         self._txn_manager = None
         self._closed = False
@@ -360,7 +352,7 @@ class QueryService(StatementLadder):
         rejects — callers are expected to back off and retry.
         """
         self._check_open()
-        statement = self.plan_cache.parse(text)
+        statement = parse_sql(text)
         self._update_degraded_mode()
         served_degraded = False
 
@@ -438,7 +430,7 @@ class QueryService(StatementLadder):
         self._check_open()
         if not statements:
             return []
-        parsed = parse_wave(statements, self.plan_cache.parse, "run_wave", True)
+        parsed = parse_wave(statements, "run_wave", True)
         if len(statements) > self.admission.max_in_flight:
             raise ServiceError(
                 f"wave of {len(statements)} exceeds max_in_flight="
@@ -482,9 +474,7 @@ class QueryService(StatementLadder):
         self._check_open()
         if not statements:
             return []
-        parsed = parse_wave(
-            statements, self.plan_cache.parse, "run_write_wave", False
-        )
+        parsed = parse_wave(statements, "run_write_wave", False)
         manager = self.transaction_manager()
         return self._run_statements(
             parsed, [lambda: manager.apply_batch(parsed)],
@@ -500,7 +490,6 @@ class QueryService(StatementLadder):
             "degraded": self._degraded,
             "admission": self.admission.snapshot(),
             "batcher": self.batcher.snapshot(),
-            "plan_cache": self.plan_cache.stats(),
             "sessions": self.sessions.snapshot(),
         }
         if self._txn_manager is not None:
@@ -510,14 +499,13 @@ class QueryService(StatementLadder):
     # ------------------------------------------------------------- lifecycle --
 
     def close(self) -> None:
-        """Detach from the source, restoring its original cluster and cache."""
+        """Detach from the source, restoring its original cluster and read mode."""
         if self._closed:
             return
         self._closed = True
         if self._txn_manager is not None:
             self._txn_manager.close()
         self.source.cluster = self._inner_cluster
-        self.source.plan_cache = self._previous_plan_cache
         # un-degrade: the source leaves with the read mode it came with
         self.source.verified_reads = self._premium_reads
 

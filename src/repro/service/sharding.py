@@ -39,7 +39,7 @@ online behind a staging table:
    rows live provider-locally (no row payload crosses the network
    while queries are blocked), ownership flips in the shard map, and
    the source rows are deleted.  Both sides' epochs bump, retiring any
-   cached plans and rows.
+   cached rows.
 
 A reader therefore never observes a half-moved row: before the flip the
 rows are only in the source's live table (staging is unqueryable);
@@ -506,7 +506,7 @@ class ShardRouter(StatementLadder):
         #: own source, so session id blocks come from the router-global
         #: counter and never collide across groups
         self.source = self
-        self._service_params: Optional[Tuple[int, int, int, bool]] = None
+        self._service_params: Optional[Tuple[int, int, bool]] = None
         self.migrations = 0
 
     # ------------------------------------------------------------- building --
@@ -1010,7 +1010,7 @@ class ShardRouter(StatementLadder):
         """
         if not statements:
             return []
-        parsed = parse_wave(statements, parse_sql, "execute_wave", True)
+        parsed = parse_wave(statements, "execute_wave", True)
         return self._run_statements(
             parsed, [lambda: self._run_wave(statements, parsed)]
         )
@@ -1054,15 +1054,12 @@ class ShardRouter(StatementLadder):
         self,
         max_in_flight: int = 16,
         queue_limit: int = 32,
-        plan_cache_capacity: int = 256,
         batching: bool = True,
     ) -> None:
-        """Wrap every group in a :class:`QueryService` (batcher + plan cache)."""
+        """Wrap every group in a :class:`QueryService` (admission + batcher)."""
         if any(group.service is not None for group in self.groups):
             raise ServiceError("services are already attached")
-        self._service_params = (
-            max_in_flight, queue_limit, plan_cache_capacity, batching
-        )
+        self._service_params = (max_in_flight, queue_limit, batching)
         for group in self.groups:
             group.service = QueryService(group.source, *self._service_params)
         scale = max(1, len(self.active_group_indexes()))

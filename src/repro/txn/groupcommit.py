@@ -32,15 +32,8 @@ class GroupCommitEngine:
     batch observes the exception.
     """
 
-    def __init__(
-        self,
-        flush: Callable[[List[int]], None],
-        max_group: int = 128,
-    ) -> None:
-        if max_group < 1:
-            raise ValueError(f"max_group must be >= 1, got {max_group}")
+    def __init__(self, flush: Callable[[List[int]], None]) -> None:
         self._flush = flush
-        self.max_group = max_group
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queue: List[int] = []
@@ -70,8 +63,7 @@ class GroupCommitEngine:
                 self._wakeup.wait()
             # leader election: we are the only non-waiting submitter
             self._leader_active = True
-            batch = self._queue[: self.max_group]
-            del self._queue[: self.max_group]
+            batch, self._queue = self._queue, []
         failure: Optional[BaseException] = None
         try:
             self._flush(batch)

@@ -101,13 +101,7 @@ class TransactionManager:
     statement ever resolves against state it cannot see.
     """
 
-    def __init__(
-        self,
-        source,
-        wal_path: Optional[str] = None,
-        max_group: int = 128,
-        checkpoint_after: int = 256,
-    ) -> None:
+    def __init__(self, source, wal_path: Optional[str] = None) -> None:
         if getattr(source, "audit", None) is not None:
             raise TxnError(
                 "the transactional write path does not maintain an audit "
@@ -122,8 +116,7 @@ class TransactionManager:
             )
             os.close(handle)
         self.wal = WriteAheadLog(wal_path)
-        self.group_commit = GroupCommitEngine(self._flush_batch, max_group)
-        self.checkpoint_after = checkpoint_after
+        self.group_commit = GroupCommitEngine(self._flush_batch)
         #: one-shot kill switch: set to a phase from :data:`KILL_PHASES`
         #: and the next transaction to reach that phase raises
         #: :class:`~repro.errors.SimulatedCrash` (and clears the switch)
@@ -588,19 +581,8 @@ class ShardedTransactionManager(TransactionManager):
     source of recovery truth for the whole sharded deployment.
     """
 
-    def __init__(
-        self,
-        router,
-        wal_path: Optional[str] = None,
-        max_group: int = 128,
-        checkpoint_after: int = 256,
-    ) -> None:
-        super().__init__(
-            router.groups[0].source,
-            wal_path=wal_path,
-            max_group=max_group,
-            checkpoint_after=checkpoint_after,
-        )
+    def __init__(self, router, wal_path: Optional[str] = None) -> None:
+        super().__init__(router.groups[0].source, wal_path=wal_path)
         self.router = router
 
     def _group_source(self, group: int):

@@ -8,6 +8,11 @@ any attribute access ``x._name`` (dunders excepted) whose ``x`` is not
 ``self`` / ``cls``, and on any ``from <other module> import _name`` — the
 same reach, spelled as an import (ISSUE-16).
 
+Provider memory is the same reach across a process boundary: a client
+that tests ``cluster.providers[i].store`` acts on knowledge no RPC gave it
+and no byte paid for, so nothing under ``src/repro/client/`` or
+``src/repro/service/`` may touch a ``.store`` (ISSUE-22).
+
 ``src/repro/txn/`` and ``src/repro/client/updates.py`` must be clean.
 Everything else has an explicit allowlist of the reaches that existed when
 the check was introduced; it may only shrink — a listed reach that is gone
@@ -83,3 +88,33 @@ def test_allowlist_only_shrinks():
     live = {(module, name) for module, name, _ in _private_reaches()}
     stale = sorted(ALLOWED - live)
     assert not stale, f"fixed — now delete from ALLOWED: {stale}"
+
+
+def _store_reaches(tree):
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "store"
+    ]
+
+
+def test_client_and_service_never_read_provider_memory():
+    found = [
+        f"{path.relative_to(SRC).as_posix()}:{line}"
+        for side in ("client", "service")
+        for path in sorted((SRC / side).rglob("*.py"))
+        for line in _store_reaches(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"provider store read from the client side (send an RPC): {found}"
+
+
+def test_the_store_check_sees_what_it_forbids():
+    tree = ast.parse(
+        "def drop(cluster, source):\n"
+        "    if cluster.providers[0].store.has_table('t'):\n"
+        "        source.call('drop_table')\n"
+        "    provider = cluster.providers[1]\n"
+        "    provider.store.drop_table('t')\n"
+        "    cluster.providers[2].handle('drop_table', {})\n"
+    )
+    assert _store_reaches(tree) == [2, 5]

@@ -55,7 +55,7 @@ def test_the_check_sees_what_it_forbids():
         "class Source:\n"
         "    def flush(self):\n"
         "        self.row_cache.invalidate('t')\n"
-        "        self.plan_cache.invalidate('t')\n"
+        "        self.index.invalidate('t')\n"
         "        self.row_cache.get_row('t', 1, 0)\n"
         "def repair(source, row_cache):\n"
         "    source.row_cache.apply_write('t', 1, {})\n"

@@ -248,7 +248,6 @@ class TestServeSim:
         assert "throughput" in text
         assert "admission:" in text
         assert "batching:" in text
-        assert "plan cache:" in text
 
     def test_json_report_parses(self):
         code, text = run([

@@ -88,9 +88,12 @@ class TestProviderEdges:
         provider.handle(
             "create_table", {"table": "T", "columns": ["a"], "searchable": []}
         )
-        provider.handle("drop_table", {"table": "T"})
+        assert provider.handle("drop_table", {"table": "T"}) == {"ok": True}
         with pytest.raises(ProviderError):
             provider.handle("row_count", {"table": "T"})
+        # an absent table is an answer, not an error: the client sends the
+        # drop without knowing which providers hold the table
+        assert provider.handle("drop_table", {"table": "T"}) == {"dropped": False}
 
     def test_merkle_tree_cache_by_version(self):
         from repro.providers.provider import ShareProvider

@@ -9,7 +9,10 @@ provider, a crash + ``recover()`` — between reads drawn from a small pool
 of SELECTs, so that cached entries meet writes that do and do not touch
 them.  After every step each pooled SELECT must equal the plaintext
 oracle *as an ordered list*, warm, and again after ``row_cache.clear()``
-(which also re-warms the cache for the next step).
+(which also re-warms the cache for the next step).  One rule reads the
+pool through a ``QueryService`` opened over the same source, statement by
+statement and as one wave, and checks that ``close()`` hands the source
+back as it was (ISSUE 22).
 
 The transaction rules look into the WAL before applying: no inserted
 literal may reach it — the write effect lives in memory only.
@@ -37,6 +40,7 @@ from repro.client.updates import LazyUpdateBuffer
 from repro.errors import QuorumError, SimulatedCrash
 from repro.providers.cluster import ProviderCluster
 from repro.providers.failures import Fault, FailureMode
+from repro.service import QueryService
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.expression import Comparison, ComparisonOp
@@ -256,6 +260,20 @@ class RowCacheCoherence(RuleBasedStateMachine):
             with pytest.raises(QuorumError):
                 self.source.sql(sql)
         cluster.inject_fault(VICTIM, Fault(FailureMode.CRASH))
+
+    # -- through the query service -------------------------------------------------
+
+    @rule()
+    def reads_through_a_query_service(self):
+        """Admission and batching change no answer, and ``close()`` leaves
+        the source with the cluster and read mode it came with."""
+        expected = [self.oracle.execute(parse_sql(sql)) for sql in POOL]
+        cluster, verified = self.source.cluster, self.source.verified_reads
+        with QueryService(self.source) as service:
+            assert [service.execute(sql) for sql in POOL] == expected
+            assert service.run_wave(list(POOL)) == expected
+        assert self.source.cluster is cluster
+        assert self.source.verified_reads == verified
 
     # -- the contract ---------------------------------------------------------------
 

@@ -1,21 +1,19 @@
 """Tier-1 wiring for ``benchmarks/bench_provider.py --check``.
 
-The provider storage benchmark's smoke mode runs the full read-RPC
-result-equality battery against a faithful copy of the pre-overhaul
-naive row-store engine, asserts cost-counter parity between bulk- and
-incrementally-loaded providers, and gates the columnar engine's two
-headline speedups (≥5× bulk load, ≥2× filtered SUM at 50 000 rows).
-Running it here keeps the bench honest in CI without paying the full
-sweep's cost.  The scalar backend's ordered-range-scan ratio straddles
-its 1.3× gate on a noisy host, so tier-1 measures it without enforcing
-it, and the incremental-load bars are absolute milliseconds, so tier-1
-skips that section; the CI bench-smoke job runs plain ``--check`` and
-enforces both.
+The provider storage benchmark's smoke mode has two halves.  The
+deterministic one — the full read-RPC result-equality battery against a
+faithful copy of the pre-overhaul naive row-store engine, cost-counter
+parity between bulk- and incrementally-loaded providers, and scalar ==
+numpy across the RPC battery — runs here.  The timed one (≥5× bulk load,
+the backend's scan and SUM ratios, the incremental-load milliseconds) is
+a ratio of two wall-clock timings and fails intermittently on a loaded
+host, so tier-1 holds no wall-clock assertion: the CI bench-smoke job
+runs plain ``--check`` and enforces both halves, and the pipeline's e2e
+benchmark (``bulk_load``, ``analytics``, ``range_scan``) is the perf
+tripwire.
 """
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -30,20 +28,16 @@ def _load_bench():
 
 
 def test_check_mode_passes():
-    """run_check() raises AssertionError on any storage-engine regression."""
-    _load_bench().run_check(scalar_scan_gate=False, incremental_gate=False)
+    """run_equality_check() raises AssertionError on any storage-engine
+    result, cost or backend divergence."""
+    _load_bench().run_equality_check()
 
 
-def test_cli_check_flag():
-    """The --check CLI entry point exits 0 and reports success."""
-    result = subprocess.run(
-        [
-            sys.executable, str(BENCH_PATH), "--check",
-            "--skip-scalar-scan-gate", "--skip-incremental-gate",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "columnar == naive on all read RPCs" in result.stdout
+def test_cli_check_flag(monkeypatch, capsys):
+    """``--check`` runs the deterministic half, then the timed gates."""
+    bench = _load_bench()
+    timed = []
+    monkeypatch.setattr(bench, "run_timed_gates", lambda: timed.append(True))
+    assert bench.main(["--check"]) == 0
+    assert timed == [True]
+    assert "columnar == naive on all read RPCs" in capsys.readouterr().out

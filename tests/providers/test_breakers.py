@@ -1,4 +1,4 @@
-"""Circuit breakers and bulkheads: state machine, boundaries, wiring."""
+"""Circuit breakers: state machine, boundaries, wiring."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.providers.breakers import (
     HALF_OPEN,
     OPEN,
     BreakerBoard,
-    Bulkhead,
     CircuitBreaker,
 )
 from repro.providers.cluster import ProviderCluster
@@ -162,57 +161,16 @@ class TestStateMachine:
         assert snap["fast_fails"] == 0
 
 
-class TestBulkhead:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Bulkhead(0)
-
-    def test_caps_concurrency_and_counts_rejections(self):
-        bulkhead = Bulkhead(2)
-        assert bulkhead.try_enter()
-        assert bulkhead.try_enter()
-        assert not bulkhead.try_enter()
-        assert bulkhead.rejections == 1
-        assert bulkhead.active == 2
-        bulkhead.exit()
-        assert bulkhead.try_enter()  # slot freed
-
-    def test_exit_requires_enter(self):
-        with pytest.raises(ConfigurationError):
-            Bulkhead(1).exit()
-
-
 class TestBreakerBoard:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             BreakerBoard(0)
 
     def test_snapshot_keyed_by_name(self, clock):
-        board = BreakerBoard(
-            2, clock=clock, names=["DAS1", "DAS2"], bulkhead_limit=3
-        )
+        board = BreakerBoard(2, clock=clock, names=["DAS1", "DAS2"])
         snap = board.snapshot()
         assert set(snap) == {"DAS1", "DAS2"}
         assert snap["DAS1"]["state"] == CLOSED
-        assert snap["DAS1"]["bulkhead_active"] == 0
-        assert snap["DAS1"]["bulkhead_rejections"] == 0
-
-    def test_try_enter_without_bulkheads_always_admits(self, clock):
-        board = BreakerBoard(1, clock=clock)
-        for _ in range(100):
-            assert board.try_enter(0)
-        board.exit(0)  # no-op without bulkheads
-
-    def test_bulkhead_reject_counter(self, clock):
-        board = BreakerBoard(
-            1, clock=clock, names=["DAS1"], bulkhead_limit=1
-        )
-        with telemetry.session() as hub:
-            assert board.try_enter(0)
-            assert not board.try_enter(0)
-            assert hub.registry.counter_value(
-                "breaker.bulkhead_reject", provider="DAS1"
-            ) == 1
 
 
 class TestClusterIntegration:

@@ -215,10 +215,6 @@ class TestGroupCommit:
             engine.submit(1)
         assert calls == [[1]]
 
-    def test_engine_rejects_bad_group_size(self):
-        with pytest.raises(ValueError):
-            GroupCommitEngine(lambda batch: None, max_group=0)
-
     def test_apply_batch_coalesces_rounds(self, source, manager):
         network = source.cluster.network
         statements = [
