@@ -18,9 +18,10 @@ Four subcommands::
         snapshot or output paths exit non-zero with a one-line error
 
     python -m repro.cli serve-sim [--clients N] [--statements N] ...
-        replay a deterministic multi-client workload through the
-        concurrent query service (sessions, admission control, batched
-        fan-outs) and print a throughput/latency report
+        run a deterministic multi-client workload through the service's
+        admission queue and degradation ladder in virtual time (closed
+        loop, or --open-loop at a multiple of capacity) and print the
+        SLO report with modelled and wall clocks side by side
 
     python -m repro.cli figure1
         print the paper's Figure 1 share table and its reconstruction
@@ -296,98 +297,16 @@ def _fmt_ms(seconds: float) -> str:
 
 
 def cmd_serve_sim(args, out) -> int:
-    from .service import run_simulation
+    """One simulation runner, two arrival disciplines, one report.
 
-    if args.open_loop:
-        return _serve_sim_open_loop(args, out)
-    source = build_source(
-        "employees", args.rows, args.providers, args.threshold, args.seed
-    )
-    network = source.cluster.network
-    network.reset()
-    with telemetry.session(clock=lambda: network.modelled_seconds):
-        report = run_simulation(
-            source,
-            clients=args.clients,
-            statements_per_client=args.statements,
-            seed=args.seed,
-            max_in_flight=args.max_in_flight,
-            queue_limit=args.queue_limit,
-            transactional=args.transactional,
-        )
-    if args.json:
-        json.dump(report, out, indent=2, sort_keys=True)
-        print(file=out)
-        return 0
-    workload = report["workload"]
-    admission = report["admission"]
-    batcher = report["batcher"]
-    latency = report["latency_wall_seconds"]
-    print(
-        f"serve-sim: {workload['clients']} clients x "
-        f"{workload['statements_per_client']} statements over "
-        f"Employees({args.rows}), {args.providers} providers "
-        f"(threshold {args.threshold})",
-        file=out,
-    )
-    print(
-        f"  completed: {report['completed']} statements, "
-        f"{report['failed']} failed "
-        f"({report['rejected_retries']} overload retries)",
-        file=out,
-    )
-    for failure in report["failures"]:
-        print(f"    failed: {failure}", file=out)
-    print(
-        f"  throughput: {report['throughput_wall_qps']:.1f} q/s wall, "
-        f"{report['throughput_modelled_qps']:.1f} q/s over "
-        f"{report['modelled_network_seconds']:.3f}s modelled network time",
-        file=out,
-    )
-    print(
-        f"  latency (wall): mean {_fmt_ms(latency['mean'])}, "
-        f"p50 {_fmt_ms(latency['p50'])}, p95 {_fmt_ms(latency['p95'])}, "
-        f"max {_fmt_ms(latency['max'])}",
-        file=out,
-    )
-    print(
-        f"  admission: {admission['admitted_total']} admitted, "
-        f"{admission['rejected_total']} rejected, "
-        f"peak queue {admission['queued_peak']}/{admission['queue_limit']}, "
-        f"max in-flight {admission['max_in_flight']}",
-        file=out,
-    )
-    print(
-        f"  batching: {batcher['rounds_total']} provider rounds, "
-        f"{batcher['combined_rounds_total']} combined, "
-        f"largest batch {batcher['max_batch']} "
-        f"({batcher['tickets_total']} fan-outs total)",
-        file=out,
-    )
-    txn = report.get("txn")
-    if txn:
-        groups = txn["group_commit"]
-        print(
-            f"  txn: {txn['logged']} logged, {txn['committed']} committed "
-            f"in {groups['groups_flushed']} groups "
-            f"(mean size {groups['mean_group']:.1f}), "
-            f"{txn['wal_fsyncs']} WAL fsyncs",
-            file=out,
-        )
-    print(
-        f"  network: {report['network_messages']} messages, "
-        f"{report['network_bytes']:,} bytes",
-        file=out,
-    )
-    return 0
+    Closed loop (the default): ``--clients`` clients each send
+    ``--statements`` statements, the next when the previous finishes.
+    ``--open-loop``: ``--queries`` arrivals flood the service at
+    ``--load`` times its calibrated capacity.
+    """
+    import time
 
-
-def _serve_sim_open_loop(args, out) -> int:
-    """Open-loop overload mode: flood the service at a capacity multiple."""
-    from .client.datasource import DataSource
-    from .providers.cluster import ProviderCluster
-    from .service import estimate_capacity, run_open_loop
-    from .workloads.employees import employees_table
+    from .service import estimate_capacity, run_closed_loop, run_open_loop
     from .workloads.traffic import TrafficProfile, generate_traffic
 
     table = employees_table(args.rows, seed=args.seed)
@@ -401,70 +320,115 @@ def _serve_sim_open_loop(args, out) -> int:
         source.cluster.install_breakers()
     eids = sorted(row["eid"] for row in table.rows())
     network = source.cluster.network
-    # calibrate outside the telemetry session so probe traffic never
-    # pollutes the SLO counters; the flood starts from a clean network
-    capacity = estimate_capacity(
-        source, eids, max_in_flight=args.max_in_flight, seed=args.seed + 1
+    run, options = run_closed_loop, dict(
+        max_in_flight=args.max_in_flight, queue_limit=args.queue_limit
     )
-    network.reset()
-    profile = TrafficProfile(
-        mean_interarrival=1.0 / (capacity["capacity_qps"] * args.load)
-    )
-    events = generate_traffic(
-        eids, args.queries, seed=args.seed, profile=profile
-    )
-    with telemetry.session(clock=lambda: network.modelled_seconds):
-        report = run_open_loop(
-            source,
-            events,
-            max_in_flight=args.max_in_flight,
-            queue_limit=args.queue_limit,
+    if args.open_loop:
+        run = run_open_loop
+        # calibrate outside the telemetry session so probe traffic never
+        # pollutes the SLO counters; the flood starts from a clean network
+        capacity = estimate_capacity(
+            source, eids, max_in_flight=args.max_in_flight, seed=args.seed + 1
         )
-    report["capacity"] = capacity
-    report["load_factor"] = args.load
+        profile = TrafficProfile(
+            mean_interarrival=1.0 / (capacity["capacity_qps"] * args.load)
+        )
+        events = generate_traffic(
+            eids, args.queries, seed=args.seed, profile=profile
+        )
+        extra = {"capacity": capacity, "load_factor": args.load}
+        title = (
+            f"serve-sim --open-loop: {args.queries} queries at "
+            f"{args.load:g}x capacity ({capacity['capacity_qps']:.1f} q/s)"
+        )
+    else:
+        events = generate_traffic(
+            eids, args.clients * args.statements, seed=args.seed
+        )
+        options.update(clients=args.clients, transactional=args.transactional)
+        extra = {
+            "clients": args.clients,
+            "statements_per_client": args.statements,
+        }
+        title = (
+            f"serve-sim: {args.clients} clients x "
+            f"{args.statements} statements"
+        )
+    network.reset()
+    wall_start = time.perf_counter()
+    with telemetry.session(clock=lambda: network.modelled_seconds):
+        report = run(source, events, **options)
+    report["wall_seconds"] = time.perf_counter() - wall_start
+    report.update(extra)
     if args.json:
         json.dump(report, out, indent=2, sort_keys=True)
         print(file=out)
         return 0
     print(
-        f"serve-sim --open-loop: {args.queries} queries at "
-        f"{args.load:g}x capacity ({capacity['capacity_qps']:.1f} q/s) over "
-        f"Employees({args.rows}), {args.providers} providers "
+        f"{title} over Employees({args.rows}), {args.providers} providers "
         f"(threshold {args.threshold})",
         file=out,
     )
+    _print_simulation_report(report, out)
+    return 0
+
+
+def _print_simulation_report(report, out) -> None:
+    """The serve-sim report body: the same lines for either discipline."""
+    admission = report["admission"]
+    wall = report["wall_seconds"]
     print(
-        f"  outcome: {report['completed']} completed, {report['shed']} shed, "
+        f"  completed: {report['completed']} of {report['offered']} "
+        f"statements, {report['shed']} shed, "
         f"{report['failed']} failed, {report['incorrect']} incorrect, "
         f"{report['degraded_served']} served degraded "
         f"({report['degrade_spans']} degraded spans)",
         file=out,
     )
     print(
-        f"  goodput: {report['goodput_qps']:.1f} q/s of "
-        f"{report['offered_qps']:.1f} q/s offered "
-        f"(utilization {report['utilization']:.0%})",
+        f"  throughput: goodput {report['goodput_qps']:.1f} q/s of "
+        f"{report['offered_qps']:.1f} q/s offered over "
+        f"{report['makespan_seconds']:.3f}s modelled "
+        f"(utilization {report['utilization']:.0%}); "
+        f"{report['completed'] / wall if wall else 0.0:.1f} q/s over "
+        f"{wall:.3f}s wall",
         file=out,
     )
-    slo = report.get("slo")
-    if slo:
+    print(
+        f"  admission: {admission['admitted_total']} admitted, "
+        f"{admission['rejected_total']} rejected, "
+        f"peak queue {admission['queued_peak']}/{admission['queue_limit']}, "
+        f"max in-flight {admission['max_in_flight']}",
+        file=out,
+    )
+    slo = report["slo"]
+    print(
+        f"  slo: availability {slo['availability']:.4f} vs target "
+        f"{slo['availability_target']} "
+        f"(error budget consumed {slo['budget_consumed']:.2f}x)",
+        file=out,
+    )
+    for priority, stats in slo["by_priority"].items():
+        latency = stats["latency_modelled_seconds"]
         print(
-            f"  slo: availability {slo['availability']:.4f} vs target "
-            f"{slo['availability_target']} "
-            f"(error budget consumed {slo['budget_consumed']:.2f}x)",
+            f"    {priority}: {stats['completed']}/{stats['offered']} "
+            f"completed, {stats['shed']} shed, "
+            f"{stats['degraded']} degraded | "
+            f"p50 {_fmt_ms(latency['p50'])}, "
+            f"p99 {_fmt_ms(latency['p99'])}, "
+            f"p999 {_fmt_ms(latency['p999'])}",
             file=out,
         )
-        for priority, stats in slo["by_priority"].items():
-            latency = stats["latency_modelled_seconds"]
-            print(
-                f"    {priority}: {stats['completed']}/{stats['offered']} "
-                f"completed, {stats['shed']} shed, "
-                f"{stats['degraded']} degraded | "
-                f"p50 {_fmt_ms(latency['p50'])}, "
-                f"p99 {_fmt_ms(latency['p99'])}, "
-                f"p999 {_fmt_ms(latency['p999'])}",
-                file=out,
-            )
+    txn = report.get("txn")
+    if txn:
+        groups = txn["group_commit"]
+        print(
+            f"  txn: {txn['logged']} logged, {txn['committed']} committed "
+            f"in {groups['groups_flushed']} groups "
+            f"(mean size {groups['mean_group']:.1f}), "
+            f"{txn['wal_fsyncs']} WAL fsyncs",
+            file=out,
+        )
     breakers = report.get("breakers")
     if breakers:
         summary = ", ".join(
@@ -477,7 +441,6 @@ def _serve_sim_open_loop(args, out) -> int:
         f"{report['modelled_network_seconds']:.3f}s modelled",
         file=out,
     )
-    return 0
 
 
 def cmd_repair(args, out) -> int:
@@ -895,7 +858,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-sim",
-        help="replay a multi-client workload through the query service",
+        help="simulate a multi-client workload against the service's "
+        "admission policy (closed loop, or --open-loop)",
     )
     common(serve)
     serve.add_argument(
@@ -919,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--open-loop", action="store_true",
         help="open-loop overload mode: flood at a multiple of measured "
-        "capacity instead of replaying a closed-loop script",
+        "capacity instead of closed-loop clients",
     )
     serve.add_argument(
         "--load", type=float, default=1.0,
@@ -931,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--breakers", action="store_true",
-        help="install per-provider circuit breakers (open-loop mode)",
+        help="install per-provider circuit breakers",
     )
     serve.add_argument(
         "--json", action="store_true", help="emit the report as JSON"

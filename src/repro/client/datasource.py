@@ -231,6 +231,9 @@ class DataSource:
         #: :mod:`repro.client.rowcache` are never replayed against state
         #: they were not read from
         self._table_epochs: Dict[str, int] = {}
+        #: highest transaction id any ``TransactionManager`` over this
+        #: deployment has logged; a new manager allocates above it
+        self.txn_id_high = 0
         #: write-coherent reconstructed-row cache (:mod:`repro.client.rowcache`);
         #: consulted only by plain :meth:`select` — every other read mode
         #: and entry point always goes to the wire

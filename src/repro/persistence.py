@@ -212,6 +212,9 @@ def client_to_dict(source: DataSource) -> Dict:
         "table_epochs": {
             name: source.table_epoch(name) for name in source.table_names()
         },
+        # so does the transaction-id high-water: the providers' applied
+        # sets are saved too, and a recycled id is a silently lost write
+        "txn_id_high": source.txn_id_high,
     }
 
 
@@ -254,6 +257,7 @@ def client_from_dict(data: Dict, cluster: ProviderCluster) -> DataSource:
         )
     for name, epoch in data.get("table_epochs", {}).items():
         source.bump_table_epoch(name, to=int(epoch))
+    source.txn_id_high = int(data.get("txn_id_high", 0))
     return source
 
 

@@ -3,8 +3,11 @@
 The paper frames database-as-a-service as one organisation's *many*
 clients querying shared providers; this package supplies the service
 front end the single-client :class:`~repro.client.datasource.DataSource`
-lacks: per-client sessions, bounded admission with backpressure, and
-cross-query share-RPC batching.  See DESIGN.md §8.
+lacks: per-client sessions, bounded admission with backpressure and a
+degradation ladder, and cross-query share-RPC batching (DESIGN.md §8) —
+plus the one simulation runner (:mod:`repro.service.overload`) that
+drives those same admission and ladder objects in virtual time, open or
+closed loop (DESIGN.md §13).
 """
 
 from ..errors import ServiceError, ServiceOverloadedError
@@ -17,10 +20,14 @@ from .admission import (
     priority_level,
     priority_name,
 )
-from .overload import PlaintextMirror, estimate_capacity, run_open_loop
-from .replay import generate_workload, run_simulation
+from .overload import (
+    PlaintextMirror,
+    estimate_capacity,
+    run_closed_loop,
+    run_open_loop,
+)
 from .scheduler import BatchingCluster, FanoutBatcher
-from .service import QueryService, ServiceStats, TableLock
+from .service import DegradationLadder, QueryService, ServiceStats, TableLock
 from .session import Session, SessionManager, SessionStats
 from .slo import FINE_BUCKETS, histogram_quantile, observe_latency, slo_report
 from .sharding import (
@@ -35,6 +42,7 @@ from .sharding import (
 __all__ = [
     "AdmissionController",
     "BatchingCluster",
+    "DegradationLadder",
     "FINE_BUCKETS",
     "FanoutBatcher",
     "HashShardMap",
@@ -55,14 +63,13 @@ __all__ = [
     "ShardRouter",
     "TableLock",
     "estimate_capacity",
-    "generate_workload",
     "histogram_quantile",
     "observe_latency",
     "priority_level",
     "priority_name",
     "rebalance_plan",
+    "run_closed_loop",
     "run_open_loop",
-    "run_simulation",
     "shard_map_from_dict",
     "slo_report",
 ]

@@ -21,25 +21,27 @@ lowest class is rejected first while interactive traffic still finds
 room, and a freed slot is always handed to the highest-priority,
 longest-waiting query.
 
-Slot handoff is **direct**: :meth:`release` pops the best waiting
-ticket, admits it on the waiter's behalf, and notifies only that
-ticket's condition.  Two latent timing bugs in the previous
-notify-one-and-recheck loop are structurally impossible here:
+The policy has a **non-blocking core**: :meth:`AdmissionController.offer`
+answers an arrival with an admitted ticket, a queued ticket, or a
+rejection, and :meth:`AdmissionController.release` returns the queued
+ticket the freed slot went to.  The virtual-time simulation runner
+(:mod:`repro.service.overload`) drives exactly that pair; blocking
+:meth:`AdmissionController.acquire` is ``offer`` plus the wait.
 
-* **deadline drift** — the old loop passed the *full* timeout to every
-  ``Condition.wait`` call, so each wakeup restarted the clock and a
-  frequently-notified waiter could wait unboundedly past its deadline.
-  Waits now compute one absolute deadline and pass only the remaining
-  time to each wait.
-* **lost wakeup** — a waiter that consumed a ``notify()`` but then
-  timed out (or was interrupted) exited without re-notifying, stranding
-  a free slot while other queued queries slept.  Now a grant transfers
-  the slot with the notification; a granted waiter that is already
-  unwinding releases the slot again, which re-grants to the next ticket.
+Slot handoff is **direct**: ``release`` pops the best waiting ticket,
+admits it on the waiter's behalf — it stops counting as queued at that
+moment, not when its waiter wakes — and notifies only that ticket's
+condition.  Three timing bugs are structurally impossible this way:
+*deadline drift* (waits compute one absolute deadline and pass each
+wakeup only the remaining time), the *lost wakeup* (a grant transfers
+the slot with the notification; a granted waiter that is already
+unwinding releases it again, which re-grants to the next ticket), and
+the *phantom queue* (an arrival between a grant and its waiter's wakeup
+never finds a free slot behind a non-empty queue count).
 
 Queue depth is exported as a telemetry gauge and every
-admit/reject/shed as a labelled counter, so the serve-sim and overload
-reports can show saturation per priority class.
+admit/reject/shed as a labelled counter, so the simulation reports can
+show saturation per priority class.
 """
 
 from __future__ import annotations
@@ -88,23 +90,26 @@ def priority_name(level: int) -> str:
 
 
 class _Ticket:
-    """One queued acquire: its own condition on the shared lock.
+    """One offer's outcome: a slot, or a place in the queue.
 
-    Each waiter sleeps on a private condition so a grant can wake
-    exactly the chosen waiter — no thundering herd, no notify stealing.
-    ``granted`` means the slot has already been transferred to this
-    ticket (``_in_flight`` incremented on its behalf); ``abandoned``
-    marks a ticket whose waiter gave up, skipped lazily when popped.
+    ``granted`` means a slot has been transferred to this ticket
+    (``_in_flight`` incremented on its behalf, and it no longer counts
+    as queued); ``abandoned`` marks a ticket whose waiter gave up,
+    skipped lazily when popped.  A *blocking* waiter sleeps on ``cond``,
+    a private condition on the shared lock, so a grant can wake exactly
+    the chosen waiter — no thundering herd, no notify stealing; a
+    non-blocking caller leaves it ``None`` and learns of the grant from
+    :meth:`AdmissionController.release`'s return value.
     """
 
     __slots__ = ("priority", "seq", "granted", "abandoned", "cond")
 
-    def __init__(self, priority: int, seq: int, lock: threading.Lock) -> None:
+    def __init__(self, priority: int, seq: int) -> None:
         self.priority = priority
         self.seq = seq
         self.granted = False
         self.abandoned = False
-        self.cond = threading.Condition(lock)
+        self.cond: Optional[threading.Condition] = None
 
 
 class AdmissionController:
@@ -114,7 +119,6 @@ class AdmissionController:
         self,
         max_in_flight: int,
         queue_limit: int,
-        priority_levels: int = len(PRIORITY_NAMES),
     ) -> None:
         if max_in_flight < 1:
             raise ConfigurationError(
@@ -124,14 +128,8 @@ class AdmissionController:
             raise ConfigurationError(
                 f"queue_limit must be >= 0, got {queue_limit}"
             )
-        if not 1 <= priority_levels <= len(PRIORITY_NAMES):
-            raise ConfigurationError(
-                f"priority_levels must be in [1, {len(PRIORITY_NAMES)}], "
-                f"got {priority_levels}"
-            )
         self.max_in_flight = max_in_flight
         self.queue_limit = queue_limit
-        self.priority_levels = priority_levels
         self._lock = threading.Lock()
         self._heap: List[Tuple[int, int, _Ticket]] = []
         self._seq = 0
@@ -141,8 +139,8 @@ class AdmissionController:
         self.rejected_total = 0
         self.timed_out_total = 0
         self.queued_peak = 0
-        self.admitted_by_priority = [0] * priority_levels
-        self.rejected_by_priority = [0] * priority_levels
+        self.admitted_by_priority = [0] * len(PRIORITY_NAMES)
+        self.rejected_by_priority = [0] * len(PRIORITY_NAMES)
 
     # ------------------------------------------------------------- policy --
 
@@ -155,10 +153,8 @@ class AdmissionController:
         pressure background queries are shed first, then batch, and
         interactive last (the full Q).
         """
-        level = priority_level(priority)
-        return (self.queue_limit * (self.priority_levels - level)) // (
-            self.priority_levels
-        )
+        levels = len(PRIORITY_NAMES)
+        return self.queue_limit * (levels - priority_level(priority)) // levels
 
     def pressure(self) -> float:
         """Queue occupancy in [0, 1] — the degradation-ladder signal.
@@ -172,6 +168,52 @@ class AdmissionController:
             return self._in_flight / self.max_in_flight
 
     # ------------------------------------------------------------- lifecycle --
+
+    def offer(self, priority: Union[int, str, None] = None) -> _Ticket:
+        """The non-blocking core: a slot, a queue place, or a rejection.
+
+        Returns a ticket that is already ``granted`` when a slot is
+        free, else a queued one — its slot arrives as the return value
+        of a later :meth:`release`.  Raises
+        :class:`ServiceOverloadedError` when the priority class's queue
+        allowance is exhausted.  The virtual-time simulation runner
+        drives admission through this and :meth:`release` alone;
+        :meth:`acquire` is this plus the wait.
+        """
+        with self._lock:
+            return self._offer_locked(priority_level(priority))
+
+    def _offer_locked(
+        self, level: int, timeout: Optional[float] = None
+    ) -> _Ticket:
+        ticket = _Ticket(level, self._seq)
+        # a free slot implies nobody waits: every release grants until
+        # the slots or the waiters run out, and a grant leaves the queue
+        if self._in_flight < self.max_in_flight:
+            ticket.granted = True
+            self._admit_locked(level)
+            return ticket
+        allowance = self.queue_limit_for(level)
+        if self._queued >= allowance:
+            self._reject_locked(
+                level,
+                f"service overloaded: {self._in_flight} queries in flight "
+                f"(max {self.max_in_flight}) and {self._queued} queued "
+                f"(limit {self.queue_limit}, "
+                f"{PRIORITY_NAMES[level]} allowance {allowance}); "
+                f"retry later",
+            )
+        if timeout is not None and timeout <= 0:
+            self._reject_locked(
+                level,
+                f"service overloaded: no free slot and timeout={timeout} "
+                f"forbids queueing (max_in_flight={self.max_in_flight})",
+            )
+        self._seq += 1
+        heapq.heappush(self._heap, (level, ticket.seq, ticket))
+        self._set_queued_locked(self._queued + 1)
+        self.queued_peak = max(self.queued_peak, self._queued)
+        return ticket
 
     def acquire(
         self,
@@ -189,36 +231,11 @@ class AdmissionController:
         """
         level = priority_level(priority)
         with self._lock:
-            if self._in_flight < self.max_in_flight and self._queued == 0:
-                self._admit_locked(level)
+            ticket = self._offer_locked(level, timeout)
+            if ticket.granted:
                 return
-            allowance = self.queue_limit_for(level)
-            if self._queued >= allowance:
-                self._reject_locked(
-                    level,
-                    f"service overloaded: {self._in_flight} queries in flight "
-                    f"(max {self.max_in_flight}) and {self._queued} queued "
-                    f"(limit {self.queue_limit}, "
-                    f"{PRIORITY_NAMES[level]} allowance {allowance}); "
-                    f"retry later",
-                )
-            if timeout is not None and timeout <= 0:
-                self._reject_locked(
-                    level,
-                    f"service overloaded: no free slot and timeout={timeout} "
-                    f"forbids queueing (max_in_flight={self.max_in_flight})",
-                )
+            ticket.cond = threading.Condition(self._lock)
             deadline = None if timeout is None else time.monotonic() + timeout
-            ticket = _Ticket(level, self._seq, self._lock)
-            self._seq += 1
-            heapq.heappush(self._heap, (level, ticket.seq, ticket))
-            self._queued += 1
-            self.queued_peak = max(self.queued_peak, self._queued)
-            telemetry.set_gauge("service.queue_depth", self._queued)
-            # a slot may have freed between the fast-path check and the
-            # push (or the queue was momentarily non-empty); granting here
-            # admits this ticket immediately if it is the best waiter
-            self._grant_next_locked()
             try:
                 while not ticket.granted:
                     if deadline is None:
@@ -228,11 +245,6 @@ class AdmissionController:
                     if remaining <= 0 or not ticket.cond.wait(remaining):
                         if ticket.granted:
                             break  # grant raced the timeout: slot is ours
-                        ticket.abandoned = True
-                        self._queued -= 1
-                        telemetry.set_gauge(
-                            "service.queue_depth", self._queued
-                        )
                         self.timed_out_total += 1
                         self._reject_locked(
                             level,
@@ -245,44 +257,15 @@ class AdmissionController:
                 if ticket.granted:
                     # interrupted after the grant: hand the slot straight
                     # on so it is never stranded (the lost-wakeup fix)
-                    self._queued -= 1
-                    telemetry.set_gauge("service.queue_depth", self._queued)
                     self._release_locked()
-                elif not ticket.abandoned:
+                else:
                     ticket.abandoned = True
-                    self._queued -= 1
-                    telemetry.set_gauge("service.queue_depth", self._queued)
+                    self._set_queued_locked(self._queued - 1)
                 raise
-            self._queued -= 1
-            telemetry.set_gauge("service.queue_depth", self._queued)
 
-    def try_acquire(self, priority: Union[int, str, None] = None) -> bool:
-        """Non-blocking: admit if a slot is free and nobody waits.
-
-        Returns ``False`` (caller should queue or shed) instead of
-        blocking; never raises for a full queue.  Used by the modelled
-        open-loop executor, which manages virtual-time queueing itself.
-        """
-        level = priority_level(priority)
-        with self._lock:
-            if self._in_flight < self.max_in_flight and self._queued == 0:
-                self._admit_locked(level)
-                return True
-            return False
-
-    def record_shed(
-        self, priority: Union[int, str, None], reason: str = "queue_full"
-    ) -> None:
-        """Count one shed query (modelled executors shed out-of-band)."""
-        level = priority_level(priority)
-        with self._lock:
-            self._count_rejected_locked(level, reason)
-
-    def note_queue_depth(self, depth: int) -> None:
-        """Report an external (virtual-time) queue's depth for gauges."""
-        with self._lock:
-            self.queued_peak = max(self.queued_peak, depth)
-            telemetry.set_gauge("service.queue_depth", depth)
+    def _set_queued_locked(self, queued: int) -> None:
+        self._queued = queued
+        telemetry.set_gauge("service.queue_depth", queued)
 
     def _admit_locked(self, level: int) -> None:
         self._in_flight += 1
@@ -291,44 +274,51 @@ class AdmissionController:
         telemetry.count("service.admitted", priority=PRIORITY_NAMES[level])
         telemetry.set_gauge("service.in_flight", self._in_flight)
 
-    def _count_rejected_locked(self, level: int, reason: str) -> None:
+    def _reject_locked(
+        self, level: int, message: str, shed_reason: str = "queue_full"
+    ) -> None:
         self.rejected_total += 1
         self.rejected_by_priority[level] += 1
         telemetry.count(
             "service.rejected",
             priority=PRIORITY_NAMES[level],
-            reason=reason,
+            reason=shed_reason,
         )
-
-    def _reject_locked(
-        self, level: int, message: str, shed_reason: str = "queue_full"
-    ) -> None:
-        self._count_rejected_locked(level, shed_reason)
         raise ServiceOverloadedError(message)
 
-    def _grant_next_locked(self) -> None:
-        """Hand free slots to the best waiting tickets (direct handoff)."""
+    def _grant_next_locked(self) -> Optional[_Ticket]:
+        """Hand a free slot to the best waiting ticket (direct handoff).
+
+        The ticket stops counting as queued *here*, not when its waiter
+        wakes: between the two an arrival would otherwise see a free
+        slot behind a phantom queue and be shed against it.
+        """
+        granted = None
         while self._in_flight < self.max_in_flight and self._heap:
             _, _, ticket = heapq.heappop(self._heap)
             if ticket.abandoned:
                 continue
+            granted = ticket
             ticket.granted = True
+            self._set_queued_locked(self._queued - 1)
             self._admit_locked(ticket.priority)
-            ticket.cond.notify()
+            if ticket.cond is not None:
+                ticket.cond.notify()
+        return granted
 
-    def _release_locked(self) -> None:
+    def _release_locked(self) -> Optional[_Ticket]:
         self._in_flight -= 1
         telemetry.set_gauge("service.in_flight", self._in_flight)
-        self._grant_next_locked()
+        return self._grant_next_locked()
 
-    def release(self) -> None:
-        """Return an execution slot, granting it to the best queued query."""
+    def release(self) -> Optional[_Ticket]:
+        """Return an execution slot; the queued ticket it went to, if any."""
         with self._lock:
             if self._in_flight < 1:
                 raise ConfigurationError(
                     "release() without a matching acquire()"
                 )
-            self._release_locked()
+            return self._release_locked()
 
     # ------------------------------------------------------------ inspection --
 

@@ -1,60 +1,68 @@
-"""Deterministic open-loop overload execution (discrete-event, modelled).
+"""The simulation runner: one discrete-event loop on the modelled clock.
 
-:func:`run_open_loop` drives an open-loop arrival stream (from
-:mod:`repro.workloads.traffic`) through a modelled service with
-``max_in_flight`` virtual servers and a bounded priority queue — as a
-**discrete-event simulation on the modelled clock**, not wall-clock
-threads.  That choice is what makes the overload gates CI-stable: the
-same seed yields the same arrivals, the same per-query service times
-(measured as the real modelled-network cost of executing each query
-against the live :class:`~repro.client.datasource.DataSource`), and
-therefore the same queue trajectories, shed counts, and latency
-quantiles, on any machine at any load multiple.
+Every simulated run — the open-loop overload flood behind
+``BENCH_overload.json``, the closed-loop clients of ``repro.cli
+serve-sim`` — is this loop driving the service's *own* policy objects in
+virtual time.  :class:`~repro.service.admission.AdmissionController`
+decides through ``offer`` / ``release`` which arrival takes a slot,
+which waits (priority, then FIFO), which is **shed** under its class's
+shrinking allowance, and which waiter a freed slot goes to;
+:class:`~repro.service.service.DegradationLadder` drops
+``verified_reads`` to plain quorum reads while the queue is under
+pressure.  The runner keeps only the clock, the arrivals and the heap of
+in-flight completions: no queue, no allowance arithmetic, no thresholds,
+no thread.  A job's service time is the real modelled-network cost of
+its statement against the live
+:class:`~repro.client.datasource.DataSource`, so one seed gives the same
+queue trajectories, shed counts and latency quantiles on any machine —
+what makes the overload gates CI-stable (and threads would buy no wall
+clock: providers answer in-line; DESIGN.md §13).
 
-Mechanics per arriving event:
-
-1. virtual servers that finished before the arrival complete, each
-   freed slot going to the best queued query (priority, then FIFO);
-2. the degradation ladder updates from queue occupancy — at
-   ``degrade_at`` the source's ``verified_reads`` drops to plain quorum
-   reads (cheaper, still correct), restored at ``restore_at``
-   (hysteresis so the mode doesn't flap);
-3. the arrival takes a free slot if one exists, else queues under its
-   priority class's shrinking allowance
-   (:meth:`~repro.service.admission.AdmissionController.queue_limit_for`),
-   else is **shed** — background first, interactive last.
+Open and closed loop are two **arrival disciplines** of the one loop.
+:func:`run_open_loop`: every event arrives at its generated timestamp
+whether or not earlier ones finished.  :func:`run_closed_loop`: the
+events are dealt round-robin to a fixed population of clients, and a
+client's next statement arrives at its previous one's modelled finish
+(known as soon as the job starts) — or, if that one was shed, when the
+next slot frees.
 
 Every executed query is checked against a plaintext mirror that applies
-writes in execution order, so the overload gate's "zero incorrect
-results under 4× load" is a real end-to-end correctness claim, not a
-status-code count.  Outcomes land in the SLO metrics
-(:mod:`repro.service.slo`) and the returned report embeds the rollup.
+writes in execution order, so "zero incorrect results under 4× load" is
+a real end-to-end correctness claim, not a status-code count.  Outcomes
+land in the SLO metrics (:mod:`repro.service.slo`) and the returned
+report embeds the rollup.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..client.datasource import DataSource
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, ReproError, ServiceOverloadedError
 from ..sqlengine.catalog import Catalog
 from ..sqlengine.executor import PlaintextExecutor, rows_equal_unordered
+from ..sqlengine.query import Insert
 from ..sqlengine.schema import TableSchema
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
 from ..workloads.traffic import TrafficEvent, TrafficProfile, generate_traffic
 from .admission import AdmissionController, priority_name
+from .service import DegradationLadder
 from .slo import (
     COMPLETED_METRIC,
-    DEGRADED_METRIC,
     FAILED_METRIC,
     INCORRECT_METRIC,
     SHED_METRIC,
     observe_latency,
     slo_report,
 )
+
+#: One client: when its first statement arrives, and the statements it
+#: will send, each after the previous one's finish.
+Stream = Tuple[float, Deque[TrafficEvent]]
 
 #: Floor on a query's modelled service time: a fully cache-hit query can
 #: cost zero modelled network seconds, and zero-width service would make
@@ -131,174 +139,198 @@ def run_open_loop(
     events: Sequence[TrafficEvent],
     max_in_flight: int = 8,
     queue_limit: int = 32,
-    degrade_at: float = 0.5,
-    restore_at: float = 0.2,
-    availability_target: float = 0.999,
     check_results: bool = True,
 ) -> Dict[str, object]:
-    """Run an event stream to completion; return the overload report.
+    """Run an open-loop event stream to completion; the overload report.
 
-    ``degrade_at``/``restore_at`` are queue-occupancy fractions for the
-    verified-read degradation ladder (ignored when the source does not
-    use verified reads).  With ``check_results`` every answer is
-    compared against the plaintext mirror — the report's ``incorrect``
-    must be zero for the overload gate to pass.
+    Each event arrives at its own ``arrival`` timestamp.  With
+    ``check_results`` every answer is compared against the plaintext
+    mirror — the report's ``incorrect`` must be zero for the overload
+    gate to pass.
     """
-    if not 0.0 <= restore_at <= degrade_at <= 1.0:
-        raise ConfigurationError(
-            f"need 0 <= restore_at <= degrade_at <= 1, got "
-            f"restore_at={restore_at}, degrade_at={degrade_at}"
-        )
-    events = sorted(events, key=lambda e: e.arrival)
+    streams = [(event.arrival, deque((event,))) for event in events]
+    return _simulate(
+        source, streams, source.sql, max_in_flight, queue_limit, check_results
+    )
+
+
+def run_closed_loop(
+    source: DataSource,
+    events: Sequence[TrafficEvent],
+    clients: int,
+    max_in_flight: int = 8,
+    queue_limit: int = 32,
+    transactional: bool = False,
+) -> Dict[str, object]:
+    """Run ``events`` through ``clients`` closed-loop clients; same report.
+
+    The statements are dealt round-robin to the clients (their generated
+    timestamps are ignored): every client sends its first at time zero
+    and each later one when the previous finishes.  ``transactional``
+    routes every statement through one shared
+    :class:`~repro.txn.TransactionManager` (client WAL + staged provider
+    apply) and adds its counters to the report as ``txn``.
+    """
+    if clients < 1:
+        raise ConfigurationError(f"clients must be >= 1, got {clients}")
+    streams = [(0.0, deque(events[c::clients])) for c in range(clients)]
+    if not transactional:
+        return _simulate(source, streams, source.sql, max_in_flight, queue_limit)
+    from ..txn import TransactionManager
+
+    manager = TransactionManager(source)
+
+    def execute(text: str) -> object:
+        statement = parse_sql(text)
+        result = manager.execute(statement)
+        # INSERT answers with its row id: an allocation detail, not a count
+        return 1 if isinstance(statement, Insert) else result
+
+    try:
+        report = _simulate(source, streams, execute, max_in_flight, queue_limit)
+        report["txn"] = manager.stats()
+    finally:
+        manager.close()
+    return report
+
+
+def _simulate(
+    source: DataSource,
+    streams: Sequence[Stream],
+    execute: Callable[[str], object],
+    max_in_flight: int,
+    queue_limit: int,
+    check_results: bool = True,
+) -> Dict[str, object]:
+    """The event loop: arrivals and completions in modelled-time order.
+
+    An arrival is offered to admission (slot, queue place or shed); a
+    completion releases its slot, which admission hands to the best
+    waiter.  The degradation ladder is consulted at every event: at an
+    arrival, after an enqueue, and at a completion before its slot moves
+    on.  Ties go to the completion, then to the earlier stream.
+    """
     network = source.cluster.network
     admission = AdmissionController(max_in_flight, queue_limit)
+    ladder = DegradationLadder(source, admission)
     mirror: Optional[PlaintextMirror] = None
     if check_results:
         mirror = PlaintextMirror(
             source.sharing("Employees").schema,
             source.sql("SELECT * FROM Employees"),
         )
-    premium = bool(source.verified_reads)
     start_modelled = network.modelled_seconds
     start_bytes = network.total_bytes
     start_messages = network.total_messages
 
-    state = {
-        "degraded": False,
-        "degrade_spans": 0,
-        "completed": 0,
-        "failed": 0,
-        "shed": 0,
-        "degraded_served": 0,
-        "busy_seconds": 0.0,
-        "last_finish": 0.0,
-        "seq": 0,
-    }
+    completed = failed = offered = degraded_served = 0
+    busy_seconds = last_finish = last_arrival = 0.0
     incorrect: List[str] = []
-    completions: List[Tuple[float, int, TrafficEvent]] = []  # server heap
-    queue: List[Tuple[int, int, TrafficEvent]] = []  # (priority, seq)
+    # (time, tie-break, ...) heaps; `waiting` maps a queued admission
+    # ticket to the arrival it stands for
+    arrivals = [
+        (first, index, stream)
+        for index, (first, stream) in enumerate(streams)
+        if stream
+    ]
+    heapq.heapify(arrivals)
+    completions: List[Tuple[float, int]] = []
+    waiting: Dict[object, Tuple[float, TrafficEvent, int, Deque]] = {}
+    started = 0
 
-    def set_degraded(on: bool) -> None:
-        if not premium or state["degraded"] == on:
-            return
-        state["degraded"] = on
-        # transparently downgrade reads: plain quorum reads are cheaper
-        # but still reconstruct the same values — correctness is never
-        # traded, only tamper-evidence, and only until pressure drops
-        source.verified_reads = not on
-        if on:
-            state["degrade_spans"] += 1
-            telemetry.count("service.degrade_enter")
-        else:
-            telemetry.count("service.degrade_exit")
-
-    def update_ladder() -> None:
-        if queue_limit <= 0:
-            return
-        occupancy = len(queue) / queue_limit
-        if not state["degraded"] and occupancy >= degrade_at:
-            set_degraded(True)
-        elif state["degraded"] and occupancy <= restore_at:
-            set_degraded(False)
-
-    def start_job(event: TrafficEvent, now: float) -> None:
+    def start_job(
+        arrival: float, event: TrafficEvent, index: int, stream: Deque,
+        now: float,
+    ) -> None:
+        nonlocal completed, failed, degraded_served, started
+        nonlocal busy_seconds, last_finish
         pname = priority_name(event.priority)
-        served_degraded = (
-            premium and state["degraded"] and not event.is_write
-        )
         began = network.modelled_seconds
         error: Optional[str] = None
         actual: object = None
         try:
-            actual = source.sql(event.sql)
+            actual = execute(event.sql)
         except ReproError as exc:
             error = str(exc)
         service_seconds = max(
             network.modelled_seconds - began, MIN_SERVICE_SECONDS
         )
         finish = now + service_seconds
-        state["seq"] += 1
-        heapq.heappush(completions, (finish, state["seq"], event))
-        state["busy_seconds"] += service_seconds
-        state["last_finish"] = max(state["last_finish"], finish)
+        started += 1
+        heapq.heappush(completions, (finish, started))
+        if stream:
+            heapq.heappush(arrivals, (finish, index, stream))
+        busy_seconds += service_seconds
+        last_finish = max(last_finish, finish)
         if error is not None:
-            state["failed"] += 1
+            failed += 1
             telemetry.count(FAILED_METRIC, priority=pname)
             return
-        state["completed"] += 1
+        completed += 1
         telemetry.count(COMPLETED_METRIC, priority=pname)
-        observe_latency(finish - event.arrival, pname)
-        if served_degraded:
-            state["degraded_served"] += 1
-            telemetry.count(DEGRADED_METRIC, priority=pname)
+        observe_latency(finish - arrival, pname)
+        if not event.is_write and ladder.note_read(event.priority):
+            degraded_served += 1
         if mirror is not None and not mirror.check_and_apply(event, actual):
             incorrect.append(event.sql)
             telemetry.count(INCORRECT_METRIC, priority=pname)
 
-    def drain_until(virtual_time: float) -> None:
-        """Complete every server finishing by ``virtual_time``; refill."""
-        while completions and completions[0][0] <= virtual_time:
-            finish, _, _ = heapq.heappop(completions)
-            admission.release()
-            update_ladder()
-            if queue:
-                _, _, queued_event = heapq.heappop(queue)
-                admission.note_queue_depth(len(queue))
-                if admission.try_acquire(queued_event.priority):
-                    start_job(queued_event, finish)
-
     try:
-        for event in events:
-            drain_until(event.arrival)
-            update_ladder()
-            if admission.try_acquire(event.priority):
-                start_job(event, event.arrival)
+        while arrivals or completions:
+            if completions and (
+                not arrivals or completions[0][0] <= arrivals[0][0]
+            ):
+                now, _ = heapq.heappop(completions)
+                ladder.update()
+                ticket = admission.release()
+                if ticket is not None:
+                    start_job(*waiting.pop(ticket), now)
                 continue
-            allowance = admission.queue_limit_for(event.priority)
-            if len(queue) < allowance:
-                state["seq"] += 1
-                heapq.heappush(
-                    queue, (event.priority, state["seq"], event)
-                )
-                admission.note_queue_depth(len(queue))
-                update_ladder()
-            else:
-                state["shed"] += 1
-                admission.record_shed(event.priority)
+            now, index, stream = heapq.heappop(arrivals)
+            event = stream.popleft()
+            offered += 1
+            last_arrival = now
+            ladder.update()
+            try:
+                ticket = admission.offer(event.priority)
+            except ServiceOverloadedError:
                 telemetry.count(
                     SHED_METRIC,
                     priority=priority_name(event.priority),
                     reason="queue_full",
                 )
-        drain_until(float("inf"))
+                if stream:  # the client backs off until a slot frees
+                    heapq.heappush(
+                        arrivals, (completions[0][0], index, stream)
+                    )
+                continue
+            if ticket.granted:
+                start_job(now, event, index, stream, now)
+            else:
+                waiting[ticket] = (now, event, index, stream)
+                ladder.update()
     finally:
-        source.verified_reads = premium  # restore the configured mode
-    assert not queue, "virtual queue must drain once all servers finish"
+        ladder.restore()
+    assert not waiting, "the admission queue must drain once servers finish"
 
-    offered = len(events)
-    arrival_span = events[-1].arrival if events else 0.0
-    makespan = max(state["last_finish"], arrival_span)
+    makespan = max(last_finish, last_arrival)
     report: Dict[str, object] = {
         "offered": offered,
-        "completed": state["completed"],
-        "failed": state["failed"],
-        "shed": state["shed"],
+        "completed": completed,
+        "failed": failed,
+        "shed": admission.rejected_total,
         "incorrect": len(incorrect),
         "incorrect_examples": incorrect[:5],
-        "degraded_served": state["degraded_served"],
-        "degrade_spans": state["degrade_spans"],
-        "arrival_seconds": round(arrival_span, 6),
+        "degraded_served": degraded_served,
+        "degrade_spans": ladder.spans,
+        "arrival_seconds": round(last_arrival, 6),
         "makespan_seconds": round(makespan, 6),
         "offered_qps": (
-            round(offered / arrival_span, 2) if arrival_span else 0.0
+            round(offered / last_arrival, 2) if last_arrival else 0.0
         ),
-        "goodput_qps": (
-            round(state["completed"] / makespan, 2) if makespan else 0.0
-        ),
+        "goodput_qps": round(completed / makespan, 2) if makespan else 0.0,
         "utilization": (
-            round(
-                state["busy_seconds"] / (makespan * max_in_flight), 4
-            )
+            round(busy_seconds / (makespan * max_in_flight), 4)
             if makespan
             else 0.0
         ),
@@ -313,5 +345,5 @@ def run_open_loop(
     if breakers is not None:
         report["breakers"] = breakers.snapshot()
     if telemetry.is_enabled():
-        report["slo"] = slo_report(availability_target=availability_target)
+        report["slo"] = slo_report()
     return report

@@ -33,11 +33,67 @@ from ..client.datasource import DataSource
 from ..errors import ServiceError, ServiceOverloadedError
 from ..sqlengine.query import Delete, Insert, JoinSelect, Select, Update
 from ..sqlengine.sqlparser import parse_sql
-from .admission import AdmissionController, priority_level, priority_name
+from .admission import AdmissionController, priority_name
 from .scheduler import BatchingCluster, FanoutBatcher
 from .session import Session, SessionManager
+from .slo import DEGRADED_METRIC
 
 _READS = (Select, JoinSelect)
+
+#: Degradation-ladder thresholds on
+#: :meth:`~repro.service.admission.AdmissionController.pressure`: step
+#: down when the queue is half full, back up only once it has nearly
+#: drained — hysteresis, so the mode does not flap at one threshold.
+DEGRADE_AT = 0.5
+RESTORE_AT = 0.2
+
+
+class DegradationLadder:
+    """Under queue pressure, verified reads become plain quorum reads.
+
+    The step before shedding: a plain quorum read reconstructs the same
+    values in cheaper rounds — correctness is never traded, only
+    tamper-evidence, and only until the pressure falls.  The one ladder
+    in the repo: :meth:`QueryService.execute` moves it per statement and
+    the virtual-time simulation runner at every event, both from the
+    admission controller's own pressure signal.  Inert over a source
+    that does not use verified reads.
+    """
+
+    def __init__(self, source: DataSource, admission: AdmissionController):
+        self.source = source
+        self.admission = admission
+        self.premium = bool(getattr(source, "verified_reads", False))
+        self.degraded = False
+        self.spans = 0
+        self._lock = threading.Lock()
+
+    def update(self) -> None:
+        """Move the ladder from the current admission pressure."""
+        if not self.premium:
+            return
+        pressure = self.admission.pressure()
+        with self._lock:
+            if not self.degraded and pressure >= DEGRADE_AT:
+                self.degraded = True
+                self.spans += 1
+                self.source.verified_reads = False
+                telemetry.count("service.degrade_enter")
+            elif self.degraded and pressure <= RESTORE_AT:
+                self.degraded = False
+                self.source.verified_reads = True
+                telemetry.count("service.degrade_exit")
+
+    def note_read(self, priority) -> bool:
+        """Whether a read runs degraded right now; counts it if so."""
+        if not self.degraded:
+            return False
+        telemetry.count(DEGRADED_METRIC, priority=priority_name(priority))
+        return True
+
+    def restore(self) -> None:
+        """The source leaves with the read mode it came with."""
+        self.source.verified_reads = self.premium
 
 
 class TableLock:
@@ -56,19 +112,22 @@ class TableLock:
         self._writer = False
         self._writers_waiting = 0
 
-    def acquire_read(self) -> None:
+    @contextmanager
+    def reading(self) -> Iterator[None]:
         with self._cond:
             while self._writer or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                if self._readers == 0:
+                    self._cond.notify_all()
 
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
+    @contextmanager
+    def writing(self) -> Iterator[None]:
         with self._cond:
             self._writers_waiting += 1
             try:
@@ -77,27 +136,12 @@ class TableLock:
             finally:
                 self._writers_waiting -= 1
             self._writer = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def reading(self) -> Iterator[None]:
-        self.acquire_read()
         try:
             yield
         finally:
-            self.release_read()
-
-    @contextmanager
-    def writing(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+            with self._cond:
+                self._writer = False
+                self._cond.notify_all()
 
 
 class ServiceStats:
@@ -292,39 +336,21 @@ class QueryService(StatementLadder):
         source: DataSource,
         max_in_flight: int = 16,
         queue_limit: int = 32,
-        batching: bool = True,
         transactional: bool = False,
-        degrade_at: float = 0.5,
-        restore_at: float = 0.2,
     ) -> None:
-        if not 0.0 <= restore_at <= degrade_at <= 1.0:
-            raise ServiceError(
-                f"need 0 <= restore_at <= degrade_at <= 1, got "
-                f"restore_at={restore_at}, degrade_at={degrade_at}"
-            )
         super().__init__()
         self.source = source
-        self.batching = batching
         #: route session writes through the shared transaction manager
         #: (client WAL + staged provider apply) instead of the direct
         #: eager path; reads are unaffected
         self.transactional = transactional
         self._inner_cluster = source.cluster
         self.batcher = FanoutBatcher(self._inner_cluster)
-        if batching:
-            source.cluster = BatchingCluster(self._inner_cluster, self.batcher)
+        source.cluster = BatchingCluster(self._inner_cluster, self.batcher)
         self.admission = AdmissionController(max_in_flight, queue_limit)
+        self.ladder = DegradationLadder(source, self.admission)
         self._txn_manager = None
         self._closed = False
-        # degradation ladder: under queue pressure, verified reads are
-        # transparently downgraded to plain quorum reads (same values,
-        # cheaper rounds) before any work is rejected — restored with
-        # hysteresis so the mode doesn't flap at the threshold
-        self.degrade_at = degrade_at
-        self.restore_at = restore_at
-        self._premium_reads = bool(getattr(source, "verified_reads", False))
-        self._degraded = False
-        self._degrade_lock = threading.Lock()
 
     # ------------------------------------------------------------- sessions --
 
@@ -353,55 +379,26 @@ class QueryService(StatementLadder):
         """
         self._check_open()
         statement = parse_sql(text)
-        self._update_degraded_mode()
-        served_degraded = False
+        self.ladder.update()
 
         def run() -> List[object]:
-            nonlocal served_degraded
-            served_degraded = isinstance(
-                statement, _READS
-            ) and self._note_degraded_read(priority)
+            if isinstance(statement, _READS) and self.ladder.note_read(
+                priority
+            ):
+                with self._stats_lock:
+                    self.stats.degraded_served += 1
             return [self._run(statement, session)]
 
         (result,) = self._run_statements(
             [statement], [run], span="service.query",
             session=session, priority=priority, timeout=timeout,
         )
-        if served_degraded:
-            with self._stats_lock:
-                self.stats.degraded_served += 1
         return result
-
-    def _update_degraded_mode(self) -> None:
-        """Move the degradation ladder from the admission pressure signal."""
-        if not self._premium_reads:
-            return
-        pressure = self.admission.pressure()
-        with self._degrade_lock:
-            if not self._degraded and pressure >= self.degrade_at:
-                self._degraded = True
-                self.source.verified_reads = False
-                telemetry.count("service.degrade_enter")
-            elif self._degraded and pressure <= self.restore_at:
-                self._degraded = False
-                self.source.verified_reads = True
-                telemetry.count("service.degrade_exit")
-
-    def _note_degraded_read(self, priority) -> bool:
-        """Whether this read runs degraded; counts it if so."""
-        if not (self._premium_reads and self._degraded):
-            return False
-        from .slo import DEGRADED_METRIC
-
-        telemetry.count(
-            DEGRADED_METRIC, priority=priority_name(priority_level(priority))
-        )
-        return True
 
     @property
     def degraded(self) -> bool:
         """Whether reads currently run in degraded (plain-quorum) mode."""
-        return self._degraded
+        return self.ladder.degraded
 
     def _run(self, statement, session: Optional[Session]):
         if self.transactional and isinstance(
@@ -446,7 +443,7 @@ class QueryService(StatementLadder):
 
     # ---------------------------------------------------------------- writes --
 
-    def transaction_manager(self, wal_path: Optional[str] = None):
+    def transaction_manager(self):
         """The service's shared transactional write path, created lazily.
 
         One manager (one WAL, one group-commit engine) serves every
@@ -456,9 +453,7 @@ class QueryService(StatementLadder):
         if self._txn_manager is None:
             from ..txn import TransactionManager
 
-            self._txn_manager = TransactionManager(
-                self.source, wal_path=wal_path
-            )
+            self._txn_manager = TransactionManager(self.source)
         return self._txn_manager
 
     def run_write_wave(self, statements: List[str]) -> List[object]:
@@ -484,10 +479,10 @@ class QueryService(StatementLadder):
     # ------------------------------------------------------------ reporting --
 
     def report(self) -> Dict[str, object]:
-        """One dict with every layer's counters (the serve-sim report body)."""
+        """One dict with every layer's counters."""
         out = {
             "service": self.stats.snapshot(),
-            "degraded": self._degraded,
+            "degraded": self.ladder.degraded,
             "admission": self.admission.snapshot(),
             "batcher": self.batcher.snapshot(),
             "sessions": self.sessions.snapshot(),
@@ -506,8 +501,7 @@ class QueryService(StatementLadder):
         if self._txn_manager is not None:
             self._txn_manager.close()
         self.source.cluster = self._inner_cluster
-        # un-degrade: the source leaves with the read mode it came with
-        self.source.verified_reads = self._premium_reads
+        self.ladder.restore()
 
     def _check_open(self) -> None:
         if self._closed:

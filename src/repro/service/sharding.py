@@ -506,8 +506,10 @@ class ShardRouter(StatementLadder):
         #: own source, so session id blocks come from the router-global
         #: counter and never collide across groups
         self.source = self
-        self._service_params: Optional[Tuple[int, int, bool]] = None
+        self._service_params: Optional[Tuple[int, int]] = None
         self.migrations = 0
+        #: as :attr:`DataSource.txn_id_high`, for sharded managers
+        self.txn_id_high = 0
 
     # ------------------------------------------------------------- building --
 
@@ -1054,12 +1056,11 @@ class ShardRouter(StatementLadder):
         self,
         max_in_flight: int = 16,
         queue_limit: int = 32,
-        batching: bool = True,
     ) -> None:
         """Wrap every group in a :class:`QueryService` (admission + batcher)."""
         if any(group.service is not None for group in self.groups):
             raise ServiceError("services are already attached")
-        self._service_params = (max_in_flight, queue_limit, batching)
+        self._service_params = (max_in_flight, queue_limit)
         for group in self.groups:
             group.service = QueryService(group.source, *self._service_params)
         scale = max(1, len(self.active_group_indexes()))

@@ -88,12 +88,6 @@ def histogram_quantile(hist: Histogram, quantile: float) -> float:
     return hist.bounds[-1]  # overflow bucket: clamp to the top bound
 
 
-def _priority_counter(
-    registry: MetricsRegistry, name: str, priority: str
-) -> float:
-    return registry.counter_value(name, priority=priority)
-
-
 def slo_report(
     registry: Optional[MetricsRegistry] = None,
     availability_target: float = 0.999,
@@ -127,8 +121,8 @@ def slo_report(
         hist = registry.histogram(
             LATENCY_METRIC, buckets=FINE_BUCKETS, priority=priority
         )
-        completed = _priority_counter(registry, COMPLETED_METRIC, priority)
-        failed = _priority_counter(registry, FAILED_METRIC, priority)
+        completed = registry.counter_value(COMPLETED_METRIC, priority=priority)
+        failed = registry.counter_value(FAILED_METRIC, priority=priority)
         shed_full = registry.counter_value(
             SHED_METRIC, priority=priority, reason="queue_full"
         )
@@ -136,8 +130,8 @@ def slo_report(
             SHED_METRIC, priority=priority, reason="timeout"
         )
         shed = shed_full + shed_timeout
-        degraded = _priority_counter(registry, DEGRADED_METRIC, priority)
-        incorrect = _priority_counter(registry, INCORRECT_METRIC, priority)
+        degraded = registry.counter_value(DEGRADED_METRIC, priority=priority)
+        incorrect = registry.counter_value(INCORRECT_METRIC, priority=priority)
         offered = completed + failed + shed
         offered_total += offered
         bad_total += failed + shed

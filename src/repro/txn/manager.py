@@ -291,8 +291,12 @@ class TransactionManager:
             return None
         self._kill("pre-log")
         with self._resolve_lock:
-            txn_id = self._next_txn_id
-            self._next_txn_id += 1
+            # ids are unique per deployment, not per log: providers keep
+            # every id they applied, so a second manager (a fresh WAL)
+            # recycling one would be silently skipped — silently lost
+            txn_id = max(self._next_txn_id, self.source.txn_id_high + 1)
+            self._next_txn_id = txn_id + 1
+            self.source.txn_id_high = txn_id
             self.wal.log_txn(txn_id, ops)
             txn = PendingTxn(
                 txn_id, ops, {op["table"] for op in ops}, effects=effects
@@ -493,6 +497,9 @@ class TransactionManager:
                 next_id = max(next_id, record["next_id"])
         with self._resolve_lock:
             self._next_txn_id = max(self._next_txn_id, next_id)
+            self.source.txn_id_high = max(
+                self.source.txn_id_high, self._next_txn_id - 1
+            )
             replay_ids = [
                 tid
                 for tid in logged

@@ -1,13 +1,15 @@
-"""Open-loop traffic generation: the flood the service must survive.
+"""Traffic generation: the statement stream the simulation runner feeds.
 
-The closed-loop replay in :mod:`repro.service.replay` models a fixed
-population of clients that each wait for one answer before sending the
-next statement — under overload such a population politely slows down,
-which is exactly why closed-loop load tests miss capacity cliffs
-("coordinated omission").  Production traffic against a shared DBSP
-(paper §I: many tenants, one service) is **open-loop**: arrivals keep
-coming whether or not earlier queries finished.  This module generates
-that arrival process deterministically:
+A closed-loop run (:func:`repro.service.overload.run_closed_loop`)
+models a fixed population of clients that each wait for one answer
+before sending the next statement — under overload such a population
+politely slows down, which is exactly why closed-loop load tests miss
+capacity cliffs ("coordinated omission").  Production traffic against a
+shared DBSP (paper §I: many tenants, one service) is **open-loop**:
+arrivals keep coming whether or not earlier queries finished.  This
+module generates that arrival process deterministically (a closed-loop
+run deals the same statements to its clients and ignores the
+timestamps):
 
 * **Heavy-tailed inter-arrivals** — Pareto(α) gaps scaled to a target
   mean rate.  α close to 1 produces the bursty, long-tailed arrival
@@ -17,10 +19,12 @@ that arrival process deterministically:
   Zipf rank over a shuffled ranking of the populated keys, so a small
   hot set absorbs most of the traffic (cache-busting for the share
   cache, lock-contention fuel for the service layer).
-* **Session churn** — every event belongs to a session drawn from a
-  live pool; after each query a session retires with probability
+* **Session labels** — every event names a session drawn from a live
+  pool; after each query a session retires with probability
   ``1/session_mean_queries`` (geometric lifetimes) and is replaced by a
-  fresh one, so connection setup/teardown is part of the load.
+  fresh one.  The label is descriptive only: the simulation runner
+  admits by priority and never reads ``session_id``, so session setup
+  and teardown cost nothing in a run.
 * **Mixed statement kinds** — point select, salary-range select,
   aggregate (COUNT over a range), update, insert — with configurable
   weights, each tagged with a priority class for the admission layer.
@@ -50,7 +54,7 @@ KIND_INSERT = "insert"
 _NAMES = ["ALICE", "BOB", "CARLA", "DEVI", "EMIL", "FARAH", "GUS", "HANA"]
 _DEPTS = ["SALES", "ENG", "HR", "OPS"]
 
-#: Width of range/aggregate salary windows (matches the replay engine).
+#: Width of range/aggregate salary windows.
 _RANGE_SPAN = 10_000
 
 
@@ -132,11 +136,12 @@ DEFAULT_PROFILE = TrafficProfile()
 class TrafficEvent:
     """One arriving query: when, who, what, and how important.
 
-    ``params`` carries the statement's structured operands (key, range
-    bounds, inserted row) so consumers — the overload oracle above all —
-    never re-parse the SQL text: point ``(eid,)``, range/aggregate
-    ``(lo, hi)``, update ``(eid, salary)``, insert
-    ``(eid, name, lastname, department, salary)``.
+    ``sql`` is what runs: the simulation runner executes it and its
+    plaintext mirror parses it again for the expected answer.  ``params``
+    repeats the statement's operands in structured form — point
+    ``(eid,)``, range/aggregate ``(lo, hi)``, update ``(eid, salary)``,
+    insert ``(eid, name, lastname, department, salary)`` — for tests
+    and tools; nothing under ``src/`` reads it.
     """
 
     arrival: float
@@ -189,8 +194,8 @@ def generate_traffic(
 
     ``eids`` is the populated key set (point/update targets are drawn
     from it Zipf-hot); inserted keys are allocated downward from
-    :data:`~repro.workloads.employees.EID_HI` exactly like the replay
-    generator, so they stay inside the attribute domain.
+    :data:`~repro.workloads.employees.EID_HI`, so they stay inside the
+    attribute domain and never repeat within a run.
     """
     if not eids:
         raise ConfigurationError(
@@ -201,7 +206,7 @@ def generate_traffic(
             f"n_queries must be >= 0, got {n_queries}"
         )
     # imported lazily: workloads sit below the service layer, and the
-    # service's overload runner imports this module — a module-level
+    # service's simulation runner imports this module — a module-level
     # import here would close that cycle
     from ..service.admission import (
         PRIORITY_BACKGROUND,

@@ -236,6 +236,22 @@ class TestTier1Gate:
         floods = [r for r in runs if "serve-sim --open-loop" in r]
         assert floods and all("--breakers" in r for r in floods)
 
+    def test_chaos_smoke_diffs_two_closed_loop_simulations(self, jobs):
+        """Closed-loop serve-sim runs on the virtual clock: two runs must
+        be equal line for line once the wall-clock key is dropped."""
+        runs = [
+            s["run"] for s in jobs["chaos-smoke"]["steps"] if "run" in s
+        ]
+        (step,) = [r for r in runs if "diff serve-sim-a.json" in r]
+        sims = [
+            line for line in step.splitlines() if "repro.cli serve-sim" in line
+        ]
+        assert len(sims) == 2
+        assert sims[0].replace("-a.json", "-b.json") == sims[1]
+        for line in sims:
+            assert "--json" in line and "--open-loop" not in line
+            assert "grep -v '\"wall_seconds\"'" in line
+
     def test_chaos_smoke_runs_crash_replay_drills(self, jobs):
         """The WAL kill-at-every-phase drill runs through the CLI both
         unsharded and sharded — the command exits nonzero on divergence."""

@@ -236,6 +236,14 @@ class TestTrace:
         assert text.startswith("error: cannot write trace export")
 
 
+WALL_KEYS = ("wall_seconds",)
+
+
+def without_wall(report):
+    assert all(key in report for key in WALL_KEYS)
+    return {k: v for k, v in report.items() if k not in WALL_KEYS}
+
+
 class TestServeSim:
     def test_pretty_report(self):
         code, text = run([
@@ -244,10 +252,28 @@ class TestServeSim:
         ])
         assert code == 0
         assert "serve-sim: 3 clients x 4 statements" in text
-        assert "completed:" in text
+        assert "completed: 12 of 12 statements" in text
         assert "throughput" in text
+        assert "s modelled" in text and "s wall" in text  # both clocks
         assert "admission:" in text
-        assert "batching:" in text
+        assert "slo: availability 1.0000" in text
+
+    def test_both_modes_share_one_printer(self):
+        closed = run(["serve-sim", "--rows", "30", "--clients", "3",
+                      "--statements", "4"])[1]
+        flood = run(["serve-sim", "--rows", "30", "--open-loop", "--load",
+                     "4", "--queries", "60", "--max-in-flight", "2",
+                     "--queue-limit", "6", "--breakers"])[1]
+        assert "serve-sim --open-loop: 60 queries at 4x capacity" in flood
+
+        def labels(text):
+            return [
+                line.split(":")[0].strip() for line in text.splitlines()[1:]
+                if not line.strip().startswith("breakers")
+            ]
+
+        assert labels(closed) == labels(flood)
+        assert "breakers: DAS1=closed" in flood
 
     def test_json_report_parses(self):
         code, text = run([
@@ -256,21 +282,79 @@ class TestServeSim:
         ])
         assert code == 0
         report = json.loads(text)
-        assert report["completed"] == 3 * 4
-        assert report["failed"] == 0
-        assert report["admission"]["rejected_total"] >= 0
+        assert report["completed"] == report["offered"] == 3 * 4
+        assert report["failed"] == report["incorrect"] == 0
+        assert report["admission"]["rejected_total"] == 0
+        # both clocks, side by side
+        assert report["wall_seconds"] > 0
+        assert report["makespan_seconds"] > 0
+        assert report["slo"]["offered"] == 12
 
     def test_deterministic_per_seed(self):
         args = [
-            "serve-sim", "--rows", "30", "--clients", "2",
-            "--statements", "3", "--seed", "5", "--json",
+            "serve-sim", "--rows", "30", "--clients", "5",
+            "--statements", "6", "--max-in-flight", "2", "--queue-limit",
+            "2", "--seed", "5", "--json",
         ]
         a = json.loads(run(args)[1])
         b = json.loads(run(args)[1])
-        # wall-clock timings (and thread-schedule-dependent batching) vary;
-        # the generated workload and its outcome must not
-        for key in ("workload", "completed", "failed"):
-            assert a[key] == b[key]
+        # one virtual clock, no threads: everything but the host's wall
+        # time is a function of the seed — queueing and shedding included
+        assert without_wall(a) == without_wall(b)
+        assert a["shed"] > 0 and a["admission"]["queued_peak"] == 2
+        other = json.loads(run(args[:-3] + ["--seed", "6", "--json"])[1])
+        assert without_wall(other) != without_wall(a)
+
+    def test_transactional_writes_through_the_wal(self, monkeypatch):
+        from repro import cli
+        from repro.sqlengine.catalog import Catalog
+        from repro.sqlengine.executor import PlaintextExecutor
+        from repro.sqlengine.query import Select
+        from repro.sqlengine.sqlparser import parse_sql
+        from repro.txn import TransactionManager
+        from repro.workloads.employees import employees_table
+
+        sources, writes = [], []
+
+        class CapturedSource(cli.DataSource):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sources.append(self)
+
+        inner_execute = TransactionManager.execute
+
+        def recording_execute(self, statement, *args, **kwargs):
+            if not isinstance(statement, Select):
+                writes.append(statement)
+            return inner_execute(self, statement, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "DataSource", CapturedSource)
+        monkeypatch.setattr(TransactionManager, "execute", recording_execute)
+        code, text = run([
+            "serve-sim", "--rows", "30", "--clients", "4", "--statements",
+            "10", "--seed", "5", "--transactional", "--json",
+        ])
+        assert code == 0
+        report = json.loads(text)
+        assert report["completed"] == 40 and report["incorrect"] == 0
+        txn = report["txn"]
+        assert writes and txn["logged"] == txn["committed"] == len(writes)
+        assert txn["pending"] == 0 and txn["wal_fsyncs"] > 0
+        # the table the run left behind is the oracle's, write for write
+        catalog = Catalog()
+        catalog.add_table(employees_table(30, seed=5))
+        oracle = PlaintextExecutor(catalog)
+        for statement in writes:
+            oracle.execute(statement)
+        everything = "SELECT * FROM Employees ORDER BY eid"
+        (source,) = sources
+        assert source.sql(everything) == oracle.execute(parse_sql(everything))
+        # without the flag there is no WAL to report on
+        plain = json.loads(run([
+            "serve-sim", "--rows", "30", "--clients", "4", "--statements",
+            "10", "--seed", "5", "--json",
+        ])[1])
+        assert "txn" not in plain
 
 
 class TestHelpers:

@@ -12,7 +12,9 @@ oracle *as an ordered list*, warm, and again after ``row_cache.clear()``
 (which also re-warms the cache for the next step).  One rule reads the
 pool through a ``QueryService`` opened over the same source, statement by
 statement and as one wave, and checks that ``close()`` hands the source
-back as it was (ISSUE 22).
+back as it was (ISSUE 22); another sends a session's INSERT (on the
+session's private id block), UPDATE and DELETE through one, direct and
+``transactional=True`` (ISSUE 23).
 
 The transaction rules look into the WAL before applying: no inserted
 literal may reach it — the write effect lives in memory only.
@@ -274,6 +276,29 @@ class RowCacheCoherence(RuleBasedStateMachine):
             assert service.run_wave(list(POOL)) == expected
         assert self.source.cluster is cluster
         assert self.source.verified_reads == verified
+
+    @rule(aid=aids, branch=branches, transactional=st.booleans())
+    def session_writes_through_a_query_service(self, aid, branch, transactional):
+        """A session's writes — INSERT on its private id block or, when
+        ``transactional``, everything through the service's own WAL — leave
+        the table the oracle's, read back through the same session warm;
+        the invariant then reads it direct, warm and cache-cleared."""
+        writes = [
+            self._insert_sql(branch),
+            self._insert_sql(100 - branch + 1),
+            f"UPDATE Accounts SET branch = {branch} WHERE aid = {aid}",
+            f"UPDATE Accounts SET note = 'SVC' WHERE branch >= {branch}",
+            f"DELETE FROM Accounts WHERE aid = {aid + 1}",
+        ]
+        with QueryService(self.source, transactional=transactional) as service:
+            session = service.open_session("writer")
+            for sql in writes:
+                # INSERT answers 1 on both sides, UPDATE / DELETE the count
+                assert session.execute(sql) == self.oracle.execute(parse_sql(sql))
+            expected = [self.oracle.execute(parse_sql(sql)) for sql in POOL]
+            assert [session.execute(sql) for sql in POOL] == expected
+            assert session.stats.errors == 0
+            assert (service.report().get("txn") is not None) == transactional
 
     # -- the contract ---------------------------------------------------------------
 

@@ -371,3 +371,90 @@ class TestConcurrentAccounting:
         assert snap["in_flight"] == 0
         assert snap["queued"] == 0
         assert snap["timed_out_total"] == snap["rejected_total"]
+
+
+class TestNonBlockingCore:
+    """offer() / release(): the admission policy without the wait — what
+    the virtual-time simulation runner drives."""
+
+    def test_offer_grants_queues_then_rejects(self):
+        controller = AdmissionController(max_in_flight=1, queue_limit=3)
+        first = controller.offer()
+        assert first.granted
+        queued = controller.offer("batch")
+        assert not queued.granted
+        assert (controller.in_flight, controller.queued) == (1, 1)
+        # background's allowance (3 * 1/3 = 1) is already taken
+        with pytest.raises(ServiceOverloadedError) as excinfo:
+            controller.offer("background")
+        assert "background allowance 1" in str(excinfo.value)
+        assert controller.snapshot()["rejected_by_priority"] == {
+            "interactive": 0, "batch": 0, "background": 1,
+        }
+
+    def test_release_returns_the_ticket_it_granted(self):
+        controller = AdmissionController(max_in_flight=1, queue_limit=6)
+        controller.offer()
+        background = controller.offer("background")
+        batch = controller.offer("batch")
+        interactive = controller.offer("interactive")
+        later = controller.offer("interactive")
+        assert controller.queued_peak == 4
+        order = [controller.release() for _ in range(4)]
+        # priority first, then arrival order within a class
+        assert order == [interactive, later, batch, background]
+        assert all(ticket.granted for ticket in order)
+        assert controller.release() is None  # nobody left to hand it to
+        assert (controller.in_flight, controller.queued) == (0, 0)
+        assert controller.admitted_total == 5
+
+    def test_queue_count_drops_at_the_grant(self):
+        """Regression: the slot handoff used to leave the granted ticket
+        counted as queued until its *waiter* woke and decremented, so an
+        arrival in that window saw a free slot behind a phantom queue —
+        it failed the fast path, then the allowance check, and was shed
+        from an idle service.  ``AdmissionController(2, 1)``: A and B in
+        flight, C queued; release, release — then a new arrival must be
+        admitted, and pressure must read empty."""
+        controller = AdmissionController(max_in_flight=2, queue_limit=1)
+        controller.offer()
+        controller.offer()
+        waiter = controller.offer()
+        assert controller.pressure() == 1.0
+        assert controller.release() is waiter
+        assert controller.queued == 0  # granted: no longer queued
+        assert controller.pressure() == 0.0
+        assert controller.release() is None
+        assert controller.in_flight == 1  # the waiter's slot
+        assert controller.offer().granted  # free slot, empty queue
+        assert controller.rejected_total == 0
+
+    def test_threaded_waiter_does_not_shed_the_next_arrival(self):
+        """The same window through blocking acquire(): the main thread
+        arrives right after the grant, usually before the waiter thread
+        has been scheduled (300 of 300 trials shed before the fix)."""
+        for _ in range(50):
+            controller = AdmissionController(max_in_flight=2, queue_limit=1)
+            controller.acquire()
+            controller.acquire()
+            (waiter,) = fill_queue(controller, 1)
+            controller.release()
+            controller.release()
+            controller.acquire(timeout=0.5)
+            waiter.join(timeout=2.0)
+            assert not waiter.is_alive()
+            assert controller.snapshot()["rejected_total"] == 0
+            assert (controller.in_flight, controller.queued) == (2, 0)
+
+    def test_blocking_and_non_blocking_waiters_share_one_queue(self):
+        controller = AdmissionController(max_in_flight=1, queue_limit=4)
+        controller.acquire()
+        (thread,) = fill_queue(controller, 1)  # interactive, blocking
+        ticket = controller.offer("batch")
+        assert controller.queued == 2
+        assert controller.release() is not ticket  # the thread's ticket
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert controller.release() is ticket
+        controller.release()
+        assert (controller.in_flight, controller.queued) == (0, 0)

@@ -1,4 +1,6 @@
-"""Open-loop overload runner: oracle, shedding order, degradation."""
+"""The simulation runner: oracle, shedding order, degradation, both loops."""
+
+import threading
 
 import pytest
 
@@ -6,7 +8,13 @@ from repro import telemetry
 from repro.client.datasource import DataSource
 from repro.errors import ConfigurationError, ReproError
 from repro.providers.cluster import ProviderCluster
-from repro.service import PlaintextMirror, estimate_capacity, run_open_loop
+from repro.service import (
+    PlaintextMirror,
+    estimate_capacity,
+    overload,
+    run_closed_loop,
+    run_open_loop,
+)
 from repro.workloads.employees import employees_schema, employees_table
 from repro.workloads.traffic import (
     TrafficEvent,
@@ -149,9 +157,12 @@ class TestRunOpenLoop:
     def test_validation(self):
         source, _ = build_source(rows=10, providers=3, threshold=2)
         with pytest.raises(ConfigurationError):
-            run_open_loop(source, [], degrade_at=0.3, restore_at=0.5)
+            run_open_loop(source, [], max_in_flight=0)
         with pytest.raises(ConfigurationError):
-            run_open_loop(source, [], degrade_at=1.5)
+            run_closed_loop(source, [], clients=0)
+        # the ladder's thresholds are the service's constants, not knobs
+        with pytest.raises(TypeError):
+            run_open_loop(source, [], degrade_at=0.3, restore_at=0.5)
 
     def test_light_load_all_complete_zero_incorrect(self):
         source, eids = build_source()
@@ -193,7 +204,7 @@ class TestRunOpenLoop:
         assert source.verified_reads  # ladder toggles are transient
 
     def test_deterministic_reports(self):
-        reports = []
+        reports, closed = [], []
         for _ in range(2):
             source, eids = build_source()
             events = flood_events(source, eids, load=4.0, queries=150)
@@ -201,4 +212,103 @@ class TestRunOpenLoop:
                 run_open_loop(source, events, max_in_flight=4,
                               queue_limit=16)
             )
+            source, eids = build_source()
+            closed.append(
+                run_closed_loop(
+                    source, generate_traffic(eids, 150, seed=SEED),
+                    clients=12, max_in_flight=4, queue_limit=8,
+                )
+            )
         assert reports[0] == reports[1]
+        assert closed[0] == closed[1]
+        assert closed[0]["shed"] > 0  # a run that exercised the queue
+
+
+class TestRunClosedLoop:
+    """Closed loop is an arrival discipline of the same event loop."""
+
+    def test_every_statement_completes_when_clients_fit(self):
+        source, eids = build_source()
+        events = generate_traffic(eids, 6 * 10, seed=SEED)
+        with telemetry.session(
+            clock=lambda: source.cluster.network.modelled_seconds
+        ):
+            report = run_closed_loop(
+                source, events, clients=6, max_in_flight=4, queue_limit=16
+            )
+        assert report["offered"] == report["completed"] == 60
+        assert report["shed"] == report["failed"] == report["incorrect"] == 0
+        # two clients always wait: the queue is used, never overrun
+        assert report["admission"]["queued_peak"] == 2
+        assert report["slo"]["offered"] == 60
+        # a client's next statement arrives at its previous one's finish,
+        # so the servers idle only in the tail, once clients run out
+        assert report["utilization"] > 0.8
+
+    def test_one_client_is_sequential(self):
+        source, eids = build_source()
+        events = generate_traffic(eids, 20, seed=SEED)
+        report = run_closed_loop(source, events, clients=1, max_in_flight=4)
+        assert report["completed"] == 20
+        assert report["admission"]["queued_peak"] == 0
+        # one statement at a time: the makespan is the summed service time
+        assert report["makespan_seconds"] == pytest.approx(
+            report["modelled_network_seconds"], rel=1e-3
+        )
+
+    def test_oversubscribed_clients_shed_and_degrade(self):
+        source, eids = build_source()
+        events = generate_traffic(eids, 40 * 5, seed=SEED)
+        report = run_closed_loop(
+            source, events, clients=40, max_in_flight=2, queue_limit=8
+        )
+        assert report["offered"] == 200  # a shed statement is dropped
+        assert report["shed"] > 0
+        assert report["completed"] + report["shed"] == 200
+        assert report["degraded_served"] > 0
+        assert report["incorrect"] == 0
+        assert source.verified_reads
+
+    def test_transactional_matches_the_mirror(self):
+        source, eids = build_source()
+        events = generate_traffic(eids, 4 * 12, seed=SEED)
+        report = run_closed_loop(
+            source, events, clients=4, max_in_flight=4, transactional=True
+        )
+        writes = sum(event.is_write for event in events)
+        assert report["completed"] == 48
+        assert report["incorrect"] == 0
+        assert report["txn"]["logged"] == report["txn"]["committed"] == writes
+        assert report["txn"]["pending"] == 0
+
+
+class TestRunnerOwnsNoPolicy:
+    """The runner drives the service's admission queue and ladder; it
+    holds no queue, allowance, threshold or thread of its own."""
+
+    def test_module_holds_no_policy_or_threads(self):
+        names = set(vars(overload))
+        assert not {"threading", "DEGRADE_AT", "RESTORE_AT"} & names
+        source = open(overload.__file__).read()
+        # allowance arithmetic and the pressure signal stay behind
+        # offer() / release() and the ladder's update()
+        for needle in ("queue_limit_for", "pressure()", "import threading"):
+            assert needle not in source, needle
+
+    def test_runs_start_no_threads(self):
+        before = set(threading.enumerate())
+        source, eids = build_source()
+        events = generate_traffic(eids, 40, seed=SEED)
+        run_closed_loop(source, events, clients=8, max_in_flight=2,
+                        queue_limit=4)
+        source, _ = build_source()
+        run_open_loop(source, events, max_in_flight=2, queue_limit=4)
+        assert set(threading.enumerate()) == before
+
+    def test_shed_count_is_admissions(self):
+        source, eids = build_source()
+        events = flood_events(source, eids, load=4.0, queries=150)
+        report = run_open_loop(source, events, max_in_flight=4,
+                               queue_limit=16)
+        assert report["shed"] == report["admission"]["rejected_total"] > 0
+        assert report["completed"] == report["admission"]["admitted_total"]

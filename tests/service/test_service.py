@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro import DataSource, ProviderCluster
+from repro import DataSource, ProviderCluster, telemetry
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.service import QueryService
 from repro.sqlengine.catalog import Catalog
@@ -207,12 +207,109 @@ class TestLifecycle:
         assert report["sessions"][0]["client_id"] == "r"
         service.close()
 
-    def test_batching_disabled_still_correct(self):
-        service = build_service(batching=False)
-        source = service.source
-        direct = sorted(r["eid"] for r in source.sql("SELECT eid FROM Employees"))
-        via = sorted(
-            r["eid"] for r in service.execute("SELECT eid FROM Employees")
+    def test_removed_options_are_type_errors(self):
+        source = DataSource(ProviderCluster(4, 2), seed=13)
+        for removed in ({"batching": False}, {"degrade_at": 0.4},
+                        {"restore_at": 0.1}):
+            with pytest.raises(TypeError):
+                QueryService(source, **removed)
+
+
+class TestDegradationLadder:
+    """The live ladder: QueryService.execute steps verified reads down to
+    plain quorum reads from its own admission queue's pressure."""
+
+    M, Q = 2, 10
+    READ = "SELECT eid, salary FROM Employees WHERE salary >= 60000"
+
+    def build(self):
+        table = employees_table(40, seed=13)
+        source = DataSource(ProviderCluster(4, 2), seed=13, verified_reads=True)
+        source.outsource_table(table)
+        service = QueryService(source, max_in_flight=self.M, queue_limit=self.Q)
+        catalog = Catalog()
+        catalog.add_table(table)
+        expected = PlaintextExecutor(catalog).execute(parse_sql(self.READ))
+        return service, source, expected
+
+    def saturate(self, service, queued):
+        """Hold every slot and park ``queued`` batch-class waiters."""
+        for _ in range(self.M):
+            assert service.admission.offer().granted
+        for _ in range(queued):
+            assert not service.admission.offer("batch").granted
+        assert service.admission.pressure() == queued / self.Q
+
+    def probe(self, service):
+        """One arrival that moves the ladder and is turned away."""
+        with pytest.raises(ServiceOverloadedError):
+            service.execute(self.READ, timeout=0)
+
+    def test_pressure_degrades_serves_counts_and_restores(self):
+        service, source, expected = self.build()
+        modes = []
+        inner_execute = source.execute
+
+        def recording_execute(statement):
+            modes.append(source.verified_reads)
+            return inner_execute(statement)
+
+        source.execute = recording_execute
+        self.saturate(service, queued=5)  # occupancy 0.5
+        assert not service.degraded and source.verified_reads
+
+        def free_one_slot_once_the_read_waits():
+            for _ in range(1000):
+                if service.admission.queued == 6:
+                    break
+                threading.Event().wait(0.002)
+            service.admission.release()
+
+        helper = threading.Thread(target=free_one_slot_once_the_read_waits)
+        with telemetry.session() as hub:
+            helper.start()
+            # interactive: queued behind nobody, so the freed slot is its
+            rows = service.execute(self.READ, timeout=5.0)
+            helper.join(timeout=5.0)
+            assert not helper.is_alive()
+            counters = hub.registry
+            assert counters.counter_total("service.degrade_enter") == 1
+            assert counters.counter_value(
+                "slo.degraded", priority="interactive"
+            ) == 1
+        assert service.degraded
+        assert modes == [False]  # served as a plain quorum read
+        assert sorted(rows, key=lambda r: r["eid"]) == sorted(
+            expected, key=lambda r: r["eid"]
         )
-        assert via == direct
+        assert service.stats.degraded_served == 1
+        assert service.report()["degraded"] is True
+
+        # hysteresis: draining to 0.3 occupancy does not restore ...
+        assert service.admission.queued == 4  # the read's slot moved on
+        service.admission.release()
+        assert service.admission.pressure() == 0.3
+        self.probe(service)
+        assert service.degraded and not source.verified_reads
+        # ... 0.2 does
+        service.admission.release()
+        assert service.admission.pressure() == 0.2
+        self.probe(service)
+        assert not service.degraded and source.verified_reads
+        service.close()
+
+    def test_close_restores_the_read_mode_mid_degradation(self):
+        service, source, _ = self.build()
+        self.saturate(service, queued=6)
+        self.probe(service)
+        assert service.degraded and not source.verified_reads
+        service.close()
+        assert source.verified_reads
+
+    def test_plain_source_never_degrades(self):
+        service = build_service(max_in_flight=self.M, queue_limit=self.Q)
+        self.saturate(service, queued=6)
+        self.probe(service)
+        assert not service.degraded
+        assert not service.source.verified_reads
         service.close()

@@ -309,3 +309,51 @@ class TestService:
             report = service.report()
             assert report["txn"]["logged"] == 2
             service.close_session(session)
+
+
+class TestIdsAreUniquePerDeployment:
+    """Regression (found by the row-cache coherence state machine, PR 23):
+    transaction ids were per *log*, but providers remember every id they
+    applied — so a second manager over the same deployment (a fresh WAL
+    starts again at 1) had its writes skipped as replays, silently."""
+
+    INSERT = "INSERT INTO Accounts (aid, owner, score, balance) VALUES ({}, 'T', 1, 5)"
+
+    def test_second_manager_does_not_recycle_ids(self, source, tmp_path):
+        first = TransactionManager(source, str(tmp_path / "first.wal"))
+        first.execute(self.INSERT.format(901))
+        first.close()
+        second = TransactionManager(source, str(tmp_path / "second.wal"))
+        second.execute(self.INSERT.format(902))
+        second.close()
+        assert source.sql("SELECT COUNT(*) FROM Accounts WHERE aid >= 901") == 2
+        assert source.txn_id_high == 2
+
+    def test_interleaved_managers_share_one_id_space(self, source, tmp_path):
+        a = TransactionManager(source, str(tmp_path / "a.wal"))
+        b = TransactionManager(source, str(tmp_path / "b.wal"))
+        for aid, manager in enumerate((a, b, b, a), start=901):
+            manager.execute(self.INSERT.format(aid))
+        a.close()
+        b.close()
+        assert source.sql("SELECT COUNT(*) FROM Accounts WHERE aid >= 901") == 4
+
+    def test_two_transactional_services_in_a_row(self, source):
+        for aid in (901, 902):
+            with QueryService(source, transactional=True) as service:
+                assert service.execute(self.INSERT.format(aid)) == 1
+        assert source.sql("SELECT COUNT(*) FROM Accounts WHERE aid >= 901") == 2
+
+    def test_high_water_survives_save_and_load(self, source, tmp_path):
+        from repro.persistence import load_deployment, save_deployment
+
+        manager = TransactionManager(source, str(tmp_path / "first.wal"))
+        manager.execute(self.INSERT.format(901))
+        manager.close()
+        save_deployment(source, str(tmp_path / "deployment"))
+        restored = load_deployment(str(tmp_path / "deployment"))
+        assert restored.txn_id_high == 1
+        again = TransactionManager(restored, str(tmp_path / "second.wal"))
+        again.execute(self.INSERT.format(902))
+        again.close()
+        assert restored.sql("SELECT COUNT(*) FROM Accounts WHERE aid >= 901") == 2
