@@ -223,6 +223,8 @@ class DataSource:
         self.namespace = namespace
         self.cost = CostRecorder("client")
         self._rng = DeterministicRNG(seed, "datasource")
+        #: how many restores this client's randomness descends from
+        self._restore_epoch = 0
         self._sharings: Dict[str, TableSharing] = {}
         self._op_registry: Dict[str, OrderPreservingScheme] = {}
         self._next_row_id: Dict[str, int] = {}
@@ -278,7 +280,8 @@ class DataSource:
             method, lambda i: self._qualify(request_builder(i)), **kwargs
         )
 
-    def _call_one(self, provider_index: int, method: str, request: Dict):
+    def call_one(self, provider_index: int, method: str, request: Dict):
+        """One accounted RPC to one provider, table names qualified."""
         return self.cluster.call_one(
             provider_index, method, self._qualify(request)
         )
@@ -338,14 +341,12 @@ class DataSource:
         The transaction layer stages logged :class:`WriteOp` payloads and
         flips them with these; it stamps their epochs itself and bumps
         them (:meth:`bump_table_epoch`) once the flip is through, so the
-        round skips :meth:`_mutate`.  It also skips any fan-out batcher:
-        group commit is itself a round-combining mechanism, and a flush
-        parked inside a :class:`~repro.service.scheduler.FanoutBatcher`
-        barrier that may be waiting on a *follower* of this very group
-        would deadlock.
+        round skips :meth:`_mutate`.
         """
-        return self.cluster.broadcast_unbatched(
-            method, lambda i: self._qualify(request_builder(i)), targets
+        return self.cluster.broadcast(
+            method,
+            lambda i: self._qualify(request_builder(i)),
+            provider_indexes=targets,
         )
 
     # ------------------------------------------------------------------ DDL --
@@ -385,6 +386,36 @@ class DataSource:
         self._next_row_id[schema.name] = next_row_id
         if self.audit is not None:
             self.audit.on_create_table(schema.name)
+
+    def snapshot(self) -> Dict[str, object]:
+        """The client state a restart needs besides its secrets and
+        schemas, JSON-ready (see :mod:`repro.persistence`)."""
+        names = self.table_names()
+        return {
+            # each restore derives a fresh randomness epoch: replaying the
+            # original seed would re-issue random-share coefficients already
+            # used before the snapshot, and two values shared with the same
+            # coefficients leak their difference to every provider
+            "rng": {"seed": self._rng.seed, "epoch": self._restore_epoch + 1},
+            "next_row_ids": {name: self._next_row_id[name] for name in names},
+            # a client restarted from epoch 0 would stamp already-used
+            # epochs onto new writes, corrupting provider undo history and
+            # re-serving stale row-cache state
+            "table_epochs": {name: self.table_epoch(name) for name in names},
+            # the providers' applied-id sets are saved too, and a recycled
+            # transaction id is a silently lost write
+            "txn_id_high": self.txn_id_high,
+        }
+
+    def restore(self, snapshot: Dict[str, object]) -> "DataSource":
+        """Install :meth:`snapshot` state on a source freshly built from
+        the snapshot's randomness epoch, its tables re-registered with
+        their row-id counters (:meth:`restore_table`); returns the source."""
+        self._restore_epoch = int(snapshot["rng"]["epoch"])
+        for name, epoch in snapshot.get("table_epochs", {}).items():
+            self.bump_table_epoch(name, to=int(epoch))
+        self.txn_id_high = int(snapshot.get("txn_id_high", 0))
+        return self
 
     def outsource_table(self, table: Table, batch_size: int = 500) -> int:
         """Create the table and upload every row as shares; returns count."""
@@ -931,8 +962,8 @@ class DataSource:
         sharing = self.sharing(table_name)
         # drop (where present) and recreate at every live provider
         for index in self.cluster.write_targets():
-            self._call_one(index, "drop_table", {"table": table_name})
-            self._call_one(
+            self.call_one(index, "drop_table", {"table": table_name})
+            self.call_one(
                 index, "create_table", _create_request(table_name, sharing.schema)
             )
         if self.audit is not None:
@@ -979,7 +1010,7 @@ class DataSource:
     def drop_staging_table(self, staging: str) -> None:
         """Drop a staging table wherever it exists (abandoned migration)."""
         for index in self.cluster.write_targets():
-            self._call_one(index, "drop_table", {"table": staging})
+            self.call_one(index, "drop_table", {"table": staging})
 
     def insert_share_rows(
         self,

@@ -186,9 +186,9 @@ def _repair_table(
         source.cost.record("interpolate", len(sharing.schema.columns))
         source.cost.record("poly_eval", len(sharing.schema.columns))
     # drop whatever the target holds (possibly nothing) and rewrite
-    source._call_one(provider_index, "drop_table", {"table": table_name})
+    source.call_one(provider_index, "drop_table", {"table": table_name})
     searchable = [c.name for c in sharing.schema.columns if c.searchable]
-    source._call_one(
+    source.call_one(
         provider_index,
         "create_table",
         {
@@ -199,7 +199,7 @@ def _repair_table(
     )
     for start in range(0, len(rebuilt), batch_size):
         batch = rebuilt[start:start + batch_size]
-        source._call_one(
+        source.call_one(
             provider_index,
             "insert_many",
             {"table": table_name, "rows": [[rid, row] for rid, row in batch]},
@@ -218,7 +218,7 @@ def verify_repair(source, provider_index: int) -> Dict[str, Dict[str, int]]:
     report: Dict[str, Dict[str, int]] = {}
     for table_name in source.table_names():
         sharing = source.sharing(table_name)
-        target_count = source._call_one(
+        target_count = source.call_one(
             provider_index, "row_count", {"table": table_name}
         )["count"]
         aligned = source.scan_share_rows(
@@ -229,7 +229,7 @@ def verify_repair(source, provider_index: int) -> Dict[str, Dict[str, int]]:
             for share_rows in aligned.values()
             if len(share_rows) >= source.threshold
         )
-        target_rows = source._call_one(
+        target_rows = source.call_one(
             provider_index, "scan", {"table": table_name, "projection": None}
         )["rows"]
         target_by_id = {rid: row for rid, row in target_rows}

@@ -26,11 +26,7 @@ from ..errors import ConfigurationError, ReconstructionError
 from ..sim.rng import DeterministicRNG
 from .field import DEFAULT_FIELD, PrimeField
 from .kernels import batch_reconstruct, reconstruct_constant, split_kernel
-from .polynomial import (
-    FieldPolynomial,
-    lagrange_constant_term,
-    random_field_polynomial,
-)
+from .polynomial import lagrange_constant_term
 from .secrets import ClientSecrets
 
 
@@ -79,20 +75,6 @@ class ShamirScheme:
         evaluation of the same random polynomial).
         """
         return self._kernel().evaluate(self._draw_coefficients(secret, rng))
-
-    def split_with_polynomial(
-        self, secret: int, rng: DeterministicRNG
-    ) -> Tuple[FieldPolynomial, List[int]]:
-        """Like :meth:`split` but also returns the polynomial (tests only).
-
-        Per the paper's footnote 1, polynomials are *not* stored by the
-        data source in production use — storing them would amount to
-        storing the data itself.
-        """
-        poly = random_field_polynomial(
-            self.field, secret, self.threshold - 1, rng
-        )
-        return poly, poly.evaluate_many(self.secrets.evaluation_points)
 
     def split_batch(
         self, values: Sequence[int], rng: DeterministicRNG

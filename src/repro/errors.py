@@ -8,8 +8,6 @@ specific subclass that applies; messages always name the offending object
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -77,22 +75,7 @@ class CircuitOpenError(ProviderUnavailableError):
 
 
 class QuorumError(ReproError):
-    """Fewer than ``k`` providers responded; the query cannot complete.
-
-    ``partial_responses`` (provider index → response) and ``failures``
-    (provider index → reason) carry the round as far as it got, so a
-    failover-capable caller can continue from it instead of re-issuing.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        partial_responses: Optional[Dict[int, Dict]] = None,
-        failures: Optional[Dict[int, str]] = None,
-    ) -> None:
-        super().__init__(message)
-        self.partial_responses = partial_responses or {}
-        self.failures = failures or {}
+    """Fewer than ``k`` providers responded; the query cannot complete."""
 
 
 class IntegrityError(ReproError):

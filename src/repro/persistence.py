@@ -179,20 +179,14 @@ def provider_from_dict(data: Dict) -> ShareProvider:
 
 def client_to_dict(source: DataSource) -> Dict:
     """Snapshot the client's metadata (secrets + schemas, never data)."""
+    state = source.snapshot()
     return {
         "version": _FORMAT_VERSION,
         "threshold": source.threshold,
         "n_providers": source.cluster.n_providers,
         "client_join_fallback": source.client_join_fallback,
         "namespace": source.namespace,
-        # each restore derives a fresh randomness epoch: replaying the
-        # original seed would re-issue random-share coefficients already
-        # used before the snapshot, and two values shared with the same
-        # coefficients leak their difference to every provider
-        "rng": {
-            "seed": source._rng.seed,
-            "epoch": getattr(source, "_restore_epoch", 0) + 1,
-        },
+        "rng": state["rng"],
         "secrets": {
             "evaluation_points": list(source.secrets.evaluation_points),
             "hash_key": source.secrets.hash_key.hex(),
@@ -201,20 +195,12 @@ def client_to_dict(source: DataSource) -> Dict:
         "tables": {
             name: {
                 "schema": schema_to_dict(source.sharing(name).schema),
-                "next_row_id": source._next_row_id[name],
+                "next_row_id": next_row_id,
             }
-            for name in source.table_names()
+            for name, next_row_id in state["next_row_ids"].items()
         },
-        # mutation epochs must survive the restart: a restored client
-        # that restarted from epoch 0 would stamp already-used epochs
-        # onto new writes, corrupting provider undo history and
-        # re-serving stale plan/row-cache state
-        "table_epochs": {
-            name: source.table_epoch(name) for name in source.table_names()
-        },
-        # so does the transaction-id high-water: the providers' applied
-        # sets are saved too, and a recycled id is a silently lost write
-        "txn_id_high": source.txn_id_high,
+        "table_epochs": state["table_epochs"],
+        "txn_id_high": state["txn_id_high"],
     }
 
 
@@ -250,15 +236,11 @@ def client_from_dict(data: Dict, cluster: ProviderCluster) -> DataSource:
         client_join_fallback=data["client_join_fallback"],
         namespace=data.get("namespace", ""),
     )
-    source._restore_epoch = rng_info["epoch"]
-    for name, table_data in data["tables"].items():
+    for table_data in data["tables"].values():
         source.restore_table(
             schema_from_dict(table_data["schema"]), table_data["next_row_id"]
         )
-    for name, epoch in data.get("table_epochs", {}).items():
-        source.bump_table_epoch(name, to=int(epoch))
-    source.txn_id_high = int(data.get("txn_id_high", 0))
-    return source
+    return source.restore(dict(data, rng=rng_info))
 
 
 # ---------------------------------------------------------------------------

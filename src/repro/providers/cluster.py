@@ -29,6 +29,18 @@ error next to share volume, so nothing is gained by running them on a
 pool, and single-threaded index-order execution makes every byte count,
 clock reading and provider cost counter deterministic per seed.
 
+Batching is a mode of that one wave, not a second dispatch path.  With
+a :class:`~repro.service.scheduler.FanoutBatcher` installed as
+``cluster.batcher`` (a :class:`~repro.service.QueryService` does that),
+every threshold read — a round with a ``minimum``, failover waves
+included — is parked at the batcher's combining barrier, travels inside
+one combined ``batch`` wave with its concurrent peers, and comes back as
+the same ``(responses, failures)`` pair :meth:`ProviderCluster.wave`
+returns for it alone; every other round (writes, DDL, :meth:`call_one`,
+transaction control) goes straight to :meth:`ProviderCluster.wave` under
+the batcher's dispatch lock.  Quorum rules, retries, failover and error
+handling therefore exist once, here.
+
 Resilience
 ----------
 
@@ -172,6 +184,9 @@ class ProviderCluster:
         # accounting (every RPC dispatched, full timeout charged on
         # unavailability).  Overload-facing callers install one.
         self.breakers = breakers
+        #: the installed :class:`~repro.service.scheduler.FanoutBatcher`
+        #: threshold reads are combined through, or ``None``
+        self.batcher = None
 
     def install_breakers(self, **kwargs: object) -> BreakerBoard:
         """Create and attach a :class:`BreakerBoard` over this cluster.
@@ -268,14 +283,9 @@ class ProviderCluster:
         responses, failures = self._call_round(method, requests, minimum, quorum)
         required = len(requests) if minimum is None else minimum
         if len(responses) < required:
-            reasons = _reasons(failures)
-            # the partial round rides on the error so a failover-capable
-            # caller (see BatchingCluster.broadcast) can continue from it
             raise QuorumError(
                 f"{method}: only {len(responses)}/{len(requests)} providers "
-                f"responded (need {required}); failures: {reasons}",
-                partial_responses=responses,
-                failures=reasons,
+                f"responded (need {required}); failures: {_reasons(failures)}"
             )
         return responses
 
@@ -286,7 +296,26 @@ class ProviderCluster:
         minimum: Optional[int],
         quorum: str,
     ) -> Tuple[Dict[int, Dict], Dict[int, ProviderUnavailableError]]:
-        """The one wave every RPC takes; no quorum enforcement.
+        """Send one round: a threshold read through the installed batcher,
+        anything else straight to :meth:`wave` (serialised against
+        combined rounds by the batcher's dispatch lock)."""
+        batcher = self.batcher
+        if batcher is None:
+            return self.wave(method, requests, minimum, quorum)
+        if minimum is not None:
+            return batcher.submit(method, requests, minimum, quorum)
+        with batcher.dispatch_lock:
+            return self.wave(method, requests, minimum, quorum)
+
+    def wave(
+        self,
+        method: str,
+        requests: Dict[int, Dict],
+        minimum: Optional[int],
+        quorum: str,
+    ) -> Tuple[Dict[int, Dict], Dict[int, ProviderUnavailableError]]:
+        """The one wave every RPC takes — a batcher's combined ``batch``
+        round included; no quorum enforcement.
 
         Breaker admission, then request bytes in provider-index order,
         then the handlers in-line in the same order with each response
@@ -503,19 +532,6 @@ class ProviderCluster:
             method, request_builder, requests, minimum, quorum
         )
 
-    def broadcast_unbatched(
-        self,
-        method: str,
-        request_builder: Callable[[int], Dict],
-        provider_indexes: List[int],
-    ) -> Dict[int, Dict]:
-        """A round that must not wait in a fan-out batcher (transaction
-        control).  A bare cluster has none, so this is :meth:`broadcast`;
-        :class:`~repro.service.scheduler.BatchingCluster` overrides it."""
-        return self.broadcast(
-            method, request_builder, provider_indexes=provider_indexes
-        )
-
     def _call_with_failover(
         self,
         method: str,
@@ -533,32 +549,9 @@ class ProviderCluster:
         :class:`QuorumError` the caller would have seen without failover
         surfaces — callers never handle partial results.
         """
-        responses, failures = self._call_round(method, requests, minimum, quorum)
-        return self.failover_spares(
-            method, request_builder, responses, set(requests), minimum, quorum,
-            _reasons(failures),
-        )
-
-    def failover_spares(
-        self,
-        method: str,
-        request_builder: Callable[[int], Dict],
-        responses: Dict[int, Dict],
-        addressed: set,
-        minimum: int,
-        quorum: str,
-        failures: Dict[int, str],
-    ) -> Dict[int, Dict]:
-        """Continue a short round by re-dispatching to spare providers.
-
-        Shared by :meth:`_call_with_failover` and the service layer's
-        :class:`~repro.service.scheduler.BatchingCluster`, which resumes
-        from the partial responses a batched round's :class:`QuorumError`
-        carries.
-        """
-        responses = dict(responses)
-        addressed = set(addressed)
-        all_failures = dict(failures)
+        responses, failed = self._call_round(method, requests, minimum, quorum)
+        addressed = set(requests)
+        all_failures = _reasons(failed)
         while len(responses) < minimum:
             needed = minimum - len(responses)
             # knowledge-based like read_quorum: every not-yet-addressed
@@ -573,9 +566,7 @@ class ProviderCluster:
                 raise QuorumError(
                     f"{method}: only {len(responses)}/{len(addressed)} "
                     f"providers responded (need {minimum}) and no spare "
-                    f"providers remain; failures: {all_failures}",
-                    partial_responses=responses,
-                    failures=all_failures,
+                    f"providers remain; failures: {all_failures}"
                 )
             wave = spares[:needed]
             addressed.update(wave)

@@ -149,13 +149,15 @@ class ShareProvider:
     def _rpc_batch(self, request: Dict) -> Dict:
         """Execute several sub-requests in one accounted round trip.
 
-        The service scheduler coalesces concurrently admitted queries and
+        A :class:`~repro.service.scheduler.FanoutBatcher` installed on
+        the cluster coalesces concurrently admitted threshold reads and
         ships their per-provider requests as one ``batch`` RPC, so N
         concurrent point queries cost ~1 round trip per provider instead
         of N.  Sub-responses align positionally with sub-requests; a
         sub-request failure is captured per entry (``["err", type, msg]``)
-        rather than aborting the whole batch, mirroring the cluster's
-        drain-then-raise fan-out semantics.
+        rather than aborting the whole batch, and the batcher re-raises
+        it for that sub-request's query alone once the round is drained —
+        the cluster's drain-then-raise wave semantics, per rider.
         """
         responses: List[List] = []
         for method, sub_request in request["requests"]:

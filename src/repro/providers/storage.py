@@ -574,16 +574,6 @@ class ShareTable:
                     row.update(data or {})
         return rows
 
-    def reset_history(self) -> None:
-        """Forget the undo history (wholesale rebuilds: resync, rotation).
-
-        The new share generation is not linearly related to the old one,
-        so undo entries recorded under it would reconstruct garbage; the
-        floor moves up to the current epoch instead.
-        """
-        self.history = []
-        self.history_floor = self.epoch
-
     # -- access --------------------------------------------------------------
 
     def _slot(self, row_id: int) -> int:

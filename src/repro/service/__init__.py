@@ -4,10 +4,13 @@ The paper frames database-as-a-service as one organisation's *many*
 clients querying shared providers; this package supplies the service
 front end the single-client :class:`~repro.client.datasource.DataSource`
 lacks: per-client sessions, bounded admission with backpressure and a
-degradation ladder, and cross-query share-RPC batching (DESIGN.md §8) —
-plus the one simulation runner (:mod:`repro.service.overload`) that
-drives those same admission and ladder objects in virtual time, open or
-closed loop (DESIGN.md §13).
+degradation ladder, and cross-query share-RPC batching — a
+:class:`FanoutBatcher` the provider cluster's one wave routes threshold
+reads through (DESIGN.md §8) — plus the one simulation runner
+(:mod:`repro.service.overload`) that drives those same admission and
+ladder objects in virtual time, open or closed loop (DESIGN.md §13), and
+the :class:`ShardRouter`, the one front end of a sharded deployment
+(DESIGN.md §11).
 """
 
 from ..errors import ServiceError, ServiceOverloadedError
@@ -26,7 +29,7 @@ from .overload import (
     run_closed_loop,
     run_open_loop,
 )
-from .scheduler import BatchingCluster, FanoutBatcher
+from .scheduler import FanoutBatcher
 from .service import DegradationLadder, QueryService, ServiceStats, TableLock
 from .session import Session, SessionManager, SessionStats
 from .slo import FINE_BUCKETS, histogram_quantile, observe_latency, slo_report
@@ -41,7 +44,6 @@ from .sharding import (
 
 __all__ = [
     "AdmissionController",
-    "BatchingCluster",
     "DegradationLadder",
     "FINE_BUCKETS",
     "FanoutBatcher",

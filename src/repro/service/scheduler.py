@@ -1,4 +1,4 @@
-"""Cross-query share-RPC batching: N concurrent fan-outs, one round each.
+"""Cross-query share-RPC batching: N concurrent threshold reads, one round.
 
 The dominant cost of a point query in this system is not computation but
 round trips: every query pays at least one fan-out of ``k`` (reads) or
@@ -15,9 +15,17 @@ N.
 Mechanics
 ---------
 
-Every admitted query **registers** with the :class:`FanoutBatcher`
-before executing and **finishes** after.  A query that reaches a
-provider round parks a ticket instead of dispatching.  The barrier
+Batching is a mode of the cluster's one wave.  A
+:class:`~repro.service.service.QueryService` installs its batcher as
+``cluster.batcher``; from then on
+:class:`~repro.providers.cluster.ProviderCluster` hands every threshold
+read — a round with a ``minimum``, failover waves included — to
+:meth:`FanoutBatcher.submit`, and sends every other round straight to
+:meth:`~repro.providers.cluster.ProviderCluster.wave` under
+:attr:`FanoutBatcher.dispatch_lock`.
+
+Every admitted query **registers** with the batcher before executing
+and **finishes** after.  A submitted round parks a ticket.  The barrier
 flushes the moment *every* registered query is parked (nothing left that
 could contribute more work to this round) or when a query finishes with
 tickets still pending.  Tickets are grouped by ``(addressed providers,
@@ -25,38 +33,53 @@ minimum, quorum)`` — the parameters that must agree for rounds to share
 a wire message; methods may differ within a group because each
 sub-request carries its own method.
 
+Only threshold reads are combined.  Writes and DDL run under the
+exclusive table lock, so no other registered query could share their
+round; ``call_one`` addresses a single provider; and a transaction-control
+round (``txn_prepare`` / ``txn_commit``) is flushed by a group-commit
+leader on behalf of followers — parked at a barrier that may be waiting
+on one of those followers, it would deadlock.
+
 Correctness invariants:
 
 * **No deadlock by construction**: a registered query must never block
   on a resource held by a parked query.  :class:`~repro.service.service.
   QueryService` therefore acquires its table lock *before* registering.
-* **Deterministic accounting**: dispatch is serialised by a single
-  dispatch lock and delegates to :meth:`ProviderCluster.call_all`, which
-  records all bytes on the dispatching thread in provider-index order —
-  so batched runs keep the seed-reproducible byte accounting of
-  unbatched ones, and telemetry byte counters still equal network
-  counters exactly.
-* **Error isolation**: a provider-side failure of one sub-request is
-  mapped back onto *that* ticket only; unrelated queries in the same
-  combined round still get their responses.
+* **Batched ≡ unbatched**: a flush sends each group through
+  :meth:`~repro.providers.cluster.ProviderCluster.wave` — a lone ticket
+  with its own method, several inside one ``batch`` envelope — and hands
+  every ticket the ``(responses, failures)`` pair the wave would have
+  returned for it alone.  Quorum checks, retries and failover stay the
+  cluster's, so they cannot differ between the two modes.
+* **Deterministic accounting**: every dispatch runs under the one
+  dispatch lock, and the wave records all bytes on the dispatching
+  thread in provider-index order — so batched runs keep the
+  seed-reproducible byte accounting of unbatched ones, and telemetry
+  byte counters still equal network counters exactly.
+* **Error isolation**: a provider-side failure of one sub-request fails
+  *that* ticket only, re-raised after the drain exactly as the wave
+  raises it; unrelated queries in the same combined round still get
+  their responses.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import errors as _errors
 from .. import telemetry
-from ..errors import ProviderError
+from ..errors import ProviderError, ProviderUnavailableError
 from ..providers.cluster import ProviderCluster
 
-_GroupKey = Tuple[Tuple[int, ...], Optional[int], str]
+_GroupKey = Tuple[Tuple[int, ...], int, str]
+#: what a wave returns: responses and unavailability failures by provider
+_Round = Tuple[Dict[int, Dict], Dict[int, ProviderUnavailableError]]
 
 
 class _Ticket:
-    """One parked fan-out: its request map, and a slot for the outcome."""
+    """One parked round: its request map, and a slot for the outcome."""
 
     __slots__ = ("method", "requests", "event", "result", "error")
 
@@ -64,7 +87,7 @@ class _Ticket:
         self.method = method
         self.requests = requests
         self.event = threading.Event()
-        self.result: Optional[Dict[int, Dict]] = None
+        self.result: Optional[_Round] = None
         self.error: Optional[BaseException] = None
 
 
@@ -77,14 +100,14 @@ def _rebuild_error(name: str, message: str) -> Exception:
 
 
 class FanoutBatcher:
-    """Combining barrier that coalesces concurrent provider rounds."""
+    """Combining barrier that coalesces concurrent threshold reads."""
 
     def __init__(self, cluster: ProviderCluster) -> None:
         self.cluster = cluster
         self._lock = threading.Lock()
         #: Serialises every network round (combined or not) so byte
-        #: accounting stays deterministic; also taken by pass-through
-        #: ``call_one`` traffic.
+        #: accounting stays deterministic; the cluster takes it for the
+        #: rounds it sends past the barrier.
         self.dispatch_lock = threading.Lock()
         self._active = 0
         self._parked = 0
@@ -116,17 +139,17 @@ class FanoutBatcher:
 
     # ------------------------------------------------------------- batching --
 
-    def broadcast(
+    def submit(
         self,
         method: str,
         requests: Dict[int, Dict],
-        minimum: Optional[int] = None,
-        quorum: str = "all",
-    ) -> Dict[int, Dict]:
-        """Park this query's fan-out; returns once a flush has carried it.
+        minimum: int,
+        quorum: str,
+    ) -> _Round:
+        """Park one threshold read until a flush has carried it.
 
-        Drop-in for :meth:`ProviderCluster.call_all` — same request map,
-        same response map, same exceptions.
+        Returns what :meth:`ProviderCluster.wave` returns for the same
+        arguments, and raises what it raises.
         """
         key: _GroupKey = (tuple(sorted(requests)), minimum, quorum)
         ticket = _Ticket(method, requests)
@@ -166,7 +189,7 @@ class FanoutBatcher:
     def _dispatch_group(
         self,
         targets: List[int],
-        minimum: Optional[int],
+        minimum: int,
         quorum: str,
         tickets: List[_Ticket],
     ) -> None:
@@ -179,8 +202,8 @@ class FanoutBatcher:
             # the batch envelope's overhead
             ticket = tickets[0]
             try:
-                ticket.result = self.cluster.call_all(
-                    ticket.method, ticket.requests, minimum, quorum=quorum
+                ticket.result = self.cluster.wave(
+                    ticket.method, ticket.requests, minimum, quorum
                 )
             except BaseException as exc:
                 ticket.error = exc
@@ -199,25 +222,9 @@ class FanoutBatcher:
             for index in targets
         }
         try:
-            responses = self.cluster.call_all(
-                "batch", combined, minimum, quorum=quorum
+            responses, failures = self.cluster.wave(
+                "batch", combined, minimum, quorum
             )
-        except _errors.QuorumError as exc:
-            # quorum loss in the combined round: demultiplex the partial
-            # responses per ticket so each rider's QuorumError carries its
-            # own resumable partial round (the shared exception would carry
-            # batch envelopes, which are useless to a failover continuation)
-            for position, ticket in enumerate(tickets):
-                ok = {}
-                for index, envelope in exc.partial_responses.items():
-                    entry = envelope["responses"][position]
-                    if entry[0] == "ok":
-                        ok[index] = entry[1]
-                ticket.error = _errors.QuorumError(
-                    str(exc), partial_responses=ok, failures=dict(exc.failures)
-                )
-                ticket.event.set()
-            return
         except BaseException as exc:
             # whole-round failure: every rider fails the same way
             for ticket in tickets:
@@ -225,39 +232,17 @@ class FanoutBatcher:
                 ticket.event.set()
             return
         for position, ticket in enumerate(tickets):
-            self._demux(ticket, position, responses, minimum)
+            # the wave's response order is its execution order, so the
+            # first sub-request error is the one an unbatched wave raises
+            ok: Dict[int, Dict] = {}
+            for index, envelope in responses.items():
+                entry = envelope["responses"][position]
+                if entry[0] == "ok":
+                    ok[index] = entry[1]
+                elif ticket.error is None:
+                    ticket.error = _rebuild_error(entry[1], entry[2])
+            ticket.result = (ok, dict(failures))
             ticket.event.set()
-
-    @staticmethod
-    def _demux(
-        ticket: _Ticket,
-        position: int,
-        responses: Dict[int, Dict],
-        minimum: Optional[int],
-    ) -> None:
-        """Extract one ticket's per-provider sub-responses from the round."""
-        ok: Dict[int, Dict] = {}
-        failed: List[Tuple[int, str, str]] = []
-        for index in sorted(responses):
-            entry = responses[index]["responses"][position]
-            if entry[0] == "ok":
-                ok[index] = entry[1]
-            else:
-                failed.append((index, entry[1], entry[2]))
-        required = len(ticket.requests) if minimum is None else minimum
-        if failed and (minimum is None or len(ok) < required):
-            _, name, message = failed[0]
-            ticket.error = _rebuild_error(name, message)
-        elif len(ok) < required:
-            # let a failover-capable caller resume from the partial round
-            ticket.error = _errors.QuorumError(
-                f"{ticket.method}: only {len(ok)}/{len(ticket.requests)} "
-                f"providers answered in combined round (need {required})",
-                partial_responses=ok,
-                failures={index: message for index, _, message in failed},
-            )
-        else:
-            ticket.result = ok
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -269,87 +254,3 @@ class FanoutBatcher:
                 "active": self._active,
                 "parked": self._parked,
             }
-
-
-class BatchingCluster:
-    """Duck-typed :class:`ProviderCluster` that routes rounds via a batcher.
-
-    :class:`~repro.client.datasource.DataSource` funnels all provider
-    traffic through ``cluster.broadcast`` and ``cluster.call_one``, so
-    intercepting those (plus ``call_all`` for direct callers) is enough
-    to make every query batchable without touching the client code.
-    Everything else — ``network``, ``providers``, quorum helpers,
-    accounting — delegates to the wrapped cluster.
-    """
-
-    def __init__(self, cluster: ProviderCluster, batcher: FanoutBatcher) -> None:
-        # object.__setattr__-free: plain attributes, __getattr__ only fires
-        # for names not found on the instance
-        self._cluster = cluster
-        self.batcher = batcher
-
-    def __getattr__(self, name: str):
-        return getattr(self._cluster, name)
-
-    def call_all(
-        self,
-        method: str,
-        requests: Dict[int, Dict],
-        minimum: Optional[int] = None,
-        quorum: str = "all",
-    ) -> Dict[int, Dict]:
-        return self.batcher.broadcast(method, requests, minimum, quorum)
-
-    def broadcast(
-        self,
-        method: str,
-        request_builder: Callable[[int], Dict],
-        minimum: Optional[int] = None,
-        provider_indexes: Optional[List[int]] = None,
-        quorum: str = "all",
-        failover: bool = False,
-    ) -> Dict[int, Dict]:
-        indexes = (
-            provider_indexes
-            if provider_indexes is not None
-            else list(range(self._cluster.n_providers))
-        )
-        requests = {i: request_builder(i) for i in indexes}
-        try:
-            return self.batcher.broadcast(method, requests, minimum, quorum)
-        except _errors.QuorumError as exc:
-            if not failover or minimum is None:
-                raise
-            # resume from the partial responses the batched round carried;
-            # the continuation is an ordinary (serialised) spare round on
-            # the wrapped cluster, outside the combining barrier
-            partial = exc.partial_responses
-            with self.batcher.dispatch_lock:
-                return self._cluster.failover_spares(
-                    method,
-                    request_builder,
-                    partial,
-                    set(requests) | set(partial),
-                    minimum,
-                    quorum,
-                    exc.failures,
-                )
-
-    def broadcast_unbatched(
-        self,
-        method: str,
-        request_builder: Callable[[int], Dict],
-        provider_indexes: List[int],
-    ) -> Dict[int, Dict]:
-        # an ordinary round on the wrapped cluster, outside the combining
-        # barrier but serialised against combined rounds
-        with self.batcher.dispatch_lock:
-            return self._cluster.broadcast(
-                method, request_builder, provider_indexes=provider_indexes
-            )
-
-    def call_one(self, provider_index: int, method: str, request: Dict) -> Dict:
-        # single-provider traffic is not batched, but still serialised
-        # against combined rounds so accounting stays deterministic
-        with self.batcher.dispatch_lock:
-            return self._cluster.call_one(provider_index, method, request)

@@ -8,9 +8,9 @@ multi-client front end, composing the pieces of this package:
 * :class:`~repro.service.session.SessionManager` hands out per-client
   sessions with isolated row-id allocation;
 * :class:`~repro.service.scheduler.FanoutBatcher` coalesces the
-  concurrent queries' provider rounds into combined fan-outs (installed
-  by swapping the source's cluster for a
-  :class:`~repro.service.scheduler.BatchingCluster`).
+  concurrent queries' threshold reads into combined fan-outs (installed
+  as the source cluster's ``batcher``; ``close()`` restores the previous
+  one).
 
 Consistency model: statement-level.  Reads share a table lock; writes
 take it exclusively, so a read never observes a half-applied write
@@ -34,7 +34,7 @@ from ..errors import ServiceError, ServiceOverloadedError
 from ..sqlengine.query import Delete, Insert, JoinSelect, Select, Update
 from ..sqlengine.sqlparser import parse_sql
 from .admission import AdmissionController, priority_name
-from .scheduler import BatchingCluster, FanoutBatcher
+from .scheduler import FanoutBatcher
 from .session import Session, SessionManager
 from .slo import DEGRADED_METRIC
 
@@ -344,9 +344,9 @@ class QueryService(StatementLadder):
         #: (client WAL + staged provider apply) instead of the direct
         #: eager path; reads are unaffected
         self.transactional = transactional
-        self._inner_cluster = source.cluster
-        self.batcher = FanoutBatcher(self._inner_cluster)
-        source.cluster = BatchingCluster(self._inner_cluster, self.batcher)
+        cluster = source.cluster
+        self.batcher = FanoutBatcher(cluster)
+        self._outer_batcher, cluster.batcher = cluster.batcher, self.batcher
         self.admission = AdmissionController(max_in_flight, queue_limit)
         self.ladder = DegradationLadder(source, self.admission)
         self._txn_manager = None
@@ -494,13 +494,14 @@ class QueryService(StatementLadder):
     # ------------------------------------------------------------- lifecycle --
 
     def close(self) -> None:
-        """Detach from the source, restoring its original cluster and read mode."""
+        """Detach from the source, restoring its cluster's batcher and its
+        read mode."""
         if self._closed:
             return
         self._closed = True
         if self._txn_manager is not None:
             self._txn_manager.close()
-        self.source.cluster = self._inner_cluster
+        self.batcher.cluster.batcher = self._outer_batcher
         self.ladder.restore()
 
     def _check_open(self) -> None:

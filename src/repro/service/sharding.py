@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,7 +64,6 @@ from ..errors import (
     ConfigurationError,
     QueryError,
     SchemaError,
-    ServiceError,
     UnsupportedQueryError,
 )
 from ..providers.cluster import ProviderCluster
@@ -83,8 +81,7 @@ from ..sqlengine.expression import Predicate
 from ..sqlengine.schema import TableSchema
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
-from .admission import AdmissionController
-from .service import QueryService, StatementLadder, parse_wave, run_parallel
+from .service import StatementLadder
 from .session import Session
 
 Row = Dict[str, object]
@@ -413,7 +410,6 @@ class ShardGroup:
     name: str
     source: DataSource
     retired: bool = False
-    service: Optional[QueryService] = None
 
     @property
     def cluster(self):
@@ -506,10 +502,7 @@ class ShardRouter(StatementLadder):
         #: own source, so session id blocks come from the router-global
         #: counter and never collide across groups
         self.source = self
-        self._service_params: Optional[Tuple[int, int]] = None
         self.migrations = 0
-        #: as :attr:`DataSource.txn_id_high`, for sharded managers
-        self.txn_id_high = 0
 
     # ------------------------------------------------------------- building --
 
@@ -998,86 +991,9 @@ class ShardRouter(StatementLadder):
     def sql(self, text: str):
         return self.execute(text)
 
-    def execute_wave(self, statements: List[str]) -> List[object]:
-        """Read-only wave: single-owner reads run per group, in parallel.
-
-        Each group's slice goes through its attached service's
-        :meth:`~repro.service.service.QueryService.run_wave`, so the
-        fan-out batcher coalesces that group's provider rounds exactly as
-        in the unsharded service.  Groups run on parallel threads (they
-        are independent deployments), which is what the benchmark's
-        modelled-latency accounting takes the max over.  Multi-owner
-        reads run inline after the per-group waves.  The whole wave
-        climbs the ladder as one unit.
-        """
-        if not statements:
-            return []
-        parsed = parse_wave(statements, "execute_wave", True)
-        return self._run_statements(
-            parsed, [lambda: self._run_wave(statements, parsed)]
-        )
-
-    def _run_wave(self, statements: List[str], parsed: List) -> List[object]:
-        per_group: Dict[int, List[int]] = {}
-        inline: List[int] = []
-        for position, statement in enumerate(parsed):
-            owners = (
-                self._owners_for(statement.table, statement.where)
-                if isinstance(statement, Select)
-                else []
-            )
-            if len(owners) == 1 and self.groups[owners[0]].service is not None:
-                per_group.setdefault(owners[0], []).append(position)
-            else:
-                inline.append(position)
-        results: List[object] = [None] * len(parsed)
-
-        def run_group(group_index: int, positions: List[int]) -> None:
-            wave = self.groups[group_index].service.run_wave(
-                [statements[p] for p in positions]
-            )
-            for position, result in zip(positions, wave):
-                results[position] = result
-
-        run_parallel(
-            [
-                partial(run_group, group_index, positions)
-                for group_index, positions in sorted(per_group.items())
-            ],
-            "repro-shard-wave",
-        )
-        for position in inline:
-            results[position] = self._run(parsed[position], None)
-        return results
-
-    # -------------------------------------------------------------- services --
-
-    def attach_services(
-        self,
-        max_in_flight: int = 16,
-        queue_limit: int = 32,
-    ) -> None:
-        """Wrap every group in a :class:`QueryService` (admission + batcher)."""
-        if any(group.service is not None for group in self.groups):
-            raise ServiceError("services are already attached")
-        self._service_params = (max_in_flight, queue_limit)
-        for group in self.groups:
-            group.service = QueryService(group.source, *self._service_params)
-        scale = max(1, len(self.active_group_indexes()))
-        self.admission = AdmissionController(
-            max_in_flight * scale, queue_limit * scale
-        )
-
-    def detach_services(self) -> None:
-        for group in self.groups:
-            if group.service is not None:
-                group.service.close()
-                group.service = None
-        self.admission = None
-        self._service_params = None
-
     def close(self) -> None:
-        self.detach_services()
+        """Nothing to release: the router is the deployment's one front
+        end and stacks no service on its groups."""
 
     # ------------------------------------------------------------ accounting --
 
@@ -1104,9 +1020,6 @@ class ShardRouter(StatementLadder):
     def report(self) -> Dict[str, object]:
         return {
             "router": self.stats.snapshot(),
-            "admission": (
-                None if self.admission is None else self.admission.snapshot()
-            ),
             "sessions": self.sessions.snapshot(),
             "migrations": self.migrations,
             "groups": [
@@ -1136,10 +1049,7 @@ class ShardRouter(StatementLadder):
             )
             for name in sorted(self._maps):
                 source.create_table(self._sharing(name).schema)
-            group = ShardGroup(f"group{index}", source)
-            if self._service_params is not None:
-                group.service = QueryService(source, *self._service_params)
-            self.groups.append(group)
+            self.groups.append(ShardGroup(f"group{index}", source))
             return index
 
     def split_shard(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -127,20 +127,6 @@ class DeterministicRNG:
                 seen.add(candidate)
                 chosen.append(candidate)
         return chosen
-
-    def zipf_rank(self, n_items: int, skew: float = 1.0) -> int:
-        """Draw a 1-based rank from a Zipf(skew) distribution over n items.
-
-        Implemented by inverse-CDF over the finite harmonic weights; O(n)
-        set-up per call is avoided by callers caching via
-        :func:`zipf_sampler`.
-        """
-        return zipf_sampler(self, n_items, skew)()
-
-    def iter_ints(self, low: int, high: int) -> Iterator[int]:
-        """Infinite iterator of uniform integers in [low, high]."""
-        while True:
-            yield self._random.randint(low, high)
 
 
 def zipf_sampler(rng: DeterministicRNG, n_items: int, skew: float = 1.0):

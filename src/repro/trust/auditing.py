@@ -64,7 +64,7 @@ class AuditRegistry:
     def on_delete(self, table: str, row_id: int) -> None:
         for index in range(self.n_providers):
             auditor = self._auditors.get((table, index))
-            if auditor is not None and row_id in auditor._column_hashes:
+            if auditor is not None and row_id in auditor:
                 auditor.record_delete(row_id)
 
     def on_resync(self, table: str) -> None:

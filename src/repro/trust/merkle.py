@@ -190,6 +190,10 @@ class ShareAuditor:
     def row_count(self) -> int:
         return len(self._column_hashes)
 
+    def __contains__(self, row_id: int) -> bool:
+        """Whether the auditor holds ground truth for ``row_id``."""
+        return row_id in self._column_hashes
+
     def _leaf(self, row_id: int) -> bytes:
         return leaf_hash_from_column_hashes(
             self.table, row_id, self._column_hashes[row_id]

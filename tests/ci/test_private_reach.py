@@ -8,36 +8,18 @@ any attribute access ``x._name`` (dunders excepted) whose ``x`` is not
 ``self`` / ``cls``, and on any ``from <other module> import _name`` — the
 same reach, spelled as an import (ISSUE-16).
 
+No module is exempt: a reach anywhere under ``src/repro`` fails.
+
 Provider memory is the same reach across a process boundary: a client
 that tests ``cluster.providers[i].store`` acts on knowledge no RPC gave it
 and no byte paid for, so nothing under ``src/repro/client/`` or
 ``src/repro/service/`` may touch a ``.store`` (ISSUE-22).
-
-``src/repro/txn/`` and ``src/repro/client/updates.py`` must be clean.
-Everything else has an explicit allowlist of the reaches that existed when
-the check was introduced; it may only shrink — a listed reach that is gone
-must be deleted from the list, a new one fails.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
-
-#: (module path under src/repro, private attribute) still reached into from
-#: outside its owner.  Shrink only.
-ALLOWED = {
-    # repair rewrites one provider's tables directly
-    ("client/repair.py", "_call_one"),
-    # snapshot save/restore of client state that has no public setter
-    ("persistence.py", "_rng"),
-    ("persistence.py", "_next_row_id"),
-    ("persistence.py", "_restore_epoch"),
-    ("trust/auditing.py", "_column_hashes"),
-}
-
-#: never allowed to reach, whatever the allowlist says
-STRICT = ("txn/", "client/updates.py")
 
 
 def _private_reaches():
@@ -63,31 +45,13 @@ def _private_reaches():
 
 
 def test_no_new_private_reach():
-    new = sorted(
-        f"{module}:{line} .{name}"
-        for module, name, line in _private_reaches()
-        if (module, name) not in ALLOWED
+    found = sorted(
+        f"{module}:{line} .{name}" for module, name, line in _private_reaches()
     )
-    assert not new, (
+    assert not found, (
         "private attribute of another object reached into, or private name "
-        f"imported from another module (go through a public one): {new}"
+        f"imported from another module (go through a public one): {found}"
     )
-
-
-def test_txn_layer_and_lazy_buffer_reach_into_nothing():
-    assert not [entry for entry in ALLOWED if entry[0].startswith(STRICT)]
-    reaches = [
-        (module, name, line)
-        for module, name, line in _private_reaches()
-        if module.startswith(STRICT)
-    ]
-    assert not reaches, reaches
-
-
-def test_allowlist_only_shrinks():
-    live = {(module, name) for module, name, _ in _private_reaches()}
-    stale = sorted(ALLOWED - live)
-    assert not stale, f"fixed — now delete from ALLOWED: {stale}"
 
 
 def _store_reaches(tree):

@@ -176,9 +176,12 @@ class TestQuorumFailover:
                 quorum="first_k",
                 failover=True,
             )
-        # partial progress rides on the error for resumable callers
-        assert sorted(excinfo.value.partial_responses) == [3, 4]
-        assert set(excinfo.value.failures) == {0, 1, 2}
+        # both spares answered, all three crashed providers are named
+        message = str(excinfo.value)
+        assert "only 2/5 providers responded (need 3)" in message
+        assert "no spare providers remain" in message
+        for index in (0, 1, 2):
+            assert f"{index}: 'provider DAS{index + 1} is down'" in message
 
     def test_failover_accounting_equal_across_dispatch_modes(self):
         """(Name kept for test-id stability; there is one dispatch path

@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro import DataSource, ProviderCluster, telemetry
 from repro.errors import ProviderError
 from repro.service import QueryService
@@ -116,6 +118,29 @@ class TestBatchingCorrectness:
         service.close()
 
 
+class TestBatchedEqualsUnbatched:
+    def test_sub_request_error_raises_even_when_the_quorum_is_met(self):
+        """A combined round must not swallow a provider-side error its
+        riders would each have raised alone: with provider 0 missing the
+        table, a verified read raises through ``sql``, a one-statement
+        wave and a two-statement (combined) wave alike."""
+        source = DataSource(ProviderCluster(5, 3), verified_reads=True)
+        source.outsource_table(employees_table(30, seed=11))
+        source.cluster.call_one(
+            0, "drop_table", {"table": source.physical_name("Employees")}
+        )
+        query = "SELECT * FROM Employees"
+        with pytest.raises(ProviderError) as alone:
+            source.sql(query)
+        with QueryService(source, max_in_flight=2, queue_limit=0) as service:
+            for wave in ([query], [query, query]):
+                with pytest.raises(ProviderError) as batched:
+                    service.run_wave(wave)
+                assert type(batched.value) is type(alone.value)
+                assert str(batched.value) == str(alone.value)
+            assert service.batcher.combined_rounds_total == 1
+
+
 class TestErrorIsolation:
     def test_provider_error_hits_only_its_ticket(self):
         """One bad sub-request in a combined round fails one ticket; the
@@ -132,7 +157,9 @@ class TestErrorIsolation:
         def run(name, requests):
             barrier.wait()
             try:
-                outcomes[name] = ("ok", batcher.broadcast("row_count", requests))
+                outcomes[name] = (
+                    "ok", batcher.submit("row_count", requests, 2, "first_k")
+                )
             except Exception as exc:
                 outcomes[name] = ("err", exc)
 
@@ -148,9 +175,11 @@ class TestErrorIsolation:
         batcher.finish()
         batcher.finish()
         assert batcher.combined_rounds_total == 1
-        kind, payload = outcomes["good"]
+        kind, (responses, failures) = outcomes["good"]
         assert kind == "ok"
-        assert all(r["count"] == 60 for r in payload.values())
+        assert sorted(responses) == list(range(cluster.n_providers))
+        assert all(r["count"] == 60 for r in responses.values())
+        assert failures == {}
         kind, error = outcomes["bad"]
         assert kind == "err"
         # the provider-side error class survives the batch round trip
@@ -163,12 +192,15 @@ class TestErrorIsolation:
         batcher = FanoutBatcher(source.cluster)
         physical = source.physical_name("Employees")
         batcher.register()
-        responses = batcher.broadcast(
+        responses, failures = batcher.submit(
             "row_count",
             {i: {"table": physical} for i in range(source.cluster.n_providers)},
+            2,
+            "first_k",
         )
         batcher.finish()
         assert all(r["count"] == 60 for r in responses.values())
+        assert failures == {}
         assert batcher.combined_rounds_total == 0
         assert batcher.rounds_total == 1
 
@@ -182,8 +214,8 @@ class TestErrorIsolation:
         result = {}
 
         def parked():
-            result["r"] = batcher.broadcast(
-                "row_count", {0: {"table": physical}}
+            result["r"], _ = batcher.submit(
+                "row_count", {0: {"table": physical}}, 1, "all"
             )
             batcher.finish()
 

@@ -181,10 +181,11 @@ class TestLifecycle:
     def test_close_restores_source(self):
         source = DataSource(ProviderCluster(4, 2), seed=13)
         source.outsource_table(employees_table(20, seed=13))
-        inner_cluster = source.cluster
+        cluster = source.cluster
         with QueryService(source) as service:
-            assert source.cluster is not inner_cluster  # batching installed
-        assert source.cluster is inner_cluster
+            assert source.cluster is cluster
+            assert cluster.batcher is service.batcher  # batching installed
+        assert cluster.batcher is None
         # the detached source still works
         assert source.sql("SELECT COUNT(*) FROM Employees") == 20
 

@@ -4,7 +4,7 @@ Written before the router refactor and green on both sides of it: for
 {hash, range} x {single-owner, multi-owner} x every statement shape the
 router handles (row reads with order / limit / projection, the six
 aggregates plain and grouped, co-located and cross-shard joins, INSERT /
-UPDATE / DELETE, a session script, a failing statement, ``execute_wave``)
+UPDATE / DELETE, a session script, a failing statement)
 the result equals the plaintext oracle, and the result, the per-group
 byte count, message count, modelled clock and client/provider
 ``CostRecorder`` snapshots and ``router.stats`` equal the numbers
@@ -85,14 +85,13 @@ ORDER_DELTAS = {
     "rows_order_dup_desc_limit": "ORDER BY + LIMIT keeps the tie-broken prefix",
     "join_plain": "cross-shard join pairs come back in (left id, right id) order",
     "join_projection": "cross-shard join pairs come back in (left id, right id) order",
-    "wave": "the wave's multi-owner reads come back in row-id order",
 }
 
 #: Single-owner scenarios that run one provider-matched join of P
 #: one-partner pairs: per responder its response grew by 11 + 4P bytes
 #: (two row lists instead of one pair list) and its request shrank by 37
 #: (the two constant-None projection fields) — nothing else moves.
-JOIN_WIRE_DELTAS = ("join_plain", "join_projection", "wave")
+JOIN_WIRE_DELTAS = ("join_plain", "join_projection")
 
 #: scenario -> each group's ``client.interpolate`` now.  The script's
 #: SELECT follows its INSERT; the parent dropped the whole table from the
@@ -315,42 +314,12 @@ def _add_session(variant: str) -> None:
         return record
 
 
-def _add_wave(variant: str) -> None:
-    @scenario(variant, "wave")
-    def run(dep: Deployment):
-        dep.router.attach_services()
-        statements = [
-            f"SELECT name, salary FROM Employees WHERE eid = {eid}"
-            for eid in EIDS[:6]
-        ] + [
-            dep.sql(READS["count_star"]),
-            dep.sql(READS["rows_order_dup_limit"]),
-            dep.sql(JOINS["join_plain"]),
-        ]
-        try:
-            actual = dep.router.execute_wave(statements)
-            record = {"result": actual, **dep.accounting()}
-            record["services"] = [
-                group.service.stats.snapshot() for group in dep.router.groups
-            ]
-        finally:
-            dep.router.close()
-        checks = [
-            _compare(got, dep.oracle.execute(parse_sql(sql)))
-            for got, sql in zip(actual, statements)
-        ]
-        record["matches_oracle"] = all(c["matches_oracle"] for c in checks)
-        record["ordered"] = all(c["ordered"] for c in checks)
-        return record
-
-
 for _variant in VARIANTS:
     for _shape, _template in {**READS, **JOINS}.items():
         _add_read(_variant, _shape, _template)
     for _shape, _templates in WRITES.items():
         _add_write(_variant, _shape, _templates)
     _add_session(_variant)
-    _add_wave(_variant)
 
 
 # ----------------------------------------------------------------- running --
@@ -388,8 +357,7 @@ def test_router_matches_oracle_and_parent_accounting(scenario_id):
     if record == parent:
         return
     if shape in JOIN_WIRE_DELTAS and VARIANTS[variant][1]:
-        joined = record["result"][-1] if shape == "wave" else record["result"]
-        _assert_join_wire_delta(record, parent, pairs=len(joined))
+        _assert_join_wire_delta(record, parent, pairs=len(record["result"]))
         return
     if scenario_id in ROW_CACHE_DELTAS:
         _assert_row_cache_delta(record, parent, ROW_CACHE_DELTAS[scenario_id])

@@ -84,30 +84,6 @@ class TestQueryParity:
                 sql = QUERY_SHAPES[shape]
                 assert_same(shape, oracle_answer(oracle, sql), router.sql(sql))
 
-    def test_execute_wave_matches_sequential(self):
-        statements = [
-            f"SELECT name, salary FROM Employees WHERE eid = {eid}"
-            for eid in EIDS[:8]
-        ] + ["SELECT COUNT(*) FROM Employees"]
-        with build_router("range") as router:
-            sequential = [router.sql(text) for text in statements]
-            assert router.execute_wave(statements) == sequential
-
-    def test_execute_wave_climbs_the_same_ladder_as_execute(self):
-        """One admission slot for the whole wave, released afterwards, and
-        the same stats accounting as statement-at-a-time execution."""
-        statements = [
-            f"SELECT name FROM Employees WHERE eid = {eid}" for eid in EIDS[:3]
-        ] + ["SELECT eid FROM Employees ORDER BY department LIMIT 4"]
-        with build_router("range") as router:
-            router.attach_services(max_in_flight=4, queue_limit=8)
-            router.execute_wave(statements)
-            admission = router.admission.snapshot()
-            assert admission["admitted_total"] == 1
-            assert admission["in_flight"] == 0
-            assert router.stats.completed == len(statements)
-            assert router.stats.rows_returned == 3 + 4
-
 
 #: Row reads whose order the parent got wrong across shards: no unique
 #: sort key to hide behind, so ties and un-ORDERed results show the
@@ -212,7 +188,6 @@ class TestWrites:
 
     def test_session_inserts_use_router_global_row_ids(self):
         with build_router("hash") as router:
-            router.attach_services(max_in_flight=4, queue_limit=8)
             session = router.open_session("writer")
             try:
                 router.execute(

@@ -357,3 +357,44 @@ class TestIdsAreUniquePerDeployment:
         again.execute(self.INSERT.format(902))
         again.close()
         assert restored.sql("SELECT COUNT(*) FROM Accounts WHERE aid >= 901") == 2
+
+    def test_sharded_high_water_survives_save_and_load(self, tmp_path):
+        """A sharded manager allocates above group 0's high-water, which
+        group 0's client snapshot carries through a sharded save."""
+        from repro.persistence import (
+            load_sharded_deployment,
+            save_sharded_deployment,
+        )
+        from repro.service import ShardRouter
+        from repro.txn import ShardedTransactionManager
+
+        router = ShardRouter.build(
+            n_groups=2, providers_per_group=4, threshold=2, seed=7
+        )
+        router.create_table(accounts_schema())
+        router.insert_many(
+            "Accounts",
+            [
+                {"aid": i, "owner": "A", "score": i, "balance": 1000 + i}
+                for i in range(20)
+            ],
+        )
+        update = "UPDATE Accounts SET balance = {} WHERE aid = {}"
+        first = ShardedTransactionManager(router, str(tmp_path / "first.wal"))
+        for aid in range(6):
+            first.execute(update.format(1, aid))
+        first.close()
+        save_sharded_deployment(router, str(tmp_path / "deployment"))
+        restored = load_sharded_deployment(str(tmp_path / "deployment"))
+        assert restored.groups[0].source.txn_id_high == 6
+        again = ShardedTransactionManager(restored, str(tmp_path / "second.wal"))
+        for aid in range(8):
+            again.execute(update.format(100 + aid, aid))
+        again.close()
+        balances = {
+            row["aid"]: row["balance"]
+            for row in restored.sql(
+                "SELECT aid, balance FROM Accounts WHERE aid < 8"
+            )
+        }
+        assert balances == {aid: 100 + aid for aid in range(8)}
