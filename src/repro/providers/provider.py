@@ -32,9 +32,11 @@ mirrors.  A provider only *compares* order-preserving shares and *adds*
 shares, so the mirrors hold no share in a machine word: a condition's
 bounds become entry offsets into the column's sorted index through the
 two big-int bisects the scalar engine runs, predicates are ``int64``
-interval masks over each slot's index offset, ORDER BY / GROUP BY keys
-are dense ranks, and sums run per 32-bit limb plane — the 90–122-bit
-shares of searchable columns take the same path as 61-bit residues.
+interval masks over each slot's index offset, ORDER BY and GROUP BY walk
+the column's index entries in order (a LIMIT stops the walk; nothing is
+sorted per request), and sums run per 32-bit limb plane — the
+90–122-bit shares of searchable columns take the same path as 61-bit
+residues.  A join probes the right join column's cached equality map.
 The engine is chosen per request from what the request shows: a filtered
 read whose conditions match fewer than 1/16 of the table's rows in the
 index (point lookups, narrow ranges) stays on the bisect path and
@@ -49,7 +51,8 @@ column, row ids outside ``int64`` — fall back to the scalar engine,
 which stays the always-on correctness oracle.  The compact
 ``increment_rows`` delta shape runs ``(x + Δ) mod p`` over the touched
 rows as one ``uint64`` array kernel.  Dispatch decisions are observable
-via the ``provider.kernel.*`` telemetry counters.
+via the ``provider.kernel.*`` telemetry counters, and each read's access
+path as the ``access_path`` attribute of its ``rpc`` span.
 
 Conditions arrive as dicts::
 
@@ -93,6 +96,58 @@ _CONDITION_OPS = {"eq", "lt", "le", "gt", "ge", "range"}
 
 #: Aggregates a provider can compute partially (Sec. V-A).
 _AGGREGATE_FUNCS = {"sum", "count", "min", "max", "median"}
+
+
+class _EntryWalk:
+    """One index's matched entries in entry order, ``(share, row id)``
+    ascending: the entry range ``[lo, hi)`` itself, or the ascending entry
+    ``offsets`` a slot ``mask`` left of the index.
+
+    ``matched`` counts the rows the conditions matched, including rows
+    whose walked column is NULL and so has no entry.
+    """
+
+    __slots__ = ("matched", "lo", "hi", "offsets", "mask")
+
+    def __init__(self, matched: int, lo: int = 0, hi: int = 0,
+                 offsets=None, mask=None) -> None:
+        self.matched = matched
+        self.lo, self.hi = lo, hi
+        self.offsets = offsets
+        self.mask = mask
+
+    def __len__(self) -> int:
+        if self.offsets is None:
+            return max(0, self.hi - self.lo)
+        return int(self.offsets.shape[0])
+
+    def take(self, array, start: int = 0, stop: Optional[int] = None):
+        """``array`` (indexed by entry offset) at walk positions
+        ``[start, stop)`` — a view when the walk is a range."""
+        if stop is None:
+            stop = len(self)
+        if self.offsets is None:
+            return array[self.lo + start:self.lo + stop]
+        return array[self.offsets[start:stop]]
+
+    def position(self, np, offset: int) -> int:
+        """Walk position of the first matched entry at or after ``offset``."""
+        if self.offsets is None:
+            return max(0, offset - self.lo)
+        return int(np.searchsorted(self.offsets, offset))
+
+
+def _runs_last_first(np, keys):
+    """Positions of the nondecreasing ``keys`` in descending key order,
+    each run of equal keys kept in ascending position order — a
+    permutation built in O(len) without a sort."""
+    m = keys.shape[0]
+    starts = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.flatnonzero(keys[1:] != keys[:-1]) + 1)
+    )
+    lengths = np.diff(np.append(starts, m))
+    starts, lengths = starts[::-1], lengths[::-1]
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(m)
 
 
 class ShareProvider:
@@ -379,6 +434,9 @@ class ShareProvider:
         table = self.store.table(request["table"])
         rows = self._select_vector(table, request)
         self._note_dispatch("select", rows is not None)
+        self._note_access_path(
+            request, rows is not None, walked=request.get("order_by") is not None
+        )
         if rows is None:
             rows = self._select_scalar(table, request)
         return self._rows_response(rows=rows)
@@ -420,6 +478,7 @@ class ShareProvider:
 
     def _rpc_get_rows(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])
+        self._note_access_path(request, False)
         present = [rid for rid in request["row_ids"] if table.has_row(rid)]
         return self._rows_response(
             rows=self._project_many(table, present, request.get("projection"))
@@ -429,6 +488,7 @@ class ShareProvider:
         table = self.store.table(request["table"])
         rows = self._scan_vector(table, request)
         self._note_dispatch("scan", rows is not None)
+        self._note_access_path(request, rows is not None)
         if rows is None:
             rows = self._project_many(
                 table, table.all_row_ids(), request.get("projection")
@@ -443,6 +503,7 @@ class ShareProvider:
         (time travel trades bandwidth for reading the past at all).
         """
         table = self.store.table(request["table"])
+        self._note_access_path(request, False)
         historical = table.rows_asof(request["epoch"])
         self.cost.record("compare", len(table.history))
         row_ids = sorted(historical)
@@ -501,6 +562,7 @@ class ShareProvider:
                 )
                 payload = self._aggregate_vector(table, func, column, conditions)
                 self._note_dispatch("aggregate", payload is not None)
+                self._note_access_path(request, payload is not None)
                 if payload is None:
                     payload = self._compute_scalar_aggregate(
                         table, func, column, conditions
@@ -525,6 +587,7 @@ class ShareProvider:
         # discipline for a nomination that is already O(1) per request.
         payload = self._aggregate_order_vector(table, func, column, conditions)
         self._note_dispatch("aggregate", payload is not None)
+        self._note_access_path(request, payload is not None)
         if payload is not None:
             return payload
         row_ids = self._matching_row_ids_unordered(table, conditions)
@@ -585,6 +648,7 @@ class ShareProvider:
             table, func, column, group_column, conditions
         )
         self._note_dispatch("aggregate_group", out is not None)
+        self._note_access_path(request, out is not None, walked=True)
         if out is not None:
             if cacheable:
                 table.store_aggregate(
@@ -687,24 +751,27 @@ class ShareProvider:
                 "join columns; randomly-shared columns cannot be matched"
             )
         left_ids = self._matching_row_ids(left, request.get("left_conditions") or [])
-        right_ids = self._matching_row_ids(
-            right, request.get("right_conditions") or []
+        right_conditions = request.get("right_conditions") or []
+        kept: Optional[Set[int]] = None
+        if right_conditions:
+            kept = set(self._matching_row_ids_unordered(right, right_conditions))
+        # hash join on deterministic share equality (Sec. V-A): probe the
+        # right join column's equality map, which its index keeps across
+        # requests; the recorded cost stays the logical build + probe.
+        # Each side answers with its distinct matched rows and the client
+        # pairs them up
+        self.cost.record(
+            "compare", (len(right) if kept is None else len(kept)) + len(left_ids)
         )
-        # hash join on deterministic share equality (Sec. V-A): build and
-        # probe straight off the join-column arrays; each side answers
-        # with its distinct matched rows and the client pairs them up
-        right_array = right.column_array(right_column)
-        build: Dict[int, List[int]] = {}
-        for rid, slot in zip(right_ids, right.slots_for(right_ids)):
-            share = right_array[slot]
-            if share is not None:
-                build.setdefault(share, []).append(rid)
-        self.cost.record("compare", len(right_ids) + len(left_ids))
-        left_array = left.column_array(left_column)
+        telemetry.annotate(access_path="join-map")
+        partners_of = right.indexes[right_column].equality_map()
         matched_left: List[int] = []
         matched_right: Set[int] = set()
-        for lid, slot in zip(left_ids, left.slots_for(left_ids)):
-            partners = build.get(left_array[slot])  # a NULL is never a key
+        probes = left.values_for_rows(left_column, left_ids)
+        # a NULL is never a key
+        for lid, partners in zip(left_ids, map(partners_of.get, probes)):
+            if partners and kept is not None:
+                partners = [rid for rid in partners if rid in kept]
             if partners:
                 matched_left.append(lid)
                 matched_right.update(partners)
@@ -774,6 +841,29 @@ class ShareProvider:
             method=method,
             backend="numpy" if vectorized else "scalar",
         )
+
+    @staticmethod
+    def _note_access_path(
+        request: Dict, vectorized: bool, walked: bool = False
+    ) -> None:
+        """Annotate the open ``rpc`` span with how this read found its
+        rows (one ``is None`` check while telemetry is off).
+
+        ``entry-walk``: the vector engine walked an index's entries in
+        order (ORDER BY, GROUP BY); ``mask``: it filtered the slot arrays
+        (a full scan is the all-rows pass); ``index-probe``: the scalar
+        engine bisected the conditions' indexes; ``scalar``: the scalar
+        engine with nothing to probe.  Joins note ``join-map``; an
+        aggregate served from the materialized cache reads no storage and
+        notes nothing.
+        """
+        if not telemetry.is_enabled():
+            return
+        if vectorized:
+            path = "entry-walk" if walked else "mask"
+        else:
+            path = "index-probe" if request.get("conditions") else "scalar"
+        telemetry.annotate(access_path=path)
 
     def _vector_condition_plan(self, table: ShareTable, conditions: List[Dict]):
         """Per-condition ``(index, slot positions, start, stop)``, or None.
@@ -852,7 +942,8 @@ class ShareProvider:
         return sorted_rids[keep], sorted_slots[keep]
 
     def _select_vector(self, table: ShareTable, request: Dict):
-        """Vectorized select: offset-interval masks, rank ordering."""
+        """Vectorized select: offset-interval masks; ORDER BY walks the
+        order column's index entries and stops at LIMIT."""
         np = kernels.numpy_module()
         if np is None:
             return None
@@ -860,51 +951,114 @@ class ShareProvider:
         order_by = request.get("order_by")
         if order_by is not None and order_by not in table.indexes:
             return None  # scalar raises via index_for
+        limit = request.get("limit")
+        if limit is not None and (
+            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+        ):
+            return None  # the scalar engine slices as Python does
         projection = request.get("projection")
         if projection is not None and set(projection) - set(table.columns):
             return None  # scalar validates (or returns [] on empty match)
         plan = self._vector_condition_plan(table, conditions)
         if plan is None or table.ordered_rid_slots() is None:
             return None
-        positions = None
         if order_by is not None:
-            positions = table.index_positions(order_by)
-            if positions is None:
+            entry_slots = table.entry_slots(order_by)
+            if entry_slots is None:
                 return None
-        # -- match (per-condition costs recorded from here on)
-        if not conditions:
-            rids, slots = table.ordered_rid_slots()
-        else:
-            rids, slots = self._masked_rid_slots(
-                table, self._vector_match_mask(plan)
+            rids, slots = self._ordered_rid_slots(
+                np, table, request, plan, entry_slots
             )
-        if order_by is not None:
-            located = positions[slots]
-            keyed = located >= 0
-            null_rids, null_slots = rids[~keyed], slots[~keyed]
-            rids, slots, located = rids[keyed], slots[keyed], located[keyed]
-            m = int(rids.shape[0])
-            self.cost.record("compare", m * max(1, m.bit_length()))
-            # index offsets ascend with (share, rid) — the scalar sort.
-            # Descending, subtracting rank·len(index) from each offset
-            # reverses the shares and leaves equal shares in offset
-            # (= row-id) order — the scalar (-share, rid) sort.  Either
-            # key is unique, so any sort algorithm gives the one order;
-            # NULLs go first ascending, last descending.
-            if request.get("descending"):
-                ranks = table.indexes[order_by].vector_entries()[1]
-                order = np.argsort(located - ranks[located] * ranks.shape[0])
-                rids = np.concatenate((rids[order], null_rids))
-                slots = np.concatenate((slots[order], null_slots))
+        else:
+            if not conditions:
+                rids, slots = table.ordered_rid_slots()
             else:
-                order = np.argsort(located)
-                rids = np.concatenate((null_rids, rids[order]))
-                slots = np.concatenate((null_slots, slots[order]))
-        limit = request.get("limit")
-        if limit is not None:
-            rids = rids[:limit]
-            slots = slots[:limit]
+                rids, slots = self._masked_rid_slots(
+                    table, self._vector_match_mask(plan)
+                )
+            rids, slots = rids[:limit], slots[:limit]
         return table.gather(rids.tolist(), slots.tolist(), projection)
+
+    def _ordered_rid_slots(self, np, table, request, plan, entry_slots):
+        """The ORDER BY's ``(row ids, slots)``, cut at the LIMIT.
+
+        The scalar engine sorts the matched rows by ``(share, row id)``
+        ascending, or by ``(-share, row id)`` descending, with NULLs first
+        ascending and last descending.  The walk over the order column's
+        index entries is already the ascending order; descending, it is
+        read backwards with each run of equal shares put back in row-id
+        order — and under a LIMIT only the tail from the start of the
+        run the cut falls in is read.  Costs (the probes, then the
+        logical sort) are recorded as the scalar engine records them.
+        """
+        index = table.indexes[request["order_by"]]
+        entry_rids, ranks = index.vector_entries()
+        walk = self._entry_walk(np, table, index, entry_slots, plan)
+        m = len(walk)
+        self.cost.record("compare", m * max(1, m.bit_length()))
+        limit = request.get("limit")
+        nulls = walk.matched - m
+        descending = request.get("descending")
+        if limit is None:
+            take = m
+        elif descending:
+            take = min(m, limit)
+            nulls = min(nulls, limit - take)
+        else:
+            nulls = min(nulls, limit)
+            take = min(m, limit - nulls)
+        if not descending:
+            rids = walk.take(entry_rids, 0, take)
+            slots = walk.take(entry_slots, 0, take)
+        elif take:
+            cut = m - take
+            run_start = np.searchsorted(ranks, walk.take(ranks, cut, cut + 1)[0])
+            tail = walk.position(np, int(run_start))
+            order = _runs_last_first(np, walk.take(ranks, tail))[:take]
+            rids = walk.take(entry_rids, tail)[order]
+            slots = walk.take(entry_slots, tail)[order]
+        else:
+            rids = slots = entry_slots[:0]
+        if nulls > 0:
+            null_rids, null_slots = self._null_order_rows(table, walk, index)
+            null_rids, null_slots = null_rids[:nulls], null_slots[:nulls]
+            if descending:
+                rids = np.concatenate((rids, null_rids))
+                slots = np.concatenate((slots, null_slots))
+            else:
+                rids = np.concatenate((null_rids, rids))
+                slots = np.concatenate((null_slots, slots))
+        return rids, slots
+
+    def _null_order_rows(self, table: ShareTable, walk, index):
+        """Matched rows whose walked column is NULL, ascending row id."""
+        sorted_rids, sorted_slots = table.ordered_rid_slots()
+        keep = table.index_positions(index.column)[sorted_slots] < 0
+        if walk.mask is not None:
+            keep &= walk.mask[sorted_slots]
+        return sorted_rids[keep], sorted_slots[keep]
+
+    def _entry_walk(self, np, table: ShareTable, index, entry_slots, plan):
+        """``index``'s matched entries in entry order, as an
+        :class:`_EntryWalk`; records the probes as
+        :meth:`_vector_match_mask` does.
+
+        With no condition, or one condition on the walked column itself,
+        the walk is that condition's entry range and no mask is built;
+        otherwise it is ``flatnonzero(mask[entry_slots])``.
+        """
+        if not plan:
+            return _EntryWalk(len(table), 0, len(index))
+        if len(plan) == 1 and plan[0][0] is index:
+            _, _, start, stop = plan[0]
+            self.cost.record("compare", index.comparisons_for_range())
+            return _EntryWalk(max(0, stop - start), start, stop)
+        mask = self._vector_match_mask(plan)
+        return _EntryWalk(
+            int(np.count_nonzero(mask)),
+            offsets=np.flatnonzero(mask[entry_slots]),
+            mask=mask,
+        )
 
     def _scan_vector(self, table: ShareTable, request: Dict):
         """Vectorized full scan (the migration `scan_share_rows` path)."""
@@ -1013,12 +1167,12 @@ class ShareProvider:
         group_column: str,
         conditions: List[Dict],
     ) -> Optional[List]:
-        """Vectorized grouped COUNT/SUM: offset sort + reduceat.
+        """Vectorized grouped COUNT/SUM: an entry walk + reduceat.
 
-        Sorting the matched slots by their offset in the group column's
-        index puts equal shares side by side in ascending share order;
-        groups are the rank boundaries, each group's share is read back
-        from its first entry, and per-group raw partial sums come from
+        The walk over the group column's index entries meets the matched
+        rows with equal shares side by side, in ascending share order;
+        groups are cut where the rank changes, each group's share is
+        read at its first row, and per-group raw partial sums come from
         one ``reduceat`` pass over the limb planes.  Order-based funcs
         (min/max/median) decline — they embed projected rows per group
         and stay scalar.
@@ -1029,8 +1183,8 @@ class ShareProvider:
         plan = self._vector_condition_plan(table, conditions)
         if plan is None:
             return None
-        positions = table.index_positions(group_column)
-        if positions is None:
+        entry_slots = table.entry_slots(group_column)
+        if entry_slots is None:
             return None
         agg_vector = None
         agg_present = column is not None and table.has_column(column)
@@ -1038,27 +1192,22 @@ class ShareProvider:
             agg_vector = table.column_vector(column)
             if agg_vector is None:
                 return None
-        if conditions:
-            slots = np.flatnonzero(self._vector_match_mask(plan))
-        else:
-            slots = np.arange(len(table))
-        self.cost.record("compare", int(slots.shape[0]))
-        located = positions[slots]
-        grouped = located >= 0
-        located, slots = located[grouped], slots[grouped]
-        if located.shape[0] == 0:
-            return []
-        order = np.argsort(located)
-        located, slots = located[order], slots[order]
         index = table.indexes[group_column]
-        keys = index.vector_entries()[1][located]
+        walk = self._entry_walk(np, table, index, entry_slots, plan)
+        # the scalar engine reads every matched row's group share
+        self.cost.record("compare", walk.matched)
+        if not len(walk):
+            return []
+        keys = walk.take(index.vector_entries()[1])
+        slots = walk.take(entry_slots)
         starts = np.concatenate(
             (
                 np.zeros(1, dtype=np.int64),
                 np.flatnonzero(keys[1:] != keys[:-1]) + 1,
             )
         )
-        group_shares = [index.share_at(at) for at in located[starts].tolist()]
+        group_array = table.column_array(group_column)
+        group_shares = [group_array[slot] for slot in slots[starts].tolist()]
         member_counts = np.diff(np.append(starts, keys.shape[0]))
         agg_reads = 0
         if func == "count" and column is None:
@@ -1083,7 +1232,10 @@ class ShareProvider:
             if func == "count":
                 payloads = [{"count": c} for c in non_null_counts]
             else:
-                sums = kernels.exact_segment_sums_limbs(limbs[:, slots], starts)
+                # take() gathers columns several times faster than [:, slots]
+                sums = kernels.exact_segment_sums_limbs(
+                    limbs.take(slots, axis=1), starts
+                )
                 payloads = [
                     {"partial_sum": total, "count": c}
                     for total, c in zip(sums, non_null_counts)

@@ -53,13 +53,16 @@ scheme produces are served like any other:
 * the **order mirror** of a searchable column is built from its index's
   already-sorted entries: the entry-ordered row ids and each entry's
   dense rank (equal shares ⇒ equal rank) per index
-  (:meth:`SortedShareIndex.vector_entries`), and each slot's offset into
-  those entries per table (:meth:`ShareTable.index_positions`, ``-1`` for
-  NULL).  A predicate's bounds become entry offsets through the same two
-  big-int bisects the scalar path runs (:meth:`SortedShareIndex.
-  entry_range`), so matching is an ``int64`` interval test on offsets,
-  ORDER BY and GROUP BY keys are ranks, and a group's share is read back
-  from the entry at its offset;
+  (:meth:`SortedShareIndex.vector_entries`), and per table each slot's
+  offset into those entries (:meth:`ShareTable.index_positions`, ``-1``
+  for NULL) with its inverse, each entry's slot
+  (:meth:`ShareTable.entry_slots`).  A predicate's bounds become entry
+  offsets through the same two big-int bisects the scalar path runs
+  (:meth:`SortedShareIndex.entry_range`), so matching is an ``int64``
+  interval test on offsets; ORDER BY and GROUP BY *walk* the entries in
+  order — a condition's own entry range, or the entry slots a mask
+  keeps — so they never sort, a LIMIT stops the walk, and groups are
+  runs of equal rank;
 * the **value mirror** of a summed column is its shares split into
   32-bit limb planes (:meth:`ShareTable.column_vector`), summed per plane
   and recombined in Python ints.
@@ -73,6 +76,11 @@ its entry arrays).  What cannot be mirrored — row ids outside ``int64``,
 a negative or non-integer share in a summed column — reads as None and
 every consumer stays on the scalar oracle; dispatch is bit-identical on
 every input.
+
+**Equality map** (both backends).  A join's build side is the join
+column's :meth:`SortedShareIndex.equality_map`, ``{share: [row ids]}``
+derived from the entries by the first join after a mutation of that
+index and probed by every join until the next one.
 
 NULLs are stored as ``None`` and never indexed; comparisons against NULL
 are false, matching SQL WHERE semantics on the plaintext side.
@@ -119,6 +127,11 @@ class SortedShareIndex:
         #: number of order-mirror builds (regression hook: zero for point
         #: and narrow range probes, one per mutation batch otherwise)
         self.vector_rebuilds = 0
+        self._equality_version = -1
+        self._equality: Dict[int, List[int]] = {}
+        #: number of equality-map builds (regression hook: one per
+        #: mutation batch a join consults, none from any other read)
+        self.equality_map_builds = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -222,10 +235,6 @@ class SortedShareIndex:
         start, stop = self.entry_range(low, high)
         return max(0, stop - start)
 
-    def share_at(self, offset: int) -> int:
-        """The share of the entry at ``offset`` (ascending share order)."""
-        return self._entries[offset][0]
-
     def min_entry(self) -> Optional[Tuple[int, int]]:
         return self._entries[0] if self._entries else None
 
@@ -283,6 +292,32 @@ class SortedShareIndex:
             self.vector_rebuilds += 1
         return self._vector
 
+    # -- equality map (joins) -------------------------------------------------
+
+    def equality_map(self) -> Dict[int, List[int]]:
+        """``{share: [row ids]}`` over the entries, row ids ascending.
+
+        The build side of a provider-side join: equal plaintexts have
+        equal shares, so a probe share's partners are one dict lookup.
+        Derived lazily from the sorted entries and keyed on the mutation
+        counter like :meth:`vector_entries`, so a mutation retires it and
+        the next join rebuilds it; no other read builds it.  Backend-free
+        (plain Python), and read-only to callers.
+        """
+        mutations = self._mutations
+        if self._equality_version != mutations:
+            mapping: Dict[int, List[int]] = {}
+            for share, row_id in self._entries:
+                partners = mapping.get(share)
+                if partners is None:
+                    mapping[share] = [row_id]
+                else:
+                    partners.append(row_id)
+            self._equality = mapping
+            self._equality_version = mutations
+            self.equality_map_builds += 1
+        return self._equality
+
 
 class ShareTable:
     """One table's shares at one provider (columnar layout)."""
@@ -326,17 +361,19 @@ class ShareTable:
         self.derived_rebuilds = 0
         # vectorized mirrors (numpy backend), keyed on ``version`` like
         # the derived state: per-column limb planes (+ NULL masks), each
-        # searchable column's slot→index-offset array, and the sorted
-        # row-id / slot pair that turns batched row-id→slot translation
-        # into one ``searchsorted``
+        # searchable column's slot→index-offset and index-offset→slot
+        # arrays, and the sorted row-id / slot pair that turns batched
+        # row-id→slot translation into one ``searchsorted``
         self._vec_version = -1
         self._vec_columns: Dict[str, object] = {}
-        self._vec_positions: Dict[str, object] = {}
+        self._vec_order: Dict[str, object] = {}
         self._vec_sorted_rids = _UNSET  # ascending row ids, int64
         self._vec_sorted_slots = _UNSET  # their slots, aligned
         #: number of value-mirror builds (regression hook: stays O(1)
         #: per (column, mutation batch), never O(1) per read)
         self.vector_rebuilds = 0
+        #: number of entry-slot (order mirror) builds, same discipline
+        self.entry_slot_builds = 0
         # materialized aggregate payloads (SUM/COUNT partials), version-keyed
         # like the derived state above: entries are valid only while
         # ``version`` stands still, so the first lookup after any mutation
@@ -676,7 +713,7 @@ class ShareTable:
             return None
         if self._vec_version != self.version:
             self._vec_columns = {}
-            self._vec_positions = {}
+            self._vec_order = {}
             self._vec_sorted_rids = _UNSET
             self._vec_sorted_slots = _UNSET
             self._vec_version = self.version
@@ -702,6 +739,26 @@ class ShareTable:
         self.vector_rebuilds += 1
         return vector
 
+    def _order_mirror(self, column: str):
+        """``(index_positions, entry_slots)`` of a searchable column, or
+        None — built together, once per version."""
+        np = self._vector_state()
+        index = self.indexes.get(column)
+        if np is None or index is None:
+            return None
+        mirror = self._vec_order.get(column, _UNSET)
+        if mirror is _UNSET:
+            mirror = None
+            entries = index.vector_entries()
+            slots = None if entries is None else self.vector_slots_for(entries[0])
+            if slots is not None:
+                positions = np.full(len(self._row_ids), -1, dtype=np.int64)
+                positions[slots] = np.arange(slots.shape[0], dtype=np.int64)
+                mirror = (positions, slots)
+            self._vec_order[column] = mirror
+            self.entry_slot_builds += 1
+        return mirror
+
     def index_positions(self, column: str):
         """The order mirror: each slot's offset into the column's sorted
         index entries (``int64``, ``-1`` for NULL), or None.
@@ -709,22 +766,21 @@ class ShareTable:
         Offsets order slots by ``(share, row id)``; the index's
         :meth:`SortedShareIndex.vector_entries` maps an offset to its
         row id and dense rank.  None means the column is not searchable,
-        the backend is scalar, or a row id falls outside int64.
+        the backend is scalar, or a row id falls outside int64 or has no
+        slot here.
         """
-        np = self._vector_state()
-        index = self.indexes.get(column)
-        if np is None or index is None:
-            return None
-        positions = self._vec_positions.get(column, _UNSET)
-        if positions is _UNSET:
-            positions = None
-            entries = index.vector_entries()
-            slots = None if entries is None else self.vector_slots_for(entries[0])
-            if slots is not None:
-                positions = np.full(len(self._row_ids), -1, dtype=np.int64)
-                positions[slots] = np.arange(slots.shape[0], dtype=np.int64)
-            self._vec_positions[column] = positions
-        return positions
+        mirror = self._order_mirror(column)
+        return None if mirror is None else mirror[0]
+
+    def entry_slots(self, column: str):
+        """The inverse of :meth:`index_positions`: the slot of each index
+        entry, in entry order (``int64``), or None when that is None.
+
+        Reading a slot array through it walks the column's rows in
+        ``(share, row id)`` order — ORDER BY and GROUP BY without a sort.
+        """
+        mirror = self._order_mirror(column)
+        return None if mirror is None else mirror[1]
 
     def _vector_slot_map(self, np):
         """(sorted row ids, their slots) int64 arrays, or None."""

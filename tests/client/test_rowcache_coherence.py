@@ -102,6 +102,12 @@ POOL = (
     # the residual keeps ORDER BY / LIMIT at the client: the entry holds
     # every match and survives writes that leave them alone
     "SELECT aid FROM Accounts WHERE owner <> 'ANNA' ORDER BY aid DESC LIMIT 3",
+    # the provider's entry walks: groups cut along the owner index under a
+    # branch mask; a top-k read backwards off the condition's own entry
+    # range; a top-k whose walk a second column's mask filters
+    "SELECT owner, SUM(balance) FROM Accounts WHERE branch >= 20 GROUP BY owner",
+    "SELECT aid, branch FROM Accounts WHERE branch <= 70 ORDER BY branch DESC LIMIT 4",
+    "SELECT aid, owner FROM Accounts WHERE aid >= 3 ORDER BY owner DESC LIMIT 5",
 )
 
 aids = st.integers(0, ROWS + 8)

@@ -8,14 +8,16 @@ through the public API (``DataSource`` over a ``ProviderCluster``, the
 ``Employees``/``Managers`` tables the benchmark uses) so that cannot
 happen silently again:
 
-* one statement of each ``analytics`` class the provider executes on
-  mirrors — SUM, AVG, two-condition COUNT, GROUP BY SUM, top-k — must be
-  answered by the numpy engine at ≥ 0.9 of the vector-eligible RPCs and
-  agree with the plaintext executor;
-* point lookups and narrow ranges must build no mirror at any provider,
-  before or after writes (a write used to cost every index one failed
-  O(rows) mirror rebuild on its next read), and a wide aggregate builds
-  each mirror it needs exactly once per table version.
+* one statement of each ``analytics`` class — SUM, AVG, two-condition
+  COUNT, GROUP BY SUM, top-k and the join — must agree with the
+  plaintext executor; the five the provider executes on mirrors must be
+  answered by the numpy engine at ≥ 0.9 of the vector-eligible RPCs, and
+  the join must probe the build side's equality map, built once;
+* point lookups and narrow ranges must build no mirror, entry-slot array
+  or join map at any provider, before or after writes (a write used to
+  cost every index one failed O(rows) mirror rebuild on its next read),
+  and a wide aggregate builds each mirror it needs exactly once per
+  table version.
 
 numpy leg only: without the backend there is one engine and no mirrors.
 """
@@ -52,16 +54,23 @@ def deploy(tables, n_providers=5, threshold=3):
 
 
 def mirror_builds(cluster):
-    """``(value-mirror builds, {column: order-mirror builds})`` of
-    ``Employees`` at every provider."""
-    out = []
-    for provider in cluster.providers:
-        table = provider.store.table("Employees")
-        out.append((
-            table.vector_rebuilds,
-            {column: index.vector_rebuilds
-             for column, index in sorted(table.indexes.items())},
-        ))
+    """Every nonzero mirror / map build counter at every provider:
+    ``{(provider, table, counter): builds}``."""
+    out = {}
+    for position, provider in enumerate(cluster.providers):
+        for name in provider.store.table_names():
+            table = provider.store.table(name)
+            counters = {
+                "values": table.vector_rebuilds,
+                "entry-slots": table.entry_slot_builds,
+            }
+            for column, index in table.indexes.items():
+                counters[f"order:{column}"] = index.vector_rebuilds
+                counters[f"join-map:{column}"] = index.equality_map_builds
+            out.update(
+                ((position, name, counter), builds)
+                for counter, builds in counters.items() if builds
+            )
     return out
 
 
@@ -83,12 +92,34 @@ def test_analytics_classes_dispatch_vectorized_and_match_the_oracle(tables):
         "SELECT eid, name, salary FROM Employees "
         f"WHERE salary <= {high} ORDER BY salary DESC LIMIT 10",
     ]
+    manager_eids = {row["eid"] for row in managers}
+    manager_salaries = sorted(
+        row["salary"] for row in employees if row["eid"] in manager_eids
+    )
+    join = (
+        "SELECT Employees.name, Employees.salary, Managers.manager_id "
+        "FROM Employees JOIN Managers ON Employees.eid = Managers.eid "
+        f"WHERE Employees.salary >= {manager_salaries[-30]}"
+    )
     cluster, source = deploy(tables)
     with telemetry.session():
         answers = [source.sql(sql) for sql in statements]
         counters = telemetry.hub().export()["metrics"]["counters"]
     for sql, answer in zip(statements, answers):
         assert answer == oracle.execute(parse_sql(sql)), sql
+    joined = source.sql(join)
+    assert len(joined) >= 30
+    assert joined == oracle.execute(parse_sql(join))
+    # the join's provider work is a probe of the build side's equality map,
+    # one build per answering provider; a second join reuses it
+    source.row_cache.clear()
+    assert source.sql(join) == joined
+    maps = {
+        key: builds for key, builds in mirror_builds(cluster).items()
+        if key[2].startswith("join-map")
+    }
+    assert len(maps) >= 3 and set(maps.values()) == {1}
+    assert {key[1:] for key in maps} == {("Managers", "join-map:eid")}
     dispatched = {
         backend: sum(
             count for key, count in counters.items()
@@ -105,7 +136,7 @@ def test_analytics_classes_dispatch_vectorized_and_match_the_oracle(tables):
 def test_point_lookups_build_no_mirror(tables):
     employees, _ = tables
     cluster, source = deploy(tables)
-    before = mirror_builds(cluster)
+    assert mirror_builds(cluster) == {}
     with telemetry.session():
         for row in employees.rows()[::97]:
             found = source.sql(
@@ -113,7 +144,7 @@ def test_point_lookups_build_no_mirror(tables):
             )
             assert found == [row]
         counters = telemetry.hub().export()["metrics"]["counters"]
-    assert mirror_builds(cluster) == before
+    assert mirror_builds(cluster) == {}
     assert not [
         key for key in counters
         if key.startswith("provider.kernel.dispatch{")
@@ -132,12 +163,7 @@ def test_writes_cost_narrow_reads_no_mirror_rebuild(tables):
     salaries = sorted(row["salary"] for row in rows)
     narrow = (salaries[400], salaries[409])
     point = rows[123]["eid"]
-    untouched = [
-        (0, dict.fromkeys(
-            ("department", "eid", "lastname", "name", "salary"), 0
-        ))
-    ] * 3
-    assert mirror_builds(cluster) == untouched
+    assert mirror_builds(cluster) == {}
     writes = [
         f"UPDATE Employees SET salary = {salaries[10]} WHERE eid = {rows[7]['eid']}",
         "INSERT INTO Employees (eid, name, lastname, department, salary) "
@@ -152,7 +178,7 @@ def test_writes_cost_narrow_reads_no_mirror_rebuild(tables):
             f"WHERE salary BETWEEN {narrow[0]} AND {narrow[1]}"
         )
         assert 0 < 16 * len(matched) < N_ROWS  # narrow by the engine's rule
-        assert mirror_builds(cluster) == untouched, write
+        assert mirror_builds(cluster) == {}, write
 
     def wide_sum(threshold_rank):
         return source.sql(
@@ -161,8 +187,11 @@ def test_writes_cost_narrow_reads_no_mirror_rebuild(tables):
         )
 
     def salary_mirrors_built(times):
-        expected = dict(untouched[0][1], salary=times)
-        return [(times, expected)] * 3
+        return {
+            (position, "Employees", counter): times
+            for position in range(3)
+            for counter in ("values", "entry-slots", "order:salary")
+        }
 
     assert wide_sum(500) > wide_sum(600)  # distinct predicates: no cache hit
     assert mirror_builds(cluster) == salary_mirrors_built(1)

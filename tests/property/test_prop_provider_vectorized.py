@@ -443,6 +443,20 @@ def employees_battery(shares: RealShares, index: int):
         for limit in (0, 1, 7, 10_000):
             add("select", conditions=upper, order_by="salary",
                 descending=descending, limit=limit)
+        # a condition on another column: the walk is mask-filtered
+        for conditions in (one_department, pair):
+            for limit in (0, 2, 10_000):
+                add("select", conditions=conditions, order_by="salary",
+                    descending=descending, limit=limit,
+                    projection=["eid", "salary"])
+        # ~9 rows per department and ~9 NULLs at 72 rows: each LIMIT cuts
+        # inside a run longer than itself (NULLs, first / last department,
+        # the NULLs after every department descending), or passes the match
+        for conditions in ([], upper):
+            for limit in (3, 12, 66, 10_000):
+                add("select", conditions=conditions, order_by="department",
+                    descending=descending, limit=limit,
+                    projection=["eid", "department"])
     add("select", conditions=pair)
     add("select", conditions=early_exit)
     add("select", conditions=nothing, order_by="salary")
