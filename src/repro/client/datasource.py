@@ -29,7 +29,6 @@ from ..core.secrets import ClientSecrets, generate_client_secrets
 from ..errors import (
     IntegrityError,
     QueryError,
-    QuorumError,
     SchemaError,
     UnsupportedQueryError,
 )
@@ -98,7 +97,7 @@ MUTATING_RPCS = frozenset(
 #: :class:`DataSource`): who a read round asks and how cells are decoded.
 #: Internal — the public knobs stay ``verified_reads``/``read_redundancy``
 #: and the choice of ``select*`` entry point.
-_QUORUM, _ROBUST, _AUDITED, _CHECKED = "quorum", "robust", "audited", "checked"
+_QUORUM, _AUDITED, _CHECKED = "quorum", "audited", "checked"
 
 #: Request fields of a read that wants every column of every matching row.
 _FULL_ROWS: Dict[str, object] = {"projection": None}
@@ -171,7 +170,9 @@ class DataSource:
         to ⌊(m−k)/2⌋ tamperers among the m responders.
     read_redundancy:
         Extra shares beyond k that verified reads request.  ``None`` (the
-        default) means "every live provider" — maximum detection power.
+        default) asks every provider not quarantined or blamed — maximum
+        detection power.  The client cannot see a crash, so a crashed
+        provider costs a timeout per read until it is quarantined.
     failover:
         When True (the default), short read rounds re-dispatch their
         missing sub-requests to spare live providers instead of raising
@@ -1119,11 +1120,11 @@ class DataSource:
         """Validate a SELECT and decide, once, what it pushes down.
 
         Shared by execution and :meth:`explain`, so the two cannot
-        disagree.  Only the quorum and audited modes push anything:
-        robust and checked reads cross-check whole row sets across
-        redundant providers, and a top-k prefix or a partial aggregate
-        from a lying provider carries no blame — those modes fetch every
-        matching row and finish at the client.
+        disagree.  Only the quorum and audited modes push anything: a
+        checked read cross-checks whole row sets across redundant
+        providers, and a top-k prefix or a partial aggregate from a lying
+        provider carries no blame — it fetches every matching row and
+        finishes at the client.
         """
         sharing = self.sharing(query.table)
         schema = sharing.schema
@@ -1192,8 +1193,8 @@ class DataSource:
         straight from the row cache — zero provider RPCs.  The signature
         covers everything that determines the *row set* (predicate +
         pushed-down order/limit); client-side sort, limit, and projection
-        run identically on replayed rows.  Nothing else replays: verified
-        and robust reads exist to re-examine what the providers actually
+        run identically on replayed rows.  Nothing else replays: checked
+        and audited reads exist to re-examine what the providers actually
         return, and :meth:`select_with_ids` feeds writes and audits.
         """
         plan = self._plan_select(query, mode)
@@ -1330,28 +1331,6 @@ class DataSource:
             raise QueryError("select_with_ids does not support aggregates")
         return self._select_rows(query, _QUORUM)
 
-    def select_robust(self, query: Select) -> List[Row]:
-        """SELECT that *tolerates* a minority of tampering providers.
-
-        The malicious-environment read path (Sec. VI b): the query fans
-        out to **every** live provider (not just a k-quorum) and each value
-        is decoded with error-correcting reconstruction — a minority of
-        corrupted shares is outvoted rather than poisoning the result.
-        Where :meth:`select_verified` *detects and aborts*, this path
-        *masks and continues*; the redundancy costs one response per extra
-        provider.
-
-        Supports projection queries (with ORDER BY/LIMIT applied at the
-        client); aggregates should use the verified path instead.
-        """
-        if query.is_aggregate:
-            raise QueryError(
-                "select_robust supports row queries; robust aggregates "
-                "would need verifiable partials — use select_verified on "
-                "the underlying rows instead"
-            )
-        return [row for _, row in self._select_rows(query, _ROBUST)]
-
     # --------------------------------------------------------- time travel --
 
     def scan_asof(self, table_name: str, as_of_epoch: int) -> List[Tuple[int, Row]]:
@@ -1466,20 +1445,12 @@ class DataSource:
     #
     #   mode      targets                wait     decode
     #   quorum    k preferred            first_k  batched, row cache allowed
-    #   robust    every live provider    first_k  error-correcting vote
     #   audited   k preferred            first_k  hash check + strict alignment
     #   checked   k + read_redundancy    all      cross-check, blame → re-issue
 
     def _read_targets(self, mode: str, blamed: set = frozenset()) -> List[int]:
         """The providers one read round addresses in ``mode``."""
         cluster = self.cluster
-        if mode == _ROBUST:
-            live = cluster.live_provider_indexes()
-            if len(live) < self.threshold:
-                raise QuorumError(
-                    f"only {len(live)} providers live, need k={self.threshold}"
-                )
-            return live
         if mode != _CHECKED:
             return cluster.read_quorum()
         # Quarantined providers (blamed by an earlier query, or repeatedly
@@ -1633,20 +1604,6 @@ class DataSource:
             return reconstruct_rows_checked(
                 sharing, responses, residual=residual, cost=self.cost
             )
-        if mode == _ROBUST:
-            pairs: List[Tuple[int, Row]] = []
-            aligned = align_by_row_id(rows_from_responses(responses))
-            for row_id, share_rows in aligned.items():
-                if len(share_rows) < self.threshold:
-                    continue  # injected row ids from a minority are dropped
-                row = sharing.reconstruct_row_robust(share_rows)
-                self.cost.record(
-                    "interpolate",
-                    len(row) * max(1, len(share_rows) - self.threshold + 1),
-                )
-                if residual is None or residual.matches(row):
-                    pairs.append((row_id, row))
-            return pairs, []
         if mode == _AUDITED:
             self.audit.verify_responses(sharing.schema.name, responses)
         return reconstruct_rows(

@@ -31,7 +31,7 @@ neither be served nor leave behind what it saw.
 
 The cache stores and returns **copies** of rows: callers freely mutate
 result dictionaries, and a cache must never alias live results.  Only
-the plain unverified read path consults it — verified and robust reads
+the plain unverified read path consults it — checked and audited reads
 exist precisely to re-examine the providers' answers, so they always go
 to the wire.
 

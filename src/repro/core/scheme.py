@@ -246,72 +246,23 @@ class TableSharing:
             )
         return self.decode(column, encoded)
 
-    def reconstruct_value_robust(
-        self, column: str, shares: Dict[int, Optional[int]]
-    ):
-        """Error-correcting variant of :meth:`reconstruct_value`.
-
-        Tolerates a minority of tampered shares (including shares flipped
-        to/from NULL): NULL wins only with a strict majority of None
-        entries; otherwise the non-NULL shares are decoded robustly.  An
-        exact tie between NULL and non-NULL providers has no majority to
-        decide it — that is corruption evidence, not a decodable state,
-        and raises a :class:`ReconstructionError` naming both camps
-        (robust decoding of the non-NULL half alone could fall below k
-        shares and die with a misleading low-level error).
-        """
-        nulls = sum(1 for share in shares.values() if share is None)
-        if nulls * 2 > len(shares):
-            return None
-        non_null = {i: s for i, s in shares.items() if s is not None}
-        if nulls and nulls * 2 == len(shares):
-            raise ReconstructionError(
-                f"column {column}: NULL-presence tie — providers "
-                f"{sorted(set(shares) - set(non_null))} returned NULL while "
-                f"providers {sorted(non_null)} returned shares; no majority "
-                "to decide which camp is corrupt"
-            )
-        if column in self._op:
-            encoded = self._op[column].reconstruct_robust(non_null)
-        else:
-            encoded = self.random_scheme.field.decode_signed(
-                self.random_scheme.reconstruct_robust(non_null)
-            )
-        return self.decode(column, encoded)
-
-    def reconstruct_row_robust(
-        self, share_rows: Dict[int, ShareRow], columns: Optional[List[str]] = None
-    ) -> Dict[str, object]:
-        """Error-correcting variant of :meth:`reconstruct_row`."""
-        if len(share_rows) < self.threshold:
-            raise ReconstructionError(
-                f"need shares from at least k={self.threshold} providers, "
-                f"got {len(share_rows)}"
-            )
-        names = columns if columns is not None else self.schema.column_names
-        return {
-            column: self.reconstruct_value_robust(
-                column,
-                {index: row.get(column) for index, row in share_rows.items()},
-            )
-            for column in names
-        }
-
     def reconstruct_value_checked(
         self,
         column: str,
         shares: Dict[int, Optional[int]],
         suspects: Sequence[int] = (),
     ) -> Tuple[object, List[int]]:
-        """Robust value plus the provider indexes whose shares disagree.
+        """Error-corrected value plus the provider indexes whose shares
+        disagree.
 
-        The verified-read path's primitive: decodes like
-        :meth:`reconstruct_value_robust` but also *blames* — returns the
-        indexes whose supplied share does not lie on the winning
-        polynomial (random columns) or match the deterministic
-        recomputed share (order-preserving columns).  NULL handling: the
+        The checked read's primitive: a minority of tampered shares is
+        outvoted (Reed–Solomon-style k-subset vote), and the indexes whose
+        supplied share does not lie on the winning polynomial (random
+        columns) or match the deterministic recomputed share
+        (order-preserving columns) are *blamed*.  NULL handling: the
         majority camp wins and the minority camp is blamed; an exact tie
-        raises (no majority to trust).
+        is corruption evidence with no majority to trust and raises a
+        :class:`ReconstructionError` naming both camps.
 
         ``suspects`` — providers already blamed elsewhere (other columns
         or rows) — break otherwise-ambiguous robust votes on random
@@ -347,11 +298,11 @@ class TableSharing:
         columns: Optional[List[str]] = None,
         suspects: Sequence[int] = (),
     ) -> Tuple[Dict[str, object], List[int]]:
-        """Checked variant of :meth:`reconstruct_row_robust` with blame.
+        """Error-corrected variant of :meth:`reconstruct_row` with blame.
 
         Returns ``(row, blamed_indexes)`` where the blame list is the
         union over columns of providers whose shares were inconsistent
-        with the robust-decoded value.
+        with the decoded value.
 
         Order-preserving columns are decoded first: their shares are
         deterministic, so blame from them is unconditional, and it then

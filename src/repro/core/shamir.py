@@ -162,27 +162,22 @@ class ShamirScheme:
         """Reconstruct a value that was shared via signed encoding."""
         return self.field.decode_signed(self.reconstruct(shares))
 
-    def reconstruct_robust(self, shares: Dict[int, int]) -> int:
-        """Error-correcting reconstruction (Sec. VI b, malicious model).
+    def reconstruct_robust_with_blame(
+        self, shares: Dict[int, int], suspects: Sequence[int] = ()
+    ) -> Tuple[int, List[int]]:
+        """Error-correcting reconstruction (Sec. VI b, malicious model)
+        plus the indexes of disagreeing shares.
 
         With more than k shares, a minority of *tampered* shares can be
         outvoted: every k-subset of the shares is interpolated and the
         candidate polynomial consistent with the most shares wins.  This
         corrects up to ``⌊(m - k) / 2⌋`` bad shares among ``m`` supplied
         (the Reed–Solomon unique-decoding radius); below a strict majority
-        of agreement it raises rather than guess.
+        of agreement it raises rather than guess.  Cost is ``C(m, k)``
+        interpolations — fine for the paper's n ≤ 9 provider deployments,
+        and only paid on the checked read path.
 
-        Cost is ``C(m, k)`` interpolations — fine for the paper's n ≤ 9
-        provider deployments, and only paid on the robust path.
-        """
-        return self._robust_decode(shares)[0]
-
-    def reconstruct_robust_with_blame(
-        self, shares: Dict[int, int], suspects: Sequence[int] = ()
-    ) -> Tuple[int, List[int]]:
-        """Robust reconstruction plus the indexes of disagreeing shares.
-
-        The verified-read path uses the blame list to quarantine the
+        The checked read uses the blame list to quarantine the
         provider(s) whose shares did not lie on the winning polynomial.
         An empty list means every supplied share was consistent.
 

@@ -220,6 +220,9 @@ class TestTier1Gate:
         )
         assert "tests/integration/test_fault_matrix.py" in runs
         assert "tests/sharding/test_shard_chaos.py" in runs
+        # reads that must survive tamperers: the checked mode
+        assert "tests/client/test_verified_reads.py" in runs
+        assert "tests/client/test_robust.py" in runs
         assert "tests/txn/test_recovery.py" in runs
         assert "bench_resilience.py --check" in runs
         assert "repro.cli repair" in runs

@@ -33,7 +33,6 @@ class TestOrderLimitOnEveryEntryPoint:
         [
             ("select", {}),
             ("select", {"verified_reads": True}),
-            ("select_robust", {}),
             ("select_verified", {"audited": True}),
             ("select_with_ids", {}),
         ],

@@ -215,7 +215,6 @@ def _add_select(entry: str, shape: str, sql: str, fault: str, **kwargs) -> None:
         "select": "select",
         "select_checked": "select",
         "select_with_ids": "select_with_ids",
-        "select_robust": "select_robust",
         "select_verified": "select_verified",
     }[entry]
 
@@ -239,7 +238,6 @@ for _shape, _sql in ROW_SHAPES.items():
         _add_select("select_verified", _shape, _sql, _fault, audited=True)
     for _fault in ("none", "crash", "tamper"):
         _add_select("select_checked", _shape, _sql, _fault, verified_reads=True)
-        _add_select("select_robust", _shape, _sql, _fault)
 for _shape, _sql in AGG_SHAPES.items():
     for _fault in ("none", "crash"):
         _add_select("select", _shape, _sql, _fault)

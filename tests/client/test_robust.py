@@ -1,4 +1,5 @@
-"""Tests for error-correcting reconstruction, robust reads, and key rotation."""
+"""Tests for error-correcting reconstruction, reads that survive tamperers
+(checked reads), and key rotation."""
 
 import pytest
 
@@ -6,11 +7,14 @@ from repro import DataSource, ProviderCluster, Select
 from repro.core.order_preserving import IntegerDomain, OrderPreservingScheme
 from repro.core.secrets import generate_client_secrets
 from repro.core.shamir import ShamirScheme
-from repro.errors import QueryError, QuorumError, ReconstructionError
+from repro.errors import QuorumError, ReconstructionError
 from repro.providers.failures import Fault, FailureMode
 from repro.sim.rng import DeterministicRNG
-from repro.sqlengine.executor import rows_equal_unordered
+from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
 from repro.sqlengine.expression import Between
+from repro.sqlengine.query import Aggregate, AggregateFunc
+from repro.sqlengine.table import Table
 from repro.workloads.employees import employees_table
 
 SECRETS = generate_client_secrets(7, seed=55)
@@ -24,7 +28,7 @@ class TestRobustShamir:
 
     def test_clean_shares_decode(self):
         shares = self.shares_of(12345)
-        assert self.scheme.reconstruct_robust(shares) == 12345
+        assert self.scheme.reconstruct_robust_with_blame(shares)[0] == 12345
 
     @pytest.mark.parametrize("n_bad", [1, 2])
     def test_minority_corruption_corrected(self, n_bad):
@@ -32,24 +36,24 @@ class TestRobustShamir:
         shares = self.shares_of(98765)
         for index in range(n_bad):
             shares[index] = (shares[index] + 7 + index) % self.scheme.field.modulus
-        assert self.scheme.reconstruct_robust(shares) == 98765
+        assert self.scheme.reconstruct_robust_with_blame(shares)[0] == 98765
 
     def test_majority_corruption_raises(self):
         shares = self.shares_of(5)
         for index in range(4):  # 4 of 7 corrupted
             shares[index] = (shares[index] + 99 + index) % self.scheme.field.modulus
         with pytest.raises(ReconstructionError):
-            self.scheme.reconstruct_robust(shares)
+            self.scheme.reconstruct_robust_with_blame(shares)
 
     def test_too_few_shares(self):
         shares = self.shares_of(5)
         with pytest.raises(ReconstructionError):
-            self.scheme.reconstruct_robust({0: shares[0], 1: shares[1]})
+            self.scheme.reconstruct_robust_with_blame({0: shares[0], 1: shares[1]})
 
     def test_exactly_k_shares_clean(self):
         shares = self.shares_of(444)
         subset = {i: shares[i] for i in (1, 3, 5)}
-        assert self.scheme.reconstruct_robust(subset) == 444
+        assert self.scheme.reconstruct_robust_with_blame(subset)[0] == 444
 
 
 class TestRobustOrderPreserving:
@@ -77,78 +81,80 @@ class TestRobustOrderPreserving:
 
 
 class TestSelectRobust:
+    """A read that must survive tamperers is a checked read
+    (``verified_reads=True``): it asks every provider, outvotes a minority
+    of tampered shares, quarantines the liar and re-issues without it."""
+
     @pytest.fixture
     def source(self):
-        source = DataSource(ProviderCluster(5, 2), seed=57)
+        source = DataSource(ProviderCluster(5, 2), seed=57, verified_reads=True)
         source.outsource_table(employees_table(50, seed=57))
         return source
 
-    def test_clean_matches_plain_select(self, source):
-        query = Select("Employees", where=Between("salary", 20_000, 80_000))
-        assert rows_equal_unordered(
-            source.select_robust(query), source.select(query)
+    @pytest.fixture
+    def oracle(self):
+        catalog = Catalog()
+        table = employees_table(50, seed=57)
+        catalog.add_table(Table(table.schema, table.rows()))
+        return PlaintextExecutor(catalog)
+
+    def tamper(self, source, index, seed):
+        source.cluster.inject_fault(
+            index,
+            Fault(FailureMode.TAMPER, rate=1.0, rng=DeterministicRNG(seed, "t")),
         )
 
-    def test_tolerates_tampering_provider(self, source):
-        truth = source.select(
-            Select("Employees", where=Between("salary", 0, 10**6))
-        )
-        source.cluster.inject_fault(
-            0, Fault(FailureMode.TAMPER, rate=1.0, rng=DeterministicRNG(1, "t"))
-        )
-        robust = source.select_robust(
-            Select("Employees", where=Between("salary", 0, 10**6))
-        )
-        assert rows_equal_unordered(robust, truth)
+    def test_clean_matches_plain_select(self, source):
+        query = Select("Employees", where=Between("salary", 20_000, 80_000))
+        checked = source.select(query)
+        source.verified_reads = False
+        assert rows_equal_unordered(checked, source.select(query))
+
+    def test_tolerates_tampering_provider(self, source, oracle):
+        query = Select("Employees", where=Between("salary", 0, 10**6))
+        self.tamper(source, 0, seed=1)
+        assert rows_equal_unordered(source.select(query), oracle.execute(query))
+        assert source.cluster.health.is_quarantined(0)
 
     def test_plain_select_poisoned_by_same_fault(self, source):
         """The contrast: the quorum read either errors or needs luck."""
-        source.cluster.inject_fault(
-            0, Fault(FailureMode.TAMPER, rate=1.0, rng=DeterministicRNG(2, "t"))
-        )
+        source.verified_reads = False
+        self.tamper(source, 0, seed=2)
         with pytest.raises(ReconstructionError):
             source.select(Select("Employees", where=Between("salary", 0, 10**6)))
 
-    def test_tolerates_two_tamperers_of_five(self, source):
-        truth_count = 50
+    def test_tolerates_two_tamperers_of_five(self, source, oracle):
+        query = Select("Employees", where=Between("salary", 0, 10**6))
         for index in (0, 1):
-            source.cluster.inject_fault(
-                index,
-                Fault(FailureMode.TAMPER, rate=1.0,
-                      rng=DeterministicRNG(3 + index, "t")),
-            )
-        rows = source.select_robust(
-            Select("Employees", where=Between("salary", 0, 10**6))
+            self.tamper(source, index, seed=3 + index)
+        assert rows_equal_unordered(source.select(query), oracle.execute(query))
+
+    def test_projection_order_limit(self, source, oracle):
+        query = Select(
+            "Employees",
+            columns=("name", "salary"),
+            order_by="salary",
+            descending=True,
+            limit=5,
         )
-        assert len(rows) == truth_count
+        self.tamper(source, 3, seed=6)
+        assert source.select(query) == oracle.execute(query)
 
-    def test_projection_order_limit(self, source):
-        rows = source.select_robust(
-            Select(
-                "Employees",
-                columns=("name", "salary"),
-                order_by="salary",
-                descending=True,
-                limit=5,
-            )
+    @pytest.mark.parametrize("func", [AggregateFunc.COUNT, AggregateFunc.SUM])
+    def test_aggregates_under_a_tamperer(self, source, oracle, func):
+        query = Select(
+            "Employees",
+            where=Between("salary", 20_000, 80_000),
+            aggregate=Aggregate(func, None if func is AggregateFunc.COUNT else "salary"),
         )
-        salaries = [r["salary"] for r in rows]
-        assert salaries == sorted(salaries, reverse=True)
-        assert len(rows) == 5
-
-    def test_aggregates_rejected(self, source):
-        from repro.sqlengine.query import Aggregate, AggregateFunc
-
-        with pytest.raises(QueryError):
-            source.select_robust(
-                Select("Employees", aggregate=Aggregate(AggregateFunc.COUNT, None))
-            )
+        self.tamper(source, 1, seed=7)
+        assert source.select(query) == oracle.execute(query)
 
     def test_quorum_still_required(self, source):
         for index in range(4):
             source.cluster.inject_fault(index, Fault(FailureMode.CRASH))
         with pytest.raises(QuorumError):
-            source.select_robust(Select("Employees"))
+            source.select(Select("Employees"))
 
 
 class TestKeyRotation:

@@ -14,7 +14,9 @@ pool through a ``QueryService`` opened over the same source, statement by
 statement and as one wave, and checks that ``close()`` hands the source
 back as it was (ISSUE 22); another sends a session's INSERT (on the
 session's private id block), UPDATE and DELETE through one, direct and
-``transactional=True`` (ISSUE 23).
+``transactional=True`` (ISSUE 23).  One more turns on ``verified_reads``
+with one provider tampering or omitting rows: the pool must still equal
+the oracle and the faulty provider must end up quarantined.
 
 The transaction rules look into the WAL before applying: no inserted
 literal may reach it — the write effect lives in memory only.
@@ -28,7 +30,7 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -268,6 +270,34 @@ class RowCacheCoherence(RuleBasedStateMachine):
             with pytest.raises(QuorumError):
                 self.source.sql(sql)
         cluster.inject_fault(VICTIM, Fault(FailureMode.CRASH))
+
+    @rule(
+        index=st.integers(0, 4),
+        fault=st.sampled_from(
+            [
+                (FailureMode.TAMPER, 0.3),
+                (FailureMode.TAMPER, 1.0),
+                (FailureMode.OMIT, 0.5),
+            ]
+        ),
+    )
+    def checked_reads_mask_one_faulty_provider(self, index, fault):
+        """Checked reads answer exactly — never fewer rows than the oracle —
+        with one provider tampering or dropping rows, and quarantine it."""
+        assume(not (self.broken and index == VICTIM))
+        cluster = self.source.cluster
+        mode, rate = fault
+        cluster.inject_fault(index, Fault(mode, rate=rate))
+        verified = self.source.verified_reads
+        self.source.verified_reads = True
+        try:
+            expected = [self.oracle.execute(parse_sql(sql)) for sql in POOL]
+            assert [self.source.sql(sql) for sql in POOL] == expected
+            assert cluster.health.is_quarantined(index)
+        finally:
+            cluster.providers[index].clear_fault()
+            cluster.health.release(index)
+            self.source.verified_reads = verified
 
     # -- through the query service -------------------------------------------------
 

@@ -217,11 +217,6 @@ class TestRobustNullTie:
         share_rows[0]["secret_num"] = None
         share_rows[1]["secret_num"] = None
         with pytest.raises(ReconstructionError, match="tie"):
-            sharing.reconstruct_value_robust(
-                "secret_num",
-                {i: r["secret_num"] for i, r in share_rows.items()},
-            )
-        with pytest.raises(ReconstructionError, match="tie"):
             sharing.reconstruct_value_checked(
                 "secret_num",
                 {i: r["secret_num"] for i, r in share_rows.items()},
@@ -231,13 +226,11 @@ class TestRobustNullTie:
         share_rows = dict(enumerate(sharing.share_row(ROW)))
         for index in (0, 1, 2):
             share_rows[index]["secret_num"] = None
-        assert (
-            sharing.reconstruct_value_robust(
-                "secret_num",
-                {i: r["secret_num"] for i, r in share_rows.items()},
-            )
-            is None
-        )
+        # NULL wins and the non-NULL minority is blamed
+        assert sharing.reconstruct_value_checked(
+            "secret_num",
+            {i: r["secret_num"] for i, r in share_rows.items()},
+        ) == (None, [3, 4])
 
 
 class TestCheckedReconstruction:

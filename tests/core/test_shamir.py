@@ -197,8 +197,6 @@ class TestRobustDecodeAmbiguity:
         del shares[4]  # m = k + 1 = 4
         shares[2] += 1234  # one tampered share
         with pytest.raises(ReconstructionError, match="ambiguous"):
-            scheme.reconstruct_robust(shares)
-        with pytest.raises(ReconstructionError, match="ambiguous"):
             scheme.reconstruct_robust_with_blame(shares)
 
     def test_suspect_evidence_breaks_the_tie(self, scheme):

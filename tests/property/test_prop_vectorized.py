@@ -137,7 +137,7 @@ def test_robust_decode_with_extra_share_backend_invariant(seed, batch):
         # majority among the k-subsets) — the *raise* must then be the
         # identical outcome on both backends
         try:
-            return scheme.reconstruct_robust(cell)
+            return scheme.reconstruct_robust_with_blame(cell)[0]
         except ReconstructionError as exc:
             return ("raised", str(exc))
 
