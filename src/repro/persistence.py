@@ -33,6 +33,7 @@ from .core.secrets import ClientSecrets
 from .errors import ConfigurationError
 from .providers.cluster import ProviderCluster
 from .providers.provider import ShareProvider
+from .sim.network import ShareRows, json_default
 from .sqlengine.schema import Column, ColumnType, ForeignKey, TableSchema
 
 _FORMAT_VERSION = 1
@@ -151,8 +152,10 @@ def provider_from_dict(data: Dict) -> ShareProvider:
         # bulk path: one index build per column instead of one insort
         # per row, so restoring a large snapshot is O(n log n), not O(n²)
         table.insert_many(
-            (int(row_id_text), values)
-            for row_id_text, values in table_data["rows"].items()
+            ShareRows.from_pairs(
+                (int(row_id_text), values)
+                for row_id_text, values in table_data["rows"].items()
+            )
         )
         # the bulk load above wrote synthetic epoch-0 history; the real
         # undo log (if the snapshot carries one) replaces it wholesale
@@ -256,9 +259,10 @@ def _atomic_write_json(path: str, payload: Dict) -> bytes:
 
     A crash mid-write leaves either the old file or no file — never a
     truncated one.  Returns the serialised bytes so the caller can hash
-    them for the manifest without re-reading.
+    them for the manifest without re-reading.  A staged upload's
+    ``ShareRows`` is written as the row-major list it stands for.
     """
-    data = json.dumps(payload).encode("utf-8")
+    data = json.dumps(payload, default=json_default).encode("utf-8")
     directory = os.path.dirname(path) or "."
     fd, temp_path = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"

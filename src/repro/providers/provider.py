@@ -64,6 +64,7 @@ rewriter.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
@@ -135,6 +136,14 @@ class _EntryWalk:
         if self.offsets is None:
             return max(0, offset - self.lo)
         return int(np.searchsorted(self.offsets, offset))
+
+
+def _smallest(items: List, count: Optional[int], key=None) -> List:
+    """``sorted(items, key=key)[:count]`` — all of it when ``count`` is
+    None; the same list, ties included, from a heap of ``count``."""
+    if count is None:
+        return sorted(items, key=key)
+    return heapq.nsmallest(count, items, key=key)
 
 
 def _runs_last_first(np, keys):
@@ -252,8 +261,13 @@ class ShareProvider:
         return {"ok": True}
 
     def _rpc_insert_many(self, request: Dict) -> Dict:
+        """``{"rows": ShareRows}`` as the client sends it, or the row-major
+        list it stands for as WAL replay, snapshots and repair carry it."""
         table = self.store.table(request["table"])
-        inserted = table.insert_many(request["rows"], epoch=request.get("epoch"))
+        rows = request["rows"]
+        if not isinstance(rows, ShareRows):
+            rows = ShareRows.from_pairs(rows)
+        inserted = table.insert_many(rows, epoch=request.get("epoch"))
         return {"inserted": inserted}
 
     def _rpc_update_rows(self, request: Dict) -> Dict:
@@ -285,8 +299,9 @@ class ShareProvider:
             return {"merged": 0}
         staging = self.store.table(request["table"])
         target = self.store.table(request["into"])
+        row_ids = staging.all_row_ids()
         merged = target.insert_many(
-            ((row_id, staging.get(row_id)) for row_id in staging.all_row_ids()),
+            staging.gather(row_ids, staging.slots_for(row_ids)),
             epoch=request.get("epoch"),
         )
         self.store.drop_table(request["table"])
@@ -445,6 +460,7 @@ class ShareProvider:
         """The scalar select engine — the always-on correctness oracle."""
         row_ids = self._matching_row_ids(table, request.get("conditions") or [])
         order_by = request.get("order_by")
+        limit = request.get("limit")
         if order_by is not None:
             # order by share value (= plaintext order for OP columns).
             # Tie semantics must match a *stable* sort over row-id order —
@@ -465,13 +481,16 @@ class ShareProvider:
             self.cost.record(
                 "compare", len(keyed) * max(1, len(keyed).bit_length())
             )
+            # a LIMIT needs only that many of the keyed rows in order: a
+            # heap keeps them, where sorting every match would order all.
+            # A negative LIMIT slices from the end, so it sorts everything
+            top = limit if isinstance(limit, int) and limit >= 0 else None
             if request.get("descending"):
-                keyed.sort(key=lambda pair: (-pair[0], pair[1]))
+                keyed = _smallest(keyed, top, key=lambda pair: (-pair[0], pair[1]))
                 row_ids = [rid for _, rid in keyed] + null_ids
             else:
-                keyed.sort()
-                row_ids = null_ids + [rid for _, rid in keyed]
-        limit = request.get("limit")
+                wanted = None if top is None else max(0, top - len(null_ids))
+                row_ids = null_ids + [rid for _, rid in _smallest(keyed, wanted)]
         if limit is not None:
             row_ids = row_ids[:limit]
         return self._project_many(table, row_ids, request.get("projection"))

@@ -15,30 +15,38 @@ number, with a row-id↔slot map on the side::
     _row_ids[slot]   -> row_id     # slot → row id
     _slots[row_id]   -> slot       # row id → slot
 
-Scans, aggregation, and join probes read the column arrays directly, and
-result rows leave the provider the way they are stored: one column-major
-:class:`~repro.sim.network.ShareRows` gathered per column
+Rows move in and out the way they are stored: an upload arrives as one
+column-major :class:`~repro.sim.network.ShareRows` (the row-major list
+the WAL, snapshots and repair carry is converted by
+:meth:`~repro.sim.network.ShareRows.from_pairs` before it gets here),
+and scans, aggregation and join probes read the column arrays directly,
+and result rows leave as one ``ShareRows`` gathered per column
 (:meth:`ShareTable.gather`).  A row dict is materialized only for the
 ``rows`` inspection view and a one-row ``get``.  Deletes swap the last
 slot into the hole, so slots stay dense and column arrays never carry
 tombstones.
 
-Index maintenance has two paths:
+Every searchable column's :class:`SortedShareIndex` holds one int per
+entry, ``(share << w) | row_id``, so an entry is ordered by share, then
+row id, without a tuple; a share or row id that cannot be keyed — a
+non-integer share in a searchable column, a negative or non-integer row
+id — is refused with :class:`~repro.errors.ProviderError` before any
+state changes.  Index maintenance has two paths:
 
 * **incremental** — single-row ``insert``/``update``/``delete`` keep each
-  :class:`SortedShareIndex` current in place: one bisect, one memmove of
-  the tail (``insort`` / ``del``);
-* **bulk** — ``insert_many`` stages the batch's ``(share, row_id)`` pairs
-  per index for :meth:`SortedShareIndex.bulk_load`, which sorts them and
-  *splices* them in: each pair is bisected into the existing entries from
-  the previous pair's cut onward and the new list is assembled from
-  slice copies of the old one between the cuts — O(m log n) compares and
-  one O(n) pointer copy for m pairs into n entries, however many batches
-  a load arrives in.  A batch of up to ``_INSORT_BATCH`` pairs (a
-  one-row ``INSERT``) takes the incremental path instead.  Both are eager
-  — a load never reads, so deferring the work to first read would only
-  hide it — and an index whose batch stages nothing is left untouched,
-  mirrors included (DESIGN.md §9).
+  index current in place: one bisect, one memmove of the tail
+  (``insort`` / ``del``);
+* **bulk** — ``insert_many`` grows each column array with one ``extend``
+  and hands each index the column for :meth:`SortedShareIndex.bulk_load`,
+  which sorts the batch's keys and *splices* them in: each key is
+  bisected into the existing ones from the previous key's cut onward and
+  the new list is assembled from slice copies of the old one between the
+  cuts — O(m log n) compares and one O(n) pointer copy for m keys into
+  n entries, however many batches a load arrives in.  A batch of up to
+  ``_INSORT_BATCH`` keys (a one-row ``INSERT``) takes the incremental path
+  instead.  Both are eager — a load never reads, so deferring the work
+  to first read would only hide it — and an index whose batch stages
+  nothing is left untouched, mirrors included (DESIGN.md §9).
 
 Derived read-path state — the ascending row-id order and each row's
 position in it (the Merkle leaf order) — is cached and keyed on the
@@ -89,7 +97,9 @@ are false, matching SQL WHERE semantics on the plaintext side.
 from __future__ import annotations
 
 import bisect
-from operator import itemgetter, ne
+import math
+from itertools import groupby, repeat
+from operator import and_, itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import kernels
@@ -98,15 +108,24 @@ from ..sim.network import ShareRows
 
 ShareRow = Dict[str, Optional[int]]
 
-_ROW_ID_OF = itemgetter(1)
-
 #: cache sentinel distinguishing "never built" from "built, unvectorizable"
 _UNSET = object()
 
-#: Largest batch :meth:`SortedShareIndex.bulk_load` inserts pair by pair:
+#: Largest batch :meth:`SortedShareIndex.bulk_load` inserts key by key:
 #: m memmoves of half the index against one refcounted copy of all of it
 #: cross near m = 64, at 2k, 20k and 100k entries alike.
 _INSORT_BATCH = 32
+
+#: Bits an index key gives the row id, and the step it widens by when a
+#: row id needs more: row ids are client-assigned counters, so no load
+#: the system makes ever widens.
+_ROW_ID_BITS = 64
+
+#: What a row id and a searchable column's cell may be: exactly these
+#: types — a ``bool`` or a float would key (or fail to) as something it
+#: is not.
+_ROW_ID_TYPES = frozenset({int})
+_SHARE_TYPES = frozenset({int, type(None)})
 
 
 class SortedShareIndex:
@@ -115,11 +134,26 @@ class SortedShareIndex:
     Duplicate share values are expected: the deterministic order-preserving
     scheme maps equal plaintext values to equal shares (that determinism is
     what enables provider-side equality and joins).
+
+    Stored as one sorted list of ints, the key ``(share << w) | row_id``
+    per entry: with every row id below ``2**w`` that is ``share * 2**w +
+    row_id``, so key order is (share, row id) order — negative shares
+    included — and a key compares as one int where a ``(share, row_id)``
+    tuple compared element-wise and made the collector walk one more
+    object per entry.  ``w`` starts at 64 and widens, by one re-key of
+    every entry, the first time a row id of ``2**w`` or more arrives.  The
+    read API speaks ``(share, row_id)`` pairs as ever.
+
+    The mutators take what a key can be made of — an ``int`` share, a
+    non-negative ``int`` row id — unchecked: :class:`ShareTable`, their
+    one caller, refuses anything else before it changes any state.
     """
 
     def __init__(self, column: str) -> None:
         self.column = column
-        self._entries: List[Tuple[int, int]] = []  # (share, row_id), sorted
+        self._keys: List[int] = []  # (share << width) | row_id, sorted
+        self._width = _ROW_ID_BITS
+        self._mask = (1 << _ROW_ID_BITS) - 1  # a key's row-id bits
         #: bumped on every index mutation; keys the order mirror below
         self._mutations = 0
         self._vector_version = -1
@@ -134,56 +168,96 @@ class SortedShareIndex:
         self.equality_map_builds = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
+
+    def _fit(self, row_id: int) -> None:
+        """Widen the row-id field so ``row_id`` fits, re-keying every
+        entry once (their order cannot change: each old row id fits the
+        old width)."""
+        if row_id >> self._width:
+            old, mask = self._width, self._mask
+            width = -(-row_id.bit_length() // _ROW_ID_BITS) * _ROW_ID_BITS
+            self._keys = [((key >> old) << width) | (key & mask) for key in self._keys]
+            self._width, self._mask = width, (1 << width) - 1
 
     def insert(self, share: int, row_id: int) -> None:
-        bisect.insort(self._entries, (share, row_id))
+        self._fit(row_id)
+        bisect.insort(self._keys, (share << self._width) | row_id)
         self._mutations += 1
 
-    def bulk_load(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Fold a batch of (share, row_id) pairs into the sorted entries.
+    def bulk_load(self, shares: Sequence[Optional[int]], row_ids: Sequence[int]) -> None:
+        """Fold a column into the sorted entries: ``shares[r]`` is row
+        ``row_ids[r]``'s share; a NULL (``None``) is not indexed.
 
-        A handful of pairs is ``insort``-ed in place like :meth:`insert`.
-        A larger batch is spliced: each sorted pair is located with one
-        ``bisect_right`` from the previous pair's cut, and the new list is
-        assembled from the slices of the old one between the cuts and
-        published by a single assignment — a reader holds the old list or
-        the new.  A two-run merge would step through all n entries in
-        Python, whatever the batch size.
+        A handful of keys is ``insort``-ed in place like :meth:`insert`.
+        A larger batch is spliced: each sorted key
+        is located with one ``bisect_right`` from the previous key's cut,
+        and the new list is assembled from the slices of the old one
+        between the cuts and published by a single assignment — a reader
+        holds the old list or the new.  A two-run merge would step
+        through all n entries in Python, whatever the batch size.
         """
-        staged = sorted(pairs)
+        if not row_ids:
+            return
+        self._fit(max(row_ids))
+        width = self._width
+        staged = [
+            (share << width) | row_id
+            for share, row_id in zip(shares, row_ids)
+            if share is not None
+        ]
+        staged.sort()
         if not staged:
             return
-        entries = self._entries
-        if not entries:
-            self._entries = staged
+        keys = self._keys
+        if not keys:
+            self._keys = staged
         elif len(staged) <= _INSORT_BATCH:
-            for pair in staged:
-                bisect.insort(entries, pair)
+            for key in staged:
+                bisect.insort(keys, key)
         else:
-            merged: List[Tuple[int, int]] = []
+            merged: List[int] = []
             cut = 0
-            for pair in staged:
-                position = bisect.bisect_right(entries, pair, cut)
+            for key in staged:
+                position = bisect.bisect_right(keys, key, cut)
                 if position != cut:
-                    merged += entries[cut:position]
+                    merged += keys[cut:position]
                     cut = position
-                merged.append(pair)
-            merged += entries[cut:]
-            self._entries = merged
+                merged.append(key)
+            merged += keys[cut:]
+            self._keys = merged
         self._mutations += 1
 
     def remove(self, share: int, row_id: int) -> None:
-        index = bisect.bisect_left(self._entries, (share, row_id))
-        if (
-            index >= len(self._entries)
-            or self._entries[index] != (share, row_id)
-        ):
-            raise ProviderError(
-                f"index {self.column}: entry (share, row {row_id}) missing"
-            )
-        del self._entries[index]
-        self._mutations += 1
+        keys = self._keys
+        # anything that could not have been keyed is not an entry
+        if type(share) is int and type(row_id) is int and 0 <= row_id <= self._mask:
+            key = (share << self._width) | row_id
+            index = bisect.bisect_left(keys, key)
+            if index < len(keys) and keys[index] == key:
+                del keys[index]
+                self._mutations += 1
+                return
+        raise ProviderError(
+            f"index {self.column}: entry (share, row {row_id}) missing"
+        )
+
+    def _cut(self, bound, equal_after: bool, nan_cut: int) -> int:
+        """Offset of the first entry whose share lies past ``bound`` —
+        or at it, when ``equal_after`` — in int-versus-real comparison
+        semantics: a real bound cuts at the integers around it, ±inf
+        before or after every entry, and NaN (which no share compares
+        with) at ``nan_cut``."""
+        if type(bound) is int:
+            least = bound if equal_after else bound + 1
+        else:
+            try:
+                least = math.ceil(bound) if equal_after else math.floor(bound) + 1
+            except OverflowError:  # an infinity
+                return 0 if bound < 0 else len(self._keys)
+            except ValueError:  # NaN
+                return nan_cut
+        return bisect.bisect_left(self._keys, least << self._width)
 
     def entry_range(
         self,
@@ -196,18 +270,9 @@ class SortedShareIndex:
         """Entry offsets ``(start, stop)`` bracketing the shares in the
         given (possibly open) interval — two bisects; ``stop <= start``
         when nothing matches."""
-        if low is None:
-            start = 0
-        elif low_inclusive:
-            start = bisect.bisect_left(self._entries, (low, -1))
-        else:
-            start = bisect.bisect_right(self._entries, (low, float("inf")))
-        if high is None:
-            stop = len(self._entries)
-        elif high_inclusive:
-            stop = bisect.bisect_right(self._entries, (high, float("inf")))
-        else:
-            stop = bisect.bisect_left(self._entries, (high, -1))
+        n = len(self._keys)
+        start = 0 if low is None else self._cut(low, low_inclusive, n)
+        stop = n if high is None else self._cut(high, not high_inclusive, 0)
         return start, stop
 
     def range_row_ids(
@@ -223,7 +288,7 @@ class SortedShareIndex:
         start, stop = self.entry_range(
             low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
         )
-        return list(map(_ROW_ID_OF, self._entries[start:stop]))
+        return self._row_ids_of(self._keys[start:stop])
 
     def equal_row_ids(self, share: int) -> List[int]:
         return self.range_row_ids(share, share)
@@ -235,19 +300,27 @@ class SortedShareIndex:
         start, stop = self.entry_range(low, high)
         return max(0, stop - start)
 
+    def _row_ids_of(self, keys: Iterable[int]) -> List[int]:
+        # one C-level pass; operator.and_ skips the method-wrapper call
+        return list(map(and_, keys, repeat(self._mask)))
+
+    def _entry(self, key: int) -> Tuple[int, int]:
+        return key >> self._width, key & self._mask
+
     def min_entry(self) -> Optional[Tuple[int, int]]:
-        return self._entries[0] if self._entries else None
+        return self._entry(self._keys[0]) if self._keys else None
 
     def max_entry(self) -> Optional[Tuple[int, int]]:
-        return self._entries[-1] if self._entries else None
+        return self._entry(self._keys[-1]) if self._keys else None
 
     def entries_in_order(self) -> List[Tuple[int, int]]:
         """All (share, row_id) pairs in ascending share order (copy)."""
-        return list(self._entries)
+        width, mask = self._width, self._mask
+        return [(key >> width, key & mask) for key in self._keys]
 
     def comparisons_for_range(self) -> int:
         """Logical comparison count of one bisect-bounded range probe."""
-        n = len(self._entries)
+        n = len(self._keys)
         return 2 * max(1, n.bit_length())
 
     # -- order mirror (numpy backend) ---------------------------------------
@@ -266,15 +339,11 @@ class SortedShareIndex:
             return None
         mutations = self._mutations
         if self._vector_version != mutations:
-            # two comprehensions, not zip(*entries): unpacking hands zip one
-            # GC-tracked tuple iterator per entry, enough to push the
-            # collector into a full collection on every rebuild
-            shares = [entry[0] for entry in self._entries]
+            keys, width = self._keys, self._width
+            shares = [key >> width for key in keys]
             try:
-                row_ids = np.array(
-                    [entry[1] for entry in self._entries], dtype=np.int64
-                )
-            except (OverflowError, TypeError, ValueError):
+                row_ids = np.array(self._row_ids_of(keys), dtype=np.int64)
+            except OverflowError:
                 vector = None  # unvectorizable at this version
             else:
                 # a rank steps up wherever a share differs from the one
@@ -306,14 +375,11 @@ class SortedShareIndex:
         """
         mutations = self._mutations
         if self._equality_version != mutations:
-            mapping: Dict[int, List[int]] = {}
-            for share, row_id in self._entries:
-                partners = mapping.get(share)
-                if partners is None:
-                    mapping[share] = [row_id]
-                else:
-                    partners.append(row_id)
-            self._equality = mapping
+            # equal shares are one run of keys, their row ids ascending
+            self._equality = {
+                share: self._row_ids_of(run)
+                for share, run in groupby(self._keys, self._width.__rrshift__)
+            }
             self._equality_version = mutations
             self.equality_map_builds += 1
         return self._equality
@@ -446,9 +512,30 @@ class ShareTable:
                     del self.history[:cut]
         return self.epoch
 
+    def _refuse_unkeyable(self, row_ids: Sequence, cells: Dict[str, Sequence]) -> None:
+        """Raise :class:`ProviderError` unless every row id is a
+        non-negative ``int`` and every searchable column's cell among
+        ``cells`` an ``int`` or NULL — what an index key is made of.  The
+        one check in front of every index mutation.  C-level passes; the
+        offender is looked up only to name it."""
+        if not _ROW_ID_TYPES.issuperset(map(type, row_ids)) or (row_ids and min(row_ids) < 0):
+            bad = next(r for r in row_ids if type(r) is not int or r < 0)
+            raise ProviderError(
+                f"table {self.name}: row id {bad!r} is not a non-negative integer"
+            )
+        for column in self.indexes:
+            shares = cells.get(column, ())
+            if not _SHARE_TYPES.issuperset(map(type, shares)):
+                bad = next(s for s in shares if type(s) not in _SHARE_TYPES)
+                raise ProviderError(
+                    f"table {self.name}: column {column!r} cannot index the "
+                    f"non-integer share {bad!r}"
+                )
+
     def insert(
         self, row_id: int, values: ShareRow, epoch: Optional[int] = None
     ) -> None:
+        self._refuse_unkeyable((row_id,), {c: (s,) for c, s in values.items()})
         slot = self._append_row(row_id, values)
         for column, index in self.indexes.items():
             share = self._column_data[column][slot]
@@ -457,53 +544,51 @@ class ShareTable:
         self.version += 1
         self.history.append((self._note_epoch(epoch), "insert", row_id, None))
 
-    def insert_many(
-        self, rows: Iterable[Tuple[int, ShareRow]], epoch: Optional[int] = None
-    ) -> int:
-        """Bulk insert with deferred, batch-built index maintenance.
+    def insert_many(self, rows: ShareRows, epoch: Optional[int] = None) -> int:
+        """Bulk insert of one column-major batch.
 
-        Happy path: validate the whole batch with set operations, grow
-        each column array with one ``extend``, and fold each index's
-        ``(share, row_id)`` pairs in with one
-        :meth:`SortedShareIndex.bulk_load`.  A batch containing any invalid
-        row is replayed through sequential :meth:`insert` calls instead,
-        so the error surfaces at the same row, with the same message and
-        the same partially-inserted state, as single-row DML would
-        produce.
+        A batch holding a row id or a searchable column's share that no
+        index can key is refused whole, before any state changes.
+        Otherwise the happy path validates the rest with set operations,
+        grows each column array with one ``extend`` and folds each
+        column into its index with one :meth:`SortedShareIndex.bulk_load`.
+        A batch with a duplicate row id or a column the table lacks is
+        replayed through sequential :meth:`insert` calls instead, so the
+        error surfaces at the same row, with the same message and the
+        same partially-inserted state, as single-row DML would produce
+        (a column the table lacks is met at the first row that holds a
+        share in it).
         """
-        batch = rows if isinstance(rows, list) else list(rows)
+        ids = rows.row_ids
+        given = dict(zip(rows.columns, rows.shares))
+        self._refuse_unkeyable(ids, given)
         slots = self._slots
-        column_set = self._column_set
-        ids = [row_id for row_id, _ in batch]
         clean = (
-            len(set(ids)) == len(ids)
+            given.keys() <= self._column_set
+            and len(set(ids)) == len(ids)
             and slots.keys().isdisjoint(ids)
-            and all(values.keys() <= column_set for _, values in batch)
         )
         if not clean:
-            # a row in the batch is invalid: replay sequentially so the
-            # error surfaces at the same row, with the same message, and
-            # the same partially-inserted state, as n single inserts
-            for row_id, values in batch:
-                self.insert(row_id, values, epoch=epoch)
-            return len(batch)
+            for row_id, values in rows:
+                present = {c: s for c, s in values.items() if s is not None}
+                self.insert(row_id, present, epoch=epoch)
+            return len(ids)
+        count = len(ids)
         base = len(self._row_ids)
         self._row_ids.extend(ids)
-        slots.update(zip(ids, range(base, base + len(ids))))
-        value_dicts = [values for _, values in batch]
+        slots.update(zip(ids, range(base, base + count)))
+        nulls = (None,) * count
         for column in self.columns:
-            shares = [values.get(column) for values in value_dicts]
+            shares = given.get(column, nulls)
             self._column_data[column].extend(shares)
             index = self.indexes.get(column)
             if index is not None:
-                # zip yields the (share, row_id) entries directly
-                index.bulk_load(
-                    [pair for pair in zip(shares, ids) if pair[0] is not None]
-                )
-        self.version += len(batch)
+                index.bulk_load(shares, ids)
+        self.version += count
         stamped = self._note_epoch(epoch)
-        self.history.extend((stamped, "insert", row_id, None) for row_id in ids)
-        return len(batch)
+        # one (epoch, "insert", row_id, None) undo record per row
+        self.history.extend(zip(repeat(stamped), repeat("insert"), ids, repeat(None)))
+        return count
 
     def update(
         self, row_id: int, assignments: ShareRow, epoch: Optional[int] = None
@@ -514,6 +599,7 @@ class ShareTable:
             raise ProviderError(
                 f"table {self.name}: unknown columns {sorted(unknown)}"
             )
+        self._refuse_unkeyable((), {c: (s,) for c, s in assignments.items()})
         undo: ShareRow = {}
         for column, new_share in assignments.items():
             array = self._column_data[column]

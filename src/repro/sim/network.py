@@ -20,18 +20,22 @@ Wire format (sizing only — data never actually leaves the process):
 * dict: 4-byte count + key/value pairs;
 * any other object: whatever its ``wire_size()`` reports.
 
-Share rows — what every row-returning provider RPC answers with — are
-**sized** row-major, as the list ``[(row_id, {column: share}), ...]`` under
-the rules above, but **carried** column-major: a :class:`ShareRows` holds
-the row ids and one share sequence per column, because the provider
-stores columns and the client's kernels interpolate columns, and its
-``wire_size()`` reports the bytes of the list it stands for, byte for
-byte.  Only the in-process carrier is columnar; the wire format — and so
-every byte count and the modelled clock — is unchanged.  A column-major
-wire *format* (column names once per response instead of once per row)
-would be a declared change to those numbers and is not made here.  A
-``join`` response is the dict ``{"left": rows, "right": rows}`` of two
-such values — each side's matched rows once, no pair list.
+Share rows — what every row-returning provider RPC answers with, and
+what every ``insert_many`` uploads — are **sized** row-major, as the list
+``[(row_id, {column: share}), ...]`` under the rules above, but
+**carried** column-major: a :class:`ShareRows` holds the row ids and one
+share sequence per column, because the provider stores columns and the
+client's kernels share and interpolate columns, and its ``wire_size()``
+reports the bytes of the list it stands for, byte for byte.  Only the
+in-process carrier is columnar; the wire format — and so every byte
+count and the modelled clock — is unchanged, and so is every JSON
+boundary: the WAL and provider snapshots write a ``ShareRows`` as that
+row-major list (:func:`json_default`), and the list read back from them
+becomes a ``ShareRows`` again through :meth:`ShareRows.from_pairs`.  A
+column-major wire *format* (column names once per batch instead of once
+per row) would be a declared change to those numbers and is not made
+here.  A ``join`` response is the dict ``{"left": rows, "right": rows}``
+of two such values — each side's matched rows once, no pair list.
 
 Modelled transfer time = RTT/2 per message + bytes / bandwidth, using the
 latency model's constants; benchmarks report both raw bytes and modelled
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def measure_bytes(payload: object) -> int:
@@ -114,16 +118,17 @@ def _row_overhead(columns: Tuple[str, ...]) -> int:
 
 
 class ShareRows:
-    """Share rows of one provider's answer, column-major.
+    """Share rows of one provider's answer or upload, column-major.
 
     ``shares[c][r]`` is the share (``None`` for NULL) of column
     ``columns[c]`` in the row ``row_ids[r]``.  The value stands for the
     row-major list ``[(row_id, {column: share}), ...]``: iterating yields
-    exactly those pairs (the per-row readers — robust and checked
-    decoding, audits, repair — take them one at a time), two values are
-    equal when their lists are, and :meth:`wire_size` is that list's size
-    under the module's wire format.  Treat it as read-only: the provider
-    may hand out its cached row-id list.
+    exactly those pairs (the per-row readers — checked decoding, audits,
+    repair — take them one at a time), two values are equal when their
+    lists are, and :meth:`wire_size` is that list's size under the
+    module's wire format.  Treat it as read-only: the provider may hand
+    out its cached row-id list, and an upload's value is logged and
+    staged as it was sent.
     """
 
     __slots__ = ("row_ids", "columns", "shares")
@@ -137,6 +142,25 @@ class ShareRows:
         self.row_ids = row_ids
         self.columns = columns
         self.shares = shares
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Sequence]) -> "ShareRows":
+        """The value standing for the row-major list
+        ``[[row_id, {column: share}], ...]`` — the form uploads take in
+        the WAL, in snapshots and from repair.
+
+        Columns are named in the order they first appear; a row that
+        does not name a column holds NULL there.
+        """
+        row_ids: List[int] = []
+        rows: List[Dict[str, Optional[int]]] = []
+        for row_id, values in pairs:
+            row_ids.append(row_id)
+            rows.append(values)
+        columns = tuple(dict.fromkeys(chain.from_iterable(rows)))
+        return cls(
+            row_ids, columns, [[values.get(name) for values in rows] for name in columns]
+        )
 
     def __len__(self) -> int:
         return len(self.row_ids)
@@ -188,6 +212,16 @@ class ShareRows:
                 measure_bytes(cell) - 2 for cell in chain(self.row_ids, *self.shares)
             )
         return 4 + len(self.row_ids) * _row_overhead(self.columns) + magnitudes
+
+
+def json_default(value: object) -> object:
+    """``json.dumps``'s ``default`` hook at the WAL and snapshot
+    boundaries: a :class:`ShareRows` is written as the row-major list it
+    stands for, so a record holding one has the bytes of a record holding
+    that list."""
+    if isinstance(value, ShareRows):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass

@@ -39,14 +39,16 @@ from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..errors import WALError
+from ..sim.network import json_default
 
 MAGIC = b"RW"
 HEADER_SIZE = len(MAGIC) + 4 + 4
 
 
 def _frame(record: Dict) -> bytes:
+    # an upload's ShareRows is logged as the row-major list it stands for
     payload = json.dumps(
-        record, separators=(",", ":"), sort_keys=True
+        record, separators=(",", ":"), sort_keys=True, default=json_default
     ).encode("utf-8")
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     return (

@@ -147,7 +147,8 @@ class Loader:
         self.ops.clear()
         record = self.accounting()
         record["row_ids"] = _digest(row_ids)
-        record["payloads"] = [_digest(request["rows"]) for request in op.requests]
+        # each upload digested as the row-major list it stands for
+        record["payloads"] = [_digest(list(request["rows"])) for request in op.requests]
         self.source.reset_accounting()
         return record
 
@@ -274,9 +275,11 @@ def test_share_row_draws_the_parents_shares():
 
 def test_share_rows_is_the_parents_share_row_transposed():
     golden = _load_golden()["shares"]
-    by_provider = ledger_sharing().share_rows(ledger_rows(12))
+    by_provider = ledger_sharing().share_rows(ledger_rows(12), range(12))
     assert len(by_provider) == N_PROVIDERS
-    assert json.loads(json.dumps([list(rows) for rows in zip(*by_provider)])) == golden
+    assert [batch.row_ids for batch in by_provider] == [list(range(12))] * N_PROVIDERS
+    share_rows = [[values for _, values in batch] for batch in by_provider]
+    assert json.loads(json.dumps([list(rows) for rows in zip(*share_rows)])) == golden
 
 
 @pytest.mark.parametrize("case", sorted(reject_batches()))

@@ -30,18 +30,8 @@ def sharing():
 
 def make_responses(sharing, rows):
     """Simulate honest provider responses for given plaintext rows."""
-    names = tuple(sharing.schema.column_names)
-    shared = sharing.share_rows([row for _, row in rows])
-    return {
-        i: {
-            "rows": ShareRows(
-                [rid for rid, _ in rows],
-                names,
-                [[share_row[name] for share_row in shared[i]] for name in names],
-            )
-        }
-        for i in range(4)
-    }
+    shared = sharing.share_rows([row for _, row in rows], [rid for rid, _ in rows])
+    return {i: {"rows": shared[i]} for i in range(4)}
 
 
 EMPTY = ShareRows([], (), [])

@@ -20,6 +20,7 @@ from repro.client.updates import LazyUpdateBuffer
 from repro.errors import QuorumError, SimulatedCrash
 from repro.providers.cluster import ProviderCluster
 from repro.providers.failures import Fault, FailureMode
+from repro.sim.network import json_default
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.expression import Between, Comparison, ComparisonOp
@@ -434,7 +435,7 @@ class TestStaleThenInvalid:
         op = dep.source.plan_write(parse_sql(insert))
         (row,) = op.effect.values()
         assert row["owner"] == "QZQZ"
-        assert "QZQZ" not in json.dumps(op.requests)
+        assert "QZQZ" not in json.dumps(op.requests, default=json_default)
         dep.manager.execute(insert, autocommit=False)
         with open(dep.wal_path, "rb") as handle:
             logged = handle.read()

@@ -16,7 +16,12 @@ back as it was (ISSUE 22); another sends a session's INSERT (on the
 session's private id block), UPDATE and DELETE through one, direct and
 ``transactional=True`` (ISSUE 23).  One more turns on ``verified_reads``
 with one provider tampering or omitting rows: the pool must still equal
-the oracle and the faulty provider must end up quarantined.
+the oracle and the faulty provider must end up quarantined.  A bulk
+insert of more rows than an index takes one at a time (so each index
+splices the batch in), NULLs in the searchable ``tier`` included, goes
+direct or through ``atomic()``; and the whole deployment is saved and
+loaded back — every provider rebuilt through ``insert_many`` — and the
+run continues on the loaded source.  Table epochs never move backwards.
 
 The transaction rules look into the WAL before applying: no inserted
 literal may reach it — the write effect lives in memory only.
@@ -41,13 +46,15 @@ from hypothesis.stateful import (
 
 from repro.client.datasource import DataSource
 from repro.client.updates import LazyUpdateBuffer
-from repro.errors import QuorumError, SimulatedCrash
+from repro.errors import QuorumError, ReconstructionError, SimulatedCrash
+from repro.persistence import load_deployment, save_deployment
 from repro.providers.cluster import ProviderCluster
 from repro.providers.failures import Fault, FailureMode
 from repro.service import QueryService
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.expression import Comparison, ComparisonOp
+from repro.sqlengine.query import Insert
 from repro.sqlengine.schema import TableSchema, integer_column, string_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
@@ -70,6 +77,7 @@ def schema() -> TableSchema:
             string_column("owner", 6),
             integer_column("balance", 0, 1_000_000, searchable=False, nullable=True),
             string_column("note", 6, searchable=False, nullable=True),
+            integer_column("tier", 0, 9, nullable=True),
         ),
         primary_key="aid",
     )
@@ -83,6 +91,7 @@ def initial_rows():
             "owner": ("ANNA", "BOB", "CAROL")[i % 3],
             "balance": None if i == 5 else 1000 + 10 * i,
             "note": None if i % 4 == 0 else "N" + "ABCD"[i % 4],
+            "tier": None if i % 3 == 1 else i % 10,
         }
         for i in range(ROWS)
     ]
@@ -110,6 +119,8 @@ POOL = (
     "SELECT owner, SUM(balance) FROM Accounts WHERE branch >= 20 GROUP BY owner",
     "SELECT aid, branch FROM Accounts WHERE branch <= 70 ORDER BY branch DESC LIMIT 4",
     "SELECT aid, owner FROM Accounts WHERE aid >= 3 ORDER BY owner DESC LIMIT 5",
+    # a searchable column that holds NULLs: they are never indexed
+    "SELECT aid, tier FROM Accounts WHERE tier BETWEEN 2 AND 6",
 )
 
 aids = st.integers(0, ROWS + 8)
@@ -130,6 +141,8 @@ class RowCacheCoherence(RuleBasedStateMachine):
         self.manager = TransactionManager(self.source, self.wal_path)
         self.next_aid = 100
         self.broken = False
+        self.epoch_high = 0
+        self.bulk_inserted = False
 
     def teardown(self) -> None:
         self.manager.close()
@@ -252,7 +265,50 @@ class RowCacheCoherence(RuleBasedStateMachine):
         self.manager = TransactionManager(self.source, self.wal_path)
         self.manager.recover()
 
+    # once a run: every later step reads the rows it adds, and checked
+    # reads decode them one at a time
+    @precondition(lambda self: not self.bulk_inserted)
+    @rule(
+        cells=st.lists(st.tuples(branches, st.none() | st.integers(0, 9)), min_size=33, max_size=40),
+        through=st.sampled_from(["direct", "atomic"]),
+    )
+    def bulk_insert(self, cells, through):
+        """More rows than an index inserts one by one (direct: one
+        ``insert_many`` whose every index splices; ``atomic``: one
+        transaction of single-row ops), the first with a NULL ``tier``."""
+        self.bulk_inserted = True
+        rows = []
+        for position, (branch, tier) in enumerate(cells):
+            self.next_aid += 1
+            rows.append({
+                "aid": self.next_aid,
+                "branch": branch,
+                "owner": MARKER + "ABCDEFG"[self.next_aid % 7],
+                "balance": None if branch % 5 == 0 else 2000 + branch,
+                "note": None if branch % 2 else MARKER,
+                "tier": None if position == 0 else tier,
+            })
+        if through == "direct":
+            self.source.insert_many("Accounts", rows)
+        else:
+            self.manager.atomic([Insert("Accounts", row) for row in rows])
+        for row in rows:
+            self.oracle.execute(Insert("Accounts", row))
+
     # -- whole-deployment events --------------------------------------------------
+
+    @rule()
+    def save_and_load(self):
+        """Save the deployment, load it back, and carry on from the loaded
+        source: providers rebuilt from their snapshots, the client from its
+        metadata, a fresh manager over the same log."""
+        directory = os.path.join(self.wal_dir, "snapshot")
+        save_deployment(self.source, directory)
+        self.manager.close()
+        self.source = load_deployment(directory)
+        if self.broken:  # the victim's missed write is in its snapshot too
+            self.source.cluster.inject_fault(VICTIM, Fault(FailureMode.CRASH))
+        self.manager = TransactionManager(self.source, self.wal_path)
 
     @rule(seed=st.integers(1, 1_000))
     def rotate_secrets(self, seed):
@@ -282,22 +338,42 @@ class RowCacheCoherence(RuleBasedStateMachine):
         ),
     )
     def checked_reads_mask_one_faulty_provider(self, index, fault):
-        """Checked reads answer exactly — never fewer rows than the oracle —
-        with one provider tampering or dropping rows, and quarantine it."""
         assume(not (self.broken and index == VICTIM))
+        self.checked_pool_reads(index, fault)
+
+    def checked_pool_reads(self, index, fault) -> int:
+        """Checked reads answer exactly — never fewer rows than the oracle —
+        with one provider tampering or dropping rows, and quarantine it.
+
+        Once the victim is down only k + 1 providers answer.  A tamperer
+        that perturbs one random-column share of a row and leaves its
+        order-preserving shares alone then leaves no evidence: each k-subset
+        explains k of the k + 1 shares.  Such a read must refuse with the
+        ambiguous-vote ``ReconstructionError`` rather than guess; it is the
+        only refusal allowed.  Returns how many reads refused."""
         cluster = self.source.cluster
         mode, rate = fault
         cluster.inject_fault(index, Fault(mode, rate=rate))
         verified = self.source.verified_reads
         self.source.verified_reads = True
+        refused = 0
         try:
-            expected = [self.oracle.execute(parse_sql(sql)) for sql in POOL]
-            assert [self.source.sql(sql) for sql in POOL] == expected
-            assert cluster.health.is_quarantined(index)
+            for sql in POOL:
+                expected = self.oracle.execute(parse_sql(sql))
+                try:
+                    answer = self.source.sql(sql)
+                except ReconstructionError as error:
+                    assert self.broken and mode is FailureMode.TAMPER, error
+                    assert "ambiguous robust decode" in str(error), error
+                    refused += 1
+                    continue
+                assert answer == expected, sql
+            assert refused or cluster.health.is_quarantined(index)
         finally:
             cluster.providers[index].clear_fault()
             cluster.health.release(index)
             self.source.verified_reads = verified
+        return refused
 
     # -- through the query service -------------------------------------------------
 
@@ -339,6 +415,12 @@ class RowCacheCoherence(RuleBasedStateMachine):
     # -- the contract ---------------------------------------------------------------
 
     @invariant()
+    def table_epochs_never_move_backwards(self):
+        epoch = self.source.table_epoch("Accounts")
+        assert epoch >= self.epoch_high
+        self.epoch_high = epoch
+
+    @invariant()
     def pooled_selects_equal_the_oracle_warm_and_cold(self):
         expected = [self.oracle.execute(parse_sql(sql)) for sql in POOL]
         warm = [self.source.sql(sql) for sql in POOL]
@@ -354,3 +436,26 @@ RowCacheCoherence.TestCase.settings = settings(
     suppress_health_check=list(HealthCheck),
 )
 TestRowCacheCoherence = RowCacheCoherence.TestCase
+
+
+@pytest.mark.parametrize(
+    "fault, refused",
+    [
+        # the fault stream of provider 3 perturbs only the balance share of
+        # the second pooled row (aid = 8): that read alone must refuse
+        ((FailureMode.TAMPER, 0.3), 1),
+        ((FailureMode.TAMPER, 1.0), 0),
+        ((FailureMode.OMIT, 0.5), 0),
+    ],
+)
+def test_checked_reads_with_k_plus_one_responders(fault, refused):
+    """The victim goes down (a write that matches no row still breaks it),
+    so four = k + 1 providers answer the checked reads of one faulty
+    provider; then the deployment reads back as the oracle's."""
+    state = RowCacheCoherence()
+    try:
+        state.write_round_fails_at_one_provider(aid=ROWS + 8, branch=91)
+        assert state.checked_pool_reads(3, fault) == refused
+        state.pooled_selects_equal_the_oracle_warm_and_cold()
+    finally:
+        state.teardown()

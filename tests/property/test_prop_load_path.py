@@ -3,16 +3,23 @@
 * ``TableSharing.share_rows`` is ``share_value`` cell by cell, row-major in
   schema column order — bit for bit, the random columns' RNG stream
   included — whatever the batch size, the NULLs and the duplicates, and
-  equals the batches of one ``share_row`` makes of it.  (The anchor to the
-  parent commit's shares is ``tests/client/test_load_path.py``.)
+  equals the batches of one ``share_row`` makes of it; each provider's
+  batch is one ``ShareRows`` under the row ids it was handed.  (The
+  anchor to the parent commit's shares is
+  ``tests/client/test_load_path.py``.)
 * A rejected batch raises what validating row by row raises first.
 * ``Codec.encode_many`` is ``encode`` per value, position of the first
   failure included.
 * ``SortedShareIndex.bulk_load`` leaves ``sorted(existing + staged)``,
-  entry for entry, on both of its paths.
+  entry for entry, on both of its paths; and under any interleaving of
+  ``insert`` / ``remove`` / ``bulk_load`` — row ids past ``2**64``, shares
+  below zero — every read of the index answers what a plain sorted list
+  of ``(share, row_id)`` tuples answers; and what no index can key, the
+  ``ShareTable`` in front of it refuses before any state changes.
 """
 
 import datetime
+import math
 from decimal import Decimal
 
 import pytest
@@ -26,8 +33,10 @@ from repro.core.encoding import (
     IntegerCodec,
     StringCodec,
 )
-from repro.errors import SchemaError
-from repro.providers.storage import SortedShareIndex
+from repro.core import kernels
+from repro.errors import ProviderError, SchemaError
+from repro.providers.storage import ShareTable, SortedShareIndex
+from repro.sim.network import ShareRows
 from tests.client.test_load_path import ledger_rows, ledger_schema, ledger_sharing
 
 SCHEMA = ledger_schema()
@@ -52,6 +61,11 @@ ledger_row = st.fixed_dictionaries(_cells)
 ledger_batches = st.lists(ledger_row, min_size=0, max_size=12)
 
 
+def row_major(shared):
+    """``share_rows``'s per-provider ``ShareRows`` as lists of share rows."""
+    return [[values for _, values in batch] for batch in shared]
+
+
 def cell_by_cell(sharing, rows):
     """The per-value path: one ``share_value`` per cell, rows then columns."""
     by_provider = [[] for _ in range(sharing.n_providers)]
@@ -71,27 +85,30 @@ def test_share_rows_is_share_value_cell_by_cell(first, second):
     batched, oracle, one_by_one = ledger_sharing(), ledger_sharing(), ledger_sharing()
     # two calls: the second continues the first's RNG stream
     for rows in (first, second):
-        shared = batched.share_rows(rows)
-        assert shared == cell_by_cell(oracle, rows)
+        row_ids = [7 * r + 1 for r in range(len(rows))]
+        shared = batched.share_rows(rows, row_ids)
+        assert row_major(shared) == cell_by_cell(oracle, rows)
         singles = [one_by_one.share_row(row) for row in rows]
-        assert shared == [list(column) for column in zip(*singles)] or not rows
-        assert [list(share_row) for share_row in shared[0]] == (
-            [SCHEMA.column_names] * len(rows)
-        )
+        assert row_major(shared) == [list(column) for column in zip(*singles)] or not rows
+        for batch in shared:
+            assert batch.row_ids == row_ids
+            assert batch.columns == tuple(SCHEMA.column_names)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 200])
 def test_share_rows_at_the_batch_sizes_the_system_sends(size):
     rows = ledger_rows(size)
-    shared = ledger_sharing().share_rows(rows)
+    shared = ledger_sharing().share_rows(rows, range(size))
     assert [len(share_rows) for share_rows in shared] == [size] * 5
-    assert shared == cell_by_cell(ledger_sharing(), [SCHEMA.validate_row(r) for r in rows])
+    assert row_major(shared) == cell_by_cell(
+        ledger_sharing(), [SCHEMA.validate_row(r) for r in rows]
+    )
 
 
 def test_equal_plaintexts_share_alike_only_where_the_scheme_says_so():
     row = ledger_rows(1)[0]
     sharing = ledger_sharing()
-    for share_rows in sharing.share_rows([row, dict(row), dict(row)]):
+    for share_rows in row_major(sharing.share_rows([row, dict(row), dict(row)], [0, 1, 2])):
         a, b, c = share_rows
         for column in SCHEMA.column_names:
             if a[column] is None:
@@ -131,15 +148,16 @@ def test_a_rejected_batch_raises_what_row_by_row_validation_meets_first(rows, sp
             expected = str(exc)
             break
     sharing = ledger_sharing()
+    row_ids = range(len(rows))
     if expected is None:  # the spoiled cells were all dropped or overwritten
-        sharing.share_rows(rows)
+        sharing.share_rows(rows, row_ids)
         return
     with pytest.raises(SchemaError) as caught:
-        sharing.share_rows(rows)
+        sharing.share_rows(rows, row_ids)
     assert str(caught.value) == expected
     # nothing was drawn: the next batch shares as on a fresh sharing
     good = ledger_rows(3)
-    assert sharing.share_rows(good) == ledger_sharing().share_rows(good)
+    assert sharing.share_rows(good, range(3)) == ledger_sharing().share_rows(good, range(3))
 
 
 # ---------------------------------------------------------------- encode_many --
@@ -198,6 +216,11 @@ def _pairs(size):
     return st.lists(st.tuples(_shares, st.integers(0, 50)), min_size=size[0], max_size=size[1])
 
 
+def _load(index, pairs):
+    """``bulk_load`` of ``(share, row_id)`` pairs, handed over as columns."""
+    index.bulk_load([share for share, _ in pairs], [row_id for _, row_id in pairs])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_pairs((0, 60)), st.one_of(_pairs((0, 3)), _pairs((30, 90))), st.sampled_from("<>="))
 def test_bulk_load_equals_sorting_everything(existing, staged, where):
@@ -207,10 +230,10 @@ def test_bulk_load_equals_sorting_everything(existing, staged, where):
     elif where == ">":
         staged = [(share + (1 << 123), rid) for share, rid in staged]
     index = SortedShareIndex("c")
-    index.bulk_load(existing)
+    _load(index, existing)
     before = index.entries_in_order()
     assert before == sorted(existing)
-    index.bulk_load(iter(staged))
+    _load(index, staged)
     after = index.entries_in_order()
     assert after == sorted(existing + staged)
     assert len(index) == len(existing) + len(staged)
@@ -228,6 +251,132 @@ def test_bulk_load_at_every_batch_to_index_ratio(m):
     existing = [((i * 7919) % 1009 + (1 << 100), i) for i in range(n)]
     staged = [((i * 104729) % 1013 + (1 << 100), n + i) for i in range(m)]
     index = SortedShareIndex("c")
-    index.bulk_load(existing)
-    index.bulk_load(staged)
+    _load(index, existing)
+    _load(index, staged)
     assert index.entries_in_order() == sorted(existing + staged)
+
+
+# ------------------------------------------- the whole index against a list --
+
+#: both signs, a few repeated values, and small ones a half-integer splits
+_signed_shares = _shares | _shares.map(lambda share: -share) | st.integers(-3, 3)
+#: row ids of every width: small, either side of int64 and of 2**64, past both
+_row_ids = (
+    st.integers(0, 40)
+    | st.sampled_from([(1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 70])
+    | st.integers(0, 1 << 72)
+)
+#: what no index may key: a pair with one of these in it is refused whole
+_junk_shares = st.sampled_from([2.5, "x", True, Decimal(1), math.nan])
+_junk_row_ids = st.sampled_from([-1, -(1 << 70), 2.0, "7", True, None])
+
+_index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _signed_shares, _row_ids),
+        st.tuples(st.just("remove"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("remove missing"), _signed_shares, _row_ids),
+        st.tuples(
+            st.just("bulk_load"),
+            st.lists(st.tuples(st.none() | _signed_shares, _row_ids), max_size=50),
+        ),
+        st.tuples(
+            st.just("refused"),
+            st.lists(st.tuples(_signed_shares, _row_ids), max_size=5),
+            st.tuples(_junk_shares, _row_ids) | st.tuples(_signed_shares, _junk_row_ids),
+            st.integers(0, 5),
+        ),
+    ),
+    max_size=10,
+)
+
+
+def _bounds(oracle):
+    """Range bounds around what is stored: the shares themselves and
+    their neighbours as ints and as floats (exactly, or the nearest float
+    to a share too wide for one), half-integers, ±inf, NaN, and anything."""
+    shares = sorted({share for share, _ in oracle}) or [0]
+    near = st.sampled_from(shares).flatmap(lambda s: st.sampled_from([s - 1, s, s + 1]))
+    return (
+        st.none()
+        | near
+        | near.map(float)
+        | near.map(lambda share: share + 0.5)
+        | st.sampled_from([math.inf, -math.inf, math.nan])
+        | st.integers(-(1 << 130), 1 << 130)
+        | st.floats()
+    )
+
+
+def _above(share, low, inclusive):
+    return low is None or (share >= low if inclusive else share > low)
+
+
+def _below(share, high, inclusive):
+    return high is None or (share <= high if inclusive else share < high)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_ops, st.data())
+def test_the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data):
+    index, oracle = SortedShareIndex("c"), []
+    for op in ops:
+        kind = op[0]
+        if kind == "insert":
+            index.insert(op[1], op[2])
+            oracle = sorted(oracle + [op[1:]])
+        elif kind == "remove" and oracle:
+            pair = oracle.pop(op[1] % len(oracle))
+            index.remove(*pair)
+        elif kind == "remove missing" and op[1:] not in oracle:
+            with pytest.raises(ProviderError):
+                index.remove(*op[1:])
+        elif kind == "bulk_load":
+            _load(index, op[1])
+            oracle = sorted(oracle + [pair for pair in op[1] if pair[0] is not None])
+        elif kind == "refused":
+            # the table in front of every index refuses it, batch and row
+            good, junk, position = op[1:]
+            batch = good[:position] + [junk] + good[position:]
+            table = ShareTable("T", ["c"], ["c"])
+            with pytest.raises(ProviderError):
+                table.insert_many(
+                    ShareRows([r for _, r in batch], ("c",), [[s for s, _ in batch]])
+                )
+            with pytest.raises(ProviderError):
+                table.insert(junk[1], {"c": junk[0]})
+            assert len(table) == 0 and table.indexes["c"].entries_in_order() == []
+        assert index.entries_in_order() == oracle
+    assert len(index) == len(oracle)
+    assert index.min_entry() == (oracle[0] if oracle else None)
+    assert index.max_entry() == (oracle[-1] if oracle else None)
+    partners = {}
+    for share, row_id in oracle:
+        partners.setdefault(share, []).append(row_id)
+    assert index.equality_map() == partners
+    if kernels.numpy_module() is not None:
+        vector = index.vector_entries()
+        if any(row_id >= 1 << 63 for _, row_id in oracle):
+            assert vector is None  # a row id past int64 is not mirrored
+        else:
+            ranks = [len({s for s, _ in oracle[: at + 1]}) - 1 for at in range(len(oracle))]
+            assert [array.tolist() for array in vector] == [
+                [row_id for _, row_id in oracle], ranks
+            ]
+    bounds = _bounds(oracle)
+    for _ in range(6):
+        low, high = data.draw(bounds), data.draw(bounds)
+        flags = {
+            "low_inclusive": data.draw(st.booleans()),
+            "high_inclusive": data.draw(st.booleans()),
+        }
+        expected = [
+            row_id for share, row_id in oracle
+            if _above(share, low, flags["low_inclusive"])
+            and _below(share, high, flags["high_inclusive"])
+        ]
+        start, stop = index.entry_range(low, high, **flags)
+        assert [row_id for _, row_id in oracle[start:stop]] == expected
+        assert max(0, stop - start) == len(expected)
+        assert index.range_row_ids(low, high, **flags) == expected
+        closed = [s for s, _ in oracle if _above(s, low, True) and _below(s, high, True)]
+        assert index.count_in_range(low, high) == len(closed)

@@ -30,9 +30,9 @@ NAMES = tuple(SCHEMA.column_names)
 N_PROVIDERS, THRESHOLD = 5, 3
 ROWS = [SCHEMA.validate_row(row) for row in ledger_rows(14)]
 SHARING = ledger_sharing()
-#: SHARED[i][r] is provider i's share row of ROWS[r]; row r has id 3 r + 2
-SHARED = SHARING.share_rows(ROWS)
 ROW_IDS = [3 * r + 2 for r in range(len(ROWS))]
+#: SHARED[i][r] is provider i's share row of ROWS[r]; row r has id 3 r + 2
+SHARED = [[values for _, values in batch] for batch in SHARING.share_rows(ROWS, ROW_IDS)]
 #: what the rows decode to (the string codec folds case)
 PLAIN = [
     SHARING.reconstruct_row({i: SHARED[i][r] for i in range(N_PROVIDERS)})

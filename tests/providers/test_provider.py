@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import kernels
 from repro.errors import ProviderError, ProviderUnavailableError, QueryError
 from repro.providers.failures import Fault, FailureMode
 from repro.providers.provider import ShareProvider
@@ -126,6 +127,44 @@ class TestSelect:
                     "conditions": [{"column": "v", "op": "eq", "low": 11}],
                 },
             )
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize(
+        "limit, ascending, descending",
+        [
+            # the whole ordering is [3, 5, 4, 0, 2, 1] ascending (NULLs
+            # first) and [1, 0, 2, 4, 3, 5] descending (NULLs last); a
+            # negative LIMIT slices it from the end, as Python does
+            (None, [3, 5, 4, 0, 2, 1], [1, 0, 2, 4, 3, 5]),
+            (-1, [3, 5, 4, 0, 2], [1, 0, 2, 4, 3]),
+            (-5, [3], [1]),
+            (-9, [], []),
+            (0, [], []),
+            (1, [3], [1]),
+            (3, [3, 5, 4], [1, 0, 2]),
+            (5, [3, 5, 4, 0, 2], [1, 0, 2, 4, 3]),
+            (9, [3, 5, 4, 0, 2, 1], [1, 0, 2, 4, 3, 5]),
+        ],
+    )
+    def test_ordered_limit_slices_the_whole_ordering(
+        self, backend, limit, ascending, descending
+    ):
+        p = ShareProvider("DAS1")
+        p.handle("create_table", {"table": "T", "columns": ["k"], "searchable": ["k"]})
+        keys = [5, 9, 5, None, 1, None]
+        p.handle(
+            "insert_many",
+            {"table": "T", "rows": [[rid, {"k": k}] for rid, k in enumerate(keys)]},
+        )
+        previous = kernels.set_kernel_backend(backend)
+        try:
+            for flag, expected in ((False, ascending), (True, descending)):
+                request = {"table": "T", "conditions": [], "order_by": "k",
+                           "descending": flag, "limit": limit}
+                rows = p.handle("select", request)["rows"]
+                assert [rid for rid, _ in rows] == expected, flag
+        finally:
+            kernels.set_kernel_backend(previous)
 
 
 class TestAggregate:

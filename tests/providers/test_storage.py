@@ -1,11 +1,13 @@
 """Unit tests for provider-side share storage."""
 
 import random
+import re
 
 import pytest
 
 from repro.errors import ProviderError
 from repro.providers.storage import ShareStore, ShareTable, SortedShareIndex
+from repro.sim.network import ShareRows
 
 
 def reference_entries(table, column):
@@ -150,12 +152,14 @@ class TestMixedDML:
     def make(self):
         table = ShareTable("T", ["a", "b", "v"], searchable=["a", "b"])
         table.insert_many(
-            [
-                (1, {"a": 10, "b": 5, "v": 100}),
-                (2, {"a": 20, "b": None, "v": 200}),
-                (3, {"a": None, "b": 7, "v": 300}),
-                (4, {"a": 20, "b": 9, "v": 400}),
-            ]
+            ShareRows.from_pairs(
+                [
+                    (1, {"a": 10, "b": 5, "v": 100}),
+                    (2, {"a": 20, "b": None, "v": 200}),
+                    (3, {"a": None, "b": 7, "v": 300}),
+                    (4, {"a": 20, "b": 9, "v": 400}),
+                ]
+            )
         )
         return table
 
@@ -257,7 +261,7 @@ class TestBulkLoad:
     def test_bulk_equals_incremental(self):
         rows = self.rows()
         bulk = ShareTable("T", self.COLUMNS, searchable=["a", "b"])
-        assert bulk.insert_many(rows) == len(rows)
+        assert bulk.insert_many(ShareRows.from_pairs(rows)) == len(rows)
         incremental = ShareTable("T", self.COLUMNS, searchable=["a", "b"])
         for rid, values in rows:
             incremental.insert(rid, values)
@@ -272,8 +276,8 @@ class TestBulkLoad:
     def test_bulk_load_into_nonempty_table_merges(self):
         rows = self.rows()
         table = ShareTable("T", self.COLUMNS, searchable=["a", "b"])
-        table.insert_many(rows[:50])
-        table.insert_many(rows[50:])
+        table.insert_many(ShareRows.from_pairs(rows[:50]))
+        table.insert_many(ShareRows.from_pairs(rows[50:]))
         assert table.rows == dict(
             (rid, {c: values.get(c) for c in self.COLUMNS})
             for rid, values in rows
@@ -294,7 +298,7 @@ class TestBulkLoad:
         ]
         bulk = ShareTable("T", self.COLUMNS, searchable=["a"])
         with pytest.raises(ProviderError) as bulk_error:
-            bulk.insert_many(batch)
+            bulk.insert_many(ShareRows.from_pairs(batch))
         incremental = ShareTable("T", self.COLUMNS, searchable=["a"])
         with pytest.raises(ProviderError) as incremental_error:
             for rid, values in batch:
@@ -305,19 +309,98 @@ class TestBulkLoad:
     def test_duplicate_rid_within_batch_rejected(self):
         table = ShareTable("T", self.COLUMNS, searchable=["a"])
         with pytest.raises(ProviderError):
-            table.insert_many([(1, {"a": 1}), (1, {"a": 2})])
+            table.insert_many(ShareRows.from_pairs([(1, {"a": 1}), (1, {"a": 2})]))
         assert table.rows == {1: {"a": 1, "b": None, "v": None}}
 
     def test_empty_batch(self):
         table = ShareTable("T", self.COLUMNS, searchable=["a"])
-        assert table.insert_many([]) == 0
+        assert table.insert_many(ShareRows.from_pairs([])) == 0
         assert len(table) == 0
+
+
+class TestUnkeyableInputIsRefusedWhole:
+    """A share no index can key, or a row id that is negative or not an
+    int, raises ``ProviderError`` before anything changes — batch and
+    single-row paths, either backend.  (It used to append the rows and
+    then fail inside index ``b``: rows visible to scans, missing from
+    ``b`` predicates.)"""
+
+    @staticmethod
+    def rows(start, count=40):
+        return [(rid, {"a": 3 * rid, "b": 5 * rid, "v": rid}) for rid in range(start, start + count)]
+
+    @staticmethod
+    def state(provider):
+        table = provider.store.table("T")
+        return (
+            table.rows,
+            {column: index.entries_in_order() for column, index in table.indexes.items()},
+            table.version,
+            list(table.history),
+        )
+
+    @pytest.fixture(params=["numpy", "scalar"])
+    def provider(self, request):
+        from repro.core import kernels
+        from repro.providers.provider import ShareProvider
+
+        if request.param not in kernels.available_backends():
+            pytest.skip(f"{request.param} backend not installed")
+        previous = kernels.set_kernel_backend(request.param)
+        provider = ShareProvider("P")
+        provider.handle(
+            "create_table", {"table": "T", "columns": ["a", "b", "v"], "searchable": ["a", "b"]}
+        )
+        provider.handle("insert_many", {"table": "T", "rows": self.rows(0)})
+        yield provider
+        kernels.set_kernel_backend(previous)
+
+    def b_matches(self, provider):
+        wide = {"table": "T", "conditions": [{"column": "b", "op": "ge", "low": 0}]}
+        return len(provider.handle("select", wide)["rows"])
+
+    @pytest.mark.parametrize(
+        "position, column, bad",
+        [
+            (7, "b", "x"),
+            (0, "a", 2.5),
+            (39, "b", True),
+            (12, "a", [1]),
+            (5, "row id", -1),
+            (20, "row id", 2.0),
+            (39, "row id", "7"),
+        ],
+    )
+    def test_a_batch_with_one_bad_cell_changes_nothing(self, provider, position, column, bad):
+        batch = self.rows(40)
+        row_id, values = batch[position]
+        batch[position] = (bad, values) if column == "row id" else (row_id, {**values, column: bad})
+        before = self.state(provider)
+        with pytest.raises(ProviderError, match=re.escape(repr(bad))):
+            provider.handle("insert_many", {"table": "T", "rows": batch})
+        assert self.state(provider) == before
+        assert self.b_matches(provider) == len(provider.store.table("T")) == 40
+
+    def test_a_single_row_changes_nothing(self, provider):
+        table = provider.store.table("T")
+        before = self.state(provider)
+        for row_id, values in [(80, {"a": 1, "b": "x"}), (-3, {"a": 1}), (2.0, {"b": 4})]:
+            with pytest.raises(ProviderError):
+                provider.handle("insert_many", {"table": "T", "rows": [(row_id, values)]})
+            with pytest.raises(ProviderError):
+                table.insert(row_id, values)
+        with pytest.raises(ProviderError):
+            table.update(3, {"a": 7, "b": "x"})
+        assert self.state(provider) == before
+        assert self.b_matches(provider) == 40
+        provider.handle("insert_many", {"table": "T", "rows": [(80, {"a": 1, "b": 2})]})
+        assert self.b_matches(provider) == len(table) == 41
 
 
 class TestDerivedStateCache:
     def make(self):
         table = ShareTable("T", ["a"], searchable=["a"])
-        table.insert_many([(5, {"a": 1}), (1, {"a": 2}), (3, {"a": 3})])
+        table.insert_many(ShareRows.from_pairs([(5, {"a": 1}), (1, {"a": 2}), (3, {"a": 3})]))
         return table
 
     def test_row_order_cached_across_reads(self):
@@ -345,7 +428,7 @@ class TestColumnarKernels:
     def make(self):
         table = ShareTable("T", ["a", "v"], searchable=["a"])
         table.insert_many(
-            [(1, {"a": 10, "v": 100}), (2, {"a": 20}), (3, {"v": 300})]
+            ShareRows.from_pairs([(1, {"a": 10, "v": 100}), (2, {"a": 20}), (3, {"v": 300})])
         )
         return table
 

@@ -16,6 +16,7 @@ from repro.core.field import MERSENNE_61
 from repro.errors import ProviderError, QueryError
 from repro.providers.provider import ShareProvider
 from repro.providers.storage import ShareTable, SortedShareIndex
+from repro.sim.network import ShareRows
 
 needs_numpy = pytest.mark.skipif(
     "numpy" not in kernels.available_backends(),
@@ -44,7 +45,7 @@ def force_numpy_backend():
 def small_table(values_by_row):
     table = ShareTable("T", ["a", "b"], ["a"])
     table.insert_many(
-        [(rid, dict(values)) for rid, values in values_by_row.items()]
+        ShareRows.from_pairs((rid, dict(values)) for rid, values in values_by_row.items())
     )
     return table
 
@@ -128,7 +129,7 @@ class TestIndexMirrorProbes:
 
     def probes(self):
         index = SortedShareIndex("a")
-        index.bulk_load([(self.A, 1), (self.B, 2), (self.B, 3), (self.C, 4)])
+        index.bulk_load([self.A, self.B, self.B, self.C], [1, 2, 3, 4])
         return index
 
     def test_equal_shares_carry_equal_ranks(self):
@@ -177,7 +178,7 @@ class TestIndexMirrorProbes:
 
     def test_row_ids_outside_int64_decline(self):
         index = SortedShareIndex("a")
-        index.bulk_load([(self.A, 1 << 70)])
+        index.bulk_load([self.A], [1 << 70])
         assert index.vector_entries() is None
 
     def test_slot_positions_follow_swap_remove(self):
@@ -293,7 +294,7 @@ class TestDispatchTelemetry:
         )
         assert provider.handle("aggregate", wide_sum) == first
         assert index.vector_rebuilds == 1  # one build, not two
-        index.bulk_load([])
+        index.bulk_load([], [])
         assert index.vector_entries() is not None and index.vector_rebuilds == 1
         provider.handle("insert_many", {"table": "T", "rows": [(200, {"k": 1 << 100, "v": 7})]})
         assert provider.handle("aggregate", wide_sum)["count"] == first["count"] + 1

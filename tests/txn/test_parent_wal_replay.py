@@ -24,6 +24,7 @@ import sys
 import pytest
 
 from repro.errors import SimulatedCrash
+from repro.sim.network import json_default
 from repro.sqlengine.sqlparser import parse_sql
 from repro.txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
 from repro.txn.wal import WriteAheadLog
@@ -121,7 +122,8 @@ def _logged_records(make):
             manager.close()
     finally:
         WriteAheadLog.log_txn = original
-    return json.loads(json.dumps(logged))
+    # uploads travel as ShareRows and are logged as the list they stand for
+    return json.loads(json.dumps(logged, default=json_default))
 
 
 def test_unsharded_drill_still_logs_the_parents_records_bit_for_bit():
