@@ -11,14 +11,14 @@ deterministic per value and cannot be perturbed in place):
   retrieve→re-share path; asserts the wire-byte saving and that both
   deployments reconstruct to bit-identical plaintext;
 * **group commit** — the same write wave submitted per-statement
-  (every transaction pays its own prepare/commit round) versus as one
-  :meth:`TransactionManager.apply_batch` group (one staged-then-flip
-  round for the wave); reports provider messages per transaction;
-* **recovery matrix** — a crash injected at every WAL phase
-  (pre-log, post-log, mid-round, pre-ack, post-ack) on both unsharded
-  and 2-group sharded deployments; a statement must be durable iff its
-  WAL record survived, and replay must land bit-identical to a
-  plaintext oracle;
+  (every transaction pays its own ``txn_apply`` round) versus as one
+  :meth:`TransactionManager.apply_batch` group (one round for the
+  wave); reports provider messages per transaction;
+* **recovery matrix** — a crash injected at every WAL phase of
+  ``KILL_PHASES`` (pre-log, post-log, mid-round, pre-ack, post-ack,
+  lost-ack) on both unsharded and 2-group sharded deployments; a
+  statement must be durable iff its WAL record survived, and replay must
+  land bit-identical to a plaintext oracle;
 * **time travel** — ``as_of_epoch`` reads at every historical epoch
   compared against the oracle replayed to the same epoch.
 
@@ -26,6 +26,9 @@ Results go to ``BENCH_txn.json`` at the repo root.  Run modes::
 
     python benchmarks/bench_txn.py           # full sweep + JSON
     python benchmarks/bench_txn.py --check   # small invariants-only run
+
+The committed ``BENCH_txn.json`` is
+``python benchmarks/bench_txn.py --rows 200 --providers 4 --threshold 2``.
 
 ``--check`` (CI bench-smoke) gates: delta path >= 3x cheaper than eager
 in wire bytes with bit-identical results, group commit strictly fewer

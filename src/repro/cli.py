@@ -44,6 +44,7 @@ from .core.kernels import active_backend, kernel_stats, reset_kernel_stats
 from .errors import ReproError
 from .persistence import load_deployment, save_deployment
 from .providers.cluster import ProviderCluster
+from .txn.manager import KILL_PHASES
 from .workloads.ecommerce import clicklog_table
 from .workloads.employees import employees_table, managers_table
 
@@ -649,7 +650,7 @@ def cmd_txn_replay(args, out) -> int:
 
     from .errors import SimulatedCrash
     from .sqlengine.sqlparser import parse_sql
-    from .txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
+    from .txn import ShardedTransactionManager, TransactionManager
 
     phases = list(KILL_PHASES) if args.kill == "all" else [args.kill]
     victim = (
@@ -955,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(rows=40)
     replay.add_argument(
         "--kill",
-        choices=["all", "pre-log", "post-log", "mid-round", "pre-ack", "post-ack"],
+        choices=["all", *KILL_PHASES],
         default="all",
         help="WAL phase to crash at (default: the whole matrix)",
     )

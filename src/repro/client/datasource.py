@@ -78,8 +78,8 @@ Row = Dict[str, object]
 #: refuses these unless the call came through :meth:`DataSource._mutate`
 #: — the choke point that makes forgetting a row-cache invalidation
 #: structurally impossible (ISSUE-8).  The transaction
-#: layer's staged rounds go through :meth:`DataSource.control_round` and
-#: carry their own logged epochs.
+#: layer's ``txn_apply`` rounds go through :meth:`DataSource.control_round`
+#: and carry their own logged epochs.
 MUTATING_RPCS = frozenset(
     {
         "insert",
@@ -88,9 +88,7 @@ MUTATING_RPCS = frozenset(
         "delete_rows",
         "increment_rows",
         "merge_table",
-        "txn_prepare",
-        "txn_commit",
-        "txn_abort",
+        "txn_apply",
     }
 )
 
@@ -109,7 +107,7 @@ class WriteOp:
     """One planned row write (built by :meth:`DataSource.plan_write`).
 
     A value, not a behaviour: :meth:`DataSource.apply_write` sends it, the
-    transaction layer logs it to the WAL first and stages it later.
+    transaction layer logs it to the WAL first and applies it later.
     """
 
     #: the mutating RPC: ``insert_many`` / ``update_rows`` / ``delete_rows``
@@ -264,7 +262,7 @@ class DataSource:
         for key in ("table", "left", "right", "into"):
             if key in out:
                 out[key] = self.physical_name(out[key])
-        if "txns" in out:  # txn_prepare: [[txn id, [[method, request]]]]
+        if "txns" in out:  # txn_apply: [[txn id, [[method, request]]]]
             out["txns"] = [
                 [txn_id, [[m, self._qualify(r)] for m, r in ops]]
                 for txn_id, ops in out["txns"]
@@ -338,12 +336,12 @@ class DataSource:
     def control_round(
         self, method: str, request_builder, targets: List[int]
     ) -> Dict[int, Dict]:
-        """One transaction-control round (``txn_prepare`` / ``txn_commit``).
+        """One transaction-control round (``txn_apply``).
 
-        The transaction layer stages logged :class:`WriteOp` payloads and
-        flips them with these; it stamps their epochs itself and bumps
-        them (:meth:`bump_table_epoch`) once the flip is through, so the
-        round skips :meth:`_mutate`.
+        The transaction layer applies logged :class:`WriteOp` payloads
+        with it; it stamps their epochs itself and bumps them
+        (:meth:`bump_table_epoch`) once the round is through, so the round
+        skips :meth:`_mutate`.
         """
         return self.cluster.broadcast(
             method,
@@ -503,7 +501,7 @@ class DataSource:
     # eager or delta, draws the shares and builds the wire payloads;
     # ``apply_write`` stamps the epoch, runs the round through ``_mutate``,
     # mirrors the audit registry from the payloads and bumps the epoch.
-    # The transaction layer logs the op between the halves and stages it
+    # The transaction layer logs the op between the halves and applies it
     # itself (``control_round``).
 
     def plan_write(

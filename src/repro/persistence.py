@@ -109,7 +109,7 @@ def provider_to_dict(provider: ShareProvider) -> Dict:
 
     Transactional state rides along (optional keys, same format
     version): the epoch-tagged undo history that serves time-travel
-    reads, and the staged/applied transaction sets that make WAL replay
+    reads, and the applied-transaction set that makes WAL replay
     exactly-once across a provider restart.
     """
     tables = {}
@@ -131,10 +131,6 @@ def provider_to_dict(provider: ShareProvider) -> Dict:
         "name": provider.name,
         "tables": tables,
         "applied_txns": sorted(provider.store.applied_txns),
-        "staged_txns": {
-            str(txn_id): ops
-            for txn_id, ops in provider.store.staged_txns.items()
-        },
     }
 
 
@@ -168,10 +164,8 @@ def provider_from_dict(data: Dict) -> ShareProvider:
             for epoch, op, row_id, data in table_data.get("history", [])
         ]
     provider.store.applied_txns = set(data.get("applied_txns", []))
-    provider.store.staged_txns = {
-        int(txn_id): ops
-        for txn_id, ops in data.get("staged_txns", {}).items()
-    }
+    # an older snapshot's "staged_txns" are dropped: the client WAL holds
+    # every one, and its recovery applies them
     return provider
 
 
@@ -259,8 +253,8 @@ def _atomic_write_json(path: str, payload: Dict) -> bytes:
 
     A crash mid-write leaves either the old file or no file — never a
     truncated one.  Returns the serialised bytes so the caller can hash
-    them for the manifest without re-reading.  A staged upload's
-    ``ShareRows`` is written as the row-major list it stands for.
+    them for the manifest without re-reading.  A ``ShareRows`` in the
+    payload is written as the row-major list it stands for.
     """
     data = json.dumps(payload, default=json_default).encode("utf-8")
     directory = os.path.dirname(path) or "."

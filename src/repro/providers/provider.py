@@ -374,21 +374,24 @@ class ShareProvider:
         {"insert_many", "update_rows", "delete_rows", "increment_rows"}
     )
 
-    def _rpc_txn_prepare(self, request: Dict) -> Dict:
-        """Stage one or more transactions' ops for a later atomic flip.
+    def _rpc_txn_apply(self, request: Dict) -> Dict:
+        """Apply logged transactions in the given (WAL log) order.
 
         ``{"txns": [[txn_id, ops], ...]}`` where each op is ``[method,
-        payload]`` restricted to row-mutation methods.  A transaction this
-        provider already applied is skipped — the client is replaying its
-        WAL and the exactly-once guard must hold (increments are not
-        idempotent).  Nothing becomes visible until ``txn_commit``.
+        payload]`` restricted to row-mutation methods.  Every op of every
+        transaction not yet applied is validated (transactional method,
+        known table) before anything mutates, so a refused request changes
+        nothing here.  A transaction this provider already applied is
+        skipped — the client is replaying its WAL and the exactly-once
+        guard must hold (increments are not idempotent); the id enters
+        ``applied_txns`` the moment its ops have run, so a replay after a
+        mid-round crash re-applies exactly the transactions this provider
+        missed and none it did not.
         """
-        staged: List[int] = []
-        skipped: List[int] = []
-        for txn_id, ops in request["txns"]:
-            if txn_id in self.store.applied_txns:
-                skipped.append(txn_id)
-                continue
+        applied = self.store.applied_txns
+        skipped = [txn_id for txn_id, _ in request["txns"] if txn_id in applied]
+        fresh = [(txn_id, ops) for txn_id, ops in request["txns"] if txn_id not in applied]
+        for txn_id, ops in fresh:
             for method, payload in ops:
                 if method not in self._TXN_OPS:
                     raise ProviderError(
@@ -400,48 +403,14 @@ class ShareProvider:
                         f"provider {self.name}: transaction {txn_id} targets "
                         f"unknown table {payload.get('table')!r}"
                     )
-            self.store.staged_txns[txn_id] = ops
-            staged.append(txn_id)
-        return {"staged": staged, "skipped": skipped}
-
-    def _rpc_txn_commit(self, request: Dict) -> Dict:
-        """Apply staged transactions in the given (WAL log) order.
-
-        Each transaction applies all-or-nothing from the client's point of
-        view: ops were validated at prepare, and the id enters
-        ``applied_txns`` the moment its ops have run, so a replay after a
-        mid-round crash re-applies exactly the transactions this provider
-        missed and none it did not.
-        """
         committed: List[int] = []
-        skipped: List[int] = []
-        for txn_id in request["ids"]:
-            if txn_id in self.store.applied_txns:
-                skipped.append(txn_id)
-                self.store.staged_txns.pop(txn_id, None)
-                continue
-            ops = self.store.staged_txns.get(txn_id)
-            if ops is None:
-                raise ProviderError(
-                    f"provider {self.name}: transaction {txn_id} was never "
-                    "prepared here — the client must re-prepare before commit"
-                )
+        for txn_id, ops in fresh:
             for method, payload in ops:
                 getattr(self, f"_rpc_{method}")(payload)
-            self.store.applied_txns.add(txn_id)
-            del self.store.staged_txns[txn_id]
+            applied.add(txn_id)
             committed.append(txn_id)
             telemetry.count("txn.provider_commits", provider=self.name)
         return {"committed": committed, "skipped": skipped}
-
-    def _rpc_txn_abort(self, request: Dict) -> Dict:
-        """Drop staged (never-committed) transactions."""
-        dropped = [
-            txn_id
-            for txn_id in request["ids"]
-            if self.store.staged_txns.pop(txn_id, None) is not None
-        ]
-        return {"aborted": dropped}
 
     # -- reads ----------------------------------------------------------------------
 

@@ -1012,9 +1012,6 @@ class ShareStore:
         self._tables: Dict[str, ShareTable] = {}
         #: undo-history retention (epochs) for newly created tables
         self.history_retention = history_retention
-        # -- transactional apply state (ISSUE-8) ---------------------------
-        #: txn_id → staged per-provider ops awaiting ``txn_commit``
-        self.staged_txns: Dict[int, List] = {}
         #: txn ids already applied — the exactly-once guard that makes
         #: WAL replay idempotent even for non-idempotent ops (increments)
         self.applied_txns: Set[int] = set()

@@ -168,8 +168,8 @@ def run_closed_loop(
     timestamps are ignored): every client sends its first at time zero
     and each later one when the previous finishes.  ``transactional``
     routes every statement through one shared
-    :class:`~repro.txn.TransactionManager` (client WAL + staged provider
-    apply) and adds its counters to the report as ``txn``.
+    :class:`~repro.txn.TransactionManager` (client WAL + one ``txn_apply``
+    round per commit) and adds its counters to the report as ``txn``.
     """
     if clients < 1:
         raise ConfigurationError(f"clients must be >= 1, got {clients}")

@@ -36,9 +36,9 @@ sub-request carries its own method.
 Only threshold reads are combined.  Writes and DDL run under the
 exclusive table lock, so no other registered query could share their
 round; ``call_one`` addresses a single provider; and a transaction-control
-round (``txn_prepare`` / ``txn_commit``) is flushed by a group-commit
-leader on behalf of followers — parked at a barrier that may be waiting
-on one of those followers, it would deadlock.
+round (``txn_apply``) is flushed by a group-commit leader on behalf of
+followers — parked at a barrier that may be waiting on one of those
+followers, it would deadlock.
 
 Correctness invariants:
 

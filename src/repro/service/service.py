@@ -341,8 +341,8 @@ class QueryService(StatementLadder):
         super().__init__()
         self.source = source
         #: route session writes through the shared transaction manager
-        #: (client WAL + staged provider apply) instead of the direct
-        #: eager path; reads are unaffected
+        #: (client WAL + one ``txn_apply`` round per commit) instead of the
+        #: direct eager path; reads are unaffected
         self.transactional = transactional
         cluster = source.cluster
         self.batcher = FanoutBatcher(cluster)
@@ -460,10 +460,9 @@ class QueryService(StatementLadder):
         """Write counterpart of :meth:`run_wave` (ISSUE-8 satellite).
 
         Every statement in the wave is resolved and logged to the client
-        WAL, then the whole wave is applied as **one** staged-then-flipped
-        ``txn_prepare``/``txn_commit`` round per provider — deterministic
-        group formation, so the benchmark's group sizes don't depend on
-        thread timing.  Results are in statement order (row id for
+        WAL, then the whole wave is applied as **one** ``txn_apply`` round
+        per provider — deterministic group formation, so the benchmark's
+        group sizes don't depend on thread timing.  Results are in statement order (row id for
         INSERT, affected count for UPDATE/DELETE).
         """
         self._check_open()

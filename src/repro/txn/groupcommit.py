@@ -1,14 +1,14 @@
 """Group commit (ISSUE-8 tentpole, part b).
 
 Every committed transaction costs one WAL fsync plus one
-prepare+commit round per provider.  When writers are concurrent those
+``txn_apply`` round per provider.  When writers are concurrent those
 costs are *combinable*: the first committer to arrive becomes the
 **leader**, drains everything queued behind it, and pays the round
 once for the whole group; the rest — **followers** — block until the
 leader posts their outcome.  This is textbook group commit (DeWitt et
 al. 1984), applied to provider RPC rounds instead of disk writes: with
 w concurrent writers the per-provider message count drops from w
-prepare+commit rounds to ~1.
+rounds to ~1.
 
 The engine is policy-free: it batches *ids* and delegates the actual
 flush to a callback, so the transaction manager owns WAL order and RPC

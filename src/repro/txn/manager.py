@@ -12,18 +12,22 @@ write.  :class:`TransactionManager` closes that window:
    its epoch and group — into self-contained per-provider ops;
 2. the ops are **logged** to a client-side :class:`~repro.txn.wal.
    WriteAheadLog` (the durability point: a statement is committed iff
-   its record reached the log);
-3. the ops are **applied** through a two-phase ``txn_prepare`` /
-   ``txn_commit`` round per provider, batched across concurrent
-   writers by :class:`~repro.txn.groupcommit.GroupCommitEngine`;
-4. the WAL entry is **acked** and eventually checkpointed away.
+   its record reached the log — the record's fsync is the commit's one
+   fsync);
+3. the ops are **applied** by one validate-then-apply ``txn_apply``
+   round per provider, batched across concurrent writers by
+   :class:`~repro.txn.groupcommit.GroupCommitEngine`;
+4. the WAL entry is **acked** — appended unsynced, so it reaches disk
+   with the next fsync — and checkpointed away once the log outgrows
+   :data:`CHECKPOINT_BYTES`.
 
 Replay after a crash (:meth:`TransactionManager.recover`) re-sends
 every unacked transaction; providers keep an ``applied_txns`` set, so
 replay is exactly-once even though share increments are not
-idempotent.  A kill at *any* phase leaves the system recoverable to
-exactly the oracle state: statements whose log record survived are
-applied, all others are not.
+idempotent — which is also why a lost ack costs nothing but a re-send.
+A kill at *any* phase leaves the system recoverable to exactly the
+oracle state: statements whose log record survived are applied, all
+others are not.
 
 Pure-delta updates (``SET c = c + n`` on randomly-shared INTEGER
 columns with a fully-pushable predicate) take the **incremental
@@ -70,8 +74,14 @@ Statement = Union[Insert, Update, Delete]
 #: providers see shares, never this.
 Effects = Dict[Tuple[int, str], Optional[Dict[int, Optional[Row]]]]
 
-#: WAL phases a fault-injection harness can kill at (see ``kill_at``)
-KILL_PHASES = ("pre-log", "post-log", "mid-round", "pre-ack", "post-ack")
+#: WAL phases a fault-injection harness can kill at (see ``kill_at``);
+#: ``lost-ack`` is ``post-ack`` followed by a power cut: the log loses
+#: everything appended since its last fsync, the unsynced ack included
+KILL_PHASES = ("pre-log", "post-log", "mid-round", "pre-ack", "post-ack", "lost-ack")
+
+#: a commit compacts the log once it has grown past this many bytes;
+#: :meth:`TransactionManager.recover` always compacts
+CHECKPOINT_BYTES = 4 << 20
 
 
 @dataclass
@@ -142,6 +152,8 @@ class TransactionManager:
     def _kill(self, phase: str) -> None:
         if self.kill_at == phase:
             self.kill_at = None
+            if phase == "lost-ack":
+                self.wal.drop_unsynced()
             telemetry.count("txn.simulated_crashes", phase=phase)
             raise SimulatedCrash(f"simulated crash at WAL phase {phase!r}")
 
@@ -339,7 +351,7 @@ class TransactionManager:
         """Log and apply a multi-statement batch as one transaction.
 
         All statements become durable together (one WAL record) and
-        visible together (one staged-then-flipped provider txn, one
+        visible together (one provider txn applied in one request, one
         epoch per table).
         """
         parsed = [
@@ -386,59 +398,24 @@ class TransactionManager:
         if not batch:
             return 0
         telemetry.observe("txn.group_size", len(batch))
-        groups = sorted(
-            {op.get("group", 0) for txn in batch for op in txn.ops}
-        )
-        per_group: Dict[int, List[PendingTxn]] = {
-            g: [
-                txn
-                for txn in batch
-                if any(op.get("group", 0) == g for op in txn.ops)
-            ]
-            for g in groups
-        }
-        group_targets: Dict[int, List[int]] = {}
-        # phase 1: stage everywhere
-        for g in groups:
+        # one round per group; a mid-round kill leaves a strict subset of
+        # providers applied, which replay repairs
+        for g in sorted({op.get("group", 0) for txn in batch for op in txn.ops}):
             source = self._group_source(g)
+            txns = [t for t in batch if any(op.get("group", 0) == g for op in t.ops)]
+
+            def apply_request(i: int, g=g, txns=txns) -> Dict:
+                return {"txns": [
+                    [txn.txn_id, [[op["method"], dict(op["requests"][i])]
+                                  for op in txn.ops if op.get("group", 0) == g]]
+                    for txn in txns
+                ]}
+
             targets = source.cluster.write_targets()
-            group_targets[g] = targets
-
-            def prepare_request(i: int, g=g) -> Dict:
-                return {
-                    "txns": [
-                        [
-                            txn.txn_id,
-                            [
-                                [op["method"], dict(op["requests"][i])]
-                                for op in txn.ops
-                                if op.get("group", 0) == g
-                            ],
-                        ]
-                        for txn in per_group[g]
-                    ]
-                }
-
-            source.control_round("txn_prepare", prepare_request, targets)
-        # phase 2: flip — this is where a mid-round kill leaves a strict
-        # subset of providers committed
-        for g in groups:
-            source = self._group_source(g)
-            targets = group_targets[g]
-            ids = [txn.txn_id for txn in per_group[g]]
-            if self.kill_at == "mid-round":
-                self.kill_at = None
-                source.cluster.call_one(
-                    targets[0], "txn_commit", {"ids": ids}
-                )
-                telemetry.count("txn.simulated_crashes", phase="mid-round")
-                raise SimulatedCrash(
-                    "simulated crash mid-round: txn_commit reached "
-                    f"provider {targets[0]} only"
-                )
-            source.control_round(
-                "txn_commit", lambda i, ids=ids: {"ids": ids}, targets
-            )
+            if self.kill_at == "mid-round":  # the round reaches one provider
+                source.call_one(targets[0], "txn_apply", apply_request(targets[0]))
+                self._kill("mid-round")
+            source.control_round("txn_apply", apply_request, targets)
         # client-side epoch bumps (cache invalidation + as-of watermark)
         for txn in batch:
             for op in txn.ops:
@@ -447,29 +424,28 @@ class TransactionManager:
                     table, to=op["epoch"], effect=txn.effects.get((group, table))
                 )
         self._kill("pre-ack")
-        # phase 3: ack — one fsync for the whole group of transactions
+        # the acks ride the next fsync: the txn records' were the commit
+        # points, and a lost ack only makes recovery re-send what providers skip
         with self._resolve_lock:
             for txn in batch:
-                self.wal.log_ack(txn.txn_id, sync=False)
+                self.wal.log_ack(txn.txn_id)
                 txn.applied = True
                 self.txns_committed += 1
-            self.wal.sync()
             telemetry.count("txn.committed", len(batch))
             self._kill("post-ack")
-            self._maybe_checkpoint()
+            self._kill("lost-ack")
+            self._pending = [t for t in self._pending if not t.applied]
+            if self.wal.end() > CHECKPOINT_BYTES:
+                self._checkpoint()
         return len(batch)
 
-    def _maybe_checkpoint(self) -> None:
+    def _checkpoint(self) -> None:
         # the checkpoint must remember the id high-water: provider
         # applied_txns sets survive the log truncation, so a recycled id
         # would be silently skipped — i.e. silently lost
-        self._pending = [t for t in self._pending if not t.applied]
         self.wal.checkpoint(
             [{"kind": "ckpt", "next_id": self._next_txn_id}]
-            + [
-                {"kind": "txn", "id": t.txn_id, "ops": t.ops}
-                for t in self._pending
-            ]
+            + [{"kind": "txn", "id": t.txn_id, "ops": t.ops} for t in self._pending if not t.applied]
         )
 
     # -- recovery ----------------------------------------------------------------
@@ -521,9 +497,8 @@ class TransactionManager:
             replayed = self.flush()
             self.txns_replayed += replayed
             telemetry.count("txn.replayed", replayed)
-        else:
-            with self._resolve_lock:
-                self._maybe_checkpoint()
+        with self._resolve_lock:
+            self._checkpoint()
         return {
             "records": len(records),
             "logged": len(logged),
@@ -534,7 +509,7 @@ class TransactionManager:
     # -- maintenance ----------------------------------------------------------------
 
     def discard_pending(self) -> int:
-        """Abandon queued (never-prepared) transactions.
+        """Abandon queued (never-applied) transactions.
 
         An ``abort`` record per transaction keeps recovery from
         resurrecting them.
@@ -583,7 +558,7 @@ class ShardedTransactionManager(TransactionManager):
 
     Resolution asks the router which group(s) own a statement, has each
     owner's source plan its part, and tags every op with the group
-    index; apply runs one prepare+commit round per touched group, and
+    index; apply runs one ``txn_apply`` round per touched group, and
     replay re-routes from the tags — the coordinator log is the single
     source of recovery truth for the whole sharded deployment.
     """

@@ -18,16 +18,23 @@ Records are JSON objects with a ``"kind"`` discriminator:
   every op carries the full per-provider share material, so replay
   needs no re-resolution (and therefore no reads) — the decisive
   property for crash recovery, because re-resolving against
-  partially-applied state would double-apply deltas.
-* ``{"kind": "ack", "id": N}`` — transaction N was committed by every
-  live provider; replay skips it.
+  partially-applied state would double-apply deltas.  Its fsync is the
+  commit point.
+* ``{"kind": "ack", "id": N}`` — transaction N was applied by every
+  live provider; replay skips it.  Appended unsynced: it reaches disk
+  with the next fsync, and an ack lost in a crash only makes recovery
+  re-send a transaction the providers then skip.
+* ``{"kind": "abort", "id": N}`` — transaction N was discarded unapplied.
+* ``{"kind": "ckpt", "next_id": N}`` — the id high-water a checkpoint
+  carries forward.
 
 Torn tails are expected, not exceptional: a crash mid-``write`` leaves
-a truncated or corrupt final frame.  :meth:`WriteAheadLog.replay`
+a truncated or corrupt final frame.  :meth:`WriteAheadLog.read_records`
 truncates the file back to the last whole, checksum-valid frame —
 exactly the ARIES convention.  Corruption *before* the tail (a bad
 frame followed by a good one) means the medium, not a crash, damaged
-the log, and that raises :class:`~repro.errors.WALError`.
+the log, and that raises :class:`~repro.errors.WALError`; so does a
+checksum-valid frame whose record is not one of the shapes above.
 """
 
 from __future__ import annotations
@@ -59,12 +66,40 @@ def _frame(record: Dict) -> bytes:
     )
 
 
+def _is_op(op: object) -> bool:
+    return (
+        isinstance(op, dict)
+        and isinstance(op.get("method"), str)
+        and isinstance(op.get("table"), str)
+        and isinstance(op.get("epoch"), int)
+        and isinstance(op.get("group", 0), int)
+        and isinstance(op.get("requests"), list)
+        and all(isinstance(request, dict) for request in op["requests"])
+    )
+
+
+def _well_formed(record: object) -> bool:
+    """Is ``record`` one of the shapes above (recovery indexes it unchecked)?"""
+    if not isinstance(record, dict):
+        return False
+    kind = record.get("kind")
+    if kind == "ckpt":
+        return isinstance(record.get("next_id"), int)
+    ops = record.get("ops") if kind == "txn" else []
+    return (
+        kind in ("txn", "ack", "abort")
+        and isinstance(record.get("id"), int)
+        and isinstance(ops, list)
+        and all(_is_op(op) for op in ops)
+    )
+
+
 class WriteAheadLog:
     """An append-only transaction log backed by one file.
 
     ``fsync`` is issued for real (the file is genuinely durable) *and*
-    counted (``fsyncs``) so benchmarks can model its cost: group commit's
-    whole point is amortising this counter over many transactions.
+    counted (``fsyncs``) so benchmarks can model its cost: one per
+    commit, the ``txn`` record's.
     """
 
     def __init__(self, path: str) -> None:
@@ -73,6 +108,8 @@ class WriteAheadLog:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._file = open(self.path, "ab")
+        #: offset up to which the file is known to be on disk
+        self._synced = self._file.tell()
         self.appends = 0
         self.fsyncs = 0
         self.bytes_written = 0
@@ -82,9 +119,8 @@ class WriteAheadLog:
     def append(self, record: Dict, sync: bool = True) -> int:
         """Append one record; returns the file offset it starts at.
 
-        ``sync=False`` skips the fsync — used by group commit to stack
-        several records behind a single durability point (the final
-        synced append of the group).
+        ``sync=False`` skips the fsync: the record reaches disk with the
+        next synced append (or :meth:`sync`).
         """
         if self._file.closed:
             raise WALError(f"WAL {self.path} is closed")
@@ -98,17 +134,30 @@ class WriteAheadLog:
         return offset
 
     def sync(self) -> None:
-        """Flush and fsync — the durability point group commit amortises."""
+        """Flush and fsync: everything appended so far is on disk."""
         self._file.flush()
         os.fsync(self._file.fileno())
+        self._synced = self._file.tell()
         self.fsyncs += 1
         telemetry.count("txn.wal_fsyncs")
+
+    def end(self) -> int:
+        """Offset one past the last appended byte, synced or not."""
+        return self._file.tell()
+
+    def drop_unsynced(self) -> None:
+        """Lose every byte appended since the last fsync — what a power
+        cut does to them (the lost-ack crash drill)."""
+        self._file.flush()
+        self._file.truncate(self._synced)
+        self._file.seek(self._synced)
 
     def log_txn(self, txn_id: int, ops: List[Dict], sync: bool = True) -> int:
         return self.append({"kind": "txn", "id": txn_id, "ops": ops}, sync=sync)
 
-    def log_ack(self, txn_id: int, sync: bool = True) -> int:
-        return self.append({"kind": "ack", "id": txn_id}, sync=sync)
+    def log_ack(self, txn_id: int) -> int:
+        """Unsynced: the ack reaches disk with the next fsync."""
+        return self.append({"kind": "ack", "id": txn_id}, sync=False)
 
     # -- recovery ----------------------------------------------------------------
 
@@ -147,10 +196,15 @@ class WriteAheadLog:
                 error = f"checksum mismatch at offset {offset}"
                 break
             try:
-                records.append(json.loads(payload.decode("utf-8")))
+                record = json.loads(payload.decode("utf-8"))
             except ValueError:
                 error = f"undecodable payload at offset {offset}"
                 break
+            # the checksum held, so this is what was written: a wrong shape
+            # is a foreign or buggy writer, never a torn tail to cut off
+            if not _well_formed(record):
+                raise WALError(f"WAL {path}: malformed record at offset {offset}")
+            records.append(record)
             offset += HEADER_SIZE + length
             good_end = offset
         if error is not None:
@@ -167,9 +221,9 @@ class WriteAheadLog:
     def checkpoint(self, keep: List[Dict]) -> None:
         """Atomically rewrite the log to contain only ``keep``.
 
-        Called once every logged transaction in a prefix has been acked:
-        the acked prefix carries no recovery information, so the log is
-        compacted to the still-pending suffix.  Write-temp-then-rename
+        Called with every logged transaction that is not yet acked: the
+        acked rest carries no recovery information, so the log is
+        compacted to the still-pending records.  Write-temp-then-rename
         keeps the log recoverable even if the checkpoint itself crashes.
         """
         if self._file.closed:
@@ -184,11 +238,8 @@ class WriteAheadLog:
         self._file.close()
         os.replace(temp, self.path)
         self._file = open(self.path, "ab")
+        self._synced = self._file.tell()
         telemetry.count("txn.wal_checkpoints")
-
-    def size_bytes(self) -> int:
-        self._file.flush()
-        return os.path.getsize(self.path)
 
     def close(self) -> None:
         if not self._file.closed:

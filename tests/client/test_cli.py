@@ -357,6 +357,29 @@ class TestServeSim:
         assert "txn" not in plain
 
 
+class TestTxnReplay:
+    def test_kill_choices_are_the_kill_phases(self):
+        import argparse
+
+        from repro.txn import KILL_PHASES
+
+        parser = build_parser()
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        kill = next(
+            action for action in commands.choices["txn-replay"]._actions
+            if action.dest == "kill"
+        )
+        assert list(kill.choices) == ["all", *KILL_PHASES]
+
+    def test_lost_ack_recovers_exactly(self):
+        code, text = run(["txn-replay", "--kill", "lost-ack", "--rows", "8"])
+        assert code == 0, text
+        assert "lost-ack  : crashed=true  replayed=1 state=exact" in text
+
+
 class TestHelpers:
     def test_render_scalar(self):
         assert render_result(42) == "42"

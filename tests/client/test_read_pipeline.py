@@ -10,12 +10,16 @@ the byte count, message count, modelled clock and client/provider
 The only permitted differences from the parent are the three bugs the
 refactor fixed and the ISSUE-20 join changes (one declared wire delta,
 one bugfix), enumerated in ``BUGFIX_DELTAS`` below; their post-change
-numbers live in the golden file's ``"fixed"`` section.
+numbers live in the golden file's ``"fixed"`` section.  The transactional
+writes were re-based once more when a commit became one ``txn_apply``
+round (section ``"one_round_commit"``, held to its formula by
+``test_one_round_commit_moves_by_the_declared_formula``).
 
 Regenerate (only on purpose)::
 
     PYTHONPATH=src python tests/client/test_read_pipeline.py parent   # at the parent commit
     PYTHONPATH=src python tests/client/test_read_pipeline.py fixed    # after the fixes
+    PYTHONPATH=src python tests/client/test_read_pipeline.py one_round_commit
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.client.repair import repair_provider
 from repro.client.updates import LazyUpdateBuffer
 from repro.errors import ReproError
 from repro.providers.failures import Fault, FailureMode
+from repro.sim.network import LatencyModel
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
 from repro.sqlengine.expression import Comparison, ComparisonOp
@@ -450,6 +455,9 @@ def test_entry_point_matches_oracle_and_parent_accounting(scenario_id, tmp_path)
     golden = _load_golden()
     record = run_scenario(scenario_id, str(tmp_path))
     assert record.get("matches_oracle") is True, record
+    if scenario_id in golden["one_round_commit"]:
+        assert record == golden["one_round_commit"][scenario_id]
+        return
     parent = golden["parent"][scenario_id]
     if record == parent:
         assert scenario_id not in golden["fixed"], "stale entry in the fixed section"
@@ -494,21 +502,53 @@ def test_fault_free_join_moves_by_the_declared_wire_delta(entry, shape):
     assert fixed["matches_oracle"] is True
 
 
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["one_round_commit"]))
+def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
+    """One UPDATE / DELETE through the manager is one round carrying one
+    transaction id: the commit round's request and response go (2 messages
+    per live provider) with 70 bytes per live provider and one wave of the
+    modelled clock — see ``test_write_pipeline.ONE_ROUND_COMMIT``."""
+    golden = _load_golden()
+    after = golden["one_round_commit"][scenario_id]
+    before = golden["fixed"].get(scenario_id, golden["parent"][scenario_id])
+    assert scenario_id.startswith("txn/")
+    live = 4 if scenario_id.endswith("/crash") else 5
+    latency = LatencyModel()
+    was, now = before["accounting"], after["accounting"]
+    assert was["messages"] - now["messages"] == 2 * live
+    assert was["bytes"] - now["bytes"] == 70 * live
+    assert was["modelled_seconds"] - now["modelled_seconds"] == pytest.approx(
+        latency.rtt_seconds + 8 * 70 / latency.bandwidth_bits_per_second, abs=1e-12
+    )
+    for untouched in ("client", "providers"):
+        assert now[untouched] == was[untouched]
+    assert after["matches_oracle"] is before["matches_oracle"] is True
+
+
 def _regenerate(section: str) -> None:
     import tempfile
 
-    golden = _load_golden() if os.path.exists(GOLDEN_PATH) else {"parent": {}, "fixed": {}}
+    golden = (
+        _load_golden() if os.path.exists(GOLDEN_PATH)
+        else {"parent": {}, "fixed": {}, "one_round_commit": {}}
+    )
     records: Dict[str, object] = {}
     for scenario_id in sorted(SCENARIOS):
         with tempfile.TemporaryDirectory() as wal_dir:
             records[scenario_id] = run_scenario(scenario_id, wal_dir)
     if section == "parent":
         golden["parent"] = records
-    else:
+    elif section == "fixed":
         golden["fixed"] = {
             sid: record
             for sid, record in records.items()
             if record != golden["parent"][sid]
+        }
+    else:
+        golden["one_round_commit"] = {
+            sid: record
+            for sid, record in records.items()
+            if record != golden["fixed"].get(sid, golden["parent"][sid])
         }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)

@@ -14,10 +14,13 @@ change, while batches were still built as that list
   through ``TransactionManager.atomic`` reached the log (the manager is
   killed right after it): length and SHA-256 of its bytes;
 * ``"snapshots"`` — each provider's snapshot file once that transaction
-  was prepared everywhere and committed at one provider only (killed
-  mid-round), so four of the five files hold the staged insert op.
+  reached one provider only (killed mid-round).
 
-Nothing may move.
+Nothing may move, except the snapshots by one declared delta: when
+``txn_prepare`` + ``txn_commit`` became one ``txn_apply`` round, providers
+stopped staging transactions, so each file is the parent's with its
+``"staged_txns"`` entry dropped (empty at the provider that applied the
+insert, the staged insert at the four others) and nothing else changed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import pytest
 
 from repro import DataSource, ProviderCluster
 from repro.errors import SimulatedCrash
-from repro.persistence import save_deployment
+from repro.persistence import provider_from_dict, provider_to_dict, save_deployment
 from repro.sqlengine.query import Insert
 from repro.txn import TransactionManager
 from tests.client.test_load_path import ledger_rows, ledger_schema
@@ -88,8 +91,8 @@ def wal_record(directory: str) -> list:
 
 def snapshot_records(directory: str) -> dict:
     source = _atomic_insert(directory, "mid-round")
-    staged = [len(p.store.staged_txns) for p in source.cluster.providers]
-    assert staged == [0, 1, 1, 1, 1]
+    applied = [sorted(p.store.applied_txns) for p in source.cluster.providers]
+    assert applied == [[1], [], [], [], []]
     save_deployment(source, os.path.join(directory, "snapshot"))
     records = {}
     for index in range(5):
@@ -112,8 +115,19 @@ def test_a_transactional_insert_logs_the_parents_frame(tmp_path):
     assert wal_record(str(tmp_path)) == _golden()["wal"]
 
 
-def test_a_staged_insert_snapshots_to_the_parents_bytes(tmp_path):
+def test_a_mid_round_insert_snapshots_to_the_declared_bytes(tmp_path):
     assert snapshot_records(str(tmp_path)) == _golden()["snapshots"]
+
+
+def test_an_old_snapshot_with_staged_txns_loads_without_them(tmp_path):
+    """A snapshot written while providers still staged transactions loads;
+    the staged ops are dropped — the client WAL holds every one of them."""
+    source = _atomic_insert(str(tmp_path), "mid-round")
+    provider = source.cluster.providers[1]
+    current = provider_to_dict(provider)
+    staged_op = ["insert_many", {"table": "Ledger", "rows": [], "epoch": 2}]
+    old = json.loads(json.dumps(dict(current, staged_txns={"1": [staged_op]})))
+    assert provider_to_dict(provider_from_dict(old)) == current
 
 
 if __name__ == "__main__":  # at the parent commit only

@@ -14,12 +14,17 @@ section ``"parent"``).
 
 The only permitted differences from the parent are enumerated in
 ``BUGFIX_DELTAS`` below; their post-change numbers live in the golden
-file's ``"fixed"`` section.
+file's ``"fixed"`` section.  Every transactional record was then re-based
+once more, when a commit became one fsync and one ``txn_apply`` round
+(section ``"one_round_commit"``); ``ONE_ROUND_COMMIT`` states that delta
+as a formula and ``test_one_round_commit_moves_by_the_declared_formula``
+holds each re-based record to it.
 
 Regenerate (only on purpose)::
 
     PYTHONPATH=src python tests/client/test_write_pipeline.py parent   # at the parent commit
     PYTHONPATH=src python tests/client/test_write_pipeline.py fixed    # after the change
+    PYTHONPATH=src python tests/client/test_write_pipeline.py one_round_commit
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.core.secrets import generate_client_secrets
 from repro.errors import ReproError
 from repro.providers.failures import Fault, FailureMode
 from repro.service.sharding import ShardRouter
+from repro.sim.network import LatencyModel
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
 from repro.sqlengine.query import Insert
@@ -69,6 +75,28 @@ BUGFIX_DELTAS = {
     "sharded_txn_hash/script": "sharded pure-delta UPDATE ships share increments",
     "sharded_txn_range/script": "sharded pure-delta UPDATE ships share increments",
 }
+
+#: Entry points whose records moved when ``txn_prepare`` + ``txn_commit``
+#: became one ``txn_apply`` round and the ack and per-commit checkpoint
+#: stopped being fsynced.  Per group round with T write targets carrying m
+#: transaction ids (each id < 256, so 3 bytes on the wire):
+#:
+#: * messages -2T: the commit round's request and response are gone;
+#: * bytes -(64 + 6m)T: the commit request ``{"method": "txn_commit",
+#:   "ids": [...]}`` (33 + 3m), the prepare response ``{"staged": [...],
+#:   "skipped": []}`` (29 + 3m; the apply response has the commit
+#:   response's shape) and the two bytes "txn_prepare" is longer than
+#:   "txn_apply";
+#: * modelled clock -(rtt + 8(64 + 6m)/bandwidth): one wave less, and the
+#:   remaining wave's legs carry those bytes less;
+#: * ``wal_fsyncs`` -2 per flush;
+#:
+#: and nothing else moves — results, epochs, cost counters, WAL appends and
+#: bytes, oracle matches.
+ONE_ROUND_COMMIT = (
+    "txn_execute/", "txn_apply_batch/", "txn_atomic/",
+    "sharded_txn_hash/", "sharded_txn_range/",
+)
 
 
 def accounts_schema() -> TableSchema:
@@ -365,6 +393,9 @@ def test_write_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
     golden = _load_golden()
     record = run_scenario(scenario_id, str(tmp_path))
     assert record.get("matches_oracle") is True or "raised" in record, record
+    if scenario_id in golden["one_round_commit"]:
+        assert record == golden["one_round_commit"][scenario_id]
+        return
     parent = golden["parent"][scenario_id]
     if record == parent:
         assert scenario_id not in golden["fixed"], "stale entry in the fixed section"
@@ -385,21 +416,68 @@ def test_bugfix_deltas_are_the_only_differences():
         assert golden["fixed"][scenario_id] != golden["parent"][scenario_id]
 
 
+def _rebased_base(golden, scenario_id: str) -> Dict[str, object]:
+    """What a re-based record was before the one-round commit."""
+    return golden["fixed"].get(scenario_id, golden["parent"][scenario_id])
+
+
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["one_round_commit"]))
+def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
+    golden = _load_golden()
+    before, after = _rebased_base(golden, scenario_id), golden["one_round_commit"][scenario_id]
+    assert scenario_id.startswith(ONE_ROUND_COMMIT)
+    flushes, odd = divmod(before["wal"]["wal_fsyncs"] - after["wal"]["wal_fsyncs"], 2)
+    assert flushes >= 1 and not odd
+    was, now = before["accounting"], after["accounting"]
+    targets = N_PROVIDERS - (1 if scenario_id.endswith("/crash") else 0)
+    latency = LatencyModel()
+    sharded = len(now["bytes"]) > 1
+    for group in range(len(now["bytes"])):
+        rounds, odd = divmod(was["messages"][group] - now["messages"][group], 2 * targets)
+        assert not odd and rounds <= flushes
+        # every flush of the unsharded scenarios applies one round carrying
+        # its transactions; a sharded flush carries one transaction
+        ids = rounds if sharded else after["committed"]
+        assert sharded or rounds == flushes
+        saved = 64 * rounds + 6 * ids
+        assert was["bytes"][group] - now["bytes"][group] == targets * saved
+        assert was["modelled_seconds"][group] - now["modelled_seconds"][group] == pytest.approx(
+            rounds * latency.rtt_seconds + 8 * saved / latency.bandwidth_bits_per_second,
+            abs=1e-12,
+        )
+    for key in ("client", "providers", "epochs"):
+        assert now[key] == was[key]
+    for key in ("wal_appends", "wal_bytes"):
+        assert after["wal"][key] == before["wal"][key]
+    assert {k: v for k, v in after.items() if k not in ("accounting", "wal")} == {
+        k: v for k, v in before.items() if k not in ("accounting", "wal")
+    }
+
+
 def _regenerate(section: str) -> None:
     import tempfile
 
-    golden = _load_golden() if os.path.exists(GOLDEN_PATH) else {"parent": {}, "fixed": {}}
+    golden = (
+        _load_golden() if os.path.exists(GOLDEN_PATH)
+        else {"parent": {}, "fixed": {}, "one_round_commit": {}}
+    )
     records: Dict[str, object] = {}
     for scenario_id in sorted(SCENARIOS):
         with tempfile.TemporaryDirectory() as wal_dir:
             records[scenario_id] = run_scenario(scenario_id, wal_dir)
     if section == "parent":
         golden["parent"] = records
-    else:
+    elif section == "fixed":
         golden["fixed"] = {
             sid: record
             for sid, record in records.items()
             if record != golden["parent"][sid]
+        }
+    else:
+        golden["one_round_commit"] = {
+            sid: record
+            for sid, record in records.items()
+            if record != _rebased_base(golden, sid)
         }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)

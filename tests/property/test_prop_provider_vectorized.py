@@ -266,8 +266,8 @@ def test_faulty_battery_backends_identical(seed, n, mode):
 @given(seed=seeds, n=st.integers(min_value=2, max_value=40))
 @settings(max_examples=30, deadline=None)
 def test_txn_replay_backends_identical(seed, n):
-    """The exactly-once replay path: a re-prepared committed transaction
-    is skipped, and increments are applied exactly once per backend."""
+    """The exactly-once replay path: a re-sent applied transaction is
+    skipped, and increments are applied exactly once per backend."""
     rng = random.Random(seed)
     rows = make_rows(rng, n)
     ids = [rid for rid, _ in rows][: max(n // 2, 1)]
@@ -278,11 +278,11 @@ def test_txn_replay_backends_identical(seed, n):
 
     def run():
         provider = build_provider(rows)
-        out = [provider.handle("txn_prepare", {"txns": [[7, ops]]})]
-        out.append(provider.handle("txn_commit", {"ids": [7]}))
+        out = [provider.handle("txn_apply", {"txns": [[7, ops]]})]
         # WAL replay after a simulated client crash: same txn again
-        out.append(provider.handle("txn_prepare", {"txns": [[7, ops]]}))
-        out.append(provider.handle("txn_commit", {"ids": [7]}))
+        out.append(provider.handle("txn_apply", {"txns": [[7, ops]]}))
+        assert out == [{"committed": [7], "skipped": []},
+                       {"committed": [], "skipped": [7]}]
         out.append(provider.handle("select", {"table": "T", "conditions": []}))
         return out, state_snapshot(provider)
 

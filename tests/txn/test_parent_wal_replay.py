@@ -87,7 +87,7 @@ def test_parent_written_log_recovers_to_the_oracle(tmp_path, shape, phase):
         # the durability point: the victim's record reached the log
         _write_log(wal_path, records[-1:])
         oracle.execute(parse_sql(VICTIM))
-    if phase in ("mid-round", "pre-ack", "post-ack"):
+    if phase in ("mid-round", "pre-ack", "post-ack", "lost-ack"):
         crashing = _manager_for(reader, wal_path)
         crashing.kill_at = phase
         with pytest.raises(SimulatedCrash):

@@ -5,7 +5,17 @@ import os
 import pytest
 
 from repro.errors import WALError
-from repro.txn.wal import HEADER_SIZE, MAGIC, WriteAheadLog
+from repro.txn.wal import HEADER_SIZE, MAGIC, WriteAheadLog, _frame
+
+#: one op in the shape the manager logs (a ``WriteOp`` stamped with its
+#: epoch and group, one request per provider)
+OP = {
+    "method": "delete_rows",
+    "table": "T",
+    "epoch": 1,
+    "group": 0,
+    "requests": [{"table": "T", "row_ids": [3], "epoch": 1}],
+}
 
 
 @pytest.fixture
@@ -16,12 +26,11 @@ def wal_path(tmp_path):
 class TestFraming:
     def test_roundtrip(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
-            wal.log_txn(1, [{"method": "insert_many", "table": "T"}])
+            wal.log_txn(1, [OP])
             wal.log_ack(1)
         records = WriteAheadLog.read_records(wal_path)
         assert records == [
-            {"kind": "txn", "id": 1, "ops": [
-                {"method": "insert_many", "table": "T"}]},
+            {"kind": "txn", "id": 1, "ops": [OP]},
             {"kind": "ack", "id": 1},
         ]
 
@@ -39,16 +48,16 @@ class TestFraming:
             wal.log_txn(1, [])
             wal.log_ack(1)
             assert wal.appends == 2
-            assert wal.fsyncs >= 2
-            assert wal.bytes_written == wal.size_bytes()
+            assert wal.fsyncs == 1  # the ack rides the next fsync
+            assert wal.bytes_written == wal.end()
 
 
 class TestTornTail:
     def _write_then_truncate(self, wal_path, keep_extra: int):
         with WriteAheadLog(wal_path) as wal:
-            wal.log_txn(1, [{"method": "delete_rows", "table": "T"}])
-            good_end = wal.size_bytes()
-            wal.log_txn(2, [{"method": "delete_rows", "table": "T"}])
+            wal.log_txn(1, [OP])
+            good_end = wal.end()
+            wal.log_txn(2, [OP])
         # tear the tail record: keep the good prefix plus a partial frame
         with open(wal_path, "r+b") as handle:
             handle.truncate(good_end + keep_extra)
@@ -69,7 +78,7 @@ class TestTornTail:
     def test_corrupt_crc_stops_the_scan(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
             wal.log_txn(1, [])
-            middle = wal.size_bytes()
+            middle = wal.end()
             wal.log_txn(2, [])
         with open(wal_path, "r+b") as handle:
             # flip a payload byte of the second frame: CRC must catch it
@@ -107,8 +116,69 @@ class TestCheckpoint:
     def test_checkpoint_shrinks_the_file(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
             for i in range(1, 50):
-                wal.log_txn(i, [{"method": "insert_many", "table": "T"}])
+                wal.log_txn(i, [OP])
                 wal.log_ack(i)
-            before = wal.size_bytes()
+            before = wal.end()
             wal.checkpoint([{"kind": "ckpt", "next_id": 50}])
-            assert wal.size_bytes() < before
+            assert wal.end() < before
+
+
+class TestUnsyncedTail:
+    def test_an_unsynced_append_is_lost_with_the_tail(self, wal_path):
+        with WriteAheadLog(wal_path) as wal:
+            wal.log_txn(1, [OP])
+            wal.log_ack(1)
+            assert wal.fsyncs == 1
+            wal.drop_unsynced()
+            assert wal.end() == os.path.getsize(wal_path)
+        assert WriteAheadLog.read_records(wal_path) == [
+            {"kind": "txn", "id": 1, "ops": [OP]}
+        ]
+
+    def test_the_next_fsync_carries_an_unsynced_ack(self, wal_path):
+        with WriteAheadLog(wal_path) as wal:
+            wal.log_txn(1, [OP])
+            wal.log_ack(1)
+            wal.log_txn(2, [OP])
+            wal.drop_unsynced()
+        assert [(r["kind"], r["id"]) for r in WriteAheadLog.read_records(wal_path)] == [
+            ("txn", 1), ("ack", 1), ("txn", 2)
+        ]
+
+
+#: checksum-valid frames whose record has the wrong shape; each used to
+#: crash ``TransactionManager.recover()`` with a bare AttributeError,
+#: KeyError or TypeError.  The seed corpus of a WAL-frame fuzzer.
+MALFORMED = {
+    "not_an_object": [1, 2],
+    "txn_without_id": {"kind": "txn"},
+    "txn_with_text_id": {"kind": "txn", "id": "x", "ops": []},
+    "ckpt_without_next_id": {"kind": "ckpt"},
+    "op_without_table": {
+        "kind": "txn",
+        "id": 2,
+        "ops": [{key: value for key, value in OP.items() if key != "table"}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_record_raises_wal_error_naming_its_offset(wal_path, name):
+    from repro.client.datasource import DataSource
+    from repro.providers.cluster import ProviderCluster
+    from repro.txn import TransactionManager
+
+    with WriteAheadLog(wal_path) as wal:
+        wal.append({"kind": "ckpt", "next_id": 1})
+        good_end = wal.end()
+    with open(wal_path, "ab") as handle:
+        handle.write(_frame(MALFORMED[name]))
+    for repair in (False, True):
+        with pytest.raises(WALError, match=f"at offset {good_end}$"):
+            WriteAheadLog.read_records(wal_path, repair=repair)
+    # a checksum-valid frame is not a torn tail: nothing was cut off
+    assert os.path.getsize(wal_path) > good_end
+    manager = TransactionManager(DataSource(ProviderCluster(3, 2)), wal_path)
+    with pytest.raises(WALError, match=f"at offset {good_end}$"):
+        manager.recover()
+    manager.close()
