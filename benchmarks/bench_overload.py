@@ -19,8 +19,9 @@ break:
   rejected.
 
 A combined chaos section repeats the 4x flood with ``n - k`` providers
-crashed and circuit breakers installed: the breakers must open (fast
-fails instead of timeout-burning retries) and correctness must hold.
+crashed: the health tracker must quarantine each as ``unavailable``,
+after which reads stop addressing it (no more bytes, no more timeouts
+while ``k`` others answer), and correctness must hold.
 
 Results go to ``BENCH_overload.json`` at the repo root.  Run modes::
 
@@ -45,8 +46,9 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro import telemetry
 from repro.client.datasource import DataSource
-from repro.providers.cluster import ProviderCluster
+from repro.providers.cluster import CLIENT_NAME, ProviderCluster
 from repro.providers.failures import Fault, FailureMode
+from repro.providers.health import QUARANTINE_AFTER, UNAVAILABLE
 from repro.service import estimate_capacity, run_open_loop
 from repro.workloads.employees import employees_table
 from repro.workloads.traffic import TrafficProfile, generate_traffic
@@ -76,25 +78,37 @@ def run_at_load(
     max_in_flight: int,
     queue_limit: int,
     crash: int = 0,
-    breakers: bool = False,
     seed: int = SEED,
 ):
-    """Calibrate a fresh deployment, then flood it at ``load`` x capacity.
+    """Calibrate a fresh deployment, then flood it at ``load`` x capacity."""
+    source, eids = build_source(rows, providers, threshold)
+    return flood(
+        source, eids, load, queries, max_in_flight, queue_limit, crash, seed
+    )
+
+
+def flood(
+    source,
+    eids,
+    load: float,
+    queries: int,
+    max_in_flight: int,
+    queue_limit: int,
+    crash: int = 0,
+    seed: int = SEED,
+):
+    """Calibrate ``source``, then flood it at ``load`` x capacity.
 
     Calibration runs against the *pristine* deployment (before any
     crash faults) and outside the telemetry session, so the probe
     traffic perturbs neither the SLO counters nor the flood's byte
-    accounting.  ``crash`` providers are then killed and ``breakers``
-    optionally installed before the flood.
+    accounting.  ``crash`` providers are then killed before the flood.
     """
-    source, eids = build_source(rows, providers, threshold)
     network = source.cluster.network
     capacity = estimate_capacity(
         source, eids, max_in_flight=max_in_flight, seed=seed + 1
     )
     network.reset()
-    if breakers:
-        source.cluster.install_breakers()
     for index in range(crash):
         source.cluster.inject_fault(index, Fault(FailureMode.CRASH))
     profile = TrafficProfile(
@@ -141,9 +155,11 @@ def run_check() -> None:
     * the degradation ladder engages at 4x (verified reads served as
       plain quorum reads) and goodput stays within 20% of the 1x run —
       no error-rate cliff;
-    * with ``n - k`` providers crashed on top of the 4x flood and
-      breakers installed, the breakers open (fast fails recorded) and
-      correctness still holds.
+    * with ``n - k`` providers crashed on top of the 4x flood,
+      correctness still holds and each crashed provider is quarantined
+      as ``unavailable`` after exactly ``QUARANTINE_AFTER`` requests:
+      no request reaches it afterwards, so its inbound bytes stop
+      growing — a later read does not add any either.
     """
     kwargs = dict(
         rows=60,
@@ -183,20 +199,40 @@ def run_check() -> None:
     )
 
     crash = kwargs["providers"] - kwargs["threshold"]
-    rc = run_at_load(4.0, crash=crash, breakers=True, **kwargs)
+    source, eids = build_source(
+        kwargs["rows"], kwargs["providers"], kwargs["threshold"]
+    )
+    rc = flood(
+        source,
+        eids,
+        4.0,
+        kwargs["queries"],
+        kwargs["max_in_flight"],
+        kwargs["queue_limit"],
+        crash=crash,
+    )
     assert rc["incorrect"] == 0, (
         f"incorrect results under 4x flood + {crash} crashes: "
         f"{rc['incorrect_examples']}"
     )
     assert rc["completed"] > 0, "no goodput under 4x flood + crashes"
-    opened = [
-        b for b in rc["breakers"].values() if b["times_opened"] > 0
-    ]
-    assert len(opened) >= crash, (
-        f"only {len(opened)} breakers opened with {crash} crashed providers"
-    )
-    assert sum(b["fast_fails"] for b in opened) > 0, (
-        "open breakers never fast-failed a call"
+    network = source.cluster.network
+    crashed = [source.cluster.providers[i].name for i in range(crash)]
+    for name in crashed:
+        health = rc["health"][name]
+        assert health["quarantined"] and (
+            health["quarantine_reason"] == UNAVAILABLE
+        ), f"crashed provider {name} not quarantined as down: {health}"
+        sent = network.stats.by_link[(CLIENT_NAME, name)].messages
+        assert sent == QUARANTINE_AFTER, (
+            f"{sent} requests reached crashed {name}; reads must stop "
+            f"addressing it once {QUARANTINE_AFTER} failures quarantined it"
+        )
+    inbound = {name: network.stats.bytes_to(name) for name in crashed}
+    source.row_cache.clear()  # the read must reach the providers
+    source.sql(f"SELECT * FROM Employees WHERE eid = {eids[0]}")
+    assert inbound == {name: network.stats.bytes_to(name) for name in crashed}, (
+        "a read after the flood still addressed a quarantined provider"
     )
 
 
@@ -223,7 +259,6 @@ def run_full(args) -> dict:
         max_in_flight=args.max_in_flight,
         queue_limit=args.queue_limit,
         crash=crash,
-        breakers=True,
     )
     return {
         "seed": SEED,
@@ -265,7 +300,8 @@ def main(argv=None) -> int:
         print(
             "bench_overload --check: zero incorrect at 1x/4x, shedding "
             "priority-ordered, degradation engaged, goodput within 20% "
-            "of 1x at 4x capacity, breakers open under crashes"
+            "of 1x at 4x capacity, crashed providers quarantined and "
+            "no longer addressed"
         )
         return 0
     report = run_full(args)

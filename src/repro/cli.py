@@ -317,8 +317,6 @@ def cmd_serve_sim(args, out) -> int:
         verified_reads=True,  # gives the degradation ladder a premium tier
     )
     source.outsource_table(table)
-    if args.breakers:
-        source.cluster.install_breakers()
     eids = sorted(row["eid"] for row in table.rows())
     network = source.cluster.network
     run, options = run_closed_loop, dict(
@@ -430,12 +428,16 @@ def _print_simulation_report(report, out) -> None:
             f"{txn['wal_fsyncs']} WAL fsyncs",
             file=out,
         )
-    breakers = report.get("breakers")
-    if breakers:
-        summary = ", ".join(
-            f"{name}={stats['state']}" for name, stats in breakers.items()
+    health = ", ".join(
+        f"{name}="
+        + (
+            f"quarantined ({stats['quarantine_reason']})"
+            if stats["quarantined"]
+            else "ok"
         )
-        print(f"  breakers: {summary}", file=out)
+        for name, stats in report["health"].items()
+    )
+    print(f"  health: {health}", file=out)
     print(
         f"  network: {report['network_messages']} messages, "
         f"{report['network_bytes']:,} bytes, "
@@ -893,10 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queries", type=int, default=400,
         help="open-loop arrivals to generate",
-    )
-    serve.add_argument(
-        "--breakers", action="store_true",
-        help="install per-provider circuit breakers",
     )
     serve.add_argument(
         "--json", action="store_true", help="emit the report as JSON"

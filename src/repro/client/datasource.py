@@ -171,7 +171,9 @@ class DataSource:
         Extra shares beyond k that verified reads request.  ``None`` (the
         default) asks every provider not quarantined or blamed — maximum
         detection power.  The client cannot see a crash, so a crashed
-        provider costs a timeout per read until it is quarantined.
+        provider costs a timeout per read until it is quarantined: at most
+        ``QUARANTINE_AFTER`` timeouts per cooldown, since reads then leave
+        it out while k others can answer.
     failover:
         When True (the default), short read rounds re-dispatch their
         missing sub-requests to spare live providers instead of raising
@@ -1458,7 +1460,8 @@ class DataSource:
         # currently-blamed are excluded (while ≥ k others remain); past
         # that point even they re-enter as a last resort (any k shares
         # still reconstruct — robust decoding outvotes a minority tamperer
-        # even when it must be addressed).
+        # even when it must be addressed).  Providers quarantined as down
+        # are left out by read_quorum itself while k others remain.
         candidates = set(range(cluster.n_providers))
         quarantined = {
             i for i in candidates if cluster.health.is_quarantined(i)

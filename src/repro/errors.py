@@ -65,15 +65,6 @@ class ProviderUnavailableError(ProviderError):
     """The provider is crashed/partitioned and cannot serve requests."""
 
 
-class CircuitOpenError(ProviderUnavailableError):
-    """An RPC was rejected client-side by an open circuit breaker.
-
-    Subclasses :class:`ProviderUnavailableError` so quorum/failover
-    handling treats it as a missing response, but the fast-fail spent
-    no bytes and charged no timeout — retrying it immediately is
-    pointless, so the per-RPC retry loop does not."""
-
-
 class QuorumError(ReproError):
     """Fewer than ``k`` providers responded; the query cannot complete."""
 

@@ -58,11 +58,14 @@ theorem into an end-to-end read guarantee:
   re-dispatched to spare live providers — an extra accounted round per
   failover wave — instead of raising :class:`QuorumError`.  The error
   still surfaces when no spares remain.
-* **Health tracking** (:class:`~repro.providers.health.HealthTracker`):
-  consecutive failures quarantine a provider for a cooldown measured on
-  the modelled clock; :meth:`ProviderCluster.read_quorum` prefers
-  healthy providers, so degraded ones rotate out of the default quorum
-  (and failover spares are picked in the same health order).
+* **Health tracking** (:class:`~repro.providers.health.HealthTracker`),
+  the client's one failure memory per provider: consecutive failures
+  quarantine a provider for a cooldown measured on the modelled clock.
+  :meth:`ProviderCluster.read_quorum` leaves a provider quarantined as
+  down out of reads while ``k`` others can answer — it costs no bytes
+  and no timeout until its cooldown readmits it — and sorts every other
+  quarantined provider last; failover spares are picked in the same
+  health order.  Dispatch itself never refuses a provider.
 """
 
 from __future__ import annotations
@@ -71,15 +74,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..errors import (
-    CircuitOpenError,
-    ConfigurationError,
-    ProviderUnavailableError,
-    QuorumError,
-)
+from ..errors import ConfigurationError, ProviderUnavailableError, QuorumError
 from ..sim.costmodel import CostRecorder
 from ..sim.network import SimulatedNetwork
-from .breakers import BreakerBoard
 from .failures import Fault
 from .health import HealthTracker
 from .provider import ShareProvider
@@ -152,8 +149,6 @@ class ProviderCluster:
         threshold: int,
         network: Optional[SimulatedNetwork] = None,
         retry: Optional[RetryPolicy] = None,
-        health: Optional[HealthTracker] = None,
-        breakers: Optional[BreakerBoard] = None,
         name_prefix: str = "",
     ) -> None:
         # constructor misuse is a configuration bug, not a runtime quorum
@@ -175,34 +170,14 @@ class ProviderCluster:
         self.providers: List[ShareProvider] = [
             ShareProvider(f"{name_prefix}DAS{i + 1}") for i in range(n_providers)
         ]
-        self.health = health or HealthTracker(
+        self.health = HealthTracker(
             n_providers,
             clock=lambda: self.network.modelled_seconds,
             names=[p.name for p in self.providers],
         )
-        # Opt-in: clusters without a board keep the exact historical
-        # accounting (every RPC dispatched, full timeout charged on
-        # unavailability).  Overload-facing callers install one.
-        self.breakers = breakers
         #: the installed :class:`~repro.service.scheduler.FanoutBatcher`
         #: threshold reads are combined through, or ``None``
         self.batcher = None
-
-    def install_breakers(self, **kwargs: object) -> BreakerBoard:
-        """Create and attach a :class:`BreakerBoard` over this cluster.
-
-        The board reads the cluster's modelled clock, so breaker
-        open/half-open trajectories are deterministic per seed.  Keyword
-        arguments are forwarded (``window``, ``failure_threshold``,
-        ``min_calls``, ``open_seconds``, ``half_open_probes``).
-        """
-        self.breakers = BreakerBoard(
-            self.n_providers,
-            clock=lambda: self.network.modelled_seconds,
-            names=[p.name for p in self.providers],
-            **kwargs,
-        )
-        return self.breakers
 
     @property
     def n_providers(self) -> int:
@@ -245,8 +220,9 @@ class ProviderCluster:
         after the request bytes were spent and the modelled timeout was
         charged, as in a real timeout.  With ``retry.max_attempts > 1``
         the request is re-sent after an exponential backoff; each attempt
-        spends request bytes again.  A breaker refusal surfaces as
-        :class:`CircuitOpenError` having spent no bytes and no clock.
+        spends request bytes again.  A quarantined provider is addressed
+        like any other: only read selection consults the health tracker,
+        so repair still reaches a provider revived during its cooldown.
         """
         responses, failures = self._call_round(
             method, {provider_index: request}, None, "all"
@@ -317,12 +293,12 @@ class ProviderCluster:
         """The one wave every RPC takes — a batcher's combined ``batch``
         round included; no quorum enforcement.
 
-        Breaker admission, then request bytes in provider-index order,
-        then the handlers in-line in the same order with each response
-        accounted as it returns, then the clock advances by the legs
-        :meth:`_round_elapsed` computes.  Nothing here depends on
-        scheduling, so the same seed yields the same per-link bytes, clock
-        and provider cost counters.
+        Request bytes in provider-index order, then the handlers in-line
+        in the same order with each response accounted as it returns,
+        then the clock advances by the legs :meth:`_round_elapsed`
+        computes.  Nothing here depends on scheduling, so the same seed
+        yields the same per-link bytes, clock and provider cost counters.
+        Every outcome is reported to the health tracker.
 
         Retries run as additional waves over the providers that were
         unavailable, unconditionally up to ``retry.max_attempts``; each
@@ -340,7 +316,6 @@ class ProviderCluster:
                 f"unknown quorum mode {quorum!r}; expected one of {QUORUM_MODES}"
             )
         policy = self.retry
-        board = self.breakers
         responses: Dict[int, Dict] = {}
         failures: Dict[int, ProviderUnavailableError] = {}
         error: Optional[BaseException] = None
@@ -354,22 +329,6 @@ class ProviderCluster:
             minimum=len(requests) if minimum is None else minimum,
         ) as fan_span:
             for attempt in range(1, policy.max_attempts + 1):
-                if board is not None:
-                    # open breakers fail fast client-side: no bytes, no
-                    # timeout contribution, no retry waves for them — the
-                    # whole point is that a black-holed provider stops
-                    # costing modelled clock under overload
-                    admitted: List[Tuple[int, Dict]] = []
-                    for index, request in pending:
-                        if board.allow(index):
-                            admitted.append((index, request))
-                            continue
-                        name = self.providers[index].name
-                        telemetry.count("breaker.fast_fail", provider=name)
-                        failures[index] = CircuitOpenError(
-                            f"circuit open for provider {name}: fast fail"
-                        )
-                    pending = admitted
                 if not pending:
                     break
                 if attempt > 1:
@@ -402,8 +361,6 @@ class ProviderCluster:
                             telemetry.count("fanout.unavailable", provider=name)
                             sp.set(outcome="unavailable")
                             self.health.record_failure(index)
-                            if board is not None:
-                                board.record_failure(index)
                             continue
                         except Exception as exc:  # surface after drain
                             if error is None:
@@ -423,8 +380,6 @@ class ProviderCluster:
                             rtt_seconds=request_seconds[index] + seconds,
                         )
                         self.health.record_success(index)
-                        if board is not None:
-                            board.record_success(index)
                 # the first wave waits per the caller's quorum shape; retry
                 # waves wait on everyone they re-addressed
                 legs += self._round_elapsed(
@@ -559,7 +514,7 @@ class ProviderCluster:
             # turns out to be down fails its RPC and the next wave moves on
             spares = [
                 index
-                for index in self._preferred(list(range(self.n_providers)))
+                for index in self.health.preferred_order(range(self.n_providers))
                 if index not in addressed
             ]
             if not spares:
@@ -586,24 +541,6 @@ class ProviderCluster:
 
     # -- quorum helpers ------------------------------------------------------------------
 
-    def _preferred(self, candidates: Sequence[int]) -> List[int]:
-        """Health-preferred order, refined by breaker admission.
-
-        Within the health tracker's ordering (healthy first, quarantined
-        last), providers whose breaker would admit an RPC right now sort
-        before providers whose breaker is open — an open breaker means
-        the next dispatch fails fast, so it should be the last resort,
-        but it stays selectable (half-open probes and robust decoding
-        both want that).  Uses the non-consuming :meth:`admits` view so
-        ordering never burns half-open probe budget.
-        """
-        ordered = self.health.preferred_order(list(candidates))
-        if self.breakers is None:
-            return ordered
-        admitting = [i for i in ordered if self.breakers.admits(i)]
-        refusing = [i for i in ordered if not self.breakers.admits(i)]
-        return admitting + refusing
-
     def read_quorum(
         self, extra: int = 0, exclude: Sequence[int] = ()
     ) -> List[int]:
@@ -612,15 +549,17 @@ class ProviderCluster:
         Selection is **knowledge-based**: it consults only what the
         client has learned (the health tracker), never the providers'
         actual fault state — a client cannot know a provider crashed
-        until an RPC to it times out.  Quarantined providers sort after
-        healthy ones, so a provider that has repeatedly failed rotates
-        out of the default quorum as long as k healthy ones remain — and
-        back in as a last resort when they don't (any k providers
-        suffice for correctness, Sec. III).  An undiscovered crash is
-        found at dispatch time and handled by retry/failover, not here.
-        ``extra`` requests redundant shares (the verified-read path);
-        ``exclude`` drops specific providers (e.g. the repair target).
-        Deterministic selection keeps experiments reproducible.
+        until an RPC to it times out.  A provider quarantined as down is
+        left out while at least k other candidates remain, so it costs
+        neither bytes nor a timeout until its cooldown readmits it (or a
+        repair releases it); with fewer than k others it is addressed
+        after them, since any k providers suffice (Sec. III).  Other
+        quarantined providers (blamed for bad shares) sort after healthy
+        ones and stay addressable as a last resort.  An undiscovered
+        crash is found at dispatch time and handled by retry/failover,
+        not here.  ``extra`` requests redundant shares (the verified-read
+        path); ``exclude`` drops specific providers (e.g. the repair
+        target).  Deterministic selection keeps experiments reproducible.
         """
         excluded = set(exclude)
         candidates = [
@@ -631,7 +570,10 @@ class ProviderCluster:
                 f"only {len(candidates)} providers addressable after "
                 f"exclusions, need k={self.threshold}"
             )
-        ordered = self._preferred(candidates)
+        down = self.health.down(candidates)
+        if down and len(candidates) - len(down) >= self.threshold:
+            candidates = [i for i in candidates if i not in down]
+        ordered = self.health.preferred_order(candidates)
         want = min(len(ordered), self.threshold + max(0, extra))
         return sorted(ordered[:want])
 

@@ -1,27 +1,40 @@
-"""Provider health tracking: consecutive-failure quarantine with cooldown.
+"""Provider health tracking: the client's one failure memory per provider.
 
-The resilience layer's memory.  Every fan-out round reports per-provider
-outcomes here; a provider that fails ``quarantine_after`` consecutive
-RPCs is quarantined for ``cooldown_seconds`` of *modelled* network time
+Every fan-out round reports per-provider outcomes here; a provider that
+fails :data:`QUARANTINE_AFTER` consecutive RPCs is quarantined as
+``unavailable`` for :data:`COOLDOWN_SECONDS` of *modelled* network time
 (the cluster passes its simulated clock in, so quarantine expiry is
 deterministic per seed — no wall time anywhere).  The verified-read path
-also quarantines explicitly when redundant interpolation blames a
-provider for inconsistent shares.
+also quarantines explicitly, as ``blamed``, when redundant interpolation
+catches a provider returning inconsistent shares.
 
-:meth:`preferred_order` is what :meth:`ProviderCluster.read_quorum`
-consults: healthy providers first (index order), quarantined providers
-last — still selectable as a last resort when fewer than k healthy
-providers remain, because a degraded answer beats no answer and robust
-decoding can still outvote a tamperer.
+The reason decides what selection does with a quarantined provider
+(:meth:`ProviderCluster.read_quorum`): one quarantined as down is left
+out of reads while ``k`` others can answer, so a crash stops costing
+timeouts once it is known; one quarantined for blame answers promptly,
+so it only sorts last (:meth:`preferred_order`) and stays addressable
+as a last resort — robust decoding can still outvote it.  Cooldown
+expiry readmits either kind, so a provider that is still down costs at
+most :data:`QUARANTINE_AFTER` timeouts per cooldown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from .. import telemetry
 from ..errors import ConfigurationError
+
+#: Consecutive failed RPCs before a provider is quarantined.
+QUARANTINE_AFTER = 2
+
+#: How long (modelled seconds) a quarantine lasts; after expiry the
+#: provider rejoins the preferred order with a clean failure count.
+COOLDOWN_SECONDS = 30.0
+
+#: Quarantine reason of a provider that stopped answering.
+UNAVAILABLE = "unavailable"
 
 
 @dataclass
@@ -41,21 +54,16 @@ class HealthTracker:
     ----------
     n_providers:
         Size of the cluster this tracker watches.
-    quarantine_after:
-        Consecutive failed RPCs before a provider is quarantined.
-    cooldown_seconds:
-        How long (modelled seconds) a quarantine lasts; after expiry the
-        provider rejoins the preferred order with a clean failure count.
     clock:
         Zero-argument callable returning the current modelled time; the
         cluster injects its simulated network's clock.
+    names:
+        Provider names for telemetry labels and :meth:`snapshot` keys.
     """
 
     def __init__(
         self,
         n_providers: int,
-        quarantine_after: int = 2,
-        cooldown_seconds: float = 30.0,
         clock: Optional[Callable[[], float]] = None,
         names: Optional[Sequence[str]] = None,
     ) -> None:
@@ -63,30 +71,23 @@ class HealthTracker:
             raise ConfigurationError(
                 f"health tracker needs at least one provider, got {n_providers}"
             )
-        if quarantine_after < 1:
-            raise ConfigurationError(
-                f"quarantine_after must be >= 1, got {quarantine_after}"
-            )
-        if cooldown_seconds < 0:
-            raise ConfigurationError(
-                f"cooldown_seconds must be >= 0, got {cooldown_seconds}"
-            )
-        self.quarantine_after = quarantine_after
-        self.cooldown_seconds = cooldown_seconds
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._names = list(names) if names is not None else [
             str(i) for i in range(n_providers)
         ]
         self._states = [_ProviderHealth() for _ in range(n_providers)]
+        # indexes with a quarantine on record (expiry is lazy, so some
+        # may have lapsed): lets selection skip all work when it is empty
+        self._quarantined: Set[int] = set()
 
     # -- outcome reporting ---------------------------------------------------
 
-    def record_failure(self, index: int, reason: str = "unavailable") -> None:
-        """One failed RPC; quarantines after ``quarantine_after`` in a row."""
+    def record_failure(self, index: int, reason: str = UNAVAILABLE) -> None:
+        """One failed RPC; quarantines after :data:`QUARANTINE_AFTER` in a row."""
         state = self._states[index]
         state.consecutive_failures += 1
         if (
-            state.consecutive_failures >= self.quarantine_after
+            state.consecutive_failures >= QUARANTINE_AFTER
             and not self.is_quarantined(index)
         ):
             self.quarantine(index, reason)
@@ -103,11 +104,12 @@ class HealthTracker:
     # -- quarantine lifecycle ------------------------------------------------
 
     def quarantine(self, index: int, reason: str = "blamed") -> None:
-        """Quarantine a provider for ``cooldown_seconds`` from now."""
+        """Quarantine a provider for :data:`COOLDOWN_SECONDS` from now."""
         state = self._states[index]
-        state.quarantined_until = self._clock() + self.cooldown_seconds
+        state.quarantined_until = self._clock() + COOLDOWN_SECONDS
         state.quarantine_reason = reason
         state.times_quarantined += 1
+        self._quarantined.add(index)
         telemetry.count(
             "health.quarantined", provider=self._names[index], reason=reason
         )
@@ -118,6 +120,7 @@ class HealthTracker:
         state.quarantined_until = None
         state.quarantine_reason = ""
         state.consecutive_failures = 0
+        self._quarantined.discard(index)
 
     def is_quarantined(self, index: int) -> bool:
         """Whether a provider is currently quarantined (lazy expiry)."""
@@ -145,6 +148,8 @@ class HealthTracker:
         partitions — or, with a clock that advanced between calls, in
         neither.  One evaluation makes the partition a true partition.
         """
+        if not self._quarantined:
+            return list(indexes)
         healthy: List[int] = []
         quarantined: List[int] = []
         for index in indexes:
@@ -153,6 +158,21 @@ class HealthTracker:
             else:
                 healthy.append(index)
         return healthy + quarantined
+
+    def down(self, indexes: Sequence[int]) -> Set[int]:
+        """The candidates currently quarantined as unavailable.
+
+        Providers quarantined for blame are not in it: they answer, and
+        robust decoding may still want their shares.
+        """
+        if not self._quarantined:
+            return set()
+        return {
+            index
+            for index in indexes
+            if self.is_quarantined(index)
+            and self._states[index].quarantine_reason == UNAVAILABLE
+        }
 
     # -- introspection ---------------------------------------------------------
 

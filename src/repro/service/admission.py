@@ -61,6 +61,12 @@ PRIORITY_BATCH = 1
 PRIORITY_BACKGROUND = 2
 
 PRIORITY_NAMES: Tuple[str, ...] = ("interactive", "batch", "background")
+
+#: The one shed counter, ``slo.shed{priority, reason}``: every rejection
+#: lands here, so the SLO report (:mod:`repro.service.slo`) sees a live
+#: service's sheds as well as the simulation runner's.
+SHED_METRIC = "slo.shed"
+
 _LEVEL_BY_NAME = {name: level for level, name in enumerate(PRIORITY_NAMES)}
 
 
@@ -280,9 +286,7 @@ class AdmissionController:
         self.rejected_total += 1
         self.rejected_by_priority[level] += 1
         telemetry.count(
-            "service.rejected",
-            priority=PRIORITY_NAMES[level],
-            reason=shed_reason,
+            SHED_METRIC, priority=PRIORITY_NAMES[level], reason=shed_reason
         )
         raise ServiceOverloadedError(message)
 

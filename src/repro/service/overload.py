@@ -55,7 +55,6 @@ from .slo import (
     COMPLETED_METRIC,
     FAILED_METRIC,
     INCORRECT_METRIC,
-    SHED_METRIC,
     observe_latency,
     slo_report,
 )
@@ -293,12 +292,7 @@ def _simulate(
             ladder.update()
             try:
                 ticket = admission.offer(event.priority)
-            except ServiceOverloadedError:
-                telemetry.count(
-                    SHED_METRIC,
-                    priority=priority_name(event.priority),
-                    reason="queue_full",
-                )
+            except ServiceOverloadedError:  # admission counted the shed
                 if stream:  # the client backs off until a slot frees
                     heapq.heappush(
                         arrivals, (completions[0][0], index, stream)
@@ -340,10 +334,8 @@ def _simulate(
         "network_bytes": network.total_bytes - start_bytes,
         "network_messages": network.total_messages - start_messages,
         "admission": admission.snapshot(),
+        "health": source.cluster.health.snapshot(),
     }
-    breakers = getattr(source.cluster, "breakers", None)
-    if breakers is not None:
-        report["breakers"] = breakers.snapshot()
     if telemetry.is_enabled():
         report["slo"] = slo_report()
     return report

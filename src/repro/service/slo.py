@@ -16,7 +16,8 @@ Metric names (all under the active telemetry hub):
 * ``slo.completed{priority=...}`` / ``slo.failed{priority=...}`` —
   terminal outcomes;
 * ``slo.shed{priority=..., reason=...}`` — admission rejections
-  (reasons: ``queue_full``, ``timeout``);
+  (reasons: ``queue_full``, ``timeout``), counted by the
+  :class:`~repro.service.admission.AdmissionController` itself;
 * ``slo.degraded{priority=...}`` — reads served in degraded mode
   (verified reads transparently downgraded to plain quorum reads);
 * ``slo.incorrect{priority=...}`` — answers that failed the oracle
@@ -32,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 from .. import telemetry
 from ..telemetry.metrics import Histogram, MetricsRegistry
-from .admission import PRIORITY_NAMES
+from .admission import PRIORITY_NAMES, SHED_METRIC
 
 #: Fine geometric latency buckets (seconds): 100 µs … ~5 min, ×1.25
 #: steps.  p999 needs resolution the coarse default ladder cannot give.
@@ -40,11 +41,11 @@ FINE_BUCKETS: Tuple[float, ...] = tuple(
     round(0.0001 * 1.25**i, 10) for i in range(64)
 )
 
-#: Well-known metric names (shared by the runner, service, and report).
+#: Well-known metric names (shared by the runner, service, and report;
+#: ``SHED_METRIC`` lives with the admission controller that emits it).
 LATENCY_METRIC = "slo.latency"
 COMPLETED_METRIC = "slo.completed"
 FAILED_METRIC = "slo.failed"
-SHED_METRIC = "slo.shed"
 DEGRADED_METRIC = "slo.degraded"
 INCORRECT_METRIC = "slo.incorrect"
 

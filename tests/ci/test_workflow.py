@@ -230,14 +230,15 @@ class TestTier1Gate:
 
     def test_chaos_smoke_runs_overload_drills(self, jobs):
         """The overload gates run in chaos-smoke too (the --check mode
-        includes the combined 4x flood + (n-k) crash + breakers drill),
-        plus an open-loop flood through the CLI with breakers armed."""
+        includes the combined 4x flood + (n-k) crash drill, where each
+        crashed provider must be quarantined and then cost no bytes),
+        plus an open-loop flood through the CLI."""
         runs = [
             s["run"] for s in jobs["chaos-smoke"]["steps"] if "run" in s
         ]
         assert any("bench_overload.py --check" in r for r in runs)
         floods = [r for r in runs if "serve-sim --open-loop" in r]
-        assert floods and all("--breakers" in r for r in floods)
+        assert floods and all("--load 4" in r for r in floods)
 
     def test_chaos_smoke_diffs_two_closed_loop_simulations(self, jobs):
         """Closed-loop serve-sim runs on the virtual clock: two runs must

@@ -263,17 +263,17 @@ class TestServeSim:
                       "--statements", "4"])[1]
         flood = run(["serve-sim", "--rows", "30", "--open-loop", "--load",
                      "4", "--queries", "60", "--max-in-flight", "2",
-                     "--queue-limit", "6", "--breakers"])[1]
+                     "--queue-limit", "6"])[1]
         assert "serve-sim --open-loop: 60 queries at 4x capacity" in flood
 
         def labels(text):
             return [
                 line.split(":")[0].strip() for line in text.splitlines()[1:]
-                if not line.strip().startswith("breakers")
             ]
 
         assert labels(closed) == labels(flood)
-        assert "breakers: DAS1=closed" in flood
+        for text in (closed, flood):
+            assert "health: DAS1=ok, DAS2=ok, DAS3=ok" in text
 
     def test_json_report_parses(self):
         code, text = run([

@@ -16,7 +16,11 @@ back as it was (ISSUE 22); another sends a session's INSERT (on the
 session's private id block), UPDATE and DELETE through one, direct and
 ``transactional=True`` (ISSUE 23).  One more turns on ``verified_reads``
 with one provider tampering or omitting rows: the pool must still equal
-the oracle and the faulty provider must end up quarantined.  A bulk
+the oracle and the faulty provider must end up quarantined.  Once the
+victim is down, a second crash leaves n − k providers down: checked reads
+stay exact, and the new crash gets no more bytes once it is quarantined;
+and the victim can be revived and repaired, after which checked reads
+address it again.  A bulk
 insert of more rows than an index takes one at a time (so each index
 splices the batch in), NULLs in the searchable ``tier`` included, goes
 direct or through ``atomic()``; and the whole deployment is saved and
@@ -45,6 +49,7 @@ from hypothesis.stateful import (
 )
 
 from repro.client.datasource import DataSource
+from repro.client.repair import repair_provider
 from repro.client.updates import LazyUpdateBuffer
 from repro.errors import QuorumError, ReconstructionError, SimulatedCrash
 from repro.persistence import load_deployment, save_deployment
@@ -374,6 +379,54 @@ class RowCacheCoherence(RuleBasedStateMachine):
             cluster.health.release(index)
             self.source.verified_reads = verified
         return refused
+
+    @precondition(lambda self: self.broken)
+    @rule(index=st.sampled_from([i for i in range(5) if i != VICTIM]))
+    def second_crash_under_checked_reads(self, index):
+        """With the victim down, one more crash leaves n − k providers
+        down: checked reads still answer exactly, and once the health
+        tracker holds the new crash as down it is sent nothing more."""
+        cluster = self.source.cluster
+        name = cluster.providers[index].name
+        cluster.inject_fault(index, Fault(FailureMode.CRASH))
+        verified = self.source.verified_reads
+        self.source.verified_reads = True
+        settled = None
+        try:
+            for _ in range(3):
+                for sql in POOL:
+                    assert self.source.sql(sql) == self.oracle.execute(parse_sql(sql)), sql
+                    inbound = cluster.network.stats.bytes_to(name)
+                    if settled is None and cluster.health.down([index]):
+                        settled = inbound
+                    assert settled in (None, inbound), (
+                        f"{sql}: a quarantined crashed provider was still addressed"
+                    )
+            assert settled is not None, "the second crash was never quarantined"
+        finally:
+            cluster.providers[index].clear_fault()
+            cluster.health.release(index)
+            self.source.verified_reads = verified
+
+    @precondition(lambda self: self.broken)
+    @rule()
+    def repair_the_victim(self):
+        """Revive the victim and rebuild it from its peers: the checked
+        pool reads address it again and still answer exactly."""
+        cluster = self.source.cluster
+        cluster.providers[VICTIM].clear_fault()
+        repair_provider(self.source, VICTIM)
+        self.broken = False
+        name = cluster.providers[VICTIM].name
+        verified = self.source.verified_reads
+        self.source.verified_reads = True
+        try:
+            for sql in POOL:
+                inbound = cluster.network.stats.bytes_to(name)
+                assert self.source.sql(sql) == self.oracle.execute(parse_sql(sql)), sql
+                assert cluster.network.stats.bytes_to(name) > inbound, sql
+        finally:
+            self.source.verified_reads = verified
 
     # -- through the query service -------------------------------------------------
 

@@ -3,8 +3,9 @@
 The overload benchmark runs on the modelled clock and the deterministic
 RNG, so both halves are cheap and exact: ``run_check()`` asserts the
 overload gates (zero incorrect at 1x/4x, priority-ordered shedding, the
-degradation ladder engaging, no goodput cliff, breakers opening under
-crashes), and the full sweep must regenerate the committed
+degradation ladder engaging, no goodput cliff, each crashed provider
+quarantined as down and then sent no more requests), and the full sweep
+must regenerate the committed
 ``BENCH_overload.json`` value for value — the file went stale once
 (PR 10 → PR 22) with nothing to notice.
 """

@@ -4,7 +4,12 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.providers.health import HealthTracker
+from repro.providers.health import (
+    COOLDOWN_SECONDS,
+    QUARANTINE_AFTER,
+    UNAVAILABLE,
+    HealthTracker,
+)
 
 
 class FakeClock:
@@ -23,11 +28,7 @@ def clock():
 @pytest.fixture
 def tracker(clock):
     return HealthTracker(
-        5,
-        quarantine_after=2,
-        cooldown_seconds=30.0,
-        clock=clock,
-        names=[f"DAS{i + 1}" for i in range(5)],
+        5, clock=clock, names=[f"DAS{i + 1}" for i in range(5)]
     )
 
 
@@ -35,10 +36,6 @@ class TestConstruction:
     def test_bad_parameters(self, clock):
         with pytest.raises(ConfigurationError):
             HealthTracker(0)
-        with pytest.raises(ConfigurationError):
-            HealthTracker(3, quarantine_after=0)
-        with pytest.raises(ConfigurationError):
-            HealthTracker(3, cooldown_seconds=-1.0)
 
 
 class TestQuarantineLifecycle:
@@ -50,6 +47,14 @@ class TestQuarantineLifecycle:
         tracker.record_failure(0)
         tracker.record_failure(0)
         assert tracker.is_quarantined(0)
+
+    def test_quarantine_after_exactly_the_constant(self, tracker):
+        for _ in range(QUARANTINE_AFTER - 1):
+            tracker.record_failure(0)
+        assert not tracker.is_quarantined(0)
+        tracker.record_failure(0)
+        assert tracker.is_quarantined(0)
+        assert tracker.snapshot()["DAS1"]["quarantine_reason"] == UNAVAILABLE
 
     def test_success_resets_failure_streak(self, tracker):
         tracker.record_failure(0)
@@ -66,9 +71,9 @@ class TestQuarantineLifecycle:
 
     def test_cooldown_expiry_readmits(self, tracker, clock):
         tracker.quarantine(2)
-        clock.now = 29.9
+        clock.now = COOLDOWN_SECONDS - 0.1
         assert tracker.is_quarantined(2)
-        clock.now = 30.0
+        clock.now = COOLDOWN_SECONDS
         assert not tracker.is_quarantined(2)
         # readmission is a clean slate
         assert tracker.snapshot()["DAS3"]["consecutive_failures"] == 0
@@ -96,7 +101,7 @@ class TestPreferredOrder:
         """At exactly ``quarantined_until`` the provider is readmitted:
         it sorts with the healthy group, in index order, clean slate."""
         tracker.quarantine(1)
-        clock.now = 30.0  # the boundary tick, not one past it
+        clock.now = COOLDOWN_SECONDS  # the boundary tick, not one past it
         assert tracker.preferred_order([0, 1, 2]) == [0, 1, 2]
         assert tracker.snapshot()["DAS2"]["quarantined"] is False
         assert tracker.snapshot()["DAS2"]["consecutive_failures"] == 0
@@ -118,18 +123,44 @@ class TestPreferredOrder:
                 return self.now
 
         ticking = TickingClock()
-        tracker = HealthTracker(
-            5, quarantine_after=2, cooldown_seconds=4.0, clock=ticking
-        )
+        tracker = HealthTracker(5, clock=ticking)
         for index in range(5):
             tracker.quarantine(index)
         # expiries now sit a few ticks apart; repeated calls sweep the
         # boundary through every position of the scan
-        for _ in range(10):
+        for _ in range(int(COOLDOWN_SECONDS)):
             order = tracker.preferred_order([0, 1, 2, 3, 4])
             assert sorted(order) == [0, 1, 2, 3, 4], (
                 f"partition lost or duplicated providers: {order}"
             )
+
+
+class TestDown:
+    """``down`` is what read selection leaves out: quarantined as
+    unavailable, not quarantined for blame."""
+
+    def test_nothing_quarantined_nothing_down(self, tracker):
+        assert tracker.down([0, 1, 2, 3, 4]) == set()
+
+    def test_only_unavailability_counts(self, tracker):
+        for _ in range(QUARANTINE_AFTER):
+            tracker.record_failure(0)
+        tracker.quarantine(1, reason="blamed")
+        assert tracker.down([0, 1, 2, 3, 4]) == {0}
+        assert tracker.down([1, 2]) == set()  # only the candidates asked
+
+    def test_cooldown_expiry_leaves_down(self, tracker, clock):
+        for _ in range(QUARANTINE_AFTER):
+            tracker.record_failure(3)
+        clock.now = COOLDOWN_SECONDS
+        assert tracker.down([0, 1, 2, 3, 4]) == set()
+        assert tracker.preferred_order([3, 4]) == [3, 4]
+
+    def test_release_leaves_down(self, tracker):
+        for _ in range(QUARANTINE_AFTER):
+            tracker.record_failure(2)
+        tracker.release(2)
+        assert tracker.down([2]) == set()
 
 
 class TestIntrospection:
@@ -141,7 +172,9 @@ class TestIntrospection:
         assert entry["quarantined"] is True
         assert entry["quarantine_reason"] == "unavailable"
         assert entry["times_quarantined"] == 1
-        assert entry["cooldown_remaining"] == pytest.approx(20.0)
+        assert entry["cooldown_remaining"] == pytest.approx(
+            COOLDOWN_SECONDS - 10.0
+        )
 
     def test_quarantine_counter_emitted(self, tracker):
         with telemetry.session() as hub:

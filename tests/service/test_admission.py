@@ -15,6 +15,7 @@ from repro.service import (
     priority_level,
     priority_name,
 )
+from repro.service.slo import slo_report
 
 
 def fill_queue(controller, count):
@@ -68,7 +69,7 @@ class TestRejection:
             with pytest.raises(ServiceOverloadedError) as excinfo:
                 controller.acquire()
             assert controller.rejected_total == 1
-            assert hub.registry.counter_total("service.rejected") == 1
+            assert hub.registry.counter_total("slo.shed") == 1
             # the error names both limits so callers can size retry policy
             assert str(M) in str(excinfo.value)
             assert str(Q) in str(excinfo.value)
@@ -83,6 +84,27 @@ class TestRejection:
         assert controller.in_flight == 0
         assert controller.queued == 0
         assert controller.admitted_total == M + Q
+
+    def test_every_rejection_reaches_the_slo_report(self):
+        """The controller itself counts ``slo.shed{priority, reason}``, so
+        a live service's sheds — a full queue and a queue-wait timeout —
+        show up in ``slo_report`` without the simulation runner."""
+        with telemetry.session():
+            full = AdmissionController(1, 0)
+            full.acquire(priority="interactive")
+            with pytest.raises(ServiceOverloadedError):
+                full.acquire(priority="interactive")
+            waited = AdmissionController(1, 1)
+            waited.acquire(priority="batch")
+            with pytest.raises(ServiceOverloadedError):
+                waited.acquire(timeout=0.01, priority="interactive")
+            report = slo_report()
+        assert full.rejected_total == waited.rejected_total == 1
+        interactive = report["by_priority"]["interactive"]
+        assert interactive["shed_queue_full"] == 1
+        assert interactive["shed_timeout"] == 1
+        assert interactive["shed"] == 2
+        assert report["by_priority"]["batch"]["shed"] == 0
 
     def test_zero_queue_rejects_immediately(self):
         controller = AdmissionController(max_in_flight=1, queue_limit=0)
