@@ -33,12 +33,14 @@ the primary API.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..errors import ParseError
+from ..errors import ParseError, ReproError
 from .expression import (
     And,
     Between,
@@ -150,10 +152,12 @@ def tokenize(text: str) -> List[Token]:
 class _Parser:
     """Recursive-descent parser over the token list."""
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, slots: Optional[Dict[int, object]] = None) -> None:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        # literal position -> slot, when compiling a shape's template
+        self.slots = {} if slots is None else slots
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -214,12 +218,15 @@ class _Parser:
             if not isinstance(value, (int, Decimal)):
                 raise ParseError("unary minus requires a numeric literal")
             return -value
-        if token.ttype is TokenType.NUMBER:
-            if "." in token.value:
-                return Decimal(token.value)
-            return int(token.value)
-        if token.ttype is TokenType.STRING:
-            return token.value[1:-1].replace("''", "'")
+        if token.ttype is TokenType.NUMBER or token.ttype is TokenType.STRING:
+            if token.position in self.slots:
+                return self.slots.pop(token.position)
+            try:
+                return _literal(token.value)
+            except ValueError:  # an integer past the interpreter's digit limit
+                raise ParseError(
+                    f"literal too long at position {token.position}"
+                ) from None
         if token.ttype is TokenType.KEYWORD:
             if token.value == "NULL":
                 return None
@@ -425,7 +432,10 @@ class _Parser:
         self.expect_symbol("(")
         names = [self.expect_ident()]
         while self.accept_symbol(","):
-            names.append(self.expect_ident())
+            name = self.expect_ident()
+            if name in names:
+                raise ParseError(f"column {name!r} named twice in INSERT")
+            names.append(name)
         self.expect_symbol(")")
         self.expect_keyword("VALUES")
         self.expect_symbol("(")
@@ -447,6 +457,8 @@ class _Parser:
         assignments = {}
         while True:
             name = self.expect_ident()
+            if name in assignments:
+                raise ParseError(f"column {name!r} assigned twice in UPDATE")
             self.expect_symbol("=")
             assignments[name] = self._parse_assignment_value(name)
             if not self.accept_symbol(","):
@@ -534,14 +546,116 @@ def _strip_qualifier(ref: str, table: str) -> Optional[str]:
     return column if qualifier == table else None
 
 
+def _literal(text: str):
+    """The value of a number or string literal token."""
+    if text[0] == "'":
+        return text[1:-1].replace("''", "'")
+    return Decimal(text) if "." in text else int(text)
+
+
+_PLACEHOLDER = {"i": "0", "d": "0.0", "s": "''"}  # one literal per slot kind
+_TEMPLATE_CACHE_SIZE = 256
+
+# Splits a statement into its shape (the text between literal slots) and
+# the literals that fill it.  A digit inside an identifier (``col1``) is not
+# a literal; a literal whose parse inspects its value (after LIKE, LIMIT or
+# a sign) is captured with its prefix as shape text, so the parser checks
+# it as it always does.
+_SHAPE_RE = re.compile(
+    r"""
+    (?=[-+'\dLl])  # only where a literal or its prefix can start: a fast scan
+    (?:((?:(?i:LIKE|LIMIT)|[-+])\s*(?:\d+(?:\.\d+)?|'(?:[^']|'')*'))
+     | ((?<![A-Za-z_0-9])\d+(?:\.\d+)?|'(?:[^']|'')*'))
+    """,
+    re.VERBOSE,
+)
+
+
+def _split(text: str):
+    """(shape parts, slot kinds, literal texts) of one statement."""
+    pieces = iter(_SHAPE_RE.split(text))
+    parts, kinds, literals = [next(pieces)], "", []
+    for kept, literal, part in zip(pieces, pieces, pieces):
+        if kept is None:
+            kinds += "s" if literal[0] == "'" else "d" if "." in literal else "i"
+            literals.append(literal)
+            parts.append(part)
+        else:
+            parts[-1] += kept + part
+    return tuple(parts), kinds, literals
+
+
+def _builder(node, fresh: bool = False):
+    """A function of the literal values that rebuilds *node* through its
+    constructor, or None when *node* holds no slot and can be shared.
+    Dicts (``Insert.row``, ``Update.assignments``) and the ``fresh``
+    root are rebuilt on every call, so no template is ever aliased."""
+    if isinstance(node, operator.itemgetter):  # a slot
+        return node
+    if isinstance(node, dict):
+        keys, children = tuple(node), list(node.values())
+        make = lambda *values: dict(zip(keys, values))  # noqa: E731
+    elif isinstance(node, tuple):
+        children, make = list(node), lambda *items: items  # noqa: E731
+    elif is_dataclass(node):
+        children = [getattr(node, f.name) for f in fields(node)]
+        make = type(node)
+    else:
+        return None
+    live = [(i, b) for i, b in enumerate(map(_builder, children)) if b]
+    if not (live or fresh or isinstance(node, dict)):
+        return None
+
+    def build(values):
+        args = children.copy()
+        for i, child in live:
+            args[i] = child(values)
+        return make(*args)
+
+    return build
+
+
+@functools.lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
+def _template(parts: Tuple[str, ...], kinds: str):
+    """Builder for one statement shape, or None when the shape does not
+    parse with every literal in a slot (the caller then parses the text)."""
+    text, slots = parts[0], {}
+    for index, (kind, part) in enumerate(zip(kinds, parts[1:])):
+        slots[len(text)] = operator.itemgetter(index)  # reads literal #index
+        text += _PLACEHOLDER[kind] + part
+    try:
+        tree = _Parser(text, slots).parse_statement()
+    except ReproError:
+        return None
+    # a slot left over is a literal the tokenizer saw differently: no template
+    return None if slots else _builder(tree, fresh=True)
+
+
 def parse_sql(text: str):
     """Parse one SQL statement into a query-AST node.
+
+    The syntax of each literal-free statement shape is parsed once and
+    kept as a template; a statement of a known shape only converts its
+    literals and runs the AST constructors.  Anything the template path
+    cannot do is parsed from the text, so errors read the same either way.
 
     >>> parse_sql("SELECT name FROM Employees WHERE salary BETWEEN 10 AND 40")
     ... # doctest: +ELLIPSIS
     Select(table='Employees', ...)
     """
-    stripped = text.strip().rstrip(";")
-    if not stripped:
+    if not isinstance(text, str):
+        raise ParseError(f"SQL text must be a str, got {type(text).__name__}")
+    body = text.rstrip().rstrip(";")  # leading blanks kept: positions stay the caller's
+    if not body or body.isspace():
         raise ParseError("empty statement")
-    return _Parser(stripped).parse_statement()
+    try:
+        parts, kinds, literals = _split(body)
+        build = _template(parts, kinds)
+        if build is not None:
+            return build([_literal(literal) for literal in literals])
+    except Exception:  # whatever failed here, the plain parse below answers
+        pass
+    try:
+        return _Parser(body).parse_statement()
+    except RecursionError:
+        raise ParseError("statement nests too deeply") from None

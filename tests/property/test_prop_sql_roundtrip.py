@@ -1,9 +1,18 @@
-"""Property test: parse_sql(render_sql(query)) == query for random ASTs."""
+"""Property test: parse_sql(render_sql(query)) == query for random ASTs.
+
+Each rendered statement also goes through the shape-template path three
+ways — first parse of its shape, a cache hit, and the same shape with other
+literals — and every result must equal the plain parser's.
+"""
 
 from decimal import Decimal
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError
+from repro.sqlengine import sqlparser
 from repro.sqlengine.expression import (
     And,
     Between,
@@ -26,6 +35,46 @@ from repro.sqlengine.query import (
 )
 from repro.sqlengine.render import render_predicate, render_sql
 from repro.sqlengine.sqlparser import parse_sql
+
+
+def plain_parse(text):
+    """parse_sql with the template path switched off: the plain parser."""
+    with mock.patch.object(sqlparser, "_template", lambda parts, kinds: None):
+        return parse_sql(text)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ReproError as exc:
+        return type(exc), str(exc)
+
+
+def other_literals(text):
+    """*text* with every slot literal replaced by another of its kind."""
+    parts, kinds, literals = sqlparser._split(text)
+    swap = {
+        "i": lambda lit: str(int(lit) + 7),
+        "d": lambda lit: str(Decimal(lit) + 1),
+        "s": lambda lit: "'Z" + lit[1:],
+    }
+    out = parts[0]
+    for kind, literal, part in zip(kinds, literals, parts[1:]):
+        out += swap[kind](literal) + part
+    assert sqlparser._split(out)[:2] == (parts, kinds)  # the same shape
+    return out
+
+
+def parsed_both_ways(text):
+    """parse_sql(text), checked against the plain parser on the template
+    path's first parse, its cache hit, and other literals of the shape."""
+    expected = plain_parse(text)
+    first, again = parse_sql(text), parse_sql(text)
+    assert first == expected and again == expected
+    other = other_literals(text)
+    assert parse_sql(other) == plain_parse(other)
+    return first
+
 
 identifiers = st.from_regex(r"[a-zA-Z][a-zA-Z_0-9]{0,8}", fullmatch=True).filter(
     lambda s: s.upper()
@@ -97,7 +146,7 @@ predicates = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_predicate_roundtrip(predicate, table):
     text = f"SELECT * FROM {table} WHERE {render_predicate(predicate)}"
-    parsed = parse_sql(text)
+    parsed = parsed_both_ways(text)
     assert parsed.where == predicate
 
 
@@ -131,13 +180,13 @@ aggregate_selects = st.builds(
 @given(query=selects)
 @settings(max_examples=150, deadline=None)
 def test_select_roundtrip(query):
-    assert parse_sql(render_sql(query)) == query
+    assert parsed_both_ways(render_sql(query)) == query
 
 
 @given(query=aggregate_selects)
 @settings(max_examples=150, deadline=None)
 def test_aggregate_select_roundtrip(query):
-    assert parse_sql(render_sql(query)) == query
+    assert parsed_both_ways(render_sql(query)) == query
 
 
 inserts = st.builds(
@@ -176,10 +225,55 @@ joins = st.tuples(distinct_tables, identifiers, identifiers).map(
 @given(query=st.one_of(inserts, updates, deletes))
 @settings(max_examples=200, deadline=None)
 def test_write_roundtrip(query):
-    assert parse_sql(render_sql(query)) == query
+    assert parsed_both_ways(render_sql(query)) == query
 
 
 @given(query=joins)
 @settings(max_examples=100, deadline=None)
 def test_join_roundtrip(query):
-    assert parse_sql(render_sql(query)) == query
+    assert parsed_both_ways(render_sql(query)) == query
+
+
+token_soup = st.lists(
+    st.sampled_from([
+        "SELECT", "*", "FROM", "T", "WHERE", "a", "b.c", "=", "<", ">=", "1",
+        "2.5", "'x'", "'it''s'", "(", ")", ",", "NOT", "AND", "OR", "-", "+",
+        "LIKE", "'A%'", "LIMIT", "BETWEEN", "IS", "NULL", "TRUE", "INSERT",
+        "INTO", "VALUES", "UPDATE", "SET", "DELETE", "JOIN", "ON", "GROUP",
+        "ORDER", "BY", "DESC", "COUNT", "SUM", ";", "$", "'",
+    ]),
+    max_size=20,
+).map(" ".join)
+
+
+@given(text=st.one_of(st.text(max_size=60), token_soup))
+@settings(max_examples=400, deadline=None)
+def test_any_text_ends_as_the_plain_parser_ends_it(text):
+    """Any str parses to an AST or raises a ReproError (``outcome`` lets
+    nothing else through), and the template path ends exactly as the
+    plain parser does, message included, before and after caching."""
+    for _ in range(2):
+        assert outcome(parse_sql, text) == outcome(plain_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("INSERT INTO T (a, b) VALUES (1, 'x')", "row"),
+     ("UPDATE T SET a = 1, b = b + 2 WHERE c = 2", "assignments"),
+     ("INSERT INTO T (a) VALUES (NULL)", "row")],
+)
+def test_returned_dicts_are_never_the_template(text, column):
+    getattr(parse_sql(text), column)["a"] = "mutated"
+    assert parse_sql(text) == plain_parse(text)
+
+
+@pytest.mark.parametrize(
+    "cached, malformed",
+    [("SELECT * FROM T WHERE a = 1", "SELECT * FROM T WHERE a = " + "9" * 5000),
+     ("INSERT INTO T (a, a) VALUES (1, 2)", "INSERT INTO T (a, a) VALUES (3, 4)")],
+)
+def test_malformed_statement_of_a_cached_shape(cached, malformed):
+    """Same shape as a statement already seen, same error as the plain parser."""
+    outcome(parse_sql, cached)
+    assert sqlparser._split(cached)[:2] == sqlparser._split(malformed)[:2]
+    assert outcome(parse_sql, malformed) == outcome(plain_parse, malformed)

@@ -220,3 +220,48 @@ class TestWrites:
     def test_unsupported_statement(self):
         with pytest.raises(ParseError):
             parse_sql("DROP TABLE T")
+
+    def test_insert_column_named_twice_rejected(self):
+        # twice, so the second parse meets the shape's cached entry
+        for _ in range(2):
+            with pytest.raises(ParseError, match="'a' named twice"):
+                parse_sql("INSERT INTO T (a, a) VALUES (1, 2)")
+
+    def test_update_column_assigned_twice_rejected(self):
+        for _ in range(2):
+            with pytest.raises(ParseError, match="'a' assigned twice"):
+                parse_sql("UPDATE T SET a = a + 1, a = 5")
+
+
+class TestHostileInput:
+    """Whatever the caller hands over, the answer is an AST or a ParseError."""
+
+    @pytest.mark.parametrize(
+        "where", ["(" * 2000 + "a = 1" + ")" * 2000, "NOT " * 3000 + "a = 1"]
+    )
+    def test_deep_nesting(self, where):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_sql("SELECT * FROM T WHERE " + where)
+
+    @pytest.mark.parametrize("text", [None, b"SELECT * FROM T", 42])
+    def test_non_text_rejected(self, text):
+        with pytest.raises(ParseError, match="must be a str"):
+            parse_sql(text)
+
+    def test_integer_past_the_digit_limit(self):
+        try:
+            parse_sql("SELECT * FROM T WHERE a = " + "9" * 5000)
+        except ParseError as exc:  # interpreters with a digit limit
+            assert "position 26" in str(exc)
+
+
+class TestErrorPositions:
+    """Positions count in the caller's text, leading blanks included."""
+
+    def test_unexpected_character(self):
+        with pytest.raises(ParseError, match="position 29"):
+            parse_sql("   SELECT * FROM T WHERE a = $")
+
+    def test_trailing_input(self):
+        with pytest.raises(ParseError, match="position 20"):
+            parse_sql("\n\n  SELECT * FROM T garbage;")
