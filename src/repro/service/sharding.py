@@ -6,16 +6,19 @@ every table lives, whole, on that group.  This module scales the design
 several provider groups and fans queries out only to the groups that
 can own matching rows.
 
-Two partitioning modes, chosen per table:
+A row's owner is a function of its *key* alone — the encoded value of
+the table's searchable partition column (default: the primary key):
 
-* **hash** — row ids map onto a fixed ring of buckets
-  (``row_id % n_buckets``), each bucket owned by one group.  Uniform
-  spread, no pruning for value predicates.
-* **range** — an order-preserving (searchable) partition column's
-  *encoded* domain is cut into contiguous half-open ranges, one owner
-  each.  The same interval rewrite that pushes range predicates to
-  providers (Sec. V-A) then prunes entire groups: a query whose
-  rewritten intervals miss a group's range never contacts it.
+* **hash** — the key's bucket on a fixed ring of
+  :data:`DEFAULT_HASH_BUCKETS` is the client's keyed hash of it under
+  ``shard/<domain label>``; each bucket has one owner.  Uniform spread,
+  and a point predicate on the key names one group.  Placement shows a
+  group no more than the key's OP shares already do (which rows share
+  a key), and co-labelled columns (``Employees.eid`` /
+  ``Managers.eid``) put equal keys on one group.
+* **range** — the encoded domain is cut into contiguous half-open
+  ranges, one owner each.  The interval rewrite that pushes range
+  predicates to providers (Sec. V-A) then prunes whole groups.
 
 Cross-shard merging stays exact because shares are linear: COUNT and
 SUM partials add, AVG is merged as (sum of SUMs) / (sum of non-null
@@ -55,11 +58,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..client.datasource import DataSource, finish_rows, hash_join
-from ..core import kernels
 from ..client.repair import rebuild_rows_for_targets
 from ..client.rewriter import rewrite_predicate, split_join_predicate
 from ..core.scheme import ShareRow, TableSharing
-from ..core.secrets import generate_client_secrets
+from ..core.secrets import ClientSecrets, generate_client_secrets
 from ..errors import (
     ConfigurationError,
     QueryError,
@@ -86,7 +88,7 @@ from .session import Session
 
 Row = Dict[str, object]
 
-#: Default hash-ring size.  Many more buckets than groups, so rebalancing
+#: The hash-ring size.  Many more buckets than groups, so rebalancing
 #: moves ~1/n_groups of the data instead of re-hashing everything.
 DEFAULT_HASH_BUCKETS = 64
 
@@ -98,46 +100,63 @@ MIGRATION_STAGING_SUFFIX = "__incoming"
 
 
 # ------------------------------------------------------------- shard maps --
+#
+# Both kinds answer the same questions about a key and move data in
+# *slots* (a ring bucket, a range tile's lower bound), so routing and
+# migration never ask which kind they hold.
+
+
+def partition_key_hash(
+    secrets: ClientSecrets, sharing: TableSharing, column: str
+) -> Callable[[int], int]:
+    """The keyed hash a hash map buckets ``column``'s encoded keys by."""
+    return secrets.keyed_hasher(f"shard/{sharing.domain_label(column)}")
 
 
 class HashShardMap:
-    """Row-id hash partitioning over a fixed bucket ring."""
+    """Keyed-hash partitioning of a partition column over a bucket ring."""
 
     mode = "hash"
 
-    def __init__(self, buckets: Sequence[int]) -> None:
+    def __init__(
+        self,
+        partition_column: str,
+        buckets: Sequence[int],
+        key_hash: Callable[[int], int],
+    ) -> None:
         if not buckets:
             raise ConfigurationError("a hash shard map needs >= 1 bucket")
+        self.partition_column = partition_column
         self.buckets: List[int] = list(buckets)
+        self.key_hash = key_hash
 
-    def group_for_row_id(self, row_id: int) -> int:
-        return self.buckets[row_id % len(self.buckets)]
+    def slot_of(self, key: int) -> int:
+        return self.key_hash(key) % len(self.buckets)
 
-    def groups_for_row_ids(self, row_ids: Sequence[int]) -> List[int]:
-        """Batch :meth:`group_for_row_id` (vectorized when numpy is on)."""
-        np = kernels.numpy_module()
-        if np is not None:
-            try:
-                rids = np.asarray(row_ids, dtype=np.int64)
-            except (OverflowError, TypeError, ValueError):
-                rids = None
-            if rids is not None and (rids.shape[0] == 0 or int(rids.min()) >= 0):
-                buckets = np.asarray(self.buckets, dtype=np.int64)
-                return buckets[rids % len(self.buckets)].tolist()
-        return [self.group_for_row_id(rid) for rid in row_ids]
+    def group_for_key(self, key: int) -> int:
+        return self.buckets[self.slot_of(key)]
+
+    def groups_for_interval(self, low: int, high: int) -> List[int]:
+        """Owners of ``[low, high]``: a point names one bucket."""
+        if low == high:
+            return [self.group_for_key(low)]
+        return self.owning_groups()
 
     def owning_groups(self) -> List[int]:
         return sorted(set(self.buckets))
 
-    def buckets_of(self, group: int) -> List[int]:
+    def slots_of(self, group: int) -> List[int]:
         return [b for b, owner in enumerate(self.buckets) if owner == group]
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"mode": self.mode, "buckets": list(self.buckets)}
+    def reassign(self, bucket: int, group: int) -> None:
+        self.buckets[bucket] = group
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "HashShardMap":
-        return cls([int(b) for b in payload["buckets"]])
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "mode": self.mode,
+            "partition_column": self.partition_column,
+            "buckets": list(self.buckets),
+        }
 
 
 class RangeShardMap:
@@ -146,7 +165,8 @@ class RangeShardMap:
     ``ranges`` is ``[(lo, hi, group), ...]`` with ``lo <= key < hi``,
     sorted, gap-free, and jointly covering ``[domain.lo, domain.hi + 1)``
     — every encodable key has exactly one owner, which is what makes
-    per-row routing total and disjoint.
+    per-row routing total and disjoint.  Every tile holds at least one
+    key: an empty one would be a group that silently owns nothing.
     """
 
     mode = "range"
@@ -154,38 +174,43 @@ class RangeShardMap:
     def __init__(
         self, partition_column: str, ranges: Sequence[Sequence[int]]
     ) -> None:
-        cleaned = [
+        cleaned = sorted(
             (int(lo), int(hi), int(group)) for lo, hi, group in ranges
-        ]
-        cleaned = [(lo, hi, g) for lo, hi, g in cleaned if lo < hi]
+        )
         if not cleaned:
             raise ConfigurationError("a range shard map needs >= 1 range")
-        cleaned.sort()
-        for (_, hi, _), (lo, _, _) in zip(cleaned, cleaned[1:]):
-            if hi != lo:
+        for position, (lo, hi, group) in enumerate(cleaned):
+            if lo >= hi:
+                raise ConfigurationError(
+                    f"shard range [{lo}, {hi}) of group {group} is empty: "
+                    "cuts must be strictly increasing and strictly inside "
+                    f"the domain of {partition_column!r}"
+                )
+            if position and cleaned[position - 1][1] != lo:
                 raise ConfigurationError(
                     f"shard ranges must tile the domain without gaps or "
-                    f"overlaps; found boundary mismatch {hi} != {lo}"
+                    f"overlaps; found boundary mismatch "
+                    f"{cleaned[position - 1][1]} != {lo}"
                 )
         self.partition_column = partition_column
         self.ranges: List[Tuple[int, int, int]] = cleaned
 
-    @property
-    def lo(self) -> int:
-        return self.ranges[0][0]
-
-    @property
-    def hi(self) -> int:
-        return self.ranges[-1][1] - 1
-
-    def group_for_key(self, key: int) -> int:
-        for lo, hi, group in self.ranges:
-            if lo <= key < hi:
-                return group
+    def tile(self, key: int) -> Tuple[int, int, int]:
+        """The ``(lo, hi, group)`` range holding ``key``."""
+        for tile in self.ranges:
+            if tile[0] <= key < tile[1]:
+                return tile
         raise QueryError(
             f"key {key} outside the sharded domain "
-            f"[{self.lo}, {self.hi}] of column {self.partition_column!r}"
+            f"[{self.ranges[0][0]}, {self.ranges[-1][1]}) "
+            f"of column {self.partition_column!r}"
         )
+
+    def slot_of(self, key: int) -> int:
+        return self.tile(key)[0]
+
+    def group_for_key(self, key: int) -> int:
+        return self.tile(key)[2]
 
     def groups_for_interval(self, low: int, high: int) -> List[int]:
         """Owners of ``[low, high]`` (inclusive, encoded domain)."""
@@ -200,23 +225,16 @@ class RangeShardMap:
     def owning_groups(self) -> List[int]:
         return sorted({group for _, _, group in self.ranges})
 
-    def ranges_of(self, group: int) -> List[Tuple[int, int]]:
-        return [(lo, hi) for lo, hi, g in self.ranges if g == group]
+    def slots_of(self, group: int) -> List[int]:
+        return [lo for lo, _, g in self.ranges if g == group]
 
     def split_at(self, key: int, group: int) -> None:
         """Give ``[key, hi)`` of the range containing ``key`` to ``group``."""
-        for position, (lo, hi, owner) in enumerate(self.ranges):
-            if lo <= key < hi:
-                if key == lo:
-                    self.ranges[position] = (lo, hi, group)
-                else:
-                    self.ranges[position : position + 1] = [
-                        (lo, key, owner),
-                        (key, hi, group),
-                    ]
-                self.normalise()
-                return
-        raise ConfigurationError(f"split key {key} outside the sharded domain")
+        lo, hi, owner = self.tile(key)
+        position = self.ranges.index((lo, hi, owner))
+        pieces = [(lo, key, owner), (key, hi, group)]
+        self.ranges[position : position + 1] = pieces[1:] if key == lo else pieces
+        self.normalise()
 
     def reassign(self, lo: int, group: int) -> None:
         """Reassign the range starting at ``lo`` to ``group``."""
@@ -244,19 +262,32 @@ class RangeShardMap:
             "ranges": [list(r) for r in self.ranges],
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RangeShardMap":
-        return cls(str(payload["partition_column"]), payload["ranges"])
+
+ShardMap = Union[HashShardMap, RangeShardMap]
 
 
-def shard_map_from_dict(payload: Dict[str, object]):
-    """Inverse of ``to_dict`` for either map kind (snapshot restore)."""
+def shard_map_from_dict(
+    payload: Dict[str, object], secrets: ClientSecrets, sharing: TableSharing
+) -> ShardMap:
+    """Inverse of ``to_dict`` for either map kind (snapshot restore); a
+    hash map's key hash is rebuilt from the client secrets."""
     mode = payload.get("mode")
-    if mode == "hash":
-        return HashShardMap.from_dict(payload)
     if mode == "range":
-        return RangeShardMap.from_dict(payload)
-    raise ConfigurationError(f"unknown shard map mode {mode!r}")
+        return RangeShardMap(str(payload["partition_column"]), payload["ranges"])
+    if mode != "hash":
+        raise ConfigurationError(f"unknown shard map mode {mode!r}")
+    if "partition_column" not in payload:
+        raise ConfigurationError(
+            "hash shard map in the row-id placement format (buckets, no "
+            "partition column): its rows were placed by row id, and "
+            "routing them by key would miss rows"
+        )
+    column = str(payload["partition_column"])
+    return HashShardMap(
+        column,
+        [int(b) for b in payload["buckets"]],
+        partition_key_hash(secrets, sharing, column),
+    )
 
 
 # ---------------------------------------------------------- partial merges --
@@ -449,7 +480,6 @@ class ShardRouter(StatementLadder):
         self,
         sources: Sequence[DataSource],
         mode: str = "hash",
-        n_buckets: int = DEFAULT_HASH_BUCKETS,
         seed: int = 0,
     ) -> None:
         if not sources:
@@ -458,8 +488,6 @@ class ShardRouter(StatementLadder):
             raise ConfigurationError(
                 f"unknown sharding mode {mode!r} (hash or range)"
             )
-        if n_buckets < 1:
-            raise ConfigurationError(f"n_buckets must be >= 1, got {n_buckets}")
         first = sources[0]
         for source in sources[1:]:
             if (
@@ -490,11 +518,10 @@ class ShardRouter(StatementLadder):
             for index, source in enumerate(sources)
         ]
         self.default_mode = mode
-        self.n_buckets = n_buckets
         self.threshold = first.threshold
         self.secrets = first.secrets
         self._seed = seed
-        self._maps: Dict[str, object] = {}
+        self._maps: Dict[str, ShardMap] = {}
         self._next_row_id: Dict[str, int] = {}
         self._row_id_lock = threading.Lock()
         #: :class:`~repro.service.session.Session` allocates row ids
@@ -526,7 +553,6 @@ class ShardRouter(StatementLadder):
         threshold: int = 3,
         seed: int = 0,
         mode: str = "hash",
-        n_buckets: int = DEFAULT_HASH_BUCKETS,
     ) -> "ShardRouter":
         """Construct ``n_groups`` fresh provider groups sharing one secret."""
         if n_groups < 1:
@@ -538,14 +564,13 @@ class ShardRouter(StatementLadder):
             )
             for index in range(n_groups)
         ]
-        return cls(sources, mode=mode, n_buckets=n_buckets, seed=seed)
+        return cls(sources, mode=mode, seed=seed)
 
     def snapshot(self) -> Dict[str, object]:
         """The router's own state, JSON-ready: what :meth:`restore` needs
         beyond the groups' snapshots (see ``persistence``)."""
         return {
             "mode": self.default_mode,
-            "n_buckets": self.n_buckets,
             "retired": [i for i, g in enumerate(self.groups) if g.retired],
             "maps": {
                 name: shard_map.to_dict()
@@ -561,11 +586,10 @@ class ShardRouter(StatementLadder):
         """Install :meth:`snapshot` state on a router freshly constructed
         over the restored groups; returns the router."""
         self.default_mode = snapshot["mode"]
-        self.n_buckets = snapshot.get("n_buckets", DEFAULT_HASH_BUCKETS)
         for index in snapshot.get("retired", ()):
             self.groups[index].retired = True
         self._maps = {
-            name: shard_map_from_dict(payload)
+            name: shard_map_from_dict(payload, self.secrets, self._sharing(name))
             for name, payload in snapshot["maps"].items()
         }
         self._next_row_id = {
@@ -583,7 +607,7 @@ class ShardRouter(StatementLadder):
     def active_group_indexes(self) -> List[int]:
         return [i for i, g in enumerate(self.groups) if not g.retired]
 
-    def shard_map(self, table: str):
+    def shard_map(self, table: str) -> ShardMap:
         try:
             return self._maps[table]
         except KeyError:
@@ -624,9 +648,10 @@ class ShardRouter(StatementLadder):
     ) -> None:
         """Create a table on every group and install its shard map.
 
-        ``boundaries`` (range mode) are plaintext cut values — group i
-        owns ``[boundary[i-1], boundary[i])``; omitted, the encoded
-        domain is cut into equal slices over the active groups.
+        ``partition_column`` defaults to the primary key and must be
+        searchable.  ``boundaries`` (range mode) are plaintext cut values
+        — group i owns ``[boundary[i-1], boundary[i])``; omitted, the
+        encoded domain is cut into equal slices over the active groups.
         """
         with self._table_lock.writing():
             mode = mode or self.default_mode
@@ -634,6 +659,12 @@ class ShardRouter(StatementLadder):
                 raise ConfigurationError(f"unknown sharding mode {mode!r}")
             if schema.name in self._maps:
                 raise SchemaError(f"table {schema.name!r} already sharded")
+            column = partition_column or schema.primary_key
+            if column is None:
+                raise SchemaError(
+                    f"sharding {schema.name!r} needs a partition column "
+                    "(none given, no primary key)"
+                )
             active = self.active_group_indexes()
             for index, group in enumerate(self.groups):
                 if group.retired:
@@ -642,32 +673,24 @@ class ShardRouter(StatementLadder):
                     group.source.restore_table(schema, 0)
                 else:
                     group.source.create_table(schema)
+            sharing = self._sharing(schema.name)
+            if not sharing.is_searchable(column):
+                raise SchemaError(
+                    f"partition column {column!r} must be searchable "
+                    "(order-preserving shares are what let a predicate "
+                    "on the key prune shards)"
+                )
             if mode == "hash":
-                buckets = [
-                    active[position % len(active)]
-                    for position in range(self.n_buckets)
-                ]
-                shard_map: object = HashShardMap(buckets)
+                buckets = [active[b % len(active)] for b in range(DEFAULT_HASH_BUCKETS)]
+                key_hash = partition_key_hash(self.secrets, sharing, column)
+                shard_map: ShardMap = HashShardMap(column, buckets, key_hash)
             else:
-                column = partition_column or schema.primary_key
-                if column is None:
-                    raise SchemaError(
-                        f"range-sharding {schema.name!r} needs a partition "
-                        "column (none given, no primary key)"
-                    )
-                sharing = self._sharing(schema.name)
-                if not sharing.is_searchable(column):
-                    raise SchemaError(
-                        f"partition column {column!r} must be searchable "
-                        "(order-preserving shares are what let range "
-                        "predicates prune shards)"
-                    )
                 domain = sharing.op_scheme(column).domain
                 if boundaries is not None:
-                    cuts = sorted(
+                    cuts = [
                         self._encode_partition_key(sharing, column, value)
                         for value in boundaries
-                    )
+                    ]
                     if len(cuts) != len(active) - 1:
                         raise ConfigurationError(
                             f"{len(active)} active groups need "
@@ -727,67 +750,33 @@ class ShardRouter(StatementLadder):
         if rewritten.provably_empty:
             return []
         owners = shard_map.owning_groups()
-        if isinstance(shard_map, RangeShardMap):
-            for interval in rewritten.intervals:
-                if interval.column == shard_map.partition_column:
-                    hit = shard_map.groups_for_interval(
-                        interval.low, interval.high
-                    )
-                    owners = [g for g in owners if g in hit]
+        for interval in rewritten.intervals:
+            if interval.column == shard_map.partition_column:
+                hit = shard_map.groups_for_interval(interval.low, interval.high)
+                owners = [g for g in owners if g in hit]
         return owners
 
-    def owner_for_row(self, table: str, row_id: int, row: Row) -> int:
-        """The group a new row belongs to (hash: by id, range: by key)."""
+    def owner_for_row(self, table: str, row: Row) -> int:
+        """The group a new row belongs to: its partition key's owner."""
         shard_map = self.shard_map(table)
-        if isinstance(shard_map, HashShardMap):
-            return shard_map.group_for_row_id(row_id)
-        value = row.get(shard_map.partition_column)
-        if value is None:
-            raise QueryError(
-                f"cannot route a row with NULL partition column "
-                f"{shard_map.partition_column!r} of {table!r}"
-            )
-        sharing = self._sharing(table)
-        encoded = self._encode_partition_key(
-            sharing, shard_map.partition_column, value
+        column = shard_map.partition_column
+        key = self._encode_partition_key(
+            self._sharing(table), column, row.get(column)
         )
-        return shard_map.group_for_key(encoded)
+        return shard_map.group_for_key(key)
 
     def write_owners(self, stmt: Union[Update, Delete]) -> List[int]:
         """The groups an UPDATE / DELETE must visit, after interval
         pruning — the one copy of write routing and its guard, shared by
         :meth:`update` / :meth:`delete` and the sharded transaction
         manager."""
-        shard_map = self.shard_map(stmt.table)
-        if (
-            isinstance(stmt, Update)
-            and isinstance(shard_map, RangeShardMap)
-            and shard_map.partition_column in stmt.assignments
-        ):
+        column = self.shard_map(stmt.table).partition_column
+        if isinstance(stmt, Update) and column in stmt.assignments:
             raise UnsupportedQueryError(
-                f"updating range-partition column "
-                f"{shard_map.partition_column!r} would re-home rows across "
-                "shard groups; DELETE + INSERT instead"
+                f"updating partition column {column!r} would re-home rows "
+                "across shard groups; DELETE + INSERT instead"
             )
         return self._owners_for(stmt.table, stmt.where)
-
-    @staticmethod
-    def _key_range_filter(
-        sharing: TableSharing, column: str, lo: int, hi: int
-    ) -> Callable[[int, Dict[int, ShareRow]], bool]:
-        """A migration row filter: rows whose encoded partition key —
-        recovered robustly from its OP shares — lies in ``[lo, hi)``."""
-        op = sharing.op_scheme(column)
-
-        def row_filter(row_id: int, share_rows: Dict[int, ShareRow]) -> bool:
-            non_null = {
-                index: row.get(column)
-                for index, row in share_rows.items()
-                if row.get(column) is not None
-            }
-            return bool(non_null) and lo <= op.reconstruct_robust(non_null) < hi
-
-        return row_filter
 
     # ---------------------------------------------------------------- writes --
 
@@ -827,16 +816,10 @@ class ShardRouter(StatementLadder):
                 f"{len(rows)} rows but {len(row_ids)} row ids"
             )
         per_group: Dict[int, Tuple[List[Row], List[int]]] = {}
-        if isinstance(shard_map, HashShardMap):
-            # one batched ring lookup instead of a per-row owner probe
-            owners = shard_map.groups_for_row_ids(row_ids)
-        else:
-            owners = [
-                self.owner_for_row(table, row_id, row)
-                for row_id, row in zip(row_ids, rows)
-            ]
-        for row_id, row, owner in zip(row_ids, rows, owners):
-            bucket = per_group.setdefault(owner, ([], []))
+        for row_id, row in zip(row_ids, rows):
+            bucket = per_group.setdefault(
+                self.owner_for_row(table, row), ([], [])
+            )
             bucket[0].append(row)
             bucket[1].append(row_id)
         for owner in sorted(per_group):
@@ -1074,12 +1057,7 @@ class ShardRouter(StatementLadder):
         key = self._encode_partition_key(
             sharing, shard_map.partition_column, at_value
         )
-        src = shard_map.group_for_key(key)
-        range_lo, range_hi = next(
-            (lo, hi)
-            for lo, hi, group in shard_map.ranges
-            if lo <= key < hi
-        )
+        range_lo, range_hi, src = shard_map.tile(key)
         if key == range_lo:
             raise ConfigurationError(
                 f"split point {at_value!r} is the lower bound of its "
@@ -1087,15 +1065,13 @@ class ShardRouter(StatementLadder):
             )
         if to_group is None:
             to_group = self.add_group()
-        self._check_destination(to_group, src)
-        row_filter = self._key_range_filter(
-            sharing, shard_map.partition_column, key, range_hi
-        )
 
         def flip() -> None:
             shard_map.split_at(key, to_group)
 
-        return self._migrate(table, src, to_group, row_filter, flip, checkpoint)
+        return self._migrate(
+            table, src, to_group, lambda k: key <= k < range_hi, flip, checkpoint
+        )
 
     def rebalance(
         self,
@@ -1107,58 +1083,32 @@ class ShardRouter(StatementLadder):
         Newly added groups receive their fair share; retired groups shed
         everything.  Returns total rows moved.
         """
-        if table is not None:
-            names = [table]
-            if not isinstance(self.shard_map(table), HashShardMap):
-                raise ConfigurationError(
-                    f"{table!r} is range-sharded; rebalance applies to "
-                    "hash sharding (use split_shard instead)"
-                )
-        else:
-            names = [
-                name
-                for name in sorted(self._maps)
-                if isinstance(self._maps[name], HashShardMap)
-            ]
+        if table is not None and not isinstance(
+            self.shard_map(table), HashShardMap
+        ):
+            raise ConfigurationError(
+                f"{table!r} is range-sharded; rebalance applies to "
+                "hash sharding (use split_shard instead)"
+            )
         active = self.active_group_indexes()
         moved = 0
-        for name in names:
+        for name in [table] if table is not None else sorted(self._maps):
             shard_map = self._maps[name]
-            plan = rebalance_plan(shard_map.buckets, active)
-            for (src, dst), buckets in sorted(plan.items()):
-                moved += self._migrate_buckets(
-                    name, shard_map, src, dst, buckets, checkpoint
-                )
+            if isinstance(shard_map, HashShardMap):
+                plan = rebalance_plan(shard_map.buckets, active)
+                for (src, dst), buckets in sorted(plan.items()):
+                    moved += self._move_slots(
+                        name, src, dst, buckets, checkpoint
+                    )
         return moved
-
-    def _migrate_buckets(
-        self,
-        table: str,
-        shard_map: HashShardMap,
-        src: int,
-        dst: int,
-        buckets: List[int],
-        checkpoint: Optional[Callable[[str], None]],
-    ) -> int:
-        self._check_destination(dst, src)
-        bucket_set = set(buckets)
-        ring = len(shard_map.buckets)
-
-        def row_filter(row_id: int, share_rows: Dict[int, ShareRow]) -> bool:
-            return row_id % ring in bucket_set
-
-        def flip() -> None:
-            for bucket in buckets:
-                shard_map.buckets[bucket] = dst
-
-        return self._migrate(table, src, dst, row_filter, flip, checkpoint)
 
     def drain_group(
         self,
         group_index: int,
         checkpoint: Optional[Callable[[str], None]] = None,
     ) -> int:
-        """Move everything off a group, then retire it."""
+        """Move everything off a group, then retire it: its slots go
+        round-robin to the remaining active groups."""
         if not 0 <= group_index < len(self.groups):
             raise ConfigurationError(f"no group at index {group_index}")
         if self.groups[group_index].retired:
@@ -1174,39 +1124,40 @@ class ShardRouter(StatementLadder):
             )
         moved = 0
         for name in sorted(self._maps):
-            shard_map = self._maps[name]
-            if isinstance(shard_map, HashShardMap):
-                buckets = shard_map.buckets_of(group_index)
-                per_dst: Dict[int, List[int]] = {}
-                for position, bucket in enumerate(buckets):
-                    per_dst.setdefault(
-                        remaining[position % len(remaining)], []
-                    ).append(bucket)
-                for dst in sorted(per_dst):
-                    moved += self._migrate_buckets(
-                        name, shard_map, group_index, dst,
-                        per_dst[dst], checkpoint,
-                    )
-            else:
-                sharing = self._sharing(name)
-                column = shard_map.partition_column
-                owned = shard_map.ranges_of(group_index)
-                for position, (lo, hi) in enumerate(owned):
-                    dst = remaining[position % len(remaining)]
-
-                    def flip(_lo: int = lo, _dst: int = dst) -> None:
-                        shard_map.reassign(_lo, _dst)
-
-                    moved += self._migrate(
-                        name,
-                        group_index,
-                        dst,
-                        self._key_range_filter(sharing, column, lo, hi),
-                        flip,
-                        checkpoint,
+            slots = self._maps[name].slots_of(group_index)
+            for position, dst in enumerate(remaining):
+                share = slots[position :: len(remaining)]
+                if share:
+                    moved += self._move_slots(
+                        name, group_index, dst, share, checkpoint
                     )
         self.groups[group_index].retired = True
         return moved
+
+    def _move_slots(
+        self,
+        table: str,
+        src: int,
+        dst: int,
+        slots: List[int],
+        checkpoint: Optional[Callable[[str], None]],
+    ) -> int:
+        """Migrate the rows of ``src``'s ``slots`` to ``dst``."""
+        shard_map = self.shard_map(table)
+        moving = set(slots)
+
+        def flip() -> None:
+            for slot in slots:
+                shard_map.reassign(slot, dst)
+
+        return self._migrate(
+            table,
+            src,
+            dst,
+            lambda key: shard_map.slot_of(key) in moving,
+            flip,
+            checkpoint,
+        )
 
     def _check_destination(self, dst: int, src: int) -> None:
         if not 0 <= dst < len(self.groups):
@@ -1225,11 +1176,12 @@ class ShardRouter(StatementLadder):
         table: str,
         src_index: int,
         dst_index: int,
-        row_filter: Callable[[int, Dict[int, ShareRow]], bool],
+        moving: Callable[[int], bool],
         flip: Callable[[], None],
         checkpoint: Optional[Callable[[str], None]] = None,
     ) -> int:
-        """Online share-level migration of the rows ``row_filter`` selects.
+        """Online share-level migration of the rows whose partition key
+        ``moving`` selects — the key recovered robustly from its OP shares.
 
         The staging protocol from the module docstring.  ``checkpoint``
         (tests) is called at each phase boundary: ``scanned``, ``copied``,
@@ -1237,6 +1189,7 @@ class ShardRouter(StatementLadder):
         (still under the write lock — must not query the router), and
         ``done``.
         """
+        self._check_destination(dst_index, src_index)
         notify = checkpoint if checkpoint is not None else (lambda phase: None)
         src = self.groups[src_index].source
         dst = self.groups[dst_index].source
@@ -1246,15 +1199,21 @@ class ShardRouter(StatementLadder):
         # one redundant share lets the rebuild blame a tampering quorum
         # member instead of extending a steered polynomial
         extra = 1 if src.cluster.n_providers > self.threshold else 0
+        column = self.shard_map(table).partition_column
+        op = sharing.op_scheme(column)
+
+        def selected(share_rows: Dict[int, ShareRow]) -> bool:
+            keys = {index: row[column] for index, row in share_rows.items()}
+            return moving(op.reconstruct_robust(keys))
 
         def rebuild() -> List[Tuple[int, Dict[int, ShareRow]]]:
             aligned = src.scan_share_rows(table, extra=extra)
-            selected = {
+            chosen = {
                 row_id: share_rows
                 for row_id, share_rows in aligned.items()
-                if row_filter(row_id, share_rows)
+                if selected(share_rows)
             }
-            return rebuild_rows_for_targets(sharing, selected, targets)
+            return rebuild_rows_for_targets(sharing, chosen, targets)
 
         with telemetry.span(
             "shard.migrate", table=table, src=src_index, dst=dst_index

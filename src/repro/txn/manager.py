@@ -576,7 +576,7 @@ class ShardedTransactionManager(TransactionManager):
         router = self.router
         if isinstance(stmt, Insert):
             row_id = router.reserve_row_ids(stmt.table, 1)
-            owner = router.owner_for_row(stmt.table, row_id, stmt.row)
+            owner = router.owner_for_row(stmt.table, stmt.row)
             return self._plan(
                 stmt, owner, matches=[(row_id, stmt.row)], effects=effects
             )

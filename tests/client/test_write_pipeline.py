@@ -18,13 +18,17 @@ file's ``"fixed"`` section.  Every transactional record was then re-based
 once more, when a commit became one fsync and one ``txn_apply`` round
 (section ``"one_round_commit"``); ``ONE_ROUND_COMMIT`` states that delta
 as a formula and ``test_one_round_commit_moves_by_the_declared_formula``
-holds each re-based record to it.
+holds each re-based record to it.  The hash-sharded records were re-based
+a third time, when hash maps started placing rows by their partition key
+instead of their row id (section ``"key_placement"``; the formula is
+``test_key_placement_moves_only_placement``'s).
 
 Regenerate (only on purpose)::
 
     PYTHONPATH=src python tests/client/test_write_pipeline.py parent   # at the parent commit
     PYTHONPATH=src python tests/client/test_write_pipeline.py fixed    # after the change
     PYTHONPATH=src python tests/client/test_write_pipeline.py one_round_commit
+    PYTHONPATH=src python tests/client/test_write_pipeline.py key_placement
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 import pytest
@@ -393,6 +398,9 @@ def test_write_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
     golden = _load_golden()
     record = run_scenario(scenario_id, str(tmp_path))
     assert record.get("matches_oracle") is True or "raised" in record, record
+    if scenario_id in golden["key_placement"]:
+        assert record == golden["key_placement"][scenario_id]
+        return
     if scenario_id in golden["one_round_commit"]:
         assert record == golden["one_round_commit"][scenario_id]
         return
@@ -454,12 +462,71 @@ def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
     }
 
 
+#: Statements of a shape that name one ``aid``: under key placement each
+#: visits only that key's owner, so the other group's fetch round — which
+#: matched nothing in the parent — is gone.
+KEY_POINTS = {"update_partition": 1, "update_nomatch": 1, "delete_nomatch": 1, "script": 3}
+
+#: How far summed bytes (and WAL bytes) may sit from the formula.  A wire
+#: value is sized by its magnitude, and a row that now lives on the other
+#: group carries the random shares that group drew; the largest move seen
+#: was 4 bytes.
+WIDTH_SLACK = 8
+
+
+def _committed_base(golden, scenario_id: str) -> Dict[str, object]:
+    """What a record was just before key placement."""
+    return golden["one_round_commit"].get(scenario_id) or _rebased_base(golden, scenario_id)
+
+
+def _client_total(accounting) -> Counter:
+    return sum((Counter(c) for c in accounting["client"]), Counter())
+
+
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["key_placement"]))
+def test_key_placement_moves_only_placement(scenario_id):
+    """Summed over the two groups, a re-based hash record is its base record
+    less one empty fetch round per ``KEY_POINTS`` statement — that round's
+    size is the base ``update_nomatch`` record's per-group round.  The
+    per-group split, the providers' index ``compare`` counts and the
+    modelled clocks are placement's; results, epochs, WAL appends and
+    fsyncs may not move."""
+    golden = _load_golden()
+    now, base = golden["key_placement"][scenario_id], _committed_base(golden, scenario_id)
+    entry, shape, variant = scenario_id.split("/")
+    assert "hash" in entry
+    assert now["results"] == base["results"]
+    assert now["matches_oracle"] is base["matches_oracle"] is True
+    if "wal" in now:
+        assert {**now["wal"], "wal_bytes": 0} == {**base["wal"], "wal_bytes": 0}
+        assert abs(now["wal"]["wal_bytes"] - base["wal"]["wal_bytes"]) <= WIDTH_SLACK
+    acc, was = now["accounting"], base["accounting"]
+    assert sorted(acc["epochs"]) == sorted(was["epochs"])
+    points = KEY_POINTS.get(shape, 0)
+    empty = _committed_base(golden, f"{entry}/update_nomatch/{variant}")["accounting"]
+    fell = {key: sum(was[key]) - sum(acc[key]) for key in ("bytes", "messages")}
+    if variant == "crash" and points:
+        # whether a round still addresses the crashed provider depends on
+        # how often the health tracker has seen it fail: a pruned round
+        # costs between a plain round and a first-contact one
+        plain = _committed_base(golden, f"{entry}/update_nomatch/plain")["accounting"]
+        for key in ("bytes", "messages"):
+            slack = WIDTH_SLACK if key == "bytes" else 0
+            low, high = points * plain[key][0], points * empty[key][0]
+            assert low - slack <= fell[key] <= high + slack, (key, fell[key])
+    else:
+        assert fell["messages"] == points * empty["messages"][0]
+        assert abs(fell["bytes"] - points * empty["bytes"][0]) <= WIDTH_SLACK, fell
+    pruned = Counter({k: points * v for k, v in empty["client"][0].items()})
+    assert _client_total(was) - _client_total(acc) == pruned
+
+
 def _regenerate(section: str) -> None:
     import tempfile
 
     golden = (
         _load_golden() if os.path.exists(GOLDEN_PATH)
-        else {"parent": {}, "fixed": {}, "one_round_commit": {}}
+        else {"parent": {}, "fixed": {}, "one_round_commit": {}, "key_placement": {}}
     )
     records: Dict[str, object] = {}
     for scenario_id in sorted(SCENARIOS):
@@ -473,11 +540,17 @@ def _regenerate(section: str) -> None:
             for sid, record in records.items()
             if record != golden["parent"][sid]
         }
-    else:
+    elif section == "one_round_commit":
         golden["one_round_commit"] = {
             sid: record
             for sid, record in records.items()
             if record != _rebased_base(golden, sid)
+        }
+    else:
+        golden["key_placement"] = {
+            sid: record
+            for sid, record in records.items()
+            if "hash" in sid.split("/")[0] and record != _committed_base(golden, sid)
         }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)

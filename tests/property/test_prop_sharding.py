@@ -2,10 +2,12 @@
 
 Four families of invariants:
 
-* **Partition assignment is total and disjoint** — every row id / key
-  maps to exactly one group, range tiles cover the domain gap-free, and
-  a rebalance plan lands every bucket on an active group, balanced
-  within one, without shuffling buckets between under-target groups.
+* **Partition assignment is total and disjoint** — every key maps to
+  exactly one group under either map kind, equal keys of co-labelled
+  columns map to one group, range tiles cover the domain gap-free,
+  interval pruning never drops a key's owner, and a rebalance plan lands
+  every bucket on an active group, balanced within one, without
+  shuffling buckets between under-target groups.
 * **Merged partials equal whole-set aggregates** — for any partition of
   a value list into shards, the merge helpers reproduce the unsharded
   COUNT/SUM/MIN/MAX/AVG exactly (AVG bit-identically: same numerator,
@@ -14,12 +16,15 @@ Four families of invariants:
   and limit, a sharded row read is the same *ordered list* as the
   plaintext oracle's (row-id order, ORDER BY ties broken by row id).
 * **Mid-migration reads are exact** — at every unlocked checkpoint of
-  an online split, COUNT and SUM equal the oracle: no half-moved row is
-  ever observable.
+  an online split, rebalance or drain, COUNT, SUM and a point read equal
+  their values before the move: no half-moved row is ever observable.
 """
+
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.secrets import generate_client_secrets
 from repro.errors import ConfigurationError
 from repro.service.sharding import (
     HashShardMap,
@@ -44,7 +49,13 @@ from tests.sharding.shardutil import (
 bucket_lists = st.lists(
     st.integers(min_value=0, max_value=5), min_size=1, max_size=64
 )
-row_ids = st.integers(min_value=0, max_value=10**9)
+keys = st.integers(min_value=0, max_value=9999)
+KEY_HASH = generate_client_secrets(3, 2009).keyed_hasher("shard/k")
+
+
+@st.composite
+def hash_maps(draw):
+    return HashShardMap("k", draw(bucket_lists), KEY_HASH)
 
 
 @st.composite
@@ -92,22 +103,32 @@ def value_partitions(draw):
 # -------------------------------------------------- assignment invariants --
 
 
-@given(buckets=bucket_lists, rid=row_ids)
+@lru_cache(maxsize=None)
+def _eid_router():
+    return build_router("hash", n_groups=4, rows=8)
+
+
+@given(shard_map=hash_maps(), key=keys, eid=st.integers(1, 1_000_000))
 @settings(max_examples=200, deadline=None)
-def test_hash_assignment_total_and_disjoint(buckets, rid):
-    shard_map = HashShardMap(buckets)
-    owner = shard_map.group_for_row_id(rid)
-    owning = [g for g in set(buckets) if rid % len(buckets) in
-              set(shard_map.buckets_of(g))]
-    assert owning == [owner]
-    # buckets_of partitions the ring
-    seen = []
-    for g in set(buckets):
-        seen.extend(shard_map.buckets_of(g))
-    assert sorted(seen) == list(range(len(buckets)))
+def test_hash_assignment_total_and_disjoint(shard_map, key, eid):
+    """Every encoded key has exactly one owner, its slots partition the
+    ring, and equal keys of co-labelled columns land on one group."""
+    owner = shard_map.group_for_key(key)
+    holders = [
+        g for g in set(shard_map.buckets)
+        if shard_map.slot_of(key) in shard_map.slots_of(g)
+    ]
+    assert holders == [owner]
+    seen = sorted(b for g in set(shard_map.buckets) for b in shard_map.slots_of(g))
+    assert seen == list(range(len(shard_map.buckets)))
+    # Employees.eid and Managers.eid share the domain label "domain/eid"
+    router = _eid_router()
+    assert router.owner_for_row("Employees", {"eid": eid}) == router.owner_for_row(
+        "Managers", {"eid": eid}
+    )
 
 
-@given(shard_map=range_maps(), key=st.integers(min_value=0, max_value=9999))
+@given(shard_map=range_maps(), key=keys)
 @settings(max_examples=200, deadline=None)
 def test_range_assignment_total_and_disjoint(shard_map, key):
     owner = shard_map.group_for_key(key)
@@ -117,34 +138,35 @@ def test_range_assignment_total_and_disjoint(shard_map, key):
     assert holders == [owner]
     # tiles cover the domain gap-free and edge-to-edge
     edges = sorted((lo, hi) for lo, hi, _ in shard_map.ranges)
-    assert edges[0][0] == shard_map.lo
+    assert edges[0][0] == 0 and edges[-1][1] == 10000
     for (_, hi_prev), (lo_next, _) in zip(edges, edges[1:]):
         assert hi_prev == lo_next
 
 
 @given(
-    shard_map=range_maps(),
-    low=st.integers(min_value=0, max_value=9999),
-    span=st.integers(min_value=0, max_value=3000),
+    shard_map=st.one_of(range_maps(), hash_maps()),
+    low=keys,
+    span=st.one_of(st.just(0), st.integers(min_value=0, max_value=3000)),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_range_interval_pruning_never_drops_an_owner(shard_map, low, span):
-    """groups_for_interval is exactly the owners of the interval's keys."""
+    """groups_for_interval holds the owner of every key in the interval
+    (a point interval names exactly its key's owner) and no group of a
+    range map owning no overlapping tile."""
     high = min(low + span, 9999)
     pruned = set(shard_map.groups_for_interval(low, high))
-    brute = {
-        shard_map.group_for_key(k)
-        for k in {low, high, (low + high) // 2}
-        | {lo for lo, _, _ in shard_map.ranges if low <= lo <= high}
-    }
-    assert brute <= pruned
-    # and never includes a group owning no overlapping tile
-    for g in pruned:
-        assert any(
-            lo <= high and low < hi
-            for lo, hi, owner in shard_map.ranges
-            if owner == g
-        )
+    probes = {low, high, (low + high) // 2}
+    if isinstance(shard_map, RangeShardMap):
+        probes |= {lo for lo, _, _ in shard_map.ranges if low <= lo <= high}
+        for g in pruned:
+            assert any(
+                lo <= high and low < hi
+                for lo, hi, owner in shard_map.ranges
+                if owner == g
+            )
+    assert {shard_map.group_for_key(k) for k in probes} <= pruned
+    if low == high:
+        assert pruned == {shard_map.group_for_key(low)}
 
 
 @given(
@@ -266,28 +288,50 @@ def test_sharded_row_reads_are_in_oracle_order(
 EIDS = sorted_eids(rows=20)
 
 
-@given(position=st.integers(min_value=1, max_value=len(EIDS) - 1))
-@settings(max_examples=6, deadline=None)
-def test_mid_migration_reads_never_observe_half_moved_rows(position):
-    """Split at an arbitrary existing key: COUNT and SUM stay exact at
-    every unlocked checkpoint, so no reader can see a row both (or
-    neither) side of the move."""
-    at_value = EIDS[position]
-    with build_router("range", rows=20) as router:
-        count = router.sql("SELECT COUNT(*) FROM Employees")
-        total = router.sql("SELECT SUM(salary) FROM Employees")
+#: (mode, operation): the elastic operations each map kind supports
+MOVES = [("range", "split"), ("hash", "rebalance"), ("hash", "drain"), ("range", "drain")]
+
+
+@given(
+    move=st.sampled_from(MOVES),
+    position=st.integers(min_value=1, max_value=len(EIDS) - 1),
+)
+@settings(max_examples=24, deadline=None)
+def test_mid_migration_reads_never_observe_half_moved_rows(move, position):
+    """Split, rebalance or drain while reading: COUNT, SUM and a point read
+    stay what they were at every unlocked checkpoint, so no reader can see
+    a row both (or neither) side of the move; afterwards the groups'
+    row ids partition the oracle's."""
+    mode, operation = move
+    probes = (
+        "SELECT COUNT(*) FROM Employees",
+        "SELECT SUM(salary) FROM Employees",
+        f"SELECT * FROM Employees WHERE eid = {EIDS[position]}",
+    )
+    with build_router(mode, rows=len(EIDS)) as router:
+        before = [router.sql(text) for text in probes]
+        phases = []
 
         def probe(phase):
-            if phase == "cutover":  # write lock held
-                return
-            assert router.sql("SELECT COUNT(*) FROM Employees") == count
-            assert router.sql("SELECT SUM(salary) FROM Employees") == total
+            phases.append(phase)
+            if phase != "cutover":  # the write lock is held there
+                assert [router.sql(text) for text in probes] == before, phase
 
-        try:
-            router.split_shard("Employees", at_value, checkpoint=probe)
-        except ConfigurationError:
-            # at_value was the lower bound of its range tile — a no-op
-            # split is rejected, nothing to observe
-            return
-        assert router.sql("SELECT COUNT(*) FROM Employees") == count
-        assert router.sql("SELECT SUM(salary) FROM Employees") == total
+        if operation == "split":
+            try:
+                router.split_shard("Employees", EIDS[position], checkpoint=probe)
+            except ConfigurationError:
+                # EIDS[position] was the lower bound of its range tile — a
+                # no-op split is refused, nothing to observe
+                return
+        elif operation == "rebalance":
+            router.add_group()
+            router.rebalance(checkpoint=probe)
+        else:
+            router.drain_group(position % 2, checkpoint=probe)
+        assert "copied" in phases
+        assert [router.sql(text) for text in probes] == before
+        held = sorted(
+            rid for ids in router.shard_row_ids("Employees").values() for rid in ids
+        )
+    assert held == list(range(len(EIDS)))

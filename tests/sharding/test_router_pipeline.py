@@ -29,15 +29,25 @@ after a write re-interpolates fewer cells.  Only ``client.interpolate``
 of those scenarios may move, only down, and to the numbers pinned there
 — the read still makes its round, so bytes, messages and clock stay.
 
-Regenerate (only on purpose, at the parent commit)::
+The parent's records live in the golden's ``parent`` section.  When hash
+maps stopped placing rows by row id and started placing them by their
+partition key, every hash record whose numbers moved was re-based into a
+``key_placement`` section; ``test_key_placement_moves_only_placement``
+ties each to its parent record (see ``WIDTH_SLACK``).
 
-    PYTHONPATH=src python -m tests.sharding.test_router_pipeline
+Regenerate (only on purpose: ``parent`` at the parent commit,
+``key_placement`` at the commit that moves placement)::
+
+    PYTHONPATH=src python -m tests.sharding.test_router_pipeline parent
+    PYTHONPATH=src python -m tests.sharding.test_router_pipeline key_placement
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+from collections import Counter
 from typing import Callable, Dict, List
 
 import pytest
@@ -99,7 +109,6 @@ JOIN_WIRE_DELTAS = ("join_plain", "join_projection")
 #: matched, the write-effect cache keeps the rows the deployment had
 #: already read (``hash/single`` had none cached and does not move).
 ROW_CACHE_DELTAS = {
-    "hash/multi/session_script": [170, 135],  # parent 205, 180
     "range/multi/session_script": [150, 140],  # parent 195, 190
     "range/single/session_script": [140, 120],  # parent 185, 120
 }
@@ -347,13 +356,17 @@ def _accounting_only(record: Dict[str, object]) -> Dict[str, object]:
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_router_matches_oracle_and_parent_accounting(scenario_id):
-    parent = _load_golden()[scenario_id]
+    golden = _load_golden()
+    parent = golden["parent"][scenario_id]
     record = run_scenario(scenario_id)
     variant, shape = scenario_id.rsplit("/", 1)
     assert record["matches_oracle"] is True, record
     # the result-order contract: the same ordered list as the oracle, on
     # every deployment shape
     assert record["ordered"] is True, record
+    if scenario_id in golden["key_placement"]:
+        assert record == golden["key_placement"][scenario_id]
+        return
     if record == parent:
         return
     if shape in JOIN_WIRE_DELTAS and VARIANTS[variant][1]:
@@ -400,13 +413,78 @@ def _assert_row_cache_delta(record, parent, interpolate: List[int]) -> None:
 
 
 def test_golden_covers_exactly_the_scenarios():
-    assert set(_load_golden()) == set(SCENARIOS)
+    golden = _load_golden()
+    assert set(golden["parent"]) == set(SCENARIOS)
+    for scenario_id, record in golden["key_placement"].items():
+        assert VARIANTS[scenario_id.rsplit("/", 1)[0]][0] == "hash", scenario_id
+        assert record != golden["parent"][scenario_id], "stale key_placement entry"
 
 
-def _regenerate() -> None:
+#: How far a ``key_placement`` record's bytes, summed over the groups, may
+#: sit from its parent record's.  A wire value is sized by its magnitude,
+#: and under key placement a row lives on — and carries the random shares
+#: drawn by — another group, while each group's partial aggregates and
+#: LIMIT superset are other numbers; the largest move seen was 4 bytes.
+WIDTH_SLACK = 8
+
+
+def _summed(record, key: str):
+    if key in ("bytes", "messages"):
+        return sum(group[key] for group in record["groups"])
+    return dict(sum((Counter(group[key]) for group in record["groups"]), Counter()))
+
+
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["key_placement"]))
+def test_key_placement_moves_only_placement(scenario_id):
+    """Summed over the groups, a re-based hash record is its parent record:
+    the per-group split is placement's, and so are the providers' index
+    ``compare`` counts and the modelled clock (the busiest group's)."""
+    golden = _load_golden()
+    now, parent = golden["key_placement"][scenario_id], golden["parent"][scenario_id]
+    variant, shape = scenario_id.rsplit("/", 1)
+    assert now["stats"] == parent["stats"]
+    if shape == "update_partition":
+        # the parent fetched the matching rows and then failed on the new
+        # key; an UPDATE of the partition column is now refused before any
+        # round, as range mode always did
+        assert parent["result"] == [{"raised": "SchemaError"}]
+        assert now["result"] == [{"raised": "UnsupportedQueryError"}]
+        assert _summed(now, "messages") == _summed(now, "bytes") == 0
+        return
+    if shape in ORDER_DELTAS and not parent["ordered"]:
+        # the parent's result was in group order (under LIMIT, the wrong
+        # rows); the oracle's ordered list is the reference, as above
+        assert now["matches_oracle"] is now["ordered"] is True
+    else:
+        assert now["result"] == parent["result"]
+    assert _summed(now, "messages") == _summed(parent, "messages")
+    wire = 0
+    if shape in JOIN_WIRE_DELTAS and VARIANTS[variant][1]:
+        wire = THRESHOLD * (11 + 4 * len(now["result"]) - 37)
+    moved = _summed(now, "bytes") - _summed(parent, "bytes") - wire
+    assert abs(moved) <= WIDTH_SLACK, moved
+    client, parent_client = _summed(now, "client"), _summed(parent, "client")
+    if shape == "session_script":
+        # the row cache keeps the rows each group had already read, and
+        # which rows those are is placement's
+        client.pop("interpolate")
+        parent_client.pop("interpolate")
+    assert client == parent_client
+
+
+def _regenerate(section: str) -> None:
+    golden = _load_golden()
     records = {sid: run_scenario(sid) for sid in sorted(SCENARIOS)}
+    if section == "parent":
+        golden["parent"] = records
+    else:
+        golden["key_placement"] = {
+            sid: record
+            for sid, record in records.items()
+            if sid.startswith("hash/") and record != golden["parent"][sid]
+        }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(records, handle, indent=1, sort_keys=True)
+        json.dump(golden, handle, indent=1, sort_keys=True)
         handle.write("\n")
     wrong = [s for s, r in records.items() if r["matches_oracle"] is not True]
     unordered = [s for s, r in records.items() if r["ordered"] is not True]
@@ -415,4 +493,4 @@ def _regenerate() -> None:
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1])

@@ -58,9 +58,7 @@ def build_sharded(mode, verified):
                 verified_reads=verified,
             )
         )
-    # 16 buckets keep every bucket populated at 30 rows, so a rebalance
-    # always has real rows to move
-    router = ShardRouter(sources, mode=mode, n_buckets=16)
+    router = ShardRouter(sources, mode=mode)
     employees, managers = workload_tables(rows=ROWS, seed=SEED)
     if mode == "range":
         router.outsource_table(employees, partition_column="eid")

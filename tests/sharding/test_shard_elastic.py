@@ -140,7 +140,7 @@ class TestRebalance:
             # buckets end up balanced within one across active groups
             shard_map = router.shard_map("Employees")
             counts = [
-                len(shard_map.buckets_of(g))
+                len(shard_map.slots_of(g))
                 for g in router.active_group_indexes()
             ]
             assert max(counts) - min(counts) <= 1

@@ -4,8 +4,8 @@ Every query shape the engine supports must return byte-identical results
 through a sharded deployment — hash or range — as through the plaintext
 oracle: fan-out partials (COUNT/SUM/AVG/MIN/MAX, grouped forms) merge
 exactly, MEDIAN falls back to a row fetch, joins hash-join across
-groups.  Range sharding additionally prunes: a point query on the
-partition column must touch only the owning group.
+groups.  Both modes prune: a point query on the partition column must
+touch only the owning group.
 """
 
 import pytest
@@ -18,6 +18,8 @@ from repro.service.sharding import ShardRouter
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
+from repro.workloads.employees import EID_LO
+
 from tests.sharding.shardutil import (
     SEED,
     build_oracle,
@@ -25,6 +27,7 @@ from tests.sharding.shardutil import (
     build_unsharded,
     oracle_answer,
     sorted_eids,
+    workload_tables,
 )
 
 EIDS = sorted_eids()
@@ -142,6 +145,20 @@ class TestPruning:
             assert router.groups[other].network.total_messages == 0
             assert router.groups[owner].network.total_messages > 0
 
+    def test_hash_point_query_touches_one_of_four_groups(self):
+        """Hash maps key on the partition column too: ``eid = k`` names
+        one bucket, so three of four groups see no message."""
+        with build_router("hash", n_groups=4) as router:
+            router.reset_accounting()
+            got = router.sql(f"SELECT * FROM Employees WHERE eid = {MID}")
+            assert [row["eid"] for row in got] == [MID]
+            touched = [
+                index
+                for index, group in enumerate(router.groups)
+                if group.network.total_messages > 0
+            ]
+            assert touched == [router.owner_for_row("Employees", {"eid": MID})]
+
     def test_full_scan_touches_every_group(self):
         with build_router("range") as router:
             router.reset_accounting()
@@ -179,8 +196,9 @@ class TestWrites:
             probe = "SELECT eid, salary FROM Employees ORDER BY eid"
             assert router.sql(probe) == oracle_answer(oracle, probe)
 
-    def test_update_of_range_partition_column_is_rejected(self):
-        with build_router("range") as router:
+    @pytest.mark.parametrize("mode", ["hash", "range"])
+    def test_update_of_partition_column_is_rejected(self, mode):
+        with build_router(mode) as router:
             with pytest.raises(UnsupportedQueryError):
                 router.sql(
                     f"UPDATE Employees SET eid = 999999 WHERE eid = {MID}"
@@ -229,6 +247,21 @@ class TestConstruction:
         with build_router("range") as router:
             with pytest.raises(ConfigurationError):
                 router.rebalance("Employees")
+
+    @pytest.mark.parametrize(
+        "boundaries", [[1000, 1000], [EID_LO, 500_000]], ids=["repeated", "low_edge"]
+    )
+    def test_range_boundaries_that_empty_a_group_rejected(self, boundaries):
+        """A repeated cut or one on the domain's low edge would leave a
+        group owning nothing; both are refused."""
+        employees, _ = workload_tables()
+        with ShardRouter.build(
+            n_groups=3, providers_per_group=3, threshold=2, seed=SEED
+        ) as router:
+            with pytest.raises(ConfigurationError, match="empty"):
+                router.create_table(
+                    employees.schema, mode="range", boundaries=boundaries
+                )
 
     def test_report_shape(self):
         with build_router("range") as router:

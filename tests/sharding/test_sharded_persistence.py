@@ -56,8 +56,11 @@ def test_round_trip(tmp_path, mode):
         assert_parity(restored, oracle)
 
 
-def test_restored_router_accepts_writes(tmp_path):
-    with build_router("range") as router:
+@pytest.mark.parametrize("mode", ["hash", "range"])
+def test_restored_router_accepts_writes(tmp_path, mode):
+    """The restored map routes a new row by its key, and a point read on
+    that key finds it through its one owning group."""
+    with build_router(mode) as router:
         save_sharded_deployment(router, tmp_path)
     with load_sharded_deployment(tmp_path) as restored:
         count = restored.sql("SELECT COUNT(*) FROM Employees")
@@ -66,8 +69,25 @@ def test_restored_router_accepts_writes(tmp_path):
             "salary) VALUES (999333, 'NEW', 'ROW', 'Sales', 42000)"
         )
         assert restored.sql("SELECT COUNT(*) FROM Employees") == count + 1
+        restored.reset_accounting()
         got = restored.sql("SELECT name FROM Employees WHERE eid = 999333")
         assert got == [{"name": "NEW"}]
+        touched = [g for g in restored.groups if g.network.total_messages > 0]
+        assert len(touched) == 1
+
+
+def test_row_id_placed_hash_manifest_rejected(tmp_path):
+    """A hash map saved before hash maps keyed on the partition column
+    placed rows by row id; routing them by key would miss rows."""
+    with build_router("hash") as router:
+        save_sharded_deployment(router, tmp_path)
+    path = tmp_path / SHARD_MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    for payload in manifest["maps"].values():
+        del payload["partition_column"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError, match="row-id placement format"):
+        load_sharded_deployment(tmp_path)
 
 
 def test_round_trip_after_split_keeps_map(tmp_path):
