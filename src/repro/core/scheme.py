@@ -164,25 +164,31 @@ class TableSharing:
     def share_rows(
         self, rows: Sequence[Dict[str, object]], row_ids: Sequence[int]
     ) -> List[ShareRows]:
-        """Validate and share a batch of plaintext rows: ``result[i]`` is
-        provider i's upload, the rows under ``row_ids`` (aligned with
-        ``rows``) as one column-major :class:`ShareRows`.
+        """Validate and share a batch of plaintext rows: :meth:`share_encoded`
+        of their :meth:`TableSchema.encode_rows`."""
+        return self.share_encoded(self.schema.encode_rows(rows), row_ids)
+
+    def share_encoded(
+        self, encoded: Dict[str, List[Optional[int]]], row_ids: Sequence[int]
+    ) -> List[ShareRows]:
+        """Share a batch :meth:`TableSchema.encode_rows` validated (a bad
+        cell raised its ``SchemaError`` there, before anything is drawn):
+        ``result[i]`` is provider i's upload, the rows under ``row_ids``
+        (aligned with ``encoded``'s columns) as one column-major
+        :class:`ShareRows`.
 
         Column-major end to end, the write-side twin of
-        :meth:`reconstruct_rows`: one ``encode_many``
-        (:meth:`TableSchema.encode_rows`: a bad cell raises its
-        ``SchemaError`` before anything is drawn), one kernel batch per
-        column, and no row dict.  An order-preserving column shares each
+        :meth:`reconstruct_rows`: one kernel batch per column, and no row
+        dict.  An order-preserving column shares each
         distinct value once — equal values have equal polynomials, hence
         equal shares (Sec. IV).  Randomly-shared cells each get a fresh
         polynomial, drawn row by row in column order: the RNG stream of
         one :meth:`share_value` per cell.
         """
-        encoded = self.schema.encode_rows(rows)
         n = self.n_providers
         names = tuple(encoded)
         row_ids = list(row_ids)
-        if not rows:
+        if not row_ids:
             return [ShareRows(row_ids, names, [()] * len(names)) for _ in range(n)]
         nulls = (None,) * n
         #: column → per row, the cell's n shares

@@ -87,7 +87,7 @@ def _compare(left, op: ComparisonOp, right) -> bool:
     return left >= right
 
 
-def _normalize_string(value):
+def normalize_string(value):
     """Uppercase string operands so comparisons match the codec's folding."""
     return value.upper() if isinstance(value, str) else value
 
@@ -102,9 +102,9 @@ class Comparison(Predicate):
 
     def matches(self, row: Dict[str, object]) -> bool:
         return _compare(
-            _normalize_string(row.get(self.column)),
+            normalize_string(row.get(self.column)),
             self.op,
-            _normalize_string(self.value),
+            normalize_string(self.value),
         )
 
     def referenced_columns(self) -> FrozenSet[str]:
@@ -124,11 +124,11 @@ class Between(Predicate):
     high: object
 
     def matches(self, row: Dict[str, object]) -> bool:
-        value = _normalize_string(row.get(self.column))
+        value = normalize_string(row.get(self.column))
         if value is None:
             return False
         return (
-            _normalize_string(self.low) <= value <= _normalize_string(self.high)
+            normalize_string(self.low) <= value <= normalize_string(self.high)
         )
 
     def referenced_columns(self) -> FrozenSet[str]:

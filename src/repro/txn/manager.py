@@ -54,13 +54,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import telemetry
 from ..errors import SimulatedCrash, TxnError
-from ..sqlengine.query import (
-    Delete,
-    Insert,
-    Select,
-    Update,
-    resolve_assignments,
-)
+from ..sqlengine.query import Delete, Insert, Select, Update
 from ..sqlengine.sqlparser import parse_sql
 from .groupcommit import GroupCommitEngine
 from .wal import WriteAheadLog
@@ -263,15 +257,10 @@ class TransactionManager:
             )
             ops += planned
             results.append(result)
-            if isinstance(stmt, Insert):
-                rows[result] = schema.validate_row(stmt.row)
-            elif isinstance(stmt, Update):
-                for rid, row in matches:
-                    rows[rid] = {
-                        **row, **resolve_assignments(row, stmt.assignments)
-                    }
-            else:
-                for rid, _ in matches:
+            # the overlay moves by the statement's effect: rows as a read sees them
+            for rid in [result] if isinstance(stmt, Insert) else [rid for rid, _ in matches]:
+                rows[rid] = effects[0, table][rid]
+                if rows[rid] is None:
                     del rows[rid]
         return ops, results
 

@@ -8,13 +8,28 @@ Each class fails at the parent commit (fbfbd40):
   quorum member turned a re-key into ``QuorumError``;
 * ``explain`` re-derived the push-down decisions by hand and disagreed
   with the requests execution actually sends.
+
+``TestWarmEqualsCold`` pins a later one: a write's effect held the
+statement's raw literals, so a cached ``price >= 1`` met ``'2.50'`` as a
+string — a bare ``TypeError`` after the providers had applied the INSERT,
+and a warm SELECT that missed the row a cold one returns.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import pytest
 
+from repro.client.datasource import DataSource
+from repro.providers.cluster import ProviderCluster
 from repro.providers.failures import Fault, FailureMode
+from repro.sqlengine.schema import (
+    TableSchema,
+    decimal_column,
+    integer_column,
+    string_column,
+)
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
@@ -179,3 +194,28 @@ class TestExplainMatchesExecution:
         for _, targets, _, wait in spy.rounds:
             assert targets == plan["read_quorum"]
             assert wait == ("all" if verified_reads else "first_k")
+
+
+class TestWarmEqualsCold:
+    def test_a_write_leaves_the_cache_what_a_read_reconstructs(self):
+        source = DataSource(ProviderCluster(5, 3), seed=3)
+        source.create_table(TableSchema("T", (
+            integer_column("id", 0, 100),
+            decimal_column("price", 0, 9),
+            string_column("name", 5),
+        )))
+        source.insert_many("T", [{"id": 1, "price": 1, "name": "ANN"}])
+        queries = ("SELECT * FROM T WHERE price >= 1", "SELECT * FROM T WHERE id = 1")
+        for query in queries:
+            source.sql(query)
+        source.sql("INSERT INTO T (id, price, name) VALUES (2, '2.50', 'bob')")
+        # the point entry holds row 1: the UPDATE reads it from the cache
+        # and puts the new row through
+        source.sql("UPDATE T SET name = 'zed' WHERE id = 1")
+        warm = [source.sql(query) for query in queries]
+        source.row_cache.clear()
+        assert warm == [source.sql(query) for query in queries]
+        assert warm[0] == [
+            {"id": 1, "price": Decimal("1"), "name": "ZED"},
+            {"id": 2, "price": Decimal("2.5"), "name": "BOB"},
+        ]

@@ -28,7 +28,12 @@ loaded back — every provider rebuilt through ``insert_many`` — and the
 run continues on the loaded source.  Table epochs never move backwards.
 
 The transaction rules look into the WAL before applying: no inserted
-literal may reach it — the write effect lives in memory only.
+literal may reach it — the write effect lives in memory only.  Half the
+transactional UPDATEs and DELETEs address a pooled point key (aid 3 or
+8), which the invariant left cached: resolving one must send nothing,
+its matches coming from the row cache.  One UPDATE assigns a lowercase
+owner, which the row the write puts through the cache must hold as a
+read reconstructs it (upper case).
 
 Short budget in tier-1; ``REPRO_CHAOS_LONG=1`` (CI ``chaos-long``) runs
 the long one.
@@ -226,17 +231,36 @@ class RowCacheCoherence(RuleBasedStateMachine):
     @rule(
         aid=aids,
         branch=branches,
-        shape=st.sampled_from(["insert", "update", "delta", "delete"]),
+        shape=st.sampled_from(["insert", "update", "owner", "delta", "delete"]),
+        warm=st.none() | st.sampled_from([3, 8]),
     )
-    def txn_statement(self, aid, branch, shape):
+    def txn_statement(self, aid, branch, shape, warm):
+        """One statement through the manager.  With ``warm`` an UPDATE or
+        DELETE addresses the key of a pooled point read, which the
+        invariant left cached: its matches come from the row cache, so
+        resolving it sends nothing.  The ``owner`` UPDATE assigns a
+        lowercase literal; a read reconstructs it in upper case, and so
+        must the row the write puts through the cache."""
+        where = f"aid = {aid if warm is None else warm}"
+        owner = "z" + "abcdefg"[branch % 7]
         sql = {
             "insert": self._insert_sql(branch),
-            "update": f"UPDATE Accounts SET branch = {branch} WHERE aid = {aid}",
+            "update": f"UPDATE Accounts SET branch = {branch} WHERE {where}",
+            "owner": f"UPDATE Accounts SET owner = '{owner}' WHERE {where}",
             "delta": f"UPDATE Accounts SET balance = balance + 7 WHERE branch <= {branch}",
-            "delete": f"DELETE FROM Accounts WHERE branch = {branch}",
+            "delete": f"DELETE FROM Accounts WHERE "
+            + (f"branch = {branch}" if warm is None else where),
         }[shape]
-        self._logged_then_applied(lambda: self.manager.execute(sql, autocommit=False))
-        self.oracle.execute(parse_sql(sql))
+        network = self.source.cluster.network
+        messages = network.total_messages
+
+        def log():
+            self.manager.execute(sql, autocommit=False)
+            if warm is not None and shape in ("update", "owner", "delete"):
+                assert network.total_messages == messages, "a warm write read its matches"
+
+        self._logged_then_applied(log)
+        self.oracle.execute(parse_sql(sql.replace(f"'{owner}'", f"'{owner.upper()}'")))
 
     @rule(aid=aids, branch=branches)
     def txn_atomic_batch(self, aid, branch):

@@ -21,7 +21,10 @@ as a formula and ``test_one_round_commit_moves_by_the_declared_formula``
 holds each re-based record to it.  The hash-sharded records were re-based
 a third time, when hash maps started placing rows by their partition key
 instead of their row id (section ``"key_placement"``; the formula is
-``test_key_placement_moves_only_placement``'s).
+``test_key_placement_moves_only_placement``'s).  Records in which a
+write took its matches from the row cache, skipping a read round, were
+re-based last (section ``"cached_matches"``; the formula is
+``test_cached_matches_skip_exactly_their_read_rounds``').
 
 Regenerate (only on purpose)::
 
@@ -29,6 +32,7 @@ Regenerate (only on purpose)::
     PYTHONPATH=src python tests/client/test_write_pipeline.py fixed    # after the change
     PYTHONPATH=src python tests/client/test_write_pipeline.py one_round_commit
     PYTHONPATH=src python tests/client/test_write_pipeline.py key_placement
+    PYTHONPATH=src python tests/client/test_write_pipeline.py cached_matches
 """
 
 from __future__ import annotations
@@ -398,6 +402,9 @@ def test_write_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
     golden = _load_golden()
     record = run_scenario(scenario_id, str(tmp_path))
     assert record.get("matches_oracle") is True or "raised" in record, record
+    if scenario_id in golden["cached_matches"]:
+        assert record == golden["cached_matches"][scenario_id]
+        return
     if scenario_id in golden["key_placement"]:
         assert record == golden["key_placement"][scenario_id]
         return
@@ -521,12 +528,65 @@ def test_key_placement_moves_only_placement(scenario_id):
     assert _client_total(was) - _client_total(acc) == pruned
 
 
+#: Statements of a shape that take their matches from the row cache at
+#: some group: the client holds the entry ``SELECT * … WHERE <the same
+#: WHERE>`` there.  In ``script`` on a range map, the group without aid 4
+#: stores the empty ``aid = 4`` entry when the DELETE reads it, and the
+#: UPDATE of aid 4 takes its (no) matches from it.
+CACHED_MATCHES = {"script": 1}
+
+
+def _placed_base(golden, scenario_id: str) -> Dict[str, object]:
+    """What a record was just before writes took matches from the cache."""
+    return golden["key_placement"].get(scenario_id) or _committed_base(golden, scenario_id)
+
+
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["cached_matches"]))
+def test_cached_matches_skip_exactly_their_read_rounds(scenario_id):
+    """A re-based record is its base record less ``CACHED_MATCHES`` read
+    rounds, each exactly one group's empty fetch round of the base
+    ``update_nomatch`` record — bytes, messages, modelled clock, client and
+    provider counters (under ``crash`` the ``plain`` one: by then the
+    crashed provider is no longer addressed).  Nothing else moves."""
+    golden = _load_golden()
+    now, base = golden["cached_matches"][scenario_id], _placed_base(golden, scenario_id)
+    entry, shape, variant = scenario_id.split("/")
+    assert {k: v for k, v in now.items() if k != "accounting"} == {
+        k: v for k, v in base.items() if k != "accounting"
+    }
+    acc, was = now["accounting"], base["accounting"]
+    assert acc["epochs"] == was["epochs"]
+    reference = "plain" if variant == "crash" else variant
+    fetch = _placed_base(golden, f"{entry}/update_nomatch/{reference}")["accounting"]
+    skipped = 0
+    for group in range(len(acc["bytes"])):
+        fell = {key: was[key][group] - acc[key][group] for key in ("bytes", "messages")}
+        for key in ("client", "providers"):
+            fell[key] = Counter(was[key][group]) - Counter(acc[key][group])
+        clock = was["modelled_seconds"][group] - acc["modelled_seconds"][group]
+        if not fell["messages"]:
+            assert not any(fell.values()) and clock == 0, fell
+            continue
+        skipped += 1
+        assert fell == {
+            "bytes": fetch["bytes"][group],
+            "messages": fetch["messages"][group],
+            "client": Counter(fetch["client"][group]),
+            "providers": Counter(fetch["providers"][group]),
+        }
+        assert clock == pytest.approx(fetch["modelled_seconds"][group], abs=1e-12)
+    assert skipped == CACHED_MATCHES[shape]
+
+
 def _regenerate(section: str) -> None:
     import tempfile
 
     golden = (
         _load_golden() if os.path.exists(GOLDEN_PATH)
-        else {"parent": {}, "fixed": {}, "one_round_commit": {}, "key_placement": {}}
+        else {
+            "parent": {}, "fixed": {}, "one_round_commit": {}, "key_placement": {},
+            "cached_matches": {},
+        }
     )
     records: Dict[str, object] = {}
     for scenario_id in sorted(SCENARIOS):
@@ -546,11 +606,17 @@ def _regenerate(section: str) -> None:
             for sid, record in records.items()
             if record != _rebased_base(golden, sid)
         }
-    else:
+    elif section == "key_placement":
         golden["key_placement"] = {
             sid: record
             for sid, record in records.items()
             if "hash" in sid.split("/")[0] and record != _committed_base(golden, sid)
+        }
+    else:
+        golden["cached_matches"] = {
+            sid: record
+            for sid, record in records.items()
+            if record != _placed_base(golden, sid)
         }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)

@@ -469,6 +469,46 @@ class TestColumnarKernels:
         assert list(nothing) == [(1, {}), (2, {})]
 
 
+class TestUndoHistoryRetention:
+    def test_pruning_keeps_exactly_the_records_above_the_floor(self):
+        """Five undo records per epoch (three inserts, an update, a
+        delete); after each stamped write the history is exactly the
+        records above ``epoch - retention``, in order, the past at the
+        floor still reads back, and a read below the floor is refused."""
+        retention = 3
+        table = ShareTable("T", ["a", "v"], ["a"], history_retention=retention)
+        written = []
+
+        def check(epoch):
+            floor = max(0, epoch - retention)
+            assert table.history_floor == floor
+            assert [record[:3] for record in table.history] == [
+                record for record in written if record[0] > floor
+            ]
+
+        for epoch in range(1, 10):
+            base = 3 * epoch
+            for row_id in range(base, base + 3):
+                table.insert(row_id, {"a": row_id, "v": epoch}, epoch=epoch)
+                written.append((epoch, "insert", row_id))
+                check(epoch)
+            table.update(base, {"v": -epoch}, epoch=epoch)
+            written.append((epoch, "update", base))
+            check(epoch)
+            table.delete(base + 1, epoch=epoch)
+            written.append((epoch, "delete", base + 1))
+            check(epoch)
+        floor = table.history_floor
+        assert floor == 9 - retention
+        assert table.rows_asof(floor) == {
+            row_id: {"a": row_id, "v": v}
+            for epoch in range(1, floor + 1)
+            for row_id, v in ((3 * epoch, -epoch), (3 * epoch + 2, epoch))
+        }
+        with pytest.raises(ProviderError, match="predates the history horizon"):
+            table.rows_asof(floor - 1)
+
+
 class TestShareStore:
     def test_create_and_lookup(self):
         store = ShareStore()

@@ -1,6 +1,7 @@
 """Transaction manager: outbox, deltas, atomic batches, group commit."""
 
 import threading
+from decimal import Decimal
 
 import pytest
 
@@ -8,7 +9,12 @@ from repro.client.datasource import DataSource
 from repro.errors import ServiceError, TxnError
 from repro.providers.cluster import ProviderCluster
 from repro.service import QueryService
-from repro.sqlengine.schema import TableSchema, integer_column, string_column
+from repro.sqlengine.schema import (
+    TableSchema,
+    decimal_column,
+    integer_column,
+    string_column,
+)
 from repro.sqlengine.sqlparser import parse_sql
 from repro.txn import GroupCommitEngine, TransactionManager
 
@@ -158,6 +164,25 @@ class TestAtomicBatches:
         )
         rows = dict((a, (o, b)) for a, o, b in rows_of(source))
         assert rows[5] == ("R", 40000)
+
+    def test_the_overlay_holds_values_as_a_read_reconstructs_them(self, tmp_path):
+        """Regression: the overlay held an INSERT's raw literals, and the
+        next statement's ``price >= 2`` met ``'2.50'`` as a string."""
+        source = DataSource(ProviderCluster(4, 2), seed=7)
+        source.create_table(
+            TableSchema("T", (integer_column("id", 0, 100), decimal_column("price", 0, 9)))
+        )
+        source.insert_many("T", [{"id": 1, "price": 1}])
+        manager = TransactionManager(source, str(tmp_path / "t.wal"))
+        try:
+            assert manager.atomic([
+                "INSERT INTO T (id, price) VALUES (2, '2.50')",
+                "UPDATE T SET price = '3.25' WHERE price >= 2",
+                "DELETE FROM T WHERE price > 3",
+            ]) == [1, 1, 1]
+        finally:
+            manager.close()
+        assert source.sql("SELECT * FROM T") == [{"id": 1, "price": Decimal("1")}]
 
     def test_time_travel_never_sees_half_a_batch(self, source, manager):
         before = source.table_epoch("Accounts")
