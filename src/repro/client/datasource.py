@@ -104,8 +104,9 @@ _FULL_ROWS: Dict[str, object] = {"projection": None}
 
 def _query_signature(predicate: Predicate, fields: Dict[str, object]) -> Tuple:
     """The row-cache key of a quorum read of ``predicate``'s matches with
-    request ``fields``: a SELECT replays by it, a write takes matches by it."""
-    return ("select", repr(predicate), tuple(fields.items()))
+    request ``fields``: a SELECT replays by it, a write takes matches by it.
+    It covers what fixes the row set, not the projection."""
+    return ("select", repr(predicate), tuple({**fields, "projection": None}.items()))
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,14 @@ class _SelectPlan:
     rewritten: RewrittenPredicate
     #: the aggregate (or grouped aggregate) runs at the providers
     can_push: bool
-    #: ``select`` request fields, including any pushed ORDER BY / LIMIT
+    #: ``select`` request fields, including any pushed projection,
+    #: ORDER BY and LIMIT
     fields: Dict[str, object]
+
+    @property
+    def fetched(self) -> Tuple[str, ...]:
+        """The columns the read fetches: its pushed projection, or all."""
+        return self.fields["projection"] or tuple(self.sharing.schema.column_names)
 
 
 class DataSource:
@@ -1081,7 +1088,9 @@ class DataSource:
         if self.verified_reads:
             return self._read_rows(table, _QUORUM, rewritten)
         epoch, signature = self.table_epoch(table), _query_signature(predicate, _FULL_ROWS)
-        pairs = self.row_cache.lookup_query(table, signature, epoch)
+        pairs = self.row_cache.lookup_query(
+            table, signature, epoch, sharing.schema.column_names
+        )
         if pairs is None:
             pairs = self._read_rows(table, _QUORUM, rewritten)
             self.row_cache.store_query(table, signature, epoch, pairs, predicate)
@@ -1189,6 +1198,14 @@ class DataSource:
             if sorted_at_providers:
                 fields["order_by"] = query.order_by
                 fields["descending"] = query.descending
+            # a quorum read fetches the select list, the sort column and the
+            # residual's (checked and audited reads check whole rows)
+            if mode == _QUORUM and query.columns:
+                used = {*query.columns, *rewritten.residual.referenced_columns()}
+                if query.order_by is not None:
+                    used.add(query.order_by)
+                if len(used) < len(schema.columns):
+                    fields["projection"] = tuple(c for c in schema.column_names if c in used)
             # LIMIT can be pushed to the providers only when the client
             # will not filter afterwards (a residual could strip
             # pushed-down rows below the requested count) and does not
@@ -1221,7 +1238,7 @@ class DataSource:
         if replay:
             epoch = self.table_epoch(query.table)
             signature = _query_signature(plan.predicate, plan.fields)
-            pairs = self.row_cache.lookup_query(query.table, signature, epoch)
+            pairs = self.row_cache.lookup_query(query.table, signature, epoch, plan.fetched)
         if pairs is None:
             pairs = self._read_rows(
                 query.table,
@@ -1588,6 +1605,7 @@ class DataSource:
         in — lets a quorum read skip interpolating rows the row cache holds.
         """
         sharing = self.sharing(table_name)
+        columns = round_args.get("fields", _FULL_ROWS).get("projection")
         residual = None
         if rewritten is not None:
             if rewritten.provably_empty:
@@ -1604,6 +1622,7 @@ class DataSource:
                 ),
                 residual,
                 cache_epoch,
+                columns,
             ),
         )
 
@@ -1614,6 +1633,7 @@ class DataSource:
         responses: Dict[int, Dict],
         residual: Optional[Predicate] = None,
         cache_epoch: Optional[int] = None,
+        columns: Optional[Tuple[str, ...]] = None,
     ) -> Tuple[List[Tuple[int, Row]], List[int]]:
         """One round's ``{"rows": ShareRows}`` responses decoded as ``mode``
         prescribes: ``(pairs, blamed provider indexes)``.  Only a checked
@@ -1632,6 +1652,7 @@ class DataSource:
             strict=mode == _AUDITED,
             row_cache=self.row_cache,
             cache_epoch=cache_epoch,
+            columns=columns,
         ), []
 
     def _until_unblamed(self, table_name: str, attempt: Callable[[set], Tuple]):
@@ -1787,9 +1808,9 @@ class DataSource:
 
         Returns a plain dict: which conjuncts push down to providers (as
         plaintext intervals), what remains as a client-side residual, the
-        read mode, the providers its first round addresses, and the
-        execution strategy — all taken from the same plan execution uses
-        (:meth:`_plan_select`).  SQL text is accepted.
+        columns fetched, the read mode, the providers its first round
+        addresses, and the execution strategy — all taken from the same
+        plan execution uses (:meth:`_plan_select`).  SQL text is accepted.
         """
         if isinstance(query, str):
             query = parse_sql(query)
@@ -1801,10 +1822,11 @@ class DataSource:
         if isinstance(query, Select):
             mode = _CHECKED if self.verified_reads else _QUORUM
             plan = self._plan_select(query, mode)
-            sharing, rewritten = plan.sharing, plan.rewritten
+            sharing, rewritten, fetched = plan.sharing, plan.rewritten, plan.fetched
         else:
             sharing = self.sharing(query.table)
             rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
+            fetched = sharing.schema.column_names
         if rewritten.provably_empty:
             strategy = "provably empty: answered without a provider round"
         elif isinstance(query, Update):
@@ -1845,6 +1867,7 @@ class DataSource:
                 None if not rewritten.has_residual else repr(rewritten.residual)
             ),
             "provably_empty": rewritten.provably_empty,
+            "fetched_columns": list(fetched),
             "mode": mode,
             "read_quorum": self._read_targets(mode),
             "estimated_selectivity": _estimate_selectivity(sharing, rewritten),

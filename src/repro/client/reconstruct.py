@@ -31,7 +31,7 @@ the vulnerability Sec. I's third challenge describes; the trust layer
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..core.scheme import ShareRow, TableSharing
@@ -91,27 +91,30 @@ def reconstruct_rows(
     strict: bool = False,
     row_cache: Optional[RowCache] = None,
     cache_epoch: Optional[int] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> List[Tuple[int, Dict[str, object]]]:
-    """Reconstruct and residual-filter query results: the ``(row_id, full
-    row)`` pairs, ascending row id.
+    """Reconstruct and residual-filter query results: the ``(row_id,
+    row)`` pairs, ascending row id, each row holding at least ``columns``
+    (the read's projection; every column when None).
 
     ``strict=True`` raises :class:`IntegrityError` when providers disagree
     on the matching row set (used by verified reads); the default silently
     keeps rows with a full quorum, modelling the unverified client.
 
     When a ``row_cache`` (and the ``cache_epoch`` the read began in) is
-    supplied, rows the cache still holds — reconstructed earlier and not
-    touched by a write since — skip interpolation: only the cache-miss
-    subset goes through the batched kernels, and fresh reconstructions
-    are written back.  Verified reads (``strict=True``) never consult
-    the cache: their purpose is to re-examine what the providers
-    actually returned.
+    supplied, rows the cache still holds with every one of ``columns`` —
+    reconstructed earlier and not touched by a write since — skip
+    interpolation: only the cache-miss subset goes through the batched
+    kernels, and fresh reconstructions are written back.  Verified reads
+    (``strict=True``) never consult the cache: their purpose is to
+    re-examine what the providers actually returned.
     """
     with telemetry.span("reconstruct", table=sharing.schema.name) as sp:
         provider_rows = rows_from_responses(responses)
         groups = group_by_responders(provider_rows)
         threshold = sharing.threshold
         table_name = sharing.schema.name
+        names = sharing.schema.column_names if columns is None else list(columns)
         residual = residual or TruePredicate()
         needs_residual = not isinstance(residual, TruePredicate)
         use_cache = row_cache is not None and cache_epoch is not None and not strict
@@ -138,12 +141,9 @@ def reconstruct_rows(
         ordered_ids: List[int] = sorted(chain.from_iterable(quorate.values()))
         cached: Dict[int, Dict[str, object]] = {}
         if use_cache:
-            for row_id in ordered_ids:
-                hit = row_cache.get_row(table_name, row_id, cache_epoch)
-                if hit is not None:
-                    cached[row_id] = hit
-        # residual predicates may reference columns outside the projection, so
-        # reconstruct everything first (batched, column-major), then filter
+            cached = row_cache.get_rows(table_name, ordered_ids, cache_epoch, names)
+        # ``columns`` holds the residual's columns: reconstruct them all
+        # first (batched, column-major), then filter
         fresh: Dict[int, Dict[str, object]] = {}
         for responders, row_ids in quorate.items():
             if cached:
@@ -153,10 +153,13 @@ def reconstruct_rows(
                     zip(
                         row_ids,
                         sharing.reconstruct_rows(
-                            {i: provider_rows[i].take(row_ids) for i in responders}
+                            {i: provider_rows[i].take(row_ids) for i in responders},
+                            names,
                         ),
                     )
                 )
+        if fresh and use_cache:
+            row_cache.put_rows(table_name, cache_epoch, fresh.items())
         if fresh and cost is not None:
             # cache hits cost nothing: the whole point of the cache is
             # that only misses pay for interpolation
@@ -166,13 +169,11 @@ def reconstruct_rows(
             row = cached.get(row_id)
             if row is None:
                 row = fresh[row_id]
-                if use_cache:
-                    row_cache.put_row(table_name, row_id, cache_epoch, row)
             if needs_residual and not residual.matches(row):
                 continue
             pairs.append((row_id, row))
         if telemetry.is_enabled():
-            n_columns = len(sharing.schema.columns)
+            n_columns = len(names)
             sp.set(
                 rows_aligned=sum(map(len, groups.values())),
                 rows_reconstructed=len(fresh),

@@ -186,6 +186,11 @@ class StringCodec(Codec[str]):
     def _domain(self) -> IntegerDomain:
         return IntegerDomain(0, self.base**self.width - 1)
 
+    @cached_property
+    def _pairs(self) -> Tuple[str, ...]:
+        """Every two-symbol string, indexed by its base² digit."""
+        return tuple(high + low for high in self.alphabet for low in self.alphabet)
+
     def domain(self) -> IntegerDomain:
         return self._domain
 
@@ -237,11 +242,14 @@ class StringCodec(Codec[str]):
                 f"encoded value {number} outside base-{self.base} domain of "
                 f"width {self.width}"
             )
-        digits = []
-        for _ in range(self.width):
-            number, digit = divmod(number, self.base)
-            digits.append(self.alphabet[digit])
-        return "".join(reversed(digits)).rstrip(PAD_CHAR)
+        # two symbols per divmod; an odd width leaves the first one alone
+        pairs, chunks = self._pairs, []
+        for _ in range(self.width // 2):
+            number, pair = divmod(number, len(pairs))
+            chunks.append(pairs[pair])
+        if self.width % 2:
+            chunks.append(self.alphabet[number])
+        return "".join(reversed(chunks)).rstrip(PAD_CHAR)
 
     def decode_many(self, numbers: Sequence[int]) -> List[str]:
         # result columns repeat values (names, departments): each distinct

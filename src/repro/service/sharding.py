@@ -856,9 +856,12 @@ class ShardRouter(StatementLadder):
             return self.groups[owners[0]].source.select(query)
         if query.is_aggregate:
             return self._aggregate(query, owners)
-        # each shard returns its own top-limit superset, unprojected; the
-        # global order/limit/projection are the client finish's
-        pairs = self._gather(replace(query, columns=()), owners)
+        # each shard returns its own top-limit superset of the columns the
+        # global finish uses; the global order/limit/projection are its own
+        columns = query.columns
+        if columns and query.order_by not in (None, *columns):
+            columns += (query.order_by,)
+        pairs = self._gather(replace(query, columns=columns), owners)
         schema = self._sharing(query.table).schema
         return [row for _, row in finish_rows(query, schema, pairs)]
 

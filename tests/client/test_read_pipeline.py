@@ -13,13 +13,17 @@ one bugfix), enumerated in ``BUGFIX_DELTAS`` below; their post-change
 numbers live in the golden file's ``"fixed"`` section.  The transactional
 writes were re-based once more when a commit became one ``txn_apply``
 round (section ``"one_round_commit"``, held to its formula by
-``test_one_round_commit_moves_by_the_declared_formula``).
+``test_one_round_commit_moves_by_the_declared_formula``), and the quorum
+row reads once more when they began fetching only the columns their
+statement uses (section ``"projection"``, held to its formula by
+``test_projection_moves_by_the_declared_formula``).
 
 Regenerate (only on purpose)::
 
     PYTHONPATH=src python tests/client/test_read_pipeline.py parent   # at the parent commit
     PYTHONPATH=src python tests/client/test_read_pipeline.py fixed    # after the fixes
     PYTHONPATH=src python tests/client/test_read_pipeline.py one_round_commit
+    PYTHONPATH=src python tests/client/test_read_pipeline.py projection
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.trust.auditing import AuditRegistry
 from repro.txn import TransactionManager
 from repro.workloads.ecommerce import clicklog_table
 from repro.workloads.employees import employees_table, managers_table
+from tests.projection_wire import ProjectionWire
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "read_pipeline_golden.json")
 SEED = 11
@@ -455,9 +460,10 @@ def test_entry_point_matches_oracle_and_parent_accounting(scenario_id, tmp_path)
     golden = _load_golden()
     record = run_scenario(scenario_id, str(tmp_path))
     assert record.get("matches_oracle") is True, record
-    if scenario_id in golden["one_round_commit"]:
-        assert record == golden["one_round_commit"][scenario_id]
-        return
+    for section in ("one_round_commit", "projection"):
+        if scenario_id in golden[section]:
+            assert record == golden[section][scenario_id]
+            return
     parent = golden["parent"][scenario_id]
     if record == parent:
         assert scenario_id not in golden["fixed"], "stale entry in the fixed section"
@@ -525,12 +531,70 @@ def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
     assert after["matches_oracle"] is before["matches_oracle"] is True
 
 
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["projection"]))
+def test_projection_moves_by_the_declared_formula(scenario_id):
+    """A quorum row read that fetches only ``explain``'s ``fetched_columns``
+    sends its projection tuple where ``None`` was and gets back no cell of
+    a dropped column (:class:`ProjectionWire` counts both); the client
+    interpolates exactly those cells fewer.  Messages, provider cost and
+    the result do not move."""
+    golden = _load_golden()
+    after = golden["projection"][scenario_id]
+    before = golden["fixed"].get(scenario_id, golden["parent"][scenario_id])
+    entry, shape, fault = scenario_id.split("/")
+    dep = Deployment(fault)
+    query = dep.parse(ROW_SHAPES[shape])
+    fetched = dep.source.explain(query)["fetched_columns"]
+    wire = ProjectionWire(dep.cluster.providers)
+    getattr(dep.source, entry)(query)
+    assert wire.dropped == set(dep.source.sharing(query.table).schema.column_names) - set(fetched)
+    was, now = before["accounting"], after["accounting"]
+    assert was["bytes"] - now["bytes"] == wire.lost - wire.gained > 0
+    assert now["modelled_seconds"] < was["modelled_seconds"]
+    assert now["messages"] == was["messages"] and now["providers"] == was["providers"]
+    cells = len(wire.rows) * len(wire.dropped)
+    assert was["client"]["interpolate"] - now["client"]["interpolate"] == cells
+    assert {**now["client"], "interpolate": 0} == {**was["client"], "interpolate": 0}
+    assert {**after, "accounting": was} == before
+
+
+@pytest.mark.parametrize(
+    "sql, fetched",
+    [
+        # the select list alone
+        ("SELECT name, salary FROM Employees WHERE salary > 40000", ["name", "salary"]),
+        # a residual on a column the statement does not return
+        ("SELECT salary FROM Employees WHERE name <> 'JOHN'", ["name", "salary"]),
+        # a client sort on a column the statement does not return
+        ("SELECT eid FROM Managers ORDER BY password", ["eid", "password"]),
+        ("SELECT * FROM Employees WHERE salary > 40000", None),
+    ],
+)
+def test_explain_reports_the_columns_a_read_fetches(sql, fetched):
+    """``fetched_columns`` is the projection the plan pushes — in schema
+    order, the residual's and the sort's columns included — or every
+    column for ``SELECT *``, and the read asks the providers for exactly
+    that."""
+    dep = Deployment()
+    query = parse_sql(sql)
+    schema = dep.source.sharing(query.table).schema
+    plan = dep.source.explain(query)
+    assert plan["fetched_columns"] == (fetched or schema.column_names)
+    sent = []
+    handle = dep.cluster.providers[0].handle
+    dep.cluster.providers[0].handle = lambda method, request: (
+        sent.append(request.get("projection")) or handle(method, request)
+    )
+    assert _same(query, dep.source.sql(sql), dep.oracle.execute(query))
+    assert sent == [None if fetched is None else tuple(fetched)]
+
+
 def _regenerate(section: str) -> None:
     import tempfile
 
     golden = (
         _load_golden() if os.path.exists(GOLDEN_PATH)
-        else {"parent": {}, "fixed": {}, "one_round_commit": {}}
+        else {"parent": {}, "fixed": {}, "one_round_commit": {}, "projection": {}}
     )
     records: Dict[str, object] = {}
     for scenario_id in sorted(SCENARIOS):
@@ -544,11 +608,18 @@ def _regenerate(section: str) -> None:
             for sid, record in records.items()
             if record != golden["parent"][sid]
         }
-    else:
+    elif section == "one_round_commit":
         golden["one_round_commit"] = {
             sid: record
             for sid, record in records.items()
             if record != golden["fixed"].get(sid, golden["parent"][sid])
+        }
+    else:
+        golden["projection"] = {
+            sid: record
+            for sid, record in records.items()
+            if sid not in golden["one_round_commit"]
+            and record != golden["fixed"].get(sid, golden["parent"][sid])
         }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)

@@ -7,8 +7,11 @@ DELETE, a lazy-buffer flush, single statements and atomic batches through
 ``TransactionManager``, secret rotation, a write round that fails at one
 provider, a crash + ``recover()`` — between reads drawn from a small pool
 of SELECTs, so that cached entries meet writes that do and do not touch
-them.  After every step each pooled SELECT must equal the plaintext
-oracle *as an ordered list*, warm, and again after ``row_cache.clear()``
+them; three of them share one WHERE under different projections, so
+their entry's rows hold only the columns the last read fetched, and one
+UPDATE matches that WHERE.  After every step each pooled SELECT must
+equal the plaintext oracle *as an ordered list*, warm, and again after
+``row_cache.clear()``
 (which also re-warms the cache for the next step).  One rule reads the
 pool through a ``QueryService`` opened over the same source, statement by
 statement and as one wave, and checks that ``close()`` hands the source
@@ -111,7 +114,11 @@ def initial_rows():
 POOL = (
     "SELECT * FROM Accounts WHERE aid = 3",
     "SELECT * FROM Accounts WHERE aid = 8",
+    # one WHERE under three projections: the reads share one entry, whose
+    # rows hold the columns the last of them fetched
+    "SELECT aid FROM Accounts WHERE branch BETWEEN 20 AND 60",
     "SELECT aid, branch FROM Accounts WHERE branch BETWEEN 20 AND 60",
+    "SELECT * FROM Accounts WHERE branch BETWEEN 20 AND 60",
     "SELECT aid, owner FROM Accounts WHERE branch BETWEEN 61 AND 100",
     # OR is evaluated at the client: a residual over a full fetch
     "SELECT * FROM Accounts WHERE branch < 15 OR owner = 'BOB'",
@@ -209,6 +216,15 @@ class RowCacheCoherence(RuleBasedStateMachine):
             parse_sql(
                 f"UPDATE Accounts SET balance = balance + {delta} WHERE branch >= {low}"
             )
+        )
+
+    @rule(owner=st.sampled_from(["DORA", "EVE"]))
+    def update_the_pooled_range(self, owner):
+        """The WHERE the three pooled projections share: the write takes
+        its matches from their entry only when its rows hold every column."""
+        self._both(
+            f"UPDATE Accounts SET owner = '{owner}' WHERE branch BETWEEN 20 AND 60",
+            self.source.sql,
         )
 
     @rule(aid=aids)

@@ -3,14 +3,19 @@
 import datetime
 from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.encoding import (
+    EXTENDED_ALPHABET,
+    PAD_CHAR,
+    STRING_ALPHABET,
     DateCodec,
     DecimalCodec,
     IntegerCodec,
     StringCodec,
 )
+from repro.errors import EncodingError
 
 INT_CODEC = IntegerCodec(-(10**9), 10**9)
 STR_CODEC = StringCodec(width=8)
@@ -44,6 +49,37 @@ def test_integer_order(a, b):
 @settings(max_examples=200, deadline=None)
 def test_string_roundtrip(w):
     assert STR_CODEC.decode(STR_CODEC.encode(w)) == w
+
+
+def _decode_per_symbol(codec, number):
+    """One ``divmod`` per symbol: the decode the pair table replaces."""
+    symbols = []
+    for _ in range(codec.width):
+        number, digit = divmod(number, codec.base)
+        symbols.append(codec.alphabet[digit])
+    return "".join(reversed(symbols)).rstrip(PAD_CHAR)
+
+
+@st.composite
+def _encoded(draw):
+    alphabet = draw(st.sampled_from([STRING_ALPHABET, EXTENDED_ALPHABET]))
+    codec = StringCodec(width=draw(st.integers(1, 12)), alphabet=alphabet)
+    top = codec.base**codec.width - 1
+    return codec, draw(st.sampled_from([0, 1, top - 1, top]) | st.integers(0, top))
+
+
+@given(case=_encoded())
+@settings(max_examples=300, deadline=None)
+def test_string_decode_is_the_per_symbol_one(case):
+    """Two symbols per ``divmod`` (odd widths end on one) decode every
+    number of either alphabet's domain, both ends included, as one
+    symbol per ``divmod`` does; the domain check still comes first."""
+    codec, number = case
+    assert codec.decode(number) == _decode_per_symbol(codec, number)
+    assert codec.decode_many([number, number]) == [codec.decode(number)] * 2
+    for outside in (-1, codec.base**codec.width):
+        with pytest.raises(EncodingError, match="outside base-"):
+            codec.decode(outside)
 
 
 @given(a=words, b=words)

@@ -102,8 +102,7 @@ def per_row_oracle(responses, cached=()):
 @given(answers(), st.sets(st.sampled_from(ROW_IDS), max_size=6))
 def test_column_major_reconstruction_is_the_per_row_one(responses, warm):
     cache = RowCache()
-    for row_id in warm:
-        cache.put_row("Ledger", row_id, EPOCH, PLAIN[ROW_IDS.index(row_id)])
+    cache.put_rows("Ledger", EPOCH, [(row_id, PLAIN[ROW_IDS.index(row_id)]) for row_id in warm])
     expected, interpolated = per_row_oracle(responses)
     assert expected == [
         (row_id, PLAIN[ROW_IDS.index(row_id)]) for row_id, _ in expected
@@ -121,8 +120,8 @@ def test_column_major_reconstruction_is_the_per_row_one(responses, warm):
     assert got == expected
     assert cost.count("interpolate") == interpolated
     assert cost.snapshot() == ({"interpolate": interpolated} if interpolated else {})
-    assert all(
-        cache.get_row("Ledger", row_id, EPOCH) == row for row_id, row in expected
+    assert cache.get_rows("Ledger", [row_id for row_id, _ in expected], EPOCH, NAMES) == dict(
+        expected
     )
 
 

@@ -35,11 +35,18 @@ partition key, every hash record whose numbers moved was re-based into a
 ``key_placement`` section; ``test_key_placement_moves_only_placement``
 ties each to its parent record (see ``WIDTH_SLACK``).
 
+When quorum row reads began fetching only the columns their statement
+uses, every record with such a read was re-based into a ``projection``
+section; ``test_projection_moves_only_the_dropped_columns`` ties each to
+the record before it by what :class:`~tests.projection_wire.ProjectionWire`
+counts.
+
 Regenerate (only on purpose: ``parent`` at the parent commit,
-``key_placement`` at the commit that moves placement)::
+``key_placement`` / ``projection`` at the commit that moves them)::
 
     PYTHONPATH=src python -m tests.sharding.test_router_pipeline parent
     PYTHONPATH=src python -m tests.sharding.test_router_pipeline key_placement
+    PYTHONPATH=src python -m tests.sharding.test_router_pipeline projection
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import pytest
 
@@ -57,6 +64,7 @@ from repro.sim.network import LatencyModel
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
+from tests.projection_wire import ProjectionWire
 from tests.sharding.shardutil import (
     THRESHOLD,
     build_oracle,
@@ -334,9 +342,15 @@ for _variant in VARIANTS:
 # ----------------------------------------------------------------- running --
 
 
-def run_scenario(scenario_id: str) -> Dict[str, object]:
+def run_scenario(
+    scenario_id: str, wires: Optional[List[ProjectionWire]] = None
+) -> Dict[str, object]:
+    """The scenario's record; with ``wires``, one :class:`ProjectionWire`
+    per group is appended to it first."""
     variant, run = SCENARIOS[scenario_id]
     dep = Deployment(variant)
+    if wires is not None:
+        wires.extend(ProjectionWire(group.cluster.providers) for group in dep.router.groups)
     with dep.router:
         return json.loads(json.dumps(run(dep)))
 
@@ -364,9 +378,10 @@ def test_router_matches_oracle_and_parent_accounting(scenario_id):
     # the result-order contract: the same ordered list as the oracle, on
     # every deployment shape
     assert record["ordered"] is True, record
-    if scenario_id in golden["key_placement"]:
-        assert record == golden["key_placement"][scenario_id]
-        return
+    for section in ("projection", "key_placement"):
+        if scenario_id in golden[section]:
+            assert record == golden[section][scenario_id]
+            return
     if record == parent:
         return
     if shape in JOIN_WIRE_DELTAS and VARIANTS[variant][1]:
@@ -415,6 +430,7 @@ def _assert_row_cache_delta(record, parent, interpolate: List[int]) -> None:
 def test_golden_covers_exactly_the_scenarios():
     golden = _load_golden()
     assert set(golden["parent"]) == set(SCENARIOS)
+    assert set(golden["projection"]) <= set(SCENARIOS)
     for scenario_id, record in golden["key_placement"].items():
         assert VARIANTS[scenario_id.rsplit("/", 1)[0]][0] == "hash", scenario_id
         assert record != golden["parent"][scenario_id], "stale key_placement entry"
@@ -472,11 +488,86 @@ def test_key_placement_moves_only_placement(scenario_id):
     assert client == parent_client
 
 
+def _refused_scan(variant: str) -> List[Dict[str, float]]:
+    """Per group, the round the session script's unknown-column SELECT
+    cost before reads projected: every owner answered ``SELECT * FROM
+    Employees`` and the client finish then refused the column.  The read
+    now asks for the column, and the plan refuses it before any round, as
+    a single owner's plan always did."""
+    dep = Deployment(variant)
+    refused = parse_sql("SELECT nope FROM Employees")
+    if len(dep.router._owners_for(refused.table, refused.where)) < 2:
+        return [dict.fromkeys(("bytes", "messages"), 0)] * len(dep.router.groups)
+    session = dep.router.open_session("golden")
+    statements = [dep.sql(t) for t in WRITES["script"]]
+    statements.insert(1, dep.sql(READS["rows_order_unique"]))
+    with dep.router:
+        for sql in statements:
+            dep.router.execute(sql, session)
+        before = dep.accounting()["groups"]
+        dep.router.execute("SELECT * FROM Employees", session)
+        after = dep.accounting()["groups"]
+    return [
+        {key: now[key] - was[key] for key in ("bytes", "messages", "modelled_seconds")}
+        for now, was in zip(after, before)
+    ]
+
+
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["projection"]))
+def test_projection_moves_only_the_dropped_columns(scenario_id):
+    """Per group, a re-based record is the record before it less what its
+    reads' projections take off the wire: each projected request gains
+    its tuple where ``None`` was, each response loses every dropped
+    column's cells, and the client interpolates exactly those cells
+    fewer.  A session script also loses its unknown-column SELECT's round
+    (:func:`_refused_scan`).  Results, provider cost and the router's and
+    the session's counters do not move."""
+    golden = _load_golden()
+    now = golden["projection"][scenario_id]
+    before = golden["key_placement"].get(scenario_id, golden["parent"][scenario_id])
+    wires: List[ProjectionWire] = []
+    assert run_scenario(scenario_id, wires) == now
+    assert now["matches_oracle"] is now["ordered"] is True
+    if before["ordered"]:
+        assert now["result"] == before["result"]
+    assert now.get("session") == before.get("session") and now["stats"] == before["stats"]
+    assert any(wire.gained for wire in wires)
+    variant, shape = scenario_id.rsplit("/", 1)
+    script = shape == "session_script"
+    refused = _refused_scan(variant) if script else [dict.fromkeys(("bytes", "messages"), 0)] * 2
+    for group, was, wire, scan in zip(now["groups"], before["groups"], wires, refused):
+        assert was["bytes"] - group["bytes"] == wire.lost - wire.gained + scan["bytes"]
+        assert was["messages"] - group["messages"] == scan["messages"]
+        if wire.lost > wire.gained or scan["messages"]:
+            assert group["modelled_seconds"] < was["modelled_seconds"]
+        assert group["providers"] == was["providers"]
+        client, was_client = dict(group["client"]), dict(was["client"])
+        if script:
+            # which rows the refused scan and the whole-row match reads of
+            # the UPDATE and DELETE interpolated is the row cache's business;
+            # a group that only took the refused scan recorded a zero count
+            client.pop("interpolate", None)
+            was_client.pop("interpolate", None)
+            was_client = {name: count for name, count in was_client.items() if count}
+        elif wire.gained:
+            cells = len(wire.rows) * len(wire.dropped)
+            assert was_client["interpolate"] - client["interpolate"] == cells
+            client["interpolate"] = was_client["interpolate"]
+        assert client == was_client
+
+
 def _regenerate(section: str) -> None:
     golden = _load_golden()
-    records = {sid: run_scenario(sid) for sid in sorted(SCENARIOS)}
+    wires = {sid: [] for sid in SCENARIOS}
+    records = {sid: run_scenario(sid, wires[sid]) for sid in sorted(SCENARIOS)}
     if section == "parent":
         golden["parent"] = records
+    elif section == "projection":
+        golden["projection"] = {
+            sid: record
+            for sid, record in records.items()
+            if any(wire.gained for wire in wires[sid])
+        }
     else:
         golden["key_placement"] = {
             sid: record
