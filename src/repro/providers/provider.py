@@ -18,7 +18,9 @@ that leave the provider through ``select`` / ``get_rows`` / ``scan`` /
 ``scan_asof`` leave as one column-major
 :class:`~repro.sim.network.ShareRows` — one gather per column, no row
 dict — and ``join`` answers with two of them, each side's distinct
-matched rows in ascending row id (the client pairs them up); only the
+matched rows in ascending row id, cut to its ``left_projection`` /
+``right_projection`` when the request names one (the client pairs them
+up); only the
 one-row MIN/MAX/MEDIAN nomination is still a dict.
 Cost accounting for aggregates records the **actual share reads** — one
 ``compare`` per column cell examined — so a request whose filter matched
@@ -764,8 +766,10 @@ class ShareProvider:
                 matched_left.append(lid)
                 matched_right.update(partners)
         return self._rows_response(
-            left=self._project_many(left, matched_left, None),
-            right=self._project_many(right, sorted(matched_right), None),
+            left=self._project_many(left, matched_left, request.get("left_projection")),
+            right=self._project_many(
+                right, sorted(matched_right), request.get("right_projection")
+            ),
         )
 
     # -- trust-layer RPCs ----------------------------------------------------------------

@@ -57,7 +57,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
-from ..client.datasource import DataSource, finish_rows, hash_join
+from ..client.datasource import DataSource, finish_rows, hash_join, join_fetched_columns
 from ..client.repair import rebuild_rows_for_targets
 from ..client.rewriter import rewrite_predicate, split_join_predicate
 from ..core.scheme import ShareRow, TableSharing
@@ -79,7 +79,7 @@ from ..sqlengine.query import (
     Select,
     Update,
 )
-from ..sqlengine.expression import Predicate
+from ..sqlengine.expression import Predicate, TruePredicate
 from ..sqlengine.schema import TableSchema
 from ..sqlengine.sqlparser import parse_sql
 from ..sqlengine.table import Table
@@ -923,6 +923,14 @@ class ShardRouter(StatementLadder):
         left_pred, right_pred, residual = split_join_predicate(
             query.where, query.left_table, query.right_table
         )
+        # each side's gather names the columns the join uses; the owning
+        # groups' plans add that side's own residual, as a join's plan does
+        left_columns, right_columns = join_fetched_columns(
+            query,
+            tuple(self._sharing(t).schema for t in (query.left_table, query.right_table)),
+            (TruePredicate(), TruePredicate()),
+            residual,
+        )
         left_owners = self._owners_for(query.left_table, left_pred)
         right_owners = self._owners_for(query.right_table, right_pred)
         if not left_owners or not right_owners:
@@ -933,12 +941,8 @@ class ShardRouter(StatementLadder):
             return self.groups[left_owners[0]].source.join(query)
         return hash_join(
             query,
-            self._gather(
-                Select(query.left_table, where=left_pred), left_owners
-            ),
-            self._gather(
-                Select(query.right_table, where=right_pred), right_owners
-            ),
+            self._gather(Select(query.left_table, left_columns or (), left_pred), left_owners),
+            self._gather(Select(query.right_table, right_columns or (), right_pred), right_owners),
             residual,
         )
 

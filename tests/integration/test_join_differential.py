@@ -7,7 +7,11 @@ runs: at the providers (equal shares of one domain), at the client (the
 N:M join keys, a side predicate on each table (one of them an ``OR`` the
 providers cannot take, so it stays a client-side residual of that side)
 and a cross-table residual, all three must return the plaintext oracle's
-rows in the oracle's order, in plain and in ``verified_reads`` mode.
+rows in the oracle's order, in plain and in ``verified_reads`` mode.  The
+select list is any subset of the six columns, and every route asks the
+providers for exactly the columns ``explain`` reports for each side — the
+select list, the join key and both residuals' columns, or whole rows for
+``SELECT *``, for a side that uses every column and for a checked read.
 
 Faults at one provider: a verified join still returns the oracle's rows
 and quarantines the provider that omitted or tampered; a plain quorum
@@ -86,6 +90,33 @@ def oracle_rows(left_rows, right_rows, query):
     return PlaintextExecutor(catalog).execute(query)
 
 
+COLUMNS = ["L.id", "L.k", "L.a", "R.id", "R.k", "R.b"]
+
+
+def recording(providers):
+    """Every ``(method, request)`` the providers are sent, in order."""
+    sent = []
+    for provider in providers:
+        provider.handle = lambda method, request, handle=provider.handle: (
+            sent.append((method, request)) or handle(method, request)
+        )
+    return sent
+
+
+def projections_sent(sent, query):
+    """Per table, the projections its reads carried (``None``: whole rows,
+    which a join request says by leaving the field out); empties ``sent``."""
+    out = {query.left_table: set(), query.right_table: set()}
+    for method, request in sent:
+        if method == "join":
+            out[query.left_table].add(request.get("left_projection"))
+            out[query.right_table].add(request.get("right_projection"))
+        else:
+            out[request["table"]].add(request.get("projection"))
+    sent.clear()
+    return out
+
+
 #: few distinct keys, so duplicates and N:M matches are the common case
 keys = st.sampled_from([None, 0, 0, 1, 1, 2])
 rows = st.lists(
@@ -102,8 +133,9 @@ def joins(draw):
         f"(L.a >= {floor} OR R.b >= {floor})",  # cross-table residual
     ]
     kept = [part for part in where if draw(st.booleans())]
-    projection = draw(st.sampled_from(["*", "L.id, R.id, L.k", "R.b, L.a"]))
-    sql = f"SELECT {projection} FROM L JOIN R ON L.k = R.k"
+    # any subset of the six columns, in any order; none is ``*``
+    columns = draw(st.lists(st.sampled_from(COLUMNS), unique=True))
+    sql = f"SELECT {', '.join(columns) or '*'} FROM L JOIN R ON L.k = R.k"
     if kept:
         sql += " WHERE " + " AND ".join(kept)
     return parse_sql(sql)
@@ -128,16 +160,28 @@ def test_every_join_route_equals_the_oracle(left_rows, right_rows, query):
     fallback = unsharded(
         left_rows, right_rows, same_domain=False, client_join_fallback=True
     )
-    assert matched.explain(query)["strategy"].startswith("provider-side")
+    plan = matched.explain(query)
+    assert plan["strategy"].startswith("provider-side")
     assert fallback.explain(query)["strategy"].startswith("fetch both sides")
+    # the helper's columns, as explain reports them: a side that uses
+    # every column fetches whole rows
+    fetched = {
+        table: None if len(columns) == 3 else tuple(columns)
+        for table, columns in (
+            ("L", plan["left_fetched_columns"]), ("R", plan["right_fetched_columns"]),
+        )
+    }
     with sharded(left_rows, right_rows) as router:
         sources = [matched, fallback] + [g.source for g in router.groups]
+        sent = recording(p for source in sources for p in source.cluster.providers)
         for verified in (False, True):
             for source in sources:
                 source.verified_reads = verified
-            assert matched.join(query) == expected
-            assert fallback.join(query) == expected
-            assert router.join(query) == expected
+            # checked reads fetch whole rows
+            wanted = {table: {None if verified else columns} for table, columns in fetched.items()}
+            for route in (matched, fallback, router):
+                assert route.join(query) == expected
+                assert projections_sent(sent, query) == wanted
 
 
 @settings(max_examples=30, deadline=None)
