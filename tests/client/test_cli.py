@@ -103,6 +103,14 @@ class TestInteractiveShell:
         )
         assert "pushdown" in text
 
+    def test_meta_explain_join_prints_each_sides_columns(self):
+        text = self.drive([
+            "\\explain SELECT Employees.name FROM Employees JOIN Managers "
+            "ON Employees.eid = Managers.eid"
+        ])
+        assert "left_fetched_columns: ['eid', 'name']" in text
+        assert "right_fetched_columns: ['eid']" in text
+
     def test_meta_explain_usage(self):
         text = self.drive(["\\explain"])
         assert "usage" in text
