@@ -11,8 +11,9 @@ scan — and comparing the two on the provider hot paths:
   O(n log n) fix);
 * **incremental load** — how the system actually loads: 200-row
   ``insert_many`` batches into a table already grown to 20k and to 100k
-  rows (the index splice), and one-row batches into 20k rows (the
-  ``insort`` path) — ms per batch, no naive twin;
+  rows (each index merges the batch into the blocks it lands in), and
+  one-row batches into 20k rows (one block per index) — ms per batch, no
+  naive twin;
 * **range scan** — share-space range predicate + ORDER BY + LIMIT (the
   ordered top-K shape the vectorized engine executes without touching a
   Python loop), plus a full-materialization variant;
@@ -88,7 +89,8 @@ FILTERED_SUM_GATES = {"numpy": 50.0, "scalar": 2.0}
 #: either backend for the int-keyed splice / insort over a column-major
 #: batch (1.57 / 7.18 / 0.028 ms; tuple entries and row dicts took
 #: 2.32 / 7.58 / 0.024 ms on the same host, and re-merging four indexes
-#: per batch 33 / 203 / 12.6 ms before that).
+#: per batch 33 / 203 / 12.6 ms before that).  Indexes in bounded blocks
+#: read 1.50–1.54 / 2.13–2.51 / 0.038–0.048 ms on a 2-core host.
 INCREMENTAL_LOAD_GATES_MS = {(20_000, 200): 5.0, (100_000, 200): 20.0, (20_000, 1): 0.1}
 
 #: an Employees-style share table: four order-preserving (searchable)

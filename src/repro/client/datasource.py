@@ -498,12 +498,6 @@ class DataSource:
             self.insert_many(table.name, rows[start:start + batch_size])
         return len(rows)
 
-    def outsource_catalog(self, catalog: Catalog) -> Dict[str, int]:
-        """Outsource every table of a catalog; returns per-table row counts."""
-        return {
-            table.name: self.outsource_table(table) for table in catalog
-        }
-
     def sharing(self, table_name: str) -> TableSharing:
         try:
             return self._sharings[table_name]

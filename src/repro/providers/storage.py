@@ -30,23 +30,25 @@ Every searchable column's :class:`SortedShareIndex` holds one int per
 entry, ``(share << w) | row_id``, so an entry is ordered by share, then
 row id, without a tuple; a share or row id that cannot be keyed — a
 non-integer share in a searchable column, a negative or non-integer row
-id — is refused with :class:`~repro.errors.ProviderError` before any
-state changes.  Index maintenance has two paths:
+id — or a column holding more or fewer shares than the batch has rows
+is refused with :class:`~repro.errors.ProviderError` before any state
+changes.  The keys are stored as sorted blocks of at most ``_BLOCK``
+keys plus each block's last key, so index maintenance is block-local
+on both paths:
 
-* **incremental** — single-row ``insert``/``update``/``delete`` keep each
-  index current in place: one bisect, one memmove of the tail
-  (``insort`` / ``del``);
+* **incremental** — single-row ``insert``/``update``/``delete`` bisect
+  the block maxima and rebuild the one block the key lands in;
 * **bulk** — ``insert_many`` grows each column array with one ``extend``
   and hands each index the column for :meth:`SortedShareIndex.bulk_load`,
-  which sorts the batch's keys and *splices* them in: each key is
-  bisected into the existing ones from the previous key's cut onward and
-  the new list is assembled from slice copies of the old one between the
-  cuts — O(m log n) compares and one O(n) pointer copy for m keys into
-  n entries, however many batches a load arrives in.  A batch of up to
-  ``_INSORT_BATCH`` keys (a one-row ``INSERT``) takes the incremental path
-  instead.  Both are eager — a load never reads, so deferring the work
-  to first read would only hide it — and an index whose batch stages
-  nothing is left untouched, mirrors included (DESIGN.md §9).
+  which sorts the batch's keys and merges each run of them into a copy
+  of the block it falls in, cutting any block grown past ``_BLOCK`` —
+  O(m log n) compares, at most m · ``_BLOCK`` key copies and one copy
+  of the n / ``_BLOCK`` block pointers for m keys into n entries, where
+  one flat sorted list copied all n keys per batch.  The work is eager
+  — a load never reads, so deferring it to first read would only hide
+  it — and an index whose batch stages nothing is left untouched,
+  mirrors included (DESIGN.md §9).  Every write publishes its blocks as
+  a new snapshot (see :class:`SortedShareIndex`).
 
 Derived read-path state — the ascending row-id order and each row's
 position in it (the Merkle leaf order) — is cached and keyed on the
@@ -98,8 +100,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import groupby, repeat
-from operator import and_, itemgetter, ne
+from itertools import accumulate, chain, groupby, repeat
+from operator import and_, itemgetter, lshift, ne, or_
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import kernels
@@ -111,10 +113,11 @@ ShareRow = Dict[str, Optional[int]]
 #: cache sentinel distinguishing "never built" from "built, unvectorizable"
 _UNSET = object()
 
-#: Largest batch :meth:`SortedShareIndex.bulk_load` inserts key by key:
-#: m memmoves of half the index against one refcounted copy of all of it
-#: cross near m = 64, at 2k, 20k and 100k entries alike.
-_INSORT_BATCH = 32
+#: Most keys one :class:`SortedShareIndex` block holds: a write that
+#: grows a block past it cuts the block into pieces of about half of it.
+#: A one-key write copies one block and the list of all of them, so the
+#: bound sits near the square root of a 20k-entry index.
+_BLOCK = 128
 
 #: Bits an index key gives the row id, and the step it widens by when a
 #: row id needs more: row ids are client-assigned counters, so no load
@@ -135,14 +138,25 @@ class SortedShareIndex:
     scheme maps equal plaintext values to equal shares (that determinism is
     what enables provider-side equality and joins).
 
-    Stored as one sorted list of ints, the key ``(share << w) | row_id``
-    per entry: with every row id below ``2**w`` that is ``share * 2**w +
-    row_id``, so key order is (share, row id) order — negative shares
-    included — and a key compares as one int where a ``(share, row_id)``
-    tuple compared element-wise and made the collector walk one more
-    object per entry.  ``w`` starts at 64 and widens, by one re-key of
-    every entry, the first time a row id of ``2**w`` or more arrives.  The
-    read API speaks ``(share, row_id)`` pairs as ever.
+    Each entry is one int, the key ``(share << w) | row_id``: with every
+    row id below ``2**w`` that is ``share * 2**w + row_id``, so key order
+    is (share, row id) order — negative shares included — and a key
+    compares as one int where a ``(share, row_id)`` tuple compared
+    element-wise and made the collector walk one more object per entry.
+    ``w`` starts at 64 and widens, by one re-key of every entry, the first
+    time a row id of ``2**w`` or more arrives.  The read API speaks
+    ``(share, row_id)`` pairs and global entry offsets as ever.
+
+    The keys are stored as sorted **blocks** of at most ``_BLOCK`` keys
+    plus each block's last key, so a write is block-local: it bisects the
+    block maxima and rebuilds only the blocks it lands in, and no write
+    copies the whole index.  The blocks, their maxima, the entry count and
+    the key width are one published snapshot: a write never edits a
+    published list, it builds the new ones and publishes them in one
+    assignment, and every read takes one snapshot whole — so a read beside
+    a write answers from the state before it or after it, never a mix.
+    Each block's first entry offset is derived from the block list it
+    belongs to, once per mutation batch, by the first read that needs it.
 
     The mutators take what a key can be made of — an ``int`` share, a
     non-negative ``int`` row id — unchecked: :class:`ShareTable`, their
@@ -151,10 +165,14 @@ class SortedShareIndex:
 
     def __init__(self, column: str) -> None:
         self.column = column
-        self._keys: List[int] = []  # (share << width) | row_id, sorted
-        self._width = _ROW_ID_BITS
-        self._mask = (1 << _ROW_ID_BITS) - 1  # a key's row-id bits
-        #: bumped on every index mutation; keys the order mirror below
+        #: (blocks, block maxima, entry count, width, row-id mask)
+        self._state: Tuple[List[List[int]], List[int], int, int, int] = (
+            [], [], 0, _ROW_ID_BITS, (1 << _ROW_ID_BITS) - 1
+        )
+        #: (block list, its blocks' first entry offsets + the count)
+        self._starts: Tuple[List[List[int]], List[int]] = ([], [0])
+        #: bumped on every index mutation, after the snapshot it names is
+        #: published; keys the order mirror below
         self._mutations = 0
         self._vector_version = -1
         self._vector = None  # (row-id int64 array, dense-rank int64 array)
@@ -168,96 +186,121 @@ class SortedShareIndex:
         self.equality_map_builds = 0
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._state[2]
 
     def _fit(self, row_id: int) -> None:
         """Widen the row-id field so ``row_id`` fits, re-keying every
         entry once (their order cannot change: each old row id fits the
         old width)."""
-        if row_id >> self._width:
-            old, mask = self._width, self._mask
+        blocks, maxes, size, old, mask = self._state
+        if row_id >> old:
             width = -(-row_id.bit_length() // _ROW_ID_BITS) * _ROW_ID_BITS
-            self._keys = [((key >> old) << width) | (key & mask) for key in self._keys]
-            self._width, self._mask = width, (1 << width) - 1
+            blocks = [
+                [((key >> old) << width) | (key & mask) for key in block]
+                for block in blocks
+            ]
+            self._state = (
+                blocks, [block[-1] for block in blocks], size, width, (1 << width) - 1
+            )
 
     def insert(self, share: int, row_id: int) -> None:
         self._fit(row_id)
-        bisect.insort(self._keys, (share << self._width) | row_id)
+        self._fold([(share << self._state[3]) | row_id])
         self._mutations += 1
 
     def bulk_load(self, shares: Sequence[Optional[int]], row_ids: Sequence[int]) -> None:
         """Fold a column into the sorted entries: ``shares[r]`` is row
-        ``row_ids[r]``'s share; a NULL (``None``) is not indexed.
-
-        A handful of keys is ``insort``-ed in place like :meth:`insert`.
-        A larger batch is spliced: each sorted key
-        is located with one ``bisect_right`` from the previous key's cut,
-        and the new list is assembled from the slices of the old one
-        between the cuts and published by a single assignment — a reader
-        holds the old list or the new.  A two-run merge would step
-        through all n entries in Python, whatever the batch size.
-        """
+        ``row_ids[r]``'s share; a NULL (``None``) is not indexed.  The
+        batch's keys are sorted once and merged block by block
+        (:meth:`_fold`)."""
         if not row_ids:
             return
         self._fit(max(row_ids))
-        width = self._width
-        staged = [
-            (share << width) | row_id
-            for share, row_id in zip(shares, row_ids)
-            if share is not None
-        ]
-        staged.sort()
-        if not staged:
-            return
-        keys = self._keys
-        if not keys:
-            self._keys = staged
-        elif len(staged) <= _INSORT_BATCH:
-            for key in staged:
-                bisect.insort(keys, key)
+        width = self._state[3]
+        try:  # one C-level pass while no share is NULL
+            staged = list(map(or_, map(lshift, shares, repeat(width)), row_ids))
+        except TypeError:
+            staged = [
+                (share << width) | row_id
+                for share, row_id in zip(shares, row_ids)
+                if share is not None
+            ]
+        if staged:
+            staged.sort()
+            self._fold(staged)
+            self._mutations += 1
+
+    def _fold(self, staged: List[int]) -> None:
+        """Merge sorted keys into the blocks they fall in and publish.
+
+        Each key is ``insort``-ed into a copy of the block whose maximum
+        is the first at or past it (keys past every maximum go to the
+        last block); ascending keys land after one another, so a block
+        taking r keys moves at most r times its own length.  The
+        untouched blocks are shared with the previous snapshot, not
+        copied; a block grown past ``_BLOCK`` is then cut into pieces.
+        """
+        blocks, maxes, size, width, mask = self._state
+        if not blocks:  # an empty index takes the batch as it is
+            blocks, maxes, grown = [staged], [staged[-1]], [0]
         else:
-            merged: List[int] = []
-            cut = 0
+            blocks, grown = blocks[:], []
+            last, bound, inf = len(blocks) - 1, _BLOCK, math.inf
+            block, limit, current = -1, -inf, []
+            insort, locate = bisect.insort, bisect.bisect_left
             for key in staged:
-                position = bisect.bisect_right(keys, key, cut)
-                if position != cut:
-                    merged += keys[cut:position]
-                    cut = position
-                merged.append(key)
-            merged += keys[cut:]
-            self._keys = merged
-        self._mutations += 1
+                if key > limit:  # the key leaves the block being filled
+                    if len(current) > bound:
+                        grown.append(block)
+                    block = locate(maxes, key, block + 1, last)
+                    blocks[block] = current = blocks[block][:]
+                    limit = maxes[block] if block < last else inf
+                insort(current, key)
+            if len(current) > bound:
+                grown.append(block)
+            if grown or block == last:  # only the last block's maximum can move
+                maxes = maxes[:]
+                maxes[-1] = blocks[-1][-1]
+        for block in reversed(grown):
+            pieces = _pieces(blocks[block])
+            blocks[block:block + 1] = pieces
+            maxes[block:block + 1] = [piece[-1] for piece in pieces]
+        self._state = (blocks, maxes, size + len(staged), width, mask)
 
     def remove(self, share: int, row_id: int) -> None:
-        keys = self._keys
+        blocks, maxes, size, width, mask = self._state
         # anything that could not have been keyed is not an entry
-        if type(share) is int and type(row_id) is int and 0 <= row_id <= self._mask:
-            key = (share << self._width) | row_id
-            index = bisect.bisect_left(keys, key)
-            if index < len(keys) and keys[index] == key:
-                del keys[index]
-                self._mutations += 1
-                return
+        if type(share) is int and type(row_id) is int and 0 <= row_id <= mask:
+            key = (share << width) | row_id
+            at = bisect.bisect_left(maxes, key)
+            if at < len(blocks):
+                block = blocks[at]
+                offset = bisect.bisect_left(block, key)
+                if block[offset] == key:
+                    blocks = blocks[:]
+                    if len(block) == 1:  # the block empties: drop it
+                        del blocks[at]
+                        maxes = maxes[:at] + maxes[at + 1:]
+                    else:
+                        blocks[at] = block[:offset] + block[offset + 1:]
+                        if offset == len(block) - 1:  # its maximum goes
+                            maxes = maxes[:]
+                            maxes[at] = block[-2]
+                    self._state = (blocks, maxes, size - 1, width, mask)
+                    self._mutations += 1
+                    return
         raise ProviderError(
             f"index {self.column}: entry (share, row {row_id}) missing"
         )
 
-    def _cut(self, bound, equal_after: bool, nan_cut: int) -> int:
-        """Offset of the first entry whose share lies past ``bound`` —
-        or at it, when ``equal_after`` — in int-versus-real comparison
-        semantics: a real bound cuts at the integers around it, ±inf
-        before or after every entry, and NaN (which no share compares
-        with) at ``nan_cut``."""
-        if type(bound) is int:
-            least = bound if equal_after else bound + 1
-        else:
-            try:
-                least = math.ceil(bound) if equal_after else math.floor(bound) + 1
-            except OverflowError:  # an infinity
-                return 0 if bound < 0 else len(self._keys)
-            except ValueError:  # NaN
-                return nan_cut
-        return bisect.bisect_left(self._keys, least << self._width)
+    def _offsets(self, blocks: List[List[int]]) -> List[int]:
+        """Each block's first entry offset, then the entry count —
+        derived once per block list."""
+        cached = self._starts
+        if cached[0] is not blocks:
+            cached = (blocks, list(accumulate(map(len, blocks), initial=0)))
+            self._starts = cached
+        return cached[1]
 
     def entry_range(
         self,
@@ -268,12 +311,12 @@ class SortedShareIndex:
         high_inclusive: bool = True,
     ) -> Tuple[int, int]:
         """Entry offsets ``(start, stop)`` bracketing the shares in the
-        given (possibly open) interval — two bisects; ``stop <= start``
-        when nothing matches."""
-        n = len(self._keys)
-        start = 0 if low is None else self._cut(low, low_inclusive, n)
-        stop = n if high is None else self._cut(high, not high_inclusive, 0)
-        return start, stop
+        given (possibly open) interval — two two-level bisects; ``stop <=
+        start`` when nothing matches."""
+        state = self._state
+        (first, at), (last, to) = _cuts(state, low, high, low_inclusive, high_inclusive)
+        starts = self._offsets(state[0])
+        return starts[first] + at, starts[last] + to
 
     def range_row_ids(
         self,
@@ -285,10 +328,20 @@ class SortedShareIndex:
     ) -> List[int]:
         """Row ids whose share lies in the given (possibly open) interval,
         in ascending share order."""
-        start, stop = self.entry_range(
-            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
-        )
-        return self._row_ids_of(self._keys[start:stop])
+        state = self._state
+        (first, at), (last, to) = _cuts(state, low, high, low_inclusive, high_inclusive)
+        blocks = state[0]
+        if first == last:
+            keys = blocks[first][at:to] if at < to else ()
+        elif first > last:
+            keys = ()
+        else:
+            keys = chain(
+                blocks[first][at:],
+                chain.from_iterable(blocks[first + 1:last]),
+                blocks[last][:to] if to else (),
+            )
+        return _row_ids_of(keys, state[4])
 
     def equal_row_ids(self, share: int) -> List[int]:
         return self.range_row_ids(share, share)
@@ -300,28 +353,22 @@ class SortedShareIndex:
         start, stop = self.entry_range(low, high)
         return max(0, stop - start)
 
-    def _row_ids_of(self, keys: Iterable[int]) -> List[int]:
-        # one C-level pass; operator.and_ skips the method-wrapper call
-        return list(map(and_, keys, repeat(self._mask)))
-
-    def _entry(self, key: int) -> Tuple[int, int]:
-        return key >> self._width, key & self._mask
-
     def min_entry(self) -> Optional[Tuple[int, int]]:
-        return self._entry(self._keys[0]) if self._keys else None
+        blocks, _, _, width, mask = self._state
+        return (blocks[0][0] >> width, blocks[0][0] & mask) if blocks else None
 
     def max_entry(self) -> Optional[Tuple[int, int]]:
-        return self._entry(self._keys[-1]) if self._keys else None
+        _, maxes, _, width, mask = self._state
+        return (maxes[-1] >> width, maxes[-1] & mask) if maxes else None
 
     def entries_in_order(self) -> List[Tuple[int, int]]:
         """All (share, row_id) pairs in ascending share order (copy)."""
-        width, mask = self._width, self._mask
-        return [(key >> width, key & mask) for key in self._keys]
+        blocks, _, _, width, mask = self._state
+        return [(key >> width, key & mask) for key in chain.from_iterable(blocks)]
 
     def comparisons_for_range(self) -> int:
         """Logical comparison count of one bisect-bounded range probe."""
-        n = len(self._keys)
-        return 2 * max(1, n.bit_length())
+        return 2 * max(1, len(self).bit_length())
 
     # -- order mirror (numpy backend) ---------------------------------------
 
@@ -339,10 +386,11 @@ class SortedShareIndex:
             return None
         mutations = self._mutations
         if self._vector_version != mutations:
-            keys, width = self._keys, self._width
+            blocks, _, _, width, mask = self._state
+            keys = list(chain.from_iterable(blocks))
             shares = [key >> width for key in keys]
             try:
-                row_ids = np.array(self._row_ids_of(keys), dtype=np.int64)
+                row_ids = np.array(_row_ids_of(keys, mask), dtype=np.int64)
             except OverflowError:
                 vector = None  # unvectorizable at this version
             else:
@@ -375,14 +423,63 @@ class SortedShareIndex:
         """
         mutations = self._mutations
         if self._equality_version != mutations:
+            blocks, _, _, width, mask = self._state
             # equal shares are one run of keys, their row ids ascending
             self._equality = {
-                share: self._row_ids_of(run)
-                for share, run in groupby(self._keys, self._width.__rrshift__)
+                share: _row_ids_of(run, mask)
+                for share, run in groupby(chain.from_iterable(blocks), width.__rrshift__)
             }
             self._equality_version = mutations
             self.equality_map_builds += 1
         return self._equality
+
+
+def _cuts(state, low, high, low_inclusive: bool, high_inclusive: bool):
+    """``(block, offset in it)`` of the first entry of a snapshot in the
+    (possibly open) interval and of the first one past it."""
+    blocks, maxes, _, width, _ = state
+    end = (len(blocks), 0)
+    first = (0, 0) if low is None else _cut(blocks, maxes, width, low, low_inclusive, end)
+    last = end if high is None else _cut(blocks, maxes, width, high, not high_inclusive, (0, 0))
+    return first, last
+
+
+def _cut(blocks, maxes, width: int, bound, equal_after: bool, nan_cut: Tuple[int, int]):
+    """``(block, offset in it)`` of the first entry whose share lies past
+    ``bound`` — or at it, when ``equal_after`` — in int-versus-real
+    comparison semantics: a real bound cuts at the integers around it,
+    ±inf before or after every entry, and NaN (which no share compares
+    with) at ``nan_cut``.  Past every entry is ``(len(blocks), 0)``; any
+    other position lies inside its block."""
+    if type(bound) is int:
+        least = bound if equal_after else bound + 1
+    else:
+        try:
+            least = math.ceil(bound) if equal_after else math.floor(bound) + 1
+        except OverflowError:  # an infinity
+            return (0, 0) if bound < 0 else (len(blocks), 0)
+        except ValueError:  # NaN
+            return nan_cut
+    key = least << width
+    block = bisect.bisect_left(maxes, key)
+    if block == len(blocks):
+        return block, 0
+    return block, bisect.bisect_left(blocks[block], key)
+
+
+def _pieces(keys: List[int]) -> List[List[int]]:
+    """``keys`` as one block, or — past ``_BLOCK`` — as ``2 * len //
+    _BLOCK`` near-equal blocks, each of at most ``_BLOCK`` keys."""
+    size = len(keys)
+    if size <= _BLOCK:
+        return [keys]
+    count = 2 * size // _BLOCK
+    return [keys[size * p // count:size * (p + 1) // count] for p in range(count)]
+
+
+def _row_ids_of(keys: Iterable[int], mask: int) -> List[int]:
+    # one C-level pass; operator.and_ skips the method-wrapper call
+    return list(map(and_, keys, repeat(mask)))
 
 
 class ShareTable:
@@ -511,11 +608,18 @@ class ShareTable:
         return self.epoch
 
     def _refuse_unkeyable(self, row_ids: Sequence, cells: Dict[str, Sequence]) -> None:
-        """Raise :class:`ProviderError` unless every row id is a
-        non-negative ``int`` and every searchable column's cell among
-        ``cells`` an ``int`` or NULL — what an index key is made of.  The
-        one check in front of every index mutation.  C-level passes; the
-        offender is looked up only to name it."""
+        """Raise :class:`ProviderError` unless every column among
+        ``cells`` holds one cell per row id, every row id is a
+        non-negative ``int`` and every searchable column's cell an
+        ``int`` or NULL — what an index key is made of.  The one check in
+        front of every index mutation.  C-level passes; the offender is
+        looked up only to name it."""
+        for column, shares in cells.items():
+            if len(shares) != len(row_ids):
+                raise ProviderError(
+                    f"table {self.name}: column {column!r} holds {len(shares)} "
+                    f"shares for {len(row_ids)} rows"
+                )
         if not _ROW_ID_TYPES.issuperset(map(type, row_ids)) or (row_ids and min(row_ids) < 0):
             bad = next(r for r in row_ids if type(r) is not int or r < 0)
             raise ProviderError(
@@ -546,7 +650,8 @@ class ShareTable:
         """Bulk insert of one column-major batch.
 
         A batch holding a row id or a searchable column's share that no
-        index can key is refused whole, before any state changes.
+        index can key, or a column with more or fewer shares than the
+        batch has row ids, is refused whole, before any state changes.
         Otherwise the happy path validates the rest with set operations,
         grows each column array with one ``extend`` and folds each
         column into its index with one :meth:`SortedShareIndex.bulk_load`.
@@ -597,7 +702,7 @@ class ShareTable:
             raise ProviderError(
                 f"table {self.name}: unknown columns {sorted(unknown)}"
             )
-        self._refuse_unkeyable((), {c: (s,) for c, s in assignments.items()})
+        self._refuse_unkeyable((row_id,), {c: (s,) for c, s in assignments.items()})
         undo: ShareRow = {}
         for column, new_share in assignments.items():
             array = self._column_data[column]

@@ -24,8 +24,8 @@ victim is down, a second crash leaves n − k providers down: checked reads
 stay exact, and the new crash gets no more bytes once it is quarantined;
 and the victim can be revived and repaired, after which checked reads
 address it again.  A bulk
-insert of more rows than an index takes one at a time (so each index
-splices the batch in), NULLs in the searchable ``tier`` included, goes
+insert of 33–40 rows (each index folds the whole batch in at once),
+NULLs in the searchable ``tier`` included, goes
 direct or through ``atomic()``; and the whole deployment is saved and
 loaded back — every provider rebuilt through ``insert_many`` — and the
 run continues on the loaded source.  Table epochs never move backwards.
@@ -318,9 +318,9 @@ class RowCacheCoherence(RuleBasedStateMachine):
         through=st.sampled_from(["direct", "atomic"]),
     )
     def bulk_insert(self, cells, through):
-        """More rows than an index inserts one by one (direct: one
-        ``insert_many`` whose every index splices; ``atomic``: one
-        transaction of single-row ops), the first with a NULL ``tier``."""
+        """33–40 rows at once (direct: one ``insert_many`` that every
+        index folds in as one batch; ``atomic``: one transaction of
+        single-row ops), the first with a NULL ``tier``."""
         self.bulk_inserted = True
         rows = []
         for position, (branch, tier) in enumerate(cells):

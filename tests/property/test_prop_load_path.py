@@ -11,16 +11,24 @@
 * ``Codec.encode_many`` is ``encode`` per value, position of the first
   failure included.
 * ``SortedShareIndex.bulk_load`` leaves ``sorted(existing + staged)``,
-  entry for entry, on both of its paths; and under any interleaving of
-  ``insert`` / ``remove`` / ``bulk_load`` — row ids past ``2**64``, shares
-  below zero — every read of the index answers what a plain sorted list
-  of ``(share, row_id)`` tuples answers; and what no index can key, the
-  ``ShareTable`` in front of it refuses before any state changes.
+  entry for entry, whatever the batch-to-index ratio; and under any
+  interleaving of ``insert`` / ``remove`` / ``bulk_load`` — row ids past
+  ``2**64``, shares below zero — every read of the index answers what a
+  plain sorted list of ``(share, row_id)`` tuples answers; and what no
+  index can key, the ``ShareTable`` in front of it refuses before any
+  state changes.  The index properties run with the block bound cut to
+  2–4 keys, so the draws split blocks, empty them and widen row ids
+  across many of them.
+* A reader beside a writer never raises: each read answers from one
+  published snapshot of the blocks.
 """
 
 import datetime
 import math
+import sys
+import threading
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +43,7 @@ from repro.core.encoding import (
 )
 from repro.core import kernels
 from repro.errors import ProviderError, SchemaError
+from repro.providers import storage
 from repro.providers.storage import ShareTable, SortedShareIndex
 from repro.sim.network import ShareRows
 from tests.client.test_load_path import ledger_rows, ledger_schema, ledger_sharing
@@ -221,9 +230,32 @@ def _load(index, pairs):
     index.bulk_load([share for share, _ in pairs], [row_id for _, row_id in pairs])
 
 
+#: block bounds small enough that a few dozen entries span many blocks
+_small_blocks = st.integers(2, 4)
+
+
+def _blocks_hold_the_entries(index):
+    """The blocks are non-empty, within the bound, and their maxima are
+    their last keys."""
+    blocks, maxes, size, _, _ = index._state
+    assert all(0 < len(block) <= storage._BLOCK for block in blocks)
+    assert maxes == [block[-1] for block in blocks]
+    assert sum(map(len, blocks)) == size == len(index)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_pairs((0, 60)), st.one_of(_pairs((0, 3)), _pairs((30, 90))), st.sampled_from("<>="))
-def test_bulk_load_equals_sorting_everything(existing, staged, where):
+@given(
+    _pairs((0, 60)),
+    st.one_of(_pairs((0, 3)), _pairs((30, 90))),
+    st.sampled_from("<>="),
+    _small_blocks,
+)
+def test_bulk_load_equals_sorting_everything(existing, staged, where, block):
+    with mock.patch.object(storage, "_BLOCK", block):
+        _bulk_load_equals_sorting_everything(existing, staged, where)
+
+
+def _bulk_load_equals_sorting_everything(existing, staged, where):
     # staged entirely below / above / interleaved with what is there
     if where == "<":
         staged = [(share - (1 << 123), rid) for share, rid in staged]
@@ -242,6 +274,7 @@ def test_bulk_load_equals_sorting_everything(existing, staged, where):
     assert index.entries_in_order() is not after
     after.clear()
     assert len(index) == len(existing) + len(staged)
+    _blocks_hold_the_entries(index)
 
 
 @pytest.mark.parametrize("m", [0, 1, 10, 1_000, 10_000])
@@ -250,10 +283,13 @@ def test_bulk_load_at_every_batch_to_index_ratio(m):
     n = 1_000
     existing = [((i * 7919) % 1009 + (1 << 100), i) for i in range(n)]
     staged = [((i * 104729) % 1013 + (1 << 100), n + i) for i in range(m)]
-    index = SortedShareIndex("c")
-    _load(index, existing)
-    _load(index, staged)
-    assert index.entries_in_order() == sorted(existing + staged)
+    for keys in (4, storage._BLOCK):
+        with mock.patch.object(storage, "_BLOCK", keys):
+            index = SortedShareIndex("c")
+            _load(index, existing)
+            _load(index, staged)
+            assert index.entries_in_order() == sorted(existing + staged)
+            _blocks_hold_the_entries(index)
 
 
 # ------------------------------------------- the whole index against a list --
@@ -316,8 +352,13 @@ def _below(share, high, inclusive):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_index_ops, st.data())
-def test_the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data):
+@given(_index_ops, st.data(), _small_blocks)
+def test_the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data, block):
+    with mock.patch.object(storage, "_BLOCK", block):
+        _the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data)
+
+
+def _the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data):
     index, oracle = SortedShareIndex("c"), []
     for op in ops:
         kind = op[0]
@@ -346,6 +387,7 @@ def test_the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data):
                 table.insert(junk[1], {"c": junk[0]})
             assert len(table) == 0 and table.indexes["c"].entries_in_order() == []
         assert index.entries_in_order() == oracle
+        _blocks_hold_the_entries(index)
     assert len(index) == len(oracle)
     assert index.min_entry() == (oracle[0] if oracle else None)
     assert index.max_entry() == (oracle[-1] if oracle else None)
@@ -380,3 +422,122 @@ def test_the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data):
         assert index.range_row_ids(low, high, **flags) == expected
         closed = [s for s, _ in oracle if _above(s, low, True) and _below(s, high, True)]
         assert index.count_in_range(low, high) == len(closed)
+
+
+# ------------------------------------------------------- block boundaries --
+
+
+def _spread(count, start=0):
+    """``count`` pairs with distinct shares, handed over out of order."""
+    return [((i * 37) % count - count // 2, start + i) for i in range(count)]
+
+
+def test_removes_that_empty_blocks_leave_every_read_whole():
+    with mock.patch.object(storage, "_BLOCK", 3):
+        index, oracle = SortedShareIndex("c"), sorted(_spread(40))
+        _load(index, oracle)
+        assert len(index._state[0]) > 10
+        # empty the first, a middle and the last block, then all but one entry
+        for victims in (index._state[0][0], index._state[0][5], index._state[0][-1]):
+            for key in list(victims):
+                pair = (key >> 64, key & ((1 << 64) - 1))
+                index.remove(*pair)
+                oracle.remove(pair)
+                _blocks_hold_the_entries(index)
+            assert index.entries_in_order() == oracle
+            assert index.entry_range(None, None) == (0, len(oracle))
+            assert index.min_entry() == oracle[0] and index.max_entry() == oracle[-1]
+        while len(oracle) > 1:
+            index.remove(*oracle.pop(len(oracle) // 2))
+            _blocks_hold_the_entries(index)
+            low, high = oracle[0][0], oracle[-1][0]
+            assert index.range_row_ids(low, high) == [row_id for _, row_id in oracle]
+        index.remove(*oracle.pop())
+        assert index._state[0] == [] and len(index) == 0
+        assert index.range_row_ids(None, None) == [] and index.entry_range(0, 9) == (0, 0)
+        assert index.min_entry() is None and index.max_entry() is None
+        assert index.equality_map() == {}
+        # and an emptied index loads again
+        _load(index, _spread(9))
+        assert index.entries_in_order() == sorted(_spread(9))
+
+
+def test_a_row_id_widening_rekeys_every_block():
+    with mock.patch.object(storage, "_BLOCK", 4):
+        index, oracle = SortedShareIndex("c"), _spread(200)
+        _load(index, oracle[:100])
+        for share, row_id in oracle[100:]:
+            index.insert(share, row_id)
+        assert len(index._state[0]) > 40
+        wide = [(0, 1 << 70), (-5, (1 << 64) + 3), (99, 1 << 130)]
+        _load(index, wide[:2])
+        index.insert(*wide[2])
+        oracle = sorted(oracle + wide)
+        _blocks_hold_the_entries(index)
+        assert index.entries_in_order() == oracle
+        assert index.range_row_ids(-5, 0) == [
+            row_id for share, row_id in oracle if -5 <= share <= 0
+        ]
+        partners = {}
+        for share, row_id in oracle:
+            partners.setdefault(share, []).append(row_id)
+        assert index.equality_map() == partners
+        index.remove(99, 1 << 130)
+        assert index.max_entry() == oracle[-2]
+
+
+def test_a_reader_beside_a_writer_never_raises():
+    """Readers read while one writer loads, inserts and removes — as a
+    ``SELECT`` does beside a group-commit leader's ``txn_apply``.  Two
+    readers and the writer outnumber the cores a small host has."""
+    failures, done = [], threading.Event()
+
+    def read(index):
+        while not done.is_set():
+            try:
+                # point probes at every share the writer uses, the
+                # highest (last blocks, which removes empty) included
+                for share in range(-16, 61):
+                    index.entry_range(share, share + 1)
+                    index.range_row_ids(share, share, high_inclusive=False)
+                    index.equal_row_ids(share)
+                row_ids = index.range_row_ids(None, None)
+                assert len(row_ids) == len(set(row_ids))
+                index.count_in_range(0, None)
+                index.min_entry(), index.max_entry()
+                index.vector_entries()
+                for partners in index.equality_map().values():
+                    assert partners == sorted(partners)
+            except Exception as exc:  # noqa: BLE001 - any raise is the failure
+                failures.append(exc)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(storage, "_BLOCK", 4):
+            index = SortedShareIndex("c")
+            readers = [threading.Thread(target=read, args=(index,)) for _ in range(2)]
+            for reader in readers:
+                reader.start()
+            try:
+                live = []
+                for round_ in range(60):
+                    batch = _spread(30, start=1000 * round_)
+                    _load(index, batch)
+                    live += batch
+                    for i in range(5):
+                        pair = (round_ - i, 1000 * round_ + 900 + i)
+                        index.insert(*pair)
+                        live.append(pair)
+                    for _ in range(20):
+                        index.remove(*live.pop((7 * round_) % len(live)))
+            finally:
+                done.set()
+                for reader in readers:
+                    reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert failures == []
+    assert index.entries_in_order() == sorted(live)

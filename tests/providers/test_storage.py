@@ -396,6 +396,28 @@ class TestUnkeyableInputIsRefusedWhole:
         provider.handle("insert_many", {"table": "T", "rows": [(80, {"a": 1, "b": 2})]})
         assert self.b_matches(provider) == len(table) == 41
 
+    @pytest.mark.parametrize("column", ["a", "v"])
+    @pytest.mark.parametrize("shares, row_ids", [([5], [80, 81]), ([5, 6], [80])])
+    @pytest.mark.parametrize("route", ["direct", "handle"])
+    def test_a_ragged_batch_changes_nothing(self, provider, column, shares, row_ids, route):
+        # a column holding fewer (or more) shares than the batch has rows
+        table = provider.store.table("T")
+        names = ("a", "b", "v")
+        cells = [shares if name == column else [7] * len(row_ids) for name in names]
+        batch = ShareRows(row_ids, names, cells)
+        before = self.state(provider)
+        message = f"column '{column}' holds {len(shares)} shares for {len(row_ids)} rows"
+        with pytest.raises(ProviderError, match=re.escape(message)):
+            if route == "direct":
+                table.insert_many(batch)
+            else:
+                provider.handle("insert_many", {"table": "T", "rows": batch})
+        assert self.state(provider) == before
+        # the next row inherits nothing and a full-table select still reads
+        provider.handle("insert_many", {"table": "T", "rows": [(80, {"a": 1, "b": 2})]})
+        assert table.get(80) == {"a": 1, "b": 2, "v": None}
+        assert len(provider.handle("select", {"table": "T", "conditions": []})["rows"]) == 41
+
 
 class TestDerivedStateCache:
     def make(self):
