@@ -270,7 +270,7 @@ def bench_op_reconstruct(
     rng = DeterministicRNG(SEED, "op-recon")
     values = [rng.randint(0, 1_000_000) for _ in range(n_cells)]
     xs = [secrets.point_for(i) for i in range(threshold)]
-    vectors = [shares[:threshold] for shares in scheme.split_batch(values)]
+    vectors = list(zip(*scheme.split_columns(values)[:threshold]))
     step = max(1, n_cells // n_queries)
     # the kernel takes one share column per point, as the read path has them
     queries = [

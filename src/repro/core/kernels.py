@@ -32,8 +32,12 @@ The **scalar path is the always-on correctness oracle**: it is selected
 when numpy is absent (install ``repro[fast]`` to get the backend), when
 ``set_kernel_backend("scalar")`` forces it, for tiny batches where array
 overhead dominates, and for any input shape the vector kernels cannot
-take bit-exactly (ragged rows, out-of-range residues, exact-integer
-order-preserving evaluation).
+take bit-exactly (ragged rows, out-of-range residues).
+
+**Order-preserving columns split in exact integers**, column-major:
+:meth:`SplitKernel.evaluate_columns` runs Horner over one coefficient
+column per degree, once per evaluation point, straight into each
+provider's share column.
 
 **Order-preserving columns reconstruct in exact integers** — no
 rationals, no numpy.  Their polynomials are not reduced mod p, so the
@@ -661,9 +665,10 @@ class SplitKernel:
         share at provider i.
 
         Dispatches to batched Horner on the numpy backend (modular
-        kernels only — exact-integer order-preserving evaluation stays
-        scalar); ragged or out-of-range batches fall back to the scalar
-        oracle, so the result is bit-identical on every input.
+        kernels only — exact-integer batches stay scalar; the
+        order-preserving scheme splits through :meth:`evaluate_columns`);
+        ragged or out-of-range batches fall back to the scalar oracle, so
+        the result is bit-identical on every input.
         """
         telemetry.observe("kernels.split_batch_values", len(coeff_vectors))
         if (
@@ -679,6 +684,27 @@ class SplitKernel:
                 return vectorized
         _STATS.scalar_split_values += len(coeff_vectors)
         return self._evaluate_batch_scalar(coeff_vectors)
+
+    def evaluate_columns(self, columns: Sequence[Sequence[int]]) -> List[List[int]]:
+        """Shares for many values given column-major: ``columns[d][r]`` is
+        value r's degree-d coefficient; result[i][r] is value r's share at
+        provider i.
+
+        Horner over whole columns in Python ints (the order-preserving
+        shares are 90–122 bits wide, past uint64), bit-identical to
+        :meth:`evaluate` per value.
+        """
+        count = len(columns[0])
+        telemetry.observe("kernels.split_batch_values", count)
+        _STATS.scalar_split_values += count
+        modulus = self.modulus
+        out: List[List[int]] = []
+        for x in self.points:
+            acc = list(columns[-1])
+            for column in columns[-2::-1]:
+                acc = list(map(add, map(mul, acc, repeat(x)), column))
+            out.append(acc if modulus is None else [a % modulus for a in acc])
+        return out
 
 
 def split_kernel(

@@ -131,8 +131,8 @@ class OrderPreservingScheme:
         # coefficients start higher so distinct degrees never collide, which
         # keeps the "upper bound on the sum of domain sizes" leak of Sec. IV
         # as loose as the paper argues.
-        # one keyed hash per non-constant coefficient; the label's bytes
-        # are built here, once, not per shared value
+        # one keyed hash per non-constant coefficient; its key pads and
+        # label are hashed here, once, not per shared value
         self._slot_hashes = tuple(
             secrets.keyed_hasher(f"op/{label}/c{j}") for j in range(threshold - 1)
         )
@@ -143,20 +143,30 @@ class OrderPreservingScheme:
 
     # -- polynomial construction (Sec. IV) -----------------------------------
 
-    def _coefficients(self, value: int) -> Tuple[int, ...]:
-        """p_v's coefficients, constant term ``v`` first.
+    def _coefficient_columns(self, values: Sequence[int]) -> List[List[int]]:
+        """Every p_v's coefficients, one column per degree, constant term
+        (the values) first; the domain is checked once per call.
 
         Slot i (the value's rank) of coefficient domain j is
-        ``[base_j + i*W, base_j + (i+1)*W)`` with ``base_j = (j+1)*N*W``;
-        the keyed hash picks the offset within the slot.
+        ``[j*N*W + i*W, j*N*W + (i+1)*W)`` and the keyed hash picks the
+        offset within it: c_j(v) = ``j*N*W - lo*W + v*W + h_j(v) mod W``.
         """
+        domain = self.domain
+        if values and (min(values) < domain.lo or max(values) > domain.hi):
+            for value in values:
+                domain.rank(value)
         width = self.slot_width
-        span = self.domain.size * width
-        slot = self.domain.rank(value) * width
-        coeffs = [value]
+        span = domain.size * width
+        columns = [list(values)]
         for degree, slot_hash in enumerate(self._slot_hashes, start=1):
-            coeffs.append(degree * span + slot + slot_hash(value) % width)
-        return tuple(coeffs)
+            base = degree * span - domain.lo * width
+            columns.append([base + v * width + slot_hash(v) % width for v in values])
+        return columns
+
+    def _coefficients(self, value: int) -> Tuple[int, ...]:
+        """p_v's coefficients, constant term ``v`` first: the one-value
+        case of :meth:`_coefficient_columns`."""
+        return tuple(column[0] for column in self._coefficient_columns((value,)))
 
     def polynomial_for(self, value: int) -> IntegerPolynomial:
         """The deterministic sharing polynomial p_v (constant term = v)."""
@@ -178,11 +188,10 @@ class OrderPreservingScheme:
         """All n shares of ``value``, provider-index order."""
         return self._kernel().evaluate(self._coefficients(value))
 
-    def split_batch(self, values: Sequence[int]) -> List[List[int]]:
-        """Share many values; result[j][i] is value j's share at provider i."""
-        return self._kernel().evaluate_batch(
-            [self._coefficients(v) for v in values]
-        )
+    def split_columns(self, values: Sequence[int]) -> List[List[int]]:
+        """Share many values; result[i][j] is value j's share at provider i
+        (coefficient columns, then Horner once per provider point)."""
+        return self._kernel().evaluate_columns(self._coefficient_columns(values))
 
     # -- query rewriting helpers (Sec. V-A) -----------------------------------
 
@@ -195,10 +204,14 @@ class OrderPreservingScheme:
         ``salary >= 50000`` rewrite cleanly.  Because the scheme is strictly
         order-preserving, the provider's share-range scan returns *exactly*
         the tuples in the plaintext range — no superset, unlike
-        bucketization (contrast in EXP-T2).
+        bucketization (contrast in EXP-T2).  A range with no value inside
+        the domain has no such bounds and raises, like an empty one.
         """
         if low > high:
             raise DomainError(f"empty range [{low}, {high}]")
+        if high < self.domain.lo or low > self.domain.hi:
+            raise DomainError(f"range [{low}, {high}] lies outside domain "
+                              f"[{self.domain.lo}, {self.domain.hi}]")
         lo = self.domain.clamp(low)
         hi = self.domain.clamp(high)
         return self.share(lo, provider_index), self.share(hi, provider_index)

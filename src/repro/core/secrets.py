@@ -75,14 +75,27 @@ class ClientSecrets:
         return self.keyed_hasher(label)(value)
 
     def keyed_hasher(self, label: str) -> Callable[[int], int]:
-        """:meth:`keyed_hash` with the label bound, for hashing many values:
-        the label's bytes are built once and each value is one one-shot
-        HMAC call."""
-        key, prefix = self.hash_key, label.encode("utf-8") + b"\x00"
+        """:meth:`keyed_hash` with the label bound, for hashing many values.
+
+        HMAC-SHA256 as RFC 2104 (and ``hmac.digest``) computes it, with the
+        key's inner and outer pad states hashed once and the label fed into
+        the inner one: a value costs two state copies and no key schedule.
+        The states are only ever copied, so threads may share a hasher.
+        """
+        key = self.hash_key
+        if len(key) > 64:  # longer than SHA-256's block: hashed first
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(64, b"\x00")
+        inner = hashlib.sha256(bytes(b ^ 0x36 for b in key))
+        inner.update(label.encode("utf-8") + b"\x00")
+        outer = hashlib.sha256(bytes(b ^ 0x5C for b in key))
 
         def keyed_hash(value: int) -> int:
-            digest = hmac.digest(key, prefix + _int_bytes(value), "sha256")
-            return int.from_bytes(digest, "big")
+            state = inner.copy()
+            state.update(_int_bytes(value))
+            digest = outer.copy()
+            digest.update(state.digest())
+            return int.from_bytes(digest.digest(), "big")
 
         return keyed_hash
 

@@ -141,6 +141,17 @@ class TestRangeRewriting:
         with pytest.raises(DomainError):
             scheme.share_range(5, 4, 0)
 
+    @pytest.mark.parametrize("low, high", [(-10, -5), (-10, -1), (20_000, 30_000), (10_001, 10_001)])
+    def test_range_wholly_outside_the_domain_rejected(self, scheme, low, high):
+        # clamping both ends would bracket the share of an edge value that
+        # the range does not contain
+        with pytest.raises(DomainError, match="outside domain"):
+            scheme.share_range(low, high, 0)
+
+    @pytest.mark.parametrize("low, high, edge", [(-10, 0, 0), (10_000, 30_000, 10_000)])
+    def test_range_touching_the_domain_keeps_its_edge(self, scheme, low, high, edge):
+        assert scheme.share_range(low, high, 0) == (scheme.share(edge, 0),) * 2
+
 
 class TestReconstruction:
     def test_roundtrip(self, scheme):

@@ -1,9 +1,11 @@
 """Property-based tests for the order-preserving construction."""
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.order_preserving import IntegerDomain, OrderPreservingScheme
 from repro.core.secrets import generate_client_secrets
+from repro.errors import DomainError
 
 SECRETS = generate_client_secrets(5, seed=200)
 DOMAIN = IntegerDomain(-100_000, 100_000)
@@ -57,13 +59,20 @@ def test_tampering_never_silently_accepted(value, provider, offset):
     assert DOMAIN.contains(result)
 
 
-@given(
-    low=domain_values, high=domain_values, probe=domain_values, provider=providers
-)
+#: query bounds reach past both ends of the domain
+bounds = st.integers(min_value=DOMAIN.lo - 1_000, max_value=DOMAIN.hi + 1_000) | st.integers()
+
+
+@given(low=bounds, high=bounds, probe=domain_values, provider=providers)
 @settings(max_examples=150, deadline=None)
 def test_range_rewriting_exact(low, high, probe, provider):
-    """share_range brackets exactly the values inside the range."""
+    """share_range brackets exactly the values inside the range, and
+    refuses a range that holds no domain value."""
     assume(low <= high)
+    if high < DOMAIN.lo or low > DOMAIN.hi:
+        with pytest.raises(DomainError):
+            SCHEME.share_range(low, high, provider)
+        return
     lo_share, hi_share = SCHEME.share_range(low, high, provider)
     probe_share = SCHEME.share(probe, provider)
     inside = low <= probe <= high
