@@ -5,8 +5,8 @@ Measures the batched share-arithmetic kernels of
 they replaced:
 
 * **split** — sharing M values: per-value Horner evaluation of a fresh
-  random polynomial vs. the cached power-table kernel
-  (:meth:`ShamirScheme.split_batch`).
+  random polynomial vs. column-major Horner over the batch's coefficient
+  columns (:meth:`ShamirScheme.split_columns`).
 * **reconstruct** — a 10k-row × 4-column result set: per-cell
   :func:`lagrange_constant_term` (rebuilds the Lagrange basis and pays a
   modular inversion per cell) vs. column-major
@@ -135,9 +135,11 @@ def bench_split(n_values: int, n_providers: int = 5, threshold: int = 3):
         naive_split_batch, scheme, values, DeterministicRNG(SEED, "split")
     )
     kernel, kern_s = _timed(
-        scheme.split_batch, values, DeterministicRNG(SEED, "split")
+        scheme.split_columns, values, DeterministicRNG(SEED, "split")
     )
-    assert kernel == baseline, "split kernel diverged from the naive path"
+    assert kernel == [list(shares) for shares in zip(*baseline)], (
+        "split kernel diverged from the naive path"
+    )
     return {
         "values": n_values,
         "n": n_providers,
@@ -179,7 +181,7 @@ def bench_reconstruct(
     rng = DeterministicRNG(SEED, "recon")
     n_cells = n_rows * n_columns
     values = [rng.field_element(scheme.field.modulus) for _ in range(n_cells)]
-    share_rows = scheme.split_batch(values, rng)
+    share_rows = list(zip(*scheme.split_columns(values, rng)))
     # quorum responses: the first k providers answered, as in a real read
     cells = [
         {i: shares[i] for i in range(threshold)} for shares in share_rows
@@ -544,8 +546,9 @@ def bench_select(n_rows: int, n_providers: int = 5, threshold: int = 3):
 def run_check(response_path_gate: bool = True) -> None:
     """Tiny smoke mode: assert kernels are bit-identical to naive paths.
 
-    Covers several (n, k) shapes including over-determined quorums, under
-    *every* available backend; raises AssertionError on any divergence.
+    Covers several (n, k) shapes including over-determined quorums;
+    reconstruction runs under *every* available backend (splitting has
+    one implementation); raises AssertionError on any divergence.
     With numpy installed it also gates the vectorized batch-reconstruct
     speedup at ≥10× over the naive scalar baseline; on every backend it
     gates the exact-integer order-preserving kernel at ≥5× over per-cell
@@ -565,31 +568,22 @@ def run_check(response_path_gate: bool = True) -> None:
         baseline = naive_split_batch(
             scheme, values, DeterministicRNG(SEED, "chk")
         )
-        cells_reference = None
+        columns = scheme.split_columns(values, DeterministicRNG(SEED, "chk"))
+        assert columns == [list(shares) for shares in zip(*baseline)], (
+            f"split mismatch at (n={n}, k={k})"
+        )
+        # over-determined: all n shares supplied, only k used
+        cells = [dict(enumerate(shares)) for shares in baseline]
+        assert naive_reconstruct_cells(scheme, cells) == values
         for backend in backends:
             previous = kernels.set_kernel_backend(backend)
             try:
-                batched = scheme.split_batch(
-                    values, DeterministicRNG(SEED, "chk")
-                )
-                assert batched == baseline, (
-                    f"split mismatch at (n={n}, k={k}) backend={backend}"
-                )
-                # over-determined: all n shares supplied, only k used
-                cells = [dict(enumerate(shares)) for shares in batched]
-                assert naive_reconstruct_cells(scheme, cells) == values
                 reconstructed = kernel_reconstruct_cells(scheme, cells)
-                assert reconstructed == values, (
-                    f"reconstruct mismatch at (n={n}, k={k}) backend={backend}"
-                )
-                if cells_reference is None:
-                    cells_reference = reconstructed
-                else:
-                    assert reconstructed == cells_reference, (
-                        f"backends disagree at (n={n}, k={k})"
-                    )
             finally:
                 kernels.set_kernel_backend(previous)
+            assert reconstructed == values, (
+                f"reconstruct mismatch at (n={n}, k={k}) backend={backend}"
+            )
     if "numpy" in backends:
         gate = bench_reconstruct(2_500, n_columns=4, n_queries=4)
         assert gate["numpy_speedup"] >= 10.0, (

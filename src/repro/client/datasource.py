@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
@@ -798,27 +799,20 @@ class DataSource:
         sharing = self.sharing(table_name)
         n = self.cluster.n_providers
         updates: List[List] = [[] for _ in range(n)]
-        for row_id, values in changes:
-            # re-share only the assigned columns; untouched shares stay
-            # valid.  share_value is called ONCE per column: for random
-            # (non-searchable) columns every call draws a fresh polynomial,
-            # so per-provider calls would hand each provider a share of a
-            # different secret — unreconstructable garbage.
-            shares_by_column = {
-                column: sharing.share_value(column, value)
-                for column, value in values.items()
+        # re-share only the assigned columns (untouched shares stay valid),
+        # one share_encoded per run of changes assigning the same columns:
+        # its random cells draw rows then columns, so the RNG stream is
+        # that of one share_value per cell in change order
+        for columns, run in groupby(changes, key=lambda change: tuple(change[1])):
+            run = list(run)
+            encoded = {
+                column: [sharing.encode(column, values[column]) for _, values in run]
+                for column in columns
             }
-            for i in range(n):
-                updates[i].append(
-                    [
-                        row_id,
-                        {
-                            column: shares[i]
-                            for column, shares in shares_by_column.items()
-                        },
-                    ]
-                )
-            self.cost.record("poly_eval", len(values) * n)
+            shared = sharing.share_encoded(encoded, [row_id for row_id, _ in run])
+            for batch, provider_updates in zip(shared, updates):
+                provider_updates.extend([row_id, row] for row_id, row in batch)
+            self.cost.record("poly_eval", len(columns) * len(run) * n)
         requests = [{"table": table_name, "updates": updates[i]} for i in range(n)]
         return WriteOp("update_rows", table_name, requests, len(changes))
 
@@ -972,22 +966,20 @@ class DataSource:
         )
         if not row_ids:
             return 0
-        increments_per_provider: List[List] = [
-            [] for _ in range(self.cluster.n_providers)
-        ]
-        for row_id in row_ids:
-            deltas_by_provider: List[Dict[str, int]] = [
-                {} for _ in range(self.cluster.n_providers)
+        # one fresh sharing of zero per (row, random column), drawn rows
+        # then columns: the RNG stream of one split(0) per cell
+        width = len(random_columns)
+        zeros = sharing.random_scheme.split_columns(
+            [0] * (len(row_ids) * width), self._rng
+        )
+        self.cost.record("poly_eval", self.cluster.n_providers * len(row_ids) * width)
+        increments_per_provider = [
+            [
+                [row_id, dict(zip(random_columns, shares[start:start + width]))]
+                for row_id, start in zip(row_ids, range(0, len(shares), width))
             ]
-            for column in random_columns:
-                zero_shares = sharing.random_scheme.split(0, self._rng)
-                self.cost.record("poly_eval", self.cluster.n_providers)
-                for index in range(self.cluster.n_providers):
-                    deltas_by_provider[index][column] = zero_shares[index]
-            for index in range(self.cluster.n_providers):
-                increments_per_provider[index].append(
-                    [row_id, deltas_by_provider[index]]
-                )
+            for shares in zeros
+        ]
         self._mutate(
             table_name,
             "increment_rows",

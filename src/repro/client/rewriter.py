@@ -15,6 +15,8 @@ endpoints through the order-preserving scheme per provider:
 
 Out-of-domain literals saturate (``salary < 10**12`` scans the whole
 domain; ``salary = -5`` with a non-negative domain is provably empty).
+A NULL literal compares to nothing (``eid = NULL``, ``salary BETWEEN
+NULL AND 5``): provably empty.
 Non-pushable conjuncts (OR/NOT/IS NULL/!=, predicates on randomly-shared
 columns) become the **residual** that the client evaluates after
 reconstruction — correct but paid for in bandwidth, which ABL-1 measures.
@@ -152,6 +154,9 @@ def _to_interval(
             return None
         return EncodedInterval(part.column, low, high)
     domain = sharing.op_scheme(part.column).domain
+    literals = (part.low, part.high) if isinstance(part, Between) else (part.value,)
+    if None in literals:  # per SQL a comparison with NULL is never true
+        return EncodedInterval(part.column, 1, 0)
     if isinstance(part, Between):
         low = _saturating_encode(sharing, part.column, part.low, round_up=True)
         high = _saturating_encode(sharing, part.column, part.high, round_up=False)

@@ -2,42 +2,39 @@
 
 The naive paths of :mod:`repro.core.polynomial` rebuild the entire
 Lagrange basis (O(k²) products plus a modular inversion) for *every*
-reconstructed cell, and :meth:`ShamirScheme.split` re-raises every
-evaluation point to every power for *every* shared value.  For a result
-set of M rows × C columns that is M·C basis rebuilds — yet within one
-query every cell is interpolated at the *same* frozen subset of
-evaluation points, and every split evaluates at the *same* client points.
+reconstructed cell, and build a polynomial object per shared value.  For
+a result set of M rows × C columns that is M·C basis rebuilds — yet
+within one query every cell is interpolated at the *same* frozen subset
+of evaluation points, and every split evaluates at the *same* client
+points.
 
-This module amortises both, in two tiers:
+**Reconstruction** is cached and, for the random scheme, vectorized:
 
 * **Caching** (always on) — :func:`lagrange_weights` computes the λ_i
   basis weights once per (field, point-subset) with a single Montgomery
   batch inversion; :func:`integer_lagrange_weights` is the exact
   analogue for the order-preserving scheme (integer numerators over one
-  common denominator, see below); :class:`SplitKernel` precomputes power
-  tables of the client's evaluation points.  Reconstruction of a cell
-  becomes a k-term dot product, sharing a value becomes n k-term dot
-  products.
+  common denominator, see below).  Reconstruction of a cell becomes a
+  k-term dot product.
 * **Vectorization** (numpy backend, used when numpy is importable) —
-  whole columns of dot products run as array kernels over GF(p)
-  residues.  For the default Mersenne field p = 2^61−1, modular
-  multiplication is 128-bit-exact in uint64 via 31/30-bit limb
-  splitting and the Mersenne identity 2^61 ≡ 1 (mod p); small moduli
-  (p < 2^31) multiply directly in uint64; any other modulus falls back
-  to ``object``-dtype arrays (exact Python-int arithmetic, vectorized
-  dispatch).  :meth:`SplitKernel.evaluate_batch` becomes batched Horner
-  evaluation over an (M values × n providers) grid.
+  :func:`batch_reconstruct` runs a whole column of dot products as one
+  array kernel over GF(p) residues.  For the default Mersenne field
+  p = 2^61−1, modular multiplication is 128-bit-exact in uint64 via
+  31/30-bit limb splitting and the Mersenne identity 2^61 ≡ 1 (mod p);
+  small moduli (p < 2^31) multiply directly in uint64; any other modulus
+  falls back to ``object``-dtype arrays (exact Python-int arithmetic,
+  vectorized dispatch).  Its **scalar twin is the correctness oracle**:
+  it is selected when numpy is absent (install ``repro[fast]`` to get
+  the backend), when ``set_kernel_backend("scalar")`` forces it, for
+  tiny batches where array overhead dominates, and for any input shape
+  the vector kernel cannot take bit-exactly (ragged rows, out-of-range
+  residues).
 
-The **scalar path is the always-on correctness oracle**: it is selected
-when numpy is absent (install ``repro[fast]`` to get the backend), when
-``set_kernel_backend("scalar")`` forces it, for tiny batches where array
-overhead dominates, and for any input shape the vector kernels cannot
-take bit-exactly (ragged rows, out-of-range residues).
-
-**Order-preserving columns split in exact integers**, column-major:
+**Both schemes split column-major, in Python ints, with no twin**:
 :meth:`SplitKernel.evaluate_columns` runs Horner over one coefficient
 column per degree, once per evaluation point, straight into each
-provider's share column.
+provider's share column (reduced mod p once at the end for the random
+scheme); :meth:`SplitKernel.evaluate` is the same Horner for one value.
 
 **Order-preserving columns reconstruct in exact integers** — no
 rationals, no numpy.  Their polynomials are not reduced mod p, so the
@@ -112,11 +109,8 @@ class KernelStats:
         "weight_misses",
         "rational_hits",
         "rational_misses",
-        "split_hits",
-        "split_misses",
         "vector_reconstruct_cells",
         "scalar_reconstruct_cells",
-        "vector_split_values",
         "scalar_split_values",
     )
 
@@ -128,11 +122,8 @@ class KernelStats:
         self.weight_misses = 0
         self.rational_hits = 0
         self.rational_misses = 0
-        self.split_hits = 0
-        self.split_misses = 0
         self.vector_reconstruct_cells = 0
         self.scalar_reconstruct_cells = 0
-        self.vector_split_values = 0
         self.scalar_split_values = 0
 
     def snapshot(self) -> Dict[str, int]:
@@ -146,7 +137,6 @@ _STATS = KernelStats()
 
 _WEIGHTS: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
 _INTEGER_WEIGHTS: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
-_SPLIT_KERNELS: Dict[Tuple[Tuple[int, ...], int, Optional[int]], "SplitKernel"] = {}
 
 
 def kernel_stats() -> KernelStats:
@@ -160,17 +150,16 @@ def reset_kernel_stats() -> None:
 
 
 def clear_kernel_caches() -> None:
-    """Drop every cached weight/power table and zero the counters.
+    """Drop every cached weight vector and zero the counters.
 
     Called by :meth:`DataSource.rotate_secrets` — rotation replaces the
-    evaluation points, so every cached table keyed on the old points is
+    evaluation points, so every cached vector keyed on the old points is
     dead weight (entries are immutable, so this is hygiene, not
     correctness) — and by tests measuring cache behaviour from a clean
     slate.
     """
     _WEIGHTS.clear()
     _INTEGER_WEIGHTS.clear()
-    _SPLIT_KERNELS.clear()
     _STATS.reset()
 
 
@@ -209,9 +198,11 @@ def active_backend() -> str:
 def set_kernel_backend(name: Optional[str]) -> Optional[str]:
     """Force a backend ("numpy"/"scalar") or restore auto-detection (None).
 
-    Returns the previous forced value so tests can restore it.  Forcing
-    "numpy" without numpy installed raises :class:`ConfigurationError`
-    rather than silently running scalar.
+    The backend governs :func:`batch_reconstruct` and the provider
+    engine (:func:`numpy_module`); splitting has one implementation and
+    ignores it.  Returns the previous forced value so tests can restore
+    it.  Forcing "numpy" without numpy installed raises
+    :class:`ConfigurationError` rather than silently running scalar.
     """
     global _FORCED_BACKEND
     if name is not None and name not in _BACKENDS:
@@ -335,52 +326,6 @@ def _batch_reconstruct_numpy(
         return None
     w = _np.array(list(weights), dtype=object)
     return [int(v) % modulus for v in matrix @ w]
-
-
-def _horner_eval_numpy(
-    modulus: int,
-    points: Sequence[int],
-    coefficient_rows: Sequence[Sequence[int]],
-    width: int,
-) -> Optional[List[List[int]]]:
-    """Batched Horner evaluation over an (M values × n points) grid.
-
-    result[r][i] = Σ_j coeffs[r][j]·x_i^j mod p, identical to the scalar
-    power-table dot products (both are exact mod-p arithmetic).  Returns
-    None when the batch cannot take the uint64 path bit-exactly.
-    """
-    if modulus == _MERSENNE_61:
-        coeffs = _as_uint64_matrix(coefficient_rows, width)
-        if coeffs is None or (coeffs >= _np.uint64(modulus)).any():
-            return None
-        p = _np.uint64(modulus)
-        xs = _np.array([x % modulus for x in points], dtype=_np.uint64)
-        acc = _np.zeros((coeffs.shape[0], len(points)), dtype=_np.uint64)
-        for j in range(width - 1, -1, -1):
-            acc = _mulmod_m61(acc, xs[None, :])
-            acc = _reduce_once(acc + coeffs[:, j][:, None], p)
-        return acc.tolist()
-    if modulus < _SMALL_MODULUS_BOUND:
-        coeffs = _as_uint64_matrix(coefficient_rows, width)
-        if coeffs is None or (coeffs >= _np.uint64(modulus)).any():
-            return None
-        p = _np.uint64(modulus)
-        xs = _np.array([x % modulus for x in points], dtype=_np.uint64)
-        acc = _np.zeros((coeffs.shape[0], len(points)), dtype=_np.uint64)
-        for j in range(width - 1, -1, -1):
-            acc = (acc * xs[None, :] + coeffs[:, j][:, None]) % p
-        return acc.tolist()
-    try:
-        coeffs = _np.array(coefficient_rows, dtype=object)
-    except ValueError:
-        return None
-    if coeffs.ndim != 2 or coeffs.shape[1] != width:
-        return None
-    xs = _np.array([x % modulus for x in points], dtype=object)
-    acc = _np.zeros((coeffs.shape[0], len(points)), dtype=object)
-    for j in range(width - 1, -1, -1):
-        acc = (acc * xs[None, :] + coeffs[:, j][:, None]) % modulus
-    return [[int(v) for v in row] for row in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -577,149 +522,55 @@ def reconstruct_integer(xs: Sequence[int], ys: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Split kernel (power tables + batched Horner for share evaluation)
+# Split kernel (Horner evaluation of sharing polynomials)
 # ---------------------------------------------------------------------------
 
 
 class SplitKernel:
-    """Precomputed power tables of the client's evaluation points.
+    """Evaluates sharing polynomials at the client's evaluation points.
 
-    ``powers[i][j] = x_i^j`` (mod p for the random scheme; exact integers
-    for the order-preserving scheme, whose polynomials must not wrap).
-    Evaluating a degree-(k−1) polynomial at every point is then n k-term
-    dot products — no per-value power recomputation.  With the numpy
-    backend, whole batches evaluate as vectorized Horner over the
-    (values × points) grid instead.
+    Mod p for the random scheme; in exact integers (``modulus=None``) for
+    the order-preserving scheme, whose polynomials must not wrap.  Each
+    scheme holds one.  Coefficients are lowest-degree-first, exactly like
+    the polynomial classes.
     """
 
-    __slots__ = ("points", "width", "modulus", "powers")
+    __slots__ = ("points", "modulus")
 
-    def __init__(
-        self,
-        points: Sequence[int],
-        width: int,
-        modulus: Optional[int] = None,
-    ) -> None:
-        if width < 1:
-            raise ReconstructionError(
-                f"split kernel needs at least one coefficient, got width={width}"
-            )
+    def __init__(self, points: Sequence[int], modulus: Optional[int] = None) -> None:
         self.points = tuple(points)
-        self.width = width
         self.modulus = modulus
-        table: List[Tuple[int, ...]] = []
-        for x in self.points:
-            row: List[int] = []
-            value = 1
-            for _ in range(width):
-                row.append(value)
-                value = value * x % modulus if modulus is not None else value * x
-            table.append(tuple(row))
-        self.powers = tuple(table)
 
     def evaluate(self, coeffs: Sequence[int]) -> List[int]:
-        """One share per evaluation point for a coefficient vector.
-
-        ``coeffs`` is lowest-degree-first, exactly like the polynomial
-        classes; results equal Horner evaluation bit-for-bit.
-        """
-        if len(coeffs) > self.width:
-            raise ReconstructionError(
-                f"coefficient vector of length {len(coeffs)} exceeds kernel "
-                f"width {self.width}"
-            )
+        """One value's shares, one per evaluation point (Horner per point)."""
         modulus = self.modulus
         out: List[int] = []
-        for row in self.powers:
-            total = 0
-            for c, power in zip(coeffs, row):
-                total += c * power
-            out.append(total % modulus if modulus is not None else total)
+        for x in self.points:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            out.append(acc if modulus is None else acc % modulus)
         return out
-
-    def _evaluate_batch_scalar(
-        self, coeff_vectors: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
-        modulus = self.modulus
-        powers = self.powers
-        out: List[List[int]] = []
-        for coeffs in coeff_vectors:
-            if len(coeffs) > self.width:
-                raise ReconstructionError(
-                    f"coefficient vector of length {len(coeffs)} exceeds "
-                    f"kernel width {self.width}"
-                )
-            shares: List[int] = []
-            for row in powers:
-                total = 0
-                for c, power in zip(coeffs, row):
-                    total += c * power
-                shares.append(total % modulus if modulus is not None else total)
-            out.append(shares)
-        return out
-
-    def evaluate_batch(
-        self, coeff_vectors: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
-        """Shares for many coefficient vectors; result[r][i] is value r's
-        share at provider i.
-
-        Dispatches to batched Horner on the numpy backend (modular
-        kernels only — exact-integer batches stay scalar; the
-        order-preserving scheme splits through :meth:`evaluate_columns`);
-        ragged or out-of-range batches fall back to the scalar oracle, so
-        the result is bit-identical on every input.
-        """
-        telemetry.observe("kernels.split_batch_values", len(coeff_vectors))
-        if (
-            self.modulus is not None
-            and len(coeff_vectors) >= VECTOR_MIN_BATCH
-            and _use_numpy()
-        ):
-            vectorized = _horner_eval_numpy(
-                self.modulus, self.points, coeff_vectors, self.width
-            )
-            if vectorized is not None:
-                _STATS.vector_split_values += len(coeff_vectors)
-                return vectorized
-        _STATS.scalar_split_values += len(coeff_vectors)
-        return self._evaluate_batch_scalar(coeff_vectors)
 
     def evaluate_columns(self, columns: Sequence[Sequence[int]]) -> List[List[int]]:
         """Shares for many values given column-major: ``columns[d][r]`` is
         value r's degree-d coefficient; result[i][r] is value r's share at
         provider i.
 
-        Horner over whole columns in Python ints (the order-preserving
-        shares are 90–122 bits wide, past uint64), bit-identical to
-        :meth:`evaluate` per value.
+        Horner over whole columns in Python ints, reduced once at the end
+        for the random scheme, bit-identical to :meth:`evaluate` per value.
         """
         count = len(columns[0])
-        telemetry.observe("kernels.split_batch_values", count)
+        telemetry.observe("kernels.split_values", count)
         _STATS.scalar_split_values += count
         modulus = self.modulus
         out: List[List[int]] = []
         for x in self.points:
             acc = list(columns[-1])
             for column in columns[-2::-1]:
-                acc = list(map(add, map(mul, acc, repeat(x)), column))
+                acc = [a * x + c for a, c in zip(acc, column)]
             out.append(acc if modulus is None else [a % modulus for a in acc])
         return out
-
-
-def split_kernel(
-    points: Sequence[int], width: int, modulus: Optional[int] = None
-) -> SplitKernel:
-    """The cached :class:`SplitKernel` for (points, width, modulus)."""
-    key = (tuple(points), width, modulus)
-    cached = _SPLIT_KERNELS.get(key)
-    if cached is not None:
-        _STATS.split_hits += 1
-        return cached
-    _STATS.split_misses += 1
-    kernel = SplitKernel(points, width, modulus)
-    _SPLIT_KERNELS[key] = kernel
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +594,8 @@ def numpy_module():
     Provider code gates every vectorized path on this single call so the
     backend-selection API (``REPRO_KERNEL_BACKEND`` /
     :func:`set_kernel_backend`) governs the provider engine exactly like
-    the client kernels.
+    the client's :func:`batch_reconstruct`, the one client kernel with a
+    numpy twin.
     """
     return _np if _use_numpy() else None
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError, DomainError, ReconstructionError
-from .kernels import reconstruct_integer, split_kernel
+from .kernels import SplitKernel, reconstruct_integer
 from .polynomial import IntegerPolynomial, interpolate_integer_constant
 from .secrets import ClientSecrets
 
@@ -136,6 +136,8 @@ class OrderPreservingScheme:
         self._slot_hashes = tuple(
             secrets.keyed_hasher(f"op/{label}/c{j}") for j in range(threshold - 1)
         )
+        # exact integers, no modulus: order must hold
+        self._kernel = SplitKernel(secrets.evaluation_points)
 
     @property
     def n_providers(self) -> int:
@@ -180,18 +182,14 @@ class OrderPreservingScheme:
             self.secrets.point_for(provider_index)
         )
 
-    def _kernel(self):
-        """Cached *exact-integer* power table (no modulus: order must hold)."""
-        return split_kernel(self.secrets.evaluation_points, self.threshold, None)
-
     def split(self, value: int) -> List[int]:
         """All n shares of ``value``, provider-index order."""
-        return self._kernel().evaluate(self._coefficients(value))
+        return self._kernel.evaluate(self._coefficients(value))
 
     def split_columns(self, values: Sequence[int]) -> List[List[int]]:
         """Share many values; result[i][j] is value j's share at provider i
         (coefficient columns, then Horner once per provider point)."""
-        return self._kernel().evaluate_columns(self._coefficient_columns(values))
+        return self._kernel.evaluate_columns(self._coefficient_columns(values))
 
     # -- query rewriting helpers (Sec. V-A) -----------------------------------
 

@@ -177,15 +177,17 @@ class TableSharing:
         (aligned with ``encoded``'s columns) as one column-major
         :class:`ShareRows`.
 
-        Column-major end to end, the write-side twin of
-        :meth:`reconstruct_rows`, and no row dict.  An order-preserving
-        column shares each distinct value once — equal values have equal
-        polynomials, hence equal shares (Sec. IV): ``split_columns``'s
-        per-provider lists are the upload as they are, or, when the column
-        holds a duplicate or NULL, mapped back by one ``dict.get`` per
-        provider.  Randomly-shared cells each get a fresh polynomial,
-        drawn row by row in column order: the RNG stream of one
-        :meth:`share_value` per cell.
+        Only the columns ``encoded`` holds are shared.  Column-major end
+        to end, the write-side twin of :meth:`reconstruct_rows`, and no
+        row dict.  An order-preserving column shares each distinct value
+        once — equal values have equal polynomials, hence equal shares
+        (Sec. IV): ``split_columns``'s per-provider lists are the upload
+        as they are, or, when the column holds a duplicate or NULL, mapped
+        back by one ``dict.get`` per provider.  Randomly-shared cells each
+        get a fresh polynomial, drawn row by row in column order — the RNG
+        stream of one :meth:`share_value` per cell — by one
+        ``split_columns`` whose per-provider lists each column takes every
+        ``width``-th share of; a NULL cell draws nothing.
         """
         n = self.n_providers
         names = tuple(encoded)
@@ -197,19 +199,23 @@ class TableSharing:
         random_columns = [name for name in names if name not in self._op]
         if random_columns:
             encode_signed = self.random_scheme.field.encode_signed
-            nulls = (None,) * n
             # row-major, the order the RNG stream is drawn in
             flat = [v for row in zip(*[encoded[name] for name in random_columns]) for v in row]
-            drawn = iter(
-                self.random_scheme.split_batch(
-                    [encode_signed(v) for v in flat if v is not None], self._rng
-                )
+            shared = self.random_scheme.split_columns(
+                [encode_signed(v) for v in flat if v is not None], self._rng
             )
-            shared = [nulls if v is None else next(drawn) for v in flat]
+            if None in flat:
+                shared = [
+                    [None if v is None else next(drawn) for v in flat]
+                    for drawn in map(iter, shared)
+                ]
             width = len(random_columns)
             for offset, name in enumerate(random_columns):
-                by_provider[name] = list(zip(*shared[offset::width]))
-        for name, scheme in self._op.items():
+                by_provider[name] = [shares[offset::width] for shares in shared]
+        for name in names:
+            scheme = self._op.get(name)
+            if scheme is None:
+                continue
             numbers = encoded[name]
             distinct = dict.fromkeys(numbers)
             if len(distinct) == len(numbers) and None not in distinct:

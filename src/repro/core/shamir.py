@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..errors import ConfigurationError, ReconstructionError
 from ..sim.rng import DeterministicRNG
 from .field import DEFAULT_FIELD, PrimeField
-from .kernels import batch_reconstruct, reconstruct_constant, split_kernel
+from .kernels import SplitKernel, batch_reconstruct, reconstruct_constant
 from .polynomial import lagrange_constant_term
 from .secrets import ClientSecrets
 
@@ -43,6 +43,12 @@ class ShamirScheme:
             raise ConfigurationError(
                 f"threshold k={self.threshold} must satisfy 1 <= k <= n={n}"
             )
+        # not a dataclass field: equality and repr stay (secrets, threshold)
+        object.__setattr__(
+            self,
+            "_kernel",
+            SplitKernel(self.secrets.evaluation_points, self.field.modulus),
+        )
 
     @property
     def n_providers(self) -> int:
@@ -54,12 +60,6 @@ class ShamirScheme:
 
     # -- splitting ----------------------------------------------------------
 
-    def _kernel(self):
-        """The cached power-table kernel for this scheme's shape."""
-        return split_kernel(
-            self.secrets.evaluation_points, self.threshold, self.field.modulus
-        )
-
     def _draw_coefficients(self, secret: int, rng: DeterministicRNG) -> List[int]:
         """Random polynomial coefficients, identical draws to the naive path."""
         self.field.check_secret(secret)
@@ -69,25 +69,23 @@ class ShamirScheme:
         ]
 
     def split(self, secret: int, rng: DeterministicRNG) -> List[int]:
-        """Share ``secret``; returns one share per provider, index order.
+        """Share ``secret``; returns one share per provider, index order."""
+        return self._kernel.evaluate(self._draw_coefficients(secret, rng))
 
-        Evaluates against the cached power table (bit-identical to Horner
-        evaluation of the same random polynomial).
-        """
-        return self._kernel().evaluate(self._draw_coefficients(secret, rng))
-
-    def split_batch(
+    def split_columns(
         self, values: Sequence[int], rng: DeterministicRNG
     ) -> List[List[int]]:
-        """Share a sequence of secrets; result[j][i] is value j's share at
+        """Share a sequence of secrets; result[i][j] is value j's share at
         provider i.
 
-        Coefficients are drawn per value in the same order as repeated
-        :meth:`split` calls (the RNG stream is unchanged), then evaluated
-        in one batch against the cached power table.
+        Coefficients are drawn value by value, in the order repeated
+        :meth:`split` calls draw them (the RNG stream is unchanged), then
+        sliced into one column per degree for
+        :meth:`SplitKernel.evaluate_columns`.
         """
-        coefficient_rows = [self._draw_coefficients(v, rng) for v in values]
-        return self._kernel().evaluate_batch(coefficient_rows)
+        k = self.threshold
+        flat = [c for v in values for c in self._draw_coefficients(v, rng)]
+        return self._kernel.evaluate_columns([flat[d::k] for d in range(k)])
 
     # -- reconstruction -----------------------------------------------------
 

@@ -125,7 +125,7 @@ class Between(Predicate):
 
     def matches(self, row: Dict[str, object]) -> bool:
         value = normalize_string(row.get(self.column))
-        if value is None:
+        if value is None or self.low is None or self.high is None:
             return False
         return (
             normalize_string(self.low) <= value <= normalize_string(self.high)

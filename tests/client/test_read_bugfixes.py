@@ -17,6 +17,11 @@ rows matched and returned ``[]`` when none did.
 statement's raw literals, so a cached ``price >= 1`` met ``'2.50'`` as a
 string — a bare ``TypeError`` after the providers had applied the INSERT,
 and a warm SELECT that missed the row a cold one returns.
+
+``TestNullLiteralComparesToNothing`` pins another: ``eid = NULL`` on a
+searchable column raised ``TypeError`` in the rewriter, and ``BETWEEN
+NULL AND 5`` raised it in ``Between.matches`` on the client and in the
+plaintext executor alike.  Per SQL neither is ever true.
 """
 
 from __future__ import annotations
@@ -38,7 +43,12 @@ from repro.sqlengine.schema import (
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
-from tests.sharding.shardutil import build_router, build_unsharded
+from tests.sharding.shardutil import (
+    build_oracle,
+    build_router,
+    build_unsharded,
+    oracle_answer,
+)
 
 from .test_read_pipeline import (
     AGG_SHAPES,
@@ -260,3 +270,40 @@ class TestWarmEqualsCold:
             {"id": 1, "price": Decimal("1"), "name": "ZED"},
             {"id": 2, "price": Decimal("2.5"), "name": "BOB"},
         ]
+
+
+class TestNullLiteralComparesToNothing:
+    STATEMENTS = (
+        "SELECT * FROM Employees WHERE eid = NULL",
+        "SELECT * FROM Employees WHERE name = NULL",
+        "SELECT eid FROM Employees WHERE eid = NULL AND salary > 5",
+        "SELECT COUNT(*) FROM Employees WHERE eid = NULL",
+        "SELECT * FROM Employees WHERE salary BETWEEN NULL AND 5",
+        "SELECT COUNT(*) FROM Employees WHERE salary BETWEEN 5 AND NULL",
+        "SELECT * FROM Managers WHERE password BETWEEN NULL AND 'ZZ'",
+        "UPDATE Employees SET salary = 5 WHERE eid = NULL",
+        "UPDATE Employees SET salary = 5 WHERE salary BETWEEN NULL AND 5",
+        "DELETE FROM Employees WHERE name = NULL",
+        "DELETE FROM Employees WHERE salary BETWEEN NULL AND 5",
+    )
+
+    @pytest.fixture(scope="class")
+    def deployments(self):
+        return {
+            "datasource": build_unsharded(),
+            "hash": build_router("hash"),
+            "range": build_router("range"),
+        }
+
+    @pytest.mark.parametrize("deployment", ["datasource", "hash", "range"])
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_matches_plaintext_executor(self, deployments, deployment, statement):
+        target = deployments[deployment]
+        oracle = build_oracle()
+        assert target.sql(statement) == oracle_answer(oracle, statement)
+        # nothing matched, so nothing was written
+        for table in ("Employees", "Managers"):
+            everything = f"SELECT * FROM {table}"
+            assert rows_equal_unordered(
+                target.sql(everything), oracle_answer(oracle, everything)
+            )

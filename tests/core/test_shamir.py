@@ -71,9 +71,9 @@ class TestSplitReconstruct:
 
     def test_batch(self, scheme):
         rng = DeterministicRNG(3)
-        matrix = scheme.split_batch([1, 2, 3], rng)
-        assert len(matrix) == 3
-        for value, shares in zip([1, 2, 3], matrix):
+        columns = scheme.split_columns([1, 2, 3], rng)
+        assert len(columns) == 5 and all(len(c) == 3 for c in columns)
+        for value, shares in zip([1, 2, 3], zip(*columns)):
             assert scheme.reconstruct(dict(enumerate(shares))) == value
 
     def test_convenience_functions(self):
@@ -115,10 +115,8 @@ class TestLinearity:
     def test_partial_sums_combine(self, scheme):
         rng = DeterministicRNG(11)
         values = [10, 20, 30, 40]
-        matrix = scheme.split_batch(values, rng)
-        partials = {
-            i: sum(matrix[j][i] for j in range(len(values))) for i in range(5)
-        }
+        columns = scheme.split_columns(values, rng)
+        partials = {i: sum(shares) for i, shares in enumerate(columns)}
         assert scheme.combine_partial_sums(partials) == 100
 
     def test_scale_by_constant(self, scheme):

@@ -1,8 +1,8 @@
 """Property tests: batched kernels are bit-identical to the naive paths.
 
 The kernel layer (:mod:`repro.core.kernels`) replaces per-value polynomial
-construction and per-cell Lagrange interpolation with cached power tables
-and cached basis weights.  These tests pin the contract that made the swap
+construction and per-cell Lagrange interpolation with column-major Horner
+evaluation and cached basis weights.  These tests pin the contract that made the swap
 safe: for random ``(n, k)`` shapes and random data, the batched paths
 produce *exactly* the bytes the naive reference paths produce — including
 over-determined reconstruction where more than ``k`` shares are supplied.
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.field import DEFAULT_FIELD
+from repro.core.field import DEFAULT_FIELD, MERSENNE_61, PRIME_89, PRIME_127
 from repro.core.polynomial import (
     IntegerPolynomial,
     interpolate_integer_constant,
@@ -57,6 +57,11 @@ def _naive_split(scheme, values, rng):
     ]
 
 
+def _split_rows(scheme, values, rng):
+    """``split_columns`` read back one share vector per value."""
+    return [list(shares) for shares in zip(*scheme.split_columns(values, rng))]
+
+
 def _naive_reconstruct(scheme, shares):
     """Pre-kernel reference: Lagrange basis rebuilt for this one cell."""
     chosen = sorted(shares.items())[: scheme.threshold]
@@ -66,13 +71,46 @@ def _naive_reconstruct(scheme, shares):
 
 @given(shape=shapes, values=value_lists, seed=seeds)
 @settings(max_examples=100, deadline=None)
-def test_split_batch_matches_naive(shape, values, seed):
-    """Kernel split_batch emits the byte-identical shares, same RNG stream."""
+def test_split_columns_matches_naive(shape, values, seed):
+    """Kernel split_columns emits the byte-identical shares, same RNG
+    stream, one share list per provider."""
     n, k = shape
     scheme = _scheme(n, k, seed % 1000)
     naive = _naive_split(scheme, values, DeterministicRNG(seed, "ker"))
-    batched = scheme.split_batch(values, DeterministicRNG(seed, "ker"))
-    assert batched == naive
+    columns = scheme.split_columns(values, DeterministicRNG(seed, "ker"))
+    assert columns == [list(shares) for shares in zip(*naive)]
+
+
+@given(
+    modulus=st.sampled_from(
+        (MERSENNE_61, (1 << 31) - 1, 65_537, 97, PRIME_89, PRIME_127, None)
+    ),
+    degree=st.integers(min_value=0, max_value=6),
+    batch=st.integers(min_value=1, max_value=40),
+    seed=seeds,
+)
+@settings(max_examples=120, deadline=None)
+def test_evaluate_columns_matches_evaluate(modulus, degree, batch, seed):
+    """Column-major Horner == one :meth:`SplitKernel.evaluate` per value,
+    over field moduli of every width and in exact integers
+    (``modulus=None``, 128-bit coefficients, the order-preserving case)."""
+    width = degree + 1
+    rng = DeterministicRNG(seed, "split")
+    if modulus is None:
+        points = rng.distinct_field_elements(5, 1_000)
+        coeff_rows = [
+            [rng.randint(0, COEFFICIENT_BOUND) for _ in range(width)]
+            for _ in range(batch)
+        ]
+    else:
+        points = rng.distinct_field_elements(min(5, modulus - 1), modulus)
+        coeff_rows = [
+            [rng.field_element(modulus) for _ in range(width)]
+            for _ in range(batch)
+        ]
+    kernel = kernels.SplitKernel(points, modulus)
+    columns = kernel.evaluate_columns([list(c) for c in zip(*coeff_rows)])
+    assert columns == [list(s) for s in zip(*map(kernel.evaluate, coeff_rows))]
 
 
 @given(shape=shapes, values=value_lists, seed=seeds)
@@ -81,7 +119,7 @@ def test_batch_reconstruct_matches_naive(shape, values, seed):
     """Batched reconstruction equals per-cell naive interpolation exactly."""
     n, k = shape
     scheme = _scheme(n, k, seed % 1000)
-    share_rows = scheme.split_batch(values, DeterministicRNG(seed, "r"))
+    share_rows = _split_rows(scheme, values, DeterministicRNG(seed, "r"))
     cells = [
         {i: row[i] for i in range(scheme.threshold)} for row in share_rows
     ]
@@ -97,7 +135,7 @@ def test_overdetermined_reconstruction(shape, values, seed, extra):
     n, k = shape
     scheme = _scheme(n, k, seed % 1000)
     width = min(scheme.threshold + extra, n)
-    share_rows = scheme.split_batch(values, DeterministicRNG(seed, "o"))
+    share_rows = _split_rows(scheme, values, DeterministicRNG(seed, "o"))
     cells = [{i: row[i] for i in range(width)} for row in share_rows]
     naive = [_naive_reconstruct(scheme, c) for c in cells]
     assert scheme.reconstruct_batch(cells) == naive == values
@@ -112,7 +150,7 @@ def test_mixed_quorum_shapes_in_one_batch(values, seed):
     different rows); grouping by evaluation-point tuple must not reorder
     or cross-contaminate results."""
     scheme = _scheme(5, 3, seed % 1000)
-    share_rows = scheme.split_batch(values, DeterministicRNG(seed, "m"))
+    share_rows = _split_rows(scheme, values, DeterministicRNG(seed, "m"))
     quorums = ((0, 1, 2), (1, 3, 4), (0, 2, 4))
     cells = [
         {i: row[i] for i in quorums[idx % len(quorums)]}
@@ -125,7 +163,7 @@ def test_weight_cache_hit_across_batch():
     """One weight-table build serves every subsequent cell of a batch."""
     scheme = _scheme(5, 3, 7)
     values = list(range(50))
-    share_rows = scheme.split_batch(values, DeterministicRNG(7, "c"))
+    share_rows = _split_rows(scheme, values, DeterministicRNG(7, "c"))
     cells = [{i: row[i] for i in range(3)} for row in share_rows]
     kernels.clear_kernel_caches()
     assert scheme.reconstruct_batch(cells) == values

@@ -1,8 +1,8 @@
 """Property tests: the numpy backend is bit-identical to the scalar oracle.
 
-The vectorized kernels (:mod:`repro.core.kernels`) re-implement GF(p)
-dot products and Horner evaluation three ways — uint64 limb-splitting
-for the Mersenne-61 default field, direct uint64 for small moduli, and
+The vectorized reconstruction kernel (:mod:`repro.core.kernels`)
+re-implements GF(p) dot products three ways — uint64 limb-splitting for
+the Mersenne-61 default field, direct uint64 for small moduli, and
 ``object``-dtype arrays for wide primes.  None of that is allowed to
 change a single byte: for random moduli, degrees, and batch shapes the
 forced-numpy and forced-scalar paths must produce identical residues,
@@ -76,31 +76,12 @@ def test_batch_reconstruct_backends_identical(modulus, degree, batch, seed):
     assert scalar == vector
 
 
-@given(modulus=moduli, degree=degrees, batch=batch_sizes, seed=seeds)
-@settings(max_examples=120, deadline=None)
-def test_split_kernel_backends_identical(modulus, degree, batch, seed):
-    """Batched Horner evaluation == scalar power-table dot products."""
-    width = degree + 1
-    rng = DeterministicRNG(seed, "split")
-    n_points = min(5, modulus - 1)
-    points = rng.distinct_field_elements(n_points, modulus)
-    coeff_rows = [
-        [rng.field_element(modulus) for _ in range(width)]
-        for _ in range(batch)
-    ]
-
-    def run():
-        kernel = kernels.split_kernel(tuple(points), width, modulus)
-        return kernel.evaluate_batch(coeff_rows)
-
-    scalar, vector = _both_backends(run)
-    assert scalar == vector
-
-
 @given(batch=batch_sizes, seed=seeds)
 @settings(max_examples=60, deadline=None)
 def test_split_then_reconstruct_roundtrip_both_backends(batch, seed):
-    """End-to-end scheme round trip is backend-invariant, shares included."""
+    """End-to-end scheme round trip is backend-invariant, shares included
+    (splitting has one implementation; the shares pin that it reads no
+    backend)."""
     scheme = ShamirScheme(generate_client_secrets(5, seed=seed % 997), 3)
     values = [
         DeterministicRNG(seed, "vals").field_element(scheme.field.modulus)
@@ -108,7 +89,7 @@ def test_split_then_reconstruct_roundtrip_both_backends(batch, seed):
     ]
 
     def run():
-        shares = scheme.split_batch(values, DeterministicRNG(seed, "rt"))
+        shares = list(zip(*scheme.split_columns(values, DeterministicRNG(seed, "rt"))))
         cells = [{i: row[i] for i in range(3)} for row in shares]
         return shares, scheme.reconstruct_batch(cells)
 
@@ -142,7 +123,7 @@ def test_robust_decode_with_extra_share_backend_invariant(seed, batch):
             return ("raised", str(exc))
 
     def run():
-        shares = scheme.split_batch(values, DeterministicRNG(seed, "rs"))
+        shares = zip(*scheme.split_columns(values, DeterministicRNG(seed, "rs")))
         out = []
         for row in shares:
             cell = {i: row[i] for i in range(4)}  # k+1 shares

@@ -157,10 +157,10 @@ class TestCounterExactness:
             assert rows
             # the batched split kernel (as the hot-path benchmark drives it)
             scheme = source.sharing("Managers").random_scheme
-            scheme.split_batch([1, 2, 3], DeterministicRNG(0, "t"))
+            scheme.split_columns([1, 2, 3], DeterministicRNG(0, "t"))
             histograms = hub.export()["metrics"]["histograms"]
         assert histograms["kernels.batch_reconstruct_cells"]["count"] >= 1
-        split = histograms["kernels.split_batch_values"]
+        split = histograms["kernels.split_values"]
         assert split["count"] == 1 and split["sum"] == 3
 
 
