@@ -23,12 +23,15 @@ scan — and comparing the two on the provider hot paths:
 * **hash join** — build/probe on deterministic share equality;
 * **Merkle proofs** — proofs for every row (position map vs repeated
   ``list.index``);
-* **increment deltas** — the compact ``{row_ids, deltas}`` txn write
-  path, numpy batch apply vs the scalar per-row loop.
+* **increment deltas** — ``increment_rows``' one validate-then-apply
+  pass, ms per request for each wire shape (compact ``{row_ids,
+  deltas}``, per-row ``increments``) at 1, 200 and 2,000 rows; no naive
+  twin and no engine choice.
 
-Every timed section first asserts the two engines return **identical
-results**, so the speedup numbers can never come from computing something
-different.  Results go to ``BENCH_provider.json`` at the repo root::
+Every timed section with a twin first asserts the two engines return
+**identical results**, so the speedup numbers can never come from
+computing something different.  Results go to ``BENCH_provider.json``
+at the repo root::
 
     python benchmarks/bench_provider.py           # full sweep + JSON
     python benchmarks/bench_provider.py --check   # CI gate
@@ -665,8 +668,10 @@ def assert_backend_equivalence(rows, table="T"):
 
     numpy_responses, numpy_provider, numpy_dispatch = run_backend("numpy")
     scalar_responses, scalar_provider, scalar_dispatch = run_backend("scalar")
+    # Merkle RPCs and increments make no engine choice
     eligible = [
-        method for method, _ in battery if not method.startswith("merkle")
+        method for method, _ in battery
+        if not method.startswith("merkle") and method != "increment_rows"
     ]
     assert numpy_dispatch == [(method, True) for method in eligible], (
         f"numpy backend left RPCs to the scalar engine: {numpy_dispatch}"
@@ -847,50 +852,46 @@ def bench_range_scan_full(provider, naive, rows, repeats=3):
     }
 
 
-def bench_increment_deltas(rows, repeats=3, batch=2_000):
-    """The compact ``{row_ids, deltas}`` write path, numpy vs scalar.
+def bench_increment_deltas(rows, repeats=3, batches=(1, 200, 2_000)):
+    """``increment_rows``' one validate-then-apply pass, per wire shape.
 
-    Informational (no gate): both legs run on this process's provider
-    engine with the backend forced, so the JSON records what the
-    vectorized apply buys over the per-row loop.  Skipped (zeros) when
-    numpy is unavailable.
+    Informational (no gate, no twin: increments make no engine choice).
+    For each batch size, the compact ``{row_ids, deltas}`` shape (one
+    delta per column for every row: an arithmetic UPDATE) and the
+    per-row ``increments`` shape (a delta per row: share refresh) are
+    timed as ms per request.  A sample sends ``2_000 // batch`` requests,
+    so every sample adds about as many cells.
     """
-    if active_backend() != "numpy":
-        return {"rows": len(rows), "batch": batch, "skipped": "no numpy"}
-    row_ids = [rid for rid, values in rows if values["v"] is not None][:batch]
-    request = {
-        "table": "T",
-        "row_ids": row_ids,
-        "deltas": {"v": 12_345, "w": 67_890},
-        "modulus": MERSENNE_61,
-    }
+    row_ids = [rid for rid, values in rows if values["v"] is not None]
+    out = []
+    for shape in ("compact", "per_row"):
+        provider = build_provider(rows, name=f"inc-{shape}")
+        for batch in batches:
+            ids = row_ids[:batch]
+            if shape == "compact":
+                request = {"table": "T", "row_ids": ids,
+                           "deltas": {"v": 12_345, "w": 67_890}}
+            else:
+                request = {"table": "T", "increments": [
+                    [rid, {"v": 12_345 + i, "w": 67_890 + i}]
+                    for i, rid in enumerate(ids)]}
+            request["modulus"] = MERSENNE_61
+            calls = max(1, 2_000 // batch)
 
-    def run_backend(backend):
-        provider = build_provider(rows, name=f"inc-{backend}")
-        set_kernel_backend(backend)
-        try:
-            seconds, result = best_of(
-                lambda: provider.handle("increment_rows", dict(request)),
-                repeats,
-            )
-        finally:
-            set_kernel_backend(None)
-        assert result == {"incremented": len(row_ids)}
-        return seconds, provider
+            def send():
+                for _ in range(calls):
+                    result = provider.handle("increment_rows", dict(request))
+                return result
 
-    numpy_seconds, numpy_provider = run_backend("numpy")
-    scalar_seconds, scalar_provider = run_backend("scalar")
-    assert (
-        numpy_provider.store.table("T").rows
-        == scalar_provider.store.table("T").rows
-    ), "increment_rows state diverged between backends"
-    return {
-        "rows": len(rows),
-        "batch": len(row_ids),
-        "scalar_seconds": round(scalar_seconds, 6),
-        "numpy_seconds": round(numpy_seconds, 6),
-        "speedup": round(scalar_seconds / numpy_seconds, 2),
-    }
+            seconds, result = best_of(send, repeats)
+            assert result == {"incremented": len(ids)}
+            out.append({
+                "rows": len(rows),
+                "shape": shape,
+                "batch": len(ids),
+                "ms_per_request": round(seconds / calls * 1e3, 4),
+            })
+    return out
 
 
 def bench_join(provider, naive_left, rows, repeats=3):
@@ -1099,7 +1100,7 @@ def run_full(args) -> dict:
         report["merkle_proofs"].append(
             bench_merkle_proofs(provider, naive, proof_rows)
         )
-        report["increment_deltas"].append(
+        report["increment_deltas"].extend(
             bench_increment_deltas(rows, args.repeats)
         )
     report["share_bits"] = share_bits(rows)  # at the largest size

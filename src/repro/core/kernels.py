@@ -579,13 +579,16 @@ class SplitKernel:
 #
 # A provider only ever *compares* order-preserving shares and *adds*
 # shares.  The comparisons run on int64 index positions and ranks
-# (:mod:`repro.providers.storage`); the additions run here, on a column
-# mirrored as 32-bit limb planes, so neither needs a share to fit a
-# machine word — the 90–122-bit shares of searchable columns take the
-# same path as 61-bit field residues.  Provider partial sums are
-# *unreduced* Python-int sums of shares and stay bit-identical to the
-# scalar engine: each limb plane is summed in uint64 (exact for up to
-# 2^32 rows) and the planes are recombined in Python ints.
+# (:mod:`repro.providers.storage`); the read-side additions (partial
+# sums) run here, on a column mirrored as 32-bit limb planes, so neither
+# needs a share to fit a machine word — the 90–122-bit shares of
+# searchable columns take the same path as 61-bit field residues.
+# Provider partial sums are *unreduced* Python-int sums of shares and
+# stay bit-identical to the scalar engine: each limb plane is summed in
+# uint64 (exact for up to 2^32 rows) and the planes are recombined in
+# Python ints.  The write-side addition, ``increment_rows``, has no
+# kernel here: it adds Δ cell by cell, in Python ints, to the rows it
+# names.
 
 
 def numpy_module():
@@ -652,48 +655,3 @@ def exact_segment_sums_limbs(limbs, starts) -> List[int]:
     """
     sums = _np.add.reduceat(limbs, starts, axis=1)
     return [_recombine_limbs(totals) for totals in sums.T.tolist()]
-
-
-def share_column_vector(values: Sequence[Optional[int]]):
-    """Shares → ``(uint64 array, null mask or None)``, or None.
-
-    The operand form of :func:`add_mod_vector` (the ``increment_rows``
-    delta kernel over randomly-shared columns).  NULLs become 0 under the
-    mask.  Returns None whenever any value cannot round-trip through
-    uint64 (negative or ≥ 2^64): modular addition needs whole residues
-    in a machine word, so the caller stays on the scalar loop.
-    """
-    if _np is None:
-        return None
-    try:
-        arr = _np.array(values, dtype=_np.uint64)
-        if arr.ndim != 1:
-            return None
-        return arr, None
-    except (OverflowError, TypeError, ValueError):
-        pass
-    # the direct conversion refuses None entries; patch NULLs to 0 under
-    # a mask and retry — any remaining failure is a genuine out-of-range
-    # value and the column stays scalar
-    try:
-        patched = _np.array(
-            [0 if v is None else v for v in values], dtype=_np.uint64
-        )
-    except (OverflowError, TypeError, ValueError):
-        return None
-    if patched.ndim != 1:
-        return None
-    mask = _np.array([v is None for v in values], dtype=bool)
-    return patched, (mask if mask.any() else None)
-
-
-def add_mod_vector(shares, deltas, modulus: int):
-    """Element-wise ``(shares + deltas) mod modulus`` on uint64 arrays.
-
-    Requires canonical inputs (both operands < modulus ≤ 2^62) so the sum
-    fits uint64 and a single conditional subtraction completes the
-    reduction exactly — callers guard and fall back to scalar otherwise.
-    """
-    p = _np.uint64(modulus)
-    total = shares + deltas
-    return _np.where(total >= p, total - p, total)

@@ -50,11 +50,12 @@ early exit) and returns byte-identical payloads; the few things the
 mirrors cannot take — a request the scalar engine would reject, a
 non-integer bound, a negative or non-integer stored share in a summed
 column, row ids outside ``int64`` — fall back to the scalar engine,
-which stays the always-on correctness oracle.  The compact
-``increment_rows`` delta shape runs ``(x + Δ) mod p`` over the touched
-rows as one ``uint64`` array kernel.  Dispatch decisions are observable
-via the ``provider.kernel.*`` telemetry counters, and each read's access
-path as the ``access_path`` attribute of its ``rpc`` span.
+which stays the always-on correctness oracle.  Writes make no engine
+choice: ``increment_rows`` adds Δ to the touched cells in one
+validate-then-apply pass over the column arrays, for both request
+shapes.  Dispatch decisions are observable via the
+``provider.kernel.*`` telemetry counters, and each read's access path
+as the ``access_path`` attribute of its ``rpc`` span.
 
 Conditions arrive as dicts::
 
@@ -81,10 +82,6 @@ from ..sim.costmodel import CostRecorder
 from ..sim.network import ShareRows
 from .failures import Fault
 from .storage import ShareRow, ShareStore, ShareTable
-
-#: increment deltas vectorize only while share + delta fits uint64;
-#: the default Mersenne-61 modulus sits far inside this bound
-_MAX_VECTOR_MODULUS = 1 << 62
 
 #: A filtered read takes the vector engine when the index entries its
 #: conditions match number at least 1/16 of the table's rows (no
@@ -316,9 +313,11 @@ class ShareProvider:
         shares are plain field points, and share addition is value
         addition by linearity.  Order-preserving shares are deterministic
         per value, so in-place addition would corrupt them — rejected.
-        NULL values stay NULL (SQL: NULL + x = NULL).
+        NULL values stay NULL (SQL: NULL + x = NULL), a column the table
+        lacks is skipped, and a row left with nothing to assign is not
+        counted.
 
-        Two request shapes:
+        Two request shapes, one pass:
 
         * ``{"increments": [[row_id, {col: share}], ...]}`` — a distinct
           delta share per row (share refresh, which *must* land every row
@@ -328,47 +327,57 @@ class ShareProvider:
           statement's single plaintext delta is shared once, so the wire
           cost is O(rows) small ints instead of O(rows) field elements).
 
-        The compact shape takes the vectorized path when the mirrors
-        allow: one ``(shares + deltas) mod p`` array kernel per column,
-        then a batched writeback producing storage state (values,
-        history, version, epoch) bit-identical to the scalar loop.
+        The whole request is validated before anything changes: every row
+        id must be present and named once (:class:`ProviderError`), and no
+        entry may name an order-preserving column (:class:`QueryError`).
+        Each touched cell is then read by slot and Δ added — reduced mod
+        ``modulus`` when the request names one — and the rows are written
+        once through :meth:`ShareTable.apply_column_updates`: one
+        ``update`` undo record per touched row, in request order.
         """
         table = self.store.table(request["table"])
-        result = self._increment_vector(table, request)
-        self._note_dispatch("increment_rows", result is not None)
-        if result is not None:
-            return result
+        if "increments" in request:
+            row_ids = [row_id for row_id, _ in request["increments"]]
+            row_deltas = [deltas for _, deltas in request["increments"]]
+        else:
+            row_ids = request["row_ids"]
+            row_deltas = [request["deltas"]] * len(row_ids)
+        slots = table.slots_for(row_ids)
+        if len(set(slots)) != len(slots):
+            raise ProviderError(
+                f"table {table.name}: an increment names a row id twice"
+            )
+        searchable = table.searchable
+        for deltas in row_deltas:
+            if not searchable.isdisjoint(deltas):
+                column = next(c for c in deltas if c in searchable)
+                raise QueryError(
+                    f"column {column!r} is order-preserving; incremental "
+                    "share addition is only sound for randomly-shared "
+                    "columns"
+                )
         # the share-field modulus is a public parameter; reducing keeps
         # share magnitudes bounded across repeated increments/refreshes
         modulus = request.get("modulus")
-        epoch = request.get("epoch")
-        if "increments" in request:
-            entries = request["increments"]
-        else:
-            shared_deltas = request["deltas"]
-            entries = [[row_id, shared_deltas] for row_id in request["row_ids"]]
-        incremented = 0
-        for row_id, deltas in entries:
-            row = table.get(row_id)
-            assignments = {}
+        arrays = {column: table.column_array(column) for column in table.columns}
+        updates = []
+        for row_id, slot, deltas in zip(row_ids, slots, row_deltas):
+            assignments: ShareRow = {}
+            undo: ShareRow = {}
             for column, delta_share in deltas.items():
-                if column in table.searchable:
-                    raise QueryError(
-                        f"column {column!r} is order-preserving; incremental "
-                        "share addition is only sound for randomly-shared "
-                        "columns"
-                    )
-                current = row.get(column)
+                current = arrays[column][slot] if column in arrays else None
                 if current is None:
                     continue
                 updated = current + delta_share
                 if modulus is not None:
                     updated %= modulus
                 assignments[column] = updated
+                undo[column] = current
             if assignments:
-                table.update(row_id, assignments, epoch=epoch)
-                incremented += 1
-        return {"incremented": incremented}
+                updates.append((row_id, assignments, undo))
+        if updates:
+            table.apply_column_updates(updates, epoch=request.get("epoch"))
+        return {"incremented": len(updates)}
 
     # -- transactional apply (ISSUE-8) -------------------------------------------
 
@@ -1237,84 +1246,6 @@ class ShareProvider:
         return [
             [share, payload] for share, payload in zip(group_shares, payloads)
         ]
-
-    def _increment_vector(
-        self, table: ShareTable, request: Dict
-    ) -> Optional[Dict]:
-        """Vectorized compact-shape increment: batched (x + Δ) mod p.
-
-        Works on the touched rows alone — no column mirror.  Declines
-        (to the scalar loop) on the per-row ``increments`` shape,
-        duplicate row ids (the scalar loop reads its own earlier
-        writes), missing rows, or any modulus/delta/share outside the
-        uint64-exact window.
-        """
-        np = kernels.numpy_module()
-        if np is None or "increments" in request:
-            return None
-        row_ids = request["row_ids"]
-        if not row_ids or len(set(row_ids)) != len(row_ids):
-            return None
-        modulus = request.get("modulus")
-        if (
-            not isinstance(modulus, int)
-            or isinstance(modulus, bool)
-            or not 0 < modulus <= _MAX_VECTOR_MODULUS
-        ):
-            return None
-        if not all(map(table.has_row, row_ids)):
-            return None  # a missing row: the scalar loop raises canonically
-        deltas = request["deltas"]
-        # every row exists, so the scalar loop's first iteration would hit
-        # the order-preserving guard before mutating anything — raise the
-        # identical error at the identical point
-        for column in deltas:
-            if column in table.searchable:
-                raise QueryError(
-                    f"column {column!r} is order-preserving; incremental "
-                    "share addition is only sound for randomly-shared "
-                    "columns"
-                )
-        staged = []
-        for column, delta_share in deltas.items():
-            if not table.has_column(column):
-                continue  # unknown columns read as NULL and are skipped
-            if (
-                not isinstance(delta_share, int)
-                or isinstance(delta_share, bool)
-                or not 0 <= delta_share < modulus
-            ):
-                return None
-            vector = kernels.share_column_vector(
-                table.values_for_rows(column, row_ids)
-            )
-            if vector is None:
-                return None
-            current, mask = vector
-            if int(current.max()) >= modulus:
-                return None  # non-canonical residues: scalar reduces exactly
-            updated = kernels.add_mod_vector(
-                current, np.uint64(delta_share), modulus
-            )
-            non_null = None if mask is None else (~mask).tolist()
-            staged.append(
-                (column, current.tolist(), updated.tolist(), non_null)
-            )
-        if not staged:
-            return {"incremented": 0}
-        updates = []
-        for position, row_id in enumerate(row_ids):
-            assignments: ShareRow = {}
-            undo: ShareRow = {}
-            for column, old, new, non_null in staged:
-                if non_null is None or non_null[position]:
-                    assignments[column] = new[position]
-                    undo[column] = old[position]
-            if assignments:
-                updates.append((row_id, assignments, undo))
-        if updates:
-            table.apply_column_updates(updates, epoch=request.get("epoch"))
-        return {"incremented": len(updates)}
 
     # -- filtering internals ------------------------------------------------------------
 

@@ -750,10 +750,11 @@ class ShareTable:
         """Apply precomputed non-indexed per-row updates in one batch.
 
         ``updates`` holds ``(row_id, assignments, undo)`` triples whose
-        assignments touch only **non-searchable** columns of existing
-        rows, with ``undo`` carrying the exact old shares — the batched
-        tail of the vectorized ``increment_rows`` path, which computes
-        new/old values as one array kernel and only needs the writeback.
+        assignments touch only **non-searchable** columns of existing,
+        distinct rows, with ``undo`` carrying the exact old shares — the
+        write half of ``increment_rows``, which validates the request and
+        computes new/old values before it calls this, so the writeback
+        cannot fail part-way.
         Produces state bit-identical to n :meth:`update` calls: one
         history entry and one version bump per row, stamped at the same
         epoch (``_note_epoch`` is idempotent within a request, so calling

@@ -3,7 +3,7 @@
 Targeted coverage the property suite doesn't pin down explicitly: the
 limb-plane value mirror and the order mirror on shares wider than any
 machine word, mirror fallback sentinels, dispatch telemetry counters,
-the narrow-probe rule, and the increment fast path's decline edges.
+the narrow-probe rule, and the one increment pass's edges.
 numpy-only tests skip without
 ``repro[fast]``.
 """
@@ -301,8 +301,9 @@ class TestDispatchTelemetry:
         assert index.vector_rebuilds == 2
 
 
-@needs_numpy
 class TestIncrementFastPath:
+    """The one increment pass (no engine choice: runs without numpy)."""
+
     def rows(self):
         return [
             (0, {"k": 3, "v": 10}),
@@ -326,9 +327,8 @@ class TestIncrementFastPath:
         assert table.value(2, "v") == 4  # wrapped mod p
 
     def test_missing_row_declines_to_scalar_semantics(self):
-        # the scalar loop applies row 0 and then raises on the missing
-        # id; the vector path must decline (not batch-apply) so both
-        # backends leave the identical partial state
+        # the request is validated before anything changes: the missing
+        # id refuses it whole, so row 0 keeps its share
         provider = build_provider(self.rows())
         with pytest.raises(ProviderError):
             provider.handle(
@@ -336,7 +336,7 @@ class TestIncrementFastPath:
                 {"table": "T", "row_ids": [0, 99], "deltas": {"v": 5},
                  "modulus": MERSENNE_61},
             )
-        assert provider.store.table("T").value(0, "v") == 15
+        assert provider.store.table("T").value(0, "v") == 10
 
     def test_searchable_column_refused(self):
         provider = build_provider(self.rows())
@@ -347,7 +347,7 @@ class TestIncrementFastPath:
                  "modulus": MERSENNE_61},
             )
 
-    def test_huge_modulus_falls_back_to_scalar(self):
+    def test_modulus_wider_than_a_machine_word_adds_exactly(self):
         provider = build_provider(self.rows())
         out = provider.handle(
             "increment_rows",
