@@ -436,7 +436,7 @@ def build_provider(rows, name="DAS", table="T", bulk=True):
         provider.handle("insert_many", {"table": table, "rows": rows})
     else:
         for row_id, values in rows:
-            provider.store.table(table).insert(row_id, values)
+            provider.handle("insert_many", {"table": table, "rows": [(row_id, values)]})
     return provider
 
 

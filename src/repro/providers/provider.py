@@ -51,9 +51,12 @@ mirrors cannot take — a request the scalar engine would reject, a
 non-integer bound, a negative or non-integer stored share in a summed
 column, row ids outside ``int64`` — fall back to the scalar engine,
 which stays the always-on correctness oracle.  Writes make no engine
-choice: ``increment_rows`` adds Δ to the touched cells in one
-validate-then-apply pass over the column arrays, for both request
-shapes.  Dispatch decisions are observable via the
+choice: each write RPC — ``insert_many``, ``update_rows``,
+``delete_rows``, ``increment_rows`` (which adds Δ to the touched cells
+first, for both request shapes) — is one call of the
+:class:`~repro.providers.storage.ShareTable` mutator of its kind, which
+validates the whole request before it changes anything, so a refused
+write changes nothing.  Dispatch decisions are observable via the
 ``provider.kernel.*`` telemetry counters, and each read's access path
 as the ``access_path`` attribute of its ``rpc`` span.
 
@@ -81,7 +84,7 @@ from ..errors import (
 from ..sim.costmodel import CostRecorder
 from ..sim.network import ShareRows
 from .failures import Fault
-from .storage import ShareRow, ShareStore, ShareTable
+from .storage import ShareRow, ShareStore, ShareTable, checked_pairs
 
 #: A filtered read takes the vector engine when the index entries its
 #: conditions match number at least 1/16 of the table's rows (no
@@ -265,23 +268,16 @@ class ShareProvider:
         table = self.store.table(request["table"])
         rows = request["rows"]
         if not isinstance(rows, ShareRows):
-            rows = ShareRows.from_pairs(rows)
-        inserted = table.insert_many(rows, epoch=request.get("epoch"))
-        return {"inserted": inserted}
+            rows = ShareRows.from_pairs(checked_pairs(table.name, rows))
+        return {"inserted": table.insert_many(rows, epoch=request.get("epoch"))}
 
     def _rpc_update_rows(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])
-        epoch = request.get("epoch")
-        for row_id, assignments in request["updates"]:
-            table.update(row_id, assignments, epoch=epoch)
-        return {"updated": len(request["updates"])}
+        return {"updated": table.update_rows(request["updates"], epoch=request.get("epoch"))}
 
     def _rpc_delete_rows(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])
-        epoch = request.get("epoch")
-        for row_id in request["row_ids"]:
-            table.delete(row_id, epoch=epoch)
-        return {"deleted": len(request["row_ids"])}
+        return {"deleted": table.delete_rows(request["row_ids"], epoch=request.get("epoch"))}
 
     def _rpc_merge_table(self, request: Dict) -> Dict:
         """Move every row of a staging table into a live table, then drop it.
@@ -327,28 +323,25 @@ class ShareProvider:
           statement's single plaintext delta is shared once, so the wire
           cost is O(rows) small ints instead of O(rows) field elements).
 
-        The whole request is validated before anything changes: every row
-        id must be present and named once (:class:`ProviderError`), and no
-        entry may name an order-preserving column (:class:`QueryError`).
-        Each touched cell is then read by slot and Δ added — reduced mod
-        ``modulus`` when the request names one — and the rows are written
-        once through :meth:`ShareTable.apply_column_updates`: one
-        ``update`` undo record per touched row, in request order.
+        The whole request is validated before anything changes: every entry
+        must be a ``[row_id, {column: share}]`` pair and every row id a
+        non-negative ``int`` present and named once (:class:`ProviderError`,
+        :meth:`ShareTable.write_slots`), and no entry may name an
+        order-preserving column (:class:`QueryError`).  Each touched cell
+        is then read by slot and Δ added — reduced mod ``modulus`` when the
+        request names one — and the rows are written once through
+        :meth:`ShareTable.update_rows`: one ``update`` undo record per
+        touched row, in request order.
         """
         table = self.store.table(request["table"])
         if "increments" in request:
-            row_ids = [row_id for row_id, _ in request["increments"]]
-            row_deltas = [deltas for _, deltas in request["increments"]]
+            entries = request["increments"]
         else:
-            row_ids = request["row_ids"]
-            row_deltas = [request["deltas"]] * len(row_ids)
-        slots = table.slots_for(row_ids)
-        if len(set(slots)) != len(slots):
-            raise ProviderError(
-                f"table {table.name}: an increment names a row id twice"
-            )
+            entries = [[row_id, request["deltas"]] for row_id in request["row_ids"]]
+        checked_pairs(table.name, entries)
+        slots = table.write_slots([row_id for row_id, _ in entries])
         searchable = table.searchable
-        for deltas in row_deltas:
+        for _, deltas in entries:
             if not searchable.isdisjoint(deltas):
                 column = next(c for c in deltas if c in searchable)
                 raise QueryError(
@@ -361,9 +354,8 @@ class ShareProvider:
         modulus = request.get("modulus")
         arrays = {column: table.column_array(column) for column in table.columns}
         updates = []
-        for row_id, slot, deltas in zip(row_ids, slots, row_deltas):
+        for (row_id, deltas), slot in zip(entries, slots):
             assignments: ShareRow = {}
-            undo: ShareRow = {}
             for column, delta_share in deltas.items():
                 current = arrays[column][slot] if column in arrays else None
                 if current is None:
@@ -372,12 +364,9 @@ class ShareProvider:
                 if modulus is not None:
                     updated %= modulus
                 assignments[column] = updated
-                undo[column] = current
             if assignments:
-                updates.append((row_id, assignments, undo))
-        if updates:
-            table.apply_column_updates(updates, epoch=request.get("epoch"))
-        return {"incremented": len(updates)}
+                updates.append([row_id, assignments])
+        return {"incremented": table.update_rows(updates, epoch=request.get("epoch"))}
 
     # -- transactional apply (ISSUE-8) -------------------------------------------
 

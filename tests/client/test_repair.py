@@ -120,6 +120,6 @@ class TestRepairGuards:
         physical = source.physical_name("Employees")
         table = provider.store.table(physical)
         row_id = table.all_row_ids()[0]
-        table.update(row_id, {"salary": table.rows[row_id]["salary"] + 1})
+        table.update_rows([[row_id, {"salary": table.rows[row_id]["salary"] + 1}]])
         report = verify_repair(source, 2)
         assert report["Employees"]["consistent"] == 0

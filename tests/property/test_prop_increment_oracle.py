@@ -1,9 +1,10 @@
-"""Property: ``increment_rows`` == one ``ShareTable.update`` per row.
+"""Property: ``increment_rows`` == one read-modify-write per row.
 
 The oracle is the plainest reading of Sec. V-C's incremental update: for
 each listed row, in request order, read the row and write
 ``{c: (share + Δ) mod p}`` for every delta column the row holds a
-non-NULL share in, through ``ShareTable.update``; a row with nothing to
+non-NULL share in, through ``ShareTable.update_rows`` with a batch of
+one; a row with nothing to
 write is left alone and not counted.  The provider's one pass must leave
 the same rows, undo history, version, epoch, history horizon and Merkle
 root, and answer that count — for both wire shapes (compact
@@ -106,7 +107,8 @@ def entries_of(request):
 
 
 def oracle_increment(provider, request):
-    """One ``ShareTable.update`` per row with anything to assign."""
+    """One ``ShareTable.update_rows`` of one row per row with anything to
+    assign."""
     table = provider.store.table("T")
     modulus = request.get("modulus")
     touched = 0
@@ -118,7 +120,7 @@ def oracle_increment(provider, request):
                 total = row[column] + delta
                 assignments[column] = total if modulus is None else total % modulus
         if assignments:
-            table.update(row_id, assignments, epoch=request.get("epoch"))
+            table.update_rows([[row_id, assignments]], epoch=request.get("epoch"))
             touched += 1
     return {"incremented": touched}
 

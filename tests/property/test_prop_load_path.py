@@ -384,7 +384,7 @@ def _the_index_answers_what_a_sorted_list_of_pairs_answers(ops, data):
                     ShareRows([r for _, r in batch], ("c",), [[s for s, _ in batch]])
                 )
             with pytest.raises(ProviderError):
-                table.insert(junk[1], {"c": junk[0]})
+                table.insert_many(ShareRows.from_pairs([(junk[1], {"c": junk[0]})]))
             assert len(table) == 0 and table.indexes["c"].entries_in_order() == []
         assert index.entries_in_order() == oracle
         _blocks_hold_the_entries(index)

@@ -77,45 +77,45 @@ class TestShareTable:
 
     def test_insert_and_get(self):
         table = self.make()
-        table.insert(1, {"a": 100, "b": 200})
+        table.insert_many(ShareRows.from_pairs([(1, {"a": 100, "b": 200})]))
         assert table.get(1) == {"a": 100, "b": 200}
         assert len(table) == 1
         assert table.has_row(1)
 
     def test_missing_column_stored_as_null(self):
         table = self.make()
-        table.insert(1, {"a": 100})
+        table.insert_many(ShareRows.from_pairs([(1, {"a": 100})]))
         assert table.get(1)["b"] is None
 
     def test_duplicate_rid_rejected(self):
         table = self.make()
-        table.insert(1, {"a": 1})
+        table.insert_many(ShareRows.from_pairs([(1, {"a": 1})]))
         with pytest.raises(ProviderError):
-            table.insert(1, {"a": 2})
+            table.insert_many(ShareRows.from_pairs([(1, {"a": 2})]))
 
     def test_unknown_column_rejected(self):
         table = self.make()
         with pytest.raises(ProviderError):
-            table.insert(1, {"zzz": 5})
+            table.insert_many(ShareRows.from_pairs([(1, {"zzz": 5})]))
 
     def test_index_updated_on_mutation(self):
         table = self.make()
-        table.insert(1, {"a": 10, "b": 1})
-        table.update(1, {"a": 99})
+        table.insert_many(ShareRows.from_pairs([(1, {"a": 10, "b": 1})]))
+        table.update_rows([[1, {"a": 99}]])
         assert table.index_for("a").equal_row_ids(10) == []
         assert table.index_for("a").equal_row_ids(99) == [1]
 
     def test_update_to_null_removes_from_index(self):
         table = self.make()
-        table.insert(1, {"a": 10})
-        table.update(1, {"a": None})
+        table.insert_many(ShareRows.from_pairs([(1, {"a": 10})]))
+        table.update_rows([[1, {"a": None}]])
         assert table.index_for("a").equal_row_ids(10) == []
         assert table.get(1)["a"] is None
 
     def test_delete_cleans_index(self):
         table = self.make()
-        table.insert(1, {"a": 10})
-        table.delete(1)
+        table.insert_many(ShareRows.from_pairs([(1, {"a": 10})]))
+        table.delete_rows([1])
         assert not table.has_row(1)
         assert table.index_for("a").equal_row_ids(10) == []
 
@@ -131,15 +131,15 @@ class TestShareTable:
     def test_version_bumps(self):
         table = self.make()
         v0 = table.version
-        table.insert(1, {"a": 1})
-        table.update(1, {"a": 2})
-        table.delete(1)
+        table.insert_many(ShareRows.from_pairs([(1, {"a": 1})]))
+        table.update_rows([[1, {"a": 2}]])
+        table.delete_rows([1])
         assert table.version == v0 + 3
 
     def test_all_row_ids_sorted(self):
         table = self.make()
         for rid in (5, 1, 3):
-            table.insert(rid, {"a": rid})
+            table.insert_many(ShareRows.from_pairs([(rid, {"a": rid})]))
         assert table.all_row_ids() == [1, 3, 5]
 
 
@@ -172,28 +172,28 @@ class TestMixedDML:
 
     def test_update_searchable_reindexes(self):
         table = self.make()
-        table.update(1, {"a": 99})
+        table.update_rows([[1, {"a": 99}]])
         assert table.index_for("a").equal_row_ids(10) == []
         assert table.index_for("a").equal_row_ids(99) == [1]
         self.assert_indexes_consistent(table)
 
     def test_null_transitions(self):
         table = self.make()
-        table.update(1, {"a": None})  # value -> NULL: deindexed
+        table.update_rows([[1, {"a": None}]])  # value -> NULL: deindexed
         assert table.index_for("a").equal_row_ids(10) == []
-        table.update(3, {"a": 55})  # NULL -> value: indexed
+        table.update_rows([[3, {"a": 55}]])  # NULL -> value: indexed
         assert table.index_for("a").equal_row_ids(55) == [3]
-        table.update(2, {"b": 5})  # NULL -> value on second index
+        table.update_rows([[2, {"b": 5}]])  # NULL -> value on second index
         assert sorted(table.index_for("b").equal_row_ids(5)) == [1, 2]
         self.assert_indexes_consistent(table)
 
     def test_insert_update_delete_sequence(self):
         table = self.make()
-        table.insert(5, {"a": 20, "b": None, "v": 500})
-        table.update(5, {"a": 21, "b": 3})
-        table.update(4, {"a": None})
-        table.delete(2)
-        table.delete(5)
+        table.insert_many(ShareRows.from_pairs([(5, {"a": 20, "b": None, "v": 500})]))
+        table.update_rows([[5, {"a": 21, "b": 3}]])
+        table.update_rows([[4, {"a": None}]])
+        table.delete_rows([2])
+        table.delete_rows([5])
         self.assert_indexes_consistent(table)
         # no stale entries: every indexed row id still exists
         for column in sorted(table.searchable):
@@ -202,7 +202,7 @@ class TestMixedDML:
 
     def test_delete_after_bulk_load_swaps_slots_correctly(self):
         table = self.make()
-        table.delete(1)  # swap-remove moves the last slot into the hole
+        table.delete_rows([1])  # swap-remove moves the last slot into the hole
         assert table.get(4) == {"a": 20, "b": 9, "v": 400}
         assert table.value(2, "v") == 200
         self.assert_indexes_consistent(table)
@@ -220,18 +220,18 @@ class TestMixedDML:
                     "b": rng.randrange(50) if rng.random() > 0.2 else None,
                     "v": rng.randrange(1000),
                 }
-                table.insert(next_rid, values)
+                table.insert_many(ShareRows.from_pairs([(next_rid, values)]))
                 alive.append(next_rid)
                 next_rid += 1
             elif action < 0.8:
                 rid = rng.choice(alive)
                 column = rng.choice(["a", "b"])
                 new = rng.randrange(50) if rng.random() > 0.3 else None
-                table.update(rid, {column: new})
+                table.update_rows([[rid, {column: new}]])
             else:
                 rid = rng.choice(alive)
                 alive.remove(rid)
-                table.delete(rid)
+                table.delete_rows([rid])
         for column in ("a", "b"):
             assert (
                 table.index_for(column).entries_in_order()
@@ -240,7 +240,7 @@ class TestMixedDML:
 
 
 class TestBulkLoad:
-    """``insert_many`` fast path vs n single-row inserts."""
+    """``insert_many`` of a batch vs one ``insert_many`` per row."""
 
     COLUMNS = ["a", "b", "v"]
 
@@ -264,7 +264,7 @@ class TestBulkLoad:
         assert bulk.insert_many(ShareRows.from_pairs(rows)) == len(rows)
         incremental = ShareTable("T", self.COLUMNS, searchable=["a", "b"])
         for rid, values in rows:
-            incremental.insert(rid, values)
+            incremental.insert_many(ShareRows.from_pairs([(rid, values)]))
         assert bulk.rows == incremental.rows
         assert bulk.all_row_ids() == incremental.all_row_ids()
         for column in ("a", "b"):
@@ -289,8 +289,9 @@ class TestBulkLoad:
             )
 
     def test_invalid_batch_fails_like_single_inserts(self):
-        """An invalid row must surface the same error, at the same row,
-        leaving the same partially-inserted state as n single inserts."""
+        """An invalid row surfaces the error one-row inserts raise at that
+        row, but the batch is refused whole: where the one-row inserts
+        leave the rows before it behind, the batch leaves nothing."""
         batch = [
             (1, {"a": 1, "v": 10}),
             (2, {"zzz": 5}),
@@ -302,15 +303,17 @@ class TestBulkLoad:
         incremental = ShareTable("T", self.COLUMNS, searchable=["a"])
         with pytest.raises(ProviderError) as incremental_error:
             for rid, values in batch:
-                incremental.insert(rid, values)
+                incremental.insert_many(ShareRows.from_pairs([(rid, values)]))
         assert str(bulk_error.value) == str(incremental_error.value)
-        assert bulk.rows == incremental.rows
+        assert list(incremental.rows) == [1]
+        assert bulk.rows == {} and bulk.history == [] and bulk.version == 0
+        assert bulk.index_for("a").entries_in_order() == []
 
     def test_duplicate_rid_within_batch_rejected(self):
         table = ShareTable("T", self.COLUMNS, searchable=["a"])
-        with pytest.raises(ProviderError):
+        with pytest.raises(ProviderError, match="duplicate row id 1"):
             table.insert_many(ShareRows.from_pairs([(1, {"a": 1}), (1, {"a": 2})]))
-        assert table.rows == {1: {"a": 1, "b": None, "v": None}}
+        assert table.rows == {} and table.history == [] and table.version == 0
 
     def test_empty_batch(self):
         table = ShareTable("T", self.COLUMNS, searchable=["a"])
@@ -320,8 +323,8 @@ class TestBulkLoad:
 
 class TestUnkeyableInputIsRefusedWhole:
     """A share no index can key, or a row id that is negative or not an
-    int, raises ``ProviderError`` before anything changes — batch and
-    single-row paths, either backend.  (It used to append the rows and
+    int, raises ``ProviderError`` before anything changes — batches and
+    batches of one, either backend.  (It used to append the rows and
     then fail inside index ``b``: rows visible to scans, missing from
     ``b`` predicates.)"""
 
@@ -388,9 +391,9 @@ class TestUnkeyableInputIsRefusedWhole:
             with pytest.raises(ProviderError):
                 provider.handle("insert_many", {"table": "T", "rows": [(row_id, values)]})
             with pytest.raises(ProviderError):
-                table.insert(row_id, values)
+                table.insert_many(ShareRows.from_pairs([(row_id, values)]))
         with pytest.raises(ProviderError):
-            table.update(3, {"a": 7, "b": "x"})
+            table.update_rows([[3, {"a": 7, "b": "x"}]])
         assert self.state(provider) == before
         assert self.b_matches(provider) == 40
         provider.handle("insert_many", {"table": "T", "rows": [(80, {"a": 1, "b": 2})]})
@@ -435,7 +438,7 @@ class TestDerivedStateCache:
     def test_mutation_invalidates_cache(self):
         table = self.make()
         table.all_row_ids()
-        table.delete(3)
+        table.delete_rows([3])
         assert table.all_row_ids() == [1, 5]
         assert table.row_position(5) == 1
         assert table.derived_rebuilds == 2
@@ -511,13 +514,13 @@ class TestUndoHistoryRetention:
         for epoch in range(1, 10):
             base = 3 * epoch
             for row_id in range(base, base + 3):
-                table.insert(row_id, {"a": row_id, "v": epoch}, epoch=epoch)
+                table.insert_many(ShareRows.from_pairs([(row_id, {"a": row_id, "v": epoch})]), epoch=epoch)
                 written.append((epoch, "insert", row_id))
                 check(epoch)
-            table.update(base, {"v": -epoch}, epoch=epoch)
+            table.update_rows([[base, {"v": -epoch}]], epoch=epoch)
             written.append((epoch, "update", base))
             check(epoch)
-            table.delete(base + 1, epoch=epoch)
+            table.delete_rows([base + 1], epoch=epoch)
             written.append((epoch, "delete", base + 1))
             check(epoch)
         floor = table.history_floor

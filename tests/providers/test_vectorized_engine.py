@@ -100,7 +100,7 @@ class TestColumnMirrors:
     def test_mirror_invalidated_by_version(self):
         table = small_table({1: {"a": 4, "b": 7}})
         first, _ = table.column_vector("b")
-        table.update(1, {"b": 8})
+        table.update_rows([[1, {"b": 8}]])
         second, _ = table.column_vector("b")
         assert recombined(first) == [7] and recombined(second) == [8]
         assert table.vector_rebuilds == 2
@@ -187,7 +187,7 @@ class TestIndexMirrorProbes:
              for rid, share in [(1, self.C), (2, None), (3, self.A), (4, self.B)]}
         )
         assert table.index_positions("a").tolist() == [2, -1, 0, 1]
-        table.delete(1)  # row 4 moves into slot 0
+        table.delete_rows([1])  # row 4 moves into slot 0
         assert table.index_positions("a").tolist() == [1, -1, 0]
         assert table.index_positions("b") is None  # not searchable
 
