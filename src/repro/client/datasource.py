@@ -83,7 +83,6 @@ Row = Dict[str, object]
 #: and carry their own logged epochs.
 MUTATING_RPCS = frozenset(
     {
-        "insert",
         "insert_many",
         "update_rows",
         "delete_rows",

@@ -48,29 +48,38 @@ sort, group or sum, runs on the mirrors.  Every vectorized path
 records byte-identical ``compare`` counts (including multi-condition
 early exit) and returns byte-identical payloads; the few things the
 mirrors cannot take — a request the scalar engine would reject, a
-non-integer bound, a negative or non-integer stored share in a summed
-column, row ids outside ``int64`` — fall back to the scalar engine,
-which stays the always-on correctness oracle.  Writes make no engine
-choice: each write RPC — ``insert_many``, ``update_rows``,
-``delete_rows``, ``increment_rows`` (which adds Δ to the touched cells
-first, for both request shapes) — is one call of the
-:class:`~repro.providers.storage.ShareTable` mutator of its kind, which
-validates the whole request before it changes anything, so a refused
-write changes nothing.  Dispatch decisions are observable via the
-``provider.kernel.*`` telemetry counters, and each read's access path
-as the ``access_path`` attribute of its ``rpc`` span.
+negative or non-integer stored share in a summed column, row ids outside
+``int64`` — fall back to the scalar engine, which stays the always-on
+correctness oracle.  Writes make no engine choice: each write RPC —
+``insert_many``, ``update_rows``, ``delete_rows``, ``increment_rows``
+(which adds Δ to the touched cells first, for both request shapes) — is
+one call of the :class:`~repro.providers.storage.ShareTable` mutator of
+its kind, which checks what depends on the table (a row id missing,
+taken or named twice, a column it lacks) before it changes anything, so
+a refused write changes nothing.  Dispatch decisions are observable via
+the ``provider.kernel.*`` telemetry counters, and each read's access
+path as the ``access_path`` attribute of its ``rpc`` span.
 
-Conditions arrive as dicts::
+The wire is declared once, in :data:`WIRE`: every RPC's fields, which
+are optional, and the shape of each.  :meth:`ShareProvider.handle`
+checks each request against it — a ``batch`` rider or a ``txn_apply`` op
+too — before any handler runs, and refuses a mismatch with
+:class:`~repro.errors.ProviderError` naming the RPC and the field; the
+handlers take what the table declares unchecked.  A condition is one
+closed share interval, the one shape the client's query rewriter
+sends::
 
-    {"column": str, "op": "eq|lt|le|gt|ge|range", "low": int, "high": int?}
+    {"column": str, "op": "range", "low": int, "high": int}
 
-``low``/``high`` are *share-space* values computed by the client's query
-rewriter.
+``low``/``high`` are *share-space* values computed by the rewriter.
 """
 
 from __future__ import annotations
 
 import heapq
+import reprlib
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
@@ -84,7 +93,7 @@ from ..errors import (
 from ..sim.costmodel import CostRecorder
 from ..sim.network import ShareRows
 from .failures import Fault
-from .storage import ShareRow, ShareStore, ShareTable, checked_pairs
+from .storage import ShareRow, ShareStore, ShareTable
 
 #: A filtered read takes the vector engine when the index entries its
 #: conditions match number at least 1/16 of the table's rows (no
@@ -95,10 +104,187 @@ from .storage import ShareRow, ShareStore, ShareTable, checked_pairs
 #: in DESIGN.md §9.1.
 _VECTOR_MATCH_RATIO = 16
 
-_CONDITION_OPS = {"eq", "lt", "le", "gt", "ge", "range"}
+#: The provider wire: each RPC's request forms, a form being ``{field:
+#: shape}`` (shapes in :data:`_SHAPES`).  A shape ending in ``?`` marks an
+#: optional field, which a request may leave out or send as None; a
+#: request must match a form of its RPC exactly — no field missing,
+#: undeclared or of another shape.  ``increment_rows`` has two forms: a
+#: delta per row, or one delta for every listed row.
+WIRE: Dict[str, Tuple[Dict[str, str], ...]] = {
+    "create_table": ({"table": "name", "columns": "names", "searchable": "names"},),
+    "drop_table": ({"table": "name"},),
+    "insert_many": ({"table": "name", "rows": "rows", "epoch": "natural?"},),
+    "update_rows": ({"table": "name", "updates": "share pairs", "epoch": "natural?"},),
+    "delete_rows": ({"table": "name", "row_ids": "naturals", "epoch": "natural?"},),
+    "merge_table": ({"table": "name", "into": "name", "epoch": "natural?"},),
+    "increment_rows": tuple(
+        {"table": "name", **form, "modulus": "positive?", "epoch": "natural?"}
+        for form in ({"increments": "delta pairs"}, {"row_ids": "naturals", "deltas": "deltas"})
+    ),
+    "txn_apply": ({"txns": "txns"},),
+    "batch": ({"requests": "calls"},),
+    "select": ({"table": "name", "conditions": "conditions?", "order_by": "name?",
+                "descending": "bool?", "limit": "natural?", "projection": "names?"},),
+    "get_rows": ({"table": "name", "row_ids": "naturals", "projection": "names?"},),
+    "scan": ({"table": "name", "projection": "names?"},),
+    "scan_asof": ({"table": "name", "epoch": "natural"},),
+    "row_count": ({"table": "name"},),
+    "aggregate": ({"table": "name", "func": "func", "column": "name?",
+                   "conditions": "conditions?"},),
+    "aggregate_group": ({"table": "name", "func": "func", "group_column": "name",
+                         "column": "name?", "conditions": "conditions?"},),
+    "join": ({"left": "name", "right": "name", "left_column": "name", "right_column": "name",
+              "left_conditions": "conditions?", "right_conditions": "conditions?",
+              "left_projection": "names?", "right_projection": "names?"},),
+    "merkle_root": ({"table": "name"},),
+    "merkle_proof": ({"table": "name", "row_id": "natural"},),
+}
+
+#: The RPCs a ``txn_apply`` op may name, and a ``batch`` rider.
+TXN_OPS = frozenset({"insert_many", "update_rows", "delete_rows", "increment_rows"})
+_RIDERS = frozenset(WIRE) - {"batch"}
 
 #: Aggregates a provider can compute partially (Sec. V-A).
-_AGGREGATE_FUNCS = {"sum", "count", "min", "max", "median"}
+_AGGREGATE_FUNCS = frozenset({"sum", "count", "min", "max", "median"})
+
+_SEQUENCES = frozenset({list, tuple})
+_CONDITION_KEYS = frozenset({"column", "op", "low", "high"})
+
+
+# The shape checks.  A list is checked with C-level passes (``map(type,
+# …)``), never with a Python loop over its cells.
+
+def _typed(*types):
+    """A check that every item of a list is of one of ``types``."""
+    allowed = frozenset(types)
+    return lambda items: allowed.issuperset(map(type, items))
+
+
+_strs, _ints, _dicts, _seqs = _typed(str), _typed(int), _typed(dict), _typed(list, tuple)
+_share_cells = _typed(int, type(None))
+
+
+def _naturals(value) -> bool:
+    return type(value) in _SEQUENCES and _ints(value) and (not value or min(value) >= 0)
+
+
+def _names(value) -> bool:
+    return type(value) in _SEQUENCES and _strs(value) and len(set(value)) == len(value)
+
+
+def _pairs(value, firsts, seconds) -> bool:
+    """``[[a, b], ...]`` whose ``a``s pass ``firsts`` and ``b``s
+    ``seconds``, each check taking the list of them."""
+    return (
+        type(value) in _SEQUENCES and _seqs(value) and {2}.issuperset(map(len, value))
+        and firsts(list(map(itemgetter(0), value)))
+        and seconds(list(map(itemgetter(1), value)))
+    )
+
+
+def _cells(cells):
+    """A check that a list of dicts holds only what ``cells`` takes.  (A
+    key that is not a column of the table is the table's to refuse.)"""
+    return lambda dicts: _dicts(dicts) and cells(chain.from_iterable(map(dict.values, dicts)))
+
+
+_shares, _deltas = _cells(_share_cells), _cells(_ints)
+
+
+def _calls(value) -> bool:
+    return _pairs(value, _strs, _dicts)
+
+
+def _condition(value) -> bool:
+    return (
+        type(value) is dict and value.keys() == _CONDITION_KEYS and value["op"] == "range"
+        and type(value["column"]) is str
+        and type(value["low"]) is int and type(value["high"]) is int
+    )
+
+
+def _rows(value) -> bool:
+    # a ragged column is left to ShareTable.insert_many, which refuses it
+    # for every caller
+    if type(value) is not ShareRows:
+        return _pairs(value, _naturals, _shares)
+    shares = value.shares
+    return (
+        _naturals(value.row_ids) and _names(value.columns)
+        and type(shares) in _SEQUENCES and len(shares) == len(value.columns)
+        and _seqs(shares) and _share_cells(chain.from_iterable(shares))
+    )
+
+
+#: shape -> (check, what a refusal says the field must be)
+_SHAPES = {
+    "name": (lambda v: type(v) is str, "a string"),
+    "names": (_names, "a list of distinct strings"),
+    "natural": (lambda v: type(v) is int and v >= 0, "an int >= 0"),
+    "positive": (lambda v: type(v) is int and v > 0, "an int > 0"),
+    "bool": (lambda v: type(v) is bool, "a bool"),
+    "func": (
+        lambda v: type(v) is str and v in _AGGREGATE_FUNCS,
+        f"one of {', '.join(sorted(_AGGREGATE_FUNCS))}",
+    ),
+    "naturals": (_naturals, "a list of ints >= 0"),
+    "deltas": (lambda v: type(v) is dict and _ints(v.values()), "a {column: int} dict"),
+    "share pairs": (
+        lambda v: _pairs(v, _naturals, _shares), "a list of [int >= 0, {column: int or None}]"
+    ),
+    "delta pairs": (lambda v: _pairs(v, _naturals, _deltas), "a list of [int >= 0, {column: int}]"),
+    "rows": (_rows, "ShareRows or a list of [int >= 0, {column: int or None}]"),
+    "conditions": (
+        lambda v: type(v) in _SEQUENCES and all(map(_condition, v)),
+        'a list of {"column": str, "op": "range", "low": int, "high": int}',
+    ),
+    "calls": (_calls, "a list of [method, {request}]"),
+    "txns": (
+        lambda v: _pairs(v, _naturals, lambda opss: all(map(_calls, opss))),
+        "a list of [int >= 0, [[method, {request}], ...]]",
+    ),
+}
+
+#: :data:`WIRE` as the check runs it: per RPC, per form, the declared
+#: field names and ``(field, check, optional, shape)`` per field.
+_FORMS = {
+    method: tuple(
+        (frozenset(form), tuple(
+            (field, _SHAPES[shape.rstrip("?")][0], shape.endswith("?"), shape.rstrip("?"))
+            for field, shape in form.items()
+        ))
+        for form in forms
+    )
+    for method, forms in WIRE.items()
+}
+
+
+def wire_problem(method: str, request) -> Optional[str]:
+    """What keeps ``request`` from matching a form of ``method`` in
+    :data:`WIRE` (``method`` must be one of its RPCs), or None."""
+    if type(request) is not dict:
+        return f"{method} request is not a dict"
+    forms = _FORMS[method]
+    for names, fields in forms:  # the first form declaring every field sent
+        if names.issuperset(request):
+            break
+    else:  # the stray field, by the form sharing the most fields with the request
+        names = max(forms, key=lambda form: len(form[0].intersection(request)))[0]
+        field = next(field for field in request if field not in names)
+        return f"{method} request carries undeclared field {field!r}"
+    for field, check, optional, shape in fields:
+        value = request.get(field)
+        if value is None:
+            if optional:
+                continue
+            return f"{method} request lacks field {field!r}"
+        if not check(value):
+            # a list names its first item refused on its own, if any
+            listed = type(value) in _SEQUENCES and check(value[:0])
+            bad = [item for item in value if not check([item])][:1] if listed else []
+            shown = f"holding {reprlib.repr(bad[0])}" if bad else f"not {reprlib.repr(value)}"
+            return f"{method} field {field!r} must be {_SHAPES[shape][1]}, {shown}"
+    return None
 
 
 class _EntryWalk:
@@ -198,17 +384,29 @@ class ShareProvider:
     def handle(self, method: str, request: Dict) -> Dict:
         """Execute one RPC; payloads in and out are wire-primitive dicts.
 
-        Telemetry counters recorded here run on the cluster's fan-out
-        pool threads; they are commutative increments, so totals stay
+        The request is checked against :data:`WIRE` first, so a handler
+        only ever sees the shapes the table declares.  Telemetry
+        counters recorded here run on the cluster's fan-out pool
+        threads; they are commutative increments, so totals stay
         deterministic per seed regardless of pool scheduling.
         """
         self._check_available()
-        handler = getattr(self, f"_rpc_{method}", None)
-        if handler is None:
-            raise ProviderError(f"provider {self.name}: unknown method {method!r}")
+        handler = self._handler(method, request)
         self.requests_served += 1
         telemetry.count("provider.requests", provider=self.name, method=method)
         return handler(request)
+
+    def _handler(self, method: str, request: Dict, methods=WIRE):
+        """The handler of a request naming one of ``methods`` in the form
+        :data:`WIRE` declares for it, else :class:`ProviderError` — the one
+        checked path to a handler: ``handle``'s, a ``batch`` rider's
+        (:data:`_RIDERS`) and a ``txn_apply`` op's (:data:`TXN_OPS`)."""
+        if type(method) is not str or method not in methods:
+            raise ProviderError(f"provider {self.name}: unknown method {method!r}")
+        problem = wire_problem(method, request)
+        if problem is not None:
+            raise ProviderError(f"provider {self.name}: {problem}")
+        return getattr(self, f"_rpc_{method}")
 
     # -- batched execution --------------------------------------------------------
 
@@ -220,27 +418,19 @@ class ShareProvider:
         ships their per-provider requests as one ``batch`` RPC, so N
         concurrent point queries cost ~1 round trip per provider instead
         of N.  Sub-responses align positionally with sub-requests; a
-        sub-request failure is captured per entry (``["err", type, msg]``)
-        rather than aborting the whole batch, and the batcher re-raises
-        it for that sub-request's query alone once the round is drained —
-        the cluster's drain-then-raise wave semantics, per rider.
+        sub-request failure — a malformed or unknown rider included — is
+        captured per entry (``["err", type, msg]``) rather than aborting
+        the whole batch, and the batcher re-raises it for that
+        sub-request's query alone once the round is drained — the
+        cluster's drain-then-raise wave semantics, per rider.
         """
         responses: List[List] = []
         for method, sub_request in request["requests"]:
-            if method == "batch":
-                raise ProviderError(
-                    f"provider {self.name}: nested batch requests are not allowed"
-                )
-            handler = getattr(self, f"_rpc_{method}", None)
-            if handler is None:
-                responses.append(
-                    ["err", "ProviderError", f"unknown method {method!r}"]
-                )
-                continue
-            telemetry.count(
-                "provider.batched_requests", provider=self.name, method=method
-            )
             try:
+                handler = self._handler(method, sub_request, _RIDERS)
+                telemetry.count(
+                    "provider.batched_requests", provider=self.name, method=method
+                )
                 responses.append(["ok", handler(sub_request)])
             except ReproError as exc:
                 responses.append(["err", type(exc).__name__, str(exc)])
@@ -267,8 +457,8 @@ class ShareProvider:
         list it stands for as WAL replay, snapshots and repair carry it."""
         table = self.store.table(request["table"])
         rows = request["rows"]
-        if not isinstance(rows, ShareRows):
-            rows = ShareRows.from_pairs(checked_pairs(table.name, rows))
+        if type(rows) is not ShareRows:
+            rows = ShareRows.from_pairs(rows)
         return {"inserted": table.insert_many(rows, epoch=request.get("epoch"))}
 
     def _rpc_update_rows(self, request: Dict) -> Dict:
@@ -313,7 +503,7 @@ class ShareProvider:
         lacks is skipped, and a row left with nothing to assign is not
         counted.
 
-        Two request shapes, one pass:
+        Two request forms, one pass:
 
         * ``{"increments": [[row_id, {col: share}], ...]}`` — a distinct
           delta share per row (share refresh, which *must* land every row
@@ -323,41 +513,43 @@ class ShareProvider:
           statement's single plaintext delta is shared once, so the wire
           cost is O(rows) small ints instead of O(rows) field elements).
 
-        The whole request is validated before anything changes: every entry
-        must be a ``[row_id, {column: share}]`` pair and every row id a
-        non-negative ``int`` present and named once (:class:`ProviderError`,
-        :meth:`ShareTable.write_slots`), and no entry may name an
-        order-preserving column (:class:`QueryError`).  Each touched cell
-        is then read by slot and Δ added — reduced mod ``modulus`` when the
-        request names one — and the rows are written once through
-        :meth:`ShareTable.update_rows`: one ``update`` undo record per
-        touched row, in request order.
+        The whole request is checked before anything changes: every row
+        id must be present and named once (:class:`ProviderError`, from
+        :meth:`ShareTable.write_slots`, once per request), and no entry
+        may name an order-preserving column (:class:`QueryError`).  Each
+        touched cell is then read by slot and Δ added — reduced mod
+        ``modulus`` when the request names one — and the rows are written
+        once through :meth:`ShareTable.update_rows`, handed the slots
+        already resolved: one ``update`` undo record per touched row, in
+        request order.
         """
         table = self.store.table(request["table"])
         if "increments" in request:
             entries = request["increments"]
+            row_ids = list(map(itemgetter(0), entries))
         else:
-            entries = [[row_id, request["deltas"]] for row_id in request["row_ids"]]
-        checked_pairs(table.name, entries)
-        slots = table.write_slots([row_id for row_id, _ in entries])
-        searchable = table.searchable
-        for _, deltas in entries:
-            if not searchable.isdisjoint(deltas):
-                column = next(c for c in deltas if c in searchable)
-                raise QueryError(
-                    f"column {column!r} is order-preserving; incremental "
-                    "share addition is only sound for randomly-shared "
-                    "columns"
-                )
+            row_ids = request["row_ids"]
+            entries = zip(row_ids, repeat(request["deltas"]))
+        slots = table.write_slots(row_ids)
         # the share-field modulus is a public parameter; reducing keeps
         # share magnitudes bounded across repeated increments/refreshes
         modulus = request.get("modulus")
-        arrays = {column: table.column_array(column) for column in table.columns}
-        updates = []
+        searchable = table.searchable
+        arrays = {c: table.column_array(c) for c in table.columns if c not in searchable}
+        updates, written = [], []
         for (row_id, deltas), slot in zip(entries, slots):
             assignments: ShareRow = {}
             for column, delta_share in deltas.items():
-                current = arrays[column][slot] if column in arrays else None
+                array = arrays.get(column)
+                if array is None:
+                    if column in searchable:
+                        raise QueryError(
+                            f"column {column!r} is order-preserving; incremental "
+                            "share addition is only sound for randomly-shared "
+                            "columns"
+                        )
+                    continue
+                current = array[slot]
                 if current is None:
                     continue
                 updated = current + delta_share
@@ -366,47 +558,51 @@ class ShareProvider:
                 assignments[column] = updated
             if assignments:
                 updates.append([row_id, assignments])
-        return {"incremented": table.update_rows(updates, epoch=request.get("epoch"))}
+                written.append(slot)
+        return {
+            "incremented": table.update_rows(
+                updates, epoch=request.get("epoch"), slots=written
+            )
+        }
 
     # -- transactional apply (ISSUE-8) -------------------------------------------
-
-    _TXN_OPS = frozenset(
-        {"insert_many", "update_rows", "delete_rows", "increment_rows"}
-    )
 
     def _rpc_txn_apply(self, request: Dict) -> Dict:
         """Apply logged transactions in the given (WAL log) order.
 
         ``{"txns": [[txn_id, ops], ...]}`` where each op is ``[method,
-        payload]`` restricted to row-mutation methods.  Every op of every
-        transaction not yet applied is validated (transactional method,
-        known table) before anything mutates, so a refused request changes
-        nothing here.  A transaction this provider already applied is
-        skipped — the client is replaying its WAL and the exactly-once
-        guard must hold (increments are not idempotent); the id enters
-        ``applied_txns`` the moment its ops have run, so a replay after a
-        mid-round crash re-applies exactly the transactions this provider
-        missed and none it did not.
+        payload]`` naming one of :data:`TXN_OPS`.  Every op of every
+        transaction not yet applied goes through the checked path to its
+        handler, and must name a table held here, before anything
+        mutates, so a refused request changes nothing here.  A
+        transaction this provider already applied is skipped — the
+        client is replaying its WAL and the exactly-once guard must hold
+        (increments are not idempotent); the id enters ``applied_txns``
+        the moment its ops have run, so a replay after a mid-round crash
+        re-applies exactly the transactions this provider missed and
+        none it did not.
         """
         applied = self.store.applied_txns
         skipped = [txn_id for txn_id, _ in request["txns"] if txn_id in applied]
-        fresh = [(txn_id, ops) for txn_id, ops in request["txns"] if txn_id not in applied]
+        fresh = [
+            (txn_id, [
+                (self._handler(method, payload, TXN_OPS), payload)
+                for method, payload in ops
+            ])
+            for txn_id, ops in request["txns"]
+            if txn_id not in applied
+        ]
         for txn_id, ops in fresh:
-            for method, payload in ops:
-                if method not in self._TXN_OPS:
-                    raise ProviderError(
-                        f"provider {self.name}: {method!r} is not a valid "
-                        "transactional op"
-                    )
-                if not self.store.has_table(payload.get("table", "")):
+            for _, payload in ops:
+                if not self.store.has_table(payload["table"]):
                     raise ProviderError(
                         f"provider {self.name}: transaction {txn_id} targets "
-                        f"unknown table {payload.get('table')!r}"
+                        f"unknown table {payload['table']!r}"
                     )
         committed: List[int] = []
         for txn_id, ops in fresh:
-            for method, payload in ops:
-                getattr(self, f"_rpc_{method}")(payload)
+            for handler, payload in ops:
+                handler(payload)
             applied.add(txn_id)
             committed.append(txn_id)
             telemetry.count("txn.provider_commits", provider=self.name)
@@ -419,7 +615,8 @@ class ShareProvider:
         rows = self._select_vector(table, request)
         self._note_dispatch("select", rows is not None)
         self._note_access_path(
-            request, rows is not None, walked=request.get("order_by") is not None
+            request.get("conditions"), rows is not None,
+            walked=request.get("order_by") is not None,
         )
         if rows is None:
             rows = self._select_scalar(table, request)
@@ -451,14 +648,12 @@ class ShareProvider:
                 "compare", len(keyed) * max(1, len(keyed).bit_length())
             )
             # a LIMIT needs only that many of the keyed rows in order: a
-            # heap keeps them, where sorting every match would order all.
-            # A negative LIMIT slices from the end, so it sorts everything
-            top = limit if isinstance(limit, int) and limit >= 0 else None
+            # heap keeps them, where sorting every match would order all
             if request.get("descending"):
-                keyed = _smallest(keyed, top, key=lambda pair: (-pair[0], pair[1]))
+                keyed = _smallest(keyed, limit, key=lambda pair: (-pair[0], pair[1]))
                 row_ids = [rid for _, rid in keyed] + null_ids
             else:
-                wanted = None if top is None else max(0, top - len(null_ids))
+                wanted = None if limit is None else max(0, limit - len(null_ids))
                 row_ids = null_ids + [rid for _, rid in _smallest(keyed, wanted)]
         if limit is not None:
             row_ids = row_ids[:limit]
@@ -466,7 +661,7 @@ class ShareProvider:
 
     def _rpc_get_rows(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])
-        self._note_access_path(request, False)
+        self._note_access_path(None, False)
         present = [rid for rid in request["row_ids"] if table.has_row(rid)]
         return self._rows_response(
             rows=self._project_many(table, present, request.get("projection"))
@@ -476,7 +671,7 @@ class ShareProvider:
         table = self.store.table(request["table"])
         rows = self._scan_vector(table, request)
         self._note_dispatch("scan", rows is not None)
-        self._note_access_path(request, rows is not None)
+        self._note_access_path(None, rows is not None)
         if rows is None:
             rows = self._project_many(
                 table, table.all_row_ids(), request.get("projection")
@@ -491,7 +686,7 @@ class ShareProvider:
         (time travel trades bandwidth for reading the past at all).
         """
         table = self.store.table(request["table"])
-        self._note_access_path(request, False)
+        self._note_access_path(None, False)
         historical = table.rows_asof(request["epoch"])
         self.cost.record("compare", len(table.history))
         row_ids = sorted(historical)
@@ -531,8 +726,6 @@ class ShareProvider:
     def _rpc_aggregate(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])
         func = request["func"]
-        if func not in _AGGREGATE_FUNCS:
-            raise QueryError(f"provider cannot aggregate with {func!r}")
         conditions = request.get("conditions") or []
         column = request.get("column")
         # SUM/COUNT partials are materialized per (func, column, predicate)
@@ -550,7 +743,7 @@ class ShareProvider:
                 )
                 payload = self._aggregate_vector(table, func, column, conditions)
                 self._note_dispatch("aggregate", payload is not None)
-                self._note_access_path(request, payload is not None)
+                self._note_access_path(conditions, payload is not None)
                 if payload is None:
                     payload = self._compute_scalar_aggregate(
                         table, func, column, conditions
@@ -575,7 +768,7 @@ class ShareProvider:
         # discipline for a nomination that is already O(1) per request.
         payload = self._aggregate_order_vector(table, func, column, conditions)
         self._note_dispatch("aggregate", payload is not None)
-        self._note_access_path(request, payload is not None)
+        self._note_access_path(conditions, payload is not None)
         if payload is not None:
             return payload
         row_ids = self._matching_row_ids_unordered(table, conditions)
@@ -609,8 +802,6 @@ class ShareProvider:
                 "(searchable) column at the provider"
             )
         func = request["func"]
-        if func not in _AGGREGATE_FUNCS:
-            raise QueryError(f"provider cannot aggregate with {func!r}")
         column = request.get("column")
         conditions = request.get("conditions") or []
         # hot SUM/COUNT groups are materialized whole (the per-group
@@ -636,7 +827,7 @@ class ShareProvider:
             table, func, column, group_column, conditions
         )
         self._note_dispatch("aggregate_group", out is not None)
-        self._note_access_path(request, out is not None, walked=True)
+        self._note_access_path(conditions, out is not None, walked=True)
         if out is not None:
             if cacheable:
                 table.store_aggregate(
@@ -834,7 +1025,7 @@ class ShareProvider:
 
     @staticmethod
     def _note_access_path(
-        request: Dict, vectorized: bool, walked: bool = False
+        conditions: Optional[List[Dict]], vectorized: bool, walked: bool = False
     ) -> None:
         """Annotate the open ``rpc`` span with how this read found its
         rows (one ``is None`` check while telemetry is off).
@@ -852,49 +1043,27 @@ class ShareProvider:
         if vectorized:
             path = "entry-walk" if walked else "mask"
         else:
-            path = "index-probe" if request.get("conditions") else "scalar"
+            path = "index-probe" if conditions else "scalar"
         telemetry.annotate(access_path=path)
 
     def _vector_condition_plan(self, table: ShareTable, conditions: List[Dict]):
         """Per-condition ``(index, slot positions, start, stop)``, or None.
 
         Each condition's bounds become entry offsets into its index with
-        the two bisects the scalar path runs (the op table is
-        :meth:`_condition_row_ids`'), so shares of any width compare
-        exactly.  Declines on anything the scalar path would reject
-        (unknown op, non-searchable column, missing bound keys) or any
-        non-integer bound, so the scalar engine raises the canonical
-        error itself — and on a *narrow* probe (see
-        :data:`_VECTOR_MATCH_RATIO`), before any mirror is consulted.
+        the two bisects the scalar path runs, so shares of any width
+        compare exactly.  Declines on a non-searchable column, so the
+        scalar engine raises the canonical error itself — and on a
+        *narrow* probe (see :data:`_VECTOR_MATCH_RATIO`), before any
+        mirror is consulted.
         """
         probes = []
         matched = 0
         for condition in conditions:
-            op = condition.get("op")
-            column = condition.get("column")
+            column = condition["column"]
             index = table.indexes.get(column)
-            low = condition.get("low")
-            if (
-                op not in _CONDITION_OPS
-                or index is None
-                or not isinstance(low, int)
-            ):
+            if index is None:
                 return None
-            if op == "eq":
-                start, stop = index.entry_range(low, low)
-            elif op == "range":
-                high = condition.get("high")
-                if not isinstance(high, int):
-                    return None
-                start, stop = index.entry_range(low, high)
-            elif op == "lt":
-                start, stop = index.entry_range(None, low, high_inclusive=False)
-            elif op == "le":
-                start, stop = index.entry_range(None, low)
-            elif op == "gt":
-                start, stop = index.entry_range(low, None, low_inclusive=False)
-            else:  # ge
-                start, stop = index.entry_range(low, None)
+            start, stop = index.entry_range(condition["low"], condition["high"])
             matched += max(0, stop - start)
             probes.append((index, column, start, stop))
         if conditions and _VECTOR_MATCH_RATIO * matched < len(table):
@@ -942,10 +1111,6 @@ class ShareProvider:
         if order_by is not None and order_by not in table.indexes:
             return None  # scalar raises via index_for
         limit = request.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
-        ):
-            return None  # the scalar engine slices as Python does
         projection = request.get("projection")
         if projection is not None and set(projection) - set(table.columns):
             return None  # scalar validates (or returns [] on empty match)
@@ -1276,23 +1441,9 @@ class ShareProvider:
         return list(result)
 
     def _condition_row_ids(self, table: ShareTable, condition: Dict) -> List[int]:
-        op = condition.get("op")
-        if op not in _CONDITION_OPS:
-            raise QueryError(f"unknown share condition op {op!r}")
-        column = condition["column"]
-        index = table.index_for(column)
+        index = table.index_for(condition["column"])
         self.cost.record("compare", index.comparisons_for_range())
-        if op == "eq":
-            return index.equal_row_ids(condition["low"])
-        if op == "range":
-            return index.range_row_ids(condition["low"], condition["high"])
-        if op == "lt":
-            return index.range_row_ids(None, condition["low"], high_inclusive=False)
-        if op == "le":
-            return index.range_row_ids(None, condition["low"])
-        if op == "gt":
-            return index.range_row_ids(condition["low"], None, low_inclusive=False)
-        return index.range_row_ids(condition["low"], None)  # ge
+        return index.range_row_ids(condition["low"], condition["high"])
 
     def _order_by_share(
         self, table: ShareTable, row_ids: List[int], column: str
@@ -1324,51 +1475,13 @@ class ShareProvider:
             return []
         return table.values_for_rows(column, row_ids)
 
-    @staticmethod
-    def _closed_bounds(
-        conditions: List[Dict],
-    ) -> Optional[Tuple[str, int, int]]:
-        """``(column, low, high)`` for a lone simple comparison.
-
-        Shares are integers, so every condition op is a closed interval
-        (``lt h`` ≡ ``≤ h-1``).  Returns None when the condition list is
-        not a single well-formed comparison — the generic
-        probe-and-intersect path handles (and error-checks) those.
-        """
-        if len(conditions) != 1:
-            return None
-        condition = conditions[0]
-        op = condition.get("op")
-        if op not in _CONDITION_OPS:
-            return None
-        column = condition["column"]
-        low = condition.get("low")
-        if op == "range":
-            high = condition.get("high")
-            return (
-                column,
-                float("-inf") if low is None else low,
-                float("inf") if high is None else high,
-            )
-        if low is None:
-            return None
-        if op == "eq":
-            return column, low, low
-        if op == "lt":
-            return column, float("-inf"), low - 1
-        if op == "le":
-            return column, float("-inf"), low
-        if op == "gt":
-            return column, low + 1, float("inf")
-        return column, low, float("inf")  # ge
-
     def _filtered_column_values(
         self, table: ShareTable, conditions: List[Dict], column: str
     ) -> List[Optional[int]]:
         """Shares of ``column`` for every row matching ``conditions``.
 
         Access-path selection for order-insensitive aggregates.  A lone
-        comparison is first sized with two index bisects; when it matches
+        condition is first sized with two index bisects; when it matches
         a wide slice of the table the predicate is evaluated straight
         over the condition and aggregate column vectors (sequential
         scan, no row-id materialization), otherwise the index probe is
@@ -1381,9 +1494,9 @@ class ShareProvider:
             if not table.has_column(column):
                 return []
             return list(table.column_array(column))
-        bounds = self._closed_bounds(conditions)
-        if bounds is not None:
-            cond_column, low, high = bounds
+        if len(conditions) == 1:
+            condition = conditions[0]
+            cond_column, low, high = condition["column"], condition["low"], condition["high"]
             index = table.index_for(cond_column)
             self.cost.record("compare", index.comparisons_for_range())
             if 4 * index.count_in_range(low, high) >= len(table):

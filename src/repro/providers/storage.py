@@ -33,12 +33,17 @@ most ``_BLOCK`` keys plus each block's last key, so index maintenance is
 block-local.
 
 A table has one mutator per kind, named after the RPC it serves —
-``insert_many``, ``update_rows``, ``delete_rows`` — and each validates
-the whole request before it changes anything: a malformed entry, a row
-id that is not a non-negative ``int``, is missing (update, delete), taken
-(insert) or named twice, a column the table lacks, a share no index can
-key, or a ragged column raises :class:`~repro.errors.ProviderError`
-naming the first offender and leaves the table as it was.  Then:
+``insert_many``, ``update_rows``, ``delete_rows`` — and each checks
+what depends on the table before it changes anything: a row id missing
+(update, delete), taken (insert) or named twice, or a column the table
+lacks, a searchable share no index can key (not an ``int``, not NULL),
+or a ragged column raises :class:`~repro.errors.ProviderError` naming
+the first offender and leaves the table as it was.  The request's shape
+— entries, row ids and shares of the right types — is the provider
+wire's to check (:data:`repro.providers.provider.WIRE`), once, before a
+mutator is called; ``insert_many`` alone also refuses a row id that is
+not a non-negative ``int``, because persistence restore inserts without
+passing the wire.  Then:
 
 * **update / delete** bisect the block maxima and rebuild the one block
   each key leaves or lands in, row by row in request order;
@@ -133,29 +138,6 @@ _ROW_ID_BITS = 64
 #: is not.
 _ROW_ID_TYPES = frozenset({int})
 _SHARE_TYPES = frozenset({int, type(None)})
-#: What an entry of a row-major write request may be: ``[row_id, {column:
-#: share}]`` as a list or a tuple.
-_ENTRY_TYPES = frozenset({list, tuple})
-
-
-def checked_pairs(table: str, entries: Sequence) -> Sequence:
-    """``entries`` — a row-major write request, ``[[row_id, {column:
-    share}], ...]`` — as given, or :class:`ProviderError` naming the first
-    entry of another shape.  C-level passes; the offender is looked up
-    only to name it."""
-    if not (
-        _ENTRY_TYPES.issuperset(map(type, entries))
-        and {2}.issuperset(map(len, entries))
-        and {dict}.issuperset(map(type, map(itemgetter(1), entries)))
-    ):
-        bad = next(
-            entry for entry in entries
-            if type(entry) not in _ENTRY_TYPES or len(entry) != 2 or type(entry[1]) is not dict
-        )
-        raise ProviderError(
-            f"table {table}: malformed entry {bad!r}, not [row_id, {{column: share}}]"
-        )
-    return entries
 
 
 class SortedShareIndex:
@@ -329,34 +311,20 @@ class SortedShareIndex:
             self._starts = cached
         return cached[1]
 
-    def entry_range(
-        self,
-        low,
-        high,
-        *,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Tuple[int, int]:
+    def entry_range(self, low: int, high: int) -> Tuple[int, int]:
         """Entry offsets ``(start, stop)`` bracketing the shares in the
-        given (possibly open) interval — two two-level bisects; ``stop <=
+        closed interval ``[low, high]`` — two two-level bisects; ``stop <=
         start`` when nothing matches."""
         state = self._state
-        (first, at), (last, to) = _cuts(state, low, high, low_inclusive, high_inclusive)
+        (first, at), (last, to) = _cut(state, low), _cut(state, high + 1)
         starts = self._offsets(state[0])
         return starts[first] + at, starts[last] + to
 
-    def range_row_ids(
-        self,
-        low: Optional[int],
-        high: Optional[int],
-        *,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> List[int]:
-        """Row ids whose share lies in the given (possibly open) interval,
+    def range_row_ids(self, low: int, high: int) -> List[int]:
+        """Row ids whose share lies in the closed interval ``[low, high]``,
         in ascending share order."""
         state = self._state
-        (first, at), (last, to) = _cuts(state, low, high, low_inclusive, high_inclusive)
+        (first, at), (last, to) = _cut(state, low), _cut(state, high + 1)
         blocks = state[0]
         if first == last:
             keys = blocks[first][at:to] if at < to else ()
@@ -373,7 +341,7 @@ class SortedShareIndex:
     def equal_row_ids(self, share: int) -> List[int]:
         return self.range_row_ids(share, share)
 
-    def count_in_range(self, low, high) -> int:
+    def count_in_range(self, low: int, high: int) -> int:
         """Cardinality of a closed share interval — two bisects, no
         extraction.  Used for access-path selection before paying for
         row-id materialization."""
@@ -461,32 +429,10 @@ class SortedShareIndex:
         return self._equality
 
 
-def _cuts(state, low, high, low_inclusive: bool, high_inclusive: bool):
-    """``(block, offset in it)`` of the first entry of a snapshot in the
-    (possibly open) interval and of the first one past it."""
+def _cut(state, least: int) -> Tuple[int, int]:
+    """``(block, offset in it)`` of a snapshot's first entry whose share is
+    at least ``least``; past every entry is ``(len(blocks), 0)``."""
     blocks, maxes, _, width, _ = state
-    end = (len(blocks), 0)
-    first = (0, 0) if low is None else _cut(blocks, maxes, width, low, low_inclusive, end)
-    last = end if high is None else _cut(blocks, maxes, width, high, not high_inclusive, (0, 0))
-    return first, last
-
-
-def _cut(blocks, maxes, width: int, bound, equal_after: bool, nan_cut: Tuple[int, int]):
-    """``(block, offset in it)`` of the first entry whose share lies past
-    ``bound`` — or at it, when ``equal_after`` — in int-versus-real
-    comparison semantics: a real bound cuts at the integers around it,
-    ±inf before or after every entry, and NaN (which no share compares
-    with) at ``nan_cut``.  Past every entry is ``(len(blocks), 0)``; any
-    other position lies inside its block."""
-    if type(bound) is int:
-        least = bound if equal_after else bound + 1
-    else:
-        try:
-            least = math.ceil(bound) if equal_after else math.floor(bound) + 1
-        except OverflowError:  # an infinity
-            return (0, 0) if bound < 0 else (len(blocks), 0)
-        except ValueError:  # NaN
-            return nan_cut
     key = least << width
     block = bisect.bisect_left(maxes, key)
     if block == len(blocks):
@@ -619,11 +565,14 @@ class ShareTable:
         return self.epoch
 
     def _refuse_row_ids(self, row_ids: Sequence, held: bool) -> None:
-        """Raise :class:`ProviderError` unless every row id is a
-        non-negative ``int``, named once, and held here (``held``) or not
-        yet (an insert).  C-level passes; the first offender in request
-        order is looked up only to name it."""
-        if not _ROW_ID_TYPES.issuperset(map(type, row_ids)) or (row_ids and min(row_ids) < 0):
+        """Raise :class:`ProviderError` unless every row id is named once
+        and held here (``held``) or not yet (an insert) — and, for an
+        insert, is a non-negative ``int``, what an index key is made of.
+        C-level passes; the first offender in request order is looked up
+        only to name it."""
+        if not held and (
+            not _ROW_ID_TYPES.issuperset(map(type, row_ids)) or (row_ids and min(row_ids) < 0)
+        ):
             bad = next(r for r in row_ids if type(r) is not int or r < 0)
             raise ProviderError(
                 f"table {self.name}: row id {bad!r} is not a non-negative integer"
@@ -647,7 +596,9 @@ class ShareTable:
     def _refuse_columns(self, columns: Iterable[str]) -> None:
         if not self._column_set.issuperset(columns):
             unknown = set(columns) - self._column_set
-            raise ProviderError(f"table {self.name}: unknown columns {sorted(unknown)}")
+            raise ProviderError(
+                f"table {self.name}: unknown columns {sorted(unknown, key=str)}"
+            )
 
     def _refuse_unkeyable(self, column: str, shares: Sequence) -> None:
         """Raise :class:`ProviderError` when ``column`` is searchable and
@@ -659,17 +610,27 @@ class ShareTable:
                 f"non-integer share {bad!r}"
             )
 
-    def write_slots(self, row_ids: Sequence) -> List[int]:
+    def write_slots(self, row_ids: Sequence[int]) -> List[int]:
         """The slots of the rows an update names, refused as
         :meth:`update_rows` refuses them — for a caller that reads the
-        rows before it writes them (``increment_rows``)."""
-        self._refuse_row_ids(row_ids, held=True)
-        return list(map(self._slots.__getitem__, row_ids))
+        rows before it writes them (``increment_rows``).  The lookup is
+        the check: a missing id fails it, a repeated one repeats a slot."""
+        try:
+            slots = list(map(self._slots.__getitem__, row_ids))
+        except KeyError:
+            slots = None
+        if slots is None or len(set(slots)) != len(slots):
+            self._refuse_row_ids(row_ids, held=True)
+        return slots
 
     def insert_many(self, rows: ShareRows, epoch: Optional[int] = None) -> int:
         """Insert one column-major batch — one ``extend`` per column array,
         one :meth:`SortedShareIndex.bulk_load` per index, one ``insert``
-        undo record per row — or refuse it whole; returns its row count."""
+        undo record per row — or refuse it whole; returns its row count.
+
+        The epoch is stamped before any row moves, as every mutator
+        stamps it, so an epoch that does not compare refuses the batch
+        whole too."""
         ids = rows.row_ids
         given = dict(zip(rows.columns, rows.shares))
         for column, shares in given.items():
@@ -682,6 +643,7 @@ class ShareTable:
         self._refuse_columns(given)
         for column, shares in given.items():
             self._refuse_unkeyable(column, shares)
+        stamped = self._note_epoch(epoch)
         count = len(ids)
         base = len(self._row_ids)
         self._row_ids.extend(ids)
@@ -694,24 +656,33 @@ class ShareTable:
             if index is not None:
                 index.bulk_load(shares, ids)
         self.version += count
-        stamped = self._note_epoch(epoch)
         # one (epoch, "insert", row_id, None) undo record per row
         self.history.extend(zip(repeat(stamped), repeat("insert"), ids, repeat(None)))
         return count
 
-    def update_rows(self, updates: Sequence, epoch: Optional[int] = None) -> int:
+    def update_rows(
+        self,
+        updates: Sequence,
+        epoch: Optional[int] = None,
+        slots: Optional[List[int]] = None,
+    ) -> int:
         """Write ``[[row_id, {column: share}], ...]`` in request order,
         with one ``update`` undo record per row holding the old shares of
-        its assigned columns — or refuse it whole; returns its length."""
-        checked_pairs(self.name, updates)
-        slots = self.write_slots([row_id for row_id, _ in updates])
-        assigned = [cells for _, cells in updates]
-        named = set(chain.from_iterable(assigned))
+        its assigned columns — or refuse it whole; returns its length.
+
+        ``slots`` are the rows' slots when the caller resolved them
+        already through :meth:`write_slots` (``increment_rows``), so each
+        row id is checked once."""
+        if slots is None:
+            slots = self.write_slots(list(map(itemgetter(0), updates)))
+        named = set(chain.from_iterable(map(itemgetter(1), updates)))
         if not named <= self._column_set:
-            self._refuse_columns(next(c for c in assigned if not c.keys() <= self._column_set))
+            self._refuse_columns(
+                next(c for _, c in updates if not c.keys() <= self._column_set)
+            )
         keyed = not named.isdisjoint(self.indexes)
         if keyed:
-            for cells in assigned:
+            for _, cells in updates:
                 for column, share in cells.items():
                     self._refuse_unkeyable(column, (share,))
         if not updates:

@@ -82,6 +82,20 @@ def build_provider(rows, fault=None):
     return provider
 
 
+#: a bound past every share, closing a one-sided comparison as a range
+FAR = 1 << 256
+
+
+def compare(column, op, bound):
+    """The comparison ``column op bound`` (``lt le gt ge eq``) as the one
+    condition shape the provider takes, a closed share range."""
+    low, high = {
+        "lt": (-FAR, bound - 1), "le": (-FAR, bound), "gt": (bound + 1, FAR),
+        "ge": (bound, FAR), "eq": (bound, bound),
+    }[op]
+    return {"column": column, "op": "range", "low": low, "high": high}
+
+
 def request_battery(rng, rows):
     """A deterministic mixed battery derived from the row population."""
     ks = sorted(
@@ -89,12 +103,9 @@ def request_battery(rng, rows):
     )
     mid = ks[len(ks) // 2]
     cond_range = [{"column": "k", "op": "range", "low": ks[0], "high": mid}]
-    cond_eq = [{"column": "k", "op": "eq", "low": rng.choice(ks)}]
-    cond_pair = [
-        {"column": "k", "op": "ge", "low": mid},
-        {"column": "g", "op": "le", "low": 2_000},
-    ]
-    cond_empty = [{"column": "g", "op": "gt", "low": 10_000}]
+    cond_eq = [compare("k", "eq", rng.choice(ks))]
+    cond_pair = [compare("k", "ge", mid), compare("g", "le", 2_000)]
+    cond_empty = [compare("g", "gt", 10_000)]
     battery = [
         ("select", {"table": "T", "conditions": []}),
         ("select", {"table": "T", "conditions": cond_range,
@@ -408,23 +419,26 @@ def employees_battery(shares: RealShares, index: int):
     departments = shares.stored(index, "Employees", "department")
     low, mid, high = salaries[0], salaries[len(salaries) // 2], salaries[-1]
     wide = [{"column": "salary", "op": "range", "low": low, "high": high}]
-    upper = [{"column": "salary", "op": "ge", "low": mid}]
-    one_department = [{"column": "department", "op": "eq", "low": departments[0]}]
-    pair = upper + [{"column": "department", "op": "le", "low": departments[3]}]
+    upper = [compare("salary", "ge", mid)]
+    one_department = [compare("department", "eq", departments[0])]
+    pair = upper + [compare("department", "le", departments[3])]
     # the second condition empties the intersection; the third is never probed
     early_exit = upper + [
-        {"column": "salary", "op": "lt", "low": mid},
-        {"column": "department", "op": "ge", "low": departments[0]},
+        compare("salary", "lt", mid), compare("department", "ge", departments[0]),
     ]
-    nothing = [{"column": "salary", "op": "gt", "low": high}]
+    nothing = [compare("salary", "gt", high)]
     battery = []
 
     def add(method, **request):
-        battery.append((method, {"table": "Employees", **request}))
+        # as ranges, neighbouring comparisons can coincide (``lt b + 1``
+        # is ``le b``); a repeat would be a cached aggregate, not a read
+        entry = (method, {"table": "Employees", **request})
+        if entry not in battery:
+            battery.append(entry)
 
     for op in ("lt", "le", "gt", "ge", "eq"):
         for bound in bound_sweep(salaries):
-            conditions = [{"column": "salary", "op": op, "low": bound}]
+            conditions = [compare("salary", op, bound)]
             add("select", conditions=conditions, projection=["eid", "salary"])
             add("aggregate", func="sum", column="salary", conditions=conditions)
     for bound in bound_sweep(salaries):

@@ -6,9 +6,12 @@ model that shares no code with ``repro.providers.storage``.  The model
 decides on its own whether a request is refused: a malformed entry, a
 row id that is not a non-negative ``int``, one that is missing (update,
 delete) or taken (insert), one named twice, a column the table lacks,
-or a searchable cell that is neither an ``int`` nor NULL.  A refused
-request must raise ``ProviderError`` and change nothing; an accepted one
-applies in request order.  After every step the table must hold the
+or a searchable cell that is neither an ``int`` nor NULL.  A request
+goes to the table directly or through its provider's ``handle``; one
+whose shape is wrong (a malformed entry, a junk row id) always goes
+through ``handle``, because the provider wire, not the table, refuses
+it.  A refused request must raise ``ProviderError`` and change nothing;
+an accepted one applies in request order.  After every step the table must hold the
 model's rows, every index the model's ``(share, row id)`` pairs in
 order, the model's version (one per row written), history length,
 epoch and history horizon, and ``rows_asof(e)`` must be the model's rows
@@ -25,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProviderError
 from repro.providers import storage
-from repro.providers.storage import ShareTable
+from repro.providers.provider import ShareProvider
 from repro.sim.network import ShareRows
 
 COLUMNS = ["k", "j", "w"]
@@ -44,9 +47,10 @@ stamps = st.sampled_from([None, -1, 0, 0, 1, 2])  # relative to the table's epoc
 
 @st.composite
 def requests(draw, rows):
-    """``(kind, request)``: mostly a request the model accepts — held
-    rows for an update or delete, fresh ones for an insert — with at most
-    one poison put in at a random position."""
+    """``(kind, request, misshapen)``: mostly a request the model accepts
+    — held rows for an update or delete, fresh ones for an insert — with
+    at most one poison put in at a random position; ``misshapen`` when
+    the poison is one of shape, the provider wire's to refuse."""
     kind = draw(st.sampled_from(["insert", "update", "update", "delete"]))
     held = sorted(rows)
     pool = [r for r in range(16) if r not in rows] if kind == "insert" else held
@@ -61,7 +65,10 @@ def requests(draw, rows):
         ]
     poison = draw(poisons)
     if poison is None or (poison != "junk id" and poison != "stray id" and not request):
-        return kind, request
+        return kind, request, False
+    misshapen = poison in ("junk id", "malformed") or (
+        kind == "delete" and poison not in ("stray id", "repeat")
+    )
     at = draw(st.integers(min_value=0, max_value=max(0, len(request) - 1)))
     if poison == "stray id":  # taken for an insert, missing otherwise
         stray = draw(st.sampled_from(held or [0]) if kind == "insert" else st.integers(16, 20))
@@ -82,7 +89,7 @@ def requests(draw, rows):
         request[at] = [request[at][0], {**request[at][1], column: draw(junk_cells)}]
     elif kind == "update":  # malformed
         request = request[:at] + [draw(malformed)] + request[at:]
-    return kind, request
+    return kind, request, misshapen
 
 
 def well_formed(entry):
@@ -145,7 +152,22 @@ class Model:
         return self.asof[max(e for e in self.asof if e <= epoch)]
 
 
-def send(table, kind, request, stamp):
+#: request field and response key of each kind's write RPC
+RPCS = {
+    "insert": ("insert_many", "rows", "inserted"),
+    "update": ("update_rows", "updates", "updated"),
+    "delete": ("delete_rows", "row_ids", "deleted"),
+}
+
+
+def send(provider, kind, request, stamp, via_handle):
+    if via_handle:
+        method, field, answer = RPCS[kind]
+        payload = {"table": "T", field: request}
+        if stamp is not None:
+            payload["epoch"] = stamp
+        return provider.handle(method, payload)[answer]
+    table = provider.store.table("T")
     if kind == "insert":
         return table.insert_many(ShareRows.from_pairs(request), epoch=stamp)
     if kind == "update":
@@ -172,19 +194,22 @@ def check(table, model):
 @settings(max_examples=150, deadline=None)
 def test_batches_apply_like_a_dict_of_rows_or_change_nothing(data):
     with mock.patch.object(storage, "_BLOCK", 3):
-        table = ShareTable("T", COLUMNS, SEARCHABLE, history_retention=RETENTION)
+        provider = ShareProvider("P")
+        provider.store.history_retention = RETENTION
+        table = provider.store.create_table("T", COLUMNS, SEARCHABLE)
         model = Model()
         start = [[row_id, {"k": row_id % 4, "j": None, "w": row_id}] for row_id in range(6)]
         table.insert_many(ShareRows.from_pairs(start), epoch=1)
         model.apply("insert", start, 1)
         for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
-            kind, request = data.draw(requests(model.rows))
+            kind, request, misshapen = data.draw(requests(model.rows))
+            via_handle = misshapen or data.draw(st.booleans())
             offset = data.draw(stamps)
             stamp = None if offset is None else model.epoch + offset
             if accepted(model.rows, kind, request):
-                assert send(table, kind, request, stamp) == len(request)
+                assert send(provider, kind, request, stamp, via_handle) == len(request)
                 model.apply(kind, request, stamp)
             else:
                 with pytest.raises(ProviderError):
-                    send(table, kind, request, stamp)
+                    send(provider, kind, request, stamp, via_handle)
             check(table, model)

@@ -29,20 +29,26 @@ N, K = 5, 3
 METHOD = "row_count"
 
 
+def padded_table(i):
+    return "T" + "x" * (4_000 * (N - i))
+
+
 def make_cluster():
     cluster = ProviderCluster(N, K)
-    cluster.broadcast(
-        "create_table",
-        lambda i: {"table": "T", "columns": ["k"], "searchable": ["k"]},
-    )
+    for name in ["T"] + [padded_table(i) for i in range(N)]:
+        cluster.broadcast(
+            "create_table",
+            lambda i, name=name: {"table": name, "columns": ["k"], "searchable": ["k"]},
+        )
     cluster.network.reset()
     return cluster
 
 
 def padded_requests(indexes=range(N)):
-    """Requests whose size shrinks with the provider index, so every
-    round trip is distinct and index order is slowest-first."""
-    return {i: {"table": "T", "pad": "x" * (4_000 * (N - i))} for i in indexes}
+    """Requests whose size shrinks with the provider index (each names a
+    table with a longer name), so every round trip is distinct and index
+    order is slowest-first."""
+    return {i: {"table": padded_table(i)} for i in indexes}
 
 
 def transfer(cluster, payload):

@@ -10,6 +10,10 @@ from repro.sim.network import measure_bytes
 from repro.sim.rng import DeterministicRNG
 
 
+#: what a refused select answers in a parametrized table of row ids
+REFUSED = ["refused"]
+
+
 @pytest.fixture
 def provider():
     p = ShareProvider("DAS1")
@@ -49,7 +53,7 @@ class TestSelect:
             "select",
             {
                 "table": "T",
-                "conditions": [{"column": "k", "op": "eq", "low": 200}],
+                "conditions": [{"column": "k", "op": "range", "low": 200, "high": 200}],
             },
         )
         assert [rid for rid, _ in response["rows"]] == [1, 3]
@@ -67,20 +71,22 @@ class TestSelect:
         assert [rid for rid, _ in response["rows"]] == [1, 3]
 
     def test_inequality_conditions(self, provider):
-        for op, expected in [
-            ("lt", [0]),
-            ("le", [0, 1, 3]),
-            ("gt", [2]),
-            ("ge", [1, 2, 3]),
+        # one-sided comparisons arrive as ranges closed at a far bound
+        far = 1 << 256
+        for low, high, expected in [
+            (-far, 199, [0]),
+            (-far, 200, [0, 1, 3]),
+            (201, far, [2]),
+            (200, far, [1, 2, 3]),
         ]:
             response = provider.handle(
                 "select",
                 {
                     "table": "T",
-                    "conditions": [{"column": "k", "op": op, "low": 200}],
+                    "conditions": [{"column": "k", "op": "range", "low": low, "high": high}],
                 },
             )
-            assert [rid for rid, _ in response["rows"]] == expected, op
+            assert [rid for rid, _ in response["rows"]] == expected, (low, high)
 
     def test_condition_intersection(self, provider):
         response = provider.handle(
@@ -88,8 +94,8 @@ class TestSelect:
             {
                 "table": "T",
                 "conditions": [
-                    {"column": "k", "op": "ge", "low": 150},
-                    {"column": "k", "op": "le", "low": 250},
+                    {"column": "k", "op": "range", "low": 150, "high": 1 << 256},
+                    {"column": "k", "op": "range", "low": -(1 << 256), "high": 250},
                 ],
             },
         )
@@ -112,7 +118,7 @@ class TestSelect:
             )
 
     def test_unknown_op(self, provider):
-        with pytest.raises(QueryError):
+        with pytest.raises(ProviderError, match="field 'conditions'"):
             provider.handle(
                 "select",
                 {"table": "T", "conditions": [{"column": "k", "op": "xx"}]},
@@ -124,7 +130,7 @@ class TestSelect:
                 "select",
                 {
                     "table": "T",
-                    "conditions": [{"column": "v", "op": "eq", "low": 11}],
+                    "conditions": [{"column": "v", "op": "range", "low": 11, "high": 11}],
                 },
             )
 
@@ -133,12 +139,12 @@ class TestSelect:
         "limit, ascending, descending",
         [
             # the whole ordering is [3, 5, 4, 0, 2, 1] ascending (NULLs
-            # first) and [1, 0, 2, 4, 3, 5] descending (NULLs last); a
-            # negative LIMIT slices it from the end, as Python does
+            # first) and [1, 0, 2, 4, 3, 5] descending (NULLs last); the
+            # wire refuses a negative LIMIT
             (None, [3, 5, 4, 0, 2, 1], [1, 0, 2, 4, 3, 5]),
-            (-1, [3, 5, 4, 0, 2], [1, 0, 2, 4, 3]),
-            (-5, [3], [1]),
-            (-9, [], []),
+            (-1, REFUSED, REFUSED),
+            (-5, REFUSED, REFUSED),
+            (-9, REFUSED, REFUSED),
             (0, [], []),
             (1, [3], [1]),
             (3, [3, 5, 4], [1, 0, 2]),
@@ -161,6 +167,10 @@ class TestSelect:
             for flag, expected in ((False, ascending), (True, descending)):
                 request = {"table": "T", "conditions": [], "order_by": "k",
                            "descending": flag, "limit": limit}
+                if expected is REFUSED:
+                    with pytest.raises(ProviderError, match="field 'limit'"):
+                        p.handle("select", request)
+                    continue
                 rows = p.handle("select", request)["rows"]
                 assert [rid for rid, _ in rows] == expected, flag
         finally:
@@ -203,7 +213,7 @@ class TestAggregate:
             "aggregate",
             {
                 "table": "T",
-                "conditions": [{"column": "k", "op": "eq", "low": 1}],
+                "conditions": [{"column": "k", "op": "range", "low": 1, "high": 1}],
                 "func": "min",
                 "column": "k",
             },
@@ -211,7 +221,7 @@ class TestAggregate:
         assert response == {"row": None, "count": 0}
 
     def test_unknown_func(self, provider):
-        with pytest.raises(QueryError):
+        with pytest.raises(ProviderError, match="field 'func'"):
             provider.handle(
                 "aggregate",
                 {"table": "T", "conditions": [], "func": "stdev", "column": "v"},
@@ -254,7 +264,7 @@ class TestJoin:
             {
                 "left": "L", "right": "R",
                 "left_column": "k", "right_column": "k",
-                "left_conditions": [{"column": "k", "op": "eq", "low": 3}],
+                "left_conditions": [{"column": "k", "op": "range", "low": 3, "high": 3}],
             },
         )
         assert response["left"].row_ids == [2]
@@ -278,7 +288,7 @@ class TestJoin:
             {
                 "left": "L", "right": "R",
                 "left_column": "k", "right_column": "k",
-                "left_conditions": [{"column": "k", "op": "eq", "low": 1}],
+                "left_conditions": [{"column": "k", "op": "range", "low": 1, "high": 1}],
             },
         )
         assert list(response) == ["left", "right"]
@@ -305,7 +315,7 @@ class TestWritesAndFaults:
         )
         response = provider.handle(
             "select",
-            {"table": "T", "conditions": [{"column": "k", "op": "eq", "low": 999}]},
+            {"table": "T", "conditions": [{"column": "k", "op": "range", "low": 999, "high": 999}]},
         )
         assert [rid for rid, _ in response["rows"]] == [0]
 

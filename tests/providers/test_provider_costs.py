@@ -54,7 +54,7 @@ class TestAggregateReadAccounting:
                 "table": "T",
                 "func": "sum",
                 "column": "v",
-                "conditions": [{"column": "k", "op": "eq", "low": 200}],
+                "conditions": [{"column": "k", "op": "range", "low": 200, "high": 200}],
             },
         )
         # one index probe + one read per matching row (rows 1 and 3)
@@ -71,7 +71,7 @@ class TestAggregateReadAccounting:
                     "table": "T",
                     "func": func,
                     "column": "v",
-                    "conditions": [{"column": "k", "op": "eq", "low": 555}],
+                    "conditions": [{"column": "k", "op": "range", "low": 555, "high": 555}],
                 },
             )
             assert delta == probe_cost(provider), func

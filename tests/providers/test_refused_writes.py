@@ -124,8 +124,10 @@ def test_the_first_offender_in_request_order_is_named():
         ("update_rows", {"updates": [[0, {"w": 1}], [1, {"y": 1}], [2, {"z": 1}]]},
          "unknown columns ['y']"),
         ("update_rows", {"updates": [[0, {"w": 1}], [1, {"k": 2.5}], [2, {"k": "x"}]]},
-         "non-integer share 2.5"),
-        ("update_rows", {"updates": [[0, {"w": 1}], [1], [[2], {}]]}, "malformed entry [1]"),
+         "field 'updates' must be a list of [int >= 0, {column: int or None}], "
+         "holding [1, {'k': 2.5}]"),
+        ("update_rows", {"updates": [[0, {"w": 1}], [1], [[2], {}]]},
+         "field 'updates' must be a list of [int >= 0, {column: int or None}], holding [1]"),
     ]
     for method, fields, message in cases:
         with pytest.raises(ProviderError, match=re.escape(message)):

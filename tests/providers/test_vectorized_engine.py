@@ -140,29 +140,25 @@ class TestIndexMirrorProbes:
     def test_vector_range_matches_bisect(self):
         index = self.probes()
         row_ids, _ = index.vector_entries()
-        for low, high, kw in [
-            (self.A, self.C, {}),
-            (None, self.B, {"high_inclusive": False}),
-            (self.B, None, {"low_inclusive": False}),
-            (self.A + 1, self.B - 1, {}),
-            (self.B, self.B, {}),
-            (self.C, self.A, {}),
+        for low, high in [
+            (self.A, self.C),
+            (0, self.B - 1),
+            (self.B + 1, 1 << 200),
+            (self.A + 1, self.B - 1),
+            (self.B, self.B),
+            (self.C, self.A),
         ]:
-            start, stop = index.entry_range(low, high, **kw)
-            assert row_ids[start:stop].tolist() == (
-                index.range_row_ids(low, high, **kw)
-            )
-            assert max(0, stop - start) == len(
-                index.range_row_ids(low, high, **kw)
-            )
+            start, stop = index.entry_range(low, high)
+            assert row_ids[start:stop].tolist() == index.range_row_ids(low, high)
+            assert max(0, stop - start) == len(index.range_row_ids(low, high))
 
     def test_bounds_past_uint64_clamp(self):
         # bounds beyond every stored share land on the ends of the index
         # by comparison alone — no width limit, so nothing to special-case
         index = self.probes()
         assert index.entry_range(-(1 << 200), 1 << 200) == (0, 4)
-        assert index.entry_range(1 << 200, None) == (4, 4)
-        assert index.entry_range(None, -5) == (0, 0)
+        assert index.entry_range(1 << 200, 1 << 201) == (4, 4)
+        assert index.entry_range(-(1 << 200), -5) == (0, 0)
         assert index.count_in_range(self.C + 1, 1 << 200) == 0
 
     def test_wide_entry_is_mirrored(self):
@@ -221,7 +217,7 @@ class TestDispatchTelemetry:
         counters = self.dispatch_counts(
             rows,
             {"table": "T",
-             "conditions": [{"column": "k", "op": "ge", "low": 1 << 110}],
+             "conditions": [{"column": "k", "op": "range", "low": 1 << 110, "high": 1 << 256}],
              "order_by": "k", "descending": True},
         )
         assert (
@@ -230,12 +226,14 @@ class TestDispatchTelemetry:
         )
 
     def test_fallback_counts_as_scalar_dispatch(self):
-        # a non-integer bound is the scalar engine's to compare (or refuse)
+        # a projection naming a column the table lacks is the scalar
+        # engine's to refuse (or, on an empty match, to answer)
         rows = [(i, {"k": i * 3, "v": i}) for i in range(4)]
         counters = self.dispatch_counts(
             rows,
             {"table": "T",
-             "conditions": [{"column": "k", "op": "ge", "low": 2.5}]},
+             "conditions": [{"column": "k", "op": "range", "low": 100, "high": 1 << 256}],
+             "projection": ["zz"]},
         )
         assert (
             counters["provider.kernel.dispatch"
@@ -252,7 +250,7 @@ class TestDispatchTelemetry:
                 "select",
                 {"table": "T",
                  "conditions": [
-                     {"column": "k", "op": "eq", "low": 30 + (1 << 100)}
+                     {"column": "k", "op": "range", "low": 30 + (1 << 100), "high": 30 + (1 << 100)}
                  ]},
             )
             counters = telemetry.hub().export()["metrics"]["counters"]
@@ -283,7 +281,7 @@ class TestDispatchTelemetry:
         provider = build_provider(rows)
         wide_sum = {
             "table": "T", "func": "sum", "column": "v",
-            "conditions": [{"column": "k", "op": "ge", "low": 1 << 100}],
+            "conditions": [{"column": "k", "op": "range", "low": 1 << 100, "high": 1 << 256}],
         }
         first = provider.handle("aggregate", wide_sum)
         index = provider.store.table("T").indexes["k"]
@@ -387,7 +385,7 @@ class TestOrderedSelect:
         rows = [(i, {"k": i * 3, "v": i * 5 % 7}) for i in range(16)]
         request = {
             "table": "T",
-            "conditions": [{"column": "k", "op": "ge", "low": 6}],
+            "conditions": [{"column": "k", "op": "range", "low": 6, "high": 1 << 256}],
             "order_by": "v",
         }
 
