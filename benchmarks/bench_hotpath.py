@@ -405,7 +405,7 @@ def bench_response_path(
 ):
     """One read's response path, stage by stage, on real shares.
 
-    ``get_rows`` is the provider's result assembly with no matching in
+    ``scan`` is the provider's result assembly with no matching in
     front of it; the first k providers answer, as in a quorum read.
     Stages are timed separately (median of ``repeats``), GC left on: the
     per-row temporaries a carrier makes are part of what it costs.
@@ -417,12 +417,11 @@ def bench_response_path(
     sharing = source.sharing("Employees")
     name = source.physical_name("Employees")
     providers = cluster.providers[:threshold]
-    scan = providers[0].handle("scan", {"table": name, "projection": None})
-    request = {"table": name, "row_ids": [row_id for row_id, _ in scan["rows"]]}
+    request = {"table": name, "projection": None}
 
     def gather():
         return {
-            index: provider.handle("get_rows", request)
+            index: provider.handle("scan", request)
             for index, provider in enumerate(providers)
         }
 

@@ -540,9 +540,6 @@ def assert_equal_results(provider, naive, rows, table="T"):
         want = naive_aggregate_group(naive, "g", func, column)
         assert got == want, f"aggregate_group {func}({column}) diverged"
     sample_ids = [rid for rid, _ in rows[:: max(len(rows) // 40, 1)]]
-    got = provider.handle("get_rows", {"table": table, "row_ids": sample_ids})
-    want = [(rid, naive_project(naive, rid, None)) for rid in sample_ids]
-    assert list(got["rows"]) == want, "get_rows diverged"
     got = provider.handle("scan", {"table": table, "projection": ["w"]})
     want = naive_select(naive, projection=["w"])
     assert list(got["rows"]) == want, "scan diverged"

@@ -14,8 +14,8 @@ and response through the simulated network for byte accounting.
 Read handlers run against the columnar storage engine
 (:mod:`repro.providers.storage`): scans, aggregation, grouped
 aggregation, and join probes read per-column share arrays by slot.  Rows
-that leave the provider through ``select`` / ``get_rows`` / ``scan`` /
-``scan_asof`` leave as one column-major
+that leave the provider through ``select`` / ``scan`` / ``scan_asof``
+leave as one column-major
 :class:`~repro.sim.network.ShareRows` — one gather per column, no row
 dict — and ``join`` answers with two of them, each side's distinct
 matched rows in ascending row id, cut to its ``left_projection`` /
@@ -125,7 +125,6 @@ WIRE: Dict[str, Tuple[Dict[str, str], ...]] = {
     "batch": ({"requests": "calls"},),
     "select": ({"table": "name", "conditions": "conditions?", "order_by": "name?",
                 "descending": "bool?", "limit": "natural?", "projection": "names?"},),
-    "get_rows": ({"table": "name", "row_ids": "naturals", "projection": "names?"},),
     "scan": ({"table": "name", "projection": "names?"},),
     "scan_asof": ({"table": "name", "epoch": "natural"},),
     "row_count": ({"table": "name"},),
@@ -240,8 +239,9 @@ _SHAPES = {
     ),
     "calls": (_calls, "a list of [method, {request}]"),
     "txns": (
-        lambda v: _pairs(v, _naturals, lambda opss: all(map(_calls, opss))),
-        "a list of [int >= 0, [[method, {request}], ...]]",
+        lambda v: _pairs(v, _naturals, lambda opss: all(map(_calls, opss)))
+        and len(set(map(itemgetter(0), v))) == len(v),
+        "a list of [int >= 0, [[method, {request}], ...]], no id twice",
     ),
 }
 
@@ -568,19 +568,18 @@ class ShareProvider:
     # -- transactional apply (ISSUE-8) -------------------------------------------
 
     def _rpc_txn_apply(self, request: Dict) -> Dict:
-        """Apply logged transactions in the given (WAL log) order.
+        """Apply logged transactions in WAL log order, all or nothing.
 
-        ``{"txns": [[txn_id, ops], ...]}`` where each op is ``[method,
-        payload]`` naming one of :data:`TXN_OPS`.  Every op of every
-        transaction not yet applied goes through the checked path to its
-        handler, and must name a table held here, before anything
-        mutates, so a refused request changes nothing here.  A
-        transaction this provider already applied is skipped — the
-        client is replaying its WAL and the exactly-once guard must hold
-        (increments are not idempotent); the id enters ``applied_txns``
-        the moment its ops have run, so a replay after a mid-round crash
-        re-applies exactly the transactions this provider missed and
-        none it did not.
+        ``{"txns": [[txn_id, ops], ...]}`` (distinct ids) where each op is
+        ``[method, payload]`` naming one of :data:`TXN_OPS`.  Every op of
+        every transaction not yet applied goes through the checked path to
+        its handler, and must name a table held here, before anything
+        mutates; if an op then raises, the ops before it are undone
+        (:meth:`ShareTable.revert`), so a refused request changes nothing
+        here but ``version``, which only rises.  A transaction this
+        provider already applied is skipped — the client is replaying its
+        WAL and the exactly-once guard must hold (increments are not
+        idempotent); the ids enter ``applied_txns`` once all has applied.
         """
         applied = self.store.applied_txns
         skipped = [txn_id for txn_id, _ in request["txns"] if txn_id in applied]
@@ -599,12 +598,23 @@ class ShareProvider:
                         f"provider {self.name}: transaction {txn_id} targets "
                         f"unknown table {payload['table']!r}"
                     )
-        committed: List[int] = []
-        for txn_id, ops in fresh:
-            for handler, payload in ops:
-                handler(payload)
-            applied.add(txn_id)
-            committed.append(txn_id)
+        marks: Dict[ShareTable, Tuple] = {}  # per touched table, as it stood
+        try:
+            for _, ops in fresh:
+                for handler, payload in ops:
+                    table = self.store.table(payload["table"])
+                    if table not in marks:
+                        marks[table] = table.mark()
+                    handler(payload)
+        except BaseException:
+            for table, mark in marks.items():
+                table.revert(mark)
+            raise
+        for table, mark in marks.items():
+            table.release(mark)
+        committed = [txn_id for txn_id, _ in fresh]
+        applied.update(committed)
+        for _ in committed:
             telemetry.count("txn.provider_commits", provider=self.name)
         return {"committed": committed, "skipped": skipped}
 
@@ -658,14 +668,6 @@ class ShareProvider:
         if limit is not None:
             row_ids = row_ids[:limit]
         return self._project_many(table, row_ids, request.get("projection"))
-
-    def _rpc_get_rows(self, request: Dict) -> Dict:
-        table = self.store.table(request["table"])
-        self._note_access_path(None, False)
-        present = [rid for rid in request["row_ids"] if table.has_row(rid)]
-        return self._rows_response(
-            rows=self._project_many(table, present, request.get("projection"))
-        )
 
     def _rpc_scan(self, request: Dict) -> Dict:
         table = self.store.table(request["table"])

@@ -555,6 +555,10 @@ class ShareTable:
             if self.epoch == 0 and not self.history and epoch > 1:
                 self.history_floor = max(self.history_floor, epoch)
             self.epoch = epoch
+        self._prune()
+        return self.epoch
+
+    def _prune(self) -> None:
         if self.history_retention is not None:
             floor = self.epoch - self.history_retention
             if floor > self.history_floor:
@@ -562,7 +566,31 @@ class ShareTable:
                 # records are appended in epoch order, and ``(floor + 1,)``
                 # sorts before every record of that epoch
                 del self.history[:bisect.bisect_left(self.history, (floor + 1,))]
-        return self.epoch
+
+    def mark(self) -> Tuple:
+        """Where the undo log, epoch and horizon stand; pruning waits for :meth:`release`."""
+        mark = (len(self.history), self.epoch, self.history_floor, self.history_retention)
+        self.history_retention = None
+        return mark
+
+    def revert(self, mark: Tuple) -> None:
+        """Undo every write since ``mark`` through the mutators, newest undo
+        record first; only ``version`` and slots do not go back."""
+        length, epoch, floor, retention = mark
+        for _, op, row_id, data in reversed(self.history[length:]):
+            if op == "insert":
+                self.delete_rows([row_id])
+            elif op == "delete":
+                self.insert_many(ShareRows.from_pairs([[row_id, data]]))
+            else:
+                self.update_rows([[row_id, data]])
+        del self.history[length:]
+        self.epoch, self.history_floor, self.history_retention = epoch, floor, retention
+
+    def release(self, mark: Tuple) -> None:
+        """Keep the writes since ``mark``, pruned as each would have been."""
+        self.history_retention = mark[3]
+        self._prune()
 
     def _refuse_row_ids(self, row_ids: Sequence, held: bool) -> None:
         """Raise :class:`ProviderError` unless every row id is named once

@@ -14,9 +14,9 @@ write.  :class:`TransactionManager` closes that window:
    WriteAheadLog` (the durability point: a statement is committed iff
    its record reached the log — the record's fsync is the commit's one
    fsync);
-3. the ops are **applied** by one validate-then-apply ``txn_apply``
-   round per provider, batched across concurrent writers by
-   :class:`~repro.txn.groupcommit.GroupCommitEngine`;
+3. the ops are **applied** by one ``txn_apply`` round per provider, all
+   or nothing at each (a refused op undoes the ops before it), batched
+   across concurrent writers by :class:`~repro.txn.groupcommit.GroupCommitEngine`;
 4. the WAL entry is **acked** — appended unsynced, so it reaches disk
    with the next fsync — and checkpointed away once the log outgrows
    :data:`CHECKPOINT_BYTES`.

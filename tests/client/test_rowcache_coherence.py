@@ -17,7 +17,9 @@ pool through a ``QueryService`` opened over the same source, statement by
 statement and as one wave, and checks that ``close()`` hands the source
 back as it was (ISSUE 22); another sends a session's INSERT (on the
 session's private id block), UPDATE and DELETE through one, direct and
-``transactional=True`` (ISSUE 23).  One more turns on ``verified_reads``
+``transactional=True`` (ISSUE 23).  A victim that missed an INSERT while
+down refuses a later atomic batch naming the missed row alone and whole,
+before and on replay, until it is repaired.  One more turns on ``verified_reads``
 with one provider tampering or omitting rows: the pool must still equal
 the oracle and the faulty provider must end up quarantined.  Once the
 victim is down, a second crash leaves n − k providers down: checked reads
@@ -59,8 +61,8 @@ from hypothesis.stateful import (
 from repro.client.datasource import DataSource
 from repro.client.repair import repair_provider
 from repro.client.updates import LazyUpdateBuffer
-from repro.errors import QuorumError, ReconstructionError, SimulatedCrash
-from repro.persistence import load_deployment, save_deployment
+from repro.errors import ProviderError, QuorumError, ReconstructionError, SimulatedCrash
+from repro.persistence import load_deployment, provider_to_dict, save_deployment
 from repro.providers.cluster import ProviderCluster
 from repro.providers.failures import Fault, FailureMode
 from repro.service import QueryService
@@ -371,6 +373,56 @@ class RowCacheCoherence(RuleBasedStateMachine):
             with pytest.raises(QuorumError):
                 self.source.sql(sql)
         cluster.inject_fault(VICTIM, Fault(FailureMode.CRASH))
+
+    @precondition(lambda self: not self.broken)
+    @rule(branch=branches, aid=aids)
+    def drifted_victim_refuses_an_atomic_batch_whole(self, branch, aid):
+        """The victim misses an INSERT while crashed.  Back up, it meets an
+        atomic batch whose later statement deletes the missed row: it
+        refuses the batch alone and keeps nothing of it (the batch's INSERT
+        ran there first), and a WAL replay meets the same error.  Then it
+        goes down again, drifted, until ``repair_the_victim``."""
+        self.broken = True
+        cluster = self.source.cluster
+        victim = cluster.providers[VICTIM]
+        cluster.inject_fault(VICTIM, Fault(FailureMode.CRASH))
+        self._both(self._insert_sql(branch), self.manager.execute)
+        missed = self.next_aid
+        victim.clear_fault()
+        batch = [
+            self._insert_sql(100 - branch + 1),
+            f"UPDATE Accounts SET note = 'DRF' WHERE aid = {aid}",
+            f"DELETE FROM Accounts WHERE aid = {missed}",
+        ]
+
+        def victim_state():
+            table = victim.store.table(self.source.physical_name("Accounts"))
+            entries = {c: i.entries_in_order() for c, i in table.indexes.items()}
+            return provider_to_dict(victim), entries
+
+        before = victim_state()
+        errors = []
+        with pytest.raises(ProviderError) as caught:
+            self.manager.atomic(batch)
+        errors.append(str(caught.value))
+        for sql in batch:  # logged, and applied by every other provider
+            self.oracle.execute(parse_sql(sql))
+        txn_id = self.source.txn_id_high
+        applied = [txn_id in p.store.applied_txns for p in cluster.providers]
+        assert applied == [index != VICTIM for index in range(5)]
+        assert victim_state() == before
+        self.manager.close()
+        self.manager = TransactionManager(self.source, self.wal_path)
+        with pytest.raises(ProviderError) as caught:
+            self.manager.recover()
+        errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert victim_state() == before
+        # down again, the replay acks at the others
+        cluster.inject_fault(VICTIM, Fault(FailureMode.CRASH))
+        self.manager.close()
+        self.manager = TransactionManager(self.source, self.wal_path)
+        self.manager.recover()
 
     @rule(
         index=st.integers(0, 4),

@@ -147,7 +147,6 @@ def request_battery(rng, rows):
     ]
     if rows:
         sample = [rid for rid, _ in rows][:: max(len(rows) // 7, 1)]
-        battery.append(("get_rows", {"table": "T", "row_ids": sample}))
         for rid in sample[:3]:
             battery.append(("merkle_proof", {"table": "T", "row_id": rid}))
     return battery

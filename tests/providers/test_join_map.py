@@ -196,7 +196,6 @@ class TestMapBuilds:
             ("aggregate_group", {"table": "R", "group_column": "k",
                                  "func": "count", "column": None,
                                  "conditions": []}),
-            ("get_rows", {"table": "R", "row_ids": [10, 13]}),
         ]
         for method, request in reads:
             provider.handle(method, request)

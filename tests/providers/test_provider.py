@@ -323,10 +323,6 @@ class TestWritesAndFaults:
         provider.handle("delete_rows", {"table": "T", "row_ids": [0, 2]})
         assert provider.handle("row_count", {"table": "T"})["count"] == 2
 
-    def test_get_rows_skips_missing(self, provider):
-        response = provider.handle("get_rows", {"table": "T", "row_ids": [0, 99]})
-        assert [rid for rid, _ in response["rows"]] == [0]
-
     def test_crash_fault(self, provider):
         provider.inject_fault(Fault(FailureMode.CRASH))
         with pytest.raises(ProviderUnavailableError):

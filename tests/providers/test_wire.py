@@ -20,6 +20,9 @@ from repro.sim.network import ShareRows
 #: a well-formed condition, for the cases that break one key of it
 RANGE = {"column": "k", "op": "range", "low": 0, "high": 50}
 
+#: a well-formed transactional op
+INCREMENT = ["increment_rows", {"table": "T", "increments": [[0, {"w": 5}]]}]
+
 #: case -> (method, request, the field the refusal names)
 MALFORMED = {
     "update_rows-updates-int": ("update_rows", {"table": "T", "updates": 5}, "updates"),
@@ -52,6 +55,12 @@ MALFORMED = {
         "conditions",
     ),
     "txn_apply-payload-int": ("txn_apply", {"txns": [[9, [["update_rows", 5]]]]}, "txns"),
+    # applied twice, an increment would move the share by 2 delta
+    "txn_apply-txn-id-repeated": (
+        "txn_apply",
+        {"txns": [[88, [INCREMENT]], [88, [INCREMENT]]]},
+        "txns",
+    ),
     "increment_rows-delta-str": (
         "increment_rows", {"table": "T", "row_ids": [0], "deltas": {"w": "x"}}, "deltas",
     ),
@@ -72,8 +81,6 @@ MALFORMED = {
     "create_table-searchable-int": (
         "create_table", {"table": "U", "columns": ["a"], "searchable": 5}, "searchable",
     ),
-    "get_rows-row_id-none": ("get_rows", {"table": "T", "row_ids": [None]}, "row_ids"),
-    "get_rows-row_id-str": ("get_rows", {"table": "T", "row_ids": ["0"]}, "row_ids"),
     "select-limit-negative": ("select", {"table": "T", "limit": -1}, "limit"),
     "select-descending-str": ("select", {"table": "T", "descending": "yes"}, "descending"),
     "select-projection-str": ("select", {"table": "T", "projection": "k"}, "projection"),

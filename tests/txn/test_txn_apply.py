@@ -1,19 +1,31 @@
-"""``txn_apply``: one validate-then-apply round per commit.
+"""``txn_apply``: one validate-then-apply round per commit, all or
+nothing at each provider.
 
 A provider validates every op of a request (a transactional method, a
-table it holds) before it mutates anything, so a refused request leaves
-it exactly as it was.  What validation cannot see is a provider whose
-rows have drifted from the client's view — ``plan_write`` cannot either,
-and neither could the old ``txn_prepare`` (it checked the same two
-things): such a provider refuses alone, after the others applied.
+table it holds) before it mutates anything, so a request refused there
+leaves it exactly as it was, ``version`` included.  What validation
+cannot see is a provider whose rows have drifted from the client's view
+— ``plan_write`` cannot either, and neither could the old
+``txn_prepare`` (it checked the same two things): such a provider
+refuses alone, after the others applied.  It refuses whole: the ops that
+ran before the refused one are undone through each table's undo log, so
+its rows, indexes, history, epoch, horizon, ``applied_txns`` and every
+read answer are what they were before the request, and only ``version``
+has moved — forward (the property below).
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.client.datasource import DataSource
+from repro.core import kernels
 from repro.errors import ProviderError
 from repro.persistence import provider_to_dict
 from repro.providers.cluster import ProviderCluster
+from repro.providers.provider import ShareProvider
+from repro.sim.network import ShareRows
 from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.txn import TransactionManager
@@ -124,3 +136,176 @@ def test_a_provider_whose_rows_drifted_refuses_alone(deployment):
     applied = [txn_id in p.store.applied_txns for p in source.cluster.providers]
     assert applied == [True, False, True]
     assert provider_state(drifted) == before
+
+
+# -- a transaction refused at any op ------------------------------------------
+
+#: table -> (columns, searchable); the one random column takes increments
+SCHEMAS = {"T": (["k", "w"], ["k"]), "U": (["a", "b", "c"], ["a", "c"])}
+RANDOM_COLUMN = {"T": "w", "U": "b"}
+#: fewer epochs than one request can span: a request's first records fall
+#: past the horizon before its last op runs
+RETENTION = 2
+BACKENDS = [b for b in ("numpy", "scalar") if b in kernels.available_backends()]
+
+shares = st.integers(min_value=0, max_value=30)
+
+
+def two_table_provider():
+    provider = ShareProvider("P")
+    provider.store.history_retention = RETENTION
+    for name, (columns, searchable) in SCHEMAS.items():
+        provider.handle("create_table", {"table": name, "columns": columns, "searchable": searchable})
+        provider.handle("insert_many", {"table": name, "epoch": 1, "rows": [
+            [rid, {c: (7 * rid + len(c)) % 31 for c in columns}] for rid in range(6)
+        ]})
+        provider.handle("update_rows", {"table": name, "epoch": 2, "updates": [
+            [1, {columns[0]: None}], [2, {columns[-1]: 3}],
+        ]})
+        provider.handle("delete_rows", {"table": name, "epoch": 3, "row_ids": [4]})
+    return provider
+
+
+def table_state(provider):
+    """Each table's rows, index entries, history, epoch and horizon; and
+    its ``version``, apart."""
+    store, state, versions = provider.store, {}, {}
+    for name in store.table_names():
+        table = store.table(name)
+        state[name] = (
+            table.rows,
+            {column: index.entries_in_order() for column, index in table.indexes.items()},
+            list(table.history),
+            table.epoch,
+            table.history_floor,
+        )
+        versions[name] = table.version
+    return state, versions
+
+
+def read_battery(provider):
+    """Every read answer as bytes, on each kernel backend."""
+    reads = [
+        ("select", {"table": "T", "conditions": [
+            {"column": "k", "op": "range", "low": 5, "high": 25}]}),
+        ("select", {"table": "U", "order_by": "a", "descending": True, "limit": 3}),
+        ("select", {"table": "T", "order_by": "k"}),
+        ("scan", {"table": "U"}),
+        ("aggregate", {"table": "T", "func": "sum", "column": "w"}),
+        ("aggregate", {"table": "U", "func": "count", "conditions": [
+            {"column": "c", "op": "range", "low": 0, "high": 20}]}),
+        ("aggregate_group", {"table": "U", "func": "sum", "group_column": "a", "column": "b"}),
+        ("merkle_root", {"table": "T"}),
+        ("merkle_root", {"table": "U"}),
+    ]
+    for name in SCHEMAS:
+        table = provider.store.table(name)
+        reads += [
+            ("scan_asof", {"table": name, "epoch": epoch})
+            for epoch in range(table.history_floor, table.epoch + 1)
+        ]
+
+    def plain(value):
+        return list(value) if type(value) is ShareRows else value.hex()
+
+    answers = []
+    for backend in BACKENDS:
+        previous = kernels.set_kernel_backend(backend)
+        try:
+            answers += [
+                json.dumps(provider.handle(method, request), default=plain, sort_keys=True)
+                for method, request in reads
+            ]
+        finally:
+            kernels.set_kernel_backend(previous)
+    return answers
+
+
+@st.composite
+def an_op(draw, table, held, epoch, refused):
+    """One transactional op on ``table`` whose rows are ``held`` (updated
+    as the op would change them); ``refused`` names a missing row id —
+    or, for an insert, a taken one — after the ids it may write."""
+    kinds = ["insert", "update", "delete", "increments", "deltas"]
+    kind = draw(st.sampled_from(kinds if held or refused else ["insert"]))
+    columns, _ = SCHEMAS[table]
+    column = RANDOM_COLUMN[table]
+    if kind == "insert":
+        ids = draw(st.lists(st.integers(6, 40).filter(lambda r: r not in held),
+                            min_size=1, max_size=2, unique=True))
+    else:
+        ids = draw(st.lists(st.sampled_from(sorted(held)), max_size=2, unique=True)) if held else []
+        ids = ids or ([] if refused else [min(held)])
+    if refused:
+        if kind == "insert" and held:
+            ids.append(draw(st.sampled_from(sorted(held))))
+        else:
+            kind = "delete" if kind == "insert" else kind
+            ids.append(draw(st.integers(41, 60)))
+    elif kind in ("insert", "delete"):
+        (held.update if kind == "insert" else held.difference_update)(ids)
+    payload = {"table": table}
+    if draw(st.booleans()):
+        payload["epoch"] = epoch
+    if kind == "insert":
+        payload["rows"] = [[rid, {c: draw(st.none() | shares) for c in columns}] for rid in ids]
+        return ["insert_many", payload]
+    if kind == "update":
+        payload["updates"] = [
+            [rid, draw(st.dictionaries(st.sampled_from(columns), st.none() | shares, min_size=1))]
+            for rid in ids
+        ]
+        return ["update_rows", payload]
+    if kind == "delete":
+        payload["row_ids"] = ids
+        return ["delete_rows", payload]
+    if kind == "increments":
+        payload["increments"] = [[rid, {column: draw(shares)}] for rid in ids]
+    else:
+        payload["row_ids"], payload["deltas"] = ids, {column: draw(shares)}
+    if draw(st.booleans()):
+        payload["modulus"] = 31
+    return ["increment_rows", payload]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_transaction_refused_at_any_op_changes_nothing(data):
+    """m ops over one or two transactions and tables; op j fails on the
+    provider's rows.  Afterwards the provider reads as before — state,
+    history and every read answer — with ``version`` not fallen; then the
+    request without op j applies, and leaves the provider equal to one
+    that never met op j and took the same ops one RPC at a time."""
+    provider = two_table_provider()
+    held = {name: set(provider.store.table(name).all_row_ids()) for name in SCHEMAS}
+    m = data.draw(st.integers(1, 4), label="m")
+    j = data.draw(st.integers(0, m - 1), label="j")
+    epoch, ops = 3, []
+    for i in range(m):
+        table = data.draw(st.sampled_from(sorted(SCHEMAS)))
+        epoch += data.draw(st.integers(0, 3))
+        ops.append(data.draw(an_op(table, held[table], epoch, refused=i == j)))
+    split = data.draw(st.integers(1, m))
+
+    def request(ops):
+        cut = min(split, len(ops))
+        return {"txns": [[70, ops[:cut]], [71, ops[cut:]]] if cut < len(ops) else [[70, ops]]}
+
+    before, versions = table_state(provider)
+    applied = set(provider.store.applied_txns)
+    reads = read_battery(provider)
+    for _ in range(2):  # the first attempt, then a replay of it
+        with pytest.raises(ProviderError):
+            provider.handle("txn_apply", request(ops))
+        after, moved = table_state(provider)
+        assert after == before and provider.store.applied_txns == applied
+        assert all(moved[name] >= versions[name] for name in versions)
+        assert read_battery(provider) == reads
+    rest = ops[:j] + ops[j + 1:]
+    committed = provider.handle("txn_apply", request(rest))["committed"]
+    assert set(committed) <= provider.store.applied_txns and 70 in committed
+    twin = two_table_provider()
+    for method, payload in rest:  # one RPC at a time, each pruning as it goes
+        twin.handle(method, payload)
+    assert table_state(provider)[0] == table_state(twin)[0]
+    assert read_battery(provider) == read_battery(twin)
