@@ -11,7 +11,7 @@ Four subcommands::
         deployment); meta-commands: \\explain <sql>, \\stats, \\tables,
         \\save <dir>, \\quit
 
-    python -m repro.cli trace [--json] [--snapshot DIR] [--output FILE] SQL
+    python -m repro.cli trace [--json] [--analyze] [--snapshot DIR] [--output FILE] SQL
         run one statement with telemetry enabled and print the span tree
         plus metric counters (timed by the simulated network's modelled
         clock, so output is byte-for-byte reproducible per seed); bad
@@ -218,6 +218,18 @@ def format_span(span: telemetry.Span, depth: int = 0) -> List[str]:
     return lines
 
 
+def format_stages(root: telemetry.Span) -> List[str]:
+    """One line per span name: calls, wall ms (total and self) and
+    modelled ms."""
+    lines = [f"{'stage':<34}{'calls':>6}{'wall ms':>11}{'self ms':>11}{'modelled ms':>13}"]
+    for name, stage in telemetry.stage_times(root).items():
+        lines.append(
+            f"{name:<34}{stage.calls:>6}{stage.wall * 1e3:>11.3f}"
+            f"{stage.self_wall * 1e3:>11.3f}{stage.modelled * 1e3:>13.3f}"
+        )
+    return lines
+
+
 def cmd_trace(args, out) -> int:
     if args.snapshot:
         source = load_deployment(args.snapshot)
@@ -268,6 +280,10 @@ def cmd_trace(args, out) -> int:
     print("trace (modelled clock):", file=out)
     for line in format_span(trace):
         print(f"  {line}", file=out)
+    if args.analyze:
+        print("\nstages (wall clock beside modelled):", file=out)
+        for line in format_stages(trace):
+            print(f"  {line}", file=out)
     print(f"\nkernel backend: {export['kernel_backend']}", file=out)
     counters = export["metrics"]["counters"]
     if counters:
@@ -856,6 +872,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--output", help="write the JSON telemetry export to this file"
+    )
+    trace.add_argument(
+        "--analyze", action="store_true",
+        help="also print wall-clock and modelled time per stage",
     )
     trace.add_argument("sql", help="the SQL statement to trace")
 

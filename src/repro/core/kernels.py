@@ -402,20 +402,21 @@ def batch_reconstruct(
     column of a result set, and with the numpy backend the column runs as
     one vectorized GF(p) dot product.
     """
-    telemetry.observe("kernels.batch_reconstruct_cells", len(share_vectors))
-    weights = lagrange_weights(field, xs)
-    if (
-        len(share_vectors) >= VECTOR_MIN_BATCH
-        and _use_numpy()
-    ):
-        vectorized = _batch_reconstruct_numpy(
-            field.modulus, weights, share_vectors
-        )
-        if vectorized is not None:
-            _STATS.vector_reconstruct_cells += len(share_vectors)
-            return vectorized
-    _STATS.scalar_reconstruct_cells += len(share_vectors)
-    return _batch_reconstruct_scalar(field.modulus, weights, share_vectors)
+    with telemetry.span("kernels.batch_reconstruct", cells=len(share_vectors)):
+        telemetry.observe("kernels.batch_reconstruct_cells", len(share_vectors))
+        weights = lagrange_weights(field, xs)
+        if (
+            len(share_vectors) >= VECTOR_MIN_BATCH
+            and _use_numpy()
+        ):
+            vectorized = _batch_reconstruct_numpy(
+                field.modulus, weights, share_vectors
+            )
+            if vectorized is not None:
+                _STATS.vector_reconstruct_cells += len(share_vectors)
+                return vectorized
+        _STATS.scalar_reconstruct_cells += len(share_vectors)
+        return _batch_reconstruct_scalar(field.modulus, weights, share_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -493,25 +494,26 @@ def batch_reconstruct_integer(
     cell is one :func:`reconstruct_integer`-style dot product.  Same
     values, same error, either way.
     """
-    numerators, denominator = integer_lagrange_weights(xs)
-    n_cells = len(share_columns[0])
-    _STATS.scalar_reconstruct_cells += n_cells
-    if n_cells < VECTOR_MIN_BATCH:
-        return [
-            _exact_quotient(sum(map(mul, numerators, cell)), denominator)
-            for cell in zip(*share_columns)
-        ]
-    sums = None
-    for numerator, shares in zip(numerators, share_columns):
-        scaled = map(mul, shares, repeat(numerator))
-        sums = scaled if sums is None else map(add, sums, scaled)
-    totals = list(sums)
-    values = list(map(floordiv, totals, repeat(denominator)))
-    # D > 0, so every floor-division remainder lies in [0, D): the sums
-    # agree exactly when every cell divided exactly
-    if sum(totals) != denominator * sum(values):
-        _exact_quotient(next(t for t in totals if t % denominator), denominator)
-    return values
+    with telemetry.span("kernels.batch_reconstruct_integer"):
+        numerators, denominator = integer_lagrange_weights(xs)
+        n_cells = len(share_columns[0])
+        _STATS.scalar_reconstruct_cells += n_cells
+        if n_cells < VECTOR_MIN_BATCH:
+            return [
+                _exact_quotient(sum(map(mul, numerators, cell)), denominator)
+                for cell in zip(*share_columns)
+            ]
+        sums = None
+        for numerator, shares in zip(numerators, share_columns):
+            scaled = map(mul, shares, repeat(numerator))
+            sums = scaled if sums is None else map(add, sums, scaled)
+        totals = list(sums)
+        values = list(map(floordiv, totals, repeat(denominator)))
+        # D > 0, so every floor-division remainder lies in [0, D): the sums
+        # agree exactly when every cell divided exactly
+        if sum(totals) != denominator * sum(values):
+            _exact_quotient(next(t for t in totals if t % denominator), denominator)
+        return values
 
 
 def reconstruct_integer(xs: Sequence[int], ys: Sequence[int]) -> int:
@@ -560,17 +562,18 @@ class SplitKernel:
         Horner over whole columns in Python ints, reduced once at the end
         for the random scheme, bit-identical to :meth:`evaluate` per value.
         """
-        count = len(columns[0])
-        telemetry.observe("kernels.split_values", count)
-        _STATS.scalar_split_values += count
-        modulus = self.modulus
-        out: List[List[int]] = []
-        for x in self.points:
-            acc = list(columns[-1])
-            for column in columns[-2::-1]:
-                acc = [a * x + c for a, c in zip(acc, column)]
-            out.append(acc if modulus is None else [a % modulus for a in acc])
-        return out
+        with telemetry.span("kernels.evaluate_columns"):
+            count = len(columns[0])
+            telemetry.observe("kernels.split_values", count)
+            _STATS.scalar_split_values += count
+            modulus = self.modulus
+            out: List[List[int]] = []
+            for x in self.points:
+                acc = list(columns[-1])
+                for column in columns[-2::-1]:
+                    acc = [a * x + c for a, c in zip(acc, column)]
+                out.append(acc if modulus is None else [a % modulus for a in acc])
+            return out
 
 
 # ---------------------------------------------------------------------------

@@ -390,11 +390,12 @@ class ShareProvider:
         threads; they are commutative increments, so totals stay
         deterministic per seed regardless of pool scheduling.
         """
-        self._check_available()
-        handler = self._handler(method, request)
-        self.requests_served += 1
-        telemetry.count("provider.requests", provider=self.name, method=method)
-        return handler(request)
+        with telemetry.span("provider.handle", provider=self.name, method=method):
+            self._check_available()
+            handler = self._handler(method, request)
+            self.requests_served += 1
+            telemetry.count("provider.requests", provider=self.name, method=method)
+            return handler(request)
 
     def _handler(self, method: str, request: Dict, methods=WIRE):
         """The handler of a request naming one of ``methods`` in the form
@@ -944,7 +945,7 @@ class ShareProvider:
         self.cost.record(
             "compare", (len(right) if kept is None else len(kept)) + len(left_ids)
         )
-        telemetry.annotate(access_path="join-map")
+        telemetry.annotate_enclosing("rpc", access_path="join-map")
         partners_of = right.indexes[right_column].equality_map()
         matched_left: List[int] = []
         matched_right: Set[int] = set()
@@ -1046,7 +1047,7 @@ class ShareProvider:
             path = "entry-walk" if walked else "mask"
         else:
             path = "index-probe" if conditions else "scalar"
-        telemetry.annotate(access_path=path)
+        telemetry.annotate_enclosing("rpc", access_path=path)
 
     def _vector_condition_plan(self, table: ShareTable, conditions: List[Dict]):
         """Per-condition ``(index, slot positions, start, stop)``, or None.

@@ -11,7 +11,8 @@ them first-class:
 * :class:`~repro.telemetry.tracing.Tracer` — hierarchical spans
   (``query → rewrite → fan_out → rpc → reconstruct``) timed by a
   deterministic clock (the sim's modelled clock in the CLI/benchmarks),
-  so traces are reproducible per seed.
+  so traces are reproducible per seed, and by the wall clock beside it
+  (:func:`~repro.telemetry.tracing.stage_times` sums both per stage).
 
 Switch semantics
 ----------------
@@ -45,7 +46,15 @@ from .metrics import (  # noqa: F401  (re-exported API)
     Histogram,
     MetricsRegistry,
 )
-from .tracing import NULL_SPAN, NullSpan, Span, StepClock, Tracer  # noqa: F401
+from .tracing import (  # noqa: F401
+    NULL_SPAN,
+    NullSpan,
+    Span,
+    StageTime,
+    StepClock,
+    Tracer,
+    stage_times,
+)
 
 
 class TelemetryHub:
@@ -155,6 +164,17 @@ def annotate(**attributes: object) -> None:
     current = active.tracer.current()
     if current is not None:
         current.set(**attributes)
+
+
+def annotate_enclosing(span_name: str, **attributes: object) -> None:
+    """Attach attributes to the innermost open span called ``span_name``,
+    if any — for a stage that describes the span its caller opened."""
+    active = _HUB
+    if active is None:
+        return
+    enclosing = active.tracer.enclosing(span_name)
+    if enclosing is not None:
+        enclosing.set(**attributes)
 
 
 def count(name: str, value: float = 1, **labels: object) -> None:

@@ -6,14 +6,19 @@ of the reproduction::
     query → select → rewrite → fan_out → rpc (per provider)
                                        → reconstruct
 
-Spans are timed by a **clock callable**, not the wall clock.  The
-default is a deterministic step clock (each reading advances a logical
-tick), and the CLI/benchmarks bind the simulated network's modelled
-clock (``lambda: network.modelled_seconds``) instead — so the same seed
-produces the *identical* trace, byte for byte, run after run.  That is
-the property the paper's evaluation needs: communication and quorum
-waits are modelled quantities, and the trace reports those models, not
-host scheduling noise.
+Spans are timed by two clocks.  ``start`` / ``end`` read a **clock
+callable**: by default a deterministic step clock (each reading
+advances a logical tick), and the CLI/benchmarks bind the simulated
+network's modelled clock (``lambda: network.modelled_seconds``) instead
+— so the same seed produces the *identical* trace, byte for byte, run
+after run.  That is the property the paper's evaluation needs:
+communication and quorum waits are modelled quantities, and the trace
+reports those models, not host scheduling noise.  Beside them,
+``wall_start`` / ``wall_end`` read :func:`time.perf_counter`, so a
+trace also says where the host's time went (``repro.cli trace
+--analyze`` prints both per stage).  The wall readings stay out of
+:meth:`Span.to_dict` unless asked for, which keeps exports
+reproducible.
 
 The span stack is thread-local: spans opened on the cluster's fan-out
 pool threads would start their own roots rather than racing the client
@@ -24,6 +29,7 @@ thread (pool workers record commutative counters instead).
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
@@ -31,15 +37,19 @@ from typing import Callable, Dict, List, Optional
 class Span:
     """One timed node of a trace tree."""
 
-    __slots__ = ("name", "attributes", "start", "end", "children", "error")
+    __slots__ = (
+        "name", "attributes", "start", "end", "wall_start", "wall_end", "children", "error"
+    )
 
     def __init__(
-        self, name: str, attributes: Dict[str, object], start: float
+        self, name: str, attributes: Dict[str, object], start: float, wall_start: float = 0.0
     ) -> None:
         self.name = name
         self.attributes = attributes
         self.start = start
         self.end: Optional[float] = None
+        self.wall_start = wall_start
+        self.wall_end: Optional[float] = None
         self.children: List["Span"] = []
         self.error: Optional[str] = None
 
@@ -51,6 +61,11 @@ class Span:
     def duration(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
 
+    @property
+    def wall_duration(self) -> float:
+        """Seconds of ``time.perf_counter`` between opening and closing."""
+        return (self.wall_end - self.wall_start) if self.wall_end is not None else 0.0
+
     def walk(self):
         """This span and every descendant, depth-first."""
         yield self
@@ -61,13 +76,19 @@ class Span:
         """Every descendant span (including self) with the given name."""
         return [span for span in self.walk() if span.name == name]
 
-    def to_dict(self) -> Dict[str, object]:
+    def to_dict(self, wall: bool = False) -> Dict[str, object]:
+        """JSON-able tree; ``wall`` adds the wall-clock readings, which
+        differ run to run."""
         out: Dict[str, object] = {
             "name": self.name,
             "start": self.start,
             "end": self.end,
             "duration": self.duration,
         }
+        if wall:
+            out["wall_start"] = self.wall_start
+            out["wall_end"] = self.wall_end
+            out["wall_duration"] = self.wall_duration
         if self.attributes:
             out["attributes"] = {
                 k: self.attributes[k] for k in sorted(self.attributes)
@@ -75,8 +96,36 @@ class Span:
         if self.error is not None:
             out["error"] = self.error
         if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
+            out["children"] = [child.to_dict(wall) for child in self.children]
         return out
+
+
+class StageTime:
+    """What the spans of one name took in a trace: calls, wall seconds
+    (``wall``; ``self_wall`` less their children's) and modelled ones."""
+
+    __slots__ = ("calls", "wall", "self_wall", "modelled")
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.wall = 0.0
+        self.self_wall = 0.0
+        self.modelled = 0.0
+
+
+def stage_times(root: Span) -> Dict[str, StageTime]:
+    """Per span name, in first-seen order, the :class:`StageTime` of its
+    spans under ``root`` (``root`` included)."""
+    stages: Dict[str, StageTime] = {}
+    for span in root.walk():
+        stage = stages.get(span.name)
+        if stage is None:
+            stage = stages[span.name] = StageTime()
+        stage.calls += 1
+        stage.wall += span.wall_duration
+        stage.self_wall += span.wall_duration - sum(c.wall_duration for c in span.children)
+        stage.modelled += span.duration
+    return stages
 
 
 class NullSpan:
@@ -143,9 +192,16 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
+    def enclosing(self, name: str) -> Optional[Span]:
+        """The innermost open span called ``name`` on this thread, if any."""
+        for span in reversed(self._stack()):
+            if span.name == name:
+                return span
+        return None
+
     @contextmanager
     def span(self, name: str, **attributes: object):
-        span = Span(name, dict(attributes), start=self._clock())
+        span = Span(name, dict(attributes), self._clock(), time.perf_counter())
         stack = self._stack()
         if stack:
             stack[-1].children.append(span)
@@ -156,6 +212,7 @@ class Tracer:
             span.error = type(exc).__name__
             raise
         finally:
+            span.wall_end = time.perf_counter()
             span.end = self._clock()
             stack.pop()
             if not stack:

@@ -150,6 +150,17 @@ class TestTrace:
         assert "net.bytes{dst=DAS1,src=client}" in text
         assert "modelled" in text
 
+    def test_analyze_prints_wall_and_modelled_time_per_stage(self):
+        code, text = run(["trace", "--rows", "40", "--analyze", self.STATEMENT])
+        assert code == 0
+        table = text.split("stages (wall clock beside modelled):")[1].split("\n\n")[0]
+        rows = {line.split()[0]: line.split()[1:] for line in table.strip().splitlines()[1:]}
+        assert {"query", "provider.handle", "kernels.batch_reconstruct_integer"} <= set(rows)
+        calls, wall, self_wall, modelled = rows["query"]
+        assert calls == "1" and float(wall) >= float(self_wall) > 0
+        assert float(modelled) > 0
+        assert rows["provider.handle"][0] == "3"
+
     def test_trace_is_deterministic(self):
         outputs = [run(["trace", "--rows", "40", self.STATEMENT])
                    for _ in range(2)]
