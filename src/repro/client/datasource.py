@@ -1136,6 +1136,7 @@ class DataSource:
         )
         if pairs is None:
             pairs = self._read_rows(table, _QUORUM, rewritten)
+            self.row_cache.put_rows(table, epoch, pairs)
             self.row_cache.store_query(table, signature, epoch, pairs, predicate)
         return pairs
 
@@ -1293,8 +1294,9 @@ class DataSource:
                 cache_epoch=epoch,
             )
             if replay:
-                # a pushed LIMIT returns a prefix of the matches: no write
-                # can be shown to leave it alone
+                # the read put its fresh rows already; a pushed LIMIT
+                # returns a prefix of the matches: no write can be shown
+                # to leave it alone
                 self.row_cache.store_query(
                     query.table, signature, epoch, pairs,
                     None if "limit" in plan.fields else plan.predicate,
@@ -2014,8 +2016,10 @@ def finish_rows(
     if query.columns:
         for name in query.columns:
             schema.column(name)
+        # a row read for exactly the select list, in its order, is kept
+        columns = list(query.columns)
         pairs = [
-            (row_id, {name: row[name] for name in query.columns})
+            (row_id, row if list(row) == columns else {name: row[name] for name in columns})
             for row_id, row in pairs
         ]
     return pairs

@@ -236,8 +236,10 @@ class RowCache:
         pairs: List[Tuple[int, Row]],
         predicate: Optional[Predicate] = None,
     ) -> None:
-        """Remember a query's ``(row_id, row)`` result set, its rows
-        through :meth:`put_rows`.
+        """Remember a query's result set: the row ids of its ``(row_id,
+        row)`` pairs, in order.  The rows themselves are the caller's to
+        :meth:`put_rows` — a read puts them as it reconstructs them — and
+        the entry replays only while every one is held.
 
         ``predicate`` is the bound WHERE clause the rows are *all* the
         matches of; without one (a pushed ``LIMIT``) the entry does not
@@ -246,7 +248,6 @@ class RowCache:
         with self._lock:
             if self._stale(table, epoch):
                 return
-            self.put_rows(table, epoch, pairs)
             ids = dict.fromkeys(row_id for row_id, _ in pairs)
             key = (table, signature)
             if key in self._queries:

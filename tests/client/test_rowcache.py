@@ -55,6 +55,12 @@ def _row(cache, table, row_id, epoch):
     return cache.get_rows(table, [row_id], epoch, ()).get(row_id)
 
 
+def _store(cache, table, signature, epoch, pairs, predicate=None):
+    """What a read leaves behind: its rows put, then its entry stored."""
+    cache.put_rows(table, epoch, pairs)
+    cache.store_query(table, signature, epoch, pairs, predicate)
+
+
 class TestUnitRowCache:
     def test_row_roundtrip_returns_copies(self):
         cache = RowCache()
@@ -71,7 +77,7 @@ class TestUnitRowCache:
         a write has moved the table on, that read can neither be served
         nor leave behind the rows and the result it saw."""
         cache = RowCache()
-        cache.store_query("t", ("sig",), 0, [(1, {"a": 1})], Between("a", 1, 1))
+        _store(cache, "t", ("sig",), 0, [(1, {"a": 1})], Between("a", 1, 1))
         cache.apply_write("t", 1, {2: {"a": 2}})  # a write that touched neither
         assert _row(cache, "t", 1, 1) == {"a": 1}
         assert cache.lookup_query("t", ("sig",), 1, ()) == [(1, {"a": 1})]
@@ -79,7 +85,7 @@ class TestUnitRowCache:
         assert _row(cache, "t", 1, 0) is None
         assert cache.lookup_query("t", ("sig",), 0, ()) is None
         cache.put_rows("t", 0, [(3, {"a": "old"})])
-        cache.store_query("t", ("raced",), 0, [(4, {"a": "old"})])
+        _store(cache, "t", ("raced",), 0, [(4, {"a": "old"})])
         assert _row(cache, "t", 3, 1) is None
         assert _row(cache, "t", 4, 1) is None
         assert cache.lookup_query("t", ("raced",), 1, ()) is None
@@ -89,7 +95,7 @@ class TestUnitRowCache:
 
     def test_query_replay_and_member_eviction(self):
         cache = RowCache(row_capacity=2, query_capacity=4)
-        cache.store_query("t", ("sig",), 0, [(1, {"a": 1}), (2, {"a": 2})])
+        _store(cache, "t", ("sig",), 0, [(1, {"a": 1}), (2, {"a": 2})])
         assert cache.lookup_query("t", ("sig",), 0, ()) == [
             (1, {"a": 1}), (2, {"a": 2}),
         ]
@@ -101,13 +107,12 @@ class TestUnitRowCache:
     @pytest.mark.parametrize("row_capacity", [3, 4, 6, 64])
     def test_store_query_after_the_read_wrote_its_rows_back(self, row_capacity):
         """A cache-miss read puts its fresh rows back in one ``put_rows``,
-        then ``store_query`` puts the result's rows again.  Batched, that
-        leaves rows, LRU order and counters exactly as one put per row
-        does — including, when the result outgrows ``row_capacity``,
-        re-inserting the rows the first put's own tail evicted."""
+        then ``store_query`` records the entry alone.  That leaves rows,
+        LRU order and counters exactly as one put per fresh row does, and
+        the entry replays while its rows fit the cache."""
 
         def one_put_per_row(cache, misses, kept):
-            for pair in misses + kept:
+            for pair in misses:
                 cache.put_rows("t", 0, [pair])
             key = ("t", ("sig",))
             cache._queries[key] = (dict.fromkeys(row_id for row_id, _ in kept), None, None)
@@ -132,17 +137,21 @@ class TestUnitRowCache:
         assert list(new._queries.items()) == list(old._queries.items())
         assert new.stats.snapshot() == old.stats.snapshot()
         assert len(new) == min(row_capacity, 7)
-        if row_capacity >= len(kept):
+        if row_capacity >= 7:
             assert new.lookup_query("t", ("sig",), 0, ("a",)) == kept
 
     def test_store_query_does_not_copy_a_row_it_already_holds(self):
+        """``store_query`` records the entry and leaves the rows alone."""
         cache = RowCache()
-        cache.put_rows("t", 0, [(1, {"a": 1})])
+        cache.put_rows("t", 0, [(1, {"a": 1}), (2, {"a": 2})])
         held = cache._rows[("t", 1)]
-        cache.store_query("t", ("sig",), 0, [(1, {"a": 1}), (2, {"a": 2})])
+        cache.store_query("t", ("sig",), 0, [(2, {"a": 2}), (1, {"a": 1})])
         assert cache._rows[("t", 1)] is held
         assert list(cache._rows) == [("t", 1), ("t", 2)]
-        assert cache.lookup_query("t", ("sig",), 0, ("a",)) == [(1, {"a": 1}), (2, {"a": 2})]
+        assert cache.lookup_query("t", ("sig",), 0, ("a",)) == [(2, {"a": 2}), (1, {"a": 1})]
+        # an entry whose rows were never put does not replay
+        cache.store_query("t", ("unput",), 0, [(3, {"a": 3})])
+        assert len(cache) == 2 and cache.lookup_query("t", ("unput",), 0, ()) is None
 
     def test_a_put_into_a_held_row_adds_the_columns_it_lacked(self):
         """A read hits a row only when it holds every column the read
@@ -152,7 +161,7 @@ class TestUnitRowCache:
         cache.put_rows("t", 0, [(1, {"a": 1})])
         held = cache._rows[("t", 1)]
         assert cache.get_rows("t", [1], 0, ("a", "b")) == {}
-        cache.store_query("t", ("sig",), 0, [(1, {"a": 1, "b": 2}), (2, {"a": 2})])
+        _store(cache, "t", ("sig",), 0, [(1, {"a": 1, "b": 2}), (2, {"a": 2})])
         assert cache._rows[("t", 1)] is held and held == {"a": 1, "b": 2}
         assert list(cache._rows) == [("t", 1), ("t", 2)]
         assert cache.get_rows("t", [1, 2], 0, ("a", "b")) == {1: {"a": 1, "b": 2}}
@@ -168,10 +177,10 @@ class TestUnitRowCache:
         or changed row entered it, a held row was deleted."""
         cache = RowCache()
         rows = {i: {"a": i} for i in range(1, 7)}
-        cache.store_query("t", ("low",), 0, [(1, rows[1]), (2, rows[2])], Between("a", 1, 2))
-        cache.store_query("t", ("mid",), 0, [(3, rows[3])], Between("a", 3, 4))
-        cache.store_query("t", ("high",), 0, [(5, rows[5]), (6, rows[6])], Between("a", 5, 9))
-        cache.store_query("u", ("low",), 0, [(1, rows[1])], Between("a", 1, 2))
+        _store(cache, "t", ("low",), 0, [(1, rows[1]), (2, rows[2])], Between("a", 1, 2))
+        _store(cache, "t", ("mid",), 0, [(3, rows[3])], Between("a", 3, 4))
+        _store(cache, "t", ("high",), 0, [(5, rows[5]), (6, rows[6])], Between("a", 5, 9))
+        _store(cache, "u", ("low",), 0, [(1, rows[1])], Between("a", 1, 2))
         # row 2 changed to a = 4, row 6 deleted, row 7 inserted outside every range
         purged = cache.apply_write("t", 1, {2: {"a": 4}, 6: None, 7: {"a": 50}})
         # low held row 2; mid is satisfied by the new row 2; high held row 6
@@ -182,7 +191,7 @@ class TestUnitRowCache:
             assert cache.lookup_query("t", (signature,), 1, ()) is None
         assert cache.lookup_query("u", ("low",), 0, ()) == [(1, rows[1])]
         # a write that touches no entry's rows and satisfies no predicate
-        cache.store_query("t", ("mid",), 1, [(3, rows[3])], Between("a", 3, 4))
+        _store(cache, "t", ("mid",), 1, [(3, rows[3])], Between("a", 3, 4))
         assert cache.apply_write("t", 2, {8: {"a": 60}, 9: None}) == 0
         assert cache.lookup_query("t", ("mid",), 2, ()) == [(3, rows[3])]
         # a write that changes a held row but keeps it inside the range
@@ -195,11 +204,11 @@ class TestUnitRowCache:
         one that moves a row onto or off the key drops the entry."""
         cache = RowCache()
         for key in (1, 2, 3):
-            cache.store_query(
+            _store(cache, 
                 "t", (key,), 0, [(key, {"k": key, "v": 0})],
                 Comparison("k", ComparisonOp.EQ, key),
             )
-        cache.store_query(
+        _store(cache, 
             "t", ("name",), 0, [(1, {"k": 1, "v": 0})],
             Comparison("name", ComparisonOp.EQ, "bo"),
         )
@@ -217,8 +226,8 @@ class TestUnitRowCache:
         """A plan that pushed ``LIMIT`` stores a prefix of the matches: no
         write can be shown to leave it alone."""
         cache = RowCache()
-        cache.store_query("t", ("limit",), 0, [(1, {"a": 1})])
-        cache.store_query("t", ("all",), 0, [(1, {"a": 1})], Between("a", 0, 5))
+        _store(cache, "t", ("limit",), 0, [(1, {"a": 1})])
+        _store(cache, "t", ("all",), 0, [(1, {"a": 1})], Between("a", 0, 5))
         assert cache.apply_write("t", 1, {9: {"a": 77}}) == 1
         assert cache.lookup_query("t", ("limit",), 1, ()) is None
         assert cache.lookup_query("t", ("all",), 1, ()) == [(1, {"a": 1})]
@@ -226,7 +235,7 @@ class TestUnitRowCache:
 
     def test_a_write_without_an_effect_drops_the_table(self):
         cache = RowCache()
-        cache.store_query("t", ("all",), 0, [(1, {"a": 1})], Between("a", 0, 5))
+        _store(cache, "t", ("all",), 0, [(1, {"a": 1})], Between("a", 0, 5))
         cache.put_rows("u", 0, [(1, {"b": 2})])
         assert cache.apply_write("t", 1) == 2
         assert _row(cache, "t", 1, 1) is None
@@ -236,7 +245,7 @@ class TestUnitRowCache:
         cache = RowCache()
         cache.put_rows("t", 0, [(1, {"a": 1})])
         cache.put_rows("u", 0, [(1, {"b": 2})])
-        cache.store_query("t", ("s",), 0, [(1, {"a": 1})])
+        _store(cache, "t", ("s",), 0, [(1, {"a": 1})])
         purged = cache.invalidate("t")
         assert purged == 2
         assert _row(cache, "t", 1, 0) is None
@@ -244,7 +253,7 @@ class TestUnitRowCache:
 
     def test_clear_counts_what_it_purges(self):
         cache = RowCache()
-        cache.store_query("t", ("s",), 0, [(1, {"a": 1}), (2, {"a": 2})])
+        _store(cache, "t", ("s",), 0, [(1, {"a": 1}), (2, {"a": 2})])
         cache.put_rows("u", 0, [(1, {"b": 2})])
         with telemetry.session() as hub:
             cache.clear()
@@ -274,13 +283,13 @@ class TestUnitRowCache:
                     k = 8 if seed % 2 else rng.randrange(8)
                     if k == 8:
                         if cache.lookup_query("t", ("wide",), 0, ("k",)) is None:
-                            cache.store_query("t", ("wide",), 0, wide, Between("k", 100, 139))
+                            _store(cache, "t", ("wide",), 0, wide, Between("k", 100, 139))
                         continue
                     predicate = (
                         Comparison("k", ComparisonOp.EQ, k) if k % 2 else Between("k", k, k + 1)
                     )
                     if cache.lookup_query("t", (k,), 0, ("k",)) is None:
-                        cache.store_query("t", (k,), 0, [(k, {"k": k})], predicate)
+                        _store(cache, "t", (k,), 0, [(k, {"k": k})], predicate)
             except Exception as error:  # a thread's failure would be lost
                 errors.append(error)
 
@@ -381,7 +390,7 @@ class TestApplyWrite:
         for position, (predicate, limit) in enumerate(entries):
             ids = _matching(predicate, table)[:limit]
             stored.append(ids)
-            cache.store_query(
+            _store(cache, 
                 "t", (position,), 0, [(rid, table[rid]) for rid in ids],
                 predicate if limit is None else None,
             )
@@ -403,10 +412,10 @@ class TestApplyWrite:
         cache = RowCache()
         rows = {k: {"aid": k, "v": k % 10} for k in range(200)}
         for k, row in rows.items():
-            cache.store_query(
+            _store(cache, 
                 "t", ("point", k), 0, [(k, row)], Comparison("aid", ComparisonOp.EQ, k)
             )
-        cache.store_query(
+        _store(cache, 
             "t", ("range",), 0, [(k, row) for k, row in rows.items() if row["v"] <= 2],
             Between("v", 0, 2),
         )
@@ -487,7 +496,7 @@ class TestPartialRows:
                 }
                 cache.put_rows("t", epoch, fresh.items())
                 pairs = [(rid, hits.get(rid) or fresh[rid]) for rid in expected]
-                cache.store_query("t", (position,), epoch, pairs, predicate)
+                _store(cache, "t", (position,), epoch, pairs, predicate)
             assert [rid for rid, _ in pairs] == expected
             exact(pairs, columns)
 
