@@ -576,15 +576,22 @@ class ShareTable:
 
     def revert(self, mark: Tuple) -> None:
         """Undo every write since ``mark`` through the mutators, newest undo
-        record first; only ``version`` and slots do not go back."""
+        record first, one mutator call per run of records of one kind: an
+        insert run is one ``delete_rows``, a delete run one
+        ``insert_many``, an update run one ``update_rows`` in which a row
+        the run names more than once takes each column's oldest old share.
+        Only ``version`` and slots do not go back."""
         length, epoch, floor, retention = mark
-        for _, op, row_id, data in reversed(self.history[length:]):
+        for op, run in groupby(reversed(self.history[length:]), key=itemgetter(1)):
             if op == "insert":
-                self.delete_rows([row_id])
+                self.delete_rows([row_id for _, _, row_id, _ in run])
             elif op == "delete":
-                self.insert_many(ShareRows.from_pairs([[row_id, data]]))
+                self.insert_many(ShareRows.from_pairs([row_id, data] for _, _, row_id, data in run))
             else:
-                self.update_rows([[row_id, data]])
+                oldest: Dict[int, ShareRow] = {}
+                for _, _, row_id, data in run:  # newest first: an older share overwrites
+                    oldest.setdefault(row_id, {}).update(data)
+                self.update_rows(list(map(list, oldest.items())))
         del self.history[length:]
         self.epoch, self.history_floor, self.history_retention = epoch, floor, retention
 
