@@ -68,6 +68,7 @@ from repro.providers.cluster import ProviderCluster
 from repro.client.datasource import DataSource
 from repro.client.reconstruct import reconstruct_rows
 from repro.sim.costmodel import CostRecorder
+from repro.sim import wire
 from repro.sim.network import measure_bytes
 from repro.sim.rng import DeterministicRNG
 from repro.sqlengine.query import Select
@@ -440,11 +441,8 @@ def bench_response_path(
         pairs, seconds = _timed(reconstruct, responses)
         stages["reconstruct_rows_ms"].append(seconds)
     assert [row for _, row in pairs] == table.rows(), "response path lost rows"
-    row_major = {
-        index: {"rows": [(row_id, dict(row)) for row_id, row in response["rows"]]}
-        for index, response in responses.items()
-    }
-    assert sizes == measure(row_major), "ShareRows sized unlike its row-major list"
+    encoded = [len(wire.encode(response)) for response in responses.values()]
+    assert sizes == encoded, "ShareRows sized unlike its encoding"
     measured = {
         stage: round(statistics.median(times) * 1e3, 4)
         for stage, times in stages.items()

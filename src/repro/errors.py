@@ -65,6 +65,12 @@ class ProviderUnavailableError(ProviderError):
     """The provider is crashed/partitioned and cannot serve requests."""
 
 
+class WireError(ReproError):
+    """A value the wire format's headers cannot carry (a string or an
+    integer past 4,095 bytes, a container past 2^28 items, a type the
+    format has no rule for), or bytes that are no encoding of a value."""
+
+
 class QuorumError(ReproError):
     """Fewer than ``k`` providers responded; the query cannot complete."""
 

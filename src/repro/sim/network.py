@@ -7,7 +7,8 @@ request and response between the data source and a provider passes through
 a :class:`SimulatedNetwork`, which sizes the payload with a documented
 wire format and tallies messages/bytes per endpoint and direction.
 
-Wire format (sizing only — data never actually leaves the process):
+Wire format (data never actually leaves the process; sizing is by
+closed form, and :mod:`repro.sim.wire` is the codec it describes):
 
 * integer: 2-byte tag/length header + big-endian magnitude bytes
   (order-preserving shares are big integers, so their real size matters);
@@ -18,24 +19,26 @@ Wire format (sizing only — data never actually leaves the process):
 * Decimal: 2-byte header + its decimal string;
 * list/tuple: 4-byte count + elements;
 * dict: 4-byte count + key/value pairs;
-* any other object: whatever its ``wire_size()`` reports.
+* share rows (:class:`ShareRows`) — what every row-returning provider
+  RPC answers with and every ``insert_many`` uploads — go column-major:
+  a 4-byte row count, then, unless it is 0, the column names once (as a
+  tuple of strings), every row id, and each column's cells (an int as
+  above, a NULL one byte);
+* any other object: whatever its ``wire_size()`` reports (the codec
+  carries no such object).
 
-Share rows — what every row-returning provider RPC answers with, and
-what every ``insert_many`` uploads — are **sized** row-major, as the list
-``[(row_id, {column: share}), ...]`` under the rules above, but
-**carried** column-major: a :class:`ShareRows` holds the row ids and one
-share sequence per column, because the provider stores columns and the
-client's kernels share and interpolate columns, and its ``wire_size()``
-reports the bytes of the list it stands for, byte for byte.  Only the
-in-process carrier is columnar; the wire format — and so every byte
-count and the modelled clock — is unchanged, and so is every JSON
-boundary: the WAL and provider snapshots write a ``ShareRows`` as that
-row-major list (:func:`json_default`), and the list read back from them
-becomes a ``ShareRows`` again through :meth:`ShareRows.from_pairs`.  A
-column-major wire *format* (column names once per batch instead of once
-per row) would be a declared change to those numbers and is not made
-here.  A ``join`` response is the dict ``{"left": rows, "right": rows}``
-of two such values — each side's matched rows once, no pair list.
+For n ≥ 1 rows of C columns whose names take L bytes, share rows take
+8 + 2C + L bytes plus their row ids and cells; the row-major list
+``[(row_id, {column: share}), ...]`` they stand for would take
+(n − 1)(8 + 2C + L) + 4 bytes more, because it names every column in
+every row.  :mod:`repro.sim.wire` writes and reads these bytes; sizing
+never encodes, and the tests hold every size here to ``len`` of that
+encoding.  The JSON boundaries are not the wire: the WAL and provider
+snapshots write a ``ShareRows`` as the row-major list
+(:func:`json_default`), and the list read back from them becomes a
+``ShareRows`` again through :meth:`ShareRows.from_pairs`.  A ``join``
+response is the dict ``{"left": rows, "right": rows}`` of two such
+values — each side's matched rows once, no pair list.
 
 Modelled transfer time = RTT/2 per message + bytes / bandwidth, using the
 latency model's constants; benchmarks report both raw bytes and modelled
@@ -110,11 +113,19 @@ def _measure_value(payload: object) -> int:
 
 
 @lru_cache(maxsize=256)
-def _row_overhead(columns: Tuple[str, ...]) -> int:
-    """Bytes of one row-major ``(row_id, {column: share})`` pair that do not
-    depend on its values: the tuple and dict counts, every column name, and
-    the 2-byte integer header of the row id and of each share."""
-    return 4 + 2 + 4 + sum(2 + len(name.encode("utf-8")) + 2 for name in columns)
+def _rows_header(columns: Tuple[str, ...]) -> int:
+    """Bytes of share rows (at least one row) that do not depend on the
+    rows: the 4-byte row count and the column names as a tuple."""
+    return 4 + 4 + sum(2 + len(name.encode("utf-8")) for name in columns)
+
+
+def _cell_bytes(cell: object) -> int:
+    """A share-rows cell: an int (shares are ints, so a ``bool`` counts as
+    the int it is) its 2-byte header and magnitude, anything else what
+    :func:`measure_bytes` makes of it (a NULL: one byte)."""
+    if isinstance(cell, int):
+        return 2 + ((cell.bit_length() + 7) >> 3 or 1)
+    return measure_bytes(cell)
 
 
 class ShareRows:
@@ -124,11 +135,11 @@ class ShareRows:
     ``columns[c]`` in the row ``row_ids[r]``.  The value stands for the
     row-major list ``[(row_id, {column: share}), ...]``: iterating yields
     exactly those pairs (the per-row readers — checked decoding, audits,
-    repair — take them one at a time), two values are equal when their
-    lists are, and :meth:`wire_size` is that list's size under the
-    module's wire format.  Treat it as read-only: the provider may hand
-    out its cached row-id list, and an upload's value is logged and
-    staged as it was sent.
+    repair — take them one at a time), and two values are equal when
+    their lists are.  On the wire it goes column-major, and
+    :meth:`wire_size` is its size there.  Treat it as read-only: the
+    provider may hand out its cached row-id list, and an upload's value
+    is logged and staged as it was sent.
     """
 
     __slots__ = ("row_ids", "columns", "shares")
@@ -195,23 +206,26 @@ class ShareRows:
         )
 
     def wire_size(self) -> int:
-        """Bytes of the row-major list this value stands for.
+        """Bytes of this value on the wire, column-major (see the module
+        docstring); 4 for no rows.
 
         One pass over the row ids and every share for their magnitude
-        bytes, plus a per-row constant for the column tuple.  A cell
-        without a ``bit_length`` — a NULL (one byte where an integer has
-        a 2-byte header), or whatever else a store was handed — sends the
-        response through the cell-by-cell rules instead.  (Shares are
-        integers: a ``bool`` among integers is sized as the ``int`` it is.)
+        bytes, plus the column names once and a 2-byte integer header per
+        cell.  A cell without a ``bit_length`` — a NULL, or whatever else
+        a store was handed — sends the value through :func:`_cell_bytes`
+        cell by cell instead.
         """
-        cells = chain(self.row_ids, *self.shares)
+        row_ids = self.row_ids
+        if not row_ids:
+            return 4
+        header = _rows_header(self.columns)
         try:
-            magnitudes = sum([(cell.bit_length() + 7) >> 3 or 1 for cell in cells])
-        except AttributeError:
             magnitudes = sum(
-                measure_bytes(cell) - 2 for cell in chain(self.row_ids, *self.shares)
+                [(cell.bit_length() + 7) >> 3 or 1 for cell in chain(row_ids, *self.shares)]
             )
-        return 4 + len(self.row_ids) * _row_overhead(self.columns) + magnitudes
+        except AttributeError:
+            return header + sum(map(_cell_bytes, chain(row_ids, *self.shares)))
+        return header + 2 * len(row_ids) * (1 + len(self.columns)) + magnitudes
 
 
 def json_default(value: object) -> object:

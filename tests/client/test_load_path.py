@@ -20,7 +20,11 @@ observation:
   text, what the rejection left behind, and the row id the next insert
   gets.
 
-The one permitted difference from the parent is ``REJECT_DELTA``.
+The one permitted difference from the parent is ``REJECT_DELTA``.  When
+share rows went column-major on the wire the loads' bytes and modelled
+clock moved once more; the ``"column_major"`` section holds their
+records (``PYTHONPATH=src python tests/client/test_load_path.py
+column_major`` rewrites only it).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import datetime
 import hashlib
 import json
 import os
+import sys
 from decimal import Decimal
 from typing import Dict, List
 
@@ -50,6 +55,7 @@ from repro.sqlengine.schema import (
     string_column,
 )
 from repro.workloads.employees import employees_schema, employees_table
+from tests.column_major import assert_only_bytes_and_clock_fell, sized_row_major
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "load_path_golden.json")
 SEED = 18
@@ -266,7 +272,16 @@ def _load_golden() -> Dict[str, object]:
 
 
 def test_loads_send_the_parents_payloads_and_account_alike():
-    assert json.loads(json.dumps(load_records())) == _load_golden()["load"]
+    """Sized as the row-major lists the parent sent, every call accounts
+    what the parent's did; column-major, as the ``column_major`` section
+    holds it — the same record with only bytes and the modelled clock
+    lower (``tests.column_major``)."""
+    golden = _load_golden()
+    with sized_row_major():
+        assert json.loads(json.dumps(load_records())) == golden["load"]
+    assert json.loads(json.dumps(load_records())) == golden["column_major"]
+    for case, record in golden["column_major"].items():
+        assert_only_bytes_and_clock_fell(golden["load"][case], record)
 
 
 def test_share_row_draws_the_parents_shares():
@@ -309,7 +324,13 @@ def test_batched_load_builds_the_indexes_of_a_one_shot_load():
             assert entries == sorted(entries) and len(entries) == len(rows)
 
 
-if __name__ == "__main__":  # at the parent commit only
+if __name__ == "__main__" and sys.argv[1:] == ["column_major"]:
+    golden = _load_golden()
+    golden["column_major"] = load_records()
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+elif __name__ == "__main__":  # at the parent commit only
     golden = {
         "load": load_records(),
         "shares": share_records(),

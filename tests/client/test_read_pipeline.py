@@ -18,7 +18,10 @@ row reads once more when they began fetching only the columns their
 statement uses (section ``"projection"``, held to its formula by
 ``test_projection_moves_by_the_declared_formula``); the provider-side
 joins and the aggregates that fetch rows joined that section when they
-began doing the same.
+began doing the same.  Every record whose reads or writes send share
+rows was re-based last, when share rows went column-major on the wire
+(section ``"column_major"``, held to its formula by
+``test_column_major_moves_by_the_declared_formula``).
 
 Regenerate (only on purpose)::
 
@@ -26,6 +29,7 @@ Regenerate (only on purpose)::
     PYTHONPATH=src:. python tests/client/test_read_pipeline.py fixed    # after the fixes
     PYTHONPATH=src:. python tests/client/test_read_pipeline.py one_round_commit
     PYTHONPATH=src:. python tests/client/test_read_pipeline.py projection
+    PYTHONPATH=src:. python tests/client/test_read_pipeline.py column_major
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.trust.auditing import AuditRegistry
 from repro.txn import TransactionManager
 from repro.workloads.ecommerce import clicklog_table
 from repro.workloads.employees import employees_table, managers_table
+from tests.column_major import assert_only_bytes_and_clock_fell, sized_row_major
 from tests.projection_wire import ProjectionWire
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "read_pipeline_golden.json")
@@ -462,7 +467,7 @@ def test_entry_point_matches_oracle_and_parent_accounting(scenario_id, tmp_path)
     golden = _load_golden()
     record = run_scenario(scenario_id, str(tmp_path))
     assert record.get("matches_oracle") is True, record
-    for section in ("one_round_commit", "projection"):
+    for section in ("column_major", "one_round_commit", "projection"):
         if scenario_id in golden[section]:
             assert record == golden[section][scenario_id]
             return
@@ -564,12 +569,34 @@ def test_projection_moves_by_the_declared_formula(scenario_id):
     }
     assert wire.dropped == {table: names for table, names in dropped.items() if names}
     was, now = before["accounting"], after["accounting"]
-    assert was["bytes"] - now["bytes"] == wire.lost - wire.gained > 0
+    assert was["bytes"] - now["bytes"] == wire.lost + wire.surplus - wire.gained > 0
     assert now["modelled_seconds"] < was["modelled_seconds"]
     assert now["messages"] == was["messages"] and now["providers"] == was["providers"]
     assert was["client"]["interpolate"] - now["client"]["interpolate"] == wire.cells
     assert {**now["client"], "interpolate": 0} == {**was["client"], "interpolate": 0}
     assert {**after, "accounting": was} == before
+
+
+def _before_column_major(golden, scenario_id: str) -> Dict[str, object]:
+    """What a record was before share rows went column-major."""
+    for section in ("projection", "one_round_commit", "fixed"):
+        if scenario_id in golden[section]:
+            return golden[section][scenario_id]
+    return golden["parent"][scenario_id]
+
+
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["column_major"]))
+def test_column_major_moves_by_the_declared_formula(scenario_id, tmp_path):
+    """Share rows name their columns once: a re-based record is the
+    record before it with every ``ShareRows`` it sent
+    (n − 1)(8 + 2C + L) + 4 bytes smaller (``tests.column_major``).  Run
+    with that surplus added back, the scenario gives the record before
+    exactly; only bytes and the modelled clock moved, and only down."""
+    golden = _load_golden()
+    before, after = _before_column_major(golden, scenario_id), golden["column_major"][scenario_id]
+    with sized_row_major():
+        assert run_scenario(scenario_id, str(tmp_path)) == before
+    assert_only_bytes_and_clock_fell(before, after)
 
 
 @pytest.mark.parametrize(
@@ -673,13 +700,25 @@ def _regenerate(section: str) -> None:
 
     golden = (
         _load_golden() if os.path.exists(GOLDEN_PATH)
-        else {"parent": {}, "fixed": {}, "one_round_commit": {}, "projection": {}}
+        else {
+            "parent": {}, "fixed": {}, "one_round_commit": {}, "projection": {},
+            "column_major": {},
+        }
     )
     records: Dict[str, object] = {}
     for scenario_id in sorted(SCENARIOS):
         with tempfile.TemporaryDirectory() as wal_dir:
             records[scenario_id] = run_scenario(scenario_id, wal_dir)
-    if section == "parent":
+    if section == "column_major":
+        row_major: Dict[str, object] = {}
+        with sized_row_major():
+            for scenario_id in sorted(SCENARIOS):
+                with tempfile.TemporaryDirectory() as wal_dir:
+                    row_major[scenario_id] = run_scenario(scenario_id, wal_dir)
+        golden["column_major"] = {
+            sid: record for sid, record in records.items() if record != row_major[sid]
+        }
+    elif section == "parent":
         golden["parent"] = records
     elif section == "fixed":
         golden["fixed"] = {
@@ -693,7 +732,7 @@ def _regenerate(section: str) -> None:
             for sid, record in records.items()
             if record != golden["fixed"].get(sid, golden["parent"][sid])
         }
-    else:
+    elif section == "projection":
         golden["projection"] = {
             sid: record
             for sid, record in records.items()

@@ -16,7 +16,11 @@ change, while batches were still built as that list
 * ``"snapshots"`` — each provider's snapshot file once that transaction
   reached one provider only (killed mid-round).
 
-Nothing may move, except the snapshots by one declared delta: when
+Nothing may move, except by two declared deltas.  When share rows went
+column-major on the wire, the upload's bytes and modelled clock fell;
+the ``"column_major"`` entry holds its record (``PYTHONPATH=src python -m
+tests.client.test_upload_bytes column_major`` rewrites only that entry),
+and sized as the row-major list the record is the parent's.  And when
 ``txn_prepare`` + ``txn_commit`` became one ``txn_apply`` round, providers
 stopped staging transactions, so each file is the parent's with its
 ``"staged_txns"`` entry dropped (empty at the provider that applied the
@@ -38,6 +42,7 @@ from repro.persistence import provider_from_dict, provider_to_dict, save_deploym
 from repro.sqlengine.query import Insert
 from repro.txn import TransactionManager
 from tests.client.test_load_path import ledger_rows, ledger_schema
+from tests.column_major import sized_row_major
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "upload_bytes_golden.json")
 SEED = 28
@@ -108,7 +113,22 @@ def _golden() -> dict:
 
 
 def test_an_insert_sends_the_parents_bytes():
-    assert network_record() == _golden()["network"]
+    """Sized as the row-major lists the parent sent, the upload is the
+    parent's record; column-major, the ``"column_major"`` record: the
+    same messages per link, fewer bytes on every upload link."""
+    golden = _golden()
+    with sized_row_major():
+        assert network_record() == golden["network"]
+    record = network_record()
+    assert record == golden["column_major"]
+    parent = golden["network"]
+    assert record["messages"] == parent["messages"] and record["bytes"] < parent["bytes"]
+    assert record["modelled_seconds"] < parent["modelled_seconds"]
+    for link, (messages, size) in record["links"].items():
+        assert messages == parent["links"][link][0]
+        assert size < parent["links"][link][1] if link.startswith("client->") else size == (
+            parent["links"][link][1]
+        )
 
 
 def test_a_transactional_insert_logs_the_parents_frame(tmp_path):
@@ -130,7 +150,13 @@ def test_an_old_snapshot_with_staged_txns_loads_without_them(tmp_path):
     assert provider_to_dict(provider_from_dict(old)) == current
 
 
-if __name__ == "__main__":  # at the parent commit only
+if __name__ == "__main__" and sys.argv[1:] == ["column_major"]:
+    golden = _golden()
+    golden["column_major"] = network_record()
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+elif __name__ == "__main__":  # at the parent commit only
     import tempfile
 
     with tempfile.TemporaryDirectory() as wal_dir, tempfile.TemporaryDirectory() as snap_dir:

@@ -23,8 +23,11 @@ a third time, when hash maps started placing rows by their partition key
 instead of their row id (section ``"key_placement"``; the formula is
 ``test_key_placement_moves_only_placement``'s).  Records in which a
 write took its matches from the row cache, skipping a read round, were
-re-based last (section ``"cached_matches"``; the formula is
-``test_cached_matches_skip_exactly_their_read_rounds``').
+re-based next (section ``"cached_matches"``; the formula is
+``test_cached_matches_skip_exactly_their_read_rounds``').  Records that
+send share rows were re-based last, when share rows went column-major on
+the wire (section ``"column_major"``; the formula is
+``test_column_major_moves_by_the_declared_formula``').
 
 Regenerate (only on purpose)::
 
@@ -33,6 +36,7 @@ Regenerate (only on purpose)::
     PYTHONPATH=src python tests/client/test_write_pipeline.py one_round_commit
     PYTHONPATH=src python tests/client/test_write_pipeline.py key_placement
     PYTHONPATH=src python tests/client/test_write_pipeline.py cached_matches
+    PYTHONPATH=src python tests/client/test_write_pipeline.py column_major
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
 from repro.trust.auditing import AuditRegistry
 from repro.txn import ShardedTransactionManager, TransactionManager
+from tests.column_major import assert_only_bytes_and_clock_fell, sized_row_major
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "write_pipeline_golden.json")
 SEED = 15
@@ -402,6 +407,9 @@ def test_write_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
     golden = _load_golden()
     record = run_scenario(scenario_id, str(tmp_path))
     assert record.get("matches_oracle") is True or "raised" in record, record
+    if scenario_id in golden["column_major"]:
+        assert record == golden["column_major"][scenario_id]
+        return
     if scenario_id in golden["cached_matches"]:
         assert record == golden["cached_matches"][scenario_id]
         return
@@ -578,6 +586,21 @@ def test_cached_matches_skip_exactly_their_read_rounds(scenario_id):
     assert skipped == CACHED_MATCHES[shape]
 
 
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["column_major"]))
+def test_column_major_moves_by_the_declared_formula(scenario_id, tmp_path):
+    """Share rows name their columns once: a re-based record is the
+    record before it with every ``ShareRows`` it sent
+    (n − 1)(8 + 2C + L) + 4 bytes smaller (``tests.column_major``).  Run
+    with that surplus added back, the scenario gives the record before
+    exactly; only bytes and the modelled clock moved, and only down."""
+    golden = _load_golden()
+    after = golden["column_major"][scenario_id]
+    before = golden["cached_matches"].get(scenario_id) or _placed_base(golden, scenario_id)
+    with sized_row_major():
+        assert run_scenario(scenario_id, str(tmp_path)) == before
+    assert_only_bytes_and_clock_fell(before, after)
+
+
 def _regenerate(section: str) -> None:
     import tempfile
 
@@ -585,14 +608,23 @@ def _regenerate(section: str) -> None:
         _load_golden() if os.path.exists(GOLDEN_PATH)
         else {
             "parent": {}, "fixed": {}, "one_round_commit": {}, "key_placement": {},
-            "cached_matches": {},
+            "cached_matches": {}, "column_major": {},
         }
     )
     records: Dict[str, object] = {}
     for scenario_id in sorted(SCENARIOS):
         with tempfile.TemporaryDirectory() as wal_dir:
             records[scenario_id] = run_scenario(scenario_id, wal_dir)
-    if section == "parent":
+    if section == "column_major":
+        row_major: Dict[str, object] = {}
+        with sized_row_major():
+            for scenario_id in sorted(SCENARIOS):
+                with tempfile.TemporaryDirectory() as wal_dir:
+                    row_major[scenario_id] = run_scenario(scenario_id, wal_dir)
+        golden["column_major"] = {
+            sid: record for sid, record in records.items() if record != row_major[sid]
+        }
+    elif section == "parent":
         golden["parent"] = records
     elif section == "fixed":
         golden["fixed"] = {
@@ -612,7 +644,7 @@ def _regenerate(section: str) -> None:
             for sid, record in records.items()
             if "hash" in sid.split("/")[0] and record != _committed_base(golden, sid)
         }
-    else:
+    elif section == "cached_matches":
         golden["cached_matches"] = {
             sid: record
             for sid, record in records.items()

@@ -11,7 +11,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Set
 
-from repro.sim.network import measure_bytes
+from repro.sim import wire
+from repro.sim.network import ShareRows, measure_bytes
+from tests.column_major import row_major_surplus
 
 
 class ProjectionWire:
@@ -22,10 +24,16 @@ class ProjectionWire:
     * ``gained`` — the request bytes the projection adds: a ``select``
       sends its tuple where the full-row read sends ``None`` (one byte),
       a join side sends its field, which the full-row join leaves out;
-    * ``lost`` — the response bytes it leaves out: per row returned, per
-      column left out, the column name and its share as the wire sizes
-      them (``4 + len(name) + share magnitude bytes``), read from the
-      provider's store when it answers;
+    * ``lost`` — the response bytes it leaves out, as the wire carries
+      share rows: ``len(wire.encode(...))`` of the response's rows read
+      with every column, less that of the rows it got — per response
+      with rows, per dropped column, its name once (``2 + len(name)``)
+      and its cells (``2 +`` share magnitude bytes, one byte a NULL);
+    * ``surplus`` — what ``lost`` was more when share rows were sized
+      as the row-major list they stand for (the records of the goldens'
+      ``projection`` section were): the dropped columns' names and
+      headers again in every row after the first
+      (:func:`tests.column_major.row_major_surplus`);
     * ``rows`` / ``dropped`` — per table, the row ids returned and the
       columns left out, over all such requests; ``cells`` — the dropped
       cells of those rows, which the client no longer interpolates.
@@ -34,6 +42,7 @@ class ProjectionWire:
     def __init__(self, providers) -> None:
         self.gained = 0
         self.lost = 0
+        self.surplus = 0
         self.rows: Dict[str, Set[int]] = defaultdict(set)
         self.dropped: Dict[str, Set[str]] = defaultdict(set)
         for provider in providers:
@@ -72,7 +81,17 @@ class ProjectionWire:
         dropped = [column for column in table.columns if column not in projection]
         self.rows[name].update(rows.row_ids)
         self.dropped[name].update(dropped)
-        for _, shares in table.gather(rows.row_ids, table.slots_for(rows.row_ids), dropped):
-            self.lost += sum(
-                measure_bytes(column) + measure_bytes(shares[column]) for column in dropped
-            )
+        if not dropped:
+            return
+        # the rows again with every column, in the table's column order
+        held = dict(zip(rows.columns, rows.shares))
+        dropped_shares = dict(zip(dropped, zip(*(
+            [shares[column] for column in dropped]
+            for _, shares in table.gather(rows.row_ids, table.slots_for(rows.row_ids), dropped)
+        )))) if len(rows) else {column: () for column in dropped}
+        full = ShareRows(
+            rows.row_ids, tuple(table.columns),
+            [held.get(column, dropped_shares.get(column)) for column in table.columns],
+        )
+        self.lost += len(wire.encode(full)) - len(wire.encode(rows))
+        self.surplus += row_major_surplus(full) - row_major_surplus(rows)

@@ -1,8 +1,10 @@
 """Guards for the column-major share-row carrier (ISSUE-19).
 
 * Every row-returning RPC answers with a :class:`ShareRows`, on both
-  provider engines and inside ``batch``, and an empty match still sizes
-  to the row-major empty list's byte count.
+  provider engines and inside ``batch``, sized as its column-major
+  encoding (``repro.sim.wire``) — the row-major list it stands for less
+  ``tests.column_major.row_major_surplus`` — and an empty match still
+  sizes to the row-major empty list's byte count.
 * The fault RNG stream is pinned: OMIT draws one number per row in row
   order and TAMPER one per non-NULL share in row-then-column order, so
   ``fault_stream_golden.json`` — captured at the parent commit
@@ -22,7 +24,9 @@ import pytest
 from repro.core import kernels
 from repro.providers.failures import Fault, FailureMode
 from repro.providers.provider import ShareProvider
+from repro.sim import wire
 from repro.sim.network import measure_bytes
+from tests.column_major import row_major_surplus
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "fault_stream_golden.json")
 
@@ -175,9 +179,10 @@ def test_every_row_returning_rpc_answers_with_share_rows(backend):
             for answer in answers:
                 rows = answer["rows"]
                 assert type(rows) is ShareRows, name
+                assert measure_bytes(answer) == len(wire.encode(answer)), name
                 assert measure_bytes(answer) == measure_bytes(
                     {"rows": [(rid, dict(values)) for rid, values in rows]}
-                ), name
+                ) - row_major_surplus(rows), name
     finally:
         kernels.set_kernel_backend(previous)
 

@@ -42,12 +42,20 @@ the record before it by what :class:`~tests.projection_wire.ProjectionWire`
 counts.  The joins and the aggregates that fetch rows joined that section
 when they began doing the same.
 
+When share rows went column-major on the wire, every record that sends
+them was re-based into a ``column_major`` section;
+``test_column_major_moves_by_the_declared_formula`` re-runs each with the
+row-major surplus added back and requires what the sections before it
+accept.
+
 Regenerate (only on purpose: ``parent`` at the parent commit,
-``key_placement`` / ``projection`` at the commit that moves them)::
+``key_placement`` / ``projection`` / ``column_major`` at the commit that
+moves them)::
 
     PYTHONPATH=src python -m tests.sharding.test_router_pipeline parent
     PYTHONPATH=src python -m tests.sharding.test_router_pipeline key_placement
     PYTHONPATH=src python -m tests.sharding.test_router_pipeline projection
+    PYTHONPATH=src python -m tests.sharding.test_router_pipeline column_major
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from repro.sim.network import LatencyModel
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
+from tests.column_major import assert_only_bytes_and_clock_fell, sized_row_major
 from tests.projection_wire import ProjectionWire
 from tests.sharding.shardutil import (
     THRESHOLD,
@@ -372,13 +381,23 @@ def _accounting_only(record: Dict[str, object]) -> Dict[str, object]:
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_router_matches_oracle_and_parent_accounting(scenario_id):
     golden = _load_golden()
-    parent = golden["parent"][scenario_id]
     record = run_scenario(scenario_id)
-    variant, shape = scenario_id.rsplit("/", 1)
     assert record["matches_oracle"] is True, record
     # the result-order contract: the same ordered list as the oracle, on
     # every deployment shape
     assert record["ordered"] is True, record
+    if scenario_id in golden["column_major"]:
+        assert record == golden["column_major"][scenario_id]
+        return
+    _assert_before_column_major(golden, scenario_id, record)
+
+
+def _assert_before_column_major(golden, scenario_id: str, record) -> None:
+    """``record`` is what the scenario gave before share rows went
+    column-major: its ``projection`` or ``key_placement`` record, or the
+    parent's moved by exactly the declared deltas."""
+    parent = golden["parent"][scenario_id]
+    variant, shape = scenario_id.rsplit("/", 1)
     for section in ("projection", "key_placement"):
         if scenario_id in golden[section]:
             assert record == golden[section][scenario_id]
@@ -428,10 +447,25 @@ def _assert_row_cache_delta(record, parent, interpolate: List[int]) -> None:
     assert record == parent
 
 
+@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["column_major"]))
+def test_column_major_moves_by_the_declared_formula(scenario_id):
+    """Share rows name their columns once: a re-based record is the
+    record before it with every ``ShareRows`` it sent
+    (n − 1)(8 + 2C + L) + 4 bytes smaller (``tests.column_major``).  Run
+    with that surplus added back, the scenario gives what it gave before
+    exactly; only bytes and the modelled clock moved, and only down."""
+    golden = _load_golden()
+    with sized_row_major():
+        before = run_scenario(scenario_id)
+    _assert_before_column_major(golden, scenario_id, json.loads(json.dumps(before)))
+    assert_only_bytes_and_clock_fell(before, golden["column_major"][scenario_id])
+
+
 def test_golden_covers_exactly_the_scenarios():
     golden = _load_golden()
     assert set(golden["parent"]) == set(SCENARIOS)
     assert set(golden["projection"]) <= set(SCENARIOS)
+    assert set(golden["column_major"]) <= set(SCENARIOS)
     for scenario_id, record in golden["key_placement"].items():
         assert VARIANTS[scenario_id.rsplit("/", 1)[0]][0] == "hash", scenario_id
         assert record != golden["parent"][scenario_id], "stale key_placement entry"
@@ -546,7 +580,8 @@ def test_projection_moves_only_the_dropped_columns(scenario_id):
     now = golden["projection"][scenario_id]
     before = _record_before_projection(golden, scenario_id)
     wires: List[ProjectionWire] = []
-    assert run_scenario(scenario_id, wires) == now
+    with sized_row_major():  # the sizes the section's records were taken at
+        assert run_scenario(scenario_id, wires) == now
     assert now["matches_oracle"] is now["ordered"] is True
     if before["ordered"]:
         assert now["result"] == before["result"]
@@ -554,11 +589,14 @@ def test_projection_moves_only_the_dropped_columns(scenario_id):
     assert any(wire.gained for wire in wires)
     variant, shape = scenario_id.rsplit("/", 1)
     script = shape == "session_script"
-    refused = _refused_scan(variant) if script else [dict.fromkeys(("bytes", "messages"), 0)] * 2
+    with sized_row_major():
+        refused = (
+            _refused_scan(variant) if script else [dict.fromkeys(("bytes", "messages"), 0)] * 2
+        )
     for group, was, wire, scan in zip(now["groups"], before["groups"], wires, refused):
-        assert was["bytes"] - group["bytes"] == wire.lost - wire.gained + scan["bytes"]
+        assert was["bytes"] - group["bytes"] == wire.lost + wire.surplus - wire.gained + scan["bytes"]
         assert was["messages"] - group["messages"] == scan["messages"]
-        if wire.lost > wire.gained or scan["messages"]:
+        if wire.lost + wire.surplus > wire.gained or scan["messages"]:
             assert group["modelled_seconds"] < was["modelled_seconds"]
         assert group["providers"] == was["providers"]
         client, was_client = dict(group["client"]), dict(was["client"])
@@ -579,7 +617,13 @@ def _regenerate(section: str) -> None:
     golden = _load_golden()
     wires = {sid: [] for sid in SCENARIOS}
     records = {sid: run_scenario(sid, wires[sid]) for sid in sorted(SCENARIOS)}
-    if section == "parent":
+    if section == "column_major":
+        with sized_row_major():
+            row_major = {sid: run_scenario(sid) for sid in sorted(SCENARIOS)}
+        golden["column_major"] = {
+            sid: record for sid, record in records.items() if record != row_major[sid]
+        }
+    elif section == "parent":
         golden["parent"] = records
     elif section == "projection":
         golden["projection"] = {
@@ -587,7 +631,7 @@ def _regenerate(section: str) -> None:
             for sid, record in records.items()
             if any(wire.gained for wire in wires[sid])
         }
-    else:
+    elif section == "key_placement":
         golden["key_placement"] = {
             sid: record
             for sid, record in records.items()
