@@ -80,26 +80,19 @@ class Codec(Generic[V]):
         """Encode (and so validate) a whole column, the write-path twin of
         :meth:`decode_many`: ``[encode(v) for v in values]``, the first bad
         value raising a :class:`ColumnEncodingError` with its position."""
-        with telemetry.span("codec.encode_many", codec=type(self).__name__):
-            return self._encode_many(values)
-
-    def _encode_many(self, values: Sequence[V]) -> List[int]:
         return _encode_each(self.encode, values)
 
     def decode(self, number: int) -> V:
         raise NotImplementedError
 
+    @telemetry.spanned("codec.decode_many")
     def decode_many(self, numbers: Sequence[int]) -> List[V]:
         """Decode a whole column: ``[decode(n) for n in numbers]``.
 
-        Codecs on the read path override :meth:`_decode_many` to hoist
-        per-call work out of the loop; every cell is still range-checked
-        and the first bad one raises what :meth:`decode` raises for it.
+        Codecs on the read path override this to hoist per-call work out
+        of the loop; every cell is still range-checked and the first bad
+        one raises what :meth:`decode` raises for it.
         """
-        with telemetry.span("codec.decode_many", codec=type(self).__name__):
-            return self._decode_many(numbers)
-
-    def _decode_many(self, numbers: Sequence[int]) -> List[V]:
         return [self.decode(number) for number in numbers]
 
 
@@ -135,7 +128,8 @@ class IntegerCodec(Codec[int]):
             )
         return number
 
-    def _decode_many(self, numbers: Sequence[int]) -> List[int]:
+    @telemetry.spanned("codec.decode_many")
+    def decode_many(self, numbers: Sequence[int]) -> List[int]:
         lo, hi = self.lo, self.hi
         for number in numbers:
             if not lo <= number <= hi:
@@ -232,7 +226,7 @@ class StringCodec(Codec[str]):
         # right-padding with ``*`` (digit 0) is a shift
         return number * base ** (self.width - len(canonical))
 
-    def _encode_many(self, values: Sequence[str]) -> List[int]:
+    def encode_many(self, values: Sequence[str]) -> List[int]:
         # loaded columns repeat values (names, departments): each distinct
         # string is validated and enumerated once per call
         encoded: Dict[str, int] = {}
@@ -260,7 +254,8 @@ class StringCodec(Codec[str]):
             chunks.append(self.alphabet[number])
         return "".join(reversed(chunks)).rstrip(PAD_CHAR)
 
-    def _decode_many(self, numbers: Sequence[int]) -> List[str]:
+    @telemetry.spanned("codec.decode_many")
+    def decode_many(self, numbers: Sequence[int]) -> List[str]:
         # result columns repeat values (names, departments): each distinct
         # number is checked and expanded once per call
         decoded: dict = {}

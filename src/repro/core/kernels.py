@@ -390,6 +390,7 @@ def _batch_reconstruct_scalar(
     return out
 
 
+@telemetry.spanned("kernels.batch_reconstruct")
 def batch_reconstruct(
     field: PrimeField,
     xs: Sequence[int],
@@ -402,21 +403,20 @@ def batch_reconstruct(
     column of a result set, and with the numpy backend the column runs as
     one vectorized GF(p) dot product.
     """
-    with telemetry.span("kernels.batch_reconstruct", cells=len(share_vectors)):
-        telemetry.observe("kernels.batch_reconstruct_cells", len(share_vectors))
-        weights = lagrange_weights(field, xs)
-        if (
-            len(share_vectors) >= VECTOR_MIN_BATCH
-            and _use_numpy()
-        ):
-            vectorized = _batch_reconstruct_numpy(
-                field.modulus, weights, share_vectors
-            )
-            if vectorized is not None:
-                _STATS.vector_reconstruct_cells += len(share_vectors)
-                return vectorized
-        _STATS.scalar_reconstruct_cells += len(share_vectors)
-        return _batch_reconstruct_scalar(field.modulus, weights, share_vectors)
+    telemetry.observe("kernels.batch_reconstruct_cells", len(share_vectors))
+    weights = lagrange_weights(field, xs)
+    if (
+        len(share_vectors) >= VECTOR_MIN_BATCH
+        and _use_numpy()
+    ):
+        vectorized = _batch_reconstruct_numpy(
+            field.modulus, weights, share_vectors
+        )
+        if vectorized is not None:
+            _STATS.vector_reconstruct_cells += len(share_vectors)
+            return vectorized
+    _STATS.scalar_reconstruct_cells += len(share_vectors)
+    return _batch_reconstruct_scalar(field.modulus, weights, share_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +474,7 @@ def _exact_quotient(total: int, denominator: int) -> int:
     return value
 
 
+@telemetry.spanned("kernels.batch_reconstruct_integer")
 def batch_reconstruct_integer(
     xs: Sequence[int], share_columns: Sequence[Sequence[int]]
 ) -> List[int]:
@@ -494,26 +495,25 @@ def batch_reconstruct_integer(
     cell is one :func:`reconstruct_integer`-style dot product.  Same
     values, same error, either way.
     """
-    with telemetry.span("kernels.batch_reconstruct_integer"):
-        numerators, denominator = integer_lagrange_weights(xs)
-        n_cells = len(share_columns[0])
-        _STATS.scalar_reconstruct_cells += n_cells
-        if n_cells < VECTOR_MIN_BATCH:
-            return [
-                _exact_quotient(sum(map(mul, numerators, cell)), denominator)
-                for cell in zip(*share_columns)
-            ]
-        sums = None
-        for numerator, shares in zip(numerators, share_columns):
-            scaled = map(mul, shares, repeat(numerator))
-            sums = scaled if sums is None else map(add, sums, scaled)
-        totals = list(sums)
-        values = list(map(floordiv, totals, repeat(denominator)))
-        # D > 0, so every floor-division remainder lies in [0, D): the sums
-        # agree exactly when every cell divided exactly
-        if sum(totals) != denominator * sum(values):
-            _exact_quotient(next(t for t in totals if t % denominator), denominator)
-        return values
+    numerators, denominator = integer_lagrange_weights(xs)
+    n_cells = len(share_columns[0])
+    _STATS.scalar_reconstruct_cells += n_cells
+    if n_cells < VECTOR_MIN_BATCH:
+        return [
+            _exact_quotient(sum(map(mul, numerators, cell)), denominator)
+            for cell in zip(*share_columns)
+        ]
+    sums = None
+    for numerator, shares in zip(numerators, share_columns):
+        scaled = map(mul, shares, repeat(numerator))
+        sums = scaled if sums is None else map(add, sums, scaled)
+    totals = list(sums)
+    values = list(map(floordiv, totals, repeat(denominator)))
+    # D > 0, so every floor-division remainder lies in [0, D): the sums
+    # agree exactly when every cell divided exactly
+    if sum(totals) != denominator * sum(values):
+        _exact_quotient(next(t for t in totals if t % denominator), denominator)
+    return values
 
 
 def reconstruct_integer(xs: Sequence[int], ys: Sequence[int]) -> int:
@@ -554,6 +554,7 @@ class SplitKernel:
             out.append(acc if modulus is None else acc % modulus)
         return out
 
+    @telemetry.spanned("kernels.evaluate_columns")
     def evaluate_columns(self, columns: Sequence[Sequence[int]]) -> List[List[int]]:
         """Shares for many values given column-major: ``columns[d][r]`` is
         value r's degree-d coefficient; result[i][r] is value r's share at
@@ -562,18 +563,17 @@ class SplitKernel:
         Horner over whole columns in Python ints, reduced once at the end
         for the random scheme, bit-identical to :meth:`evaluate` per value.
         """
-        with telemetry.span("kernels.evaluate_columns"):
-            count = len(columns[0])
-            telemetry.observe("kernels.split_values", count)
-            _STATS.scalar_split_values += count
-            modulus = self.modulus
-            out: List[List[int]] = []
-            for x in self.points:
-                acc = list(columns[-1])
-                for column in columns[-2::-1]:
-                    acc = [a * x + c for a, c in zip(acc, column)]
-                out.append(acc if modulus is None else [a % modulus for a in acc])
-            return out
+        count = len(columns[0])
+        telemetry.observe("kernels.split_values", count)
+        _STATS.scalar_split_values += count
+        modulus = self.modulus
+        out: List[List[int]] = []
+        for x in self.points:
+            acc = list(columns[-1])
+            for column in columns[-2::-1]:
+                acc = [a * x + c for a, c in zip(acc, column)]
+            out.append(acc if modulus is None else [a % modulus for a in acc])
+        return out
 
 
 # ---------------------------------------------------------------------------

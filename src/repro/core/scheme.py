@@ -169,6 +169,7 @@ class TableSharing:
         of their :meth:`TableSchema.encode_rows`."""
         return self.share_encoded(self.schema.encode_rows(rows), row_ids)
 
+    @telemetry.spanned("scheme.share_encoded")
     def share_encoded(
         self, encoded: Dict[str, List[Optional[int]]], row_ids: Sequence[int]
     ) -> List[ShareRows]:
@@ -190,49 +191,48 @@ class TableSharing:
         ``split_columns`` whose per-provider lists each column takes every
         ``width``-th share of; a NULL cell draws nothing.
         """
-        with telemetry.span("scheme.share_encoded", table=self.schema.name, rows=len(row_ids)):
-            n = self.n_providers
-            names = tuple(encoded)
-            row_ids = list(row_ids)
-            if not row_ids:
-                return [ShareRows(row_ids, names, [()] * len(names)) for _ in range(n)]
-            #: column → per provider, its shares of the column
-            by_provider: Dict[str, Sequence[Sequence[Optional[int]]]] = {}
-            random_columns = [name for name in names if name not in self._op]
-            if random_columns:
-                encode_signed = self.random_scheme.field.encode_signed
-                # row-major, the order the RNG stream is drawn in
-                flat = [v for row in zip(*[encoded[name] for name in random_columns]) for v in row]
-                shared = self.random_scheme.split_columns(
-                    [encode_signed(v) for v in flat if v is not None], self._rng
-                )
-                if None in flat:
-                    shared = [
-                        [None if v is None else next(drawn) for v in flat]
-                        for drawn in map(iter, shared)
-                    ]
-                width = len(random_columns)
-                for offset, name in enumerate(random_columns):
-                    by_provider[name] = [shares[offset::width] for shares in shared]
-            for name in names:
-                scheme = self._op.get(name)
-                if scheme is None:
-                    continue
-                numbers = encoded[name]
-                distinct = dict.fromkeys(numbers)
-                if len(distinct) == len(numbers) and None not in distinct:
-                    by_provider[name] = scheme.split_columns(numbers)
-                    continue
-                distinct.pop(None, None)
-                keys = list(distinct)
-                by_provider[name] = [
-                    list(map(dict(zip(keys, shares)).get, numbers))
-                    for shares in scheme.split_columns(keys)
+        n = self.n_providers
+        names = tuple(encoded)
+        row_ids = list(row_ids)
+        if not row_ids:
+            return [ShareRows(row_ids, names, [()] * len(names)) for _ in range(n)]
+        #: column → per provider, its shares of the column
+        by_provider: Dict[str, Sequence[Sequence[Optional[int]]]] = {}
+        random_columns = [name for name in names if name not in self._op]
+        if random_columns:
+            encode_signed = self.random_scheme.field.encode_signed
+            # row-major, the order the RNG stream is drawn in
+            flat = [v for row in zip(*[encoded[name] for name in random_columns]) for v in row]
+            shared = self.random_scheme.split_columns(
+                [encode_signed(v) for v in flat if v is not None], self._rng
+            )
+            if None in flat:
+                shared = [
+                    [None if v is None else next(drawn) for v in flat]
+                    for drawn in map(iter, shared)
                 ]
-            return [
-                ShareRows(row_ids, names, [by_provider[name][i] for name in names])
-                for i in range(n)
+            width = len(random_columns)
+            for offset, name in enumerate(random_columns):
+                by_provider[name] = [shares[offset::width] for shares in shared]
+        for name in names:
+            scheme = self._op.get(name)
+            if scheme is None:
+                continue
+            numbers = encoded[name]
+            distinct = dict.fromkeys(numbers)
+            if len(distinct) == len(numbers) and None not in distinct:
+                by_provider[name] = scheme.split_columns(numbers)
+                continue
+            distinct.pop(None, None)
+            keys = list(distinct)
+            by_provider[name] = [
+                list(map(dict(zip(keys, shares)).get, numbers))
+                for shares in scheme.split_columns(keys)
             ]
+        return [
+            ShareRows(row_ids, names, [by_provider[name][i] for name in names])
+            for i in range(n)
+        ]
 
     # -- query-time share computation (Sec. V-A rewriting) ------------------------
 

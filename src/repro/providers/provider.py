@@ -381,6 +381,7 @@ class ShareProvider:
 
     # -- RPC dispatch -------------------------------------------------------------
 
+    @telemetry.spanned("provider.handle")
     def handle(self, method: str, request: Dict) -> Dict:
         """Execute one RPC; payloads in and out are wire-primitive dicts.
 
@@ -390,12 +391,11 @@ class ShareProvider:
         threads; they are commutative increments, so totals stay
         deterministic per seed regardless of pool scheduling.
         """
-        with telemetry.span("provider.handle", provider=self.name, method=method):
-            self._check_available()
-            handler = self._handler(method, request)
-            self.requests_served += 1
-            telemetry.count("provider.requests", provider=self.name, method=method)
-            return handler(request)
+        self._check_available()
+        handler = self._handler(method, request)
+        self.requests_served += 1
+        telemetry.count("provider.requests", provider=self.name, method=method)
+        return handler(request)
 
     def _handler(self, method: str, request: Dict, methods=WIRE):
         """The handler of a request naming one of ``methods`` in the form

@@ -659,6 +659,7 @@ class ShareTable:
             self._refuse_row_ids(row_ids, held=True)
         return slots
 
+    @telemetry.spanned("storage.insert_many")
     def insert_many(self, rows: ShareRows, epoch: Optional[int] = None) -> int:
         """Insert one column-major batch — one ``extend`` per column array,
         one :meth:`SortedShareIndex.bulk_load` per index, one ``insert``
@@ -667,36 +668,36 @@ class ShareTable:
         The epoch is stamped before any row moves, as every mutator
         stamps it, so an epoch that does not compare refuses the batch
         whole too."""
-        with telemetry.span("storage.insert_many", table=self.name):
-            ids = rows.row_ids
-            given = dict(zip(rows.columns, rows.shares))
-            for column, shares in given.items():
-                if len(shares) != len(ids):
-                    raise ProviderError(
-                        f"table {self.name}: column {column!r} holds {len(shares)} "
-                        f"shares for {len(ids)} rows"
-                    )
-            self._refuse_row_ids(ids, held=False)
-            self._refuse_columns(given)
-            for column, shares in given.items():
-                self._refuse_unkeyable(column, shares)
-            stamped = self._note_epoch(epoch)
-            count = len(ids)
-            base = len(self._row_ids)
-            self._row_ids.extend(ids)
-            self._slots.update(zip(ids, range(base, base + count)))
-            nulls = (None,) * count
-            for column in self.columns:
-                shares = given.get(column, nulls)
-                self._column_data[column].extend(shares)
-                index = self.indexes.get(column)
-                if index is not None:
-                    index.bulk_load(shares, ids)
-            self.version += count
-            # one (epoch, "insert", row_id, None) undo record per row
-            self.history.extend(zip(repeat(stamped), repeat("insert"), ids, repeat(None)))
-            return count
+        ids = rows.row_ids
+        given = dict(zip(rows.columns, rows.shares))
+        for column, shares in given.items():
+            if len(shares) != len(ids):
+                raise ProviderError(
+                    f"table {self.name}: column {column!r} holds {len(shares)} "
+                    f"shares for {len(ids)} rows"
+                )
+        self._refuse_row_ids(ids, held=False)
+        self._refuse_columns(given)
+        for column, shares in given.items():
+            self._refuse_unkeyable(column, shares)
+        stamped = self._note_epoch(epoch)
+        count = len(ids)
+        base = len(self._row_ids)
+        self._row_ids.extend(ids)
+        self._slots.update(zip(ids, range(base, base + count)))
+        nulls = (None,) * count
+        for column in self.columns:
+            shares = given.get(column, nulls)
+            self._column_data[column].extend(shares)
+            index = self.indexes.get(column)
+            if index is not None:
+                index.bulk_load(shares, ids)
+        self.version += count
+        # one (epoch, "insert", row_id, None) undo record per row
+        self.history.extend(zip(repeat(stamped), repeat("insert"), ids, repeat(None)))
+        return count
 
+    @telemetry.spanned("storage.update_rows")
     def update_rows(
         self,
         updates: Sequence,
@@ -710,35 +711,34 @@ class ShareTable:
         ``slots`` are the rows' slots when the caller resolved them
         already through :meth:`write_slots` (``increment_rows``), so each
         row id is checked once."""
-        with telemetry.span("storage.update_rows", table=self.name):
-            if slots is None:
-                slots = self.write_slots(list(map(itemgetter(0), updates)))
-            named = set(chain.from_iterable(map(itemgetter(1), updates)))
-            if not named <= self._column_set:
-                self._refuse_columns(
-                    next(c for _, c in updates if not c.keys() <= self._column_set)
-                )
-            keyed = not named.isdisjoint(self.indexes)
-            if keyed:
-                for _, cells in updates:
-                    for column, share in cells.items():
-                        self._refuse_unkeyable(column, (share,))
-            if not updates:
-                return 0
-            stamped = self._note_epoch(epoch)
-            data, records = self._column_data, []
-            for (row_id, cells), slot in zip(updates, slots):
-                undo: ShareRow = {}
+        if slots is None:
+            slots = self.write_slots(list(map(itemgetter(0), updates)))
+        named = set(chain.from_iterable(map(itemgetter(1), updates)))
+        if not named <= self._column_set:
+            self._refuse_columns(
+                next(c for _, c in updates if not c.keys() <= self._column_set)
+            )
+        keyed = not named.isdisjoint(self.indexes)
+        if keyed:
+            for _, cells in updates:
                 for column, share in cells.items():
-                    array = data[column]
-                    undo[column] = array[slot]
-                    array[slot] = share
-                if keyed:
-                    self._reindex(row_id, undo, cells)
-                records.append((stamped, "update", row_id, undo))
-            self.history.extend(records)
-            self.version += len(records)
-            return len(records)
+                    self._refuse_unkeyable(column, (share,))
+        if not updates:
+            return 0
+        stamped = self._note_epoch(epoch)
+        data, records = self._column_data, []
+        for (row_id, cells), slot in zip(updates, slots):
+            undo: ShareRow = {}
+            for column, share in cells.items():
+                array = data[column]
+                undo[column] = array[slot]
+                array[slot] = share
+            if keyed:
+                self._reindex(row_id, undo, cells)
+            records.append((stamped, "update", row_id, undo))
+        self.history.extend(records)
+        self.version += len(records)
+        return len(records)
 
     def _reindex(self, row_id: int, old: ShareRow, new: ShareRow) -> None:
         """Move a row's entries in the indexes of the searchable columns
@@ -751,32 +751,32 @@ class ShareTable:
                 if share is not None:
                     index.insert(share, row_id)
 
+    @telemetry.spanned("storage.delete_rows")
     def delete_rows(self, row_ids: Sequence, epoch: Optional[int] = None) -> int:
         """Delete rows in request order, with one ``delete`` undo record
         per row holding the full old row — or refuse them all; returns
         how many."""
-        with telemetry.span("storage.delete_rows", table=self.name):
-            self._refuse_row_ids(row_ids, held=True)
-            if not row_ids:
-                return 0
-            stamped = self._note_epoch(epoch)
-            ids, slots, columns = self._row_ids, self._slots, self.columns
-            arrays = [self._column_data[column] for column in columns]
-            for row_id in row_ids:
-                slot = slots.pop(row_id)
-                undo = {column: array[slot] for column, array in zip(columns, arrays)}
-                for column, index in self.indexes.items():
-                    if undo[column] is not None:
-                        index.remove(undo[column], row_id)
-                last = len(ids) - 1
-                for array in (ids, *arrays):  # swap-remove: the last slot fills the hole
-                    array[slot] = array[last]
-                    array.pop()
-                if slot < last:
-                    slots[ids[slot]] = slot
-                self.history.append((stamped, "delete", row_id, undo))
-            self.version += len(row_ids)
-            return len(row_ids)
+        self._refuse_row_ids(row_ids, held=True)
+        if not row_ids:
+            return 0
+        stamped = self._note_epoch(epoch)
+        ids, slots, columns = self._row_ids, self._slots, self.columns
+        arrays = [self._column_data[column] for column in columns]
+        for row_id in row_ids:
+            slot = slots.pop(row_id)
+            undo = {column: array[slot] for column, array in zip(columns, arrays)}
+            for column, index in self.indexes.items():
+                if undo[column] is not None:
+                    index.remove(undo[column], row_id)
+            last = len(ids) - 1
+            for array in (ids, *arrays):  # swap-remove: the last slot fills the hole
+                array[slot] = array[last]
+                array.pop()
+            if slot < last:
+                slots[ids[slot]] = slot
+            self.history.append((stamped, "delete", row_id, undo))
+        self.version += len(row_ids)
+        return len(row_ids)
 
     # -- time travel ---------------------------------------------------------
 

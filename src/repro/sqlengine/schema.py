@@ -26,6 +26,7 @@ from ..core.encoding import (
     IntegerCodec,
     StringCodec,
 )
+from .. import telemetry
 from ..errors import SchemaError
 
 
@@ -179,9 +180,10 @@ class TableSchema:
     def validate_row(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate and normalise a row dict; unknown keys are rejected,
         missing nullable columns default to None."""
-        self.encode_rows([row])
+        self._encode_rows([row])  # one row: not a stage worth a span
         return {col.name: row.get(col.name) for col in self.columns}
 
+    @telemetry.spanned("codec.encode_rows")
     def encode_rows(
         self, rows: Sequence[Dict[str, object]]
     ) -> Dict[str, List[Optional[int]]]:
@@ -194,6 +196,11 @@ class TableSchema:
         column order — a rejection cuts ``rows`` down to the rows ahead of
         it, where alone a cell can still come first.
         """
+        return self._encode_rows(rows)
+
+    def _encode_rows(
+        self, rows: Sequence[Dict[str, object]]
+    ) -> Dict[str, List[Optional[int]]]:
         names = set(self.column_names)
         rejected: Optional[SchemaError] = None
         for position, row in enumerate(rows):

@@ -37,6 +37,7 @@ or imperatively with :func:`enable` / :func:`disable`.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional
 
@@ -154,6 +155,26 @@ def span(name: str, **attributes: object):
     if active is None:
         return _NULL_CONTEXT
     return active.tracer.span(name, **attributes)
+
+
+def spanned(name: str):
+    """Decorate a function so that each call runs in a span called
+    ``name`` while telemetry is on.  Off, a call costs one more frame and
+    one ``is None`` check — the stages it marks run per statement, some
+    per row."""
+
+    def decorate(function):
+        @functools.wraps(function)
+        def traced(*args, **kwargs):
+            active = _HUB
+            if active is None:
+                return function(*args, **kwargs)
+            with active.tracer.span(name):
+                return function(*args, **kwargs)
+
+        return traced
+
+    return decorate
 
 
 def annotate(**attributes: object) -> None:

@@ -17,8 +17,7 @@ reports those models, not host scheduling noise.  Beside them,
 ``wall_start`` / ``wall_end`` read :func:`time.perf_counter`, so a
 trace also says where the host's time went (``repro.cli trace
 --analyze`` prints both per stage).  The wall readings stay out of
-:meth:`Span.to_dict` unless asked for, which keeps exports
-reproducible.
+:meth:`Span.to_dict`, which keeps exports reproducible.
 
 The span stack is thread-local: spans opened on the cluster's fan-out
 pool threads would start their own roots rather than racing the client
@@ -76,19 +75,15 @@ class Span:
         """Every descendant span (including self) with the given name."""
         return [span for span in self.walk() if span.name == name]
 
-    def to_dict(self, wall: bool = False) -> Dict[str, object]:
-        """JSON-able tree; ``wall`` adds the wall-clock readings, which
-        differ run to run."""
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-able tree on the deterministic clock only: the wall-clock
+        readings differ run to run and stay out."""
         out: Dict[str, object] = {
             "name": self.name,
             "start": self.start,
             "end": self.end,
             "duration": self.duration,
         }
-        if wall:
-            out["wall_start"] = self.wall_start
-            out["wall_end"] = self.wall_end
-            out["wall_duration"] = self.wall_duration
         if self.attributes:
             out["attributes"] = {
                 k: self.attributes[k] for k in sorted(self.attributes)
@@ -96,7 +91,7 @@ class Span:
         if self.error is not None:
             out["error"] = self.error
         if self.children:
-            out["children"] = [child.to_dict(wall) for child in self.children]
+            out["children"] = [child.to_dict() for child in self.children]
         return out
 
 
