@@ -180,7 +180,8 @@ class TableSchema:
     def validate_row(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate and normalise a row dict; unknown keys are rejected,
         missing nullable columns default to None."""
-        self._encode_rows([row])  # one row: not a stage worth a span
+        # unspanned: a plaintext Table validates every row it holds here
+        self._encode_rows([row])
         return {col.name: row.get(col.name) for col in self.columns}
 
     @telemetry.spanned("codec.encode_rows")

@@ -160,8 +160,9 @@ def span(name: str, **attributes: object):
 def spanned(name: str):
     """Decorate a function so that each call runs in a span called
     ``name`` while telemetry is on.  Off, a call costs one more frame and
-    one ``is None`` check — the stages it marks run per statement, some
-    per row."""
+    one ``is None`` check, where a ``with span(...)`` block costs a call
+    with keywords and a Python ``__enter__`` / ``__exit__``: the stages
+    it marks run once per column or per RPC."""
 
     def decorate(function):
         @functools.wraps(function)

@@ -7,8 +7,12 @@ work out from under its span, fails here — and no span's children may
 take more time than the span itself, on either clock.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import DataSource, ProviderCluster, telemetry
 from repro.txn import TransactionManager
 from repro.workloads.employees import employees_table, managers_table
@@ -77,11 +81,15 @@ def traces(tmp_path_factory):
 
 
 def test_the_listed_stages_are_the_spanned_ones():
-    assert LISTED == {
-        "scheme.share_encoded", "kernels.evaluate_columns", "kernels.batch_reconstruct",
-        "kernels.batch_reconstruct_integer", "codec.encode_rows", "codec.decode_many",
-        "storage.insert_many", "storage.update_rows", "storage.delete_rows", "provider.handle",
+    """Every ``telemetry.spanned`` stage under ``src/repro`` is listed
+    with a statement that runs it, and nothing else is."""
+    root = Path(repro.__file__).parent
+    spanned = {
+        name
+        for path in root.rglob("*.py")
+        for name in re.findall(r'telemetry\.spanned\("([^"]+)"\)', path.read_text("utf-8"))
     }
+    assert spanned == LISTED
 
 
 @pytest.mark.parametrize("kind", sorted(STATEMENTS))
