@@ -180,9 +180,22 @@ class TableSchema:
     def validate_row(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate and normalise a row dict; unknown keys are rejected,
         missing nullable columns default to None."""
+        valid, rejected = self.validate_rows([row])
+        if rejected is not None:
+            raise rejected
+        return valid[0]
+
+    def validate_rows(
+        self, rows: Sequence[Dict[str, object]]
+    ) -> Tuple[List[Dict[str, object]], Optional[SchemaError]]:
+        """:meth:`validate_row` over a batch, in one encode: the normalised
+        rows ahead of the first bad one and that row's error (``None`` when
+        every row is valid) — what validating row by row accepts and
+        raises."""
         # unspanned: a plaintext Table validates every row it holds here
-        self._encode_rows([row])
-        return {col.name: row.get(col.name) for col in self.columns}
+        _, valid, rejected = self._encode_rows(rows)
+        names = self.column_names
+        return [{name: row.get(name) for name in names} for row in rows[:valid]], rejected
 
     @telemetry.spanned("codec.encode_rows")
     def encode_rows(
@@ -197,11 +210,16 @@ class TableSchema:
         column order — a rejection cuts ``rows`` down to the rows ahead of
         it, where alone a cell can still come first.
         """
-        return self._encode_rows(rows)
+        encoded, _, rejected = self._encode_rows(rows)
+        if rejected is not None:
+            raise rejected
+        return encoded
 
     def _encode_rows(
         self, rows: Sequence[Dict[str, object]]
-    ) -> Dict[str, List[Optional[int]]]:
+    ) -> Tuple[Dict[str, List[Optional[int]]], int, Optional[SchemaError]]:
+        """:meth:`encode_rows`' columns, how many rows lead up to the first
+        bad one (all of them when none is) and its error."""
         names = set(self.column_names)
         rejected: Optional[SchemaError] = None
         for position, row in enumerate(rows):
@@ -241,9 +259,7 @@ class TableSchema:
                 dense = iter(numbers)
                 numbers = [None if value is None else next(dense) for value in values]
             encoded[name] = numbers
-        if rejected is not None:
-            raise rejected
-        return encoded
+        return encoded, len(rows), rejected
 
     def decode_rows(
         self, encoded: Dict[str, List[Optional[int]]]

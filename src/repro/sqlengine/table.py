@@ -25,8 +25,7 @@ class Table:
         self._rows: List[Dict[str, object]] = []
         self._pk_index: Dict[object, int] = {}
         if rows:
-            for row in rows:
-                self.insert(row)
+            self.insert_many(rows)
 
     # -- properties -----------------------------------------------------------
 
@@ -48,25 +47,30 @@ class Table:
 
     def insert(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate and append a row; returns the normalised row."""
-        normalised = self.schema.validate_row(row)
-        pk = self.schema.primary_key
-        if pk is not None:
-            key = normalised[pk]
-            if key in self._pk_index:
-                raise SchemaError(
-                    f"table {self.name}: duplicate primary key {key!r}"
-                )
-            self._pk_index[key] = len(self._rows)
-        self._rows.append(normalised)
-        return dict(normalised)
+        self.insert_many([row])
+        return dict(self._rows[-1])
 
     def insert_many(self, rows: Iterable[Dict[str, object]]) -> int:
-        """Insert rows in order; returns the count inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Insert rows in order; returns the count inserted.
+
+        The batch is validated in one encode.  The first bad row in row
+        order — a bad cell or a duplicate primary key — raises as inserting
+        row by row would, with the rows ahead of it inserted.
+        """
+        normalised, rejected = self.schema.validate_rows(list(rows))
+        pk = self.schema.primary_key
+        for row in normalised:
+            if pk is not None:
+                key = row[pk]
+                if key in self._pk_index:
+                    raise SchemaError(
+                        f"table {self.name}: duplicate primary key {key!r}"
+                    )
+                self._pk_index[key] = len(self._rows)
+            self._rows.append(row)
+        if rejected is not None:
+            raise rejected
+        return len(normalised)
 
     def update_where(
         self, predicate: Predicate, assignments: Dict[str, object]

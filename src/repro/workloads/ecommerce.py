@@ -71,13 +71,13 @@ def clicklog_table(
     actions = rng.substream("actions")
     amounts = rng.substream("amounts")
     days = rng.substream("days")
-    table = Table(clicklog_schema())
+    rows = []
     for event_id in range(1, n_events + 1):
         action = actions.choice(EVENT_TYPES)
         amount = (
             amounts.randint(500, AMOUNT_HI) if action in ("BUY", "RETURN") else 0
         )
-        table.insert(
+        rows.append(
             {
                 "event_id": event_id,
                 "user": users[user_draw() - 1],
@@ -87,4 +87,4 @@ def clicklog_table(
                 "day": start_day + datetime.timedelta(days=days.randint(0, n_days - 1)),
             }
         )
-    return table
+    return Table(clicklog_schema(), rows)

@@ -88,23 +88,22 @@ def employees_table(
 ) -> Table:
     """Generate an Employees table with normal-clamped salaries."""
     rng = DeterministicRNG(seed, "workload/employees")
-    table = Table(employees_schema())
     salary = clamped_normal_int(
         rng.substream("salary"), salary_mean, salary_stddev, SALARY_LO, SALARY_HI
     )
     eids = distinct_ints(rng.substream("eid"), n_rows, EID_LO, EID_HI)
     names = rng.substream("names")
-    for eid in eids:
-        table.insert(
-            {
-                "eid": eid,
-                "name": names.choice(_FIRST_NAMES),
-                "lastname": names.choice(_LAST_NAMES),
-                "department": names.choice(_DEPARTMENTS),
-                "salary": salary(),
-            }
-        )
-    return table
+    rows = [
+        {
+            "eid": eid,
+            "name": names.choice(_FIRST_NAMES),
+            "lastname": names.choice(_LAST_NAMES),
+            "department": names.choice(_DEPARTMENTS),
+            "salary": salary(),
+        }
+        for eid in eids
+    ]
+    return Table(employees_schema(), rows)
 
 
 def managers_table(
@@ -116,29 +115,28 @@ def managers_table(
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     rng = DeterministicRNG(seed, "workload/managers")
-    table = Table(managers_schema())
     rows = employees.rows()
     count = max(1, int(len(rows) * fraction))
     chosen = rng.sample(rows, count)
     manager_ids = [row["eid"] for row in chosen]
     passwords = rng.substream("passwords")
-    for row in chosen:
-        table.insert(
-            {
-                "eid": row["eid"],
-                "manager_id": rng.choice(manager_ids),
-                "manager_username": (
-                    row["name"][:6]
-                    + rng.choice("ABCDEFGHIJ")
-                    + rng.choice("ABCDEFGHIJ")
-                ),
-                "password": "".join(
-                    passwords.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-                    for _ in range(8)
-                ),
-            }
-        )
-    return table
+    managers = [
+        {
+            "eid": row["eid"],
+            "manager_id": rng.choice(manager_ids),
+            "manager_username": (
+                row["name"][:6]
+                + rng.choice("ABCDEFGHIJ")
+                + rng.choice("ABCDEFGHIJ")
+            ),
+            "password": "".join(
+                passwords.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+                for _ in range(8)
+            ),
+        }
+        for row in chosen
+    ]
+    return Table(managers_schema(), managers)
 
 
 def paper_salary_table() -> Table:
@@ -151,7 +149,8 @@ def paper_salary_table() -> Table:
         ),
         primary_key="eid",
     )
-    table = Table(schema)
-    for eid, salary in enumerate([10, 20, 40, 60, 80], start=1):
-        table.insert({"eid": eid, "salary": salary})
-    return table
+    rows = [
+        {"eid": eid, "salary": salary}
+        for eid, salary in enumerate([10, 20, 40, 60, 80], start=1)
+    ]
+    return Table(schema, rows)

@@ -49,21 +49,20 @@ def medical_table(n_rows: int, seed: int = 0) -> Table:
     import datetime
 
     rng = DeterministicRNG(seed, "workload/medical")
-    table = Table(medical_schema())
     pids = distinct_ints(rng.substream("pid"), n_rows, PATIENT_ID_LO, PATIENT_ID_HI)
     age = clamped_normal_int(rng.substream("age"), 48.0, 20.0, 0, 120)
     dates = rng.substream("dates")
     base = datetime.date(2005, 1, 1)
-    for pid in pids:
-        table.insert(
-            {
-                "pid": pid,
-                "condition": rng.choice(_CONDITIONS),
-                "age": age(),
-                "admitted": base + datetime.timedelta(days=dates.randint(0, 1460)),
-            }
-        )
-    return table
+    rows = [
+        {
+            "pid": pid,
+            "condition": rng.choice(_CONDITIONS),
+            "age": age(),
+            "admitted": base + datetime.timedelta(days=dates.randint(0, 1460)),
+        }
+        for pid in pids
+    ]
+    return Table(medical_schema(), rows)
 
 
 def overlapping_patient_ids(

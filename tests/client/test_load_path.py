@@ -1,30 +1,26 @@
-"""Characterisation of the load path, before and after ISSUE-18.
+"""Characterisation of the load path.
 
-Written before the column-major ``share_rows`` / index-splice change and
-green on both sides of it.  The numbers in ``load_path_golden.json`` were
-captured at the parent commit ``3303216`` (``PYTHONPATH=src python
-tests/client/test_load_path.py`` there, before any source edit), so that
+``load_path_golden.json`` holds one current record per case, so that
 "bit-identical shares" is a tier-1 fact rather than a benchmark
 observation:
 
-* ``"load"`` — a 200-row and then a 1-row ``insert_many`` of
+* ``load/<table>/<rows>`` — a 200-row and then a 1-row ``insert_many`` of
   ``employees_table`` (every column order-preserving) and of a ledger
   with every codec type, NULLs, duplicate values and randomly-shared
-  columns: a digest of the ``rows`` payload each provider is sent, the
-  assigned row ids and the byte / message / modelled-clock / cost / epoch
-  accounting of each call;
-* ``"shares"`` — the parent's ``share_row`` output for a handful of ledger
-  rows on one seed (the random columns' RNG stream is part of it);
-* ``"rejects"`` — a batch with a bad cell at each (row, column) of a 3 x 5
-  ``Employees`` batch, and a few multi-error / ledger batches: the error
-  text, what the rejection left behind, and the row id the next insert
-  gets.
+  columns: a digest of the ``rows`` payload each provider is sent (as
+  the row-major list it stands for), the assigned row ids and the byte /
+  message / modelled-clock / cost / epoch accounting of each call;
+* ``shares`` — ``share_row`` output for a handful of ledger rows on one
+  seed (the random columns' RNG stream is part of it);
+* ``reject/<case>`` — a batch with a bad cell at each (row, column) of a
+  3 x 5 ``Employees`` batch, and a few multi-error / ledger batches: the
+  error text, what the rejection left behind, and the row id the next
+  insert gets.
 
-The one permitted difference from the parent is ``REJECT_DELTA``.  When
-share rows went column-major on the wire the loads' bytes and modelled
-clock moved once more; the ``"column_major"`` section holds their
-records (``PYTHONPATH=src python tests/client/test_load_path.py
-column_major`` rewrites only it).
+A change that moves these on purpose re-bases the file in place and puts
+the printed list of moved fields in ``CHANGES.md`` (``tests/golden.py``)::
+
+    PYTHONPATH=src python -m tests.client.test_load_path
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ import datetime
 import hashlib
 import json
 import os
-import sys
 from decimal import Decimal
 from typing import Dict, List
 
@@ -55,19 +50,11 @@ from repro.sqlengine.schema import (
     string_column,
 )
 from repro.workloads.employees import employees_schema, employees_table
-from tests.column_major import assert_only_bytes_and_clock_fell, sized_row_major
+from tests import golden
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "load_path_golden.json")
 SEED = 18
 N_PROVIDERS, THRESHOLD = 5, 3
-
-#: A rejected batch is now rejected before anything is shared, so the
-#: ``poly_eval`` the parent had already recorded for the rows ahead of the
-#: bad one (25 per row) is never spent.  Everything else a rejection
-#: leaves behind — error text, consumed row ids, epoch, network counters —
-#: is the parent's.
-REJECT_DELTA = "a rejected batch is rejected before any row of it is shared"
-
 
 def ledger_schema() -> TableSchema:
     """Every codec type, order-preserving and randomly shared, with NULLs."""
@@ -263,49 +250,58 @@ def reject_record(schema: TableSchema, rows) -> Dict[str, object]:
     return json.loads(json.dumps(record))
 
 
-def _load_golden() -> Dict[str, object]:
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+def golden_records() -> Dict[str, object]:
+    """Every record the golden holds, by its id."""
+    records: Dict[str, object] = {
+        f"load/{case}": record for case, record in load_records().items()
+    }
+    records["shares"] = share_records()
+    for case, (schema, rows) in sorted(reject_batches().items()):
+        records[f"reject/{case}"] = reject_record(schema, rows)
+    return records
+
+
+def _golden() -> Dict[str, object]:
+    return golden.load(GOLDEN_PATH)
 
 
 # ------------------------------------------------------------------- tests --
 
 
 def test_loads_send_the_parents_payloads_and_account_alike():
-    """Sized as the row-major lists the parent sent, every call accounts
-    what the parent's did; column-major, as the ``column_major`` section
-    holds it — the same record with only bytes and the modelled clock
-    lower (``tests.column_major``)."""
-    golden = _load_golden()
-    with sized_row_major():
-        assert json.loads(json.dumps(load_records())) == golden["load"]
-    assert json.loads(json.dumps(load_records())) == golden["column_major"]
-    for case, record in golden["column_major"].items():
-        assert_only_bytes_and_clock_fell(golden["load"][case], record)
+    """Every call sends the recorded payloads and accounts as recorded."""
+    records = _golden()
+    for case, record in load_records().items():
+        golden.assert_record(records, f"load/{case}", record)
 
 
 def test_share_row_draws_the_parents_shares():
-    assert json.loads(json.dumps(share_records())) == _load_golden()["shares"]
+    golden.assert_record(_golden(), "shares", share_records())
 
 
 def test_share_rows_is_the_parents_share_row_transposed():
-    golden = _load_golden()["shares"]
+    recorded = _golden()["shares"]
     by_provider = ledger_sharing().share_rows(ledger_rows(12), range(12))
     assert len(by_provider) == N_PROVIDERS
     assert [batch.row_ids for batch in by_provider] == [list(range(12))] * N_PROVIDERS
     share_rows = [[values for _, values in batch] for batch in by_provider]
-    assert json.loads(json.dumps([list(rows) for rows in zip(*share_rows)])) == golden
+    assert json.loads(json.dumps([list(rows) for rows in zip(*share_rows)])) == recorded
 
 
 @pytest.mark.parametrize("case", sorted(reject_batches()))
 def test_a_rejected_batch_raises_and_leaves_what_the_parent_does(case):
     schema, rows = reject_batches()[case]
-    parent = _load_golden()["rejects"][case]
     record = reject_record(schema, rows)
+    # refused before any row of it is shared: nothing sent, nothing spent
     assert record["sent"] == 0 and record["epoch"] == 0 and record["bytes"] == 0
-    assert record.pop("client") == {}, REJECT_DELTA
-    assert set(parent.pop("client")) <= {"poly_eval"}
-    assert record == parent
+    assert record["client"] == {}
+    golden.assert_record(_golden(), f"reject/{case}", record)
+
+
+def test_golden_covers_exactly_the_cases():
+    cases = [f"load/{case}" for case in ("employees/200", "employees/1", "ledger/200", "ledger/1")]
+    cases += ["shares"] + [f"reject/{case}" for case in reject_batches()]
+    golden.assert_flat(_golden(), cases)
 
 
 def test_batched_load_builds_the_indexes_of_a_one_shot_load():
@@ -324,22 +320,5 @@ def test_batched_load_builds_the_indexes_of_a_one_shot_load():
             assert entries == sorted(entries) and len(entries) == len(rows)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["column_major"]:
-    golden = _load_golden()
-    golden["column_major"] = load_records()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-elif __name__ == "__main__":  # at the parent commit only
-    golden = {
-        "load": load_records(),
-        "shares": share_records(),
-        "rejects": {
-            case: reject_record(schema, rows)
-            for case, (schema, rows) in sorted(reject_batches().items())
-        },
-    }
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print({section: len(records) for section, records in golden.items()})
+if __name__ == "__main__":
+    golden.rebase(GOLDEN_PATH, golden_records())

@@ -1,11 +1,9 @@
 """What an upload puts on the wire, in the WAL and in a snapshot.
 
 Insert batches travel in process as column-major ``ShareRows``; everything
-outside the process must still see the row-major list
-``[[row_id, {column: share}], ...]`` they stand for.  The numbers in
-``upload_bytes_golden.json`` were captured at the commit before that
-change, while batches were still built as that list
-(``PYTHONPATH=src python -m tests.client.test_upload_bytes`` there):
+outside the process sees the row-major list ``[[row_id, {column: share}],
+...]`` they stand for.  ``upload_bytes_golden.json`` holds one current
+record per case:
 
 * ``"network"`` — a 250-row ``insert_many`` of the ledger (every codec
   type, NULLs in five columns): bytes and messages per link and the
@@ -16,15 +14,10 @@ change, while batches were still built as that list
 * ``"snapshots"`` — each provider's snapshot file once that transaction
   reached one provider only (killed mid-round).
 
-Nothing may move, except by two declared deltas.  When share rows went
-column-major on the wire, the upload's bytes and modelled clock fell;
-the ``"column_major"`` entry holds its record (``PYTHONPATH=src python -m
-tests.client.test_upload_bytes column_major`` rewrites only that entry),
-and sized as the row-major list the record is the parent's.  And when
-``txn_prepare`` + ``txn_commit`` became one ``txn_apply`` round, providers
-stopped staging transactions, so each file is the parent's with its
-``"staged_txns"`` entry dropped (empty at the provider that applied the
-insert, the staged insert at the four others) and nothing else changed.
+A change that moves these on purpose re-bases the file in place and puts
+the printed list of moved fields in ``CHANGES.md`` (``tests/golden.py``)::
+
+    PYTHONPATH=src python -m tests.client.test_upload_bytes
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 
 import pytest
 
@@ -42,7 +34,7 @@ from repro.persistence import provider_from_dict, provider_to_dict, save_deploym
 from repro.sqlengine.query import Insert
 from repro.txn import TransactionManager
 from tests.client.test_load_path import ledger_rows, ledger_schema
-from tests.column_major import sized_row_major
+from tests import golden
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "upload_bytes_golden.json")
 SEED = 28
@@ -108,35 +100,23 @@ def snapshot_records(directory: str) -> dict:
 
 
 def _golden() -> dict:
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+    return golden.load(GOLDEN_PATH)
 
 
 def test_an_insert_sends_the_parents_bytes():
-    """Sized as the row-major lists the parent sent, the upload is the
-    parent's record; column-major, the ``"column_major"`` record: the
-    same messages per link, fewer bytes on every upload link."""
-    golden = _golden()
-    with sized_row_major():
-        assert network_record() == golden["network"]
-    record = network_record()
-    assert record == golden["column_major"]
-    parent = golden["network"]
-    assert record["messages"] == parent["messages"] and record["bytes"] < parent["bytes"]
-    assert record["modelled_seconds"] < parent["modelled_seconds"]
-    for link, (messages, size) in record["links"].items():
-        assert messages == parent["links"][link][0]
-        assert size < parent["links"][link][1] if link.startswith("client->") else size == (
-            parent["links"][link][1]
-        )
+    golden.assert_record(_golden(), "network", network_record())
 
 
 def test_a_transactional_insert_logs_the_parents_frame(tmp_path):
-    assert wal_record(str(tmp_path)) == _golden()["wal"]
+    golden.assert_record(_golden(), "wal", wal_record(str(tmp_path)))
 
 
 def test_a_mid_round_insert_snapshots_to_the_declared_bytes(tmp_path):
-    assert snapshot_records(str(tmp_path)) == _golden()["snapshots"]
+    golden.assert_record(_golden(), "snapshots", snapshot_records(str(tmp_path)))
+
+
+def test_golden_covers_exactly_the_cases():
+    golden.assert_flat(_golden(), ("network", "wal", "snapshots"))
 
 
 def test_an_old_snapshot_with_staged_txns_loads_without_them(tmp_path):
@@ -150,22 +130,12 @@ def test_an_old_snapshot_with_staged_txns_loads_without_them(tmp_path):
     assert provider_to_dict(provider_from_dict(old)) == current
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["column_major"]:
-    golden = _golden()
-    golden["column_major"] = network_record()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-elif __name__ == "__main__":  # at the parent commit only
+if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as wal_dir, tempfile.TemporaryDirectory() as snap_dir:
-        golden = {
+        golden.rebase(GOLDEN_PATH, {
             "network": network_record(),
             "wal": wal_record(wal_dir),
             "snapshots": snapshot_records(snap_dir),
-        }
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(golden, indent=1), file=sys.stderr)
+        })

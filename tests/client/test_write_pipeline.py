@@ -1,49 +1,37 @@
-"""Characterisation of every write entry point, before and after ISSUE-15.
+"""Characterisation of every write entry point.
 
-Written before the write-pipeline refactor and green on both sides of it:
-for every write shape x entry point (``DataSource`` direct,
+For every write shape x entry point (``DataSource`` direct,
 ``LazyUpdateBuffer.flush``, ``TransactionManager.execute`` /
 ``apply_batch`` / ``atomic``, ``ShardRouter`` hash + range,
 ``ShardedTransactionManager``) x deployment variant (plain, namespaced,
 audited where the path allows an audit registry, one crashed provider per
 group) the statement's result and the final table equal the plaintext
-oracle, and the byte count, message count, modelled clock, client/provider
-``CostRecorder`` snapshots, table epochs and WAL counters equal the numbers
-captured at the parent commit ``64d633f`` (``write_pipeline_golden.json``,
-section ``"parent"``).
+oracle, and the scenario's record — results, byte count, message count,
+modelled clock, client/provider ``CostRecorder`` snapshots, table epochs
+and WAL counters, or the error class of a refused statement — equals its
+record in ``write_pipeline_golden.json``, one current record per
+scenario.
 
-The only permitted differences from the parent are enumerated in
-``BUGFIX_DELTAS`` below; their post-change numbers live in the golden
-file's ``"fixed"`` section.  Every transactional record was then re-based
-once more, when a commit became one fsync and one ``txn_apply`` round
-(section ``"one_round_commit"``); ``ONE_ROUND_COMMIT`` states that delta
-as a formula and ``test_one_round_commit_moves_by_the_declared_formula``
-holds each re-based record to it.  The hash-sharded records were re-based
-a third time, when hash maps started placing rows by their partition key
-instead of their row id (section ``"key_placement"``; the formula is
-``test_key_placement_moves_only_placement``'s).  Records in which a
-write took its matches from the row cache, skipping a read round, were
-re-based next (section ``"cached_matches"``; the formula is
-``test_cached_matches_skip_exactly_their_read_rounds``').  Records that
-send share rows were re-based last, when share rows went column-major on
-the wire (section ``"column_major"``; the formula is
-``test_column_major_moves_by_the_declared_formula``').
+The formula tests tie each record to what it saves: re-run with every
+share row sized row-major (``test_column_major_moves_by_the_declared_formula``)
+or with the row cache never answering a write's match read
+(``test_cached_matches_skip_exactly_their_read_rounds``), a scenario gives
+its record plus exactly what the formula names; a manager's flush is one
+``txn_apply`` round per group
+(``test_one_round_commit_moves_by_the_declared_formula``) and a hash map
+places rows by their key (``test_key_placement_moves_only_placement``).
 
-Regenerate (only on purpose)::
+A change that moves these numbers on purpose re-bases the file in place
+and puts the printed list of moved fields in ``CHANGES.md``
+(``tests/golden.py``)::
 
-    PYTHONPATH=src python tests/client/test_write_pipeline.py parent   # at the parent commit
-    PYTHONPATH=src python tests/client/test_write_pipeline.py fixed    # after the change
-    PYTHONPATH=src python tests/client/test_write_pipeline.py one_round_commit
-    PYTHONPATH=src python tests/client/test_write_pipeline.py key_placement
-    PYTHONPATH=src python tests/client/test_write_pipeline.py cached_matches
-    PYTHONPATH=src python tests/client/test_write_pipeline.py column_major
+    PYTHONPATH=src python -m tests.client.test_write_pipeline
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 from collections import Counter
 from typing import Callable, Dict, List, Optional
 
@@ -51,11 +39,11 @@ import pytest
 
 from repro import DataSource, ProviderCluster
 from repro.client.updates import LazyUpdateBuffer
+from repro.client.rowcache import RowCache
 from repro.core.secrets import generate_client_secrets
 from repro.errors import ReproError
 from repro.providers.failures import Fault, FailureMode
 from repro.service.sharding import ShardRouter
-from repro.sim.network import LatencyModel
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
 from repro.sqlengine.query import Insert
@@ -64,54 +52,13 @@ from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
 from repro.trust.auditing import AuditRegistry
 from repro.txn import ShardedTransactionManager, TransactionManager
-from tests.column_major import assert_only_bytes_and_clock_fell, sized_row_major
+from tests import golden
+from tests.column_major import assert_moved_by_surplus, sized_row_major
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "write_pipeline_golden.json")
 SEED = 15
 N_PROVIDERS, THRESHOLD = 5, 3
 ROWS = 30
-
-#: Scenario-id prefixes whose records differ from the parent commit on
-#: purpose, and why.
-BUGFIX_DELTAS = {
-    # 1. a transactional UPDATE of the range-partition column re-homed
-    #    nothing: the row kept its group and became invisible to pruned
-    #    reads.  ``ShardRouter`` always refused the statement; the sharded
-    #    manager now refuses it through the same ``write_owners`` guard.
-    "sharded_txn_range/update_partition": (
-        "UPDATE of the range-partition column is refused, not silently stranded"
-    ),
-    # 2. deliberate: the sharded manager no longer forces pure-delta
-    #    UPDATEs down the eager path — ``plan_write`` decides, as for the
-    #    unsharded manager (fewer bytes, identical results)
-    "sharded_txn_hash/update_delta/": "sharded pure-delta UPDATE ships share increments",
-    "sharded_txn_range/update_delta/": "sharded pure-delta UPDATE ships share increments",
-    "sharded_txn_hash/script": "sharded pure-delta UPDATE ships share increments",
-    "sharded_txn_range/script": "sharded pure-delta UPDATE ships share increments",
-}
-
-#: Entry points whose records moved when ``txn_prepare`` + ``txn_commit``
-#: became one ``txn_apply`` round and the ack and per-commit checkpoint
-#: stopped being fsynced.  Per group round with T write targets carrying m
-#: transaction ids (each id < 256, so 3 bytes on the wire):
-#:
-#: * messages -2T: the commit round's request and response are gone;
-#: * bytes -(64 + 6m)T: the commit request ``{"method": "txn_commit",
-#:   "ids": [...]}`` (33 + 3m), the prepare response ``{"staged": [...],
-#:   "skipped": []}`` (29 + 3m; the apply response has the commit
-#:   response's shape) and the two bytes "txn_prepare" is longer than
-#:   "txn_apply";
-#: * modelled clock -(rtt + 8(64 + 6m)/bandwidth): one wave less, and the
-#:   remaining wave's legs carry those bytes less;
-#: * ``wal_fsyncs`` -2 per flush;
-#:
-#: and nothing else moves — results, epochs, cost counters, WAL appends and
-#: bytes, oracle matches.
-ONE_ROUND_COMMIT = (
-    "txn_execute/", "txn_apply_batch/", "txn_atomic/",
-    "sharded_txn_hash/", "sharded_txn_range/",
-)
-
 
 def accounts_schema() -> TableSchema:
     return TableSchema(
@@ -365,10 +312,16 @@ for _variant in VARIANTS:
 # ----------------------------------------------------------------- running --
 
 
-def run_scenario(scenario_id: str, wal_dir: str) -> Dict[str, object]:
+def run_scenario(
+    scenario_id: str, wal_dir: str, on_deployment: Optional[Callable] = None
+) -> Dict[str, object]:
+    """The scenario's record; ``on_deployment`` is called with the
+    deployment once it is set up, before the scenario runs."""
     kwargs, shape, run = SCENARIOS[scenario_id]
     dep = Deployment(**kwargs)
     dep.wal_path = os.path.join(wal_dir, "client.wal")
+    if on_deployment is not None:
+        on_deployment(dep)
     statements = [parse_sql(s) for s in SHAPES.get(shape, ())]
     try:
         results, extras = run(dep, statements)
@@ -390,153 +343,128 @@ def run_scenario(scenario_id: str, wal_dir: str) -> Dict[str, object]:
     return json.loads(json.dumps(record))
 
 
-def _bugfix_reason(scenario_id: str) -> Optional[str]:
-    for prefix, reason in BUGFIX_DELTAS.items():
-        if scenario_id.startswith(prefix):
-            return reason
-    return None
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_write_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
+    record = run_scenario(scenario_id, str(tmp_path))
+    assert record.get("matches_oracle") is True or "raised" in record, record
+    golden.assert_record(golden.load(GOLDEN_PATH), scenario_id, record)
 
 
-def _load_golden() -> Dict[str, Dict[str, object]]:
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
+def test_golden_covers_exactly_the_scenarios():
+    golden.assert_flat(golden.load(GOLDEN_PATH), SCENARIOS)
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_write_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
-    golden = _load_golden()
-    record = run_scenario(scenario_id, str(tmp_path))
-    assert record.get("matches_oracle") is True or "raised" in record, record
-    if scenario_id in golden["column_major"]:
-        assert record == golden["column_major"][scenario_id]
-        return
-    if scenario_id in golden["cached_matches"]:
-        assert record == golden["cached_matches"][scenario_id]
-        return
-    if scenario_id in golden["key_placement"]:
-        assert record == golden["key_placement"][scenario_id]
-        return
-    if scenario_id in golden["one_round_commit"]:
-        assert record == golden["one_round_commit"][scenario_id]
-        return
-    parent = golden["parent"][scenario_id]
-    if record == parent:
-        assert scenario_id not in golden["fixed"], "stale entry in the fixed section"
-        return
-    reason = _bugfix_reason(scenario_id)
-    assert reason is not None, (
-        f"{scenario_id} moved off the parent commit's numbers and is not an "
-        f"enumerated bugfix delta:\n parent {parent}\n now    {record}"
+def test_column_major_moves_by_the_declared_formula(scenario_id, tmp_path):
+    """Share rows name their columns once: run with every ``ShareRows``
+    sized as the row-major list it stands for, a scenario gives its golden
+    record with exactly the surplus (n − 1)(8 + 2C + L) + 4 of each
+    ``ShareRows`` it sent added to its bytes, summed over the groups
+    (``tests.column_major``), and slower modelled clocks; nothing else
+    moves."""
+    with sized_row_major() as surplus:
+        row_major = run_scenario(scenario_id, str(tmp_path))
+    record = golden.load(GOLDEN_PATH)[scenario_id]
+    assert_moved_by_surplus(record, row_major, surplus["counted"])
+
+
+def _methods_sent(dep: Deployment) -> List[List[List[tuple]]]:
+    """Per group, per provider, every ``(method, request)`` it is sent from
+    now on."""
+    sent = []
+    for source in dep.sources:
+        per_provider = []
+        for provider in source.cluster.providers:
+            calls: List[tuple] = []
+            provider.handle = lambda method, request, handle=provider.handle, calls=calls: (
+                calls.append((method, request)) or handle(method, request)
+            )
+            per_provider.append(calls)
+        sent.append(per_provider)
+    return sent
+
+
+#: Entry points that write through a transaction manager.
+ONE_ROUND_COMMIT = (
+    "txn_execute/", "txn_apply_batch/", "txn_atomic/",
+    "sharded_txn_hash/", "sharded_txn_range/",
+)
+
+#: The provider methods that change what a provider holds.
+WRITE_METHODS = {"insert_many", "update_rows", "delete_rows", "increment_rows", "txn_apply"}
+
+
+@pytest.mark.parametrize(
+    "scenario_id", [sid for sid in sorted(SCENARIOS) if sid.startswith(ONE_ROUND_COMMIT)]
+)
+def test_one_round_commit_moves_by_the_declared_formula(scenario_id, tmp_path):
+    """A flush through the manager is, at each group it writes to, one
+    ``txn_apply`` round: every write target is sent one ``txn_apply`` per
+    round and no other write, and a transaction travels in one round.  An
+    unsharded flush carries all its transactions, so each target's rounds
+    carry ``committed`` transactions in all; a sharded flush carries one.
+    No round goes without its WAL fsync."""
+    recorded: List[list] = []
+    record = run_scenario(
+        scenario_id, str(tmp_path), lambda dep: recorded.append(_methods_sent(dep))
     )
-    assert record == golden["fixed"][scenario_id], reason
-
-
-def test_bugfix_deltas_are_the_only_differences():
-    golden = _load_golden()
-    assert set(golden["parent"]) == set(SCENARIOS)
-    for scenario_id in golden["fixed"]:
-        assert _bugfix_reason(scenario_id) is not None, scenario_id
-        assert golden["fixed"][scenario_id] != golden["parent"][scenario_id]
-
-
-def _rebased_base(golden, scenario_id: str) -> Dict[str, object]:
-    """What a re-based record was before the one-round commit."""
-    return golden["fixed"].get(scenario_id, golden["parent"][scenario_id])
-
-
-@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["one_round_commit"]))
-def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
-    golden = _load_golden()
-    before, after = _rebased_base(golden, scenario_id), golden["one_round_commit"][scenario_id]
-    assert scenario_id.startswith(ONE_ROUND_COMMIT)
-    flushes, odd = divmod(before["wal"]["wal_fsyncs"] - after["wal"]["wal_fsyncs"], 2)
-    assert flushes >= 1 and not odd
-    was, now = before["accounting"], after["accounting"]
-    targets = N_PROVIDERS - (1 if scenario_id.endswith("/crash") else 0)
-    latency = LatencyModel()
-    sharded = len(now["bytes"]) > 1
-    for group in range(len(now["bytes"])):
-        rounds, odd = divmod(was["messages"][group] - now["messages"][group], 2 * targets)
-        assert not odd and rounds <= flushes
-        # every flush of the unsharded scenarios applies one round carrying
-        # its transactions; a sharded flush carries one transaction
-        ids = rounds if sharded else after["committed"]
-        assert sharded or rounds == flushes
-        saved = 64 * rounds + 6 * ids
-        assert was["bytes"][group] - now["bytes"][group] == targets * saved
-        assert was["modelled_seconds"][group] - now["modelled_seconds"][group] == pytest.approx(
-            rounds * latency.rtt_seconds + 8 * saved / latency.bandwidth_bits_per_second,
-            abs=1e-12,
+    if "raised" in record:
+        assert not any(
+            method in WRITE_METHODS
+            for group in recorded[0] for calls in group for method, _ in calls
         )
-    for key in ("client", "providers", "epochs"):
-        assert now[key] == was[key]
-    for key in ("wal_appends", "wal_bytes"):
-        assert after["wal"][key] == before["wal"][key]
-    assert {k: v for k, v in after.items() if k not in ("accounting", "wal")} == {
-        k: v for k, v in before.items() if k not in ("accounting", "wal")
-    }
+        return
+    flushes = record["wal"]["wal_fsyncs"]
+    sharded = len(recorded[0]) > 1
+    for group in recorded[0]:
+        writes = [
+            [request for method, request in calls if method in WRITE_METHODS]
+            for calls in group
+        ]
+        rounds = {len(requests) for requests in writes if requests}
+        if not rounds:
+            continue
+        (count,) = rounds
+        assert len([requests for requests in writes if requests]) >= THRESHOLD
+        assert all(
+            method == "txn_apply"
+            for calls in group for method, _ in calls if method in WRITE_METHODS
+        )
+        carried = [len(request["txns"]) for request in next(r for r in writes if r)]
+        assert count <= flushes
+        if sharded:
+            assert set(carried) == {1}
+        else:
+            assert sum(carried) == record["committed"]
 
 
-#: Statements of a shape that name one ``aid``: under key placement each
-#: visits only that key's owner, so the other group's fetch round — which
-#: matched nothing in the parent — is gone.
-KEY_POINTS = {"update_partition": 1, "update_nomatch": 1, "delete_nomatch": 1, "script": 3}
-
-#: How far summed bytes (and WAL bytes) may sit from the formula.  A wire
-#: value is sized by its magnitude, and a row that now lives on the other
-#: group carries the random shares that group drew; the largest move seen
-#: was 4 bytes.
-WIDTH_SLACK = 8
+#: Shapes whose statements each name one ``aid``, the hash maps' partition
+#: column: each visits only that key's owner.
+KEY_POINTS = {"update_partition": 13, "update_nomatch": 999, "delete_nomatch": 999}
 
 
-def _committed_base(golden, scenario_id: str) -> Dict[str, object]:
-    """What a record was just before key placement."""
-    return golden["one_round_commit"].get(scenario_id) or _rebased_base(golden, scenario_id)
+@pytest.mark.parametrize(
+    "scenario_id", [sid for sid in sorted(SCENARIOS) if "hash" in sid.split("/")[0]]
+)
+def test_key_placement_moves_only_placement(scenario_id, tmp_path):
+    """A hash map places a row by its partition key: after the scenario
+    every group holds exactly the rows whose key it owns, and a statement
+    that names one key sends messages to that key's owner alone."""
+    deployments: List[Deployment] = []
+    record = run_scenario(scenario_id, str(tmp_path), deployments.append)
+    (dep,) = deployments
+    router = dep.front
+    for group, source in enumerate(dep.sources):
+        rows = source.select(parse_sql("SELECT * FROM Accounts"))
+        assert {router.owner_for_row("Accounts", row) for row in rows} <= {group}
+    shape = scenario_id.split("/")[1]
+    if shape in KEY_POINTS:
+        owner = router.owner_for_row("Accounts", {"aid": KEY_POINTS[shape]})
+        messages = record["accounting"]["messages"]
+        assert [group for group, count in enumerate(messages) if count] == [owner]
 
 
-def _client_total(accounting) -> Counter:
-    return sum((Counter(c) for c in accounting["client"]), Counter())
-
-
-@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["key_placement"]))
-def test_key_placement_moves_only_placement(scenario_id):
-    """Summed over the two groups, a re-based hash record is its base record
-    less one empty fetch round per ``KEY_POINTS`` statement — that round's
-    size is the base ``update_nomatch`` record's per-group round.  The
-    per-group split, the providers' index ``compare`` counts and the
-    modelled clocks are placement's; results, epochs, WAL appends and
-    fsyncs may not move."""
-    golden = _load_golden()
-    now, base = golden["key_placement"][scenario_id], _committed_base(golden, scenario_id)
-    entry, shape, variant = scenario_id.split("/")
-    assert "hash" in entry
-    assert now["results"] == base["results"]
-    assert now["matches_oracle"] is base["matches_oracle"] is True
-    if "wal" in now:
-        assert {**now["wal"], "wal_bytes": 0} == {**base["wal"], "wal_bytes": 0}
-        assert abs(now["wal"]["wal_bytes"] - base["wal"]["wal_bytes"]) <= WIDTH_SLACK
-    acc, was = now["accounting"], base["accounting"]
-    assert sorted(acc["epochs"]) == sorted(was["epochs"])
-    points = KEY_POINTS.get(shape, 0)
-    empty = _committed_base(golden, f"{entry}/update_nomatch/{variant}")["accounting"]
-    fell = {key: sum(was[key]) - sum(acc[key]) for key in ("bytes", "messages")}
-    if variant == "crash" and points:
-        # whether a round still addresses the crashed provider depends on
-        # how often the health tracker has seen it fail: a pruned round
-        # costs between a plain round and a first-contact one
-        plain = _committed_base(golden, f"{entry}/update_nomatch/plain")["accounting"]
-        for key in ("bytes", "messages"):
-            slack = WIDTH_SLACK if key == "bytes" else 0
-            low, high = points * plain[key][0], points * empty[key][0]
-            assert low - slack <= fell[key] <= high + slack, (key, fell[key])
-    else:
-        assert fell["messages"] == points * empty["messages"][0]
-        assert abs(fell["bytes"] - points * empty["bytes"][0]) <= WIDTH_SLACK, fell
-    pruned = Counter({k: points * v for k, v in empty["client"][0].items()})
-    assert _client_total(was) - _client_total(acc) == pruned
-
-
-#: Statements of a shape that take their matches from the row cache at
+#: Shapes in which a statement takes its matches from the row cache at
 #: some group: the client holds the entry ``SELECT * … WHERE <the same
 #: WHERE>`` there.  In ``script`` on a range map, the group without aid 4
 #: stores the empty ``aid = 4`` entry when the DELETE reads it, and the
@@ -544,20 +472,25 @@ def test_key_placement_moves_only_placement(scenario_id):
 CACHED_MATCHES = {"script": 1}
 
 
-def _placed_base(golden, scenario_id: str) -> Dict[str, object]:
-    """What a record was just before writes took matches from the cache."""
-    return golden["key_placement"].get(scenario_id) or _committed_base(golden, scenario_id)
-
-
-@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["cached_matches"]))
-def test_cached_matches_skip_exactly_their_read_rounds(scenario_id):
-    """A re-based record is its base record less ``CACHED_MATCHES`` read
-    rounds, each exactly one group's empty fetch round of the base
-    ``update_nomatch`` record — bytes, messages, modelled clock, client and
-    provider counters (under ``crash`` the ``plain`` one: by then the
-    crashed provider is no longer addressed).  Nothing else moves."""
-    golden = _load_golden()
-    now, base = golden["cached_matches"][scenario_id], _placed_base(golden, scenario_id)
+@pytest.mark.parametrize(
+    "scenario_id",
+    [
+        sid for sid in sorted(SCENARIOS)
+        if sid.split("/")[0] in ("router_range", "sharded_txn_range")
+        and sid.split("/")[1] in CACHED_MATCHES
+    ],
+)
+def test_cached_matches_skip_exactly_their_read_rounds(scenario_id, tmp_path, monkeypatch):
+    """Against the scenario run with the row cache never answering, a
+    record is less ``CACHED_MATCHES`` read rounds, each exactly one group's
+    empty fetch round of the ``update_nomatch`` record — bytes, messages,
+    modelled clock, client and provider counters (under ``crash`` the
+    ``plain`` one: by then the crashed provider is no longer addressed).
+    Nothing else moves."""
+    records = golden.load(GOLDEN_PATH)
+    now = records[scenario_id]
+    monkeypatch.setattr(RowCache, "lookup_query", lambda *args: None)
+    base = run_scenario(scenario_id, str(tmp_path))
     entry, shape, variant = scenario_id.split("/")
     assert {k: v for k, v in now.items() if k != "accounting"} == {
         k: v for k, v in base.items() if k != "accounting"
@@ -565,7 +498,7 @@ def test_cached_matches_skip_exactly_their_read_rounds(scenario_id):
     acc, was = now["accounting"], base["accounting"]
     assert acc["epochs"] == was["epochs"]
     reference = "plain" if variant == "crash" else variant
-    fetch = _placed_base(golden, f"{entry}/update_nomatch/{reference}")["accounting"]
+    fetch = records[f"{entry}/update_nomatch/{reference}"]["accounting"]
     skipped = 0
     for group in range(len(acc["bytes"])):
         fell = {key: was[key][group] - acc[key][group] for key in ("bytes", "messages")}
@@ -586,79 +519,10 @@ def test_cached_matches_skip_exactly_their_read_rounds(scenario_id):
     assert skipped == CACHED_MATCHES[shape]
 
 
-@pytest.mark.parametrize("scenario_id", sorted(_load_golden()["column_major"]))
-def test_column_major_moves_by_the_declared_formula(scenario_id, tmp_path):
-    """Share rows name their columns once: a re-based record is the
-    record before it with every ``ShareRows`` it sent
-    (n − 1)(8 + 2C + L) + 4 bytes smaller (``tests.column_major``).  Run
-    with that surplus added back, the scenario gives the record before
-    exactly; only bytes and the modelled clock moved, and only down."""
-    golden = _load_golden()
-    after = golden["column_major"][scenario_id]
-    before = golden["cached_matches"].get(scenario_id) or _placed_base(golden, scenario_id)
-    with sized_row_major():
-        assert run_scenario(scenario_id, str(tmp_path)) == before
-    assert_only_bytes_and_clock_fell(before, after)
-
-
-def _regenerate(section: str) -> None:
+if __name__ == "__main__":
     import tempfile
 
-    golden = (
-        _load_golden() if os.path.exists(GOLDEN_PATH)
-        else {
-            "parent": {}, "fixed": {}, "one_round_commit": {}, "key_placement": {},
-            "cached_matches": {}, "column_major": {},
-        }
-    )
-    records: Dict[str, object] = {}
-    for scenario_id in sorted(SCENARIOS):
-        with tempfile.TemporaryDirectory() as wal_dir:
-            records[scenario_id] = run_scenario(scenario_id, wal_dir)
-    if section == "column_major":
-        row_major: Dict[str, object] = {}
-        with sized_row_major():
-            for scenario_id in sorted(SCENARIOS):
-                with tempfile.TemporaryDirectory() as wal_dir:
-                    row_major[scenario_id] = run_scenario(scenario_id, wal_dir)
-        golden["column_major"] = {
-            sid: record for sid, record in records.items() if record != row_major[sid]
-        }
-    elif section == "parent":
-        golden["parent"] = records
-    elif section == "fixed":
-        golden["fixed"] = {
-            sid: record
-            for sid, record in records.items()
-            if record != golden["parent"][sid]
-        }
-    elif section == "one_round_commit":
-        golden["one_round_commit"] = {
-            sid: record
-            for sid, record in records.items()
-            if record != _rebased_base(golden, sid)
-        }
-    elif section == "key_placement":
-        golden["key_placement"] = {
-            sid: record
-            for sid, record in records.items()
-            if "hash" in sid.split("/")[0] and record != _committed_base(golden, sid)
-        }
-    elif section == "cached_matches":
-        golden["cached_matches"] = {
-            sid: record
-            for sid, record in records.items()
-            if record != _placed_base(golden, sid)
-        }
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    bad: List[str] = [
-        sid for sid, record in records.items()
-        if record.get("matches_oracle") is not True and "raised" not in record
-    ]
-    print(f"{len(records)} scenarios -> {section}; not matching the oracle: {bad}")
-
-
-if __name__ == "__main__":
-    _regenerate(sys.argv[1])
+    with tempfile.TemporaryDirectory() as wal_dir:
+        golden.rebase(
+            GOLDEN_PATH, {sid: run_scenario(sid, wal_dir) for sid in sorted(SCENARIOS)}
+        )

@@ -1,21 +1,25 @@
-"""What share rows going column-major took off the wire, as a formula.
+"""The row-major list a ``ShareRows`` stands for, as a byte count.
 
 A ``ShareRows`` of n ≥ 1 rows and C columns whose names take L bytes is
 (n − 1)(8 + 2C + L) + 4 bytes smaller on the wire than the row-major
-list ``[(row_id, {column: share}), ...]`` it stands for, which every
-byte count was sized as before: each row after the first no longer
-repeats its tuple and dict headers and every column name, and the
-response's own list header became the row count.  The pipeline goldens
-hold the records that moved in a ``column_major`` section, tied to the
-record before by :func:`sized_row_major`: the scenario re-run with the
-surplus added back to every ``ShareRows`` must give that record exactly.
+list ``[(row_id, {column: share}), ...]`` it stands for: each row after
+the first does not repeat its tuple and dict headers and every column
+name, and the response's own list header is the row count.
+
+The pipeline tests hold every scenario to that formula: run with each
+``ShareRows`` sized as the row-major list (:func:`sized_row_major`), a
+scenario gives its golden record with more bytes — exactly the formula's
+surplus over the share rows it sent — and a slower modelled clock, and
+nothing else different (:func:`assert_moved_by_surplus`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Dict, Iterator
 
 from repro.sim import network
+from tests.golden import moved_fields
 
 
 def row_major_surplus(rows: network.ShareRows) -> int:
@@ -27,39 +31,53 @@ def row_major_surplus(rows: network.ShareRows) -> int:
 
 
 @contextmanager
-def sized_row_major():
-    """Size every ``ShareRows`` as the row-major list it stands for: its
-    column-major size plus :func:`row_major_surplus`."""
+def sized_row_major() -> Iterator[Dict[str, int]]:
+    """Size every ``ShareRows`` as the row-major list it stands for, the
+    list measured as it is.  Yields the :func:`row_major_surplus` formula
+    summed over those share rows since the networks' counters were last
+    reset: ``sent`` all of it, ``counted`` what had been sent when a byte
+    count was last read (a record's ``bytes``; a scenario may send more
+    after its record)."""
     column_major = network.ShareRows.wire_size
-    network.ShareRows.wire_size = lambda rows: column_major(rows) + row_major_surplus(rows)
+    reset = network.SimulatedNetwork.reset
+    total_bytes = network.SimulatedNetwork.total_bytes
+    surplus = {"sent": 0, "counted": 0}
+
+    def row_major(rows):
+        surplus["sent"] += row_major_surplus(rows)
+        return network.measure_bytes(list(rows))
+
+    def resetting(net):
+        surplus.update(sent=0, counted=0)
+        reset(net)
+
+    def counting(net):
+        surplus["counted"] = surplus["sent"]
+        return total_bytes.fget(net)
+
+    network.ShareRows.wire_size = row_major
+    network.SimulatedNetwork.reset = resetting
+    network.SimulatedNetwork.total_bytes = property(counting)
     try:
-        yield
+        yield surplus
     finally:
         network.ShareRows.wire_size = column_major
+        network.SimulatedNetwork.reset = reset
+        network.SimulatedNetwork.total_bytes = total_bytes
 
 
-def moved_fields(before, after, path: str = ""):
-    """``(path, before, after)`` of every leaf where two records differ."""
-    if isinstance(before, dict) and isinstance(after, dict) and before.keys() == after.keys():
-        return [
-            moved for key in before
-            for moved in moved_fields(before[key], after[key], f"{path}/{key}")
-        ]
-    if isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
-        return [
-            moved for at, pair in enumerate(zip(before, after))
-            for moved in moved_fields(*pair, f"{path}/{at}")
-        ]
-    return [] if before == after else [(path, before, after)]
-
-
-def assert_only_bytes_and_clock_fell(before, after) -> None:
-    """``after`` is ``before`` with some ``bytes`` and ``modelled_seconds``
-    lower, and nothing else different."""
-    moved = moved_fields(before, after)
-    assert moved, "a record in the column_major section that did not move"
-    for path, was, now in moved:
+def assert_moved_by_surplus(record, row_major, surplus: int) -> None:
+    """``row_major`` is ``record`` with ``bytes`` higher by ``surplus`` in
+    all and some ``modelled_seconds`` higher, and nothing else different —
+    nothing at all when no share row travelled."""
+    moved = moved_fields(record, row_major)
+    assert bool(moved) == bool(surplus), (surplus, moved)
+    added = 0
+    for path, now, was in moved:
         # the field's name: a per-group list's items sit under it
         field = [part for part in path.split("/") if not part.isdigit()][-1]
-        assert field in ("bytes", "modelled_seconds"), (path, was, now)
-        assert now < was, (path, was, now)
+        assert field in ("bytes", "modelled_seconds"), (path, now, was)
+        assert now < was, (path, now, was)
+        if field == "bytes":
+            added += was - now
+    assert added == surplus

@@ -1,9 +1,8 @@
 """What a read's projection takes off the wire, counted as providers answer.
 
-The two pipeline goldens (``tests/client/test_read_pipeline.py``,
-``tests/sharding/test_router_pipeline.py``) hold the records of reads
-that fetch only the columns their statement uses in a ``projection``
-section, tied to the record before by this count.
+The two pipeline tests (``tests/client/test_read_pipeline.py``,
+``tests/sharding/test_router_pipeline.py``) hold every read's golden
+record to the same scenario run with whole rows fetched, less this count.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Dict, Set
 
 from repro.sim import wire
 from repro.sim.network import ShareRows, measure_bytes
-from tests.column_major import row_major_surplus
 
 
 class ProjectionWire:
@@ -29,11 +27,6 @@ class ProjectionWire:
       with every column, less that of the rows it got — per response
       with rows, per dropped column, its name once (``2 + len(name)``)
       and its cells (``2 +`` share magnitude bytes, one byte a NULL);
-    * ``surplus`` — what ``lost`` was more when share rows were sized
-      as the row-major list they stand for (the records of the goldens'
-      ``projection`` section were): the dropped columns' names and
-      headers again in every row after the first
-      (:func:`tests.column_major.row_major_surplus`);
     * ``rows`` / ``dropped`` — per table, the row ids returned and the
       columns left out, over all such requests; ``cells`` — the dropped
       cells of those rows, which the client no longer interpolates.
@@ -42,7 +35,6 @@ class ProjectionWire:
     def __init__(self, providers) -> None:
         self.gained = 0
         self.lost = 0
-        self.surplus = 0
         self.rows: Dict[str, Set[int]] = defaultdict(set)
         self.dropped: Dict[str, Set[str]] = defaultdict(set)
         for provider in providers:
@@ -94,4 +86,3 @@ class ProjectionWire:
             [held.get(column, dropped_shares.get(column)) for column in table.columns],
         )
         self.lost += len(wire.encode(full)) - len(wire.encode(rows))
-        self.surplus += row_major_surplus(full) - row_major_surplus(rows)

@@ -7,15 +7,17 @@
   sizes to the row-major empty list's byte count.
 * The fault RNG stream is pinned: OMIT draws one number per row in row
   order and TAMPER one per non-NULL share in row-then-column order, so
-  ``fault_stream_golden.json`` — captured at the parent commit
-  ``40a2669`` (``PYTHONPATH=src python tests/providers/test_share_rows.py``
-  there, before any source edit, when responses were row-major lists) —
-  holds the rows and shares every seeded chaos and trust test sees.
+  ``fault_stream_golden.json`` — one record per request and fault mode,
+  the same on both kernel backends — holds the rows and shares every
+  seeded chaos and trust test sees.  A change that moves them on purpose
+  re-bases the file in place and puts the printed list of moved fields
+  in ``CHANGES.md`` (``tests/golden.py``)::
+
+      PYTHONPATH=src python -m tests.providers.test_share_rows
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List
 
@@ -25,7 +27,8 @@ from repro.core import kernels
 from repro.providers.failures import Fault, FailureMode
 from repro.providers.provider import ShareProvider
 from repro.sim import wire
-from repro.sim.network import measure_bytes
+from repro.sim.network import ShareRows, measure_bytes
+from tests import golden
 from tests.column_major import row_major_surplus
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "fault_stream_golden.json")
@@ -37,9 +40,6 @@ BACKENDS = [
 ]
 
 WIDE = 1 << 100
-
-# ``ShareRows`` is imported inside the tests that name it: the golden is
-# regenerated by running this module at the parent commit, which has none.
 
 
 def build_provider() -> ShareProvider:
@@ -68,9 +68,6 @@ def build_provider() -> ShareProvider:
     )
     return provider
 
-
-#: stands in for the golden's ``get_rows`` records in the fault stream
-STAND_IN = "select_first_four"
 
 #: (name, method, request): wide and narrow matches (both engine rules),
 #: projections in non-schema order, provider-side ORDER BY / LIMIT.
@@ -104,9 +101,7 @@ REQUESTS = [
             "limit": 9,
         },
     ),
-    # in the slot of the golden's ``get_rows`` records (that RPC is gone):
-    # as many rows and non-NULL shares, so as many fault draws
-    (STAND_IN, "select", {"table": "T", "conditions": [], "limit": 4}),
+    ("select_first_four", "select", {"table": "T", "conditions": [], "limit": 4}),
     ("scan", "scan", {"table": "T", "projection": None}),
     ("scan_projected", "scan", {"table": "T", "projection": ["v"]}),
     ("scan_asof", "scan_asof", {"table": "T", "epoch": 1}),
@@ -116,7 +111,6 @@ REQUESTS = [
         {
             "requests": [
                 ["select", {"table": "T", "conditions": [], "limit": 6}],
-                # the rows the golden's get_rows rider read, rows 1 and 4
                 ["select", {"table": "T", "conditions": [], "limit": 2}],
             ]
         },
@@ -154,18 +148,20 @@ def fault_records(backend: str) -> Dict[str, List]:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fault_streams_draw_what_the_row_major_responses_drew(backend):
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        golden = json.load(handle)
-    records = fault_records(backend)
-    for mode in ("omit", "tamper"):
-        del golden[f"{mode}/get_rows"], records[f"{mode}/{STAND_IN}"]
-    assert records == golden
+    recorded = golden.load(GOLDEN_PATH)
+    for name, rows in fault_records(backend).items():
+        golden.assert_record(recorded, name, rows)
+
+
+def test_golden_covers_exactly_the_cases():
+    golden.assert_flat(
+        golden.load(GOLDEN_PATH),
+        (f"{mode}/{name}" for mode in ("omit", "tamper") for name, _, _ in REQUESTS),
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_every_row_returning_rpc_answers_with_share_rows(backend):
-    from repro.sim.network import ShareRows
-
     previous = kernels.set_kernel_backend(backend)
     try:
         provider = build_provider()
@@ -189,8 +185,6 @@ def test_every_row_returning_rpc_answers_with_share_rows(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_an_empty_match_sizes_to_the_empty_list(backend):
-    from repro.sim.network import ShareRows
-
     previous = kernels.set_kernel_backend(backend)
     try:
         provider = build_provider()
@@ -213,11 +207,8 @@ def test_an_empty_match_sizes_to_the_empty_list(backend):
         kernels.set_kernel_backend(previous)
 
 
-if __name__ == "__main__":  # at the parent commit only
-    golden = fault_records(BACKENDS[0])
+if __name__ == "__main__":
+    records = fault_records(BACKENDS[0])
     for other in BACKENDS[1:]:
-        assert fault_records(other) == golden, other
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print({name: len(rows) for name, rows in golden.items()})
+        assert fault_records(other) == records, other
+    golden.rebase(GOLDEN_PATH, records)

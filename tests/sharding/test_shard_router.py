@@ -10,18 +10,20 @@ touch only the owning group.
 
 import pytest
 
-from repro.errors import ConfigurationError, UnsupportedQueryError
+from repro.errors import ConfigurationError, SchemaError, UnsupportedQueryError
 from repro.providers.cluster import ProviderCluster
 from repro.client.datasource import DataSource
 from repro.core.secrets import generate_client_secrets
 from repro.service.sharding import ShardRouter
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
+from repro.txn import ShardedTransactionManager
 
 from repro.workloads.employees import EID_LO
 
 from tests.sharding.shardutil import (
     SEED,
+    THRESHOLD,
     build_oracle,
     build_router,
     build_unsharded,
@@ -32,6 +34,8 @@ from tests.sharding.shardutil import (
 
 EIDS = sorted_eids()
 MID = EIDS[len(EIDS) // 2]
+#: a key no row holds
+ABSENT = next(eid for eid in range(MID + 1, MID + 1000) if eid not in EIDS)
 
 QUERY_SHAPES = {
     "point": f"SELECT * FROM Employees WHERE eid = {MID}",
@@ -176,6 +180,111 @@ class TestPruning:
             assert router.modelled_network_seconds() == max(
                 group.network.modelled_seconds for group in router.groups
             )
+
+    @pytest.mark.parametrize("eid", [MID, ABSENT])
+    @pytest.mark.parametrize(
+        "entry, sql",
+        [
+            ("router", "SELECT name FROM Employees WHERE eid = {eid}"),
+            ("router", "UPDATE Employees SET salary = 5 WHERE eid = {eid}"),
+            ("router", "DELETE FROM Employees WHERE eid = {eid}"),
+            ("sharded_txn", "UPDATE Employees SET salary = 5 WHERE eid = {eid}"),
+            ("sharded_txn", "DELETE FROM Employees WHERE eid = {eid}"),
+        ],
+    )
+    def test_hash_statement_naming_one_key_visits_only_its_owner(
+        self, entry, sql, eid, tmp_path
+    ):
+        """A hash map places a row by its partition key, so a statement
+        that names one key — held or not — is one group's business."""
+        with build_router("hash", n_groups=4) as router:
+            owner = router.owner_for_row("Employees", {"eid": eid})
+            router.reset_accounting()
+            if entry == "router":
+                router.sql(sql.format(eid=eid))
+            else:
+                manager = ShardedTransactionManager(router, str(tmp_path / "txn.wal"))
+                try:
+                    manager.execute(sql.format(eid=eid))
+                finally:
+                    manager.close()
+            touched = [
+                index
+                for index, group in enumerate(router.groups)
+                if group.network.total_messages > 0
+            ]
+            assert touched == [owner]
+
+    @pytest.mark.parametrize("mode", ["hash", "range"])
+    def test_unknown_column_is_refused_before_any_round(self, mode):
+        with build_router(mode) as router:
+            router.reset_accounting()
+            with pytest.raises(SchemaError):
+                router.sql("SELECT nope FROM Employees")
+            assert [group.network.total_messages for group in router.groups] == [0, 0]
+
+
+def _sent(router):
+    """Every ``(method, request)`` the router's providers are sent."""
+    sent = []
+    for group in router.groups:
+        for provider in group.cluster.providers:
+            provider.handle = lambda method, request, handle=provider.handle: (
+                sent.append((method, request)) or handle(method, request)
+            )
+    return sent
+
+
+def _projection(columns, schema):
+    """The projection a read of ``columns`` sends: none for every column."""
+    return None if list(columns) == schema.column_names else tuple(columns)
+
+
+class TestProjection:
+    """A router read asks every owner for exactly the columns an unsharded
+    source's ``explain`` reports the statement fetches."""
+
+    @pytest.mark.parametrize("mode", ["hash", "range"])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT name, salary FROM Employees",
+            "SELECT name FROM Employees WHERE name <> 'JOHN' AND salary > 40000",
+            "SELECT eid FROM Employees ORDER BY department LIMIT 6",
+            "SELECT * FROM Employees WHERE salary > 40000",
+        ],
+    )
+    def test_a_multi_owner_row_read_sends_the_fetched_columns(self, mode, sql):
+        query = parse_sql(sql)
+        unsharded = build_unsharded()
+        schema = unsharded.sharing("Employees").schema
+        expected = _projection(unsharded.explain(query)["fetched_columns"], schema)
+        with build_router(mode) as router:
+            sent = _sent(router)
+            assert router.sql(sql) == oracle_answer(build_oracle(), sql)
+            assert {r.get("projection") for m, r in sent if m == "select"} == {expected}
+            assert len([m for m, _ in sent if m == "select"]) > THRESHOLD
+
+    def test_a_co_located_join_sends_the_fetched_columns(self):
+        sql = (
+            "SELECT Employees.name, Managers.manager_username FROM Employees "
+            "JOIN Managers ON Employees.eid = Managers.eid WHERE Employees.salary >= 20000"
+        )
+        query = parse_sql(sql)
+        unsharded = build_unsharded()
+        plan = unsharded.explain(query)
+        expected = [
+            _projection(plan[f"{side}_fetched_columns"], unsharded.sharing(table).schema)
+            for side, table in (("left", "Employees"), ("right", "Managers"))
+        ]
+        with build_router("hash") as router:
+            router.drain_group(1)  # one group holds both tables: co-located
+            sent = _sent(router)
+            assert rows_equal_unordered(router.sql(sql), oracle_answer(build_oracle(), sql))
+            joins = [request for method, request in sent if method == "join"]
+            assert len(joins) == THRESHOLD and [m for m, _ in sent] == ["join"] * THRESHOLD
+            for request in joins:
+                assert [request.get("left_projection"), request.get("right_projection")] == expected
 
 
 class TestWrites:

@@ -55,6 +55,86 @@ class TestInsert:
         assert table.get_by_pk(1)["v"] == 10
 
 
+#: one bad value per rejection kind, as a change to an otherwise valid row
+BAD = {
+    "unknown_column": {"bonus": 1},
+    "not_null": {"name": None},
+    "missing_not_null": {"name": "DROP"},
+    "out_of_domain": {"v": 101},
+    "duplicate_pk": {"id": 2},  # the prefilled table holds id 2
+}
+
+
+def _batch(*edits):
+    """Six valid rows (ids 10..15), with ``(position, kind)`` edits."""
+    rows = [{"id": 10 + i, "name": "N" + "ABCDEF"[i], "v": i} for i in range(6)]
+    for position, kind in edits:
+        rows[position].update(BAD[kind])
+        if rows[position]["name"] == "DROP":
+            del rows[position]["name"]
+    return rows
+
+
+def _outcome(load):
+    """What a load into a two-row table leaves: its rows, its primary
+    key lookups, and the error it raised."""
+    table = Table(
+        SCHEMA, [{"id": 1, "name": "A", "v": 10}, {"id": 2, "name": "B", "v": 20}]
+    )
+    try:
+        load(table)
+        error = None
+    except SchemaError as exc:
+        error = str(exc)
+    return table.rows(), [table.get_by_pk(key) for key in range(20)], error
+
+
+def _row_by_row(rows):
+    def load(table):
+        for row in rows:
+            table.insert(row)
+
+    return load
+
+
+BATCHES = {"valid": _batch()}
+for _kind in BAD:
+    for _position in (0, 2, 5):
+        BATCHES[f"{_kind}@{_position}"] = _batch((_position, _kind))
+BATCHES.update(
+    {
+        # the lower bad row wins, whatever its kind
+        "duplicate_before_bad_cell": _batch((1, "duplicate_pk"), (3, "out_of_domain")),
+        "bad_cell_before_duplicate": _batch((1, "out_of_domain"), (3, "duplicate_pk")),
+        "duplicate_inside_batch": _batch() + [{"id": 12, "name": "X", "v": None}],
+        "unknown_after_not_null": _batch((2, "not_null"), (4, "unknown_column")),
+        "two_kinds_in_one_row": _batch((3, "out_of_domain"), (3, "unknown_column")),
+    }
+)
+
+
+class TestBatchInsert:
+    @pytest.mark.parametrize("case", sorted(BATCHES))
+    def test_batch_is_row_by_row(self, case):
+        """``insert_many`` validates in one encode and leaves what inserting
+        row by row leaves: the rows ahead of the first bad one, and its
+        error."""
+        rows = BATCHES[case]
+        batched = _outcome(lambda table: table.insert_many(rows))
+        assert batched == _outcome(_row_by_row(rows))
+        assert (batched[2] is None) == (case == "valid")
+
+    def test_returns_the_count_inserted(self):
+        table = Table(SCHEMA)
+        assert table.insert_many(_batch()) == 6
+        assert table.insert_many([]) == 0
+        assert len(table) == 6
+
+    def test_constructor_takes_the_batch_path(self):
+        with pytest.raises(SchemaError, match="duplicate primary key 12"):
+            Table(SCHEMA, BATCHES["duplicate_inside_batch"])
+
+
 class TestSelect:
     def test_predicate_filter(self, table):
         rows = table.select(Comparison("v", ComparisonOp.GE, 20))

@@ -252,8 +252,8 @@ class TestGroupCommit:
         network.reset()
         manager.apply_batch(statements)
         batched = network.total_messages
-        # one prepare + one commit round for the whole wave, per provider,
-        # far below 8 separate prepare/commit pairs
+        # one txn_apply round for the whole wave, per provider, far below
+        # 8 separate rounds
         assert batched <= 4 * source.cluster.n_providers
 
 

@@ -129,8 +129,9 @@ def _logged_records(make):
 def test_unsharded_drill_still_logs_the_parents_records_bit_for_bit():
     # same seeds, same statements: the refactor moved where payloads are
     # built, not one byte of what is logged.  (The sharded drill's two
-    # pure-delta UPDATEs now log share increments — the deliberate delta
-    # of tests/client/test_write_pipeline.py — so only its replay is pinned.)
+    # pure-delta UPDATEs now log share increments — a sharded pure-delta
+    # UPDATE ships them, as tests/client/test_write_pipeline.py records —
+    # so only its replay is pinned.)
     with open(FIXTURE_PATH, encoding="utf-8") as handle:
         parent = json.load(handle)["unsharded"]
     # compared as serialised text: key order is part of the WAL's bytes

@@ -28,7 +28,8 @@ from repro.providers.provider import ShareProvider
 from repro.sim.network import ShareRows
 from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
-from repro.txn import TransactionManager
+from repro.txn import ShardedTransactionManager, TransactionManager
+from tests.sharding.shardutil import build_router
 
 TXN_METHODS = {"insert_many", "update_rows", "delete_rows", "increment_rows"}
 
@@ -115,6 +116,52 @@ def test_a_planned_op_always_passes_validation(deployment, sql):
     manager.execute(sql)  # and it applies everywhere
     ids = [sorted(p.store.applied_txns) for p in source.cluster.providers]
     assert ids[0] == ids[1] == ids[2]
+
+
+def _methods_sent(providers):
+    """Per provider, the methods it is sent from now on."""
+    sent = [[] for _ in providers]
+    for methods, provider in zip(sent, providers):
+        provider.handle = lambda method, request, handle=provider.handle, methods=methods: (
+            methods.append(method) or handle(method, request)
+        )
+    return sent
+
+
+COMMITTED_WRITES = [
+    "UPDATE Accounts SET balance = 9 WHERE aid >= 3",
+    "UPDATE Accounts SET balance = balance + 1 WHERE aid <= 2",
+    "DELETE FROM Accounts WHERE aid = 1",
+]
+
+
+@pytest.mark.parametrize("sql", COMMITTED_WRITES)
+def test_a_write_commits_in_one_txn_apply_round(deployment, sql):
+    """Past its match read, an UPDATE / DELETE through the manager is one
+    ``txn_apply`` request to every provider and nothing else."""
+    source, manager = deployment
+    sent = _methods_sent(source.cluster.providers)
+    manager.execute(sql)
+    assert [[m for m in methods if m != "select"] for methods in sent] == [["txn_apply"]] * 3
+
+
+@pytest.mark.parametrize("sql", [
+    "UPDATE Employees SET salary = 9 WHERE salary > 50000",
+    "UPDATE Employees SET salary = salary + 1 WHERE salary > 50000",
+    "DELETE FROM Employees WHERE salary < 30000",
+])
+def test_a_sharded_write_commits_in_one_txn_apply_round_per_group(tmp_path, sql):
+    with build_router("hash") as router:
+        manager = ShardedTransactionManager(router, str(tmp_path / "client.wal"))
+        providers = [p for group in router.groups for p in group.cluster.providers]
+        sent = _methods_sent(providers)
+        try:
+            assert manager.execute(sql) > 0
+        finally:
+            manager.close()
+    assert [[m for m in methods if m != "select"] for methods in sent] == (
+        [["txn_apply"]] * len(providers)
+    )
 
 
 def test_a_provider_whose_rows_drifted_refuses_alone(deployment):
