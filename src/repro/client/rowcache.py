@@ -173,20 +173,33 @@ class RowCache:
         copy.  A held row gains the columns it lacked: both were read at
         the table's current epoch, so where they overlap they agree.  Each
         new row evicts at once, so a put larger than the cache never holds
-        more than ``row_capacity`` rows."""
+        more than ``row_capacity`` rows.  A put that can evict copies (and
+        merges into) only the last ``row_capacity`` distinct rows it names:
+        every other row it names is evicted again before it is over, so it
+        is held as passed until then and nothing merges into it."""
         with self._lock:
             if self._stale(table, epoch):
                 return
-            rows = self._rows
+            rows, capacity = self._rows, self.row_capacity
+            pairs = list(pairs)
+            kept: Optional[Set[int]] = None
+            if len(rows) + len(pairs) > capacity:
+                kept = set()
+                for row_id, _ in reversed(pairs):
+                    kept.add(row_id)
+                    if len(kept) == capacity:
+                        break
             for row_id, row in pairs:
                 key = (table, row_id)
+                copied = kept is None or row_id in kept
                 held = rows.get(key)
                 if held is not None:
-                    held.update(row)
+                    if copied:
+                        held.update(row)
                     rows.move_to_end(key)
                     continue
-                rows[key] = dict(row)
-                if len(rows) > self.row_capacity:
+                rows[key] = dict(row) if copied else row
+                if len(rows) > capacity:
                     rows.popitem(last=False)
                     self.stats.evicted += 1
 

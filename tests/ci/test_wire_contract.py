@@ -8,7 +8,8 @@ it does not declare.  Three checks keep the wire honest:
 * **runtime** — every ``(method, field)`` pair the read, write and
   router pipeline scenarios send (``batch`` riders and ``txn_apply`` ops
   included) is declared, so a client that starts sending a new field
-  fails here, with the pair named, until the table declares it;
+  fails here, with the pair and the scenario named, until the table
+  declares it;
 * **codec** — every message those scenarios send, requests and
   responses, encodes (``repro.sim.wire``) to exactly the bytes the
   network charged for it and decodes back to itself;
@@ -17,6 +18,9 @@ it does not declare.  Three checks keep the wire honest:
   any ``ShareProvider`` method it hands the request to) equal the
   fields its row declares, so a declared field no handler reads fails
   too.
+
+Both runtime checks read each scenario's one run per session, the run
+its pipeline module's main test checks (``tests.pipeline_runs``).
 """
 
 import ast
@@ -24,11 +28,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import WireError
 from repro.providers import provider as provider_module
-from repro.providers.provider import WIRE, ShareProvider
-from repro.sim import wire
-from repro.sim.network import SimulatedNetwork
+from repro.providers.provider import WIRE
+from tests import pipeline_runs
+from tests.client import test_read_pipeline, test_write_pipeline
+from tests.sharding import test_router_pipeline
 
 PROVIDER = Path(provider_module.__file__)
 
@@ -127,83 +131,33 @@ def test_the_static_check_sees_every_way_a_handler_reads():
 # ----------------------------------------------------------------- runtime --
 
 
-def _record_sent(monkeypatch):
-    """Wrap the one checked path to a handler — top-level requests,
-    ``batch`` riders and ``txn_apply`` ops all pass it — and record each
-    request's ``(method, field)`` pairs."""
-    sent = set()
-    checked = ShareProvider._handler
-
-    def recording(self, method, request, *methods):
-        if isinstance(request, dict):
-            sent.update((method, field) for field in request)
-        return checked(self, method, request, *methods)
-
-    monkeypatch.setattr(ShareProvider, "_handler", recording)
-    return sent
+def _runs():
+    """``(module::scenario id, its one run)`` of every pipeline scenario."""
+    for module in (test_read_pipeline, test_write_pipeline, test_router_pipeline):
+        for sid in sorted(module.SCENARIOS):
+            yield f"{module.__name__}::{sid}", pipeline_runs.run(module.__name__, sid)
 
 
-def _encode_sent(monkeypatch):
-    """Wrap the network's two sizing calls — every request and response
-    passes one — and put each message through the codec: its encoding
-    must be as long as the size the network charged and decode to the
-    message.  Returns ``(messages checked, problems)``."""
-    checked, problems = [0], []
-
-    def encoding(send):
-        def sending(self, src, dst, payload):
-            out = send(self, src, dst, payload)
-            size = out if type(out) is int else out[0]
-            checked[0] += 1
-            try:
-                data = wire.encode(payload)
-                if len(data) != size or wire.decode(data) != payload:
-                    problems.append((src, dst, size, len(data), payload))
-            except WireError as exc:
-                problems.append((src, dst, size, repr(exc), payload))
-            return out
-
-        return sending
-
-    for name in ("send", "send_unclocked"):
-        monkeypatch.setattr(SimulatedNetwork, name, encoding(getattr(SimulatedNetwork, name)))
-    return checked, problems
-
-
-@pytest.fixture(scope="module")
-def replayed(tmp_path_factory):
-    """Every read, write and router pipeline scenario, run once with
-    both recordings on."""
-    from tests.client import test_read_pipeline, test_write_pipeline
-    from tests.sharding import test_router_pipeline
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        sent = _record_sent(monkeypatch)
-        encoded = _encode_sent(monkeypatch)
-        for module in (test_read_pipeline, test_write_pipeline):
-            for number, scenario_id in enumerate(sorted(module.SCENARIOS)):
-                wal_dir = tmp_path_factory.mktemp(f"{module.__name__}-{number}")
-                module.run_scenario(scenario_id, str(wal_dir))
-        for scenario_id in sorted(test_router_pipeline.SCENARIOS):
-            test_router_pipeline.run_scenario(scenario_id)
-    return sent, encoded
-
-
-def test_every_field_the_pipeline_scenarios_send_is_declared(replayed):
-    sent, _ = replayed
+def test_every_field_the_pipeline_scenarios_send_is_declared():
     table = declared()
-    undeclared = sorted(
-        (method, field) for method, field in sent
-        if field not in table.get(method, ())
-    )
+    sent, undeclared = set(), []
+    for scenario_id, run in _runs():
+        sent |= run.fields
+        undeclared += [
+            (scenario_id, method, field) for method, field in sorted(run.fields)
+            if field not in table.get(method, ())
+        ]
     assert not undeclared, f"sent but not declared in WIRE: {undeclared}"
     assert {method for method, _ in sent} >= {"select", "insert_many", "txn_apply"}
 
 
-def test_every_message_the_pipeline_scenarios_send_encodes_at_its_size(replayed):
+def test_every_message_the_pipeline_scenarios_send_encodes_at_its_size():
     """``len(encode(m)) == measure_bytes(m)`` and ``decode(encode(m)) == m``
     for every message the network sized, and no message is one the
     format's headers cannot carry."""
-    _, (checked, problems) = replayed
-    assert checked[0] > 10_000
+    checked, problems = 0, []
+    for scenario_id, run in _runs():
+        checked += run.messages
+        problems += [(scenario_id, *problem) for problem in run.off_codec]
+    assert checked > 10_000
     assert not problems, f"{len(problems)} messages off the codec, first: {problems[0]}"

@@ -7,14 +7,12 @@ client/provider ``CostRecorder`` snapshots and, for ``select`` and joins,
 ``explain``'s strategy and quorum — equals its record in
 ``read_pipeline_golden.json``, one current record per scenario.
 
-The formula tests tie each record to what it saves: re-run with every
-share row sized row-major (``test_column_major_moves_by_the_declared_formula``)
-or with whole rows fetched (``test_projection_moves_by_the_declared_formula``),
-a scenario gives its record plus exactly the bytes the formula names; the
-transactional writes commit in one ``txn_apply`` round
-(``test_one_round_commit_moves_by_the_declared_formula``) and a
-provider-side join answers with two row lists
-(``test_fault_free_join_moves_by_the_declared_wire_delta``).
+Each scenario runs once per session (``tests.pipeline_runs``), and the
+tests that watch it read that run: the main test, the transactional
+writes' one ``txn_apply`` round, a provider-side join's two row lists and
+what a projection takes off the wire.  The formula tests in ``RERUNS``
+re-run a scenario with share rows sized row-major or whole rows fetched
+and find its record plus exactly the bytes the formula names.
 
 A change that moves these numbers on purpose re-bases the file in place
 and puts the printed list of moved fields in ``CHANGES.md``
@@ -27,7 +25,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Optional
+import tempfile
+from typing import Callable, Dict, Optional
 
 import pytest
 
@@ -46,9 +45,8 @@ from repro.trust.auditing import AuditRegistry
 from repro.txn import TransactionManager
 from repro.workloads.ecommerce import clicklog_table
 from repro.workloads.employees import employees_table, managers_table
-from tests import golden
+from tests import golden, pipeline_runs
 from tests.column_major import assert_moved_by_surplus, sized_row_major
-from tests.projection_wire import ProjectionWire
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "read_pipeline_golden.json")
 SEED = 11
@@ -114,6 +112,7 @@ class Deployment:
         if source_kwargs.pop("audited", False):
             source_kwargs["audit"] = AuditRegistry(5)
         self.source = DataSource(self.cluster, seed=SEED, **source_kwargs)
+        self.sources, self.router = [self.source], None
         employees = employees_table(30, seed=SEED)
         tables = [
             employees,
@@ -386,17 +385,16 @@ _add_maintenance("repair_provider", "crash", _repair)
 # ----------------------------------------------------------------- running --
 
 
-def run_scenario(
-    scenario_id: str, wal_dir: str, on_deployment: Optional[Callable] = None
-) -> Dict[str, object]:
+def run_scenario(scenario_id: str, on_deployment: Optional[Callable] = None) -> Dict[str, object]:
     """The scenario's record; ``on_deployment`` is called with the
     deployment once it is set up, before the scenario runs."""
     kwargs, run = SCENARIOS[scenario_id]
     dep = Deployment(**kwargs)
-    dep.wal_path = os.path.join(wal_dir, "client.wal")
     if on_deployment is not None:
         on_deployment(dep)
-    ok, extras = run(dep)
+    with tempfile.TemporaryDirectory() as wal_dir:
+        dep.wal_path = os.path.join(wal_dir, "client.wal")
+        ok, extras = run(dep)
     record = dict(extras)
     if "accounting" not in record:
         record["accounting"] = dep.accounting()
@@ -404,9 +402,16 @@ def run_scenario(
     return json.loads(json.dumps(record))
 
 
+#: the tests that run a scenario again, and the feature each switches off
+RERUNS = {
+    "test_column_major_moves_by_the_declared_formula": "column-major share-row sizing",
+    "test_projection_moves_by_the_declared_formula": "projected reads",
+}
+
+
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_entry_point_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
-    record = run_scenario(scenario_id, str(tmp_path))
+def test_entry_point_matches_oracle_and_parent_accounting(scenario_id):
+    record = pipeline_runs.run(__name__, scenario_id).record
     assert record.get("matches_oracle") is True, record
     golden.assert_record(golden.load(GOLDEN_PATH), scenario_id, record)
 
@@ -416,47 +421,30 @@ def test_golden_covers_exactly_the_scenarios():
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_column_major_moves_by_the_declared_formula(scenario_id, tmp_path):
+def test_column_major_moves_by_the_declared_formula(scenario_id):
     """Share rows name their columns once: run with every ``ShareRows``
     sized as the row-major list it stands for, a scenario gives its golden
     record with exactly the surplus (n − 1)(8 + 2C + L) + 4 of each
     ``ShareRows`` it sent added to its bytes (``tests.column_major``) and
     a slower modelled clock; nothing else moves."""
     with sized_row_major() as surplus:
-        row_major = run_scenario(scenario_id, str(tmp_path))
+        row_major = run_scenario(scenario_id)
     record = golden.load(GOLDEN_PATH)[scenario_id]
     assert_moved_by_surplus(record, row_major, surplus["counted"])
 
 
-def _sent(dep: Deployment) -> List[tuple]:
-    """Every ``(provider, method, request, response)`` of ``dep`` from now
-    on, in the order the providers answer."""
-    sent = []
-    for index, provider in enumerate(dep.cluster.providers):
-        def recording(method, request, handle=provider.handle, index=index):
-            response = handle(method, request)
-            sent.append((index, method, request, response))
-            return response
-
-        provider.handle = recording
-    return sent
-
-
 @pytest.mark.parametrize("entry", ["join", "join_checked"])
 @pytest.mark.parametrize("shape", ["plain", "filtered"])
-def test_fault_free_join_moves_by_the_declared_wire_delta(entry, shape, tmp_path):
+def test_fault_free_join_moves_by_the_declared_wire_delta(entry, shape):
     """A provider-matched join is one ``join`` request per responder,
     answered by two row lists — ``{"left": ShareRows, "right": ShareRows}``,
     one row per pair (every row of these joins has exactly one partner) —
     and the record's bytes and messages are those requests and answers."""
     scenario_id = f"{entry}/{shape}/none"
-    recorded: List[tuple] = []
-    record = run_scenario(
-        scenario_id, str(tmp_path), lambda dep: recorded.append((dep, _sent(dep)))
-    )
-    ((dep, calls),) = recorded
-    pairs = len(dep.oracle.execute(dep.parse(JOIN_SHAPES[shape])))
-    assert [method for _, method, _, _ in calls] == ["join"] * len(record["explain"][1])
+    run = pipeline_runs.run(__name__, scenario_id)
+    calls = [call for call in run.calls[0] if call[3] is not None]
+    pairs = len(Deployment().oracle.execute(parse_sql(JOIN_SHAPES[shape])))
+    assert [method for _, method, _, _ in calls] == ["join"] * len(run.record["explain"][1])
     for _, _, request, response in calls:
         assert sorted(response) == ["left", "right"]
         assert all(isinstance(response[side], ShareRows) for side in response)
@@ -472,18 +460,17 @@ def test_fault_free_join_moves_by_the_declared_wire_delta(entry, shape, tmp_path
 @pytest.mark.parametrize(
     "scenario_id", [sid for sid in sorted(SCENARIOS) if sid.startswith("txn/")]
 )
-def test_one_round_commit_moves_by_the_declared_formula(scenario_id, tmp_path):
+def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
     """One UPDATE / DELETE through the manager commits in one round: past
     its match read, every live provider is sent one ``txn_apply`` carrying
     one transaction (none when nothing matches) and nothing else."""
-    recorded: List[List[tuple]] = []
-    record = run_scenario(scenario_id, str(tmp_path), lambda dep: recorded.append(_sent(dep)))
-    assert record["matches_oracle"] is True
+    run = pipeline_runs.run(__name__, scenario_id)
+    assert run.record["matches_oracle"] is True
     live = 4 if scenario_id.endswith("/crash") else 5
     commits = [] if "/update_empty/" in scenario_id else ["txn_apply"]
-    written: Dict[int, List[str]] = {}
-    for index, method, request, _ in recorded[0]:
-        if method != "select":
+    written: Dict[int, list] = {}
+    for index, method, request, response in run.calls[0]:
+        if method != "select" and response is not None:
             written.setdefault(index, []).append(method)
             assert len(request["txns"]) == 1
     assert list(written.values()) == ([commits] * live if commits else [])
@@ -493,7 +480,7 @@ def test_one_round_commit_moves_by_the_declared_formula(scenario_id, tmp_path):
     "scenario_id",
     [sid for sid in sorted(SCENARIOS) if sid.split("/")[0] in ("select", "select_with_ids", "join")],
 )
-def test_projection_moves_by_the_declared_formula(scenario_id, tmp_path, monkeypatch):
+def test_projection_moves_by_the_declared_formula(scenario_id, monkeypatch):
     """A quorum row read, unpushed aggregate or join that fetches only
     ``explain``'s ``fetched_columns`` (a join: ``left_fetched_columns`` /
     ``right_fetched_columns``) sends its projection where the whole-row
@@ -513,8 +500,7 @@ def test_projection_moves_by_the_declared_formula(scenario_id, tmp_path, monkeyp
         }
     else:
         fetched = {query.table: plan["fetched_columns"]}
-    wire = ProjectionWire(dep.cluster.providers)
-    getattr(dep.source, entry)(query)
+    (wire,) = pipeline_runs.run(__name__, scenario_id).wires
     after = golden.load(GOLDEN_PATH)[scenario_id]
     dropped = {
         table: set(dep.source.sharing(table).schema.column_names) - set(columns)
@@ -524,7 +510,7 @@ def test_projection_moves_by_the_declared_formula(scenario_id, tmp_path, monkeyp
         dropped = {}  # provably empty: no provider is asked
     assert wire.dropped == {table: names for table, names in dropped.items() if names}
     monkeypatch.setattr(datasource, "fetched_columns", lambda schema, used: None)
-    before = run_scenario(scenario_id, str(tmp_path))
+    before = run_scenario(scenario_id)
     was, now = before["accounting"], after["accounting"]
     assert was["bytes"] - now["bytes"] == wire.lost - wire.gained
     assert (was["bytes"] > now["bytes"]) is bool(wire.dropped)
@@ -632,9 +618,4 @@ def test_explain_reports_the_columns_a_join_fetches(sql, left, right, kwargs):
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as wal_dir:
-        golden.rebase(
-            GOLDEN_PATH, {sid: run_scenario(sid, wal_dir) for sid in sorted(SCENARIOS)}
-        )
+    golden.rebase(GOLDEN_PATH, {sid: run_scenario(sid) for sid in sorted(SCENARIOS)})

@@ -15,7 +15,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
@@ -171,6 +171,55 @@ class TestUnitRowCache:
             (1, {"a": 1, "b": 2}), (2, {"a": 2}),
         ]
         assert cache.lookup_query("t", ("sig",), 0, ("b",)) is None
+
+    @staticmethod
+    def _put_rows_copying_each_row(cache, table, pairs):
+        """``put_rows`` as it was before it copied only the rows that
+        survive the put: each new row copied as it enters, evicting at
+        once."""
+        rows = cache._rows
+        for row_id, row in pairs:
+            key = (table, row_id)
+            held = rows.get(key)
+            if held is not None:
+                held.update(row)
+                rows.move_to_end(key)
+                continue
+            rows[key] = dict(row)
+            if len(rows) > cache.row_capacity:
+                rows.popitem(last=False)
+                cache.stats.evicted += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row_capacity=st.integers(1, 6),
+        puts=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 9),
+                    st.dictionaries(st.sampled_from("abc"), st.integers(0, 99), min_size=1),
+                ),
+                max_size=12,
+            ),
+            max_size=5,
+        ),
+    )
+    @example(row_capacity=2, puts=[[(1, {"a": 1})], [(1, {"b": 2}), (2, {"a": 2}), (3, {"a": 3}), (1, {"c": 4})]])
+    @example(row_capacity=3, puts=[[(1, {"a": 1}), (2, {"a": 2}), (1, {"b": 3})]])
+    def test_a_put_holds_what_copying_each_row_held(self, row_capacity, puts):
+        """After every put — below or above capacity, into held rows, naming
+        a row twice, a held row evicted mid-put and arriving again — the
+        cache holds the same keys in the same LRU order with the same rows
+        as when each new row was copied as it entered, and has counted the
+        same evictions; no row it holds is one the caller passed."""
+        cache, reference = RowCache(row_capacity=row_capacity), RowCache(row_capacity=row_capacity)
+        for pairs in puts:
+            cache.put_rows("t", 0, iter(pairs))
+            self._put_rows_copying_each_row(reference, "t", pairs)
+            assert list(cache._rows.items()) == list(reference._rows.items())
+            assert cache.stats.evicted == reference.stats.evicted
+            passed = {id(row) for _, row in pairs}
+            assert not any(id(row) in passed for row in cache._rows.values())
 
     def test_a_write_effect_drops_the_rows_and_queries_it_touched(self):
         """A deleted row goes; a changed row the cache holds takes its new

@@ -12,14 +12,12 @@ and WAL counters, or the error class of a refused statement — equals its
 record in ``write_pipeline_golden.json``, one current record per
 scenario.
 
-The formula tests tie each record to what it saves: re-run with every
-share row sized row-major (``test_column_major_moves_by_the_declared_formula``)
-or with the row cache never answering a write's match read
-(``test_cached_matches_skip_exactly_their_read_rounds``), a scenario gives
-its record plus exactly what the formula names; a manager's flush is one
-``txn_apply`` round per group
-(``test_one_round_commit_moves_by_the_declared_formula``) and a hash map
-places rows by their key (``test_key_placement_moves_only_placement``).
+Each scenario runs once per session (``tests.pipeline_runs``), and the
+tests that watch it read that run: the main test, a manager's flush as
+one ``txn_apply`` round per group and a hash map placing rows by their
+key.  The formula tests in ``RERUNS`` re-run a scenario with share rows
+sized row-major or the row cache never answering a write's match read and
+find its record plus exactly what the formula names.
 
 A change that moves these numbers on purpose re-bases the file in place
 and puts the printed list of moved fields in ``CHANGES.md``
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from collections import Counter
 from typing import Callable, Dict, List, Optional
 
@@ -52,7 +51,7 @@ from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
 from repro.trust.auditing import AuditRegistry
 from repro.txn import ShardedTransactionManager, TransactionManager
-from tests import golden
+from tests import golden, pipeline_runs
 from tests.column_major import assert_moved_by_surplus, sized_row_major
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "write_pipeline_golden.json")
@@ -161,11 +160,12 @@ class Deployment:
             for index in range(n_groups)
         ]
         schema = accounts_schema()
+        self.router = None
         if shard_mode is None:
             self.front = self.sources[0]
             self.front.create_table(schema)
         else:
-            self.front = ShardRouter(self.sources, mode=shard_mode, seed=SEED)
+            self.front = self.router = ShardRouter(self.sources, mode=shard_mode, seed=SEED)
             if shard_mode == "range":
                 self.front.create_table(schema, partition_column="branch", boundaries=[50])
             else:
@@ -312,19 +312,18 @@ for _variant in VARIANTS:
 # ----------------------------------------------------------------- running --
 
 
-def run_scenario(
-    scenario_id: str, wal_dir: str, on_deployment: Optional[Callable] = None
-) -> Dict[str, object]:
+def run_scenario(scenario_id: str, on_deployment: Optional[Callable] = None) -> Dict[str, object]:
     """The scenario's record; ``on_deployment`` is called with the
     deployment once it is set up, before the scenario runs."""
     kwargs, shape, run = SCENARIOS[scenario_id]
     dep = Deployment(**kwargs)
-    dep.wal_path = os.path.join(wal_dir, "client.wal")
     if on_deployment is not None:
         on_deployment(dep)
     statements = [parse_sql(s) for s in SHAPES.get(shape, ())]
     try:
-        results, extras = run(dep, statements)
+        with tempfile.TemporaryDirectory() as wal_dir:
+            dep.wal_path = os.path.join(wal_dir, "client.wal")
+            results, extras = run(dep, statements)
     except ReproError as exc:
         return {"raised": type(exc).__name__}
     record = dict(extras)
@@ -343,9 +342,16 @@ def run_scenario(
     return json.loads(json.dumps(record))
 
 
+#: the tests that run a scenario again, and the feature each switches off
+RERUNS = {
+    "test_column_major_moves_by_the_declared_formula": "column-major share-row sizing",
+    "test_cached_matches_skip_exactly_their_read_rounds": "row-cache lookups",
+}
+
+
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_write_matches_oracle_and_parent_accounting(scenario_id, tmp_path):
-    record = run_scenario(scenario_id, str(tmp_path))
+def test_write_matches_oracle_and_parent_accounting(scenario_id):
+    record = pipeline_runs.run(__name__, scenario_id).record
     assert record.get("matches_oracle") is True or "raised" in record, record
     golden.assert_record(golden.load(GOLDEN_PATH), scenario_id, record)
 
@@ -355,7 +361,7 @@ def test_golden_covers_exactly_the_scenarios():
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_column_major_moves_by_the_declared_formula(scenario_id, tmp_path):
+def test_column_major_moves_by_the_declared_formula(scenario_id):
     """Share rows name their columns once: run with every ``ShareRows``
     sized as the row-major list it stands for, a scenario gives its golden
     record with exactly the surplus (n − 1)(8 + 2C + L) + 4 of each
@@ -363,25 +369,9 @@ def test_column_major_moves_by_the_declared_formula(scenario_id, tmp_path):
     (``tests.column_major``), and slower modelled clocks; nothing else
     moves."""
     with sized_row_major() as surplus:
-        row_major = run_scenario(scenario_id, str(tmp_path))
+        row_major = run_scenario(scenario_id)
     record = golden.load(GOLDEN_PATH)[scenario_id]
     assert_moved_by_surplus(record, row_major, surplus["counted"])
-
-
-def _methods_sent(dep: Deployment) -> List[List[List[tuple]]]:
-    """Per group, per provider, every ``(method, request)`` it is sent from
-    now on."""
-    sent = []
-    for source in dep.sources:
-        per_provider = []
-        for provider in source.cluster.providers:
-            calls: List[tuple] = []
-            provider.handle = lambda method, request, handle=provider.handle, calls=calls: (
-                calls.append((method, request)) or handle(method, request)
-            )
-            per_provider.append(calls)
-        sent.append(per_provider)
-    return sent
 
 
 #: Entry points that write through a transaction manager.
@@ -397,39 +387,31 @@ WRITE_METHODS = {"insert_many", "update_rows", "delete_rows", "increment_rows", 
 @pytest.mark.parametrize(
     "scenario_id", [sid for sid in sorted(SCENARIOS) if sid.startswith(ONE_ROUND_COMMIT)]
 )
-def test_one_round_commit_moves_by_the_declared_formula(scenario_id, tmp_path):
+def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
     """A flush through the manager is, at each group it writes to, one
     ``txn_apply`` round: every write target is sent one ``txn_apply`` per
     round and no other write, and a transaction travels in one round.  An
     unsharded flush carries all its transactions, so each target's rounds
     carry ``committed`` transactions in all; a sharded flush carries one.
     No round goes without its WAL fsync."""
-    recorded: List[list] = []
-    record = run_scenario(
-        scenario_id, str(tmp_path), lambda dep: recorded.append(_methods_sent(dep))
-    )
+    run = pipeline_runs.run(__name__, scenario_id)
+    record, calls = run.record, run.calls
     if "raised" in record:
-        assert not any(
-            method in WRITE_METHODS
-            for group in recorded[0] for calls in group for method, _ in calls
-        )
+        assert not any(method in WRITE_METHODS for group in calls for _, method, _, _ in group)
         return
     flushes = record["wal"]["wal_fsyncs"]
-    sharded = len(recorded[0]) > 1
-    for group in recorded[0]:
+    sharded = len(calls) > 1
+    for group in calls:
         writes = [
-            [request for method, request in calls if method in WRITE_METHODS]
-            for calls in group
+            [request for i, method, request, _ in group if i == index and method in WRITE_METHODS]
+            for index in range(N_PROVIDERS)
         ]
         rounds = {len(requests) for requests in writes if requests}
         if not rounds:
             continue
         (count,) = rounds
         assert len([requests for requests in writes if requests]) >= THRESHOLD
-        assert all(
-            method == "txn_apply"
-            for calls in group for method, _ in calls if method in WRITE_METHODS
-        )
+        assert all(method == "txn_apply" for _, method, _, _ in group if method in WRITE_METHODS)
         carried = [len(request["txns"]) for request in next(r for r in writes if r)]
         assert count <= flushes
         if sharded:
@@ -446,21 +428,18 @@ KEY_POINTS = {"update_partition": 13, "update_nomatch": 999, "delete_nomatch": 9
 @pytest.mark.parametrize(
     "scenario_id", [sid for sid in sorted(SCENARIOS) if "hash" in sid.split("/")[0]]
 )
-def test_key_placement_moves_only_placement(scenario_id, tmp_path):
+def test_key_placement_moves_only_placement(scenario_id):
     """A hash map places a row by its partition key: after the scenario
     every group holds exactly the rows whose key it owns, and a statement
     that names one key sends messages to that key's owner alone."""
-    deployments: List[Deployment] = []
-    record = run_scenario(scenario_id, str(tmp_path), deployments.append)
-    (dep,) = deployments
-    router = dep.front
-    for group, source in enumerate(dep.sources):
-        rows = source.select(parse_sql("SELECT * FROM Accounts"))
-        assert {router.owner_for_row("Accounts", row) for row in rows} <= {group}
+    run = pipeline_runs.run(__name__, scenario_id)
+    for group, owners in enumerate(run.owners):
+        assert set(owners["Accounts"]) <= {group}
     shape = scenario_id.split("/")[1]
     if shape in KEY_POINTS:
+        router = Deployment(**SCENARIOS[scenario_id][0]).router
         owner = router.owner_for_row("Accounts", {"aid": KEY_POINTS[shape]})
-        messages = record["accounting"]["messages"]
+        messages = run.record["accounting"]["messages"]
         assert [group for group, count in enumerate(messages) if count] == [owner]
 
 
@@ -480,7 +459,7 @@ CACHED_MATCHES = {"script": 1}
         and sid.split("/")[1] in CACHED_MATCHES
     ],
 )
-def test_cached_matches_skip_exactly_their_read_rounds(scenario_id, tmp_path, monkeypatch):
+def test_cached_matches_skip_exactly_their_read_rounds(scenario_id, monkeypatch):
     """Against the scenario run with the row cache never answering, a
     record is less ``CACHED_MATCHES`` read rounds, each exactly one group's
     empty fetch round of the ``update_nomatch`` record — bytes, messages,
@@ -490,7 +469,7 @@ def test_cached_matches_skip_exactly_their_read_rounds(scenario_id, tmp_path, mo
     records = golden.load(GOLDEN_PATH)
     now = records[scenario_id]
     monkeypatch.setattr(RowCache, "lookup_query", lambda *args: None)
-    base = run_scenario(scenario_id, str(tmp_path))
+    base = run_scenario(scenario_id)
     entry, shape, variant = scenario_id.split("/")
     assert {k: v for k, v in now.items() if k != "accounting"} == {
         k: v for k, v in base.items() if k != "accounting"
@@ -520,9 +499,4 @@ def test_cached_matches_skip_exactly_their_read_rounds(scenario_id, tmp_path, mo
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as wal_dir:
-        golden.rebase(
-            GOLDEN_PATH, {sid: run_scenario(sid, wal_dir) for sid in sorted(SCENARIOS)}
-        )
+    golden.rebase(GOLDEN_PATH, {sid: run_scenario(sid) for sid in sorted(SCENARIOS)})

@@ -10,11 +10,11 @@ client/provider ``CostRecorder`` snapshots, ``router.stats`` and a
 session's counters — equals its record in ``router_pipeline_golden.json``,
 one current record per scenario.
 
-The formula tests tie each record to what it saves: re-run with every
-share row sized row-major (``test_column_major_moves_by_the_declared_formula``)
-or with whole rows fetched (``test_projection_moves_only_the_dropped_columns``),
-a scenario gives its record plus exactly the bytes the formula names; a
-hash map places rows by their key (``test_key_placement_moves_only_placement``).
+Each scenario runs once per session (``tests.pipeline_runs``), and the
+tests that watch it read that run: the main test, a hash map placing rows
+by their key and what a projection takes off the wire.  The formula tests
+in ``RERUNS`` re-run a scenario with share rows sized row-major or whole
+rows fetched and find its record plus exactly the bytes the formula names.
 
 A change that moves these numbers on purpose re-bases the file in place
 and puts the printed list of moved fields in ``CHANGES.md``
@@ -36,9 +36,8 @@ from repro.errors import ReproError
 from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
-from tests import golden
+from tests import golden, pipeline_runs
 from tests.column_major import assert_moved_by_surplus, sized_row_major
-from tests.projection_wire import ProjectionWire
 from tests.sharding.shardutil import build_oracle, build_router, sorted_eids
 
 GOLDEN_PATH = os.path.join(
@@ -154,6 +153,7 @@ class Deployment:
     def __init__(self, variant: str) -> None:
         mode, self.single = VARIANTS[variant]
         self.router = build_router(mode)
+        self.sources = [group.source for group in self.router.groups]
         self.oracle = build_oracle()
         if mode == "hash" and self.single:
             self.router.drain_group(1)
@@ -293,9 +293,16 @@ def run_scenario(
         return json.loads(json.dumps(run(dep)))
 
 
+#: the tests that run a scenario again, and the feature each switches off
+RERUNS = {
+    "test_column_major_moves_by_the_declared_formula": "column-major share-row sizing",
+    "test_projection_moves_only_the_dropped_columns": "projected reads",
+}
+
+
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_router_matches_oracle_and_parent_accounting(scenario_id):
-    record = run_scenario(scenario_id)
+    record = pipeline_runs.run(__name__, scenario_id).record
     assert record["matches_oracle"] is True, record
     # the result-order contract: the same ordered list as the oracle, on
     # every deployment shape
@@ -327,15 +334,11 @@ def test_column_major_moves_by_the_declared_formula(scenario_id):
 def test_key_placement_moves_only_placement(scenario_id):
     """A hash map places a row by its partition key: after the scenario
     every group holds exactly the rows of each table whose key it owns."""
-    deployments: List[Deployment] = []
-    run_scenario(scenario_id, deployments.append)
-    (dep,) = deployments
-    with dep.router:
-        for table in ("Employees", "Managers"):
-            for index, group in enumerate(dep.router.groups):
-                rows = group.source.select(parse_sql(f"SELECT * FROM {table}"))
-                owners = {dep.router.owner_for_row(table, row) for row in rows}
-                assert owners <= {index}, (table, index, owners)
+    run = pipeline_runs.run(__name__, scenario_id)
+    for table in ("Employees", "Managers"):
+        for index, group in enumerate(run.owners):
+            owners = set(group[table])
+            assert owners <= {index}, (table, index, owners)
 
 
 #: Shapes with a read that fetches fewer than every column somewhere: the
@@ -360,11 +363,8 @@ def test_projection_moves_only_the_dropped_columns(scenario_id, monkeypatch):
     column's cells, and the client interpolates exactly those cells fewer.
     Results, messages, provider cost and the router's and the session's
     counters do not move."""
-    wires: List[ProjectionWire] = []
-    now = run_scenario(
-        scenario_id,
-        lambda dep: wires.extend(ProjectionWire(g.cluster.providers) for g in dep.router.groups),
-    )
+    run = pipeline_runs.run(__name__, scenario_id)
+    now, wires = run.record, run.wires
     golden.assert_record(golden.load(GOLDEN_PATH), scenario_id, now)
     monkeypatch.setattr(datasource, "fetched_columns", lambda schema, used: None)
     before = run_scenario(scenario_id)
