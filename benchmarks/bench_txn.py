@@ -27,8 +27,9 @@ Results go to ``BENCH_txn.json`` at the repo root.  Run modes::
     python benchmarks/bench_txn.py           # full sweep + JSON
     python benchmarks/bench_txn.py --check   # small invariants-only run
 
-The committed ``BENCH_txn.json`` is
-``python benchmarks/bench_txn.py --rows 200 --providers 4 --threshold 2``.
+The committed ``BENCH_txn.json`` is ``python benchmarks/bench_txn.py``
+at its defaults (400 rows, n=5, k=3), value for value
+(``tests/integration/test_txn_bench.py``).
 
 ``--check`` (CI bench-smoke) gates: delta path >= 3x cheaper than eager
 in wire bytes with bit-identical results, group commit strictly fewer

@@ -171,6 +171,21 @@ class TestTier1Gate:
         installs = [s["run"] for s in steps if "pip install" in s["run"]]
         assert any("pytest" in run for run in installs)
 
+    def test_bench_smoke_regenerates_the_paper_tables(self, jobs):
+        """Every script that writes a paper table (``record_experiment``)
+        runs at its committed sizes, and the step fails when a table under
+        ``benchmarks/results`` moved."""
+        scripts = [
+            f"benchmarks/{path.name}"
+            for path in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
+            if "record_experiment(" in path.read_text(encoding="utf-8")
+        ]
+        (step,) = [s for s in jobs["bench-smoke"]["steps"] if "benchmarks/results" in s.get("run", "")]
+        command, diff = step["run"].replace("\\\n", " ").strip().splitlines()
+        assert command.startswith("python -m pytest") and command.split()[-16:] == scripts
+        assert diff == "git diff --exit-code -- benchmarks/results"
+        assert step["env"]["PYTHONPATH"] == "src"
+
     def test_provider_gates_run_on_both_backends(self, jobs):
         """The provider engine check must pass on the vectorized backend
         (speedup gates) AND with the backend forced to the scalar oracle

@@ -261,26 +261,22 @@ def golden_records() -> Dict[str, object]:
     return records
 
 
-def _golden() -> Dict[str, object]:
-    return golden.load(GOLDEN_PATH)
-
-
 # ------------------------------------------------------------------- tests --
 
 
 def test_loads_send_the_parents_payloads_and_account_alike():
     """Every call sends the recorded payloads and accounts as recorded."""
-    records = _golden()
+    records = golden.load(GOLDEN_PATH)
     for case, record in load_records().items():
         golden.assert_record(records, f"load/{case}", record)
 
 
 def test_share_row_draws_the_parents_shares():
-    golden.assert_record(_golden(), "shares", share_records())
+    golden.assert_record(golden.load(GOLDEN_PATH), "shares", share_records())
 
 
 def test_share_rows_is_the_parents_share_row_transposed():
-    recorded = _golden()["shares"]
+    recorded = golden.load(GOLDEN_PATH)["shares"]
     by_provider = ledger_sharing().share_rows(ledger_rows(12), range(12))
     assert len(by_provider) == N_PROVIDERS
     assert [batch.row_ids for batch in by_provider] == [list(range(12))] * N_PROVIDERS
@@ -295,13 +291,13 @@ def test_a_rejected_batch_raises_and_leaves_what_the_parent_does(case):
     # refused before any row of it is shared: nothing sent, nothing spent
     assert record["sent"] == 0 and record["epoch"] == 0 and record["bytes"] == 0
     assert record["client"] == {}
-    golden.assert_record(_golden(), f"reject/{case}", record)
+    golden.assert_record(golden.load(GOLDEN_PATH), f"reject/{case}", record)
 
 
 def test_golden_covers_exactly_the_cases():
     cases = [f"load/{case}" for case in ("employees/200", "employees/1", "ledger/200", "ledger/1")]
     cases += ["shares"] + [f"reject/{case}" for case in reject_batches()]
-    golden.assert_flat(_golden(), cases)
+    golden.assert_flat(golden.load(GOLDEN_PATH), cases)
 
 
 def test_batched_load_builds_the_indexes_of_a_one_shot_load():

@@ -10,9 +10,10 @@ client/provider ``CostRecorder`` snapshots and, for ``select`` and joins,
 Each scenario runs once per session (``tests.pipeline_runs``), and the
 tests that watch it read that run: the main test, the transactional
 writes' one ``txn_apply`` round, a provider-side join's two row lists and
-what a projection takes off the wire.  The formula tests in ``RERUNS``
-re-run a scenario with share rows sized row-major or whole rows fetched
-and find its record plus exactly the bytes the formula names.
+what a projection takes off the wire, and the column-major formula
+(``tests/ci/test_wire_contract.py``).  The projection test in ``RERUNS``
+re-runs a scenario with whole rows fetched and finds its record plus
+exactly the bytes the formula names.
 
 A change that moves these numbers on purpose re-bases the file in place
 and puts the printed list of moved fields in ``CHANGES.md``
@@ -46,7 +47,6 @@ from repro.txn import TransactionManager
 from repro.workloads.ecommerce import clicklog_table
 from repro.workloads.employees import employees_table, managers_table
 from tests import golden, pipeline_runs
-from tests.column_major import assert_moved_by_surplus, sized_row_major
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "read_pipeline_golden.json")
 SEED = 11
@@ -404,7 +404,6 @@ def run_scenario(scenario_id: str, on_deployment: Optional[Callable] = None) -> 
 
 #: the tests that run a scenario again, and the feature each switches off
 RERUNS = {
-    "test_column_major_moves_by_the_declared_formula": "column-major share-row sizing",
     "test_projection_moves_by_the_declared_formula": "projected reads",
 }
 
@@ -418,19 +417,6 @@ def test_entry_point_matches_oracle_and_parent_accounting(scenario_id):
 
 def test_golden_covers_exactly_the_scenarios():
     golden.assert_flat(golden.load(GOLDEN_PATH), SCENARIOS)
-
-
-@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_column_major_moves_by_the_declared_formula(scenario_id):
-    """Share rows name their columns once: run with every ``ShareRows``
-    sized as the row-major list it stands for, a scenario gives its golden
-    record with exactly the surplus (n − 1)(8 + 2C + L) + 4 of each
-    ``ShareRows`` it sent added to its bytes (``tests.column_major``) and
-    a slower modelled clock; nothing else moves."""
-    with sized_row_major() as surplus:
-        row_major = run_scenario(scenario_id)
-    record = golden.load(GOLDEN_PATH)[scenario_id]
-    assert_moved_by_surplus(record, row_major, surplus["counted"])
 
 
 @pytest.mark.parametrize("entry", ["join", "join_checked"])
@@ -543,12 +529,9 @@ def test_explain_reports_the_columns_a_read_fetches(sql, fetched):
     schema = dep.source.sharing(query.table).schema
     plan = dep.source.explain(query)
     assert plan["fetched_columns"] == (fetched or schema.column_names)
-    sent = []
-    handle = dep.cluster.providers[0].handle
-    dep.cluster.providers[0].handle = lambda method, request: (
-        sent.append(request.get("projection")) or handle(method, request)
-    )
-    assert _same(query, dep.source.sql(sql), dep.oracle.execute(query))
+    with pipeline_runs.recording(dep.cluster.providers[:1]) as calls:
+        assert _same(query, dep.source.sql(sql), dep.oracle.execute(query))
+    sent = [request.get("projection") for _, _, request, _ in calls]
     assert sent == [None if fetched is None else tuple(fetched)]
 
 
@@ -600,15 +583,11 @@ def test_explain_reports_the_columns_a_join_fetches(sql, left, right, kwargs):
     assert plan["left_fetched_columns"] == (left or schemas[0].column_names)
     assert plan["right_fetched_columns"] == (right or schemas[1].column_names)
     expected = [None if side is None else tuple(side) for side in (left, right)]
-    sent = []
-    for provider in dep.cluster.providers:
-        provider.handle = lambda method, request, handle=provider.handle: (
-            sent.append((method, request)) or handle(method, request)
-        )
-    assert rows_equal_unordered(dep.source.join(query), dep.oracle.execute(query))
+    with pipeline_runs.recording(dep) as calls:
+        assert rows_equal_unordered(dep.source.join(query), dep.oracle.execute(query))
     methods = ["select", "select"] if "client_join_fallback" in kwargs else ["join"]
-    assert [method for method, _ in sent] == sorted(methods * len(plan["read_quorum"]))
-    for method, request in sent:
+    assert [method for _, method, _, _ in calls] == sorted(methods * len(plan["read_quorum"]))
+    for _, method, request, _ in calls:
         if method == "join":
             fields = [request.get(f"{side}_projection", "left out") for side in ("left", "right")]
             assert fields == [side or "left out" for side in expected]

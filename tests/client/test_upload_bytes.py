@@ -99,24 +99,20 @@ def snapshot_records(directory: str) -> dict:
     return records
 
 
-def _golden() -> dict:
-    return golden.load(GOLDEN_PATH)
-
-
 def test_an_insert_sends_the_parents_bytes():
-    golden.assert_record(_golden(), "network", network_record())
+    golden.assert_record(golden.load(GOLDEN_PATH), "network", network_record())
 
 
 def test_a_transactional_insert_logs_the_parents_frame(tmp_path):
-    golden.assert_record(_golden(), "wal", wal_record(str(tmp_path)))
+    golden.assert_record(golden.load(GOLDEN_PATH), "wal", wal_record(str(tmp_path)))
 
 
 def test_a_mid_round_insert_snapshots_to_the_declared_bytes(tmp_path):
-    golden.assert_record(_golden(), "snapshots", snapshot_records(str(tmp_path)))
+    golden.assert_record(golden.load(GOLDEN_PATH), "snapshots", snapshot_records(str(tmp_path)))
 
 
 def test_golden_covers_exactly_the_cases():
-    golden.assert_flat(_golden(), ("network", "wal", "snapshots"))
+    golden.assert_flat(golden.load(GOLDEN_PATH), ("network", "wal", "snapshots"))
 
 
 def test_an_old_snapshot_with_staged_txns_loads_without_them(tmp_path):

@@ -15,9 +15,10 @@ scenario.
 Each scenario runs once per session (``tests.pipeline_runs``), and the
 tests that watch it read that run: the main test, a manager's flush as
 one ``txn_apply`` round per group and a hash map placing rows by their
-key.  The formula tests in ``RERUNS`` re-run a scenario with share rows
-sized row-major or the row cache never answering a write's match read and
-find its record plus exactly what the formula names.
+key, and the column-major formula (``tests/ci/test_wire_contract.py``).
+The cached-match test in ``RERUNS`` re-runs a scenario with the row cache
+never answering a write's match read and finds its record plus exactly
+what the formula names.
 
 A change that moves these numbers on purpose re-bases the file in place
 and puts the printed list of moved fields in ``CHANGES.md``
@@ -52,7 +53,6 @@ from repro.sqlengine.table import Table
 from repro.trust.auditing import AuditRegistry
 from repro.txn import ShardedTransactionManager, TransactionManager
 from tests import golden, pipeline_runs
-from tests.column_major import assert_moved_by_surplus, sized_row_major
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "write_pipeline_golden.json")
 SEED = 15
@@ -344,7 +344,6 @@ def run_scenario(scenario_id: str, on_deployment: Optional[Callable] = None) -> 
 
 #: the tests that run a scenario again, and the feature each switches off
 RERUNS = {
-    "test_column_major_moves_by_the_declared_formula": "column-major share-row sizing",
     "test_cached_matches_skip_exactly_their_read_rounds": "row-cache lookups",
 }
 
@@ -358,20 +357,6 @@ def test_write_matches_oracle_and_parent_accounting(scenario_id):
 
 def test_golden_covers_exactly_the_scenarios():
     golden.assert_flat(golden.load(GOLDEN_PATH), SCENARIOS)
-
-
-@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_column_major_moves_by_the_declared_formula(scenario_id):
-    """Share rows name their columns once: run with every ``ShareRows``
-    sized as the row-major list it stands for, a scenario gives its golden
-    record with exactly the surplus (n − 1)(8 + 2C + L) + 4 of each
-    ``ShareRows`` it sent added to its bytes, summed over the groups
-    (``tests.column_major``), and slower modelled clocks; nothing else
-    moves."""
-    with sized_row_major() as surplus:
-        row_major = run_scenario(scenario_id)
-    record = golden.load(GOLDEN_PATH)[scenario_id]
-    assert_moved_by_surplus(record, row_major, surplus["counted"])
 
 
 #: Entry points that write through a transaction manager.

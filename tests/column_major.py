@@ -6,20 +6,21 @@ list ``[(row_id, {column: share}), ...]`` it stands for: each row after
 the first does not repeat its tuple and dict headers and every column
 name, and the response's own list header is the row count.
 
-The pipeline tests hold every scenario to that formula: run with each
-``ShareRows`` sized as the row-major list (:func:`sized_row_major`), a
-scenario gives its golden record with more bytes — exactly the formula's
-surplus over the share rows it sent — and a slower modelled clock, and
-nothing else different (:func:`assert_moved_by_surplus`).
+The pipeline tests hold every scenario to that formula off the one run
+each scenario makes (``tests.pipeline_runs``): every ``ShareRows`` its
+recorded calls carry is that much smaller than the list, measured as it
+is (``tests/ci/test_wire_contract.py``).  Sized row-major, a message
+would grow by the surplus of the share rows it holds (:func:`share_rows`)
+and nothing else, since a message is sized as the sum of its parts; and
+since only accounting reads what the network sized, only bytes and the
+modelled clock would move.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Iterator
 
 from repro.sim import network
-from tests.golden import moved_fields
 
 
 def row_major_surplus(rows: network.ShareRows) -> int:
@@ -30,54 +31,13 @@ def row_major_surplus(rows: network.ShareRows) -> int:
     return (len(rows) - 1) * (8 + 2 * len(rows.columns) + names) + 4
 
 
-@contextmanager
-def sized_row_major() -> Iterator[Dict[str, int]]:
-    """Size every ``ShareRows`` as the row-major list it stands for, the
-    list measured as it is.  Yields the :func:`row_major_surplus` formula
-    summed over those share rows since the networks' counters were last
-    reset: ``sent`` all of it, ``counted`` what had been sent when a byte
-    count was last read (a record's ``bytes``; a scenario may send more
-    after its record)."""
-    column_major = network.ShareRows.wire_size
-    reset = network.SimulatedNetwork.reset
-    total_bytes = network.SimulatedNetwork.total_bytes
-    surplus = {"sent": 0, "counted": 0}
-
-    def row_major(rows):
-        surplus["sent"] += row_major_surplus(rows)
-        return network.measure_bytes(list(rows))
-
-    def resetting(net):
-        surplus.update(sent=0, counted=0)
-        reset(net)
-
-    def counting(net):
-        surplus["counted"] = surplus["sent"]
-        return total_bytes.fget(net)
-
-    network.ShareRows.wire_size = row_major
-    network.SimulatedNetwork.reset = resetting
-    network.SimulatedNetwork.total_bytes = property(counting)
-    try:
-        yield surplus
-    finally:
-        network.ShareRows.wire_size = column_major
-        network.SimulatedNetwork.reset = reset
-        network.SimulatedNetwork.total_bytes = total_bytes
-
-
-def assert_moved_by_surplus(record, row_major, surplus: int) -> None:
-    """``row_major`` is ``record`` with ``bytes`` higher by ``surplus`` in
-    all and some ``modelled_seconds`` higher, and nothing else different —
-    nothing at all when no share row travelled."""
-    moved = moved_fields(record, row_major)
-    assert bool(moved) == bool(surplus), (surplus, moved)
-    added = 0
-    for path, now, was in moved:
-        # the field's name: a per-group list's items sit under it
-        field = [part for part in path.split("/") if not part.isdigit()][-1]
-        assert field in ("bytes", "modelled_seconds"), (path, now, was)
-        assert now < was, (path, now, was)
-        if field == "bytes":
-            added += was - now
-    assert added == surplus
+def share_rows(value) -> Iterator[network.ShareRows]:
+    """Every ``ShareRows`` in ``value`` — share rows, a dict, list or
+    tuple — however deep (``batch`` riders, ``txn_apply`` ops, a join's
+    two sides)."""
+    if isinstance(value, network.ShareRows):
+        yield value
+        return
+    for item in value.values() if isinstance(value, dict) else value:
+        if isinstance(item, (network.ShareRows, dict, list, tuple)):
+            yield from share_rows(item)

@@ -12,12 +12,16 @@ before.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from typing import Dict, Iterable, List, Tuple
 
 
+@functools.lru_cache(maxsize=None)
 def load(path: str) -> Dict[str, object]:
+    """The golden at ``path``, parsed once per session; read it, never
+    change it."""
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
@@ -65,7 +69,7 @@ def rebase(path: str, records: Dict[str, object]) -> None:
     """Write ``records`` as the golden at ``path`` and print every field
     that moved against the file it replaces."""
     records = plain(records)
-    before = load(path) if os.path.exists(path) else {}
+    before = load.__wrapped__(path) if os.path.exists(path) else {}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1, sort_keys=True)
         handle.write("\n")

@@ -29,6 +29,7 @@ from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
+from tests import pipeline_runs
 
 N_PROVIDERS, THRESHOLD = 5, 3
 FAULTY = 1  # a member of the plain read quorum [0, 1, 2]
@@ -93,27 +94,17 @@ def oracle_rows(left_rows, right_rows, query):
 COLUMNS = ["L.id", "L.k", "L.a", "R.id", "R.k", "R.b"]
 
 
-def recording(providers):
-    """Every ``(method, request)`` the providers are sent, in order."""
-    sent = []
-    for provider in providers:
-        provider.handle = lambda method, request, handle=provider.handle: (
-            sent.append((method, request)) or handle(method, request)
-        )
-    return sent
-
-
-def projections_sent(sent, query):
+def projections_sent(calls, query):
     """Per table, the projections its reads carried (``None``: whole rows,
-    which a join request says by leaving the field out); empties ``sent``."""
+    which a join request says by leaving the field out); empties ``calls``."""
     out = {query.left_table: set(), query.right_table: set()}
-    for method, request in sent:
+    for _, method, request, _ in calls:
         if method == "join":
             out[query.left_table].add(request.get("left_projection"))
             out[query.right_table].add(request.get("right_projection"))
         else:
             out[request["table"]].add(request.get("projection"))
-    sent.clear()
+    calls.clear()
     return out
 
 
@@ -173,15 +164,18 @@ def test_every_join_route_equals_the_oracle(left_rows, right_rows, query):
     }
     with sharded(left_rows, right_rows) as router:
         sources = [matched, fallback] + [g.source for g in router.groups]
-        sent = recording(p for source in sources for p in source.cluster.providers)
-        for verified in (False, True):
-            for source in sources:
-                source.verified_reads = verified
-            # checked reads fetch whole rows
-            wanted = {table: {None if verified else columns} for table, columns in fetched.items()}
-            for route in (matched, fallback, router):
-                assert route.join(query) == expected
-                assert projections_sent(sent, query) == wanted
+        providers = [p for source in sources for p in source.cluster.providers]
+        with pipeline_runs.recording(providers) as calls:
+            for verified in (False, True):
+                for source in sources:
+                    source.verified_reads = verified
+                # checked reads fetch whole rows
+                wanted = {
+                    table: {None if verified else columns} for table, columns in fetched.items()
+                }
+                for route in (matched, fallback, router):
+                    assert route.join(query) == expected
+                    assert projections_sent(calls, query) == wanted
 
 
 @settings(max_examples=30, deadline=None)

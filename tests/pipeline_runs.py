@@ -1,9 +1,16 @@
-"""One run per pipeline scenario, shared by every test that watches it.
+"""The one recorder a test watches providers with, and one run per
+pipeline scenario, shared by every test that watches it.
 
-A test that switches a feature off runs the scenario again itself and
-lists that feature in its module's ``RERUNS``
-(``tests/ci/test_one_run_per_scenario.py``).  To watch something new, add
-a field to :class:`Run` and fill it in :func:`run`.
+:func:`recording` wraps ``handle`` on the providers of a deployment, a
+``ShardRouter`` or a list for a block and collects each call they answer
+or raise on; it is the only place under ``tests/`` that replaces a
+provider's ``handle`` to watch it (``tests/ci/test_one_run_per_scenario.py``).
+
+:func:`run` runs a read, write or router pipeline scenario once per
+session with every observer attached, the recorder among them.  A test
+that switches a feature off runs the scenario again itself and lists that
+feature in its module's ``RERUNS``.  To watch something new, add a field
+to :class:`Run` and fill it in :func:`run`.
 """
 
 from __future__ import annotations
@@ -12,16 +19,51 @@ import functools
 import pickle
 import sys
 from collections import defaultdict
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
 from repro.errors import WireError
 from repro.providers.provider import ShareProvider
-from repro.sim import wire
+from repro.sim import network, wire
 from repro.sim.network import ShareRows, SimulatedNetwork, measure_bytes
 from repro.sqlengine.sqlparser import parse_sql
+from tests.column_major import row_major_surplus, share_rows
+
+
+@contextmanager
+def recording(target, observe: Callable = lambda *call: None) -> Iterator[List[tuple]]:
+    """Every call the providers of ``target`` — a deployment (its
+    ``sources``), a ``ShardRouter`` (its ``groups``) or a list — answer or
+    raise on inside the block, as ``(index, method, request, response)``
+    in the order sent: ``index`` is the provider's place among them, the
+    response None where it raised.  ``observe(provider, method, request,
+    response)`` is told of each call as it ends."""
+    groups = getattr(target, "sources", None) or getattr(target, "groups", None)
+    providers = [p for group in groups for p in group.cluster.providers] if groups else [*target]
+    calls: List[tuple] = []
+
+    def watched(provider, index, handle):
+        def call(method, request):
+            response = None
+            try:
+                response = handle(method, request)
+                return response
+            finally:
+                calls.append((index, method, request, response))
+                observe(provider, method, request, response)
+
+        return call
+
+    for index, provider in enumerate(providers):
+        provider.handle = watched(provider, index, provider.handle)
+    try:
+        yield calls
+    finally:
+        for provider in providers:
+            del provider.handle
 
 
 @dataclass
@@ -31,11 +73,18 @@ class Run:
     (``batch`` riders and ``txn_apply`` ops included); how many
     ``messages`` the network sized, and ``(src, dst, size, encoded length
     or error, message)`` of each the codec does not carry at that size;
-    per group, each provider's ``(index, method, request, response)`` in
-    the order sent, None where it raised (``calls``: pickled, as objects
-    every scenario's share rows took some 30 MB), and a
+    per group, the :func:`recording` of its providers (``calls``: pickled,
+    as objects every scenario's share rows took some 30 MB), and a
     :class:`ProjectionWire` told of every call; under a hash map, per
-    group, each table's sorted owners of the rows it holds after the run."""
+    group, each table's sorted owners of the rows it holds after the run.
+
+    And what sizing share rows could reach: ``readers``, every
+    ``module:function`` that read a byte counter or a network's modelled
+    clock (a function of ``repro.sim.network``, a lambda or a
+    comprehension hands the value on: its caller reads it);
+    ``peak_clock``, the highest any modelled clock stood;
+    ``surplus_seconds``, the time the row-major surplus of every sized
+    message's share rows takes at its network's bandwidth."""
 
     record: Dict[str, object] = field(default_factory=dict)
     fields: Set[Tuple[str, str]] = field(default_factory=set)
@@ -44,17 +93,28 @@ class Run:
     pickled_calls: bytes = b""
     wires: List[ProjectionWire] = field(default_factory=list)
     owners: Optional[List[Dict[str, List[int]]]] = None
+    readers: Set[str] = field(default_factory=set)
+    peak_clock: float = 0.0
+    surplus_seconds: float = 0.0
 
     @property
     def calls(self) -> List[List[tuple]]:
         return pickle.loads(self.pickled_calls)
 
 
+#: the counters a message's size moves, by the class that holds them
+COUNTERS = (
+    (SimulatedNetwork, "modelled_seconds"),
+    (network.NetworkStats, "bytes_sent"),
+    (network.EndpointStats, "payload_bytes"),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def run(module: str, scenario_id: str) -> Run:
     """Test module ``module``'s scenario, run once per session with every
     observer attached; what they saw is kept as plain data, no deployment."""
-    seen, deployments, sent, providers = Run(), [], [], []
+    seen, deployments, sent = Run(), [], []
     checked = ShareProvider._handler
 
     def handler(provider, method, request, *methods):
@@ -63,10 +123,12 @@ def run(module: str, scenario_id: str) -> Run:
         return checked(provider, method, request, *methods)
 
     def encoded(sizing):
-        def send(network, src, dst, payload):
-            out = sizing(network, src, dst, payload)
+        def send(net, src, dst, payload):
+            out = sizing(net, src, dst, payload)
             size = out if type(out) is int else out[0]
             seen.messages += 1
+            surplus = sum(map(row_major_surplus, share_rows([payload])))
+            seen.surplus_seconds += 8 * surplus / net.latency.bandwidth_bits_per_second
             try:
                 data = wire.encode(payload)
                 if len(data) != size or wire.decode(data) != payload:
@@ -77,35 +139,41 @@ def run(module: str, scenario_id: str) -> Run:
 
         return send
 
-    def watched(provider, index, calls, projection, handle):
-        def call(method, request):
-            response = None
-            try:
-                response = handle(method, request)
-                return response
-            finally:
-                calls.append((index, method, request, response))
-                projection.observe(provider, method, request, response)
+    def counter(name):
+        def read(obj):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] in (network.__name__, __name__) or (
+                    frame.f_code.co_name[0] == "<"):
+                frame = frame.f_back
+            seen.readers.add(f"{frame.f_globals['__name__']}:{frame.f_code.co_name}")
+            return vars(obj)[name]
 
-        return call
+        def write(obj, value):
+            vars(obj)[name] = value
+            if name == "modelled_seconds":
+                seen.peak_clock = max(seen.peak_clock, value)
 
-    def attach(dep) -> None:
-        deployments.append(dep)
-        for source in dep.sources:
-            sent.append([])
-            seen.wires.append(ProjectionWire())
-            for index, provider in enumerate(source.cluster.providers):
-                provider.handle = watched(provider, index, sent[-1], seen.wires[-1], provider.handle)
-                providers.append(provider)
+        return property(read, write)
 
-    with pytest.MonkeyPatch.context() as patch:
+    with ExitStack() as stack:
+        patch = stack.enter_context(pytest.MonkeyPatch.context())
         patch.setattr(ShareProvider, "_handler", handler)
         for name in ("send", "send_unclocked"):
             patch.setattr(SimulatedNetwork, name, encoded(getattr(SimulatedNetwork, name)))
+        for cls, name in COUNTERS:
+            patch.setattr(cls, name, counter(name), raising=False)
+
+        def attach(dep) -> None:
+            deployments.append(dep)
+            for source in dep.sources:
+                seen.wires.append(ProjectionWire())
+                sent.append(stack.enter_context(
+                    recording(source.cluster.providers, seen.wires[-1].observe)
+                ))
+
         seen.record = sys.modules[module].run_scenario(scenario_id, attach)
+    # recorders and patches are off: the owner reads below are not the scenario's
     seen.pickled_calls = pickle.dumps(sent)
-    for provider in providers:
-        del provider.handle  # the owner reads below are not the scenario's
     (dep,) = deployments
     if dep.router is not None and dep.router.default_mode == "hash":
         seen.owners = [

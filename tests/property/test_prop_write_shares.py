@@ -12,12 +12,11 @@ one share per cell.
   column), rows then columns.
 """
 
-from unittest import mock
-
 from hypothesis import given, settings, strategies as st
 
 from repro.client.datasource import DataSource
 from repro.providers.cluster import ProviderCluster
+from tests import pipeline_runs
 from tests.client.test_load_path import ledger_rows, ledger_schema
 from tests.property.test_prop_load_path import _cells
 
@@ -80,17 +79,10 @@ def test_refresh_increments_are_one_split_of_zero_per_cell(rows, seed):
     source, twin = ledger_source(seed), ledger_source(seed)
     for deployment in (source, twin):
         deployment.insert_many("Ledger", ledger_rows(rows))
-    sent = {}
-    mutate = source._mutate
-
-    def spy(table, method, build, **kwargs):
-        sent[method] = [build(i) for i in range(N)]
-        return mutate(table, method, build, **kwargs)
-
     before = source.cost.count("poly_eval")
-    with mock.patch.object(source, "_mutate", side_effect=spy):
+    with pipeline_runs.recording(source.cluster.providers) as calls:
         assert source.refresh_table_shares("Ledger") == rows
-    increments = [request["increments"] for request in sent["increment_rows"]]
+    increments = [request["increments"] for _, method, request, _ in calls if method == "increment_rows"]
     row_ids = [row_id for row_id, _ in increments[0]]
     assert len(set(row_ids)) == rows
     random_columns = [c.name for c in SCHEMA.columns if not c.searchable]

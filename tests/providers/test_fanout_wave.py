@@ -24,6 +24,7 @@ from repro.service.sharding import ShardRouter
 from repro.sim.network import measure_bytes
 from repro.txn import TransactionManager
 from repro.workloads.employees import employees_table
+from tests import pipeline_runs
 
 N, K = 5, 3
 METHOD = "row_count"
@@ -131,11 +132,9 @@ class TestClockModel:
 class TestExecution:
     def test_handlers_run_in_provider_index_order(self):
         cluster = make_cluster()
-        order = []
-        for index, provider in enumerate(cluster.providers):
-            provider.handle = _recording(order, index, provider.handle)
-        cluster.call_all(METHOD, {i: {"table": "T"} for i in reversed(range(N))})
-        assert order == list(range(N))
+        with pipeline_runs.recording(cluster.providers) as calls:
+            cluster.call_all(METHOD, {i: {"table": "T"} for i in reversed(range(N))})
+        assert [index for index, _, _, _ in calls] == list(range(N))
 
     def test_statements_start_no_threads(self, tmp_path):
         before = set(threading.enumerate())
@@ -178,11 +177,3 @@ class TestRemovedKnobs:
         cluster = ProviderCluster(3, 2)
         with pytest.raises(ConfigurationError, match="unknown quorum mode"):
             cluster.call_all("ping", {0: {}, 1: {}}, quorum="psychic")
-
-
-def _recording(order, index, handle):
-    def handler(method, request):
-        order.append(index)
-        return handle(method, request)
-
-    return handler

@@ -12,9 +12,10 @@ one current record per scenario.
 
 Each scenario runs once per session (``tests.pipeline_runs``), and the
 tests that watch it read that run: the main test, a hash map placing rows
-by their key and what a projection takes off the wire.  The formula tests
-in ``RERUNS`` re-run a scenario with share rows sized row-major or whole
-rows fetched and find its record plus exactly the bytes the formula names.
+by their key, what a projection takes off the wire and the column-major
+formula (``tests/ci/test_wire_contract.py``).  The projection test in
+``RERUNS`` re-runs a scenario with whole rows fetched and finds its record
+plus exactly the bytes the formula names.
 
 A change that moves these numbers on purpose re-bases the file in place
 and puts the printed list of moved fields in ``CHANGES.md``
@@ -37,7 +38,6 @@ from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
 from tests import golden, pipeline_runs
-from tests.column_major import assert_moved_by_surplus, sized_row_major
 from tests.sharding.shardutil import build_oracle, build_router, sorted_eids
 
 GOLDEN_PATH = os.path.join(
@@ -295,7 +295,6 @@ def run_scenario(
 
 #: the tests that run a scenario again, and the feature each switches off
 RERUNS = {
-    "test_column_major_moves_by_the_declared_formula": "column-major share-row sizing",
     "test_projection_moves_only_the_dropped_columns": "projected reads",
 }
 
@@ -312,20 +311,6 @@ def test_router_matches_oracle_and_parent_accounting(scenario_id):
 
 def test_golden_covers_exactly_the_scenarios():
     golden.assert_flat(golden.load(GOLDEN_PATH), SCENARIOS)
-
-
-@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-def test_column_major_moves_by_the_declared_formula(scenario_id):
-    """Share rows name their columns once: run with every ``ShareRows``
-    sized as the row-major list it stands for, a scenario gives its golden
-    record with exactly the surplus (n − 1)(8 + 2C + L) + 4 of each
-    ``ShareRows`` it sent added to its bytes, summed over the groups
-    (``tests.column_major``), and slower modelled clocks; nothing else
-    moves."""
-    with sized_row_major() as surplus:
-        row_major = run_scenario(scenario_id)
-    record = golden.load(GOLDEN_PATH)[scenario_id]
-    assert_moved_by_surplus(record, row_major, surplus["counted"])
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from repro.txn import ShardedTransactionManager
 
 from repro.workloads.employees import EID_LO
 
+from tests import pipeline_runs
 from tests.sharding.shardutil import (
     SEED,
     THRESHOLD,
@@ -224,17 +225,6 @@ class TestPruning:
             assert [group.network.total_messages for group in router.groups] == [0, 0]
 
 
-def _sent(router):
-    """Every ``(method, request)`` the router's providers are sent."""
-    sent = []
-    for group in router.groups:
-        for provider in group.cluster.providers:
-            provider.handle = lambda method, request, handle=provider.handle: (
-                sent.append((method, request)) or handle(method, request)
-            )
-    return sent
-
-
 def _projection(columns, schema):
     """The projection a read of ``columns`` sends: none for every column."""
     return None if list(columns) == schema.column_names else tuple(columns)
@@ -259,11 +249,11 @@ class TestProjection:
         unsharded = build_unsharded()
         schema = unsharded.sharing("Employees").schema
         expected = _projection(unsharded.explain(query)["fetched_columns"], schema)
-        with build_router(mode) as router:
-            sent = _sent(router)
+        with build_router(mode) as router, pipeline_runs.recording(router) as calls:
             assert router.sql(sql) == oracle_answer(build_oracle(), sql)
-            assert {r.get("projection") for m, r in sent if m == "select"} == {expected}
-            assert len([m for m, _ in sent if m == "select"]) > THRESHOLD
+        selects = [request for _, method, request, _ in calls if method == "select"]
+        assert {request.get("projection") for request in selects} == {expected}
+        assert len(selects) > THRESHOLD
 
     def test_a_co_located_join_sends_the_fetched_columns(self):
         sql = (
@@ -279,12 +269,11 @@ class TestProjection:
         ]
         with build_router("hash") as router:
             router.drain_group(1)  # one group holds both tables: co-located
-            sent = _sent(router)
-            assert rows_equal_unordered(router.sql(sql), oracle_answer(build_oracle(), sql))
-            joins = [request for method, request in sent if method == "join"]
-            assert len(joins) == THRESHOLD and [m for m, _ in sent] == ["join"] * THRESHOLD
-            for request in joins:
-                assert [request.get("left_projection"), request.get("right_projection")] == expected
+            with pipeline_runs.recording(router) as calls:
+                assert rows_equal_unordered(router.sql(sql), oracle_answer(build_oracle(), sql))
+        assert [method for _, method, _, _ in calls] == ["join"] * THRESHOLD
+        for _, _, request, _ in calls:
+            assert [request.get("left_projection"), request.get("right_projection")] == expected
 
 
 class TestWrites:

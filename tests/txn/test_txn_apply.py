@@ -29,6 +29,7 @@ from repro.sim.network import ShareRows
 from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.txn import ShardedTransactionManager, TransactionManager
+from tests import pipeline_runs
 from tests.sharding.shardutil import build_router
 
 TXN_METHODS = {"insert_many", "update_rows", "delete_rows", "increment_rows"}
@@ -118,14 +119,12 @@ def test_a_planned_op_always_passes_validation(deployment, sql):
     assert ids[0] == ids[1] == ids[2]
 
 
-def _methods_sent(providers):
-    """Per provider, the methods it is sent from now on."""
-    sent = [[] for _ in providers]
-    for methods, provider in zip(sent, providers):
-        provider.handle = lambda method, request, handle=provider.handle, methods=methods: (
-            methods.append(method) or handle(method, request)
-        )
-    return sent
+def _writes(calls, n_providers):
+    """Per provider, the methods it was sent other than a read."""
+    return [
+        [method for at, method, _, _ in calls if at == index and method != "select"]
+        for index in range(n_providers)
+    ]
 
 
 COMMITTED_WRITES = [
@@ -140,9 +139,9 @@ def test_a_write_commits_in_one_txn_apply_round(deployment, sql):
     """Past its match read, an UPDATE / DELETE through the manager is one
     ``txn_apply`` request to every provider and nothing else."""
     source, manager = deployment
-    sent = _methods_sent(source.cluster.providers)
-    manager.execute(sql)
-    assert [[m for m in methods if m != "select"] for methods in sent] == [["txn_apply"]] * 3
+    with pipeline_runs.recording(source.cluster.providers) as calls:
+        manager.execute(sql)
+    assert _writes(calls, 3) == [["txn_apply"]] * 3
 
 
 @pytest.mark.parametrize("sql", [
@@ -153,15 +152,13 @@ def test_a_write_commits_in_one_txn_apply_round(deployment, sql):
 def test_a_sharded_write_commits_in_one_txn_apply_round_per_group(tmp_path, sql):
     with build_router("hash") as router:
         manager = ShardedTransactionManager(router, str(tmp_path / "client.wal"))
-        providers = [p for group in router.groups for p in group.cluster.providers]
-        sent = _methods_sent(providers)
-        try:
-            assert manager.execute(sql) > 0
-        finally:
-            manager.close()
-    assert [[m for m in methods if m != "select"] for methods in sent] == (
-        [["txn_apply"]] * len(providers)
-    )
+        with pipeline_runs.recording(router) as calls:
+            try:
+                assert manager.execute(sql) > 0
+            finally:
+                manager.close()
+        n_providers = sum(len(group.cluster.providers) for group in router.groups)
+    assert _writes(calls, n_providers) == [["txn_apply"]] * n_providers
 
 
 def test_a_provider_whose_rows_drifted_refuses_alone(deployment):
