@@ -3,7 +3,7 @@ declared is read.
 
 ``repro.providers.provider.WIRE`` declares every provider RPC's request
 fields, and ``ShareProvider.handle`` refuses a request carrying a field
-it does not declare.  Three checks keep the wire honest:
+it does not declare.  Four checks keep the wire honest:
 
 * **runtime** — every ``(method, field)`` pair the read, write and
   router pipeline scenarios send (``batch`` riders and ``txn_apply`` ops
@@ -13,17 +13,16 @@ it does not declare.  Three checks keep the wire honest:
 * **codec** — every message those scenarios send, requests and
   responses, encodes (``repro.sim.wire``) to exactly the bytes the
   network charged for it and decodes back to itself;
-* **formula** — every ``ShareRows`` those messages carry is the
-  row-major list it stands for less ``row_major_surplus``
-  (``tests.column_major``), and what that sizing moves, byte counters
-  and modelled clocks, feeds nothing but the scenarios' accounting;
+* **clock** — a round never waits less for a bigger message, so share
+  rows sized row-major (``tests.column_major``, checked per scenario by
+  each pipeline module) could not make a modelled clock fall;
 * **static** — the request keys each ``_rpc_*`` handler reads
   (``request[...]``, ``request.get(...)``, ``... in request``, through
   any ``ShareProvider`` method it hands the request to) equal the
   fields its row declares, so a declared field no handler reads fails
   too.
 
-The runtime and formula checks read each scenario's one run per session, the run
+Both runtime checks read each scenario's one run per session, the run
 its pipeline module's main test checks (``tests.pipeline_runs``).
 """
 
@@ -34,11 +33,9 @@ import pytest
 
 from repro.providers import provider as provider_module
 from repro.providers.cluster import ProviderCluster
-from repro.providers.health import COOLDOWN_SECONDS
 from repro.providers.provider import WIRE
-from repro.sim.network import measure_bytes
 from tests import pipeline_runs
-from tests.column_major import row_major_surplus, share_rows
+from tests.column_major import share_rows
 from tests.client import test_read_pipeline, test_write_pipeline
 from tests.sharding import test_router_pipeline
 
@@ -171,43 +168,18 @@ def test_every_message_the_pipeline_scenarios_send_encodes_at_its_size():
     assert not problems, f"{len(problems)} messages off the codec, first: {problems[0]}"
 
 
-#: What may read a byte counter or a modelled clock, besides a scenario's
-#: own module building its record: the fan-out, which charges each round
-#: its bytes and legs, and the health tracker, whose quarantine lasts
-#: ``COOLDOWN_SECONDS`` of the clock.
-ACCOUNTING = {"repro.providers.cluster:wave"}
-QUARANTINE = {"repro.providers.health:quarantine", "repro.providers.health:is_quarantined"}
-
-
-def test_share_rows_save_the_row_major_formula_and_feed_only_accounting():
-    """Share rows name their columns once: every ``ShareRows`` the pipeline
-    scenarios send is ``row_major_surplus`` — (n − 1)(8 + 2C + L) + 4 —
-    smaller than the row-major list it stands for, measured as it is.
-
-    Sized row-major, a message would grow by its share rows' surplus (a
-    message is sized as the sum of its parts) and nothing but byte counts
-    and modelled clocks could move: in every run only accounting and the
-    health tracker read them, and no quarantine could expire, since even
-    the peak clock plus every surplus at the bandwidth stays under
-    ``COOLDOWN_SECONDS``.  Nor could a clock fall: a round waits for its
-    slowest or k-th fastest message, and a bigger message never waits less."""
-    checked, off = 0, []
-    for scenario_id, run in _runs():
-        module = scenario_id.split("::")[0]
-        strays = {
-            reader for reader in run.readers - ACCOUNTING - QUARANTINE
-            if not reader.startswith(f"{module}:")
-        }
-        assert not strays, f"{scenario_id}: read what sizing moves: {strays}"
-        assert run.peak_clock + run.surplus_seconds < COOLDOWN_SECONDS, scenario_id
-        for group in run.calls:
-            for _, _, request, response in group:
-                for rows in share_rows([request, response]):
-                    checked += 1
-                    if measure_bytes(list(rows)) - rows.wire_size() != row_major_surplus(rows):
-                        off.append((scenario_id, rows))
-    assert checked > 6_000
-    assert not off, f"{len(off)} share rows off the formula, first: {off[0]}"
+def test_a_bigger_message_never_makes_a_round_shorter():
+    """A modelled clock cannot fall when share rows are sized row-major: a
+    round waits for its slowest or k-th fastest message, and a bigger
+    message never waits less (all, first_k, an unavailable provider,
+    serial).  The per-scenario half — the surplus of every ``ShareRows``
+    and what reads bytes and clocks — is each pipeline module's
+    ``test_column_major_moves_by_the_declared_formula``; here, only that
+    those runs do send share rows for it to hold."""
+    assert sum(
+        1 for _, run in _runs() for group in run.calls for _, _, request, response in group
+        for _ in share_rows([request, response])
+    ) > 6_000
     elapsed, times = ProviderCluster._round_elapsed, {0: 0.2, 1: 0.1, 2: 0.3}
     for shape in ((None, "all", 0, 30.0, False), (2, "first_k", 0, 30.0, False),
                   (None, "all", 1, 30.0, False), (None, "all", 1, 30.0, True)):

@@ -15,7 +15,7 @@ scenario.
 Each scenario runs once per session (``tests.pipeline_runs``), and the
 tests that watch it read that run: the main test, a manager's flush as
 one ``txn_apply`` round per group and a hash map placing rows by their
-key, and the column-major formula (``tests/ci/test_wire_contract.py``).
+key, and the column-major formula (``tests.column_major``).
 The cached-match test in ``RERUNS`` re-runs a scenario with the row cache
 never answering a write's match read and finds its record plus exactly
 what the formula names.
@@ -53,6 +53,7 @@ from repro.sqlengine.table import Table
 from repro.trust.auditing import AuditRegistry
 from repro.txn import ShardedTransactionManager, TransactionManager
 from tests import golden, pipeline_runs
+from tests.column_major import assert_saves_the_formula
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "write_pipeline_golden.json")
 SEED = 15
@@ -357,6 +358,16 @@ def test_write_matches_oracle_and_parent_accounting(scenario_id):
 
 def test_golden_covers_exactly_the_scenarios():
     golden.assert_flat(golden.load(GOLDEN_PATH), SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_column_major_moves_by_the_declared_formula(scenario_id):
+    """Share rows name their columns once: sized as the row-major list it
+    stands for, a scenario would give its golden record with exactly the
+    surplus (n − 1)(8 + 2C + L) + 4 of each ``ShareRows`` it sent added to
+    its bytes, summed over the groups and slower modelled clocks, and nothing else moved —
+    read off its one run, not re-run (``tests.column_major``)."""
+    assert_saves_the_formula(__name__, pipeline_runs.run(__name__, scenario_id))
 
 
 #: Entry points that write through a transaction manager.

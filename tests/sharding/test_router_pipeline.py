@@ -13,7 +13,7 @@ one current record per scenario.
 Each scenario runs once per session (``tests.pipeline_runs``), and the
 tests that watch it read that run: the main test, a hash map placing rows
 by their key, what a projection takes off the wire and the column-major
-formula (``tests/ci/test_wire_contract.py``).  The projection test in
+formula (``tests.column_major``).  The projection test in
 ``RERUNS`` re-runs a scenario with whole rows fetched and finds its record
 plus exactly the bytes the formula names.
 
@@ -38,6 +38,7 @@ from repro.sqlengine.executor import rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
 
 from tests import golden, pipeline_runs
+from tests.column_major import assert_saves_the_formula
 from tests.sharding.shardutil import build_oracle, build_router, sorted_eids
 
 GOLDEN_PATH = os.path.join(
@@ -311,6 +312,16 @@ def test_router_matches_oracle_and_parent_accounting(scenario_id):
 
 def test_golden_covers_exactly_the_scenarios():
     golden.assert_flat(golden.load(GOLDEN_PATH), SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_column_major_moves_by_the_declared_formula(scenario_id):
+    """Share rows name their columns once: sized as the row-major list it
+    stands for, a scenario would give its golden record with exactly the
+    surplus (n − 1)(8 + 2C + L) + 4 of each ``ShareRows`` it sent added to
+    its bytes, summed over the groups and slower modelled clocks, and nothing else moved —
+    read off its one run, not re-run (``tests.column_major``)."""
+    assert_saves_the_formula(__name__, pipeline_runs.run(__name__, scenario_id))
 
 
 @pytest.mark.parametrize(
