@@ -75,13 +75,13 @@ def test_redundancy_overhead_table(benchmark):
         for n, k in CONFIGS:
             total = _storage_overhead(n, k)
             if base is None:
-                base = total / 3  # per-provider volume of the smallest config
+                base = total / 3  # one provider's part of the (3,2) upload
             rows.append(
                 {
                     "(n,k)": f"({n},{k})",
                     "upload KB": round(total / 1024, 1),
                     "tolerates crashes": n - k,
-                    "x single copy": round(total / base, 2),
+                    "x one (3,2) provider's part": round(total / base, 2),
                 }
             )
         return rows

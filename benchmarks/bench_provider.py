@@ -21,8 +21,6 @@ scan — and comparing the two on the provider hot paths:
   secret sharing cheaper than encryption (Sec. V-A); the aggregate cache
   is cleared per iteration so the *cold* compute path is what's timed;
 * **hash join** — build/probe on deterministic share equality;
-* **Merkle proofs** — proofs for every row (position map vs repeated
-  ``list.index``);
 * **increment deltas** — ``increment_rows``' one validate-then-apply
   pass, ms per request for each wire shape (compact ``{row_ids,
   deltas}``, per-row ``increments``) at 1, 200 and 2,000 rows; no naive
@@ -71,7 +69,6 @@ from repro.core.kernels import active_backend, set_kernel_backend
 from repro.providers.provider import ShareProvider
 from repro.providers.storage import ShareTable
 from repro.sim.network import ShareRows, measure_bytes
-from repro.trust.merkle import tree_for_rows
 
 SEED = 2009
 RESULT_PATH = REPO_ROOT / "BENCH_provider.json"
@@ -348,31 +345,6 @@ def naive_join(left, right, left_column, right_column,
     return response, pairs
 
 
-class NaiveMerkle:
-    """The old proof path: cached tree, but a fresh ``sorted`` + O(n)
-    ``list.index`` position scan on every proof."""
-
-    def __init__(self, table, name="T"):
-        self.table = table
-        self.name = name
-        self._tree = None
-
-    def tree(self):
-        if self._tree is None:
-            self._tree = tree_for_rows(self.name, self.table.rows)
-        return self._tree
-
-    def proof(self, row_id):
-        ordered = self.table.all_row_ids()
-        index = ordered.index(row_id)
-        return {
-            "row": [row_id, self.table.get(row_id)],
-            "proof": [
-                [side, sibling] for side, sibling in self.tree().proof(index)
-            ],
-        }
-
-
 # ---------------------------------------------------------------------------
 # synthetic share data
 # ---------------------------------------------------------------------------
@@ -539,19 +511,9 @@ def assert_equal_results(provider, naive, rows, table="T"):
         )
         want = naive_aggregate_group(naive, "g", func, column)
         assert got == want, f"aggregate_group {func}({column}) diverged"
-    sample_ids = [rid for rid, _ in rows[:: max(len(rows) // 40, 1)]]
     got = provider.handle("scan", {"table": table, "projection": ["w"]})
     want = naive_select(naive, projection=["w"])
     assert list(got["rows"]) == want, "scan diverged"
-    root = provider.handle("merkle_root", {"table": table})["root"]
-    naive_merkle = NaiveMerkle(naive, table)
-    assert root == naive_merkle.tree().root, "merkle root diverged"
-    for rid in sample_ids[:10]:
-        got = provider.handle("merkle_proof", {"table": table, "row_id": rid})
-        want = naive_merkle.proof(rid)
-        assert got["row"] == want["row"] and got["proof"] == want["proof"], (
-            f"merkle proof diverged for row {rid}"
-        )
 
 
 def assert_cost_parity(rows, table="T"):
@@ -567,7 +529,6 @@ def assert_cost_parity(rows, table="T"):
                        "conditions": []}),
         ("aggregate_group", {"table": table, "group_column": "g",
                              "func": "sum", "column": "v", "conditions": []}),
-        ("merkle_proof", {"table": table, "row_id": rows[0][0]}),
     ]
     for method, request in battery:
         a = bulk.handle(method, request)
@@ -622,8 +583,6 @@ def assert_backend_equivalence(rows, table="T"):
                             "modulus": MERSENNE_61}),
         ("select", {"table": table, "conditions": [k_range(rows, 0.5)],
                     "projection": ["v", "w"]}),
-        ("merkle_root", {"table": table}),
-        ("merkle_proof", {"table": table, "row_id": rows[0][0]}),
     ]
 
     def run_backend(backend):
@@ -648,11 +607,8 @@ def assert_backend_equivalence(rows, table="T"):
 
     numpy_responses, numpy_provider, numpy_dispatch = run_backend("numpy")
     scalar_responses, scalar_provider, scalar_dispatch = run_backend("scalar")
-    # Merkle RPCs and increments make no engine choice
-    eligible = [
-        method for method, _ in battery
-        if not method.startswith("merkle") and method != "increment_rows"
-    ]
+    # increments make no engine choice
+    eligible = [method for method, _ in battery if method != "increment_rows"]
     assert numpy_dispatch == [(method, True) for method in eligible], (
         f"numpy backend left RPCs to the scalar engine: {numpy_dispatch}"
     )
@@ -911,34 +867,6 @@ def bench_join(provider, naive_left, rows, repeats=3):
     }
 
 
-def bench_merkle_proofs(provider, naive, rows):
-    """Proofs for every row: position map + cached tree vs sort-and-scan."""
-    row_ids = [rid for rid, _ in rows]
-    naive_merkle = NaiveMerkle(naive)
-    naive_merkle.tree()  # warm, like the provider's version cache
-
-    def columnar():
-        return [
-            provider.handle("merkle_proof", {"table": "T", "row_id": rid})
-            for rid in row_ids
-        ]
-
-    columnar_seconds, got = best_of(columnar, repeats=1)
-    naive_seconds, want = best_of(
-        lambda: [naive_merkle.proof(rid) for rid in row_ids], repeats=1
-    )
-    assert [g["proof"] for g in got] == [w["proof"] for w in want], (
-        "merkle proofs diverged"
-    )
-    return {
-        "table_rows": len(naive.rows),
-        "proofs": len(rows),
-        "naive_seconds": round(naive_seconds, 6),
-        "columnar_seconds": round(columnar_seconds, 6),
-        "speedup": round(naive_seconds / columnar_seconds, 2),
-    }
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -1049,7 +977,6 @@ def run_full(args) -> dict:
         "range_scan_full": [],
         "filtered_sum": [],
         "join": [],
-        "merkle_proofs": [],
         "increment_deltas": [],
     }
     for size in SIZES:
@@ -1075,10 +1002,6 @@ def run_full(args) -> dict:
         )
         report["join"].append(
             bench_join(provider, naive, rows, args.repeats)
-        )
-        proof_rows = rows if size <= 5_000 else rows[:5_000]
-        report["merkle_proofs"].append(
-            bench_merkle_proofs(provider, naive, proof_rows)
         )
         report["increment_deltas"].extend(
             bench_increment_deltas(rows, args.repeats)

@@ -46,7 +46,6 @@ from .core.scheme import TableSharing
 from .core.secrets import ClientSecrets, generate_client_secrets, secrets_with_points
 from .core.shamir import ShamirScheme, figure1_shares, salaries_from_figure1
 from .errors import (
-    CompletenessError,
     ConfigurationError,
     DomainError,
     EncodingError,
@@ -74,8 +73,6 @@ from .providers.cluster import ProviderCluster
 from .providers.failures import Fault, FailureMode
 from .providers.provider import ShareProvider
 from .trust.assurance import AssuranceWrapper
-from .trust.auditing import AuditRegistry
-from .trust.chaining import CompletenessGuard
 from .sim.network import LatencyModel, SimulatedNetwork, measure_bytes
 from .sim.costmodel import CostModel, CostRecorder
 from .sqlengine.catalog import Catalog
@@ -109,9 +106,7 @@ __all__ = [
     "Aggregate",
     "AggregateFunc",
     "AssuranceWrapper",
-    "AuditRegistry",
     "BooleanCodec",
-    "CompletenessGuard",
     "EXTENDED_ALPHABET",
     "LazyUpdateBuffer",
     "MashupEngine",
@@ -125,7 +120,6 @@ __all__ = [
     "ClientSecrets",
     "Column",
     "ColumnType",
-    "CompletenessError",
     "ConfigurationError",
     "CostModel",
     "CostRecorder",

@@ -96,7 +96,7 @@ MUTATING_RPCS = frozenset(
 #: :class:`DataSource`): who a read round asks and how cells are decoded.
 #: Internal — the public knobs stay ``verified_reads``/``read_redundancy``
 #: and the choice of ``select*`` entry point.
-_QUORUM, _AUDITED, _CHECKED = "quorum", "audited", "checked"
+_QUORUM, _CHECKED = "quorum", "checked"
 
 #: Request fields of a read that wants every column of every matching row.
 _FULL_ROWS: Dict[str, object] = {"projection": None}
@@ -257,7 +257,6 @@ class DataSource:
         seed: int = 0,
         secrets: Optional[ClientSecrets] = None,
         client_join_fallback: bool = False,
-        audit: Optional[object] = None,
         namespace: str = "",
         verified_reads: bool = False,
         read_redundancy: Optional[int] = None,
@@ -283,9 +282,6 @@ class DataSource:
             )
         self.read_redundancy = read_redundancy
         self.failover = failover
-        #: optional :class:`~repro.trust.auditing.AuditRegistry`; when set,
-        #: every write is mirrored into it and verified reads are available
-        self.audit = audit
         #: multi-tenancy: a DBSP serves many customers (Sec. I), so each
         #: client's tables live under its namespace at the providers.
         #: Clients with different namespaces (and their own secrets) share
@@ -316,8 +312,6 @@ class DataSource:
         self._row_id_lock = threading.Lock()
         # thread-local guard proving a mutating RPC came through _mutate
         self._mutation = threading.local()
-        if audit is not None and getattr(audit, "namespace", "") == "":
-            audit.namespace = namespace
 
     # ----------------------------------------------------------- namespacing --
 
@@ -438,8 +432,6 @@ class DataSource:
         )
         self._sharings[schema.name] = sharing
         self._next_row_id[schema.name] = 0
-        if self.audit is not None:
-            self.audit.on_create_table(schema.name)
 
     def restore_table(self, schema: TableSchema, next_row_id: int) -> None:
         """Re-register an already-outsourced table after a client restart.
@@ -457,8 +449,6 @@ class DataSource:
             schema, self.secrets, self.threshold, self._rng, self._op_registry
         )
         self._next_row_id[schema.name] = next_row_id
-        if self.audit is not None:
-            self.audit.on_create_table(schema.name)
 
     def snapshot(self) -> Dict[str, object]:
         """The client state a restart needs besides its secrets and
@@ -566,8 +556,8 @@ class DataSource:
     #
     # ``plan_write`` reads the matches (unless the caller has them), picks
     # eager or delta, draws the shares and builds the wire payloads;
-    # ``apply_write`` stamps the epoch, runs the round through ``_mutate``,
-    # mirrors the audit registry from the payloads and bumps the epoch.
+    # ``apply_write`` stamps the epoch, runs the round through ``_mutate``
+    # and bumps the epoch.
     # The transaction layer logs the op between the halves and applies it
     # itself (``control_round``).
 
@@ -660,23 +650,19 @@ class DataSource:
         """Send a planned write through the epoch choke point.
 
         The only caller of :meth:`_mutate` for row writes: epoch stamp →
-        round to the live write targets → audit mirror (derived from the
-        very payloads that were sent) → provider-count agreement → epoch
+        round to the live write targets → provider-count agreement → epoch
         bump.  Returns ``op.result`` (for share increments, the count the
         providers agree they applied).
         """
         if not op.requests:
             return op.result
-        targets = self.cluster.write_targets()
         responses = self._mutate(
             op.table,
             op.method,
             op.requests.__getitem__,
-            provider_indexes=targets,
+            provider_indexes=self.cluster.write_targets(),
             effect=op.effect,
         )
-        if self.audit is not None:
-            self._mirror_audit(op, targets)
         if op.method == "increment_rows":
             counts = {r["incremented"] for r in responses.values()}
             if len(counts) != 1:
@@ -687,22 +673,6 @@ class DataSource:
             # counted, so this can fall short of the planned match count
             return counts.pop()
         return op.result
-
-    def _mirror_audit(self, op: WriteOp, targets: List[int]) -> None:
-        # plan_write never plans increments under an audit registry (the
-        # client cannot update share hashes blind), so three shapes remain
-        audit, table = self.audit, op.table
-        if op.method == "delete_rows":
-            for row_id in op.requests[0]["row_ids"]:
-                audit.on_delete(table, row_id)
-            return
-        for index in targets:
-            if op.method == "insert_many":
-                for row_id, share_row in op.requests[index]["rows"]:
-                    audit.on_insert(table, index, row_id, share_row)
-            else:
-                for row_id, assignments in op.requests[index]["updates"]:
-                    audit.on_update(table, index, row_id, assignments)
 
     def insert(self, table_name: str, row: Row) -> int:
         """Insert one row; returns its client-assigned row id."""
@@ -863,19 +833,12 @@ class DataSource:
         (``None``: it can) — the one copy of the incremental protocol's
         rules, all inherent:
 
-        * no audit registry — the client cannot update its share hashes
-          without knowing the current shares;
         * every column randomly shared (non-searchable) and INTEGER —
           order-preserving shares are deterministic per value and cannot
           be perturbed in place;
         * a fully provider-pushable predicate — a client residual would
           require fetching rows anyway, erasing the saving.
         """
-        if self.audit is not None:
-            return QueryError(
-                "increment() cannot maintain the audit registry's share "
-                "hashes; use update() on audited tables"
-            )
         table = stmt.table
         schema = self.sharing(table).schema
         for column in stmt.assignments:
@@ -941,19 +904,10 @@ class DataSource:
         Order-preserving columns are left untouched: their shares are
         deterministic per value and cannot be re-randomised without
         changing the scheme (their protection rests on the keyed slots,
-        not on polynomial freshness).  Incompatible with an attached audit
-        registry for the same reason as :meth:`increment` (the client
-        cannot update its share hashes blind); use :meth:`resync_table`
-        to refresh audited tables.
+        not on polynomial freshness).
 
         Returns the number of rows refreshed.
         """
-        if self.audit is not None:
-            raise QueryError(
-                "refresh_table_shares() cannot maintain the audit registry; "
-                "use resync_table() on audited tables (same effect, plus "
-                "fresh hashes)"
-            )
         sharing = self.sharing(table_name)
         random_columns = [
             c.name for c in sharing.schema.columns if not c.searchable
@@ -1024,8 +978,6 @@ class DataSource:
             self.call_one(
                 index, "create_table", _create_request(table_name, sharing.schema)
             )
-        if self.audit is not None:
-            self.audit.on_resync(table_name)
         op = self._plan_insert(
             table_name, [row for _, row in rows], [row_id for row_id, _ in rows]
         )
@@ -1192,7 +1144,7 @@ class DataSource:
         """Validate a SELECT and decide, once, what it pushes down.
 
         Shared by execution and :meth:`explain`, so the two cannot
-        disagree.  Only the quorum and audited modes push anything: a
+        disagree.  Only a quorum read pushes anything: a
         checked read cross-checks whole row sets across redundant
         providers, and a top-k prefix or a partial aggregate from a lying
         provider carries no blame — it fetches every matching row and
@@ -1202,7 +1154,7 @@ class DataSource:
         schema = sharing.schema
         predicate = query.where.bind(schema)
         rewritten = rewrite_predicate(predicate, sharing)
-        pushes = mode in (_QUORUM, _AUDITED) and not rewritten.provably_empty
+        pushes = mode == _QUORUM and not rewritten.provably_empty
         can_push = False
         fields = dict(_FULL_ROWS)
         used = None
@@ -1259,7 +1211,7 @@ class DataSource:
             ):
                 fields["limit"] = query.limit
         # a quorum read fetches what the client finish uses, the residual's
-        # columns included (checked and audited reads check whole rows)
+        # columns included (a checked read checks whole rows)
         if mode == _QUORUM and used is not None:
             used.update(rewritten.residual.referenced_columns())
             fields["projection"] = fetched_columns(schema, used)
@@ -1275,9 +1227,9 @@ class DataSource:
         straight from the row cache — zero provider RPCs.  The signature
         covers everything that determines the *row set* (predicate +
         pushed-down order/limit); client-side sort, limit, and projection
-        run identically on replayed rows.  Nothing else replays: checked
-        and audited reads exist to re-examine what the providers actually
-        return, and :meth:`select_with_ids` feeds writes and audits.
+        run identically on replayed rows.  Nothing else replays: a checked
+        read exists to re-examine what the providers actually return, and
+        :meth:`select_with_ids` feeds writes.
         """
         plan = self._plan_select(query, mode)
         epoch = signature = pairs = None
@@ -1403,8 +1355,8 @@ class DataSource:
 
         Never served from the row cache and never widened by
         ``verified_reads``: its callers are about to write back what they
-        read (lazy buffer, atomic batches) or to audit it (completeness
-        chains key on row ids).  Aggregates are not supported here.
+        read (lazy buffer, atomic batches) and need the row ids to do it.
+        Aggregates are not supported here.
         """
         if query.is_aggregate:
             raise QueryError("select_with_ids does not support aggregates")
@@ -1495,26 +1447,6 @@ class DataSource:
             self.bump_table_epoch(name)
         return counts
 
-    def select_verified(self, query: Select) -> List[Row]:
-        """SELECT with the trust layer engaged (requires ``audit``).
-
-        Every returned share is checked against the client's recorded
-        hashes (correctness) and providers must agree on the matching row
-        set (strict alignment — detects omission within the quorum).
-        Raises :class:`IntegrityError` on any discrepancy.
-        """
-        if self.audit is None:
-            raise QueryError(
-                "select_verified requires an AuditRegistry; construct the "
-                "DataSource with audit=AuditRegistry(n_providers)"
-            )
-        if query.is_aggregate:
-            raise QueryError(
-                "verified aggregates are not supported; verify the "
-                "underlying rows with a projection query instead"
-            )
-        return [row for _, row in self._select_rows(query, _AUDITED)]
-
     # ---------------------------------------------------- the read pipeline --
     #
     # Every row-returning read is the paper's one-sentence protocol
@@ -1524,7 +1456,6 @@ class DataSource:
     #
     #   mode      targets                wait     decode
     #   quorum    k preferred            first_k  batched, row cache allowed
-    #   audited   k preferred            first_k  hash check + strict alignment
     #   checked   k + read_redundancy    all      cross-check, blame → re-issue
 
     def _read_targets(self, mode: str, blamed: set = frozenset()) -> List[int]:
@@ -1687,14 +1618,11 @@ class DataSource:
             return reconstruct_rows_checked(
                 sharing, responses, residual=residual, cost=self.cost
             )
-        if mode == _AUDITED:
-            self.audit.verify_responses(sharing.schema.name, responses)
         return reconstruct_rows(
             sharing,
             responses,
             residual=residual,
             cost=self.cost,
-            strict=mode == _AUDITED,
             row_cache=self.row_cache,
             cache_epoch=cache_epoch,
             columns=columns,

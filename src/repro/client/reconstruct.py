@@ -8,24 +8,26 @@ client-side residual predicate.  A provider-matched join answers with
 two of them — each side's matched rows — and each is decoded here like
 any other row read; there is no pair decode.
 
-The quorum and audited reads (:func:`reconstruct_rows`) stay column-major
+A quorum read (:func:`reconstruct_rows`) stays column-major
 end to end: rows are aligned by *position* — when every responder
 returned the same row ids, which is what honest providers do, the
 alignment is the identity and each provider's columns go to the kernels
 as they arrived; otherwise rows are grouped by the set of providers that
 returned them and each group's columns are gathered by position — and
 one dict per row is built at the very end.  The per-row readers (robust
-and checked decoding, audits, repair) vote or verify one row at a time
+and checked decoding, repair) vote or verify one row at a time
 by nature; they iterate a ``ShareRows`` as ``(row_id, share_row)`` pairs
 through :func:`align_by_row_id`.
 
 Alignment policy: a row is reconstructed when at least ``k`` providers
 returned it.  Honest providers always agree on the matching set (they
 filter the *same* plaintext rows, deterministically, in share space), so
-a shortfall only occurs under omission faults — which, without the trust
-layer, silently shrinks the result.  That silent data loss is precisely
-the vulnerability Sec. I's third challenge describes; the trust layer
-(:mod:`repro.trust`) makes it detectable, and EXP-T9 measures detection.
+a shortfall only occurs under omission faults — which, in a quorum read,
+silently shrinks the result.  That silent data loss is precisely the
+vulnerability Sec. I's third challenge describes; a checked read
+(:func:`reconstruct_rows_checked`, ``verified_reads=True``) asks more
+than k providers, votes on which rows are present and blames the
+omitter, and EXP-T9 measures it.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ def reconstruct_rows(
     responses: Dict[int, Dict],
     residual: Optional[Predicate] = None,
     cost: Optional[CostRecorder] = None,
-    strict: bool = False,
     row_cache: Optional[RowCache] = None,
     cache_epoch: Optional[int] = None,
     columns: Optional[Sequence[str]] = None,
@@ -97,17 +98,15 @@ def reconstruct_rows(
     row)`` pairs, ascending row id, each row holding at least ``columns``
     (the read's projection; every column when None).
 
-    ``strict=True`` raises :class:`IntegrityError` when providers disagree
-    on the matching row set (used by verified reads); the default silently
-    keeps rows with a full quorum, modelling the unverified client.
+    Rows fewer than ``k`` providers returned are dropped silently: this is
+    the unverified client; a checked read
+    (:func:`reconstruct_rows_checked`) votes on presence instead.
 
     When a ``row_cache`` (and the ``cache_epoch`` the read began in) is
     supplied, rows the cache still holds with every one of ``columns`` —
     reconstructed earlier and not touched by a write since — skip
     interpolation: only the cache-miss subset goes through the batched
-    kernels, and fresh reconstructions are written back.  Verified reads
-    (``strict=True``) never consult the cache: their purpose is to
-    re-examine what the providers actually returned.
+    kernels, and fresh reconstructions are written back.
     """
     with telemetry.span("reconstruct", table=sharing.schema.name) as sp:
         provider_rows = rows_from_responses(responses)
@@ -117,22 +116,7 @@ def reconstruct_rows(
         names = sharing.schema.column_names if columns is None else list(columns)
         residual = residual or TruePredicate()
         needs_residual = not isinstance(residual, TruePredicate)
-        use_cache = row_cache is not None and cache_epoch is not None and not strict
-        if strict:
-            omitted = min(
-                (
-                    (row_ids[0], len(responders))
-                    for responders, row_ids in groups.items()
-                    if len(responders) < len(responses)
-                ),
-                default=None,
-            )
-            if omitted is not None:
-                telemetry.count("faults.detected", kind="omission")
-                raise IntegrityError(
-                    f"row {omitted[0]} returned by only {omitted[1]} of "
-                    f"{len(responses)} providers — a provider omitted results"
-                )
+        use_cache = row_cache is not None and cache_epoch is not None
         quorate = {
             responders: row_ids
             for responders, row_ids in groups.items()
@@ -336,7 +320,7 @@ def consistent_scalar(responses: Dict[int, Dict], key: str):
     """A scalar every provider must agree on (e.g. COUNT).
 
     Disagreement means a faulty provider; the client cannot tell *which*
-    without the trust layer, so it raises rather than guessing.  An empty
+    from k answers, so it raises rather than guessing.  An empty
     response set means no quorum ever answered — surfaced as a
     :class:`ReconstructionError` rather than an opaque ``StopIteration``.
     """

@@ -9,8 +9,7 @@ alternative the threshold structure makes possible:
 * **Random columns** — any k consistent shares determine the
   degree-(k−1) sharing polynomial ``q``; the target's correct share is
   just ``q(x_target)`` (:meth:`ShamirScheme.extend_share`).  The
-  polynomial itself is untouched, so no other provider's share changes
-  and audit hashes recorded at write time stay valid.
+  polynomial itself is untouched, so no other provider's share changes.
 * **Order-preserving columns** — shares are deterministic per value, so
   the target's share is recomputed directly as ``share(v, x_target)``
   after robust reconstruction of ``v``.

@@ -40,8 +40,8 @@ The cache stores and returns **copies** of rows: callers freely mutate
 result dictionaries, and a cache must never alias live results.  Only
 plain unverified reads consult it — a SELECT, and the match read of an
 UPDATE / DELETE, which takes its rows from the entry that SELECT would
-have stored; checked and audited reads exist precisely to re-examine the
-providers' answers, so they always go to the wire.
+have stored; a checked read exists precisely to re-examine the
+providers' answers, so it always goes to the wire.
 
 Both levels are LRU-bounded.  A query-level hit whose row entries were
 evicted falls through to a normal RPC (and re-warms both levels); the

@@ -126,8 +126,8 @@ class LazyUpdateBuffer:
                     (row_id, {column: current[column] for column in assigned})
                 )
         # the coalesced absolute values enter the one write pipeline at its
-        # re-share primitive; apply_write broadcasts, mirrors the audit, and
-        # bumps the table epoch — the flush cannot forget cache invalidation
+        # re-share primitive; apply_write broadcasts and bumps the table
+        # epoch — the flush cannot forget cache invalidation
         return source.apply_write(
             source.prepare_update_shares(table_name, changes)
         )

@@ -274,8 +274,7 @@ class ShamirScheme:
         ``q(x_target)``.  This is the cheap repair primitive fVSS-style
         schemes are built around: the target's share column is rebuilt
         from k live providers and **no other provider's share changes**
-        (the polynomial itself is unchanged, so audit hashes recorded at
-        write time remain valid).
+        (the polynomial itself is unchanged).
         """
         if len(shares) < self.threshold:
             raise ReconstructionError(

@@ -78,14 +78,12 @@ class QuorumError(ReproError):
 class IntegrityError(ReproError):
     """Verification of provider responses failed.
 
-    Raised by the trust layer when a Merkle proof, completeness chain, or
-    challenge token does not check out — i.e. a provider returned tampered,
+    Raised when providers disagree on what honest providers always agree
+    on (a COUNT, an aggregate's nominated row, a group count, a write's
+    row count) or when canary tuples (:mod:`repro.trust.assurance`) go
+    missing or come back altered — i.e. a provider returned tampered,
     dropped, or fabricated results.
     """
-
-
-class CompletenessError(IntegrityError):
-    """A range result is provably missing tuples (broken hash chain)."""
 
 
 class SchemaError(ReproError):

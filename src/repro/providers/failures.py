@@ -14,11 +14,13 @@ We model four provider behaviours beyond honest operation:
   with probability ``rate`` (a timeout, not a fail-stop), so the
   provider stays in the live set and per-RPC retries are meaningful.
 * **TAMPER** — a malicious provider perturbs the share values it returns.
-  Detected by the trust layer (Merkle proofs / redundant-share
-  cross-checks) and, for order-preserving shares, by out-of-domain
-  reconstruction (EXP-T9).
+  Detected by checked reads (``verified_reads=True``: redundant shares
+  decoded robustly, the outvoted provider blamed) and, for
+  order-preserving shares, by out-of-domain reconstruction (EXP-T9).
 * **OMIT** — a lazy/malicious provider silently drops a fraction of
-  matching rows from range results.  Detected by completeness chaining.
+  matching rows from range results.  Detected by checked reads' presence
+  vote, which blames the provider missing a row the majority returned
+  (EXP-T9); a plain quorum read comes back short.
 
 Each fault draws from its own RNG stream, derived from the provider it
 is injected into (see :meth:`Fault.bind`): two default-configured

@@ -135,8 +135,6 @@ WIRE: Dict[str, Tuple[Dict[str, str], ...]] = {
     "join": ({"left": "name", "right": "name", "left_column": "name", "right_column": "name",
               "left_conditions": "conditions?", "right_conditions": "conditions?",
               "left_projection": "names?", "right_projection": "names?"},),
-    "merkle_root": ({"table": "name"},),
-    "merkle_proof": ({"table": "name", "row_id": "natural"},),
 }
 
 #: The RPCs a ``txn_apply`` op may name, and a ``batch`` rider.
@@ -356,7 +354,6 @@ class ShareProvider:
         self.cost = cost or CostRecorder(name)
         self.fault: Optional[Fault] = None
         self.requests_served = 0
-        self._merkle_cache: Dict[str, Tuple[int, object]] = {}
 
     # -- fault management ------------------------------------------------------
 
@@ -963,48 +960,6 @@ class ShareProvider:
                 right, sorted(matched_right), request.get("right_projection")
             ),
         )
-
-    # -- trust-layer RPCs ----------------------------------------------------------------
-
-    def _merkle_tree(self, table: ShareTable):
-        """The canonical Merkle tree over current storage (version-cached).
-
-        An honest provider's tree matches the client auditor's; a provider
-        that silently modified stored shares produces a different root.
-        """
-        from ..trust.merkle import tree_for_rows
-
-        cached = self._merkle_cache.get(table.name)
-        if cached is not None and cached[0] == table.version:
-            return cached[1]
-        tree = tree_for_rows(table.name, table.rows)
-        self.cost.record("hash", max(1, 2 * len(table)))
-        self._merkle_cache[table.name] = (table.version, tree)
-        return tree
-
-    def _rpc_merkle_root(self, request: Dict) -> Dict:
-        table = self.store.table(request["table"])
-        root = self._merkle_tree(table).root
-        if self.fault is not None and self.fault.mode.value == "tamper":
-            # a tampering provider's storage diverges from the client's
-            # record; model it by perturbing the root it reports
-            root = bytes(b ^ 0x5A for b in root)
-        return {"root": root}
-
-    def _rpc_merkle_proof(self, request: Dict) -> Dict:
-        table = self.store.table(request["table"])
-        row_id = request["row_id"]
-        # version-cached position map: O(1) per proof instead of an O(n)
-        # list scan per call
-        index = table.row_position(row_id)
-        tree = self._merkle_tree(table)
-        values = table.get(row_id)
-        if self.fault is not None:
-            values = self.fault.corrupt_row(values)
-        return {
-            "row": [row_id, values],
-            "proof": [[side, sibling] for side, sibling in tree.proof(index)],
-        }
 
     # -- vectorized execution (numpy backend) -------------------------------------------
     #

@@ -59,10 +59,9 @@ passing the wire.  Then:
   included (DESIGN.md §9).  Every write publishes its blocks as a new
   snapshot (see :class:`SortedShareIndex`).
 
-Derived read-path state — the ascending row-id order and each row's
-position in it (the Merkle leaf order) — is cached and keyed on the
-table's ``version`` counter, which every mutation bumps; readers get the
-cached structures instead of re-sorting per call.
+Derived read-path state — the ascending row-id order — is cached and
+keyed on the table's ``version`` counter, which every mutation bumps;
+readers get the cached order instead of re-sorting per call.
 
 **Vector mirrors** (numpy backend).  A provider only ever *compares*
 order-preserving shares and *adds* shares, so neither mirror needs a
@@ -485,14 +484,11 @@ class ShareTable:
         self.indexes: Dict[str, SortedShareIndex] = {
             column: SortedShareIndex(column) for column in searchable
         }
-        #: bumped on every mutation; keys the Merkle cache and the
-        #: derived-state cache below
+        #: bumped on every mutation; keys the derived-state cache below
         self.version = 0
-        # version-cached derived state: ascending row-id order (= Merkle
-        # leaf order) and each row id's position in it
+        # version-cached derived state: ascending row-id order
         self._derived_version = -1
         self._ordered_ids: List[int] = []
-        self._leaf_positions: Dict[int, int] = {}
         #: number of derived-state rebuilds (regression hook: stays O(1)
         #: per mutation batch, never O(1) per read)
         self.derived_rebuilds = 0
@@ -883,10 +879,6 @@ class ShareTable:
     def _refresh_derived(self) -> None:
         if self._derived_version != self.version:
             self._ordered_ids = sorted(self._slots)
-            self._leaf_positions = {
-                row_id: position
-                for position, row_id in enumerate(self._ordered_ids)
-            }
             self._derived_version = self.version
             self.derived_rebuilds += 1
 
@@ -1028,18 +1020,6 @@ class ShareTable:
             return None
         return sorted_slots[positions]
 
-    def row_position(self, row_id: int) -> int:
-        """Position of a row id in ascending row-id order (= Merkle leaf
-        index), via the version-cached position map — O(1) per lookup
-        instead of an O(n) ``list.index`` scan per call."""
-        self._refresh_derived()
-        try:
-            return self._leaf_positions[row_id]
-        except KeyError:
-            raise ProviderError(
-                f"table {self.name}: no row with id {row_id}"
-            ) from None
-
     def cached_aggregate(self, key: Tuple) -> Optional[object]:
         """The materialized aggregate payload for ``key``, or None.
 
@@ -1098,8 +1078,8 @@ class ShareTable:
     def rows(self) -> Dict[int, ShareRow]:
         """Materialized {row_id: row dict} view, ascending row id.
 
-        Compatibility/inspection surface (snapshots, tests, Merkle tree
-        construction on version change) — never a per-RPC hot path.
+        Compatibility/inspection surface (snapshots, tests) — never a
+        per-RPC hot path.
         """
         ordered = self.all_row_ids()
         return dict(self.gather(ordered, self.slots_for(ordered)))

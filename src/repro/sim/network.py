@@ -134,7 +134,7 @@ class ShareRows:
     ``shares[c][r]`` is the share (``None`` for NULL) of column
     ``columns[c]`` in the row ``row_ids[r]``.  The value stands for the
     row-major list ``[(row_id, {column: share}), ...]``: iterating yields
-    exactly those pairs (the per-row readers — checked decoding, audits,
+    exactly those pairs (the per-row readers — checked decoding and
     repair — take them one at a time), and two values are equal when
     their lists are.  On the wire it goes column-major, and
     :meth:`wire_size` is its size there.  Treat it as read-only: the

@@ -2,15 +2,14 @@
 
 The paper names "providing an efficient trust mechanism to push both
 database service providers and clients to behave honestly" as the make-or-
-break problem of the outsourcing paradigm.  Three complementary mechanisms
-are implemented, each targeting a different misbehaviour:
+break problem of the outsourcing paradigm.  The verified read is the
+client's checked read (``DataSource(verified_reads=True)``): it asks
+k + r providers, decodes every cell robustly, votes on which rows are
+present, and blames, quarantines and re-issues around a provider that
+tampered with or omitted results — from the shares themselves, with no
+per-share state at the client.  This package holds what a plain quorum
+read has besides:
 
-* :mod:`repro.trust.merkle` — **correctness**: Merkle commitments over
-  each provider's share table let the client detect *tampered* shares
-  (per-row check, O(1) root audit, O(log n) spot proofs).
-* :mod:`repro.trust.chaining` — **completeness**: hash chains over the
-  value order of a searchable column prove a range result has no *omitted*
-  tuples (Narasimha–Tsudik-style chaining, paper refs [20, 21]).
 * :mod:`repro.trust.assurance` — **execution assurance**: client-planted
   canary tuples make lazy providers detectable probabilistically (Sion's
   challenge-token idea, paper ref [19]).

@@ -106,11 +106,6 @@ class TransactionManager:
     """
 
     def __init__(self, source, wal_path: Optional[str] = None) -> None:
-        if getattr(source, "audit", None) is not None:
-            raise TxnError(
-                "the transactional write path does not maintain an audit "
-                "registry; detach it or use the direct DataSource paths"
-            )
         self.source = source
         # a log this manager made up is this manager's to remove
         self._owns_wal = wal_path is None

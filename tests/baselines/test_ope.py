@@ -1,6 +1,7 @@
 """Unit tests for order-preserving encryption."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.ope import OrderPreservingEncryption
 from repro.core.order_preserving import IntegerDomain
@@ -91,3 +92,19 @@ class TestWideDomains:
         ciphers = [ope.encrypt(v) for v in values]
         assert ciphers == sorted(ciphers)
         assert len(set(ciphers)) == len(ciphers)
+
+
+WIDE = OrderPreservingEncryption(b"\x0a" * 32, IntegerDomain(0, 2**20))
+wide_values = st.integers(min_value=0, max_value=2**20)
+
+
+@given(a=wide_values, b=wide_values)
+@settings(max_examples=200, deadline=None)
+def test_ope_strictly_monotone(a, b):
+    ca, cb = WIDE.encrypt(a), WIDE.encrypt(b)
+    if a < b:
+        assert ca < cb
+    elif a > b:
+        assert ca > cb
+    else:
+        assert ca == cb

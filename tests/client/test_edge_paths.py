@@ -71,16 +71,6 @@ class TestRewriterEdges:
 
 
 class TestProviderEdges:
-    def test_merkle_proof_missing_row(self):
-        from repro.providers.provider import ShareProvider
-
-        provider = ShareProvider("X")
-        provider.handle(
-            "create_table", {"table": "T", "columns": ["a"], "searchable": []}
-        )
-        with pytest.raises(ProviderError):
-            provider.handle("merkle_proof", {"table": "T", "row_id": 9})
-
     def test_drop_table_rpc(self):
         from repro.providers.provider import ShareProvider
 
@@ -94,19 +84,6 @@ class TestProviderEdges:
         # an absent table is an answer, not an error: the client sends the
         # drop without knowing which providers hold the table
         assert provider.handle("drop_table", {"table": "T"}) == {"dropped": False}
-
-    def test_merkle_tree_cache_by_version(self):
-        from repro.providers.provider import ShareProvider
-
-        provider = ShareProvider("X")
-        provider.handle(
-            "create_table", {"table": "T", "columns": ["a"], "searchable": []}
-        )
-        provider.handle("insert_many", {"table": "T", "rows": [[0, {"a": 1}]]})
-        root_one = provider.handle("merkle_root", {"table": "T"})["root"]
-        assert provider.handle("merkle_root", {"table": "T"})["root"] == root_one
-        provider.handle("insert_many", {"table": "T", "rows": [[1, {"a": 2}]]})
-        assert provider.handle("merkle_root", {"table": "T"})["root"] != root_one
 
 
 class TestExecutorEdges:

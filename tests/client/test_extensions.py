@@ -24,7 +24,6 @@ from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.expression import Between, Comparison, ComparisonOp, Or
 from repro.sqlengine.query import Aggregate, AggregateFunc
-from repro.trust.auditing import AuditRegistry
 from repro.workloads.employees import employees_table
 
 
@@ -227,13 +226,6 @@ class TestIncrement:
             "Accounts", "balance", 1, Comparison("branch", ComparisonOp.EQ, 999)
         ) == 0
 
-    def test_audited_source_rejected(self):
-        registry = AuditRegistry(3)
-        source = DataSource(ProviderCluster(3, 2), seed=1, audit=registry)
-        source.outsource_table(employees_table(5, seed=1))
-        with pytest.raises(QueryError):
-            source.increment("Employees", "salary", 1, Between("salary", 0, 1))
-
 
 class TestResync:
     def test_heals_stale_provider(self):
@@ -258,14 +250,6 @@ class TestResync:
         from repro.sqlengine.executor import rows_equal_unordered
 
         assert rows_equal_unordered(before, after)
-
-    def test_resync_maintains_audit(self):
-        registry = AuditRegistry(3)
-        source = DataSource(ProviderCluster(3, 2), seed=31, audit=registry)
-        source.outsource_table(employees_table(20, seed=31))
-        source.resync_table("Employees")
-        assert all(registry.audit_roots(source.cluster, "Employees").values())
-        source.select_verified(Select("Employees", where=Between("salary", 0, 10**6)))
 
 
 class TestExplain:

@@ -4,8 +4,8 @@ import pytest
 
 from repro import DataSource, ProviderCluster, Select
 from repro.errors import ReconstructionError, SchemaError
+from repro.providers.failures import Fault, FailureMode
 from repro.sqlengine.expression import Between
-from repro.trust.auditing import AuditRegistry
 from repro.workloads.employees import employees_table
 
 
@@ -76,17 +76,14 @@ class TestValidationAndCompat:
         source = DataSource(cluster, seed=1)
         assert source.physical_name("T") == "T"
 
-    def test_audit_in_namespace(self):
-        cluster = ProviderCluster(3, 2)
-        registry = AuditRegistry(3)
-        source = DataSource(cluster, seed=7, audit=registry, namespace="acme")
+    def test_checked_read_in_namespace(self):
+        cluster = ProviderCluster(5, 2)
+        source = DataSource(cluster, seed=7, namespace="acme", verified_reads=True)
         source.outsource_table(employees_table(10, seed=7))
-        assert registry.namespace == "acme"
-        assert all(registry.audit_roots(cluster, "Employees").values())
-        rows = source.select_verified(
-            Select("Employees", where=Between("salary", 0, 10**6))
-        )
+        cluster.inject_fault(0, Fault(FailureMode.TAMPER, seed=7))
+        rows = source.select(Select("Employees", where=Between("salary", 0, 10**6)))
         assert len(rows) == 10
+        assert cluster.health.is_quarantined(0)
 
     def test_persistence_of_namespace(self, tmp_path):
         from repro.persistence import load_deployment, save_deployment

@@ -2,8 +2,9 @@
 
 Each class fails at the parent commit (fbfbd40):
 
-* ORDER BY / LIMIT were silently dropped by ``select_verified`` and
-  ``select_with_ids`` (30 rows in row-id order instead of the top 3);
+* ORDER BY / LIMIT were silently dropped by the audited read (since
+  removed) and ``select_with_ids`` (30 rows in row-id order instead of
+  the top 3);
 * ``rotate_secrets`` read its snapshot without failover, so one crashed
   quorum member turned a re-key into ``QuorumError``;
 * ``explain`` re-derived the push-down decisions by hand and disagreed
@@ -65,7 +66,6 @@ class TestOrderLimitOnEveryEntryPoint:
         [
             ("select", {}),
             ("select", {"verified_reads": True}),
-            ("select_verified", {"audited": True}),
             ("select_with_ids", {}),
         ],
     )

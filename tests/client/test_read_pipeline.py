@@ -3,8 +3,9 @@
 For every public entry point that fetches rows (or row ids, or whole
 tables) x query shape x fault, the result equals the plaintext oracle and
 the scenario's record — byte count, message count, modelled clock,
-client/provider ``CostRecorder`` snapshots and, for ``select`` and joins,
-``explain``'s strategy and quorum — equals its record in
+client/provider ``CostRecorder`` snapshots, for ``select`` and joins
+``explain``'s strategy and quorum, and under the ``omit`` fault the
+providers a checked read left quarantined — equals its record in
 ``read_pipeline_golden.json``, one current record per scenario.
 
 Each scenario runs once per session (``tests.pipeline_runs``), and the
@@ -42,7 +43,6 @@ from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
 from repro.sqlengine.expression import Comparison, ComparisonOp
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
-from repro.trust.auditing import AuditRegistry
 from repro.txn import TransactionManager
 from repro.workloads.ecommerce import clicklog_table
 from repro.workloads.employees import employees_table, managers_table
@@ -102,7 +102,11 @@ FAULTS = {
     "none": None,
     "crash": (0, lambda: Fault(FailureMode.CRASH)),
     "tamper": (1, lambda: Fault(FailureMode.TAMPER, seed=5)),
+    "omit": (1, lambda: Fault(FailureMode.OMIT, rate=0.3, seed=5)),
 }
+#: a checked read runs under every fault, the two that corrupt results
+#: (TAMPER, OMIT) included: it must still equal the oracle
+CHECKED_FAULTS = ("none", "crash", "tamper", "omit")
 
 
 class Deployment:
@@ -110,8 +114,6 @@ class Deployment:
 
     def __init__(self, fault: str = "none", **source_kwargs) -> None:
         self.cluster = ProviderCluster(5, 3)
-        if source_kwargs.pop("audited", False):
-            source_kwargs["audit"] = AuditRegistry(5)
         self.source = DataSource(self.cluster, seed=SEED, **source_kwargs)
         self.sources, self.router = [self.source], None
         employees = employees_table(30, seed=SEED)
@@ -182,7 +184,6 @@ def _add_select(entry: str, shape: str, sql: str, fault: str, **kwargs) -> None:
         "select": "select",
         "select_checked": "select",
         "select_with_ids": "select_with_ids",
-        "select_verified": "select_verified",
     }[entry]
 
     @scenario(f"{entry}/{shape}", fault, **kwargs)
@@ -202,18 +203,18 @@ for _shape, _sql in ROW_SHAPES.items():
     for _fault in ("none", "crash"):
         _add_select("select", _shape, _sql, _fault)
         _add_select("select_with_ids", _shape, _sql, _fault)
-        _add_select("select_verified", _shape, _sql, _fault, audited=True)
-    for _fault in ("none", "crash", "tamper"):
+    for _fault in CHECKED_FAULTS:
         _add_select("select_checked", _shape, _sql, _fault, verified_reads=True)
 for _shape, _sql in AGG_SHAPES.items():
     for _fault in ("none", "crash"):
         _add_select("select", _shape, _sql, _fault)
-    for _fault in ("none", "crash", "tamper"):
+    for _fault in CHECKED_FAULTS:
         _add_select("select_checked", _shape, _sql, _fault, verified_reads=True)
-_add_select(
-    "select_checked", "projection_r1", ROW_SHAPES["projection"], "tamper",
-    verified_reads=True, read_redundancy=1,
-)
+for _fault in ("tamper", "omit"):
+    _add_select(
+        "select_checked", "projection_r1", ROW_SHAPES["projection"], _fault,
+        verified_reads=True, read_redundancy=1,
+    )
 
 
 def _add_asof(shape: str, sql: str, fault: str) -> None:
@@ -249,7 +250,7 @@ def _add_join(entry: str, shape: str, sql: str, fault: str, **kwargs) -> None:
 for _shape, _sql in JOIN_SHAPES.items():
     for _fault in ("none", "crash"):
         _add_join("join", _shape, _sql, _fault)
-    for _fault in ("none", "crash", "tamper"):
+    for _fault in CHECKED_FAULTS:
         _add_join("join_checked", _shape, _sql, _fault, verified_reads=True)
 for _fault in ("none", "crash"):
     _add_join("join_client", "fallback", CLIENT_JOIN, _fault, client_join_fallback=True)
@@ -368,10 +369,6 @@ def _repair(dep: Deployment):
 
 for _fault in ("none", "crash"):
     _add_maintenance("resync_table", _fault, lambda dep: dep.source.resync_table("Employees"))
-    _add_maintenance(
-        "resync_table_audited", _fault,
-        lambda dep: dep.source.resync_table("Employees"), audited=True,
-    )
     _add_maintenance("scan_share_rows/k", _fault, _scan_share_rows(0))
     _add_maintenance("scan_share_rows/k+1", _fault, _scan_share_rows(1))
     _add_maintenance(
@@ -399,6 +396,9 @@ def run_scenario(scenario_id: str, on_deployment: Optional[Callable] = None) -> 
     record = dict(extras)
     if "accounting" not in record:
         record["accounting"] = dep.accounting()
+    if kwargs["fault"] == "omit":
+        health = dep.cluster.health
+        record["quarantined"] = [i for i in range(5) if health.is_quarantined(i)]
     record["matches_oracle"] = ok
     return json.loads(json.dumps(record))
 
@@ -428,6 +428,19 @@ def test_column_major_moves_by_the_declared_formula(scenario_id):
     its bytes and slower modelled clocks, and nothing else moved —
     read off its one run, not re-run (``tests.column_major``)."""
     assert_saves_the_formula(__name__, pipeline_runs.run(__name__, scenario_id))
+
+
+@pytest.mark.parametrize(
+    "scenario_id", [sid for sid in sorted(SCENARIOS) if sid.endswith("/omit")]
+)
+def test_a_checked_read_blames_the_omitter(scenario_id):
+    """Provider 1 drops 30% of the rows it matches: the checked read still
+    equals the oracle, and every one that asks the providers anything
+    leaves provider 1 quarantined."""
+    record = pipeline_runs.run(__name__, scenario_id).record
+    assert record["matches_oracle"] is True
+    asked = record["accounting"]["messages"] > 0
+    assert record["quarantined"] == ([1] if asked else [])
 
 
 @pytest.mark.parametrize("entry", ["join", "join_checked"])

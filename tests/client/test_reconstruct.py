@@ -6,6 +6,7 @@ from repro.client.reconstruct import (
     align_by_row_id,
     consistent_scalar,
     reconstruct_rows,
+    reconstruct_rows_checked,
     reconstruct_single_rows,
     rows_from_responses,
 )
@@ -76,11 +77,15 @@ class TestReconstruct:
         responses[2]["rows"] = EMPTY
         assert reconstruct_rows(sharing, responses) == []
 
-    def test_strict_mode_raises_on_omission(self, sharing):
-        responses = make_responses(sharing, [(0, {"k": 1, "v": 2})])
-        responses[3]["rows"] = EMPTY
-        with pytest.raises(IntegrityError):
-            reconstruct_rows(sharing, responses, strict=True)
+    def test_two_omitters_of_four_raise_rather_than_shorten(self, sharing):
+        """Row 0 is returned by two of the four responders: a presence
+        tie, so the checked decode raises instead of dropping it."""
+        rows = [(0, {"k": 1, "v": 2}), (1, {"k": 3, "v": 4})]
+        responses = make_responses(sharing, rows)
+        for index in (2, 3):
+            responses[index]["rows"] = responses[index]["rows"].take([1])
+        with pytest.raises(ReconstructionError, match="presence tie"):
+            reconstruct_rows_checked(sharing, responses)
 
 
 class TestSingleRowAggregates:

@@ -3,8 +3,6 @@
 import pytest
 
 from repro import DataSource, ProviderCluster, Table, TableSchema, integer_column
-from repro.errors import QueryError
-from repro.trust.auditing import AuditRegistry
 from repro.workloads.employees import employees_table
 
 
@@ -123,10 +121,3 @@ class TestRefresh:
             for share in per_provider.values():
                 assert 0 <= share < modulus
         assert source.sql("SELECT * FROM Accounts")[0]["balance"] == 5
-
-    def test_audited_source_rejected(self):
-        registry = AuditRegistry(3)
-        source = DataSource(ProviderCluster(3, 2), seed=68, audit=registry)
-        source.outsource_table(employees_table(5, seed=68))
-        with pytest.raises(QueryError):
-            source.refresh_table_shares("Employees")

@@ -35,7 +35,7 @@ class TestRepairRebuild:
     def test_repaired_shares_identical_to_originals(self):
         """Share extension evaluates the *same* polynomial, so a repaired
         provider ends up byte-identical to its pre-loss state — no other
-        provider's shares change and recorded audit hashes stay valid."""
+        provider's shares change."""
         source = build_source()
         originals = stored_tables(source, 2)
         # lose the provider's storage outright

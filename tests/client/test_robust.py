@@ -198,11 +198,35 @@ class TestKeyRotation:
             "SELECT department, COUNT(*) FROM Employees GROUP BY department"
         )
 
-    def test_rotation_maintains_audit(self):
-        from repro.trust.auditing import AuditRegistry
 
-        registry = AuditRegistry(3)
-        source = DataSource(ProviderCluster(3, 2), seed=63, audit=registry)
-        source.outsource_table(employees_table(15, seed=63))
-        source.rotate_secrets(new_seed=64)
-        assert all(registry.audit_roots(source.cluster, "Employees").values())
+class TestTwoOmitters:
+    """Two omitters among four responders: a row both dropped is returned
+    by two of four, a presence tie with no majority to trust, so a checked
+    read raises a typed error — it never comes back short."""
+
+    def test_full_omission_raises(self):
+        source = DataSource(ProviderCluster(4, 2), seed=65, verified_reads=True)
+        source.outsource_table(employees_table(20, seed=65))
+        for index in (0, 1):
+            source.cluster.inject_fault(index, Fault(FailureMode.OMIT))
+        with pytest.raises(ReconstructionError, match="presence tie"):
+            source.select(Select("Employees", where=Between("salary", 0, 10**6)))
+
+    def test_partial_omission_raises_or_is_exact(self):
+        outcomes = []
+        for seed in range(8):
+            table = employees_table(20, seed=seed)
+            source = DataSource(ProviderCluster(4, 2), seed=seed, verified_reads=True)
+            source.outsource_table(table)
+            for index in (0, 1):
+                source.cluster.inject_fault(
+                    index, Fault(FailureMode.OMIT, rate=0.1, seed=seed)
+                )
+            try:
+                rows = source.select(Select("Employees"))
+            except ReconstructionError:
+                outcomes.append("raised")
+                continue
+            assert rows_equal_unordered(rows, table.rows())
+            outcomes.append("exact")
+        assert set(outcomes) == {"raised", "exact"}

@@ -806,15 +806,12 @@ class TestStaleThenInvalid:
         ]
 
     def test_verified_reads_bypass_the_cache(self):
-        from repro.trust.auditing import AuditRegistry
-
         cluster = ProviderCluster(n_providers=5, threshold=3)
-        source = DataSource(
-            cluster, seed=3, audit=AuditRegistry(5), read_redundancy=1
-        )
+        source = DataSource(cluster, seed=3, read_redundancy=1)
         source.outsource_table(employees_table(20, seed=3))
         query = parse_sql("SELECT * FROM Employees WHERE salary >= 0")
         source.select(query)
         before = _served(cluster)
-        source.select_verified(query)
+        source.verified_reads = True
+        source.select(query)
         assert _served(cluster) > before, "verified read was served from cache"

@@ -4,8 +4,7 @@ For every write shape x entry point (``DataSource`` direct,
 ``LazyUpdateBuffer.flush``, ``TransactionManager.execute`` /
 ``apply_batch`` / ``atomic``, ``ShardRouter`` hash + range,
 ``ShardedTransactionManager``) x deployment variant (plain, namespaced,
-audited where the path allows an audit registry, one crashed provider per
-group) the statement's result and the final table equal the plaintext
+one crashed provider per group) the statement's result and the final table equal the plaintext
 oracle, and the scenario's record — results, byte count, message count,
 modelled clock, client/provider ``CostRecorder`` snapshots, table epochs
 and WAL counters, or the error class of a refused statement — equals its
@@ -50,7 +49,6 @@ from repro.sqlengine.query import Insert
 from repro.sqlengine.schema import TableSchema, integer_column, string_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
-from repro.trust.auditing import AuditRegistry
 from repro.txn import ShardedTransactionManager, TransactionManager
 from tests import golden, pipeline_runs
 from tests.column_major import assert_saves_the_formula
@@ -133,7 +131,6 @@ UPDATE_SHAPES = [name for name in SHAPES if name.startswith("update_")]
 VARIANTS = {
     "plain": {},
     "namespaced": {"namespace": "tenant_a"},
-    "audited": {"audited": True},
     "crash": {"crash": True},
 }
 
@@ -145,7 +142,6 @@ class Deployment:
         self,
         shard_mode: Optional[str] = None,
         namespace: str = "",
-        audited: bool = False,
         crash: bool = False,
     ) -> None:
         n_groups = 1 if shard_mode is None else 2
@@ -156,7 +152,6 @@ class Deployment:
                 seed=SEED + index,
                 secrets=secrets,
                 namespace=namespace,
-                audit=AuditRegistry(N_PROVIDERS) if audited else None,
             )
             for index in range(n_groups)
         ]
@@ -195,15 +190,7 @@ class Deployment:
 
     def table_matches_oracle(self) -> bool:
         query = parse_sql("SELECT * FROM Accounts")
-        expected = self.oracle.execute(query)
-        ok = rows_equal_unordered(self.front.execute(query), expected)
-        if ok and self.sources[0].audit is not None:
-            # the audit mirror must describe what the providers now hold
-            verified = [
-                row for source in self.sources for row in source.select_verified(query)
-            ]
-            ok = rows_equal_unordered(verified, expected)
-        return ok
+        return rows_equal_unordered(self.front.execute(query), self.oracle.execute(query))
 
 
 # --------------------------------------------------------------- scenarios --
@@ -287,13 +274,10 @@ def _increment(where_sql: str):
 
 
 for _variant in VARIANTS:
-    _audited = _variant == "audited"
     for _shape in SHAPES:
         scenario("direct", _shape, _variant)(_front_execute)
         for _mode in ("hash", "range"):
             scenario(f"router_{_mode}", _shape, _variant, _mode)(_front_execute)
-        if _audited:
-            continue  # the transactional path refuses an audit registry
         scenario("txn_execute", _shape, _variant)(_txn_execute)
         scenario("txn_apply_batch", _shape, _variant)(_txn_apply_batch)
         scenario("txn_atomic", _shape, _variant)(_txn_atomic)
@@ -304,10 +288,9 @@ for _variant in VARIANTS:
         scenario(f"router_{_mode}_insert_many", "insert_three", _variant, _mode)(_insert_many)
     for _shape in UPDATE_SHAPES:
         scenario("lazy", _shape, _variant)(_lazy)
-    if not _audited:  # increment() cannot maintain share hashes
-        scenario("increment", "range", _variant)(_increment("branch >= 30"))
-        scenario("increment", "nomatch", _variant)(_increment("aid = 999"))
-        scenario("increment", "empty", _variant)(_increment("branch > 10 AND branch < 5"))
+    scenario("increment", "range", _variant)(_increment("branch >= 30"))
+    scenario("increment", "nomatch", _variant)(_increment("aid = 999"))
+    scenario("increment", "empty", _variant)(_increment("branch > 10 AND branch < 5"))
 
 
 # ----------------------------------------------------------------- running --

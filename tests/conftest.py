@@ -17,12 +17,6 @@ def cluster():
 
 
 @pytest.fixture
-def small_cluster():
-    """A 3-provider, threshold-2 cluster (the paper's Figure 1 shape)."""
-    return ProviderCluster(n_providers=3, threshold=2)
-
-
-@pytest.fixture
 def employees():
     """A deterministic 120-row Employees table."""
     return employees_table(120, seed=42)

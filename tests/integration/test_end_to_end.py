@@ -12,11 +12,11 @@ from repro import (
     Update,
 )
 from repro.client.updates import LazyUpdateBuffer
+from repro.providers.failures import Fault, FailureMode
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
 from repro.sqlengine.expression import Between, Comparison, ComparisonOp
 from repro.sqlengine.table import Table
-from repro.trust.auditing import AuditRegistry
 from repro.workloads.employees import employees_table, managers_table
 
 
@@ -30,8 +30,7 @@ def test_full_lifecycle():
     oracle = PlaintextExecutor(catalog)
 
     cluster = ProviderCluster(5, 3)
-    audit = AuditRegistry(5)
-    source = DataSource(cluster, seed=91, audit=audit)
+    source = DataSource(cluster, seed=91)
     source.outsource_table(employees)
     source.outsource_table(managers)
 
@@ -87,11 +86,13 @@ def test_full_lifecycle():
     assert len(preview) == len(committed)
 
     # ----------------------------------------------------- trust phase ----
-    verified = source.select_verified(
-        Select("Employees", where=Between("salary", 0, 10**6))
-    )
-    assert len(verified) == source.sql("SELECT COUNT(*) FROM Employees")
-    assert all(audit.audit_roots(cluster, "Employees").values())
+    # a provider turns malicious: checked reads outvote it and quarantine it
+    cluster.inject_fault(2, Fault(FailureMode.TAMPER, rate=0.3, seed=91))
+    source.verified_reads = True
+    everyone = Select("Employees", where=Between("salary", 0, 10**6))
+    assert rows_equal_unordered(source.select(everyone), oracle.execute(everyone))
+    assert cluster.health.is_quarantined(2)
+    check("SELECT SUM(salary) FROM Employees WHERE department = 'ENG'")
 
     # ------------------------------------------------- accounting sanity --
     assert cluster.network.total_messages > 0

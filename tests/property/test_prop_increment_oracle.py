@@ -6,8 +6,8 @@ each listed row, in request order, read the row and write
 non-NULL share in, through ``ShareTable.update_rows`` with a batch of
 one; a row with nothing to
 write is left alone and not counted.  The provider's one pass must leave
-the same rows, undo history, version, epoch, history horizon and Merkle
-root, and answer that count — for both wire shapes (compact
+the same rows, undo history, version, epoch and history horizon, and
+answer that count — for both wire shapes (compact
 ``{row_ids, deltas}``, per-row ``increments``), with unknown columns,
 NULL cells, moduli 2⁶¹−1, 2⁸⁹ and none, shares wider than the modulus,
 stamped and unstamped epochs, and slots moved by an earlier delete.
@@ -96,7 +96,6 @@ def state(provider):
         table.version,
         table.epoch,
         table.history_floor,
-        provider.handle("merkle_root", {"table": "T"}),
     )
 
 

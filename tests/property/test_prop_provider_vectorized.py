@@ -6,7 +6,7 @@ backend allows.  The invariant is total: for any table and any request
 battery, a provider forced onto the numpy backend must be
 **bit-identical** to one forced onto the scalar backend — same
 responses, same raised errors, same cost counters, same storage state
-(rows, history, version, epoch), same Merkle roots and proofs —
+(rows, history, version, epoch) —
 including under CRASH/TAMPER/OMIT fault injection (same provider name ⇒
 same fault RNG stream) and across the ``applied_txns`` exactly-once
 replay path.
@@ -143,12 +143,7 @@ def request_battery(rng, rows):
         ("aggregate_group", {"table": "T", "group_column": "g",
                              "func": "median", "column": "w",
                              "conditions": []}),
-        ("merkle_root", {"table": "T"}),
     ]
-    if rows:
-        sample = [rid for rid, _ in rows][:: max(len(rows) // 7, 1)]
-        for rid in sample[:3]:
-            battery.append(("merkle_proof", {"table": "T", "row_id": rid}))
     return battery
 
 
@@ -295,32 +290,6 @@ def test_txn_replay_backends_identical(seed, n):
                        {"committed": [], "skipped": [7]}]
         out.append(provider.handle("select", {"table": "T", "conditions": []}))
         return out, state_snapshot(provider)
-
-    scalar, vector = twin_run(run)
-    assert scalar == vector
-
-
-@given(seed=seeds, n=st.integers(min_value=1, max_value=30))
-@settings(max_examples=25, deadline=None)
-def test_merkle_after_increments_identical(seed, n):
-    """Roots and proofs over post-increment storage match: the batched
-    writeback feeds the same bytes into the Merkle tree."""
-    rng = random.Random(seed)
-    rows = make_rows(rng, n)
-    ids = [rid for rid, _ in rows]
-    inc = {"table": "T", "row_ids": ids,
-           "deltas": {"v": rng.randrange(MERSENNE_61)},
-           "modulus": MERSENNE_61}
-
-    def run():
-        provider = build_provider(rows)
-        provider.handle("increment_rows", dict(inc))
-        root = provider.handle("merkle_root", {"table": "T"})
-        proofs = [
-            provider.handle("merkle_proof", {"table": "T", "row_id": rid})
-            for rid in ids
-        ]
-        return root, proofs, state_snapshot(provider)
 
     scalar, vector = twin_run(run)
     assert scalar == vector

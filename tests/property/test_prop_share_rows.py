@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 from repro.client.reconstruct import (
     align_by_row_id,
     reconstruct_rows,
+    reconstruct_rows_checked,
     rows_from_responses,
 )
 from repro.client.rowcache import RowCache
-from repro.errors import IntegrityError, ReproError
+from repro.errors import ReconstructionError, ReproError
 from repro.sim.costmodel import CostRecorder
 from repro.sim.network import ShareRows
 from tests.client.test_load_path import ledger_rows, ledger_schema, ledger_sharing
@@ -127,23 +128,31 @@ def test_column_major_reconstruction_is_the_per_row_one(responses, warm):
 
 @settings(max_examples=60, deadline=None)
 @given(answers())
-def test_strict_mode_names_the_first_omitted_row(responses):
-    aligned = align_by_row_id(rows_from_responses(responses))
-    short = [
-        (row_id, len(share_rows))
-        for row_id, share_rows in aligned.items()
-        if len(share_rows) < len(responses)
-    ]
-    if not short:
-        expected, _ = per_row_oracle(responses)
-        assert reconstruct_rows(SHARING, responses, strict=True) == expected
+def test_a_checked_decode_keeps_what_a_majority_returned(responses):
+    """The checked decode votes on presence row by row: a row a strict
+    majority of the responders returned comes back (when at least k did)
+    and every responder missing it is blamed; a row a strict minority
+    returned is dropped and its holders are blamed; a tie raises.  A
+    short result never comes back unblamed."""
+    responding = set(responses)
+    kept, blamed, tie = [], set(), False
+    for row_id, share_rows in align_by_row_id(rows_from_responses(responses)).items():
+        present = set(share_rows)
+        if 2 * len(present) == len(responding):
+            tie = True
+        elif 2 * len(present) > len(responding):
+            blamed |= responding - present
+            if len(present) >= THRESHOLD:
+                kept.append(row_id)
+        else:
+            blamed |= present
+    if tie:
+        with pytest.raises(ReconstructionError, match="presence tie"):
+            reconstruct_rows_checked(SHARING, responses)
         return
-    with pytest.raises(IntegrityError) as caught:
-        reconstruct_rows(SHARING, responses, strict=True)
-    assert str(caught.value) == (
-        f"row {short[0][0]} returned by only {short[0][1]} of "
-        f"{len(responses)} providers — a provider omitted results"
-    )
+    pairs, blame = reconstruct_rows_checked(SHARING, responses)
+    assert pairs == [(row_id, PLAIN[ROW_IDS.index(row_id)]) for row_id in kept]
+    assert blame == sorted(blamed)
 
 
 def corrupted(position, provider, column, change):

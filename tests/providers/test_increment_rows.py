@@ -3,8 +3,8 @@ transaction.
 
 The request is validated whole before any cell moves: a missing row id,
 a row id named twice and an order-preserving column each refuse it with
-a typed error, and rows, undo history, version, epoch and Merkle root
-read as before.  Inside ``txn_apply`` the refused transaction does not
+a typed error, and rows, undo history, version and epoch read as
+before.  Inside ``txn_apply`` the refused transaction does not
 enter ``applied_txns``, so a WAL replay sends it again — and it must
 still find row 0 untouched, or the replay would add Δ a second time.
 """
@@ -51,7 +51,6 @@ def state(provider):
         list(table.history),
         table.version,
         table.epoch,
-        provider.handle("merkle_root", {"table": "T"}),
     )
 
 

@@ -2,11 +2,10 @@
 
 PR 4's satellite fixes: aggregate COUNT(column)/SUM must record the
 **actual** number of share reads (zero when the prefilter already emptied
-the candidate set, zero for a column the table does not store), grouped
-aggregation must account for its per-group aggregate-column reads, and
-the Merkle proof path must not scale quadratically.  These tests pin the
-exact counter arithmetic so a regression shows up as an off-by-n, not as
-a silent drift.
+the candidate set, zero for a column the table does not store), and
+grouped aggregation must account for its per-group aggregate-column
+reads.  These tests pin the exact counter arithmetic so a regression
+shows up as an off-by-n, not as a silent drift.
 """
 
 import pytest
@@ -155,37 +154,3 @@ class TestGroupAggregateAccounting:
             },
         )
         assert provider.cost.count("compare") - before == 4
-
-
-class TestMerkleProofScaling:
-    def test_proofs_for_all_rows_are_not_quadratic(self):
-        """Proofs for every row of a 1 000-row table must cost one tree
-        build (2n hashes, version-cached) and one derived-state rebuild —
-        the pre-fix path re-sorted row ids and ran an O(n) ``list.index``
-        scan per proof."""
-        n = 1_000
-        p = ShareProvider("DAS1")
-        p.handle(
-            "create_table",
-            {"table": "T", "columns": ["k", "v"], "searchable": ["k"]},
-        )
-        p.handle(
-            "insert_many",
-            {
-                "table": "T",
-                "rows": [[rid, {"k": rid * 7, "v": rid}] for rid in range(n)],
-            },
-        )
-        table = p.store.table("T")
-        hashes_before = p.cost.count("hash")
-        proofs = [
-            p.handle("merkle_proof", {"table": "T", "row_id": rid})
-            for rid in range(n)
-        ]
-        assert len(proofs) == n
-        # one cached tree build, no per-proof hashing or re-sorting
-        assert p.cost.count("hash") - hashes_before == 2 * n
-        assert table.derived_rebuilds == 1
-        root = p.handle("merkle_root", {"table": "T"})["root"]
-        assert all(proof["row"][0] == rid for rid, proof in enumerate(proofs))
-        assert root  # tree is live and cached

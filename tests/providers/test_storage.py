@@ -435,9 +435,8 @@ class TestDerivedStateCache:
 
     def test_row_order_cached_across_reads(self):
         table = self.make()
-        assert table.all_row_ids() == [1, 3, 5]
-        for rid, position in [(1, 0), (3, 1), (5, 2)]:
-            assert table.row_position(rid) == position
+        for _ in range(3):
+            assert table.all_row_ids() == [1, 3, 5]
         assert table.derived_rebuilds == 1  # one rebuild for all reads
 
     def test_mutation_invalidates_cache(self):
@@ -445,13 +444,7 @@ class TestDerivedStateCache:
         table.all_row_ids()
         table.delete_rows([3])
         assert table.all_row_ids() == [1, 5]
-        assert table.row_position(5) == 1
         assert table.derived_rebuilds == 2
-
-    def test_missing_row_position(self):
-        table = self.make()
-        with pytest.raises(ProviderError):
-            table.row_position(99)
 
 
 class TestColumnarKernels:

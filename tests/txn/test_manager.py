@@ -258,16 +258,6 @@ class TestGroupCommit:
 
 
 class TestGuards:
-    def test_audited_source_is_rejected(self, tmp_path):
-        from repro.trust.auditing import AuditRegistry
-
-        src = DataSource(
-            ProviderCluster(3, 2), seed=1, audit=AuditRegistry(3)
-        )
-        src.create_table(accounts_schema())
-        with pytest.raises(TxnError):
-            TransactionManager(src, str(tmp_path / "w.wal"))
-
     def test_join_select_is_not_transactional(self, source, manager):
         from repro.sqlengine.query import JoinSelect
 

@@ -239,8 +239,7 @@ def read_battery(provider):
         ("aggregate", {"table": "U", "func": "count", "conditions": [
             {"column": "c", "op": "range", "low": 0, "high": 20}]}),
         ("aggregate_group", {"table": "U", "func": "sum", "group_column": "a", "column": "b"}),
-        ("merkle_root", {"table": "T"}),
-        ("merkle_root", {"table": "U"}),
+        ("scan", {"table": "T"}),
     ]
     for name in SCHEMAS:
         table = provider.store.table(name)
