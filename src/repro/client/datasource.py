@@ -93,20 +93,12 @@ MUTATING_RPCS = frozenset(
 )
 
 #: The closed set of read modes (see "the read pipeline" in
-#: :class:`DataSource`): who a read round asks and how cells are decoded.
-#: Internal — the public knobs stay ``verified_reads``/``read_redundancy``
-#: and the choice of ``select*`` entry point.
+#: :class:`DataSource`).  Internal — a source reads in one of them, set by
+#: its public knobs ``verified_reads`` / ``read_redundancy``.
 _QUORUM, _CHECKED = "quorum", "checked"
 
 #: Request fields of a read that wants every column of every matching row.
 _FULL_ROWS: Dict[str, object] = {"projection": None}
-
-
-def _query_signature(predicate: Predicate, fields: Dict[str, object]) -> Tuple:
-    """The row-cache key of a quorum read of ``predicate``'s matches with
-    request ``fields``: a SELECT replays by it, a write takes matches by it.
-    It covers what fixes the row set, not the projection."""
-    return ("select", repr(predicate), tuple({**fields, "projection": None}.items()))
 
 
 def fetched_columns(schema: TableSchema, used: "set[str]") -> Optional[Tuple[str, ...]]:
@@ -232,12 +224,14 @@ class DataSource:
         False: such queries raise :class:`UnsupportedQueryError`, matching
         the paper's stated capability boundary.
     verified_reads:
-        When True, every read requests ``k + read_redundancy`` shares and
+        When True, every read — a query's, a write's matches, resync's —
+        requests ``k + read_redundancy`` shares and
         cross-checks them by redundant interpolation: a provider whose
         shares (or row set) disagree with the majority is *blamed*,
         quarantined in the cluster's health tracker, and the query is
         transparently re-issued without it.  Results are correct with up
-        to ⌊(m−k)/2⌋ tamperers among the m responders.
+        to ⌊(m−k)/2⌋ tamperers among the m responders.  Read once per
+        statement: it may be flipped between statements.
     read_redundancy:
         Extra shares beyond k that verified reads request.  ``None`` (the
         default) asks every provider not quarantined or blamed — maximum
@@ -306,8 +300,9 @@ class DataSource:
         #: deployment has logged; a new manager allocates above it
         self.txn_id_high = 0
         #: write-coherent reconstructed-row cache (:mod:`repro.client.rowcache`);
-        #: consulted only by plain :meth:`select` — every other read mode
-        #: and entry point always goes to the wire
+        #: consulted by quorum row reads (a SELECT's, and the row reads of
+        #: writes, lazy flushes and atomic batches) — a checked read always
+        #: goes to the wire
         self.row_cache = RowCache()
         self._row_id_lock = threading.Lock()
         # thread-local guard proving a mutating RPC came through _mutate
@@ -948,13 +943,13 @@ class DataSource:
         """Re-share a whole table to every live provider (anti-entropy).
 
         After a provider recovers from a crash its copy is stale (writes it
-        missed never reach it).  Resync reads every row through the current
-        quorum, reconstructs plaintext at the client, draws *fresh* shares,
-        and rewrites the table at **all** live providers.  Returns the row
-        count.
+        missed never reach it).  Resync reads every row in the source's
+        read mode, reconstructs plaintext at the client, draws *fresh*
+        shares, and rewrites the table at **all** live providers.  Returns
+        the row count.
         """
         count = self._reshare_table(
-            table_name, self._read_rows(table_name, _QUORUM, method="scan")
+            table_name, self._read_rows(table_name, self._read_mode(), method="scan")
         )
         if not count:
             # no rows survived, but the table was dropped and recreated —
@@ -1000,11 +995,9 @@ class DataSource:
         ``exclude`` keeps providers out of the quorum (a repair never
         reads the provider it is rebuilding).
         """
-        return self._read_shares(
-            table_name,
-            method="scan",
-            targets=self.cluster.read_quorum(extra=extra, exclude=exclude),
-        )
+        targets = self.cluster.read_quorum(extra=extra, exclude=exclude)
+        responses = self._read_round(table_name, method="scan", targets=targets)
+        return align_by_row_id(rows_from_responses(responses))
 
     def create_staging_table(self, table_name: str, staging: str) -> None:
         """Create an empty staging copy of a table's layout at every live
@@ -1073,44 +1066,20 @@ class DataSource:
     ) -> List[Tuple[int, Row]]:
         """Row ids + plaintext of rows matching a write query's predicate
         (anything with a ``table`` and a ``where`` serves as the query):
-        the row cache's entry for ``SELECT * FROM t WHERE <the same WHERE>``
-        when a plain read would consult it and it is held, else a read round
-        whose result is stored as that entry."""
-        table = query.table
-        sharing = self.sharing(table)
-        predicate = query.where.bind(sharing.schema)
-        rewritten = rewrite_predicate(predicate, sharing)
-        if self.verified_reads:
-            return self._read_rows(table, _QUORUM, rewritten)
-        epoch, signature = self.table_epoch(table), _query_signature(predicate, _FULL_ROWS)
-        pairs = self.row_cache.lookup_query(
-            table, signature, epoch, sharing.schema.column_names
-        )
-        if pairs is None:
-            pairs = self._read_rows(table, _QUORUM, rewritten)
-            self.row_cache.put_rows(table, epoch, pairs)
-            self.row_cache.store_query(table, signature, epoch, pairs, predicate)
-        return pairs
+        the rows ``SELECT * FROM t WHERE <the same WHERE>`` reads."""
+        return self._select_rows(Select(query.table, where=query.where))
 
     def _fetch_matching_ids(
         self, table_name: str, rewritten: RewrittenPredicate
     ) -> List[int]:
-        """Row ids matching a fully provider-pushable predicate.
-
-        The id-only sibling of :meth:`_fetch_matching_rows` (empty
-        projection: no share payload travels, nothing is reconstructed),
-        used by the in-place share-delta writes.  Ids alone cannot be
-        filtered at the client, so ``rewritten`` must leave no residual.
-        """
-        if rewritten.provably_empty:
-            return []
-        aligned = self._read_shares(
-            table_name, rewritten, fields={"projection": []}
+        """Row ids matching a fully provider-pushable predicate, for the
+        in-place share-delta writes: a row read with an empty projection
+        (no share travels; checked, a presence vote).  Ids alone cannot be
+        filtered at the client, so ``rewritten`` must leave no residual."""
+        pairs = self._read_rows(
+            table_name, self._read_mode(), rewritten, fields={"projection": []}
         )
-        return [
-            row_id for row_id, per_provider in aligned.items()
-            if len(per_provider) >= self.threshold
-        ]
+        return [row_id for row_id, _ in pairs]
 
     # ---------------------------------------------------------------- reads --
 
@@ -1119,8 +1088,7 @@ class DataSource:
         if not query.is_aggregate:
             return [row for _, row in self.select_pairs(query)]
         with telemetry.span("select", table=query.table) as sp:
-            mode = _CHECKED if self.verified_reads else _QUORUM
-            result = self._select_aggregate(query, self._plan_select(query, mode))
+            result = self._select_aggregate(query, self._plan_select(query))
             if isinstance(result, list):
                 _note_rows_returned(sp, len(result))
             return result
@@ -1130,18 +1098,19 @@ class DataSource:
 
         The same plan, read mode and row-cache replay — :meth:`select` is
         this call with the ids dropped.  For callers that merge row sets
-        and must keep rows identifiable (the shard router's gather).
+        or write back what they read and must keep rows identifiable (the
+        shard router's gather, the lazy buffer, atomic batches).
         """
         if query.is_aggregate:
             raise QueryError("select_pairs does not support aggregates")
         with telemetry.span("select", table=query.table) as sp:
-            mode = _CHECKED if self.verified_reads else _QUORUM
-            pairs = self._select_rows(query, mode, replay=mode == _QUORUM)
+            pairs = self._select_rows(query)
             _note_rows_returned(sp, len(pairs))
             return pairs
 
-    def _plan_select(self, query: Select, mode: str) -> _SelectPlan:
-        """Validate a SELECT and decide, once, what it pushes down.
+    def _plan_select(self, query: Select) -> _SelectPlan:
+        """Validate a SELECT and decide, once, its read mode and what it
+        pushes down.
 
         Shared by execution and :meth:`explain`, so the two cannot
         disagree.  Only a quorum read pushes anything: a
@@ -1150,6 +1119,7 @@ class DataSource:
         provider carries no blame — it fetches every matching row and
         finishes at the client.
         """
+        mode = self._read_mode()
         sharing = self.sharing(query.table)
         schema = sharing.schema
         predicate = query.where.bind(schema)
@@ -1217,30 +1187,30 @@ class DataSource:
             fields["projection"] = fetched_columns(schema, used)
         return _SelectPlan(mode, sharing, predicate, rewritten, can_push, fields)
 
-    def _select_rows(
-        self, query: Select, mode: str, replay: bool = False
-    ) -> List[Tuple[int, Row]]:
-        """Plan a row query, fetch its matches in ``mode``, finish them.
+    def _select_rows(self, query: Select) -> List[Tuple[int, Row]]:
+        """Plan a row query, fetch its matches in the plan's mode, finish
+        them.
 
-        With ``replay`` (plain quorum :meth:`select` only) an identical
-        SELECT that no write since has touched serves the full rows
-        straight from the row cache — zero provider RPCs.  The signature
-        covers everything that determines the *row set* (predicate +
-        pushed-down order/limit); client-side sort, limit, and projection
-        run identically on replayed rows.  Nothing else replays: a checked
-        read exists to re-examine what the providers actually return, and
-        :meth:`select_with_ids` feeds writes.
+        A quorum read replays: an identical SELECT that no write since has
+        touched serves the full rows straight from the row cache — zero
+        provider RPCs.  The signature covers everything that determines
+        the *row set* (predicate + pushed-down order/limit), not the
+        projection; client-side sort, limit, and projection run
+        identically on replayed rows.  A checked read never replays: it
+        exists to re-examine what the providers actually return.
         """
-        plan = self._plan_select(query, mode)
+        plan = self._plan_select(query)
+        replay = plan.mode == _QUORUM
         epoch = signature = pairs = None
         if replay:
             epoch = self.table_epoch(query.table)
-            signature = _query_signature(plan.predicate, plan.fields)
+            row_set = {**plan.fields, "projection": None}
+            signature = ("select", repr(plan.predicate), tuple(row_set.items()))
             pairs = self.row_cache.lookup_query(query.table, signature, epoch, plan.fetched)
         if pairs is None:
             pairs = self._read_rows(
                 query.table,
-                mode,
+                plan.mode,
                 plan.rewritten,
                 fields=plan.fields,
                 cache_epoch=epoch,
@@ -1350,18 +1320,6 @@ class DataSource:
         row = reconstruct_single_rows(sharing, payloads, cost=self.cost)
         return None if row is None else row[column]
 
-    def select_with_ids(self, query: Select) -> List[Tuple[int, Row]]:
-        """``(row_id, row)`` pairs from a fresh quorum read.
-
-        Never served from the row cache and never widened by
-        ``verified_reads``: its callers are about to write back what they
-        read (lazy buffer, atomic batches) and need the row ids to do it.
-        Aggregates are not supported here.
-        """
-        if query.is_aggregate:
-            raise QueryError("select_with_ids does not support aggregates")
-        return self._select_rows(query, _QUORUM)
-
     # --------------------------------------------------------- time travel --
 
     def scan_asof(self, table_name: str, as_of_epoch: int) -> List[Tuple[int, Row]]:
@@ -1378,7 +1336,10 @@ class DataSource:
         if as_of_epoch < 0:
             raise QueryError(f"as_of_epoch must be >= 0, got {as_of_epoch}")
         return self._read_rows(
-            table_name, _QUORUM, method="scan_asof", fields={"epoch": as_of_epoch}
+            table_name,
+            self._read_mode(),
+            method="scan_asof",
+            fields={"epoch": as_of_epoch},
         )
 
     def select_asof(
@@ -1405,7 +1366,7 @@ class DataSource:
     def rotate_secrets(self, new_seed: int) -> Dict[str, int]:
         """Re-key the deployment (the concern of paper ref [24]).
 
-        Reads every table through the current quorum, generates fresh
+        Reads every table in the source's read mode, generates fresh
         secret material (new evaluation points *and* new hash keys), and
         re-shares everything at all live providers.  After rotation a
         transcript of old shares plus a future compromise of the old
@@ -1413,8 +1374,9 @@ class DataSource:
         counts re-shared.
         """
         # 1. read everything out under the old secrets
+        mode = self._read_mode()
         snapshots = {
-            name: self._read_rows(name, _QUORUM, method="scan")
+            name: self._read_rows(name, mode, method="scan")
             for name in self.table_names()
         }
         # 2. swap in fresh secrets and rebuild the sharing machinery.
@@ -1451,12 +1413,22 @@ class DataSource:
     #
     # Every row-returning read is the paper's one-sentence protocol
     # (Sec. III, V-A): rewrite the predicate into share space, ask k of n
-    # providers, interpolate.  The read *mode* changes only who is asked
-    # and how a cell is decoded (Sec. VI b):
+    # providers, interpolate.  The read *mode* is the source's, taken once
+    # per statement (:meth:`_read_mode`) by every row and row-id read —
+    # SELECT, join, write matches, lazy flush, atomic overlay, resync,
+    # rotation, time travel — and decides who is asked, what is pushed
+    # down, whether the row cache answers and how a cell is decoded
+    # (Sec. VI b):
     #
-    #   mode      targets                wait     decode
-    #   quorum    k preferred            first_k  batched, row cache allowed
-    #   checked   k + read_redundancy    all      cross-check, blame → re-issue
+    #   mode     targets             wait     pushed down       row cache  decode
+    #   quorum   k preferred         first_k  projection, sort,  yes        batched
+    #                                         limit, partials
+    #   checked  k + read_redundancy all      nothing           no         cross-check, blame → re-issue
+
+    def _read_mode(self) -> str:
+        """The source's read mode, from ``verified_reads`` (which the
+        service's degrade ladder flips between statements)."""
+        return _CHECKED if self.verified_reads else _QUORUM
 
     def _read_targets(self, mode: str, blamed: set = frozenset()) -> List[int]:
         """The providers one read round addresses in ``mode``."""
@@ -1551,19 +1523,6 @@ class DataSource:
             failover=self.failover,
         )
 
-    def _read_shares(
-        self,
-        table_name: str,
-        rewritten: Optional[RewrittenPredicate] = None,
-        **round_args,
-    ) -> Dict[int, Dict[int, ShareRow]]:
-        """One read round, aligned: ``{row_id: {provider: share row}}``."""
-        return align_by_row_id(
-            rows_from_responses(
-                self._read_round(table_name, rewritten, **round_args)
-            )
-        )
-
     def _read_rows(
         self,
         table_name: str,
@@ -1580,22 +1539,17 @@ class DataSource:
         ``mode`` prescribes.  ``cache_epoch`` — the epoch the read began
         in — lets a quorum read skip interpolating rows the row cache holds.
         """
+        if rewritten is not None and rewritten.provably_empty:
+            return []
         sharing = self.sharing(table_name)
+        residual = None if rewritten is None else rewritten.residual
         columns = round_args.get("fields", _FULL_ROWS).get("projection")
-        residual = None
-        if rewritten is not None:
-            if rewritten.provably_empty:
-                return []
-            residual = rewritten.residual
         return self._until_unblamed(
             table_name,
             lambda blamed: self._decode_rows(
                 sharing,
                 mode,
-                self._read_round(
-                    table_name, rewritten, mode=mode, blamed=blamed,
-                    **round_args,
-                ),
+                self._read_round(table_name, rewritten, mode=mode, blamed=blamed, **round_args),
                 residual,
                 cache_epoch,
                 columns,
@@ -1616,7 +1570,7 @@ class DataSource:
         decode ever blames."""
         if mode == _CHECKED:
             return reconstruct_rows_checked(
-                sharing, responses, residual=residual, cost=self.cost
+                sharing, responses, residual=residual, cost=self.cost, columns=columns
             )
         return reconstruct_rows(
             sharing,
@@ -1684,7 +1638,7 @@ class DataSource:
             query, (left.schema, right.schema), (left_rw.residual, right_rw.residual), residual
         )
         # quorum or checked, exactly like a row read (whole rows when checked)
-        mode = _CHECKED if self.verified_reads else _QUORUM
+        mode = self._read_mode()
         if mode == _CHECKED:
             projections = (None, None)
         return _JoinPlan(
@@ -1794,7 +1748,9 @@ class DataSource:
         plaintext intervals), what remains as a client-side residual, the
         columns fetched, the read mode, the providers its first round
         addresses, and the execution strategy — all taken from the same
-        plan execution uses (:meth:`_plan_select`).  SQL text is accepted.
+        plan execution uses (:meth:`_plan_select`; for an UPDATE / DELETE
+        the plan of its match read, ``SELECT * FROM t WHERE <its WHERE>``).
+        SQL text is accepted.
         """
         if isinstance(query, str):
             query = parse_sql(query)
@@ -1802,21 +1758,15 @@ class DataSource:
             return self._explain_join(query)
         if not isinstance(query, (Select, Update, Delete)):
             raise QueryError(f"cannot explain {type(query).__name__}")
-        mode = _QUORUM
-        if isinstance(query, Select):
-            mode = _CHECKED if self.verified_reads else _QUORUM
-            plan = self._plan_select(query, mode)
-            sharing, rewritten, fetched = plan.sharing, plan.rewritten, plan.fetched
-        else:
-            sharing = self.sharing(query.table)
-            rewritten = rewrite_predicate(query.where.bind(sharing.schema), sharing)
-            fetched = sharing.schema.column_names
+        read = query if isinstance(query, Select) else Select(query.table, where=query.where)
+        plan = self._plan_select(read)
+        sharing, rewritten = plan.sharing, plan.rewritten
         if rewritten.provably_empty:
             strategy = "provably empty: answered without a provider round"
         elif isinstance(query, Update):
-            strategy = "fetch matching rows, reconstruct, re-share changed columns"
+            strategy = "fetch matching whole rows, reconstruct, re-share changed columns"
         elif isinstance(query, Delete):
-            strategy = "fetch matching row ids, delete everywhere"
+            strategy = "fetch matching whole rows, delete their row ids everywhere"
         elif query.is_aggregate and plan.can_push:
             strategy = (
                 "provider-grouped" if query.is_grouped else "provider-side"
@@ -1851,9 +1801,9 @@ class DataSource:
                 None if not rewritten.has_residual else repr(rewritten.residual)
             ),
             "provably_empty": rewritten.provably_empty,
-            "fetched_columns": list(fetched),
-            "mode": mode,
-            "read_quorum": self._read_targets(mode),
+            "fetched_columns": list(plan.fetched),
+            "mode": plan.mode,
+            "read_quorum": self._read_targets(plan.mode),
             "estimated_selectivity": _estimate_selectivity(sharing, rewritten),
             "strategy": strategy,
         }

@@ -144,7 +144,7 @@ def reconstruct_rows(
                 )
         if fresh and use_cache:
             row_cache.put_rows(table_name, cache_epoch, fresh.items())
-        if fresh and cost is not None:
+        if names and fresh and cost is not None:
             # cache hits cost nothing: the whole point of the cache is
             # that only misses pay for interpolation
             cost.record("interpolate", sum(map(len, fresh.values())))
@@ -210,10 +210,12 @@ def reconstruct_rows_checked(
     responses: Dict[int, Dict],
     residual: Optional[Predicate] = None,
     cost: Optional[CostRecorder] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> Tuple[List[Tuple[int, Dict[str, object]]], List[int]]:
     """Reconstruct with cross-checking; returns ``(pairs, blamed_indexes)``
-    — the ``(row_id, full row)`` pairs surviving the residual filter,
-    ascending row id.
+    — the ``(row_id, row)`` pairs surviving the residual filter,
+    ascending row id, each row holding ``columns`` (every column when
+    None; none for an id-only read, which is a presence vote alone).
 
     The verified-read primitive: the caller fans out to **more** than k
     providers, and every column of every row is decoded robustly with
@@ -244,12 +246,12 @@ def reconstruct_rows_checked(
 
         def _decode(row_id: int, share_rows: Dict[int, ShareRow]):
             row, bad = sharing.reconstruct_row_checked(
-                share_rows, suspects=blamed
+                share_rows, columns, suspects=blamed
             )
             if bad:
                 telemetry.count("faults.detected", kind="tamper")
             blamed.update(bad)
-            if cost is not None:
+            if row and cost is not None:
                 cost.record("interpolate", len(row))
             if needs_residual and not residual.matches(row):
                 return None

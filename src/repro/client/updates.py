@@ -106,9 +106,7 @@ class LazyUpdateBuffer:
         # fetch per-statement candidates and de-duplicate by row id)
         affected: Dict[int, Row] = {}
         for pending in updates:
-            matches = source.select_with_ids(
-                Select(table_name, where=pending.where)
-            )
+            matches = source.select_pairs(Select(table_name, where=pending.where))
             for row_id, row in matches:
                 affected.setdefault(row_id, row)
         changes: List[Tuple[int, Row]] = []

@@ -234,7 +234,7 @@ class TransactionManager:
             if table not in overlays:
                 overlays[table] = {
                     rid: dict(row)
-                    for rid, row in source.select_with_ids(Select(table))
+                    for rid, row in source.select_pairs(Select(table))
                 }
                 epochs[table] = self._next_epoch(0, table)
             rows = overlays[table]

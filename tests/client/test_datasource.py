@@ -237,16 +237,16 @@ class TestDispatch:
         with pytest.raises(QueryError):
             outsourced.execute(3.14)
 
-    def test_select_with_ids(self, outsourced):
-        pairs = outsourced.select_with_ids(
+    def test_select_pairs(self, outsourced):
+        pairs = outsourced.select_pairs(
             Select("Employees", where=Between("salary", 40000, 60000))
         )
         assert all(isinstance(rid, int) for rid, _ in pairs)
         ids = [rid for rid, _ in pairs]
         assert len(set(ids)) == len(ids)
 
-    def test_select_with_ids_rejects_aggregates(self, outsourced):
+    def test_select_pairs_rejects_aggregates(self, outsourced):
         with pytest.raises(QueryError):
-            outsourced.select_with_ids(
+            outsourced.select_pairs(
                 Select("Employees", aggregate=Aggregate(AggregateFunc.COUNT, None))
             )

@@ -2,9 +2,10 @@
 
 Each class fails at the parent commit (fbfbd40):
 
-* ORDER BY / LIMIT were silently dropped by the audited read (since
-  removed) and ``select_with_ids`` (30 rows in row-id order instead of
-  the top 3);
+* ORDER BY / LIMIT were silently dropped by the audited read and the
+  lazy buffer's id-keeping read (both since removed; 30 rows in row-id
+  order instead of the top 3) — ``select_pairs`` is the id-keeping read
+  now;
 * ``rotate_secrets`` read its snapshot without failover, so one crashed
   quorum member turned a re-key into ``QuorumError``;
 * ``explain`` re-derived the push-down decisions by hand and disagreed
@@ -66,7 +67,7 @@ class TestOrderLimitOnEveryEntryPoint:
         [
             ("select", {}),
             ("select", {"verified_reads": True}),
-            ("select_with_ids", {}),
+            ("select_pairs", {}),
         ],
     )
     @pytest.mark.parametrize(
@@ -76,7 +77,7 @@ class TestOrderLimitOnEveryEntryPoint:
         dep = Deployment(**kwargs)
         query = parse_sql(ROW_SHAPES[shape])
         rows = getattr(dep.source, entry)(query)
-        if entry == "select_with_ids":
+        if entry == "select_pairs":
             assert all(isinstance(row_id, int) for row_id, _ in rows)
             rows = [row for _, row in rows]
         assert rows == dep.oracle.execute(query)

@@ -5,8 +5,11 @@ tables) x query shape x fault, the result equals the plaintext oracle and
 the scenario's record — byte count, message count, modelled clock,
 client/provider ``CostRecorder`` snapshots, for ``select`` and joins
 ``explain``'s strategy and quorum, and under the ``omit`` fault the
-providers a checked read left quarantined — equals its record in
-``read_pipeline_golden.json``, one current record per scenario.
+providers a checked read left quarantined (a write's or maintenance
+call's own, taken before its oracle check reads) — equals its record in
+``read_pipeline_golden.json``, one current record per scenario.  Writes
+and maintenance run on a checked source too, under ``tamper`` and
+``omit``.
 
 Each scenario runs once per session (``tests.pipeline_runs``), and the
 tests that watch it read that run: the main test, the transactional
@@ -128,6 +131,7 @@ class Deployment:
             catalog.add_table(Table(table.schema, table.rows()))
         self.oracle = PlaintextExecutor(catalog)
         self.some_eid = employees.rows()[7]["eid"]
+        self.fault = fault
         self.inject(fault)
         self.source.reset_accounting()
 
@@ -148,6 +152,15 @@ class Deployment:
             "client": self.source.cost.snapshot(),
             "providers": self.cluster.total_provider_cost().snapshot(),
         }
+
+    def observed(self) -> Dict[str, object]:
+        """What a record pins of the deployment now: its accounting and,
+        under the ``omit`` fault, the providers left quarantined."""
+        seen = {"accounting": self.accounting()}
+        if self.fault == "omit":
+            health = self.cluster.health
+            seen["quarantined"] = [i for i in range(5) if health.is_quarantined(i)]
+        return seen
 
     def table_matches_oracle(self, table: str) -> bool:
         query = parse_sql(f"SELECT * FROM {table}")
@@ -180,29 +193,18 @@ def scenario(name: str, fault: str = "none", **kwargs):
 
 
 def _add_select(entry: str, shape: str, sql: str, fault: str, **kwargs) -> None:
-    method = {
-        "select": "select",
-        "select_checked": "select",
-        "select_with_ids": "select_with_ids",
-    }[entry]
-
     @scenario(f"{entry}/{shape}", fault, **kwargs)
-    def run(dep: Deployment, sql=sql, method=method):
+    def run(dep: Deployment, sql=sql):
         query = dep.parse(sql)
-        extras = {}
-        if method == "select":
-            plan = dep.source.explain(query)
-            extras = {"explain": [plan["strategy"], plan["read_quorum"]]}
-        actual = getattr(dep.source, method)(query)
-        if method == "select_with_ids":
-            actual = [row for _, row in actual]
-        return _same(query, actual, dep.oracle.execute(query)), extras
+        plan = dep.source.explain(query)
+        actual = dep.source.select(query)
+        ok = _same(query, actual, dep.oracle.execute(query))
+        return ok, {"explain": [plan["strategy"], plan["read_quorum"]]}
 
 
 for _shape, _sql in ROW_SHAPES.items():
     for _fault in ("none", "crash"):
         _add_select("select", _shape, _sql, _fault)
-        _add_select("select_with_ids", _shape, _sql, _fault)
     for _fault in CHECKED_FAULTS:
         _add_select("select_checked", _shape, _sql, _fault, verified_reads=True)
 for _shape, _sql in AGG_SHAPES.items():
@@ -269,9 +271,9 @@ WRITES = {
 }
 
 
-def _add_write(entry: str, shape: str, sql: str, fault: str) -> None:
-    @scenario(f"{entry}/{shape}", fault)
-    def run(dep: Deployment, sql=sql, entry=entry):
+def _add_write(entry: str, shape: str, sql: str, fault: str, **kwargs) -> None:
+    @scenario(f"{entry}/{shape}", fault, **kwargs)
+    def run(dep: Deployment, sql=sql, entry=entry.removesuffix("_checked")):
         statement = parse_sql(sql)
         expected = dep.oracle.execute(statement)
         if entry == "direct":
@@ -291,52 +293,64 @@ def _add_write(entry: str, shape: str, sql: str, fault: str) -> None:
             buffer.enqueue(second)
             buffer.flush()
             changed = expected
-        accounting = dep.accounting()
+        observed = dep.observed()
         ok = changed == expected and dep.table_matches_oracle(statement.table)
-        return ok, {"accounting": accounting}
+        return ok, observed
 
+
+#: a checked source reads a write's matches checked too: every write and
+#: maintenance entry below also runs on one under the faults that corrupt
+#: results, and must still leave the tables equal to the oracle
+CORRUPTING_FAULTS = ("tamper", "omit")
 
 for _shape, _sql in WRITES.items():
     for _fault in ("none", "crash"):
         _add_write("direct", _shape, _sql, _fault)
         _add_write("txn", _shape, _sql, _fault)
-for _fault in ("none", "crash"):
-    _add_write("lazy", "update", WRITES["update"], _fault)
-    _add_write("lazy", "update_residual", WRITES["update_residual"], _fault)
+    for _fault in CORRUPTING_FAULTS:
+        _add_write("direct_checked", _shape, _sql, _fault, verified_reads=True)
+        _add_write("txn_checked", _shape, _sql, _fault, verified_reads=True)
+for _shape in ("update", "update_residual"):
+    for _fault in ("none", "crash"):
+        _add_write("lazy", _shape, WRITES[_shape], _fault)
+    for _fault in CORRUPTING_FAULTS:
+        _add_write("lazy_checked", _shape, WRITES[_shape], _fault, verified_reads=True)
 
 
-def _add_increment(shape: str, where, fault: str) -> None:
-    @scenario(f"increment/{shape}", fault)
+def _add_increment(shape: str, where, fault: str, entry: str = "increment", **kwargs) -> None:
+    @scenario(f"{entry}/{shape}", fault, **kwargs)
     def run(dep: Deployment, where=where):
         changed = dep.source.increment("Events", "amount_cents", 5, where)
-        accounting = dep.accounting()
+        observed = dep.observed()
         table = dep.oracle.catalog.table("Events")
         expected = table.update_where(
             where.bind(table.schema),
             parse_sql("UPDATE Events SET amount_cents = amount_cents + 5").assignments,
         )
         ok = changed == expected and dep.table_matches_oracle("Events")
-        return ok, {"accounting": accounting}
+        return ok, observed
 
 
-for _fault in ("none", "crash"):
-    _add_increment("range", Comparison("product", ComparisonOp.GE, 3), _fault)
-    _add_increment(
-        "empty",
-        parse_sql("SELECT * FROM Events WHERE product > 10 AND product < 5").where,
-        _fault,
-    )
+INCREMENTS = {
+    "range": Comparison("product", ComparisonOp.GE, 3),
+    "empty": parse_sql("SELECT * FROM Events WHERE product > 10 AND product < 5").where,
+}
+for _shape, _where in INCREMENTS.items():
+    for _fault in ("none", "crash"):
+        _add_increment(_shape, _where, _fault)
+    for _fault in CORRUPTING_FAULTS:
+        _add_increment(_shape, _where, _fault, "increment_checked", verified_reads=True)
 
 
 def _add_maintenance(name: str, fault: str, run_body: Callable, **kwargs) -> None:
     @scenario(name, fault, **kwargs)
     def run(dep: Deployment):
         outcome = run_body(dep)
-        accounting = dep.accounting()
+        observed = dep.observed()
         ok = all(
             dep.table_matches_oracle(table) for table in ("Employees", "Managers", "Events")
         )
-        return ok, {"accounting": accounting, "outcome": outcome}
+        return ok, {**observed, "outcome": outcome}
 
 
 def _scan_share_rows(extra: int):
@@ -367,16 +381,20 @@ def _repair(dep: Deployment):
     return repair_provider(dep.source, 0)
 
 
+MAINTENANCE = {
+    "resync_table": lambda dep: dep.source.resync_table("Employees"),
+    "refresh_table_shares": lambda dep: dep.source.refresh_table_shares("Events"),
+    "scan_asof": _scan_asof,
+    "rotate_secrets": lambda dep: dep.source.rotate_secrets(99),
+}
 for _fault in ("none", "crash"):
-    _add_maintenance("resync_table", _fault, lambda dep: dep.source.resync_table("Employees"))
+    for _name, _body in MAINTENANCE.items():
+        _add_maintenance(_name, _fault, _body)
     _add_maintenance("scan_share_rows/k", _fault, _scan_share_rows(0))
     _add_maintenance("scan_share_rows/k+1", _fault, _scan_share_rows(1))
-    _add_maintenance(
-        "refresh_table_shares", _fault,
-        lambda dep: dep.source.refresh_table_shares("Events"),
-    )
-    _add_maintenance("scan_asof", _fault, _scan_asof)
-    _add_maintenance("rotate_secrets", _fault, lambda dep: dep.source.rotate_secrets(99))
+for _name, _body in MAINTENANCE.items():
+    for _fault in CORRUPTING_FAULTS:
+        _add_maintenance(f"{_name}_checked", _fault, _body, verified_reads=True)
 _add_maintenance("repair_provider", "crash", _repair)
 
 
@@ -393,12 +411,8 @@ def run_scenario(scenario_id: str, on_deployment: Optional[Callable] = None) -> 
     with tempfile.TemporaryDirectory() as wal_dir:
         dep.wal_path = os.path.join(wal_dir, "client.wal")
         ok, extras = run(dep)
-    record = dict(extras)
-    if "accounting" not in record:
-        record["accounting"] = dep.accounting()
-    if kwargs["fault"] == "omit":
-        health = dep.cluster.health
-        record["quarantined"] = [i for i in range(5) if health.is_quarantined(i)]
+    # a write or maintenance run observes before its oracle check reads
+    record = {**dep.observed(), **extras}
     record["matches_oracle"] = ok
     return json.loads(json.dumps(record))
 
@@ -488,7 +502,7 @@ def test_one_round_commit_moves_by_the_declared_formula(scenario_id):
 
 @pytest.mark.parametrize(
     "scenario_id",
-    [sid for sid in sorted(SCENARIOS) if sid.split("/")[0] in ("select", "select_with_ids", "join")],
+    [sid for sid in sorted(SCENARIOS) if sid.split("/")[0] in ("select", "join")],
 )
 def test_projection_moves_by_the_declared_formula(scenario_id, monkeypatch):
     """A quorum row read, unpushed aggregate or join that fetches only
@@ -557,6 +571,35 @@ def test_explain_reports_the_columns_a_read_fetches(sql, fetched):
         assert _same(query, dep.source.sql(sql), dep.oracle.execute(query))
     sent = [request.get("projection") for _, _, request, _ in calls]
     assert sent == [None if fetched is None else tuple(fetched)]
+
+
+@pytest.mark.parametrize("shape", sorted(WRITES))
+@pytest.mark.parametrize("entry, fault", [("direct", "none"), ("direct_checked", "tamper")])
+def test_explain_reports_the_columns_a_write_fetches(entry, fault, shape):
+    """A write's ``explain`` describes its match read — the source's mode,
+    the providers its first round addresses and ``fetched_columns``, whole
+    rows — and the write in the scenario's shared run asks exactly those
+    providers for exactly those columns in its ``select`` requests (a
+    provably empty write asks nobody)."""
+    scenario_id = f"{entry}/{shape}/{fault}"
+    dep = Deployment(**SCENARIOS[scenario_id][0])
+    statement = parse_sql(WRITES[shape])
+    plan = dep.source.explain(statement)
+    schema = dep.source.sharing(statement.table).schema
+    assert plan["mode"] == ("checked" if entry == "direct_checked" else "quorum")
+    assert plan["fetched_columns"] == schema.column_names
+    run = pipeline_runs.run(__name__, scenario_id)
+    # the write's own calls: the oracle check reads after it
+    calls = run.calls[0][: run.record["accounting"]["messages"] // 2]
+    selects = [(index, request) for index, method, request, _ in calls if method == "select"]
+    asked = {index for index, _ in selects}
+    fetched = {tuple(request["projection"] or schema.column_names) for _, request in selects}
+    if plan["provably_empty"]:
+        assert selects == []
+    else:
+        assert "whole rows" in plan["strategy"]
+        assert asked == set(plan["read_quorum"])
+        assert fetched == {tuple(plan["fetched_columns"])}
 
 
 _JOIN_ON = "FROM Employees JOIN Managers ON Employees.eid = Managers."
