@@ -28,7 +28,13 @@ closed form, and :mod:`repro.sim.wire` is the codec it describes):
   carries no such object).
 
 For n ≥ 1 rows of C columns whose names take L bytes, share rows take
-8 + 2C + L bytes plus their row ids and cells; the row-major list
+8 + 2C + L bytes plus their row ids and cells.  A column whose cells all
+have one size takes n × that size: the provider's store keeps each
+column's range of cell sizes, and an answer it gathers carries the size
+of every column whose range is one value, so :meth:`ShareRows.wire_size`
+visits only the row ids and the other columns' cells.  Everything else —
+uploads, decoded messages, a tampered answer — carries no sizes and is
+sized cell by cell.  The row-major list
 ``[(row_id, {column: share}), ...]`` they stand for would take
 (n − 1)(8 + 2C + L) + 4 bytes more, because it names every column in
 every row.  :mod:`repro.sim.wire` writes and reads these bytes; sizing
@@ -140,19 +146,28 @@ class ShareRows:
     :meth:`wire_size` is its size there.  Treat it as read-only: the
     provider may hand out its cached row-id list, and an upload's value
     is logged and staged as it was sent.
+
+    ``sizes``, when given, is aligned with ``columns``: the wire size
+    every cell of that column has, or ``None`` where its cells differ or
+    are not known to agree.  Only the store's ``gather`` knows them (it
+    keeps each column's range of cell sizes) and only :meth:`take` passes
+    them on; a value built anywhere else — an upload, a decoded message,
+    a tampered answer — has none, and :meth:`wire_size` visits its cells.
     """
 
-    __slots__ = ("row_ids", "columns", "shares")
+    __slots__ = ("row_ids", "columns", "shares", "sizes")
 
     def __init__(
         self,
         row_ids: List[int],
         columns: Tuple[str, ...],
         shares: Sequence[Sequence[Optional[int]]],
+        sizes: Optional[Tuple[Optional[int], ...]] = None,
     ) -> None:
         self.row_ids = row_ids
         self.columns = columns
         self.shares = shares
+        self.sizes = sizes
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence]) -> "ShareRows":
@@ -203,29 +218,34 @@ class ShareRows:
             row_ids,
             self.columns,
             [[cells[at] for at in positions] for cells in self.shares],
+            self.sizes,  # a column of one cell size keeps it in any subset
         )
 
     def wire_size(self) -> int:
         """Bytes of this value on the wire, column-major (see the module
         docstring); 4 for no rows.
 
-        One pass over the row ids and every share for their magnitude
-        bytes, plus the column names once and a 2-byte integer header per
-        cell.  A cell without a ``bit_length`` — a NULL, or whatever else
-        a store was handed — sends the value through :func:`_cell_bytes`
-        cell by cell instead.
+        The column names once, then a column whose cell size is known
+        (``sizes``) as rows × that size, and one pass over the row ids and
+        every other column's shares for their magnitude bytes plus a
+        2-byte integer header per cell.  A cell without a ``bit_length`` —
+        a NULL, or whatever else a store was handed — sends that pass
+        through :func:`_cell_bytes` cell by cell instead.
         """
         row_ids = self.row_ids
         if not row_ids:
             return 4
-        header = _rows_header(self.columns)
+        total, shares = _rows_header(self.columns), self.shares
+        if self.sizes is not None:
+            total += len(row_ids) * sum(filter(None, self.sizes))
+            shares = [cells for cells, size in zip(shares, self.sizes) if size is None]
         try:
             magnitudes = sum(
-                [(cell.bit_length() + 7) >> 3 or 1 for cell in chain(row_ids, *self.shares)]
+                [(cell.bit_length() + 7) >> 3 or 1 for cell in chain(row_ids, *shares)]
             )
         except AttributeError:
-            return header + sum(map(_cell_bytes, chain(row_ids, *self.shares)))
-        return header + 2 * len(row_ids) * (1 + len(self.columns)) + magnitudes
+            return total + sum(map(_cell_bytes, chain(row_ids, *shares)))
+        return total + 2 * len(row_ids) * (1 + len(shares)) + magnitudes
 
 
 def json_default(value: object) -> object:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.client.datasource import DataSource
 from repro.client.reconstruct import (
     align_by_row_id,
     consistent_scalar,
@@ -13,10 +14,13 @@ from repro.client.reconstruct import (
 from repro.core.scheme import TableSharing
 from repro.core.secrets import generate_client_secrets
 from repro.errors import IntegrityError, ReconstructionError
+from repro.providers.cluster import ProviderCluster
 from repro.sim.network import ShareRows
 from repro.sim.rng import DeterministicRNG
 from repro.sqlengine.expression import Comparison, ComparisonOp
 from repro.sqlengine.schema import TableSchema, integer_column
+from repro.workloads.employees import employees_table
+from tests.pipeline_runs import recording
 
 
 @pytest.fixture
@@ -135,3 +139,26 @@ class TestConsistentScalar:
             ReconstructionError, match="no provider responses to agree on"
         ):
             consistent_scalar({}, "count")
+
+
+def test_a_fault_free_range_read_decodes_each_providers_own_rows(monkeypatch):
+    """No copy when ids agree: every responder returned the same ids, so
+    the rows each one reaches ``TableSharing.reconstruct_rows`` with are
+    the very ``ShareRows`` that provider answered (``take`` returns it)."""
+    source = DataSource(ProviderCluster(5, 3), seed=3)
+    source.outsource_table(employees_table(300, seed=3))
+    decoded = []
+    whole = TableSharing.reconstruct_rows
+
+    def watched(self, share_rows, columns=None):
+        decoded.append(dict(share_rows))
+        return whole(self, share_rows, columns)
+
+    monkeypatch.setattr(TableSharing, "reconstruct_rows", watched)
+    with recording(source.cluster.providers) as calls:
+        rows = source.sql("SELECT * FROM Employees WHERE salary BETWEEN 40000 AND 70000")
+    answered = {index: response["rows"] for index, _, _, response in calls if "rows" in response}
+    assert len(rows) > 50 and len(decoded) == 1 and len(answered) >= 3
+    assert {index: id(share_rows) for index, share_rows in decoded[0].items()} == {
+        index: id(share_rows) for index, share_rows in answered.items()
+    }
