@@ -422,7 +422,7 @@ class DataSource:
         )
         self._broadcast(
             "create_table",
-            lambda i: _create_request(schema.name, schema),
+            lambda i: create_request(schema.name, schema),
             provider_indexes=self.cluster.write_targets(),
         )
         self._sharings[schema.name] = sharing
@@ -971,7 +971,7 @@ class DataSource:
         for index in self.cluster.write_targets():
             self.call_one(index, "drop_table", {"table": table_name})
             self.call_one(
-                index, "create_table", _create_request(table_name, sharing.schema)
+                index, "create_table", create_request(table_name, sharing.schema)
             )
         op = self._plan_insert(
             table_name, [row for _, row in rows], [row_id for row_id, _ in rows]
@@ -1006,7 +1006,7 @@ class DataSource:
         schema = self.sharing(table_name).schema
         self._broadcast(
             "create_table",
-            lambda i: _create_request(staging, schema),
+            lambda i: create_request(staging, schema),
             provider_indexes=self.cluster.write_targets(),
         )
 
@@ -1839,7 +1839,7 @@ class DataSource:
         self.cluster.reset_accounting()
 
 
-def _create_request(table_name: str, schema: TableSchema) -> Dict:
+def create_request(table_name: str, schema: TableSchema) -> Dict:
     """The ``create_table`` payload for a share table laid out like ``schema``."""
     return {
         "table": table_name,

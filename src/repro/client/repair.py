@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import telemetry
 from ..core.scheme import ShareRow, TableSharing
 from ..errors import ProviderUnavailableError, QuorumError
+from .datasource import create_request
 
 #: Rows per insert_many batch uploaded to the repaired provider.
 REPAIR_BATCH_SIZE = 500
@@ -186,15 +187,8 @@ def _repair_table(
         source.cost.record("poly_eval", len(sharing.schema.columns))
     # drop whatever the target holds (possibly nothing) and rewrite
     source.call_one(provider_index, "drop_table", {"table": table_name})
-    searchable = [c.name for c in sharing.schema.columns if c.searchable]
     source.call_one(
-        provider_index,
-        "create_table",
-        {
-            "table": table_name,
-            "columns": sharing.schema.column_names,
-            "searchable": searchable,
-        },
+        provider_index, "create_table", create_request(table_name, sharing.schema)
     )
     for start in range(0, len(rebuilt), batch_size):
         batch = rebuilt[start:start + batch_size]

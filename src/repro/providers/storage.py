@@ -363,13 +363,6 @@ class SortedShareIndex:
     def equal_row_ids(self, share: int) -> List[int]:
         return self.range_row_ids(share, share)
 
-    def count_in_range(self, low: int, high: int) -> int:
-        """Cardinality of a closed share interval — two bisects, no
-        extraction.  Used for access-path selection before paying for
-        row-id materialization."""
-        start, stop = self.entry_range(low, high)
-        return max(0, stop - start)
-
     def min_entry(self) -> Optional[Tuple[int, int]]:
         blocks, _, _, width, mask = self._state
         return (blocks[0][0] >> width, blocks[0][0] & mask) if blocks else None
