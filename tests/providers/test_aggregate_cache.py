@@ -141,6 +141,35 @@ class TestFaultsStayOutOfTheCache:
         })
         assert again == clean
 
+    def test_tamper_on_a_grouped_hit_leaves_the_cache_clean(self):
+        """The grouped path too: a tampered GROUP BY SUM served from the
+        cache bends only what is sent, and the next fault-free hit
+        returns the clean partials."""
+        provider = ShareProvider("p0")
+        provider.handle(
+            "create_table",
+            {"table": "T", "columns": ["g", "v"], "searchable": ["g"]},
+        )
+        provider.handle(
+            "insert_many",
+            {"table": "T",
+             "rows": [[i, {"g": i % 3, "v": 100 + i}] for i in range(9)]},
+        )
+        request = {"table": "T", "func": "sum", "column": "v",
+                   "group_column": "g"}
+        clean = provider.handle("aggregate_group", request)
+        table = provider.store.table("T")
+        hits = table.agg_cache_hits
+        provider.inject_fault(Fault(FailureMode.TAMPER, rate=1.0, seed=13))
+        tampered = provider.handle("aggregate_group", request)
+        assert table.agg_cache_hits == hits + 1
+        assert [p["partial_sum"] for _, p in tampered["groups"]] != [
+            p["partial_sum"] for _, p in clean["groups"]
+        ]
+        provider.clear_fault()
+        assert provider.handle("aggregate_group", request) == clean
+        assert table.agg_cache_hits == hits + 2
+
     def test_results_identical_with_and_without_cache_hits(self):
         """End-to-end: an aggregate answered from cache is byte-identical
         to the first (computed) answer across the whole quorum."""
