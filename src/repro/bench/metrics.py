@@ -61,8 +61,13 @@ class Measurement:
 def measure_share_query(
     source: DataSource, query, system: str = "secret-sharing"
 ) -> Measurement:
-    """Run a query through the share cluster and capture its costs."""
+    """Run a query through the share cluster and capture its costs.
+
+    The row cache is cleared first, so the measurement prices the
+    statement's provider round, whatever ran on ``source`` before.
+    """
     source.reset_accounting()
+    source.row_cache.clear()
     result = source.execute(query)
     network = source.cluster.network
     return Measurement(

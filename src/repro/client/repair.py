@@ -89,12 +89,13 @@ def rebuild_rows_for_targets(
 ) -> List[Tuple[int, Dict[int, ShareRow]]]:
     """Rebuild every quorum-complete row for a set of target points.
 
-    The bulk form of :func:`rebuild_share_row`, used by shard migration:
-    each row is rebuilt once per target evaluation point, so a whole row
-    set can be re-homed onto another provider group that shares the
-    client's secrets — without ever reconstructing the randomly-shared
-    plaintext.  Rows with fewer than k source shares are skipped (they
-    cannot be rebuilt; the caller's quorum failover should prevent this).
+    The bulk form of :func:`rebuild_share_row`, used by provider repair
+    (one target) and shard migration: each row is rebuilt once per
+    target evaluation point, so a whole row set can be re-homed onto
+    another provider group that shares the client's secrets — without
+    ever reconstructing the randomly-shared plaintext.  Rows with fewer
+    than k source shares are skipped (they cannot be rebuilt; the
+    caller's quorum failover should prevent this).
     """
     out: List[Tuple[int, Dict[int, ShareRow]]] = []
     for row_id, share_rows in sorted(aligned.items()):
@@ -176,15 +177,16 @@ def _repair_table(
     aligned = source.scan_share_rows(
         table_name, extra=1, exclude=(provider_index,)
     )
-    rebuilt: List[Tuple[int, ShareRow]] = []
-    for row_id, share_rows in aligned.items():
-        if len(share_rows) < source.threshold:
-            continue
-        rebuilt.append(
-            (row_id, rebuild_share_row(sharing, share_rows, provider_index))
+    rebuilt = [
+        (row_id, rows[provider_index])
+        for row_id, rows in rebuild_rows_for_targets(
+            sharing, aligned, [provider_index]
         )
-        source.cost.record("interpolate", len(sharing.schema.columns))
-        source.cost.record("poly_eval", len(sharing.schema.columns))
+    ]
+    if rebuilt:
+        cells = len(rebuilt) * len(sharing.schema.columns)
+        source.cost.record("interpolate", cells)
+        source.cost.record("poly_eval", cells)
     # drop whatever the target holds (possibly nothing) and rewrite
     source.call_one(provider_index, "drop_table", {"table": table_name})
     source.call_one(

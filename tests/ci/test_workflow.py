@@ -182,7 +182,7 @@ class TestTier1Gate:
         ]
         (step,) = [s for s in jobs["bench-smoke"]["steps"] if "benchmarks/results" in s.get("run", "")]
         command, diff = step["run"].replace("\\\n", " ").strip().splitlines()
-        assert command.startswith("python -m pytest") and command.split()[-16:] == scripts
+        assert command.startswith("python -m pytest") and command.split()[-len(scripts):] == scripts
         assert diff == "git diff --exit-code -- benchmarks/results"
         assert step["env"]["PYTHONPATH"] == "src"
 

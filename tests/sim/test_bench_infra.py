@@ -31,6 +31,18 @@ class TestMeasurement:
         assert measurement.client_seconds() >= 0
         assert measurement.server_seconds() >= 0
 
+    def test_a_repeated_share_measurement_starts_cold(self, source):
+        # the first measurement fills the row cache; the second must
+        # still price the provider round, not a cache hit
+        query = parse_sql(
+            "SELECT * FROM Employees WHERE salary BETWEEN 30000 AND 70000"
+        )
+        first, second = (measure_share_query(source, query) for _ in range(2))
+        assert first.messages > 0
+        assert (second.messages, second.bytes_transferred, second.client_ops) == (
+            first.messages, first.bytes_transferred, first.client_ops
+        )
+
     def test_scalar_query_has_no_row_count(self, source):
         measurement = measure_share_query(
             source, parse_sql("SELECT COUNT(*) FROM Employees")
