@@ -3,8 +3,8 @@
 Calibrates the deployment's modelled capacity with a sparse read-only
 probe, then floods it with an open-loop heavy-tailed arrival stream
 (:mod:`repro.workloads.traffic`) at multiples of that capacity through
-the discrete-event overload runner
-(:func:`repro.service.run_open_loop`).  The service must bend, not
+the discrete-event overload runner (:func:`repro.drills.flood`, which
+drives :func:`repro.service.run_open_loop`).  The service must bend, not
 break:
 
 * **zero incorrect results** at every load — each answer is checked
@@ -44,29 +44,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import telemetry
-from repro.client.datasource import DataSource
-from repro.providers.cluster import CLIENT_NAME, ProviderCluster
-from repro.providers.failures import Fault, FailureMode
+from repro import drills
+from repro.providers.cluster import CLIENT_NAME
 from repro.providers.health import QUARANTINE_AFTER, UNAVAILABLE
-from repro.service import estimate_capacity, run_open_loop
-from repro.workloads.employees import employees_table
-from repro.workloads.traffic import TrafficProfile, generate_traffic
 
 SEED = 2009
 RESULT_PATH = REPO_ROOT / "BENCH_overload.json"
 LOAD_SWEEP = (1.0, 2.0, 4.0, 8.0)
-
-
-def build_source(rows: int, providers: int, threshold: int):
-    """One verified-reads Employees deployment plus its eid list."""
-    table = employees_table(rows, seed=SEED)
-    source = DataSource(
-        ProviderCluster(providers, threshold), seed=SEED, verified_reads=True
-    )
-    source.outsource_table(table)
-    eids = sorted(row["eid"] for row in table.rows())
-    return source, eids
 
 
 def run_at_load(
@@ -78,54 +62,12 @@ def run_at_load(
     max_in_flight: int,
     queue_limit: int,
     crash: int = 0,
-    seed: int = SEED,
 ):
     """Calibrate a fresh deployment, then flood it at ``load`` x capacity."""
-    source, eids = build_source(rows, providers, threshold)
-    return flood(
-        source, eids, load, queries, max_in_flight, queue_limit, crash, seed
+    source, eids = drills.employees_source(rows, providers, threshold, SEED)
+    return drills.flood(
+        source, eids, load, queries, max_in_flight, queue_limit, crash, SEED
     )
-
-
-def flood(
-    source,
-    eids,
-    load: float,
-    queries: int,
-    max_in_flight: int,
-    queue_limit: int,
-    crash: int = 0,
-    seed: int = SEED,
-):
-    """Calibrate ``source``, then flood it at ``load`` x capacity.
-
-    Calibration runs against the *pristine* deployment (before any
-    crash faults) and outside the telemetry session, so the probe
-    traffic perturbs neither the SLO counters nor the flood's byte
-    accounting.  ``crash`` providers are then killed before the flood.
-    """
-    network = source.cluster.network
-    capacity = estimate_capacity(
-        source, eids, max_in_flight=max_in_flight, seed=seed + 1
-    )
-    network.reset()
-    for index in range(crash):
-        source.cluster.inject_fault(index, Fault(FailureMode.CRASH))
-    profile = TrafficProfile(
-        mean_interarrival=1.0 / (capacity["capacity_qps"] * load)
-    )
-    events = generate_traffic(eids, queries, seed=seed, profile=profile)
-    with telemetry.session(clock=lambda net=network: net.modelled_seconds):
-        report = run_open_loop(
-            source,
-            events,
-            max_in_flight=max_in_flight,
-            queue_limit=queue_limit,
-        )
-    report["load_factor"] = load
-    report["capacity"] = capacity
-    report["crashed_providers"] = crash
-    return report
 
 
 def completion_rates(report):
@@ -199,10 +141,10 @@ def run_check() -> None:
     )
 
     crash = kwargs["providers"] - kwargs["threshold"]
-    source, eids = build_source(
-        kwargs["rows"], kwargs["providers"], kwargs["threshold"]
+    source, eids = drills.employees_source(
+        kwargs["rows"], kwargs["providers"], kwargs["threshold"], SEED
     )
-    rc = flood(
+    rc = drills.flood(
         source,
         eids,
         4.0,
@@ -210,6 +152,7 @@ def run_check() -> None:
         kwargs["max_in_flight"],
         kwargs["queue_limit"],
         crash=crash,
+        seed=SEED,
     )
     assert rc["incorrect"] == 0, (
         f"incorrect results under 4x flood + {crash} crashes: "

@@ -43,7 +43,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.client.datasource import DataSource
 from repro.errors import QuorumError, ReproError
-from repro.providers.cluster import ProviderCluster, RetryPolicy
+from repro.providers.cluster import ProviderCluster
 from repro.providers.failures import Fault, FailureMode
 from repro.workloads.employees import employees_table, managers_table
 
@@ -74,12 +74,13 @@ def build_deployment(
     threshold: int,
     verified: bool = False,
     failover: bool = True,
-    retry: RetryPolicy = None,
 ):
     """An outsourced Employees+Managers deployment, accounting zeroed."""
-    cluster = ProviderCluster(providers, threshold, retry=retry)
     source = DataSource(
-        cluster, seed=SEED, verified_reads=verified, failover=failover
+        ProviderCluster(providers, threshold),
+        seed=SEED,
+        verified_reads=verified,
+        failover=failover,
     )
     employees = employees_table(rows, seed=SEED)
     managers = managers_table(employees, 0.2, seed=SEED)

@@ -11,7 +11,7 @@ groups each group carries ~1/G of the bytes — the headline scaling.
 Also measured: cross-shard aggregate parity (COUNT/SUM/AVG/MIN/MAX fan
 out and merge; results must equal the unsharded oracle exactly — Shamir
 linearity makes the partials sound), and the elastic operations
-(``split_shard`` / ``rebalance``), which must preserve every row.
+(``repro.drills.split`` / ``rebalance``), which must preserve every row.
 
 Results go to ``BENCH_sharding.json`` at the repo root.  Run modes::
 
@@ -37,12 +37,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import telemetry
+from repro import drills, telemetry
 from repro.service.sharding import ShardRouter
-from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
 from repro.sqlengine.sqlparser import parse_sql
-from repro.sqlengine.table import Table
 from repro.workloads.employees import employees_table
 
 SEED = 2009
@@ -60,29 +57,6 @@ AGGREGATE_PROBES = (
     "SELECT COUNT(*) FROM Employees GROUP BY department",
     "SELECT AVG(salary) FROM Employees GROUP BY department",
 )
-
-
-def build_router(
-    n_groups: int, rows: int, providers: int, threshold: int
-) -> ShardRouter:
-    """A range-sharded Employees deployment over ``n_groups`` groups."""
-    table = employees_table(rows, seed=SEED)
-    router = ShardRouter.build(
-        n_groups=n_groups,
-        providers_per_group=providers,
-        threshold=threshold,
-        seed=SEED,
-        mode="range",
-    )
-    router.outsource_table(table, partition_column="eid")
-    return router
-
-
-def build_oracle(rows: int) -> PlaintextExecutor:
-    table = employees_table(rows, seed=SEED)
-    catalog = Catalog()
-    catalog.add_table(Table(table.schema, table.rows()))
-    return PlaintextExecutor(catalog)
 
 
 def point_statements(rows: int, count: int):
@@ -137,27 +111,20 @@ def run_workload(router: ShardRouter, statements):
     }
 
 
-def check_aggregate_parity(router: ShardRouter, oracle: PlaintextExecutor):
-    """Every fan-out aggregate must equal the plaintext oracle exactly."""
-    for text in AGGREGATE_PROBES:
-        got = router.sql(text)
-        want = oracle.execute(parse_sql(text))
-        if isinstance(want, list):
-            assert got == want, f"sharded {text!r}: {got!r} != {want!r}"
-        else:
-            assert got == want, f"sharded {text!r}: {got!r} != {want!r}"
-
-
 def bench_group_sweep(rows: int, providers: int, threshold: int, queries: int):
     """The headline table: throughput at each group count."""
-    oracle = build_oracle(rows)
+    table = employees_table(rows, seed=SEED)
+    oracle = drills.plaintext_oracle(table)
     statements = point_statements(rows, queries)
     oracle_results = [oracle.execute(parse_sql(text)) for text in statements]
     levels = []
     baseline_qps = None
     for n_groups in GROUP_SWEEP:
-        router = build_router(n_groups, rows, providers, threshold)
-        check_aggregate_parity(router, oracle)
+        router, _ = drills.sharded_employees(
+            rows, providers, threshold, SEED, n_groups, "range"
+        )
+        for text, matches in drills.shard_probes(router, table, AGGREGATE_PROBES):
+            assert matches, f"sharded {text!r} diverged from the oracle"
         results, stats = run_workload(router, statements)
         assert results == oracle_results, (
             f"sharded results diverged from the oracle at {n_groups} groups"
@@ -184,63 +151,30 @@ def bench_group_sweep(rows: int, providers: int, threshold: int, queries: int):
 
 
 def bench_elastic(rows: int, providers: int, threshold: int):
-    """Split + rebalance timings and row-preservation accounting."""
-    report = {}
-    # online range split to a fresh group
-    router = build_router(2, rows, providers, threshold)
-    before = {
-        rid
-        for ids in router.shard_row_ids("Employees").values()
-        for rid in ids
-    }
-    router.reset_accounting()
-    wall_start = time.perf_counter()
+    """Split + rebalance timings; each must hold every row exactly once
+    and answer the oracle probes (``repro.drills``)."""
     # 250k is mid-range of the first shard ([1, 500k) at two groups), so
     # the split moves a real slice rather than an empty boundary sliver
-    moved = router.split_shard("Employees", 250_000)
-    wall = time.perf_counter() - wall_start
-    after_map = router.shard_row_ids("Employees")
-    after = [rid for ids in after_map.values() for rid in ids]
-    assert sorted(after) == sorted(before), "split lost or duplicated rows"
-    report["split"] = {
-        "rows_moved": moved,
-        "groups_after": router.n_groups,
-        "distribution": {
-            str(index): len(ids) for index, ids in sorted(after_map.items())
-        },
-        "migration_bytes": router.total_network_bytes(),
-        "wall_seconds": round(wall, 6),
+    report = {
+        "split": drills.split(rows, providers, threshold, SEED, at=250_000),
+        "rebalance": drills.rebalance(rows, providers, threshold, SEED),
     }
-    router.close()
-    # hash rebalance onto an added group
-    table = employees_table(rows, seed=SEED)
-    router = ShardRouter.build(
-        n_groups=2,
-        providers_per_group=providers,
-        threshold=threshold,
-        seed=SEED,
-        mode="hash",
-    )
-    router.outsource_table(table)
-    router.add_group()
-    router.reset_accounting()
-    wall_start = time.perf_counter()
-    moved = router.rebalance()
-    wall = time.perf_counter() - wall_start
-    after_map = router.shard_row_ids("Employees")
-    after = [rid for ids in after_map.values() for rid in ids]
-    assert sorted(after) == sorted(before), "rebalance lost or duplicated rows"
-    report["rebalance"] = {
-        "rows_moved": moved,
-        "groups_after": router.n_groups,
-        "distribution": {
-            str(index): len(ids) for index, ids in sorted(after_map.items())
-        },
-        "migration_bytes": router.total_network_bytes(),
-        "wall_seconds": round(wall, 6),
+    for name, result in report.items():
+        assert result["placement_ok"], f"{name} lost or duplicated rows"
+        for text, matches in result["probes"]:
+            assert matches, f"after the {name}, {text!r} diverged from the oracle"
+    return {
+        name: {
+            "rows_moved": result["rows_moved"],
+            "groups_after": len(result["groups"]),
+            "distribution": {
+                str(index): count for index, count in result["after"].items()
+            },
+            "migration_bytes": result["migration_bytes"],
+            "wall_seconds": round(result["wall_seconds"], 6),
+        }
+        for name, result in report.items()
     }
-    router.close()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +194,17 @@ def run_check() -> None:
     * 4-group modelled throughput ≥ 2.5× single-group,
     * an online split and a hash rebalance both preserve every row.
     """
-    rows, providers, threshold, queries = 96, 4, 2, 24
-    oracle = build_oracle(rows)
-    statements = point_statements(rows, queries)
-    oracle_results = [oracle.execute(parse_sql(text)) for text in statements]
-    qps = {}
-    for n_groups in GROUP_SWEEP:
-        router = build_router(n_groups, rows, providers, threshold)
-        check_aggregate_parity(router, oracle)
-        results, stats = run_workload(router, statements)
-        assert results == oracle_results, (
-            f"sharded results diverged from the oracle at {n_groups} groups"
-        )
-        qps[n_groups] = queries / stats["modelled_network_seconds"]
-        router.close()
+    levels = bench_group_sweep(96, 4, 2, 24)["levels"]
+    qps = {
+        level["groups"]: level["queries"] / level["modelled_network_seconds"]
+        for level in levels
+    }
     speedup = qps[4] / qps[1]
     assert speedup >= 2.5, (
         f"4-group sharding only {speedup:.2f}x single-group modelled "
         f"throughput (need >= 2.5x)"
     )
-    bench_elastic(rows, providers, threshold)  # asserts row preservation
+    bench_elastic(96, 4, 2)
 
 
 def run_full(args) -> dict:

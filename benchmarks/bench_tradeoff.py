@@ -14,7 +14,11 @@ import pytest
 from repro import DataSource, JoinSelect, ProviderCluster, Select, parse_sql
 from repro.baselines.cipher import serialize_row
 from repro.baselines.encryption import BucketizationClient, OPEClient, RowEncryptionClient
-from repro.bench.metrics import measure_encrypted_query, measure_share_query
+from repro.bench.metrics import (
+    clear_aggregate_caches,
+    measure_encrypted_query,
+    measure_share_query,
+)
 from repro.bench.reporting import record_experiment
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.executor import PlaintextExecutor, rows_equal_unordered
@@ -262,9 +266,12 @@ def test_latency(benchmark, kind, system, systems, sized, exact_query):
             target.reset_accounting()
             if system == SHARE:
                 target.row_cache.clear()
+                clear_aggregate_caches(target.cluster)
 
         answer = target.join if isinstance(query, JoinSelect) else target.select
         benchmark.pedantic(answer, args=(query,), setup=cold, rounds=3)
     if system == SHARE:
-        # the last timed round reached the providers: it timed no cache hit
+        # the last timed round reached the providers and did their work
+        # there: it timed no row-cache or aggregate-cache hit
         assert target.cluster.network.total_messages > 0
+        assert kind == "load" or target.cluster.total_provider_cost().snapshot()

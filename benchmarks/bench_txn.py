@@ -18,9 +18,10 @@ deterministic per value and cannot be perturbed in place):
   ``KILL_PHASES`` (pre-log, post-log, mid-round, pre-ack, post-ack,
   lost-ack) on both unsharded and 2-group sharded deployments; a
   statement must be durable iff its WAL record survived, and replay must
-  land bit-identical to a plaintext oracle;
+  land bit-identical to a plaintext oracle (``repro.drills.crash_replay``);
 * **time travel** — ``as_of_epoch`` reads at every historical epoch
-  compared against the oracle replayed to the same epoch.
+  compared against the oracle replayed to the same epoch
+  (``repro.drills.time_travel``).
 
 Results go to ``BENCH_txn.json`` at the repo root.  Run modes::
 
@@ -44,56 +45,20 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import tempfile
-
-from repro.client.datasource import DataSource
-from repro.errors import SimulatedCrash
-from repro.providers.cluster import ProviderCluster
-from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.executor import PlaintextExecutor
-from repro.sqlengine.schema import TableSchema, integer_column
+from repro import drills
 from repro.sqlengine.sqlparser import parse_sql
-from repro.sqlengine.table import Table
-from repro.txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
+from repro.txn import KILL_PHASES, TransactionManager
 
 SEED = 2009
 RESULT_PATH = REPO_ROOT / "BENCH_txn.json"
 DELTA_SPEEDUP_FLOOR = 3.0
-
-
-def accounts_schema() -> TableSchema:
-    return TableSchema(
-        "Accounts",
-        (
-            integer_column("aid", 0, 1_000_000),
-            integer_column("balance", 0, 1_000_000_000, searchable=False),
-        ),
-        primary_key="aid",
-    )
-
-
-def build_source(rows: int, providers: int, threshold: int) -> DataSource:
-    source = DataSource(ProviderCluster(providers, threshold), seed=SEED)
-    source.create_table(accounts_schema())
-    source.insert_many(
-        "Accounts", [{"aid": i, "balance": 1000 + i} for i in range(rows)]
-    )
-    return source
-
-
-def build_oracle(rows: int):
-    catalog = Catalog()
-    table = Table(accounts_schema())
-    for i in range(rows):
-        table.insert({"aid": i, "balance": 1000 + i})
-    catalog.add_table(table)
-    return catalog, PlaintextExecutor(catalog)
 
 
 def delta_statements(rows: int, count: int):
@@ -106,13 +71,6 @@ def delta_statements(rows: int, count: int):
     ]
 
 
-def snapshot(source) -> list:
-    return sorted(
-        (row["aid"], row["balance"])
-        for row in source.select(parse_sql("SELECT * FROM Accounts"))
-    )
-
-
 # ---------------------------------------------------------------------------
 # section 1: incremental delta vs eager re-share
 # ---------------------------------------------------------------------------
@@ -121,7 +79,7 @@ def snapshot(source) -> list:
 def bench_delta_vs_eager(rows: int, statements: int, providers: int, threshold: int):
     texts = delta_statements(rows, statements)
 
-    eager = build_source(rows, providers, threshold)
+    eager = drills.accounts_source(rows, providers, threshold, SEED)
     eager.cluster.network.reset()
     for text in texts:
         eager.update(parse_sql(text))
@@ -130,7 +88,7 @@ def bench_delta_vs_eager(rows: int, statements: int, providers: int, threshold: 
         eager.cluster.network.total_bytes,
     )
 
-    delta = build_source(rows, providers, threshold)
+    delta = drills.accounts_source(rows, providers, threshold, SEED)
     delta.cluster.network.reset()
     manager = TransactionManager(delta)
     for text in texts:
@@ -142,7 +100,7 @@ def bench_delta_vs_eager(rows: int, statements: int, providers: int, threshold: 
         delta.cluster.network.total_bytes,
     )
 
-    identical = snapshot(eager) == snapshot(delta)
+    identical = drills.accounts(eager) == drills.accounts(delta)
     return {
         "rows": rows,
         "statements": statements,
@@ -167,7 +125,7 @@ def bench_group_commit(rows: int, wave: int, providers: int, threshold: int):
         for i in range(wave)
     ]
 
-    solo = build_source(rows, providers, threshold)
+    solo = drills.accounts_source(rows, providers, threshold, SEED)
     solo_manager = TransactionManager(solo)
     solo.cluster.network.reset()
     for text in inserts:
@@ -176,7 +134,7 @@ def bench_group_commit(rows: int, wave: int, providers: int, threshold: int):
     solo_stats = solo_manager.stats()
     solo_manager.close()
 
-    grouped = build_source(rows, providers, threshold)
+    grouped = drills.accounts_source(rows, providers, threshold, SEED)
     group_manager = TransactionManager(grouped)
     grouped.cluster.network.reset()
     group_manager.apply_batch([parse_sql(text) for text in inserts])
@@ -184,7 +142,7 @@ def bench_group_commit(rows: int, wave: int, providers: int, threshold: int):
     group_stats = group_manager.stats()
     group_manager.close()
 
-    identical = snapshot(solo) == snapshot(grouped)
+    identical = drills.accounts(solo) == drills.accounts(grouped)
     return {
         "wave": wave,
         "per_statement_messages": solo_msgs,
@@ -204,110 +162,23 @@ def bench_group_commit(rows: int, wave: int, providers: int, threshold: int):
 
 
 def recovery_matrix(rows: int, providers: int, threshold: int, sharded: bool):
-    victim = f"UPDATE Accounts SET balance = balance + 9999 WHERE aid < {rows}"
-    script = [
-        f"UPDATE Accounts SET balance = balance + 250 WHERE aid < {rows // 2}",
-        "UPDATE Accounts SET balance = 777 WHERE aid = 1",
-        f"DELETE FROM Accounts WHERE aid = {rows - 1}",
-    ]
     results = []
     for phase in KILL_PHASES:
-        wal = tempfile.mktemp(prefix="bench-txn-", suffix=".wal")
-        if sharded:
-            from repro.service.sharding import ShardRouter
-
-            reader = ShardRouter.build(
-                n_groups=2,
-                providers_per_group=providers,
-                threshold=threshold,
-                seed=SEED,
+        with tempfile.TemporaryDirectory(prefix="bench-txn-") as wal_dir:
+            result = drills.crash_replay(
+                os.path.join(wal_dir, "replay.wal"), phase, rows, providers,
+                threshold, SEED, sharded,
             )
-            reader.create_table(accounts_schema())
-            manager = ShardedTransactionManager(reader, wal)
-        else:
-            reader = DataSource(
-                ProviderCluster(providers, threshold), seed=SEED
-            )
-            reader.create_table(accounts_schema())
-            manager = TransactionManager(reader, wal)
-        catalog, oracle = build_oracle(rows)
-        for i in range(rows):
-            manager.execute(
-                f"INSERT INTO Accounts (aid, balance) VALUES ({i}, {1000 + i})"
-            )
-        for text in script:
-            manager.execute(text)
-            oracle.execute(parse_sql(text))
-        manager.kill_at = phase
-        crashed = False
-        try:
-            manager.execute(victim)
-        except SimulatedCrash:
-            crashed = True
-        # durability contract: committed iff the WAL record was written
-        if phase != "pre-log":
-            oracle.execute(parse_sql(victim))
-        manager.close()
-        recovering = (
-            ShardedTransactionManager(reader, wal)
-            if sharded
-            else TransactionManager(reader, wal)
-        )
-        report = recovering.recover()
-        live = snapshot(reader)
-        expected = sorted(
-            (row["aid"], row["balance"])
-            for row in catalog.table("Accounts").rows()
-        )
-        recovering.close()
-        os.remove(wal)  # an explicit log is never removed by its manager
+            result.manager.close()
         results.append(
             {
                 "phase": phase,
-                "crashed": crashed,
-                "replayed": report["replayed"],
-                "exact": live == expected,
+                "crashed": result.crashed,
+                "replayed": result.replayed,
+                "exact": result.exact,
             }
         )
     return results
-
-
-# ---------------------------------------------------------------------------
-# section 4: time-travel parity
-# ---------------------------------------------------------------------------
-
-
-def bench_time_travel(rows: int, providers: int, threshold: int):
-    script = [
-        f"UPDATE Accounts SET balance = balance + 250 WHERE aid < {rows // 2}",
-        "UPDATE Accounts SET balance = 777 WHERE aid = 1",
-        f"DELETE FROM Accounts WHERE aid = {rows - 1}",
-        f"UPDATE Accounts SET balance = balance - 50 WHERE aid >= {rows // 2}",
-    ]
-    source = build_source(rows, providers, threshold)
-    manager = TransactionManager(source)
-    catalog, oracle = build_oracle(rows)
-    # epoch after outsourcing is 1; each statement adds one epoch
-    oracle_states = {source.table_epoch("Accounts"): sorted(
-        (r["aid"], r["balance"]) for r in catalog.table("Accounts").rows()
-    )}
-    for text in script:
-        manager.execute(text)
-        oracle.execute(parse_sql(text))
-        oracle_states[source.table_epoch("Accounts")] = sorted(
-            (r["aid"], r["balance"])
-            for r in catalog.table("Accounts").rows()
-        )
-    manager.close()
-    select_all = parse_sql("SELECT * FROM Accounts")
-    epochs = []
-    for epoch, expected in sorted(oracle_states.items()):
-        past = sorted(
-            (r["aid"], r["balance"])
-            for r in source.select_asof(select_all, epoch)
-        )
-        epochs.append({"epoch": epoch, "exact": past == expected})
-    return epochs
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +212,16 @@ def run_check() -> None:
                 f"{deployment} {entry['phase']}: recovered state diverged "
                 "from the plaintext oracle"
             )
-    for entry in bench_time_travel(24, providers=3, threshold=2):
-        assert entry["exact"], (
-            f"as_of_epoch={entry['epoch']} diverged from the oracle replay"
-        )
+    travel = drills.time_travel(24, providers=3, threshold=2, seed=SEED)
+    assert not travel["diverged"], (
+        f"as_of_epoch={travel['diverged']} diverged from the oracle replay"
+    )
 
 
 def run_full(args) -> dict:
+    travel = drills.time_travel(
+        args.rows, args.providers, args.threshold, seed=SEED
+    )
     return {
         "seed": SEED,
         "delta_vs_eager": [
@@ -370,9 +244,10 @@ def run_full(args) -> dict:
                 24, args.providers, args.threshold, sharded=True
             ),
         },
-        "time_travel": bench_time_travel(
-            args.rows, args.providers, args.threshold
-        ),
+        "time_travel": [
+            {"epoch": entry["epoch"], "exact": entry["epoch"] not in travel["diverged"]}
+            for entry in travel["epochs"]
+        ],
     }
 
 

@@ -63,11 +63,13 @@ def measure_share_query(
 ) -> Measurement:
     """Run a query through the share cluster and capture its costs.
 
-    The row cache is cleared first, so the measurement prices the
-    statement's provider round, whatever ran on ``source`` before.
+    The client's row cache and the providers' aggregate caches are
+    cleared first, so the measurement prices the statement's provider
+    work, whatever ran on ``source`` before.
     """
     source.reset_accounting()
     source.row_cache.clear()
+    clear_aggregate_caches(source.cluster)
     result = source.execute(query)
     network = source.cluster.network
     return Measurement(
@@ -80,6 +82,13 @@ def measure_share_query(
         server_ops=source.cluster.total_provider_cost().snapshot(),
         network_seconds=network.modelled_seconds,
     )
+
+
+def clear_aggregate_caches(cluster) -> None:
+    """Drop every provider table's materialized aggregates."""
+    for provider in cluster.providers:
+        for name in provider.store.table_names():
+            provider.store.table(name).clear_aggregate_cache()
 
 
 def measure_encrypted_query(client, query, system: str) -> Measurement:

@@ -1,6 +1,6 @@
 """Command-line interface for the secret-sharing DBaaS.
 
-Four subcommands::
+Ten subcommands::
 
     python -m repro.cli demo  [--rows N] [--providers N] [--threshold K]
         outsource a payroll workload and run a short guided tour
@@ -23,21 +23,41 @@ Four subcommands::
         loop, or --open-loop at a multiple of capacity) and print the
         SLO report with modelled and wall clocks side by side
 
+    python -m repro.cli repair --provider I [--simulate-loss] [--snapshot DIR]
+        rebuild one provider's shares from k live peers and verify them
+
+    python -m repro.cli shard-split [--groups N] [--at EID]
+        range-shard Employees, split one shard onto a fresh group online
+
+    python -m repro.cli shard-rebalance [--groups N] [--add-groups N]
+        hash-shard Employees, add groups and rebalance buckets onto them
+
+    python -m repro.cli txn-replay [--kill PHASE|all] [--sharded]
+        crash the WAL write path at each kill phase, recover, verify
+
+    python -m repro.cli time-travel [--epoch E]
+        mutate a table over epochs, then read it as of each epoch
+
     python -m repro.cli figure1
         print the paper's Figure 1 share table and its reconstruction
 
-All state is in-process (providers are simulated); ``--save``/
-``--snapshot`` round-trip deployments through repro.persistence.
+The drill commands (``serve-sim --open-loop``, ``shard-split``,
+``shard-rebalance``, ``txn-replay``, ``time-travel``) print the results
+of :mod:`repro.drills`.  All state is in-process (providers are
+simulated); ``--save``/``--snapshot`` round-trip deployments through
+repro.persistence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from typing import List, Optional, Sequence
 
-from . import __version__, telemetry
+from . import __version__, drills, telemetry
 from .bench.reporting import format_table
 from .client.datasource import DataSource
 from .core.kernels import active_backend, kernel_stats, reset_kernel_stats
@@ -70,6 +90,15 @@ def build_source(
     else:
         raise ReproError(f"unknown workload {workload!r}")
     return source
+
+
+def _open_source(args) -> DataSource:
+    """The deployment saved at ``--snapshot``, else a fresh ``--workload``."""
+    if args.snapshot:
+        return load_deployment(args.snapshot)
+    return build_source(
+        args.workload, args.rows, args.providers, args.threshold, args.seed
+    )
 
 
 def render_result(result) -> str:
@@ -171,13 +200,10 @@ def cmd_demo(args, out) -> int:
 
 
 def cmd_sql(args, out, input_lines: Optional[Sequence[str]] = None) -> int:
+    source = _open_source(args)
     if args.snapshot:
-        source = load_deployment(args.snapshot)
         print(f"loaded deployment from {args.snapshot}", file=out)
     else:
-        source = build_source(
-            args.workload, args.rows, args.providers, args.threshold, args.seed
-        )
         print(
             f"outsourced {args.workload} workload "
             f"({args.rows} rows, {args.providers} providers)",
@@ -231,12 +257,7 @@ def format_stages(root: telemetry.Span) -> List[str]:
 
 
 def cmd_trace(args, out) -> int:
-    if args.snapshot:
-        source = load_deployment(args.snapshot)
-    else:
-        source = build_source(
-            args.workload, args.rows, args.providers, args.threshold, args.seed
-        )
+    source = _open_source(args)
     network = source.cluster.network
     # drop outsourcing traffic and clock so the trace covers only the query
     network.reset()
@@ -323,33 +344,21 @@ def cmd_serve_sim(args, out) -> int:
     """
     import time
 
-    from .service import estimate_capacity, run_closed_loop, run_open_loop
-    from .workloads.traffic import TrafficProfile, generate_traffic
+    from .service import run_closed_loop, run_open_loop
+    from .workloads.traffic import generate_traffic
 
-    table = employees_table(args.rows, seed=args.seed)
-    source = DataSource(
-        ProviderCluster(args.providers, args.threshold),
-        seed=args.seed,
-        verified_reads=True,  # gives the degradation ladder a premium tier
+    source, eids = drills.employees_source(
+        args.rows, args.providers, args.threshold, args.seed
     )
-    source.outsource_table(table)
-    eids = sorted(row["eid"] for row in table.rows())
     network = source.cluster.network
     run, options = run_closed_loop, dict(
         max_in_flight=args.max_in_flight, queue_limit=args.queue_limit
     )
     if args.open_loop:
         run = run_open_loop
-        # calibrate outside the telemetry session so probe traffic never
-        # pollutes the SLO counters; the flood starts from a clean network
-        capacity = estimate_capacity(
-            source, eids, max_in_flight=args.max_in_flight, seed=args.seed + 1
-        )
-        profile = TrafficProfile(
-            mean_interarrival=1.0 / (capacity["capacity_qps"] * args.load)
-        )
-        events = generate_traffic(
-            eids, args.queries, seed=args.seed, profile=profile
+        capacity, events = drills.flood_traffic(
+            source, eids, args.load, args.queries, args.max_in_flight,
+            args.seed,
         )
         extra = {"capacity": capacity, "load_factor": args.load}
         title = (
@@ -465,13 +474,9 @@ def _print_simulation_report(report, out) -> None:
 def cmd_repair(args, out) -> int:
     from .client.repair import repair_provider, verify_repair
 
+    source = _open_source(args)
     if args.snapshot:
-        source = load_deployment(args.snapshot)
         print(f"loaded deployment from {args.snapshot}", file=out)
-    else:
-        source = build_source(
-            args.workload, args.rows, args.providers, args.threshold, args.seed
-        )
     cluster = source.cluster
     if not 0 <= args.provider < cluster.n_providers:
         print(
@@ -510,229 +515,85 @@ def cmd_repair(args, out) -> int:
     return 0 if all_consistent else 1
 
 
-def _shard_verify(router, employees, out) -> bool:
-    """Compare the sharded deployment against the plaintext oracle."""
-    from .sqlengine.catalog import Catalog
-    from .sqlengine.executor import PlaintextExecutor, rows_equal_unordered
-    from .sqlengine.sqlparser import parse_sql
-    from .sqlengine.table import Table
-
-    catalog = Catalog()
-    catalog.add_table(Table(employees.schema, employees.rows()))
-    oracle = PlaintextExecutor(catalog)
-    probes = [
-        "SELECT COUNT(*) FROM Employees",
-        "SELECT SUM(salary) FROM Employees",
-        "SELECT AVG(salary) FROM Employees WHERE salary >= 50000",
-        "SELECT * FROM Employees WHERE eid < 5000",
-    ]
-    ok = True
-    for text in probes:
-        got = router.sql(text)
-        want = oracle.execute(parse_sql(text))
-        matches = (
-            rows_equal_unordered(got, want)
-            if isinstance(want, list)
-            else got == want
-        )
-        status = "ok" if matches else "MISMATCH"
-        print(f"  verify {text!r}: {status}", file=out)
-        ok = ok and matches
-    held = router.shard_row_ids("Employees")
-    total = sum(len(ids) for ids in held.values())
-    distinct = len({rid for ids in held.values() for rid in ids})
-    if total != len(employees.rows()) or distinct != total:
+def _print_shard_result(result, rows: int, out) -> int:
+    """The after-migration distribution, bytes and oracle verdicts."""
+    _print_distribution(result, result["after"], out)
+    print(
+        f"  network: {result['network_bytes']:,} bytes across groups",
+        file=out,
+    )
+    for text, matches in result["probes"]:
+        print(f"  verify {text!r}: {'ok' if matches else 'MISMATCH'}", file=out)
+    held, distinct = result["rows_held"], result["rows_distinct"]
+    if result["placement_ok"]:
+        print(f"  verify row placement: ok ({held} rows, no duplicates)", file=out)
+    else:
         print(
-            f"  verify row placement: MISMATCH ({total} rows held, "
-            f"{distinct} distinct, {len(employees.rows())} expected)",
+            f"  verify row placement: MISMATCH ({held} rows held, "
+            f"{distinct} distinct, {rows} expected)",
             file=out,
         )
-        ok = False
-    else:
-        print(f"  verify row placement: ok ({total} rows, no duplicates)", file=out)
-    return ok
+    ok = result["placement_ok"] and all(m for _, m in result["probes"])
+    return 0 if ok else 1
 
 
-def _print_shard_distribution(router, table: str, out) -> None:
-    for index, ids in sorted(router.shard_row_ids(table).items()):
-        group = router.groups[index]
-        print(f"  {group.name}: {len(ids)} rows", file=out)
+def _print_distribution(result, distribution, out) -> None:
+    for index, rows in distribution.items():
+        print(f"  {result['groups'][index]}: {rows} rows", file=out)
 
 
 def cmd_shard_split(args, out) -> int:
-    from .service.sharding import ShardRouter
-
-    router = ShardRouter.build(
-        n_groups=args.groups,
-        providers_per_group=args.providers,
-        threshold=args.threshold,
-        seed=args.seed,
-        mode="range",
+    result = drills.split(
+        args.rows, args.providers, args.threshold, args.seed,
+        groups=args.groups, at=args.at,
     )
-    employees = employees_table(args.rows, seed=args.seed)
-    router.outsource_table(employees, partition_column="eid")
     print(f"range-sharded Employees across {args.groups} groups:", file=out)
-    _print_shard_distribution(router, "Employees", out)
-    moved = router.split_shard("Employees", args.at)
+    _print_distribution(result, result["before"], out)
     print(
-        f"split at eid={args.at}: {moved} rows migrated to "
-        f"{router.groups[-1].name} (online, staging cutover)",
+        f"split at eid={args.at}: {result['rows_moved']} rows migrated to "
+        f"{result['groups'][-1]} (online, staging cutover)",
         file=out,
     )
-    _print_shard_distribution(router, "Employees", out)
-    network_bytes = router.total_network_bytes()
-    print(f"  network: {network_bytes:,} bytes across groups", file=out)
-    return 0 if _shard_verify(router, employees, out) else 1
+    return _print_shard_result(result, args.rows, out)
 
 
 def cmd_shard_rebalance(args, out) -> int:
-    from .service.sharding import ShardRouter
-
-    router = ShardRouter.build(
-        n_groups=args.groups,
-        providers_per_group=args.providers,
-        threshold=args.threshold,
-        seed=args.seed,
-        mode="hash",
+    result = drills.rebalance(
+        args.rows, args.providers, args.threshold, args.seed,
+        groups=args.groups, add_groups=args.add_groups,
     )
-    employees = employees_table(args.rows, seed=args.seed)
-    router.outsource_table(employees)
     print(f"hash-sharded Employees across {args.groups} groups:", file=out)
-    _print_shard_distribution(router, "Employees", out)
-    for _ in range(args.add_groups):
-        router.add_group()
+    _print_distribution(result, result["before"], out)
     if args.add_groups:
         print(f"registered {args.add_groups} new group(s)", file=out)
-    moved = router.rebalance()
     print(
-        f"rebalanced: {moved} rows migrated across "
-        f"{len(router.active_group_indexes())} active groups",
+        f"rebalanced: {result['rows_moved']} rows migrated across "
+        f"{len(result['groups'])} active groups",
         file=out,
     )
-    _print_shard_distribution(router, "Employees", out)
-    network_bytes = router.total_network_bytes()
-    print(f"  network: {network_bytes:,} bytes across groups", file=out)
-    return 0 if _shard_verify(router, employees, out) else 1
-
-
-def _accounts_schema():
-    from .sqlengine.schema import TableSchema, integer_column
-
-    # balance is randomly shared: the column the incremental-delta path
-    # exercises (order-preserving shares cannot be perturbed in place)
-    return TableSchema(
-        "Accounts",
-        (
-            integer_column("aid", 0, 1_000_000),
-            integer_column("balance", 0, 1_000_000_000, searchable=False),
-        ),
-        primary_key="aid",
-    )
-
-
-def _txn_script(rows: int) -> List[str]:
-    """A deterministic mutation mix covering every transactional op."""
-    half = max(rows // 2, 1)
-    return [
-        f"UPDATE Accounts SET balance = balance + 250 WHERE aid < {half}",
-        "UPDATE Accounts SET balance = 777 WHERE aid = 1",
-        f"DELETE FROM Accounts WHERE aid = {rows - 1}",
-        f"UPDATE Accounts SET balance = balance - 50 WHERE aid >= {half}",
-    ]
-
-
-def _txn_oracle(rows: int):
-    """Plaintext ground truth the recovered share state must equal."""
-    from .sqlengine.catalog import Catalog
-    from .sqlengine.executor import PlaintextExecutor
-    from .sqlengine.table import Table
-
-    catalog = Catalog()
-    table = Table(_accounts_schema())
-    for i in range(rows):
-        table.insert({"aid": i, "balance": 1000 + i})
-    catalog.add_table(table)
-    return catalog, PlaintextExecutor(catalog)
+    return _print_shard_result(result, args.rows, out)
 
 
 def cmd_txn_replay(args, out) -> int:
     """Kill-at-a-WAL-phase crash drill: crash, recover, compare to oracle.
 
-    A statement is committed iff its WAL record survived — so the oracle
-    includes the victim statement at every phase except ``pre-log``.
     Exits non-zero if any phase recovers to anything but the exact
     plaintext oracle state.
     """
-    import os as _os
-    import tempfile as _tempfile
-
-    from .errors import SimulatedCrash
-    from .sqlengine.sqlparser import parse_sql
-    from .txn import ShardedTransactionManager, TransactionManager
-
     phases = list(KILL_PHASES) if args.kill == "all" else [args.kill]
-    victim = (
-        f"UPDATE Accounts SET balance = balance + 9999 WHERE aid < {args.rows}"
-    )
     failures = 0
     for phase in phases:
-        if args.sharded:
-            from .service.sharding import ShardRouter
-
-            router = ShardRouter.build(
-                n_groups=2,
-                providers_per_group=args.providers,
-                threshold=args.threshold,
-                seed=args.seed,
+        with tempfile.TemporaryDirectory(prefix="repro-replay-") as wal_dir:
+            result = drills.crash_replay(
+                os.path.join(wal_dir, "replay.wal"), phase, args.rows,
+                args.providers, args.threshold, args.seed, args.sharded,
             )
-            router.create_table(_accounts_schema())
-            reader = router
-            wal = _tempfile.mktemp(prefix="repro-replay-", suffix=".wal")
-            manager = ShardedTransactionManager(router, wal)
-        else:
-            cluster = ProviderCluster(args.providers, args.threshold)
-            reader = DataSource(cluster, seed=args.seed)
-            reader.create_table(_accounts_schema())
-            wal = _tempfile.mktemp(prefix="repro-replay-", suffix=".wal")
-            manager = TransactionManager(reader, wal)
-        catalog, oracle = _txn_oracle(args.rows)
-        for i in range(args.rows):
-            manager.execute(
-                f"INSERT INTO Accounts (aid, balance) VALUES ({i}, {1000 + i})"
-            )
-        for statement in _txn_script(args.rows):
-            manager.execute(statement)
-            oracle.execute(parse_sql(statement))
-        manager.kill_at = phase
-        crashed = False
-        try:
-            manager.execute(victim)
-        except SimulatedCrash:
-            crashed = True
-        if phase != "pre-log":
-            oracle.execute(parse_sql(victim))
-        manager.close()
-        if args.sharded:
-            recovering = ShardedTransactionManager(router, wal)
-        else:
-            recovering = TransactionManager(reader, wal)
-        report = recovering.recover()
-        live = sorted(
-            (row["aid"], row["balance"])
-            for row in reader.select(parse_sql("SELECT * FROM Accounts"))
-        )
-        expected = sorted(
-            (row["aid"], row["balance"])
-            for row in catalog.table("Accounts").rows()
-        )
-        exact = live == expected
-        failures += 0 if exact else 1
-        recovering.close()
-        _os.remove(wal)  # an explicit log is never removed by its manager
+            result.manager.close()
+        failures += 0 if result.exact else 1
         print(
-            f"  {phase:10s}: crashed={str(crashed).lower():5s} "
-            f"replayed={report['replayed']} "
-            f"state={'exact' if exact else 'DIVERGED'}",
+            f"  {phase:10s}: crashed={str(result.crashed).lower():5s} "
+            f"replayed={result.replayed} "
+            f"state={'exact' if result.exact else 'DIVERGED'}",
             file=out,
         )
     deployment = "sharded (2 groups)" if args.sharded else "unsharded"
@@ -753,54 +614,21 @@ def cmd_txn_replay(args, out) -> int:
 
 def cmd_time_travel(args, out) -> int:
     """Replay a table's epochs through ``as_of_epoch`` reads."""
-    from .sqlengine.sqlparser import parse_sql
-    from .txn import TransactionManager
-
-    cluster = ProviderCluster(args.providers, args.threshold)
-    source = DataSource(cluster, seed=args.seed)
-    source.create_table(_accounts_schema())
-    manager = TransactionManager(source)
-    rows = [
-        {"aid": i, "balance": 1000 + i} for i in range(args.rows)
-    ]
-    source.insert_many("Accounts", rows)
-    for statement in _txn_script(args.rows):
-        manager.execute(statement)
-    manager.close()
-    select_all = parse_sql("SELECT * FROM Accounts")
-    current = source.table_epoch("Accounts")
-    epochs = (
-        [args.epoch]
-        if args.epoch is not None
-        else list(range(1, current + 1))
+    result = drills.time_travel(
+        args.rows, args.providers, args.threshold, args.seed, args.epoch
     )
-    summary = []
-    for epoch in epochs:
-        past = source.select_asof(select_all, epoch)
-        summary.append(
-            {
-                "epoch": epoch,
-                "rows": len(past),
-                "sum(balance)": sum(r["balance"] for r in past),
-            }
-        )
-    print(format_table(summary), file=out)
-    live = sorted(
-        (r["aid"], r["balance"]) for r in source.select(select_all)
-    )
-    head = sorted(
-        (r["aid"], r["balance"])
-        for r in source.select_asof(select_all, current)
-    )
-    if live != head:
+    print(format_table(result["epochs"]), file=out)
+    head = result["head"]
+    if result["diverged"] or not result["head_matches_live"]:
         print(
-            f"error: as_of_epoch={current} disagrees with the live read",
+            f"error: an as_of_epoch read disagrees with the oracle, or "
+            f"as_of_epoch={head} with the live read",
             file=out,
         )
         return 1
     print(
-        f"time-travel: {len(epochs)} epochs readable; "
-        f"as_of_epoch={current} matches the live read exactly",
+        f"time-travel: {len(result['epochs'])} epochs readable; "
+        f"as_of_epoch={head} matches the live read exactly",
         file=out,
     )
     return 0
@@ -841,15 +669,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=int, default=3)
         p.add_argument("--seed", type=int, default=2009)
 
+    def deployment(p, snapshot_help):
+        """What :func:`_open_source` reads."""
+        common(p)
+        p.add_argument(
+            "--workload", choices=("employees", "ecommerce"), default="employees"
+        )
+        p.add_argument("--snapshot", help=snapshot_help)
+
     demo = sub.add_parser("demo", help="guided tour over a payroll workload")
     common(demo)
 
     sql = sub.add_parser("sql", help="interactive SQL shell")
-    common(sql)
-    sql.add_argument(
-        "--workload", choices=("employees", "ecommerce"), default="employees"
-    )
-    sql.add_argument("--snapshot", help="load a saved deployment directory")
+    deployment(sql, "load a saved deployment directory")
     sql.add_argument("--save", help="save the deployment on exit")
     sql.add_argument(
         "-e", "--execute", action="append",
@@ -859,16 +691,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="run one statement with telemetry and print the trace"
     )
-    common(trace)
-    trace.add_argument(
-        "--workload", choices=("employees", "ecommerce"), default="employees"
-    )
+    deployment(trace, "trace against a saved deployment directory")
     trace.add_argument(
         "--json", action="store_true",
         help="emit the full telemetry export (metrics + spans) as JSON",
-    )
-    trace.add_argument(
-        "--snapshot", help="trace against a saved deployment directory"
     )
     trace.add_argument(
         "--output", help="write the JSON telemetry export to this file"
@@ -924,13 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repair",
         help="rebuild one provider's shares from k live peers and verify",
     )
-    common(repair)
-    repair.add_argument(
-        "--workload", choices=("employees", "ecommerce"), default="employees"
-    )
-    repair.add_argument(
-        "--snapshot", help="repair within a saved deployment directory"
-    )
+    deployment(repair, "repair within a saved deployment directory")
     repair.add_argument(
         "--provider", type=int, required=True,
         help="index of the provider to rebuild (0-based)",
@@ -998,30 +818,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "demo": cmd_demo,
+    "sql": cmd_sql,
+    "trace": cmd_trace,
+    "serve-sim": cmd_serve_sim,
+    "repair": cmd_repair,
+    "shard-split": cmd_shard_split,
+    "shard-rebalance": cmd_shard_rebalance,
+    "txn-replay": cmd_txn_replay,
+    "time-travel": cmd_time_travel,
+    "figure1": cmd_figure1,
+}
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "demo":
-            return cmd_demo(args, out)
-        if args.command == "sql":
-            return cmd_sql(args, out)
-        if args.command == "trace":
-            return cmd_trace(args, out)
-        if args.command == "serve-sim":
-            return cmd_serve_sim(args, out)
-        if args.command == "repair":
-            return cmd_repair(args, out)
-        if args.command == "shard-split":
-            return cmd_shard_split(args, out)
-        if args.command == "shard-rebalance":
-            return cmd_shard_rebalance(args, out)
-        if args.command == "txn-replay":
-            return cmd_txn_replay(args, out)
-        if args.command == "time-travel":
-            return cmd_time_travel(args, out)
-        if args.command == "figure1":
-            return cmd_figure1(args, out)
+        return COMMANDS[args.command](args, out)
     except ReproError as exc:
         print(f"error: {exc}", file=out)
         return 1
@@ -1029,8 +844,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         # bad --snapshot/--save/--output paths must not traceback
         print(f"error: {exc}", file=out)
         return 1
-    return 2  # pragma: no cover - argparse enforces the choices
-
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

@@ -325,9 +325,7 @@ class TestServeSim:
         assert without_wall(other) != without_wall(a)
 
     def test_transactional_writes_through_the_wal(self, monkeypatch):
-        from repro import cli
-        from repro.sqlengine.catalog import Catalog
-        from repro.sqlengine.executor import PlaintextExecutor
+        from repro import drills
         from repro.sqlengine.query import Select
         from repro.sqlengine.sqlparser import parse_sql
         from repro.txn import TransactionManager
@@ -335,7 +333,7 @@ class TestServeSim:
 
         sources, writes = [], []
 
-        class CapturedSource(cli.DataSource):
+        class CapturedSource(drills.DataSource):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 sources.append(self)
@@ -347,7 +345,7 @@ class TestServeSim:
                 writes.append(statement)
             return inner_execute(self, statement, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "DataSource", CapturedSource)
+        monkeypatch.setattr(drills, "DataSource", CapturedSource)
         monkeypatch.setattr(TransactionManager, "execute", recording_execute)
         code, text = run([
             "serve-sim", "--rows", "30", "--clients", "4", "--statements",
@@ -360,9 +358,7 @@ class TestServeSim:
         assert writes and txn["logged"] == txn["committed"] == len(writes)
         assert txn["pending"] == 0 and txn["wal_fsyncs"] > 0
         # the table the run left behind is the oracle's, write for write
-        catalog = Catalog()
-        catalog.add_table(employees_table(30, seed=5))
-        oracle = PlaintextExecutor(catalog)
+        oracle = drills.plaintext_oracle(employees_table(30, seed=5))
         for statement in writes:
             oracle.execute(statement)
         everything = "SELECT * FROM Employees ORDER BY eid"
@@ -398,42 +394,6 @@ class TestTxnReplay:
         assert code == 0, text
         assert "lost-ack  : crashed=true  replayed=1 state=exact" in text
 
-    def test_sharded_matrix_recovers_every_phase_exactly(self):
-        from repro.txn import KILL_PHASES
-
-        code, text = run([
-            "txn-replay", "--sharded", "--rows", "12", "--providers", "3",
-            "--threshold", "2",
-        ])
-        assert code == 0, text
-        replayed = {"pre-log": 0, "post-ack": 0}
-        for phase in KILL_PHASES:
-            assert (
-                f"  {phase:10s}: crashed=true  "
-                f"replayed={replayed.get(phase, 1)} state=exact"
-            ) in text.splitlines()
-        assert text.splitlines()[-1] == (
-            "txn-replay: all 6 kill phases recovered exactly "
-            "(sharded (2 groups), 12 rows)"
-        )
-
-
-class TestTimeTravel:
-    def test_every_epoch_is_readable(self):
-        code, text = run(["time-travel", "--rows", "20"])
-        assert code == 0, text
-        assert text.splitlines() == [
-            "epoch | rows | sum(balance)",
-            "------+------+-------------",
-            "1     | 20   | 20190       ",
-            "2     | 20   | 22690       ",
-            "3     | 20   | 22216       ",
-            "4     | 19   | 21197       ",
-            "5     | 19   | 20747       ",
-            "time-travel: 5 epochs readable; as_of_epoch=5 matches the "
-            "live read exactly",
-        ]
-
 
 SHARD_VERIFY = [
     "  verify 'SELECT COUNT(*) FROM Employees': ok",
@@ -443,58 +403,69 @@ SHARD_VERIFY = [
     "  verify row placement: ok (60 rows, no duplicates)",
 ]
 
+#: each drill command's output, every line but its byte count
+DRILLS = {
+    "time-travel --rows 20": [
+        "epoch | rows | sum(balance)",
+        "------+------+-------------",
+        "1     | 20   | 20190       ",
+        "2     | 20   | 22690       ",
+        "3     | 20   | 22216       ",
+        "4     | 19   | 21197       ",
+        "5     | 19   | 20747       ",
+        "time-travel: 5 epochs readable; as_of_epoch=5 matches the live "
+        "read exactly",
+    ],
+    "shard-split --rows 60": [
+        "range-sharded Employees across 2 groups:",
+        "  group0: 31 rows",
+        "  group1: 29 rows",
+        "split at eid=250000: 11 rows migrated to group2 (online, staging "
+        "cutover)",
+        "  group0: 20 rows",
+        "  group1: 29 rows",
+        "  group2: 11 rows",
+        *SHARD_VERIFY,
+    ],
+    "shard-rebalance --rows 60": [
+        "hash-sharded Employees across 2 groups:",
+        "  group0: 35 rows",
+        "  group1: 25 rows",
+        "registered 1 new group(s)",
+        "rebalanced: 18 rows migrated across 3 active groups",
+        "  group0: 24 rows",
+        "  group1: 18 rows",
+        "  group2: 18 rows",
+        *SHARD_VERIFY,
+    ],
+    "txn-replay --sharded --rows 12 --providers 3 --threshold 2": [
+        "  pre-log   : crashed=true  replayed=0 state=exact",
+        "  post-log  : crashed=true  replayed=1 state=exact",
+        "  mid-round : crashed=true  replayed=1 state=exact",
+        "  pre-ack   : crashed=true  replayed=1 state=exact",
+        "  post-ack  : crashed=true  replayed=0 state=exact",
+        "  lost-ack  : crashed=true  replayed=1 state=exact",
+        "txn-replay: all 6 kill phases recovered exactly (sharded (2 "
+        "groups), 12 rows)",
+    ],
+    "repair --provider 2 --simulate-loss --rows 60": [
+        "simulated storage loss at DAS3",
+        "  repaired Employees: 60 rows",
+        "  repaired Managers: 6 rows",
+        "  verify Employees: 60 rows at DAS3 vs 60 at the quorum — consistent",
+        "  verify Managers: 6 rows at DAS3 vs 6 at the quorum — consistent",
+    ],
+}
 
-class TestShardDrills:
-    def test_split_moves_a_slice_to_a_fresh_group(self):
-        code, text = run(["shard-split", "--rows", "60"])
-        assert code == 0, text
-        lines = text.splitlines()
-        assert lines[:7] == [
-            "range-sharded Employees across 2 groups:",
-            "  group0: 31 rows",
-            "  group1: 29 rows",
-            "split at eid=250000: 11 rows migrated to group2 "
-            "(online, staging cutover)",
-            "  group0: 20 rows",
-            "  group1: 29 rows",
-            "  group2: 11 rows",
-        ]
-        assert lines[7].startswith("  network: ")
-        assert lines[8:] == SHARD_VERIFY
 
-    def test_rebalance_spreads_rows_onto_the_new_group(self):
-        code, text = run(["shard-rebalance", "--rows", "60"])
-        assert code == 0, text
-        lines = text.splitlines()
-        assert lines[:8] == [
-            "hash-sharded Employees across 2 groups:",
-            "  group0: 35 rows",
-            "  group1: 25 rows",
-            "registered 1 new group(s)",
-            "rebalanced: 18 rows migrated across 3 active groups",
-            "  group0: 24 rows",
-            "  group1: 18 rows",
-            "  group2: 18 rows",
-        ]
-        assert lines[8].startswith("  network: ")
-        assert lines[9:] == SHARD_VERIFY
-
-
-class TestRepair:
-    def test_simulated_loss_is_rebuilt_consistently(self):
-        code, text = run([
-            "repair", "--provider", "2", "--simulate-loss", "--rows", "60",
-        ])
-        assert code == 0, text
-        assert text.splitlines()[:5] == [
-            "simulated storage loss at DAS3",
-            "  repaired Employees: 60 rows",
-            "  repaired Managers: 6 rows",
-            "  verify Employees: 60 rows at DAS3 vs 60 at the quorum — "
-            "consistent",
-            "  verify Managers: 6 rows at DAS3 vs 6 at the quorum — "
-            "consistent",
-        ]
+@pytest.mark.parametrize("command", sorted(DRILLS))
+def test_drill_command_prints_its_verdict(command):
+    code, text = run(command.split())
+    assert code == 0, text
+    lines = text.splitlines()
+    assert [line for line in lines if not line.startswith("  network: ")] == (
+        DRILLS[command]
+    )
 
 
 class TestHelpers:

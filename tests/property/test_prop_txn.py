@@ -17,51 +17,24 @@ the fixed-seed recovery matrix in tests/txn covers volume.
 
 from hypothesis import given, settings, strategies as st
 
+from repro import drills
 from repro.client.datasource import DataSource
 from repro.errors import SimulatedCrash
 from repro.providers.cluster import ProviderCluster
-from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.executor import PlaintextExecutor
-from repro.sqlengine.schema import TableSchema, integer_column
 from repro.sqlengine.sqlparser import parse_sql
 from repro.sqlengine.table import Table
 from repro.txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
+from repro.workloads.accounts import accounts_schema
 
 ROWS = 8
 START = 100_000
 
 
-def accounts_schema():
-    return TableSchema(
-        "Accounts",
-        (
-            integer_column("aid", 0, 1_000_000),
-            integer_column("balance", 0, 1_000_000_000, searchable=False),
-        ),
-        primary_key="aid",
-    )
-
-
-def build_oracle():
-    catalog = Catalog()
-    table = Table(accounts_schema())
-    for i in range(ROWS):
-        table.insert({"aid": i, "balance": START + i})
-    catalog.add_table(table)
-    return catalog, PlaintextExecutor(catalog)
-
-
-def oracle_rows(catalog):
-    return sorted(
-        (row["aid"], row["balance"])
-        for row in catalog.table("Accounts").rows()
-    )
-
-
-def live_rows(reader):
-    return sorted(
-        (row["aid"], row["balance"])
-        for row in reader.select(parse_sql("SELECT * FROM Accounts"))
+def start_table():
+    """Account ``i`` holds ``START + i``."""
+    return Table(
+        accounts_schema(),
+        [{"aid": i, "balance": START + i} for i in range(ROWS)],
     )
 
 
@@ -108,7 +81,7 @@ def fill(manager):
 @settings(max_examples=12, deadline=None)
 @given(ops=operations, read_after=st.integers(min_value=0, max_value=5))
 def test_delta_path_equals_eager_and_oracle(ops, read_after):
-    catalog, oracle = build_oracle()
+    oracle = drills.plaintext_oracle(start_table())
 
     txn_source = DataSource(ProviderCluster(3, 2), seed=5)
     txn_source.create_table(accounts_schema())
@@ -117,10 +90,7 @@ def test_delta_path_equals_eager_and_oracle(ops, read_after):
 
     eager_source = DataSource(ProviderCluster(3, 2), seed=5)
     eager_source.create_table(accounts_schema())
-    eager_source.insert_many(
-        "Accounts",
-        [{"aid": i, "balance": START + i} for i in range(ROWS)],
-    )
+    eager_source.insert_many("Accounts", start_table().rows())
 
     for position, op in enumerate(ops):
         text = to_sql(op)
@@ -131,14 +101,11 @@ def test_delta_path_equals_eager_and_oracle(ops, read_after):
         if position == read_after:
             # interleaved read through the manager barriers the outbox
             # and must already agree with the oracle mid-sequence
-            assert sorted(
-                (r["aid"], r["balance"])
-                for r in manager.execute("SELECT * FROM Accounts")
-            ) == oracle_rows(catalog)
+            assert drills.accounts(manager) == drills.accounts(oracle)
     manager.close()
-    expected = oracle_rows(catalog)
-    assert live_rows(txn_source) == expected
-    assert live_rows(eager_source) == expected
+    expected = drills.accounts(oracle)
+    assert drills.accounts(txn_source) == expected
+    assert drills.accounts(eager_source) == expected
 
 
 @settings(max_examples=8, deadline=None)
@@ -146,7 +113,7 @@ def test_delta_path_equals_eager_and_oracle(ops, read_after):
 def test_sharded_delta_sequence_equals_oracle(ops):
     from repro.service.sharding import ShardRouter
 
-    catalog, oracle = build_oracle()
+    oracle = drills.plaintext_oracle(start_table())
     router = ShardRouter.build(
         n_groups=2, providers_per_group=3, threshold=2, seed=5
     )
@@ -158,14 +125,14 @@ def test_sharded_delta_sequence_equals_oracle(ops):
         manager.execute(text)
         oracle.execute(parse_sql(text))
     manager.close()
-    assert live_rows(router) == oracle_rows(catalog)
+    assert drills.accounts(router) == drills.accounts(oracle)
 
 
 @settings(max_examples=10, deadline=None)
 @given(ops=operations, phase=st.sampled_from(list(KILL_PHASES)))
 def test_wal_replay_is_idempotent(tmp_path_factory, ops, phase):
     wal = str(tmp_path_factory.mktemp("txn") / "prop.wal")
-    catalog, oracle = build_oracle()
+    oracle = drills.plaintext_oracle(start_table())
     source = DataSource(ProviderCluster(3, 2), seed=5)
     source.create_table(accounts_schema())
     manager = TransactionManager(source, wal)
@@ -187,32 +154,29 @@ def test_wal_replay_is_idempotent(tmp_path_factory, ops, phase):
     manager.close()
     once = TransactionManager(source, wal)
     once.recover()
-    state_once = live_rows(source)
+    state_once = drills.accounts(source)
     once.close()
     twice = TransactionManager(source, wal)
     report = twice.recover()
     twice.close()
     assert report["replayed"] == 0
-    assert live_rows(source) == state_once == oracle_rows(catalog)
+    assert drills.accounts(source) == state_once == drills.accounts(oracle)
 
 
 @settings(max_examples=10, deadline=None)
 @given(ops=operations)
 def test_time_travel_equals_oracle_at_every_epoch(ops):
-    catalog, oracle = build_oracle()
+    oracle = drills.plaintext_oracle(start_table())
     source = DataSource(ProviderCluster(3, 2), seed=5)
     source.create_table(accounts_schema())
-    source.insert_many(
-        "Accounts",
-        [{"aid": i, "balance": START + i} for i in range(ROWS)],
-    )
+    source.insert_many("Accounts", start_table().rows())
     manager = TransactionManager(source)
-    states = {source.table_epoch("Accounts"): oracle_rows(catalog)}
+    states = {source.table_epoch("Accounts"): drills.accounts(oracle)}
     for op in ops:
         text = to_sql(op)
         manager.execute(text)
         oracle.execute(parse_sql(text))
-        states[source.table_epoch("Accounts")] = oracle_rows(catalog)
+        states[source.table_epoch("Accounts")] = drills.accounts(oracle)
     manager.close()
     select_all = parse_sql("SELECT * FROM Accounts")
     for epoch, expected in states.items():

@@ -4,10 +4,8 @@ import threading
 
 import pytest
 
-from repro import telemetry
-from repro.client.datasource import DataSource
+from repro import drills, telemetry
 from repro.errors import ConfigurationError, ReproError
-from repro.providers.cluster import ProviderCluster
 from repro.service import (
     PlaintextMirror,
     estimate_capacity,
@@ -15,36 +13,12 @@ from repro.service import (
     run_closed_loop,
     run_open_loop,
 )
-from repro.workloads.employees import employees_schema, employees_table
-from repro.workloads.traffic import (
-    TrafficEvent,
-    TrafficProfile,
-    generate_traffic,
-)
+from repro.workloads.employees import employees_schema
+from repro.workloads.traffic import TrafficEvent, generate_traffic
 
-SEED = 2009
-
-
-def build_source(rows=40, providers=4, threshold=2):
-    table = employees_table(rows, seed=SEED)
-    source = DataSource(
-        ProviderCluster(providers, threshold), seed=SEED, verified_reads=True
-    )
-    source.outsource_table(table)
-    eids = sorted(row["eid"] for row in table.rows())
-    return source, eids
-
-
-def flood_events(source, eids, load, queries=200, max_in_flight=4):
-    """Traffic calibrated to ``load`` x the deployment's capacity."""
-    capacity = estimate_capacity(
-        source, eids, max_in_flight=max_in_flight, seed=SEED + 1
-    )
-    source.cluster.network.reset()
-    profile = TrafficProfile(
-        mean_interarrival=1.0 / (capacity["capacity_qps"] * load)
-    )
-    return generate_traffic(eids, queries, seed=SEED, profile=profile)
+SEED = drills.SEED
+#: rows, providers, threshold
+SHAPE = (40, 4, 2)
 
 
 class TestMirror:
@@ -134,7 +108,7 @@ class TestMirror:
             )
 
     def test_generated_traffic_checks_against_its_own_sql(self):
-        source, eids = build_source(rows=12, providers=3, threshold=2)
+        source, eids = drills.employees_source(12, 3, 2)
         mirror = PlaintextMirror(
             source.sharing("Employees").schema,
             source.sql("SELECT * FROM Employees"),
@@ -145,17 +119,17 @@ class TestMirror:
 
 class TestCapacity:
     def test_capacity_positive_and_deterministic(self):
-        source, eids = build_source()
+        source, eids = drills.employees_source(*SHAPE)
         first = estimate_capacity(source, eids, max_in_flight=4)
         assert first["capacity_qps"] > 0
         assert first["mean_service_seconds"] > 0
-        source2, eids2 = build_source()
+        source2, eids2 = drills.employees_source(*SHAPE)
         assert estimate_capacity(source2, eids2, max_in_flight=4) == first
 
 
 class TestRunOpenLoop:
     def test_validation(self):
-        source, _ = build_source(rows=10, providers=3, threshold=2)
+        source, _ = drills.employees_source(10, 3, 2)
         with pytest.raises(ConfigurationError):
             run_open_loop(source, [], max_in_flight=0)
         with pytest.raises(ConfigurationError):
@@ -165,24 +139,22 @@ class TestRunOpenLoop:
             run_open_loop(source, [], degrade_at=0.3, restore_at=0.5)
 
     def test_light_load_all_complete_zero_incorrect(self):
-        source, eids = build_source()
-        events = flood_events(source, eids, load=0.2, queries=120)
-        report = run_open_loop(source, events, max_in_flight=4,
-                               queue_limit=16)
+        source, eids = drills.employees_source(*SHAPE)
+        report = drills.flood(
+            source, eids, load=0.2, queries=120, max_in_flight=4,
+            queue_limit=16,
+        )
         assert report["completed"] == 120
         assert report["shed"] == 0
         assert report["failed"] == 0
         assert report["incorrect"] == 0
 
     def test_overload_sheds_by_priority_and_degrades(self):
-        source, eids = build_source()
-        events = flood_events(source, eids, load=4.0, queries=240)
-        with telemetry.session(
-            clock=lambda: source.cluster.network.modelled_seconds
-        ):
-            report = run_open_loop(
-                source, events, max_in_flight=4, queue_limit=16
-            )
+        source, eids = drills.employees_source(*SHAPE)
+        report = drills.flood(
+            source, eids, load=4.0, queries=240, max_in_flight=4,
+            queue_limit=16,
+        )
         assert report["incorrect"] == 0
         assert report["shed"] > 0
         assert report["degraded_served"] > 0
@@ -197,22 +169,26 @@ class TestRunOpenLoop:
         assert report["slo"]["offered"] == report["offered"]
 
     def test_verified_reads_restored_after_run(self):
-        source, eids = build_source()
-        events = flood_events(source, eids, load=4.0, queries=150)
+        source, eids = drills.employees_source(*SHAPE)
         assert source.verified_reads
-        run_open_loop(source, events, max_in_flight=2, queue_limit=8)
+        report = drills.flood(
+            source, eids, load=4.0, queries=150, max_in_flight=2,
+            queue_limit=8,
+        )
+        assert report["degraded_served"] > 0
         assert source.verified_reads  # ladder toggles are transient
 
     def test_deterministic_reports(self):
         reports, closed = [], []
         for _ in range(2):
-            source, eids = build_source()
-            events = flood_events(source, eids, load=4.0, queries=150)
+            source, eids = drills.employees_source(*SHAPE)
             reports.append(
-                run_open_loop(source, events, max_in_flight=4,
-                              queue_limit=16)
+                drills.flood(
+                    source, eids, load=4.0, queries=150, max_in_flight=4,
+                    queue_limit=16,
+                )
             )
-            source, eids = build_source()
+            source, eids = drills.employees_source(*SHAPE)
             closed.append(
                 run_closed_loop(
                     source, generate_traffic(eids, 150, seed=SEED),
@@ -228,7 +204,7 @@ class TestRunClosedLoop:
     """Closed loop is an arrival discipline of the same event loop."""
 
     def test_every_statement_completes_when_clients_fit(self):
-        source, eids = build_source()
+        source, eids = drills.employees_source(*SHAPE)
         events = generate_traffic(eids, 6 * 10, seed=SEED)
         with telemetry.session(
             clock=lambda: source.cluster.network.modelled_seconds
@@ -246,7 +222,7 @@ class TestRunClosedLoop:
         assert report["utilization"] > 0.8
 
     def test_one_client_is_sequential(self):
-        source, eids = build_source()
+        source, eids = drills.employees_source(*SHAPE)
         events = generate_traffic(eids, 20, seed=SEED)
         report = run_closed_loop(source, events, clients=1, max_in_flight=4)
         assert report["completed"] == 20
@@ -257,7 +233,7 @@ class TestRunClosedLoop:
         )
 
     def test_oversubscribed_clients_shed_and_degrade(self):
-        source, eids = build_source()
+        source, eids = drills.employees_source(*SHAPE)
         events = generate_traffic(eids, 40 * 5, seed=SEED)
         report = run_closed_loop(
             source, events, clients=40, max_in_flight=2, queue_limit=8
@@ -270,7 +246,7 @@ class TestRunClosedLoop:
         assert source.verified_reads
 
     def test_transactional_matches_the_mirror(self):
-        source, eids = build_source()
+        source, eids = drills.employees_source(*SHAPE)
         events = generate_traffic(eids, 4 * 12, seed=SEED)
         report = run_closed_loop(
             source, events, clients=4, max_in_flight=4, transactional=True
@@ -297,18 +273,19 @@ class TestRunnerOwnsNoPolicy:
 
     def test_runs_start_no_threads(self):
         before = set(threading.enumerate())
-        source, eids = build_source()
+        source, eids = drills.employees_source(*SHAPE)
         events = generate_traffic(eids, 40, seed=SEED)
         run_closed_loop(source, events, clients=8, max_in_flight=2,
                         queue_limit=4)
-        source, _ = build_source()
+        source, _ = drills.employees_source(*SHAPE)
         run_open_loop(source, events, max_in_flight=2, queue_limit=4)
         assert set(threading.enumerate()) == before
 
     def test_shed_count_is_admissions(self):
-        source, eids = build_source()
-        events = flood_events(source, eids, load=4.0, queries=150)
-        report = run_open_loop(source, events, max_in_flight=4,
-                               queue_limit=16)
+        source, eids = drills.employees_source(*SHAPE)
+        report = drills.flood(
+            source, eids, load=4.0, queries=150, max_in_flight=4,
+            queue_limit=16,
+        )
         assert report["shed"] == report["admission"]["rejected_total"] > 0
         assert report["completed"] == report["admission"]["admitted_total"]

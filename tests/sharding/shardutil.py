@@ -6,12 +6,10 @@ workload tables, hash and range modes.
 """
 
 from repro.client.datasource import DataSource
+from repro.drills import plaintext_oracle
 from repro.providers.cluster import ProviderCluster
 from repro.service.sharding import ShardRouter
-from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.executor import PlaintextExecutor
 from repro.sqlengine.sqlparser import parse_sql
-from repro.sqlengine.table import Table
 from repro.workloads.employees import employees_table, managers_table
 
 ROWS = 48
@@ -62,11 +60,7 @@ def build_unsharded(rows=ROWS, seed=SEED):
 
 
 def build_oracle(rows=ROWS, seed=SEED):
-    employees, managers = workload_tables(rows, seed)
-    catalog = Catalog()
-    catalog.add_table(Table(employees.schema, employees.rows()))
-    catalog.add_table(Table(managers.schema, managers.rows()))
-    return PlaintextExecutor(catalog)
+    return plaintext_oracle(*workload_tables(rows, seed))
 
 
 def oracle_answer(oracle, text):

@@ -31,16 +31,23 @@ class TestMeasurement:
         assert measurement.client_seconds() >= 0
         assert measurement.server_seconds() >= 0
 
-    def test_a_repeated_share_measurement_starts_cold(self, source):
-        # the first measurement fills the row cache; the second must
-        # still price the provider round, not a cache hit
-        query = parse_sql(
-            "SELECT * FROM Employees WHERE salary BETWEEN 30000 AND 70000"
-        )
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM Employees WHERE salary BETWEEN 30000 AND 70000",
+        "SELECT SUM(salary) FROM Employees WHERE salary BETWEEN 20000 AND 40000",
+    ])
+    def test_a_repeated_share_measurement_starts_cold(self, source, sql):
+        # the first measurement fills the client's row cache or the
+        # providers' aggregate caches; the second must still price the
+        # provider work, not a cache hit
+        query = parse_sql(sql)
         first, second = (measure_share_query(source, query) for _ in range(2))
-        assert first.messages > 0
-        assert (second.messages, second.bytes_transferred, second.client_ops) == (
-            first.messages, first.bytes_transferred, first.client_ops
+        assert first.messages > 0 and first.server_ops
+        assert (
+            second.messages, second.bytes_transferred, second.client_ops,
+            second.server_ops,
+        ) == (
+            first.messages, first.bytes_transferred, first.client_ops,
+            first.server_ops,
         )
 
     def test_scalar_query_has_no_row_count(self, source):

@@ -3,8 +3,8 @@
 ``parent_wal_64d633f.json`` holds every ``txn`` record the parent commit
 (``64d633f``, before the ISSUE-15 write-pipeline refactor) logged while
 running the kill-phase drill of ``test_recovery.py`` — 14 INSERTs, the
-three-statement script and the victim — for the unsharded and the sharded
-manager.  The records carry all share material, so replaying them onto
+first three statements of ``repro.drills.txn_script`` and the victim — for
+the unsharded and the sharded manager.  The records carry all share material, so replaying them onto
 empty tables rebuilds the parent's provider state bit for bit; the victim's
 record is then appended exactly as the parent's ``_log`` left it, the
 current manager's apply is killed at each phase, and a fresh manager's
@@ -17,38 +17,37 @@ Regenerate (only at the parent commit)::
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
 
 import pytest
 
+from repro import drills
 from repro.errors import SimulatedCrash
 from repro.sim.network import json_default
 from repro.sqlengine.sqlparser import parse_sql
 from repro.txn import KILL_PHASES, ShardedTransactionManager, TransactionManager
 from repro.txn.wal import WriteAheadLog
-from tests.txn.test_recovery import (
-    ROWS,
-    SCRIPT,
-    VICTIM,
-    build_oracle,
-    live_rows,
-    make_sharded,
-    make_unsharded,
-    oracle_rows,
-)
+from repro.workloads.accounts import accounts_table
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "parent_wal_64d633f.json")
-MAKERS = {"unsharded": make_unsharded, "sharded": make_sharded}
+#: the parent's drill: 14 rows and the first three statements of the script
+ROWS = 14
+SCRIPT = drills.txn_script(ROWS)[:3]
+VICTIM = drills.victim(ROWS)
+MAKERS = {
+    shape: functools.partial(
+        drills.txn_deployment, providers=3, threshold=2, seed=11,
+        sharded=shape == "sharded",
+    )
+    for shape in ("unsharded", "sharded")
+}
 
 
 def _statements():
-    inserts = [
-        f"INSERT INTO Accounts (aid, balance) VALUES ({i}, {1000 + i})"
-        for i in range(ROWS)
-    ]
-    return inserts + SCRIPT + [VICTIM]
+    return drills.inserts(ROWS) + SCRIPT + [VICTIM]
 
 
 def _manager_for(reader, wal_path):
@@ -72,7 +71,7 @@ def test_parent_written_log_recovers_to_the_oracle(tmp_path, shape, phase):
     wal_path = str(tmp_path / "parent.wal")
     reader, manager = MAKERS[shape](wal_path)
     manager.close()
-    catalog, oracle = build_oracle()
+    oracle = drills.plaintext_oracle(accounts_table(ROWS))
     for text in SCRIPT:
         oracle.execute(parse_sql(text))
 
@@ -81,7 +80,7 @@ def test_parent_written_log_recovers_to_the_oracle(tmp_path, shape, phase):
     rebuilding = _manager_for(reader, wal_path)
     assert rebuilding.recover()["replayed"] == len(records) - 1
     rebuilding.close()
-    assert live_rows(reader) == oracle_rows(catalog)
+    assert drills.accounts(reader) == drills.accounts(oracle)
 
     if phase != "pre-log":
         # the durability point: the victim's record reached the log
@@ -97,7 +96,7 @@ def test_parent_written_log_recovers_to_the_oracle(tmp_path, shape, phase):
     recovering = _manager_for(reader, wal_path)
     report = recovering.recover()
     recovering.close()
-    assert live_rows(reader) == oracle_rows(catalog)
+    assert drills.accounts(reader) == drills.accounts(oracle)
     expected_replay = 0 if phase in ("pre-log", "post-ack") else 1
     assert report["replayed"] == expected_replay
 
@@ -135,7 +134,7 @@ def test_unsharded_drill_still_logs_the_parents_records_bit_for_bit():
     with open(FIXTURE_PATH, encoding="utf-8") as handle:
         parent = json.load(handle)["unsharded"]
     # compared as serialised text: key order is part of the WAL's bytes
-    assert json.dumps(_logged_records(make_unsharded)) == json.dumps(parent)
+    assert json.dumps(_logged_records(MAKERS["unsharded"])) == json.dumps(parent)
 
 
 def _capture() -> None:
